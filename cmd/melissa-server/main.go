@@ -208,14 +208,19 @@ func main() {
 		if localRanks*len(addrs) != *ranks {
 			fatal(fmt.Errorf("%d processes × %d local ranks != -ranks %d", len(addrs), localRanks, *ranks))
 		}
-		g, err := ddp.ConnectGroupContext(context.Background(), *proc, addrs, localRanks, 30*time.Second, ringOpts)
+		// The topology identity makes a peer launched with a different
+		// -local-ranks fail at ring formation.
+		ringOpts.Identity = ddp.GroupIdentity(localRanks)
+		l, err := transport.ListenRing(addrs[*proc])
 		if err != nil {
 			fatal(fmt.Errorf("connecting rank group: %w", err))
 		}
-		if closer, ok := g.Comm.(interface{ Close() error }); ok {
-			defer closer.Close()
+		ring, err := l.ConnectContext(context.Background(), *proc, addrs, 30*time.Second, ringOpts)
+		if err != nil {
+			fatal(fmt.Errorf("connecting rank group: %w", err))
 		}
-		group, isProc0 = g, *proc == 0
+		group, isProc0 = ddp.GroupFromRing(ring, localRanks), *proc == 0
+		defer group.Close()
 	default:
 		if *transports != "" {
 			fatal(fmt.Errorf("-ranks-transport requires -proc"))

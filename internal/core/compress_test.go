@@ -22,9 +22,8 @@ import (
 )
 
 // codecTrainerGroup builds one trainer per process over a loopback ring
-// with the given wire codec: procs processes hosting local ranks each
-// (ddp.GroupFromRing picks TCPComm for local=1, HierComm otherwise). bufs
-// holds procs·local buffers, assigned in global rank order.
+// with the given wire codec: procs processes hosting local ranks each.
+// bufs holds procs·local buffers, assigned in global rank order.
 func codecTrainerGroup(t *testing.T, procs, local int, codec transport.Codec, mode GradSyncMode,
 	bufs []*buffer.Blocking, spec ModelSpec, norm Normalizer) []*Trainer {
 	t.Helper()

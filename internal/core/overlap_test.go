@@ -91,28 +91,6 @@ func TestOverlapMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestOverlapCloseToFlat sanity-checks that the bucketed modes stay within
-// float tolerance of the legacy full-slab all-reduce: the math is the
-// same, only the per-chunk reduction order moves with the bucket
-// boundaries.
-func TestOverlapCloseToFlat(t *testing.T) {
-	overlapLoss, _ := runSyncMode(t, SyncOverlap, 4)
-	flatLoss, _ := runSyncMode(t, SyncFlat, 4)
-	if len(overlapLoss) != len(flatLoss) {
-		t.Fatalf("trajectory lengths %d vs %d", len(overlapLoss), len(flatLoss))
-	}
-	for i := range overlapLoss {
-		d := overlapLoss[i].Value - flatLoss[i].Value
-		if d < 0 {
-			d = -d
-		}
-		tol := 1e-5 * (1 + flatLoss[i].Value)
-		if d > tol {
-			t.Fatalf("step %d: overlap %v vs flat %v (diff %v)", i, overlapLoss[i].Value, flatLoss[i].Value, d)
-		}
-	}
-}
-
 // tcpTrainerGroup builds one single-local-rank trainer per global rank,
 // all joined by loopback TCP communicators — the in-process replica of the
 // multi-process melissa-server deployment.
@@ -128,7 +106,7 @@ func tcpTrainerGroup(t *testing.T, ranks int, bufs []*buffer.Blocking, spec Mode
 		listeners[r] = l
 		addrs[r] = l.Addr()
 	}
-	comms := make([]*ddp.TCPComm, ranks)
+	comms := make([]*ddp.Comm, ranks)
 	var wg sync.WaitGroup
 	errs := make([]error, ranks)
 	for r := range comms {
@@ -348,9 +326,4 @@ func BenchmarkTrainStepOverlap4Ranks(b *testing.B) {
 // the full backward pass — the overlap win is the gap to this baseline.
 func BenchmarkTrainStepSerial4Ranks(b *testing.B) {
 	benchMultiRankTrainStep(b, SyncSerial)
-}
-
-// BenchmarkTrainStepFlat4Ranks: the legacy single full-slab all-reduce.
-func BenchmarkTrainStepFlat4Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, SyncFlat)
 }

@@ -31,11 +31,6 @@ const (
 	// full backward pass — the paper's §3.1 ordering. It exists as the
 	// reference for the overlap equivalence tests and benchmarks.
 	SyncSerial
-	// SyncFlat is the legacy single full-slab all-reduce. Its float
-	// reduction order differs from the bucketed modes (ring chunk
-	// boundaries fall elsewhere), so trajectories match only within float
-	// tolerance.
-	SyncFlat
 )
 
 // TrainerConfig configures the data-parallel online training loop.
@@ -46,11 +41,10 @@ type TrainerConfig struct {
 	// Group places this process's ranks in the data-parallel group: its
 	// communicator carries the gradient collectives and its offset maps
 	// local rank 0 into the global rank space. The zero value builds an
-	// in-process channel ring over Ranks. Supplying a transport-backed
-	// group (ddp.GroupFromRing, ddp.ConnectGroup) lets several processes
-	// train as one group: Ranks then counts only this process's local
-	// replicas. Metrics, validation and checkpoints belong to global
-	// rank 0.
+	// in-process ring over Ranks. Supplying a group over an inter-process
+	// ring (ddp.GroupFromRing) lets several processes train as one group:
+	// Ranks then counts only this process's local replicas. Metrics,
+	// validation and checkpoints belong to global rank 0.
 	Group ddp.RankGroup
 
 	// Metrics, when non-nil, is the collector the trainer records into
@@ -59,8 +53,8 @@ type TrainerConfig struct {
 	// group re-formations.
 	Metrics *Metrics
 
-	// GradSync selects overlapped-bucketed (default), serial-bucketed, or
-	// legacy full-slab gradient synchronization.
+	// GradSync selects overlapped-bucketed (default) or serial-bucketed
+	// gradient synchronization.
 	GradSync GradSyncMode
 
 	// GradCompress declares the wire codec the gradient collectives are
@@ -71,7 +65,7 @@ type TrainerConfig struct {
 	// format so a process whose ring and training config disagree fails at
 	// construction instead of training a surprising trajectory. Leave zero
 	// (CodecF32) for exact full-width collectives and for in-process
-	// channel groups.
+	// groups.
 	GradCompress transport.Codec
 
 	Model      ModelSpec
@@ -180,7 +174,7 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 	wc, _ := comm.(ddp.WireCompression)
 	switch {
 	case cfg.GradCompress.Compressed() && wc == nil:
-		return nil, fmt.Errorf("core: grad compression %v requires a transport-backed group (in-process channel groups are always exact)", cfg.GradCompress)
+		return nil, fmt.Errorf("core: grad compression %v requires a communicator with a wire codec", cfg.GradCompress)
 	case wc != nil && wc.WireCodec() != cfg.GradCompress:
 		return nil, fmt.Errorf("core: grad compression %v does not match the group ring's negotiated codec %v", cfg.GradCompress, wc.WireCodec())
 	}
@@ -211,12 +205,8 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 		t.opts[r] = opt.NewAdam(cfg.LearningRate)
 	}
 	// The bucket layout is a property of the architecture; all replicas
-	// share it. Networks without slab fusion cannot bucket and fall back
-	// to the full-slab collective.
+	// share it.
 	t.buckets = base.GradBuckets()
-	if t.buckets == nil {
-		t.cfg.GradSync = SyncFlat
-	}
 	t.bucketOfLayer = make([]int, len(base.Layers))
 	for i := range t.bucketOfLayer {
 		t.bucketOfLayer[i] = -1
@@ -374,9 +364,9 @@ func (t *Trainer) syncLoop(st *rankState) {
 // rankLoop is the per-rank training thread. Collective calls must stay in
 // lock-step across ranks: every iteration performs exactly one status
 // all-reduce and, while any rank is active, one gradient sync (a fixed
-// sequence of bucket collectives, or one full-slab collective for
-// SyncFlat). A collective failure (dead peer, aborted ring) ends the loop
-// with that error; the weights hold the state of the last completed step.
+// sequence of bucket collectives). A collective failure (dead peer, aborted
+// ring) ends the loop with that error; the weights hold the state of the
+// last completed step.
 func (t *Trainer) rankLoop(rank int) error {
 	st := t.newRankState(rank)
 	defer st.close()
@@ -499,9 +489,8 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 
 // syncGradients completes the step's gradient synchronization: it drains
 // the in-flight bucket collectives (overlap), or runs them now (serial),
-// or all-reduces the whole slab (flat), then averages. On return every
-// replica holds identical averaged gradients, matching the all-reduce step
-// of §3.1. The collectives operate on the slab in place — no
+// then averages. On return every replica holds identical averaged
+// gradients, matching the all-reduce step of §3.1. The collectives operate on the slab in place — no
 // gather/scatter staging. On a collective failure the first error is
 // returned — after draining every in-flight bucket, so the syncer
 // goroutine is never left blocked — and the gradients are unusable.
@@ -521,13 +510,6 @@ func (t *Trainer) syncGradients(st *rankState) error {
 			if err := t.comm.AllReduceSumRange(st.grank, grads, bk.Lo, bk.Hi); err != nil {
 				return err
 			}
-		}
-	case SyncFlat:
-		// Run the flat slab as a range collective so it shares the bucketed
-		// modes' error-feedback path on a compressed ring; the trailing
-		// Scal is the AllReduceMean division, element-wise identical.
-		if err := t.comm.AllReduceSumRange(st.grank, grads, 0, len(grads)); err != nil {
-			return err
 		}
 	}
 	if failed != nil {

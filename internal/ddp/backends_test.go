@@ -1,11 +1,12 @@
 package ddp
 
-// The backend-parametrized collective suite: every Communicator backend
-// must pass identical correctness checks, and the transport backend must
-// produce bit-identical results to the channel ring (same algorithm, same
-// chunking, same reduction order).
+// The layout-parametrized collective suite: every link layout of the one
+// ring communicator must pass identical correctness checks, produce
+// bit-identical results (same chunking, same reduction order) and fail the
+// same way when poisoned.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
@@ -83,6 +84,30 @@ func newTCPGroupCodec(tb testing.TB, n int, codec transport.Codec) commGroup {
 		}
 	})
 	return g
+}
+
+// layout is one physical packing of a ring's ranks into processes.
+type layout struct {
+	name         string
+	procs, local int // procs == 0: the in-process layout (no socket ring)
+	codecs       []transport.Codec
+}
+
+// layouts is the three link layouts of the one ring communicator at a
+// common size of 4 ranks, each with the wire codecs that apply to it
+// (channel hops are always exact, so the in-process layout has only f32).
+var layouts = []layout{
+	{"in-process/n=4", 0, 4, []transport.Codec{transport.CodecF32}},
+	{"procs=4/local=1", 4, 1, []transport.Codec{transport.CodecF32, transport.CodecF16, transport.CodecF16Raw}},
+	{"procs=2/local=2", 2, 2, []transport.Codec{transport.CodecF32, transport.CodecF16, transport.CodecF16Raw}},
+}
+
+// group builds the layout's per-rank communicator handles.
+func (ly layout) group(tb testing.TB, codec transport.Codec) commGroup {
+	if ly.procs == 0 {
+		return backendFactories["chan"](tb, ly.local)
+	}
+	return newHierGroupCodec(tb, ly.procs, ly.local, codec)
 }
 
 // runGroup launches one goroutine per rank and waits for completion.
@@ -240,6 +265,112 @@ func TestBackendsBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRingSumMatchesSerialReference pins the ring's float reduction order
+// against a reference that shares no code with it: chunk j is summed
+// starting at rank j and proceeding around the ring, ((x_j + x_j+1) + …).
+// Every layout must reproduce that bit for bit — it is what keeps fp32
+// training trajectories stable across changes to the communicator.
+func TestRingSumMatchesSerialReference(t *testing.T) {
+	const n, length = 4, 1003 // uneven chunks
+	ref, _ := fillRankBufs(n, length, 11)
+	want := make([]float32, length)
+	for j := 0; j < n; j++ {
+		lo, hi := chunkRange(length, n, j)
+		for i := lo; i < hi; i++ {
+			sum := ref[j][i]
+			for k := 1; k < n; k++ {
+				sum += ref[(j+k)%n][i]
+			}
+			want[i] = sum
+		}
+	}
+	for _, ly := range layouts {
+		t.Run(ly.name, func(t *testing.T) {
+			g := ly.group(t, transport.CodecF32)
+			bufs, _ := fillRankBufs(n, length, 11)
+			runGroup(g, func(rank int, c Communicator) { c.AllReduceSum(rank, bufs[rank]) })
+			for r := 0; r < n; r++ {
+				for i := range want {
+					if bufs[r][i] != want[i] {
+						t.Fatalf("rank %d elem %d: ring %v vs serial reference %v", r, i, bufs[r][i], want[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAbortUnwedgesParkedRanks is the poison path at the ddp level: with
+// every local rank of one endpoint parked mid-collective (their peers never
+// enter), Abort makes each of them return an error wrapping
+// transport.ErrRingAborted, on every link layout. For the in-process layout
+// one rank is held back so the others park on their channel hops.
+func TestAbortUnwedgesParkedRanks(t *testing.T) {
+	for _, ly := range layouts {
+		t.Run(ly.name, func(t *testing.T) {
+			g := ly.group(t, transport.CodecF32)
+			c := g[0].(*Comm)
+			parked := c.LocalRanks()
+			if ly.procs == 0 {
+				parked-- // the held-back rank plays the absent peer
+			}
+			errs := make(chan error, parked)
+			for r := 0; r < parked; r++ {
+				go func(rank int) {
+					buf := make([]float32, 64)
+					errs <- c.AllReduceSum(rank, buf)
+				}(r)
+			}
+			// Without the abort the ranks would block forever, so any moment
+			// is a valid one to poison; the pause only makes "parked on a
+			// hop" the overwhelmingly likely state being tested.
+			time.Sleep(20 * time.Millisecond)
+			c.Abort()
+			for r := 0; r < parked; r++ {
+				select {
+				case err := <-errs:
+					if !errors.Is(err, transport.ErrRingAborted) {
+						t.Fatalf("parked rank returned %v, want an error wrapping ErrRingAborted", err)
+					}
+					if Classify(err) != FaultAborted {
+						t.Fatalf("Classify(%v) = %v, want aborted", err, Classify(err))
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("a parked rank was not unwedged by Abort")
+				}
+			}
+			if err := c.Barrier(0); !errors.Is(err, transport.ErrRingAborted) {
+				t.Fatalf("collective on a poisoned communicator returned %v", err)
+			}
+		})
+	}
+
+	// A sender parks too, once its link's buffers are all in flight (a
+	// multi-piece Broadcast root with a slow successor); Abort must reach it.
+	t.Run("sender", func(t *testing.T) {
+		c := NewCommunicator(2)
+		errs := make(chan error, 1)
+		go func() {
+			for {
+				if err := c.sendHop(0, make([]float32, 8), false); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+		time.Sleep(20 * time.Millisecond)
+		c.Abort()
+		select {
+		case err := <-errs:
+			if !errors.Is(err, transport.ErrRingAborted) {
+				t.Fatalf("parked sender returned %v, want an error wrapping ErrRingAborted", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a parked sender was not unwedged by Abort")
+		}
+	})
 }
 
 // BenchmarkAllReduceTCP measures the TCP ring all-reduce across 4

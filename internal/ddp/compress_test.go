@@ -288,8 +288,9 @@ func TestWireCompressionInterface(t *testing.T) {
 	if hw.WireCodec() != transport.CodecF16Raw {
 		t.Fatalf("codec %v, want f16-noef", hw.WireCodec())
 	}
-	var c Communicator = NewCommunicator(2)
-	if _, ok := c.(WireCompression); ok {
-		t.Fatal("ChanComm unexpectedly implements WireCompression")
+	// The in-process layout has no socket hops: always exact, no wire bytes.
+	c := NewCommunicator(2)
+	if sent, recv := c.WireBytes(); c.WireCodec() != transport.CodecF32 || sent != 0 || recv != 0 {
+		t.Fatalf("in-process layout reports codec %v, %d/%d wire bytes", c.WireCodec(), sent, recv)
 	}
 }

@@ -1,26 +1,35 @@
 // Package ddp implements distributed data-parallel primitives: collective
 // operations (all-reduce, broadcast, barrier) over a fixed group of
-// training ranks, behind a pluggable Communicator interface with two
-// backends.
+// training ranks, behind the Communicator interface and one ring
+// communicator, Comm.
 //
 // The paper's server trains with "distributed data parallelism … After each
 // batch backpropagation, the locally computed vector of weight updates is
 // all-reduced between all processes and applied to each local NN copy to
-// keep them identical" (§3.1). Both backends run the same bandwidth-optimal
-// ring scatter-reduce/all-gather pattern NCCL uses, so their cost model
+// keep them identical" (§3.1). Comm runs the bandwidth-optimal ring
+// scatter-reduce/all-gather pattern NCCL uses, so its cost model
 // (2(n−1)/n · bytes) is also what the cluster simulator charges for
-// gradient synchronization:
+// gradient synchronization.
 //
-//   - ChanComm connects ranks that are goroutines of one process (the
-//     stand-in for GPU training processes) through channels with recycled
-//     message buffers.
-//   - TCPComm connects ranks that are separate OS processes through a TCP
-//     ring (transport.Ring), reusing the transport package's length-framed
-//     wire format and the same recycled-buffer discipline.
+// # One ring, three link layouts
+//
+// The ring is always the flat ring over all procs×local global ranks —
+// same chunking, same accumulation order — so collective results are
+// bit-identical however the ranks are packed into processes. Only the
+// physical hop from a rank to its successor differs: between two ranks of
+// one process it is a channel link with recycled message buffers, and from
+// a process's last rank to the next process's first it is the
+// transport.Ring socket. That gives three layouts of the one mechanism:
+//
+//   - in-process (NewCommunicator): one process, no socket ring; every hop
+//     is a channel link and the last link wraps around.
+//   - flat TCP (local = 1): one rank per OS process; every hop is a socket.
+//   - hierarchical (local > 1): several ranks per process; a host running M
+//     ranks needs one ring connection pair instead of M.
 //
 // Collectives operate directly on the caller's flat buffer — for training,
 // nn.Network.FlatGrads — so there is no gather/scatter staging copy, and
-// both backends are allocation-free in steady state.
+// every layout is allocation-free in steady state.
 //
 // # Bucketed overlap
 //
@@ -28,64 +37,56 @@
 // overlap gradient synchronization with backpropagation: the flat gradient
 // slab is bucketed by layer boundaries (nn.Network.GradBuckets), and each
 // bucket's all-reduce is launched as soon as its layer's gradients are
-// final, while earlier layers are still back-propagating. Each range
-// collective is an independent ring reduction over buf[lo:hi]; all ranks
-// must issue the same sequence of ranges in the same order. Because every
+// final, while earlier layers are still back-propagating. Because every
 // bucket's reduction order is fixed by its own ring chunking, launching
 // buckets eagerly (overlapped) or after the full backward pass (serially)
 // produces bit-identical results.
 //
 // # Wire compression
 //
-// The transport backends optionally compress collective payloads to IEEE
-// 754 binary16 on the wire (transport.Codec, negotiated per ring in the
-// identity handshake), halving inter-node all-reduce bytes while every
-// rank keeps accumulating in float32. AllReduceSumRange feeds the rounding
-// error of each rank's own contribution back into the next step's
-// gradients (error feedback, CodecF16) or drops it (CodecF16Raw);
-// broadcasts and sub-compressMinFloats frames always travel exact.
-// Communicators on a compressed ring expose the negotiated codec and
-// socket-level byte counters through WireCompression, which
-// core.NewTrainer validates against TrainerConfig.GradCompress so a
-// codec mismatch fails at construction. The codec math, determinism
-// contract and tuning guidance live in docs/communication.md.
+// Socket hops optionally compress collective payloads to IEEE 754 binary16
+// (transport.Codec, negotiated in the ring handshake), halving inter-node
+// all-reduce bytes while every rank keeps accumulating in float32; channel
+// hops, broadcasts and sub-compressMinFloats frames always move exact
+// float32. AllReduceSumRange feeds each rank's own rounding error back into
+// the next step (CodecF16) or drops it (CodecF16Raw). core.NewTrainer
+// checks TrainerConfig.GradCompress against WireCompression, so a codec
+// mismatch fails at construction. docs/communication.md has the codec math
+// and the determinism contract.
 //
 // # Failure model
 //
-// Collectives return errors instead of panicking. ChanComm cannot fail.
-// TCPComm fails when a ring link does: the transport layer's heartbeats
-// and IO deadlines (transport.RingOptions) detect a dead or partitioned
-// peer within one IO timeout, and the error propagates out of whichever
-// collective is in flight. Classify sorts errors into transient
-// (connection establishment — retry with backoff, e.g. via Retry, as
-// ConnectTCP's dial loop already does), aborted (deliberate local
-// teardown via TCPComm.Abort during group reconfiguration), and fatal
-// (established-link death — the ring epoch is unusable; the group must
+// Collectives return errors instead of panicking. Channel hops cannot fail
+// on their own; a socket hop fails when its ring link does — heartbeats and
+// IO deadlines (transport.RingOptions) detect a dead or partitioned peer
+// within one IO timeout. The first error (or Abort) poisons the whole
+// communicator: it is recorded and every channel link is sent a wake-up,
+// which unwedges local ranks parked on channel hops mid-collective —
+// without it, only the ranks next to the socket would observe the fault.
+// Classify sorts errors into transient (connection establishment — retry
+// with backoff, e.g. via Retry), aborted (Abort during group
+// reconfiguration) and fatal (established-link death: the group must
 // re-form over the survivors and roll back to the last group checkpoint,
-// the protocol the internal/elastic membership controller implements). A
-// communicator that returned a non-nil error is poisoned and must be
-// closed, never reused.
+// which internal/elastic implements). A communicator that returned a
+// non-nil error must be closed, never reused.
 package ddp
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+
+	"melissa/internal/protocol"
+	"melissa/internal/transport"
 )
 
 // Communicator connects a fixed group of ranks for collective operations.
 // Every collective must be entered by all ranks concurrently (one goroutine
-// or process per rank), like an MPI communicator, and with matching
-// arguments (equal buffer lengths, identical ranges, same root). Rank
-// identifies the caller in the global rank space [0, Size).
-//
-// Collectives return an error when the communicator's links fail: the
-// in-process backend cannot fail (it always returns nil, and the nil
-// result costs nothing on the hot path), while the transport backend
-// surfaces broken ring links as errors instead of the pre-elastic panic.
-// Callers classify the error (Classify): transient faults may be retried,
-// fatal ones mean this ring epoch is dead and the group must re-form over
-// the survivors (internal/elastic). After any non-nil error the
-// communicator is poisoned — no further collective on it may be issued.
+// per rank), like an MPI communicator, and with matching arguments (equal
+// buffer lengths, identical ranges, same root). Rank identifies the caller
+// in the global rank space [0, Size). After any non-nil error the
+// communicator is poisoned — no further collective on it may be issued (see
+// the package failure model).
 type Communicator interface {
 	// Size returns the number of ranks in the group.
 	Size() int
@@ -107,11 +108,41 @@ type Communicator interface {
 	Barrier(rank int) error
 }
 
-// link is one directed channel of the ring (or one broadcast fan-out arm)
-// together with its recycled message buffers. Senders draw an owned buffer
-// from free, fill it and pass it through data; receivers consume it and
-// return it to free. Two buffers keep the pipeline full without ever
-// sharing a buffer between writer and reader.
+// WireCompression reports a communicator's negotiated wire codec and the
+// cumulative bytes moved over its socket links, so the trainer can validate
+// its configuration against the group's actual wire format and surface the
+// byte counters in metrics.
+type WireCompression interface {
+	WireCodec() transport.Codec
+	WireBytes() (sent, recv uint64)
+}
+
+// compressMinFloats is the smallest collective (total elements) that rides
+// the compressed wire format on a compressed ring. Tiny collectives — the
+// trainer's 2-float status reduction, barrier-adjacent control values — are
+// latency-bound, save nothing from half-width frames, and often carry
+// counts whose exactness matters, so they stay full-width float32. The
+// threshold is a pure function of the collective's total length, which
+// every rank knows identically, so senders and receivers always agree on
+// the frame type.
+const compressMinFloats = 16
+
+// broadcastChunkFloats bounds one Broadcast frame: slab-sized broadcasts
+// are split into pieces staged through the ring's double-buffered send
+// path, so a model bigger than protocol.MaxFrameSize/4 parameters cannot
+// hit the sender-side frame bound, and forwarding ranks pipeline chunk k
+// while chunk k+1 is still in flight.
+const broadcastChunkFloats = 1 << 20
+
+// linkDepth is the number of message buffers a channel link owns.
+const linkDepth = 2
+
+// link is one directed in-process hop of the ring together with its
+// recycled message buffers. Senders draw an owned buffer from free, fill it
+// and pass it through data; receivers consume it and return it to free. Two
+// buffers keep the pipeline full without ever sharing a buffer between
+// writer and reader. Each channel has room for every buffer plus the one
+// wake-up fail sends, so no send on a link ever blocks; only receives do.
 type link struct {
 	data chan []float32
 	free chan []float32
@@ -119,8 +150,8 @@ type link struct {
 
 func newLink() link {
 	l := link{
-		data: make(chan []float32, linkDepth),
-		free: make(chan []float32, linkDepth),
+		data: make(chan []float32, linkDepth+1),
+		free: make(chan []float32, linkDepth+1),
 	}
 	for i := 0; i < linkDepth; i++ {
 		l.free <- nil // sized lazily on first send
@@ -128,52 +159,244 @@ func newLink() link {
 	return l
 }
 
-// linkDepth is the number of in-flight message buffers per link.
-const linkDepth = 2
+// Comm is the ring communicator: this process hosts local consecutive
+// global ranks (one goroutine each), joined to the other processes' ranks
+// by the inter-process transport.Ring. See the package comment for the
+// three link layouts and the failure model.
+type Comm struct {
+	ring   *transport.Ring // nil for the in-process layout
+	codec  transport.Codec
+	procs  int // processes on the socket ring (1: every hop is a channel link)
+	local  int // ranks hosted in this process
+	offset int // first global rank hosted here
+	size   int // procs * local
 
-// send fills a recycled buffer with msg and passes it down the link.
-func (l *link) send(msg []float32) {
-	buf := <-l.free
-	if cap(buf) < len(msg) {
-		buf = make([]float32, len(msg))
-	}
-	buf = buf[:len(msg)]
-	copy(buf, msg)
-	l.data <- buf
+	// links[l] carries messages local rank l → local rank l+1. With a
+	// single process the last link wraps around (local−1 → 0) in place of
+	// the socket hop.
+	links []link
+
+	// res[l] is local rank l's error-feedback residual slab (CodecF16):
+	// res[l][i] carries the quantization error of slab offset i from one
+	// step into the next. Each slab is touched only by its rank's goroutine.
+	res [][]float32
+
+	firstErr atomic.Pointer[error] // the failure that poisoned the communicator
+	failOnce sync.Once             // guards the one wake-up per link
 }
 
-// ChanComm is the in-process Communicator backend: ranks are goroutines
-// connected by channels. It is the backend the single-process server and
-// the tests use.
-type ChanComm struct {
-	n     int
-	links []link // links[r] carries messages rank r → rank (r+1)%n
-	bcast []link // one link per rank for broadcast fan-out
-	bar   *barrier
-}
+// TCPComm and HierComm are the names bench/ uses for the flat-TCP and
+// hierarchical layouts of Comm.
+type (
+	TCPComm  = Comm
+	HierComm = Comm
+)
 
-var _ Communicator = (*ChanComm)(nil)
+var (
+	_ Communicator    = (*Comm)(nil)
+	_ RankSpan        = (*Comm)(nil)
+	_ WireCompression = (*Comm)(nil)
+)
 
-// NewCommunicator creates an in-process channel communicator for n ranks.
-func NewCommunicator(n int) *ChanComm {
-	if n <= 0 {
-		panic(fmt.Sprintf("ddp: invalid communicator size %d", n))
+// NewCommunicator creates the in-process layout: n ranks of this process
+// on a ring of channel links.
+func NewCommunicator(n int) *Comm { return NewHierComm(nil, n) }
+
+// NewTCPComm wraps a connected rank ring as the flat layout: one rank per
+// process.
+func NewTCPComm(ring *transport.Ring) *Comm { return NewHierComm(ring, 1) }
+
+// NewHierComm wraps a connected inter-process ring as the communicator for
+// localRanks consecutive global ranks hosted in this process, adopting the
+// wire codec the ring negotiated at formation. The global group has
+// ring.Size()·localRanks ranks; this process serves
+// [ring.Rank()·localRanks, (ring.Rank()+1)·localRanks). A nil ring is the
+// in-process layout.
+func NewHierComm(ring *transport.Ring, local int) *Comm {
+	if local <= 0 {
+		panic(fmt.Sprintf("ddp: invalid local rank count %d", local))
 	}
-	c := &ChanComm{
-		n:     n,
-		links: make([]link, n),
-		bcast: make([]link, n),
-		bar:   newBarrier(n),
+	c := &Comm{
+		ring:  ring,
+		procs: 1,
+		local: local,
+		links: make([]link, local),
+		res:   make([][]float32, local),
 	}
+	if ring != nil {
+		c.codec = ring.Codec()
+		c.procs = ring.Size()
+		c.offset = ring.Rank() * local
+	}
+	c.size = c.procs * local
 	for i := range c.links {
 		c.links[i] = newLink()
-		c.bcast[i] = newLink()
 	}
 	return c
 }
 
-// Size implements Communicator.
-func (c *ChanComm) Size() int { return c.n }
+// Size implements Communicator: the total rank count across all processes.
+func (c *Comm) Size() int { return c.size }
+
+// RankOffset implements RankSpan: the first global rank hosted here.
+func (c *Comm) RankOffset() int { return c.offset }
+
+// LocalRanks implements RankSpan: how many consecutive ranks are hosted here.
+func (c *Comm) LocalRanks() int { return c.local }
+
+// WireCodec implements WireCompression: the ring's negotiated wire codec
+// (CodecF32 for the in-process layout).
+func (c *Comm) WireCodec() transport.Codec { return c.codec }
+
+// WireBytes implements WireCompression: bytes moved over the inter-process
+// ring (channel hops are free and uncounted).
+func (c *Comm) WireBytes() (sent, recv uint64) {
+	if c.ring == nil {
+		return 0, 0
+	}
+	return c.ring.WireBytes()
+}
+
+// Close tears the inter-process ring down. It must not race in-flight
+// collectives; call Abort first to interrupt them.
+func (c *Comm) Close() error {
+	if c.ring == nil {
+		return nil
+	}
+	return c.ring.Close()
+}
+
+// Abort poisons the communicator and force-closes the ring connections:
+// every in-flight collective on every local rank fails with an error
+// wrapping transport.ErrRingAborted. Safe to call from any goroutine.
+func (c *Comm) Abort() {
+	if c.ring != nil {
+		c.ring.Abort()
+	}
+	c.fail(fmt.Errorf("ddp: group aborted: %w", transport.ErrRingAborted))
+}
+
+// localOf returns the local index of a rank hosted here. Any other rank is
+// a programming error, not a link fault, so it panics.
+func (c *Comm) localOf(rank int) int {
+	if rank < c.offset || rank >= c.offset+c.local {
+		panic(fmt.Sprintf("ddp: communicator for ranks [%d,%d) called as rank %d", c.offset, c.offset+c.local, rank))
+	}
+	return rank - c.offset
+}
+
+// fail records the first error, then unwedges local ranks parked on channel
+// hops by sending one wake-up through each side of every link (the slot
+// newLink reserves, so these sends never block). A rank checks poisoned
+// after every link receive, and the error is stored before the wake-ups are
+// sent, so whatever a rank receives from then on — wake-up or message — it
+// returns the recorded error. Returns that error.
+func (c *Comm) fail(err error) error {
+	c.firstErr.CompareAndSwap(nil, &err)
+	c.failOnce.Do(func() {
+		for i := range c.links {
+			c.links[i].data <- nil
+			c.links[i].free <- nil
+		}
+	})
+	return *c.firstErr.Load()
+}
+
+// poisoned returns the recorded failure, if any.
+func (c *Comm) poisoned() error {
+	if p := c.firstErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// socketSend reports whether local rank l's successor lives in the next
+// process, socketRecv whether its predecessor lives in the previous one.
+func (c *Comm) socketSend(l int) bool { return c.procs > 1 && l == c.local-1 }
+func (c *Comm) socketRecv(l int) bool { return c.procs > 1 && l == 0 }
+
+// ringErr poisons the communicator on a socket failure.
+func (c *Comm) ringErr(err error) error {
+	if err != nil {
+		return c.fail(err)
+	}
+	return nil
+}
+
+// sendHop sends vals to local rank l's ring successor. vals is fully
+// copied before sendHop returns, so the caller may overwrite it
+// immediately. comp selects the binary16 wire encoding on a socket hop.
+func (c *Comm) sendHop(l int, vals []float32, comp bool) error {
+	if c.socketSend(l) {
+		if comp {
+			return c.ringErr(c.ring.SendFloats16(vals))
+		}
+		return c.ringErr(c.ring.SendFloats(vals))
+	}
+	lk := &c.links[l]
+	buf := <-lk.free
+	if err := c.poisoned(); err != nil {
+		return err
+	}
+	if cap(buf) < len(vals) {
+		buf = make([]float32, len(vals))
+	}
+	buf = buf[:len(vals)]
+	copy(buf, vals)
+	lk.data <- buf
+	return nil
+}
+
+// recvHop receives the predecessor's message for local rank l into dst,
+// accumulating element-wise when accumulate is set and copying otherwise.
+// dst length is the collective's chunk length, which the lockstep protocol
+// guarantees matches the sender's. comp must match the sender's sendHop
+// argument — on a compressed collective the socket hop decodes binary16
+// and accumulates in float32 (fused, no scratch pass).
+func (c *Comm) recvHop(l int, dst []float32, accumulate, comp bool) error {
+	if c.socketRecv(l) {
+		switch {
+		case accumulate && comp:
+			return c.ringErr(c.ring.RecvFloats16Add(dst))
+		case accumulate:
+			return c.ringErr(c.ring.RecvFloatsAdd(dst))
+		case comp:
+			return c.ringErr(c.ring.RecvFloats16(dst))
+		default:
+			return c.ringErr(c.ring.RecvFloats(dst))
+		}
+	}
+	lk := &c.links[(l-1+c.local)%c.local]
+	in := <-lk.data
+	if err := c.poisoned(); err != nil {
+		return err
+	}
+	if accumulate {
+		for i := range dst {
+			dst[i] += in[i]
+		}
+	} else {
+		copy(dst, in)
+	}
+	lk.free <- in
+	return nil
+}
+
+// sendToken forwards a zero-length barrier token to the successor.
+func (c *Comm) sendToken(l int) error {
+	if c.socketSend(l) {
+		return c.ringErr(c.ring.SendToken())
+	}
+	return c.sendHop(l, nil, false)
+}
+
+// recvToken consumes a barrier token from the predecessor.
+func (c *Comm) recvToken(l int) error {
+	if c.socketRecv(l) {
+		return c.ringErr(c.ring.RecvToken())
+	}
+	return c.recvHop(l, nil, false, false)
+}
 
 // chunkRange returns the bounds [lo, hi) of the i-th of n near-equal
 // contiguous chunks of a length-sized buffer. Pure arithmetic — no
@@ -188,58 +411,113 @@ func chunkRange(length, n, i int) (lo, hi int) {
 	return lo, hi
 }
 
+// compressed reports whether a collective over total floats uses the f16
+// wire encoding on its socket hops. Identical on every rank (the codec is
+// handshake-negotiated and total is a collective invariant), so ranks agree
+// on frame types without extra coordination.
+func (c *Comm) compressed(total int) bool {
+	return c.codec.Compressed() && c.procs > 1 && total >= compressMinFloats
+}
+
+// residual returns local rank l's error-feedback slab view for absolute
+// offsets [lo,hi), growing (zero-extended) on demand.
+func (c *Comm) residual(l, lo, hi int) []float32 {
+	if hi > len(c.res[l]) {
+		grown := make([]float32, hi)
+		copy(grown, c.res[l])
+		c.res[l] = grown
+	}
+	return c.res[l][lo:hi]
+}
+
 // AllReduceSum implements Communicator, using a ring scatter-reduce
 // followed by a ring all-gather. The reduction order for each chunk is
 // fixed by ring position, so results are deterministic and identical on
-// every rank.
-func (c *ChanComm) AllReduceSum(rank int, buf []float32) error {
-	if c.n == 1 {
+// every rank. On a compressed ring the socket hops travel as binary16
+// (without error feedback — see AllReduceSumRange for the error-fed
+// gradient path).
+func (c *Comm) AllReduceSum(rank int, buf []float32) error {
+	return c.allReduce(rank, buf, nil)
+}
+
+// AllReduceSumRange implements Communicator: an independent ring reduction
+// over buf[lo:hi], chunked relative to the range. On a CodecF16 ring this
+// is the error-fed path: the absolute range offsets index the rank's
+// persistent residual slab (the caller contract — ranges into one stable
+// slab per rank, e.g. the flat gradient slab — is what makes residuals
+// meaningful across steps; AllReduceSum's transient buffers have none).
+func (c *Comm) AllReduceSumRange(rank int, buf []float32, lo, hi int) error {
+	sub := buf[lo:hi]
+	var res []float32
+	if c.codec == transport.CodecF16 && c.compressed(len(sub)) {
+		res = c.residual(c.localOf(rank), lo, hi)
+	}
+	return c.allReduce(rank, sub, res)
+}
+
+// allReduce runs the ring sum over buf. res, when non-nil, is this rank's
+// error-feedback residual aligned with buf (compressed range collectives
+// only).
+//
+// Compressed mode keeps all arithmetic in float32: wire chunks are
+// quantized per socket hop, receivers expand and accumulate at full width.
+// After scatter-reduce, each rank re-quantizes the one chunk it finished in
+// place before gathering — binary16 values re-encode losslessly, so every
+// rank reconstructs bit-identical results regardless of how many socket
+// hops each chunk crossed.
+func (c *Comm) allReduce(rank int, buf []float32, res []float32) error {
+	l := c.localOf(rank)
+	if err := c.poisoned(); err != nil {
+		return err
+	}
+	n := c.size
+	if n == 1 {
 		return nil
 	}
-	n := c.n
+	comp := c.compressed(len(buf))
+	if comp && res != nil {
+		// Error-feedback pre-pass: quantize local contribution + carried
+		// residual, store the fresh quantization error back (fused kernel).
+		protocol.QuantizeEF(buf, res)
+	}
 	chunk := func(i int) []float32 {
 		lo, hi := chunkRange(len(buf), n, ((i%n)+n)%n)
 		return buf[lo:hi]
 	}
-
-	send := &c.links[rank]
-	recv := &c.links[(rank-1+n)%n]
-
 	// Scatter-reduce: after step s, rank r has accumulated s+1 terms into
-	// chunk (r-s). After n-1 steps, chunk (r+1) holds the complete sum.
+	// chunk (r-s); after n-1 steps chunk (r+1) holds the complete sum. Sends
+	// are staged copies, so mutating the next chunk while the previous
+	// message is still in flight is safe.
 	for s := 0; s < n-1; s++ {
-		send.send(chunk(rank - s))
-		in := <-recv.data
-		dst := chunk(rank - s - 1)
-		for i := range dst {
-			dst[i] += in[i]
+		if err := c.sendHop(l, chunk(rank-s), comp); err != nil {
+			return err
 		}
-		recv.free <- in
+		if err := c.recvHop(l, chunk(rank-s-1), true, comp); err != nil {
+			return err
+		}
+	}
+	if comp {
+		protocol.RoundF16s(chunk(rank + 1))
 	}
 	// All-gather: circulate the completed chunks.
 	for s := 0; s < n-1; s++ {
-		send.send(chunk(rank + 1 - s))
-		in := <-recv.data
-		copy(chunk(rank-s), in)
-		recv.free <- in
+		if err := c.sendHop(l, chunk(rank+1-s), comp); err != nil {
+			return err
+		}
+		if err := c.recvHop(l, chunk(rank-s), false, comp); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// AllReduceSumRange implements Communicator: an independent ring reduction
-// over buf[lo:hi]. The chunking is relative to the range, so the same
-// range must be issued by every rank.
-func (c *ChanComm) AllReduceSumRange(rank int, buf []float32, lo, hi int) error {
-	return c.AllReduceSum(rank, buf[lo:hi])
-}
-
 // AllReduceMean implements Communicator.
-func (c *ChanComm) AllReduceMean(rank int, buf []float32) error {
+func (c *Comm) AllReduceMean(rank int, buf []float32) error {
 	if err := c.AllReduceSum(rank, buf); err != nil {
 		return err
 	}
-	if c.n > 1 {
-		inv := 1 / float32(c.n)
+	if c.size > 1 {
+		inv := 1 / float32(c.size)
 		for i := range buf {
 			buf[i] *= inv
 		}
@@ -247,68 +525,70 @@ func (c *ChanComm) AllReduceMean(rank int, buf []float32) error {
 	return nil
 }
 
-// SyncGradients averages a network's gradient slab (nn.Network.FlatGrads)
-// across all ranks of comm. Every rank must call it concurrently after its
-// local backward pass; on return each replica holds identical averaged
-// gradients, matching the all-reduce step of §3.1. The collective operates
-// on the slab in place — no gather/scatter staging.
-func SyncGradients(comm Communicator, rank int, grads []float32) error {
-	return comm.AllReduceMean(rank, grads)
-}
-
-// Broadcast implements Communicator. All ranks must call it concurrently;
-// buffers must have equal length.
-func (c *ChanComm) Broadcast(rank, root int, buf []float32) error {
-	if c.n == 1 {
+// Broadcast implements Communicator: the root's buffer travels around the
+// ring in broadcastChunkFloats pieces — each rank copying and forwarding
+// piece k while piece k+1 is still in flight — followed by a barrier so the
+// call is collective. Broadcast always ships exact float32 regardless of
+// the ring codec: it carries model weights, where lossy compression would
+// skew every replica identically but permanently.
+func (c *Comm) Broadcast(rank, root int, buf []float32) error {
+	l := c.localOf(rank)
+	if err := c.poisoned(); err != nil {
+		return err
+	}
+	n := c.size
+	if n == 1 {
 		return nil
 	}
-	if rank == root {
-		for r := 0; r < c.n; r++ {
-			if r != root {
-				c.bcast[r].send(buf)
+	for lo := 0; ; lo += broadcastChunkFloats {
+		hi := min(lo+broadcastChunkFloats, len(buf))
+		piece := buf[lo:hi]
+		if rank == root {
+			if err := c.sendHop(l, piece, false); err != nil {
+				return err
+			}
+		} else {
+			if err := c.recvHop(l, piece, false, false); err != nil {
+				return err
+			}
+			if (rank+1)%n != root {
+				if err := c.sendHop(l, piece, false); err != nil {
+					return err
+				}
 			}
 		}
-	} else {
-		in := <-c.bcast[rank].data
-		copy(buf, in)
-		c.bcast[rank].free <- in
+		if hi == len(buf) {
+			break
+		}
 	}
 	return c.Barrier(rank)
 }
 
-// Barrier implements Communicator.
-func (c *ChanComm) Barrier(int) error {
-	c.bar.wait()
+// Barrier implements Communicator: a two-round ring token. Global rank 0
+// initiates; the first round proves every rank entered, the second releases
+// them.
+func (c *Comm) Barrier(rank int) error {
+	l := c.localOf(rank)
+	if err := c.poisoned(); err != nil {
+		return err
+	}
+	if c.size == 1 {
+		return nil
+	}
+	for round := 0; round < 2; round++ {
+		if rank != 0 {
+			if err := c.recvToken(l); err != nil {
+				return err
+			}
+		}
+		if err := c.sendToken(l); err != nil {
+			return err
+		}
+		if rank == 0 {
+			if err := c.recvToken(l); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
-}
-
-// barrier is a reusable n-party barrier.
-type barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	phase int
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	phase := b.phase
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.phase++
-		b.cond.Broadcast()
-		return
-	}
-	for b.phase == phase {
-		b.cond.Wait()
-	}
 }

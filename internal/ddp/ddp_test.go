@@ -205,7 +205,7 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-// TestFlatGradSlabViews verifies the invariant SyncGradients relies on: a
+// TestFlatGradSlabViews verifies the invariant gradient sync relies on: a
 // network's parameter gradients are contiguous views into the slab that
 // FlatGrads exposes, in Params() order.
 func TestFlatGradSlabViews(t *testing.T) {
@@ -287,7 +287,7 @@ func TestDataParallelEquivalence(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			net.ZeroGrad()
 			net.Backward(l.Backward(net.Forward(shards[rank]), targets[rank]))
-			SyncGradients(comm, rank, net.FlatGrads())
+			comm.AllReduceMean(rank, net.FlatGrads())
 			tensor.Axpy(-lr, net.FlatGrads(), net.FlatParams())
 		}
 	})
@@ -342,7 +342,7 @@ func TestDDPWithAdam(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			net.ZeroGrad()
 			net.Backward(l.Backward(net.Forward(inputs[rank]), targets[rank]))
-			SyncGradients(comm, rank, net.FlatGrads())
+			comm.AllReduceMean(rank, net.FlatGrads())
 			a.StepFlat(net.FlatParams(), net.FlatGrads())
 		}
 	})

@@ -1,17 +1,14 @@
 package ddp
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"melissa/internal/transport"
 )
 
-// RankSpan is implemented by communicator backends that serve a fixed
-// contiguous span of global ranks per endpoint (HierComm). Consumers use
-// it, like SingleRank, to reject configurations that would drive an
-// endpoint from ranks it does not own.
+// RankSpan is implemented by communicators that serve a fixed contiguous
+// span of global ranks per endpoint (Comm). Consumers use it to reject
+// configurations that would drive an endpoint from ranks it does not own.
 type RankSpan interface {
 	// RankOffset returns the first global rank the endpoint serves.
 	RankOffset() int
@@ -19,42 +16,24 @@ type RankSpan interface {
 	LocalRanks() int
 }
 
-// RankGroup binds a collective backend to the contiguous block of global
-// ranks one process drives: local rank l of the process is global rank
-// Offset+l on Comm. It is the single handle the trainer and server take in
-// place of the old raw Comm+RankOffset pair, so every backend — in-process
-// channels, a flat TCP ring, or the hierarchical communicator — is wired
-// identically. The zero value means "in-process, standalone": consumers
-// substitute a fresh LocalGroup of their configured rank count.
+// RankGroup binds a communicator to the contiguous block of global ranks
+// one process drives: local rank l of the process is global rank Offset+l
+// on Comm. It is the single handle the trainer and server take, so every
+// link layout is wired identically. The zero value means "in-process,
+// standalone": consumers substitute NewCommunicator of their configured
+// rank count.
 type RankGroup struct {
-	// Comm is the collective backend shared by the group. nil means
-	// standalone: the consumer creates an in-process communicator sized to
-	// its local rank count (LocalGroup).
+	// Comm is the communicator shared by the group. nil means standalone:
+	// the consumer creates an in-process communicator sized to its local
+	// rank count.
 	Comm Communicator
 	// Offset is the first global rank this process drives on Comm.
 	Offset int
 }
 
-// LocalGroup is the standalone group: n in-process ranks over a channel
-// communicator, offset 0. It is what consumers substitute for a zero
-// RankGroup.
-func LocalGroup(n int) RankGroup {
-	return RankGroup{Comm: NewCommunicator(n)}
-}
-
-// World returns the total rank count of the group, or 0 for the zero
-// value (whose world is the consumer's local rank count).
-func (g RankGroup) World() int {
-	if g.Comm == nil {
-		return 0
-	}
-	return g.Comm.Size()
-}
-
 // Validate checks that this process may drive local consecutive ranks
-// starting at Offset: the span must fit the communicator, and endpoint
-// backends that declare their span (RankSpan) or single rank (SingleRank)
-// must agree with it.
+// starting at Offset: the span must fit the communicator, and a
+// communicator that declares its span (RankSpan) must agree with it.
 func (g RankGroup) Validate(local int) error {
 	if local <= 0 {
 		return fmt.Errorf("ddp: rank group local count %d, want >= 1", local)
@@ -73,13 +52,6 @@ func (g RankGroup) Validate(local int) error {
 			return fmt.Errorf("ddp: communicator serves ranks [%d,%d), group configured for [%d,%d)",
 				span.RankOffset(), span.RankOffset()+span.LocalRanks(), g.Offset, g.Offset+local)
 		}
-	} else if sr, ok := g.Comm.(SingleRank); ok {
-		if local != 1 {
-			return fmt.Errorf("ddp: single-rank communicator cannot drive %d local ranks", local)
-		}
-		if g.Offset != sr.Rank() {
-			return fmt.Errorf("ddp: rank offset %d does not match communicator rank %d", g.Offset, sr.Rank())
-		}
 	}
 	return nil
 }
@@ -93,9 +65,8 @@ func (g RankGroup) Close() error {
 	return nil
 }
 
-// Abort poisons the group's communicator (when the backend supports it),
-// failing in-flight collectives on every local rank. Safe to call from any
-// goroutine.
+// Abort poisons the group's communicator, failing in-flight collectives on
+// every local rank. Safe to call from any goroutine.
 func (g RankGroup) Abort() {
 	if a, ok := g.Comm.(interface{ Abort() }); ok {
 		a.Abort()
@@ -106,49 +77,13 @@ func (g RankGroup) Abort() {
 // identity (transport.RingOptions.Identity), so two processes that
 // disagree on -local-ranks fail at ring formation instead of exchanging
 // misaligned collective chunks.
-func GroupIdentity(localRanks int) uint32 {
-	return uint32(localRanks)
-}
+func GroupIdentity(localRanks int) uint32 { return uint32(localRanks) }
 
 // GroupFromRing wraps a connected inter-process ring as the rank group for
 // localRanks consecutive global ranks per process — the one constructor
-// behind every multi-process shape. One local rank gets the flat
-// single-rank TCP backend; several get the hierarchical communicator,
-// whose results are bit-identical to the flat ring of the same total size.
+// behind every multi-process shape. Results are bit-identical to any other
+// packing of the same total rank count.
 func GroupFromRing(ring *transport.Ring, localRanks int) RankGroup {
-	if localRanks == 1 {
-		return RankGroup{Comm: NewTCPComm(ring), Offset: ring.Rank()}
-	}
-	return RankGroup{Comm: NewHierComm(ring, localRanks), Offset: ring.Rank() * localRanks}
-}
-
-// ConnectGroup is the one-call setup for one process of a
-// len(addrs)-process group with localRanks ranks per process: it forms the
-// inter-process ring (stamped with the topology identity) and wraps it via
-// GroupFromRing. See ConnectGroupContext for cancellation and ring tuning.
-func ConnectGroup(proc int, addrs []string, localRanks int, timeout time.Duration) (RankGroup, error) {
-	return ConnectGroupContext(context.Background(), proc, addrs, localRanks, timeout, transport.RingOptions{})
-}
-
-// ConnectGroupContext is ConnectGroup with a cancellation context and
-// explicit ring options. The options' Identity is overwritten with the
-// topology identity so mismatched localRanks configurations fail loudly at
-// formation.
-func ConnectGroupContext(ctx context.Context, proc int, addrs []string, localRanks int, timeout time.Duration, opts transport.RingOptions) (RankGroup, error) {
-	if localRanks <= 0 {
-		return RankGroup{}, fmt.Errorf("ddp: local rank count %d, want >= 1", localRanks)
-	}
-	if proc < 0 || proc >= len(addrs) {
-		return RankGroup{}, fmt.Errorf("ddp: process %d out of range [0,%d)", proc, len(addrs))
-	}
-	opts.Identity = GroupIdentity(localRanks)
-	l, err := transport.ListenRing(addrs[proc])
-	if err != nil {
-		return RankGroup{}, err
-	}
-	ring, err := l.ConnectContext(ctx, proc, addrs, timeout, opts)
-	if err != nil {
-		return RankGroup{}, err
-	}
-	return GroupFromRing(ring, localRanks), nil
+	c := NewHierComm(ring, localRanks)
+	return RankGroup{Comm: c, Offset: c.RankOffset()}
 }

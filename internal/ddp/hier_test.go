@@ -178,15 +178,9 @@ func TestHierBitIdenticalToFlat(t *testing.T) {
 }
 
 // TestGroupFromRingShapes checks the one constructor behind every
-// multi-process topology: one local rank gets the flat TCP backend, several
-// get the hierarchical one, and the offsets land each process's span at
-// ring-rank × localRanks.
+// multi-process topology: the offsets land each process's span at
+// ring-rank × localRanks, and the group passes its own validation.
 func TestGroupFromRingShapes(t *testing.T) {
-	g := newHierGroup(t, 2, 1) // builds HierComm even for local=1; fine for span checks
-	if g[0].(*HierComm).Size() != 2 {
-		t.Fatalf("size %d, want 2", g[0].(*HierComm).Size())
-	}
-	// GroupFromRing's backend choice is checked directly over a fresh ring.
 	l0, err := transport.ListenRing("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -216,19 +210,24 @@ func TestGroupFromRingShapes(t *testing.T) {
 	defer rings[1].Close()
 
 	flat := GroupFromRing(rings[0], 1)
-	if _, ok := flat.Comm.(*TCPComm); !ok {
-		t.Fatalf("localRanks=1 built %T, want *TCPComm", flat.Comm)
+	if flat.Offset != 0 || flat.Comm.Size() != 2 {
+		t.Fatalf("proc 0 offset %d size %d, want 0 and 2", flat.Offset, flat.Comm.Size())
 	}
-	if flat.Offset != 0 {
-		t.Fatalf("proc 0 offset %d, want 0", flat.Offset)
+	if err := flat.Validate(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := flat.Validate(2); err == nil {
+		t.Fatal("a span of one accepted two local ranks")
 	}
 	hier := GroupFromRing(rings[1], 3)
-	h, ok := hier.Comm.(*HierComm)
-	if !ok {
-		t.Fatalf("localRanks=3 built %T, want *HierComm", hier.Comm)
+	if hier.Offset != 3 || hier.Comm.Size() != 6 {
+		t.Fatalf("proc 1 offset %d size %d, want 3 and 6", hier.Offset, hier.Comm.Size())
 	}
-	if hier.Offset != 3 || h.Size() != 6 {
-		t.Fatalf("proc 1 offset %d size %d, want 3 and 6", hier.Offset, h.Size())
+	if err := hier.Validate(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := (RankGroup{Comm: hier.Comm, Offset: 0}).Validate(3); err == nil {
+		t.Fatal("a group offset outside the communicator's span was accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package ddp
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -21,72 +22,53 @@ func spawnPeers(n, iters int, fn func(rank int)) *sync.WaitGroup {
 	return &wg
 }
 
-// TestAllReduceZeroAlloc pins the steady-state allocation behaviour of the
-// ring all-reduce: after the first call sizes the recycled link buffers,
-// AllReduceSum must not allocate. Peer ranks run in pre-spawned goroutines
-// so only the collective itself is measured; their allocations still count
-// (the runtime counter is global), which is exactly what we want.
-func TestAllReduceZeroAlloc(t *testing.T) {
-	const n = 4
+// TestCollectivesZeroAlloc pins the steady-state allocation behaviour of
+// the ring collectives on every link layout and codec: after the first call
+// sizes the recycled link buffers, socket staging buffers and residual
+// slabs, a collective must not allocate. Peer ranks run in pre-spawned
+// goroutines so only the collective itself is measured; their allocations
+// still count (the runtime counter is global), which is exactly what we
+// want.
+func TestCollectivesZeroAlloc(t *testing.T) {
 	const runs = 100
-	c := NewCommunicator(n)
-	bufs := make([][]float32, n)
-	for r := range bufs {
-		bufs[r] = make([]float32, 1<<12)
-	}
-	// AllocsPerRun invokes f runs+1 times (one warm-up round sizes the
-	// buffers); the peers must iterate exactly as often to stay in
-	// lockstep.
-	wg := spawnPeers(n, runs+1, func(rank int) { c.AllReduceSum(rank, bufs[rank]) })
-	avg := testing.AllocsPerRun(runs, func() { c.AllReduceSum(0, bufs[0]) })
-	wg.Wait()
-	if avg != 0 {
-		t.Fatalf("AllReduceSum: %v allocs per call in steady state, want 0", avg)
-	}
-}
-
-// TestBroadcastZeroAlloc is the same regression gate for Broadcast.
-func TestBroadcastZeroAlloc(t *testing.T) {
-	const n = 4
-	const runs = 100
-	c := NewCommunicator(n)
-	bufs := make([][]float32, n)
-	for r := range bufs {
-		bufs[r] = make([]float32, 1<<10)
-	}
-	wg := spawnPeers(n, runs+1, func(rank int) { c.Broadcast(rank, 0, bufs[rank]) })
-	avg := testing.AllocsPerRun(runs, func() { c.Broadcast(0, 0, bufs[0]) })
-	wg.Wait()
-	if avg != 0 {
-		t.Fatalf("Broadcast: %v allocs per call in steady state, want 0", avg)
-	}
-}
-
-// TestAllReduceSumRangeZeroAlloc pins the steady-state allocation
-// behaviour of the bucketed range collectives: once the recycled link
-// buffers are sized, a fixed sequence of AllReduceSumRange calls (the
-// per-layer gradient buckets of the overlap path) must not allocate.
-func TestAllReduceSumRangeZeroAlloc(t *testing.T) {
-	const n = 4
-	const runs = 100
-	c := NewCommunicator(n)
-	bufs := make([][]float32, n)
-	for r := range bufs {
-		bufs[r] = make([]float32, 1<<12)
-	}
+	const elems = 1 << 12
 	// Two buckets of different sizes, issued in the same order by every
 	// rank — the shape of a two-layer network's overlap sync.
-	buckets := [][2]int{{0, 3000}, {3000, 1 << 12}}
-	syncBuckets := func(rank int) {
-		for _, bk := range buckets {
-			c.AllReduceSumRange(rank, bufs[rank], bk[0], bk[1])
-		}
+	buckets := [][2]int{{0, 3000}, {3000, elems}}
+	collectives := []struct {
+		name string
+		call func(c Communicator, rank int, buf []float32)
+	}{
+		{"AllReduceSum", func(c Communicator, rank int, buf []float32) { c.AllReduceSum(rank, buf) }},
+		{"Broadcast", func(c Communicator, rank int, buf []float32) { c.Broadcast(rank, 0, buf) }},
+		{"AllReduceSumRange", func(c Communicator, rank int, buf []float32) {
+			for _, bk := range buckets {
+				c.AllReduceSumRange(rank, buf, bk[0], bk[1])
+			}
+		}},
 	}
-	wg := spawnPeers(n, runs+1, syncBuckets)
-	avg := testing.AllocsPerRun(runs, func() { syncBuckets(0) })
-	wg.Wait()
-	if avg != 0 {
-		t.Fatalf("AllReduceSumRange: %v allocs per bucket sweep in steady state, want 0", avg)
+	for _, ly := range layouts {
+		for _, codec := range ly.codecs {
+			for _, col := range collectives {
+				t.Run(fmt.Sprintf("%s/%s/%s", ly.name, codec, col.name), func(t *testing.T) {
+					g := ly.group(t, codec)
+					n := len(g)
+					bufs := make([][]float32, n)
+					for r := range bufs {
+						bufs[r] = make([]float32, elems)
+					}
+					// AllocsPerRun invokes f runs+1 times (one warm-up round
+					// sizes the buffers); the peers must iterate exactly as
+					// often to stay in lockstep.
+					wg := spawnPeers(n, runs+1, func(rank int) { col.call(g[rank], rank, bufs[rank]) })
+					avg := testing.AllocsPerRun(runs, func() { col.call(g[0], 0, bufs[0]) })
+					wg.Wait()
+					if avg != 0 {
+						t.Fatalf("%v allocs per call in steady state, want 0", avg)
+					}
+				})
+			}
+		}
 	}
 }
 

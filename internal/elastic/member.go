@@ -31,8 +31,9 @@ type MemberConfig struct {
 	// LocalRanks is how many consecutive global training ranks this member
 	// hosts (0 means 1). Every member of a group must agree — the value is
 	// stamped into the ring handshake identity, so a mismatch fails at
-	// ring formation. With several local ranks the session's group wraps
-	// the ring in a hierarchical communicator (ddp.HierComm).
+	// ring formation. With several local ranks the session's communicator
+	// (ddp.Comm) joins them by channel links and only the last one's
+	// successor hop crosses the ring.
 	LocalRanks int
 	// RingOptions, when set, supplies per-epoch ring tuning (IO timeout,
 	// heartbeat interval, chaos wrapper). Nil uses transport defaults. The

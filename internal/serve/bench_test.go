@@ -5,8 +5,8 @@ package serve
 // load rises with concurrency until the replica pool saturates. Each
 // variant reports achieved throughput (qps) plus p50/p99 request latency,
 // giving the latency-vs-QPS curve for 1→N replicas and micro-batched vs
-// unbatched dispatch. BENCH_SERVE.json at the repo root snapshots the
-// numbers; CI runs a -benchtime=1x smoke of every variant.
+// unbatched dispatch. History in bench/README.md keeps the PR 7 numbers;
+// CI runs a -benchtime=1x smoke of every variant.
 
 import (
 	"bytes"

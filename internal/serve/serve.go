@@ -305,11 +305,24 @@ func (s *Server) Stats() Stats {
 }
 
 // Serve accepts connections on ln until Close or Drain. It returns nil
-// after either, or the accept error that stopped it.
+// after either, or the accept error that stopped it. On a server that is
+// already closed it closes ln and returns.
 func (s *Server) Serve(ln net.Listener) error {
 	s.lnMu.Lock()
+	if s.closing.Load() {
+		s.lnMu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.ln = ln
+	// Serve holds its own count for as long as it accepts: the Add for an
+	// accepted connection then never meets a counter that the exiting
+	// workers have brought to zero under Close's Wait. Close sets closing
+	// before it takes lnMu, so it either finds this count or Serve found
+	// closing set.
+	s.wg.Add(1)
 	s.lnMu.Unlock()
+	defer s.wg.Done()
 	for {
 		nc, err := ln.Accept()
 		if err != nil {

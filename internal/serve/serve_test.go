@@ -98,6 +98,39 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
+// TestServeCloseRacesAccept: Close right after a dial used to let Serve's
+// wg.Add for the freshly accepted connection meet a counter that the exiting
+// workers had just brought to zero under Close's Wait ("WaitGroup is reused
+// before previous Wait has returned"). Serve now holds its own count while
+// it accepts. Dial and close in a tight loop; run under -race. Even rounds
+// wait until Serve is accepting, so Close races the accepted connection;
+// odd rounds do not, so Close may also win against Serve itself (which must
+// then give the listener up instead of accepting on a closed server).
+func TestServeCloseRacesAccept(t *testing.T) {
+	sur := testSurrogate(t, 53)
+	for i := 0; i < 300; i++ {
+		s := NewServer(sur, Config{MaxBatch: 2, Replicas: 1})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- s.Serve(ln) }()
+		for i%2 == 0 && s.Addr() == nil {
+			runtime.Gosched()
+		}
+		nc, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		nc.Close()
+		if err := <-served; err != nil {
+			t.Fatalf("round %d: Serve returned %v after Close", i, err)
+		}
+	}
+}
+
 // TestServeCloseUnblocksIdleConns: Close must return even while clients
 // hold idle connections open — handler goroutines parked in a socket read
 // are unblocked by Close's connection sweep, not by waiting for every

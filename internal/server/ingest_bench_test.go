@@ -151,7 +151,7 @@ func TestIngestRejectsCorruptSteps(t *testing.T) {
 // encode with two allocations per frame, one unbuffered write syscall per
 // message, allocating per-float decode, map[Key]bool dedup under one
 // mutex, heap samples, GetBatchInto. The ratio of their samples/s is the
-// PR's ingestion speedup (BENCH_PR5.json).
+// PR's ingestion speedup (see History in bench/README.md).
 
 // legacyEncodeTimeStep reproduces the seed protocol.Encode for TimeStep:
 // a payload buffer built with per-float appends, then copied into a second

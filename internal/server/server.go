@@ -126,6 +126,12 @@ type Server struct {
 	trainer   *core.Trainer
 	metrics   *core.Metrics
 
+	// runCtx is Run's context, set before any aggregator starts.
+	// ingestTimeStep consults it so that a user cancel stays cancelled: a
+	// context reports Err before any watcher of its Done channel (the
+	// trainer's, which ends reception) can have acted on it.
+	runCtx context.Context
+
 	// Elastic-mode state: the membership runtime, the per-rank replay
 	// journals behind rollback, and the lazy aggregator start (a rejoiner
 	// must restore its bitsets before judging the first client frame).
@@ -293,13 +299,14 @@ func New(cfg Config) (*Server, error) {
 		world = cfg.Elastic.InitialMembers * cfg.Ranks
 		offset = cfg.Elastic.MemberID * cfg.Ranks
 	case cfg.Group.Comm != nil:
-		world = cfg.Group.World()
+		world = cfg.Group.Comm.Size()
 		if err := cfg.Group.Validate(cfg.Ranks); err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 	}
 	s := &Server{
 		cfg:        cfg,
+		runCtx:     context.Background(),
 		worldRanks: world,
 		dataOffset: offset,
 		aggs:       make([]*rankAgg, cfg.Ranks),
@@ -442,6 +449,7 @@ func (s *Server) Metrics() *core.Metrics {
 // training error, if any. In elastic mode it instead participates in the
 // training group until the group completes or this member is lost.
 func (s *Server) Run(ctx context.Context) error {
+	s.runCtx = ctx
 	if s.cfg.Elastic != nil {
 		return s.runElastic(ctx)
 	}
@@ -580,13 +588,13 @@ func (s *Server) ingestTimeStep(rank int, m *protocol.TimeStep) {
 		// backpressure propagates the stall to the clients. The payload
 		// is copied into arena rows under the buffer lock, so the lease
 		// can be recycled immediately after. A refused put means reception
-		// ended on the buffer — genuine only when the aggregator agreed
-		// (wasEnded; then the frame is a straggler and may drop). Otherwise
-		// the flag was set by an aborted elastic epoch's teardown and the
-		// frame, already marked received in the dedup state, would be lost
-		// forever: reopen and retry until stored.
+		// ended on the buffer — genuine when the aggregator agreed (wasEnded)
+		// or the run was cancelled; then the frame is a straggler and may
+		// drop. Otherwise the flag was set by an aborted elastic epoch's
+		// teardown and the frame, already marked received in the dedup
+		// state, would be lost forever: reopen and retry until stored.
 		for !s.bufs[rank].PutCopy(int(m.SimID), int(m.Step), m.Input, m.Field) {
-			if wasEnded {
+			if wasEnded || s.runCtx.Err() != nil {
 				break
 			}
 			s.bufs[rank].ReopenReception()

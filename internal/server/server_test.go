@@ -490,18 +490,74 @@ func TestRestoreLegacyCheckpointMigratesSeen(t *testing.T) {
 		t.Fatalf("restored batches %d, want 3", got)
 	}
 	// Replays of the logged steps must be dropped; a fresh step stored.
-	send := func(step int32) {
-		ts := protocol.LeaseTimeStep()
-		ts.SimID, ts.Step = 0, step
-		ts.Input = append(ts.Input[:0], make([]float32, cfg.Trainer.Normalizer.InputDim())...)
-		ts.Field = append(ts.Field[:0], make([]float32, cfg.Trainer.Normalizer.OutputDim())...)
-		srv.ingestTimeStep(0, ts)
-	}
 	for _, step := range []int32{1, 2, 3, 4} {
-		send(step)
+		ingestZeroStep(srv, step)
 	}
 	if got := srv.bufs[0].Len(); got != 1 {
 		t.Fatalf("buffer holds %d samples, want 1 (steps 1-3 are replays)", got)
+	}
+}
+
+// ingestZeroStep feeds rank 0 one all-zero frame of simulation 0, the way
+// its aggregator would.
+func ingestZeroStep(srv *Server, step int32) {
+	norm := srv.cfg.Trainer.Normalizer
+	ts := protocol.LeaseTimeStep()
+	ts.SimID, ts.Step = 0, step
+	ts.Input = append(ts.Input[:0], make([]float32, norm.InputDim())...)
+	ts.Field = append(ts.Field[:0], make([]float32, norm.OutputDim())...)
+	srv.ingestTimeStep(0, ts)
+}
+
+// TestUserCancelStaysCancelled is the regression test for the cancel hang:
+// a frame that finds its buffer full and reception ended used to reopen
+// reception unless the aggregator itself had ended it, so after a user
+// cancel a straggler put the Reservoir back in service and the trainer
+// never drained. The trainer is parked in its batch hook so the buffer
+// stays full; the stragglers must all be dropped while it is still parked.
+func TestUserCancelStaysCancelled(t *testing.T) {
+	cfg := testConfig(1, 1, buffer.ReservoirKind)
+	cfg.Buffer = buffer.Config{Kind: buffer.ReservoirKind, Capacity: 4, Threshold: 2, Seed: 42}
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	cfg.Trainer.OnBatchEnd = func(int) {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wait := runServer(t, srv, ctx)
+	for step := int32(1); step <= 4; step++ {
+		ingestZeroStep(srv, step)
+	}
+	<-parked
+
+	cancel()
+	produced := make(chan struct{})
+	go func() {
+		defer close(produced)
+		for step := int32(5); step <= 60; step++ {
+			ingestZeroStep(srv, step) // fills the buffer, then every frame is refused
+		}
+	}()
+	select {
+	case <-produced:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("a straggler frame after cancel reopened reception and is waiting for room")
+	}
+	close(release)
+	if err := wait(); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.bufs[0].Drained() {
+		t.Fatalf("buffer not drained after a cancelled run: %d samples left", srv.bufs[0].Len())
 	}
 }
 

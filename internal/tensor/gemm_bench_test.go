@@ -10,7 +10,7 @@ import (
 // surrogate (batch×hidden×field): the forward input layer, the wide output
 // layer at several batch sizes, and the backward operand forms. Every entry
 // reports GFLOP/s via b.ReportMetric so CI bench smoke runs leave a
-// throughput trajectory (see BENCH_PR4.json for the PR 4 snapshot), and
+// throughput trajectory (see History in bench/README.md for PR 4's), and
 // -benchmem pins the 0 allocs/op steady state.
 
 // gemmGrid is the training-shaped size grid: m = batch (paper: 10, plus

@@ -1,10 +1,10 @@
 package transport
 
 // The rank ring: dedicated TCP connections between training ranks running
-// as separate processes, carrying gradient collectives (ddp.TCPComm). Every
-// rank listens on a pre-agreed address, dials its successor and accepts its
-// predecessor, forming the same directed ring the in-process channel
-// communicator uses. Frames reuse the protocol package's length framing
+// as separate processes, carrying gradient collectives (the socket hops of
+// ddp.Comm). Every rank listens on a pre-agreed address, dials its
+// successor and accepts its predecessor, forming the same directed ring
+// ddp.Comm's channel links form inside a process. Frames reuse the protocol package's length framing
 // ([length u32 | type u8 | payload], little-endian).
 //
 // Sends are asynchronous: the caller's goroutine stages the frame into a
@@ -14,7 +14,7 @@ package transport
 // rank sends before it receives, so a blocking send of a chunk larger than
 // the socket buffers would wedge the whole ring. Two staging buffers
 // rotate through a free list, making steady-state collectives
-// allocation-free, exactly like the channel backend's recycled links.
+// allocation-free, exactly like ddp's recycled channel links.
 //
 // # Failure model
 //
