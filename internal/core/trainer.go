@@ -490,10 +490,11 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 // syncGradients completes the step's gradient synchronization: it drains
 // the in-flight bucket collectives (overlap), or runs them now (serial),
 // then averages. On return every replica holds identical averaged
-// gradients, matching the all-reduce step of §3.1. The collectives operate on the slab in place — no
-// gather/scatter staging. On a collective failure the first error is
-// returned — after draining every in-flight bucket, so the syncer
-// goroutine is never left blocked — and the gradients are unusable.
+// gradients, matching the all-reduce step of §3.1. The collectives operate
+// on the slab in place — no gather/scatter staging. On a collective failure
+// the first error is returned — after draining every in-flight bucket, so
+// the syncer goroutine is never left blocked — and the gradients are
+// unusable.
 func (t *Trainer) syncGradients(st *rankState) error {
 	grads := st.net.FlatGrads()
 	var failed error

@@ -141,8 +141,15 @@ const linkDepth = 2
 // recycled message buffers. Senders draw an owned buffer from free, fill it
 // and pass it through data; receivers consume it and return it to free. Two
 // buffers keep the pipeline full without ever sharing a buffer between
-// writer and reader. Each channel has room for every buffer plus the one
-// wake-up fail sends, so no send on a link ever blocks; only receives do.
+// writer and reader.
+//
+// Poisoning (fail) rests on two invariants that nothing enforces. A link
+// holds at most linkDepth buffers, so with the one spare slot per channel no
+// send on a link ever blocks; only receives do. And each channel has one
+// receiver at a time, the goroutine of the rank on that side (data: the
+// successor, free: the sender), so fail's one wake-up per channel reaches
+// everyone who can be parked; a second goroutine parked on the same channel
+// would never be woken.
 type link struct {
 	data chan []float32
 	free chan []float32
@@ -286,11 +293,11 @@ func (c *Comm) localOf(rank int) int {
 }
 
 // fail records the first error, then unwedges local ranks parked on channel
-// hops by sending one wake-up through each side of every link (the slot
-// newLink reserves, so these sends never block). A rank checks poisoned
-// after every link receive, and the error is stored before the wake-ups are
-// sent, so whatever a rank receives from then on — wake-up or message — it
-// returns the recorded error. Returns that error.
+// hops by sending one wake-up through each side of every link (see link for
+// the invariants this rests on). A rank checks poisoned after every link
+// receive, and the error is stored before the wake-ups are sent, so
+// whatever a rank receives from then on — wake-up or message — it returns
+// the recorded error. Returns that error.
 func (c *Comm) fail(err error) error {
 	c.firstErr.CompareAndSwap(nil, &err)
 	c.failOnce.Do(func() {

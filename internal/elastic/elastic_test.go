@@ -6,8 +6,8 @@ package elastic_test
 // asserts the recovery contract: the group re-forms over the survivors at
 // a new epoch, rolls back to the last committed group checkpoint, and
 // finishes with final weights bit-identical to an unfaulted reference run
-// of the same effective schedule (built piecewise from in-process ChanComm
-// trainers, which are pinned bit-identical to the TCP backend).
+// of the same effective schedule (built piecewise from in-process ddp.Comm
+// trainers, which are pinned bit-identical to the socket layouts).
 
 import (
 	"context"

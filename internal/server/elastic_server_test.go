@@ -6,7 +6,7 @@ package server
 // The survivors must re-form, roll ingestion and replica state back to the
 // last committed group checkpoint, keep their client connections, and
 // finish with weights bit-identical to a piecewise reference built from
-// in-process ChanComm trainers over the same per-rank sample streams.
+// in-process ddp.Comm trainers over the same per-rank sample streams.
 //
 // Determinism: simulations stream one at a time with an ingestion barrier
 // between them (each sim's frames are fully ingested before the next
@@ -179,8 +179,8 @@ func waitIngested(t *testing.T, srv *Server, want int, killed <-chan struct{}) {
 // checkpoint), and the survivors must re-form at a higher epoch, roll back
 // to batch 4 with their ingest state intact, keep serving the reconnecting
 // clients (including ones launched after the death, which dial the
-// survivors only), finish the schedule, and match the piecewise ChanComm
-// reference bit for bit.
+// survivors only), finish the schedule, and match the piecewise in-process
+// ddp.Comm reference bit for bit.
 func TestElasticServerChaosKillReform(t *testing.T) {
 	dir := t.TempDir()
 	coord, err := elastic.NewCoordinator(elastic.CoordinatorConfig{

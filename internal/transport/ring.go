@@ -4,8 +4,9 @@ package transport
 // as separate processes, carrying gradient collectives (the socket hops of
 // ddp.Comm). Every rank listens on a pre-agreed address, dials its
 // successor and accepts its predecessor, forming the same directed ring
-// ddp.Comm's channel links form inside a process. Frames reuse the protocol package's length framing
-// ([length u32 | type u8 | payload], little-endian).
+// ddp.Comm's channel links form inside a process. Frames reuse the protocol
+// package's length framing ([length u32 | type u8 | payload],
+// little-endian).
 //
 // Sends are asynchronous: the caller's goroutine stages the frame into a
 // recycled buffer (so the caller's slab is never aliased after Send*
