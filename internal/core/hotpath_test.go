@@ -6,6 +6,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"melissa/internal/buffer"
@@ -116,6 +117,39 @@ func legacyGradSync(params []*nn.Param, staging []float32) {
 	}
 }
 
+// legacyAdam is the historical per-parameter Adam walk (scalar loop, no
+// flush of subnormal moments), kept as the differential reference for the
+// trajectory tests below. The conversions spell out the unfused rounding
+// the amd64 compiler applied.
+type legacyAdam struct {
+	lr   float64
+	step int
+	m, v []float32
+}
+
+func (a *legacyAdam) Step(params []*nn.Param) {
+	if a.m == nil {
+		n := 0
+		for _, p := range params {
+			n += p.Size()
+		}
+		a.m, a.v = make([]float32, n), make([]float32, n)
+	}
+	a.step++
+	b1, b2, eps := float32(0.9), float32(0.999), float32(1e-8)
+	alpha := float32(a.lr * math.Sqrt(1-math.Pow(0.999, float64(a.step))) / (1 - math.Pow(0.9, float64(a.step))))
+	off := 0
+	for _, p := range params {
+		m, v := a.m[off:off+p.Size()], a.v[off:off+p.Size()]
+		for j, g := range p.Grad.Data {
+			m[j] = float32(b1*m[j]) + float32((1-b1)*g)
+			v[j] = float32(b2*v[j]) + float32(float32((1-b2)*g)*g)
+			p.Value.Data[j] -= float32(alpha*m[j]) / (float32(math.Sqrt(float64(v[j]))) + eps)
+		}
+		off += p.Size()
+	}
+}
+
 // TestFlatStepMatchesLegacyPerParamPath locks the bit-for-bit equivalence
 // of the fused slab update against the pre-refactor trajectory: staged
 // gather/scatter gradient sync followed by the per-parameter Adam walk.
@@ -128,7 +162,7 @@ func TestFlatStepMatchesLegacyPerParamPath(t *testing.T) {
 	flatNet := nn.ArchitectureMLP(norm.InputDim(), []int{24, 24}, norm.OutputDim(), 9)
 	legacyNet := nn.ArchitectureMLP(norm.InputDim(), []int{24, 24}, norm.OutputDim(), 9)
 	flatOpt := opt.NewAdam(1e-3)
-	legacyOpt := opt.NewAdam(1e-3)
+	legacyOpt := &legacyAdam{lr: 1e-3}
 	loss := nn.NewMSELoss()
 	staging := make([]float32, legacyNet.NumParams())
 
@@ -180,7 +214,7 @@ func TestTrainerMatchesLegacyLoopWithTailBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refOpt := opt.NewAdam(1e-3)
+	refOpt := &legacyAdam{lr: 1e-3}
 	loss := nn.NewMSELoss()
 	var refLosses []float64
 	for start := 0; start < nSamples; start += batchSize {
@@ -300,22 +334,6 @@ func BenchmarkAdamStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.StepFlat(net.FlatParams(), grads)
-	}
-}
-
-// BenchmarkAdamStepPerParam is the unfused per-parameter walk, kept as the
-// comparison point for the fused kernel.
-func BenchmarkAdamStepPerParam(b *testing.B) {
-	net := nn.ArchitectureMLP(6, []int{256, 256}, 1024, 1)
-	grads := net.FlatGrads()
-	for i := range grads {
-		grads[i] = 0.01
-	}
-	a := opt.NewAdam(1e-3)
-	a.Step(net.Params())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Step(net.Params())
 	}
 }
 

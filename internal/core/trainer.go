@@ -548,6 +548,7 @@ func (t *Trainer) CaptureState() (weights, optState []byte, err error) {
 	if err := t.nets[0].SaveWeights(&wbuf); err != nil {
 		return nil, nil, err
 	}
+	obuf.Grow(t.opts[0].StateSize())
 	if err := t.opts[0].SaveState(&obuf); err != nil {
 		return nil, nil, err
 	}

@@ -25,9 +25,9 @@ import (
 )
 
 // Param is one learnable parameter tensor together with its gradient
-// accumulator. Optimizers walk Params slices; the distributed data-parallel
-// layer all-reduces the Grad buffers between replicas. Inside a Network both
-// matrices are views into the network's flat slabs.
+// accumulator. Inside a Network both matrices are views into the network's
+// flat slabs, which is what the optimizer and the data-parallel all-reduce
+// operate on; Grad is nil once the network's gradients are released.
 type Param struct {
 	Name  string
 	Value *tensor.Matrix
@@ -109,6 +109,17 @@ func (n *Network) FlatParams() []float32 { return n.flatValues }
 // FlatGrads returns the contiguous slab backing every parameter gradient,
 // in Params() order. The ddp layer all-reduces it directly.
 func (n *Network) FlatGrads() []float32 { return n.flatGrads }
+
+// ReleaseGrads drops the gradient slab, leaving an inference-only network
+// half the size: Forward, the weight accessors and serialization work as
+// before, FlatGrads returns nil, and Backward or ZeroGrad panic. A trained
+// network is released when it becomes a Surrogate.
+func (n *Network) ReleaseGrads() {
+	for _, p := range n.Params() {
+		p.Grad = nil
+	}
+	n.flatGrads = nil
+}
 
 // Forward runs the batch x through every layer and returns the output.
 func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {

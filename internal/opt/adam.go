@@ -6,16 +6,15 @@ import (
 	"io"
 	"math"
 
-	"melissa/internal/nn"
+	"melissa/internal/protocol"
 	"melissa/internal/tensor"
 )
 
 // Adam implements Kingma & Ba's Adam optimizer, the one the paper trains
 // with (§4.1). Default hyperparameters match PyTorch: β1=0.9, β2=0.999,
 // ε=1e-8. The first and second moments are stored as two flat slabs
-// matching the network's parameter slab layout, so StepFlat applies the
-// whole update as one fused vectorized pass and checkpoints serialize the
-// moments as bulk writes.
+// matching the network's parameter slab layout. It is stateful and not safe
+// for concurrent use; each data-parallel replica owns one.
 type Adam struct {
 	lr    float64
 	beta1 float64
@@ -30,11 +29,6 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
 }
 
-// NewAdamWithBetas returns an Adam optimizer with explicit hyperparameters.
-func NewAdamWithBetas(lr, beta1, beta2, eps float64) *Adam {
-	return &Adam{lr: lr, beta1: beta1, beta2: beta2, eps: eps}
-}
-
 // alpha advances the step counter and returns the bias-corrected step size
 // along with the float32 hyperparameters. Folding the corrections into the
 // learning rate is the standard trick from the Adam paper §2.
@@ -45,29 +39,10 @@ func (a *Adam) alpha() (alpha, b1, b2, eps float32) {
 	return float32(a.lr * math.Sqrt(bc2) / bc1), float32(a.beta1), float32(a.beta2), float32(a.eps)
 }
 
-// Step implements Optimizer, walking the parameter list against the flat
-// moment slabs. StepFlat is the fused equivalent for slab-backed networks;
-// both orderings produce bit-identical results.
-func (a *Adam) Step(params []*nn.Param) {
-	a.ensureState(totalSize(params))
-	alpha, b1, b2, eps := a.alpha()
-	off := 0
-	for _, p := range params {
-		sz := p.Size()
-		m, v := a.m[off:off+sz], a.v[off:off+sz]
-		for j, g := range p.Grad.Data {
-			m[j] = b1*m[j] + (1-b1)*g
-			v[j] = b2*v[j] + (1-b2)*g*g
-			p.Value.Data[j] -= alpha * m[j] / (float32(math.Sqrt(float64(v[j]))) + eps)
-		}
-		off += sz
-	}
-}
-
-// StepFlat implements Optimizer: one fused pass over the network's flat
-// value and gradient slabs (nn.Network.FlatParams/FlatGrads), parallelized
-// over slab chunks. This is the training hot path; it performs no
-// allocations in steady state.
+// StepFlat applies one update, at the current learning rate, to a network's
+// flat value and gradient slabs (nn.Network.FlatParams/FlatGrads) through
+// tensor.AdamStep. This is the training hot path; it performs no
+// allocations in steady state. The caller zeroes the gradients afterwards.
 func (a *Adam) StepFlat(values, grads []float32) {
 	if len(values) != len(grads) {
 		panic(fmt.Sprintf("opt: StepFlat slab lengths %d vs %d", len(values), len(grads)))
@@ -77,15 +52,11 @@ func (a *Adam) StepFlat(values, grads []float32) {
 	tensor.AdamStep(values, grads, a.m, a.v, alpha, b1, b2, eps)
 }
 
-// SetLR implements Optimizer.
+// SetLR changes the learning rate used by subsequent steps.
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
-// LR implements Optimizer.
+// LR reports the current learning rate.
 func (a *Adam) LR() float64 { return a.lr }
-
-// StepCount reports the number of optimizer steps taken, used by tests and
-// checkpoint assertions.
-func (a *Adam) StepCount() uint64 { return a.step }
 
 func (a *Adam) ensureState(total int) {
 	if len(a.m) == total {
@@ -95,83 +66,90 @@ func (a *Adam) ensureState(total int) {
 	a.v = make([]float32, total)
 }
 
-// totalSize sums the scalar element counts of params.
-func totalSize(params []*nn.Param) int {
-	total := 0
-	for _, p := range params {
-		total += p.Size()
-	}
-	return total
-}
+// stateChunk is how many floats SaveState and LoadState move per staging
+// buffer, and the most LoadState allocates ahead of the bytes it has read.
+const stateChunk = 1 << 16
 
-// SaveState implements Optimizer. Layout: step u64 | segments u32 | per
-// segment: len u32, m f32s, v f32s. The flat slabs serialize as a single
-// segment (two bulk writes); LoadState concatenates any number of segments,
-// so checkpoints written by the historical per-parameter layout still load.
+// StateSize is the number of bytes SaveState writes, for callers that
+// pre-size their destination.
+func (a *Adam) StateSize() int { return 16 + 8*len(a.m) }
+
+// SaveState serializes the step counter and the moments. Layout: step u64 |
+// segments u32 | per segment: len u32, m f32s, v f32s. The flat slabs
+// serialize as a single segment; LoadState concatenates any number of
+// segments, so checkpoints written by the historical per-parameter layout
+// still load.
 func (a *Adam) SaveState(w io.Writer) error {
-	if err := binary.Write(w, binary.LittleEndian, a.step); err != nil {
+	var hdr [16]byte
+	binary.LittleEndian.PutUint64(hdr[0:], a.step)
+	binary.LittleEndian.PutUint32(hdr[8:], 1)
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(a.m)))
+	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(1)); err != nil {
-		return err
+	buf := make([]byte, 4*min(len(a.m), stateChunk))
+	for _, slab := range [][]float32{a.m, a.v} {
+		for len(slab) > 0 {
+			k := min(len(slab), stateChunk)
+			protocol.EncodeF32s(buf, slab[:k])
+			if _, err := w.Write(buf[:4*k]); err != nil {
+				return err
+			}
+			slab = slab[k:]
+		}
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(a.m))); err != nil {
-		return err
-	}
-	if err := writeF32s(w, a.m); err != nil {
-		return err
-	}
-	return writeF32s(w, a.v)
+	return nil
 }
 
-// LoadState implements Optimizer.
+// LoadState restores state written by SaveState; the parameter layout must
+// match. A segment length is a claim, not a fact: the slabs grow one
+// stateChunk at a time, each only after its bytes have arrived, so a
+// corrupt or hostile header costs one staging buffer, not the gigabytes it
+// names. On error the optimizer is left as it was.
 func (a *Adam) LoadState(r io.Reader) error {
-	if err := binary.Read(r, binary.LittleEndian, &a.step); err != nil {
-		return fmt.Errorf("opt: reading adam step: %w", err)
+	var hdr [12]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return fmt.Errorf("opt: reading adam header: %w", err)
 	}
-	var segments uint32
-	if err := binary.Read(r, binary.LittleEndian, &segments); err != nil {
-		return err
-	}
-	a.m = a.m[:0]
-	a.v = a.v[:0]
+	segments := binary.LittleEndian.Uint32(hdr[8:])
+	var m, v []float32
+	var buf []byte
 	for i := uint32(0); i < segments; i++ {
-		var n uint32
-		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-			return err
+		var lenBuf [4]byte
+		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+			return fmt.Errorf("opt: reading adam segment %d length: %w", i, err)
 		}
-		if n > 1<<30 {
-			return fmt.Errorf("opt: unreasonable adam segment length %d", n)
+		claimed := binary.LittleEndian.Uint32(lenBuf[:])
+		if claimed > 1<<30 {
+			return fmt.Errorf("opt: unreasonable adam segment length %d", claimed)
 		}
-		off := len(a.m)
-		a.m = append(a.m, make([]float32, n)...)
-		a.v = append(a.v, make([]float32, n)...)
-		if err := readF32s(r, a.m[off:]); err != nil {
-			return err
+		n := int(claimed)
+		if need := 4 * min(n, stateChunk); len(buf) < need {
+			buf = make([]byte, need)
 		}
-		if err := readF32s(r, a.v[off:]); err != nil {
-			return err
+		var err error
+		if m, err = appendF32s(m, r, n, buf); err == nil {
+			v, err = appendF32s(v, r, n, buf)
+		}
+		if err != nil {
+			return fmt.Errorf("opt: adam segment %d claims %d floats: %w", i, n, err)
 		}
 	}
+	a.step, a.m, a.v = binary.LittleEndian.Uint64(hdr[0:]), m, v
 	return nil
 }
 
-func writeF32s(w io.Writer, data []float32) error {
-	buf := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+// appendF32s reads n floats from r and appends them to dst, one buf-full at
+// a time, growing dst only by what has been read.
+func appendF32s(dst []float32, r io.Reader, n int, buf []byte) ([]float32, error) {
+	for n > 0 {
+		k := min(n, len(buf)/4)
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			return dst, err
+		}
+		dst = append(dst, make([]float32, k)...)
+		protocol.DecodeF32s(dst[len(dst)-k:], buf[:4*k])
+		n -= k
 	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readF32s(r io.Reader, dst []float32) error {
-	buf := make([]byte, 4*len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return nil
+	return dst, nil
 }

@@ -2,80 +2,48 @@ package opt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"melissa/internal/nn"
 	"melissa/internal/tensor"
 )
 
-// singleParam builds a one-element parameter with the given value and grad.
-func singleParam(value, grad float32) []*nn.Param {
-	p := &nn.Param{
-		Name:  "p",
-		Value: tensor.FromSlice(1, 1, []float32{value}),
-		Grad:  tensor.FromSlice(1, 1, []float32{grad}),
-	}
-	return []*nn.Param{p}
-}
-
-func TestSGDStep(t *testing.T) {
-	params := singleParam(1.0, 0.5)
-	s := NewSGD(0.1, 0)
-	s.Step(params)
-	if got := params[0].Value.Data[0]; math.Abs(float64(got)-0.95) > 1e-6 {
-		t.Fatalf("value = %v, want 0.95", got)
-	}
-}
-
-func TestSGDMomentum(t *testing.T) {
-	params := singleParam(0, 1)
-	s := NewSGD(1, 0.9)
-	s.Step(params) // v=1, w=-1
-	if got := params[0].Value.Data[0]; got != -1 {
-		t.Fatalf("after step 1: %v", got)
-	}
-	s.Step(params) // v=0.9+1=1.9, w=-2.9
-	if got := params[0].Value.Data[0]; math.Abs(float64(got)+2.9) > 1e-6 {
-		t.Fatalf("after step 2: %v, want -2.9", got)
-	}
-}
-
 // TestAdamMatchesReference checks two Adam steps against hand-computed
 // values with constant gradient g=1, lr=0.1.
 func TestAdamMatchesReference(t *testing.T) {
-	params := singleParam(1.0, 1.0)
+	w, g := []float32{1}, []float32{1}
 	a := NewAdam(0.1)
 
 	// Step 1: m=0.1, v=0.001; mhat=1, vhat=1 → w -= 0.1*1/(1+eps) ≈ 0.9.
-	a.Step(params)
-	if got := float64(params[0].Value.Data[0]); math.Abs(got-0.9) > 1e-5 {
+	a.StepFlat(w, g)
+	if got := float64(w[0]); math.Abs(got-0.9) > 1e-5 {
 		t.Fatalf("after step 1: %v, want ≈0.9", got)
 	}
 
 	// Step 2 (same grad): m=0.19, v=0.001999; bc1=0.19, bc2=0.001999
 	// mhat=1, vhat=1 → w ≈ 0.8.
-	params[0].Grad.Data[0] = 1.0
-	a.Step(params)
-	if got := float64(params[0].Value.Data[0]); math.Abs(got-0.8) > 1e-4 {
+	a.StepFlat(w, g)
+	if got := float64(w[0]); math.Abs(got-0.8) > 1e-4 {
 		t.Fatalf("after step 2: %v, want ≈0.8", got)
 	}
-	if a.StepCount() != 2 {
-		t.Fatalf("step count %d", a.StepCount())
+	if a.step != 2 {
+		t.Fatalf("step count %d", a.step)
 	}
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize f(w) = (w-3)^2 with gradient 2(w-3).
-	params := singleParam(0, 0)
+	w, g := []float32{0}, []float32{0}
 	a := NewAdam(0.1)
 	for i := 0; i < 500; i++ {
-		w := params[0].Value.Data[0]
-		params[0].Grad.Data[0] = 2 * (w - 3)
-		a.Step(params)
+		g[0] = 2 * (w[0] - 3)
+		a.StepFlat(w, g)
 	}
-	if got := float64(params[0].Value.Data[0]); math.Abs(got-3) > 0.01 {
+	if got := float64(w[0]); math.Abs(got-3) > 0.01 {
 		t.Fatalf("converged to %v, want 3", got)
 	}
 }
@@ -88,11 +56,6 @@ func TestSetLR(t *testing.T) {
 	a.SetLR(5e-4)
 	if a.LR() != 5e-4 {
 		t.Fatal("SetLR failed")
-	}
-	s := NewSGD(0.1, 0)
-	s.SetLR(0.2)
-	if s.LR() != 0.2 {
-		t.Fatal("SGD SetLR failed")
 	}
 }
 
@@ -149,7 +112,7 @@ func TestAdamCheckpointResume(t *testing.T) {
 	}
 
 	run := func(restartAt int) float32 {
-		params := singleParam(1.0, 0)
+		w, grad := []float32{1}, []float32{0}
 		a := NewAdam(0.05)
 		for i, g := range grads {
 			if restartAt > 0 && i == restartAt {
@@ -162,39 +125,16 @@ func TestAdamCheckpointResume(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			params[0].Grad.Data[0] = g
-			a.Step(params)
+			grad[0] = g
+			a.StepFlat(w, grad)
 		}
-		return params[0].Value.Data[0]
+		return w[0]
 	}
 
 	direct := run(0)
 	resumed := run(20)
 	if direct != resumed {
 		t.Fatalf("resume diverged: %v vs %v", direct, resumed)
-	}
-}
-
-func TestSGDCheckpointResume(t *testing.T) {
-	params := singleParam(1, 0)
-	s := NewSGD(0.1, 0.9)
-	params[0].Grad.Data[0] = 1
-	s.Step(params)
-	var buf bytes.Buffer
-	if err := s.SaveState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewSGD(0.1, 0.9)
-	if err := s2.LoadState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Both optimizers must now produce the same next step.
-	paramsA := singleParam(params[0].Value.Data[0], 1)
-	paramsB := singleParam(params[0].Value.Data[0], 1)
-	s.Step(paramsA)
-	s2.Step(paramsB)
-	if paramsA[0].Value.Data[0] != paramsB[0].Value.Data[0] {
-		t.Fatalf("momentum state not restored: %v vs %v", paramsA[0].Value.Data[0], paramsB[0].Value.Data[0])
 	}
 }
 
@@ -227,10 +167,134 @@ func TestAdamOnNetwork(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		net.ZeroGrad()
 		net.Backward(loss.Backward(net.Forward(x), target))
-		a.Step(net.Params())
+		a.StepFlat(net.FlatParams(), net.FlatGrads())
 	}
 	final := loss.Forward(net.Forward(x), target)
 	if final > initial/10 {
 		t.Fatalf("Adam failed to train: %v -> %v", initial, final)
 	}
+}
+
+// adamState serializes an optimizer state by hand: segment i holds ms[i]
+// and vs[i]. One segment is what SaveState writes; several are the
+// historical per-parameter layout.
+func adamState(step uint64, ms, vs [][]float32) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, step)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ms)))
+	for i := range ms {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(ms[i])))
+		for _, slab := range [][]float32{ms[i], vs[i]} {
+			for _, x := range slab {
+				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+			}
+		}
+	}
+	return b
+}
+
+// TestAdamLoadStateLayouts loads the single-segment layout and the
+// historical per-parameter one and requires the same bits back, across a
+// staging-buffer boundary (stateChunk+3 floats).
+func TestAdamLoadStateLayouts(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 9))
+	n := stateChunk + 3
+	m, v := make([]float32, n), make([]float32, n)
+	for i := range m {
+		m[i], v[i] = float32(rng.NormFloat64()), float32(rng.Float64())
+	}
+	m[1], v[1] = 0x1p-140, 0x1p-149 // a stuck checkpoint loads as written
+	cuts := []int{0, 7, 7, stateChunk - 1, n}
+	var ms, vs [][]float32
+	for i := 1; i < len(cuts); i++ {
+		ms, vs = append(ms, m[cuts[i-1]:cuts[i]]), append(vs, v[cuts[i-1]:cuts[i]])
+	}
+	single := adamState(41, [][]float32{m}, [][]float32{v})
+	for name, state := range map[string][]byte{"single": single, "per-param": adamState(41, ms, vs)} {
+		a := NewAdam(0.1)
+		if err := a.LoadState(bytes.NewReader(state)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if a.step != 41 || len(a.m) != n || len(a.v) != n {
+			t.Fatalf("%s: step %d, %d/%d moments", name, a.step, len(a.m), len(a.v))
+		}
+		for i := range m {
+			if math.Float32bits(a.m[i]) != math.Float32bits(m[i]) || math.Float32bits(a.v[i]) != math.Float32bits(v[i]) {
+				t.Fatalf("%s: moment %d = (%g, %g), want (%g, %g)", name, i, a.m[i], a.v[i], m[i], v[i])
+			}
+		}
+		var out bytes.Buffer
+		if err := a.SaveState(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), single) {
+			t.Fatalf("%s: SaveState does not reproduce the single-segment layout", name)
+		}
+	}
+}
+
+// TestAdamLoadStateLyingLength gives LoadState a header that claims 2³⁰
+// floats over 16 bytes of payload: an error, the optimizer untouched, and
+// nowhere near the 8 GB the claim names allocated on the way.
+func TestAdamLoadStateLyingLength(t *testing.T) {
+	state := adamState(7, [][]float32{{1, 2}}, [][]float32{{3, 4}})
+	binary.LittleEndian.PutUint32(state[12:], 1<<30)
+	a := NewAdam(0.1)
+	a.StepFlat([]float32{1}, []float32{1})
+	m0 := a.m[0]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := a.LoadState(bytes.NewReader(state))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("expected an error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+		t.Fatalf("allocated %d bytes for a 16-byte payload", got)
+	}
+	if a.step != 1 || len(a.m) != 1 || a.m[0] != m0 {
+		t.Fatalf("failed load changed the optimizer: step %d, m %v", a.step, a.m)
+	}
+}
+
+// FuzzAdamLoadState feeds the decoder truncated, oversized and garbage
+// states: it must return (never panic), must not hold more floats than the
+// input has bytes for, and whatever it accepts must survive a save/load
+// round trip unchanged.
+func FuzzAdamLoadState(f *testing.F) {
+	good := adamState(3, [][]float32{{1, 2, 3}, {4}}, [][]float32{{5, 6, 7}, {8}})
+	f.Add(good)
+	f.Add(good[:len(good)-5])
+	f.Add(append(append([]byte(nil), good...), 9, 9, 9))
+	lying := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(lying[12:], 1<<30)
+	f.Add(lying)
+	f.Add([]byte{1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a := NewAdam(0.1)
+		if err := a.LoadState(bytes.NewReader(data)); err != nil {
+			if a.step != 0 || a.m != nil || a.v != nil {
+				t.Fatalf("failed load changed the optimizer: %v", err)
+			}
+			return
+		}
+		if len(a.m) != len(a.v) || 8*len(a.m) > len(data) {
+			t.Fatalf("%d/%d moments from %d bytes", len(a.m), len(a.v), len(data))
+		}
+		var out bytes.Buffer
+		if err := a.SaveState(&out); err != nil {
+			t.Fatal(err)
+		}
+		b := NewAdam(0.1)
+		if err := b.LoadState(bytes.NewReader(out.Bytes())); err != nil {
+			t.Fatalf("reloading a saved state: %v", err)
+		}
+		if b.step != a.step || len(b.m) != len(a.m) {
+			t.Fatalf("round trip: step %d→%d, %d→%d moments", a.step, b.step, len(a.m), len(b.m))
+		}
+		for i := range a.m {
+			if math.Float32bits(a.m[i]) != math.Float32bits(b.m[i]) || math.Float32bits(a.v[i]) != math.Float32bits(b.v[i]) {
+				t.Fatalf("round trip changed moment %d", i)
+			}
+		}
+	})
 }

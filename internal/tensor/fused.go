@@ -2,22 +2,17 @@ package tensor
 
 import "math"
 
-// sqrt32 is the float32 square root via the hardware float64 instruction,
-// matching the rounding of the historical per-parameter Adam loop.
-func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
+// minNormal32 is 2⁻¹²⁶, the smallest positive normal float32: moments
+// below it are stored as zero (see the package comment).
+const minNormal32 = 0x1p-126
 
-// AdamStep applies one fused Adam update over flat parameter slabs:
-//
-//	m = β1·m + (1−β1)·g
-//	v = β2·v + (1−β2)·g²
-//	w −= α·m/(√v + ε)
-//
-// with α the bias-corrected step size. All four slices must have equal
-// length. The pass is a single sweep over the slabs, parallelized over
-// contiguous chunks through the worker pool when the slab exceeds the
-// elementwise work threshold (work is counted in elements); every element
-// is independent, so the result is bit-identical to the serial
-// per-parameter loop.
+// AdamStep applies one Adam update over flat parameter slabs with the
+// semantics stated in the package comment ("Adam update"); alpha is the
+// bias-corrected step size. All four slices must have equal length. The
+// pass is a single sweep over the slabs, split into contiguous chunks
+// through the worker pool above the elementwise work threshold (work is
+// counted in elements); every element is independent, so the result does
+// not depend on the chunking.
 func AdamStep(values, grads, m, v []float32, alpha, beta1, beta2, eps float32) {
 	if len(grads) != len(values) || len(m) != len(values) || len(v) != len(values) {
 		panic("tensor: AdamStep slab length mismatch")
@@ -28,14 +23,29 @@ func AdamStep(values, grads, m, v []float32, alpha, beta1, beta2, eps float32) {
 	})
 }
 
-func adamRange(values, grads, m, v []float32, alpha, b1, b2, eps float32, i0, i1 int) {
-	values = values[i0:i1]
-	grads = grads[i0:i1]
-	m = m[i0:i1]
-	v = v[i0:i1]
+// adamRange is the active update over one chunk: the AVX2 kernel where
+// microkernel_amd64.go's CPU check passed, adamRangeGo everywhere else. The
+// two are bit-identical, so which one runs is not observable.
+var adamRange = adamRangeGo
+
+// adamRangeGo is the portable Adam update and the statement of its
+// semantics. Every product is rounded by an explicit conversion before it is
+// added, which forbids the fused multiply-add a compiler may otherwise emit
+// (arm64 does), and float32(math.Sqrt(float64(x))) is the correctly rounded
+// float32 root, the value VSQRTPS returns.
+func adamRangeGo(values, grads, m, v []float32, alpha, b1, b2, eps float32) {
+	omb1, omb2 := 1-b1, 1-b2
+	values, m, v = values[:len(grads)], m[:len(grads)], v[:len(grads)]
 	for j, g := range grads {
-		m[j] = b1*m[j] + (1-b1)*g
-		v[j] = b2*v[j] + (1-b2)*g*g
-		values[j] -= alpha * m[j] / (sqrt32(v[j]) + eps)
+		mj := float32(b1*m[j]) + float32(omb1*g)
+		vj := float32(b2*v[j]) + float32(float32(omb2*g)*g)
+		if mj < minNormal32 && mj > -minNormal32 {
+			mj = 0
+		}
+		if vj < minNormal32 {
+			vj = 0
+		}
+		m[j], v[j] = mj, vj
+		values[j] -= float32(alpha*mj) / (float32(math.Sqrt(float64(vj))) + eps)
 	}
 }

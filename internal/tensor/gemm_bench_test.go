@@ -108,24 +108,35 @@ func BenchmarkMatMulATBAdd(b *testing.B) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-// BenchmarkAdamStepSizes measures the fused elementwise Adam kernel per
-// element across slab sizes — the measurement behind
-// elemwiseParallelThreshold (≈3 ns/elem on the CI-class Xeon).
+// BenchmarkAdamStepSizes measures the Adam update per element across slab
+// sizes on either side of elemwiseParallelThreshold — the measurement the
+// constant's comment quotes. "live" is a constant non-zero gradient;
+// "dead-units" zeroes a third of the gradients and starts their moments at
+// 2⁻¹²⁰, the state a layer with dead ReLU units is in. Under the flush those
+// moments reach 0 within 40 steps for m, 4200 for v, and the two cases cost
+// the same; if stored subnormals ever came back this case would show the
+// ≈ 100 ns/element assist cliff that "live" cannot reach.
 func BenchmarkAdamStepSizes(b *testing.B) {
-	for _, n := range []int{4096, 16384, 262144} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			vals := make([]float32, n)
-			grads := make([]float32, n)
-			m := make([]float32, n)
-			v := make([]float32, n)
-			for i := range grads {
-				grads[i] = 0.01
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				AdamStep(vals, grads, m, v, 1e-3, 0.9, 0.999, 1e-8)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
-		})
+	for _, n := range []int{4096, 32768, 131072, 330752, 1048576} {
+		for _, state := range []string{"live", "dead-units"} {
+			deadUnits := state == "dead-units"
+			b.Run(fmt.Sprintf("n=%d/%s", n, state), func(b *testing.B) {
+				vals := make([]float32, n)
+				grads := make([]float32, n)
+				m := make([]float32, n)
+				v := make([]float32, n)
+				for i := range grads {
+					grads[i] = 0.01
+					if deadUnits && i%3 == 0 {
+						grads[i], m[i], v[i] = 0, 0x1p-120, 0x1p-120
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					AdamStep(vals, grads, m, v, 1e-3, 0.9, 0.999, 1e-8)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
+			})
+		}
 	}
 }

@@ -2,12 +2,13 @@
 
 package tensor
 
-// Runtime selection of the AVX2+FMA micro-kernel. The Go toolchain does not
-// auto-vectorize, so the 16-wide tile columns only pay off through the
-// hand-written kernel in microkernel_amd64.s; it is enabled once at process
-// start when CPUID reports FMA+AVX2 and the OS has enabled YMM state
-// (OSXSAVE with XCR0 SSE+AVX bits). Everything is stdlib-free so the tensor
-// package stays dependency-less.
+// Runtime selection of the assembly kernels. The Go toolchain does not
+// auto-vectorize, so the 16-wide tile columns and the 8-lane Adam update
+// only pay off through the hand-written kernels in microkernel_amd64.s and
+// adam_amd64.s; both are enabled once at process start when CPUID reports
+// FMA+AVX2 and the OS has enabled YMM state (OSXSAVE with XCR0 SSE+AVX
+// bits). Everything is stdlib-free so the tensor package stays
+// dependency-less.
 
 //go:noescape
 func kern4x16FMA(kc int, pa, pb, c []float32, ldc int)
@@ -25,21 +26,27 @@ const (
 	xcr0AVXState = 0x6     // XMM + YMM state enabled by the OS
 )
 
-func init() {
+// hasAVX2FMA reports whether the CPU and the OS support the kernels.
+func hasAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return
+		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	if ecx1&cpuidOSXSAVE == 0 || ecx1&cpuidFMA == 0 {
-		return
+		return false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	if ebx7&cpuidAVX2 == 0 {
-		return
+		return false
 	}
-	if eax, _ := xgetbv(); eax&xcr0AVXState != xcr0AVXState {
-		return
+	eax, _ := xgetbv()
+	return eax&xcr0AVXState == xcr0AVXState
+}
+
+func init() {
+	if hasAVX2FMA() {
+		kern4x16 = kern4x16FMA
+		adamRange = adamRangeAVX2
 	}
-	kern4x16 = kern4x16FMA
 }

@@ -30,14 +30,17 @@ const (
 // Per-op minimum work before a kernel fans out to the pool; below it the
 // dispatch cost dominates. GEMM work is counted in multiply-adds (each ~1
 // load + 1 FMA through the micro-kernel). Elementwise work is counted in
-// elements: one Adam element costs ~3 ns on the CI-class Xeon (see
-// BenchmarkAdamStepSizes), so 1<<14 elements ≈ 50 µs of work per split —
-// comfortably above the ~2 µs dispatch+join overhead, while still
-// parallelizing every real layer of the paper's surrogate (the smallest,
-// 6×256, sits just below and correctly stays inline).
+// elements, and the Adam kernel is bound by the divider, not by memory, as
+// long as its seven slab streams fit in L2: BenchmarkAdamStepSizes on the
+// 2-vCPU CI-class Xeon gives 0.44 ns/element inline up to 131k elements and
+// 0.59 beyond, while a two-way split costs 82 µs against 58 µs inline at
+// 131k (waking a parked worker is tens of µs there, not the ~2 µs of a
+// warm GEMM dispatch), breaks even at 262k (150 vs 156 µs) and wins from
+// there (330k, the paper's surrogate: 175 vs 197 µs; 1M: 405 vs 610 µs).
+// So the whole paper model fans out and nothing smaller does.
 const (
 	gemmParallelThreshold     = 1 << 16
-	elemwiseParallelThreshold = 1 << 14
+	elemwiseParallelThreshold = 1 << 18
 )
 
 // threshold returns the op's minimum fan-out work in the op's own units.
@@ -63,14 +66,14 @@ type task struct {
 	shared []float32
 	k0, kc int
 	vals   []float32
-	grads     []float32
-	m, v      []float32
-	alpha     float32
-	beta1     float32
-	beta2     float32
-	eps       float32
-	i0, i1    int
-	wg        *sync.WaitGroup
+	grads  []float32
+	m, v   []float32
+	alpha  float32
+	beta1  float32
+	beta2  float32
+	eps    float32
+	i0, i1 int
+	wg     *sync.WaitGroup
 }
 
 // run executes the task's range.
@@ -89,7 +92,7 @@ func (t *task) run() {
 	case opGemmTileShared:
 		gemmTileSharedRange(t, t.i0, t.i1)
 	case opAdam:
-		adamRange(t.vals, t.grads, t.m, t.v, t.alpha, t.beta1, t.beta2, t.eps, t.i0, t.i1)
+		adamRange(t.vals[t.i0:t.i1], t.grads[t.i0:t.i1], t.m[t.i0:t.i1], t.v[t.i0:t.i1], t.alpha, t.beta1, t.beta2, t.eps)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package tensor provides dense float32 matrices and the linear-algebra
 // kernels used by the neural-network training stack. It is deliberately
 // small: row-major matrices, a cache-blocked register-tiled GEMM with fused
-// epilogues, a fused Adam update over flat parameter slabs, and the vector
+// epilogues, the Adam update over flat parameter slabs, and the vector
 // primitives needed by optimizers and all-reduce. Everything is
 // allocation-explicit so training loops can reuse buffers across batches,
 // and parallel kernels dispatch op-coded tasks to a persistent worker pool
@@ -42,6 +42,29 @@
 //
 // of the float64-accumulated reference, the bound the property suite in
 // gemm_test.go enforces; any cross-kernel comparison must budget twice it.
+//
+// # Adam update
+//
+// AdamStep has no tolerance: an AVX2 kernel (adam_amd64.s, eight lanes,
+// enabled by the same CPU check as the GEMM micro-kernel) and a portable
+// loop (adamRangeGo, also the kernel's tail) compute, per element and in
+// this order, each operation rounded to float32 on its own,
+//
+//	m′ = β1·m + (1−β1)·g            two products, then the sum; no FMA
+//	v′ = β2·v + ((1−β2)·g)·g
+//	m′ = 0 if |m′| < 2⁻¹²⁶,  v′ = 0 if v′ < 2⁻¹²⁶   (a NaN stays)
+//	w  = w − (α·m′)/(√v′ + ε)       correctly rounded root and quotient
+//
+// and agree bit-for-bit, infinities and NaNs included (the property tests
+// and FuzzAdamKernel compare them directly; the one freedom left is which
+// of two differently encoded NaNs an addition hands on, see checkAdamImpls),
+// so a trajectory does not depend on which one a machine runs or on how the
+// pool chunks a slab. The third line — a moment is never stored subnormal — keeps a
+// step's cost constant: a weight whose gradient has become exactly zero (a
+// dead ReLU unit) would otherwise see m decay to k·2⁻¹⁴⁹, k ≤ 4, where
+// 0.9·m rounds back to m, and every later step would take a microcode
+// assist of about 100 ns on that element. On a state with no subnormal
+// moment the update equals the scalar loop it replaced bit-for-bit.
 package tensor
 
 import (

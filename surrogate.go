@@ -67,13 +67,17 @@ func surrogateMeta(cfg Config, prob Problem) Meta {
 	}
 }
 
+// newSurrogate takes ownership of net and releases its gradients: a
+// surrogate holds weights only, so a result kept after training does not
+// pin a gradient slab as large as the model.
 func newSurrogate(net *nn.Network, norm Normalizer, meta Meta) *Surrogate {
+	net.ReleaseGrads()
 	s := &Surrogate{net: net, norm: norm, meta: meta}
 	s.workspaces.New = func() any {
-		// Clone shares nothing with the original, so concurrent forward
-		// passes are independent; weights are copied once at clone time
-		// and the surrogate never mutates them afterwards.
-		return s.newScratch(s.net.Clone())
+		// CloneShared aliases the weight slab, which the surrogate never
+		// mutates, and owns its activation scratch, so concurrent forward
+		// passes are independent and an extra caller costs no weight copy.
+		return s.newScratch(s.net.CloneShared())
 	}
 	// Seed the pool with a workspace wrapping the original network, so the
 	// common single-goroutine caller never pays for a clone.

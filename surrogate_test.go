@@ -218,6 +218,51 @@ func TestPredictParallel(t *testing.T) {
 	}
 }
 
+// TestSurrogateHoldsWeightsOnly: however a network becomes a Surrogate —
+// trained online, snapshotted from a live trainer network, or loaded — it
+// keeps no gradient slab, the live network keeps its own, and the forward
+// workspaces extra callers draw alias the one weight slab.
+func TestSurrogateHoldsWeightsOnly(t *testing.T) {
+	res, err := RunOnline(context.Background(), tinyGrayScottConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := nn.ArchitectureMLP(3, []int{8}, 4, 1)
+	cfg := DefaultConfig()
+	cfg.Problem = Heat()
+	snap, err := SurrogateFromNetwork(live, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.FlatGrads() == nil {
+		t.Fatal("SurrogateFromNetwork released the caller's gradients")
+	}
+	var buf bytes.Buffer
+	if err := res.Surrogate.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSurrogate(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Surrogate{"RunOnline": res.Surrogate, "SurrogateFromNetwork": snap, "LoadSurrogate": loaded} {
+		if s.net.FlatGrads() != nil {
+			t.Fatalf("%s: surrogate retains a gradient slab", name)
+		}
+		for _, p := range s.net.Params() {
+			if p.Grad != nil {
+				t.Fatalf("%s: param %q retains its gradient", name, p.Name)
+			}
+		}
+		extra := s.workspaces.New().(*predictScratch)
+		for i, p := range extra.net.Params() {
+			if &p.Value.Data[0] != &s.net.Params()[i].Value.Data[0] {
+				t.Fatalf("%s: extra workspace copied param %q", name, p.Name)
+			}
+		}
+	}
+}
+
 func TestPredictWrongDimPanics(t *testing.T) {
 	s := freshSurrogate(Heat())
 	defer func() {
