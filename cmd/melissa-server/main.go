@@ -6,7 +6,7 @@
 // The rank addresses are published to -addr-file, one per line; clients
 // read that file to connect. Example session:
 //
-//	melissa-server -ranks 2 -clients 4 -grid 16 -steps 20 -out weights.bin &
+//	melissa-server -ranks 2 -clients 4 -grid 16 -steps 20 -surrogate-out model.mlsg &
 //	for i in 0 1 2 3; do melissa-client -id $i -grid 16 -steps 20 & done
 //	wait
 //
@@ -18,7 +18,7 @@
 // ring between processes, bit-identical to the flat ring of the same size.
 //
 //	melissa-server -ranks 4 -proc 0 -ranks-transport 127.0.0.1:7700,127.0.0.1:7701 \
-//	    -clients 4 -addr-file addrs-p0.txt -out weights.bin &
+//	    -clients 4 -addr-file addrs-p0.txt -surrogate-out model.mlsg &
 //	melissa-server -ranks 4 -proc 1 -ranks-transport 127.0.0.1:7700,127.0.0.1:7701 \
 //	    -clients 4 -addr-file addrs-p1.txt &
 //	cat addrs-p0.txt addrs-p1.txt > addrs.txt   # clients dial all ranks
@@ -82,7 +82,6 @@ func main() {
 		maxBatches = flag.Int("max-batches", 0, "stop training after this many batches (0 = train until the ensemble completes)")
 		seed       = flag.Uint64("seed", 2023, "seed for all stochastic components")
 		addrFile   = flag.String("addr-file", "melissa-addrs.txt", "file to publish rank addresses to")
-		out        = flag.String("out", "", "write trained weights to this file")
 		surOut     = flag.String("surrogate-out", "", "publish a self-describing surrogate checkpoint (.mlsg) to this path, atomically — melissa-serve hot-reloads it")
 		pubEvery   = flag.Int("publish-every", 0, "also publish -surrogate-out every N batches during training (0 = only at the end)")
 		ckpt       = flag.String("checkpoint", "", "server checkpoint path (single-process fault tolerance)")
@@ -356,23 +355,6 @@ func main() {
 	if ecfg != nil && m.Reforms() > 0 {
 		fmt.Printf("melissa-server: survived %d group re-formation(s), finished at epoch %d\n",
 			m.Reforms(), m.GroupEpoch())
-	}
-	if *out != "" {
-		tr := srv.Trainer()
-		if tr == nil {
-			fatal(fmt.Errorf("no trained network to write"))
-		}
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tr.Network().SaveWeights(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("melissa-server: weights written to", *out)
 	}
 	if *surOut != "" {
 		if err := publish(); err != nil {

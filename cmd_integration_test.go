@@ -31,9 +31,9 @@ func TestMultiProcessServerAndClients(t *testing.T) {
 
 	t.Run("heat", func(t *testing.T) {
 		weights := runMultiProcessEnsemble(t, serverBin, clientBin, HeatName)
-		// The written weights are a raw nn payload; the legacy loader
-		// restores them with the architecture supplied explicitly.
-		s, err := LoadSurrogateLegacyFile(weights, 8, 6, 0.01, []int{64, 64}, 2023)
+		// The published checkpoint is self-describing: no architecture
+		// arguments are needed to load it.
+		s, err := LoadSurrogateFile(weights)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 	dir := t.TempDir()
 	const ranks = 2
 	const clients = 3
-	weights := filepath.Join(dir, "weights.bin")
+	weights := filepath.Join(dir, "weights.mlsg")
 
 	// Reserve a loopback port per rank for the collective ring. The
 	// listen-close-reuse pattern has a tiny race window, acceptable for a
@@ -98,7 +98,7 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 			"-clients", fmt.Sprint(clients), "-problem", HeatName,
 			"-grid", "8", "-steps", "6", "-batch", "4",
 			"-buffer", "Reservoir", "-capacity", "60", "-threshold", "8",
-			"-addr-file", rankAddrFiles[r], "-out", weights)
+			"-addr-file", rankAddrFiles[r], "-surrogate-out", weights)
 		outs[r] = &strings.Builder{}
 		srv.Stdout = outs[r]
 		srv.Stderr = outs[r]
@@ -171,7 +171,7 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 		t.Fatalf("rank 0 output missing summary:\n%s", outs[0].String())
 	}
 
-	s, err := LoadSurrogateLegacyFile(weights, 8, 6, 0.01, []int{64, 64}, 2023)
+	s, err := LoadSurrogateFile(weights)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +187,14 @@ func runMultiProcessEnsemble(t *testing.T, serverBin, clientBin, problem string)
 	t.Helper()
 	dir := t.TempDir()
 	addrFile := filepath.Join(dir, "addrs.txt")
-	weights := filepath.Join(dir, "weights.bin")
+	weights := filepath.Join(dir, "weights.mlsg")
 	const clients = 3
 
 	srv := exec.Command(serverBin,
 		"-ranks", "2", "-clients", fmt.Sprint(clients), "-problem", problem,
 		"-grid", "8", "-steps", "6", "-batch", "4",
 		"-buffer", "Reservoir", "-capacity", "60", "-threshold", "8",
-		"-addr-file", addrFile, "-out", weights)
+		"-addr-file", addrFile, "-surrogate-out", weights)
 	var srvOut strings.Builder
 	srv.Stdout = &srvOut
 	srv.Stderr = &srvOut

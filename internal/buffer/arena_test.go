@@ -2,6 +2,8 @@ package buffer
 
 import (
 	"testing"
+
+	"melissa/internal/testwait"
 )
 
 // unseenCount reads the policy's unseen population under the lock.
@@ -178,6 +180,27 @@ func TestArenaPutDropsWhenReceptionOver(t *testing.T) {
 	}
 	if got := b.Arena().FreeRows(); got != free {
 		t.Fatalf("dropped sample leaked its row: %d free, want %d", got, free)
+	}
+}
+
+// TestArenaParkedPutSurvivesReplaceContents: a producer parked on a full
+// buffer stays parked across a rollback's ReplaceContents, which hands
+// every arena row back. The parked sample must not come out of the wait
+// still owning a row the arena now also gives to the next one.
+func TestArenaParkedPutSurvivesReplaceContents(t *testing.T) {
+	b := NewBlockingArena(NewFIFO(1), 2, 2)
+	b.PutCopy(1, 1, []float32{1, 1}, []float32{1, 1})
+	stored := make(chan bool, 1)
+	go func() { stored <- b.PutCopy(1, 2, []float32{2, 2}, []float32{2, 2}) }()
+	parked(t, b, 1, 0)
+	b.ReplaceContents(func(seen, unseen []Sample) ([]Sample, []Sample) { return nil, nil })
+	if !testwait.Recv(t, stored, "the parked PutCopy") {
+		t.Fatal("parked PutCopy refused")
+	}
+	b.GetBatchEach(1, func(int, Sample) {}) // make room; frees sample 2's row
+	b.PutCopy(1, 3, []float32{3, 3}, []float32{3, 3})
+	if got, want := b.Arena().FreeRows(), b.Arena().Rows()-1; got != want {
+		t.Fatalf("%d free rows with one sample stored, want %d", got, want)
 	}
 }
 

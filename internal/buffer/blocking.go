@@ -1,6 +1,9 @@
 package buffer
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Blocking wraps a Policy with the thread-safe, blocking semantics the live
 // server needs: the data-aggregator goroutine calls Put (blocking while the
@@ -14,6 +17,10 @@ type Blocking struct {
 	p        Policy
 	arena    *Arena
 	onRetire func(Sample)
+
+	// parkedPut/parkedGet count the goroutines currently waiting for room
+	// and for data (see Parked).
+	parkedPut, parkedGet int
 }
 
 // evictNotifier is implemented by policies that discard samples internally
@@ -86,31 +93,49 @@ func (b *Blocking) recycleSample(s Sample) {
 // caller keeps ownership of input/output and may recycle them immediately
 // after return. Payloads whose widths differ from the arena's fall back to
 // a heap copy so nothing is silently truncated. It reports false when the
-// sample was dropped because reception ended while waiting.
+// sample was refused because reception has ended: nothing consumes any
+// more, so the frame is a straggler and the caller drops it.
 func (b *Blocking) PutCopy(simID, step int, input, output []float32) bool {
+	return b.PutCopyThen(simID, step, input, output, nil)
+}
+
+// PutCopyThen is PutCopy that calls stored, when non-nil, under the buffer
+// lock right after the sample went in, so the caller can commit its own
+// record of the sample in the insertion's critical section: whoever reads
+// the buffer under its lock (WithLock) sees the sample and the caller's
+// record of it together or not at all. stored must not call back into the
+// buffer.
+func (b *Blocking) PutCopyThen(simID, step int, input, output []float32, stored func()) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := Sample{SimID: simID, Step: step}
-	if b.arena != nil && len(input) == b.arena.inDim && len(output) == b.arena.outDim {
-		slot := b.arena.alloc()
-		s.Input = b.arena.inRow(slot)
-		s.Output = b.arena.outRow(slot)
-		s.slot = slot + 1
-		copy(s.Input, input)
-		copy(s.Output, output)
-	} else {
-		s.Input = append([]float32(nil), input...)
-		s.Output = append([]float32(nil), output...)
-	}
-	for !b.p.Put(s) {
+	for {
+		s := Sample{SimID: simID, Step: step}
+		if b.arena != nil && len(input) == b.arena.inDim && len(output) == b.arena.outDim {
+			slot := b.arena.alloc()
+			s.Input = b.arena.inRow(slot)
+			s.Output = b.arena.outRow(slot)
+			s.slot = slot + 1
+			copy(s.Input, input)
+			copy(s.Output, output)
+		} else {
+			s.Input = append([]float32(nil), input...)
+			s.Output = append([]float32(nil), output...)
+		}
+		if b.p.Put(s) {
+			if stored != nil {
+				stored()
+			}
+			b.notEmpty.Signal()
+			return true
+		}
+		// The row goes back before waiting: a producer may stay parked
+		// across a ReplaceContents, which resets the arena under it.
+		b.recycleSample(s)
 		if b.p.ReceptionOver() {
-			b.recycleSample(s)
 			return false
 		}
-		b.notFull.Wait()
+		b.waitNotFull()
 	}
-	b.notEmpty.Signal()
-	return true
 }
 
 // GetBatchEach extracts up to n samples, invoking fn(i, s) for the i-th
@@ -121,6 +146,15 @@ func (b *Blocking) PutCopy(simID, step int, input, output []float32) bool {
 // samples were delivered or the buffer drained, returning the count and
 // ok=false only when the buffer drained before yielding any sample.
 func (b *Blocking) GetBatchEach(n int, fn func(i int, s Sample)) (int, bool) {
+	return b.GetBatchEachUntil(n, fn, nil)
+}
+
+// GetBatchEachUntil is GetBatchEach for a consumer that may give up: it
+// also stops waiting for data, returning what it has so far, once stop
+// reads true. The consumer sets stop and then calls Wake. "Stop waiting"
+// thus belongs to the consumer's run; the buffer records nothing and has
+// nothing to undo when the next consumer arrives.
+func (b *Blocking) GetBatchEachUntil(n int, fn func(i int, s Sample), stop *atomic.Bool) (int, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	count := 0
@@ -128,10 +162,10 @@ func (b *Blocking) GetBatchEach(n int, fn func(i int, s Sample)) (int, bool) {
 		before := b.p.Len()
 		s, ok := b.p.TryGet()
 		if !ok {
-			if b.p.Drained() {
+			if b.p.Drained() || (stop != nil && stop.Load()) {
 				break
 			}
-			b.notEmpty.Wait()
+			b.waitNotEmpty()
 			continue
 		}
 		fn(count, s)
@@ -147,10 +181,37 @@ func (b *Blocking) GetBatchEach(n int, fn func(i int, s Sample)) (int, bool) {
 		b.notFull.Signal()
 		count++
 	}
-	if count == 0 {
-		return 0, false
-	}
-	return count, true
+	return count, count > 0
+}
+
+// Wake makes every consumer waiting for data re-examine its condition,
+// stop signal included (GetBatchEachUntil). Taking the lock orders the
+// wake-up after any check a waiter made before parking.
+func (b *Blocking) Wake() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.notEmpty.Broadcast()
+}
+
+func (b *Blocking) waitNotFull() {
+	b.parkedPut++
+	b.notFull.Wait()
+	b.parkedPut--
+}
+
+func (b *Blocking) waitNotEmpty() {
+	b.parkedGet++
+	b.notEmpty.Wait()
+	b.parkedGet--
+}
+
+// Parked reports how many producers are waiting for room and how many
+// consumers are waiting for data right now: back-pressured clients versus
+// a starved trainer.
+func (b *Blocking) Parked() (producers, consumers int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.parkedPut, b.parkedGet
 }
 
 // ReplaceContents atomically rewrites the buffer's population: fn receives
@@ -164,7 +225,8 @@ func (b *Blocking) GetBatchEach(n int, fn func(i int, s Sample)) (int, bool) {
 // contents are dropped wholesale, so no live sample aliases an arena row
 // and every row returns to the free list instead of leaking. The elastic
 // server uses it to rebuild a rank's buffer after a group rollback (replay
-// journal ++ live contents). The reception flag is untouched. It reports
+// journal ++ live contents). The reception flag is untouched, and a
+// producer parked in PutCopy holds no arena row. It reports
 // false — without calling fn — when the policy cannot snapshot/restore.
 func (b *Blocking) ReplaceContents(fn func(seen, unseen []Sample) (newSeen, newUnseen []Sample)) bool {
 	b.mu.Lock()
@@ -201,7 +263,7 @@ func (b *Blocking) Put(s Sample) {
 		if b.p.ReceptionOver() {
 			return
 		}
-		b.notFull.Wait()
+		b.waitNotFull()
 	}
 	b.notEmpty.Signal()
 }
@@ -234,7 +296,7 @@ func (b *Blocking) Get() (Sample, bool) {
 		if b.p.Drained() {
 			return Sample{}, false
 		}
-		b.notEmpty.Wait()
+		b.waitNotEmpty()
 	}
 }
 
@@ -264,24 +326,15 @@ func (b *Blocking) GetBatchInto(dst []Sample, n int) ([]Sample, bool) {
 	return batch, true
 }
 
-// EndReception lifts thresholds and wakes every waiter so producers and the
-// trainer can observe the final state.
+// EndReception records that nothing more will arrive (Policy.EndReception;
+// one-way) and wakes every waiter so producers and the trainer can observe
+// the final state.
 func (b *Blocking) EndReception() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.p.EndReception()
 	b.notEmpty.Broadcast()
 	b.notFull.Broadcast()
-}
-
-// ReopenReception undoes EndReception: thresholds apply again and new
-// samples are accepted. The elastic server calls it when an aborted
-// epoch's teardown ended reception to unblock the trainer while the
-// rank's aggregator knows more data is still owed.
-func (b *Blocking) ReopenReception() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.p.ReopenReception()
 }
 
 // Len reports the current population.

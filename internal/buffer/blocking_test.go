@@ -5,7 +5,19 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"melissa/internal/testwait"
 )
+
+// parked waits until b has exactly the given numbers of waiting producers
+// and consumers.
+func parked(t *testing.T, b *Blocking, producers, consumers int) {
+	t.Helper()
+	testwait.Until(t, "the waiter to park", func() bool {
+		p, c := b.Parked()
+		return p == producers && c == consumers
+	})
+}
 
 func TestBlockingPutGet(t *testing.T) {
 	b := NewBlocking(NewFIFO(0))
@@ -18,49 +30,34 @@ func TestBlockingPutGet(t *testing.T) {
 
 func TestBlockingGetWaitsForPut(t *testing.T) {
 	b := NewBlocking(NewFIFO(0))
-	done := make(chan Sample)
+	done := make(chan Sample, 1)
 	go func() {
 		s, _ := b.Get()
 		done <- s
 	}()
-	select {
-	case <-done:
-		t.Fatal("Get returned before any Put")
-	case <-time.After(20 * time.Millisecond):
-	}
+	parked(t, b, 0, 1)
 	b.Put(mkSample(3, 7))
-	select {
-	case s := <-done:
-		if s.SimID != 3 || s.Step != 7 {
-			t.Fatalf("wrong sample %+v", s)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Get never woke up")
+	if s := testwait.Recv(t, done, "Get to wake up"); s.SimID != 3 || s.Step != 7 {
+		t.Fatalf("wrong sample %+v", s)
 	}
 }
 
 func TestBlockingPutWaitsWhenFull(t *testing.T) {
 	b := NewBlocking(NewFIFO(1))
 	b.Put(mkSample(0, 0))
-	var second atomic.Bool
+	second := make(chan struct{})
 	go func() {
 		b.Put(mkSample(0, 1))
-		second.Store(true)
+		close(second)
 	}()
-	time.Sleep(20 * time.Millisecond)
-	if second.Load() {
+	parked(t, b, 1, 0)
+	if b.Len() != 1 {
 		t.Fatal("Put proceeded past capacity")
 	}
 	if _, ok := b.Get(); !ok {
 		t.Fatal("get failed")
 	}
-	deadline := time.Now().Add(time.Second)
-	for !second.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("blocked Put never completed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testwait.Recv(t, second, "the blocked Put to complete")
 }
 
 func TestBlockingGetReturnsFalseWhenDrained(t *testing.T) {
@@ -78,53 +75,52 @@ func TestBlockingGetReturnsFalseWhenDrained(t *testing.T) {
 	}
 }
 
-// TestBlockingReopenReception: the elastic server ends reception to wake
-// a trainer during an epoch abort, then reopens it for the next epoch —
-// the flag must clear, new samples must be accepted, and a drain-by-end
-// must work again afterwards.
-func TestBlockingReopenReception(t *testing.T) {
-	b := NewBlocking(NewFIFO(0))
-	b.Put(mkSample(0, 0))
-	b.EndReception()
-	if _, ok := b.Get(); !ok {
-		t.Fatal("expected the stored sample")
-	}
-	if !b.Drained() {
-		t.Fatal("Drained() false after EndReception")
-	}
-	b.ReopenReception()
-	if b.Drained() {
-		t.Fatal("Drained() true after ReopenReception")
-	}
-	if !b.TryPut(mkSample(0, 1)) {
-		t.Fatal("reopened buffer refused a sample")
-	}
-	b.EndReception()
-	if s, ok := b.Get(); !ok || s.Step != 1 {
-		t.Fatalf("got %v ok=%v, want the post-reopen sample", s, ok)
-	}
-	if _, ok := b.Get(); ok {
-		t.Fatal("expected drained after second EndReception")
-	}
-}
-
 func TestBlockingEndReceptionWakesWaiter(t *testing.T) {
 	b := NewBlocking(NewFIRO(10, 5, 1))
 	b.Put(mkSample(0, 0)) // below threshold: Get would block
-	done := make(chan bool)
+	done := make(chan bool, 1)
 	go func() {
 		_, ok := b.Get()
 		done <- ok
 	}()
-	time.Sleep(10 * time.Millisecond)
+	parked(t, b, 0, 1)
 	b.EndReception()
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("expected last sample, got drained")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("waiter not woken by EndReception")
+	if !testwait.Recv(t, done, "EndReception to wake the waiter") {
+		t.Fatal("expected last sample, got drained")
+	}
+}
+
+// TestBlockingWakeStopsWaitingConsumer: a consumer that gives up sets its
+// own stop signal and wakes the buffer. It gets back what it had, and the
+// buffer is exactly as open as before — the next consumer waits for data
+// again, and data still arrives.
+func TestBlockingWakeStopsWaitingConsumer(t *testing.T) {
+	b := NewBlocking(NewFIFO(0))
+	b.Put(mkSample(0, 0))
+	var stop atomic.Bool
+	got := make(chan int, 1)
+	get := func(stop *atomic.Bool) {
+		n, _ := b.GetBatchEachUntil(4, func(int, Sample) {}, stop)
+		got <- n
+	}
+	go get(&stop)
+	parked(t, b, 0, 1)
+	stop.Store(true)
+	b.Wake()
+	if n := testwait.Recv(t, got, "the stopped consumer"); n != 1 {
+		t.Fatalf("stopped consumer returned %d samples, want the 1 it had", n)
+	}
+	if b.Drained() {
+		t.Fatal("a consumer's stop ended reception")
+	}
+
+	go get(new(atomic.Bool))
+	parked(t, b, 0, 1)
+	for step := 1; step <= 4; step++ {
+		b.Put(mkSample(0, step))
+	}
+	if n := testwait.Recv(t, got, "the next consumer's batch"); n != 4 {
+		t.Fatalf("next consumer got %d samples, want 4", n)
 	}
 }
 

@@ -91,14 +91,11 @@ type Policy interface {
 	// TryGet extracts one sample for batch construction, returning false
 	// when the policy's rules (threshold, emptiness) forbid extraction.
 	TryGet() (Sample, bool)
-	// EndReception signals that no more data will ever arrive. Thresholds
-	// are lifted so the remaining population can be drained (§3.2.3).
+	// EndReception records that no more data will ever arrive. Thresholds
+	// are lifted so the remaining population can be drained (§3.2.3). It is
+	// a fact about the producer and is never taken back: a consumer that
+	// merely wants to stop waiting says so itself (Blocking.Wake).
 	EndReception()
-	// ReopenReception undoes EndReception: thresholds apply again and the
-	// policy accepts new samples. The elastic server needs it because an
-	// aborted epoch's teardown ends reception to unblock the trainer
-	// (Trainer.Run), while the rank demonstrably has more data coming.
-	ReopenReception()
 	// ReceptionOver reports whether EndReception has been called.
 	ReceptionOver() bool
 	// Len returns the number of samples currently stored.

@@ -51,9 +51,6 @@ func (f *FIFO) TryGet() (Sample, bool) {
 // EndReception implements Policy.
 func (f *FIFO) EndReception() { f.over = true }
 
-// ReopenReception implements Policy.
-func (f *FIFO) ReopenReception() { f.over = false }
-
 // ReceptionOver implements Policy.
 func (f *FIFO) ReceptionOver() bool { return f.over }
 

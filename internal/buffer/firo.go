@@ -57,9 +57,6 @@ func (f *FIRO) TryGet() (Sample, bool) {
 // production is over to enable consuming the last produced data."
 func (f *FIRO) EndReception() { f.over = true }
 
-// ReopenReception implements Policy.
-func (f *FIRO) ReopenReception() { f.over = false }
-
 // ReceptionOver implements Policy.
 func (f *FIRO) ReceptionOver() bool { return f.over }
 

@@ -110,9 +110,6 @@ func (r *Reservoir) TryGet() (Sample, bool) {
 // buffer switches to draining behaviour.
 func (r *Reservoir) EndReception() { r.over = true }
 
-// ReopenReception implements Policy.
-func (r *Reservoir) ReopenReception() { r.over = false }
-
 // ReceptionOver implements Policy.
 func (r *Reservoir) ReceptionOver() bool { return r.over }
 

@@ -102,9 +102,6 @@ func (u *UniformEvict) TryGet() (Sample, bool) {
 // EndReception implements Policy.
 func (u *UniformEvict) EndReception() { u.over = true }
 
-// ReopenReception implements Policy.
-func (u *UniformEvict) ReopenReception() { u.over = false }
-
 // ReceptionOver implements Policy.
 func (u *UniformEvict) ReceptionOver() bool { return u.over }
 

@@ -1,8 +1,8 @@
 // Package client implements the Melissa client library: the minimalist API
 // the paper exposes to instrument simulation codes (§3.1) — a call to
 // connect (InitCommunication), a Send per computed time step, and a closing
-// FinalizeCommunication — plus a ready-made runner that instruments the
-// heat-equation solver. The client performs the paper's in-situ processing:
+// FinalizeCommunication — plus a ready-made runner (Run) that instruments
+// any solver.Simulator. The client performs the paper's in-situ processing:
 // the solver's float64 field is reduced to float32 before transmission
 // (§3.2.2), and time steps are distributed round-robin across server ranks
 // with the starting rank chosen from the client id.
@@ -321,8 +321,7 @@ func appendF32(dst []float32, in []float64) []float32 {
 // Job fully describes one ensemble member of any problem: a simulator
 // factory, the raw physical parameters it was drawn with (the prefix of
 // every streamed input vector), and the trajectory geometry. This is the
-// problem-agnostic contract the launcher schedules; HeatJob remains as the
-// heat-equation convenience wrapper.
+// problem-agnostic contract the launcher schedules.
 type Job struct {
 	Client Config
 	// NewSim constructs the simulator; called once per attempt so a
@@ -422,31 +421,4 @@ func Run(ctx context.Context, job Job) error {
 		}
 	}
 	return api.FinalizeCommunication()
-}
-
-// HeatJob describes one heat-equation ensemble member: the solver
-// configuration and the sampled parameters.
-type HeatJob struct {
-	Client     Config
-	Solver     solver.Config
-	Params     solver.Params
-	Checkpoint Checkpointer
-	StepDelay  time.Duration
-	FailAtStep int
-}
-
-// RunHeat executes the instrumented heat solver through the generic Run
-// path — the original convenience entry point.
-func RunHeat(ctx context.Context, job HeatJob) error {
-	cfg := job.Solver.WithDefaults()
-	return Run(ctx, Job{
-		Client: job.Client,
-		NewSim: func() (solver.Simulator, error) { return solver.New(job.Solver, job.Params) },
-		Params: job.Params.Vector(),
-		Steps:  cfg.Steps,
-		Dt:     cfg.Dt,
-		Checkpoint: job.Checkpoint,
-		StepDelay:  job.StepDelay,
-		FailAtStep: job.FailAtStep,
-	})
 }

@@ -147,7 +147,18 @@ func TestInitCommunicationDialFailure(t *testing.T) {
 	}
 }
 
-func TestRunHeatStreamsTrajectory(t *testing.T) {
+// heatJob describes one heat-equation ensemble member.
+func heatJob(client Config, cfg solver.Config, params solver.Params) Job {
+	return Job{
+		Client: client,
+		NewSim: func() (solver.Simulator, error) { return solver.New(cfg, params) },
+		Params: params.Vector(),
+		Steps:  cfg.Steps,
+		Dt:     cfg.Dt,
+	}
+}
+
+func TestRunStreamsTrajectory(t *testing.T) {
 	listeners, addrs := startRanks(t, 1)
 	received := make(chan protocol.Message, 64)
 	go func() {
@@ -155,12 +166,10 @@ func TestRunHeatStreamsTrajectory(t *testing.T) {
 			received <- env.Msg
 		}
 	}()
-	job := HeatJob{
-		Client: Config{ClientID: 0, SimID: 0, ServerAddrs: addrs},
-		Solver: solver.Config{N: 4, Steps: 5, Dt: 0.01},
-		Params: solver.Params{TIC: 300, Tx1: 200, Ty1: 200, Tx2: 200, Ty2: 200},
-	}
-	if err := RunHeat(context.Background(), job); err != nil {
+	job := heatJob(Config{ClientID: 0, SimID: 0, ServerAddrs: addrs},
+		solver.Config{N: 4, Steps: 5, Dt: 0.01},
+		solver.Params{TIC: 300, Tx1: 200, Ty1: 200, Tx2: 200, Ty2: 200})
+	if err := Run(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	var steps, goodbyes int
@@ -190,15 +199,12 @@ func TestRunHeatStreamsTrajectory(t *testing.T) {
 	}
 }
 
-func TestRunHeatContextCancelled(t *testing.T) {
+func TestRunContextCancelled(t *testing.T) {
 	_, addrs := startRanks(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	job := HeatJob{
-		Client: Config{ClientID: 0, SimID: 0, ServerAddrs: addrs},
-		Solver: solver.Config{N: 4, Steps: 5, Dt: 0.01},
-	}
-	if err := RunHeat(ctx, job); err == nil {
+	job := heatJob(Config{ClientID: 0, SimID: 0, ServerAddrs: addrs}, solver.Config{N: 4, Steps: 5, Dt: 0.01}, solver.Params{})
+	if err := Run(ctx, job); err == nil {
 		t.Fatal("expected cancellation error")
 	}
 }

@@ -2,14 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
-	"time"
 
 	"melissa/internal/buffer"
 	"melissa/internal/opt"
 	"melissa/internal/tensor"
+	"melissa/internal/testwait"
 )
 
 const testFieldDim = 16
@@ -158,7 +160,14 @@ func TestValidateZeroAlloc(t *testing.T) {
 	}
 }
 
-func newTestTrainer(t *testing.T, ranks, maxBatches int, kind buffer.Kind) (*Trainer, []*buffer.Blocking) {
+// runTrainer is tr.Run under the suite's pipeline deadline: a run that
+// never returns fails here with every goroutine's stack.
+func runTrainer(t testing.TB, tr *Trainer, ctx context.Context) error {
+	t.Helper()
+	return testwait.Run(t, "Trainer.Run to return", func() error { return tr.Run(ctx) })
+}
+
+func newTestTrainer(t *testing.T, ranks, maxBatches int, kind buffer.Kind, mutate ...func(*TrainerConfig)) (*Trainer, []*buffer.Blocking) {
 	t.Helper()
 	norm := testNormalizer()
 	bufs := make([]*buffer.Blocking, ranks)
@@ -169,7 +178,7 @@ func newTestTrainer(t *testing.T, ranks, maxBatches int, kind buffer.Kind) (*Tra
 		}
 		bufs[r] = buffer.NewBlocking(p)
 	}
-	tr, err := NewTrainer(TrainerConfig{
+	cfg := TrainerConfig{
 		Ranks:            ranks,
 		BatchSize:        4,
 		Model:            ModelSpec{InputDim: norm.InputDim(), Hidden: []int{16}, OutputDim: norm.OutputDim(), Seed: 9},
@@ -180,7 +189,11 @@ func newTestTrainer(t *testing.T, ranks, maxBatches int, kind buffer.Kind) (*Tra
 		ValidateEvery:    5,
 		MaxBatches:       maxBatches,
 		TrackOccurrences: true,
-	}, bufs)
+	}
+	for _, m := range mutate {
+		m(&cfg)
+	}
+	tr, err := NewTrainer(cfg, bufs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +207,7 @@ func TestTrainerSingleRankDrains(t *testing.T) {
 		bufs[0].Put(s)
 	}
 	bufs[0].EndReception()
-	if err := tr.Run(context.Background()); err != nil {
+	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	m := tr.Metrics()
@@ -226,7 +239,7 @@ func TestTrainerLossDecreases(t *testing.T) {
 		}
 		bufs[0].EndReception()
 	}()
-	if err := tr.Run(context.Background()); err != nil {
+	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	val := tr.Metrics().Validation()
@@ -249,7 +262,7 @@ func TestTrainerMultiRankReplicasIdentical(t *testing.T) {
 	for _, b := range bufs {
 		b.EndReception()
 	}
-	if err := tr.Run(context.Background()); err != nil {
+	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// All replicas must hold identical weights after synchronized training.
@@ -283,7 +296,7 @@ func TestTrainerUnevenRankDrain(t *testing.T) {
 	for _, b := range bufs {
 		b.EndReception()
 	}
-	if err := tr.Run(context.Background()); err != nil {
+	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.Metrics().Samples(); got != 48 {
@@ -300,7 +313,7 @@ func TestTrainerMaxBatches(t *testing.T) {
 		bufs[i%2].Put(s)
 	}
 	// No EndReception: without MaxBatches this would run indefinitely.
-	if err := tr.Run(context.Background()); err != nil {
+	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if got := tr.Metrics().Batches(); got != 3 {
@@ -308,38 +321,81 @@ func TestTrainerMaxBatches(t *testing.T) {
 	}
 }
 
+// TestTrainerContextCancel: a cancel stops the run at the next step
+// boundary whether the ranks are training (a Reservoir above threshold
+// serves batches forever) or parked waiting for data, and leaves the
+// buffers as open as it found them — "stop waiting" is the run's, "nothing
+// more will arrive" is the producer's.
 func TestTrainerContextCancel(t *testing.T) {
-	tr, bufs := newTestTrainer(t, 1, 0, buffer.ReservoirKind)
-	for _, s := range synthSamples(50, 23) {
-		bufs[0].Put(s)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- tr.Run(ctx) }()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	t.Run("training", func(t *testing.T) {
+		trained := make(chan struct{})
+		var once sync.Once
+		tr, bufs := newTestTrainer(t, 2, 0, buffer.ReservoirKind, func(c *TrainerConfig) {
+			c.OnBatchEnd = func(int) { once.Do(func() { close(trained) }) }
+		})
+		for i, s := range synthSamples(50, 23) {
+			bufs[i%2].Put(s)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("trainer did not stop after cancellation")
-	}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan error, 1)
+		go func() { done <- tr.Run(ctx) }()
+		testwait.Recv(t, trained, "the first batch")
+		cancel()
+		if err := testwait.Recv(t, done, "Trainer.Run to return after cancel"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run returned %v, want the cancellation", err)
+		}
+		for r, b := range bufs {
+			if b.Len() == 0 || b.Drained() {
+				t.Fatalf("rank %d: cancel touched the buffer (len %d, drained %v)", r, b.Len(), b.Drained())
+			}
+		}
+	})
+	t.Run("waiting", func(t *testing.T) {
+		tr, bufs := newTestTrainer(t, 2, 0, buffer.FIFOKind)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		done := make(chan error, 1)
+		go func() { done <- tr.Run(ctx) }()
+		for _, b := range bufs {
+			testwait.Until(t, "the rank to wait for data", func() bool {
+				_, consumers := b.Parked()
+				return consumers == 1
+			})
+		}
+		cancel()
+		if err := testwait.Recv(t, done, "Trainer.Run to return after cancel"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run returned %v, want the cancellation", err)
+		}
+		if bufs[0].Drained() {
+			t.Fatal("cancel ended reception")
+		}
+		if got := tr.Metrics().Batches(); got != 0 {
+			t.Fatalf("trained %d batches from empty buffers", got)
+		}
+	})
 }
 
 func TestTrainerOccurrenceTracking(t *testing.T) {
-	tr, bufs := newTestTrainer(t, 1, 0, buffer.ReservoirKind)
+	// Reception ends only once the Reservoir has served ten batches from
+	// twenty samples, so some of them have certainly repeated.
+	repeated := make(chan struct{})
+	tr, bufs := newTestTrainer(t, 1, 0, buffer.ReservoirKind, func(c *TrainerConfig) {
+		c.OnBatchEnd = func(batches int) {
+			if batches == 10 {
+				close(repeated)
+			}
+		}
+	})
 	samples := synthSamples(20, 29)
 	go func() {
 		for _, s := range samples {
 			bufs[0].Put(s)
 		}
-		// Delay EndReception so the Reservoir repeats samples for a while.
-		time.Sleep(100 * time.Millisecond)
+		<-repeated
 		bufs[0].EndReception()
 	}()
-	if err := tr.Run(context.Background()); err != nil {
+	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	occ := tr.Metrics().Occurrences()

@@ -241,7 +241,7 @@ func TestTrainerMatchesLegacyLoopWithTailBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Run(context.Background()); err != nil {
+	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -288,7 +288,7 @@ func TestTrainerRunDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Run(context.Background()); err != nil {
+		if err := runTrainer(t, tr, context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		return tr.Metrics().TrainLoss()

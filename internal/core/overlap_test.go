@@ -61,7 +61,7 @@ func runSyncMode(t *testing.T, mode GradSyncMode, ranks int) ([]LossPoint, []flo
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Run(context.Background()); err != nil {
+	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	weights := append([]float32(nil), tr.Network().FlatParams()...)
@@ -168,7 +168,7 @@ func TestTCPRanksMatchInProcessRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Run(context.Background()); err != nil {
+	if err := runTrainer(t, ref, context.Background()); err != nil {
 		t.Fatal(err)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"melissa/internal/buffer"
 	"melissa/internal/ddp"
@@ -145,6 +146,13 @@ type Trainer struct {
 	// restore so learning-rate schedules resume where they left off.
 	startBatches int
 	startSamples int
+
+	// stopped is the run's own stop signal, set when Run's context is
+	// cancelled. A rank reads it where it would otherwise wait for data and
+	// reports it in the step's status all-reduce, so every rank of the
+	// group leaves on the same step. The buffers are not told: whether more
+	// data will arrive is the producer's fact, not the trainer's.
+	stopped atomic.Bool
 }
 
 // NewTrainer builds the replicas (identical weights from the seeded spec)
@@ -230,32 +238,27 @@ func (t *Trainer) Optimizer() *opt.Adam { return t.opts[0] }
 // the trainer owning global rank 0.
 func (t *Trainer) Metrics() *Metrics { return t.metrics }
 
+// errCancelled ends a run that some rank of the group was told to stop.
+var errCancelled = fmt.Errorf("run cancelled on a rank of the group: %w", context.Canceled)
+
 // Run trains until every rank's buffer is drained (or MaxBatches is hit),
-// spawning one goroutine per local rank. Cancelling ctx ends reception on
-// every buffer, so ranks finish the remaining data and stop.
+// spawning one goroutine per local rank. Cancelling ctx stops the run at
+// the next step boundary: the ranks stop waiting for data and — in every
+// process of the group — leave together, whatever the buffers still hold,
+// with an error wrapping context.Canceled. The work is not complete, so an
+// elastic group treats it as the loss of a member, not as the end of
+// training.
 func (t *Trainer) Run(ctx context.Context) error {
 	t.metrics.Begin()
 	defer t.metrics.Finish()
 
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			select {
-			case <-stop:
-				// Run already finished; a late cancellation must not end
-				// reception on buffers that outlive this trainer (the
-				// elastic server reuses them across group epochs).
-				return
-			default:
-			}
-			for _, b := range t.bufs {
-				b.EndReception()
-			}
-		case <-stop:
+	unwatch := context.AfterFunc(ctx, func() {
+		t.stopped.Store(true)
+		for _, b := range t.bufs {
+			b.Wake()
 		}
-	}()
+	})
+	defer unwatch()
 
 	errs := make([]error, t.cfg.Ranks)
 	var wg sync.WaitGroup
@@ -291,7 +294,7 @@ type rankState struct {
 	// returns). Both are allocated once so the step stays allocation-free.
 	keys         []buffer.Key
 	fill         func(i int, s buffer.Sample)
-	status       [2]float32 // [active ranks, samples this step]
+	status       [3]float32 // [active ranks, samples this step, ranks that saw the run stopped]
 	localBatches int
 
 	// Overlap machinery: hook enqueues a finished layer's bucket on jobs;
@@ -396,15 +399,22 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	// live server) into the preallocated batch matrices, normalizing in
 	// the same pass; the callback runs under the buffer lock, which is
 	// what makes reading recycled-in-place payloads safe.
-	n, ok := t.bufs[st.rank].GetBatchEach(t.cfg.BatchSize, st.fill)
+	n, ok := t.bufs[st.rank].GetBatchEachUntil(t.cfg.BatchSize, st.fill, &t.stopped)
 
-	st.status[0], st.status[1] = 0, 0
+	st.status = [3]float32{}
 	if ok {
 		st.status[0] = 1
 		st.status[1] = float32(n)
 	}
+	if t.stopped.Load() {
+		st.status[2] = 1
+	}
 	if err := t.comm.AllReduceSum(st.grank, st.status[:]); err != nil {
 		return false, err
+	}
+	// All ranks read the same sums, so all leave on the same step.
+	if st.status[2] > 0 {
+		return false, errCancelled
 	}
 	if st.status[0] == 0 {
 		return false, nil // every buffer drained

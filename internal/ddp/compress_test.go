@@ -65,7 +65,7 @@ func TestCompressedAllReduceTolerance(t *testing.T) {
 }
 
 // TestCompressedSmallCollectiveExact pins the compressMinFloats carve-out:
-// collectives below the threshold (like the trainer's 2-float status
+// collectives below the threshold (like the trainer's 3-float status
 // all-reduce) must stay exact float32 even on a compressed ring, bit-equal
 // to the channel backend.
 func TestCompressedSmallCollectiveExact(t *testing.T) {

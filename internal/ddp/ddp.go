@@ -119,7 +119,7 @@ type WireCompression interface {
 
 // compressMinFloats is the smallest collective (total elements) that rides
 // the compressed wire format on a compressed ring. Tiny collectives — the
-// trainer's 2-float status reduction, barrier-adjacent control values — are
+// trainer's 3-float status reduction, barrier-adjacent control values — are
 // latency-bound, save nothing from half-width frames, and often carry
 // counts whose exactness matters, so they stay full-width float32. The
 // threshold is a pure function of the collective's total length, which

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -42,40 +43,57 @@ func shardPath(dir string, member, batch int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-m%d-b%d.ckpt", member, batch))
 }
 
-// writeShard persists one member's shard atomically (temp file + rename),
-// so a crash mid-write never leaves a half shard where a restore could
-// find it.
-func writeShard(dir string, member int, st *State) error {
-	path := shardPath(dir, member, st.Batch)
+// atomicWrite commits what encode writes as the file at path: the bytes go
+// to a temporary file beside it, which is fsynced and only then renamed
+// into place. A process or machine crash at any point leaves the previous
+// file or the complete new one under the committed name, never an empty or
+// half-written one — the manifest is the group's commit point, and a
+// restore trusts whatever it finds there.
+func atomicWrite(path string, encode func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(f).Encode(st); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = encode(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp, path)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
-// loadShard reads member m's shard at exactly batch, or os.ErrNotExist.
-func loadShard(dir string, member, batch int) (*State, error) {
-	f, err := os.Open(shardPath(dir, member, batch))
+// WriteState commits one State as the file at path (see atomicWrite). A
+// member's shard and the static server's -checkpoint file are both this.
+func WriteState(path string, st *State) error {
+	return atomicWrite(path, func(w io.Writer) error { return gob.NewEncoder(w).Encode(st) })
+}
+
+// ReadState reads a file written by WriteState.
+func ReadState(path string) (*State, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	var st State
 	if err := gob.NewDecoder(f).Decode(&st); err != nil {
-		return nil, fmt.Errorf("elastic: decode shard m%d b%d: %w", member, batch, err)
+		return nil, fmt.Errorf("elastic: decode %s: %w", filepath.Base(path), err)
 	}
 	return &st, nil
+}
+
+// loadShard reads member m's shard at exactly batch, or os.ErrNotExist.
+func loadShard(dir string, member, batch int) (*State, error) {
+	return ReadState(shardPath(dir, member, batch))
 }
 
 // shardBatches lists the batch boundaries for which member m has a shard
@@ -149,21 +167,7 @@ func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
 // writeManifest commits a manifest atomically.
 func writeManifest(dir string, m Manifest) error {
-	tmp := manifestPath(dir) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(f).Encode(&m); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, manifestPath(dir))
+	return atomicWrite(manifestPath(dir), func(w io.Writer) error { return gob.NewEncoder(w).Encode(&m) })
 }
 
 // loadManifest reads the committed manifest; ok=false means no group

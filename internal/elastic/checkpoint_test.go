@@ -1,0 +1,71 @@
+package elastic
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"melissa/internal/buffer"
+)
+
+// TestAtomicWriteKeepsPreviousOnFailure: a write that fails part-way leaves
+// the committed file as it was and no temporary behind.
+func TestAtomicWriteKeepsPreviousOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "MANIFEST")
+	if err := writeManifest(dir, Manifest{Epoch: 1, Batch: 4, Members: []int{0, 1}}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk full")
+	err := atomicWrite(path, func(w io.Writer) error {
+		w.Write([]byte("half a manif"))
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("atomicWrite returned %v, want the encode error", err)
+	}
+	m, ok, err := loadManifest(dir)
+	if err != nil || !ok || m.Batch != 4 {
+		t.Fatalf("committed manifest after a failed write: %+v ok=%v err=%v", m, ok, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("failed write left %d files behind, want only the manifest", len(entries))
+	}
+}
+
+// FuzzStateFiles feeds the shard and manifest decoders truncated and
+// garbage files — what a crash mid-write, a full disk or a stray process
+// can leave in the group directory. An error is fine; a panic is not.
+func FuzzStateFiles(f *testing.F) {
+	var shard, manifest bytes.Buffer
+	st := State{Epoch: 1, Batch: 4, Samples: 16, Weights: []byte{1, 2}, OptState: []byte{3}, App: []byte{4, 5},
+		BufUnseen: []buffer.Sample{{SimID: 1, Step: 2, Input: []float32{1}, Output: []float32{2, 3}}}}
+	if err := gob.NewEncoder(&shard).Encode(&st); err != nil {
+		f.Fatal(err)
+	}
+	if err := gob.NewEncoder(&manifest).Encode(&Manifest{Epoch: 1, Batch: 4, Members: []int{0, 2}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(shard.Bytes())
+	f.Add(shard.Bytes()[:shard.Len()/2])
+	f.Add(manifest.Bytes())
+	f.Add(manifest.Bytes()[:manifest.Len()-1])
+	f.Add([]byte{})
+
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, path := range []string{shardPath(dir, 0, 4), manifestPath(dir)} {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st, err := loadShard(dir, 0, 4); err == nil && st == nil {
+			t.Fatal("loadShard returned neither a state nor an error")
+		}
+		loadManifest(dir)
+	})
+}

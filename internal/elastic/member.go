@@ -427,7 +427,7 @@ func (s *Session) abort() {
 // once every member has reported a shard at B.
 func (s *Session) SaveShard(st *State) error {
 	st.Epoch = s.epoch
-	if err := writeShard(s.m.cfg.Dir, s.m.cfg.ID, st); err != nil {
+	if err := WriteState(shardPath(s.m.cfg.Dir, s.m.cfg.ID, st.Batch), st); err != nil {
 		return err
 	}
 	return s.m.send(ctrlMsg{Kind: kindShard, ID: s.m.cfg.ID, Epoch: s.epoch, Batch: st.Batch})

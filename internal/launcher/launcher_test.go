@@ -14,6 +14,7 @@ import (
 	"melissa/internal/sampling"
 	"melissa/internal/server"
 	"melissa/internal/solver"
+	"melissa/internal/testwait"
 )
 
 const (
@@ -88,6 +89,13 @@ func TestLauncherValidation(t *testing.T) {
 	}
 }
 
+// runLauncher is l.Run under the suite's pipeline deadline: an ensemble
+// that never terminates fails here with every goroutine's stack.
+func runLauncher(t *testing.T, l *Launcher, ctx context.Context) (*Result, error) {
+	t.Helper()
+	return testwait.Run2(t, "Launcher.Run to return", func() (*Result, error) { return l.Run(ctx) })
+}
+
 func TestLauncherHappyPath(t *testing.T) {
 	cfg := testConfig(5, buffer.FIFOKind)
 	l, err := New(cfg)
@@ -97,7 +105,7 @@ func TestLauncherHappyPath(t *testing.T) {
 	if len(l.Params()) != 5 {
 		t.Fatal("ensemble parameters not drawn")
 	}
-	res, err := l.Run(context.Background())
+	res, err := runLauncher(t, l, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +129,7 @@ func TestLauncherSeriesSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := l.Run(context.Background())
+	res, err := runLauncher(t, l, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +150,7 @@ func TestLauncherRestartsFailedClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := l.Run(context.Background())
+	res, err := runLauncher(t, l, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +194,7 @@ func TestLauncherRestartBackoff(t *testing.T) {
 		mu.Unlock()
 		return true
 	}
-	res, err := l.Run(context.Background())
+	res, err := runLauncher(t, l, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +253,7 @@ func TestLauncherWatchdogKillsHungClient(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	res, err := l.Run(ctx)
+	res, err := runLauncher(t, l, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +281,7 @@ func TestLauncherServerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := l.Run(context.Background())
+	res, err := runLauncher(t, l, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,19 +308,27 @@ func TestLauncherServerRecovery(t *testing.T) {
 
 func TestLauncherRespectsContextCancel(t *testing.T) {
 	cfg := testConfig(3, buffer.FIFOKind)
+	// Every client parks before its first send; the cancel lands once one
+	// of them is running, so there is always an ensemble left to cancel.
+	started := make(chan struct{}, 1)
 	cfg.JobHook = func(simID, attempt int, job *client.Job) {
-		job.StepDelay = 50 * time.Millisecond // slow everything down
+		job.StepDelay = time.Hour
+		select {
+		case started <- struct{}{}:
+		default:
+		}
 	}
 	l, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
-		time.Sleep(100 * time.Millisecond)
+		<-started
 		cancel()
 	}()
-	if _, err := l.Run(ctx); err == nil {
+	if _, err := runLauncher(t, l, ctx); err == nil {
 		t.Fatal("expected cancellation error")
 	}
 }

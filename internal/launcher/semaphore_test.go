@@ -156,7 +156,7 @@ func TestLauncherElasticity(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		l.Resize(4) // resources freed up on the "cluster"
 	}()
-	res, err := l.Run(context.Background())
+	res, err := runLauncher(t, l, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,6 @@ import (
 //	magic "MLNW" | version u32 | paramCount u32
 //	per param: nameLen u32 | name | rows u32 | cols u32
 //	all parameter values as one contiguous f32 (LE) blob, Params() order
-//
-// Version 1 interleaved each parameter's values with its metadata; it is
-// still accepted by LoadWeights.
 const (
 	weightsMagic   = "MLNW"
 	weightsVersion = 2
@@ -64,9 +61,9 @@ func (n *Network) SaveWeights(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadWeights reads a checkpoint previously written by SaveWeights (either
-// format version) into the network, which must have the identical
-// architecture (same parameter names, order and shapes).
+// LoadWeights reads a checkpoint previously written by SaveWeights into the
+// network, which must have the identical architecture (same parameter
+// names, order and shapes).
 func (n *Network) LoadWeights(r io.Reader) error {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -80,7 +77,7 @@ func (n *Network) LoadWeights(r io.Reader) error {
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
 		return err
 	}
-	if version != 1 && version != weightsVersion {
+	if version != weightsVersion {
 		return fmt.Errorf("nn: unsupported weights version %d", version)
 	}
 	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
@@ -90,7 +87,7 @@ func (n *Network) LoadWeights(r io.Reader) error {
 	if int(count) != len(params) {
 		return fmt.Errorf("nn: checkpoint has %d params, network has %d", count, len(params))
 	}
-	readMeta := func(p *Param) error {
+	for _, p := range params {
 		name, err := readString(br)
 		if err != nil {
 			return err
@@ -107,23 +104,6 @@ func (n *Network) LoadWeights(r io.Reader) error {
 		}
 		if int(rows) != p.Value.Rows || int(cols) != p.Value.Cols {
 			return fmt.Errorf("nn: param %q shape %dx%d, want %dx%d", name, rows, cols, p.Value.Rows, p.Value.Cols)
-		}
-		return nil
-	}
-	if version == 1 {
-		for _, p := range params {
-			if err := readMeta(p); err != nil {
-				return err
-			}
-			if err := readF32s(br, p.Value.Data); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, p := range params {
-		if err := readMeta(p); err != nil {
-			return err
 		}
 	}
 	if n.flatValues != nil {

@@ -75,10 +75,7 @@ const stateChunk = 1 << 16
 func (a *Adam) StateSize() int { return 16 + 8*len(a.m) }
 
 // SaveState serializes the step counter and the moments. Layout: step u64 |
-// segments u32 | per segment: len u32, m f32s, v f32s. The flat slabs
-// serialize as a single segment; LoadState concatenates any number of
-// segments, so checkpoints written by the historical per-parameter layout
-// still load.
+// segments u32 (always 1) | len u32 | m f32s | v f32s.
 func (a *Adam) SaveState(w io.Writer) error {
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[0:], a.step)
@@ -102,38 +99,31 @@ func (a *Adam) SaveState(w io.Writer) error {
 }
 
 // LoadState restores state written by SaveState; the parameter layout must
-// match. A segment length is a claim, not a fact: the slabs grow one
-// stateChunk at a time, each only after its bytes have arrived, so a
-// corrupt or hostile header costs one staging buffer, not the gigabytes it
-// names. On error the optimizer is left as it was.
+// match. The length is a claim, not a fact: the slabs grow one stateChunk at
+// a time, each only after its bytes have arrived, so a corrupt or hostile
+// header costs one staging buffer, not the gigabytes it names. On error the
+// optimizer is left as it was.
 func (a *Adam) LoadState(r io.Reader) error {
-	var hdr [12]byte
+	var hdr [16]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return fmt.Errorf("opt: reading adam header: %w", err)
 	}
-	segments := binary.LittleEndian.Uint32(hdr[8:])
-	var m, v []float32
-	var buf []byte
-	for i := uint32(0); i < segments; i++ {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			return fmt.Errorf("opt: reading adam segment %d length: %w", i, err)
-		}
-		claimed := binary.LittleEndian.Uint32(lenBuf[:])
-		if claimed > 1<<30 {
-			return fmt.Errorf("opt: unreasonable adam segment length %d", claimed)
-		}
-		n := int(claimed)
-		if need := 4 * min(n, stateChunk); len(buf) < need {
-			buf = make([]byte, need)
-		}
-		var err error
-		if m, err = appendF32s(m, r, n, buf); err == nil {
-			v, err = appendF32s(v, r, n, buf)
-		}
-		if err != nil {
-			return fmt.Errorf("opt: adam segment %d claims %d floats: %w", i, n, err)
-		}
+	if segments := binary.LittleEndian.Uint32(hdr[8:]); segments != 1 {
+		return fmt.Errorf("opt: adam state has %d segments, want the single slab SaveState writes", segments)
+	}
+	claimed := binary.LittleEndian.Uint32(hdr[12:])
+	if claimed > 1<<30 {
+		return fmt.Errorf("opt: unreasonable adam state length %d", claimed)
+	}
+	n := int(claimed)
+	buf := make([]byte, 4*min(n, stateChunk))
+	m, err := appendF32s(nil, r, n, buf)
+	var v []float32
+	if err == nil {
+		v, err = appendF32s(nil, r, n, buf)
+	}
+	if err != nil {
+		return fmt.Errorf("opt: adam state claims %d floats: %w", n, err)
 	}
 	a.step, a.m, a.v = binary.LittleEndian.Uint64(hdr[0:]), m, v
 	return nil

@@ -176,8 +176,7 @@ func TestAdamOnNetwork(t *testing.T) {
 }
 
 // adamState serializes an optimizer state by hand: segment i holds ms[i]
-// and vs[i]. One segment is what SaveState writes; several are the
-// historical per-parameter layout.
+// and vs[i]. One segment is what SaveState writes and all LoadState takes.
 func adamState(step uint64, ms, vs [][]float32) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, step)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ms)))
@@ -192,10 +191,10 @@ func adamState(step uint64, ms, vs [][]float32) []byte {
 	return b
 }
 
-// TestAdamLoadStateLayouts loads the single-segment layout and the
-// historical per-parameter one and requires the same bits back, across a
-// staging-buffer boundary (stateChunk+3 floats).
-func TestAdamLoadStateLayouts(t *testing.T) {
+// TestAdamLoadStateLayout loads the layout SaveState writes and requires
+// the same bits back, across a staging-buffer boundary (stateChunk+3
+// floats); any other segment count is refused with the optimizer untouched.
+func TestAdamLoadStateLayout(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 9))
 	n := stateChunk + 3
 	m, v := make([]float32, n), make([]float32, n)
@@ -203,31 +202,36 @@ func TestAdamLoadStateLayouts(t *testing.T) {
 		m[i], v[i] = float32(rng.NormFloat64()), float32(rng.Float64())
 	}
 	m[1], v[1] = 0x1p-140, 0x1p-149 // a stuck checkpoint loads as written
-	cuts := []int{0, 7, 7, stateChunk - 1, n}
-	var ms, vs [][]float32
-	for i := 1; i < len(cuts); i++ {
-		ms, vs = append(ms, m[cuts[i-1]:cuts[i]]), append(vs, v[cuts[i-1]:cuts[i]])
-	}
 	single := adamState(41, [][]float32{m}, [][]float32{v})
-	for name, state := range map[string][]byte{"single": single, "per-param": adamState(41, ms, vs)} {
-		a := NewAdam(0.1)
-		if err := a.LoadState(bytes.NewReader(state)); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	a := NewAdam(0.1)
+	if err := a.LoadState(bytes.NewReader(single)); err != nil {
+		t.Fatal(err)
+	}
+	if a.step != 41 || len(a.m) != n || len(a.v) != n {
+		t.Fatalf("step %d, %d/%d moments", a.step, len(a.m), len(a.v))
+	}
+	for i := range m {
+		if math.Float32bits(a.m[i]) != math.Float32bits(m[i]) || math.Float32bits(a.v[i]) != math.Float32bits(v[i]) {
+			t.Fatalf("moment %d = (%g, %g), want (%g, %g)", i, a.m[i], a.v[i], m[i], v[i])
 		}
-		if a.step != 41 || len(a.m) != n || len(a.v) != n {
-			t.Fatalf("%s: step %d, %d/%d moments", name, a.step, len(a.m), len(a.v))
+	}
+	var out bytes.Buffer
+	if err := a.SaveState(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), single) {
+		t.Fatal("SaveState does not reproduce the layout it was loaded from")
+	}
+
+	for name, state := range map[string][]byte{
+		"no segment":   adamState(41, nil, nil),
+		"two segments": adamState(41, [][]float32{m[:7], m[7:]}, [][]float32{v[:7], v[7:]}),
+	} {
+		if err := a.LoadState(bytes.NewReader(state)); err == nil {
+			t.Fatalf("%s: accepted", name)
 		}
-		for i := range m {
-			if math.Float32bits(a.m[i]) != math.Float32bits(m[i]) || math.Float32bits(a.v[i]) != math.Float32bits(v[i]) {
-				t.Fatalf("%s: moment %d = (%g, %g), want (%g, %g)", name, i, a.m[i], a.v[i], m[i], v[i])
-			}
-		}
-		var out bytes.Buffer
-		if err := a.SaveState(&out); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), single) {
-			t.Fatalf("%s: SaveState does not reproduce the single-segment layout", name)
+		if a.step != 41 || len(a.m) != n {
+			t.Fatalf("%s: failed load changed the optimizer", name)
 		}
 	}
 }
@@ -261,7 +265,8 @@ func TestAdamLoadStateLyingLength(t *testing.T) {
 // input has bytes for, and whatever it accepts must survive a save/load
 // round trip unchanged.
 func FuzzAdamLoadState(f *testing.F) {
-	good := adamState(3, [][]float32{{1, 2, 3}, {4}}, [][]float32{{5, 6, 7}, {8}})
+	good := adamState(3, [][]float32{{1, 2, 3, 4}}, [][]float32{{5, 6, 7, 8}})
+	f.Add(adamState(3, [][]float32{{1, 2, 3}, {4}}, [][]float32{{5, 6, 7}, {8}}))
 	f.Add(good)
 	f.Add(good[:len(good)-5])
 	f.Add(append(append([]byte(nil), good...), 9, 9, 9))

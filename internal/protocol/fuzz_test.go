@@ -16,22 +16,22 @@ func FuzzDecodeBody(f *testing.F) {
 	f.Add(Encode(TimeStep{SimID: 1, Step: 2, Input: []float32{1, 2}, Field: []float32{3, 4, 5}})[4:])
 	f.Add(Encode(Goodbye{ClientID: 1, SimID: 2})[4:])
 	f.Add(Encode(Heartbeat{ClientID: 9})[4:])
-	f.Add([]byte{byte(TypeTimeStep), 1, 0, 0, 0})                         // truncated header fields
+	f.Add([]byte{byte(TypeTimeStep), 1, 0, 0, 0})                                     // truncated header fields
 	f.Add([]byte{byte(TypeTimeStep), 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}) // huge float count
-	f.Add([]byte{99})                                                     // unknown type
+	f.Add([]byte{99})                                                                 // unknown type
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) == 0 {
-			return // Read/Next reject zero-size frames before decodeBody
+			return // Read/Next reject zero-size frames before decodeBodyRef
 		}
 		if len(body) > MaxFrameSize {
 			return
 		}
-		msg, err := decodeBody(append([]byte(nil), body...))
+		msg, err := decodeBodyRef(append([]byte(nil), body...))
 		if err != nil {
 			// Errors must be deterministic: the same body through the
 			// framed Reader must also error.
 			if _, rerr := NewReader(bytes.NewReader(frameOf(body))).Next(); rerr == nil {
-				t.Fatalf("decodeBody rejected body but Reader accepted it")
+				t.Fatalf("decodeBodyRef rejected body but Reader accepted it")
 			}
 			return
 		}

@@ -15,16 +15,12 @@
 //
 // # Allocation discipline
 //
-// The decode path exists in two forms:
-//
-//   - Read is the legacy convenience: it allocates a frame body and fresh
-//     payload slices per message. It remains the reference implementation
-//     (the pooled path is property-tested bit-identical against it) and the
-//     right choice for low-rate callers.
-//   - Reader is the ingestion path: it owns one recycled frame-body buffer
-//     and decodes TimeStep messages into leased payloads, so a server rank
-//     receiving thousands of messages per second performs zero steady-state
-//     allocations.
+// Reader is the decode path: it owns one recycled frame-body buffer and
+// decodes TimeStep messages into leased payloads, so a server rank
+// receiving thousands of messages per second performs zero steady-state
+// allocations. (The allocating by-value decoder it replaced lives on in the
+// package's tests as the reference the Reader is property-tested and
+// fuzzed bit-identical against.)
 //
 // # Lease–recycle contract
 //
@@ -40,8 +36,7 @@
 // property.
 //
 // Encoding follows the same discipline: AppendEncode frames a message into
-// a caller-supplied buffer in one pass (no intermediate payload slice), and
-// Write reuses a pooled scratch buffer per call.
+// a caller-supplied buffer in one pass (no intermediate payload slice).
 package protocol
 
 import (
@@ -184,27 +179,6 @@ func Encode(msg Message) []byte {
 	return AppendEncode(nil, msg)
 }
 
-// encScratch recycles Write's framing buffers. A buffered channel (not a
-// sync.Pool) guarantees steady-state reuse even across GC cycles.
-var encScratch = make(chan []byte, 64)
-
-// Write frames and writes msg to w in one w.Write call, reusing a pooled
-// scratch buffer for the frame.
-func Write(w io.Writer, msg Message) error {
-	var buf []byte
-	select {
-	case buf = <-encScratch:
-	default:
-	}
-	buf = AppendEncode(buf[:0], msg)
-	_, err := w.Write(buf)
-	select {
-	case encScratch <- buf:
-	default:
-	}
-	return err
-}
-
 // timeStepFree recycles leased TimeStep payloads between Reader.Next and
 // RecycleTimeStep. The capacity bounds retained memory; a recycle into a
 // full freelist simply drops the payload.
@@ -291,23 +265,6 @@ func (rd *Reader) Next() (Message, error) {
 	return decodeBody(body)
 }
 
-// Read reads one framed message from r, allocating the frame body and all
-// payload slices — the legacy path, kept as the reference implementation
-// and for low-rate callers. It returns io.EOF cleanly when the stream ends
-// between frames.
-func Read(r io.Reader) (Message, error) {
-	var lenBuf [4]byte
-	size, err := readHeader(r, &lenBuf)
-	if err != nil {
-		return nil, err
-	}
-	body, err := readBody(r, nil, int(size))
-	if err != nil {
-		return nil, err
-	}
-	return decodeBody(body)
-}
-
 // readBody reads a size-byte frame body into buf's storage (grown as
 // needed) and returns it at full length. When the buffer must grow, it is
 // extended in capped chunks interleaved with the reads, so a corrupt
@@ -360,6 +317,8 @@ func decodeTimeStepInto(ts *TimeStep, payload []byte) error {
 	return d.err
 }
 
+// decodeBody decodes the by-value message types; Reader.Next has already
+// taken the pooled ones (TimeStep, PredictRequest, PredictResponse).
 func decodeBody(body []byte) (Message, error) {
 	typ := MsgType(body[0])
 	d := decoder{buf: body[1:]}
@@ -371,11 +330,6 @@ func decodeBody(body []byte) (Message, error) {
 			Steps:    int32(d.u32()),
 			Restart:  int32(d.u32()),
 		}
-		return m, d.err
-	case TypeTimeStep:
-		m := TimeStep{SimID: int32(d.u32()), Step: int32(d.u32())}
-		m.Input = d.f32s()
-		m.Field = d.f32s()
 		return m, d.err
 	case TypeGoodbye:
 		m := Goodbye{ClientID: int32(d.u32()), SimID: int32(d.u32())}
@@ -456,18 +410,6 @@ func (d *decoder) str() string {
 	s := string(d.buf[:n])
 	d.buf = d.buf[n:]
 	return s
-}
-
-// f32s decodes a length-prefixed float vector into a fresh slice.
-func (d *decoder) f32s() []float32 {
-	n, ok := d.f32sHeader()
-	if !ok {
-		return nil
-	}
-	out := make([]float32, n)
-	decodeF32Bulk(out, d.buf[:4*n])
-	d.buf = d.buf[4*n:]
-	return out
 }
 
 // f32sInto decodes a length-prefixed float vector into dst's storage,

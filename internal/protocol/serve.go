@@ -292,19 +292,10 @@ func decodePredictResponseInto(m *PredictResponse, payload []byte) error {
 	return d.err
 }
 
-// decodeServeBody decodes the serving message types for the allocating
-// reference path (decodeBody dispatches here).
+// decodeServeBody decodes the by-value serving message types (decodeBody
+// dispatches here).
 func decodeServeBody(typ MsgType, d *decoder) (Message, error) {
 	switch typ {
-	case TypePredictRequest:
-		m := PredictRequest{ID: d.u64(), T: math.Float32frombits(d.u32())}
-		m.Params = d.f32s()
-		m.DeadlineMs = d.optU32()
-		return m, d.err
-	case TypePredictResponse:
-		m := PredictResponse{ID: d.u64(), Epoch: d.u32()}
-		m.Field = d.f32s()
-		return m, d.err
 	case TypePredictError:
 		m := PredictError{ID: d.u64()}
 		m.Msg = d.str()

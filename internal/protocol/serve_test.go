@@ -333,7 +333,7 @@ func FuzzServeFrame(f *testing.F) {
 		if len(body) == 0 || len(body) > MaxFrameSize {
 			return
 		}
-		msg, err := decodeBody(append([]byte(nil), body...))
+		msg, err := decodeBodyRef(append([]byte(nil), body...))
 		pooled, perr := NewReader(bytes.NewReader(frameOf(body))).Next()
 		if (err == nil) != (perr == nil) {
 			t.Fatalf("legacy err %v, pooled err %v", err, perr)

@@ -9,7 +9,6 @@ package serve
 // CI runs a -benchtime=1x smoke of every variant.
 
 import (
-	"bytes"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -36,13 +35,10 @@ func benchSurrogate(b *testing.B) *melissa.Surrogate {
 	cfg.StepsPerSim = 6
 	cfg.Hidden = []int{64, 64}
 	cfg.Seed = 7
-	norm := melissa.Heat().Normalizer(cfg)
+	cfg.Problem = melissa.Heat()
+	norm := cfg.Problem.Normalizer(cfg)
 	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
-	var buf bytes.Buffer
-	if err := net.SaveWeights(&buf); err != nil {
-		b.Fatal(err)
-	}
-	sur, err := melissa.LoadSurrogateLegacy(&buf, cfg.GridN, cfg.StepsPerSim, cfg.Dt, cfg.Hidden, cfg.Seed)
+	sur, err := melissa.SurrogateFromNetwork(net, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -38,13 +37,10 @@ func chaosSurrogate(t testing.TB, gridN int, hidden []int, seed uint64) *melissa
 	cfg.StepsPerSim = 6
 	cfg.Hidden = hidden
 	cfg.Seed = seed
-	norm := melissa.Heat().Normalizer(cfg)
+	cfg.Problem = melissa.Heat()
+	norm := cfg.Problem.Normalizer(cfg)
 	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), seed)
-	var buf bytes.Buffer
-	if err := net.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sur, err := melissa.LoadSurrogateLegacy(&buf, cfg.GridN, cfg.StepsPerSim, cfg.Dt, cfg.Hidden, seed)
+	sur, err := melissa.SurrogateFromNetwork(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

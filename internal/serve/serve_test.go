@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"math"
 	"math/rand/v2"
 	"net"
@@ -15,6 +14,7 @@ import (
 	"melissa/internal/client"
 	"melissa/internal/nn"
 	"melissa/internal/protocol"
+	"melissa/internal/testwait"
 )
 
 // testSurrogate builds a small untrained heat surrogate with seeded random
@@ -28,13 +28,10 @@ func testSurrogate(t testing.TB, seed uint64) *melissa.Surrogate {
 	cfg.StepsPerSim = 6
 	cfg.Hidden = []int{24, 24}
 	cfg.Seed = seed
-	norm := melissa.Heat().Normalizer(cfg)
+	cfg.Problem = melissa.Heat()
+	norm := cfg.Problem.Normalizer(cfg)
 	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), seed)
-	var buf bytes.Buffer
-	if err := net.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sur, err := melissa.LoadSurrogateLegacy(&buf, cfg.GridN, cfg.StepsPerSim, cfg.Dt, cfg.Hidden, seed)
+	sur, err := melissa.SurrogateFromNetwork(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,10 +354,10 @@ func TestServeReloadUnderLoad(t *testing.T) {
 
 	wg.Wait()
 	<-reloadDone
+	// A response is counted after it is written: the last client can have
+	// its answer before the writer has counted it.
+	testwait.Until(t, "every response to be counted", func() bool { return s.Stats().Responses == clients*each })
 	st := s.Stats()
-	if st.Responses != clients*each {
-		t.Fatalf("stats %+v: %d responses for %d requests", st, st.Responses, clients*each)
-	}
 	if st.Reloads < 2 {
 		t.Fatalf("stats %+v: only %d reloads happened during the run", st, st.Reloads)
 	}
@@ -411,13 +408,11 @@ func TestServeReloadRejectsIncompatible(t *testing.T) {
 	cfg.GridN = 4 // different output dim
 	cfg.StepsPerSim = 6
 	cfg.Hidden = []int{8}
-	norm := melissa.Heat().Normalizer(cfg)
-	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), 3)
-	var buf bytes.Buffer
-	if err := net.SaveWeights(&buf); err != nil {
-		t.Fatal(err)
-	}
-	small, err := melissa.LoadSurrogateLegacy(&buf, cfg.GridN, cfg.StepsPerSim, cfg.Dt, cfg.Hidden, 3)
+	cfg.Seed = 3
+	cfg.Problem = melissa.Heat()
+	norm := cfg.Problem.Normalizer(cfg)
+	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
+	small, err := melissa.SurrogateFromNetwork(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

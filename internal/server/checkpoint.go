@@ -1,124 +1,163 @@
 package server
 
 import (
+	"bytes"
 	"encoding/gob"
 	"fmt"
-	"os"
+	"sync"
 
 	"melissa/internal/buffer"
+	"melissa/internal/core"
+	"melissa/internal/elastic"
 )
 
-// checkpointFile is the on-disk server checkpoint (§3.1): everything a
-// replacement server instance needs to resume training without retraining
-// on already-seen data or losing buffered samples. The per-rank message
-// log travels inside SimState.Seen (the per-sim step bitsets), replacing
-// the separate map[Key]bool log of earlier revisions.
-type checkpointFile struct {
-	Ranks   int
-	Batches int
-	Samples int
-
-	Weights  []byte
-	OptState []byte
-
-	Sims []map[int32]SimState
-
-	// Seen is the legacy (pre-bitset) per-rank dedup log. New checkpoints
-	// leave it nil (the log lives in SimState.Seen); RestoreCheckpoint
-	// migrates a non-nil legacy log into the bitsets so old checkpoints
-	// keep their dedup guarantee.
-	Seen []map[buffer.Key]bool
-
+// ingestState is the server's ingest state at a batch boundary (§3.1:
+// checkpoint + message log): per local rank, the sim accounting — dedup
+// bitsets, goodbye flags — and the buffer contents. Each rank's entry is a
+// consistent cut of that rank: every sample it has received is either
+// already trained at the boundary or in its buffer snapshot, so a server
+// restored from it neither loses nor repeats a sample. It rides gob-encoded
+// in elastic.State.App, for the static -checkpoint file and the elastic
+// group shard alike, and is only ever restored by the server that wrote it.
+type ingestState struct {
+	Sims      []map[int32]SimState
 	BufSeen   [][]buffer.Sample
 	BufUnseen [][]buffer.Sample
 }
 
-// WriteCheckpoint atomically persists the full server state. It is called
-// from the trainer's rank-0 batch boundary, so the weights are consistent;
-// rank shards and buffer contents are captured under their own locks (the
-// buffer snapshot deep-copies payloads, so arena rows recycled afterwards
-// cannot corrupt the checkpoint).
-func (s *Server) WriteCheckpoint(path string) error {
-	weights, optState, err := s.trainer.CaptureState()
-	if err != nil {
-		return err
-	}
-	ck := checkpointFile{
-		Ranks:    s.cfg.Ranks,
-		Batches:  s.trainer.Metrics().Batches(),
-		Samples:  s.trainer.Metrics().Samples(),
-		Weights:  weights,
-		OptState: optState,
-	}
+// boundaries assembles the checkpoints of one trainer run. Ranks reach a
+// batch boundary up to one batch apart in wall time, so no single instant
+// shows all of them at it: each rank contributes its ingest state at its
+// own OnLocalBatchEnd, before it extracts the next batch, and the last rank
+// to arrive — at which point no rank can have applied the next batch's
+// update, so the replica weights still hold the boundary state — adds
+// weights and optimizer state and owns the write.
+type boundaries struct {
+	s       *Server
+	mu      sync.Mutex
+	pending map[int]*boundary
+}
 
-	ck.Sims = make([]map[int32]SimState, len(s.aggs))
-	for r, a := range s.aggs {
+type boundary struct {
+	arrived int
+	ingest  ingestState
+}
+
+func newBoundaries(s *Server) *boundaries {
+	return &boundaries{s: s, pending: make(map[int]*boundary)}
+}
+
+// capture records local rank's ingest state at the boundary it just
+// reached; call it from the rank's own OnLocalBatchEnd. It returns nil
+// until the boundary's last rank arrives, then the complete state.
+func (bs *boundaries) capture(tr *core.Trainer, rank, batches int) (*elastic.State, error) {
+	s := bs.s
+	a := s.aggs[rank]
+	// One cut of the rank: under the buffer lock nothing is inserted or
+	// extracted, and a frame is logged as received only inside the
+	// insertion's critical section (Server.commit), so the log copied here
+	// and the contents snapshotted here agree on every sample.
+	var sims map[int32]SimState
+	var seen, unseen []buffer.Sample
+	s.bufs[rank].WithLock(func(p buffer.Policy) {
+		if snap, ok := p.(buffer.Snapshotter); ok {
+			seen, unseen = snap.Snapshot()
+		}
 		a.mu.Lock()
-		cp := make(map[int32]SimState, len(a.sims))
+		sims = make(map[int32]SimState, len(a.sims))
 		for id, st := range a.sims {
 			c := *st
 			c.Seen = append([]uint64(nil), st.Seen...)
-			cp[id] = c
+			sims[id] = c
 		}
 		a.mu.Unlock()
-		ck.Sims[r] = cp
+	})
+
+	ranks := s.cfg.Ranks
+	bs.mu.Lock()
+	b, ok := bs.pending[batches]
+	if !ok {
+		b = &boundary{ingest: ingestState{
+			Sims:      make([]map[int32]SimState, ranks),
+			BufSeen:   make([][]buffer.Sample, ranks),
+			BufUnseen: make([][]buffer.Sample, ranks),
+		}}
+		bs.pending[batches] = b
+	}
+	b.ingest.Sims[rank], b.ingest.BufSeen[rank], b.ingest.BufUnseen[rank] = sims, seen, unseen
+	b.arrived++
+	last := b.arrived == ranks
+	if last {
+		delete(bs.pending, batches)
+	}
+	bs.mu.Unlock()
+	if !last {
+		return nil, nil
 	}
 
-	ck.BufSeen = make([][]buffer.Sample, s.cfg.Ranks)
-	ck.BufUnseen = make([][]buffer.Sample, s.cfg.Ranks)
-	for r, b := range s.bufs {
-		b.WithLock(func(p buffer.Policy) {
-			if snap, ok := p.(buffer.Snapshotter); ok {
-				ck.BufSeen[r], ck.BufUnseen[r] = snap.Snapshot()
-			}
-		})
-	}
-
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	w, o, err := tr.CaptureState()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := gob.NewEncoder(f).Encode(&ck); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	var app bytes.Buffer
+	if err := gob.NewEncoder(&app).Encode(&b.ingest); err != nil {
+		return nil, err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return &elastic.State{
+		Batch:    batches,
+		Samples:  tr.LocalSamples(rank),
+		Weights:  w,
+		OptState: o,
+		App:      app.Bytes(),
+	}, nil
 }
 
-// RestoreCheckpoint loads a checkpoint written by WriteCheckpoint into a
-// freshly constructed server (same configuration). Call before Run.
-func (s *Server) RestoreCheckpoint(path string) error {
-	f, err := os.Open(path)
+// decodeIngest decodes a State's ingest payload and checks its shape
+// against the configured rank count. Every per-rank slice is indexed by
+// rank on restore, and their lengths come from the file.
+func decodeIngest(app []byte, ranks int) (*ingestState, error) {
+	var ing ingestState
+	if err := gob.NewDecoder(bytes.NewReader(app)).Decode(&ing); err != nil {
+		return nil, fmt.Errorf("server: decoding ingest state: %w", err)
+	}
+	if len(ing.Sims) != ranks || len(ing.BufSeen) != ranks || len(ing.BufUnseen) != ranks {
+		return nil, fmt.Errorf("server: ingest state has %d/%d/%d ranks (sims/seen/unseen), config has %d",
+			len(ing.Sims), len(ing.BufSeen), len(ing.BufUnseen), ranks)
+	}
+	return &ing, nil
+}
+
+// restoreIngest loads a (re)starting server's own ingest state: dedup
+// bitsets, goodbye accounting and buffer contents per local rank, then
+// recomputes each rank's reception from them. Frames streamed while the
+// server was down are gone, so it resumes from exactly what was captured.
+// Call before the aggregators start.
+func (s *Server) restoreIngest(st *elastic.State) error {
+	if len(st.App) == 0 {
+		return nil // absent at the checkpoint: adopt weights only, ingest fresh
+	}
+	ing, err := decodeIngest(st.App, s.cfg.Ranks)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	var ck checkpointFile
-	if err := gob.NewDecoder(f).Decode(&ck); err != nil {
-		return fmt.Errorf("server: decoding checkpoint: %w", err)
-	}
-	if ck.Ranks != s.cfg.Ranks {
-		return fmt.Errorf("server: checkpoint has %d ranks, config has %d", ck.Ranks, s.cfg.Ranks)
-	}
-	if err := s.trainer.RestoreState(ck.Weights, ck.OptState, ck.Batches, ck.Samples); err != nil {
-		return err
-	}
-	for r, m := range ck.Sims {
-		a := s.aggs[r]
+	for r, a := range s.aggs {
+		seen, unseen := ing.BufSeen[r], ing.BufUnseen[r]
+		s.bufs[r].ReplaceContents(func(curSeen, curUnseen []buffer.Sample) ([]buffer.Sample, []buffer.Sample) {
+			// No aggregator has run, so the current contents are empty;
+			// keep them anyway for safety.
+			return append(seen, curSeen...), append(unseen, curUnseen...)
+		})
+		if s.journals != nil {
+			s.journals[r].mark(st.Batch)
+		}
 		a.mu.Lock()
-		a.sims = make(map[int32]*SimState, len(m))
+		a.sims = make(map[int32]*SimState, len(ing.Sims[r]))
 		a.goodbyes = 0
-		for id, st := range m {
-			cp := st
-			// Clamp like the live Hello path: an unclamped (legacy or
-			// crafted) Steps past the tracking cap would make
-			// receptionComplete demand steps markSeen can never record.
+		for id, sim := range ing.Sims[r] {
+			cp := sim
+			// Clamp like the live Hello path: a crafted Steps past the
+			// tracking cap would make receptionComplete demand steps
+			// markSeen can never record.
 			cp.Steps = clampSteps(cp.Steps)
 			a.sims[id] = &cp
 			if cp.Goodbye {
@@ -126,37 +165,22 @@ func (s *Server) RestoreCheckpoint(path string) error {
 			}
 		}
 		a.mu.Unlock()
-	}
-	// Legacy checkpoints (pre-bitset) carry the dedup log as per-rank key
-	// maps; fold them into the per-sim bitsets so replayed steps are
-	// still discarded after the restore.
-	for r, m := range ck.Seen {
-		if r >= len(s.aggs) {
-			break
-		}
-		a := s.aggs[r]
-		a.mu.Lock()
-		for k := range m {
-			a.sim(int32(k.SimID)).markSeen(int32(k.Step))
-		}
-		a.mu.Unlock()
-	}
-	for r, b := range s.bufs {
-		r := r
-		b.WithLock(func(p buffer.Policy) {
-			if snap, ok := p.(buffer.Snapshotter); ok {
-				snap.RestoreSnapshot(ck.BufSeen[r], ck.BufUnseen[r])
-			}
-		})
 		// If the ensemble had already completed for this rank, reception
 		// is over and the buffer only needs draining.
-		a := s.aggs[r]
-		a.mu.Lock()
-		done := s.receptionComplete(a)
-		a.mu.Unlock()
-		if done {
-			b.EndReception()
-		}
+		s.endIfComplete(a)
 	}
 	return nil
+}
+
+// RestoreCheckpoint loads a -checkpoint file into a freshly constructed
+// static server (same configuration). Call before Run.
+func (s *Server) RestoreCheckpoint(path string) error {
+	st, err := elastic.ReadState(path)
+	if err != nil {
+		return fmt.Errorf("server: reading checkpoint: %w", err)
+	}
+	if err := s.trainer.RestoreState(st.Weights, st.OptState, st.Batch, st.Samples); err != nil {
+		return err
+	}
+	return s.restoreIngest(st)
 }

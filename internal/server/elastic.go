@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -20,9 +18,9 @@ import (
 // formed per group epoch, and a rank death rolls every survivor back to
 // the last committed group checkpoint — without dropping the client
 // connections or the ingest state behind them. The server's per-rank
-// dedup bitsets and buffer contents ride the group-checkpoint shards
-// (elastic.State.App), so ingestion rolls back on exactly the same
-// boundary as the replica weights.
+// dedup bitsets and buffer contents (ingestState) ride the group-checkpoint
+// shards, so ingestion rolls back on exactly the same boundary as the
+// replica weights.
 type ElasticConfig struct {
 	// MemberID is this process's stable identity across restarts. It also
 	// pins the process's slice of the data plane: its ranks serve global
@@ -157,68 +155,14 @@ func (j *retireJournal) replayAndRewind(batch int) []buffer.Sample {
 	return out
 }
 
-// elasticAppState is the server's ingest state inside a group-checkpoint
-// shard (elastic.State.App): per-local-rank sim accounting (dedup bitsets,
-// goodbye flags) and buffer snapshots. Gob-encoded; only ever restored by
-// the member that wrote it.
-type elasticAppState struct {
-	Sims      []map[int32]SimState
-	BufSeen   [][]buffer.Sample
-	BufUnseen [][]buffer.Sample
-}
-
-// boundaryShard accumulates one group-checkpoint boundary: each local rank
-// contributes its ingest capture at its own OnLocalBatchEnd, and the last
-// rank to arrive — at which point no rank can have applied the next
-// batch's update, so the replica weights still hold the boundary state —
-// assembles and writes the member's shard.
-type boundaryShard struct {
-	arrived int
-	app     elasticAppState
-}
-
-// elasticRun is one epoch's trainer-side state.
+// elasticRun is one epoch's trainer-side state. The boundary accumulator is
+// per epoch: a boundary an aborted epoch left half-assembled must not count
+// towards the next epoch's capture of the same batch.
 type elasticRun struct {
-	s    *Server
-	sess *elastic.Session
-	tr   *core.Trainer
-
-	mu      sync.Mutex
-	pending map[int]*boundaryShard
-}
-
-// runElastic is Server.Run for elastic mode: the member runtime drives one
-// runEpoch per group epoch; listeners, aggregators and ingest state live
-// across epochs, so clients stay connected through re-formations.
-func (s *Server) runElastic(ctx context.Context) error {
-	var watchdogStop chan struct{}
-	if s.watchdog != nil && s.cfg.OnUnresponsive != nil {
-		watchdogStop = make(chan struct{})
-		go s.watchdogLoop(watchdogStop)
-	}
-
-	err := s.member.Run(ctx)
-
-	if watchdogStop != nil {
-		close(watchdogStop)
-	}
-	s.closeListeners()
-	s.startAggs() // a run killed before its first epoch never started them
-	s.aggWG.Wait()
-	return err
-}
-
-// startAggs launches the per-rank aggregators exactly once. In elastic
-// mode it is deferred to the first epoch, after the initial restore: a
-// rejoining process must load its checkpointed bitsets before the first
-// reconnecting client frame is judged fresh or duplicate.
-func (s *Server) startAggs() {
-	s.aggOnce.Do(func() {
-		for r := range s.listeners {
-			s.aggWG.Add(1)
-			go s.aggregate(r)
-		}
-	})
+	s      *Server
+	sess   *elastic.Session
+	tr     *core.Trainer
+	bounds *boundaries
 }
 
 // runEpoch is the member's per-epoch callback: restore ingest + replica
@@ -255,9 +199,8 @@ func (s *Server) runEpoch(ctx context.Context, sess *elastic.Session) error {
 	}
 	s.startAggs()
 	s.live = true
-	s.resyncReception()
 
-	run := &elasticRun{s: s, sess: sess, pending: make(map[int]*boundaryShard)}
+	run := &elasticRun{s: s, sess: sess, bounds: newBoundaries(s)}
 	tcfg := s.cfg.Trainer
 	tcfg.Ranks = s.cfg.Ranks
 	tcfg.Group = sess.Group()
@@ -279,27 +222,6 @@ func (s *Server) runEpoch(ctx context.Context, sess *elastic.Session) error {
 	return tr.Run(ctx)
 }
 
-// resyncReception realigns each rank buffer's reception flag with the
-// aggregator's ground truth at epoch start. An aborted epoch's teardown
-// ends reception on every buffer — that is how a trainer blocked in
-// GetBatchEach is woken so the member can re-form — but the flag is sticky
-// and the buffers outlive the epoch: left set, the next epoch's trainer
-// would drain the replayed samples and declare the schedule complete while
-// clients are still streaming. Reception is over only when the aggregator
-// has seen everything the rank will ever get.
-func (s *Server) resyncReception() {
-	for r, a := range s.aggs {
-		a.mu.Lock()
-		ended := a.ended
-		a.mu.Unlock()
-		if ended {
-			s.bufs[r].EndReception()
-		} else {
-			s.bufs[r].ReopenReception()
-		}
-	}
-}
-
 // rollbackIngest rewinds every rank's buffer to a group-checkpoint batch:
 // the samples consumed beyond it (replay journal) go back in front of the
 // live contents, reconstructing the rank's exact sample stream, while
@@ -313,133 +235,23 @@ func (s *Server) rollbackIngest(batch int) {
 	}
 }
 
-// restoreIngest loads a (re)starting process's own ingest state from its
-// shard: dedup bitsets, goodbye accounting and buffer contents per local
-// rank. Frames the cluster streamed while this member was down are gone —
-// clients drop frames to dead ranks — so the restore resumes from exactly
-// what the member had durably captured.
-func (s *Server) restoreIngest(st *elastic.State) error {
-	if len(st.App) == 0 {
-		return nil // absent at the checkpoint: adopt weights only, ingest fresh
-	}
-	var app elasticAppState
-	if err := gob.NewDecoder(bytes.NewReader(st.App)).Decode(&app); err != nil {
-		return fmt.Errorf("server: decoding elastic ingest state: %w", err)
-	}
-	if len(app.Sims) != s.cfg.Ranks {
-		return fmt.Errorf("server: elastic ingest state has %d ranks, config has %d", len(app.Sims), s.cfg.Ranks)
-	}
-	for r, m := range app.Sims {
-		a := s.aggs[r]
-		a.mu.Lock()
-		a.sims = make(map[int32]*SimState, len(m))
-		a.goodbyes = 0
-		for id, sim := range m {
-			cp := sim
-			cp.Steps = clampSteps(cp.Steps)
-			a.sims[id] = &cp
-			if cp.Goodbye {
-				a.goodbyes++
-			}
-		}
-		a.mu.Unlock()
-	}
-	for r := range s.bufs {
-		seen, unseen := app.BufSeen[r], app.BufUnseen[r]
-		s.bufs[r].ReplaceContents(func(curSeen, curUnseen []buffer.Sample) ([]buffer.Sample, []buffer.Sample) {
-			// Aggregators have not started on a fresh process, so the
-			// current contents are empty; keep them anyway for safety.
-			return append(seen, curSeen...), append(unseen, curUnseen...)
-		})
-		s.journals[r].mark(st.Batch)
-		a := s.aggs[r]
-		a.mu.Lock()
-		done := s.receptionComplete(a)
-		a.mu.Unlock()
-		if done {
-			s.bufs[r].EndReception()
-		}
-	}
-	return nil
-}
-
 // onLocalBatchEnd fires on every local rank after each synchronized step.
-// At group-checkpoint boundaries each rank captures its own ingest state
-// at its own step edge (ranks may be one batch apart in wall time, never
-// more); the last to arrive writes the member's shard.
+// At group-checkpoint boundaries each rank marks its replay journal and
+// captures its own ingest state at its own step edge; the last to arrive
+// writes and reports the member's shard. A failed capture or save means the
+// control plane is tearing the epoch down; the group checkpoint protocol
+// tolerates the missing shard.
 func (run *elasticRun) onLocalBatchEnd(rank, batches int) {
 	s := run.s
-	if every := s.cfg.CheckpointEveryBatches; batches%every == 0 {
+	if batches%s.cfg.CheckpointEveryBatches == 0 {
 		s.journals[rank].mark(batches)
-		sims := s.captureSims(rank)
-		var seen, unseen []buffer.Sample
-		s.bufs[rank].WithLock(func(p buffer.Policy) {
-			if snap, ok := p.(buffer.Snapshotter); ok {
-				seen, unseen = snap.Snapshot()
-			}
-		})
-
-		run.mu.Lock()
-		b, ok := run.pending[batches]
-		if !ok {
-			b = &boundaryShard{app: elasticAppState{
-				Sims:      make([]map[int32]SimState, s.cfg.Ranks),
-				BufSeen:   make([][]buffer.Sample, s.cfg.Ranks),
-				BufUnseen: make([][]buffer.Sample, s.cfg.Ranks),
-			}}
-			run.pending[batches] = b
-		}
-		b.app.Sims[rank] = sims
-		b.app.BufSeen[rank], b.app.BufUnseen[rank] = seen, unseen
-		b.arrived++
-		last := b.arrived == s.cfg.Ranks
-		if last {
-			delete(run.pending, batches)
-		}
-		run.mu.Unlock()
-
-		if last {
-			run.writeShard(rank, batches, &b.app)
+		if st, err := run.bounds.capture(run.tr, rank, batches); err == nil && st != nil {
+			run.sess.SaveShard(st)
 		}
 	}
 	if hook := s.cfg.Elastic.OnBoundary; hook != nil {
 		hook(run.sess.Epoch(), rank, batches)
 	}
-}
-
-// writeShard assembles and reports the member's shard at a boundary. A
-// failed save means the control plane is tearing the epoch down; the group
-// checkpoint protocol tolerates the missing shard.
-func (run *elasticRun) writeShard(rank, batches int, app *elasticAppState) {
-	w, o, err := run.tr.CaptureState()
-	if err != nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(app); err != nil {
-		return
-	}
-	run.sess.SaveShard(&elastic.State{
-		Batch:    batches,
-		Samples:  run.tr.LocalSamples(rank),
-		Weights:  w,
-		OptState: o,
-		App:      buf.Bytes(),
-	})
-}
-
-// captureSims deep-copies one rank's sim accounting under its shard lock.
-func (s *Server) captureSims(rank int) map[int32]SimState {
-	a := s.aggs[rank]
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cp := make(map[int32]SimState, len(a.sims))
-	for id, st := range a.sims {
-		c := *st
-		c.Seen = append([]uint64(nil), st.Seen...)
-		cp[id] = c
-	}
-	return cp
 }
 
 // ElasticMember exposes the underlying membership runtime (nil outside

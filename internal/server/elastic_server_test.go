@@ -249,12 +249,9 @@ func TestElasticServerChaosKillReform(t *testing.T) {
 	// come up through the survivors-only dial path.
 	exp := make([]int, csMembers)
 	for c := 0; c < csSims; c++ {
-		job := client.HeatJob{
-			Client: client.Config{ClientID: c, SimID: c, ServerAddrs: addrs, Reconnect: true},
-			Solver: testSolverConfig(),
-			Params: testParams(c),
-		}
-		if err := client.RunHeat(context.Background(), job); err != nil {
+		job := testJob(srvs[0], c, testSteps)
+		job.Client.ServerAddrs, job.Client.Reconnect = addrs, true
+		if err := client.Run(context.Background(), job); err != nil {
 			t.Fatalf("client %d: %v", c, err)
 		}
 		for step := 1; step <= testSteps; step++ {

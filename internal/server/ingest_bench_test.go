@@ -22,9 +22,9 @@ func ingestHarness(p buffer.Policy, inDim, outDim int) (*Server, *buffer.Blockin
 	s := &Server{
 		cfg:        Config{ExpectedClients: 1},
 		worldRanks: 1,
-		aggs:       []*rankAgg{newRankAgg(0)},
 		bufs:       []*buffer.Blocking{bb},
 	}
+	s.aggs = []*rankAgg{s.newRankAgg(0)}
 	return s, bb
 }
 
@@ -49,9 +49,7 @@ func TestIngestZeroAllocSteadyState(t *testing.T) {
 	msg := protocol.TimeStep{SimID: 1, Input: make([]float32, inDim), Field: make([]float32, outDim)}
 	for step := int32(1); step <= total; step++ {
 		msg.Step = step
-		if err := protocol.Write(&stream, msg); err != nil {
-			t.Fatal(err)
-		}
+		stream.Write(protocol.Encode(msg))
 	}
 	rd := protocol.NewReader(bytes.NewReader(stream.Bytes()))
 	discard := func(int, buffer.Sample) {}

@@ -75,7 +75,8 @@ type Config struct {
 	OnUnresponsive func(clientID int32)
 
 	// CheckpointPath enables periodic checkpoints when non-empty. Ignored
-	// in elastic mode, where checkpointing is the group-shard protocol.
+	// in elastic mode, where the same per-rank boundary capture is written
+	// as the member's group shard instead.
 	CheckpointPath string
 	// CheckpointEveryBatches is the checkpoint cadence (default 500), for
 	// both the static single-file checkpoint and the elastic group shards.
@@ -126,12 +127,6 @@ type Server struct {
 	trainer   *core.Trainer
 	metrics   *core.Metrics
 
-	// runCtx is Run's context, set before any aggregator starts.
-	// ingestTimeStep consults it so that a user cancel stays cancelled: a
-	// context reports Err before any watcher of its Done channel (the
-	// trainer's, which ends reception) can have acted on it.
-	runCtx context.Context
-
 	// Elastic-mode state: the membership runtime, the per-rank replay
 	// journals behind rollback, and the lazy aggregator start (a rejoiner
 	// must restore its bitsets before judging the first client frame).
@@ -164,11 +159,24 @@ type rankAgg struct {
 	rank     int // local rank index
 	sims     map[int32]*SimState
 	goodbyes int  // count of sims with Goodbye, so the hot path is O(1)
-	ended    bool // EndReception issued for this rank
+	ended    bool // reception has ended on the rank's buffer (receptionComplete)
+
+	// The frame being stored. commit records it as received inside the
+	// critical section that inserts it (buffer.Blocking.PutCopyThen), so a
+	// checkpoint cut taken under the buffer lock never shows a frame that
+	// is received but not buffered, or buffered but not received. Only the
+	// rank's aggregator goroutine touches these; commitFn is bound once so
+	// the hot path allocates no closure.
+	storing     *SimState
+	storingStep int32
+	completed   bool // the stored frame was the rank's last
+	commitFn    func()
 }
 
-func newRankAgg(rank int) *rankAgg {
-	return &rankAgg{rank: rank, sims: make(map[int32]*SimState)}
+func (s *Server) newRankAgg(rank int) *rankAgg {
+	a := &rankAgg{rank: rank, sims: make(map[int32]*SimState)}
+	a.commitFn = func() { s.commit(a) }
+	return a
 }
 
 // sim returns (creating if needed) the shard's record for a simulation.
@@ -224,16 +232,15 @@ func clampSteps(steps int32) int32 {
 	return steps
 }
 
-// markSeen records step and reports whether it is new. Steps beyond the
-// preallocated bitset grow it (amortized; Hello normally presizes), but a
-// step outside the sim's (clamped) declared trajectory — or past the
-// provisional maxUntrackedStep window when no Hello arrived — is rejected
-// outright: the wire Step is attacker-controlled, and growing the bitset
-// to a lying value would be the same giant-allocation DoS the framed
-// reader guards against. Declared trajectories are clamped to
-// maxTrackedStep at Hello (and checkpoint restore), so the bounds stay
+// unseen reports whether step may still be recorded: it is not in the log
+// yet and lies inside the sim's (clamped) declared trajectory — or, when no
+// Hello arrived, inside the provisional maxUntrackedStep window. Anything
+// else is rejected outright: the wire Step is attacker-controlled, and
+// growing the bitset to a lying value would be the same giant-allocation
+// DoS the framed reader guards against. Declared trajectories are clamped
+// to maxTrackedStep at Hello (and checkpoint restore), so the bounds stay
 // consistent and reception accounting can always complete.
-func (st *SimState) markSeen(step int32) bool {
+func (st *SimState) unseen(step int32) bool {
 	if step < 0 {
 		return false
 	}
@@ -245,14 +252,21 @@ func (st *SimState) markSeen(step int32) bool {
 		return false // no Hello: only a tight provisional window is tracked
 	}
 	w := int(step >> 6)
+	return w >= len(st.Seen) || st.Seen[w]&(1<<(uint(step)&63)) == 0
+}
+
+// markSeen records step and reports whether it was new (see unseen). Steps
+// beyond the preallocated bitset grow it (amortized; Hello normally
+// presizes).
+func (st *SimState) markSeen(step int32) bool {
+	if !st.unseen(step) {
+		return false
+	}
+	w := int(step >> 6)
 	if w >= len(st.Seen) {
 		st.Seen = append(st.Seen, make([]uint64, w+1-len(st.Seen))...)
 	}
-	bit := uint64(1) << (uint(step) & 63)
-	if st.Seen[w]&bit != 0 {
-		return false
-	}
-	st.Seen[w] |= bit
+	st.Seen[w] |= 1 << (uint(step) & 63)
 	return true
 }
 
@@ -306,7 +320,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		runCtx:     context.Background(),
 		worldRanks: world,
 		dataOffset: offset,
 		aggs:       make([]*rankAgg, cfg.Ranks),
@@ -318,7 +331,7 @@ func New(cfg Config) (*Server, error) {
 	inDim := cfg.Trainer.Normalizer.InputDim()
 	outDim := cfg.Trainer.Normalizer.OutputDim()
 	for r := 0; r < cfg.Ranks; r++ {
-		s.aggs[r] = newRankAgg(r)
+		s.aggs[r] = s.newRankAgg(r)
 
 		bcfg := cfg.Buffer
 		bcfg.Seed += uint64(s.dataOffset+r) * 1000003 // distinct stream per global data rank
@@ -392,17 +405,22 @@ func New(cfg Config) (*Server, error) {
 	tcfg.Group = cfg.Group
 	if cfg.CheckpointPath != "" && cfg.Group.Offset == 0 {
 		every := cfg.CheckpointEveryBatches
-		userHook := tcfg.OnBatchEnd
-		tcfg.OnBatchEnd = func(batches int) {
+		bounds := newBoundaries(s)
+		userHook := tcfg.OnLocalBatchEnd
+		tcfg.OnLocalBatchEnd = func(rank, batches int) {
 			if batches%every == 0 {
-				if err := s.WriteCheckpoint(cfg.CheckpointPath); err != nil {
+				st, err := bounds.capture(s.trainer, rank, batches)
+				if err == nil && st != nil {
+					err = elastic.WriteState(cfg.CheckpointPath, st)
+				}
+				if err != nil {
 					// Checkpoint failures must not kill training; the
 					// previous checkpoint remains valid.
 					fmt.Printf("server: checkpoint failed: %v\n", err)
 				}
 			}
 			if userHook != nil {
-				userHook(batches)
+				userHook(rank, batches)
 			}
 		}
 	}
@@ -446,29 +464,52 @@ func (s *Server) Metrics() *core.Metrics {
 
 // Run starts the aggregators and the watchdog, trains until every rank's
 // buffer drains, then shuts the listeners down. It returns the first
-// training error, if any. In elastic mode it instead participates in the
-// training group until the group completes or this member is lost.
+// training error, if any; a run stopped by cancelling ctx returns one that
+// wraps context.Canceled. In elastic mode it instead participates in the
+// training group until the group completes or this member is lost;
+// listeners, aggregators and ingest state live across the group's epochs,
+// so clients stay connected through re-formations.
 func (s *Server) Run(ctx context.Context) error {
-	s.runCtx = ctx
-	if s.cfg.Elastic != nil {
-		return s.runElastic(ctx)
-	}
-	s.startAggs()
-
-	var watchdogStop chan struct{}
 	if s.watchdog != nil && s.cfg.OnUnresponsive != nil {
-		watchdogStop = make(chan struct{})
+		watchdogStop := make(chan struct{})
+		defer close(watchdogStop)
 		go s.watchdogLoop(watchdogStop)
 	}
 
-	err := s.trainer.Run(ctx)
+	var err error
+	if s.member != nil {
+		err = s.member.Run(ctx) // the first epoch starts the aggregators
+	} else {
+		s.startAggs()
+		err = s.trainer.Run(ctx)
+	}
 
-	if watchdogStop != nil {
-		close(watchdogStop)
+	// Whatever made training return — drained buffers, MaxBatches, a
+	// cancel, a collective error — nothing consumes from here on, so for
+	// every buffer "nothing more will arrive" is now true by decision: end
+	// reception before waiting for the aggregators, or one parked in
+	// PutCopy on a full buffer would wait for room forever. It and the
+	// frames queued behind it are stragglers now: refused and dropped.
+	for _, b := range s.bufs {
+		b.EndReception()
 	}
 	s.closeListeners()
+	s.startAggs() // an elastic run killed before its first epoch never started them
 	s.aggWG.Wait()
 	return err
+}
+
+// startAggs launches the per-rank aggregators exactly once. In elastic
+// mode it is deferred to the first epoch, after the initial restore: a
+// rejoining process must load its checkpointed bitsets before the first
+// reconnecting client frame is judged fresh or duplicate.
+func (s *Server) startAggs() {
+	s.aggOnce.Do(func() {
+		for r := range s.listeners {
+			s.aggWG.Add(1)
+			go s.aggregate(r)
+		}
+	})
 }
 
 func (s *Server) watchdogLoop(stop chan struct{}) {
@@ -551,14 +592,11 @@ func (s *Server) aggregate(rank int) {
 				st.Goodbye = true
 				a.goodbyes++
 			}
-			done := s.receptionComplete(a)
 			a.mu.Unlock()
 			if s.watchdog != nil {
 				s.watchdog.Remove(m.ClientID)
 			}
-			if done {
-				s.bufs[rank].EndReception()
-			}
+			s.endIfComplete(a)
 		}
 	}
 }
@@ -570,50 +608,51 @@ func (s *Server) ingestTimeStep(rank int, m *protocol.TimeStep) {
 	a := s.aggs[rank]
 	a.mu.Lock()
 	st := a.sim(m.SimID)
-	fresh := st.markSeen(m.Step)
-	wasEnded := a.ended
-	var owner int32 = -1
-	var done bool
-	if fresh {
-		st.Received++
-		owner = st.ClientID
-		done = s.receptionComplete(a)
-	}
+	fresh := st.unseen(m.Step)
+	owner := st.ClientID
 	a.mu.Unlock()
-	if s.watchdog != nil && owner >= 0 {
-		s.watchdog.Beat(owner)
-	}
 	if fresh {
+		if s.watchdog != nil && owner >= 0 {
+			s.watchdog.Beat(owner)
+		}
 		// Blocking put: a full buffer suspends ingestion, and TCP
 		// backpressure propagates the stall to the clients. The payload
 		// is copied into arena rows under the buffer lock, so the lease
 		// can be recycled immediately after. A refused put means reception
-		// ended on the buffer — genuine when the aggregator agreed (wasEnded)
-		// or the run was cancelled; then the frame is a straggler and may
-		// drop. Otherwise the flag was set by an aborted elastic epoch's
-		// teardown and the frame, already marked received in the dedup
-		// state, would be lost forever: reopen and retry until stored.
-		for !s.bufs[rank].PutCopy(int(m.SimID), int(m.Step), m.Input, m.Field) {
-			if wasEnded || s.runCtx.Err() != nil {
-				break
-			}
-			s.bufs[rank].ReopenReception()
+		// has ended on the buffer — the rank had its full share already, or
+		// Run is shutting down — so the frame is a straggler and is
+		// dropped, always; it was never recorded as received.
+		a.storing, a.storingStep, a.completed = st, m.Step, false
+		s.bufs[rank].PutCopyThen(int(m.SimID), int(m.Step), m.Input, m.Field, a.commitFn)
+		if a.completed {
+			// Only now, with the frame stored: a full buffer would refuse
+			// the very sample that completed the rank's share.
+			s.bufs[rank].EndReception()
 		}
 	}
-	// Duplicate (replay after client restart, §3.1) or stored: either way
-	// the leased payload is done.
+	// Duplicate (replay after client restart, §3.1), refused or stored:
+	// either way the leased payload is done.
 	protocol.RecycleTimeStep(m)
-	if done {
-		s.bufs[rank].EndReception()
-	}
+}
+
+// commit records the frame being stored in the message log. It runs under
+// the rank buffer's lock, right after the insertion (see rankAgg.storing).
+func (s *Server) commit(a *rankAgg) {
+	a.mu.Lock()
+	a.storing.markSeen(a.storingStep)
+	a.storing.Received++
+	a.completed = s.receptionComplete(a)
+	a.mu.Unlock()
 }
 
 // receptionComplete decides whether the rank has everything it will ever
 // get: Goodbyes from the whole ensemble and, for every announced
 // simulation, this rank's full round-robin share of time steps. The caller
-// must hold a.mu; the method marks the rank ended at most once. The
-// goodbye counter keeps the per-message cost O(1): the per-sim scan runs
-// only once the whole ensemble has said Goodbye.
+// must hold a.mu and, on true — reported at most once — end reception on
+// the rank's buffer after releasing it: the buffer lock is taken before
+// a.mu (commit), never after. The goodbye counter keeps the per-message
+// cost O(1): the per-sim scan runs only once the whole ensemble has said
+// Goodbye.
 func (s *Server) receptionComplete(a *rankAgg) bool {
 	if a.ended || a.goodbyes < s.cfg.ExpectedClients {
 		return false
@@ -629,6 +668,20 @@ func (s *Server) receptionComplete(a *rankAgg) bool {
 	}
 	a.ended = true
 	return true
+}
+
+// endIfComplete ends reception on the rank's buffer once the aggregator
+// knows nothing more will arrive (receptionComplete). Together with
+// ingestTimeStep's stored-then-ended step it is the only place reception
+// ends while the server runs; Run's shutdown is the other, and nobody
+// reopens it.
+func (s *Server) endIfComplete(a *rankAgg) {
+	a.mu.Lock()
+	done := s.receptionComplete(a)
+	a.mu.Unlock()
+	if done {
+		s.bufs[a.rank].EndReception()
+	}
 }
 
 // expectedOnRank counts the time steps of a client's trajectory that the

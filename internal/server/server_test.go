@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"os"
 	"path/filepath"
 	"sync"
@@ -13,9 +15,13 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/client"
 	"melissa/internal/core"
+	"melissa/internal/ddp"
+	"melissa/internal/elastic"
 	"melissa/internal/opt"
 	"melissa/internal/protocol"
 	"melissa/internal/solver"
+	"melissa/internal/testwait"
+	"melissa/internal/transport"
 )
 
 const (
@@ -56,36 +62,40 @@ func testConfig(ranks, expectedClients int, kind buffer.Kind) Config {
 	}
 }
 
-// runServer starts srv.Run in the background and returns a wait function.
+// runServer starts srv.Run in the background and returns a wait function
+// with the suite's pipeline deadline: a server that never terminates fails
+// the test with every goroutine's stack.
 func runServer(t *testing.T, srv *Server, ctx context.Context) func() error {
 	t.Helper()
 	done := make(chan error, 1)
 	go func() { done <- srv.Run(ctx) }()
 	return func() error {
-		select {
-		case err := <-done:
-			return err
-		case <-time.After(60 * time.Second):
-			t.Fatal("server did not terminate")
-			return nil
-		}
+		t.Helper()
+		return testwait.Recv(t, done, "Server.Run to return")
+	}
+}
+
+// testJob describes heat-equation ensemble member simID streaming steps
+// time steps to srv.
+func testJob(srv *Server, simID, steps int) client.Job {
+	cfg := testSolverConfig()
+	cfg.Steps = steps
+	params := testParams(simID)
+	return client.Job{
+		Client: client.Config{ClientID: simID, SimID: simID, ServerAddrs: srv.Addrs()},
+		NewSim: func() (solver.Simulator, error) { return solver.New(cfg, params) },
+		Params: params.Vector(),
+		Steps:  steps,
+		Dt:     cfg.Dt,
 	}
 }
 
 func runClient(t *testing.T, srv *Server, simID, restart, failAt int) error {
 	t.Helper()
-	job := client.HeatJob{
-		Client: client.Config{
-			ClientID:    simID,
-			SimID:       simID,
-			ServerAddrs: srv.Addrs(),
-			Restart:     restart,
-		},
-		Solver:     testSolverConfig(),
-		Params:     testParams(simID),
-		FailAtStep: failAt,
-	}
-	return client.RunHeat(context.Background(), job)
+	job := testJob(srv, simID, testSteps)
+	job.Client.Restart = restart
+	job.FailAtStep = failAt
+	return client.Run(context.Background(), job)
 }
 
 func TestEndToEndSingleRank(t *testing.T) {
@@ -234,14 +244,10 @@ func TestClientRestartWithCheckpoint(t *testing.T) {
 	wait := runServer(t, srv, context.Background())
 
 	ck := &client.FileCheckpointer{Dir: t.TempDir()}
-	job := client.HeatJob{
-		Client:     client.Config{ClientID: 0, SimID: 0, ServerAddrs: srv.Addrs()},
-		Solver:     testSolverConfig(),
-		Params:     testParams(0),
-		Checkpoint: ck,
-		FailAtStep: 4,
-	}
-	if err := client.RunHeat(context.Background(), job); err == nil {
+	job := testJob(srv, 0, testSteps)
+	job.Checkpoint = ck
+	job.FailAtStep = 4
+	if err := client.Run(context.Background(), job); err == nil {
 		t.Fatal("expected injected failure")
 	}
 	step, _, err := ck.Load(0)
@@ -250,7 +256,7 @@ func TestClientRestartWithCheckpoint(t *testing.T) {
 	}
 	job.FailAtStep = 0
 	job.Client.Restart = 1
-	if err := client.RunHeat(context.Background(), job); err != nil {
+	if err := client.Run(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	if err := wait(); err != nil {
@@ -279,13 +285,7 @@ func TestWatchdogReportsSilentClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for reported.Load() != 9 {
-		if time.Now().After(deadline) {
-			t.Fatal("watchdog never reported the silent client")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	testwait.Until(t, "the watchdog to report the silent client", func() bool { return reported.Load() == 9 })
 	api.Abort()
 
 	// Complete the ensemble so the server terminates cleanly.
@@ -357,6 +357,14 @@ func TestServerCheckpointRestart(t *testing.T) {
 	cfg := testConfig(1, 2, buffer.FIFOKind)
 	cfg.CheckpointPath = ckPath
 	cfg.CheckpointEveryBatches = 1
+	// Sim 0 sends 8 steps and sim 1 at least 3 before it dies: two full
+	// batches are certain, a third is not.
+	drained := make(chan struct{})
+	cfg.Trainer.OnBatchEnd = func(batches int) {
+		if batches == 2 {
+			close(drained)
+		}
+	}
 	srv1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -371,11 +379,11 @@ func TestServerCheckpointRestart(t *testing.T) {
 	if err := runClient(t, srv1, 1, 0, 4); err == nil {
 		t.Fatal("expected injected failure")
 	}
-	// Let the trainer drain what it has, then kill the server.
-	time.Sleep(200 * time.Millisecond)
+	// Let the trainer train what is certain to arrive, then kill the server.
+	testwait.Recv(t, drained, "the second batch")
 	cancel1()
-	if err := wait1(); err != nil {
-		t.Fatal(err)
+	if err := wait1(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled server returned %v, want the cancellation", err)
 	}
 	occ1 := srv1.Metrics().Occurrences()
 	if len(occ1) == 0 {
@@ -383,6 +391,7 @@ func TestServerCheckpointRestart(t *testing.T) {
 	}
 
 	// Replacement server restores the checkpoint.
+	cfg.Trainer.OnBatchEnd = nil
 	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -419,102 +428,55 @@ func TestServerCheckpointRestart(t *testing.T) {
 	}
 }
 
-// TestRestoreLegacyCheckpointMigratesSeen writes a checkpoint in the
-// pre-bitset on-disk shape (dedup log as per-rank map[Key]bool, SimState
-// without the Seen bitset) and restores it: the legacy log must fold into
-// the per-sim bitsets so replayed steps are still discarded.
-func TestRestoreLegacyCheckpointMigratesSeen(t *testing.T) {
-	cfg := testConfig(1, 1, buffer.FIFOKind)
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	weights, optState, err := srv.Trainer().CaptureState()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type legacySimState struct {
-		ClientID int32
-		Steps    int32
-		Received int32
-		Goodbye  bool
-	}
-	type legacyCheckpoint struct {
-		Ranks   int
-		Batches int
-		Samples int
-
-		Weights  []byte
-		OptState []byte
-
-		Seen []map[buffer.Key]bool
-		Sims []map[int32]legacySimState
-
-		BufSeen   [][]buffer.Sample
-		BufUnseen [][]buffer.Sample
-	}
-	legacy := legacyCheckpoint{
-		Ranks:    1,
-		Batches:  3,
-		Samples:  12,
-		Weights:  weights,
-		OptState: optState,
-		Seen: []map[buffer.Key]bool{{
-			{SimID: 0, Step: 1}: true,
-			{SimID: 0, Step: 2}: true,
-			{SimID: 0, Step: 3}: true,
-		}},
-		Sims: []map[int32]legacySimState{{
-			0: {ClientID: 0, Steps: testSteps, Received: 3},
-		}},
-		BufSeen:   make([][]buffer.Sample, 1),
-		BufUnseen: make([][]buffer.Sample, 1),
-	}
-	path := filepath.Join(t.TempDir(), "legacy.ckpt")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewEncoder(f).Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if err := srv.RestoreCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Metrics().Batches(); got != 3 {
-		t.Fatalf("restored batches %d, want 3", got)
-	}
-	// Replays of the logged steps must be dropped; a fresh step stored.
-	for _, step := range []int32{1, 2, 3, 4} {
-		ingestZeroStep(srv, step)
-	}
-	if got := srv.bufs[0].Len(); got != 1 {
-		t.Fatalf("buffer holds %d samples, want 1 (steps 1-3 are replays)", got)
-	}
-}
-
-// ingestZeroStep feeds rank 0 one all-zero frame of simulation 0, the way
-// its aggregator would.
-func ingestZeroStep(srv *Server, step int32) {
+// ingestStep feeds local rank one all-zero frame, the way its aggregator
+// would.
+func ingestStep(srv *Server, rank int, sim, step int32) {
 	norm := srv.cfg.Trainer.Normalizer
 	ts := protocol.LeaseTimeStep()
-	ts.SimID, ts.Step = 0, step
+	ts.SimID, ts.Step = sim, step
 	ts.Input = append(ts.Input[:0], make([]float32, norm.InputDim())...)
 	ts.Field = append(ts.Field[:0], make([]float32, norm.OutputDim())...)
-	srv.ingestTimeStep(0, ts)
+	srv.ingestTimeStep(rank, ts)
 }
 
-// TestUserCancelStaysCancelled is the regression test for the cancel hang:
-// a frame that finds its buffer full and reception ended used to reopen
-// reception unless the aggregator itself had ended it, so after a user
-// cancel a straggler put the Reservoir back in service and the trainer
-// never drained. The trainer is parked in its batch hook so the buffer
-// stays full; the stragglers must all be dropped while it is still parked.
+func encodeIngest(t testing.TB, ing *ingestState) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ing); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// checkCut asserts the conservation invariant of a FIFO checkpoint whose
+// batches were all full: on every rank, each sample the message log calls
+// received is either trained at the boundary or in the buffer snapshot.
+func checkCut(t *testing.T, st *elastic.State, ranks, batchSize int) {
+	t.Helper()
+	ing, err := decodeIngest(st.App, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range ing.Sims {
+		received := 0
+		for _, sim := range ing.Sims[r] {
+			received += int(sim.Received)
+		}
+		trained := st.Batch * batchSize
+		buffered := len(ing.BufSeen[r]) + len(ing.BufUnseen[r])
+		if received != trained+buffered {
+			t.Errorf("rank %d: received %d = trained %d + buffered %d (missing %d)",
+				r, received, trained, buffered, received-trained-buffered)
+		}
+	}
+}
+
+// TestUserCancelStaysCancelled: once a run is cancelled, no straggler frame
+// puts a buffer back in service. The trainer is parked in its batch hook
+// with the Reservoir full when the cancel lands, so the stragglers find no
+// room; they wait — nothing in the buffer says "stop" — until the trainer
+// leaves and Run's shutdown ends reception, then every one of them is
+// refused and Run returns.
 func TestUserCancelStaysCancelled(t *testing.T) {
 	cfg := testConfig(1, 1, buffer.ReservoirKind)
 	cfg.Buffer = buffer.Config{Kind: buffer.ReservoirKind, Capacity: 4, Threshold: 2, Seed: 42}
@@ -534,30 +496,255 @@ func TestUserCancelStaysCancelled(t *testing.T) {
 	defer cancel()
 	wait := runServer(t, srv, ctx)
 	for step := int32(1); step <= 4; step++ {
-		ingestZeroStep(srv, step)
+		ingestStep(srv, 0, 0, step)
 	}
-	<-parked
+	testwait.Recv(t, parked, "the first batch")
 
 	cancel()
+	const stragglers = 56
 	produced := make(chan struct{})
 	go func() {
 		defer close(produced)
-		for step := int32(5); step <= 60; step++ {
-			ingestZeroStep(srv, step) // fills the buffer, then every frame is refused
+		for step := int32(5); step < 5+stragglers; step++ {
+			ingestStep(srv, 0, 0, step) // fills the buffer, then waits for room
 		}
 	}()
-	select {
-	case <-produced:
-	case <-time.After(10 * time.Second):
-		close(release)
-		t.Fatal("a straggler frame after cancel reopened reception and is waiting for room")
-	}
+	testwait.Until(t, "a straggler to find the buffer full", func() bool {
+		producers, _ := srv.bufs[0].Parked()
+		return producers == 1
+	})
 	close(release)
-	if err := wait(); err != nil {
+	if err := wait(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled server returned %v, want the cancellation", err)
+	}
+	testwait.Recv(t, produced, "the stragglers to be refused")
+	if got := srv.receivedOnRank(0); got >= 4+stragglers {
+		t.Fatalf("all %d frames were stored after a cancel; the stragglers were not refused", got)
+	}
+}
+
+// TestRunReturnsWithAggregatorParked is the regression test for the
+// shutdown hang: when training returns for any reason but drained buffers
+// — MaxBatches reached, a collective error — while an aggregator is parked
+// in PutCopy on a full buffer, nobody will ever make room, and Run used to
+// wait for that aggregator forever.
+func TestRunReturnsWithAggregatorParked(t *testing.T) {
+	cases := map[string]struct {
+		maxBatches int
+		abort      bool
+	}{
+		"max-batches":      {maxBatches: 1},
+		"collective-error": {abort: true},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(1, 1, buffer.FIFOKind)
+			cfg.Buffer.Capacity = 2
+			cfg.Trainer.MaxBatches = tc.maxBatches
+			cfg.Group = ddp.RankGroup{Comm: ddp.NewCommunicator(1)}
+			parked, release := make(chan struct{}), make(chan struct{})
+			cfg.Trainer.OnBatchEnd = func(batches int) {
+				if batches == 1 {
+					close(parked)
+					<-release
+					if tc.abort {
+						cfg.Group.Abort()
+					}
+				}
+			}
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wait := runServer(t, srv, context.Background())
+
+			// One batch, two frames that fill the FIFO, one that parks the
+			// aggregator, and a few queued behind it.
+			const frames = 12
+			api, err := client.InitCommunication(client.Config{ClientID: 0, SimID: 0, ServerAddrs: srv.Addrs()}, frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer api.Abort()
+			input, field := make([]float64, 6), make([]float64, testNField)
+			for step := 1; step <= frames; step++ {
+				if err := api.Send(step, input, field); err != nil {
+					t.Fatal(err)
+				}
+			}
+			testwait.Recv(t, parked, "the first batch")
+			testwait.Until(t, "the aggregator to park in PutCopy", func() bool {
+				producers, _ := srv.bufs[0].Parked()
+				return producers == 1
+			})
+			close(release)
+			err = wait()
+			if tc.abort && !errors.Is(err, transport.ErrRingAborted) {
+				t.Fatalf("Run returned %v, want the collective error", err)
+			}
+			if !tc.abort && err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestCheckpointIsBoundaryCut is the regression test for the static
+// checkpoint's torn cut. Ranks reach a boundary up to one batch apart: rank
+// 0 is held at boundary 1 until rank 1 has extracted batch 2. A capture of
+// every rank's buffer from rank 0's boundary then shows rank 1 without
+// those four samples, which sit in its message log and nowhere else, so a
+// restart discards every replay of them. Each rank capturing at its own
+// boundary conserves them: the written state satisfies received == trained
+// + buffered on every rank, and a server restarted from it trains each
+// received sample exactly once.
+func TestCheckpointIsBoundaryCut(t *testing.T) {
+	const ranks, perRank = 2, 12
+	dir := t.TempDir()
+	ckPath, cut := filepath.Join(dir, "server.ckpt"), filepath.Join(dir, "cut.ckpt")
+	cfg := testConfig(ranks, 1, buffer.FIFOKind)
+	cfg.CheckpointPath = ckPath
+	cfg.CheckpointEveryBatches = 1
+	batch := cfg.Trainer.BatchSize
+
+	release, taken := make(chan struct{}), make(chan error, 1)
+	cfg.Trainer.OnLocalBatchEnd = func(rank, batches int) {
+		if rank == 0 && batches == 1 {
+			<-release
+		}
+	}
+	cfg.Trainer.OnBatchEnd = func(batches int) {
+		if batches == 1 {
+			// Boundary 1 is complete and boundary 2 needs this rank: the
+			// file is the batch-1 checkpoint and stays so while we copy it.
+			data, err := os.ReadFile(ckPath)
+			if err == nil {
+				err = os.WriteFile(cut, data, 0o644)
+			}
+			taken <- err
+		}
+	}
+	srv1, err := New(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !srv.bufs[0].Drained() {
-		t.Fatalf("buffer not drained after a cancelled run: %d samples left", srv.bufs[0].Len())
+	// Client 0's 24 steps, routed round-robin like the client library does.
+	for step := int32(1); step <= ranks*perRank; step++ {
+		ingestStep(srv1, int(step)%ranks, 0, step)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wait1 := runServer(t, srv1, ctx)
+	testwait.Until(t, "rank 1 to extract batch 2", func() bool { return srv1.bufs[1].Len() == perRank-2*batch })
+	close(release)
+	if err := testwait.Recv(t, taken, "the batch-1 checkpoint"); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := wait1(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled server returned %v, want the cancellation", err)
+	}
+
+	st, err := elastic.ReadState(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Batch != 1 {
+		t.Fatalf("copied the batch-%d checkpoint, want batch 1", st.Batch)
+	}
+	checkCut(t, st, ranks, batch)
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	// Restart from the cut. The restarted client replays its whole
+	// trajectory; every step was received before the checkpoint, so all of
+	// it is discarded and only what the checkpoint buffered gets trained.
+	cfg.Trainer.OnLocalBatchEnd, cfg.Trainer.OnBatchEnd = nil, nil
+	cfg.CheckpointPath = ""
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv2.RestoreCheckpoint(cut); err != nil {
+		t.Fatal(err)
+	}
+	wait2 := runServer(t, srv2, context.Background())
+	job := testJob(srv2, 0, ranks*perRank)
+	job.Client.Restart = 1
+	if err := client.Run(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait2(); err != nil {
+		t.Fatal(err)
+	}
+	occ := srv2.Metrics().Occurrences()
+	for step := 1; step <= ranks*perRank; step++ {
+		want := 1
+		if step <= ranks*batch {
+			want = 0 // batch 1 of either rank: trained before the checkpoint
+		}
+		if got := occ[buffer.Key{SimID: 0, Step: step}]; got != want {
+			t.Errorf("step %d trained %d times after the restart, want %d", step, got, want)
+		}
+	}
+}
+
+// TestCheckpointCutExcludesFrameInFlight: under back-pressure the
+// aggregator spends its time parked in PutCopy holding one frame. That
+// frame is logged as received only once it is in the buffer, so a cut taken
+// meanwhile does not list a sample it cannot restore.
+func TestCheckpointCutExcludesFrameInFlight(t *testing.T) {
+	cfg := testConfig(1, 1, buffer.FIFOKind)
+	cfg.Buffer.Capacity = 4
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.closeListeners()
+	for step := int32(1); step <= 4; step++ {
+		ingestStep(srv, 0, 0, step)
+	}
+	stored := make(chan struct{})
+	go func() {
+		defer close(stored)
+		ingestStep(srv, 0, 0, 5)
+	}()
+	testwait.Until(t, "the fifth frame to park in PutCopy", func() bool {
+		producers, _ := srv.bufs[0].Parked()
+		return producers == 1
+	})
+	st, err := newBoundaries(srv).capture(srv.trainer, 0, 0)
+	if err != nil || st == nil {
+		t.Fatalf("capture: state %v, err %v", st, err)
+	}
+	checkCut(t, st, 1, cfg.Trainer.BatchSize)
+	srv.bufs[0].EndReception()
+	testwait.Recv(t, stored, "the parked frame to be refused")
+}
+
+// TestRestoreRejectsMisshapenIngestState: the restore indexes three
+// per-rank slices by rank, and all three lengths come from the file.
+func TestRestoreRejectsMisshapenIngestState(t *testing.T) {
+	srv, err := New(testConfig(2, 1, buffer.FIFOKind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.closeListeners()
+	shapes := map[string]ingestState{
+		"short sims":   {Sims: make([]map[int32]SimState, 1), BufSeen: make([][]buffer.Sample, 2), BufUnseen: make([][]buffer.Sample, 2)},
+		"short seen":   {Sims: make([]map[int32]SimState, 2), BufSeen: make([][]buffer.Sample, 1), BufUnseen: make([][]buffer.Sample, 2)},
+		"short unseen": {Sims: make([]map[int32]SimState, 2), BufSeen: make([][]buffer.Sample, 2)},
+		"long":         {Sims: make([]map[int32]SimState, 3), BufSeen: make([][]buffer.Sample, 3), BufUnseen: make([][]buffer.Sample, 3)},
+	}
+	for name, ing := range shapes {
+		if err := srv.restoreIngest(&elastic.State{App: encodeIngest(t, &ing)}); err == nil {
+			t.Errorf("%s: restore accepted a state that does not match 2 ranks", name)
+		}
+	}
+	ok := ingestState{Sims: make([]map[int32]SimState, 2), BufSeen: make([][]buffer.Sample, 2), BufUnseen: make([][]buffer.Sample, 2)}
+	if err := srv.restoreIngest(&elastic.State{App: encodeIngest(t, &ok)}); err != nil {
+		t.Fatalf("well-shaped state refused: %v", err)
 	}
 }
 
@@ -574,4 +761,42 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("expected error for unknown buffer kind")
 	}
+}
+
+// FuzzIngestState feeds the restore truncated, misshapen and garbage ingest
+// payloads — the bytes come from a checkpoint file. It must return an error
+// or restore; it must never panic, whatever lengths the payload claims.
+func FuzzIngestState(f *testing.F) {
+	const ranks = 2
+	sample := buffer.Sample{SimID: 1, Step: 2, Input: make([]float32, 6), Output: make([]float32, testNField)}
+	good := ingestState{
+		Sims:      []map[int32]SimState{{1: {ClientID: 1, Steps: 8, Received: 2, Seen: []uint64{6}}}, {}},
+		BufSeen:   [][]buffer.Sample{nil, {sample}},
+		BufUnseen: [][]buffer.Sample{{sample}, nil},
+	}
+	valid := encodeIngest(f, &good)
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(encodeIngest(f, &ingestState{Sims: good.Sims}))
+	f.Add(encodeIngest(f, &ingestState{Sims: good.Sims[:1], BufSeen: good.BufSeen, BufUnseen: good.BufUnseen}))
+	f.Add(encodeIngest(f, &ingestState{Sims: []map[int32]SimState{{1: {Steps: 1 << 30, Goodbye: true}}, {}}, BufSeen: good.BufSeen, BufUnseen: good.BufUnseen}))
+	f.Add([]byte{1, 2, 3})
+
+	srv, err := New(testConfig(ranks, 1, buffer.FIFOKind))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.closeListeners)
+	f.Fuzz(func(t *testing.T, app []byte) {
+		if err := srv.restoreIngest(&elastic.State{App: app}); err != nil {
+			return
+		}
+		for r, b := range srv.bufs {
+			// What was accepted is what the next boundary captures.
+			if _, err := newBoundaries(srv).capture(srv.trainer, r, 0); err != nil {
+				t.Fatal(err)
+			}
+			b.ReplaceContents(func(_, _ []buffer.Sample) ([]buffer.Sample, []buffer.Sample) { return nil, nil })
+		}
+	})
 }

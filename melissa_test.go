@@ -5,10 +5,10 @@ import (
 	"context"
 	"errors"
 	"math"
-	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"melissa/internal/testwait"
 )
 
 func tinyConfig() Config {
@@ -44,7 +44,7 @@ func TestConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := tinyConfig()
 		mutate(&cfg)
-		if _, err := RunOnline(context.Background(), cfg); err == nil {
+		if _, err := runOnline(t, cfg); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
@@ -60,7 +60,7 @@ func TestRunOnlineEndToEnd(t *testing.T) {
 	prob := &parkingProblem{Problem: Heat(), parkAt: cfg.StepsPerSim - 1, parked: make(chan struct{}, 1), gate: make(chan struct{}), openAfter: 200 * int64(cfg.BatchSize)}
 	prob.free.Store(int64(cfg.ValidationSims))
 	cfg.Problem = prob
-	res, err := RunOnline(context.Background(), cfg)
+	res, err := runOnline(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,11 @@ func TestRunOnlineDeterministicConfigSurface(t *testing.T) {
 	// order — and thus exact weights — can differ across live runs; full
 	// determinism is a property of the simulated mode.)
 	cfg := tinyConfig()
-	a, err := RunOnline(context.Background(), cfg)
+	a, err := runOnline(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunOnline(context.Background(), cfg)
+	b, err := runOnline(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestRunOnlineDeterministicConfigSurface(t *testing.T) {
 
 func TestSurrogateSaveLoadRoundtrip(t *testing.T) {
 	cfg := tinyConfig()
-	res, err := RunOnline(context.Background(), cfg)
+	res, err := runOnline(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSurrogateSaveLoadRoundtrip(t *testing.T) {
 }
 
 func TestPredictBatchMatchesSingle(t *testing.T) {
-	res, err := RunOnline(context.Background(), tinyConfig())
+	res, err := runOnline(t, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,6 +260,15 @@ func (n countingNormalizer) NormalizeOutput(raw, dst []float32) {
 	}
 }
 
+// runOnline is RunOnline under the suite's pipeline deadline: a pipeline
+// that never terminates fails here with every goroutine's stack.
+func runOnline(t testing.TB, cfg Config) (*RunResult, error) {
+	t.Helper()
+	return testwait.Run2(t, "RunOnline to return", func() (*RunResult, error) {
+		return RunOnline(context.Background(), cfg)
+	})
+}
+
 func TestRunOnlineContextCancel(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.ValidationSims = 0 // the validation set would park too
@@ -273,26 +282,10 @@ func TestRunOnlineContextCancel(t *testing.T) {
 		errc <- err
 	}()
 
-	// A cancelled pipeline that never terminates must fail here, with the
-	// evidence, instead of presenting as a stuck CI job.
-	deadline := time.After(60 * time.Second)
-	hung := func(what string) {
-		buf := make([]byte, 1<<20)
-		t.Fatalf("%s; goroutines:\n%s", what, buf[:runtime.Stack(buf, true)])
-	}
-	select {
-	case <-prob.parked:
-	case <-deadline:
-		hung("no client reached its parking step")
-	}
+	testwait.Recv(t, prob.parked, "a client to reach its parking step")
 	cancel()
 	close(prob.gate)
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunOnline returned %v, want the cancellation error", err)
-		}
-	case <-deadline:
-		hung("RunOnline did not return after cancel")
+	if err := testwait.Recv(t, errc, "RunOnline to return after cancel"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunOnline returned %v, want the cancellation error", err)
 	}
 }

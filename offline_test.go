@@ -92,11 +92,11 @@ func TestWarmStartWorkflow(t *testing.T) {
 
 	warmCfg := tinyConfig()
 	warmCfg.WarmStart = pre.Surrogate
-	warm, err := RunOnline(context.Background(), warmCfg)
+	warm, err := runOnline(t, warmCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := RunOnline(context.Background(), tinyConfig())
+	cold, err := runOnline(t, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

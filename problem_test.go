@@ -78,7 +78,7 @@ func TestProblemFieldGeometry(t *testing.T) {
 // in the call path.
 func TestGrayScottOnlineEndToEnd(t *testing.T) {
 	cfg := tinyGrayScottConfig()
-	res, err := RunOnline(context.Background(), cfg)
+	res, err := runOnline(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestSimulateMatchesProblemSolver(t *testing.T) {
 func TestCustomSamplerDimensionError(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Sampler = func() []float64 { return []float64{0.5, 0.5, 0.5} } // heat wants 5
-	_, err := RunOnline(context.Background(), cfg)
+	_, err := runOnline(t, cfg)
 	if err == nil {
 		t.Fatal("expected dimension error")
 	}

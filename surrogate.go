@@ -286,8 +286,7 @@ func (s *Surrogate) SaveFile(path string) error {
 
 // LoadSurrogate reconstructs a surrogate from a checkpoint written by Save.
 // The embedded metadata names the problem (resolved through the registry)
-// and the architecture, so no further arguments are needed. For raw weight
-// payloads without metadata, use LoadSurrogateLegacy.
+// and the architecture, so no further arguments are needed.
 func LoadSurrogate(r io.Reader) (*Surrogate, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -295,7 +294,7 @@ func LoadSurrogate(r io.Reader) (*Surrogate, error) {
 		return nil, fmt.Errorf("melissa: reading checkpoint magic: %w", err)
 	}
 	if string(magic) != surrogateMagic {
-		return nil, fmt.Errorf("melissa: checkpoint has no metadata block (magic %q) — re-read the payload with LoadSurrogateLegacy and an explicit architecture (this reader has already been partially consumed)", magic)
+		return nil, fmt.Errorf("melissa: checkpoint has no metadata block (magic %q); a raw weight payload is wrapped with SurrogateFromNetwork", magic)
 	}
 	var version uint32
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
@@ -384,32 +383,6 @@ func LoadSurrogateFile(path string) (*Surrogate, error) {
 	}
 	defer f.Close()
 	return LoadSurrogate(f)
-}
-
-// LoadSurrogateLegacy reconstructs a heat-equation surrogate from a raw
-// weight payload without a metadata block (a server checkpoint, or a file
-// saved before metadata existed). The architecture parameters must match
-// those used in training.
-func LoadSurrogateLegacy(r io.Reader, gridN, stepsPerSim int, dt float64, hidden []int, seed uint64) (*Surrogate, error) {
-	prob := Heat()
-	cfg := Config{Problem: prob, GridN: gridN, StepsPerSim: stepsPerSim, Dt: dt, Hidden: hidden, Seed: seed}
-	norm := prob.Normalizer(cfg)
-	net := nn.ArchitectureMLP(norm.InputDim(), hidden, norm.OutputDim(), seed)
-	if err := net.LoadWeights(r); err != nil {
-		return nil, err
-	}
-	meta := Meta{Problem: prob.Name(), GridN: gridN, StepsPerSim: stepsPerSim, Dt: dt, Hidden: append([]int(nil), hidden...), Seed: seed}
-	return newSurrogate(net, norm, meta), nil
-}
-
-// LoadSurrogateLegacyFile reads a raw heat-equation weights file.
-func LoadSurrogateLegacyFile(path string, gridN, stepsPerSim int, dt float64, hidden []int, seed uint64) (*Surrogate, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadSurrogateLegacy(f, gridN, stepsPerSim, dt, hidden, seed)
 }
 
 // writeString / readString mirror the nn checkpoint string encoding.

@@ -2,7 +2,6 @@ package melissa
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"testing"
 
@@ -70,34 +69,16 @@ func TestCheckpointRoundTripBothProblems(t *testing.T) {
 	}
 }
 
-// TestLegacyWeightsCompat: raw v2 nn payloads (no metadata block) still
-// load through the legacy signature, bit-identically.
-func TestLegacyWeightsCompat(t *testing.T) {
+// TestRawWeightsRejected: a raw nn weight payload (no metadata block) is
+// refused by the self-describing loader, not misparsed.
+func TestRawWeightsRejected(t *testing.T) {
 	s := freshSurrogate(Heat())
 	var raw bytes.Buffer
-	if err := s.net.SaveWeights(&raw); err != nil { // what a server checkpoint holds
+	if err := s.net.SaveWeights(&raw); err != nil {
 		t.Fatal(err)
 	}
-	payload := raw.Bytes()
-
-	// The metadata-aware loader must reject it with a pointer to the
-	// legacy path, not misparse it.
-	if _, err := LoadSurrogate(bytes.NewReader(payload)); err == nil {
+	if _, err := LoadSurrogate(&raw); err == nil {
 		t.Fatal("LoadSurrogate accepted a raw weights payload")
-	}
-
-	m := s.Meta()
-	loaded, err := LoadSurrogateLegacy(bytes.NewReader(payload), m.GridN, m.StepsPerSim, m.Dt, m.Hidden, m.Seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := midPoint(Heat())
-	a := s.Predict(p, 0.03)
-	b := loaded.Predict(p, 0.03)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("legacy-loaded surrogate predicts differently at %d", i)
-		}
 	}
 }
 
@@ -105,7 +86,7 @@ func TestLegacyWeightsCompat(t *testing.T) {
 // Gray–Scott surrogate survives SaveFile/LoadSurrogateFile bit-identically.
 func TestTrainedCheckpointRoundTrip(t *testing.T) {
 	cfg := tinyGrayScottConfig()
-	res, err := RunOnline(context.Background(), cfg)
+	res, err := runOnline(t, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +204,7 @@ func TestPredictParallel(t *testing.T) {
 // keeps no gradient slab, the live network keeps its own, and the forward
 // workspaces extra callers draw alias the one weight slab.
 func TestSurrogateHoldsWeightsOnly(t *testing.T) {
-	res, err := RunOnline(context.Background(), tinyGrayScottConfig())
+	res, err := runOnline(t, tinyGrayScottConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
