@@ -151,7 +151,7 @@ func TestValidateZeroAlloc(t *testing.T) {
 	// partial 4), so the gate covers the activation pools for each.
 	set := NewValidationSet(norm, synthSamples(20, 5))
 	net, _ := ModelSpec{InputDim: 6, Hidden: []int{8, 8}, OutputDim: testFieldDim, Seed: 2}.Build()
-	Validate(net, set, 8) // warm the per-shape activation pools
+	Validate(net, set, 8) // size the activation buffers
 	allocs := testing.AllocsPerRun(20, func() {
 		Validate(net, set, 8)
 	})

@@ -19,8 +19,8 @@ type Dense struct {
 
 	lastX *tensor.Matrix // input recorded by Forward for the weight gradient
 	lastY *tensor.Matrix // output recorded by Forward for the fused act′
-	out   scratch        // output activations, cached per batch shape
-	dx    scratch        // input gradients, cached per batch shape
+	out   scratch        // output activations
+	dx    scratch        // input gradients
 	dz    scratch        // pre-activation gradients (fused act only)
 }
 

@@ -2,36 +2,22 @@ package nn
 
 import "melissa/internal/tensor"
 
-// scratchCap bounds how many distinct batch shapes a layer caches. Training
-// alternates between only a handful of row counts (the synchronized batch,
-// tail batches, and the validation chunk sizes), so a tiny cache removes
-// all steady-state activation allocations; if more shapes ever cycle
-// through, the oldest slot is recycled.
-const scratchCap = 16
-
-// scratch is a per-layer pool of activation matrices keyed by shape, so
-// alternating batch sizes (training batch, tail batch, validation chunk)
-// all reuse storage instead of reallocating on every shape switch.
+// scratch is one activation buffer of a layer: storage for the most rows
+// any call has asked for, handed out as a view of its first rows. Row
+// counts come and go — the training batch, its tail, validation chunks, a
+// serve batch of any size up to a replica's MaxBatch — and none of them
+// allocates once the largest has been seen.
 type scratch struct {
-	mats []*tensor.Matrix
-	next int // round-robin eviction cursor
+	full, view tensor.Matrix
 }
 
-// get returns a cached rows×cols matrix, allocating only the first time a
-// shape is seen. Contents are whatever the previous use left; callers
-// overwrite every element.
+// get returns a rows×cols matrix whose contents are whatever the previous
+// use left; callers overwrite every element. The matrix is valid until the
+// next get on this scratch.
 func (s *scratch) get(rows, cols int) *tensor.Matrix {
-	for _, m := range s.mats {
-		if m.Rows == rows && m.Cols == cols {
-			return m
-		}
+	if s.full.Cols != cols || s.full.Rows < rows {
+		s.full = *tensor.New(rows, cols)
 	}
-	m := tensor.New(rows, cols)
-	if len(s.mats) < scratchCap {
-		s.mats = append(s.mats, m)
-	} else {
-		s.mats[s.next] = m
-		s.next = (s.next + 1) % scratchCap
-	}
-	return m
+	s.full.ViewRows(&s.view, 0, rows)
+	return &s.view
 }

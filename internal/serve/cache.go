@@ -9,8 +9,8 @@ import (
 
 // predictCache is an LRU map from interned (params, t) query keys to
 // predicted fields. Exact float32 bit-matching is the right key discipline
-// here: replicas pin their GEMM shape (see melissa.Replica), so a query's
-// answer is a deterministic function of the checkpoint and the query bits,
+// here: a forward row depends on no other row (see melissa.Replica), so a
+// query's answer is a function of the checkpoint and the query bits alone,
 // and a cached field is indistinguishable from a fresh compute.
 //
 // Staleness across hot reloads has two policies. The default (keepEpochs

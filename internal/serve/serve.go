@@ -12,8 +12,8 @@
 // worker evaluates on a melissa.Replica sharing the one weight slab, so N
 // workers scale across cores without N copies of the model. A prediction
 // cache: an LRU keyed on the exact query bits answers repeated queries
-// without touching a replica (replicas pin their GEMM shape, so a cached
-// field is bit-identical to a recomputed one).
+// without touching a replica (an answer depends on its query alone, so a
+// cached field is bit-identical to a recomputed one).
 //
 // Checkpoints hot-reload without dropping requests: a reload builds a fresh
 // model (surrogate + replica pool) and publishes it with one atomic pointer
@@ -60,7 +60,7 @@ type Config struct {
 	// inference replica sharing the model's weight slab. Default 2.
 	Replicas int
 	// MaxBatch caps how many requests one worker coalesces into a fused
-	// forward pass (and fixes the replicas' GEMM shape). Default 32.
+	// forward pass; a capacity only, answers do not depend on it. Default 32.
 	MaxBatch int
 	// BatchWait is the micro-batching latency budget: how long an admitted
 	// request may wait for companions before its batch closes regardless of

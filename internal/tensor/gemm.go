@@ -6,26 +6,13 @@ import (
 	"os"
 )
 
-// GEMM comes in two implementations selected once at startup (see
-// gemmModeFromEnv) and then by problem size:
-//
-//   - The blocked kernel tiles the output into blockM×blockN macro-tiles,
-//     walks the shared dimension in blockK slabs, packs each operand slab
-//     into micro-kernel order (pack.go) and drives the register-tiled 4×16
-//     micro-kernel (microkernel.go) over the packed panels, applying any
-//     fused epilogue while the tile is still cache-hot. Pool parallelism is
-//     over macro-tiles, so the tile decomposition — and therefore every
-//     float's accumulation order — depends only on the matrix shapes, never
-//     on worker count or scheduling: fixed-shape results are bit-identical
-//     across runs and ranks.
-//   - The naive kernels are the original i,k,j / dot / axpy loops, kept as
-//     the reference implementation for the equivalence suite and as the
-//     small-problem fast path (packing and tile setup dominate below
-//     naiveMaxWork multiply-adds).
-//
-// Blocked and naive results differ only in floating-point rounding (the
-// blocked micro-kernel may use fused multiply-add); see the package comment
-// for the tolerance contract.
+// GEMM has three drivers, selected once at startup (gemmModeFromEnv) and
+// then by shape (gemm): blocked — macro-tiles over packed panels, on the
+// pool; skinny — a·b and a·bᵀ of at most skinnyM rows, b read where it
+// lies, on the caller's goroutine; naive — the reference loops, and the fast
+// path for operands too small to tile. The package comment states each
+// one's accumulation order and what follows from them (row invariance, the
+// tolerance between drivers, non-finite operands).
 
 // Blocking parameters: macro-tiles are blockM×blockN, the shared dimension
 // is walked in blockK slabs. Sized so one packed A block (blockM·blockK
@@ -39,10 +26,17 @@ const (
 	blockN = 256
 )
 
+// skinnyM is the most rows the skinny driver takes: the training batch and
+// most serve batches are under it, and packing a megabyte of weights for
+// ten rows to use once cost more than the product. BenchmarkMatMul's 16- and
+// 17-row entries sit on either side.
+const skinnyM = 16
+
 // naiveMaxWork is the multiply-add count below which the naive kernels beat
 // the blocked path (packing + tile setup amortize poorly). Measured on the
 // CI-class Xeon the crossover sits near 8×8×8 = 512 madds: 4×4×4 runs 105 ns
-// naive vs 171 ns blocked while 8×8×8 runs 520 ns vs 345 ns.
+// naive vs 171 ns blocked while 8×8×8 runs 520 ns vs 345 ns. a·b counts
+// eight rows whatever it has (useBlocked).
 const naiveMaxWork = 1 << 9
 
 // Epilogue selects the fused transformation applied to each output tile
@@ -90,12 +84,15 @@ func gemmModeFromEnv(v string) gemmModeT {
 	return gemmAuto
 }
 
-func useBlocked(m, n, k int) bool {
+func useBlocked(kind gemmKind, m, n, k int) bool {
 	switch gemmMode {
 	case gemmNaive:
 		return false
 	case gemmBlocked:
 		return true
+	}
+	if kind == gemmNN {
+		m = 8 // a row's kernel must not depend on how many rows came with it
 	}
 	return m*n*k >= naiveMaxWork
 }
@@ -175,13 +172,21 @@ func gemmDims(kind gemmKind, a, b *Matrix) (m, n, k int) {
 	return a.Rows, b.Cols, a.Cols
 }
 
-// gemm routes one validated GEMM to the blocked or naive implementation.
+// gemm routes one validated GEMM to the skinny, blocked or naive driver.
 func gemm(kind gemmKind, dst, a, b *Matrix, bias []float32, ep Epilogue) {
 	m, n, k := gemmDims(kind, a, b)
 	if m == 0 || n == 0 {
 		return
 	}
-	if useBlocked(m, n, k) {
+	if useBlocked(kind, m, n, k) {
+		if m <= skinnyM && kind != gemmTNAdd && gemmMode == gemmAuto {
+			if kind == gemmNN {
+				gemmSkinnyNN(dst, a, b, bias, ep)
+			} else {
+				gemmSkinnyNT(dst, a, b)
+			}
+			return
+		}
 		rowTiles := (m + blockM - 1) / blockM
 		colTiles := (n + blockN - 1) / blockN
 		if rowTiles > 1 {
@@ -208,6 +213,69 @@ func gemm(kind gemmKind, dst, a, b *Matrix, bias []float32, ep Epilogue) {
 	if ep != EpNone {
 		applyEpilogue(dst, 0, m, 0, n, bias, ep)
 	}
+}
+
+// gemmSkinnyNN computes dst = ep(a·b) for a.Rows ≤ skinnyM in the blocked
+// order without packing b: a's slab is packed (at most four micro-panels)
+// and the micro-kernel steps through 16 columns of b by its row stride.
+// Only a column tail of b is packed, because the kernel reads 16 floats.
+func gemmSkinnyNN(dst, a, b *Matrix, bias []float32, ep Epilogue) {
+	m, n, k := a.Rows, b.Cols, a.Cols
+	s := getGemmScratch()
+	Zero(dst.Data)
+	for k0 := 0; k0 < k; k0 += blockK {
+		kc := min(blockK, k-k0)
+		packANN(s.pa, a, 0, k0, m, kc)
+		for jr := 0; jr < n; jr += microN {
+			nv := min(microN, n-jr)
+			pb, ldb := b.Data[k0*n+jr:], n
+			if nv < microN {
+				packBNN(s.pb, b, k0, jr, kc, nv)
+				pb, ldb = s.pb, microN
+			}
+			for ir := 0; ir < m; ir += microM {
+				if mv := min(microM, m-ir); mv == microM && nv == microN {
+					kern4x16(kc, s.pa[ir*kc:], pb, ldb, dst.Data[ir*n+jr:], n)
+				} else {
+					edgeTile(s, kc, s.pa[ir*kc:], pb, ldb, dst.Data, ir*n+jr, n, mv, nv)
+				}
+			}
+		}
+	}
+	putGemmScratch(s)
+	if ep != EpNone {
+		applyEpilogue(dst, 0, m, 0, n, bias, ep)
+	}
+}
+
+// gemmSkinnyNT computes dst = a·bᵀ for a.Rows ≤ skinnyM: each pair of b's
+// rows is read once, as contiguous dots against four rows of a at a time
+// (a stays cache-resident). A last group that would run past the end is
+// moved back to overlap the one before — the recomputed dots are the same
+// bits — and with under four rows (or two of b) the stride is zero and the
+// kernel does one row several times.
+func gemmSkinnyNT(dst, a, b *Matrix) {
+	m, n, k := a.Rows, b.Rows, a.Cols
+	stepM, lda, stepN, ldb := microM, k, 2, k
+	if m < stepM {
+		stepM, lda = 1, 0
+	}
+	if n < stepN {
+		stepN, ldb = 1, 0
+	}
+	s := getGemmScratch()
+	out := (*[2 * microM]float32)(s.edge[:]) // a local would escape through the kernel variable
+	for j0 := 0; j0 < n; j0 += stepN {
+		j := min(j0, n-stepN)
+		for i0 := 0; i0 < m; i0 += stepM {
+			i := min(i0, m-stepM)
+			dot4x2(k, a.Data[i*k:], lda, b.Data[j*k:], ldb, out)
+			for r := 0; r < stepM; r++ {
+				copy(dst.Data[(i+r)*n+j:(i+r)*n+j+stepN], out[2*r:])
+			}
+		}
+	}
+	putGemmScratch(s)
 }
 
 // gemmSharedB is the blocked driver for outputs taller than one macro-tile
@@ -347,20 +415,21 @@ func sweepTile(t *task, s *gemmScratch, packedA, packedB []float32, i0, j0, mblk
 			pa := packedA[ir*kc:]
 			cbase := (i0+ir)*ld + j0 + jr
 			if mv == microM && nv == microN {
-				kern4x16(kc, pa, pb, dst.Data[cbase:], ld)
+				kern4x16(kc, pa, pb, microN, dst.Data[cbase:], ld)
 			} else {
-				edgeTile(s, kc, pa, pb, dst.Data, cbase, ld, mv, nv)
+				edgeTile(s, kc, pa, pb, microN, dst.Data, cbase, ld, mv, nv)
 			}
 		}
 	}
 }
 
-// edgeTile runs the full 4×16 micro-kernel into the scratch edge buffer
-// (operand panels are zero-padded, so the extra lanes compute zeros) and
-// adds only the valid mv×nv region into dst.
-func edgeTile(s *gemmScratch, kc int, pa, pb, dstData []float32, cbase, ld, mv, nv int) {
+// edgeTile runs the full 4×16 micro-kernel into the scratch edge buffer and
+// adds only the valid mv×nv region into dst. Each element is its own chain,
+// so what the zero-padded lanes compute (zeros, or NaN against a non-finite
+// operand) never reaches a valid one.
+func edgeTile(s *gemmScratch, kc int, pa, pb []float32, ldb int, dstData []float32, cbase, ld, mv, nv int) {
 	Zero(s.edge[:])
-	kern4x16(kc, pa, pb, s.edge[:], microN)
+	kern4x16(kc, pa, pb, ldb, s.edge[:], microN)
 	for r := 0; r < mv; r++ {
 		cr := dstData[cbase+r*ld : cbase+r*ld+nv]
 		er := s.edge[r*microN : r*microN+nv]
@@ -412,11 +481,7 @@ func matMulRange(dst, a, b *Matrix, r0, r1 int) {
 		}
 		ai := a.Data[i*a.Cols : (i+1)*a.Cols]
 		for k, aik := range ai {
-			if aik == 0 {
-				continue
-			}
-			bk := b.Data[k*n : (k+1)*n]
-			Axpy(aik, bk, ci)
+			Axpy(aik, b.Data[k*n:(k+1)*n], ci)
 		}
 	}
 }
@@ -437,9 +502,7 @@ func matMulATBAddRange(dst, a, b *Matrix, c0, c1 int) {
 		ak := a.Data[k*a.Cols : (k+1)*a.Cols]
 		bk := b.Data[k*b.Cols : (k+1)*b.Cols]
 		for c := c0; c < c1; c++ {
-			if aik := ak[c]; aik != 0 {
-				Axpy(aik, bk, dst.Data[c*dst.Cols:(c+1)*dst.Cols])
-			}
+			Axpy(ak[c], bk, dst.Data[c*dst.Cols:(c+1)*dst.Cols])
 		}
 	}
 }

@@ -14,11 +14,16 @@ import (
 // -benchmem pins the 0 allocs/op steady state.
 
 // gemmGrid is the training-shaped size grid: m = batch (paper: 10, plus
-// larger offline/validation batches), k/n = hidden widths and the flattened
-// field.
+// larger offline/validation batches and the serve batch from a lone row to
+// MaxBatch), k/n = hidden widths and the flattened field. 16 and 17 rows
+// are the two sides of skinnyM.
 var gemmGrid = [][3]int{
 	{10, 256, 256},
+	{1, 256, 1024},
 	{10, 256, 1024},
+	{16, 256, 1024},
+	{17, 256, 1024},
+	{32, 256, 1024},
 	{64, 256, 1024},
 	{256, 256, 1024},
 }
@@ -76,20 +81,25 @@ func BenchmarkMatMulBiasReLU(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulABT measures the dX = dY·Wᵀ backward form at the output
-// layer (batch 10, field 1024, hidden 256).
+// BenchmarkMatMulABT measures the dX = dY·Wᵀ backward form (m×k×n is
+// batch × layer out × layer in) at the paper's output and hidden layers,
+// and at the output layer on both sides of skinnyM.
 func BenchmarkMatMulABT(b *testing.B) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	dy := randMatrix(rng, 10, 1024)
-	w := randMatrix(rng, 256, 1024)
-	dst := New(10, 256)
-	MatMulABT(dst, dy, w)
-	flops := 2.0 * 10 * 1024 * 256
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulABT(dst, dy, w)
+	for _, s := range [][3]int{{10, 1024, 256}, {10, 256, 256}, {1, 1024, 256}, {16, 1024, 256}, {17, 1024, 256}, {32, 1024, 256}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(3, 4))
+			dy := randMatrix(rng, s[0], s[1])
+			w := randMatrix(rng, s[2], s[1])
+			dst := New(s[0], s[2])
+			MatMulABT(dst, dy, w)
+			flops := 2 * float64(s[0]) * float64(s[1]) * float64(s[2])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MatMulABT(dst, dy, w)
+			}
+			b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
-	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 // BenchmarkMatMulATBAdd measures the dW += Xᵀ·dY backward form at the

@@ -150,8 +150,7 @@ func TestBlockedGemmMatchesReferenceRandomShapes(t *testing.T) {
 // separate bias and activation passes — under both kernels.
 func TestFusedEpiloguesMatchUnfusedComposition(t *testing.T) {
 	for _, mode := range []gemmModeT{gemmNaive, gemmBlocked} {
-		name := map[gemmModeT]string{gemmNaive: "naive", gemmBlocked: "blocked"}[mode]
-		t.Run(name, func(t *testing.T) {
+		t.Run(gemmModeNames[mode], func(t *testing.T) {
 			forceGemmMode(t, mode)
 			rng := rand.New(rand.NewPCG(7, uint64(mode)))
 			for iter := 0; iter < 60; iter++ {
@@ -199,7 +198,7 @@ func TestFusedEpiloguesMatchUnfusedComposition(t *testing.T) {
 // destination for the overwrite forms (and leave it alone for the
 // accumulate form).
 func TestBlockedGemmZeroDims(t *testing.T) {
-	for _, mode := range []gemmModeT{gemmNaive, gemmBlocked} {
+	for _, mode := range []gemmModeT{gemmNaive, gemmBlocked, gemmAuto} {
 		forceGemmMode(t, mode)
 		// k = 0: overwrite forms zero dst.
 		dst := New(3, 5)
@@ -288,47 +287,59 @@ func TestGemmModeFromEnv(t *testing.T) {
 }
 
 // TestUseBlockedPolicy pins the auto dispatch: tiny problems stay on the
-// naive kernels, training-shaped ones go blocked, and the forced modes win
+// naive kernels, training-shaped ones leave them, a·b decides by the weight
+// shape alone — never by the row count — and the forced modes win
 // regardless of size.
 func TestUseBlockedPolicy(t *testing.T) {
 	forceGemmMode(t, gemmAuto)
-	if useBlocked(4, 4, 4) {
+	if useBlocked(gemmNN, 4, 4, 4) || useBlocked(gemmNT, 4, 4, 4) {
 		t.Fatal("4x4x4 should use the naive fast path")
 	}
-	if !useBlocked(10, 256, 256) {
-		t.Fatal("training shapes should use the blocked kernel")
+	if !useBlocked(gemmNN, 10, 256, 256) || !useBlocked(gemmNT, 10, 256, 256) || !useBlocked(gemmTNAdd, 256, 256, 10) {
+		t.Fatal("training shapes should leave the naive kernels")
+	}
+	for _, nk := range [][2]int{{4, 4}, {7, 9}, {8, 8}, {16, 3}, {256, 1024}} {
+		want := useBlocked(gemmNN, 1, nk[0], nk[1])
+		for m := 2; m <= 300; m++ {
+			if useBlocked(gemmNN, m, nk[0], nk[1]) != want {
+				t.Fatalf("a·b against a %dx%d weight changes kernel at %d rows", nk[1], nk[0], m)
+			}
+		}
 	}
 	gemmMode = gemmNaive
-	if useBlocked(256, 256, 1024) {
+	if useBlocked(gemmNN, 256, 256, 1024) {
 		t.Fatal("MELISSA_GEMM=naive must force the reference kernel")
 	}
 	gemmMode = gemmBlocked
-	if !useBlocked(2, 2, 2) {
+	if !useBlocked(gemmNN, 2, 2, 2) {
 		t.Fatal("MELISSA_GEMM=blocked must force the blocked kernel")
 	}
 }
 
 // TestGemmZeroAllocSteadyState verifies the packing-scratch freelist: after
-// warm-up, blocked GEMM calls (all forms, fused epilogues included) perform
-// zero heap allocations.
+// warm-up, GEMM calls (all forms, fused epilogues included) perform zero
+// heap allocations — on the packed driver and, at ten rows under auto, on
+// the skinny one.
 func TestGemmZeroAllocSteadyState(t *testing.T) {
-	forceGemmMode(t, gemmBlocked)
-	rng := rand.New(rand.NewPCG(8, 9))
-	x := randMatrix(rng, 10, 256)
-	w := randMatrix(rng, 256, 300)
-	bias := make([]float32, 300)
-	y := New(10, 300)
-	dy := randMatrix(rng, 10, 300)
-	dw := New(256, 300)
-	dx := New(10, 256)
-	step := func() {
-		MatMulBiasReLU(y, x, w, bias)
-		MatMulATBAdd(dw, x, dy)
-		MatMulABT(dx, dy, w)
-	}
-	step() // warm the scratch freelist
-	if avg := testing.AllocsPerRun(50, step); avg != 0 {
-		t.Fatalf("blocked GEMM allocates %v per step in steady state, want 0", avg)
+	for _, mode := range []gemmModeT{gemmBlocked, gemmAuto} {
+		forceGemmMode(t, mode)
+		rng := rand.New(rand.NewPCG(8, 9))
+		x := randMatrix(rng, 10, 256)
+		w := randMatrix(rng, 256, 300)
+		bias := make([]float32, 300)
+		y := New(10, 300)
+		dy := randMatrix(rng, 10, 300)
+		dw := New(256, 300)
+		dx := New(10, 256)
+		step := func() {
+			MatMulBiasReLU(y, x, w, bias)
+			MatMulATBAdd(dw, x, dy)
+			MatMulABT(dx, dy, w)
+		}
+		step() // warm the scratch freelist
+		if avg := testing.AllocsPerRun(50, step); avg != 0 {
+			t.Fatalf("%s GEMM allocates %v per step in steady state, want 0", gemmModeNames[mode], avg)
+		}
 	}
 }
 
@@ -361,30 +372,25 @@ func TestDotFloat64Accumulation(t *testing.T) {
 }
 
 // TestMicroKernelsAgree compares the active micro-kernel (FMA assembly
-// where available) against the portable Go kernel on random panels,
-// within the fused-rounding tolerance.
+// where available) against the portable Go kernel on random panels, packed
+// and strided: bit-equal, since kern4x16Go states the fused arithmetic.
 func TestMicroKernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(10, 11))
 	for _, kc := range []int{0, 1, 3, 17, 256} {
-		pa := make([]float32, microM*max(kc, 1))
-		pb := make([]float32, microN*max(kc, 1))
-		for i := range pa {
-			pa[i] = float32(rng.NormFloat64())
-		}
-		for i := range pb {
-			pb[i] = float32(rng.NormFloat64())
-		}
-		cActive := make([]float32, microM*microN)
-		cGo := make([]float32, microM*microN)
-		for i := range cActive {
-			cActive[i] = float32(i) * 0.25
-			cGo[i] = float32(i) * 0.25
-		}
-		kern4x16(kc, pa, pb, cActive, microN)
-		kern4x16Go(kc, pa, pb, cGo, microN)
-		tol := float64(kc+4) * 1.2e-7 * 16
-		if d := maxAbsDiffSlices(cActive, cGo); d > tol {
-			t.Fatalf("kc=%d: kernels differ by %v > %v", kc, d, tol)
+		for _, ldb := range []int{microN, microN + 5, 1024} {
+			pa := randMatrix(rng, max(kc, 1), microM).Data
+			pb := randMatrix(rng, max(kc, 1), ldb).Data
+			cActive := make([]float32, microM*microN)
+			cGo := make([]float32, microM*microN)
+			for i := range cActive {
+				cActive[i] = float32(i) * 0.25
+				cGo[i] = float32(i) * 0.25
+			}
+			kern4x16(kc, pa, pb, ldb, cActive, microN)
+			kern4x16Go(kc, pa, pb, ldb, cGo, microN)
+			if !bitsEqual(cActive, cGo) {
+				t.Fatalf("kc=%d ldb=%d: active %v, portable %v", kc, ldb, cActive, cGo)
+			}
 		}
 	}
 }

@@ -11,7 +11,10 @@ package tensor
 // dependency-less.
 
 //go:noescape
-func kern4x16FMA(kc int, pa, pb, c []float32, ldc int)
+func kern4x16FMA(kc int, pa, pb []float32, ldb int, c []float32, ldc int)
+
+//go:noescape
+func dot4x2FMA(k int, a []float32, lda int, w []float32, ldw int, out *[8]float32)
 
 //go:noescape
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -46,7 +49,7 @@ func hasAVX2FMA() bool {
 
 func init() {
 	if hasAVX2FMA() {
-		kern4x16 = kern4x16FMA
+		kern4x16, dot4x2 = kern4x16FMA, dot4x2FMA
 		adamRange = adamRangeAVX2
 	}
 }

@@ -16,32 +16,52 @@
 // slab the operands are copied into packed panels (pack.go) — contiguous,
 // zero-padded, micro-kernel-ordered scratch recycled through a freelist —
 // and a register-tiled 4×16 micro-kernel (microkernel.go, AVX2+FMA assembly
-// on capable amd64, portable Go elsewhere) accumulates each output tile
-// without touching memory for C inside the k-loop. Fused epilogues apply
-// bias-add and the layer activation to each tile right after accumulation,
-// while it is still cache-hot (MatMulBias, MatMulBiasReLU, MatMulBiasTanh),
-// replacing what used to be separate full passes over the activations.
-// The worker pool parallelizes over macro-tiles; tiles own disjoint output
-// regions and their decomposition depends only on the matrix shapes.
+// on capable amd64, a bit-equal portable twin elsewhere) accumulates each
+// output tile without touching memory for C inside the k-loop. Fused
+// epilogues apply bias-add and the layer activation right after
+// accumulation (MatMulBias, MatMulBiasReLU, MatMulBiasTanh). The worker
+// pool parallelizes over macro-tiles; tiles own disjoint output regions and
+// their decomposition depends only on the matrix shapes.
 //
-// The original naive kernels remain as the reference implementation and as
-// the fast path for problems too small to amortize packing, selectable at
-// startup via MELISSA_GEMM=naive|blocked (anything else: size-based auto).
+// With at most skinnyM = 16 rows of A — the training batch, a serve batch —
+// packing B costs more than the product, so A·B and A·Bᵀ take the skinny
+// driver, on the caller's goroutine: A·B packs A's few rows and hands the
+// same micro-kernel B's row stride, so it walks 16 columns of B where they
+// lie; A·Bᵀ reads each pair of B's rows once as contiguous dots against A
+// (dot4x2). Aᵀ·B, bound by the gradient's memory, stays blocked. The naive
+// kernels remain as the reference and as the fast path for operands too
+// small to tile. MELISSA_GEMM=naive forces them, MELISSA_GEMM=blocked the
+// packed driver (anything else: by shape).
 //
-// # Tolerance contract
+// # Accumulation order, row invariance and tolerance
 //
-// For a fixed shape, kernel choice and machine, every GEMM is bit-exactly
-// reproducible across calls, runs and ranks: the blocked decomposition and
-// per-element accumulation order are functions of the shapes alone, never
-// of worker count or scheduling. Across kernels (blocked vs naive, FMA vs
-// portable) results differ only in floating-point rounding: both accumulate
-// each output element over k in ascending order, but the blocked
-// micro-kernel may fuse the multiply-add rounding. Each kernel stays within
+// Every driver's per-element order is a function of the operand shapes
+// alone, never of worker count or scheduling: for a fixed shape, mode and
+// machine a GEMM is bit-exactly reproducible across calls, runs and ranks.
+//
+//   - A·B, blocked and skinny alike: per blockK slab one fused multiply-add
+//     chain from zero over ascending p; the slab sums are added to the
+//     output in ascending order; then the epilogue. Rows of a micro-tile
+//     never mix, and whether the naive kernel runs instead is decided by
+//     B's shape, not A's rows. So an output row of MatMul / MatMulBias* is
+//     a pure function of (its input row, B, bias, epilogue): the same bits
+//     at every row count, position and set of neighbours, and under
+//     MELISSA_GEMM=blocked (TestRowInvariance). Serving rests on this.
+//   - A·Bᵀ, skinny: eight partial sums over p mod 8, added in a fixed tree,
+//     then the k mod 8 tail (dot4x2Go) — a function of k. Above skinnyM
+//     rows the blocked order takes over, so a row of A·Bᵀ is not invariant
+//     across that bound.
+//   - Non-finite operands propagate on every driver: 0·NaN and 0·∞ are
+//     NaN, and no kernel skips a zero operand (TestNonFinitePropagates).
+//
+// Across drivers (blocked or skinny vs naive; skinny vs blocked A·Bᵀ)
+// results differ only in rounding; each stays within
 //
 //	|err| ≤ (k+4)·ε₃₂·max|A|·max|B|
 //
-// of the float64-accumulated reference, the bound the property suite in
-// gemm_test.go enforces; any cross-kernel comparison must budget twice it.
+// of the float64-accumulated reference, the bound the property suites in
+// gemm_test.go and skinny_test.go enforce; a cross-driver comparison must
+// budget twice it.
 //
 // # Adam update
 //

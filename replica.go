@@ -25,6 +25,7 @@ type Replica struct {
 	net      *nn.Network
 	maxBatch int
 	in       *tensor.Matrix // maxBatch × inputDim staging for normalized rows
+	batch    tensor.Matrix  // view of in's first n rows, the forward's input
 	// row is shared per-row scratch, sized max(InputDim, OutputDim): the
 	// input loop stages raw (params, t) rows in row[:InputDim], the output
 	// loop denormalizes into row[:OutputDim] and hands that to emit. The
@@ -34,10 +35,9 @@ type Replica struct {
 }
 
 // NewReplica returns an inference replica sharing this surrogate's weights.
-// maxBatch bounds the rows of a single PredictBatchRaw call. Every forward
-// pass runs at exactly maxBatch rows regardless of how many queries the
-// batch carries (see PredictBatchRaw), so pick the micro-batcher's size cap
-// and share it across all replicas of a deployment.
+// maxBatch is a capacity — the most rows one PredictBatchRaw call may carry
+// and what the staging buffers are sized for — and has no part in any
+// answer: replicas of one surrogate may differ in it freely.
 func (s *Surrogate) NewReplica(maxBatch int) *Replica {
 	if maxBatch < 1 {
 		panic(fmt.Sprintf("melissa: NewReplica maxBatch %d, want >= 1", maxBatch))
@@ -52,7 +52,7 @@ func (s *Surrogate) NewReplica(maxBatch int) *Replica {
 }
 
 // MaxBatch returns the largest query count one PredictBatchRaw call
-// accepts — and the fixed row count every forward pass runs at.
+// accepts.
 func (r *Replica) MaxBatch() int { return r.maxBatch }
 
 // ParamDim returns the number of design parameters each query must supply.
@@ -67,18 +67,16 @@ func (r *Replica) OutputDim() int { return r.s.OutputDim() }
 // for query i and must copy or encode it before returning — the buffer is
 // reused for the next row.
 //
-// The forward pass always runs at MaxBatch rows: unused rows carry stale
-// inputs from earlier batches and their outputs are discarded. Padding to a
-// fixed shape costs wasted flops at partial occupancy, but buys the
-// property the serving tier is built on: the GEMM kernel selection and
-// every row's accumulation order depend only on the matrix shapes, so with
-// the shape pinned each answer is a pure function of (weights, query,
-// MaxBatch) — bit-identical no matter which requests were coalesced
-// together, which replica ran them, or what position the query landed in.
-// That exactness is what lets a cache hit stand in for a fresh compute and
-// lets the hot-reload test demand old-bits-or-new-bits, never a blend. A
-// single activation shape also means the layers' shape-keyed scratch caches
-// hold one entry each, so the steady-state call performs no allocations.
+// The forward pass runs at exactly n rows, and each answer is a pure
+// function of (weights, query): tensor's a·b computes an output row from its
+// input row alone, in an order fixed by the layer shape (tensor package
+// comment, "row invariance"), so the bits do not depend on which
+// requests were coalesced together, how many there were, which replica ran
+// them, its MaxBatch, or what position the query landed in. That exactness
+// is what lets a cache hit stand in for a fresh compute and lets the
+// hot-reload test demand old-bits-or-new-bits, never a blend. The layers'
+// activation buffers are views of storage sized for the largest batch seen,
+// so the steady-state call performs no allocations at any n.
 func (r *Replica) PredictBatchRaw(n int, query func(i int) (params []float32, t float32), emit func(i int, field []float32)) error {
 	if n < 1 || n > r.maxBatch {
 		return fmt.Errorf("melissa: replica batch of %d rows, want 1..%d", n, r.maxBatch)
@@ -95,7 +93,8 @@ func (r *Replica) PredictBatchRaw(n int, query func(i int) (params []float32, t 
 		raw[dim] = t
 		r.s.norm.NormalizeInput(raw, r.in.Data[i*width:(i+1)*width])
 	}
-	pred := r.net.Forward(r.in)
+	r.in.ViewRows(&r.batch, 0, n)
+	pred := r.net.Forward(&r.batch)
 	out := r.s.norm.OutputDim()
 	for i := 0; i < n; i++ {
 		field := r.row[:out]

@@ -26,49 +26,52 @@ func randQueries(prob Problem, n int, rng *rand.Rand) (params [][]float32, ts []
 	return params, ts
 }
 
-// TestReplicaBatchInvariant: with the forward shape pinned at MaxBatch, a
-// query's answer must be bit-identical no matter which other requests it is
-// coalesced with, which batch slot it lands in, or which replica runs it —
-// the invariant the serving tier's micro-batcher and prediction cache are
-// built on. Also sanity-checks the answers against the Predict reference
-// path within floating-point tolerance (the two paths may legitimately pick
-// different GEMM kernels for their different batch shapes).
+// TestReplicaBatchInvariant: an answer is a function of (weights, query)
+// alone. Each query is answered alone, then in the middle of a partial
+// batch and in a full batch, by two replicas with different MaxBatch — 8,
+// whose every batch takes the GEMM's in-place driver, and 40, whose full
+// batch takes the packed one — and must come back with the same bits every
+// time: the invariant the serving tier's micro-batcher and prediction cache
+// are built on. Also sanity-checks the answers against the Predict
+// reference path within floating-point tolerance (float64 staging there).
 func TestReplicaBatchInvariant(t *testing.T) {
 	for _, prob := range []Problem{Heat(), GrayScott()} {
 		s := freshSurrogate(prob)
-		rep := s.NewReplica(16)
 		rng := rand.New(rand.NewPCG(3, 5))
-		params, ts := randQueries(prob, 16, rng)
-		// Reference answers: each query alone in slot 0 of a fresh replica.
+		params, ts := randQueries(prob, 40, rng)
+		// Reference answers: each query alone on a replica of its own.
 		ref := make([][]float32, len(params))
-		other := s.NewReplica(16)
+		alone := s.NewReplica(1)
 		for q := range params {
-			err := other.PredictBatchRaw(1,
+			err := alone.PredictBatchRaw(1,
 				func(int) ([]float32, float32) { return params[q], ts[q] },
 				func(_ int, field []float32) { ref[q] = append([]float32(nil), field...) })
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, n := range []int{1, 2, 3, 7, 8, 13, 16} {
-			// Shift the queries so each batch size exercises different slots.
-			off := rng.IntN(len(params))
-			err := rep.PredictBatchRaw(n,
-				func(i int) ([]float32, float32) { q := (off + i) % len(params); return params[q], ts[q] },
-				func(i int, field []float32) {
-					q := (off + i) % len(params)
-					if len(field) != len(ref[q]) {
-						t.Fatalf("%s n=%d: field length %d, want %d", prob.Name(), n, len(field), len(ref[q]))
-					}
-					for j := range field {
-						if math.Float32bits(field[j]) != math.Float32bits(ref[q][j]) {
-							t.Fatalf("%s n=%d slot %d query %d: field[%d] = %x, reference %x",
-								prob.Name(), n, i, q, j, math.Float32bits(field[j]), math.Float32bits(ref[q][j]))
+		for _, maxBatch := range []int{8, 40} {
+			rep := s.NewReplica(maxBatch)
+			for _, n := range []int{1, 2, 3, maxBatch/2 + 1, maxBatch - 1, maxBatch} {
+				// Shift the queries so each batch size exercises different slots.
+				off := rng.IntN(len(params))
+				err := rep.PredictBatchRaw(n,
+					func(i int) ([]float32, float32) { q := (off + i) % len(params); return params[q], ts[q] },
+					func(i int, field []float32) {
+						q := (off + i) % len(params)
+						if len(field) != len(ref[q]) {
+							t.Fatalf("%s n=%d: field length %d, want %d", prob.Name(), n, len(field), len(ref[q]))
 						}
-					}
-				})
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", prob.Name(), n, err)
+						for j := range field {
+							if math.Float32bits(field[j]) != math.Float32bits(ref[q][j]) {
+								t.Fatalf("%s MaxBatch %d n=%d slot %d query %d: field[%d] = %x, alone %x",
+									prob.Name(), maxBatch, n, i, q, j, math.Float32bits(field[j]), math.Float32bits(ref[q][j]))
+							}
+						}
+					})
+				if err != nil {
+					t.Fatalf("%s MaxBatch %d n=%d: %v", prob.Name(), maxBatch, n, err)
+				}
 			}
 		}
 		// Cross-check against the float64 Predict path within tolerance.
@@ -104,29 +107,32 @@ func TestReplicaSharesWeights(t *testing.T) {
 	}
 }
 
-// TestReplicaBatchZeroAlloc gates the serving compute hot path: once the
-// activation shape caches are warm, a replica batch call must not allocate.
+// TestReplicaBatchZeroAlloc gates the serving compute hot path: forwards
+// run at their true row count, so a replica sees every n up to MaxBatch in
+// any order, and once the largest has sized the activation buffers no batch
+// call may allocate.
 func TestReplicaBatchZeroAlloc(t *testing.T) {
 	s := freshSurrogate(Heat())
-	rep := s.NewReplica(8)
+	const maxBatch = 32
+	rep := s.NewReplica(maxBatch)
 	rng := rand.New(rand.NewPCG(7, 9))
-	params, ts := randQueries(Heat(), 8, rng)
+	params, ts := randQueries(Heat(), maxBatch, rng)
 	query := func(i int) ([]float32, float32) { return params[i], ts[i] }
 	emit := func(i int, field []float32) { _ = field[0] }
-	for i := 0; i < 2; i++ { // warm the (single, fixed-shape) activation caches
-		if err := rep.PredictBatchRaw(8, query, emit); err != nil {
+	for i := 0; i < 2; i++ { // size the activation buffers, warm the GEMM scratch
+		if err := rep.PredictBatchRaw(maxBatch, query, emit); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, n := range []int{1, 3, 8} {
-		avg := testing.AllocsPerRun(100, func() {
-			if err := rep.PredictBatchRaw(n, query, emit); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg != 0 {
-			t.Errorf("batch of %d allocates %.2f allocs/op, want 0", n, avg)
+	n := 0
+	avg := testing.AllocsPerRun(4*maxBatch, func() {
+		n = n%maxBatch + 1
+		if err := rep.PredictBatchRaw(n, query, emit); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if avg != 0 {
+		t.Errorf("batches of 1..%d rows allocate %.2f allocs/op, want 0", maxBatch, avg)
 	}
 }
 

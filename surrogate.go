@@ -34,7 +34,7 @@ type Surrogate struct {
 }
 
 // predictScratch is one goroutine's private forward workspace: a network
-// replica (the nn layers cache activations per batch shape and record
+// replica (the nn layers own their activation buffers and record
 // forward state, so a shared network would race) and the reusable input
 // row, raw staging and denormalization buffers.
 type predictScratch struct {
