@@ -10,38 +10,33 @@
 //	for i in 0 1 2 3; do melissa-client -id $i -grid 16 -steps 20 & done
 //	wait
 //
-// By default all -ranks training replicas run inside one process. With
-// -proc and -ranks-transport, the ranks spread across several OS processes
-// — each hosting -ranks/len(processes) of them (override with -local-ranks)
-// — and the gradient all-reduce travels a hierarchical communicator:
-// channel rings between the ranks inside a process, bridged over a TCP
-// ring between processes, bit-identical to the flat ring of the same size.
-//
-//	melissa-server -ranks 4 -proc 0 -ranks-transport 127.0.0.1:7700,127.0.0.1:7701 \
-//	    -clients 4 -addr-file addrs-p0.txt -surrogate-out model.mlsg &
-//	melissa-server -ranks 4 -proc 1 -ranks-transport 127.0.0.1:7700,127.0.0.1:7701 \
-//	    -clients 4 -addr-file addrs-p1.txt &
-//	cat addrs-p0.txt addrs-p1.txt > addrs.txt   # clients dial all ranks
-//	for i in 0 1 2 3; do melissa-client -id $i -addr-file addrs.txt & done
-//	wait
-//
-// With -coord the server instead joins an elastic training group: a
-// coordinator process (-role coordinator) owns membership, each member
-// process re-forms the rank group at a new epoch when a peer dies, and the
-// group checkpoint shards carry both the replica weights and the server's
-// ingest state (dedup bitsets + buffer contents), so survivors roll back
-// and replayed client frames are discarded idempotently. Clients started
-// with reconnection enabled ride through the re-formation. 3-member group:
+// By default the -ranks training replicas of one process are the whole
+// training group. With -coord the process instead joins an elastic training
+// group — the one way several server processes train together: each member
+// hosts -ranks replicas on a channel ring, bridged to the other members'
+// over a TCP ring, bit-identical to the flat ring of the same size. A
+// coordinator process (-role coordinator) owns membership; with every member
+// alive the group trains until the ensemble completes and every buffer is
+// drained, exactly like the lone process. When a peer dies the members
+// re-form the rank group at a new epoch, and the group checkpoint shards
+// carry both the replica weights and the server's ingest state (dedup
+// bitsets + buffer contents), so survivors roll back and replayed client
+// frames are discarded idempotently; clients started with reconnection
+// enabled ride through the re-formation, and -max-batches gives the run a
+// length that does not depend on who survived. 3-member group:
 //
 //	melissa-server -role coordinator -coord 127.0.0.1:7850 -members 3 -group-dir /tmp/eg &
 //	for i in 0 1 2; do
 //	  melissa-server -coord 127.0.0.1:7850 -member-id $i -members 3 \
 //	      -group-dir /tmp/eg -clients 6 -addr-file addrs-m$i.txt &
 //	done
-//	cat addrs-m*.txt > addrs.txt
+//	cat addrs-m*.txt > addrs.txt   # clients dial all ranks, in member order
+//	for i in 0 1 2 3 4 5; do melissa-client -id $i -addr-file addrs.txt & done
+//	wait
 //
-// Every process builds the same seeded model, so no startup weight
-// broadcast is needed; process 0 owns metrics, checkpoints and -out.
+// Every process builds the same seeded model, so the replicas start
+// identical without exchanging weights; member 0 owns the summary line and
+// -surrogate-out.
 package main
 
 import (
@@ -55,7 +50,6 @@ import (
 	"melissa"
 	"melissa/internal/buffer"
 	"melissa/internal/core"
-	"melissa/internal/ddp"
 	"melissa/internal/elastic"
 	"melissa/internal/opt"
 	"melissa/internal/server"
@@ -65,10 +59,7 @@ import (
 func main() {
 	var (
 		role       = flag.String("role", "server", "server|coordinator (coordinator runs the elastic group's control plane)")
-		ranks      = flag.Int("ranks", 1, "training ranks (data-parallel replicas) across all server processes")
-		proc       = flag.Int("proc", -1, "index of this process in -ranks-transport (-1 runs all ranks in-process)")
-		transports = flag.String("ranks-transport", "", "comma-separated collective endpoints host:port, one per process (multi-process mode, requires -proc)")
-		localR     = flag.Int("local-ranks", 0, "ranks hosted by this process in multi-process mode (default -ranks divided evenly)")
+		ranks      = flag.Int("ranks", 1, "training ranks (data-parallel replicas) hosted by this process; every member of an elastic group must agree")
 		clients    = flag.Int("clients", 1, "expected ensemble size (Goodbyes to wait for)")
 		problem    = flag.String("problem", "heat", "registered problem ("+strings.Join(melissa.Problems(), "|")+"; must match clients)")
 		gridN      = flag.Int("grid", 16, "solver grid side (must match clients)")
@@ -79,7 +70,7 @@ func main() {
 		policy     = flag.String("buffer", "Reservoir", "FIFO|FIRO|Reservoir")
 		capacity   = flag.Int("capacity", 200, "buffer capacity per rank")
 		threshold  = flag.Int("threshold", 30, "buffer extraction threshold")
-		maxBatches = flag.Int("max-batches", 0, "stop training after this many batches (0 = train until the ensemble completes)")
+		maxBatches = flag.Int("max-batches", 0, "stop training after this many batches (0 = train until the ensemble completes; set it where an elastic group should run the same schedule whoever survives)")
 		seed       = flag.Uint64("seed", 2023, "seed for all stochastic components")
 		addrFile   = flag.String("addr-file", "melissa-addrs.txt", "file to publish rank addresses to")
 		surOut     = flag.String("surrogate-out", "", "publish a self-describing surrogate checkpoint (.mlsg) to this path, atomically — melissa-serve hot-reloads it")
@@ -143,35 +134,23 @@ func main() {
 		ringOpts.Wrap = chaos.Wrap
 	}
 
-	// Three topologies, all the same runtime underneath: every process
-	// hosts localRanks replicas on an in-process channel ring, and the
-	// multi-process shapes bridge those rings over TCP (statically wired,
-	// or re-formed per epoch by the elastic membership). All flag
-	// validation happens before any handshake, so a misconfigured process
-	// fails fast instead of forming a group its peers then watch collapse.
-	localRanks := *ranks
+	// Two topologies, the same runtime underneath: every process hosts
+	// -ranks replicas on an in-process channel ring, and an elastic group
+	// bridges its members' rings over TCP, re-formed per epoch by the
+	// membership. All flag validation happens before any handshake, so a
+	// misconfigured process fails fast instead of forming a group its peers
+	// then watch collapse.
 	isProc0 := true
-	var group ddp.RankGroup
 	var ecfg *server.ElasticConfig
-	switch {
-	case *coordAddr != "":
-		if *proc >= 0 || *transports != "" {
-			fatal(fmt.Errorf("-coord (elastic mode) and -proc/-ranks-transport (static ring) are mutually exclusive"))
-		}
+	if *coordAddr != "" {
 		if *ckpt != "" {
 			fatal(fmt.Errorf("-checkpoint is superseded by the group checkpoint in elastic mode (-group-dir)"))
 		}
 		if *groupDir == "" {
 			fatal(fmt.Errorf("elastic mode requires -group-dir"))
 		}
-		if *maxBatches <= 0 {
-			fatal(fmt.Errorf("elastic mode requires -max-batches: the schedule length is the group's shared notion of done"))
-		}
 		if err := os.MkdirAll(*groupDir, 0o755); err != nil {
 			fatal(err)
-		}
-		if *localR > 0 {
-			localRanks = *localR
 		}
 		ecfg = &server.ElasticConfig{
 			MemberID:       *memberID,
@@ -181,64 +160,16 @@ func main() {
 			RingOptions:    func(int) transport.RingOptions { return ringOpts },
 		}
 		isProc0 = *memberID == 0
-	case *proc >= 0:
-		if *ckpt != "" {
-			// A checkpoint snapshots only this process's buffers and logs;
-			// restoring a partial view would desynchronize the rank group.
-			fatal(fmt.Errorf("-checkpoint is only supported in single-process mode (no -proc)"))
-		}
-		addrs := strings.Split(*transports, ",")
-		if *transports == "" {
-			fatal(fmt.Errorf("-proc requires -ranks-transport"))
-		}
-		if *proc >= len(addrs) {
-			fatal(fmt.Errorf("-proc %d out of range for %d transport endpoints", *proc, len(addrs)))
-		}
-		for i := range addrs {
-			addrs[i] = strings.TrimSpace(addrs[i])
-		}
-		localRanks = *localR
-		if localRanks <= 0 {
-			if *ranks%len(addrs) != 0 {
-				fatal(fmt.Errorf("-ranks %d does not divide across %d processes; set -local-ranks", *ranks, len(addrs)))
-			}
-			localRanks = *ranks / len(addrs)
-		}
-		if localRanks*len(addrs) != *ranks {
-			fatal(fmt.Errorf("%d processes × %d local ranks != -ranks %d", len(addrs), localRanks, *ranks))
-		}
-		// The topology identity makes a peer launched with a different
-		// -local-ranks fail at ring formation.
-		ringOpts.Identity = ddp.GroupIdentity(localRanks)
-		l, err := transport.ListenRing(addrs[*proc])
-		if err != nil {
-			fatal(fmt.Errorf("connecting rank group: %w", err))
-		}
-		ring, err := l.ConnectContext(context.Background(), *proc, addrs, 30*time.Second, ringOpts)
-		if err != nil {
-			fatal(fmt.Errorf("connecting rank group: %w", err))
-		}
-		group, isProc0 = ddp.GroupFromRing(ring, localRanks), *proc == 0
-		defer group.Close()
-	default:
-		if *transports != "" {
-			fatal(fmt.Errorf("-ranks-transport requires -proc"))
-		}
-		if *localR > 0 && *localR != *ranks {
-			fatal(fmt.Errorf("-local-ranks is only meaningful with -proc or -coord"))
-		}
-		if gradCodec.Compressed() {
-			// The in-process channel ring never touches a network link;
-			// compressing it would cost precision and save nothing.
-			fatal(fmt.Errorf("-grad-compress=%s is only meaningful with -proc or -coord (single-process collectives are in-memory)", gradCodec))
-		}
+	} else if gradCodec.Compressed() {
+		// The in-process channel ring never touches a network link;
+		// compressing it would cost precision and save nothing.
+		fatal(fmt.Errorf("-grad-compress=%s is only meaningful with -coord (single-process collectives are in-memory)", gradCodec))
 	}
 
 	mcfg := melissa.Config{GridN: *gridN, StepsPerSim: *steps, Dt: *dt}
 	norm := core.AdaptNormalizer(prob.Normalizer(mcfg))
 	cfg := server.Config{
-		Ranks:      localRanks,
-		Group:      group,
+		Ranks:      *ranks,
 		Elastic:    ecfg,
 		ListenHost: "127.0.0.1:0",
 		Buffer: buffer.Config{
@@ -279,7 +210,7 @@ func main() {
 	publish := func() error {
 		tr := srv.Trainer()
 		if tr == nil {
-			return fmt.Errorf("no trainer yet (elastic epoch not formed)")
+			return fmt.Errorf("no trainer yet (training has not started)")
 		}
 		sur, err := melissa.SurrogateFromNetwork(tr.Network(), scfg)
 		if err != nil {
@@ -318,7 +249,7 @@ func main() {
 	}
 	if isProc0 {
 		fmt.Printf("melissa-server: problem %s, %d rank(s) listening (%s), waiting for %d client(s)\n",
-			prob.Name(), localRanks, strings.Join(srv.Addrs(), " "), *clients)
+			prob.Name(), *ranks, strings.Join(srv.Addrs(), " "), *clients)
 	}
 	if *logEvery > 0 {
 		go func() {

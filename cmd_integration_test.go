@@ -49,11 +49,13 @@ func TestMultiProcessServerAndClients(t *testing.T) {
 	})
 }
 
-// TestMultiProcessRanksOverTCP drives the multi-process deployment: one
-// melissa-server OS process per training rank, joined over the TCP
-// collective ring (-proc / -ranks-transport), with the ensemble clients
-// streaming to both rank processes. Rank 0 must produce trained weights
-// that load and predict.
+// TestMultiProcessRanksOverTCP drives the multi-process deployment: an
+// elastic group of one coordinator and two member processes, one training
+// rank each, joined over the TCP collective ring, with the ensemble clients
+// streaming to both members. No -max-batches: with every member alive the
+// group trains until the ensemble completes and every buffer is drained,
+// all ranks leave on the same step, and everyone exits 0. Member 0 must
+// publish trained weights that load and predict.
 func TestMultiProcessRanksOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs separate processes")
@@ -69,56 +71,67 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	const ranks = 2
+	const members = 2
 	const clients = 3
 	weights := filepath.Join(dir, "weights.mlsg")
+	groupDir := filepath.Join(dir, "group")
 
-	// Reserve a loopback port per rank for the collective ring. The
-	// listen-close-reuse pattern has a tiny race window, acceptable for a
-	// test.
-	ringAddrs := make([]string, ranks)
-	for r := range ringAddrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+	// Reserve a loopback port for the control plane. The listen-close-reuse
+	// pattern has a tiny race window, acceptable for a test.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordAddr := ln.Addr().String()
+	ln.Close()
+
+	// procs[0] is the coordinator, procs[1+m] member m; each member
+	// publishes its own client address.
+	procs := make([]*exec.Cmd, 1+members)
+	outs := make([]*strings.Builder, 1+members)
+	names := make([]string, 1+members)
+	memberAddrFiles := make([]string, members)
+	for i := range procs {
+		args := []string{"-role", "coordinator", "-coord", coordAddr, "-members", fmt.Sprint(members), "-group-dir", groupDir}
+		names[i] = "coordinator"
+		if m := i - 1; m >= 0 {
+			names[i] = fmt.Sprintf("member %d", m)
+			memberAddrFiles[m] = filepath.Join(dir, fmt.Sprintf("addrs-m%d.txt", m))
+			args = []string{
+				"-coord", coordAddr, "-member-id", fmt.Sprint(m), "-members", fmt.Sprint(members), "-group-dir", groupDir,
+				"-ranks", "1", "-clients", fmt.Sprint(clients), "-problem", HeatName,
+				"-grid", "8", "-steps", "6", "-batch", "4",
+				"-buffer", "Reservoir", "-capacity", "60", "-threshold", "8",
+				"-addr-file", memberAddrFiles[m], "-surrogate-out", weights}
+		}
+		cmd := exec.Command(serverBin, args...)
+		outs[i] = &strings.Builder{}
+		cmd.Stdout = outs[i]
+		cmd.Stderr = outs[i]
+		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		ringAddrs[r] = ln.Addr().String()
-		ln.Close()
+		defer cmd.Process.Kill()
+		procs[i] = cmd
 	}
-	transportList := strings.Join(ringAddrs, ",")
-
-	// One server process per rank; each publishes its own client address.
-	srvs := make([]*exec.Cmd, ranks)
-	outs := make([]*strings.Builder, ranks)
-	rankAddrFiles := make([]string, ranks)
-	for r := 0; r < ranks; r++ {
-		rankAddrFiles[r] = filepath.Join(dir, fmt.Sprintf("addrs-rank%d.txt", r))
-		srv := exec.Command(serverBin,
-			"-ranks", fmt.Sprint(ranks), "-proc", fmt.Sprint(r), "-ranks-transport", transportList,
-			"-clients", fmt.Sprint(clients), "-problem", HeatName,
-			"-grid", "8", "-steps", "6", "-batch", "4",
-			"-buffer", "Reservoir", "-capacity", "60", "-threshold", "8",
-			"-addr-file", rankAddrFiles[r], "-surrogate-out", weights)
-		outs[r] = &strings.Builder{}
-		srv.Stdout = outs[r]
-		srv.Stderr = outs[r]
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
+	allOutput := func() string {
+		var b strings.Builder
+		for i, o := range outs {
+			fmt.Fprintf(&b, "%s:\n%s\n", names[i], o.String())
 		}
-		defer srv.Process.Kill()
-		srvs[r] = srv
+		return b.String()
 	}
 
-	// Wait for every rank to publish, then assemble the client-facing
-	// address file in rank order — the documented multi-process workflow.
+	// Wait for every member to publish, then assemble the client-facing
+	// address file in member order — the documented multi-process workflow.
 	addrFile := filepath.Join(dir, "addrs.txt")
 	deadline := time.Now().Add(30 * time.Second)
 	var combined string
 	for {
 		combined = ""
 		complete := true
-		for r := 0; r < ranks; r++ {
-			data, err := os.ReadFile(rankAddrFiles[r])
+		for _, f := range memberAddrFiles {
+			data, err := os.ReadFile(f)
 			if err != nil || strings.TrimSpace(string(data)) == "" {
 				complete = false
 				break
@@ -129,7 +142,7 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("rank servers never published addresses; rank0:\n%s\nrank1:\n%s", outs[0].String(), outs[1].String())
+			t.Fatalf("members never published addresses\n%s", allOutput())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -155,20 +168,23 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 		}
 	}
 
-	for r, srv := range srvs {
+	for i, cmd := range procs {
 		done := make(chan error, 1)
-		go func() { done <- srv.Wait() }()
+		go func() { done <- cmd.Wait() }()
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("rank %d server exited with %v; output:\n%s", r, err, outs[r].String())
+				t.Fatalf("%s exited with %v\n%s", names[i], err, allOutput())
 			}
 		case <-time.After(60 * time.Second):
-			t.Fatalf("rank %d server did not terminate; output:\n%s", r, outs[r].String())
+			t.Fatalf("%s did not terminate\n%s", names[i], allOutput())
 		}
 	}
-	if !strings.Contains(outs[0].String(), "trained") {
-		t.Fatalf("rank 0 output missing summary:\n%s", outs[0].String())
+	if !strings.Contains(outs[0].String(), "group complete") {
+		t.Fatalf("coordinator output missing its summary:\n%s", outs[0].String())
+	}
+	if !strings.Contains(outs[1].String(), "trained") {
+		t.Fatalf("member 0 output missing summary:\n%s", outs[1].String())
 	}
 
 	s, err := LoadSurrogateFile(weights)

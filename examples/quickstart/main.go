@@ -9,15 +9,16 @@
 //	go run ./examples/quickstart
 //
 // Everything here runs the training ranks inside one process. To spread
-// the ranks across OS processes (or machines), start one melissa-server
-// per rank with -rank and a shared -ranks-transport endpoint list; the
-// gradient all-reduce then travels over a TCP ring between the processes,
-// overlapped with backpropagation exactly like the in-process path:
+// them across OS processes, start a coordinator and one melissa-server
+// member per process; the gradient all-reduce then travels over a TCP ring
+// between the members, overlapped with backpropagation exactly like the
+// in-process path:
 //
-//	melissa-server -ranks 2 -rank 0 -ranks-transport host0:7700,host1:7701 ...
-//	melissa-server -ranks 2 -rank 1 -ranks-transport host0:7700,host1:7701 ...
+//	melissa-server -role coordinator -coord 127.0.0.1:7850 -members 2 -group-dir /tmp/eg &
+//	melissa-server -coord 127.0.0.1:7850 -member-id 0 -members 2 -group-dir /tmp/eg ...
+//	melissa-server -coord 127.0.0.1:7850 -member-id 1 -members 2 -group-dir /tmp/eg ...
 //
-// (concatenate the per-rank -addr-file outputs in rank order for the
+// (concatenate the members' -addr-file outputs in member order for the
 // clients; see cmd/melissa-server for the full walkthrough).
 //
 // To serve the trained surrogate to remote clients, publish a checkpoint

@@ -27,8 +27,8 @@ var (
 )
 
 // OverloadedError is the typed rejection behind ErrOverloaded. It
-// implements net.Error with Timeout() true, so ddp.Classify treats it as a
-// transient fault and ddp.Retry backs off and retries it.
+// implements net.Error with Timeout() true, so ddp.Retry treats it as a
+// transient fault: it backs off and retries.
 type OverloadedError struct {
 	// RetryAfter is the server's hint for when queue capacity should free
 	// up (zero if it offered none).
@@ -56,8 +56,7 @@ func (e *OverloadedError) Temporary() bool      { return true }
 // transientIOError marks a broken-stream fault as retryable: the
 // connection is torn down and redialed on the next attempt, so for an
 // opted-in retry policy the failure really is transient. Implementing
-// net.Error with Timeout() true routes it through ddp.Classify's
-// transient class.
+// net.Error with Timeout() true makes ddp.Retry treat it as transient.
 type transientIOError struct{ err error }
 
 func (e *transientIOError) Error() string   { return e.err.Error() }
@@ -322,7 +321,8 @@ func (c *PredictConn) Info() (protocol.ServeInfo, error) {
 }
 
 // Reload asks the server to hot-reload its checkpoint (empty path = the
-// server's configured path) and returns the epoch now serving.
+// server's configured path; otherwise a file in that checkpoint's directory
+// — the server refuses any other) and returns the epoch now serving.
 func (c *PredictConn) Reload(path string) (uint32, error) {
 	if err := c.live(); err != nil {
 		return 0, err

@@ -76,7 +76,7 @@ func (m *Metrics) RecordReform(epoch, rollbackBatch int) {
 }
 
 // GroupEpoch returns the elastic group's current membership epoch (0 for a
-// static group).
+// lone process).
 func (m *Metrics) GroupEpoch() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

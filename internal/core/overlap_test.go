@@ -113,7 +113,7 @@ func tcpTrainerGroup(t *testing.T, ranks int, bufs []*buffer.Blocking, spec Mode
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ring, err := listeners[rank].Connect(rank, addrs, 10*time.Second)
+			ring, err := listeners[rank].ConnectContext(t.Context(), rank, addrs, 10*time.Second, transport.RingOptions{})
 			if err != nil {
 				errs[rank] = err
 				return

@@ -231,9 +231,6 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 // every synchronized step).
 func (t *Trainer) Network() *nn.Network { return t.nets[0] }
 
-// Optimizer returns the rank-0 optimizer, used by server checkpoints.
-func (t *Trainer) Optimizer() *opt.Adam { return t.opts[0] }
-
 // Metrics returns the shared metrics collector. Counters advance only on
 // the trainer owning global rank 0.
 func (t *Trainer) Metrics() *Metrics { return t.metrics }

@@ -163,12 +163,16 @@ func TestCollectiveSuite(t *testing.T) {
 					}
 				})
 
+				// The AllReduceMean, Broadcast and Barrier legs keep the names
+				// of collectives Comm no longer has: each pins what the
+				// trainer does in that collective's place with the
+				// all-reduce (allReduceMean, sumFromRoot, rendezvous).
 				t.Run("AllReduceMean", func(t *testing.T) {
 					bufs := make([][]float32, n)
 					for r := range bufs {
 						bufs[r] = []float32{float32(r), float32(2 * r)}
 					}
-					runGroup(g, func(rank int, c Communicator) { c.AllReduceMean(rank, bufs[rank]) })
+					runGroup(g, func(rank int, c Communicator) { allReduceMean(c, rank, bufs[rank]) })
 					wantMean := float32(n-1) / 2
 					for r := 0; r < n; r++ {
 						if bufs[r][0] != wantMean || bufs[r][1] != 2*wantMean {
@@ -212,7 +216,7 @@ func TestCollectiveSuite(t *testing.T) {
 					for r := range bufs {
 						bufs[r] = []float32{float32(r), float32(r)}
 					}
-					runGroup(g, func(rank int, c Communicator) { c.Broadcast(rank, root, bufs[rank]) })
+					runGroup(g, func(rank int, c Communicator) { sumFromRoot(c, rank, root, bufs[rank]) })
 					for r := 0; r < n; r++ {
 						if bufs[r][0] != float32(root) || bufs[r][1] != float32(root) {
 							t.Fatalf("rank %d: %v, want root %d", r, bufs[r], root)
@@ -228,16 +232,16 @@ func TestCollectiveSuite(t *testing.T) {
 						mu.Lock()
 						entered++
 						mu.Unlock()
-						c.Barrier(rank)
+						rendezvous(c, rank)
 						mu.Lock()
 						if entered != n {
 							fail = true
 						}
 						mu.Unlock()
-						c.Barrier(rank) // reusable
+						rendezvous(c, rank) // reusable
 					})
 					if fail {
-						t.Fatal("barrier released before all ranks arrived")
+						t.Fatal("a rank left the all-reduce before every rank had entered")
 					}
 				})
 			})
@@ -256,8 +260,8 @@ func TestBackendsBitIdentical(t *testing.T) {
 
 	chanGroup := backendFactories["chan"](t, n)
 	tcpGroup := newTCPGroup(t, n)
-	runGroup(chanGroup, func(rank int, c Communicator) { c.AllReduceMean(rank, chanBufs[rank]) })
-	runGroup(tcpGroup, func(rank int, c Communicator) { c.AllReduceMean(rank, tcpBufs[rank]) })
+	runGroup(chanGroup, func(rank int, c Communicator) { allReduceMean(c, rank, chanBufs[rank]) })
+	runGroup(tcpGroup, func(rank int, c Communicator) { allReduceMean(c, rank, tcpBufs[rank]) })
 	for r := 0; r < n; r++ {
 		for i := range chanBufs[r] {
 			if chanBufs[r][i] != tcpBufs[r][i] {
@@ -334,21 +338,21 @@ func TestAbortUnwedgesParkedRanks(t *testing.T) {
 					if !errors.Is(err, transport.ErrRingAborted) {
 						t.Fatalf("parked rank returned %v, want an error wrapping ErrRingAborted", err)
 					}
-					if Classify(err) != FaultAborted {
-						t.Fatalf("Classify(%v) = %v, want aborted", err, Classify(err))
+					if transient(err) {
+						t.Fatalf("%v is transient: Retry would re-enter an aborted ring", err)
 					}
 				case <-time.After(10 * time.Second):
 					t.Fatal("a parked rank was not unwedged by Abort")
 				}
 			}
-			if err := c.Barrier(0); !errors.Is(err, transport.ErrRingAborted) {
+			if err := c.AllReduceSum(0, make([]float32, 1)); !errors.Is(err, transport.ErrRingAborted) {
 				t.Fatalf("collective on a poisoned communicator returned %v", err)
 			}
 		})
 	}
 
-	// A sender parks too, once its link's buffers are all in flight (a
-	// multi-piece Broadcast root with a slow successor); Abort must reach it.
+	// A sender parks too, once its link's buffers are all in flight (a slow
+	// successor); Abort must reach it.
 	t.Run("sender", func(t *testing.T) {
 		c := NewCommunicator(2)
 		errs := make(chan error, 1)

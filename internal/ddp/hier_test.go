@@ -2,7 +2,7 @@ package ddp
 
 // Tests for the hierarchical communicator: correctness across process/
 // local-rank shapes, bit-identity with the flat ring backends (the property
-// server.Config relies on when -local-ranks changes the physical topology
+// server.Config relies on when -ranks changes the physical topology
 // without changing the training trajectory), and the leader-hop benchmark.
 
 import (
@@ -96,39 +96,6 @@ func TestHierCollectives(t *testing.T) {
 				}
 			}
 
-			// Broadcast from a mid-group root.
-			root := (n - 1) / 2
-			bbufs := make([][]float32, n)
-			for r := range bbufs {
-				bbufs[r] = []float32{float32(r), float32(r)}
-			}
-			runGroup(g, func(rank int, c Communicator) { c.Broadcast(rank, root, bbufs[rank]) })
-			for r := 0; r < n; r++ {
-				if bbufs[r][0] != float32(root) || bbufs[r][1] != float32(root) {
-					t.Fatalf("rank %d: %v, want root %d", r, bbufs[r], root)
-				}
-			}
-
-			// Barrier: no rank may pass before all enter.
-			var mu sync.Mutex
-			entered := 0
-			fail := false
-			runGroup(g, func(rank int, c Communicator) {
-				mu.Lock()
-				entered++
-				mu.Unlock()
-				c.Barrier(rank)
-				mu.Lock()
-				if entered != n {
-					fail = true
-				}
-				mu.Unlock()
-				c.Barrier(rank) // reusable
-			})
-			if fail {
-				t.Fatal("barrier released before all ranks arrived")
-			}
-
 			// RankSpan: each endpoint serves its process's contiguous span.
 			for p := 0; p < shape.procs; p++ {
 				h := g[p*shape.local].(*HierComm)
@@ -159,9 +126,9 @@ func TestHierBitIdenticalToFlat(t *testing.T) {
 				hierGroup := newHierGroup(t, procs, local)
 				chanGroup := backendFactories["chan"](t, n)
 				tcpGroup := newTCPGroup(t, n)
-				runGroup(hierGroup, func(rank int, c Communicator) { c.AllReduceMean(rank, hierBufs[rank]) })
-				runGroup(chanGroup, func(rank int, c Communicator) { c.AllReduceMean(rank, chanBufs[rank]) })
-				runGroup(tcpGroup, func(rank int, c Communicator) { c.AllReduceMean(rank, tcpBufs[rank]) })
+				runGroup(hierGroup, func(rank int, c Communicator) { allReduceMean(c, rank, hierBufs[rank]) })
+				runGroup(chanGroup, func(rank int, c Communicator) { allReduceMean(c, rank, chanBufs[rank]) })
+				runGroup(tcpGroup, func(rank int, c Communicator) { allReduceMean(c, rank, tcpBufs[rank]) })
 				for r := 0; r < n; r++ {
 					for i := 0; i < length; i++ {
 						if hierBufs[r][i] != chanBufs[r][i] {
@@ -197,7 +164,7 @@ func TestGroupFromRingShapes(t *testing.T) {
 		wg.Add(1)
 		go func(proc int, l *transport.RingListener) {
 			defer wg.Done()
-			rings[proc], errs[proc] = l.Connect(proc, addrs, 10*time.Second)
+			rings[proc], errs[proc] = l.ConnectContext(t.Context(), proc, addrs, 10*time.Second, transport.RingOptions{})
 		}(p, l)
 	}
 	wg.Wait()

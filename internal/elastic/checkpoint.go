@@ -8,20 +8,16 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-
-	"melissa/internal/buffer"
 )
 
 // State is one member's shard of a group checkpoint: everything the rank
 // needs to re-enter the trajectory at a batch boundary. Weights and
-// OptState use the nn/opt binary formats (core.Trainer.CaptureState);
-// BufSeen/BufUnseen are the member's buffer snapshot (buffer.Snapshotter),
-// nil when the member keeps its initial fill. App is an opaque
-// member-local payload for the application embedding the group — the
-// elastic server rides its per-local-rank ingest state here (per-sim
-// dedup bitsets and arena buffer snapshots), so server ingestion rolls
-// back on exactly the same shards as the replica weights. Like the Buf
-// fields, App is never adopted from a peer's shard on restore.
+// OptState use the nn/opt binary formats (core.Trainer.CaptureState). App
+// is an opaque member-local payload for the application embedding the
+// group — the server rides its per-local-rank ingest state here (per-sim
+// dedup bitsets and buffer snapshots), so server ingestion rolls back on
+// exactly the same shards as the replica weights. App is never adopted from
+// a peer's shard on restore.
 type State struct {
 	Epoch   int // group epoch the shard was written under
 	Batch   int // synchronized steps completed
@@ -29,9 +25,6 @@ type State struct {
 
 	Weights  []byte
 	OptState []byte
-
-	BufSeen   []buffer.Sample
-	BufUnseen []buffer.Sample
 
 	App []byte
 }
@@ -72,7 +65,7 @@ func atomicWrite(path string, encode func(io.Writer) error) error {
 }
 
 // WriteState commits one State as the file at path (see atomicWrite). A
-// member's shard and the static server's -checkpoint file are both this.
+// member's shard and the lone server's -checkpoint file are both this.
 func WriteState(path string, st *State) error {
 	return atomicWrite(path, func(w io.Writer) error { return gob.NewEncoder(w).Encode(st) })
 }

@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"melissa/internal/buffer"
 )
 
 // TestAtomicWriteKeepsPreviousOnFailure: a write that fails part-way leaves
@@ -41,10 +39,24 @@ func TestAtomicWriteKeepsPreviousOnFailure(t *testing.T) {
 // garbage files — what a crash mid-write, a full disk or a stray process
 // can leave in the group directory. An error is fine; a panic is not.
 func FuzzStateFiles(f *testing.F) {
-	var shard, manifest bytes.Buffer
-	st := State{Epoch: 1, Batch: 4, Samples: 16, Weights: []byte{1, 2}, OptState: []byte{3}, App: []byte{4, 5},
-		BufUnseen: []buffer.Sample{{SimID: 1, Step: 2, Input: []float32{1}, Output: []float32{2, 3}}}}
+	var shard, oldShard, manifest bytes.Buffer
+	st := State{Epoch: 1, Batch: 4, Samples: 16, Weights: []byte{1, 2}, OptState: []byte{3}, App: []byte{4, 5}}
 	if err := gob.NewEncoder(&shard).Encode(&st); err != nil {
+		f.Fatal(err)
+	}
+	// A shard written before the buffer snapshot moved into App carries two
+	// fields State no longer has; gob skips what the receiver lacks.
+	type oldSample struct {
+		SimID, Step   int
+		Input, Output []float32
+	}
+	if err := gob.NewEncoder(&oldShard).Encode(struct {
+		Epoch, Batch, Samples int
+		Weights, OptState     []byte
+		BufSeen, BufUnseen    []oldSample
+		App                   []byte
+	}{Epoch: 1, Batch: 4, Samples: 16, Weights: []byte{1, 2}, OptState: []byte{3}, App: []byte{4, 5},
+		BufUnseen: []oldSample{{SimID: 1, Step: 2, Input: []float32{1}, Output: []float32{2, 3}}}}); err != nil {
 		f.Fatal(err)
 	}
 	if err := gob.NewEncoder(&manifest).Encode(&Manifest{Epoch: 1, Batch: 4, Members: []int{0, 2}}); err != nil {
@@ -52,6 +64,7 @@ func FuzzStateFiles(f *testing.F) {
 	}
 	f.Add(shard.Bytes())
 	f.Add(shard.Bytes()[:shard.Len()/2])
+	f.Add(oldShard.Bytes())
 	f.Add(manifest.Bytes())
 	f.Add(manifest.Bytes()[:manifest.Len()-1])
 	f.Add([]byte{})

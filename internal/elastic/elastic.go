@@ -41,7 +41,8 @@
 // # Group checkpoints
 //
 // Each member writes its own shard (weights, optimizer slab, counters and
-// its buffer snapshot — see State) atomically at a batch boundary, tagged
+// the application's payload, e.g. its buffer snapshot — see State)
+// atomically at a batch boundary, tagged
 // with the epoch, and reports it. The coordinator commits a manifest at
 // batch B once every current member has a shard at B, making B the
 // group-wide rollback point; shards past the manifest are purged during

@@ -10,7 +10,9 @@ package elastic_test
 // trainers, which are pinned bit-identical to the socket layouts).
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -80,6 +82,26 @@ func memberBuf(t testing.TB, norm core.FieldNormalizer, member int, snap *bufSna
 }
 
 type bufSnap struct{ seen, unseen []buffer.Sample }
+
+// appPayload is how the test application carries its buffer snapshot in a
+// shard's opaque App field.
+type appPayload struct{ Seen, Unseen []buffer.Sample }
+
+func encodeSnap(seen, unseen []buffer.Sample) []byte {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(appPayload{seen, unseen}); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+func decodeSnap(app []byte) (*bufSnap, error) {
+	var p appPayload
+	if err := gob.NewDecoder(bytes.NewReader(app)).Decode(&p); err != nil {
+		return nil, err
+	}
+	return &bufSnap{seen: p.Seen, unseen: p.Unseen}, nil
+}
 
 // refPoint is a boundary of the reference trajectory: full trainer state
 // plus every participating member's buffer snapshot.
@@ -207,8 +229,10 @@ func (h *groupHarness) app(memberID int) func(ctx context.Context, sess *elastic
 				return err
 			}
 			restored = st
-			if st.BufSeen != nil || st.BufUnseen != nil {
-				snap = &bufSnap{seen: st.BufSeen, unseen: st.BufUnseen}
+			if st.App != nil {
+				if snap, err = decodeSnap(st.App); err != nil {
+					return err
+				}
 			}
 		}
 		bb := memberBuf(h.t, norm, memberID, snap)
@@ -235,12 +259,11 @@ func (h *groupHarness) app(memberID int) func(ctx context.Context, sess *elastic
 				// A save can fail only during teardown (control conn gone);
 				// the group checkpoint protocol tolerates the missing shard.
 				sess.SaveShard(&elastic.State{
-					Batch:     batches,
-					Samples:   tr.LocalSamples(0),
-					Weights:   w,
-					OptState:  o,
-					BufSeen:   seen,
-					BufUnseen: unseen,
+					Batch:    batches,
+					Samples:  tr.LocalSamples(0),
+					Weights:  w,
+					OptState: o,
+					App:      encodeSnap(seen, unseen),
 				})
 			}
 			if h.hook != nil {

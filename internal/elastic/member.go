@@ -282,7 +282,6 @@ func (m *Member) runEpoch(ctx context.Context, cfg ctrlMsg) {
 	sess := &Session{
 		m:       m,
 		epoch:   cfg.Epoch,
-		rank:    rank,
 		members: cfg.Members,
 		restore: cfg.Batch,
 		group:   ddp.GroupFromRing(ring, m.cfg.LocalRanks),
@@ -366,7 +365,6 @@ func (m *Member) dialCoordinator(ctx context.Context) (net.Conn, error) {
 type Session struct {
 	m       *Member
 	epoch   int
-	rank    int
 	members []int
 	restore int
 	group   ddp.RankGroup
@@ -379,24 +377,15 @@ type Session struct {
 // Epoch returns the group epoch this session belongs to.
 func (s *Session) Epoch() int { return s.epoch }
 
-// Rank returns this member's ring rank within the epoch.
-func (s *Session) Rank() int { return s.rank }
-
 // World returns the epoch's group size in members. The global training
 // rank space is World()·LocalRanks wide; see Group.
 func (s *Session) World() int { return len(s.members) }
 
-// Members returns the member IDs in ring-rank order.
-func (s *Session) Members() []int { return s.members }
-
-// Comm returns the epoch's communicator. It is poisoned the moment the
-// epoch is torn down; collectives then return errors wrapping
-// transport.ErrRingAborted.
-func (s *Session) Comm() ddp.Communicator { return s.group.Comm }
-
 // Group returns the epoch's rank group: the communicator plus this
 // member's global rank offset (ring rank · LocalRanks). It is the handle
-// trainer and server configs take.
+// trainer configs take. The communicator is poisoned the moment the epoch is
+// torn down; collectives then return errors wrapping
+// transport.ErrRingAborted.
 func (s *Session) Group() ddp.RankGroup { return s.group }
 
 // RestoreBatch returns the batch boundary to restore from (the committed
@@ -438,9 +427,9 @@ func (s *Session) SaveShard(st *State) error {
 // RestoreBatch — the member's own if it has one, else the first member's
 // in ring order (the rejoin path: a member absent at the checkpoint
 // adopts a peer's replica state, which is identical across ranks by
-// construction). Buffer contents come from the member's own newest shard
-// at or before the rollback point; Buf fields are nil when it has none
-// (the caller keeps its initial fill).
+// construction). The application payload comes from the member's own
+// newest shard at or before the rollback point; App is nil when it has
+// none (the caller keeps its initial fill).
 func (s *Session) LoadState() (*State, error) {
 	b := s.restore
 	if b < 0 {
@@ -460,15 +449,15 @@ func (s *Session) LoadState() (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("elastic: member %d: no shard at batch %d: %w", s.m.cfg.ID, b, err)
 	}
-	// The weight-source shard may be a peer's; buffer contents and the
-	// application payload are only ever the member's own.
-	st.BufSeen, st.BufUnseen, st.App = nil, nil, nil
+	// The weight-source shard may be a peer's; the application payload is
+	// only ever the member's own.
+	st.App = nil
 	if ownB, ok := latestShardAtOrBefore(dir, s.m.cfg.ID, b); ok {
 		own, err := loadShard(dir, s.m.cfg.ID, ownB)
 		if err != nil {
 			return nil, err
 		}
-		st.BufSeen, st.BufUnseen, st.App = own.BufSeen, own.BufUnseen, own.App
+		st.App = own.App
 	}
 	return st, nil
 }

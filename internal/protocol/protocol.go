@@ -61,12 +61,14 @@ const (
 	// dedicated inter-rank ring connections, never through the client
 	// message decoder: RingHello carries the sender's rank during ring
 	// setup, RingFloats a raw little-endian float32 chunk of a collective,
-	// RingToken a zero-payload barrier token, and RingPing a zero-payload
-	// link heartbeat that receivers silently discard (it exists so a rank
-	// can tell a dead predecessor from a merely idle one).
+	// and RingPing a zero-payload link heartbeat that receivers silently
+	// discard (it exists so a rank can tell a dead predecessor from a merely
+	// idle one). Value 7 was a barrier token frame no program sent; it stays
+	// reserved so the types after it keep their wire values, and a ring that
+	// receives it treats it like any other unexpected type.
 	TypeRingHello
 	TypeRingFloats
-	TypeRingToken
+	_
 	TypeRingPing
 )
 

@@ -21,6 +21,21 @@ func roundtrip(t *testing.T, msg Message) Message {
 	return got
 }
 
+// TestWireTypeValues pins the frame type numbers peers of another build
+// decode by: removing a type from the middle of the list (7 was the ring's
+// barrier token) must leave a hole, not renumber what follows.
+func TestWireTypeValues(t *testing.T) {
+	for typ, want := range map[MsgType]uint8{
+		TypeHello: 1, TypeTimeStep: 2, TypeGoodbye: 3, TypeHeartbeat: 4,
+		TypeRingHello: 5, TypeRingFloats: 6, TypeRingPing: 8,
+		TypePredictRequest: 9, TypeReloadResult: 15, TypeRingFloats16: 16,
+	} {
+		if uint8(typ) != want {
+			t.Errorf("frame type with wire value %d now encodes as %d", want, uint8(typ))
+		}
+	}
+}
+
 func TestHelloRoundtrip(t *testing.T) {
 	in := Hello{ClientID: 7, SimID: 9, Steps: 100, Restart: 2}
 	got := roundtrip(t, in)

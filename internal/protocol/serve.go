@@ -189,7 +189,8 @@ func (m ServeInfo) encodeTo(buf []byte) []byte {
 }
 
 // Reload asks the serving tier to hot-reload its checkpoint. An empty Path
-// re-reads the server's configured checkpoint path.
+// re-reads the server's configured checkpoint path; a non-empty one must
+// name a file in that checkpoint's directory.
 type Reload struct {
 	Path string
 }

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -502,6 +503,32 @@ func (s *Server) Reload(path string) (uint32, error) {
 	}
 	s.reloads.Add(1)
 	return next.epoch, nil
+}
+
+// errReloadRefused answers a Reload frame that names a path outside the
+// configured checkpoint's directory. The text is all the caller learns.
+var errReloadRefused = errors.New("serve: reload refused: over the wire only the configured checkpoint, or a file beside it, can be named")
+
+// confine checks a path named by a Reload frame. Any connection on the
+// predict port can send one, so over the wire a reload reads only where the
+// operator already pointed the server: the empty path (the configured
+// checkpoint) or a file in that checkpoint's directory. Everything else is
+// refused on the path's spelling alone — it is never opened, and what the
+// filesystem holds there is not the caller's to learn. The Go method Reload
+// takes any path; its caller is the operator's own program.
+func (s *Server) confine(path string) error {
+	if path == "" {
+		return nil
+	}
+	if s.cfg.CheckpointPath == "" {
+		return errReloadRefused
+	}
+	abs, err := filepath.Abs(path)
+	ckpt, cerr := filepath.Abs(s.cfg.CheckpointPath)
+	if err != nil || cerr != nil || filepath.Dir(abs) != filepath.Dir(ckpt) {
+		return errReloadRefused
+	}
+	return nil
 }
 
 // watch polls the checkpoint file and reloads when a new version is
@@ -985,7 +1012,10 @@ func (s *Server) handleConn(nc net.Conn) {
 				Draining:    b32(s.draining.Load()),
 			})
 		case protocol.Reload:
-			epoch, err := s.Reload(m.Path)
+			epoch, err := s.Epoch(), s.confine(m.Path)
+			if err == nil {
+				epoch, err = s.Reload(m.Path)
+			}
 			res := protocol.ReloadResult{Epoch: epoch}
 			if err != nil {
 				res.Msg = err.Error()

@@ -531,7 +531,7 @@ func TestServeCacheFlushOnReload(t *testing.T) {
 	if err := melissa.PublishSurrogate(surB, path); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{MaxBatch: 4, Replicas: 1, CacheEntries: 16}
+	cfg := Config{MaxBatch: 4, Replicas: 1, CacheEntries: 16, CheckpointPath: path}
 	s := NewServer(surA, cfg)
 	addr := startServer(t, s)
 	c, err := client.DialPredict(addr, 5*time.Second)
@@ -566,6 +566,72 @@ func TestServeCacheFlushOnReload(t *testing.T) {
 		if epoch != 2 || !bitsEqual(field, wantB[q]) {
 			t.Fatalf("query %d after reload: stale answer (epoch %d)", q, epoch)
 		}
+	}
+}
+
+// TestServeWireReloadConfined: a Reload frame reaches only the configured
+// checkpoint or a file beside it. A path anywhere else is refused with the
+// same answer whether or not a loadable checkpoint is there — nothing is
+// opened, nothing about the filesystem comes back — while the Go method
+// still takes any path.
+func TestServeWireReloadConfined(t *testing.T) {
+	sur := testSurrogate(t, 41)
+	dir, elsewhere := t.TempDir(), t.TempDir()
+	ckpt := filepath.Join(dir, "model.mlsg")
+	beside := filepath.Join(dir, "candidate.mlsg")
+	outside := filepath.Join(elsewhere, "model.mlsg")
+	for _, path := range []string{ckpt, beside, outside} {
+		if err := melissa.PublishSurrogate(testSurrogate(t, 97), path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := NewServer(sur, Config{CheckpointPath: ckpt})
+	c, err := client.DialPredict(startServer(t, s), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	refused := map[string]string{}
+	for name, path := range map[string]string{
+		"loadable checkpoint elsewhere": outside,
+		"missing file elsewhere":        filepath.Join(elsewhere, "absent.mlsg"),
+		"escape through the directory":  filepath.Join(dir, "..", filepath.Base(elsewhere), "model.mlsg"),
+		"subdirectory":                  filepath.Join(dir, "sub", "model.mlsg"),
+		"system file":                   "/etc/passwd",
+	} {
+		epoch, err := c.Reload(path)
+		if err == nil || epoch != 1 || s.Epoch() != 1 {
+			t.Fatalf("%s: wire reload of %s returned epoch %d, err %v; the server is at epoch %d", name, path, epoch, err, s.Epoch())
+		}
+		refused[err.Error()] = name
+	}
+	if len(refused) != 1 {
+		t.Fatalf("refusals differ by what is at the path: %v", refused)
+	}
+	if st := s.Stats(); st.Reloads != 0 {
+		t.Fatalf("%d reloads happened through refused frames", st.Reloads)
+	}
+
+	for i, path := range []string{"", ckpt, beside, filepath.Join(dir, ".", "sub", "..", "candidate.mlsg")} {
+		if epoch, err := c.Reload(path); err != nil || int(epoch) != i+2 {
+			t.Fatalf("wire reload of %q: epoch %d, err %v, want epoch %d", path, epoch, err, i+2)
+		}
+	}
+	if epoch, err := s.Reload(outside); err != nil || epoch != 6 {
+		t.Fatalf("Server.Reload(%s): epoch %d, err %v; the method is not confined", outside, epoch, err)
+	}
+
+	// Without a configured checkpoint there is no directory to confine to:
+	// the wire can name nothing.
+	bare := NewServer(sur, Config{})
+	cb, err := client.DialPredict(startServer(t, bare), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cb.Close()
+	if _, err := cb.Reload(outside); err == nil || bare.Epoch() != 1 {
+		t.Fatalf("a server with no checkpoint path took a wire reload: err %v, epoch %d", err, bare.Epoch())
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 // consistent cut of that rank: every sample it has received is either
 // already trained at the boundary or in its buffer snapshot, so a server
 // restored from it neither loses nor repeats a sample. It rides gob-encoded
-// in elastic.State.App, for the static -checkpoint file and the elastic
-// group shard alike, and is only ever restored by the server that wrote it.
+// in elastic.State.App, for the lone process's -checkpoint file and the
+// elastic group shard alike, and is only ever restored by the server that
+// wrote it.
 type ingestState struct {
 	Sims      []map[int32]SimState
 	BufSeen   [][]buffer.Sample
@@ -31,7 +32,9 @@ type ingestState struct {
 // own OnLocalBatchEnd, before it extracts the next batch, and the last rank
 // to arrive — at which point no rank can have applied the next batch's
 // update, so the replica weights still hold the boundary state — adds
-// weights and optimizer state and owns the write.
+// weights and optimizer state (ingestState.state) and owns the write. The
+// accumulator is per run: a boundary an aborted epoch left half-assembled
+// must not count towards the next epoch's capture of the same batch.
 type boundaries struct {
 	s       *Server
 	mu      sync.Mutex
@@ -49,10 +52,13 @@ func newBoundaries(s *Server) *boundaries {
 
 // capture records local rank's ingest state at the boundary it just
 // reached; call it from the rank's own OnLocalBatchEnd. It returns nil
-// until the boundary's last rank arrives, then the complete state.
-func (bs *boundaries) capture(tr *core.Trainer, rank, batches int) (*elastic.State, error) {
+// until the boundary's last rank arrives, then the complete ingest state.
+func (bs *boundaries) capture(rank, batches int) *ingestState {
 	s := bs.s
 	a := s.aggs[rank]
+	if s.journals != nil {
+		s.journals[rank].mark(batches)
+	}
 	// One cut of the rank: under the buffer lock nothing is inserted or
 	// extracted, and a frame is logged as received only inside the
 	// insertion's critical section (Server.commit), so the log copied here
@@ -75,6 +81,7 @@ func (bs *boundaries) capture(tr *core.Trainer, rank, batches int) (*elastic.Sta
 
 	ranks := s.cfg.Ranks
 	bs.mu.Lock()
+	defer bs.mu.Unlock()
 	b, ok := bs.pending[batches]
 	if !ok {
 		b = &boundary{ingest: ingestState{
@@ -85,22 +92,22 @@ func (bs *boundaries) capture(tr *core.Trainer, rank, batches int) (*elastic.Sta
 		bs.pending[batches] = b
 	}
 	b.ingest.Sims[rank], b.ingest.BufSeen[rank], b.ingest.BufUnseen[rank] = sims, seen, unseen
-	b.arrived++
-	last := b.arrived == ranks
-	if last {
-		delete(bs.pending, batches)
+	if b.arrived++; b.arrived < ranks {
+		return nil
 	}
-	bs.mu.Unlock()
-	if !last {
-		return nil, nil
-	}
+	delete(bs.pending, batches)
+	return &b.ingest
+}
 
+// state completes a boundary: the ingest state capture returned to the last
+// rank to arrive, plus the replica state tr holds at that step edge.
+func (ing *ingestState) state(tr *core.Trainer, rank, batches int) (*elastic.State, error) {
 	w, o, err := tr.CaptureState()
 	if err != nil {
 		return nil, err
 	}
 	var app bytes.Buffer
-	if err := gob.NewEncoder(&app).Encode(&b.ingest); err != nil {
+	if err := gob.NewEncoder(&app).Encode(ing); err != nil {
 		return nil, err
 	}
 	return &elastic.State{
@@ -173,14 +180,13 @@ func (s *Server) restoreIngest(st *elastic.State) error {
 }
 
 // RestoreCheckpoint loads a -checkpoint file into a freshly constructed
-// static server (same configuration). Call before Run.
+// lone server (same configuration): the ingest state now, the replica state
+// when Run builds the trainer. Call before Run.
 func (s *Server) RestoreCheckpoint(path string) error {
 	st, err := elastic.ReadState(path)
 	if err != nil {
 		return fmt.Errorf("server: reading checkpoint: %w", err)
 	}
-	if err := s.trainer.RestoreState(st.Weights, st.OptState, st.Batch, st.Samples); err != nil {
-		return err
-	}
+	s.restored = st
 	return s.restoreIngest(st)
 }

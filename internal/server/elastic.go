@@ -7,14 +7,12 @@ import (
 	"time"
 
 	"melissa/internal/buffer"
-	"melissa/internal/core"
 	"melissa/internal/elastic"
 	"melissa/internal/transport"
 )
 
-// ElasticConfig places the server in an elastic training group: instead of
-// a fixed communicator wired at construction (Config.Group), membership is
-// managed by an elastic coordinator, a fresh hierarchical communicator is
+// ElasticConfig places the server in an elastic training group: membership
+// is managed by an elastic coordinator, a fresh hierarchical communicator is
 // formed per group epoch, and a rank death rolls every survivor back to
 // the last committed group checkpoint — without dropping the client
 // connections or the ingest state behind them. The server's per-rank
@@ -44,13 +42,9 @@ type ElasticConfig struct {
 	// RingOptions, when set, supplies per-epoch ring tuning (IO timeout,
 	// heartbeat cadence, chaos wrapper).
 	RingOptions func(epoch int) transport.RingOptions
-	// OnBoundary, when set, runs on every local rank at each synchronized
-	// step of every epoch (after shard handling). The chaos tests use it
-	// to trigger deterministic kills at exact batch boundaries.
-	OnBoundary func(epoch, rank, batches int)
 }
 
-func (ec *ElasticConfig) validate(ranks int) error {
+func (ec *ElasticConfig) validate() error {
 	if ec.Coordinator == "" {
 		return fmt.Errorf("server: elastic: coordinator address required")
 	}
@@ -101,7 +95,8 @@ func (j *retireJournal) record(s buffer.Sample) {
 }
 
 // mark records the current journal position for a batch boundary. Call at
-// the rank's own OnLocalBatchEnd, after the boundary's retires.
+// the rank's own OnLocalBatchEnd, after the boundary's retires
+// (boundaries.capture does).
 func (j *retireJournal) mark(batch int) {
 	j.mu.Lock()
 	j.marks[batch] = j.base + len(j.entries)
@@ -155,19 +150,9 @@ func (j *retireJournal) replayAndRewind(batch int) []buffer.Sample {
 	return out
 }
 
-// elasticRun is one epoch's trainer-side state. The boundary accumulator is
-// per epoch: a boundary an aborted epoch left half-assembled must not count
-// towards the next epoch's capture of the same batch.
-type elasticRun struct {
-	s      *Server
-	sess   *elastic.Session
-	tr     *core.Trainer
-	bounds *boundaries
-}
-
 // runEpoch is the member's per-epoch callback: restore ingest + replica
 // state at the epoch's rollback point, then train over the epoch's
-// hierarchical communicator with per-boundary shard writes.
+// hierarchical communicator, every boundary written as the member's shard.
 func (s *Server) runEpoch(ctx context.Context, sess *elastic.Session) error {
 	s.metrics.SetGroupEpoch(sess.Epoch())
 
@@ -200,26 +185,12 @@ func (s *Server) runEpoch(ctx context.Context, sess *elastic.Session) error {
 	s.startAggs()
 	s.live = true
 
-	run := &elasticRun{s: s, sess: sess, bounds: newBoundaries(s)}
-	tcfg := s.cfg.Trainer
-	tcfg.Ranks = s.cfg.Ranks
-	tcfg.Group = sess.Group()
-	tcfg.Metrics = s.metrics
-	tcfg.OnLocalBatchEnd = run.onLocalBatchEnd
-	tr, err := core.NewTrainer(tcfg, s.bufs)
-	if err != nil {
-		return err
-	}
-	run.tr = tr
-	s.trainerMu.Lock()
-	s.trainer = tr
-	s.trainerMu.Unlock()
-	if restored != nil {
-		if err := tr.RestoreState(restored.Weights, restored.OptState, restored.Batch, restored.Samples); err != nil {
-			return err
-		}
-	}
-	return tr.Run(ctx)
+	return s.train(ctx, sess.Group(), restored, func(st *elastic.State) error {
+		// A failed save means the control plane is tearing the epoch down;
+		// the group checkpoint protocol tolerates the missing shard.
+		sess.SaveShard(st)
+		return nil
+	})
 }
 
 // rollbackIngest rewinds every rank's buffer to a group-checkpoint batch:
@@ -232,25 +203,6 @@ func (s *Server) rollbackIngest(batch int) {
 		s.bufs[r].ReplaceContents(func(seen, unseen []buffer.Sample) ([]buffer.Sample, []buffer.Sample) {
 			return seen, append(replay, unseen...)
 		})
-	}
-}
-
-// onLocalBatchEnd fires on every local rank after each synchronized step.
-// At group-checkpoint boundaries each rank marks its replay journal and
-// captures its own ingest state at its own step edge; the last to arrive
-// writes and reports the member's shard. A failed capture or save means the
-// control plane is tearing the epoch down; the group checkpoint protocol
-// tolerates the missing shard.
-func (run *elasticRun) onLocalBatchEnd(rank, batches int) {
-	s := run.s
-	if batches%s.cfg.CheckpointEveryBatches == 0 {
-		s.journals[rank].mark(batches)
-		if st, err := run.bounds.capture(run.tr, rank, batches); err == nil && st != nil {
-			run.sess.SaveShard(st)
-		}
-	}
-	if hook := s.cfg.Elastic.OnBoundary; hook != nil {
-		hook(run.sess.Epoch(), rank, batches)
 	}
 }
 

@@ -211,8 +211,8 @@ func TestElasticServerChaosKillReform(t *testing.T) {
 			},
 		}
 		if m == 1 {
-			cfg.Elastic.OnBoundary = func(epoch, _, batches int) {
-				if epoch == 1 && batches == csKillBatch {
+			cfg.Trainer.OnLocalBatchEnd = func(_, batches int) {
+				if srvs[1].Metrics().GroupEpoch() == 1 && batches == csKillBatch {
 					killOnce.Do(func() {
 						srvs[1].ElasticMember().Kill()
 						close(killed)

@@ -37,15 +37,6 @@ type Config struct {
 	// process; each gets its own listener, aggregator, and training
 	// buffer.
 	Ranks int
-
-	// Group places this process's ranks in a multi-process training group
-	// (e.g. ddp.GroupFromRing over a rank ring connecting several server
-	// processes). The zero value trains with the in-process channel ring
-	// over Ranks. With a group communicator, Ranks counts only this
-	// process's local ranks and the group offset places them in the global
-	// rank space; the round-robin data distribution and the reception
-	// accounting then run on global ranks.
-	Group ddp.RankGroup
 	// ListenHost is the host for rank listeners; tests use "127.0.0.1:0"
 	// semantics: each rank listens on ListenHost with an ephemeral port.
 	ListenHost string
@@ -57,7 +48,8 @@ type Config struct {
 	Buffer buffer.Config
 
 	// Trainer carries the model, batch size, schedule and validation
-	// configuration. Ranks is overridden by Config.Ranks.
+	// configuration. Ranks, Group and Metrics are the server's to set: every
+	// trainer it builds records into the one collector Metrics returns.
 	Trainer core.TrainerConfig
 
 	// ExpectedClients is the ensemble size: after a Goodbye from this many
@@ -79,13 +71,14 @@ type Config struct {
 	// as the member's group shard instead.
 	CheckpointPath string
 	// CheckpointEveryBatches is the checkpoint cadence (default 500), for
-	// both the static single-file checkpoint and the elastic group shards.
+	// both the lone process's single-file checkpoint and the elastic group
+	// shards.
 	CheckpointEveryBatches int
 
 	// Elastic, when set, runs the server as one member of an elastic
-	// training group: membership, per-epoch communicators, group
-	// checkpointing and rollback come from internal/elastic, and Group
-	// must be left zero (each epoch forms its own). See ElasticConfig.
+	// training group — the one way several server processes train together:
+	// membership, per-epoch communicators, group checkpointing and rollback
+	// come from internal/elastic. See ElasticConfig.
 	Elastic *ElasticConfig
 }
 
@@ -120,12 +113,18 @@ type Server struct {
 	policies   []buffer.Policy
 	watchdog   *transport.Watchdog
 
-	// trainer is built once in static mode; in elastic mode every group
-	// epoch installs a fresh one (trainerMu guards the swap), all feeding
-	// the same persistent metrics collector.
+	// trainer is the one train last built — Run's for a lone process, the
+	// current epoch's in a group (trainerMu guards the swap). All of them
+	// record into metrics.
 	trainerMu sync.Mutex
 	trainer   *core.Trainer
 	metrics   *core.Metrics
+
+	// A lone process's run: the state RestoreCheckpoint read, for the trainer
+	// Run builds, and the group it trains over — zero (the in-process ring)
+	// except where a test plants a communicator it can abort.
+	restored *elastic.State
+	group    ddp.RankGroup
 
 	// Elastic-mode state: the membership runtime, the per-rank replay
 	// journals behind rollback, and the lazy aggregator start (a rejoiner
@@ -298,13 +297,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Trainer.Normalizer == nil {
 		return nil, errors.New("server: trainer normalizer required")
 	}
-	world, offset := cfg.Ranks, cfg.Group.Offset
-	switch {
-	case cfg.Elastic != nil:
-		if cfg.Group.Comm != nil {
-			return nil, errors.New("server: elastic mode forms its own per-epoch group; leave Config.Group zero")
-		}
-		if err := cfg.Elastic.validate(cfg.Ranks); err != nil {
+	world, offset := cfg.Ranks, 0
+	if cfg.Elastic != nil {
+		if err := cfg.Elastic.validate(); err != nil {
 			return nil, err
 		}
 		// The data plane is pinned to the initial membership: a member's
@@ -312,17 +307,13 @@ func New(cfg Config) (*Server, error) {
 		// re-forms around dead peers.
 		world = cfg.Elastic.InitialMembers * cfg.Ranks
 		offset = cfg.Elastic.MemberID * cfg.Ranks
-	case cfg.Group.Comm != nil:
-		world = cfg.Group.Comm.Size()
-		if err := cfg.Group.Validate(cfg.Ranks); err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
 	}
 	s := &Server{
 		cfg:        cfg,
 		worldRanks: world,
 		dataOffset: offset,
 		aggs:       make([]*rankAgg, cfg.Ranks),
+		metrics:    core.NewMetrics(cfg.Trainer.TrackOccurrences),
 	}
 	if cfg.WatchdogTimeout > 0 {
 		s.watchdog = transport.NewWatchdog(cfg.WatchdogTimeout)
@@ -354,10 +345,8 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	if cfg.Elastic != nil {
-		// Elastic mode: every group epoch builds its own trainer over the
-		// epoch's communicator; the metrics collector, replay journals and
-		// membership runtime persist across epochs.
-		s.metrics = core.NewMetrics(cfg.Trainer.TrackOccurrences)
+		// The replay journals and the membership runtime persist across the
+		// group's epochs.
 		s.journals = make([]*retireJournal, cfg.Ranks)
 		for r := range s.journals {
 			s.journals[r] = newRetireJournal()
@@ -397,39 +386,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.member = member
-		return s, nil
 	}
-
-	tcfg := cfg.Trainer
-	tcfg.Ranks = cfg.Ranks
-	tcfg.Group = cfg.Group
-	if cfg.CheckpointPath != "" && cfg.Group.Offset == 0 {
-		every := cfg.CheckpointEveryBatches
-		bounds := newBoundaries(s)
-		userHook := tcfg.OnLocalBatchEnd
-		tcfg.OnLocalBatchEnd = func(rank, batches int) {
-			if batches%every == 0 {
-				st, err := bounds.capture(s.trainer, rank, batches)
-				if err == nil && st != nil {
-					err = elastic.WriteState(cfg.CheckpointPath, st)
-				}
-				if err != nil {
-					// Checkpoint failures must not kill training; the
-					// previous checkpoint remains valid.
-					fmt.Printf("server: checkpoint failed: %v\n", err)
-				}
-			}
-			if userHook != nil {
-				userHook(rank, batches)
-			}
-		}
-	}
-	trainer, err := core.NewTrainer(tcfg, s.bufs)
-	if err != nil {
-		s.closeListeners()
-		return nil, err
-	}
-	s.trainer = trainer
 	return s, nil
 }
 
@@ -442,25 +399,19 @@ func (s *Server) Addrs() []string {
 	return addrs
 }
 
-// Trainer exposes the training engine (metrics, trained network). In
-// elastic mode it is the current epoch's trainer — nil before the first
-// epoch forms.
+// Trainer exposes the training engine (the trained network): the lone
+// process's, or the current epoch's in a group. It is nil until Run — or the
+// group's first epoch — has built one.
 func (s *Server) Trainer() *core.Trainer {
 	s.trainerMu.Lock()
 	defer s.trainerMu.Unlock()
 	return s.trainer
 }
 
-// Metrics returns the server's metrics collector. In elastic mode one
-// persistent collector spans every epoch's trainer, so batch counters,
-// loss curves and the elasticity counters (group epoch, re-formations,
-// last rollback) survive group re-formations.
-func (s *Server) Metrics() *core.Metrics {
-	if s.metrics != nil {
-		return s.metrics
-	}
-	return s.trainer.Metrics()
-}
+// Metrics returns the server's one metrics collector: it outlives every
+// trainer the server builds, so batch counters, loss curves and the elasticity
+// counters (group epoch, re-formations, last rollback) survive re-formations.
+func (s *Server) Metrics() *core.Metrics { return s.metrics }
 
 // Run starts the aggregators and the watchdog, trains until every rank's
 // buffer drains, then shuts the listeners down. It returns the first
@@ -481,7 +432,11 @@ func (s *Server) Run(ctx context.Context) error {
 		err = s.member.Run(ctx) // the first epoch starts the aggregators
 	} else {
 		s.startAggs()
-		err = s.trainer.Run(ctx)
+		var save func(*elastic.State) error
+		if path := s.cfg.CheckpointPath; path != "" {
+			save = func(st *elastic.State) error { return elastic.WriteState(path, st) }
+		}
+		err = s.train(ctx, s.group, s.restored, save)
 	}
 
 	// Whatever made training return — drained buffers, MaxBatches, a
@@ -497,6 +452,52 @@ func (s *Server) Run(ctx context.Context) error {
 	s.startAggs() // an elastic run killed before its first epoch never started them
 	s.aggWG.Wait()
 	return err
+}
+
+// train builds the trainer — the one place that does — over group (zero: the
+// lone process's in-process ring), resumes it from restored when non-nil, and
+// runs it. With onBoundary set, every CheckpointEveryBatches-th step is a
+// checkpoint boundary: each rank contributes its cut as it gets there
+// (boundaries.capture) and the last to arrive hands onBoundary the complete
+// state. A failed capture or save must not kill training; the previous
+// checkpoint remains valid.
+func (s *Server) train(ctx context.Context, group ddp.RankGroup, restored *elastic.State, onBoundary func(*elastic.State) error) error {
+	tcfg := s.cfg.Trainer
+	tcfg.Ranks, tcfg.Group, tcfg.Metrics = s.cfg.Ranks, group, s.metrics
+	var tr *core.Trainer
+	if onBoundary != nil {
+		bounds := newBoundaries(s)
+		userHook := tcfg.OnLocalBatchEnd
+		tcfg.OnLocalBatchEnd = func(rank, batches int) {
+			if batches%s.cfg.CheckpointEveryBatches == 0 {
+				if ing := bounds.capture(rank, batches); ing != nil {
+					st, err := ing.state(tr, rank, batches)
+					if err == nil {
+						err = onBoundary(st)
+					}
+					if err != nil {
+						fmt.Printf("server: checkpoint failed: %v\n", err)
+					}
+				}
+			}
+			if userHook != nil {
+				userHook(rank, batches)
+			}
+		}
+	}
+	tr, err := core.NewTrainer(tcfg, s.bufs)
+	if err != nil {
+		return err
+	}
+	s.trainerMu.Lock()
+	s.trainer = tr
+	s.trainerMu.Unlock()
+	if restored != nil {
+		if err := tr.RestoreState(restored.Weights, restored.OptState, restored.Batch, restored.Samples); err != nil {
+			return err
+		}
+	}
+	return tr.Run(ctx)
 }
 
 // startAggs launches the per-rank aggregators exactly once. In elastic
@@ -721,18 +722,28 @@ func (s *Server) receivedOnRank(rank int) int {
 	return total
 }
 
-// CompletedSims returns the set of simulations for which rank 0 received a
-// Goodbye; the launcher uses it after a server restart to decide which
-// clients must be re-run.
+// CompletedSims returns the simulations whose data is complete on every
+// local rank — a Goodbye and the rank's full round-robin share; the launcher
+// uses it after a server restart to decide which clients must be re-run. One
+// rank is not enough: a checkpoint cut can fall after rank 0's last frame
+// and Goodbye but before another rank's last frame, and that rank would
+// wait forever for a share nobody re-sends.
 func (s *Server) CompletedSims() map[int32]bool {
-	a := s.aggs[0]
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out := make(map[int32]bool)
-	for id, st := range a.sims {
-		if st.Goodbye {
-			out[id] = true
+	for r, a := range s.aggs {
+		a.mu.Lock()
+		if r == 0 {
+			for id := range a.sims {
+				out[id] = true
+			}
 		}
+		for id := range out {
+			st, ok := a.sims[id]
+			if !ok || !st.Goodbye || st.Received < expectedOnRank(st.ClientID, st.Steps, s.dataOffset+r, s.worldRanks) {
+				delete(out, id)
+			}
+		}
+		a.mu.Unlock()
 	}
 	return out
 }

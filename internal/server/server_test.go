@@ -391,16 +391,23 @@ func TestServerCheckpointRestart(t *testing.T) {
 	}
 
 	// Replacement server restores the checkpoint.
-	cfg.Trainer.OnBatchEnd = nil
+	ckpt, err := elastic.ReadState(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumedAt := make(chan int, 1)
+	cfg.Trainer.OnBatchEnd = func(batches int) {
+		select {
+		case resumedAt <- batches:
+		default:
+		}
+	}
 	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := srv2.RestoreCheckpoint(ckPath); err != nil {
 		t.Fatal(err)
-	}
-	if srv2.Metrics().Batches() == 0 {
-		t.Fatal("restored batch counter is zero")
 	}
 	if done := srv2.CompletedSims(); !done[0] || done[1] {
 		t.Fatalf("restored goodbyes wrong: %v", done)
@@ -414,6 +421,9 @@ func TestServerCheckpointRestart(t *testing.T) {
 	if err := wait2(); err != nil {
 		t.Fatal(err)
 	}
+	if got := <-resumedAt; got != ckpt.Batch+1 {
+		t.Fatalf("restored run's first batch is %d, want %d: the batch counter did not resume", got, ckpt.Batch+1)
+	}
 
 	// Union of both instances' trained samples covers the full ensemble.
 	union := map[buffer.Key]bool{}
@@ -425,6 +435,114 @@ func TestServerCheckpointRestart(t *testing.T) {
 	}
 	if len(union) != 2*testSteps {
 		t.Fatalf("union covers %d samples, want %d", len(union), 2*testSteps)
+	}
+}
+
+// TestServerCheckpointRestartTornSimulation is the 2-rank restart whose cut
+// falls inside one simulation: at the batch-1 checkpoint rank 0 holds the
+// simulation's whole share and its Goodbye, rank 1 is still short of its
+// last frame. The simulation is then not complete — reporting it so (rank
+// 0's view alone) means the launcher never re-runs it and the restored rank
+// 1 waits for that frame until its context expires. Re-run, the restart
+// trains every step exactly once.
+func TestServerCheckpointRestartTornSimulation(t *testing.T) {
+	const ranks, steps = 2, 16 // 8 steps per rank: even steps on rank 0, odd on rank 1
+	ckPath := filepath.Join(t.TempDir(), "server.ckpt")
+	cfg := testConfig(ranks, 1, buffer.FIFOKind)
+	cfg.CheckpointPath = ckPath
+	cfg.CheckpointEveryBatches = 1
+	batch := cfg.Trainer.BatchSize
+
+	srv1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	defer cancel1()
+	wait1 := runServer(t, srv1, ctx1)
+
+	// One client seen through its two connections: each half announces the
+	// simulation to one rank and sends that rank's share.
+	input, field := make([]float64, 6), make([]float64, testNField)
+	half := func(rank int) *client.API {
+		api, err := client.InitCommunication(client.Config{ServerAddrs: srv1.Addrs()[rank : rank+1]}, steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return api
+	}
+	send := func(api *client.API, rank, count int) {
+		for i := 0; i < count; i++ {
+			if err := api.Send(2*i+2-rank, input, field); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Rank 0 gets everything first. It cannot finish batch 1 without rank
+	// 1, so its boundary-1 cut is certain to show the complete share.
+	toRank0 := half(0)
+	send(toRank0, 0, steps/ranks)
+	if err := toRank0.FinalizeCommunication(); err != nil {
+		t.Fatal(err)
+	}
+	testwait.Until(t, "rank 0 to end reception", func() bool {
+		a := srv1.aggs[0]
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.ended
+	})
+	// Rank 1 gets all but its last frame: batch 1 trains and is written,
+	// batch 2 waits on rank 1 for a frame that never comes.
+	toRank1 := half(1)
+	defer toRank1.Abort()
+	send(toRank1, 1, steps/ranks-1)
+	var st *elastic.State
+	testwait.Until(t, "the batch-1 checkpoint", func() bool {
+		st, err = elastic.ReadState(ckPath)
+		return err == nil
+	})
+	cancel1()
+	if err := wait1(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled server returned %v, want the cancellation", err)
+	}
+	if st.Batch != 1 {
+		t.Fatalf("checkpoint is at batch %d, want 1", st.Batch)
+	}
+	checkFileCut(t, st, ranks, batch)
+
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv2.RestoreCheckpoint(ckPath); err != nil {
+		t.Fatal(err)
+	}
+	if done := srv2.CompletedSims(); done[0] {
+		t.Fatalf("simulation 0 reported complete with rank 1 at %d of %d frames: nobody would re-run it", srv2.receivedOnRank(1), steps/ranks)
+	}
+	wait2 := runServer(t, srv2, context.Background())
+	job := testJob(srv2, 0, steps)
+	job.Client.Restart = 1
+	if err := client.Run(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait2(); err != nil {
+		t.Fatal(err)
+	}
+	occ := srv2.Metrics().Occurrences()
+	for step := 1; step <= steps; step++ {
+		want := 1
+		if step <= ranks*batch {
+			want = 0 // batch 1 of either rank: trained before the checkpoint
+		}
+		if got := occ[buffer.Key{SimID: 0, Step: step}]; got != want {
+			t.Errorf("step %d trained %d times after the restart, want %d", step, got, want)
+		}
+	}
+	for r := 0; r < ranks; r++ {
+		if got := srv2.receivedOnRank(r); got != steps/ranks {
+			t.Errorf("rank %d holds %d distinct frames after the restart, want %d", r, got, steps/ranks)
+		}
 	}
 }
 
@@ -448,26 +566,35 @@ func encodeIngest(t testing.TB, ing *ingestState) []byte {
 	return buf.Bytes()
 }
 
-// checkCut asserts the conservation invariant of a FIFO checkpoint whose
-// batches were all full: on every rank, each sample the message log calls
-// received is either trained at the boundary or in the buffer snapshot.
-func checkCut(t *testing.T, st *elastic.State, ranks, batchSize int) {
+// checkCut asserts the conservation invariant of a FIFO cut taken after
+// trained samples per rank (full batches only): on every rank, each sample
+// the message log calls received is either trained at the boundary or in the
+// buffer snapshot.
+func checkCut(t *testing.T, ing *ingestState, trained int) {
 	t.Helper()
-	ing, err := decodeIngest(st.App, ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for r := range ing.Sims {
 		received := 0
 		for _, sim := range ing.Sims[r] {
 			received += int(sim.Received)
 		}
-		trained := st.Batch * batchSize
 		buffered := len(ing.BufSeen[r]) + len(ing.BufUnseen[r])
 		if received != trained+buffered {
 			t.Errorf("rank %d: received %d = trained %d + buffered %d (missing %d)",
 				r, received, trained, buffered, received-trained-buffered)
 		}
+	}
+}
+
+// checkFileCut is checkCut for a checkpoint file's state; it stops the test
+// on a torn cut, which a restart from it would only obscure.
+func checkFileCut(t *testing.T, st *elastic.State, ranks, batchSize int) {
+	t.Helper()
+	ing, err := decodeIngest(st.App, ranks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checkCut(t, ing, st.Batch*batchSize); t.Failed() {
+		t.FailNow()
 	}
 }
 
@@ -541,14 +668,14 @@ func TestRunReturnsWithAggregatorParked(t *testing.T) {
 			cfg := testConfig(1, 1, buffer.FIFOKind)
 			cfg.Buffer.Capacity = 2
 			cfg.Trainer.MaxBatches = tc.maxBatches
-			cfg.Group = ddp.RankGroup{Comm: ddp.NewCommunicator(1)}
+			group := ddp.RankGroup{Comm: ddp.NewCommunicator(1)}
 			parked, release := make(chan struct{}), make(chan struct{})
 			cfg.Trainer.OnBatchEnd = func(batches int) {
 				if batches == 1 {
 					close(parked)
 					<-release
 					if tc.abort {
-						cfg.Group.Abort()
+						group.Abort()
 					}
 				}
 			}
@@ -556,6 +683,7 @@ func TestRunReturnsWithAggregatorParked(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			srv.group = group
 			wait := runServer(t, srv, context.Background())
 
 			// One batch, two frames that fill the FIFO, one that parks the
@@ -652,10 +780,7 @@ func TestCheckpointIsBoundaryCut(t *testing.T) {
 	if st.Batch != 1 {
 		t.Fatalf("copied the batch-%d checkpoint, want batch 1", st.Batch)
 	}
-	checkCut(t, st, ranks, batch)
-	if t.Failed() {
-		t.FailNow()
-	}
+	checkFileCut(t, st, ranks, batch)
 
 	// Restart from the cut. The restarted client replays its whole
 	// trajectory; every step was received before the checkpoint, so all of
@@ -714,11 +839,11 @@ func TestCheckpointCutExcludesFrameInFlight(t *testing.T) {
 		producers, _ := srv.bufs[0].Parked()
 		return producers == 1
 	})
-	st, err := newBoundaries(srv).capture(srv.trainer, 0, 0)
-	if err != nil || st == nil {
-		t.Fatalf("capture: state %v, err %v", st, err)
+	ing := newBoundaries(srv).capture(0, 0)
+	if ing == nil {
+		t.Fatal("the only rank's capture did not complete the boundary")
 	}
-	checkCut(t, st, 1, cfg.Trainer.BatchSize)
+	checkCut(t, ing, 0)
 	srv.bufs[0].EndReception()
 	testwait.Recv(t, stored, "the parked frame to be refused")
 }
@@ -791,10 +916,11 @@ func FuzzIngestState(f *testing.F) {
 		if err := srv.restoreIngest(&elastic.State{App: app}); err != nil {
 			return
 		}
+		// What was accepted is what the next boundary captures and encodes.
+		bounds := newBoundaries(srv)
 		for r, b := range srv.bufs {
-			// What was accepted is what the next boundary captures.
-			if _, err := newBoundaries(srv).capture(srv.trainer, r, 0); err != nil {
-				t.Fatal(err)
+			if ing := bounds.capture(r, 0); ing != nil {
+				encodeIngest(t, ing)
 			}
 			b.ReplaceContents(func(_, _ []buffer.Sample) ([]buffer.Sample, []buffer.Sample) { return nil, nil })
 		}

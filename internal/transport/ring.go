@@ -75,8 +75,8 @@ const (
 
 // ErrLinkDead marks a failure of an established ring link: the peer went
 // silent past the IO timeout, reset the connection, or sent a malformed
-// frame. It is fatal for the current ring — the group must re-form
-// (ddp.Classify reports it as FaultFatal).
+// frame. It is fatal for the current ring — the group must re-form; ddp
+// never retries it.
 var ErrLinkDead = errors.New("transport: ring link dead")
 
 // ErrRingAborted marks an operation interrupted by Ring.Abort. It is the
@@ -97,7 +97,7 @@ type RingOptions struct {
 	// Identity is carried in the RingHello handshake and verified by the
 	// acceptor: ring formation fails unless both ends agree. Hierarchical
 	// groups use it to encode the topology (e.g. local ranks per process),
-	// so a process launched with a mismatched -local-ranks fails loudly at
+	// so a process launched with a mismatched -ranks fails loudly at
 	// formation instead of desynchronizing mid-collective.
 	Identity uint32
 	// Codec selects the wire encoding of collective float frames
@@ -210,13 +210,6 @@ func (br *ringReader) Read(p []byte) (int, error) {
 	n := copy(p, br.buf[br.lo:br.hi])
 	br.lo += n
 	return n, nil
-}
-
-// Connect forms the ring with default options and no cancellation; see
-// ConnectContext. The listener is consumed: it is closed on every path,
-// success or failure.
-func (l *RingListener) Connect(rank int, addrs []string, timeout time.Duration) (*Ring, error) {
-	return l.ConnectContext(context.Background(), rank, addrs, timeout, RingOptions{})
 }
 
 // ConnectContext forms the ring: the listener's rank dials
@@ -613,23 +606,6 @@ func (r *Ring) RecvFloats16Add(dst []float32) error {
 		return fmt.Errorf("transport: ring rank %d: float16 frame %d bytes, want %d: %w", r.rank, len(payload), 2*len(dst), ErrLinkDead)
 	}
 	protocol.AddF16s(dst, payload)
-	return nil
-}
-
-// SendToken stages a zero-payload barrier token for the successor.
-func (r *Ring) SendToken() error {
-	return r.stage(protocol.TypeRingToken, 0, nil)
-}
-
-// RecvToken reads one barrier token from the predecessor.
-func (r *Ring) RecvToken() error {
-	typ, payload, err := r.readFrame()
-	if err != nil {
-		return err
-	}
-	if typ != protocol.TypeRingToken || len(payload) != 0 {
-		return fmt.Errorf("transport: ring rank %d: unexpected frame type %d, want token: %w", r.rank, typ, ErrLinkDead)
-	}
 	return nil
 }
 

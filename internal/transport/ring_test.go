@@ -60,6 +60,11 @@ func ringFrame(typ protocol.MsgType, payload []byte) []byte {
 	return buf
 }
 
+// retiredTokenType is the wire value of the barrier-token frame no program
+// sends any more (protocol reserves it): to a ring it is one more
+// unexpected frame type.
+const retiredTokenType protocol.MsgType = 7
+
 func TestRingFrameRoundTrip(t *testing.T) {
 	vals := []float32{1.5, -2.25, 3.75}
 	payload := make([]byte, 4*len(vals))
@@ -67,7 +72,7 @@ func TestRingFrameRoundTrip(t *testing.T) {
 		binary.LittleEndian.PutUint32(payload[4*i:], math.Float32bits(v))
 	}
 	stream := append(ringFrame(protocol.TypeRingPing, nil), ringFrame(protocol.TypeRingFloats, payload)...)
-	stream = append(stream, ringFrame(protocol.TypeRingToken, nil)...)
+	stream = append(stream, ringFrame(retiredTokenType, nil)...)
 
 	r := frameReaderOver(stream)
 	dst := make([]float32, len(vals))
@@ -79,10 +84,10 @@ func TestRingFrameRoundTrip(t *testing.T) {
 			t.Fatalf("float %d: got %v want %v", i, dst[i], v)
 		}
 	}
-	if err := r.RecvToken(); err != nil {
-		t.Fatal(err)
+	if err := r.RecvFloats(dst[:0]); !errors.Is(err, ErrLinkDead) {
+		t.Fatalf("token-typed frame: got %v, want ErrLinkDead", err)
 	}
-	if err := r.RecvToken(); !errors.Is(err, ErrLinkDead) {
+	if err := r.RecvFloats(dst); !errors.Is(err, ErrLinkDead) {
 		t.Fatalf("EOF after stream end: got %v, want ErrLinkDead", err)
 	}
 }
@@ -141,9 +146,9 @@ func TestRingFrameLyingLengthBounded(t *testing.T) {
 // bytes actually present (a lying length prefix is chunk-bounded).
 func FuzzRingFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(ringFrame(protocol.TypeRingToken, nil))
+	f.Add(ringFrame(retiredTokenType, nil))
 	f.Add(ringFrame(protocol.TypeRingFloats, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
-	f.Add(append(ringFrame(protocol.TypeRingPing, nil), ringFrame(protocol.TypeRingToken, nil)...))
+	f.Add(append(ringFrame(protocol.TypeRingPing, nil), ringFrame(retiredTokenType, nil)...))
 	f.Add(ringFrame(protocol.TypeRingFloats, make([]byte, 64))[:ringHeaderLen+10])
 	lying := make([]byte, ringHeaderLen)
 	binary.LittleEndian.PutUint32(lying, uint32(protocol.MaxFrameSize))
@@ -170,6 +175,17 @@ func FuzzRingFrame(f *testing.F) {
 		}
 		if cap(r.recvBuf) > len(data)+2*ringReadChunk {
 			t.Fatalf("receive buffer %d for %d input bytes", cap(r.recvBuf), len(data))
+		}
+		// A typed receive over the same stream: any frame but the one it
+		// wants — the retired token type included — ends the link.
+		r = frameReaderOver(data)
+		for dst := make([]float32, 2); ; {
+			if err := r.RecvFloats(dst); err != nil {
+				if !errors.Is(err, ErrLinkDead) {
+					t.Fatalf("non-link error from RecvFloats: %v", err)
+				}
+				break
+			}
 		}
 	})
 }
@@ -227,7 +243,7 @@ func equalBools(a, b []bool) bool {
 
 // TestRingIdentityMismatch: ring formation must fail loudly when the two
 // ends of a link were launched with different topology identities (e.g.
-// mismatched -local-ranks), instead of forming a ring that desynchronizes
+// mismatched -ranks), instead of forming a ring that desynchronizes
 // mid-collective.
 func TestRingIdentityMismatch(t *testing.T) {
 	l0, err := ListenRing("127.0.0.1:0")

@@ -2,6 +2,7 @@ package melissa
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -284,10 +285,24 @@ func (s *Surrogate) SaveFile(path string) error {
 	return f.Close()
 }
 
+// maxSurrogateParams bounds what LoadSurrogate reads from a stream of
+// unknown length: 2³⁰ parameters (4 GiB of weights), far above any real
+// surrogate.
+const maxSurrogateParams = 1 << 30
+
 // LoadSurrogate reconstructs a surrogate from a checkpoint written by Save.
 // The embedded metadata names the problem (resolved through the registry)
-// and the architecture, so no further arguments are needed.
-func LoadSurrogate(r io.Reader) (*Surrogate, error) {
+// and the architecture, so no further arguments are needed. The weight block
+// is read in full before the network is built (see loadSurrogate);
+// LoadSurrogateFile knows the file's length and skips that copy.
+func LoadSurrogate(r io.Reader) (*Surrogate, error) { return loadSurrogate(r, -1) }
+
+// loadSurrogate is LoadSurrogate over a stream with present bytes behind it
+// (negative: unknown). The header of a 60-byte file can describe terabytes
+// of network, and building a network allocates and randomly initialises all
+// of it, so nothing is built until the weights it describes are known to be
+// there.
+func loadSurrogate(r io.Reader, present int64) (*Surrogate, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -368,11 +383,43 @@ func LoadSurrogate(r io.Reader) (*Surrogate, error) {
 		Seed:        seed,
 	}
 	norm := prob.Normalizer(cfg)
+	var weights io.Reader = br
+	if present < 0 {
+		// ReadAll grows with the bytes that arrive, not with what the
+		// header claims.
+		block, err := io.ReadAll(io.LimitReader(br, 4*maxSurrogateParams))
+		if err != nil {
+			return nil, fmt.Errorf("melissa: reading checkpoint weights: %w", err)
+		}
+		present, weights = int64(len(block)), bytes.NewReader(block)
+	}
+	if !mlpFits(norm.InputDim(), hidden, norm.OutputDim(), present/4) {
+		return nil, fmt.Errorf("melissa: checkpoint describes a larger network than the %d bytes present can hold", present)
+	}
 	net := nn.ArchitectureMLP(norm.InputDim(), hidden, norm.OutputDim(), seed)
-	if err := net.LoadWeights(br); err != nil {
+	if err := net.LoadWeights(weights); err != nil {
 		return nil, err
 	}
 	return newSurrogate(net, norm, meta), nil
+}
+
+// mlpFits reports whether the MLP in → hidden... → out has at most budget
+// weights and biases. Each layer is checked by division before it is
+// multiplied out, so no width a header or a problem supplies can overflow.
+func mlpFits(in int, hidden []int, out int, budget int64) bool {
+	prev := int64(in)
+	for i := 0; i <= len(hidden); i++ {
+		width := int64(out)
+		if i < len(hidden) {
+			width = int64(hidden[i])
+		}
+		if prev < 0 || width < 0 || width > budget/(prev+1) {
+			return false
+		}
+		budget -= (prev + 1) * width
+		prev = width
+	}
+	return true
 }
 
 // LoadSurrogateFile reads a self-describing surrogate checkpoint from path.
@@ -382,7 +429,11 @@ func LoadSurrogateFile(path string) (*Surrogate, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadSurrogate(f)
+	present := int64(-1) // a pipe or device has no length to check against
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		present = fi.Size()
+	}
+	return loadSurrogate(f, present)
 }
 
 // writeString / readString mirror the nn checkpoint string encoding.

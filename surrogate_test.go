@@ -2,7 +2,12 @@ package melissa
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"melissa/internal/nn"
@@ -290,4 +295,96 @@ func BenchmarkPredictParallel(b *testing.B) {
 			dst = s.PredictInto(dst, params, 0.05)
 		}
 	})
+}
+
+// surrogateHeader encodes a checkpoint metadata block (see Save) with no
+// weight payload behind it.
+func surrogateHeader(problem string, gridN, steps uint32, hidden []uint32) []byte {
+	var b bytes.Buffer
+	b.WriteString(surrogateMagic)
+	binary.Write(&b, binary.LittleEndian, uint32(surrogateVersion))
+	writeString(&b, problem)
+	binary.Write(&b, binary.LittleEndian, []uint32{gridN, steps})
+	binary.Write(&b, binary.LittleEndian, math.Float64bits(0.01))
+	binary.Write(&b, binary.LittleEndian, uint32(len(hidden)))
+	binary.Write(&b, binary.LittleEndian, hidden)
+	binary.Write(&b, binary.LittleEndian, uint64(7))
+	return b.Bytes()
+}
+
+// FuzzLoadSurrogate feeds the checkpoint decoder truncated, lying and
+// garbage files — melissa-serve runs it on whatever file it is pointed at.
+// It must return an error or a surrogate that predicts; it must never
+// panic, and what it allocates must be sized by the bytes present, not by
+// what the header claims.
+func FuzzLoadSurrogate(f *testing.F) {
+	cfg := DefaultConfig()
+	cfg.Problem, cfg.GridN, cfg.StepsPerSim, cfg.Hidden = Heat(), 2, 4, []int{3}
+	norm := cfg.Problem.Normalizer(cfg)
+	tiny := newSurrogate(nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), 1), norm, surrogateMeta(cfg, cfg.Problem))
+	var valid bytes.Buffer
+	if err := tiny.Save(&valid); err != nil {
+		f.Fatal(err)
+	}
+	huge := make([]uint32, 1<<10)
+	for i := range huge {
+		huge[i] = 1 << 20
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-5])
+	f.Add(valid.Bytes()[:valid.Len()/2])
+	f.Add(valid.Bytes()[:12])
+	f.Add(surrogateHeader(HeatName, 1<<16, 100, huge[:3])) // 60 bytes asking for terabytes
+	f.Add(surrogateHeader(HeatName, 32, 100, huge))
+	f.Add(surrogateHeader(HeatName, 1<<16, 100, nil))
+	f.Add([]byte("MLSG and then nothing of use"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sur, err := LoadSurrogate(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; len(data) < 1<<10 && grew > 64<<20 {
+			t.Fatalf("a %d-byte checkpoint made the loader allocate %d MB", len(data), grew>>20)
+		}
+		if err != nil {
+			return
+		}
+		if got := sur.Predict(make([]float64, sur.ParamDim()), 0); len(got) != sur.OutputDim() {
+			t.Fatalf("loaded surrogate predicts %d values, declares %d", len(got), sur.OutputDim())
+		}
+	})
+}
+
+// TestLoadSurrogateRefusesUnbackedHeader: the largest architecture the
+// header fields admit — 1,024 hidden layers of 2²⁰ units — arrives with no
+// weights behind it. Both entry points refuse it by arithmetic on the
+// header and the bytes present, without building any of it.
+func TestLoadSurrogateRefusesUnbackedHeader(t *testing.T) {
+	huge := make([]uint32, 1<<10)
+	for i := range huge {
+		huge[i] = 1 << 20
+	}
+	header := surrogateHeader(HeatName, 32, 100, huge)
+	path := filepath.Join(t.TempDir(), "huge.mlsg")
+	if err := os.WriteFile(path, header, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// One hidden layer of 2²⁰ units is 4 GB of float32 under the parameter
+	// cap, so only the bytes-present check stands between it and the heap.
+	if err := os.WriteFile(path+".1", surrogateHeader(HeatName, 32, 100, huge[:1]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, errReader := LoadSurrogate(bytes.NewReader(header))
+	_, errFile := LoadSurrogateFile(path)
+	_, errOneLayer := LoadSurrogateFile(path + ".1")
+	runtime.ReadMemStats(&after)
+	if errReader == nil || errFile == nil || errOneLayer == nil {
+		t.Fatalf("unbacked headers accepted: reader %v, file %v, one layer %v", errReader, errFile, errOneLayer)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("refusing three unbacked headers allocated %d MB", grew>>20)
+	}
 }
