@@ -17,6 +17,7 @@ import (
 	"melissa/internal/ddp"
 	"melissa/internal/protocol"
 	"melissa/internal/solver"
+	"melissa/internal/tensor"
 	"melissa/internal/transport"
 )
 
@@ -245,8 +246,8 @@ func (a *API) Send(step int, input []float64, field []float64) error {
 	a.sendMu.Lock()
 	a.msg.SimID = int32(a.cfg.SimID)
 	a.msg.Step = int32(step)
-	a.msg.Input = appendF32(a.msg.Input[:0], input)
-	a.msg.Field = appendF32(a.msg.Field[:0], field)
+	a.msg.Input = toF32(a.msg.Input, input)
+	a.msg.Field = toF32(a.msg.Field, field)
 	err := a.conn.Send(rank, &a.msg)
 	a.sendMu.Unlock()
 	if err == nil || !a.cfg.Reconnect {
@@ -311,10 +312,14 @@ func (a *API) stopHeartbeats() {
 	a.hbDone.Wait()
 }
 
-func appendF32(dst []float32, in []float64) []float32 {
-	for _, v := range in {
-		dst = append(dst, float32(v))
+// toF32 rounds in to float32 into dst's storage, growing it only when
+// capacity is insufficient.
+func toF32(dst []float32, in []float64) []float32 {
+	if cap(dst) < len(in) {
+		dst = make([]float32, len(in))
 	}
+	dst = dst[:len(in)]
+	tensor.F64ToF32(dst, in)
 	return dst
 }
 

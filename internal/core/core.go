@@ -134,11 +134,9 @@ func (h FieldNormalizer) NormalizeInput(raw, dst []float32) {
 
 // NormalizeOutput writes the normalized training target for one raw field.
 func (h FieldNormalizer) NormalizeOutput(raw, dst []float32) {
-	span := float32(h.FieldMax - h.FieldMin)
-	min := float32(h.FieldMin)
-	for i, v := range raw {
-		dst[i] = (v - min) / span
-	}
+	// Capped at len(dst): a raw field longer than the row must panic, not
+	// run on into the rows behind it.
+	tensor.AffineNorm(dst[:len(raw):len(dst)], raw, float32(h.FieldMin), float32(h.FieldMax-h.FieldMin))
 }
 
 // Apply implements Normalizer.
@@ -243,11 +241,7 @@ func Validate(net *nn.Network, set *ValidationSet, chunk int) float64 {
 		rows := end - start
 		set.In.ViewRows(&set.view, start, end)
 		want := set.Out.Data[start*set.Out.Cols : end*set.Out.Cols]
-		pred := net.Forward(&set.view)
-		for i, p := range pred.Data {
-			d := float64(p) - float64(want[i])
-			sum += d * d
-		}
+		sum += tensor.SqDiffSum(net.Forward(&set.view).Data, want)
 		count += rows * set.Out.Cols
 	}
 	return sum / float64(count)

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -415,5 +416,31 @@ func BenchmarkAllReduceTCP(b *testing.B) {
 			b.ReportMetric(float64(sent1-sent0)/float64(b.N), "wire-B/op")
 			wg.Wait()
 		})
+	}
+}
+
+// TestMismatchedHopFailsCollective breaks the lockstep protocol's word: two
+// in-process ranks enter one collective with buffers of different lengths,
+// so a hop arrives shorter than the chunk it is accumulated into. Both
+// ranks must get an error (not a panic, not a read past the message), and
+// the communicator stays poisoned.
+func TestMismatchedHopFailsCollective(t *testing.T) {
+	c := NewCommunicator(2)
+	errs := make(chan error, 2)
+	for r, n := range []int{64, 48} {
+		go func(rank, n int) { errs <- c.AllReduceSum(rank, make([]float32, n)) }(r, n)
+	}
+	for r := 0; r < 2; r++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "-float hop") {
+				t.Fatalf("mismatched collective returned %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a rank hung on a mismatched collective")
+		}
+	}
+	if err := c.AllReduceSum(0, make([]float32, 1)); err == nil {
+		t.Fatal("communicator not poisoned after a protocol violation")
 	}
 }

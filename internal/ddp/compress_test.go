@@ -210,8 +210,10 @@ func TestCompressedWireBytesHalved(t *testing.T) {
 			bufs[r] = make([]float32, length)
 		}
 		runGroup(g, func(rank int, c Communicator) { c.AllReduceSumRange(rank, bufs[rank], 0, length) })
-		sent, _ := g[0].(WireCompression).WireBytes()
-		return sent
+		// The received count: a rank returns once it has read every hop,
+		// while its writer goroutine may not have counted the last send yet.
+		_, recv := g[0].(WireCompression).WireBytes()
+		return recv
 	}
 	f32 := measure(transport.CodecF32)
 	f16 := measure(transport.CodecF16)

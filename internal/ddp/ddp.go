@@ -78,6 +78,7 @@ import (
 	"sync/atomic"
 
 	"melissa/internal/protocol"
+	"melissa/internal/tensor"
 	"melissa/internal/transport"
 )
 
@@ -344,9 +345,10 @@ func (c *Comm) sendHop(l int, vals []float32, comp bool) error {
 // recvHop receives the predecessor's message for local rank l into dst,
 // accumulating element-wise when accumulate is set and copying otherwise.
 // dst length is the collective's chunk length, which the lockstep protocol
-// guarantees matches the sender's. comp must match the sender's sendHop
-// argument — on a compressed collective the socket hop decodes binary16
-// and accumulates in float32 (fused, no scratch pass).
+// says matches the sender's; a message of any other length is a protocol
+// violation and poisons the communicator like a dead link. comp must match
+// the sender's sendHop argument — on a compressed collective the socket hop
+// decodes binary16 and accumulates in float32 (fused, no scratch pass).
 func (c *Comm) recvHop(l int, dst []float32, accumulate, comp bool) error {
 	if c.socketRecv(l) {
 		switch {
@@ -365,10 +367,11 @@ func (c *Comm) recvHop(l int, dst []float32, accumulate, comp bool) error {
 	if err := c.poisoned(); err != nil {
 		return err
 	}
+	if len(in) != len(dst) {
+		return c.fail(fmt.Errorf("ddp: rank %d received a %d-float hop, expected %d", c.offset+l, len(in), len(dst)))
+	}
 	if accumulate {
-		for i := range dst {
-			dst[i] += in[i]
-		}
+		tensor.Add(dst, in)
 	} else {
 		copy(dst, in)
 	}

@@ -33,14 +33,7 @@ func actGradBiasSum(act Activation, dz, dy, y *tensor.Matrix, bgrad []float32) {
 		dzr := dz.Row(r)
 		switch act {
 		case ActReLU:
-			for c := 0; c < cols; c++ {
-				g := dyr[c]
-				if yr[c] <= 0 {
-					g = 0
-				}
-				dzr[c] = g
-				bgrad[c] += g
-			}
+			tensor.ReLUGradBias(dzr, dyr, yr, bgrad)
 		case ActTanh:
 			for c := 0; c < cols; c++ {
 				g := dyr[c] * (1 - yr[c]*yr[c])

@@ -21,12 +21,7 @@ func (l *MSELoss) Forward(pred, target *tensor.Matrix) float64 {
 	if pred.Rows != target.Rows || pred.Cols != target.Cols {
 		panic(fmt.Sprintf("nn: MSE shape mismatch %dx%d vs %dx%d", pred.Rows, pred.Cols, target.Rows, target.Cols))
 	}
-	var sum float64
-	for i, p := range pred.Data {
-		d := float64(p) - float64(target.Data[i])
-		sum += d * d
-	}
-	return sum / float64(len(pred.Data))
+	return MSE(pred.Data, target.Data)
 }
 
 // Backward returns dLoss/dPred for the most recent shapes:
@@ -34,23 +29,12 @@ func (l *MSELoss) Forward(pred, target *tensor.Matrix) float64 {
 // reused between calls.
 func (l *MSELoss) Backward(pred, target *tensor.Matrix) *tensor.Matrix {
 	grad := l.grad.get(pred.Rows, pred.Cols)
-	scale := 2 / float32(len(pred.Data))
-	for i, p := range pred.Data {
-		grad.Data[i] = scale * (p - target.Data[i])
-	}
+	tensor.SubScale(grad.Data, pred.Data, target.Data, 2/float32(len(pred.Data)))
 	return grad
 }
 
 // MSE computes the mean-squared error between two flat vectors; a
 // convenience for validation metrics.
 func MSE(pred, target []float32) float64 {
-	if len(pred) != len(target) {
-		panic("nn: MSE length mismatch")
-	}
-	var sum float64
-	for i := range pred {
-		d := float64(pred[i]) - float64(target[i])
-		sum += d * d
-	}
-	return sum / float64(len(pred))
+	return tensor.SqDiffSum(pred, target) / float64(len(pred))
 }

@@ -124,10 +124,10 @@ func f32BitsEqual(a, b []float32) bool {
 // the legacy path rejects.
 func TestReaderErrorsMatchRead(t *testing.T) {
 	cases := [][]byte{
-		{1, 0},                         // truncated header
-		{0, 0, 0, 0},                   // zero-size frame
-		{0xff, 0xff, 0xff, 0xff},       // oversized frame
-		{1, 0, 0, 0, 99},               // unknown type
+		{1, 0},                   // truncated header
+		{0, 0, 0, 0},             // zero-size frame
+		{0xff, 0xff, 0xff, 0xff}, // oversized frame
+		{1, 0, 0, 0, 99},         // unknown type
 		{10, 0, 0, 0, byte(TypeTimeStep), 1, 0, 0, 0, 2, 0, 0, 0, 9}, // short float payload
 	}
 	frame := Encode(Heartbeat{ClientID: 1})

@@ -43,7 +43,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"melissa/internal/tensor"
 )
 
 // MsgType discriminates frame payloads.
@@ -426,7 +427,7 @@ func (d *decoder) f32sInto(dst []float32) []float32 {
 	} else {
 		dst = dst[:n]
 	}
-	decodeF32Bulk(dst, d.buf[:4*n])
+	DecodeF32s(dst, d.buf[:4*n])
 	d.buf = d.buf[4*n:]
 	return dst
 }
@@ -444,62 +445,18 @@ func (d *decoder) f32sHeader() (int, bool) {
 	return int(n), true
 }
 
-// EncodeF32s serializes vals into dst as little-endian float32 bits with
-// the codec's 8-wide unrolled loop; dst must hold at least 4·len(vals)
-// bytes. It is the exported byte↔float shuffle for wire layers that frame
-// raw float chunks themselves (the rank-to-rank collective ring), so every
-// float on the wire moves through the same vectorized loops as the client
-// messages.
+// EncodeF32s serializes vals into dst as little-endian float32 bits; dst
+// must hold at least 4·len(vals) bytes. Every float on the wire — client
+// messages, the rank-to-rank collective ring, optimizer checkpoints — moves
+// through this pair, which is tensor's vectorized little-endian copy.
 func EncodeF32s(dst []byte, vals []float32) {
-	encodeF32Bulk(dst, vals)
+	tensor.PutF32LE(dst, vals)
 }
 
 // DecodeF32s is the decode mirror of EncodeF32s: it fills dst from
 // 4·len(dst) bytes of src.
 func DecodeF32s(dst []float32, src []byte) {
-	decodeF32Bulk(dst, src)
-}
-
-// decodeF32Bulk byte-swaps 4·len(dst) bytes of src into dst with an 8-wide
-// unrolled little-endian loop. binary.LittleEndian.Uint32 compiles to a
-// single load on little-endian targets, so the unroll amortizes the slice
-// bookkeeping, not the swap.
-func decodeF32Bulk(dst []float32, src []byte) {
-	i := 0
-	for ; i+8 <= len(dst); i += 8 {
-		b := src[i*4 : i*4+32 : i*4+32]
-		dst[i+0] = math.Float32frombits(binary.LittleEndian.Uint32(b[0:4]))
-		dst[i+1] = math.Float32frombits(binary.LittleEndian.Uint32(b[4:8]))
-		dst[i+2] = math.Float32frombits(binary.LittleEndian.Uint32(b[8:12]))
-		dst[i+3] = math.Float32frombits(binary.LittleEndian.Uint32(b[12:16]))
-		dst[i+4] = math.Float32frombits(binary.LittleEndian.Uint32(b[16:20]))
-		dst[i+5] = math.Float32frombits(binary.LittleEndian.Uint32(b[20:24]))
-		dst[i+6] = math.Float32frombits(binary.LittleEndian.Uint32(b[24:28]))
-		dst[i+7] = math.Float32frombits(binary.LittleEndian.Uint32(b[28:32]))
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[i*4 : i*4+4]))
-	}
-}
-
-// encodeF32Bulk is the encode mirror of decodeF32Bulk: dst must hold
-// 4·len(vals) bytes.
-func encodeF32Bulk(dst []byte, vals []float32) {
-	i := 0
-	for ; i+8 <= len(vals); i += 8 {
-		b := dst[i*4 : i*4+32 : i*4+32]
-		binary.LittleEndian.PutUint32(b[0:4], math.Float32bits(vals[i+0]))
-		binary.LittleEndian.PutUint32(b[4:8], math.Float32bits(vals[i+1]))
-		binary.LittleEndian.PutUint32(b[8:12], math.Float32bits(vals[i+2]))
-		binary.LittleEndian.PutUint32(b[12:16], math.Float32bits(vals[i+3]))
-		binary.LittleEndian.PutUint32(b[16:20], math.Float32bits(vals[i+4]))
-		binary.LittleEndian.PutUint32(b[20:24], math.Float32bits(vals[i+5]))
-		binary.LittleEndian.PutUint32(b[24:28], math.Float32bits(vals[i+6]))
-		binary.LittleEndian.PutUint32(b[28:32], math.Float32bits(vals[i+7]))
-	}
-	for ; i < len(vals); i++ {
-		binary.LittleEndian.PutUint32(dst[i*4:i*4+4], math.Float32bits(vals[i]))
-	}
+	tensor.GetF32LE(dst, src)
 }
 
 func appendU32(buf []byte, v uint32) []byte {
@@ -525,7 +482,7 @@ func appendF32s(buf []byte, vals []float32) []byte {
 		buf = grown
 	}
 	buf = buf[:off+need]
-	encodeF32Bulk(buf[off:], vals)
+	EncodeF32s(buf[off:], vals)
 	return buf
 }
 

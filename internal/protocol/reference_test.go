@@ -60,7 +60,7 @@ func (d *decoder) f32s() []float32 {
 		return nil
 	}
 	out := make([]float32, n)
-	decodeF32Bulk(out, d.buf[:4*n])
+	DecodeF32s(out, d.buf[:4*n])
 	d.buf = d.buf[4*n:]
 	return out
 }

@@ -161,8 +161,8 @@ func (g *GrayScott) StepOnce() error {
 	dt := g.cfg.Dt
 	f, k, du, dv := g.par.F, g.par.K, g.par.Du, g.par.Dv
 	for i := 0; i < n; i++ {
-		up := ((i-1+n)%n)*n // row above
-		dn := ((i+1)%n)*n   // row below
+		up := ((i - 1 + n) % n) * n // row above
+		dn := ((i + 1) % n) * n     // row below
 		row := i * n
 		for j := 0; j < n; j++ {
 			lf := (j - 1 + n) % n

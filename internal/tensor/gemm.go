@@ -448,17 +448,9 @@ func applyEpilogue(dst *Matrix, i0, i1, j0, j1 int, bias []float32, ep Epilogue)
 		row := dst.Data[i*dst.Cols+j0 : i*dst.Cols+j1]
 		switch ep {
 		case EpBias:
-			for j, v := range bv {
-				row[j] += v
-			}
+			Add(row, bv)
 		case EpBiasReLU:
-			for j, v := range bv {
-				if x := row[j] + v; x > 0 {
-					row[j] = x
-				} else {
-					row[j] = 0
-				}
-			}
+			AddReLU(row, bv)
 		case EpBiasTanh:
 			for j, v := range bv {
 				row[j] = float32(math.Tanh(float64(row[j] + v)))

@@ -3,12 +3,12 @@
 package tensor
 
 // Runtime selection of the assembly kernels. The Go toolchain does not
-// auto-vectorize, so the 16-wide tile columns and the 8-lane Adam update
-// only pay off through the hand-written kernels in microkernel_amd64.s and
-// adam_amd64.s; both are enabled once at process start when CPUID reports
-// FMA+AVX2 and the OS has enabled YMM state (OSXSAVE with XCR0 SSE+AVX
-// bits). Everything is stdlib-free so the tensor package stays
-// dependency-less.
+// auto-vectorize, so the 16-wide tile columns, the 8-lane Adam update and
+// the elementwise family only pay off through the hand-written kernels in
+// microkernel_amd64.s, adam_amd64.s and vec_amd64.s; all are enabled once
+// at process start when CPUID reports FMA+AVX2 and the OS has enabled YMM
+// state (OSXSAVE with XCR0 SSE+AVX bits). Everything is stdlib-free so the
+// tensor package stays dependency-less.
 
 //go:noescape
 func kern4x16FMA(kc int, pa, pb []float32, ldb int, c []float32, ldc int)
@@ -51,5 +51,9 @@ func init() {
 	if hasAVX2FMA() {
 		kern4x16, dot4x2 = kern4x16FMA, dot4x2FMA
 		adamRange = adamRangeAVX2
+		vecScal, vecAdd, vecAddReLU = scalAVX2, addAVX2, addReLUAVX2
+		vecReLUGradBias, vecSubScale, vecSqDiffLanes = reluGradBiasAVX2, subScaleAVX2, sqDiffLanesAVX2
+		vecAffineNorm, vecF64ToF32 = affineNormAVX2, f64ToF32AVX2
+		vecPutF32LE, vecGetF32LE = putF32LEAVX2, getF32LEAVX2
 	}
 }

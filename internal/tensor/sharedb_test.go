@@ -13,8 +13,8 @@ import (
 func TestSharedBMatchesPerTilePacking(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 23))
 	shapes := []struct{ m, n, k int }{
-		{65, 130, 300},     // tails on every axis, 2 k-slabs
-		{256, 300, 10},     // training dW shape: 4 row tiles, short k
+		{65, 130, 300},               // tails on every axis, 2 k-slabs
+		{256, 300, 10},               // training dW shape: 4 row tiles, short k
 		{2 * blockM, blockN, blockK}, // exact block multiples
 		{blockM + 1, 2*blockN + 3, 2*blockK + 5},
 	}

@@ -225,6 +225,58 @@ func TestNonFinitePropagates(t *testing.T) {
 			}
 		}
 	}
+
+	// The two NaN rules of the elementwise family, on the assembly and the
+	// portable side: a fused bias epilogue hands a non-finite product on,
+	// the ReLU epilogue turns NaN and −∞ into +0 (as `x > 0` being false
+	// does) and keeps +∞, and the ReLU backward pass lets the gradient
+	// through a NaN activation (as `y <= 0` being false does) while a
+	// non-finite gradient reaches dz and the bias gradient.
+	nan := float32(math.NaN())
+	oldAdd, oldAddReLU, oldGrad := vecAdd, vecAddReLU, vecReLUGradBias
+	t.Cleanup(func() { vecAdd, vecAddReLU, vecReLUGradBias = oldAdd, oldAddReLU, oldGrad })
+	for _, portable := range []bool{false, true} {
+		if portable {
+			vecAdd, vecAddReLU, vecReLUGradBias = addGo, addReLUGo, reluGradBiasGo
+		}
+		const n = 19 // two blocks and a tail
+		a, b, bias := New(1, 2), New(2, n), make([]float32, n)
+		a.Data[0], a.Data[1] = 1, 0
+		for j := 0; j < n; j++ {
+			b.Data[j] = []float32{nan, inf, -inf, 0.5}[j%4]
+			b.Data[n+j] = 1
+			bias[j] = 0.25
+		}
+		lin, relu := New(1, n), New(1, n)
+		MatMulBias(lin, a, b, bias)
+		MatMulBiasReLU(relu, a, b, bias)
+		dy, dz, bgrad := make([]float32, n), make([]float32, n), make([]float32, n)
+		y := make([]float32, n)
+		for j := range dy {
+			dy[j] = []float32{2, nan, inf, -inf, 3}[j%5]
+			y[j] = []float32{nan, 1, 0, -1}[j%4]
+		}
+		ReLUGradBias(dz, dy, y, bgrad)
+		for j := 0; j < n; j++ {
+			if floatClass(lin.Data[j]) != floatClass(b.Data[j]) {
+				t.Fatalf("portable=%v: EpBias column %d is %v under a %v product", portable, j, lin.Data[j], b.Data[j])
+			}
+			want := []float32{0, inf, 0, 0.75}[j%4]
+			if math.Float32bits(relu.Data[j]) != math.Float32bits(want) {
+				t.Fatalf("portable=%v: EpBiasReLU column %d is %v under a %v product, want %v", portable, j, relu.Data[j], b.Data[j], want)
+			}
+			want = dy[j]
+			if j%4 >= 2 { // y ≤ 0
+				want = 0
+			}
+			if math.Float32bits(dz[j]) != math.Float32bits(want) && (want == want || dz[j] == dz[j]) {
+				t.Fatalf("portable=%v: ReLUGradBias dz[%d] is %v for dy %v at y %v", portable, j, dz[j], dy[j], y[j])
+			}
+			if math.Float32bits(bgrad[j]) != math.Float32bits(dz[j]) && (bgrad[j] == bgrad[j] || dz[j] == dz[j]) {
+				t.Fatalf("portable=%v: bias gradient %v after dz %v", portable, bgrad[j], dz[j])
+			}
+		}
+	}
 }
 
 // TestFMA32 checks the portable fused multiply-add against exact

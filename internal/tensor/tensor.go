@@ -1,12 +1,13 @@
 // Package tensor provides dense float32 matrices and the linear-algebra
 // kernels used by the neural-network training stack. It is deliberately
 // small: row-major matrices, a cache-blocked register-tiled GEMM with fused
-// epilogues, the Adam update over flat parameter slabs, and the vector
-// primitives needed by optimizers and all-reduce. Everything is
-// allocation-explicit so training loops can reuse buffers across batches,
-// and parallel kernels dispatch op-coded tasks to a persistent worker pool
-// (see pool.go) rather than spawning goroutines, so the training hot path
-// stays allocation-free.
+// epilogues, the Adam update over flat parameter slabs, and one family of
+// elementwise kernels for everything between the GEMMs — epilogues, loss,
+// normalization, gradient accumulate and scale, the wire's float copies.
+// Everything is allocation-explicit so training loops can reuse buffers
+// across batches, and parallel kernels dispatch op-coded tasks to a
+// persistent worker pool (see pool.go) rather than spawning goroutines, so
+// the training hot path stays allocation-free.
 //
 // # GEMM blocking scheme
 //
@@ -85,6 +86,34 @@
 // 0.9·m rounds back to m, and every later step would take a microcode
 // assist of about 100 ns on that element. On a state with no subnormal
 // moment the update equals the scalar loop it replaced bit-for-bit.
+//
+// # Elementwise kernels
+//
+// vec.go's family — Scal, Add, AddReLU, ReLUGradBias, SubScale, AffineNorm,
+// F64ToF32, PutF32LE / GetF32LE and SqDiffSum — is what the training step
+// and the ingest path run per field between the GEMMs. Each has an AVX2
+// kernel (vec_amd64.s, eight lanes, enabled by the same CPU check) over the
+// whole blocks of eight and a portable loop that is the kernel's tail and
+// the only implementation elsewhere; there is nothing to select.
+//
+//   - All but SqDiffSum are lane-independent: output element i is one or two
+//     IEEE float32 operations on input elements i, each rounded on its own
+//     (no FMA; AffineNorm divides, it does not multiply by a reciprocal), so
+//     assembly, portable loop and the scalar loops they replaced agree
+//     bit-for-bit (FuzzVecKernels) and no trajectory depends on which runs
+//     or on where a block boundary falls.
+//   - Two NaN rules, both the scalar comparisons' own. AddReLU keeps a sum
+//     only if it is greater than zero, so NaN (and −0, −∞) become +0.
+//     ReLUGradBias zeroes the gradient only where the activation is ≤ 0, so
+//     a NaN activation passes it. Everything else propagates non-finite
+//     operands as IEEE arithmetic does (TestNonFinitePropagates).
+//   - SqDiffSum is the one reduction: Σ(a−b)² in float64 over eight partial
+//     sums, element i of the whole blocks going to lane i mod 8 with
+//     difference, square and sum each rounded on their own; then
+//     ((l0+l4)+(l2+l6))+((l1+l5)+(l3+l7)), then the n mod 8 tail in order.
+//     The order is a function of n alone, the same on every platform
+//     (TestSqDiffSumOrder executes it in math/big). It feeds the reported
+//     train loss and validation MSE only; no gradient reads it.
 package tensor
 
 import (
@@ -150,11 +179,7 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 }
 
 // Zero sets every element to 0.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
+func (m *Matrix) Zero() { clear(m.Data) }
 
 // Fill sets every element to v.
 func (m *Matrix) Fill(v float32) {
@@ -185,10 +210,7 @@ func (m *Matrix) AddRowVector(v []float32) {
 		panic(fmt.Sprintf("tensor: AddRowVector length %d != cols %d", len(v), m.Cols))
 	}
 	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, x := range v {
-			row[c] += x
-		}
+		Add(m.Row(r), v)
 	}
 }
 
@@ -199,10 +221,7 @@ func (m *Matrix) SumRowsInto(dst []float32) {
 		panic(fmt.Sprintf("tensor: SumRowsInto length %d != cols %d", len(dst), m.Cols))
 	}
 	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c, x := range row {
-			dst[c] += x
-		}
+		Add(dst, m.Row(r))
 	}
 }
 

@@ -9,10 +9,15 @@
 // The receive path is zero-copy: each connection reader decodes frames
 // through a protocol.Reader, so TimeStep envelopes carry leased
 // *protocol.TimeStep payloads that the consumer must hand back with
-// protocol.RecycleTimeStep once copied out. The send path buffers frames
-// in per-rank bufio writers with explicit flush points, so a burst of
-// messages (hello + first steps, heartbeat + time step) coalesces into few
-// write syscalls and the frame encoding reuses a per-rank scratch buffer.
+// protocol.RecycleTimeStep once copied out. It reads the socket through a
+// pooled read buffer of the send buffer's size (readBuffers), so a
+// back-logged socket is drained many frames per read syscall instead of a
+// header read and a body read per frame, and a finished simulation's buffer
+// serves the next connection instead of the collector. The send path
+// buffers frames in per-rank bufio writers with explicit flush points, so a
+// burst of messages (hello + first steps, heartbeat + time step) coalesces
+// into few write syscalls and the frame encoding reuses a per-rank scratch
+// buffer.
 //
 // # Failure model
 //
@@ -37,6 +42,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"melissa/internal/protocol"
@@ -58,9 +64,9 @@ type RankListener struct {
 	ln       net.Listener
 	incoming chan Envelope
 
-	mu     sync.Mutex
+	mu     sync.Mutex // guards conns, and closed's flip against an accept
 	conns  map[net.Conn]struct{}
-	closed bool
+	closed atomic.Bool
 
 	wg sync.WaitGroup
 }
@@ -96,11 +102,10 @@ func (l *RankListener) Incoming() <-chan Envelope { return l.incoming }
 // Incoming channel once drained.
 func (l *RankListener) Close() error {
 	l.mu.Lock()
-	if l.closed {
+	if l.closed.Swap(true) {
 		l.mu.Unlock()
 		return nil
 	}
-	l.closed = true
 	err := l.ln.Close()
 	for c := range l.conns {
 		c.Close()
@@ -121,7 +126,7 @@ func (l *RankListener) acceptLoop() {
 			return // listener closed
 		}
 		l.mu.Lock()
-		if l.closed {
+		if l.closed.Load() {
 			l.mu.Unlock()
 			conn.Close()
 			return
@@ -133,16 +138,27 @@ func (l *RankListener) acceptLoop() {
 	}
 }
 
+// readBuffers recycles the connection readers' buffers: a simulation's
+// connection lives for one trajectory, so an ensemble would otherwise leave
+// one clientWriterSize buffer per simulation per rank behind for the
+// collector. A reader is Reset on both ends of its life, so neither a dead
+// connection nor its unread bytes outlive readLoop.
+var readBuffers = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, clientWriterSize) }}
+
 func (l *RankListener) readLoop(conn net.Conn) {
 	defer l.wg.Done()
+	br := readBuffers.Get().(*bufio.Reader)
+	br.Reset(conn)
 	defer func() {
+		br.Reset(nil)
+		readBuffers.Put(br)
 		l.mu.Lock()
 		delete(l.conns, conn)
 		l.mu.Unlock()
 		conn.Close()
 	}()
 	addr := conn.RemoteAddr().String()
-	rd := protocol.NewReader(conn)
+	rd := protocol.NewReader(br)
 	for {
 		msg, err := rd.Next()
 		if err != nil {
@@ -151,19 +167,18 @@ func (l *RankListener) readLoop(conn net.Conn) {
 			// watchdog handles the consequences.
 			return
 		}
-		l.mu.Lock()
-		closed := l.closed
-		l.mu.Unlock()
-		if closed {
+		if l.closed.Load() {
 			return
 		}
 		l.incoming <- Envelope{Msg: msg, Addr: addr}
 	}
 }
 
-// clientWriterSize is the per-rank send buffer. One heat-equation TimeStep
-// frame is a few KiB, so a handful of frames coalesce per flush; frames
-// larger than the buffer are written through by bufio without copying.
+// clientWriterSize is the per-rank send buffer and the size of the read
+// buffer on the other end of the socket. One heat-equation TimeStep frame
+// is a few KiB, so a handful of frames coalesce per flush and a back-logged
+// socket hands over as many per read; frames larger than the buffer pass
+// through bufio without copying, both ways.
 const clientWriterSize = 1 << 15
 
 // rankConn is one buffered connection to a server rank: the socket, its

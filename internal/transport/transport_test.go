@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"melissa/internal/protocol"
+	"melissa/internal/testwait"
 )
 
 const dialTimeout = 2 * time.Second
@@ -356,5 +357,103 @@ func TestWatchdogConcurrentBeats(t *testing.T) {
 	wg.Wait()
 	if w.Watched() != 8 {
 		t.Fatalf("watched %d", w.Watched())
+	}
+}
+
+// TestReadLoopPooledBuffer pins the three things the pooled read buffer
+// must not change: frames that arrive in one segment come out one by one
+// and in order, a frame larger than the buffer passes through, and whatever
+// a dead connection left unread in its buffer — the rest of a frame cut
+// short, whole frames behind a corrupt one — never reaches the connection
+// that draws the same buffer from the pool next.
+func TestReadLoopPooledBuffer(t *testing.T) {
+	l, err := Listen("127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	dial := func() net.Conn {
+		t.Helper()
+		conn, err := net.Dial("tcp", l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return conn
+	}
+	gone := func() { // every readLoop has returned its buffer and its connection
+		t.Helper()
+		testwait.Until(t, "readLoop exit", func() bool {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			return len(l.conns) == 0
+		})
+	}
+	next := func() *protocol.TimeStep {
+		t.Helper()
+		ts, ok := testwait.Recv(t, l.Incoming(), "a frame").Msg.(*protocol.TimeStep)
+		if !ok {
+			t.Fatal("a frame that no live connection sent was delivered")
+		}
+		return ts
+	}
+
+	conn := dial()
+	var burst []byte
+	for step := 0; step < 64; step++ {
+		burst = protocol.AppendEncode(burst, protocol.TimeStep{SimID: 7, Step: int32(step), Field: []float32{float32(step)}})
+	}
+	big := make([]float32, clientWriterSize) // 4× the buffer in bytes
+	for i := range big {
+		big[i] = float32(i)
+	}
+	burst = protocol.AppendEncode(burst, protocol.TimeStep{SimID: 7, Step: 64, Field: big})
+	burst = protocol.AppendEncode(burst, protocol.TimeStep{SimID: 7, Step: 65})
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step <= 65; step++ {
+		ts := next()
+		if ts.SimID != 7 || int(ts.Step) != step {
+			t.Fatalf("frame %d arrived as sim %d step %d", step, ts.SimID, ts.Step)
+		}
+		if step == 64 {
+			if len(ts.Field) != len(big) || ts.Field[len(big)-1] != big[len(big)-1] {
+				t.Fatalf("oversized frame arrived with %d floats", len(ts.Field))
+			}
+		}
+		protocol.RecycleTimeStep(ts)
+	}
+	conn.Close()
+	gone()
+
+	poison := protocol.Encode(protocol.Heartbeat{ClientID: 666})
+	for round := 0; round < 16; round++ {
+		dying := dial()
+		junk := protocol.Encode(protocol.TimeStep{SimID: 9, Step: int32(round), Field: make([]float32, 64)})
+		if round%2 == 0 {
+			junk = junk[:len(junk)-40] // dies mid-frame
+		} else {
+			junk[4] = 0xEE // unknown type: the reader stops here, the poison behind it is buffered
+			junk = append(junk, poison...)
+		}
+		if _, err := dying.Write(junk); err != nil {
+			t.Fatal(err)
+		}
+		dying.Close()
+		gone()
+
+		live := dial()
+		if _, err := live.Write(protocol.Encode(protocol.TimeStep{SimID: 8, Step: int32(round)})); err != nil {
+			t.Fatal(err)
+		}
+		if ts := next(); ts.SimID != 8 || int(ts.Step) != round {
+			t.Fatalf("round %d: the live connection delivered sim %d step %d", round, ts.SimID, ts.Step)
+		}
+		live.Close()
+		gone()
+	}
+	l.Close()
+	for env := range l.Incoming() {
+		t.Fatalf("stray message after the last connection closed: %+v", env.Msg)
 	}
 }
