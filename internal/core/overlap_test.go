@@ -290,8 +290,7 @@ func TestTrainStepZeroAllocOverlap4Ranks(t *testing.T) {
 // benchMultiRankTrainStep measures one synchronized multi-rank step at the
 // paper's surrogate shape, with peer ranks in lockstep goroutines so the
 // timed loop sees the full collective cost.
-func benchMultiRankTrainStep(b *testing.B, mode GradSyncMode) {
-	const ranks = 4
+func benchMultiRankTrainStep(b *testing.B, ranks int, mode GradSyncMode) {
 	tr, sts := multiRankHotTrainer(b, ranks, mode, 1024, []int{256, 256}, 10)
 	var wg sync.WaitGroup
 	for r := 1; r < ranks; r++ {
@@ -319,11 +318,18 @@ func benchMultiRankTrainStep(b *testing.B, mode GradSyncMode) {
 // BenchmarkTrainStepOverlap4Ranks: bucket all-reduces launched during
 // backward (the default mode).
 func BenchmarkTrainStepOverlap4Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, SyncOverlap)
+	benchMultiRankTrainStep(b, 4, SyncOverlap)
+}
+
+// BenchmarkTrainStepOverlap2Ranks is the benchmark workload's shape
+// (ensemble_2rank: two in-process ranks, overlap sync, the paper's model):
+// the step in which each rank applies half of the update.
+func BenchmarkTrainStepOverlap2Ranks(b *testing.B) {
+	benchMultiRankTrainStep(b, 2, SyncOverlap)
 }
 
 // BenchmarkTrainStepSerial4Ranks: the same bucket collectives issued after
 // the full backward pass — the overlap win is the gap to this baseline.
 func BenchmarkTrainStepSerial4Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, SyncSerial)
+	benchMultiRankTrainStep(b, 4, SyncSerial)
 }

@@ -119,15 +119,26 @@ func (c TrainerConfig) validate() error {
 }
 
 // Trainer runs the paper's training threads: each rank extracts batches
-// from its own buffer, computes gradients on its replica, all-reduces them
-// with the other ranks, and applies identical Adam updates (§3.1). With
-// the default overlapped mode, each layer's gradient bucket is all-reduced
-// concurrently with the backpropagation of earlier layers.
+// from its own buffer, computes gradients on its replica and all-reduces
+// them with the other ranks (§3.1). With the default overlapped mode, each
+// layer's gradient bucket is all-reduced concurrently with the
+// backpropagation of earlier layers.
+//
+// The paper applies the summed gradient "to each local NN copy to keep them
+// identical". The ranks of one process need no copies: they train on one
+// value slab and one pair of Adam moments, local rank l of L applies the
+// update to slice l of L, and a barrier holds everyone until every slice is
+// written. Adam is element-wise, so the slab holds exactly what L full
+// updates of L copies would have left in each of them.
 type Trainer struct {
-	cfg     TrainerConfig
-	bufs    []*buffer.Blocking
+	cfg  TrainerConfig
+	bufs []*buffer.Blocking
+	// nets[0] owns the value slab; the others are its replicas
+	// (nn.Network.CloneReplica), each with a gradient slab of its own.
+	// opts are per-rank handles on one (m, v) pair (opt.Adam.Alias).
 	nets    []*nn.Network
 	opts    []*opt.Adam
+	updated *barrier // every local rank has written its slice of the update
 	comm    ddp.Communicator
 	metrics *Metrics
 
@@ -155,8 +166,9 @@ type Trainer struct {
 	stopped atomic.Bool
 }
 
-// NewTrainer builds the replicas (identical weights from the seeded spec)
-// and wires them to the per-rank buffers. len(bufs) must equal cfg.Ranks.
+// NewTrainer builds the network (weights from the seeded spec) with one
+// replica per further local rank and wires them to the per-rank buffers.
+// len(bufs) must equal cfg.Ranks.
 func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -204,14 +216,12 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 			return nil, fmt.Errorf("core: loading initial weights: %w", err)
 		}
 	}
-	for r := 0; r < cfg.Ranks; r++ {
-		if r == 0 {
-			t.nets[r] = base
-		} else {
-			t.nets[r] = base.Clone()
-		}
-		t.opts[r] = opt.NewAdam(cfg.LearningRate)
+	t.updated = newBarrier(cfg.Ranks)
+	t.nets[0] = base
+	for r := 1; r < cfg.Ranks; r++ {
+		t.nets[r] = base.CloneReplica()
 	}
+	t.shareOptimizer(opt.NewAdam(cfg.LearningRate))
 	// The bucket layout is a property of the architecture; all replicas
 	// share it.
 	t.buckets = base.GradBuckets()
@@ -227,8 +237,15 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 	return t, nil
 }
 
-// Network returns the local rank-0 replica (identical to all others after
-// every synchronized step).
+// shareOptimizer makes a the optimizer state of the process: every local
+// rank gets a handle on its moments.
+func (t *Trainer) shareOptimizer(a *opt.Adam) {
+	for r := range t.opts {
+		t.opts[r] = a.Alias(t.nets[0].NumParams())
+	}
+}
+
+// Network returns the network that owns the process's one value slab.
 func (t *Trainer) Network() *nn.Network { return t.nets[0] }
 
 // Metrics returns the shared metrics collector. Counters advance only on
@@ -365,14 +382,16 @@ func (t *Trainer) syncLoop(st *rankState) {
 // lock-step across ranks: every iteration performs exactly one status
 // all-reduce and, while any rank is active, one gradient sync (a fixed
 // sequence of bucket collectives). A collective failure (dead peer, aborted
-// ring) ends the loop with that error; the weights hold the state of the
-// last completed step.
+// ring) ends the loop with that error, and breaks the update barrier for the
+// rank's siblings (see step for what the slab then holds).
 func (t *Trainer) rankLoop(rank int) error {
 	st := t.newRankState(rank)
 	defer st.close()
 	for {
 		cont, err := t.step(st)
 		if err != nil {
+			// A sibling whose collectives all completed may be waiting there.
+			t.updated.fail(err)
 			return fmt.Errorf("core: rank %d stopped at batch %d: %w", st.grank, st.localBatches, err)
 		}
 		if !cont {
@@ -383,9 +402,11 @@ func (t *Trainer) rankLoop(rank int) error {
 
 // step performs one synchronized training step and reports whether the
 // rank should continue. It is the measured unit of BenchmarkTrainStep and
-// is allocation-free in steady state. On a communicator error the step is
-// abandoned before the optimizer update, so replica state stays at the
-// last completed step.
+// is allocation-free in steady state. On a communicator error the rank
+// abandons the step before its slice of the optimizer update; a sibling may
+// have written its own, so the slab is whole only after a step that
+// returned no error, and a failed run's weights are restored from a
+// checkpoint, never read.
 func (t *Trainer) step(st *rankState) (bool, error) {
 	if t.cfg.MaxBatches > 0 && st.localBatches >= t.cfg.MaxBatches {
 		// The batch counter advances identically on every rank, so all
@@ -475,7 +496,20 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	if t.cfg.Schedule != nil {
 		st.optimizer.SetLR(t.cfg.Schedule.LR(globalSamples))
 	}
-	st.optimizer.StepFlat(st.net.FlatParams(), st.net.FlatGrads())
+	// Every rank holds the same summed gradient; this one averages and
+	// applies its share of it, slice rank of Ranks of the process's slab.
+	// The barrier keeps validation, the hooks and every sibling's next
+	// forward from reading a half-written slab. Nobody is still reading the
+	// old weights: the last bucket's all-reduce needed every rank's backward.
+	params, grads := st.net.FlatParams(), st.net.FlatGrads()
+	lo, hi := len(params)*st.rank/t.cfg.Ranks, len(params)*(st.rank+1)/t.cfg.Ranks
+	if n := t.comm.Size(); n > 1 {
+		tensor.Scal(1/float32(n), grads[lo:hi])
+	}
+	st.optimizer.StepFlatRange(params, grads, lo, hi)
+	if err := t.updated.wait(); err != nil {
+		return false, err
+	}
 
 	if st.grank == 0 && t.cfg.Validation != nil && t.cfg.ValidateEvery > 0 && st.localBatches%t.cfg.ValidateEvery == 0 {
 		// §4.4: validation runs on the training thread while holding
@@ -495,9 +529,10 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 }
 
 // syncGradients completes the step's gradient synchronization: it drains
-// the in-flight bucket collectives (overlap), or runs them now (serial),
-// then averages. On return every replica holds identical averaged
-// gradients, matching the all-reduce step of §3.1. The collectives operate
+// the in-flight bucket collectives (overlap), or runs them now (serial). On
+// return every rank's gradient slab holds the same sum over all ranks —
+// summed, not averaged: the 1/n belongs to whoever applies a slice of it
+// (see step) — matching the all-reduce of §3.1. The collectives operate
 // on the slab in place — no gather/scatter staging. On a collective failure
 // the first error is returned — after draining every in-flight bucket, so
 // the syncer goroutine is never left blocked — and the gradients are
@@ -520,34 +555,34 @@ func (t *Trainer) syncGradients(st *rankState) error {
 			}
 		}
 	}
-	if failed != nil {
-		return failed
-	}
-	if n := t.comm.Size(); n > 1 {
-		tensor.Scal(1/float32(n), grads)
-	}
-	return nil
+	return failed
 }
 
-// RestoreState loads checkpointed weights and optimizer state into every
-// replica and seeds the global counters, so a restarted server resumes the
-// exact training trajectory (§3.1). Must be called before Run.
+// RestoreState loads checkpointed weights and optimizer state into the
+// process's slab and moments and seeds the global counters, so a restarted
+// server resumes the exact training trajectory (§3.1). Must be called before
+// Run. It installs both blocks or, on an error, neither: the moments are
+// decoded aside and checked against the model first, and LoadWeights writes
+// nothing until it has read and checked a whole block.
 func (t *Trainer) RestoreState(weights, optState []byte, batches, samples int) error {
-	for r, net := range t.nets {
-		if err := net.LoadWeights(bytes.NewReader(weights)); err != nil {
-			return fmt.Errorf("core: restoring rank %d weights: %w", r, err)
-		}
-		if err := t.opts[r].LoadState(bytes.NewReader(optState)); err != nil {
-			return fmt.Errorf("core: restoring rank %d optimizer: %w", r, err)
-		}
+	restored := opt.NewAdam(t.cfg.LearningRate)
+	if err := restored.LoadState(bytes.NewReader(optState)); err != nil {
+		return fmt.Errorf("core: restoring optimizer: %w", err)
 	}
+	if n, want := restored.Len(), t.nets[0].NumParams(); n != 0 && n != want {
+		return fmt.Errorf("core: optimizer state has %d floats, model has %d", n, want)
+	}
+	if err := t.nets[0].LoadWeights(bytes.NewReader(weights)); err != nil {
+		return fmt.Errorf("core: restoring weights: %w", err)
+	}
+	t.shareOptimizer(restored)
 	t.startBatches = batches
 	t.startSamples = samples
 	t.metrics.RestoreCounts(batches, samples)
 	return nil
 }
 
-// CaptureState serializes the rank-0 weights and optimizer state for a
+// CaptureState serializes the process's weights and optimizer state for a
 // checkpoint. Call only from OnBatchEnd (a consistent step boundary) or
 // after Run returns.
 func (t *Trainer) CaptureState() (weights, optState []byte, err error) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
 
@@ -352,7 +353,7 @@ func TestAbortUnwedgesParkedRanks(t *testing.T) {
 		})
 	}
 
-	// A sender parks too, once its link's buffers are all in flight (a slow
+	// A sender parks too, once its link's credits are all out (a slow
 	// successor); Abort must reach it.
 	t.Run("sender", func(t *testing.T) {
 		c := NewCommunicator(2)
@@ -365,7 +366,7 @@ func TestAbortUnwedgesParkedRanks(t *testing.T) {
 				}
 			}
 		}()
-		time.Sleep(20 * time.Millisecond)
+		testwait.Until(t, "the sender to run out of credits", func() bool { return len(c.links[0].free) == 0 })
 		c.Abort()
 		select {
 		case err := <-errs:
@@ -442,5 +443,73 @@ func TestMismatchedHopFailsCollective(t *testing.T) {
 	}
 	if err := c.AllReduceSum(0, make([]float32, 1)); err == nil {
 		t.Fatal("communicator not poisoned after a protocol violation")
+	}
+}
+
+// TestHopByReference: a channel hop hands the successor a reference into the
+// sender's buffer, so the one thing a rank must never see is a peer's later
+// write. Every rank overwrites its whole buffer the instant a collective
+// returns and walks straight into the next one — whole-buffer and range
+// collectives alternating, odd lengths and lengths below the rank count —
+// and every result must still be the sum taken in ring order. Run under
+// -race: a read that is not ordered before the overwrite is a report, not a
+// matter of timing.
+func TestHopByReference(t *testing.T) {
+	const rounds = 200
+	input := func(round, rank, i int) float32 {
+		h := uint32(round)*2654435761 + uint32(rank)*40503 + uint32(i)*2246822519
+		return float32(int32(h>>9)%100003) * 1e-3
+	}
+	for _, n := range []int{2, 3, 4} {
+		for _, length := range []int{1, 3, 7, 64, 1003} {
+			t.Run(fmt.Sprintf("%dranks/%dfloats", n, length), func(t *testing.T) {
+				c := NewCommunicator(n)
+				const pad = 5 // the range collective leaves a margin on both sides
+				var wg sync.WaitGroup
+				for rank := 0; rank < n; rank++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						buf := make([]float32, pad+length+pad)
+						got := make([]float32, length)
+						for round := 0; round < rounds; round++ {
+							window := buf[pad : pad+length]
+							for i := range window {
+								window[i] = input(round, rank, i)
+							}
+							var err error
+							if round%2 == 0 {
+								err = c.AllReduceSum(rank, window)
+							} else {
+								err = c.AllReduceSumRange(rank, buf, pad, pad+length)
+							}
+							copy(got, window)
+							for i := range buf {
+								buf[i] = float32(-1 - rank) // garbage, before anything else
+							}
+							if err != nil {
+								t.Errorf("rank %d round %d: %v", rank, round, err)
+								return
+							}
+							for j := 0; j < n; j++ {
+								lo, hi := chunkRange(length, n, j)
+								for i := lo; i < hi; i++ {
+									want := input(round, j, i)
+									for k := 1; k < n; k++ {
+										want += input(round, (j+k)%n, i)
+									}
+									if got[i] != want {
+										t.Errorf("rank %d round %d elem %d: %v, ring-order sum %v", rank, round, i, got[i], want)
+										c.Abort() // the others must not park on a rank that gave up
+										return
+									}
+								}
+							}
+						}
+					}()
+				}
+				wg.Wait()
+			})
+		}
 	}
 }

@@ -19,9 +19,10 @@
 // same chunking, same accumulation order — so collective results are
 // bit-identical however the ranks are packed into processes. Only the
 // physical hop from a rank to its successor differs: between two ranks of
-// one process it is a channel link with recycled message buffers, and from
-// a process's last rank to the next process's first it is the
-// transport.Ring socket. That gives three layouts of the one mechanism:
+// one process it is a channel link that carries a reference to the sender's
+// chunk and is flow-controlled by credits (see link), and from a process's
+// last rank to the next process's first it is the transport.Ring socket.
+// That gives three layouts of the one mechanism:
 //
 //   - in-process (NewCommunicator): one process, no socket ring; every hop
 //     is a channel link and the last link wraps around.
@@ -30,8 +31,11 @@
 //     ranks needs one ring connection pair instead of M.
 //
 // Collectives operate directly on the caller's flat buffer — for training,
-// nn.Network.FlatGrads — so there is no gather/scatter staging copy, and
-// every layout is allocation-free in steady state.
+// nn.Network.FlatGrads — so there is no gather/scatter staging copy, a
+// channel hop adds or copies straight out of the sender's buffer, and every
+// layout is allocation-free in steady state. Ranks of one process must
+// therefore pass distinct buffers, and a buffer belongs to the collective
+// until the call returns.
 //
 // # Bucketed overlap
 //
@@ -122,34 +126,42 @@ type WireCompression interface {
 // the frame type.
 const compressMinFloats = 16
 
-// linkDepth is the number of message buffers a channel link owns.
+// linkDepth is the number of credits a channel link circulates: how many
+// chunks a sender may have handed over that its successor has not read yet.
 const linkDepth = 2
 
-// link is one directed in-process hop of the ring together with its
-// recycled message buffers. Senders draw an owned buffer from free, fill it
-// and pass it through data; receivers consume it and return it to free. Two
-// buffers keep the pipeline full without ever sharing a buffer between
-// writer and reader.
+// link is one directed in-process hop of the ring. It owns no storage: the
+// sender takes a credit from free and passes a reference to its own chunk
+// through data; the receiver adds or copies straight out of the sender's
+// buffer and returns the credit. A credit is an empty token, not a buffer.
+//
+// Reading a peer's buffer in place is safe by the ring's own causality.
+// Within one collective a rank rewrites a chunk it has sent only when the
+// finished sum of that chunk comes back around the ring, and the sum can
+// only get there through the successor that read the chunk. Across
+// collectives, allReduce settles before it returns: a rank whose successor
+// is in-process waits until every credit is home, so the successor holds no
+// reference and the caller may write its buffer at once.
 //
 // Poisoning (fail) rests on two invariants that nothing enforces. A link
-// holds at most linkDepth buffers, so with the one spare slot per channel no
-// send on a link ever blocks; only receives do. And each channel has one
-// receiver at a time, the goroutine of the rank on that side (data: the
-// successor, free: the sender), so fail's one wake-up per channel reaches
-// everyone who can be parked; a second goroutine parked on the same channel
-// would never be woken.
+// circulates at most linkDepth credits, so with the one spare slot per
+// channel no send on a link ever blocks; only receives do. And each channel
+// has one receiver at a time, the goroutine of the rank on that side (data:
+// the successor, free: the sender), so fail's one wake-up per channel
+// reaches everyone who can be parked; a second goroutine parked on the same
+// channel would never be woken.
 type link struct {
 	data chan []float32
-	free chan []float32
+	free chan struct{}
 }
 
 func newLink() link {
 	l := link{
 		data: make(chan []float32, linkDepth+1),
-		free: make(chan []float32, linkDepth+1),
+		free: make(chan struct{}, linkDepth+1),
 	}
 	for i := 0; i < linkDepth; i++ {
-		l.free <- nil // sized lazily on first send
+		l.free <- struct{}{}
 	}
 	return l
 }
@@ -291,7 +303,7 @@ func (c *Comm) fail(err error) error {
 	c.failOnce.Do(func() {
 		for i := range c.links {
 			c.links[i].data <- nil
-			c.links[i].free <- nil
+			c.links[i].free <- struct{}{}
 		}
 	})
 	return *c.firstErr.Load()
@@ -318,9 +330,10 @@ func (c *Comm) ringErr(err error) error {
 	return nil
 }
 
-// sendHop sends vals to local rank l's ring successor. vals is fully
-// copied before sendHop returns, so the caller may overwrite it
-// immediately. comp selects the binary16 wire encoding on a socket hop.
+// sendHop sends vals to local rank l's ring successor. A socket hop has
+// copied vals when it returns; a channel hop hands over vals itself, which
+// the successor reads until it returns the credit (see link and settle).
+// comp selects the binary16 wire encoding on a socket hop.
 func (c *Comm) sendHop(l int, vals []float32, comp bool) error {
 	if c.socketSend(l) {
 		if comp {
@@ -329,16 +342,31 @@ func (c *Comm) sendHop(l int, vals []float32, comp bool) error {
 		return c.ringErr(c.ring.SendFloats(vals))
 	}
 	lk := &c.links[l]
-	buf := <-lk.free
+	<-lk.free
 	if err := c.poisoned(); err != nil {
 		return err
 	}
-	if cap(buf) < len(vals) {
-		buf = make([]float32, len(vals))
+	lk.data <- vals
+	return nil
+}
+
+// settle waits until local rank l's in-process successor has read every
+// chunk l handed it — all of the link's credits are home — so whoever owns
+// the buffer may write it again. A socket successor holds no reference.
+func (c *Comm) settle(l int) error {
+	if c.socketSend(l) {
+		return nil
 	}
-	buf = buf[:len(vals)]
-	copy(buf, vals)
-	lk.data <- buf
+	lk := &c.links[l]
+	for i := 0; i < linkDepth; i++ {
+		<-lk.free
+		if err := c.poisoned(); err != nil {
+			return err
+		}
+	}
+	for i := 0; i < linkDepth; i++ {
+		lk.free <- struct{}{}
+	}
 	return nil
 }
 
@@ -375,7 +403,7 @@ func (c *Comm) recvHop(l int, dst []float32, accumulate, comp bool) error {
 	} else {
 		copy(dst, in)
 	}
-	lk.free <- in
+	lk.free <- struct{}{}
 	return nil
 }
 
@@ -466,9 +494,9 @@ func (c *Comm) allReduce(rank int, buf []float32, res []float32) error {
 		return buf[lo:hi]
 	}
 	// Scatter-reduce: after step s, rank r has accumulated s+1 terms into
-	// chunk (r-s); after n-1 steps chunk (r+1) holds the complete sum. Sends
-	// are staged copies, so mutating the next chunk while the previous
-	// message is still in flight is safe.
+	// chunk (r-s); after n-1 steps chunk (r+1) holds the complete sum. A
+	// chunk sent here is not written again before the all-gather brings its
+	// finished sum back (see link).
 	for s := 0; s < n-1; s++ {
 		if err := c.sendHop(l, chunk(rank-s), comp); err != nil {
 			return err
@@ -489,5 +517,5 @@ func (c *Comm) allReduce(rank int, buf []float32, res []float32) error {
 			return err
 		}
 	}
-	return nil
+	return c.settle(l)
 }

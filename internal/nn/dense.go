@@ -96,11 +96,13 @@ func (d *Dense) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
-// CloneShared returns an inference-only copy aliasing this layer's weight
-// and bias parameters (no copy) with private forward/backward scratch. See
+// CloneShared returns a copy aliasing this layer's weight and bias storage
+// (no copy; the Param headers are its own, so Network.CloneReplica can give
+// it private gradients) with private forward/backward scratch. See
 // Network.CloneShared for the safety contract.
 func (d *Dense) CloneShared() Layer {
-	return &Dense{name: d.name, w: d.w, b: d.b, act: d.act}
+	w, b := *d.w, *d.b
+	return &Dense{name: d.name, w: &w, b: &b, act: d.act}
 }
 
 // Clone implements Layer.

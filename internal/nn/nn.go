@@ -16,6 +16,12 @@
 // with no gather/scatter staging, optimizers update the value slab in one
 // fused vectorized pass, ZeroGrad is a single memclr, and checkpoints
 // serialize the value slab as one bulk write.
+//
+// The value slab may be shared, the gradient slab never is. The training
+// replicas of one process (CloneReplica) and the serving replicas of one
+// surrogate (CloneShared) all read a single value slab; every training
+// replica accumulates into a gradient slab of its own, which is the buffer
+// it hands to the all-reduce.
 package nn
 
 import (
@@ -41,7 +47,7 @@ func (p *Param) Size() int { return len(p.Value.Data) }
 // for the subsequent Backward; Backward accumulates into parameter
 // gradients and returns the gradient with respect to its input. Layers are
 // stateful and not safe for concurrent use — each data-parallel replica
-// owns its own copy (see Clone).
+// owns its own (see CloneReplica).
 type Layer interface {
 	// Forward computes the layer output for a batch (rows = samples).
 	Forward(x *tensor.Matrix) *tensor.Matrix
@@ -221,9 +227,9 @@ func (n *Network) NumParams() int {
 }
 
 // Clone deep-copies the network (weights copied, gradients zeroed) into its
-// own fresh slabs. Data-parallel replicas are created this way so that all
-// ranks start from byte-identical weights, mirroring how PyTorch DDP
-// broadcasts rank-0 weights at startup.
+// own fresh slabs: a snapshot that later training of the original cannot
+// touch. (The data-parallel replicas of one process are not copies; see
+// CloneReplica.)
 func (n *Network) Clone() *Network {
 	layers := make([]Layer, len(n.Layers))
 	for i, l := range n.Layers {
@@ -251,6 +257,29 @@ func (n *Network) CloneShared() *Network {
 	// No fuse(): repacking would re-point the shared Params at fresh slabs
 	// and break aliasing with (and race against readers of) the original.
 	return &Network{Layers: layers}
+}
+
+// CloneReplica returns a trainable replica for another data-parallel rank
+// of the same process: CloneShared's aliasing of the value slab (FlatParams
+// is this network's, so one optimizer update is seen by every replica) plus
+// a private gradient slab and private activation scratch. Whoever writes
+// the shared values must do so while no replica is in Forward or Backward.
+func (n *Network) CloneReplica() *Network {
+	r := n.CloneShared()
+	r.params = r.Params()
+	r.flatValues = n.flatValues
+	r.flatGrads = make([]float32, len(n.flatGrads))
+	r.layerRanges = n.layerRanges
+	off := 0
+	for i, p := range r.params {
+		if &p.Value.Data[0] != &n.params[i].Value.Data[0] {
+			panic(fmt.Sprintf("nn: parameter %q cannot share its storage with a replica", p.Name))
+		}
+		sz := p.Size()
+		p.Grad = &tensor.Matrix{Rows: p.Value.Rows, Cols: p.Value.Cols, Data: r.flatGrads[off : off+sz : off+sz]}
+		off += sz
+	}
+	return r
 }
 
 // CopyWeightsFrom overwrites this network's parameter values with src's.

@@ -14,7 +14,8 @@ import (
 // with (§4.1). Default hyperparameters match PyTorch: β1=0.9, β2=0.999,
 // ε=1e-8. The first and second moments are stored as two flat slabs
 // matching the network's parameter slab layout. It is stateful and not safe
-// for concurrent use; each data-parallel replica owns one.
+// for concurrent use; each data-parallel rank owns one handle, and the
+// handles of one process alias a single pair of moment slabs (see Alias).
 type Adam struct {
 	lr    float64
 	beta1 float64
@@ -44,13 +45,36 @@ func (a *Adam) alpha() (alpha, b1, b2, eps float32) {
 // tensor.AdamStep. This is the training hot path; it performs no
 // allocations in steady state. The caller zeroes the gradients afterwards.
 func (a *Adam) StepFlat(values, grads []float32) {
+	a.StepFlatRange(values, grads, 0, len(values))
+}
+
+// StepFlatRange is StepFlat confined to elements [lo, hi) of the slabs: the
+// step counter advances as for a whole step, the rest of the values and
+// moments is left alone. The update is element-wise, so handles that alias
+// one state (Alias) and each step a disjoint range of one value slab leave
+// exactly what a single StepFlat would — the ranks of one process share the
+// update this way, and each may step its range concurrently with the others.
+func (a *Adam) StepFlatRange(values, grads []float32, lo, hi int) {
 	if len(values) != len(grads) {
 		panic(fmt.Sprintf("opt: StepFlat slab lengths %d vs %d", len(values), len(grads)))
 	}
 	a.ensureState(len(values))
 	alpha, b1, b2, eps := a.alpha()
-	tensor.AdamStep(values, grads, a.m, a.v, alpha, b1, b2, eps)
+	tensor.AdamStep(values[lo:hi], grads[lo:hi], a.m[lo:hi], a.v[lo:hi], alpha, b1, b2, eps)
 }
+
+// Alias returns a second handle on a's moments, sized for a slab of total
+// floats: the same m and v, its own step counter and learning rate, both
+// starting at a's. Handles that take the same sequence of steps and SetLR
+// calls stay interchangeable, so nobody has to synchronise on them.
+func (a *Adam) Alias(total int) *Adam {
+	a.ensureState(total)
+	h := *a
+	return &h
+}
+
+// Len is the number of floats in each moment slab; 0 before the first step.
+func (a *Adam) Len() int { return len(a.m) }
 
 // SetLR changes the learning rate used by subsequent steps.
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
@@ -58,12 +82,19 @@ func (a *Adam) SetLR(lr float64) { a.lr = lr }
 // LR reports the current learning rate.
 func (a *Adam) LR() float64 { return a.lr }
 
+// ensureState allocates the moments on first use. A state that exists and
+// does not fit is a bug in the caller (Trainer.RestoreState checks Len before
+// it installs a restored state): reallocating would silently discard it and
+// un-share it from its aliases.
 func (a *Adam) ensureState(total int) {
-	if len(a.m) == total {
-		return
+	switch {
+	case len(a.m) == total:
+	case len(a.m) == 0:
+		a.m = make([]float32, total)
+		a.v = make([]float32, total)
+	default:
+		panic(fmt.Sprintf("opt: adam state has %d floats, slab has %d", len(a.m), total))
 	}
-	a.m = make([]float32, total)
-	a.v = make([]float32, total)
 }
 
 // stateChunk is how many floats SaveState and LoadState move per staging

@@ -303,3 +303,88 @@ func FuzzAdamLoadState(f *testing.F) {
 		}
 	})
 }
+
+// TestShardedStepEqualsFull: L aliased handles, each stepping its own slice
+// of one value slab (concurrently, as the local ranks of a trainer do),
+// leave values, moments and SaveState bytes equal to one handle's StepFlat
+// on the same gradients — the update is element-wise, so how the slab is cut
+// cannot show. The length is odd so slices end off any vector width, and the
+// learning rate changes mid-way on every handle.
+func TestShardedStepEqualsFull(t *testing.T) {
+	const total, steps = 1037, 60
+	for _, L := range []int{2, 3, 4} {
+		rng := rand.New(rand.NewPCG(uint64(L), 5))
+		wFull, wShard := make([]float32, total), make([]float32, total)
+		for i := range wFull {
+			wFull[i] = rng.Float32() - 0.5
+		}
+		copy(wShard, wFull)
+		full := NewAdam(1e-2)
+		handles := make([]*Adam, L)
+		handles[0] = NewAdam(1e-2)
+		for l := 1; l < L; l++ {
+			handles[l] = handles[0].Alias(total)
+		}
+		g := make([]float32, total)
+		for s := 0; s < steps; s++ {
+			for i := range g {
+				g[i] = rng.Float32() - 0.5
+			}
+			if s == steps/2 {
+				full.SetLR(2.5e-3)
+				for _, h := range handles {
+					h.SetLR(2.5e-3)
+				}
+			}
+			full.StepFlat(wFull, g)
+			done := make(chan struct{}, L)
+			for l, h := range handles {
+				go func() {
+					h.StepFlatRange(wShard, g, total*l/L, total*(l+1)/L)
+					done <- struct{}{}
+				}()
+			}
+			for range handles {
+				<-done
+			}
+		}
+		var want bytes.Buffer
+		if err := full.SaveState(&want); err != nil {
+			t.Fatal(err)
+		}
+		for l, h := range handles {
+			if &h.m[0] != &handles[0].m[0] || &h.v[0] != &handles[0].v[0] {
+				t.Fatalf("L=%d: handle %d no longer aliases handle 0's moments", L, l)
+			}
+			var got bytes.Buffer
+			if err := h.SaveState(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("L=%d: handle %d state differs from the full step's", L, l)
+			}
+		}
+		for i := range wFull {
+			if math.Float32bits(wFull[i]) != math.Float32bits(wShard[i]) {
+				t.Fatalf("L=%d: value %d: sharded %v, full %v", L, i, wShard[i], wFull[i])
+			}
+		}
+	}
+}
+
+// TestAdamStateMustFit: a state that exists is never reallocated to fit
+// another slab — that would discard restored moments without a word, and
+// un-share a handle from its aliases.
+func TestAdamStateMustFit(t *testing.T) {
+	a := NewAdam(1e-3)
+	a.StepFlat(make([]float32, 8), make([]float32, 8))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("StepFlat on a slab of another length did not panic")
+		}
+		if a.Len() != 8 {
+			t.Fatalf("state reallocated to %d floats", a.Len())
+		}
+	}()
+	a.StepFlat(make([]float32, 9), make([]float32, 9))
+}
