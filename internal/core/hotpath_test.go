@@ -6,6 +6,9 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,6 +16,7 @@ import (
 	"melissa/internal/nn"
 	"melissa/internal/opt"
 	"melissa/internal/tensor"
+	"melissa/internal/testlevel"
 )
 
 // step1 runs one synchronized step and reports continuation, panicking on
@@ -83,21 +87,26 @@ func newHotPathTrainer(tb testing.TB, fieldDim int, hidden []int, batch int) (*T
 // assembly, forward, backward, gradient sync, fused Adam update, metrics —
 // performs zero steady-state heap allocations. (The loss-curve append is
 // amortized geometric growth and stays far below one allocation per step.)
+//
+// It holds at every GEMM kernel level (the drivers share one scratch
+// freelist, whatever the kernel covers per call).
 func TestTrainStepZeroAlloc(t *testing.T) {
-	tr, st := newHotPathTrainer(t, 64, []int{32, 32}, 8)
-	for i := 0; i < 5; i++ { // warm scratch, slabs and moment state
-		if !step1(tr, st) {
-			t.Fatal("trainer stopped during warm-up")
+	testlevel.Each(t, func(level string) {
+		tr, st := newHotPathTrainer(t, 64, []int{32, 32}, 8)
+		for i := 0; i < 5; i++ { // warm scratch, slabs and moment state
+			if !step1(tr, st) {
+				t.Fatal("trainer stopped during warm-up")
+			}
 		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if !step1(tr, st) {
-			t.Fatal("trainer stopped during measurement")
+		avg := testing.AllocsPerRun(100, func() {
+			if !step1(tr, st) {
+				t.Fatal("trainer stopped during measurement")
+			}
+		})
+		if avg != 0 {
+			t.Fatalf("%s: train step: %v allocs per step in steady state, want 0", level, avg)
 		}
 	})
-	if avg != 0 {
-		t.Fatalf("train step: %v allocs per step in steady state, want 0", avg)
-	}
 }
 
 // legacyGradSync emulates the pre-refactor ddp.GradBuffer path: gather
@@ -262,36 +271,43 @@ func TestTrainerMatchesLegacyLoopWithTailBatch(t *testing.T) {
 	}
 }
 
+// fixedSeedRun trains ranks in-process ranks to the end of pre-filled, ended
+// Reservoirs (seeds 21+r, the samples dealt round-robin): every input of
+// the run is fixed, so its trajectory and final state are too.
+func fixedSeedRun(t *testing.T, ranks, samples int, hidden []int, capacity int) *Trainer {
+	t.Helper()
+	var norm Normalizer = NewHeatNormalizer(32, 1)
+	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: hidden, OutputDim: norm.OutputDim(), Seed: 11}
+	bufs := make([]*buffer.Blocking, ranks)
+	for r := range bufs {
+		bufs[r] = buffer.NewBlocking(buffer.NewReservoir(capacity, 0, uint64(21+r)))
+	}
+	for i, s := range hotPathSamples(NewHeatNormalizer(32, 1), samples) {
+		if !bufs[i%ranks].TryPut(s) {
+			t.Fatal("put rejected")
+		}
+	}
+	for _, b := range bufs {
+		b.EndReception()
+	}
+	tr, err := NewTrainer(TrainerConfig{
+		Ranks: ranks, BatchSize: 10, Model: spec, Normalizer: norm,
+	}, bufs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runTrainer(t, tr, context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // TestTrainerRunDeterministic re-runs an identical multi-rank configuration
 // and requires bit-identical loss trajectories — the fixed-seed determinism
 // the paper's reproducibility protocol relies on (§3.1).
 func TestTrainerRunDeterministic(t *testing.T) {
 	run := func() []LossPoint {
-		var norm Normalizer = NewHeatNormalizer(32, 1)
-		samples := hotPathSamples(NewHeatNormalizer(32, 1), 160)
-		spec := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{16}, OutputDim: norm.OutputDim(), Seed: 11}
-		bufs := make([]*buffer.Blocking, 2)
-		for r := range bufs {
-			bufs[r] = buffer.NewBlocking(buffer.NewReservoir(256, 0, uint64(21+r)))
-		}
-		for i, s := range samples {
-			if !bufs[i%2].TryPut(s) {
-				t.Fatal("put rejected")
-			}
-		}
-		for _, b := range bufs {
-			b.EndReception()
-		}
-		tr, err := NewTrainer(TrainerConfig{
-			Ranks: 2, BatchSize: 10, Model: spec, Normalizer: norm,
-		}, bufs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := runTrainer(t, tr, context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return tr.Metrics().TrainLoss()
+		return fixedSeedRun(t, 2, 160, []int{16}, 256).Metrics().TrainLoss()
 	}
 	a, b := run(), run()
 	if len(a) == 0 || len(a) != len(b) {
@@ -302,6 +318,39 @@ func TestTrainerRunDeterministic(t *testing.T) {
 			t.Fatalf("step %d: %v vs %v", i, a[i].Value, b[i].Value)
 		}
 	}
+}
+
+// TestFixedSeedRunSameAtEveryKernelLevel pins the whole step — forward,
+// backward, all-reduce, sharded Adam — to the bytes it produced before the
+// GEMM had kernel levels: 480 samples, hidden 64×48, to the end of the
+// Reservoirs on 1, 2 and 3 ranks (48, 24, 16 batches); sha256 of the
+// weights' little-endian bytes and of CaptureState's optimizer bytes, as
+// recorded in CHANGES.md at PR 23 on the AVX2 kernels. Every level must
+// reproduce them: the kernels differ in how many elements a call covers,
+// never in how an element is computed.
+func TestFixedSeedRunSameAtEveryKernelLevel(t *testing.T) {
+	want := map[int][2]string{
+		1: {"7d12ff64dedab3b0122bc5944685b52fa28c60641d719003ebadee75c0b37605", "6b12a40999a4a93760f2c065b3c934c559bb40b94e55aa5b8fb88041163c1b4a"},
+		2: {"c5b9019083147f9d0066d51c331674aa82bef6fdf41262e69d240e087da5e2f8", "f5451b084a0e8d08d919f4a074ad26c94c38a4b9a50bfde997b861a0084547ce"},
+		3: {"6ddbc0f28c2d3087e4c02e2a92b942a3b74ffaea34e1afd34eecae7cd96852c2", "ee53724b75d93a9742030d27c432bd2749b889a2c026828ae12d1bf6d0421757"},
+	}
+	testlevel.Each(t, func(level string) {
+		for ranks := 1; ranks <= 3; ranks++ {
+			tr := fixedSeedRun(t, ranks, 480, []int{64, 48}, 512)
+			var weights []byte
+			for _, v := range tr.Network().FlatParams() {
+				weights = binary.LittleEndian.AppendUint32(weights, math.Float32bits(v))
+			}
+			_, optState, err := tr.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [2]string{fmt.Sprintf("%x", sha256.Sum256(weights)), fmt.Sprintf("%x", sha256.Sum256(optState))}
+			if got != want[ranks] {
+				t.Errorf("%s, %d ranks: weights %s optimizer %s, want %v", level, ranks, got[0], got[1], want[ranks])
+			}
+		}
+	})
 }
 
 // BenchmarkTrainStep measures one synchronized training step at the

@@ -14,6 +14,7 @@ import (
 
 	"melissa/internal/buffer"
 	"melissa/internal/ddp"
+	"melissa/internal/testlevel"
 	"melissa/internal/transport"
 )
 
@@ -253,38 +254,40 @@ func multiRankHotTrainer(tb testing.TB, ranks int, mode GradSyncMode, fieldDim i
 // TestTrainStepZeroAllocOverlap4Ranks extends the zero-allocation gate to
 // the overlapped multi-rank path: a steady-state synchronized step — batch
 // extraction, forward, hook-launched bucket collectives, drain, fused Adam
-// — performs no heap allocations on any rank.
+// — performs no heap allocations on any rank, at every GEMM kernel level.
 func TestTrainStepZeroAllocOverlap4Ranks(t *testing.T) {
-	const ranks = 4
-	const runs = 100
-	tr, sts := multiRankHotTrainer(t, ranks, SyncOverlap, 64, []int{32, 32}, 8)
-	var wg sync.WaitGroup
-	for r := 1; r < ranks; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			for i := 0; i < runs+1+5; i++ {
-				if !step1(tr, sts[rank]) {
-					t.Error("peer rank stopped")
-					return
+	testlevel.Each(t, func(level string) {
+		const ranks = 4
+		const runs = 100
+		tr, sts := multiRankHotTrainer(t, ranks, SyncOverlap, 64, []int{32, 32}, 8)
+		var wg sync.WaitGroup
+		for r := 1; r < ranks; r++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				for i := 0; i < runs+1+5; i++ {
+					if !step1(tr, sts[rank]) {
+						t.Error("peer rank stopped")
+						return
+					}
 				}
-			}
-		}(r)
-	}
-	for i := 0; i < 5; i++ { // warm scratch, slabs, link buffers
-		if !step1(tr, sts[0]) {
-			t.Fatal("trainer stopped during warm-up")
+			}(r)
 		}
-	}
-	avg := testing.AllocsPerRun(runs, func() {
-		if !step1(tr, sts[0]) {
-			t.Fatal("trainer stopped during measurement")
+		for i := 0; i < 5; i++ { // warm scratch, slabs, link buffers
+			if !step1(tr, sts[0]) {
+				t.Fatal("trainer stopped during warm-up")
+			}
+		}
+		avg := testing.AllocsPerRun(runs, func() {
+			if !step1(tr, sts[0]) {
+				t.Fatal("trainer stopped during measurement")
+			}
+		})
+		wg.Wait()
+		if avg != 0 {
+			t.Fatalf("%s: overlapped train step: %v allocs per step in steady state, want 0", level, avg)
 		}
 	})
-	wg.Wait()
-	if avg != 0 {
-		t.Fatalf("overlapped train step: %v allocs per step in steady state, want 0", avg)
-	}
 }
 
 // benchMultiRankTrainStep measures one synchronized multi-rank step at the

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"melissa/internal/testlevel"
 )
 
 // spawnPeers launches ranks 1..n-1 running iters lockstep collective calls
@@ -57,15 +59,19 @@ func TestCollectivesZeroAlloc(t *testing.T) {
 					for r := range bufs {
 						bufs[r] = make([]float32, elems)
 					}
-					// AllocsPerRun invokes f runs+1 times (one warm-up round
-					// sizes the buffers); the peers must iterate exactly as
-					// often to stay in lockstep.
-					wg := spawnPeers(n, runs+1, func(rank int) { col.call(g[rank], rank, bufs[rank]) })
-					avg := testing.AllocsPerRun(runs, func() { col.call(g[0], 0, bufs[0]) })
-					wg.Wait()
-					if avg != 0 {
-						t.Fatalf("%v allocs per call in steady state, want 0", avg)
-					}
+					// A collective runs no GEMM, so tensor's kernel level cannot
+					// matter here; the loop is the cheap proof.
+					testlevel.Each(t, func(level string) {
+						// AllocsPerRun invokes f runs+1 times (one warm-up round
+						// sizes the buffers); the peers must iterate exactly as
+						// often to stay in lockstep.
+						wg := spawnPeers(n, runs+1, func(rank int) { col.call(g[rank], rank, bufs[rank]) })
+						avg := testing.AllocsPerRun(runs, func() { col.call(g[0], 0, bufs[0]) })
+						wg.Wait()
+						if avg != 0 {
+							t.Fatalf("%s: %v allocs per call in steady state, want 0", level, avg)
+						}
+					})
 				})
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/core"
 	"melissa/internal/elastic"
+	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
 
@@ -321,6 +322,17 @@ func (h *groupHarness) records(memberID int) []sessionRecord {
 	return append([]sessionRecord(nil), h.sessions[memberID]...)
 }
 
+// awaitCheckpoint holds a fault hook until the coordinator has committed the
+// group checkpoint at batch. Members are past that batch when they inject a
+// fault, but their shards are saved asynchronously: a fault that lands
+// before the commit legitimately rolls the group back to the start, not to
+// the checkpoint the test expects.
+func (h *groupHarness) awaitCheckpoint(batch int) {
+	testwait.Until(h.t, fmt.Sprintf("the coordinator to commit checkpoint %d", batch), func() bool {
+		return h.coord.ManifestBatch() >= batch
+	})
+}
+
 func (h *groupHarness) final(memberID int) []float32 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -354,6 +366,7 @@ func TestElasticKillRollbackFinish(t *testing.T) {
 	var killOnce sync.Once
 	h.hook = func(memberID int, sess *elastic.Session, batches int) {
 		if memberID == 1 && sess.Epoch() == 1 && batches == 6 {
+			h.awaitCheckpoint(egCkptEvery)
 			killOnce.Do(members[1].Kill)
 		}
 	}
@@ -411,6 +424,7 @@ func TestElasticRejoinAfterRestart(t *testing.T) {
 	gateReached := make(chan int, 2*egWorld)
 	h.hook = func(memberID int, sess *elastic.Session, batches int) {
 		if memberID == 1 && sess.Epoch() == 1 && batches == 6 {
+			h.awaitCheckpoint(egCkptEvery)
 			killOnce.Do(members[1].Kill)
 		}
 		// Park the 2-member recovery epoch at batch 10 (with the batch-8
@@ -510,6 +524,7 @@ func TestElasticPartitionReform(t *testing.T) {
 	}
 	h.hook = func(memberID int, sess *elastic.Session, batches int) {
 		if memberID == 1 && sess.Epoch() == 1 && batches == 6 {
+			h.awaitCheckpoint(egCkptEvery)
 			chaos.Partition(true)
 		}
 	}

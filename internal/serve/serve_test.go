@@ -13,7 +13,10 @@ import (
 	"melissa"
 	"melissa/internal/client"
 	"melissa/internal/nn"
+	"melissa/internal/opt"
 	"melissa/internal/protocol"
+	"melissa/internal/tensor"
+	"melissa/internal/testlevel"
 	"melissa/internal/testwait"
 )
 
@@ -224,6 +227,88 @@ func TestServeEndToEnd(t *testing.T) {
 	if st := s.Stats(); st.Errors == 0 {
 		t.Fatalf("stats %+v: rejection not counted", st)
 	}
+}
+
+// TestServeSameBytesAtEveryKernelLevel: a model trained and published where
+// the GEMM runs its widest kernels answers byte for byte the same from a
+// server pinned to each narrower level (and to the widest). Trained — a
+// few Adam steps — so the weights are not the initializer's round numbers;
+// eight concurrent callers, so the forwards are fused batches of several
+// rows and the multi-row kernels run, checked on the batch counters.
+func TestServeSameBytesAtEveryKernelLevel(t *testing.T) {
+	cfg := melissa.DefaultConfig()
+	cfg.GridN = 8
+	cfg.StepsPerSim = 6
+	cfg.Hidden = []int{24, 24}
+	cfg.Problem = melissa.Heat()
+	norm := cfg.Problem.Normalizer(cfg)
+	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), 47)
+	rng := rand.New(rand.NewPCG(9, 10))
+	in, out := tensor.New(10, norm.InputDim()), tensor.New(10, norm.OutputDim())
+	loss, adam := nn.NewMSELoss(), opt.NewAdam(1e-2)
+	for step := 0; step < 20; step++ {
+		for i := range in.Data {
+			in.Data[i] = rng.Float32()
+		}
+		for i := range out.Data {
+			out.Data[i] = rng.Float32()
+		}
+		net.ZeroGrad()
+		pred := net.Forward(in)
+		net.Backward(loss.Backward(pred, out))
+		adam.StepFlat(net.FlatParams(), net.FlatGrads())
+	}
+	sur, err := melissa.SurrogateFromNetwork(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.mlsg")
+	if err := melissa.PublishSurrogate(sur, path); err != nil {
+		t.Fatal(err)
+	}
+	const clients, each = 8, 40
+	params, ts := testQueries(clients*each, rng)
+	want := expectedFields(t, sur, 16, params, ts) // at the level the machine selected
+
+	testlevel.Each(t, func(level string) {
+		loaded, err := melissa.LoadSurrogateFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewServer(loaded, Config{MaxBatch: 16, Replicas: 1, BatchWait: 2 * time.Millisecond})
+		addr := startServer(t, s)
+		var wg sync.WaitGroup
+		for g := 0; g < clients; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				c, err := client.DialPredict(addr, 5*time.Second)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer c.Close()
+				var field []float32
+				for q := g * each; q < (g+1)*each; q++ {
+					if field, _, err = c.PredictInto(field, params[q], ts[q]); err != nil {
+						t.Errorf("%s: query %d: %v", level, q, err)
+						return
+					}
+					if !bitsEqual(field, want[q]) {
+						t.Errorf("%s: query %d: served field differs from the publisher's", level, q)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		// The worker counts a batch after it has answered it.
+		testwait.Until(t, "the last batch to be counted", func() bool { return s.Stats().BatchRows == clients*each })
+		if st := s.Stats(); st.Batches >= st.BatchRows {
+			t.Fatalf("%s: stats %+v: no fused batch, the multi-row kernels did not run", level, st)
+		}
+		s.Close()
+	})
 }
 
 // TestServeBatchesCoalesce: concurrent closed-loop clients must actually be

@@ -27,10 +27,11 @@ const (
 )
 
 // skinnyM is the most rows the skinny driver takes: the training batch and
-// most serve batches are under it, and packing a megabyte of weights for
-// ten rows to use once cost more than the product. BenchmarkMatMul's 16- and
-// 17-row entries sit on either side.
-const skinnyM = 16
+// every serve batch (MaxBatch 32) are under it, and packing a megabyte of
+// weights for a few rows to use once costs more than the product — at 17
+// rows a·bᵀ took 405 µs packed against 195 in place. BenchmarkMatMul's 32-
+// and 33-row entries sit on either side.
+const skinnyM = 32
 
 // naiveMaxWork is the multiply-add count below which the naive kernels beat
 // the blocked path (packing + tile setup amortize poorly). Measured on the
@@ -233,9 +234,10 @@ func gemmSkinnyNN(dst, a, b *Matrix, bias []float32, ep Epilogue) {
 				packBNN(s.pb, b, k0, jr, kc, nv)
 				pb, ldb = s.pb, microN
 			}
-			for ir := 0; ir < m; ir += microM {
-				if mv := min(microM, m-ir); mv == microM && nv == microN {
-					kern4x16(kc, s.pa[ir*kc:], pb, ldb, dst.Data[ir*n+jr:], n)
+			for ir := 0; ir < m; ir += kern.rows {
+				mv := min(kern.rows, m-ir)
+				if nv == microN {
+					kern.tile(kc, s.pa[ir*kc:], pb, ldb, dst.Data[ir*n+jr:], n, mv)
 				} else {
 					edgeTile(s, kc, s.pa[ir*kc:], pb, ldb, dst.Data, ir*n+jr, n, mv, nv)
 				}
@@ -248,15 +250,20 @@ func gemmSkinnyNN(dst, a, b *Matrix, bias []float32, ep Epilogue) {
 	}
 }
 
-// gemmSkinnyNT computes dst = a·bᵀ for a.Rows ≤ skinnyM: each pair of b's
-// rows is read once, as contiguous dots against four rows of a at a time
-// (a stays cache-resident). A last group that would run past the end is
-// moved back to overlap the one before — the recomputed dots are the same
-// bits — and with under four rows (or two of b) the stride is zero and the
-// kernel does one row several times.
+// gemmSkinnyNT computes dst = a·bᵀ for a.Rows ≤ skinnyM: each group of b's
+// rows — four where the active level has a 4×4 dot kernel and both sides
+// have four rows, else two — is read once, as contiguous dots against four
+// rows of a at a time (a stays cache-resident). A last group that would run
+// past the end is moved back to overlap the one before — the recomputed dots
+// are the same bits — and with under four rows (or two of b) the stride is
+// zero and the kernel does one row several times.
 func gemmSkinnyNT(dst, a, b *Matrix) {
 	m, n, k := a.Rows, b.Rows, a.Cols
-	stepM, lda, stepN, ldb := microM, k, 2, k
+	dot, cols := kern.dot4x2, 2 // the kernel writes out[cols*r+c]
+	if kern.dot4x4 != nil && m >= microM && n >= 4 {
+		dot, cols = kern.dot4x4, 4
+	}
+	stepM, lda, stepN, ldb := microM, k, cols, k
 	if m < stepM {
 		stepM, lda = 1, 0
 	}
@@ -264,14 +271,14 @@ func gemmSkinnyNT(dst, a, b *Matrix) {
 		stepN, ldb = 1, 0
 	}
 	s := getGemmScratch()
-	out := (*[2 * microM]float32)(s.edge[:]) // a local would escape through the kernel variable
+	out := (*[16]float32)(s.edge[:]) // a local would escape through the kernel variable
 	for j0 := 0; j0 < n; j0 += stepN {
 		j := min(j0, n-stepN)
 		for i0 := 0; i0 < m; i0 += stepM {
 			i := min(i0, m-stepM)
-			dot4x2(k, a.Data[i*k:], lda, b.Data[j*k:], ldb, out)
+			dot(k, a.Data[i*k:], lda, b.Data[j*k:], ldb, out)
 			for r := 0; r < stepM; r++ {
-				copy(dst.Data[(i+r)*n+j:(i+r)*n+j+stepN], out[2*r:])
+				copy(dst.Data[(i+r)*n+j:(i+r)*n+j+stepN], out[cols*r:])
 			}
 		}
 	}
@@ -401,21 +408,21 @@ func runMacroTile(t *task, s *gemmScratch, i0, j0, mblk, nblk, k int) {
 }
 
 // sweepTile drives the micro-kernel over one macro-tile's packed panels:
-// B micro-panel outer, A micro-panel inner, so the 16-column panel stays
-// L1-resident across the row sweep. Shared by the per-tile-packing and
-// shared-B drivers.
+// B micro-panel outer, A micro-panels inner — as many per call as the
+// active kernel takes — so the 16-column panel stays L1-resident across the
+// row sweep. Shared by the per-tile-packing and shared-B drivers.
 func sweepTile(t *task, s *gemmScratch, packedA, packedB []float32, i0, j0, mblk, nblk, kc int) {
 	dst := t.dst
 	ld := dst.Cols
 	for jr := 0; jr < nblk; jr += microN {
 		nv := min(microN, nblk-jr)
 		pb := packedB[jr*kc:]
-		for ir := 0; ir < mblk; ir += microM {
-			mv := min(microM, mblk-ir)
+		for ir := 0; ir < mblk; ir += kern.rows {
+			mv := min(kern.rows, mblk-ir)
 			pa := packedA[ir*kc:]
 			cbase := (i0+ir)*ld + j0 + jr
-			if mv == microM && nv == microN {
-				kern4x16(kc, pa, pb, microN, dst.Data[cbase:], ld)
+			if nv == microN {
+				kern.tile(kc, pa, pb, microN, dst.Data[cbase:], ld, mv)
 			} else {
 				edgeTile(s, kc, pa, pb, microN, dst.Data, cbase, ld, mv, nv)
 			}
@@ -423,13 +430,14 @@ func sweepTile(t *task, s *gemmScratch, packedA, packedB []float32, i0, j0, mblk
 	}
 }
 
-// edgeTile runs the full 4×16 micro-kernel into the scratch edge buffer and
-// adds only the valid mv×nv region into dst. Each element is its own chain,
-// so what the zero-padded lanes compute (zeros, or NaN against a non-finite
-// operand) never reaches a valid one.
+// edgeTile is a tile call on a column tail: the kernel writes its mv rows of
+// sixteen columns into the scratch edge buffer and only the valid nv are
+// added into dst. Each element is its own chain, so what the zero-padded
+// columns compute (zeros, or NaN against a non-finite operand) never
+// reaches a valid one.
 func edgeTile(s *gemmScratch, kc int, pa, pb []float32, ldb int, dstData []float32, cbase, ld, mv, nv int) {
-	Zero(s.edge[:])
-	kern4x16(kc, pa, pb, ldb, s.edge[:], microN)
+	Zero(s.edge[:mv*microN])
+	kern.tile(kc, pa, pb, ldb, s.edge[:], microN, mv)
 	for r := 0; r < mv; r++ {
 		cr := dstData[cbase+r*ld : cbase+r*ld+nv]
 		er := s.edge[r*microN : r*microN+nv]

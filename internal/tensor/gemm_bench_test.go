@@ -15,15 +15,17 @@ import (
 
 // gemmGrid is the training-shaped size grid: m = batch (paper: 10, plus
 // larger offline/validation batches and the serve batch from a lone row to
-// MaxBatch), k/n = hidden widths and the flattened field. 16 and 17 rows
-// are the two sides of skinnyM.
+// MaxBatch), k/n = hidden widths and the flattened field. 12 and 24 rows
+// are one and two full calls of the 12-row kernel; 32 and 33 rows are the
+// two sides of skinnyM.
 var gemmGrid = [][3]int{
 	{10, 256, 256},
 	{1, 256, 1024},
 	{10, 256, 1024},
-	{16, 256, 1024},
-	{17, 256, 1024},
+	{12, 256, 1024},
+	{24, 256, 1024},
 	{32, 256, 1024},
+	{33, 256, 1024},
 	{64, 256, 1024},
 	{256, 256, 1024},
 }
@@ -85,7 +87,7 @@ func BenchmarkMatMulBiasReLU(b *testing.B) {
 // batch × layer out × layer in) at the paper's output and hidden layers,
 // and at the output layer on both sides of skinnyM.
 func BenchmarkMatMulABT(b *testing.B) {
-	for _, s := range [][3]int{{10, 1024, 256}, {10, 256, 256}, {1, 1024, 256}, {16, 1024, 256}, {17, 1024, 256}, {32, 1024, 256}} {
+	for _, s := range [][3]int{{10, 1024, 256}, {10, 256, 256}, {1, 1024, 256}, {12, 1024, 256}, {24, 1024, 256}, {32, 1024, 256}, {33, 1024, 256}} {
 		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
 			rng := rand.New(rand.NewPCG(3, 4))
 			dy := randMatrix(rng, s[0], s[1])

@@ -321,16 +321,24 @@ func TestUseBlockedPolicy(t *testing.T) {
 // heap allocations — on the packed driver and, at ten rows under auto, on
 // the skinny one.
 func TestGemmZeroAllocSteadyState(t *testing.T) {
+	forEachLevel(t, testGemmZeroAllocSteadyState)
+}
+
+func testGemmZeroAllocSteadyState(t *testing.T) {
+	k, n := 256, 300
+	if softwareFMA() {
+		k, n = 72, 40 // still two row tiles of dW, a column tail and a row tail
+	}
 	for _, mode := range []gemmModeT{gemmBlocked, gemmAuto} {
 		forceGemmMode(t, mode)
 		rng := rand.New(rand.NewPCG(8, 9))
-		x := randMatrix(rng, 10, 256)
-		w := randMatrix(rng, 256, 300)
-		bias := make([]float32, 300)
-		y := New(10, 300)
-		dy := randMatrix(rng, 10, 300)
-		dw := New(256, 300)
-		dx := New(10, 256)
+		x := randMatrix(rng, 10, k)
+		w := randMatrix(rng, k, n)
+		bias := make([]float32, n)
+		y := New(10, n)
+		dy := randMatrix(rng, 10, n)
+		dw := New(k, n)
+		dx := New(10, k)
 		step := func() {
 			MatMulBiasReLU(y, x, w, bias)
 			MatMulATBAdd(dw, x, dy)
@@ -371,25 +379,30 @@ func TestDotFloat64Accumulation(t *testing.T) {
 	}
 }
 
-// TestMicroKernelsAgree compares the active micro-kernel (FMA assembly
-// where available) against the portable Go kernel on random panels, packed
-// and strided: bit-equal, since kern4x16Go states the fused arithmetic.
+// TestMicroKernelsAgree compares every level's tile kernel the machine can
+// run against the portable Go kernel on random panels, packed and strided,
+// at the most rows the level takes and one short of it: bit-equal, since
+// kern4x16Go states the fused arithmetic.
 func TestMicroKernelsAgree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(10, 11))
-	for _, kc := range []int{0, 1, 3, 17, 256} {
-		for _, ldb := range []int{microN, microN + 5, 1024} {
-			pa := randMatrix(rng, max(kc, 1), microM).Data
-			pb := randMatrix(rng, max(kc, 1), ldb).Data
-			cActive := make([]float32, microM*microN)
-			cGo := make([]float32, microM*microN)
-			for i := range cActive {
-				cActive[i] = float32(i) * 0.25
-				cGo[i] = float32(i) * 0.25
-			}
-			kern4x16(kc, pa, pb, ldb, cActive, microN)
-			kern4x16Go(kc, pa, pb, ldb, cGo, microN)
-			if !bitsEqual(cActive, cGo) {
-				t.Fatalf("kc=%d ldb=%d: active %v, portable %v", kc, ldb, cActive, cGo)
+	for _, l := range levels {
+		for _, kc := range []int{0, 1, 3, 17, 256} {
+			for _, ldb := range []int{microN, microN + 5, 1024} {
+				for _, rows := range []int{l.rows, l.rows - 1} {
+					pa := randMatrix(rng, max(kc, 1), l.rows).Data
+					pb := randMatrix(rng, max(kc, 1), ldb).Data
+					cLevel := make([]float32, l.rows*microN)
+					cGo := make([]float32, l.rows*microN)
+					for i := range cLevel {
+						cLevel[i] = float32(i) * 0.25
+						cGo[i] = float32(i) * 0.25
+					}
+					l.tile(kc, pa, pb, ldb, cLevel, microN, rows)
+					kern4x16Go(kc, pa, pb, ldb, cGo, microN, rows)
+					if !bitsEqual(cLevel, cGo) {
+						t.Fatalf("%s kc=%d ldb=%d rows=%d: got %v, portable %v", l.name, kc, ldb, rows, cLevel, cGo)
+					}
+				}
 			}
 		}
 	}

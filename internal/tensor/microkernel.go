@@ -3,38 +3,72 @@ package tensor
 import "math"
 
 // The register-tiled micro-kernel at the heart of the blocked GEMM (see the
-// package comment for the full blocking scheme). It computes a single
-// mr×nr = 4×16 output tile
+// package comment for the full blocking scheme). One call computes up to
+// kern.rows rows of a 16-column output tile
 //
-//	c[0:4, 0:16] += pa · pb
+//	c[0:rows, 0:16] += pa · pb
 //
-// pa is a packed A micro-panel, kc steps of 4 values, zero-padded on a row
-// tail (pack.go); pb supplies 16 B-values per step, from a packed panel or
-// straight from the matrix (see kern4x16). The kernel always runs the full
-// 4×16 tile and edge clipping happens at store time.
+// pa is ⌈rows/4⌉ consecutive packed A micro-panels, each kc steps of 4
+// values, zero-padded on a row tail (pack.go); pb supplies 16 B-values per
+// step, from a packed panel or straight from the matrix. Only the first
+// rows rows of c are read and written; a column tail goes through edgeTile.
 //
-// Per k-step the kernel performs 4 broadcasts, 2 vector loads and 8
+// Per k-step the 4-row kernels perform 4 broadcasts, 2 vector loads and 8
 // fused multiply-adds with the 64 accumulators held in registers (8 YMM on
-// amd64) — no loads or stores of c inside the k-loop, which is what lifts
-// throughput past the scalar axpy kernel's 2-flops-per-cycle memory-op
-// ceiling.
+// amd64), the 12-row kernel one 64-byte load and 12 multiply-adds whose A
+// operand is broadcast from memory (12 ZMM) — no loads or stores of c
+// inside the k-loop, which is what lifts throughput past the scalar axpy
+// kernel's 2-flops-per-cycle memory-op ceiling.
 
 const (
-	microM = 4  // micro-tile rows (mr)
-	microN = 16 // micro-tile cols (nr)
+	microM      = 4  // micro-panel rows (mr)
+	microN      = 16 // micro-tile cols (nr)
+	maxKernRows = 12 // the most rows any level's tile kernel covers per call
 )
 
-// kern4x16 is the active micro-kernel: c[r*ldc : r*ldc+16] += row r of
-// pa·B for r in [0,4), where step p of B is pb[p*ldb : p*ldb+16] — ldb = 16
-// for a packed panel, b.Cols for 16 columns of a matrix read in place. On
-// amd64 with AVX2+FMA it is the assembly kernel in microkernel_amd64.s,
-// everywhere else kern4x16Go; dot4x2 pairs the same way. Each portable twin
-// is the statement of its kernel's arithmetic and bit-equal to it, so which
-// one runs is not observable.
+// kernels is one level of micro-kernels. Every level computes every output
+// element by the same chain of operations — kern4x16Go and dot4x2Go are the
+// statement of it — so the levels are bit-equal and which one runs is not
+// observable (TestKernelLevelsBitEqual); a level differs only in how many
+// elements a call covers.
+type kernels struct {
+	name string
+	// tile: c[r*ldc : r*ldc+16] += row r of pa·B for r in [0, rows), rows ≤
+	// this level's rows, where step p of B is pb[p*ldb : p*ldb+16] — ldb =
+	// 16 for a packed panel, b.Cols for 16 columns of a matrix read in
+	// place — and panel i of pa starts at pa[4*kc*i].
+	tile func(kc int, pa, pb []float32, ldb int, c []float32, ldc, rows int)
+	rows int
+	// dot4x2: out[2r+c] = a[r*lda:][:k] · w[c*ldw:][:k], r in [0,4), c in
+	// [0,2). dot4x4, where the level has one: out[4r+c], c in [0,4).
+	dot4x2, dot4x4 func(k int, a []float32, lda int, w []float32, ldw int, out *[16]float32)
+}
+
+// levels are the kernel levels this machine can run, ascending: the portable
+// loops everywhere, then on amd64 what the CPU check in microkernel_amd64.go
+// finds — AVX2+FMA (4 rows per tile call, 4×2 dots), AVX-512F (12 rows, 4×4
+// dots). kern is the active one, the highest; it is set once at init and
+// read by the drivers, and only tests ever point it elsewhere.
 var (
-	kern4x16 = kern4x16Go
-	dot4x2   = dot4x2Go
+	levels = []kernels{{name: "portable", tile: kern4x16Go, rows: microM, dot4x2: dot4x2Go}}
+	kern   = levels[0]
 )
+
+// pinKernelLevel makes the named level the active one and returns the call
+// that restores the previous one, or nil if this machine cannot run it. It
+// is the test hook — tests in this package call it, tests elsewhere reach it
+// through internal/testlevel — and nothing else may: there is no flag or
+// environment variable behind it.
+func pinKernelLevel(name string) (restore func()) {
+	for _, l := range levels {
+		if l.name == name {
+			old := kern
+			kern = l
+			return func() { kern = old }
+		}
+	}
+	return nil
+}
 
 // fma32 is the float32 fused multiply-add, a·b + c rounded once. The
 // product is exact in float64 and s is the sum rounded to 53 bits; rounding
@@ -60,26 +94,30 @@ func fma32(a, b, c float32) float32 {
 	return float32(math.Float64frombits(bits))
 }
 
-// kern4x16Go is the portable micro-kernel: per element one fused chain
-// from zero over ascending p, then one add into c.
-func kern4x16Go(kc int, pa, pb []float32, ldb int, c []float32, ldc int) {
-	var acc [microM][microN]float32
-	for p := 0; p < kc; p++ {
-		bp := pb[ldb*p : ldb*p+microN : ldb*p+microN]
-		ap := pa[microM*p : microM*p+microM : microM*p+microM]
-		for r := 0; r < microM; r++ {
-			a := ap[r]
-			cr := &acc[r]
-			for j := 0; j < microN; j++ {
-				cr[j] = fma32(a, bp[j], cr[j])
+// kern4x16Go is the portable micro-kernel, panel by panel: per element one
+// fused chain from zero over ascending p, then one add into c. It takes any
+// number of rows.
+func kern4x16Go(kc int, pa, pb []float32, ldb int, c []float32, ldc, rows int) {
+	for r0 := 0; r0 < rows; r0 += microM {
+		var acc [microM][microN]float32
+		panel := pa[r0*kc:]
+		for p := 0; p < kc; p++ {
+			bp := pb[ldb*p : ldb*p+microN : ldb*p+microN]
+			ap := panel[microM*p : microM*p+microM : microM*p+microM]
+			for r := 0; r < microM; r++ {
+				a := ap[r]
+				cr := &acc[r]
+				for j := 0; j < microN; j++ {
+					cr[j] = fma32(a, bp[j], cr[j])
+				}
 			}
 		}
-	}
-	for r := 0; r < microM; r++ {
-		cr := c[r*ldc : r*ldc+microN : r*ldc+microN]
-		ar := &acc[r]
-		for j := 0; j < microN; j++ {
-			cr[j] += ar[j]
+		for r := 0; r < min(microM, rows-r0); r++ {
+			cr := c[(r0+r)*ldc : (r0+r)*ldc+microN : (r0+r)*ldc+microN]
+			ar := &acc[r]
+			for j := 0; j < microN; j++ {
+				cr[j] += ar[j]
+			}
 		}
 	}
 }
@@ -89,8 +127,8 @@ func kern4x16Go(kc int, pa, pb []float32, ldb int, c []float32, ldc int) {
 // terms p ≡ l (mod 8) below k&^7 in ascending order; they are added as
 // ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)) and the last k&7 terms are fused
 // onto that sum in order, so a dot's rounding is a function of k alone.
-func dot4x2Go(k int, a []float32, lda int, w []float32, ldw int, out *[8]float32) {
-	for i := range out {
+func dot4x2Go(k int, a []float32, lda int, w []float32, ldw int, out *[16]float32) {
+	for i := range out[:2*microM] {
 		ar, wc := a[i/2*lda:][:k], w[i%2*ldw:][:k]
 		var l [8]float32
 		for p := 0; p+8 <= k; p += 8 {

@@ -91,13 +91,14 @@ func packBT(pb []float32, b *Matrix, k0, j0, kc, nblk int) {
 }
 
 // gemmScratch is one executor's packing workspace: the packed A block, the
-// packed B panel, and the zero-initialized edge tile the micro-kernel
-// accumulates into when the output tile is clipped. Buffers are sized for
-// the largest macro-tile, so every block shape fits.
+// packed B panel, and the edge tile the micro-kernel accumulates into when
+// the output tile is clipped on a column tail (and the a·bᵀ kernels' sixteen
+// outputs). Buffers are sized for the largest macro-tile, so every block
+// shape fits.
 type gemmScratch struct {
 	pa   []float32
 	pb   []float32
-	edge [microM * microN]float32
+	edge [maxKernRows * microN]float32
 }
 
 // scratchFree recycles packing workspaces across GEMM calls and pool

@@ -38,6 +38,14 @@ const (
 // warm GEMM dispatch), breaks even at 262k (150 vs 156 µs) and wins from
 // there (330k, the paper's surrogate: 175 vs 197 µs; 1M: 405 vs 610 µs).
 // So the whole paper model fans out and nothing smaller does.
+//
+// Those are the figures of the day the thresholds were set. Measured again
+// while sizing the AVX-512 kernels, the micro-benchmarks have turned the
+// other way on the same VM — BenchmarkAdamStep 235 µs at GOMAXPROCS=2
+// against 209 at 1, BenchmarkTrainStep 962 against 837 — and yet forcing
+// the training-size operations inline loses 8–10 % of ops_per_s on the live
+// ensemble_paper run (4 of 4 pairs). The two disagree and the cause is not
+// established; the live run is what the thresholds serve, so they stay.
 const (
 	gemmParallelThreshold     = 1 << 16
 	elemwiseParallelThreshold = 1 << 18

@@ -9,61 +9,77 @@ import (
 	"testing"
 )
 
-// sameFloat is bit equality with every NaN folded onto one: which of two
-// NaN operands an instruction hands on is the one freedom the kernels have.
-func sameFloat(x, y float32) bool {
-	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
-}
-
-// checkSkinnyKernels runs both assembly kernels and their portable twins
-// on the same operands — vals fills a, b and c cyclically — and demands
-// the same bits. kern4x16 is called packed (ldb 16) and strided.
+// checkSkinnyKernels runs every assembly GEMM kernel the machine has and
+// its portable twin on the same operands — vals fills a, b and c cyclically
+// — and demands the same bits. The tile kernels are called packed (ldb 16)
+// and strided, with every row count they take, and must leave the rows of c
+// from rows on as they found them; dot4x4's twin is dot4x2Go on either pair
+// of w's rows.
 func checkSkinnyKernels(t *testing.T, vals []float32, k int) {
 	t.Helper()
 	at := func(i int) float32 { return vals[i%len(vals)] }
-	for _, ldb := range []int{microN, microN + 3} {
-		pa, pb := make([]float32, microM*k), make([]float32, ldb*k+microN)
-		cAsm, cGo := make([]float32, microM*20), make([]float32, microM*20)
-		for i := range pa {
-			pa[i] = at(i)
-		}
-		for i := range pb {
-			pb[i] = at(i + 7*len(pa) + 3)
-		}
-		for i := range cAsm {
-			cAsm[i] = at(i + 5)
-			cGo[i] = cAsm[i]
-		}
-		kern4x16FMA(k, pa, pb, ldb, cAsm, 20)
-		kern4x16Go(k, pa, pb, ldb, cGo, 20)
-		for i := range cAsm {
-			if !sameFloat(cAsm[i], cGo[i]) {
-				t.Fatalf("kern4x16 k=%d ldb=%d: c[%d] assembly %x, portable %x", k, ldb, i, cAsm[i], cGo[i])
+	const ldc = 20
+	for _, l := range levels[1:] {
+		for _, ldb := range []int{microN, microN + 3} {
+			for rows := 1; rows <= l.rows; rows++ {
+				pa, pb := make([]float32, l.rows*k), make([]float32, ldb*k+microN)
+				cAsm, cGo := make([]float32, l.rows*ldc), make([]float32, l.rows*ldc)
+				for i := range pa {
+					pa[i] = at(i + rows)
+				}
+				for i := range pb {
+					pb[i] = at(i + 7*len(pa) + 3)
+				}
+				for i := range cAsm {
+					cAsm[i] = at(i + 5)
+					cGo[i] = cAsm[i]
+				}
+				l.tile(k, pa, pb, ldb, cAsm, ldc, rows)
+				kern4x16Go(k, pa, pb, ldb, cGo, ldc, rows)
+				for i := range cAsm {
+					if !sameFloat(cAsm[i], cGo[i]) {
+						t.Fatalf("%s tile k=%d ldb=%d rows=%d: c[%d] assembly %x, portable %x", l.name, k, ldb, rows, i, cAsm[i], cGo[i])
+					}
+				}
 			}
 		}
 	}
 	for _, ld := range [][2]int{{k, k}, {k + 3, 0}, {0, k + 1}} {
 		lda, ldw := ld[0], ld[1]
-		a, w := make([]float32, 3*lda+k), make([]float32, ldw+k)
+		a, w := make([]float32, 3*lda+k), make([]float32, 3*ldw+k)
 		for i := range a {
 			a[i] = at(i)
 		}
 		for i := range w {
 			w[i] = at(3*i + 1)
 		}
-		var oAsm, oGo [8]float32
+		var oAsm, oGo, oLo, oHi [16]float32
 		dot4x2FMA(k, a, lda, w, ldw, &oAsm)
-		dot4x2Go(k, a, lda, w, ldw, &oGo)
+		dot4x2Go(k, a, lda, w, ldw, &oLo)
+		dot4x2Go(k, a, lda, w[2*ldw:], ldw, &oHi)
+		for i := range oAsm[:8] {
+			if !sameFloat(oAsm[i], oLo[i]) {
+				t.Fatalf("dot4x2 k=%d lda=%d ldw=%d: out[%d] assembly %x, portable %x", k, lda, ldw, i, oAsm[i], oLo[i])
+			}
+		}
+		if !hasAVX512F() {
+			continue
+		}
+		for r := 0; r < microM; r++ {
+			copy(oGo[4*r:], oLo[2*r:2*r+2])
+			copy(oGo[4*r+2:], oHi[2*r:2*r+2])
+		}
+		dot4x4(k, a, lda, w, ldw, &oAsm)
 		for i := range oAsm {
 			if !sameFloat(oAsm[i], oGo[i]) {
-				t.Fatalf("dot4x2 k=%d lda=%d ldw=%d: out[%d] assembly %x, portable %x", k, lda, ldw, i, oAsm[i], oGo[i])
+				t.Fatalf("dot4x4 k=%d lda=%d ldw=%d: out[%d] assembly %x, portable %x", k, lda, ldw, i, oAsm[i], oGo[i])
 			}
 		}
 	}
 }
 
 // TestSkinnyKernelsMatchPortable calls the assembly kernels and the
-// portable twins directly (not through the kern4x16/dot4x2 switch) on
+// portable twins directly (not through the active level) on
 // every k from 0 to 41 — each tail length on either side of one to five
 // 8-lane blocks — with ordinary values, values whose products and sums
 // overflow, underflow to subnormals and cancel, and the double-rounding
@@ -107,7 +123,7 @@ func TestSkinnyKernelsMatchPortable(t *testing.T) {
 			pb[j], pb[microN+j] = x[2], x[1]
 		}
 		c := make([]float32, microM*microN)
-		kern4x16FMA(2, pa, pb, microN, c, microN)
+		kern4x16FMA(2, pa, pb, microN, c, microN, microM)
 		if want := fma32(x[0], x[1], x[2]); c[0] != want || c[len(c)-1] != want {
 			t.Fatalf("fma(%x, %x, %x): assembly %x, fma32 %x", x[0], x[1], x[2], c[0], want)
 		}

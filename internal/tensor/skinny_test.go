@@ -33,10 +33,15 @@ func bitsEqual(x, y []float32) bool {
 // a·b (+ bias, + activation) is a pure function of its input row and the
 // weights. Each of a few query rows is answered alone, then planted at a
 // random position among random neighbours in batches of every size from 1
-// to 40 — across the micro-panel tails, the skinny bound at 16/17 and the
-// naive threshold — and must come back with the same bits every time, and
-// the same under the packed driver as under the one that reads b in place.
+// to 40 — across the micro-panel tails, the 12-row kernel's 4-, 8- and
+// 12-row loops, the skinny bound at 32/33 and the naive threshold — and must
+// come back with the same bits every time, and the same under the packed
+// driver as under the one that reads b in place; at every kernel level.
 func TestRowInvariance(t *testing.T) {
+	forEachLevel(t, testRowInvariance)
+}
+
+func testRowInvariance(t *testing.T) {
 	forceGemmMode(t, gemmAuto) // restores the mode the loops below set
 	rng := rand.New(rand.NewPCG(2024, 17))
 	shapes := [][2]int{{1, 1}, {3, 5}, {8, 8}, {7, 9}, {16, 16}, {33, 17}, {256, 64}, {100, 300}, {blockK + 13, 2*microN + 3}, {2*blockK + 1, 50}}
@@ -46,6 +51,9 @@ func TestRowInvariance(t *testing.T) {
 	const queries = 5
 	for _, sh := range shapes {
 		k, n := sh[0], sh[1]
+		if softwareFMA() && k*n > 1024 {
+			continue // its tile calls are the AVX2 level's
+		}
 		w := randMatrix(rng, k, n)
 		bias := randMatrix(rng, 1, n).Data
 		pool := randMatrix(rng, queries, k)
@@ -142,8 +150,8 @@ func floatClass(x float32) int {
 	return 3
 }
 
-// TestNonFinitePropagates pins one rule for every driver and both
-// micro-kernel variants: a non-finite operand reaches the output even under
+// TestNonFinitePropagates pins one rule for every driver and every kernel
+// level: a non-finite operand reaches the output even under
 // a zero on the other side (0·NaN = 0·∞ = NaN), as IEEE arithmetic and the
 // float64 reference have it. The naive kernels used to skip zero
 // activations, so a dead ReLU unit hid a NaN weight on one driver and
@@ -152,8 +160,8 @@ func TestNonFinitePropagates(t *testing.T) {
 	forceGemmMode(t, gemmAuto)
 	rng := rand.New(rand.NewPCG(55, 56))
 	inf := float32(math.Inf(1))
-	oldKern, oldDot := kern4x16, dot4x2
-	t.Cleanup(func() { kern4x16, dot4x2 = oldKern, oldDot })
+	oldKern := kern
+	t.Cleanup(func() { kern = oldKern })
 	for _, sh := range [][3]int{{10, 40, 35}, {3, 9, 6}, {20, 300, 18}, {1, 17, 33}} {
 		m, k, n := sh[0], sh[1], sh[2]
 		for _, kind := range []gemmKind{gemmNN, gemmNT, gemmTNAdd} {
@@ -200,12 +208,8 @@ func TestNonFinitePropagates(t *testing.T) {
 				t.Fatalf("reference lost the planted NaN: %v", want.At(0, 0))
 			}
 			for _, mode := range []gemmModeT{gemmAuto, gemmNaive, gemmBlocked} {
-				for _, portable := range []bool{false, true} {
+				for _, kern = range levels {
 					gemmMode = mode
-					kern4x16, dot4x2 = oldKern, oldDot
-					if portable {
-						kern4x16, dot4x2 = kern4x16Go, dot4x2Go
-					}
 					got := New(gm, gn)
 					switch kind {
 					case gemmNN:
@@ -217,8 +221,8 @@ func TestNonFinitePropagates(t *testing.T) {
 					}
 					for i := range got.Data {
 						if floatClass(got.Data[i]) != floatClass(want.Data[i]) {
-							t.Fatalf("kind %d %dx%dx%d %s portable=%v: element %d is %v, reference %v",
-								kind, m, k, n, gemmModeNames[mode], portable, i, got.Data[i], want.Data[i])
+							t.Fatalf("kind %d %dx%dx%d %s %s: element %d is %v, reference %v",
+								kind, m, k, n, gemmModeNames[mode], kern.name, i, got.Data[i], want.Data[i])
 						}
 					}
 				}

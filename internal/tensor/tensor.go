@@ -16,23 +16,56 @@
 // macro-tiles and the shared dimension is walked in blockK slabs; for each
 // slab the operands are copied into packed panels (pack.go) — contiguous,
 // zero-padded, micro-kernel-ordered scratch recycled through a freelist —
-// and a register-tiled 4×16 micro-kernel (microkernel.go, AVX2+FMA assembly
-// on capable amd64, a bit-equal portable twin elsewhere) accumulates each
-// output tile without touching memory for C inside the k-loop. Fused
-// epilogues apply bias-add and the layer activation right after
-// accumulation (MatMulBias, MatMulBiasReLU, MatMulBiasTanh). The worker
-// pool parallelizes over macro-tiles; tiles own disjoint output regions and
-// their decomposition depends only on the matrix shapes.
+// and a register-tiled micro-kernel, sixteen columns wide (microkernel.go;
+// see Kernel levels below), accumulates each output tile without touching
+// memory for C inside the k-loop. Fused epilogues apply bias-add and the
+// layer activation right after accumulation (MatMulBias, MatMulBiasReLU,
+// MatMulBiasTanh). The worker pool parallelizes over macro-tiles; tiles own
+// disjoint output regions and their decomposition depends only on the
+// matrix shapes.
 //
-// With at most skinnyM = 16 rows of A — the training batch, a serve batch —
-// packing B costs more than the product, so A·B and A·Bᵀ take the skinny
-// driver, on the caller's goroutine: A·B packs A's few rows and hands the
-// same micro-kernel B's row stride, so it walks 16 columns of B where they
-// lie; A·Bᵀ reads each pair of B's rows once as contiguous dots against A
-// (dot4x2). Aᵀ·B, bound by the gradient's memory, stays blocked. The naive
-// kernels remain as the reference and as the fast path for operands too
-// small to tile. MELISSA_GEMM=naive forces them, MELISSA_GEMM=blocked the
-// packed driver (anything else: by shape).
+// With at most skinnyM = 32 rows of A — the training batch, every serve
+// batch — packing B costs more than the product, so A·B and A·Bᵀ take the
+// skinny driver, on the caller's goroutine: A·B packs A's few rows and hands
+// the same micro-kernel B's row stride, so it walks 16 columns of B where
+// they lie; A·Bᵀ reads each group of B's rows once as contiguous dots
+// against A (dot4x2, dot4x4). Aᵀ·B, bound by the gradient's memory, stays
+// blocked. The naive kernels remain as the reference and as the fast path
+// for operands too small to tile. MELISSA_GEMM=naive forces them,
+// MELISSA_GEMM=blocked the packed driver (anything else: by shape).
+//
+// # Kernel levels
+//
+// The two GEMM kernels exist at three levels, the highest the machine
+// supports chosen once at start-up (microkernel_amd64.go; nothing selects
+// one but that check, and tests through pinKernelLevel):
+//
+//   - portable: kern4x16Go and dot4x2Go, plain loops over a software
+//     fused multiply-add — the statement of the arithmetic, and all there
+//     is off amd64;
+//   - AVX2+FMA: a tile call covers 4 rows × 16 columns (eight YMM
+//     accumulators), a dot call 4 rows of A × 2 of B;
+//   - AVX-512F: a tile call covers up to 12 rows × 16 columns — three
+//     packed A panels against one 64-byte load of B per step, twelve ZMM
+//     accumulators — so a ten-row batch crosses each 16-column strip of the
+//     weights once, not three times; a dot call covers 4 × 4.
+//
+// The drivers are the same at every level: one loop per product that
+// advances by as many rows (or B rows) as the active kernel takes. And the
+// levels are bit-equal by construction, not by tolerance: an element of A·B
+// is one fused chain from zero over ascending p, then one add into C, in
+// whichever accumulator register it happens to sit; a ZMM dot accumulator is
+// two of the YMM kernel's eight-lane accumulators side by side, each half
+// reduced by the same tree and finished by the same fused tail. So a
+// trajectory, a checkpoint and a served answer do not depend on the machine
+// (TestKernelLevelsBitEqual; core's TestFixedSeedRunSameAtEveryKernelLevel;
+// serve's TestServeSameBytesAtEveryKernelLevel). The one freedom is IEEE's:
+// which of two NaN operands an addition hands on — the assembly levels agree
+// even there, the portable loops may differ in a NaN's sign. Adam and the
+// elementwise family stop at AVX2: the update is bound by the divider
+// (VSQRTPS and VDIVPS cost the same per element at either width; a ZMM
+// kernel measured 213 µs against 230 on the paper's 330k parameters), the
+// elementwise kernels by memory.
 //
 // # Accumulation order, row invariance and tolerance
 //
@@ -51,7 +84,9 @@
 //   - A·Bᵀ, skinny: eight partial sums over p mod 8, added in a fixed tree,
 //     then the k mod 8 tail (dot4x2Go) — a function of k. Above skinnyM
 //     rows the blocked order takes over, so a row of A·Bᵀ is not invariant
-//     across that bound.
+//     across that bound (which moved from 16 to 32 rows: operands of 17–32
+//     rows round differently than they did, within the bound below; forward
+//     rows are invariant at every bound).
 //   - Non-finite operands propagate on every driver: 0·NaN and 0·∞ are
 //     NaN, and no kernel skips a zero operand (TestNonFinitePropagates).
 //
