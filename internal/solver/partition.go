@@ -53,13 +53,15 @@ func newEngine(n, workers int, r float64) *engine {
 	return e
 }
 
+// diag is A's diagonal, 1+4r.
+func (e *engine) diag() float64 { return 1 + float64(4*e.r) }
+
 // apply computes dst = A·src. All workers first publish their boundary rows
 // to neighbours, then receive halos, then compute their strip — a classic
-// BSP halo-exchange superstep.
+// BSP halo-exchange superstep. With one strip there is nothing to exchange.
 func (e *engine) apply(dst, src []float64) {
 	if len(e.strips) == 1 {
-		s := &e.strips[0]
-		e.applyStrip(dst, src, s, nil, nil)
+		e.applyStrip(dst, src, &e.strips[0], nil, nil)
 		return
 	}
 	var wg sync.WaitGroup
@@ -69,16 +71,18 @@ func (e *engine) apply(dst, src []float64) {
 			defer wg.Done()
 			s := &e.strips[w]
 			n := e.n
-			// Publish boundary rows. Copies keep the message semantics of
-			// a real halo exchange: the receiver never aliases the
-			// sender's memory.
+			// Publish boundary rows into the neighbours' halo buffers.
+			// Copies keep the message semantics of a real halo exchange:
+			// the receiver never aliases the sender's memory. A buffer is
+			// free again by the next call, whose sends start only after
+			// every strip of this one has returned.
 			if w > 0 {
-				top := make([]float64, n)
+				top := e.strips[w-1].haloDn
 				copy(top, src[s.r0*n:(s.r0+1)*n])
 				e.strips[w-1].downCh <- top
 			}
 			if w < len(e.strips)-1 {
-				bottom := make([]float64, n)
+				bottom := e.strips[w+1].haloUp
 				copy(bottom, src[(s.r1-1)*n:s.r1*n])
 				e.strips[w+1].upCh <- bottom
 			}
@@ -101,39 +105,50 @@ func (e *engine) apply(dst, src []float64) {
 // or owned by this strip.
 func (e *engine) applyStrip(dst, src []float64, s *strip, haloUp, haloDn []float64) {
 	n := e.n
-	r := e.r
-	diag := 1 + 4*r
 	for i := s.r0; i < s.r1; i++ {
-		var rowUp, rowDn []float64
-		switch {
-		case i > s.r0:
-			rowUp = src[(i-1)*n : i*n]
-		case haloUp != nil:
-			rowUp = haloUp
+		up, dn := haloUp, haloDn
+		if i > s.r0 {
+			up = src[(i-1)*n : i*n]
 		}
-		switch {
-		case i < s.r1-1:
-			rowDn = src[(i+1)*n : (i+2)*n]
-		case haloDn != nil:
-			rowDn = haloDn
+		if i < s.r1-1 {
+			dn = src[(i+1)*n : (i+2)*n]
 		}
-		row := src[i*n : (i+1)*n]
-		out := dst[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			acc := diag * row[j]
-			if j > 0 {
-				acc -= r * row[j-1]
-			}
-			if j < n-1 {
-				acc -= r * row[j+1]
-			}
-			if rowUp != nil {
-				acc -= r * rowUp[j]
-			}
-			if rowDn != nil {
-				acc -= r * rowDn[j]
-			}
-			out[j] = acc
+		e.stencilRow(dst[i*n:(i+1)*n], src[i*n:(i+1)*n], up, dn)
+	}
+}
+
+// stencilRow writes one row of A·src into out: row is that row of src, up
+// and dn the rows above and below it, nil at a physical edge. Every element
+// is (1+4r)·row[j] − r·row[j−1] − r·row[j+1] − r·up[j] − r·dn[j], the
+// absent terms left out, evaluated left to right with each product rounded
+// on its own (the float64 conversions forbid fusing it into the subtraction,
+// which Go may otherwise do on FMA targets). stencilDotRow evaluates the same
+// expression, in one loop, on rows that have both neighbours.
+func (e *engine) stencilRow(out, row, up, dn []float64) {
+	r, diag := e.r, e.diag()
+	n := len(row)
+	out = out[:n]
+	if n == 1 {
+		out[0] = float64(diag * row[0])
+	} else {
+		out[0] = float64(diag*row[0]) - float64(r*row[1])
+		c := row[1 : n-1]
+		w, east, o := row[:len(c)], row[2:2+len(c)], out[1:1+len(c)]
+		for k, ck := range c {
+			o[k] = float64(diag*ck) - float64(r*w[k]) - float64(r*east[k])
+		}
+		out[n-1] = float64(diag*row[n-1]) - float64(r*row[n-2])
+	}
+	if up != nil {
+		up = up[:n]
+		for j := range out {
+			out[j] -= float64(r * up[j])
+		}
+	}
+	if dn != nil {
+		dn = dn[:n]
+		for j := range out {
+			out[j] -= float64(r * dn[j])
 		}
 	}
 }

@@ -143,8 +143,8 @@ func TestSymmetryPreserved(t *testing.T) {
 
 func TestParallelMatchesSequential(t *testing.T) {
 	par := Params{TIC: 120, Tx1: 480, Tx2: 210, Ty1: 330, Ty2: 150}
-	run := func(workers int) []float64 {
-		s, err := New(Config{N: 17, Steps: 8, Dt: 0.003, Workers: workers}, par)
+	run := func(n, workers int) []float64 {
+		s, err := New(Config{N: n, Steps: 8, Dt: 0.003, Workers: workers}, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,18 +155,71 @@ func TestParallelMatchesSequential(t *testing.T) {
 		copy(out, s.Field())
 		return out
 	}
-	ref := run(1)
-	for _, w := range []int{2, 3, 4, 8, 17} {
-		got := run(w)
-		for i := range ref {
-			// The matvec is element-wise identical regardless of strip
-			// count and the CG scalars are computed centrally, so the
-			// parallel run must match the sequential one bit for bit.
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d differs at node %d: %v vs %v", w, i, got[i], ref[i])
+	// N = 1 is one strip at any worker count; N = 2 is two one-row strips,
+	// each the other's halo.
+	for _, n := range []int{1, 2, 17} {
+		ref := run(n, 1)
+		for _, w := range []int{2, 3, 4, 8, 17} {
+			got := run(n, w)
+			for i := range ref {
+				// Every element of A·p is the same expression on either
+				// engine and the CG scalars are summed centrally in index
+				// order, so the strips — unfused, with a halo exchange — must
+				// match the fused one-strip solve bit for bit.
+				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+					t.Fatalf("N=%d workers=%d differs at node %d: %v vs %v", n, w, i, got[i], ref[i])
+				}
 			}
 		}
 	}
+}
+
+// FuzzSolverStrips is the differential test between the two CG engines:
+// for a drawn grid, time step, parameter vector and worker count, the
+// multi-strip solve must leave the same field bits as the fused one-strip
+// solve after every step, and fail on the same step if either fails.
+func FuzzSolverStrips(f *testing.F) {
+	f.Add(uint8(17), 0.003, 120.0, 480.0, 210.0, 330.0, 150.0, uint8(3))
+	f.Add(uint8(2), 0.01, 300.0, 100.0, 500.0, 200.0, 400.0, uint8(2))
+	f.Add(uint8(48), 0.5, 100.0, 500.0, 100.0, 500.0, 100.0, uint8(48))
+	f.Add(uint8(5), 1e-5, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(4))
+	f.Fuzz(func(t *testing.T, n uint8, dt, tic, tx1, tx2, ty1, ty2 float64, workers uint8) {
+		cfg := Config{N: 2 + int(n)%47, Steps: 4, Dt: dt}
+		if !(dt > 0 && dt <= 10) {
+			// Longer steps only cost more CG iterations.
+			cfg.Dt = 0.01
+		}
+		w := 2 + int(workers)%(cfg.N-1)
+		par := Params{TIC: tic, Tx1: tx1, Tx2: tx2, Ty1: ty1, Ty2: ty2}
+		for _, v := range par.Vector() {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("non-finite parameter")
+			}
+		}
+		one, err := New(cfg, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workers = w
+		strips, err := New(cfg, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 1; step <= cfg.Steps; step++ {
+			errOne, errStrips := one.StepOnce(), strips.StepOnce()
+			if errOne != errStrips {
+				t.Fatalf("N=%d workers=%d step %d: errors %v vs %v", cfg.N, w, step, errOne, errStrips)
+			}
+			for i, v := range one.Field() {
+				if u := strips.Field()[i]; math.Float64bits(u) != math.Float64bits(v) {
+					t.Fatalf("N=%d Dt=%v workers=%d step %d node %d: %v (strips) vs %v (one strip)", cfg.N, cfg.Dt, w, step, i, u, v)
+				}
+			}
+			if errOne != nil {
+				return
+			}
+		}
+	})
 }
 
 func TestStepMatchesDenseDirectSolve(t *testing.T) {
@@ -306,6 +359,8 @@ func TestGaussSolveIdentityAndRandom(t *testing.T) {
 	}
 }
 
+// BenchmarkStep32 times a step of the converged tail, where CG takes about
+// one iteration.
 func BenchmarkStep32(b *testing.B) {
 	s, _ := New(Config{N: 32, Steps: 1 << 30}, Params{TIC: 300, Tx1: 100, Tx2: 500, Ty1: 200, Ty2: 400})
 	b.ResetTimer()
@@ -314,4 +369,23 @@ func BenchmarkStep32(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSimulation32 times one 100-step member from the initial
+// condition — what a client and a validation member run, CG iterations of
+// the early transient included.
+func BenchmarkSimulation32(b *testing.B) {
+	par := Params{TIC: 300, Tx1: 100, Tx2: 500, Ty1: 200, Ty2: 400}
+	steps := 0
+	for b.Loop() {
+		s, err := New(Config{N: 32, Steps: 100}, par)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Run(nil); err != nil {
+			b.Fatal(err)
+		}
+		steps += s.StepIndex()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(steps), "us/step")
 }

@@ -39,6 +39,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"melissa/internal/buffer"
@@ -404,19 +406,56 @@ func (r *replaySampler) Dim() int { return r.rest.Dim() }
 // generateValidation produces the held-out set with a decorrelated design
 // stream.
 func generateValidation(cfg Config, prob Problem, space sampling.Space, norm Normalizer) (*core.ValidationSet, error) {
-	design := sampling.NewMonteCarlo(space.Dim(), cfg.Seed^0x5eed0ff5)
+	samples, err := validationSamples(cfg, prob, space)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewValidationSet(coreNormalizer(norm), samples), nil
+}
+
+// validationSamples runs the validation members concurrently, at most
+// GOMAXPROCS at a time. Their design points are drawn in member order before
+// any member starts and their samples are concatenated in member order, so
+// the set is the one a sequential loop builds. It returns once every member
+// has returned; if any failed, with the error of the first in member order —
+// the one the sequential loop would have stopped at.
+func validationSamples(cfg Config, prob Problem, space sampling.Space) ([]buffer.Sample, error) {
+	params := validationParams(cfg, space)
+	members := make([][]buffer.Sample, len(params))
+	errs := make([]error, len(params))
+	var wg sync.WaitGroup
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i, p := range params {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			errs[i] = streamSteps(cfg, prob, p, func(step int, input, output []float32) error {
+				members[i] = append(members[i], buffer.Sample{SimID: -1 - i, Step: step, Input: input, Output: output})
+				return nil
+			})
+		}()
+	}
+	wg.Wait()
 	var samples []buffer.Sample
-	for i := 0; i < cfg.ValidationSims; i++ {
-		params := space.Scale(design.Next())
-		err := streamSteps(cfg, prob, params, func(step int, input, output []float32) error {
-			samples = append(samples, buffer.Sample{SimID: -1 - i, Step: step, Input: input, Output: output})
-			return nil
-		})
+	for i, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+		samples = append(samples, members[i]...)
 	}
-	return core.NewValidationSet(coreNormalizer(norm), samples), nil
+	return samples, nil
+}
+
+// validationParams draws the validation members' design points in member
+// order, from a stream decorrelated from the ensemble's.
+func validationParams(cfg Config, space sampling.Space) [][]float64 {
+	design := sampling.NewMonteCarlo(space.Dim(), cfg.Seed^0x5eed0ff5)
+	params := make([][]float64, cfg.ValidationSims)
+	for i := range params {
+		params[i] = space.Scale(design.Next())
+	}
+	return params
 }
 
 // Solve runs the reference heat-equation solver directly, returning the

@@ -5,9 +5,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"melissa/internal/buffer"
 	"melissa/internal/testwait"
 )
 
@@ -288,4 +292,113 @@ func TestRunOnlineContextCancel(t *testing.T) {
 	if err := testwait.Recv(t, errc, "RunOnline to return after cancel"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunOnline returned %v, want the cancellation error", err)
 	}
+}
+
+// TestValidationSetConcurrentEqualsSequential: the validation members run
+// concurrently, yet the set holds the samples a sequential loop over the
+// members builds — same members, steps and float bits, in the same order —
+// and a member that cannot be built fails the generation with its own error
+// after every started member has returned.
+func TestValidationSetConcurrentEqualsSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // members overlap on any host
+	cfg := tinyConfig()
+	prob := Heat()
+	space, err := problemSpace(prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sims := range []int{1, 3, 7} {
+		cfg.ValidationSims = sims
+		var want []buffer.Sample
+		for i, p := range validationParams(cfg, space) {
+			err := streamSteps(cfg, prob, p, func(step int, input, output []float32) error {
+				want = append(want, buffer.Sample{SimID: -1 - i, Step: step, Input: input, Output: output})
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := testwait.Run2(t, "the validation members", func() ([]buffer.Sample, error) {
+			return validationSamples(cfg, prob, space)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) || len(got) != sims*cfg.StepsPerSim {
+			t.Fatalf("%d sims: %d samples, want %d", sims, len(got), len(want))
+		}
+		bits := func(v []float32) []uint32 {
+			out := make([]uint32, len(v))
+			for i, f := range v {
+				out[i] = math.Float32bits(f)
+			}
+			return out
+		}
+		for k, w := range want {
+			g := got[k]
+			if g.SimID != w.SimID || g.Step != w.Step || !slices.Equal(bits(g.Input), bits(w.Input)) || !slices.Equal(bits(g.Output), bits(w.Output)) {
+				t.Fatalf("%d sims: sample %d is sim %d step %d, want sim %d step %d (or its floats differ)", sims, k, g.SimID, g.Step, w.SimID, w.Step)
+			}
+		}
+	}
+
+	// Members long enough (≈ 3 ms) that one still running at return is seen,
+	// and none steps before the failing one has been refused.
+	cfg.ValidationSims, cfg.GridN, cfg.StepsPerSim = 7, 32, 100
+	bad := &failingProblem{Problem: prob, fail: validationParams(cfg, space)[2], failed: make(chan struct{})}
+	before := runtime.NumGoroutine()
+	_, err = testwait.Run2(t, "the validation members", func() ([]buffer.Sample, error) {
+		return validationSamples(cfg, bad, space)
+	})
+	if !errors.Is(err, errMemberFailed) {
+		t.Fatalf("generation returned %v, want the failing member's error", err)
+	}
+	if n := bad.running.Load(); n != 0 {
+		t.Fatalf("%d members still running after generation returned", n)
+	}
+	testwait.Until(t, "the member goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+var errMemberFailed = errors.New("member failed")
+
+// failingProblem refuses to build the member whose parameters are fail, and
+// counts the other members from build to last step. They take their first
+// step only once the refusal has happened, so the failing member must start
+// while the earlier ones wait: it is the third, and the test runs four at a
+// time.
+type failingProblem struct {
+	Problem
+	fail    []float64
+	failed  chan struct{}
+	once    sync.Once
+	running atomic.Int64
+}
+
+func (p *failingProblem) NewSimulator(cfg Config, params []float64) (Simulator, error) {
+	if slices.Equal(params, p.fail) {
+		p.once.Do(func() { close(p.failed) })
+		return nil, errMemberFailed
+	}
+	sim, err := p.Problem.NewSimulator(cfg, params)
+	if err != nil {
+		return nil, err
+	}
+	p.running.Add(1)
+	return &countedSim{Simulator: sim, p: p, steps: cfg.StepsPerSim}, nil
+}
+
+type countedSim struct {
+	Simulator
+	p     *failingProblem
+	steps int
+}
+
+func (s *countedSim) StepOnce() error {
+	<-s.p.failed
+	err := s.Simulator.StepOnce()
+	if s.StepIndex() == s.steps {
+		s.p.running.Add(-1)
+	}
+	return err
 }

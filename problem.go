@@ -72,7 +72,11 @@ type Problem interface {
 	// Gray–Scott's two channels. The flattened length is its product.
 	FieldShape(cfg Config) []int
 	// NewSimulator builds one ensemble member for the given physical
-	// parameters (in ParamNames order).
+	// parameters (in ParamNames order). It is called concurrently: by the
+	// launcher's clients (up to Config.MaxConcurrentClients at a time, 4 by
+	// default) and by the validation members, which are solved up to
+	// GOMAXPROCS at a time. Each Simulator it returns is driven by one
+	// goroutine.
 	NewSimulator(cfg Config, params []float64) (Simulator, error)
 	// Normalizer builds the sample normalizer for a configuration.
 	Normalizer(cfg Config) Normalizer
