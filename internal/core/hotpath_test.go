@@ -5,11 +5,13 @@ package core
 // recycled batch storage, and the in-place gradient all-reduce.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"melissa/internal/buffer"
@@ -78,7 +80,10 @@ func newHotPathTrainer(tb testing.TB, fieldDim int, hidden []int, batch int) (*T
 		tb.Fatal(err)
 	}
 	st := tr.newRankState(0)
-	tb.Cleanup(st.close)
+	tb.Cleanup(func() {
+		st.close()
+		tr.closeTeams()
+	})
 	return tr, st
 }
 
@@ -107,6 +112,92 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 			t.Fatalf("%s: train step: %v allocs per step in steady state, want 0", level, avg)
 		}
 	})
+}
+
+// teamHelpers counts the tensor team helper goroutines alive in the process.
+func teamHelpers() int {
+	buf := make([]byte, 1<<20)
+	return bytes.Count(buf[:runtime.Stack(buf, true)], []byte("created by melissa/internal/tensor.(*Team).parallel"))
+}
+
+// TestTrainStepZeroAllocFannedOut is TestTrainStepZeroAlloc at the paper's
+// surrogate shape, whose hidden and output layers and Adam update are above
+// the fan-out thresholds, on a team forced two wide: AllocsPerRun runs at
+// GOMAXPROCS=1, where the trainer would get no team of its own.
+func TestTrainStepZeroAllocFannedOut(t *testing.T) {
+	tr, st := newHotPathTrainer(t, 1024, []int{256, 256}, 10)
+	tr.closeTeams()
+	tr.attachTeams(2)
+	for i := 0; i < 5; i++ {
+		if !step1(tr, st) {
+			t.Fatal("trainer stopped during warm-up")
+		}
+	}
+	if teamHelpers() == 0 {
+		t.Fatal("no team helper started: the step never fanned out")
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		if !step1(tr, st) {
+			t.Fatal("trainer stopped during measurement")
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("train step on a team: %v allocs per step in steady state, want 0", avg)
+	}
+}
+
+// TestTrainerClosesTeam runs a trainer whose step fans out (the paper's
+// surrogate shape, a team forced two wide) and requires the team's helper
+// to be alive during the run and gone once Run has returned, the network it
+// leaves behind to keep working, inline, and the weights to be the bytes
+// the same run leaves with no team.
+func TestTrainerClosesTeam(t *testing.T) {
+	if n := teamHelpers(); n != 0 {
+		t.Fatalf("%d team helpers alive before the run", n)
+	}
+	var norm Normalizer = NewHeatNormalizer(1024, 1)
+	samples := hotPathSamples(NewHeatNormalizer(1024, 1), 40)
+	run := func(width int) (weights []float32, helpers int) {
+		bb := buffer.NewBlocking(buffer.NewFIFO(0))
+		for _, s := range samples {
+			if !bb.TryPut(s) {
+				t.Fatal("put rejected")
+			}
+		}
+		bb.EndReception()
+		tr, err := NewTrainer(TrainerConfig{
+			Ranks: 1, BatchSize: 10, Normalizer: norm,
+			Model:      ModelSpec{InputDim: norm.InputDim(), Hidden: []int{256, 256}, OutputDim: norm.OutputDim(), Seed: 4},
+			OnBatchEnd: func(int) { helpers = max(helpers, teamHelpers()) },
+		}, []*buffer.Blocking{bb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.closeTeams()
+		tr.attachTeams(width)
+		if err := runTrainer(t, tr, context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if n := teamHelpers(); n != 0 {
+			t.Fatalf("width %d: %d team helpers alive after Run returned", width, n)
+		}
+		in, _ := BatchTensors(norm, samples[:10])
+		tr.Network().Forward(in)
+		if n := teamHelpers(); n != 0 {
+			t.Fatalf("width %d: a forward after Run started %d team helpers", width, n)
+		}
+		return tr.Network().FlatParams(), helpers
+	}
+	inline, _ := run(1)
+	fanned, helpers := run(2)
+	if helpers != 1 {
+		t.Fatalf("%d team helpers during the run, want 1", helpers)
+	}
+	for i := range inline {
+		if math.Float32bits(inline[i]) != math.Float32bits(fanned[i]) {
+			t.Fatalf("weight %d: %v on a team, %v inline", i, fanned[i], inline[i])
+		}
+	}
 }
 
 // legacyGradSync emulates the pre-refactor ddp.GradBuffer path: gather
@@ -371,7 +462,8 @@ func BenchmarkTrainStep(b *testing.B) {
 }
 
 // BenchmarkAdamStep measures the fused flat-slab Adam update at the
-// paper's parameter count (≈330k parameters).
+// paper's parameter count (≈330k parameters), on a team as wide as
+// GOMAXPROCS as a lone trainer rank runs it.
 func BenchmarkAdamStep(b *testing.B) {
 	net := nn.ArchitectureMLP(6, []int{256, 256}, 1024, 1)
 	grads := net.FlatGrads()
@@ -379,6 +471,9 @@ func BenchmarkAdamStep(b *testing.B) {
 		grads[i] = 0.01
 	}
 	a := opt.NewAdam(1e-3)
+	team := tensor.NewTeam(runtime.GOMAXPROCS(0))
+	b.Cleanup(team.Close)
+	a.SetTeam(team)
 	a.StepFlat(net.FlatParams(), grads) // size moment slabs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -130,6 +131,10 @@ func (c TrainerConfig) validate() error {
 // update to slice l of L, and a barrier holds everyone until every slice is
 // written. Adam is element-wise, so the slab holds exactly what L full
 // updates of L copies would have left in each of them.
+//
+// Each local rank owns the process's cores in equal shares: a rank whose
+// share is two or more cores runs its forward, backward, Adam slice and
+// validation on a tensor.Team that wide, which Run closes when it returns.
 type Trainer struct {
 	cfg  TrainerConfig
 	bufs []*buffer.Blocking
@@ -138,7 +143,8 @@ type Trainer struct {
 	// opts are per-rank handles on one (m, v) pair (opt.Adam.Alias).
 	nets    []*nn.Network
 	opts    []*opt.Adam
-	updated *barrier // every local rank has written its slice of the update
+	teams   []*tensor.Team // per local rank; nil where the rank's share is one core
+	updated *barrier       // every local rank has written its slice of the update
 	comm    ddp.Communicator
 	metrics *Metrics
 
@@ -207,6 +213,7 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 		bufs:         bufs,
 		nets:         make([]*nn.Network, cfg.Ranks),
 		opts:         make([]*opt.Adam, cfg.Ranks),
+		teams:        make([]*tensor.Team, cfg.Ranks),
 		comm:         comm,
 		metrics:      metrics,
 		localSamples: make([]int, cfg.Ranks),
@@ -222,6 +229,7 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 		t.nets[r] = base.CloneReplica()
 	}
 	t.shareOptimizer(opt.NewAdam(cfg.LearningRate))
+	t.attachTeams(runtime.GOMAXPROCS(0) / cfg.Ranks)
 	// The bucket layout is a property of the architecture; all replicas
 	// share it.
 	t.buckets = base.GradBuckets()
@@ -238,10 +246,28 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 }
 
 // shareOptimizer makes a the optimizer state of the process: every local
-// rank gets a handle on its moments.
+// rank gets a handle on its moments, stepped on the rank's team.
 func (t *Trainer) shareOptimizer(a *opt.Adam) {
 	for r := range t.opts {
 		t.opts[r] = a.Alias(t.nets[0].NumParams())
+		t.opts[r].SetTeam(t.teams[r])
+	}
+}
+
+// attachTeams gives every local rank a team width cores wide (none below
+// two) for its replica and its optimizer handle.
+func (t *Trainer) attachTeams(width int) {
+	for r := range t.teams {
+		t.teams[r] = tensor.NewTeam(width)
+		t.nets[r].SetTeam(t.teams[r])
+		t.opts[r].SetTeam(t.teams[r])
+	}
+}
+
+// closeTeams stops every rank's helpers; the networks run inline afterwards.
+func (t *Trainer) closeTeams() {
+	for _, tm := range t.teams {
+		tm.Close()
 	}
 }
 
@@ -261,10 +287,12 @@ var errCancelled = fmt.Errorf("run cancelled on a rank of the group: %w", contex
 // process of the group — leave together, whatever the buffers still hold,
 // with an error wrapping context.Canceled. The work is not complete, so an
 // elastic group treats it as the loss of a member, not as the end of
-// training.
+// training. The ranks' teams are closed on return, so Network keeps working
+// inline for whoever takes it over.
 func (t *Trainer) Run(ctx context.Context) error {
 	t.metrics.Begin()
 	defer t.metrics.Finish()
+	defer t.closeTeams()
 
 	unwatch := context.AfterFunc(ctx, func() {
 		t.stopped.Store(true)

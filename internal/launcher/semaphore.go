@@ -12,10 +12,11 @@ import (
 // capacity admits more concurrent clients immediately, shrinking lets
 // running clients finish and admits fewer afterwards.
 type semaphore struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	cap  int
-	used int
+	mu      sync.Mutex
+	cond    *sync.Cond
+	cap     int
+	used    int
+	waiting int // Acquire calls parked in cond.Wait
 }
 
 func newSemaphore(capacity int) *semaphore {
@@ -44,7 +45,9 @@ func (s *semaphore) Acquire(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
+		s.waiting++
 		s.cond.Wait()
+		s.waiting--
 	}
 	if ctx.Err() != nil {
 		return ctx.Err()
@@ -88,4 +91,12 @@ func (s *semaphore) InUse() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.used
+}
+
+// Waiting returns the number of Acquire calls parked for a slot: each is
+// woken by the next Release, Resize or cancellation.
+func (s *semaphore) Waiting() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.waiting
 }

@@ -2,11 +2,21 @@ package launcher
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"melissa/internal/client"
+	"melissa/internal/testwait"
 )
+
+// parked waits until n Acquire calls are parked on s: the state a test
+// must reach before it asserts a waiter is blocked or wakes it.
+func parked(t *testing.T, s *semaphore, n int) {
+	t.Helper()
+	testwait.Until(t, fmt.Sprintf("%d parked Acquire", n), func() bool { return s.Waiting() == n })
+}
 
 func TestSemaphoreBasic(t *testing.T) {
 	s := newSemaphore(2)
@@ -21,21 +31,12 @@ func TestSemaphoreBasic(t *testing.T) {
 		t.Fatalf("state %d/%d", s.InUse(), s.Capacity())
 	}
 
-	acquired := make(chan struct{})
-	go func() {
-		s.Acquire(ctx)
-		close(acquired)
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("third acquire should block")
-	case <-time.After(20 * time.Millisecond):
-	}
+	acquired := make(chan error, 1)
+	go func() { acquired <- s.Acquire(ctx) }()
+	parked(t, s, 1) // the third acquire blocks
 	s.Release()
-	select {
-	case <-acquired:
-	case <-time.After(time.Second):
-		t.Fatal("release did not wake waiter")
+	if err := testwait.Recv(t, acquired, "release to wake the waiter"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -43,17 +44,12 @@ func TestSemaphoreResizeGrows(t *testing.T) {
 	s := newSemaphore(1)
 	ctx := context.Background()
 	s.Acquire(ctx)
-	done := make(chan struct{})
-	go func() {
-		s.Acquire(ctx)
-		close(done)
-	}()
-	time.Sleep(20 * time.Millisecond)
+	done := make(chan error, 1)
+	go func() { done <- s.Acquire(ctx) }()
+	parked(t, s, 1)
 	s.Resize(2) // elasticity: more resources became available
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("resize did not admit the waiter")
+	if err := testwait.Recv(t, done, "resize to admit the waiter"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -67,21 +63,12 @@ func TestSemaphoreResizeShrinks(t *testing.T) {
 	// Releasing two still leaves the semaphore full at the new capacity.
 	s.Release()
 	s.Release()
-	acquired := make(chan struct{})
-	go func() {
-		s.Acquire(ctx)
-		close(acquired)
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("acquire should block at shrunken capacity")
-	case <-time.After(20 * time.Millisecond):
-	}
+	acquired := make(chan error, 1)
+	go func() { acquired <- s.Acquire(ctx) }()
+	parked(t, s, 1) // blocked at the shrunken capacity
 	s.Release()
-	select {
-	case <-acquired:
-	case <-time.After(time.Second):
-		t.Fatal("final release did not admit waiter")
+	if err := testwait.Recv(t, acquired, "the final release to admit the waiter"); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -91,15 +78,10 @@ func TestSemaphoreAcquireCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() { errCh <- s.Acquire(ctx) }()
-	time.Sleep(10 * time.Millisecond)
+	parked(t, s, 1)
 	cancel()
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Fatal("expected cancellation error")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("cancelled acquire never returned")
+	if err := testwait.Recv(t, errCh, "the cancelled acquire to return"); err == nil {
+		t.Fatal("expected cancellation error")
 	}
 }
 
@@ -144,23 +126,48 @@ func TestSemaphoreConcurrentStress(t *testing.T) {
 }
 
 // TestLauncherElasticity grows the slot pool mid-run and verifies the run
-// completes with all data trained (the paper's elasticity property).
+// completes with all data trained (the paper's elasticity property). The
+// first client is held before it starts, so the second is parked on the one
+// slot when the pool grows, and the grown pool admits it while the first
+// still holds its slot.
 func TestLauncherElasticity(t *testing.T) {
 	cfg := testConfig(8, "Reservoir")
 	cfg.MaxConcurrentClients = 1
+	hold := make(chan struct{})
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(hold) }) })
+	var others atomic.Int32 // clients started beside the held first one
+	cfg.JobHook = func(simID, _ int, _ *client.Job) {
+		if simID == 0 {
+			<-hold
+		} else {
+			others.Add(1)
+		}
+	}
 	l, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		l.Resize(4) // resources freed up on the "cluster"
-	}()
-	res, err := runLauncher(t, l, context.Background())
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		res *Result
+		err error
 	}
-	if got := len(res.Metrics.Occurrences()); got != 8*steps {
+	done := make(chan result, 1)
+	go func() {
+		res, err := l.Run(context.Background())
+		done <- result{res, err}
+	}()
+	parked(t, l.slots, 1)
+	l.Resize(4) // resources freed up on the "cluster"
+	// A client admitted beside the held one counts for good: it may finish
+	// before a poll of InUse would see two slots taken.
+	testwait.Until(t, "the grown pool to admit a second client", func() bool { return others.Load() > 0 })
+	release.Do(func() { close(hold) })
+	r := testwait.Recv(t, done, "Launcher.Run to return")
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if got := len(r.res.Metrics.Occurrences()); got != 8*steps {
 		t.Fatalf("unique samples %d, want %d", got, 8*steps)
 	}
 }

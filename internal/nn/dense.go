@@ -16,6 +16,7 @@ type Dense struct {
 	name string
 	w, b *Param
 	act  Activation
+	team *tensor.Team // the cores forward and backward may fan out over; nil runs inline
 
 	lastX *tensor.Matrix // input recorded by Forward for the weight gradient
 	lastY *tensor.Matrix // output recorded by Forward for the fused act′
@@ -62,14 +63,14 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 	}
 	d.lastX = x
 	out := d.out.get(x.Rows, d.Out())
+	ep := tensor.EpBias
 	switch d.act {
 	case ActReLU:
-		tensor.MatMulBiasReLU(out, x, d.w.Value, d.b.Value.Data)
+		ep = tensor.EpBiasReLU
 	case ActTanh:
-		tensor.MatMulBiasTanh(out, x, d.w.Value, d.b.Value.Data)
-	default:
-		tensor.MatMulBias(out, x, d.w.Value, d.b.Value.Data)
+		ep = tensor.EpBiasTanh
 	}
+	d.team.MatMulEpilogue(out, x, d.w.Value, d.b.Value.Data, ep)
 	d.lastY = out
 	return out
 }
@@ -87,9 +88,9 @@ func (d *Dense) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	} else {
 		dy.SumRowsInto(d.b.Grad.Data)
 	}
-	tensor.MatMulATBAdd(d.w.Grad, d.lastX, dz)
+	d.team.MatMulATBAdd(d.w.Grad, d.lastX, dz)
 	dx := d.dx.get(dy.Rows, d.In())
-	tensor.MatMulABT(dx, dz, d.w.Value)
+	d.team.MatMulABT(dx, dz, d.w.Value)
 	return dx
 }
 
@@ -98,8 +99,8 @@ func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
 // CloneShared returns a copy aliasing this layer's weight and bias storage
 // (no copy; the Param headers are its own, so Network.CloneReplica can give
-// it private gradients) with private forward/backward scratch. See
-// Network.CloneShared for the safety contract.
+// it private gradients) with private forward/backward scratch and no team.
+// See Network.CloneShared for the safety contract.
 func (d *Dense) CloneShared() Layer {
 	w, b := *d.w, *d.b
 	return &Dense{name: d.name, w: &w, b: &b, act: d.act}

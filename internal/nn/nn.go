@@ -127,6 +127,17 @@ func (n *Network) ReleaseGrads() {
 	n.flatGrads = nil
 }
 
+// SetTeam lets the network's kernels fan out over tm (nil: inline). A team
+// belongs to one goroutine, so only the one that runs this network's
+// Forward and Backward may own it; clones and replicas start without one.
+func (n *Network) SetTeam(tm *tensor.Team) {
+	for _, l := range n.Layers {
+		if d, ok := l.(*Dense); ok {
+			d.team = tm
+		}
+	}
+}
+
 // Forward runs the batch x through every layer and returns the output.
 func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
 	for _, l := range n.Layers {

@@ -22,7 +22,8 @@ type Adam struct {
 	beta2 float64
 	eps   float64
 	step  uint64
-	m, v  []float32 // flat moment slabs, Params() order
+	m, v  []float32    // flat moment slabs, Params() order
+	team  *tensor.Team // the cores the update may fan out over; nil runs inline
 }
 
 // NewAdam returns an Adam optimizer with PyTorch-default betas and epsilon.
@@ -60,8 +61,12 @@ func (a *Adam) StepFlatRange(values, grads []float32, lo, hi int) {
 	}
 	a.ensureState(len(values))
 	alpha, b1, b2, eps := a.alpha()
-	tensor.AdamStep(values[lo:hi], grads[lo:hi], a.m[lo:hi], a.v[lo:hi], alpha, b1, b2, eps)
+	a.team.AdamStep(values[lo:hi], grads[lo:hi], a.m[lo:hi], a.v[lo:hi], alpha, b1, b2, eps)
 }
+
+// SetTeam lets this handle's updates fan out over tm (nil: inline). Only
+// the goroutine that owns tm may step this handle; an Alias inherits it.
+func (a *Adam) SetTeam(tm *tensor.Team) { a.team = tm }
 
 // Alias returns a second handle on a's moments, sized for a slab of total
 // floats: the same m and v, its own step counter and learning rate, both

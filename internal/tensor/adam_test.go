@@ -112,14 +112,14 @@ func checkAdamImpls(t *testing.T, a, b adamImpl, seed uint64, n, steps int) {
 }
 
 // TestAdamStepChunksMatchSerial splits a slab with edge-case lanes across
-// the pool (chunk boundaries off the 8-lane grid, so every chunk has a
-// scalar tail) and compares it with one serial pass of the portable update.
+// a team (chunk boundaries off the 8-lane grid, so every chunk has a scalar
+// tail) on either side of the fan-out threshold and compares it with one
+// serial pass of the portable update.
 func TestAdamStepChunksMatchSerial(t *testing.T) {
-	pooled := func(values, grads, m, v []float32, alpha, b1, b2, eps float32) {
-		AdamStep(values, grads, m, v, alpha, b1, b2, eps)
-	}
+	tm := NewTeam(2)
+	t.Cleanup(tm.Close)
 	for _, n := range []int{elemwiseParallelThreshold - 1, elemwiseParallelThreshold + 13} {
-		checkAdamImpls(t, pooled, adamRangeGo, 11, n, 5)
+		checkAdamImpls(t, tm.AdamStep, adamRangeGo, 11, n, 5)
 	}
 }
 

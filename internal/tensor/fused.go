@@ -9,15 +9,20 @@ const minNormal32 = 0x1p-126
 // AdamStep applies one Adam update over flat parameter slabs with the
 // semantics stated in the package comment ("Adam update"); alpha is the
 // bias-corrected step size. All four slices must have equal length. The
-// pass is a single sweep over the slabs, split into contiguous chunks
-// through the worker pool above the elementwise work threshold (work is
-// counted in elements); every element is independent, so the result does
-// not depend on the chunking.
+// pass is a single sweep over the slabs, inline.
 func AdamStep(values, grads, m, v []float32, alpha, beta1, beta2, eps float32) {
+	(*Team)(nil).AdamStep(values, grads, m, v, alpha, beta1, beta2, eps)
+}
+
+// AdamStep is the package's AdamStep on the team: above the elementwise
+// work threshold (counted in elements) the sweep is split into contiguous
+// chunks; every element is independent, so the result does not depend on
+// the chunking.
+func (tm *Team) AdamStep(values, grads, m, v []float32, alpha, beta1, beta2, eps float32) {
 	if len(grads) != len(values) || len(m) != len(values) || len(v) != len(values) {
 		panic("tensor: AdamStep slab length mismatch")
 	}
-	parallel(len(values), len(values), task{
+	tm.parallel(len(values), len(values), task{
 		op: opAdam, vals: values, grads: grads, m: m, v: v,
 		alpha: alpha, beta1: beta1, beta2: beta2, eps: eps,
 	})

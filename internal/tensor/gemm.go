@@ -7,12 +7,14 @@ import (
 )
 
 // GEMM has three drivers, selected once at startup (gemmModeFromEnv) and
-// then by shape (gemm): blocked — macro-tiles over packed panels, on the
-// pool; skinny — a·b and a·bᵀ of at most skinnyM rows, b read where it
-// lies, on the caller's goroutine; naive — the reference loops, and the fast
-// path for operands too small to tile. The package comment states each
-// one's accumulation order and what follows from them (row invariance, the
-// tolerance between drivers, non-finite operands).
+// then by shape (gemm): blocked — macro-tiles over packed panels; skinny —
+// a·b and a·bᵀ of at most skinnyM rows, b read where it lies, split by
+// 16-column panels of b (a·b) or row groups of b (a·bᵀ); naive — the
+// reference loops, and the fast path for operands too small to tile. Each
+// fans its units out on the caller's Team (pool.go) when the product is
+// large enough, and runs them inline otherwise. The package comment states
+// each one's accumulation order and what follows from them (row invariance,
+// the tolerance between drivers, non-finite operands).
 
 // Blocking parameters: macro-tiles are blockM×blockN, the shared dimension
 // is walked in blockK slabs. Sized so one packed A block (blockM·blockK
@@ -100,60 +102,62 @@ func useBlocked(kind gemmKind, m, n, k int) bool {
 
 // MatMul computes dst = a·b. dst must be preallocated with shape
 // a.Rows×b.Cols and must not alias a or b.
-func MatMul(dst, a, b *Matrix) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.Cols, b.Rows))
-	}
-	checkDst(dst, a.Rows, b.Cols, "MatMul")
-	gemm(gemmNN, dst, a, b, nil, EpNone)
-}
+func MatMul(dst, a, b *Matrix) { (*Team)(nil).MatMulEpilogue(dst, a, b, nil, EpNone) }
 
 // MatMulBias computes dst = a·b + bias with the bias row (length b.Cols)
 // broadcast over the batch, fused into the GEMM epilogue — the dense-layer
 // forward without the extra full pass of AddRowVector.
 func MatMulBias(dst, a, b *Matrix, bias []float32) {
-	matMulEpilogue(dst, a, b, bias, EpBias)
+	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBias)
 }
 
 // MatMulBiasReLU computes dst = relu(a·b + bias) in one fused pass.
 func MatMulBiasReLU(dst, a, b *Matrix, bias []float32) {
-	matMulEpilogue(dst, a, b, bias, EpBiasReLU)
+	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBiasReLU)
 }
 
 // MatMulBiasTanh computes dst = tanh(a·b + bias) in one fused pass.
 func MatMulBiasTanh(dst, a, b *Matrix, bias []float32) {
-	matMulEpilogue(dst, a, b, bias, EpBiasTanh)
-}
-
-func matMulEpilogue(dst, a, b *Matrix, bias []float32, ep Epilogue) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.Cols, b.Rows))
-	}
-	checkDst(dst, a.Rows, b.Cols, "MatMul")
-	if len(bias) != b.Cols {
-		panic(fmt.Sprintf("tensor: bias length %d != cols %d", len(bias), b.Cols))
-	}
-	gemm(gemmNN, dst, a, b, bias, ep)
+	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBiasTanh)
 }
 
 // MatMulABT computes dst = a·bᵀ. dst must have shape a.Rows×b.Rows. Used in
 // backprop for dX = dY·Wᵀ without materializing the transpose.
-func MatMulABT(dst, a, b *Matrix) {
+func MatMulABT(dst, a, b *Matrix) { (*Team)(nil).MatMulABT(dst, a, b) }
+
+// MatMulATBAdd computes dst += aᵀ·b. dst must have shape a.Cols×b.Cols. The
+// accumulate form matches gradient accumulation for dW += Xᵀ·dY.
+func MatMulATBAdd(dst, a, b *Matrix) { (*Team)(nil).MatMulATBAdd(dst, a, b) }
+
+// MatMulEpilogue is MatMul (EpNone) or MatMulBias* (the other epilogues,
+// with a bias row of length b.Cols) on the team.
+func (tm *Team) MatMulEpilogue(dst, a, b *Matrix, bias []float32, ep Epilogue) {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.Cols, b.Rows))
+	}
+	checkDst(dst, a.Rows, b.Cols, "MatMul")
+	if ep != EpNone && len(bias) != b.Cols {
+		panic(fmt.Sprintf("tensor: bias length %d != cols %d", len(bias), b.Cols))
+	}
+	tm.gemm(gemmNN, dst, a, b, bias, ep)
+}
+
+// MatMulABT is the package's MatMulABT on the team.
+func (tm *Team) MatMulABT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulABT inner dims %d vs %d", a.Cols, b.Cols))
 	}
 	checkDst(dst, a.Rows, b.Rows, "MatMulABT")
-	gemm(gemmNT, dst, a, b, nil, EpNone)
+	tm.gemm(gemmNT, dst, a, b, nil, EpNone)
 }
 
-// MatMulATBAdd computes dst += aᵀ·b. dst must have shape a.Cols×b.Cols. The
-// accumulate form matches gradient accumulation for dW += Xᵀ·dY.
-func MatMulATBAdd(dst, a, b *Matrix) {
+// MatMulATBAdd is the package's MatMulATBAdd on the team.
+func (tm *Team) MatMulATBAdd(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulATBAdd inner dims %d vs %d", a.Rows, b.Rows))
 	}
 	checkDst(dst, a.Cols, b.Cols, "MatMulATBAdd")
-	gemm(gemmTNAdd, dst, a, b, nil, EpNone)
+	tm.gemm(gemmTNAdd, dst, a, b, nil, EpNone)
 }
 
 func checkDst(dst *Matrix, rows, cols int, op string) {
@@ -174,7 +178,7 @@ func gemmDims(kind gemmKind, a, b *Matrix) (m, n, k int) {
 }
 
 // gemm routes one validated GEMM to the skinny, blocked or naive driver.
-func gemm(kind gemmKind, dst, a, b *Matrix, bias []float32, ep Epilogue) {
+func (tm *Team) gemm(kind gemmKind, dst, a, b *Matrix, bias []float32, ep Epilogue) {
 	m, n, k := gemmDims(kind, a, b)
 	if m == 0 || n == 0 {
 		return
@@ -182,9 +186,10 @@ func gemm(kind gemmKind, dst, a, b *Matrix, bias []float32, ep Epilogue) {
 	if useBlocked(kind, m, n, k) {
 		if m <= skinnyM && kind != gemmTNAdd && gemmMode == gemmAuto {
 			if kind == gemmNN {
-				gemmSkinnyNN(dst, a, b, bias, ep)
+				tm.gemmSkinnyNN(dst, a, b, bias, ep)
 			} else {
-				gemmSkinnyNT(dst, a, b)
+				_, _, stepN := skinnyNTKernel(m, n)
+				tm.parallel(n/stepN, m*n*k, task{op: opSkinnyNT, dst: dst, a: a, b: b})
 			}
 			return
 		}
@@ -192,24 +197,24 @@ func gemm(kind gemmKind, dst, a, b *Matrix, bias []float32, ep Epilogue) {
 		colTiles := (n + blockN - 1) / blockN
 		if rowTiles > 1 {
 			// Several macro-tiles stack on each B panel: pack the whole
-			// panel row once per k-slab (cooperatively, across the pool)
+			// panel row once per k-slab (cooperatively, across the team)
 			// and let every row tile consume the shared packing, instead
 			// of re-packing the panel per tile.
-			gemmSharedB(kind, dst, a, b, bias, ep, k, rowTiles, colTiles)
+			tm.gemmSharedB(kind, dst, a, b, bias, ep, k, rowTiles, colTiles)
 			return
 		}
-		parallel(rowTiles*colTiles, m*n*k, task{op: opGemmTile, dst: dst, a: a, b: b, bias: bias, gk: kind, ep: ep})
+		tm.parallel(rowTiles*colTiles, m*n*k, task{op: opGemmTile, dst: dst, a: a, b: b, bias: bias, gk: kind, ep: ep})
 		return
 	}
 	switch kind {
 	case gemmNN:
-		parallel(m, m*n*k, task{op: opMatMul, dst: dst, a: a, b: b})
+		tm.parallel(m, m*n*k, task{op: opMatMul, dst: dst, a: a, b: b})
 	case gemmNT:
-		parallel(m, m*n*k, task{op: opMatMulABT, dst: dst, a: a, b: b})
+		tm.parallel(m, m*n*k, task{op: opMatMulABT, dst: dst, a: a, b: b})
 	case gemmTNAdd:
 		// Parallelize over rows of dst (columns of a) so writers never
 		// overlap.
-		parallel(m, m*n*k, task{op: opMatMulATBAdd, dst: dst, a: a, b: b})
+		tm.parallel(m, m*n*k, task{op: opMatMulATBAdd, dst: dst, a: a, b: b})
 	}
 	if ep != EpNone {
 		applyEpilogue(dst, 0, m, 0, n, bias, ep)
@@ -217,17 +222,36 @@ func gemm(kind gemmKind, dst, a, b *Matrix, bias []float32, ep Epilogue) {
 }
 
 // gemmSkinnyNN computes dst = ep(a·b) for a.Rows ≤ skinnyM in the blocked
-// order without packing b: a's slab is packed (at most four micro-panels)
-// and the micro-kernel steps through 16 columns of b by its row stride.
-// Only a column tail of b is packed, because the kernel reads 16 floats.
-func gemmSkinnyNN(dst, a, b *Matrix, bias []float32, ep Epilogue) {
+// order without packing b: all of a is packed once, slab by slab (at most
+// eight micro-panels each), and each chunk of 16-column panels of b runs
+// the micro-kernel through b by its row stride (skinnyNNRange).
+func (tm *Team) gemmSkinnyNN(dst, a, b *Matrix, bias []float32, ep Epilogue) {
 	m, n, k := a.Rows, b.Cols, a.Cols
+	mp := (m + microM - 1) / microM * microM
+	pa := getSharedB(mp * k)
+	for k0 := 0; k0 < k; k0 += blockK {
+		packANN(pa[mp*k0:], a, 0, k0, m, min(blockK, k-k0))
+	}
+	tm.parallel((n+microN-1)/microN, m*n*k, task{op: opSkinnyNN, dst: dst, a: a, b: b, bias: bias, ep: ep, shared: pa})
+	putSharedB(pa)
+}
+
+// skinnyNNRange computes columns [16·p0, 16·p1) of the skinny a·b: zero
+// them, add each slab's product, then the epilogue. Only a column tail of b
+// is packed, because the kernel reads 16 floats.
+func skinnyNNRange(t *task, p0, p1 int) {
+	dst, b := t.dst, t.b
+	m, n, k := t.a.Rows, b.Cols, t.a.Cols
+	mp := (m + microM - 1) / microM * microM
+	j0, j1 := p0*microN, min(p1*microN, n)
+	for i := 0; i < m; i++ {
+		Zero(dst.Data[i*n+j0 : i*n+j1])
+	}
 	s := getGemmScratch()
-	Zero(dst.Data)
 	for k0 := 0; k0 < k; k0 += blockK {
 		kc := min(blockK, k-k0)
-		packANN(s.pa, a, 0, k0, m, kc)
-		for jr := 0; jr < n; jr += microN {
+		pa := t.shared[mp*k0:]
+		for jr := j0; jr < j1; jr += microN {
 			nv := min(microN, n-jr)
 			pb, ldb := b.Data[k0*n+jr:], n
 			if nv < microN {
@@ -237,42 +261,61 @@ func gemmSkinnyNN(dst, a, b *Matrix, bias []float32, ep Epilogue) {
 			for ir := 0; ir < m; ir += kern.rows {
 				mv := min(kern.rows, m-ir)
 				if nv == microN {
-					kern.tile(kc, s.pa[ir*kc:], pb, ldb, dst.Data[ir*n+jr:], n, mv)
+					kern.tile(kc, pa[ir*kc:], pb, ldb, dst.Data[ir*n+jr:], n, mv)
 				} else {
-					edgeTile(s, kc, s.pa[ir*kc:], pb, ldb, dst.Data, ir*n+jr, n, mv, nv)
+					edgeTile(s, kc, pa[ir*kc:], pb, ldb, dst.Data, ir*n+jr, n, mv, nv)
 				}
 			}
 		}
 	}
 	putGemmScratch(s)
-	if ep != EpNone {
-		applyEpilogue(dst, 0, m, 0, n, bias, ep)
+	if t.ep != EpNone {
+		applyEpilogue(dst, 0, m, j0, j1, t.bias, t.ep)
 	}
 }
 
-// gemmSkinnyNT computes dst = a·bᵀ for a.Rows ≤ skinnyM: each group of b's
-// rows — four where the active level has a 4×4 dot kernel and both sides
-// have four rows, else two — is read once, as contiguous dots against four
-// rows of a at a time (a stays cache-resident). A last group that would run
-// past the end is moved back to overlap the one before — the recomputed dots
-// are the same bits — and with under four rows (or two of b) the stride is
-// zero and the kernel does one row several times.
-func gemmSkinnyNT(dst, a, b *Matrix) {
-	m, n, k := a.Rows, b.Rows, a.Cols
-	dot, cols := kern.dot4x2, 2 // the kernel writes out[cols*r+c]
+// skinnyNTKernel returns the a·bᵀ dot kernel for an m×n output of the
+// skinny driver, the columns it writes per row of a (out[cols*r+c]) and the
+// group of b's rows one call reads: four where the active level has a 4×4
+// dot kernel and both sides have four rows, else two, and one (the kernel
+// then does one row several times) when b has fewer rows than that.
+func skinnyNTKernel(m, n int) (dot func(int, []float32, int, []float32, int, *[16]float32), cols, stepN int) {
+	dot, cols = kern.dot4x2, 2
 	if kern.dot4x4 != nil && m >= microM && n >= 4 {
 		dot, cols = kern.dot4x4, 4
 	}
-	stepM, lda, stepN, ldb := microM, k, cols, k
+	if n < cols {
+		return dot, cols, 1
+	}
+	return dot, cols, cols
+}
+
+// skinnyNTRange computes row groups [g0, g1) of b of the skinny a·bᵀ, a
+// group being the columns of dst one dot call writes: each group of b's
+// rows is read once, as contiguous dots against four rows of a at a time (a
+// stays cache-resident). With n not a multiple of the group, the last group
+// also covers the tail by a call moved back to overlap it — the recomputed
+// dots are the same bits, and they are written by the chunk that owns the
+// group they overlap. With under four rows of a the stride is zero and the
+// kernel does one row several times.
+func skinnyNTRange(t *task, g0, g1 int) {
+	a, b, dst := t.a, t.b, t.dst
+	m, n, k := a.Rows, b.Rows, a.Cols
+	dot, cols, stepN := skinnyNTKernel(m, n)
+	stepM, lda, ldb := microM, k, k
 	if m < stepM {
 		stepM, lda = 1, 0
 	}
-	if n < stepN {
-		stepN, ldb = 1, 0
+	if stepN < cols {
+		ldb = 0
+	}
+	j1 := g1 * stepN
+	if g1 == n/stepN {
+		j1 = n
 	}
 	s := getGemmScratch()
 	out := (*[16]float32)(s.edge[:]) // a local would escape through the kernel variable
-	for j0 := 0; j0 < n; j0 += stepN {
+	for j0 := g0 * stepN; j0 < j1; j0 += stepN {
 		j := min(j0, n-stepN)
 		for i0 := 0; i0 < m; i0 += stepM {
 			i := min(i0, m-stepM)
@@ -287,23 +330,23 @@ func gemmSkinnyNT(dst, a, b *Matrix) {
 
 // gemmSharedB is the blocked driver for outputs taller than one macro-tile
 // (backward's dW = Xᵀ·dY is the training-shaped case: 256×1024 over a
-// batch-sized k). Per blockK slab it runs two pool phases: packBRange
-// packs every column panel of the slab into one shared buffer (parallel
-// over panels — the satellite ROADMAP item for many-core hosts), then
-// gemmTileSharedRange sweeps all macro-tiles against the shared packing.
-// Each output element still accumulates its k-slabs in ascending order and
-// each tile's math is fixed by shape alone, so results stay bit-identical
-// to the per-tile-packing driver regardless of worker count.
-func gemmSharedB(kind gemmKind, dst, a, b *Matrix, bias []float32, ep Epilogue, k, rowTiles, colTiles int) {
+// batch-sized k). Per blockK slab it runs two phases on the team:
+// packBRange packs every column panel of the slab into one shared buffer
+// (parallel over panels), then gemmTileSharedRange sweeps all macro-tiles
+// against the shared packing. Each output element still accumulates its
+// k-slabs in ascending order and each tile's math is fixed by shape alone,
+// so results stay bit-identical to the per-tile-packing driver whoever runs
+// which tile.
+func (tm *Team) gemmSharedB(kind gemmKind, dst, a, b *Matrix, bias []float32, ep Epilogue, k, rowTiles, colTiles int) {
 	m, n, _ := gemmDims(kind, a, b)
 	for k0 := 0; k0 < k; k0 += blockK {
 		kc := min(blockK, k-k0)
 		pb := getSharedB(colTiles * blockN * kc)
 		t := task{dst: dst, a: a, b: b, bias: bias, gk: kind, ep: ep, shared: pb, k0: k0, kc: kc}
 		t.op = opPackB
-		parallel(colTiles, kc*n, t)
+		tm.parallel(colTiles, kc*n, t)
 		t.op = opGemmTileShared
-		parallel(rowTiles*colTiles, m*n*kc, t)
+		tm.parallel(rowTiles*colTiles, m*n*kc, t)
 		putSharedB(pb)
 	}
 }
@@ -359,10 +402,10 @@ func gemmTileSharedRange(t *task, t0, t1 int) {
 }
 
 // gemmTileRange executes macro-tiles [t0, t1) of the blocked decomposition;
-// it is the opGemmTile kernel the worker pool dispatches. Tiles are
-// enumerated row-major over the ⌈m/blockM⌉×⌈n/blockN⌉ grid, each tile owns
-// a disjoint output region, and the per-tile loop nest is fully
-// deterministic — results do not depend on which worker runs which tile.
+// it is the opGemmTile kernel a team's chunks run. Tiles are enumerated
+// row-major over the ⌈m/blockM⌉×⌈n/blockN⌉ grid, each tile owns a disjoint
+// output region, and the per-tile loop nest is fully deterministic —
+// results do not depend on which goroutine runs which tile.
 func gemmTileRange(t *task, t0, t1 int) {
 	m, n, k := gemmDims(t.gk, t.a, t.b)
 	tilesPerRow := (n + blockN - 1) / blockN

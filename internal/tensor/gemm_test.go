@@ -244,11 +244,13 @@ func TestBlockedGemmZeroDims(t *testing.T) {
 }
 
 // TestBlockedGemmDeterministicRepeat pins fixed-shape bit-reproducibility:
-// repeated runs on identical inputs — dispatched through the worker pool
-// with whatever scheduling happens — must produce byte-identical output,
-// the property the DDP overlap/serial equivalence gates build on.
+// repeated runs on identical inputs — fanned out on a team with whatever
+// scheduling happens — must produce byte-identical output, the property
+// the DDP overlap/serial equivalence gates build on.
 func TestBlockedGemmDeterministicRepeat(t *testing.T) {
 	forceGemmMode(t, gemmBlocked)
+	tm := NewTeam(2)
+	t.Cleanup(tm.Close)
 	rng := rand.New(rand.NewPCG(5, 6))
 	a := randMatrix(rng, 65, 300)
 	b := randMatrix(rng, 300, 130)
@@ -261,7 +263,7 @@ func TestBlockedGemmDeterministicRepeat(t *testing.T) {
 	got := New(65, 130)
 	for run := 0; run < 10; run++ {
 		got.Fill(float32(run))
-		MatMulBiasReLU(got, a, b, bias)
+		tm.MatMulEpilogue(got, a, b, bias, EpBiasReLU)
 		if d := got.MaxAbsDiff(first); d != 0 {
 			t.Fatalf("run %d: diverged by %v from first run", run, d)
 		}

@@ -50,7 +50,7 @@ func TestSharedBMatchesPerTilePacking(t *testing.T) {
 			ref := task{op: opGemmTile, dst: want, a: a, b: b, bias: bias, gk: kind, ep: ep}
 			gemmTileRange(&ref, 0, rowTiles*colTiles)
 
-			gemmSharedB(kind, got, a, b, bias, ep, sh.k, rowTiles, colTiles)
+			(*Team)(nil).gemmSharedB(kind, got, a, b, bias, ep, sh.k, rowTiles, colTiles)
 
 			if d := got.MaxAbsDiff(want); d != 0 {
 				t.Fatalf("kind %d shape %dx%dx%d: shared-B diverges from per-tile packing by %v",

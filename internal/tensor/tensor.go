@@ -5,9 +5,10 @@
 // elementwise kernels for everything between the GEMMs — epilogues, loss,
 // normalization, gradient accumulate and scale, the wire's float copies.
 // Everything is allocation-explicit so training loops can reuse buffers
-// across batches, and parallel kernels dispatch op-coded tasks to a
-// persistent worker pool (see pool.go) rather than spawning goroutines, so
-// the training hot path stays allocation-free.
+// across batches. A kernel runs inline unless its caller owns a Team — the
+// cores of a trainer rank — on which it fans out op-coded chunks to helper
+// goroutines that outlive the call (see pool.go), so the training hot path
+// stays allocation-free.
 //
 // # GEMM blocking scheme
 //
@@ -20,19 +21,20 @@
 // see Kernel levels below), accumulates each output tile without touching
 // memory for C inside the k-loop. Fused epilogues apply bias-add and the
 // layer activation right after accumulation (MatMulBias, MatMulBiasReLU,
-// MatMulBiasTanh). The worker pool parallelizes over macro-tiles; tiles own
-// disjoint output regions and their decomposition depends only on the
+// MatMulBiasTanh). On a team the driver fans out over macro-tiles; tiles
+// own disjoint output regions and their decomposition depends only on the
 // matrix shapes.
 //
 // With at most skinnyM = 32 rows of A — the training batch, every serve
 // batch — packing B costs more than the product, so A·B and A·Bᵀ take the
-// skinny driver, on the caller's goroutine: A·B packs A's few rows and hands
-// the same micro-kernel B's row stride, so it walks 16 columns of B where
-// they lie; A·Bᵀ reads each group of B's rows once as contiguous dots
-// against A (dot4x2, dot4x4). Aᵀ·B, bound by the gradient's memory, stays
-// blocked. The naive kernels remain as the reference and as the fast path
-// for operands too small to tile. MELISSA_GEMM=naive forces them,
-// MELISSA_GEMM=blocked the packed driver (anything else: by shape).
+// skinny driver: A·B packs A's few rows and hands the same micro-kernel B's
+// row stride, so it walks 16 columns of B where they lie, split by 16-column
+// panels on a team; A·Bᵀ reads each group of B's rows once as contiguous
+// dots against A (dot4x2, dot4x4), split by those groups. Aᵀ·B, bound by
+// the gradient's memory, stays blocked. The naive kernels remain as the
+// reference and as the fast path for operands too small to tile.
+// MELISSA_GEMM=naive forces them, MELISSA_GEMM=blocked the packed driver
+// (anything else: by shape).
 //
 // # Kernel levels
 //
@@ -114,8 +116,8 @@
 // and agree bit-for-bit, infinities and NaNs included (the property tests
 // and FuzzAdamKernel compare them directly; the one freedom left is which
 // of two differently encoded NaNs an addition hands on, see checkAdamImpls),
-// so a trajectory does not depend on which one a machine runs or on how the
-// pool chunks a slab. The third line — a moment is never stored subnormal — keeps a
+// so a trajectory does not depend on which one a machine runs or on how a
+// team chunks a slab. The third line — a moment is never stored subnormal — keeps a
 // step's cost constant: a weight whose gradient has become exactly zero (a
 // dead ReLU unit) would otherwise see m decay to k·2⁻¹⁴⁹, k ≤ 4, where
 // 0.9·m rounds back to m, and every later step would take a microcode

@@ -153,6 +153,12 @@ func TrainOffline(ctx context.Context, cfg Config, dir string, epochs, loaderWor
 		schedule = opt.Halving{Initial: cfg.LearningRate, EverySamples: cfg.HalveEvery, Min: cfg.MinLR}
 	}
 	adam := opt.NewAdam(cfg.LearningRate)
+	// The loop below is the process's one trainer: its kernels may use
+	// every core. The team is closed before the surrogate is handed out.
+	team := tensor.NewTeam(runtime.GOMAXPROCS(0))
+	defer team.Close()
+	net.SetTeam(team)
+	adam.SetTeam(team)
 	lossFn := nn.NewMSELoss()
 	metrics := core.NewMetrics(false)
 	metrics.Begin()
