@@ -67,7 +67,7 @@ func main() {
 		dt         = flag.Float64("dt", 0, "seconds per time step (0 = problem default)")
 		hidden     = flag.String("hidden", "64,64", "comma-separated hidden layer widths")
 		batch      = flag.Int("batch", 10, "batch size per rank")
-		policy     = flag.String("buffer", "Reservoir", "FIFO|FIRO|Reservoir")
+		policy     = flag.String("buffer", "Reservoir", "FIFO|FIRO|Reservoir, or UniformEvict (the Reservoir's eviction ablation)")
 		capacity   = flag.Int("capacity", 200, "buffer capacity per rank")
 		threshold  = flag.Int("threshold", 30, "buffer extraction threshold")
 		maxBatches = flag.Int("max-batches", 0, "stop training after this many batches (0 = train until the ensemble completes; set it where an elastic group should run the same schedule whoever survives)")

@@ -2,12 +2,12 @@ package buffer
 
 // Arena is a per-rank sample store: one contiguous slab of input rows and
 // one of output rows, allocated in fixed-size chunks, with a free list of
-// row slots. The arena-backed Blocking wrapper copies incoming payloads
-// into arena rows (PutCopy), policies then shuffle Sample values whose
-// Input/Output slices alias those rows, and rows return to the free list
-// the moment their sample permanently leaves the policy — eviction or
-// consumption — so steady-state ingestion recycles a bounded set of rows
-// in place instead of allocating per message.
+// row slots. The Blocking wrapper copies incoming payloads into arena rows
+// (PutCopy), policies then shuffle Sample values whose Input/Output slices
+// alias those rows, and rows return to the free list the moment their
+// sample permanently leaves the policy — eviction or consumption — so
+// steady-state ingestion recycles a bounded set of rows in place instead
+// of allocating per message.
 //
 // Chunked growth matters for correctness: rows are referenced by slices
 // held inside policy containers, so existing chunks must never move.
@@ -42,12 +42,6 @@ func NewArena(initialRows, inDim, outDim int) *Arena {
 	return a
 }
 
-// InDim returns the input row width.
-func (a *Arena) InDim() int { return a.inDim }
-
-// OutDim returns the output row width.
-func (a *Arena) OutDim() int { return a.outDim }
-
 // Rows returns the total allocated row count.
 func (a *Arena) Rows() int { return a.rows }
 
@@ -79,10 +73,23 @@ func (a *Arena) alloc() int32 {
 	return slot
 }
 
+// copyIn leases a row and copies a payload into it, returning the sample
+// that owns the row. It reports false, leasing nothing, when the payload is
+// not exactly one row.
+func (a *Arena) copyIn(simID, step int, input, output []float32) (Sample, bool) {
+	if len(input) != a.inDim || len(output) != a.outDim {
+		return Sample{}, false
+	}
+	slot := a.alloc()
+	s := Sample{SimID: simID, Step: step, Input: a.inRow(slot), Output: a.outRow(slot), slot: slot}
+	copy(s.Input, input)
+	copy(s.Output, output)
+	return s, true
+}
+
 // reset returns every row to the free list without releasing the chunks.
-// Only valid when no live sample aliases an arena row — i.e. right after
-// the owning buffer's contents were wholesale replaced with heap-owned
-// samples (Blocking.ReplaceContents).
+// Only valid while no resident sample aliases a row: ReplaceContents calls
+// it between taking the old contents and copying the new ones in.
 func (a *Arena) reset() {
 	a.free = a.free[:0]
 	for i := a.rows - 1; i >= 0; i-- {

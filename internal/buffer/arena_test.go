@@ -82,7 +82,7 @@ func TestArenaRowsRecycled(t *testing.T) {
 		t.Fatalf("arena grew from %d to %d rows; eviction must recycle in place", rows, got)
 	}
 	// Conservation: every row is either free or accounted to a resident
-	// sample (restored heap samples aside, none here).
+	// sample.
 	resident := b.Len()
 	if free := b.Arena().FreeRows(); free+resident != rows {
 		t.Fatalf("row leak: %d free + %d resident != %d total", free, resident, rows)
@@ -90,84 +90,88 @@ func TestArenaRowsRecycled(t *testing.T) {
 }
 
 // TestArenaPolicySequenceUnchanged drives two identically-seeded Reservoirs
-// — one with heap samples through Put/Get, one arena-backed through
+// — a bare policy through Put/TryGet, and one wrapped in a buffer through
 // PutCopy/GetBatchEach — and requires the identical extraction sequence:
 // the arena is invisible to the policy's RNG stream, keeping the paper's
 // buffer statistics bit-identical.
 func TestArenaPolicySequenceUnchanged(t *testing.T) {
 	const inDim, outDim = 2, 3
-	// Threshold 0: Get blocks below the threshold, and this test drives
-	// both buffers single-threaded.
+	// Threshold 0: GetBatchEach blocks below the threshold, and this test
+	// drives the buffer single-threaded.
 	const capacity, threshold = 32, 0
-	plain := NewBlocking(NewReservoir(capacity, threshold, 99))
+	bare := NewReservoir(capacity, threshold, 99)
 	arena := NewBlockingArena(NewReservoir(capacity, threshold, 99), inDim, outDim)
 
-	var plainSeq, arenaSeq []Key
+	var bareSeq, arenaSeq []Key
 	record := func(_ int, s Sample) { arenaSeq = append(arenaSeq, s.Key()) }
+	take := func() {
+		if got, ok := bare.TryGet(); ok {
+			bareSeq = append(bareSeq, got.Key())
+		}
+		arena.GetBatchEach(1, record)
+	}
 	for s := 1; s <= 200; s++ {
-		if unseenCount(plain) >= capacity {
-			// Single-threaded: make room identically on both buffers
-			// before Put would block.
-			if got, ok := plain.Get(); ok {
-				plainSeq = append(plainSeq, got.Key())
-			}
-			arena.GetBatchEach(1, record)
+		if bare.UnseenCount() >= capacity {
+			// Single-threaded: make room identically on both before Put
+			// would refuse.
+			take()
 		}
 		in, out := arenaSampleData(3, s, inDim, outDim)
-		plain.Put(Sample{SimID: 3, Step: s, Input: in, Output: out})
+		bare.Put(Sample{SimID: 3, Step: s, Input: in, Output: out})
 		arena.PutCopy(3, s, in, out)
 		if s%3 == 0 {
-			if got, ok := plain.Get(); ok {
-				plainSeq = append(plainSeq, got.Key())
-			}
-			arena.GetBatchEach(1, record)
+			take()
 		}
 	}
-	plain.EndReception()
+	bare.EndReception()
 	arena.EndReception()
 	for {
-		got, ok := plain.Get()
+		got, ok := bare.TryGet()
 		if !ok {
 			break
 		}
-		plainSeq = append(plainSeq, got.Key())
+		bareSeq = append(bareSeq, got.Key())
 	}
 	for {
 		if _, ok := arena.GetBatchEach(1, record); !ok {
 			break
 		}
 	}
-	if len(plainSeq) != len(arenaSeq) {
-		t.Fatalf("sequence lengths differ: %d vs %d", len(plainSeq), len(arenaSeq))
+	if len(bareSeq) != len(arenaSeq) {
+		t.Fatalf("sequence lengths differ: %d vs %d", len(bareSeq), len(arenaSeq))
 	}
-	for i := range plainSeq {
-		if plainSeq[i] != arenaSeq[i] {
-			t.Fatalf("extraction %d: plain %v, arena %v", i, plainSeq[i], arenaSeq[i])
+	for i := range bareSeq {
+		if bareSeq[i] != arenaSeq[i] {
+			t.Fatalf("extraction %d: bare %v, arena %v", i, bareSeq[i], arenaSeq[i])
 		}
 	}
 }
 
-// TestArenaDimMismatchFallsBack pins that odd-sized payloads are stored
-// whole via the heap path rather than truncated into arena rows.
-func TestArenaDimMismatchFallsBack(t *testing.T) {
+// TestArenaRefusesMisSizedPayload pins that a payload which is not exactly
+// one row is never stored — neither put nor restored — instead of being
+// truncated into a row or kept off the arena.
+func TestArenaRefusesMisSizedPayload(t *testing.T) {
 	b := NewBlockingArena(NewFIFO(0), 2, 3)
-	freeBefore := b.Arena().FreeRows()
-	if !b.PutCopy(1, 1, []float32{1, 2, 3, 4}, []float32{5}) {
-		t.Fatal("PutCopy refused")
-	}
-	if b.Arena().FreeRows() != freeBefore {
-		t.Fatal("mismatched payload consumed an arena row")
-	}
-	b.GetBatchEach(1, func(_ int, s Sample) {
-		if len(s.Input) != 4 || len(s.Output) != 1 || s.Input[3] != 4 || s.Output[0] != 5 {
-			t.Fatalf("payload truncated: %+v", s)
+	free := b.Arena().FreeRows()
+	for _, p := range [][2][]float32{{{1, 2, 3}, {4, 5, 6}}, {{1, 2}, {3, 4, 5, 6}}, {{1, 2}, {3, 4}}} {
+		if b.PutCopy(1, 1, p[0], p[1]) {
+			t.Fatalf("PutCopy stored a %d/%d payload in a 2/3 row", len(p[0]), len(p[1]))
 		}
+	}
+	if b.Len() != 0 || b.Arena().FreeRows() != free {
+		t.Fatalf("refused payloads left %d samples and %d of %d rows free", b.Len(), b.Arena().FreeRows(), free)
+	}
+	b.ReplaceContents(func(_, _ []Sample) ([]Sample, []Sample) {
+		return nil, []Sample{{Input: []float32{1, 2}, Output: []float32{3, 4, 5}}, {Input: []float32{1}, Output: []float32{3, 4, 5}}}
 	})
+	if b.Len() != 1 || b.Arena().FreeRows() != free-1 {
+		t.Fatalf("restore kept %d samples on %d rows, want the one that fits on one row", b.Len(), free-b.Arena().FreeRows())
+	}
 }
 
-// TestArenaPutDropsWhenReceptionOver mirrors the plain Put contract: a
-// straggler arriving after EndReception on a full buffer is dropped, and
-// its freshly-leased row must be recycled, not leaked.
+// TestArenaPutDropsWhenReceptionOver: a straggler arriving after
+// EndReception on a full buffer is dropped, and its freshly-leased row must
+// be recycled, not leaked.
 func TestArenaPutDropsWhenReceptionOver(t *testing.T) {
 	b := NewBlockingArena(NewFIFO(1), 2, 2)
 	if !b.PutCopy(1, 1, []float32{1, 1}, []float32{1, 1}) {

@@ -6,10 +6,11 @@ import (
 )
 
 // Blocking wraps a Policy with the thread-safe, blocking semantics the live
-// server needs: the data-aggregator goroutine calls Put (blocking while the
-// policy refuses, i.e. the buffer is full), and the training goroutine
-// calls Get or GetBatch (blocking below threshold). It mirrors the
-// lock/wait structure of Algorithm 1.
+// server needs: the data-aggregator goroutine calls PutCopy (blocking while
+// the policy refuses, i.e. the buffer is full), and the training goroutine
+// calls GetBatchEach (blocking below threshold). It mirrors the lock/wait
+// structure of Algorithm 1. Every buffered sample owns one row of the
+// buffer's Arena (see the package comment).
 type Blocking struct {
 	mu       sync.Mutex
 	notFull  *sync.Cond
@@ -24,52 +25,43 @@ type Blocking struct {
 }
 
 // evictNotifier is implemented by policies that discard samples internally
-// on Put (Reservoir, UniformEvict); the arena-backed wrapper registers a
-// hook to recycle the discarded rows.
+// on Put (Reservoir, UniformEvict); the wrapper registers a hook to recycle
+// the discarded rows.
 type evictNotifier interface {
 	setOnEvict(fn func(Sample))
 }
 
-// NewBlocking wraps p. The wrapper owns p; callers must not touch it
-// directly afterwards except through WithLock.
-func NewBlocking(p Policy) *Blocking {
+// NewBlockingArena wraps p with a sample arena for rows of the given
+// widths. The wrapper owns p; callers must not touch it directly afterwards
+// except through WithLock. The arena is sized to the policy capacity plus
+// slack, growing in chunks if a policy (e.g. unbounded FIFO) outgrows it.
+func NewBlockingArena(p Policy, inDim, outDim int) *Blocking {
 	b := &Blocking{p: p}
 	b.notFull = sync.NewCond(&b.mu)
 	b.notEmpty = sync.NewCond(&b.mu)
-	return b
-}
-
-// NewBlockingArena wraps p with a sample arena for rows of the given
-// widths: PutCopy copies payloads into recycled rows and extraction must
-// go through GetBatchEach (see the package comment's ownership contract).
-// The arena is sized to the policy capacity plus slack, growing in chunks
-// if a policy (e.g. unbounded FIFO) outgrows it.
-func NewBlockingArena(p Policy, inDim, outDim int) *Blocking {
-	b := NewBlocking(p)
 	rows := p.Capacity()
 	if rows <= 0 {
 		rows = arenaChunkRows
 	}
-	// One extra chunk of slack: rows stay leased briefly between a
-	// policy eviction and the recycle hook, and heap-backed restores may
-	// mix in.
+	// One extra chunk of slack: an incoming sample holds its row before the
+	// policy evicts the one it replaces.
 	b.arena = NewArena(rows+arenaChunkRows, inDim, outDim)
 	if ev, ok := p.(evictNotifier); ok {
-		ev.setOnEvict(b.recycleSample)
+		ev.setOnEvict(b.recycle)
 	}
 	return b
 }
 
-// Arena exposes the backing arena (nil for plain buffers); the server's
-// ingestion gates use it to assert row recycling.
+// Arena exposes the backing arena; the server's ingestion gates use it to
+// assert row recycling.
 func (b *Blocking) Arena() *Arena { return b.arena }
 
 // OnRetire registers a callback invoked — under the buffer lock, just
 // before the arena row is recycled — for every sample that permanently
 // leaves the buffer through GetBatchEach (FIFO/FIRO pop, Reservoir
 // drain-mode removal). The callback must deep-copy any payload it keeps:
-// the sample's Input/Output may alias an arena row that is overwritten by
-// the next PutCopy. The elastic server uses it to journal consumed samples
+// the sample's Input/Output alias an arena row that is overwritten by the
+// next PutCopy. The elastic server uses it to journal consumed samples
 // for replay after a group rollback, since a sample consumed after the
 // last group checkpoint would otherwise be lost to the restored epoch.
 // Pass nil to unregister.
@@ -79,22 +71,18 @@ func (b *Blocking) OnRetire(fn func(Sample)) {
 	b.onRetire = fn
 }
 
-// recycleSample returns an arena-backed sample's row to the free list. It
-// must run under b.mu (policy hooks fire inside Put/TryGet, which the
-// wrapper always calls locked).
-func (b *Blocking) recycleSample(s Sample) {
-	if b.arena != nil && s.slot > 0 {
-		b.arena.freeSlot(s.slot - 1)
-	}
-}
+// recycle returns a sample's row to the free list. It must run under b.mu
+// (policy hooks fire inside Put/TryGet, which the wrapper always calls
+// locked).
+func (b *Blocking) recycle(s Sample) { b.arena.freeSlot(s.slot) }
 
-// PutCopy inserts one sample by bulk-copying its payload into arena rows
+// PutCopy inserts one sample by bulk-copying its payload into an arena row
 // under the lock, blocking while the policy refuses (buffer full). The
 // caller keeps ownership of input/output and may recycle them immediately
-// after return. Payloads whose widths differ from the arena's fall back to
-// a heap copy so nothing is silently truncated. It reports false when the
-// sample was refused because reception has ended: nothing consumes any
-// more, so the frame is a straggler and the caller drops it.
+// after return. It reports false, storing nothing, when the payload is not
+// exactly one row, or when the sample was refused because reception has
+// ended: nothing consumes any more, so the frame is a straggler and the
+// caller drops it.
 func (b *Blocking) PutCopy(simID, step int, input, output []float32) bool {
 	return b.PutCopyThen(simID, step, input, output, nil)
 }
@@ -109,17 +97,9 @@ func (b *Blocking) PutCopyThen(simID, step int, input, output []float32, stored 
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
-		s := Sample{SimID: simID, Step: step}
-		if b.arena != nil && len(input) == b.arena.inDim && len(output) == b.arena.outDim {
-			slot := b.arena.alloc()
-			s.Input = b.arena.inRow(slot)
-			s.Output = b.arena.outRow(slot)
-			s.slot = slot + 1
-			copy(s.Input, input)
-			copy(s.Output, output)
-		} else {
-			s.Input = append([]float32(nil), input...)
-			s.Output = append([]float32(nil), output...)
+		s, ok := b.arena.copyIn(simID, step, input, output)
+		if !ok {
+			return false
 		}
 		if b.p.Put(s) {
 			if stored != nil {
@@ -130,7 +110,7 @@ func (b *Blocking) PutCopyThen(simID, step int, input, output []float32, stored 
 		}
 		// The row goes back before waiting: a producer may stay parked
 		// across a ReplaceContents, which resets the arena under it.
-		b.recycleSample(s)
+		b.recycle(s)
 		if b.p.ReceptionOver() {
 			return false
 		}
@@ -142,9 +122,11 @@ func (b *Blocking) PutCopyThen(simID, step int, input, output []float32, stored 
 // one while the buffer lock is held. fn must copy what it needs out of s
 // and must not call back into the buffer: as soon as fn returns, a sample
 // that permanently left the policy has its arena row recycled and a later
-// PutCopy may overwrite the payload. Like GetBatch it blocks until n
-// samples were delivered or the buffer drained, returning the count and
-// ok=false only when the buffer drained before yielding any sample.
+// PutCopy may overwrite the payload. It blocks until n samples were
+// delivered or the buffer drained, returning the count and ok=false only
+// when the buffer drained before yielding any sample; a shorter final
+// batch comes with ok=true (§3.2.3: "When the reception is over and the
+// buffer is empty, the training terminates").
 func (b *Blocking) GetBatchEach(n int, fn func(i int, s Sample)) (int, bool) {
 	return b.GetBatchEachUntil(n, fn, nil)
 }
@@ -176,7 +158,7 @@ func (b *Blocking) GetBatchEachUntil(n int, fn func(i int, s Sample), stop *atom
 			if b.onRetire != nil {
 				b.onRetire(s)
 			}
-			b.recycleSample(s)
+			b.recycle(s)
 		}
 		b.notFull.Signal()
 		count++
@@ -218,112 +200,33 @@ func (b *Blocking) Parked() (producers, consumers int) {
 // a deep-copied snapshot of the current contents and returns the new ones,
 // all under the buffer lock, so no concurrent PutCopy can slip a sample in
 // between the read and the restore (it would be wiped, yet already marked
-// in the caller's dedup state — a lost sample). The returned samples must
-// be heap-owned (snapshot entries and fresh copies both are; any stale
-// arena linkage is severed here). Unlike a bare RestoreSnapshot through
-// WithLock, ReplaceContents also resets the backing arena: the previous
-// contents are dropped wholesale, so no live sample aliases an arena row
-// and every row returns to the free list instead of leaking. The elastic
+// in the caller's dedup state — a lost sample). The arena is then reset and
+// every returned sample copied into a row of its own; one whose payload is
+// not exactly a row is dropped, as PutCopy would refuse it. The elastic
 // server uses it to rebuild a rank's buffer after a group rollback (replay
-// journal ++ live contents). The reception flag is untouched, and a
-// producer parked in PutCopy holds no arena row. It reports
-// false — without calling fn — when the policy cannot snapshot/restore.
-func (b *Blocking) ReplaceContents(fn func(seen, unseen []Sample) (newSeen, newUnseen []Sample)) bool {
+// journal ++ live contents), and every restart to load a checkpoint's. The
+// reception flag is untouched, and a producer parked in PutCopy holds no
+// arena row.
+func (b *Blocking) ReplaceContents(fn func(seen, unseen []Sample) (newSeen, newUnseen []Sample)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	sn, ok := b.p.(Snapshotter)
-	if !ok {
-		return false
-	}
-	seen, unseen := sn.Snapshot()
-	seen, unseen = fn(seen, unseen)
-	for i := range seen {
-		seen[i].slot = 0
-	}
-	for i := range unseen {
-		unseen[i].slot = 0
-	}
-	sn.RestoreSnapshot(seen, unseen)
-	if b.arena != nil {
-		b.arena.reset()
-	}
+	seen, unseen := fn(b.p.Snapshot())
+	b.arena.reset()
+	b.p.RestoreSnapshot(b.intoRows(seen), b.intoRows(unseen))
 	b.notEmpty.Broadcast()
 	b.notFull.Broadcast()
-	return true
 }
 
-// Put inserts s, blocking while the policy refuses it (buffer full). If
-// reception has ended while waiting — e.g. a cancelled run still has
-// stragglers in flight — the sample is dropped instead of blocking the
-// aggregator forever.
-func (b *Blocking) Put(s Sample) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for !b.p.Put(s) {
-		if b.p.ReceptionOver() {
-			return
+// intoRows copies samples into freshly leased rows, dropping any whose
+// payload is not exactly one row.
+func (b *Blocking) intoRows(samples []Sample) []Sample {
+	out := make([]Sample, 0, len(samples))
+	for _, s := range samples {
+		if r, ok := b.arena.copyIn(s.SimID, s.Step, s.Input, s.Output); ok {
+			out = append(out, r)
 		}
-		b.waitNotFull()
 	}
-	b.notEmpty.Signal()
-}
-
-// TryPut inserts s without blocking, reporting whether it was accepted.
-func (b *Blocking) TryPut(s Sample) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.p.Put(s) {
-		return false
-	}
-	b.notEmpty.Signal()
-	return true
-}
-
-// Get extracts one sample, blocking until the policy can yield one. It
-// returns ok=false only when the buffer is drained (reception over and
-// empty), which terminates training (§3.2.3: "When the reception is over
-// and the buffer is empty, the training terminates"). Do not use on
-// arena-backed buffers: the returned payload may alias a recycled row.
-// Use GetBatchEach, whose callback runs under the lock.
-func (b *Blocking) Get() (Sample, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for {
-		if s, ok := b.p.TryGet(); ok {
-			b.notFull.Signal()
-			return s, true
-		}
-		if b.p.Drained() {
-			return Sample{}, false
-		}
-		b.waitNotEmpty()
-	}
-}
-
-// GetBatch extracts up to n samples, blocking as needed. It returns
-// ok=false only when the buffer drained before yielding any sample; a
-// shorter final batch is returned with ok=true while draining.
-func (b *Blocking) GetBatch(n int) ([]Sample, bool) {
-	return b.GetBatchInto(make([]Sample, 0, n), n)
-}
-
-// GetBatchInto is GetBatch assembling into dst's storage (dst is truncated
-// first), so a training loop can reuse one batch slice across steps and
-// assemble batches without allocating. The returned slice aliases dst when
-// capacity suffices.
-func (b *Blocking) GetBatchInto(dst []Sample, n int) ([]Sample, bool) {
-	batch := dst[:0]
-	for len(batch) < n {
-		s, ok := b.Get()
-		if !ok {
-			break
-		}
-		batch = append(batch, s)
-	}
-	if len(batch) == 0 {
-		return nil, false
-	}
-	return batch, true
+	return out
 }
 
 // EndReception records that nothing more will arrive (Policy.EndReception;
@@ -352,14 +255,14 @@ func (b *Blocking) Drained() bool {
 }
 
 // WithLock runs fn while holding the buffer mutex, excluding concurrent
-// Puts and Gets. The paper's validation protocol uses exactly this: "During
+// puts and gets. The paper's validation protocol uses exactly this: "During
 // validation, new entries in the buffer are blocked by acquiring its mutex"
-// (§4.4), while incoming data accumulate in the transport queue.
+// (§4.4), while incoming data accumulate in the transport queue. fn may
+// read the policy (a checkpoint takes its Snapshot here) but not change its
+// population: that is ReplaceContents' job, which keeps every sample on a
+// row.
 func (b *Blocking) WithLock(fn func(p Policy)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	fn(b.p)
-	// State may have changed (e.g. checkpoint restore refilled it).
-	b.notEmpty.Broadcast()
-	b.notFull.Broadcast()
 }

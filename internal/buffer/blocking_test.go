@@ -19,55 +19,69 @@ func parked(t *testing.T, b *Blocking, producers, consumers int) {
 	})
 }
 
+// newTestBuffer wraps p in an arena whose rows fit mkSample's payload.
+func newTestBuffer(p Policy) *Blocking { return NewBlockingArena(p, 2, 0) }
+
+// put stores mkSample(sim, step) in b.
+func put(b *Blocking, sim, step int) bool {
+	s := mkSample(sim, step)
+	return b.PutCopy(s.SimID, s.Step, s.Input, s.Output)
+}
+
+// get extracts one sample's key.
+func get(b *Blocking) (Key, bool) {
+	var k Key
+	_, ok := b.GetBatchEach(1, func(_ int, s Sample) { k = s.Key() })
+	return k, ok
+}
+
 func TestBlockingPutGet(t *testing.T) {
-	b := NewBlocking(NewFIFO(0))
-	b.Put(mkSample(0, 0))
-	s, ok := b.Get()
-	if !ok || s.Step != 0 {
-		t.Fatalf("get: ok=%v step=%d", ok, s.Step)
+	b := newTestBuffer(NewFIFO(0))
+	put(b, 0, 0)
+	if k, ok := get(b); !ok || k.Step != 0 {
+		t.Fatalf("get: ok=%v step=%d", ok, k.Step)
 	}
 }
 
 func TestBlockingGetWaitsForPut(t *testing.T) {
-	b := NewBlocking(NewFIFO(0))
-	done := make(chan Sample, 1)
+	b := newTestBuffer(NewFIFO(0))
+	done := make(chan Key, 1)
 	go func() {
-		s, _ := b.Get()
-		done <- s
+		k, _ := get(b)
+		done <- k
 	}()
 	parked(t, b, 0, 1)
-	b.Put(mkSample(3, 7))
-	if s := testwait.Recv(t, done, "Get to wake up"); s.SimID != 3 || s.Step != 7 {
-		t.Fatalf("wrong sample %+v", s)
+	put(b, 3, 7)
+	if k := testwait.Recv(t, done, "the get to wake up"); k != (Key{SimID: 3, Step: 7}) {
+		t.Fatalf("wrong sample %+v", k)
 	}
 }
 
 func TestBlockingPutWaitsWhenFull(t *testing.T) {
-	b := NewBlocking(NewFIFO(1))
-	b.Put(mkSample(0, 0))
-	second := make(chan struct{})
-	go func() {
-		b.Put(mkSample(0, 1))
-		close(second)
-	}()
+	b := newTestBuffer(NewFIFO(1))
+	put(b, 0, 0)
+	second := make(chan bool, 1)
+	go func() { second <- put(b, 0, 1) }()
 	parked(t, b, 1, 0)
 	if b.Len() != 1 {
-		t.Fatal("Put proceeded past capacity")
+		t.Fatal("PutCopy proceeded past capacity")
 	}
-	if _, ok := b.Get(); !ok {
+	if _, ok := get(b); !ok {
 		t.Fatal("get failed")
 	}
-	testwait.Recv(t, second, "the blocked Put to complete")
+	if !testwait.Recv(t, second, "the blocked PutCopy to complete") {
+		t.Fatal("the blocked PutCopy was refused")
+	}
 }
 
 func TestBlockingGetReturnsFalseWhenDrained(t *testing.T) {
-	b := NewBlocking(NewFIFO(0))
-	b.Put(mkSample(0, 0))
+	b := newTestBuffer(NewFIFO(0))
+	put(b, 0, 0)
 	b.EndReception()
-	if _, ok := b.Get(); !ok {
+	if _, ok := get(b); !ok {
 		t.Fatal("expected the stored sample")
 	}
-	if _, ok := b.Get(); ok {
+	if _, ok := get(b); ok {
 		t.Fatal("expected drained")
 	}
 	if !b.Drained() {
@@ -76,11 +90,11 @@ func TestBlockingGetReturnsFalseWhenDrained(t *testing.T) {
 }
 
 func TestBlockingEndReceptionWakesWaiter(t *testing.T) {
-	b := NewBlocking(NewFIRO(10, 5, 1))
-	b.Put(mkSample(0, 0)) // below threshold: Get would block
+	b := newTestBuffer(NewFIRO(10, 5, 1))
+	put(b, 0, 0) // below threshold: a get would block
 	done := make(chan bool, 1)
 	go func() {
-		_, ok := b.Get()
+		_, ok := get(b)
 		done <- ok
 	}()
 	parked(t, b, 0, 1)
@@ -95,15 +109,15 @@ func TestBlockingEndReceptionWakesWaiter(t *testing.T) {
 // buffer is exactly as open as before — the next consumer waits for data
 // again, and data still arrives.
 func TestBlockingWakeStopsWaitingConsumer(t *testing.T) {
-	b := NewBlocking(NewFIFO(0))
-	b.Put(mkSample(0, 0))
+	b := newTestBuffer(NewFIFO(0))
+	put(b, 0, 0)
 	var stop atomic.Bool
 	got := make(chan int, 1)
-	get := func(stop *atomic.Bool) {
+	getUntil := func(stop *atomic.Bool) {
 		n, _ := b.GetBatchEachUntil(4, func(int, Sample) {}, stop)
 		got <- n
 	}
-	go get(&stop)
+	go getUntil(&stop)
 	parked(t, b, 0, 1)
 	stop.Store(true)
 	b.Wake()
@@ -114,10 +128,10 @@ func TestBlockingWakeStopsWaitingConsumer(t *testing.T) {
 		t.Fatal("a consumer's stop ended reception")
 	}
 
-	go get(new(atomic.Bool))
+	go getUntil(new(atomic.Bool))
 	parked(t, b, 0, 1)
 	for step := 1; step <= 4; step++ {
-		b.Put(mkSample(0, step))
+		put(b, 0, step)
 	}
 	if n := testwait.Recv(t, got, "the next consumer's batch"); n != 4 {
 		t.Fatalf("next consumer got %d samples, want 4", n)
@@ -125,41 +139,24 @@ func TestBlockingWakeStopsWaitingConsumer(t *testing.T) {
 }
 
 func TestBlockingGetBatch(t *testing.T) {
-	b := NewBlocking(NewFIFO(0))
+	b := newTestBuffer(NewFIFO(0))
 	for i := 0; i < 25; i++ {
-		b.Put(mkSample(0, i))
+		put(b, 0, i)
 	}
 	b.EndReception()
-	batch, ok := b.GetBatch(10)
-	if !ok || len(batch) != 10 {
-		t.Fatalf("batch 1: ok=%v len=%d", ok, len(batch))
+	// Two full batches, then the final partial batch of 5.
+	for i, want := range []int{10, 10, 5} {
+		if n, ok := b.GetBatchEach(10, func(int, Sample) {}); !ok || n != want {
+			t.Fatalf("batch %d: ok=%v len=%d, want %d", i+1, ok, n, want)
+		}
 	}
-	batch, ok = b.GetBatch(10)
-	if !ok || len(batch) != 10 {
-		t.Fatalf("batch 2: ok=%v len=%d", ok, len(batch))
-	}
-	// Final partial batch of 5.
-	batch, ok = b.GetBatch(10)
-	if !ok || len(batch) != 5 {
-		t.Fatalf("batch 3: ok=%v len=%d, want partial 5", ok, len(batch))
-	}
-	if _, ok := b.GetBatch(10); ok {
+	if _, ok := b.GetBatchEach(10, func(int, Sample) {}); ok {
 		t.Fatal("expected drained after final partial batch")
 	}
 }
 
-func TestBlockingTryPut(t *testing.T) {
-	b := NewBlocking(NewFIFO(1))
-	if !b.TryPut(mkSample(0, 0)) {
-		t.Fatal("TryPut refused with space")
-	}
-	if b.TryPut(mkSample(0, 1)) {
-		t.Fatal("TryPut accepted at capacity")
-	}
-}
-
 func TestBlockingWithLockExcludesPut(t *testing.T) {
-	b := NewBlocking(NewFIFO(0))
+	b := newTestBuffer(NewFIFO(0))
 	inCritical := make(chan struct{})
 	release := make(chan struct{})
 	go b.WithLock(func(Policy) {
@@ -169,19 +166,19 @@ func TestBlockingWithLockExcludesPut(t *testing.T) {
 	<-inCritical
 	putDone := make(chan struct{})
 	go func() {
-		b.Put(mkSample(0, 0))
+		put(b, 0, 0)
 		close(putDone)
 	}()
 	select {
 	case <-putDone:
-		t.Fatal("Put proceeded while WithLock held the mutex")
+		t.Fatal("PutCopy proceeded while WithLock held the mutex")
 	case <-time.After(20 * time.Millisecond):
 	}
 	close(release)
 	select {
 	case <-putDone:
 	case <-time.After(time.Second):
-		t.Fatal("Put never completed after lock release")
+		t.Fatal("PutCopy never completed after lock release")
 	}
 }
 
@@ -189,7 +186,7 @@ func TestBlockingWithLockExcludesPut(t *testing.T) {
 // through a Reservoir under the race detector, checking conservation of
 // the unique sample set.
 func TestBlockingConcurrentStress(t *testing.T) {
-	b := NewBlocking(NewReservoir(64, 16, 5))
+	b := newTestBuffer(NewReservoir(64, 16, 5))
 	const producers = 4
 	const perProducer = 500
 
@@ -199,7 +196,7 @@ func TestBlockingConcurrentStress(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				b.Put(mkSample(p, i))
+				put(b, p, i)
 			}
 		}(p)
 	}
@@ -211,11 +208,11 @@ func TestBlockingConcurrentStress(t *testing.T) {
 	seen := map[Key]bool{}
 	total := 0
 	for {
-		s, ok := b.Get()
+		k, ok := get(b)
 		if !ok {
 			break
 		}
-		seen[s.Key()] = true
+		seen[k] = true
 		total++
 	}
 	// The Reservoir may repeat samples, but every unique key accepted must

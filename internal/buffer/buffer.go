@@ -10,25 +10,20 @@
 // Put/TryGet so that both the live server (through the Blocking wrapper)
 // and the discrete-event cluster simulator can drive the exact same code.
 //
-// # Arena-backed buffers and payload ownership
+// # Payload ownership
 //
-// A plain Blocking buffer stores heap-owned samples: whoever built the
-// Sample owns its payload slices, they are immutable once inserted, and
-// extracted samples stay valid forever. That is the contract every
-// offline/simulator path uses.
-//
-// NewBlockingArena instead backs the wrapper with an Arena: PutCopy bulk-
-// copies an incoming payload into recycled arena rows under the buffer
-// lock, policies shuffle Sample values whose slices alias those rows, and
-// a row returns to the free list the moment its sample permanently leaves
-// the policy — evicted on Put (the policy's onEvict hook) or consumed for
-// the last time on TryGet. Because rows are reused in place, an extracted
-// sample's payload is only stable while the buffer lock is held: consumers
-// must use GetBatchEach, whose callback runs under the lock and must copy
-// out (the trainer copies straight into its batch matrices), never the
-// lock-free Get/GetBatch accessors. Snapshot deep-copies payloads for the
-// same reason, so checkpoints taken from arena-backed buffers stay valid
-// after the lock is released.
+// Every sample in a Blocking buffer owns exactly one row of the buffer's
+// Arena, whose rows are as wide as the model's input and output. PutCopy
+// bulk-copies an incoming payload into a recycled row under the buffer
+// lock and refuses one that is not exactly a row; policies shuffle Sample
+// values whose slices alias those rows; and a row returns to the free list
+// the moment its sample permanently leaves the policy — evicted on Put (the
+// policy's onEvict hook) or consumed for the last time on TryGet. Because
+// rows are reused in place, an extracted sample's payload is only stable
+// while the buffer lock is held: consumers use GetBatchEach, whose callback
+// runs under the lock and must copy out (the trainer copies straight into
+// its batch matrices). Snapshot deep-copies payloads for the same reason,
+// and ReplaceContents copies what it restores back into rows.
 package buffer
 
 import (
@@ -49,10 +44,10 @@ type Sample struct {
 	// Output is the flattened discretized field u_t^X.
 	Output []float32
 
-	// slot is the arena row backing Input/Output plus one; zero marks a
-	// heap-owned payload. Unexported on purpose: only the arena-backed
-	// Blocking wrapper leases and recycles rows, and gob (checkpoints)
-	// deliberately drops it so restored samples read as heap-owned.
+	// slot is the arena row backing Input/Output while the sample is in a
+	// Blocking buffer. Unexported on purpose: only the wrapper leases and
+	// recycles rows, and gob (checkpoints) drops it — ReplaceContents leases
+	// a fresh row for every sample it restores.
 	slot int32
 }
 
@@ -71,15 +66,19 @@ func (s Sample) Key() Key { return Key{SimID: s.SimID, Step: s.Step} }
 // concurrent use; wrap them in Blocking for the live server, or drive them
 // from the single-threaded event loop of the cluster simulator.
 //
-// Arena contract for implementers: the arena-backed Blocking wrapper
-// recycles a sample's storage when it permanently leaves the policy, and
-// it detects that from the policy's observable behavior. TryGet must
-// either remove the returned sample (Len decreases by exactly one) or
-// leave the population unchanged (a with-replacement selection, like the
-// Reservoir's); it must never remove a different sample than the one it
-// returns. Any sample discarded internally by Put must be reported
-// through the setOnEvict hook before its storage is forgotten. Policies
-// that cannot honor this must not be wrapped with NewBlockingArena.
+// Arena contract for implementers: the Blocking wrapper recycles a
+// sample's row when it permanently leaves the policy, and it detects that
+// from the policy's observable behavior. TryGet must either remove the
+// returned sample (Len decreases by exactly one) or leave the population
+// unchanged (a with-replacement selection, like the Reservoir's); it must
+// never remove a different sample than the one it returns. Any sample
+// discarded internally by Put must be reported through the setOnEvict hook
+// before its storage is forgotten.
+//
+// Snapshot contract: every policy can be checkpointed (§3.1: a checkpoint
+// captures every buffered but untrained sample). Snapshot and
+// RestoreSnapshot round-trip the whole population, seen/unseen split
+// included, so a restored policy yields what the captured one would have.
 type Policy interface {
 	// Name returns the policy name as used in the paper's tables
 	// ("FIFO", "FIRO", "Reservoir").
@@ -106,6 +105,15 @@ type Policy interface {
 	// Drained reports that reception is over and no sample will ever be
 	// returned again; the training loop terminates on it.
 	Drained() bool
+	// Snapshot returns deep copies of the stored samples: payloads are
+	// cloned, so the snapshot stays valid after the buffer lock is released
+	// and its rows are reused. A policy without a seen/unseen distinction
+	// reports everything as unseen.
+	Snapshot() (seen, unseen []Sample)
+	// RestoreSnapshot replaces the contents with seen and unseen, taking
+	// ownership of both slices. The reception flag is not part of the
+	// snapshot; callers re-derive it from their own state.
+	RestoreSnapshot(seen, unseen []Sample)
 }
 
 // PopulationCounter is implemented by policies that distinguish seen from

@@ -46,10 +46,7 @@ func (f *FIRO) TryGet() (Sample, bool) {
 	}
 	i := f.rng.IntN(len(f.items))
 	s := f.items[i]
-	last := len(f.items) - 1
-	f.items[i] = f.items[last]
-	f.items[last] = Sample{}
-	f.items = f.items[:last]
+	f.items = removeAt(f.items, i)
 	return s, true
 }
 

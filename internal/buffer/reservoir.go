@@ -53,17 +53,27 @@ func (r *Reservoir) Put(s Sample) bool {
 	}
 	if r.capacity > 0 && len(r.notSeen)+len(r.seen) >= r.capacity {
 		// Evict one seen element at random to make room.
-		i := r.rng.IntN(len(r.seen))
-		if r.onEvict != nil {
-			r.onEvict(r.seen[i])
-		}
-		last := len(r.seen) - 1
-		r.seen[i] = r.seen[last]
-		r.seen[last] = Sample{}
-		r.seen = r.seen[:last]
+		r.seen = r.evict(r.seen, r.rng.IntN(len(r.seen)))
 	}
 	r.notSeen = append(r.notSeen, s)
 	return true
+}
+
+// evict discards list[i] on Put, reporting it to the onEvict hook before
+// its storage is forgotten.
+func (r *Reservoir) evict(list []Sample, i int) []Sample {
+	if r.onEvict != nil {
+		r.onEvict(list[i])
+	}
+	return removeAt(list, i)
+}
+
+// removeAt swap-removes list[i], clearing the vacated slot.
+func removeAt(list []Sample, i int) []Sample {
+	last := len(list) - 1
+	list[i] = list[last]
+	list[last] = Sample{}
+	return list[:last]
 }
 
 // TryGet implements Policy, following Algorithm 1 lines 1–18. Selection is
@@ -85,10 +95,7 @@ func (r *Reservoir) TryGet() (Sample, bool) {
 	var item Sample
 	if index < len(r.notSeen) {
 		item = r.notSeen[index]
-		last := len(r.notSeen) - 1
-		r.notSeen[index] = r.notSeen[last]
-		r.notSeen[last] = Sample{}
-		r.notSeen = r.notSeen[:last]
+		r.notSeen = removeAt(r.notSeen, index)
 		if !r.over {
 			r.seen = append(r.seen, item)
 		}
@@ -97,10 +104,7 @@ func (r *Reservoir) TryGet() (Sample, bool) {
 		item = r.seen[i]
 		if r.over {
 			// Empty the buffer: after reception, every selection deletes.
-			last := len(r.seen) - 1
-			r.seen[i] = r.seen[last]
-			r.seen[last] = Sample{}
-			r.seen = r.seen[:last]
+			r.seen = removeAt(r.seen, i)
 		}
 	}
 	return item, true

@@ -1,23 +1,6 @@
 package buffer
 
-// Snapshotter is implemented by policies that can export and re-import
-// their contents, used by server checkpointing (§3.1: the checkpoint must
-// capture buffered-but-untrained samples so a restarted server resumes
-// without losing them).
-type Snapshotter interface {
-	// Snapshot returns deep copies of the stored samples: payload slices
-	// are cloned, so the snapshot stays valid after the buffer lock is
-	// released even for arena-backed buffers whose rows are recycled in
-	// place. For policies without a seen/unseen distinction everything is
-	// reported as unseen.
-	Snapshot() (seen, unseen []Sample)
-	// RestoreSnapshot replaces the policy contents. The restored samples
-	// are heap-owned (no arena rows). The reception flag is not part of
-	// the snapshot; callers re-derive it from their own state.
-	RestoreSnapshot(seen, unseen []Sample)
-}
-
-// cloneSamples deep-copies samples, detaching payloads from any arena rows
+// cloneSamples deep-copies samples, detaching payloads from the arena rows
 // backing them.
 func cloneSamples(src []Sample) []Sample {
 	out := make([]Sample, len(src))
@@ -32,36 +15,35 @@ func cloneSamples(src []Sample) []Sample {
 	return out
 }
 
-// Snapshot implements Snapshotter.
+// Snapshot implements Policy.
 func (f *FIFO) Snapshot() (seen, unseen []Sample) {
 	return nil, cloneSamples(f.queue[f.head:])
 }
 
-// RestoreSnapshot implements Snapshotter. Seen samples are prepended: FIFO
-// has no seen state, so they are treated as pending data.
+// RestoreSnapshot implements Policy. Seen samples are prepended: FIFO has
+// no seen state, so they are treated as pending data.
 func (f *FIFO) RestoreSnapshot(seen, unseen []Sample) {
-	f.queue = append(append([]Sample(nil), seen...), unseen...)
+	f.queue = append(seen, unseen...)
 	f.head = 0
 }
 
-// Snapshot implements Snapshotter.
+// Snapshot implements Policy.
 func (f *FIRO) Snapshot() (seen, unseen []Sample) {
 	return nil, cloneSamples(f.items)
 }
 
-// RestoreSnapshot implements Snapshotter.
+// RestoreSnapshot implements Policy.
 func (f *FIRO) RestoreSnapshot(seen, unseen []Sample) {
-	f.items = append(append([]Sample(nil), seen...), unseen...)
+	f.items = append(seen, unseen...)
 }
 
-// Snapshot implements Snapshotter.
+// Snapshot implements Policy.
 func (r *Reservoir) Snapshot() (seen, unseen []Sample) {
 	return cloneSamples(r.seen), cloneSamples(r.notSeen)
 }
 
-// RestoreSnapshot implements Snapshotter, preserving the seen/unseen split
-// so eviction priorities survive a server restart.
+// RestoreSnapshot implements Policy, preserving the seen/unseen split so
+// eviction priorities survive a server restart.
 func (r *Reservoir) RestoreSnapshot(seen, unseen []Sample) {
-	r.seen = append([]Sample(nil), seen...)
-	r.notSeen = append([]Sample(nil), unseen...)
+	r.seen, r.notSeen = seen, unseen
 }

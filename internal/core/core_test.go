@@ -11,6 +11,7 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/opt"
 	"melissa/internal/tensor"
+	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
 )
 
@@ -176,7 +177,7 @@ func newTestTrainer(t *testing.T, ranks, maxBatches int, kind buffer.Kind, mutat
 		if err != nil {
 			t.Fatal(err)
 		}
-		bufs[r] = buffer.NewBlocking(p)
+		bufs[r] = buffer.NewBlockingArena(p, norm.InputDim(), norm.OutputDim())
 	}
 	cfg := TrainerConfig{
 		Ranks:            ranks,
@@ -202,10 +203,7 @@ func newTestTrainer(t *testing.T, ranks, maxBatches int, kind buffer.Kind, mutat
 
 func TestTrainerSingleRankDrains(t *testing.T) {
 	tr, bufs := newTestTrainer(t, 1, 0, buffer.FIFOKind)
-	samples := synthSamples(60, 7)
-	for _, s := range samples {
-		bufs[0].Put(s)
-	}
+	testbuf.Put(t, bufs[0], synthSamples(60, 7)...)
 	bufs[0].EndReception()
 	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
@@ -233,10 +231,7 @@ func TestTrainerLossDecreases(t *testing.T) {
 	go func() {
 		// Stream the same distribution repeatedly; the Reservoir repeats
 		// samples, giving the optimizer enough steps to converge.
-		samples := synthSamples(200, 11)
-		for _, s := range samples {
-			bufs[0].Put(s)
-		}
+		testbuf.Put(t, bufs[0], synthSamples(200, 11)...)
 		bufs[0].EndReception()
 	}()
 	if err := runTrainer(t, tr, context.Background()); err != nil {
@@ -257,7 +252,7 @@ func TestTrainerMultiRankReplicasIdentical(t *testing.T) {
 	tr, bufs := newTestTrainer(t, ranks, 0, buffer.FIFOKind)
 	samples := synthSamples(72, 13)
 	for i, s := range samples {
-		bufs[i%ranks].Put(s)
+		testbuf.Put(t, bufs[i%ranks], s)
 	}
 	for _, b := range bufs {
 		b.EndReception()
@@ -287,12 +282,8 @@ func TestTrainerUnevenRankDrain(t *testing.T) {
 	// collectives with zero gradients until both drain.
 	const ranks = 2
 	tr, bufs := newTestTrainer(t, ranks, 0, buffer.FIFOKind)
-	for _, s := range synthSamples(40, 17) {
-		bufs[0].Put(s)
-	}
-	for _, s := range synthSamples(8, 18) {
-		bufs[1].Put(s)
-	}
+	testbuf.Put(t, bufs[0], synthSamples(40, 17)...)
+	testbuf.Put(t, bufs[1], synthSamples(8, 18)...)
 	for _, b := range bufs {
 		b.EndReception()
 	}
@@ -310,7 +301,7 @@ func TestTrainerUnevenRankDrain(t *testing.T) {
 func TestTrainerMaxBatches(t *testing.T) {
 	tr, bufs := newTestTrainer(t, 2, 3, buffer.ReservoirKind)
 	for i, s := range synthSamples(100, 19) {
-		bufs[i%2].Put(s)
+		testbuf.Put(t, bufs[i%2], s)
 	}
 	// No EndReception: without MaxBatches this would run indefinitely.
 	if err := runTrainer(t, tr, context.Background()); err != nil {
@@ -334,7 +325,7 @@ func TestTrainerContextCancel(t *testing.T) {
 			c.OnBatchEnd = func(int) { once.Do(func() { close(trained) }) }
 		})
 		for i, s := range synthSamples(50, 23) {
-			bufs[i%2].Put(s)
+			testbuf.Put(t, bufs[i%2], s)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -389,9 +380,7 @@ func TestTrainerOccurrenceTracking(t *testing.T) {
 	})
 	samples := synthSamples(20, 29)
 	go func() {
-		for _, s := range samples {
-			bufs[0].Put(s)
-		}
+		testbuf.Put(t, bufs[0], samples...)
 		<-repeated
 		bufs[0].EndReception()
 	}()
@@ -424,7 +413,7 @@ func TestTrainerConfigValidation(t *testing.T) {
 	for i, mutate := range cases {
 		cfg := good
 		mutate(&cfg)
-		bufs := []*buffer.Blocking{buffer.NewBlocking(buffer.NewFIFO(0))}
+		bufs := []*buffer.Blocking{buffer.NewBlockingArena(buffer.NewFIFO(0), 6, testFieldDim)}
 		if cfg.Ranks == 0 {
 			bufs = nil
 		}

@@ -18,6 +18,7 @@ import (
 	"melissa/internal/nn"
 	"melissa/internal/opt"
 	"melissa/internal/tensor"
+	"melissa/internal/testbuf"
 	"melissa/internal/testlevel"
 )
 
@@ -57,13 +58,8 @@ func hotPathSamples(norm HeatNormalizer, count int) []buffer.Sample {
 func newHotPathTrainer(tb testing.TB, fieldDim int, hidden []int, batch int) (*Trainer, *rankState) {
 	tb.Helper()
 	norm := NewHeatNormalizer(fieldDim, 1)
-	res := buffer.NewReservoir(4096, 0, 7)
-	bb := buffer.NewBlocking(res)
-	for _, s := range hotPathSamples(norm, 512) {
-		if !bb.TryPut(s) {
-			tb.Fatal("prefill rejected")
-		}
-	}
+	bb := buffer.NewBlockingArena(buffer.NewReservoir(4096, 0, 7), norm.InputDim(), norm.OutputDim())
+	testbuf.Put(tb, bb, hotPathSamples(norm, 512)...)
 	cfg := TrainerConfig{
 		Ranks:     1,
 		BatchSize: batch,
@@ -158,12 +154,8 @@ func TestTrainerClosesTeam(t *testing.T) {
 	var norm Normalizer = NewHeatNormalizer(1024, 1)
 	samples := hotPathSamples(NewHeatNormalizer(1024, 1), 40)
 	run := func(width int) (weights []float32, helpers int) {
-		bb := buffer.NewBlocking(buffer.NewFIFO(0))
-		for _, s := range samples {
-			if !bb.TryPut(s) {
-				t.Fatal("put rejected")
-			}
-		}
+		bb := buffer.NewBlockingArena(buffer.NewFIFO(0), norm.InputDim(), norm.OutputDim())
+		testbuf.Put(t, bb, samples...)
 		bb.EndReception()
 		tr, err := NewTrainer(TrainerConfig{
 			Ranks: 1, BatchSize: 10, Normalizer: norm,
@@ -328,12 +320,8 @@ func TestTrainerMatchesLegacyLoopWithTailBatch(t *testing.T) {
 	}
 
 	// Refactored trainer over the same stream.
-	bb := buffer.NewBlocking(buffer.NewFIFO(0))
-	for _, s := range samples {
-		if !bb.TryPut(s) {
-			t.Fatal("put rejected")
-		}
-	}
+	bb := buffer.NewBlockingArena(buffer.NewFIFO(0), norm.InputDim(), norm.OutputDim())
+	testbuf.Put(t, bb, samples...)
 	bb.EndReception()
 	tr, err := NewTrainer(TrainerConfig{
 		Ranks: 1, BatchSize: batchSize, Model: spec, Normalizer: norm,
@@ -371,12 +359,10 @@ func fixedSeedRun(t *testing.T, ranks, samples int, hidden []int, capacity int) 
 	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: hidden, OutputDim: norm.OutputDim(), Seed: 11}
 	bufs := make([]*buffer.Blocking, ranks)
 	for r := range bufs {
-		bufs[r] = buffer.NewBlocking(buffer.NewReservoir(capacity, 0, uint64(21+r)))
+		bufs[r] = buffer.NewBlockingArena(buffer.NewReservoir(capacity, 0, uint64(21+r)), norm.InputDim(), norm.OutputDim())
 	}
 	for i, s := range hotPathSamples(NewHeatNormalizer(32, 1), samples) {
-		if !bufs[i%ranks].TryPut(s) {
-			t.Fatal("put rejected")
-		}
+		testbuf.Put(t, bufs[i%ranks], s)
 	}
 	for _, b := range bufs {
 		b.EndReception()

@@ -165,21 +165,9 @@ func (m *Metrics) RecordValidation(batch, samples int, v float64) {
 	m.validation = append(m.validation, LossPoint{Batch: batch, Samples: samples, Value: v})
 }
 
-// CountBatch tallies sample occurrences for the Figure 3 histogram.
-func (m *Metrics) CountBatch(batch []buffer.Sample) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.occurrences == nil {
-		return
-	}
-	for _, s := range batch {
-		m.occurrences[s.Key()]++
-	}
-}
-
-// CountKeys is CountBatch over bare sample identities — the trainer
-// records keys during batch assembly (payloads may alias recycled arena
-// rows, so the Sample values themselves are not retained).
+// CountKeys tallies sample occurrences for the Figure 3 histogram. The
+// trainer records keys during batch assembly (payloads alias recycled
+// arena rows, so the Sample values themselves are not retained).
 func (m *Metrics) CountKeys(keys []buffer.Key) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -14,6 +14,7 @@ import (
 
 	"melissa/internal/buffer"
 	"melissa/internal/ddp"
+	"melissa/internal/testbuf"
 	"melissa/internal/testlevel"
 	"melissa/internal/transport"
 )
@@ -26,12 +27,10 @@ func fifoRankBufs(t testing.TB, norm HeatNormalizer, ranks, nSamples int) []*buf
 	samples := hotPathSamples(norm, nSamples)
 	bufs := make([]*buffer.Blocking, ranks)
 	for r := range bufs {
-		bufs[r] = buffer.NewBlocking(buffer.NewFIFO(0))
+		bufs[r] = buffer.NewBlockingArena(buffer.NewFIFO(0), norm.InputDim(), norm.OutputDim())
 	}
 	for i, s := range samples {
-		if !bufs[i%ranks].TryPut(s) {
-			t.Fatal("put rejected")
-		}
+		testbuf.Put(t, bufs[i%ranks], s)
 	}
 	for _, b := range bufs {
 		b.EndReception()
@@ -220,13 +219,8 @@ func multiRankHotTrainer(tb testing.TB, ranks int, mode GradSyncMode, fieldDim i
 	norm := NewHeatNormalizer(fieldDim, 1)
 	bufs := make([]*buffer.Blocking, ranks)
 	for r := range bufs {
-		bb := buffer.NewBlocking(buffer.NewReservoir(4096, 0, uint64(7+r)))
-		for _, s := range hotPathSamples(norm, 256) {
-			if !bb.TryPut(s) {
-				tb.Fatal("prefill rejected")
-			}
-		}
-		bufs[r] = bb
+		bufs[r] = buffer.NewBlockingArena(buffer.NewReservoir(4096, 0, uint64(7+r)), norm.InputDim(), norm.OutputDim())
+		testbuf.Put(tb, bufs[r], hotPathSamples(norm, 256)...)
 	}
 	tr, err := NewTrainer(TrainerConfig{
 		Ranks:     ranks,

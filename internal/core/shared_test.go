@@ -13,6 +13,7 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/ddp"
 	"melissa/internal/opt"
+	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
@@ -27,12 +28,10 @@ func prefilledTrainer(t *testing.T, ranks, count int, ended bool, mutate ...func
 	var norm Normalizer = NewHeatNormalizer(32, 1)
 	bufs := make([]*buffer.Blocking, ranks)
 	for r := range bufs {
-		bufs[r] = buffer.NewBlocking(buffer.NewReservoir(512, 0, uint64(21+r)))
+		bufs[r] = buffer.NewBlockingArena(buffer.NewReservoir(512, 0, uint64(21+r)), norm.InputDim(), norm.OutputDim())
 	}
 	for i, s := range hotPathSamples(NewHeatNormalizer(32, 1), count) {
-		if !bufs[i%ranks].TryPut(s) {
-			t.Fatal("put rejected")
-		}
+		testbuf.Put(t, bufs[i%ranks], s)
 	}
 	if ended {
 		for _, b := range bufs {

@@ -22,6 +22,7 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/core"
 	"melissa/internal/elastic"
+	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
@@ -67,16 +68,12 @@ func memberSamples(norm core.FieldNormalizer, member, count int) []buffer.Sample
 // snapshot. Prefill before restore mirrors the elastic app exactly.
 func memberBuf(t testing.TB, norm core.FieldNormalizer, member int, snap *bufSnap) *buffer.Blocking {
 	t.Helper()
-	bb := buffer.NewBlocking(buffer.NewFIFO(0))
-	for _, s := range memberSamples(norm, member, egMaxBatches*egBatch) {
-		if !bb.TryPut(s) {
-			t.Fatal("prefill rejected")
-		}
-	}
+	bb := buffer.NewBlockingArena(buffer.NewFIFO(0), norm.InputDim(), norm.OutputDim())
+	testbuf.Put(t, bb, memberSamples(norm, member, egMaxBatches*egBatch)...)
 	bb.EndReception()
 	if snap != nil {
-		bb.WithLock(func(p buffer.Policy) {
-			p.(buffer.Snapshotter).RestoreSnapshot(snap.seen, snap.unseen)
+		bb.ReplaceContents(func(_, _ []buffer.Sample) ([]buffer.Sample, []buffer.Sample) {
+			return snap.seen, snap.unseen
 		})
 	}
 	return bb
@@ -163,7 +160,7 @@ func runPhase(t *testing.T, members []int, start *refPoint, bufSrc map[int]*bufS
 	for i, m := range members {
 		s := &bufSnap{}
 		bufs[i].WithLock(func(p buffer.Policy) {
-			s.seen, s.unseen = p.(buffer.Snapshotter).Snapshot()
+			s.seen, s.unseen = p.Snapshot()
 		})
 		pt.bufs[m] = s
 	}
@@ -255,7 +252,7 @@ func (h *groupHarness) app(memberID int) func(ctx context.Context, sess *elastic
 				}
 				var seen, unseen []buffer.Sample
 				bb.WithLock(func(p buffer.Policy) {
-					seen, unseen = p.(buffer.Snapshotter).Snapshot()
+					seen, unseen = p.Snapshot()
 				})
 				// A save can fail only during teardown (control conn gone);
 				// the group checkpoint protocol tolerates the missing shard.
@@ -459,13 +456,7 @@ func TestElasticRejoinAfterRestart(t *testing.T) {
 			t.Fatal("survivors never reached the rejoin gate")
 		}
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for h.coord.ManifestBatch() < 2*egCkptEvery {
-		if time.Now().After(deadline) {
-			t.Fatalf("manifest stuck at %d, want %d", h.coord.ManifestBatch(), 2*egCkptEvery)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	h.awaitCheckpoint(2 * egCkptEvery)
 
 	restarted := h.newMember(1)
 	run(egWorld, restarted)

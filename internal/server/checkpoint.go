@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync"
 
 	"melissa/internal/buffer"
@@ -66,9 +67,7 @@ func (bs *boundaries) capture(rank, batches int) *ingestState {
 	var sims map[int32]SimState
 	var seen, unseen []buffer.Sample
 	s.bufs[rank].WithLock(func(p buffer.Policy) {
-		if snap, ok := p.(buffer.Snapshotter); ok {
-			seen, unseen = snap.Snapshot()
-		}
+		seen, unseen = p.Snapshot()
 		a.mu.Lock()
 		sims = make(map[int32]SimState, len(a.sims))
 		for id, st := range a.sims {
@@ -146,6 +145,16 @@ func (s *Server) restoreIngest(st *elastic.State) error {
 	ing, err := decodeIngest(st.App, s.cfg.Ranks)
 	if err != nil {
 		return err
+	}
+	// A buffer row is the model's width; a sample of any other comes from a
+	// different model or a corrupt file and would be lost to ReplaceContents.
+	for r := range ing.Sims {
+		for _, smp := range slices.Concat(ing.BufSeen[r], ing.BufUnseen[r]) {
+			if len(smp.Input) != s.inDim || len(smp.Output) != s.outDim {
+				return fmt.Errorf("server: checkpointed sample (%d, %d) is %d→%d wide, the model %d→%d",
+					smp.SimID, smp.Step, len(smp.Input), len(smp.Output), s.inDim, s.outDim)
+			}
+		}
 	}
 	for r, a := range s.aggs {
 		seen, unseen := ing.BufSeen[r], ing.BufUnseen[r]

@@ -17,6 +17,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -26,6 +27,8 @@ import (
 	"melissa/internal/core"
 	"melissa/internal/elastic"
 	"melissa/internal/solver"
+	"melissa/internal/testbuf"
+	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
 
@@ -91,30 +94,20 @@ type chaosRef struct {
 // from an optional start point to maxBatches.
 func chaosPhase(t *testing.T, ranks []int, streams *[csMembers][]buffer.Sample, start *chaosRef, maxBatches int) *chaosRef {
 	t.Helper()
+	tcfg := testConfig(1, csSims, buffer.FIFOKind).Trainer
 	bufs := make([]*buffer.Blocking, len(ranks))
 	for i, r := range ranks {
-		bb := buffer.NewBlocking(buffer.NewFIFO(0))
-		for _, s := range streams[r] {
-			cp := buffer.Sample{
-				SimID:  s.SimID,
-				Step:   s.Step,
-				Input:  append([]float32(nil), s.Input...),
-				Output: append([]float32(nil), s.Output...),
-			}
-			if !bb.TryPut(cp) {
-				t.Fatal("prefill rejected")
-			}
-		}
+		bb := buffer.NewBlockingArena(buffer.NewFIFO(0), tcfg.Normalizer.InputDim(), tcfg.Normalizer.OutputDim())
+		testbuf.Put(t, bb, streams[r]...)
 		bb.EndReception()
 		if start != nil {
 			snap := start.bufs[r]
-			bb.WithLock(func(p buffer.Policy) {
-				p.(buffer.Snapshotter).RestoreSnapshot(snap.seen, snap.unseen)
+			bb.ReplaceContents(func(_, _ []buffer.Sample) ([]buffer.Sample, []buffer.Sample) {
+				return snap.seen, snap.unseen
 			})
 		}
 		bufs[i] = bb
 	}
-	tcfg := testConfig(1, csSims, buffer.FIFOKind).Trainer
 	tcfg.Ranks = len(ranks)
 	tcfg.MaxBatches = maxBatches
 	tr, err := core.NewTrainer(tcfg, bufs)
@@ -144,7 +137,7 @@ func chaosPhase(t *testing.T, ranks []int, streams *[csMembers][]buffer.Sample, 
 	for i, r := range ranks {
 		s := &chaosSnap{}
 		bufs[i].WithLock(func(p buffer.Policy) {
-			s.seen, s.unseen = p.(buffer.Snapshotter).Snapshot()
+			s.seen, s.unseen = p.Snapshot()
 		})
 		ref.bufs[r] = s
 	}
@@ -157,20 +150,14 @@ func chaosPhase(t *testing.T, ranks []int, streams *[csMembers][]buffer.Sample, 
 // share is dropped by the clients and never arrives.
 func waitIngested(t *testing.T, srv *Server, want int, killed <-chan struct{}) {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for srv.receivedOnRank(0) < want {
-		if killed != nil {
-			select {
-			case <-killed:
-				return
-			default:
-			}
+	testwait.Until(t, fmt.Sprintf("the ingestion barrier at %d time steps", want), func() bool {
+		select {
+		case <-killed: // nil, so never ready, for a member that is not doomed
+			return true
+		default:
+			return srv.receivedOnRank(0) >= want
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ingestion barrier: %d/%d", srv.receivedOnRank(0), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	})
 }
 
 // TestElasticServerChaosKillReform is the unified-runtime headline test:
@@ -265,11 +252,7 @@ func TestElasticServerChaosKillReform(t *testing.T) {
 			waitIngested(t, srvs[m], exp[m], kc)
 		}
 		if c == 8 {
-			select {
-			case <-killed:
-			case <-time.After(60 * time.Second):
-				t.Fatal("member 1 was never killed at the batch-6 boundary")
-			}
+			testwait.Recv(t, killed, "member 1 to be killed at the batch-6 boundary")
 		}
 	}
 

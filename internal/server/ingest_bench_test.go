@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"io"
 	"math"
@@ -10,7 +11,9 @@ import (
 	"testing"
 
 	"melissa/internal/buffer"
+	"melissa/internal/core"
 	"melissa/internal/protocol"
+	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
 
@@ -23,6 +26,8 @@ func ingestHarness(p buffer.Policy, inDim, outDim int) (*Server, *buffer.Blockin
 		cfg:        Config{ExpectedClients: 1},
 		worldRanks: 1,
 		bufs:       []*buffer.Blocking{bb},
+		inDim:      inDim,
+		outDim:     outDim,
 	}
 	s.aggs = []*rankAgg{s.newRankAgg(0)}
 	return s, bb
@@ -75,17 +80,8 @@ func TestIngestZeroAllocSteadyState(t *testing.T) {
 func TestIngestDedupBitset(t *testing.T) {
 	const inDim, outDim = 2, 3
 	s, bb := ingestHarness(buffer.NewFIFO(0), inDim, outDim)
-	in := make([]float32, inDim)
-	out := make([]float32, outDim)
-	send := func(step int32) {
-		ts := protocol.LeaseTimeStep()
-		ts.SimID, ts.Step = 7, step
-		ts.Input = append(ts.Input[:0], in...)
-		ts.Field = append(ts.Field[:0], out...)
-		s.ingestTimeStep(0, ts)
-	}
 	for _, step := range []int32{1, 2, 3, 2, 1, 4, 4, 100000} {
-		send(step)
+		s.ingestTimeStep(0, leaseFrame(7, step, inDim, outDim, 0))
 	}
 	if got := bb.Len(); got != 5 {
 		t.Fatalf("stored %d samples, want 5 (duplicates must be dropped)", got)
@@ -138,6 +134,90 @@ func TestIngestRejectsCorruptSteps(t *testing.T) {
 	}
 }
 
+// leaseFrame leases a TimeStep of the given identity whose Input and Field
+// hold inLen and fieldLen copies of v.
+func leaseFrame(sim, step int32, inLen, fieldLen int, v float32) *protocol.TimeStep {
+	ts := protocol.LeaseTimeStep()
+	ts.SimID, ts.Step = sim, step
+	ts.Input, ts.Field = ts.Input[:0], ts.Field[:0]
+	for range inLen {
+		ts.Input = append(ts.Input, v)
+	}
+	for range fieldLen {
+		ts.Field = append(ts.Field, v)
+	}
+	return ts
+}
+
+// TestIngestDropsMisSizedFrame: both payload lengths come off the wire. A
+// frame whose Input or Field is not exactly the model's width is dropped
+// like a corrupt step — never marked seen, never stored — so a long field
+// cannot crash the trainer and a short one cannot train on the stale tail
+// of a recycled row. The correct frame for the same step is then accepted,
+// and the trainer drains it.
+func TestIngestDropsMisSizedFrame(t *testing.T) {
+	srv, err := New(testConfig(1, 1, buffer.FIFOKind))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// What Hello and Goodbye leave: sim 0 is one step long and complete, so
+	// its one frame ends reception.
+	a := srv.aggs[0]
+	st := a.sim(0)
+	st.ClientID, st.Steps, st.Goodbye, a.goodbyes = 0, 1, true, 1
+	in, out := srv.cfg.Trainer.Normalizer.InputDim(), srv.cfg.Trainer.Normalizer.OutputDim()
+	for _, bad := range [][2]int{{in - 1, out}, {in, out + 7}, {in, out - 1}} {
+		srv.ingestTimeStep(0, leaseFrame(0, 1, bad[0], bad[1], 300))
+		if srv.receivedOnRank(0) != 0 || srv.bufs[0].Len() != 0 || !st.unseen(1) {
+			t.Fatalf("a %d/%d frame was taken in by a %d/%d model", bad[0], bad[1], in, out)
+		}
+	}
+	srv.ingestTimeStep(0, leaseFrame(0, 1, in, out, 300))
+	if srv.receivedOnRank(0) != 1 || srv.bufs[0].Len() != 1 {
+		t.Fatal("the correct frame was refused after the mis-sized ones")
+	}
+	if err := runServer(t, srv, context.Background())(); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Metrics().Samples(); got != 1 {
+		t.Fatalf("trained %d samples, want the 1 received", got)
+	}
+}
+
+// FuzzIngestFrame sends one frame of arbitrary identity, payload lengths and
+// values through ingestTimeStep, then drains the buffer through one trainer.
+// Nothing may panic, only an exact-width frame may count as received, and
+// the trainer trains exactly what was received.
+func FuzzIngestFrame(f *testing.F) {
+	tcfg := testConfig(1, 1, buffer.FIFOKind).Trainer
+	tcfg.Ranks = 1
+	in, out := tcfg.Normalizer.InputDim(), tcfg.Normalizer.OutputDim()
+	f.Add(int32(0), int32(1), uint16(in), uint16(out), float32(300))
+	f.Add(int32(2), int32(3), uint16(in), uint16(out+7), float32(1))
+	f.Add(int32(2), int32(3), uint16(in), uint16(out-1), float32(1))
+	f.Add(int32(5), int32(4), uint16(in-1), uint16(out), float32(-2))
+	f.Add(int32(-1), int32(-5), uint16(0), uint16(0), float32(math.NaN()))
+	f.Fuzz(func(t *testing.T, sim, step int32, inLen, fieldLen uint16, v float32) {
+		s, bb := ingestHarness(buffer.NewFIFO(0), in, out)
+		s.ingestTimeStep(0, leaseFrame(sim, step, int(inLen), int(fieldLen), v))
+		received := s.receivedOnRank(0)
+		if received != 0 && (int(inLen) != in || int(fieldLen) != out) {
+			t.Fatalf("a %d/%d frame counts as received by a %d/%d model", inLen, fieldLen, in, out)
+		}
+		bb.EndReception()
+		tr, err := core.NewTrainer(tcfg, []*buffer.Blocking{bb})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := testwait.Run(t, "Trainer.Run to drain", func() error { return tr.Run(context.Background()) }); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Metrics().Samples(); got != received {
+			t.Fatalf("trained %d samples, received %d", got, received)
+		}
+	})
+}
+
 // --- End-to-end ingestion benchmark: synthetic clients over loopback TCP.
 //
 // BenchmarkIngestPooled measures the production path end to end: clients
@@ -148,8 +228,9 @@ func TestIngestRejectsCorruptSteps(t *testing.T) {
 // format, faithfully re-implemented below from the seed code: per-float
 // encode with two allocations per frame, one unbuffered write syscall per
 // message, allocating per-float decode, map[Key]bool dedup under one
-// mutex, heap samples, GetBatchInto. The ratio of their samples/s is the
-// PR's ingestion speedup (see History in bench/README.md).
+// mutex, heap samples in a mutex-and-cond slice queue (legacyQueue). The
+// ratio of their samples/s is the zero-copy ingest's speedup (see History
+// in bench/README.md).
 
 // legacyEncodeTimeStep reproduces the seed protocol.Encode for TimeStep:
 // a payload buffer built with per-float appends, then copied into a second
@@ -380,9 +461,65 @@ func BenchmarkIngestPooled(b *testing.B) {
 	consumerWG.Wait()
 }
 
+// legacyQueue is the seed's heap-sample FIFO buffer: a slice of samples
+// behind one mutex, with one cond on which a producer waits for room and
+// the consumer for data.
+type legacyQueue struct {
+	mu    sync.Mutex
+	cond  *sync.Cond
+	items []buffer.Sample
+	over  bool
+}
+
+func newLegacyQueue() *legacyQueue {
+	q := &legacyQueue{}
+	q.cond = sync.NewCond(&q.mu)
+	return q
+}
+
+// put appends s, waiting while the queue is full and reception is open.
+func (q *legacyQueue) put(s buffer.Sample) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.items) >= benchCap && !q.over {
+		q.cond.Wait()
+	}
+	q.items = append(q.items, s)
+	q.cond.Broadcast()
+}
+
+// getBatchInto pops up to n samples into dst, waiting for data while
+// reception is open; false once the queue drained.
+func (q *legacyQueue) getBatchInto(dst []buffer.Sample, n int) ([]buffer.Sample, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	dst = dst[:0]
+	for len(dst) < n {
+		if len(q.items) == 0 {
+			if q.over {
+				break
+			}
+			q.cond.Wait()
+			continue
+		}
+		dst = append(dst, q.items[0])
+		q.items[0] = buffer.Sample{}
+		q.items = q.items[1:]
+		q.cond.Broadcast()
+	}
+	return dst, len(dst) > 0
+}
+
+func (q *legacyQueue) endReception() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.over = true
+	q.cond.Broadcast()
+}
+
 func BenchmarkIngestLegacy(b *testing.B) {
 	stepsPerClient := (b.N + benchClients - 1) / benchClients
-	bb := buffer.NewBlocking(buffer.NewFIFO(benchCap))
+	bb := newLegacyQueue()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -420,7 +557,7 @@ func BenchmarkIngestLegacy(b *testing.B) {
 		defer consumerWG.Done()
 		batch := make([]buffer.Sample, 0, benchBatch)
 		for {
-			got, ok := bb.GetBatchInto(batch, benchBatch)
+			got, ok := bb.getBatchInto(batch, benchBatch)
 			if !ok {
 				return
 			}
@@ -450,7 +587,7 @@ func BenchmarkIngestLegacy(b *testing.B) {
 		}
 		mu.Unlock()
 		if !dup {
-			bb.Put(buffer.Sample{SimID: int(ts.SimID), Step: int(ts.Step), Input: ts.Input, Output: ts.Field})
+			bb.put(buffer.Sample{SimID: int(ts.SimID), Step: int(ts.Step), Input: ts.Input, Output: ts.Field})
 			received++
 		}
 		if received >= b.N {
@@ -460,7 +597,7 @@ func BenchmarkIngestLegacy(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "samples/s")
 
-	bb.EndReception()
+	bb.endReception()
 	ln.Close()
 	go func() { // release readers blocked on the channel
 		for range msgs {

@@ -110,8 +110,10 @@ type Server struct {
 	dataOffset int // this process's first global data rank
 	listeners  []*transport.RankListener
 	bufs       []*buffer.Blocking
-	policies   []buffer.Policy
 	watchdog   *transport.Watchdog
+	// inDim and outDim are the model's input and output widths: a buffer
+	// row, and the only payload shape ingestTimeStep accepts.
+	inDim, outDim int
 
 	// trainer is the one train last built — Run's for a lone process, the
 	// current epoch's in a group (trainerMu guards the swap). All of them
@@ -314,13 +316,13 @@ func New(cfg Config) (*Server, error) {
 		dataOffset: offset,
 		aggs:       make([]*rankAgg, cfg.Ranks),
 		metrics:    core.NewMetrics(cfg.Trainer.TrackOccurrences),
+		inDim:      cfg.Trainer.Normalizer.InputDim(),
+		outDim:     cfg.Trainer.Normalizer.OutputDim(),
 	}
 	if cfg.WatchdogTimeout > 0 {
 		s.watchdog = transport.NewWatchdog(cfg.WatchdogTimeout)
 		s.unresponsiveFired = make(map[int32]bool)
 	}
-	inDim := cfg.Trainer.Normalizer.InputDim()
-	outDim := cfg.Trainer.Normalizer.OutputDim()
 	for r := 0; r < cfg.Ranks; r++ {
 		s.aggs[r] = s.newRankAgg(r)
 
@@ -331,10 +333,7 @@ func New(cfg Config) (*Server, error) {
 			s.closeListeners()
 			return nil, err
 		}
-		s.policies = append(s.policies, p)
-		// Arena-backed: raw payload rows are exactly the normalizer's raw
-		// input/output widths, so PutCopy bulk-copies into recycled rows.
-		s.bufs = append(s.bufs, buffer.NewBlockingArena(p, inDim, outDim))
+		s.bufs = append(s.bufs, buffer.NewBlockingArena(p, s.inDim, s.outDim))
 
 		l, err := transport.Listen(cfg.ListenHost, cfg.QueueLen)
 		if err != nil {
@@ -609,7 +608,10 @@ func (s *Server) ingestTimeStep(rank int, m *protocol.TimeStep) {
 	a := s.aggs[rank]
 	a.mu.Lock()
 	st := a.sim(m.SimID)
-	fresh := st.unseen(m.Step)
+	// Both payload lengths come off the wire. A frame that is not exactly
+	// one buffer row is corrupt, like a step outside the trajectory: never
+	// marked seen, never stored.
+	fresh := len(m.Input) == s.inDim && len(m.Field) == s.outDim && st.unseen(m.Step)
 	owner := st.ClientID
 	a.mu.Unlock()
 	if fresh {

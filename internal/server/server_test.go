@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +19,6 @@ import (
 	"melissa/internal/ddp"
 	"melissa/internal/elastic"
 	"melissa/internal/opt"
-	"melissa/internal/protocol"
 	"melissa/internal/solver"
 	"melissa/internal/testwait"
 	"melissa/internal/transport"
@@ -549,12 +549,7 @@ func TestServerCheckpointRestartTornSimulation(t *testing.T) {
 // ingestStep feeds local rank one all-zero frame, the way its aggregator
 // would.
 func ingestStep(srv *Server, rank int, sim, step int32) {
-	norm := srv.cfg.Trainer.Normalizer
-	ts := protocol.LeaseTimeStep()
-	ts.SimID, ts.Step = sim, step
-	ts.Input = append(ts.Input[:0], make([]float32, norm.InputDim())...)
-	ts.Field = append(ts.Field[:0], make([]float32, norm.OutputDim())...)
-	srv.ingestTimeStep(rank, ts)
+	srv.ingestTimeStep(rank, leaseFrame(sim, step, srv.inDim, srv.outDim, 0))
 }
 
 func encodeIngest(t testing.TB, ing *ingestState) []byte {
@@ -849,18 +844,21 @@ func TestCheckpointCutExcludesFrameInFlight(t *testing.T) {
 }
 
 // TestRestoreRejectsMisshapenIngestState: the restore indexes three
-// per-rank slices by rank, and all three lengths come from the file.
+// per-rank slices by rank, and all three lengths come from the file; so do
+// the payload widths of the samples it would put in buffer rows.
 func TestRestoreRejectsMisshapenIngestState(t *testing.T) {
 	srv, err := New(testConfig(2, 1, buffer.FIFOKind))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.closeListeners()
+	wide := buffer.Sample{Input: make([]float32, 6), Output: make([]float32, testNField+7)}
 	shapes := map[string]ingestState{
 		"short sims":   {Sims: make([]map[int32]SimState, 1), BufSeen: make([][]buffer.Sample, 2), BufUnseen: make([][]buffer.Sample, 2)},
 		"short seen":   {Sims: make([]map[int32]SimState, 2), BufSeen: make([][]buffer.Sample, 1), BufUnseen: make([][]buffer.Sample, 2)},
 		"short unseen": {Sims: make([]map[int32]SimState, 2), BufSeen: make([][]buffer.Sample, 2)},
 		"long":         {Sims: make([]map[int32]SimState, 3), BufSeen: make([][]buffer.Sample, 3), BufUnseen: make([][]buffer.Sample, 3)},
+		"wide sample":  {Sims: make([]map[int32]SimState, 2), BufSeen: [][]buffer.Sample{nil, {wide}}, BufUnseen: make([][]buffer.Sample, 2)},
 	}
 	for name, ing := range shapes {
 		if err := srv.restoreIngest(&elastic.State{App: encodeIngest(t, &ing)}); err == nil {
@@ -870,6 +868,51 @@ func TestRestoreRejectsMisshapenIngestState(t *testing.T) {
 	ok := ingestState{Sims: make([]map[int32]SimState, 2), BufSeen: make([][]buffer.Sample, 2), BufUnseen: make([][]buffer.Sample, 2)}
 	if err := srv.restoreIngest(&elastic.State{App: encodeIngest(t, &ok)}); err != nil {
 		t.Fatalf("well-shaped state refused: %v", err)
+	}
+}
+
+// TestEveryPolicyCheckpoints: whatever policy the server holds, a boundary
+// capture of a non-empty buffer carries its contents, and a server restored
+// from it captures the same contents — seen/unseen split included — with
+// every restored sample on an arena row of its own.
+func TestEveryPolicyCheckpoints(t *testing.T) {
+	for _, kind := range []buffer.Kind{buffer.FIFOKind, buffer.FIROKind, buffer.ReservoirKind, buffer.UniformEvictKind} {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := testConfig(1, 1, kind)
+			in, out := cfg.Trainer.Normalizer.InputDim(), cfg.Trainer.Normalizer.OutputDim()
+			srv1, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv1.closeListeners()
+			for step := int32(1); step <= 6; step++ {
+				srv1.ingestTimeStep(0, leaseFrame(0, step, in, out, float32(100*step)))
+			}
+			// Above the threshold: a Reservoir's picks move samples to seen.
+			srv1.bufs[0].GetBatchEach(2, func(int, buffer.Sample) {})
+			want := newBoundaries(srv1).capture(0, 0)
+			if len(want.BufSeen[0])+len(want.BufUnseen[0]) == 0 {
+				t.Fatal("the capture of a non-empty buffer holds no sample")
+			}
+
+			srv2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv2.closeListeners()
+			if err := srv2.restoreIngest(&elastic.State{App: encodeIngest(t, want)}); err != nil {
+				t.Fatal(err)
+			}
+			got := newBoundaries(srv2).capture(0, 0)
+			if !reflect.DeepEqual(got.BufSeen, want.BufSeen) || !reflect.DeepEqual(got.BufUnseen, want.BufUnseen) {
+				t.Fatalf("restored contents differ: seen %d/%d, unseen %d/%d",
+					len(got.BufSeen[0]), len(want.BufSeen[0]), len(got.BufUnseen[0]), len(want.BufUnseen[0]))
+			}
+			b := srv2.bufs[0]
+			if resident, a := b.Len(), b.Arena(); resident+a.FreeRows() != a.Rows() {
+				t.Fatalf("%d resident samples + %d free rows != %d rows: restored samples are off the arena", resident, a.FreeRows(), a.Rows())
+			}
+		})
 	}
 }
 
