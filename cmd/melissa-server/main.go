@@ -78,7 +78,7 @@ func main() {
 		ckpt       = flag.String("checkpoint", "", "server checkpoint path (single-process fault tolerance)")
 		ckptEvery  = flag.Int("ckpt-every", 0, "checkpoint cadence in batches, for -checkpoint and the elastic group shards (0 = default)")
 		watchdog   = flag.Duration("watchdog", 30*time.Second, "client liveness timeout (0 disables)")
-		gradComp   = flag.String("grad-compress", "none", "gradient all-reduce wire codec: none|f16|f16-noef (f16 halves inter-node collective bytes with error feedback; all processes must agree)")
+		gradComp   = flag.String("grad-compress", "none", "gradient all-reduce wire codec: none|f16 (f16 halves inter-node collective bytes with error feedback; all processes must agree)")
 		logEvery   = flag.Duration("log-every", 0, "print training progress (batches, samples, group epoch, re-forms) at this interval (0 disables)")
 
 		coordAddr = flag.String("coord", "", "elastic coordinator control-plane address (joins an elastic group; listen address for -role coordinator)")
@@ -190,7 +190,6 @@ func main() {
 			LearningRate: 1e-3,
 			Schedule:     opt.PaperSchedule(),
 			MaxBatches:   *maxBatches,
-			GradCompress: gradCodec,
 		},
 		ExpectedClients: *clients,
 		WatchdogTimeout: *watchdog,
@@ -255,12 +254,8 @@ func main() {
 		go func() {
 			for range time.Tick(*logEvery) {
 				m := srv.Metrics()
-				line := fmt.Sprintf("melissa-server: %d batches, %d samples, %.1f samples/s",
-					m.Batches(), m.Samples(), m.Throughput())
-				if sent, recv := m.WireBytes(); sent+recv > 0 {
-					line += fmt.Sprintf(", grad wire %.1f/%.1f MB tx/rx (%s)",
-						float64(sent)/1e6, float64(recv)/1e6, gradCodec)
-				}
+				line := fmt.Sprintf("melissa-server: %d batches, %d samples, %.1f samples/s%s",
+					m.Batches(), m.Samples(), m.Throughput(), gradWire(srv))
 				if ecfg != nil {
 					line += fmt.Sprintf(", group epoch %d, %d re-form(s)", m.GroupEpoch(), m.Reforms())
 					if b := m.LastRollbackBatch(); b >= 0 {
@@ -281,8 +276,8 @@ func main() {
 		return
 	}
 	m := srv.Metrics()
-	fmt.Printf("melissa-server: trained %d batches on %d samples (%d unique), throughput %.1f samples/s\n",
-		m.Batches(), m.Samples(), len(m.Occurrences()), m.Throughput())
+	fmt.Printf("melissa-server: trained %d batches on %d samples (%d unique), throughput %.1f samples/s%s\n",
+		m.Batches(), m.Samples(), len(m.Occurrences()), m.Throughput(), gradWire(srv))
 	if ecfg != nil && m.Reforms() > 0 {
 		fmt.Printf("melissa-server: survived %d group re-formation(s), finished at epoch %d\n",
 			m.Reforms(), m.GroupEpoch())
@@ -321,6 +316,18 @@ func runCoordinator(addr string, world int, dir string) {
 	}
 	fmt.Printf("melissa-server: group complete at epoch %d (last checkpoint batch %d)\n",
 		coord.Epoch(), coord.ManifestBatch())
+}
+
+// gradWire is the progress and summary lines' note on gradient traffic over
+// the ring's sockets, in the codec the ring negotiated; empty when none
+// crossed one.
+func gradWire(srv *server.Server) string {
+	sent, recv := srv.Metrics().WireBytes()
+	tr := srv.Trainer()
+	if sent+recv == 0 || tr == nil {
+		return ""
+	}
+	return fmt.Sprintf(", grad wire %.1f/%.1f MB tx/rx (%s)", float64(sent)/1e6, float64(recv)/1e6, tr.Comm().WireCodec())
 }
 
 func fatal(err error) {

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"melissa/internal/testwait"
 )
 
 func TestMultiProcessServerAndClients(t *testing.T) {
@@ -55,7 +57,9 @@ func TestMultiProcessServerAndClients(t *testing.T) {
 // streaming to both members. No -max-batches: with every member alive the
 // group trains until the ensemble completes and every buffer is drained,
 // all ranks leave on the same step, and everyone exits 0. Member 0 must
-// publish trained weights that load and predict.
+// publish trained weights that load and predict. The f16 leg passes
+// -grad-compress to both members, and member 0's summary must report the
+// gradient bytes its ring moved in that codec.
 func TestMultiProcessRanksOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs separate processes")
@@ -69,7 +73,21 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 			t.Fatalf("building %s: %v\n%s", pkg, err, out)
 		}
 	}
+	for _, codec := range []string{"none", "f16"} {
+		t.Run(codec, func(t *testing.T) {
+			summary := runElasticGroup(t, serverBin, clientBin, codec)
+			if !strings.Contains(summary, "grad wire") || !strings.Contains(summary, "("+codec+")") {
+				t.Fatalf("member 0 summary does not report %s gradient traffic:\n%s", codec, summary)
+			}
+		})
+	}
+}
 
+// runElasticGroup runs a coordinator, two members with the given
+// -grad-compress and three clients to completion, and returns member 0's
+// output.
+func runElasticGroup(t *testing.T, serverBin, clientBin, codec string) string {
+	t.Helper()
 	dir := t.TempDir()
 	const members = 2
 	const clients = 3
@@ -101,7 +119,7 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 				"-coord", coordAddr, "-member-id", fmt.Sprint(m), "-members", fmt.Sprint(members), "-group-dir", groupDir,
 				"-ranks", "1", "-clients", fmt.Sprint(clients), "-problem", HeatName,
 				"-grid", "8", "-steps", "6", "-batch", "4",
-				"-buffer", "Reservoir", "-capacity", "60", "-threshold", "8",
+				"-buffer", "Reservoir", "-capacity", "60", "-threshold", "8", "-grad-compress", codec,
 				"-addr-file", memberAddrFiles[m], "-surrogate-out", weights}
 		}
 		cmd := exec.Command(serverBin, args...)
@@ -125,27 +143,18 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 	// Wait for every member to publish, then assemble the client-facing
 	// address file in member order — the documented multi-process workflow.
 	addrFile := filepath.Join(dir, "addrs.txt")
-	deadline := time.Now().Add(30 * time.Second)
 	var combined string
-	for {
+	testwait.Until(t, "every member to publish its addresses", func() bool {
 		combined = ""
-		complete := true
 		for _, f := range memberAddrFiles {
 			data, err := os.ReadFile(f)
 			if err != nil || strings.TrimSpace(string(data)) == "" {
-				complete = false
-				break
+				return false
 			}
 			combined += strings.TrimSpace(string(data)) + "\n"
 		}
-		if complete {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("members never published addresses\n%s", allOutput())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return true
+	})
 	if err := os.WriteFile(addrFile, []byte(combined), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +204,7 @@ func TestMultiProcessRanksOverTCP(t *testing.T) {
 	if len(field) != 64 {
 		t.Fatalf("field length %d", len(field))
 	}
+	return outs[1].String()
 }
 
 // runMultiProcessEnsemble drives one server + 3 clients for a problem and
@@ -219,17 +229,10 @@ func runMultiProcessEnsemble(t *testing.T, serverBin, clientBin, problem string)
 	}
 	defer srv.Process.Kill()
 
-	// Wait for the server to publish its rank addresses.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if data, err := os.ReadFile(addrFile); err == nil && strings.Count(strings.TrimSpace(string(data)), "\n") == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never published addresses; output:\n%s", srvOut.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	testwait.Until(t, "the server to publish its rank addresses", func() bool {
+		data, err := os.ReadFile(addrFile)
+		return err == nil && strings.Count(strings.TrimSpace(string(data)), "\n") == 1
+	})
 
 	// Run the ensemble clients concurrently, as separate processes.
 	errCh := make(chan error, clients)

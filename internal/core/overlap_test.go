@@ -137,7 +137,7 @@ func tcpTrainerGroup(t *testing.T, ranks int, bufs []*buffer.Blocking, spec Mode
 	for r := range trainers {
 		tr, err := NewTrainer(TrainerConfig{
 			Ranks:      1,
-			Group:      ddp.RankGroup{Comm: comms[r], Offset: r},
+			Comm:       comms[r],
 			BatchSize:  5,
 			Model:      spec,
 			Normalizer: norm,

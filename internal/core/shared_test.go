@@ -245,7 +245,7 @@ func TestBarrierBrokenByFailedRank(t *testing.T) {
 			comm := ddp.NewCommunicator(ranks)
 			var aborter sync.WaitGroup
 			tr := prefilledTrainer(t, ranks, 480, false, func(c *TrainerConfig) {
-				c.Group = ddp.RankGroup{Comm: comm}
+				c.Comm = comm
 				c.OnLocalBatchEnd = func(rank, batches int) {
 					switch {
 					case rank != onRank || batches != atStep:

@@ -14,7 +14,6 @@ import (
 	"melissa/internal/nn"
 	"melissa/internal/opt"
 	"melissa/internal/tensor"
-	"melissa/internal/transport"
 )
 
 // GradSyncMode selects how per-batch gradients are synchronized across
@@ -40,35 +39,25 @@ type TrainerConfig struct {
 	Ranks     int // learner replicas ("GPUs") in this process; one training buffer each
 	BatchSize int // samples per rank per synchronized step (paper: 10)
 
-	// Group places this process's ranks in the data-parallel group: its
-	// communicator carries the gradient collectives and its offset maps
-	// local rank 0 into the global rank space. The zero value builds an
-	// in-process ring over Ranks. Supplying a group over an inter-process
-	// ring (ddp.GroupFromRing) lets several processes train as one group:
-	// Ranks then counts only this process's local replicas. Metrics,
-	// validation and checkpoints belong to global rank 0.
-	Group ddp.RankGroup
+	// Comm places this process's ranks in the data-parallel group: it
+	// carries the gradient collectives over its wire codec, and local rank l
+	// is its global rank RankOffset()+l. It must host exactly Ranks local
+	// ranks. Nil builds an in-process ring over Ranks. A communicator over
+	// an inter-process ring (ddp.NewHierComm) lets several processes train
+	// as one group. Metrics, validation and checkpoints belong to global
+	// rank 0.
+	Comm *ddp.Comm
 
 	// Metrics, when non-nil, is the collector the trainer records into
 	// instead of a fresh one — the elastic server threads one instance
 	// through the per-epoch trainers so counters and loss curves span
-	// group re-formations.
+	// group re-formations. The trainer only writes to it: every rank
+	// schedules from its own count of the group's samples.
 	Metrics *Metrics
 
 	// GradSync selects overlapped-bucketed (default) or serial-bucketed
 	// gradient synchronization.
 	GradSync GradSyncMode
-
-	// GradCompress declares the wire codec the gradient collectives are
-	// expected to ride (transport.CodecF16 halves inter-node all-reduce
-	// bytes; see docs/communication.md). The codec itself is a property of
-	// the group's ring, negotiated at connection time — this field is the
-	// trainer-side declaration, validated against the group's actual wire
-	// format so a process whose ring and training config disagree fails at
-	// construction instead of training a surprising trajectory. Leave zero
-	// (CodecF32) for exact full-width collectives and for in-process
-	// groups.
-	GradCompress transport.Codec
 
 	Model      ModelSpec
 	Normalizer Normalizer
@@ -113,8 +102,8 @@ func (c TrainerConfig) validate() error {
 	if c.Normalizer == nil {
 		return errors.New("core: normalizer required")
 	}
-	if err := c.Group.Validate(c.Ranks); err != nil {
-		return fmt.Errorf("core: %w", err)
+	if c.Comm != nil && c.Comm.LocalRanks() != c.Ranks {
+		return fmt.Errorf("core: communicator hosts %d local ranks, trainer configured for %d", c.Comm.LocalRanks(), c.Ranks)
 	}
 	return nil
 }
@@ -145,7 +134,7 @@ type Trainer struct {
 	opts    []*opt.Adam
 	teams   []*tensor.Team // per local rank; nil where the rank's share is one core
 	updated *barrier       // every local rank has written its slice of the update
-	comm    ddp.Communicator
+	comm    *ddp.Comm
 	metrics *Metrics
 
 	// buckets are the gradient-slab ranges in backward-completion order,
@@ -154,9 +143,10 @@ type Trainer struct {
 	buckets       []nn.GradBucket
 	bucketOfLayer []int
 
-	// localSamples[r] mirrors the global cumulative sample count on local
-	// rank r; the value advances identically on every rank because it is
-	// derived from the all-reduced per-step count.
+	// localSamples[r] is local rank r's count of the group's cumulative
+	// samples, the one the learning-rate schedule reads. It advances
+	// identically on every rank of the group because it is derived from the
+	// all-reduced per-step count.
 	localSamples []int
 
 	// startBatches/startSamples seed the counters after a checkpoint
@@ -189,20 +179,9 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	comm := cfg.Group.Comm
+	comm := cfg.Comm
 	if comm == nil {
 		comm = ddp.NewCommunicator(cfg.Ranks)
-	}
-	// The declared gradient codec must match the wire format the group's
-	// ring actually negotiated: a mismatch means the process was launched
-	// with inconsistent flags, and silently training at the other precision
-	// is the one outcome nobody wants.
-	wc, _ := comm.(ddp.WireCompression)
-	switch {
-	case cfg.GradCompress.Compressed() && wc == nil:
-		return nil, fmt.Errorf("core: grad compression %v requires a communicator with a wire codec", cfg.GradCompress)
-	case wc != nil && wc.WireCodec() != cfg.GradCompress:
-		return nil, fmt.Errorf("core: grad compression %v does not match the group ring's negotiated codec %v", cfg.GradCompress, wc.WireCodec())
 	}
 	metrics := cfg.Metrics
 	if metrics == nil {
@@ -273,6 +252,9 @@ func (t *Trainer) closeTeams() {
 
 // Network returns the network that owns the process's one value slab.
 func (t *Trainer) Network() *nn.Network { return t.nets[0] }
+
+// Comm returns the communicator the gradient collectives run on.
+func (t *Trainer) Comm() *ddp.Comm { return t.comm }
 
 // Metrics returns the shared metrics collector. Counters advance only on
 // the trainer owning global rank 0.
@@ -361,7 +343,7 @@ func (t *Trainer) newRankState(rank int) *rankState {
 	norm := t.cfg.Normalizer
 	st := &rankState{
 		rank:         rank,
-		grank:        t.cfg.Group.Offset + rank,
+		grank:        t.comm.RankOffset() + rank,
 		net:          t.nets[rank],
 		optimizer:    t.opts[rank],
 		lossFn:       nn.NewMSELoss(),
@@ -503,26 +485,23 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 		return false, err
 	}
 
+	// Every rank, global rank 0 included, schedules from its own count: the
+	// metrics may have counted steps this trainer's weights never took (an
+	// aborted epoch the group re-formed from without a checkpoint).
 	st.localBatches++
-	var globalBatch, globalSamples int
+	t.localSamples[st.rank] += stepSamples
+	samples := t.localSamples[st.rank]
 	if st.grank == 0 {
-		globalBatch, globalSamples = t.metrics.RecordStep(stepSamples)
+		t.metrics.RecordStep(stepSamples)
 		if ok {
-			t.metrics.RecordTrainLoss(globalBatch, globalSamples, trainLoss)
+			t.metrics.RecordTrainLoss(st.localBatches, samples, trainLoss)
 		}
-		if wc, okc := t.comm.(ddp.WireCompression); okc {
-			sent, recv := wc.WireBytes()
-			t.metrics.AddWireBytes(sent-st.lastWireSent, recv-st.lastWireRecv)
-			st.lastWireSent, st.lastWireRecv = sent, recv
-		}
-		t.sampleCounterLocal(st.rank, stepSamples) // keep the mirror in step
-	} else {
-		// Mirror the counters locally; the schedule needs the global
-		// sample count, which advances identically on every rank.
-		globalSamples = t.sampleCounterLocal(st.rank, stepSamples)
+		sent, recv := t.comm.WireBytes()
+		t.metrics.AddWireBytes(sent-st.lastWireSent, recv-st.lastWireRecv)
+		st.lastWireSent, st.lastWireRecv = sent, recv
 	}
 	if t.cfg.Schedule != nil {
-		st.optimizer.SetLR(t.cfg.Schedule.LR(globalSamples))
+		st.optimizer.SetLR(t.cfg.Schedule.LR(samples))
 	}
 	// Every rank holds the same summed gradient; this one averages and
 	// applies its share of it, slice rank of Ranks of the process's slab.
@@ -544,7 +523,7 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 		// the buffer mutex; incoming data queue up in the transport.
 		t.bufs[0].WithLock(func(buffer.Policy) {
 			v := Validate(st.net, t.cfg.Validation, t.cfg.BatchSize*4)
-			t.metrics.RecordValidation(st.localBatches, globalSamples, v)
+			t.metrics.RecordValidation(st.localBatches, samples, v)
 		})
 	}
 	if t.cfg.OnLocalBatchEnd != nil {
@@ -625,17 +604,10 @@ func (t *Trainer) CaptureState() (weights, optState []byte, err error) {
 	return wbuf.Bytes(), obuf.Bytes(), nil
 }
 
-// sampleCounterLocal maintains per-rank mirrors of the global sample count
-// without touching the shared metrics (which global rank 0 owns). Each
-// rank only accesses its own slot.
-func (t *Trainer) sampleCounterLocal(rank, add int) int {
-	t.localSamples[rank] += add
-	return t.localSamples[rank]
-}
-
-// LocalSamples returns local rank r's mirror of the global cumulative
-// sample count. It advances identically on every rank (it derives from the
-// all-reduced per-step count), so any rank can checkpoint it. Call it only
-// from OnLocalBatchEnd or after Run returns — it reads the rank's counter
-// without synchronization.
+// LocalSamples returns local rank r's count of the group's cumulative
+// samples, the one its learning-rate schedule reads. It advances
+// identically on every rank (it derives from the all-reduced per-step
+// count), so any rank can checkpoint it. Call it only from OnLocalBatchEnd
+// or after Run returns — it reads the rank's counter without
+// synchronization.
 func (t *Trainer) LocalSamples(rank int) int { return t.localSamples[rank] }

@@ -100,8 +100,8 @@ type layout struct {
 // (channel hops are always exact, so the in-process layout has only f32).
 var layouts = []layout{
 	{"in-process/n=4", 0, 4, []transport.Codec{transport.CodecF32}},
-	{"procs=4/local=1", 4, 1, []transport.Codec{transport.CodecF32, transport.CodecF16, transport.CodecF16Raw}},
-	{"procs=2/local=2", 2, 2, []transport.Codec{transport.CodecF32, transport.CodecF16, transport.CodecF16Raw}},
+	{"procs=4/local=1", 4, 1, []transport.Codec{transport.CodecF32, transport.CodecF16}},
+	{"procs=2/local=2", 2, 2, []transport.Codec{transport.CodecF32, transport.CodecF16}},
 }
 
 // group builds the layout's per-rank communicator handles.
@@ -406,14 +406,14 @@ func BenchmarkAllReduceTCP(b *testing.B) {
 				}(r)
 			}
 			g[0].AllReduceSum(0, bufs[0]) // warm the recycled buffers
-			sent0, _ := g[0].(WireCompression).WireBytes()
+			sent0, _ := g[0].(*Comm).WireBytes()
 			b.SetBytes(4 * elems)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g[0].AllReduceSum(0, bufs[0])
 			}
 			b.StopTimer()
-			sent1, _ := g[0].(WireCompression).WireBytes()
+			sent1, _ := g[0].(*Comm).WireBytes()
 			b.ReportMetric(float64(sent1-sent0)/float64(b.N), "wire-B/op")
 			wg.Wait()
 		})

@@ -28,19 +28,31 @@ func compressGroups(tb testing.TB, codec transport.Codec) map[string]commGroup {
 	return groups
 }
 
-// TestCompressedAllReduceTolerance checks the f16 range collective on every
-// backend × shape: all ranks must agree bitwise, and the result must stay
-// within the quantization error budget of the exact float64 sum. Both the
-// error-fed and raw codecs are covered.
+// compressedSums are the two reductions an f16 ring runs: the error-fed
+// range collective of the gradient path ("f16"), and AllReduceSum, which
+// carries no residual ("f16-noef").
+var compressedSums = []struct {
+	name string
+	sum  func(c Communicator, rank int, buf []float32) error
+}{
+	{"f16", func(c Communicator, rank int, buf []float32) error {
+		return c.AllReduceSumRange(rank, buf, 0, len(buf))
+	}},
+	{"f16-noef", func(c Communicator, rank int, buf []float32) error { return c.AllReduceSum(rank, buf) }},
+}
+
+// TestCompressedAllReduceTolerance checks both reductions of an f16 ring
+// on every backend × shape: all ranks must agree bitwise, and the result
+// must stay within the quantization error budget of the exact float64 sum.
 func TestCompressedAllReduceTolerance(t *testing.T) {
 	const length = 4096
-	for _, codec := range []transport.Codec{transport.CodecF16, transport.CodecF16Raw} {
-		for name, g := range compressGroups(t, codec) {
-			t.Run(fmt.Sprintf("%s/%s", codec, name), func(t *testing.T) {
+	for _, mode := range compressedSums {
+		for name, g := range compressGroups(t, transport.CodecF16) {
+			t.Run(fmt.Sprintf("%s/%s", mode.name, name), func(t *testing.T) {
 				n := len(g)
 				bufs, want := fillRankBufs(n, length, 23)
 				runGroup(g, func(rank int, c Communicator) {
-					if err := c.AllReduceSumRange(rank, bufs[rank], 0, length); err != nil {
+					if err := mode.sum(c, rank, bufs[rank]); err != nil {
 						t.Error(err)
 					}
 				})
@@ -87,11 +99,11 @@ func TestCompressedSmallCollectiveExact(t *testing.T) {
 
 // TestCompressedRepeatDeterminism pins the determinism contract: two
 // freshly built groups running the same call sequence produce bit-identical
-// results, for both compressed codecs and both backends.
+// results, for both reductions of an f16 ring and both backends.
 func TestCompressedRepeatDeterminism(t *testing.T) {
 	const length = 2048
 	const steps = 3
-	run := func(g commGroup) [][]float32 {
+	run := func(g commGroup, sum func(c Communicator, rank int, buf []float32) error) [][]float32 {
 		n := len(g)
 		out := make([][]float32, n)
 		bufs := make([][]float32, n)
@@ -101,7 +113,7 @@ func TestCompressedRepeatDeterminism(t *testing.T) {
 				bufs[r] = step[r]
 			}
 			runGroup(g, func(rank int, c Communicator) {
-				if err := c.AllReduceSumRange(rank, bufs[rank], 0, length); err != nil {
+				if err := sum(c, rank, bufs[rank]); err != nil {
 					t.Error(err)
 				}
 			})
@@ -111,15 +123,15 @@ func TestCompressedRepeatDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	for _, codec := range []transport.Codec{transport.CodecF16, transport.CodecF16Raw} {
-		t.Run(codec.String(), func(t *testing.T) {
+	for _, mode := range compressedSums {
+		t.Run(mode.name, func(t *testing.T) {
 			for name, build := range map[string]func(testing.TB) commGroup{
-				"tcp":  func(tb testing.TB) commGroup { return newTCPGroupCodec(tb, 4, codec) },
-				"hier": func(tb testing.TB) commGroup { return newHierGroupCodec(tb, 2, 2, codec) },
+				"tcp":  func(tb testing.TB) commGroup { return newTCPGroupCodec(tb, 4, transport.CodecF16) },
+				"hier": func(tb testing.TB) commGroup { return newHierGroupCodec(tb, 2, 2, transport.CodecF16) },
 			} {
 				t.Run(name, func(t *testing.T) {
-					a := run(build(t))
-					b := run(build(t))
+					a := run(build(t), mode.sum)
+					b := run(build(t), mode.sum)
 					for r := range a {
 						for i := range a[r] {
 							if a[r][i] != b[r][i] {
@@ -133,12 +145,13 @@ func TestCompressedRepeatDeterminism(t *testing.T) {
 	}
 }
 
-// TestCompressedErrorFeedback pins why CodecF16 carries residuals: with a
-// persistent per-step gradient bias, raw quantization loses the same error
-// every step, while error feedback re-injects it — so the accumulated sum
-// over many steps tracks the exact accumulation strictly better. The same
-// fixed per-rank "gradients" are reduced repeatedly (the worst case for
-// dropped error) and the running totals compared against exact float64.
+// TestCompressedErrorFeedback pins why the gradient path carries residuals:
+// with a persistent per-step gradient bias, raw quantization (AllReduceSum
+// on the same f16 ring) loses the same error every step, while error
+// feedback (AllReduceSumRange) re-injects it — so the accumulated sum over
+// many steps tracks the exact accumulation strictly better. The same fixed
+// per-rank "gradients" are reduced repeatedly (the worst case for dropped
+// error) and the running totals compared against exact float64.
 func TestCompressedErrorFeedback(t *testing.T) {
 	const n = 4
 	const length = 4096
@@ -152,8 +165,8 @@ func TestCompressedErrorFeedback(t *testing.T) {
 		}
 	}
 
-	accumulate := func(codec transport.Codec) []float64 {
-		g := newTCPGroupCodec(t, n, codec)
+	g := newTCPGroupCodec(t, n, transport.CodecF16)
+	accumulate := func(sum func(c Communicator, rank int, buf []float32) error) []float64 {
 		acc := make([]float64, length)
 		bufs := make([][]float32, n)
 		for r := range bufs {
@@ -164,7 +177,7 @@ func TestCompressedErrorFeedback(t *testing.T) {
 				copy(bufs[r], grads[r])
 			}
 			runGroup(g, func(rank int, c Communicator) {
-				if err := c.AllReduceSumRange(rank, bufs[rank], 0, length); err != nil {
+				if err := sum(c, rank, bufs[rank]); err != nil {
 					t.Error(err)
 				}
 			})
@@ -184,8 +197,8 @@ func TestCompressedErrorFeedback(t *testing.T) {
 		return math.Sqrt(sum)
 	}
 
-	efErr := l2err(accumulate(transport.CodecF16))
-	rawErr := l2err(accumulate(transport.CodecF16Raw))
+	efErr := l2err(accumulate(compressedSums[0].sum))
+	rawErr := l2err(accumulate(compressedSums[1].sum))
 	t.Logf("mean-step L2 error over %d steps: ef=%g raw=%g", steps, efErr, rawErr)
 	// EF annihilates the input-quantization bias but not the hop-wise
 	// requantization of partial sums (which is identical in both modes and
@@ -212,7 +225,7 @@ func TestCompressedWireBytesHalved(t *testing.T) {
 		runGroup(g, func(rank int, c Communicator) { c.AllReduceSumRange(rank, bufs[rank], 0, length) })
 		// The received count: a rank returns once it has read every hop,
 		// while its writer goroutine may not have counted the last send yet.
-		_, recv := g[0].(WireCompression).WireBytes()
+		_, recv := g[0].(*Comm).WireBytes()
 		return recv
 	}
 	f32 := measure(transport.CodecF32)
@@ -223,24 +236,24 @@ func TestCompressedWireBytesHalved(t *testing.T) {
 	}
 }
 
-// TestWireCompressionInterface pins which backends expose wire compression
-// introspection and what they report.
+// TestWireCompressionInterface pins what each layout of Comm reports about
+// its wire: the codec its ring negotiated, and bytes only for socket hops.
 func TestWireCompressionInterface(t *testing.T) {
-	g := newTCPGroupCodec(t, 2, transport.CodecF16)
-	wc, ok := g[0].(WireCompression)
-	if !ok {
-		t.Fatal("TCPComm does not implement WireCompression")
-	}
-	if wc.WireCodec() != transport.CodecF16 {
-		t.Fatalf("codec %v, want f16", wc.WireCodec())
-	}
-	h := newHierGroupCodec(t, 2, 2, transport.CodecF16Raw)
-	hw, ok := h[0].(WireCompression)
-	if !ok {
-		t.Fatal("HierComm does not implement WireCompression")
-	}
-	if hw.WireCodec() != transport.CodecF16Raw {
-		t.Fatalf("codec %v, want f16-noef", hw.WireCodec())
+	for name, g := range map[string]commGroup{
+		"tcp":  newTCPGroupCodec(t, 2, transport.CodecF16),
+		"hier": newHierGroupCodec(t, 2, 2, transport.CodecF16),
+	} {
+		c := g[0].(*Comm)
+		if c.WireCodec() != transport.CodecF16 {
+			t.Fatalf("%s: codec %v, want f16", name, c.WireCodec())
+		}
+		bufs, _ := fillRankBufs(len(g), 64, 3)
+		runGroup(g, func(rank int, c Communicator) { c.AllReduceSum(rank, bufs[rank]) })
+		// Only the received count is settled when the collective returns
+		// (see TestCompressedWireBytesHalved).
+		if _, recv := c.WireBytes(); recv == 0 {
+			t.Fatalf("%s: no wire bytes received after a collective", name)
+		}
 	}
 	// The in-process layout has no socket hops: always exact, no wire bytes.
 	c := NewCommunicator(2)

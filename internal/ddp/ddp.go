@@ -51,13 +51,20 @@
 // # Wire compression
 //
 // Socket hops optionally compress collective payloads to IEEE 754 binary16
-// (transport.Codec, negotiated in the ring handshake), halving inter-node
-// all-reduce bytes while every rank keeps accumulating in float32; channel
-// hops and sub-compressMinFloats frames always move exact float32. AllReduceSumRange feeds each rank's own rounding error back into
-// the next step (CodecF16) or drops it (CodecF16Raw). core.NewTrainer
-// checks TrainerConfig.GradCompress against WireCompression, so a codec
-// mismatch fails at construction. docs/communication.md has the codec math
-// and the determinism contract.
+// (transport.CodecF16), halving inter-node all-reduce bytes while every rank
+// keeps accumulating in float32; channel hops and sub-compressMinFloats
+// frames always move exact float32. The codec is the ring's: it comes from
+// transport.RingOptions.Codec, the handshake refuses a peer that disagrees,
+// and Comm adopts what the ring negotiated (WireCodec). AllReduceSumRange
+// feeds each rank's own rounding error back into the next step;
+// AllReduceSum does not. docs/communication.md has the codec math and the
+// determinism contract.
+//
+// # The communicator is the group
+//
+// A *Comm is the one handle a process trains through: it knows its span of
+// global ranks (RankOffset, LocalRanks, Size), its wire codec and its wire
+// bytes, so nothing beside it restates them.
 //
 // # Failure model
 //
@@ -105,15 +112,6 @@ type Communicator interface {
 	// the bucketed-overlap primitive: all ranks must issue the same
 	// sequence of ranges in the same order.
 	AllReduceSumRange(rank int, buf []float32, lo, hi int) error
-}
-
-// WireCompression reports a communicator's negotiated wire codec and the
-// cumulative bytes moved over its socket links, so the trainer can validate
-// its configuration against the group's actual wire format and surface the
-// byte counters in metrics.
-type WireCompression interface {
-	WireCodec() transport.Codec
-	WireBytes() (sent, recv uint64)
 }
 
 // compressMinFloats is the smallest collective (total elements) that rides
@@ -199,11 +197,7 @@ type (
 	HierComm = Comm
 )
 
-var (
-	_ Communicator    = (*Comm)(nil)
-	_ RankSpan        = (*Comm)(nil)
-	_ WireCompression = (*Comm)(nil)
-)
+var _ Communicator = (*Comm)(nil)
 
 // NewCommunicator creates the in-process layout: n ranks of this process
 // on a ring of channel links.
@@ -245,18 +239,19 @@ func NewHierComm(ring *transport.Ring, local int) *Comm {
 // Size implements Communicator: the total rank count across all processes.
 func (c *Comm) Size() int { return c.size }
 
-// RankOffset implements RankSpan: the first global rank hosted here.
+// RankOffset returns the first global rank hosted here: local rank l is
+// global rank RankOffset()+l.
 func (c *Comm) RankOffset() int { return c.offset }
 
-// LocalRanks implements RankSpan: how many consecutive ranks are hosted here.
+// LocalRanks returns how many consecutive global ranks are hosted here.
 func (c *Comm) LocalRanks() int { return c.local }
 
-// WireCodec implements WireCompression: the ring's negotiated wire codec
-// (CodecF32 for the in-process layout).
+// WireCodec returns the ring's negotiated wire codec (CodecF32 for the
+// in-process layout).
 func (c *Comm) WireCodec() transport.Codec { return c.codec }
 
-// WireBytes implements WireCompression: bytes moved over the inter-process
-// ring (channel hops are free and uncounted).
+// WireBytes returns the bytes moved over the inter-process ring (channel
+// hops are free and uncounted).
 func (c *Comm) WireBytes() (sent, recv uint64) {
 	if c.ring == nil {
 		return 0, 0
@@ -450,7 +445,7 @@ func (c *Comm) AllReduceSum(rank int, buf []float32) error {
 }
 
 // AllReduceSumRange implements Communicator: an independent ring reduction
-// over buf[lo:hi], chunked relative to the range. On a CodecF16 ring this
+// over buf[lo:hi], chunked relative to the range. On a compressed ring this
 // is the error-fed path: the absolute range offsets index the rank's
 // persistent residual slab (the caller contract — ranges into one stable
 // slab per rank, e.g. the flat gradient slab — is what makes residuals
@@ -458,7 +453,7 @@ func (c *Comm) AllReduceSum(rank int, buf []float32) error {
 func (c *Comm) AllReduceSumRange(rank int, buf []float32, lo, hi int) error {
 	sub := buf[lo:hi]
 	var res []float32
-	if c.codec == transport.CodecF16 && c.compressed(len(sub)) {
+	if c.compressed(len(sub)) {
 		res = c.residual(c.localOf(rank), lo, hi)
 	}
 	return c.allReduce(rank, sub, res)

@@ -96,7 +96,7 @@ func TestHierCollectives(t *testing.T) {
 				}
 			}
 
-			// RankSpan: each endpoint serves its process's contiguous span.
+			// Each endpoint serves its process's contiguous span.
 			for p := 0; p < shape.procs; p++ {
 				h := g[p*shape.local].(*HierComm)
 				if h.RankOffset() != p*shape.local || h.LocalRanks() != shape.local {
@@ -144,9 +144,9 @@ func TestHierBitIdenticalToFlat(t *testing.T) {
 	}
 }
 
-// TestGroupFromRingShapes checks the one constructor behind every
-// multi-process topology: the offsets land each process's span at
-// ring-rank × localRanks, and the group passes its own validation.
+// TestGroupFromRingShapes checks NewHierComm, the one constructor behind
+// every multi-process topology: each process's span lands at ring-rank ×
+// localRanks, and the group is ring-size × localRanks wide.
 func TestGroupFromRingShapes(t *testing.T) {
 	l0, err := transport.ListenRing("127.0.0.1:0")
 	if err != nil {
@@ -176,25 +176,17 @@ func TestGroupFromRingShapes(t *testing.T) {
 	defer rings[0].Close()
 	defer rings[1].Close()
 
-	flat := GroupFromRing(rings[0], 1)
-	if flat.Offset != 0 || flat.Comm.Size() != 2 {
-		t.Fatalf("proc 0 offset %d size %d, want 0 and 2", flat.Offset, flat.Comm.Size())
-	}
-	if err := flat.Validate(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := flat.Validate(2); err == nil {
-		t.Fatal("a span of one accepted two local ranks")
-	}
-	hier := GroupFromRing(rings[1], 3)
-	if hier.Offset != 3 || hier.Comm.Size() != 6 {
-		t.Fatalf("proc 1 offset %d size %d, want 3 and 6", hier.Offset, hier.Comm.Size())
-	}
-	if err := hier.Validate(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := (RankGroup{Comm: hier.Comm, Offset: 0}).Validate(3); err == nil {
-		t.Fatal("a group offset outside the communicator's span was accepted")
+	for _, tc := range []struct {
+		proc, local, offset, size int
+	}{
+		{0, 1, 0, 2}, // flat: one rank per process
+		{1, 3, 3, 6}, // hierarchical: three per process
+	} {
+		c := NewHierComm(rings[tc.proc], tc.local)
+		if c.RankOffset() != tc.offset || c.LocalRanks() != tc.local || c.Size() != tc.size {
+			t.Fatalf("proc %d with %d local ranks: offset %d, local %d, size %d; want %d, %d, %d",
+				tc.proc, tc.local, c.RankOffset(), c.LocalRanks(), c.Size(), tc.offset, tc.local, tc.size)
+		}
 	}
 }
 

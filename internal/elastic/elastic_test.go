@@ -238,7 +238,7 @@ func (h *groupHarness) app(memberID int) func(ctx context.Context, sess *elastic
 		var tr *core.Trainer
 		cfg := core.TrainerConfig{
 			Ranks:      1,
-			Group:      sess.Group(),
+			Comm:       sess.Comm(),
 			BatchSize:  egBatch,
 			Model:      egSpec(norm),
 			Normalizer: norm,

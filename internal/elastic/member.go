@@ -35,9 +35,9 @@ type MemberConfig struct {
 	// (ddp.Comm) joins them by channel links and only the last one's
 	// successor hop crosses the ring.
 	LocalRanks int
-	// RingOptions, when set, supplies per-epoch ring tuning (IO timeout,
-	// heartbeat interval, chaos wrapper). Nil uses transport defaults. The
-	// Identity field is overwritten with the topology identity.
+	// RingOptions, when set, supplies per-epoch ring options (wire codec, IO
+	// timeout, heartbeat interval, chaos wrapper). Nil uses transport
+	// defaults. The Identity field is overwritten with the topology identity.
 	RingOptions func(epoch int) transport.RingOptions
 	// Run is the application callback, invoked once per epoch the member
 	// participates in. It must watch Session.Aborted (or the collective
@@ -284,7 +284,7 @@ func (m *Member) runEpoch(ctx context.Context, cfg ctrlMsg) {
 		epoch:   cfg.Epoch,
 		members: cfg.Members,
 		restore: cfg.Batch,
-		group:   ddp.GroupFromRing(ring, m.cfg.LocalRanks),
+		comm:    ddp.NewHierComm(ring, m.cfg.LocalRanks),
 		aborted: make(chan struct{}),
 		cancel:  cancel,
 	}
@@ -298,7 +298,7 @@ func (m *Member) runEpoch(ctx context.Context, cfg ctrlMsg) {
 	if dead {
 		// A newer prepare (or kill) raced ring formation: this epoch is
 		// already obsolete.
-		sess.group.Close()
+		sess.comm.Close()
 		return
 	}
 
@@ -315,7 +315,7 @@ func (m *Member) runEpoch(ctx context.Context, cfg ctrlMsg) {
 		// would cut them off mid-step.
 		sess.abort()
 	}
-	sess.group.Close()
+	sess.comm.Close()
 	if m.isKilled() {
 		return
 	}
@@ -367,7 +367,7 @@ type Session struct {
 	epoch   int
 	members []int
 	restore int
-	group   ddp.RankGroup
+	comm    *ddp.Comm
 
 	aborted   chan struct{}
 	abortOnce sync.Once
@@ -378,15 +378,14 @@ type Session struct {
 func (s *Session) Epoch() int { return s.epoch }
 
 // World returns the epoch's group size in members. The global training
-// rank space is World()·LocalRanks wide; see Group.
+// rank space is World()·LocalRanks wide; see Comm.
 func (s *Session) World() int { return len(s.members) }
 
-// Group returns the epoch's rank group: the communicator plus this
-// member's global rank offset (ring rank · LocalRanks). It is the handle
-// trainer configs take. The communicator is poisoned the moment the epoch is
-// torn down; collectives then return errors wrapping
-// transport.ErrRingAborted.
-func (s *Session) Group() ddp.RankGroup { return s.group }
+// Comm returns the epoch's communicator over LocalRanks local ranks, this
+// member's span starting at global rank ring rank · LocalRanks. It is the
+// handle trainer configs take. It is poisoned the moment the epoch is torn
+// down; collectives then return errors wrapping transport.ErrRingAborted.
+func (s *Session) Comm() *ddp.Comm { return s.comm }
 
 // RestoreBatch returns the batch boundary to restore from (the committed
 // group checkpoint), or -1 for a fresh start.
@@ -404,7 +403,7 @@ func (s *Session) Aborted() <-chan struct{} { return s.aborted }
 func (s *Session) abort() {
 	s.abortOnce.Do(func() {
 		close(s.aborted)
-		s.group.Abort()
+		s.comm.Abort()
 		if s.cancel != nil {
 			s.cancel()
 		}

@@ -37,10 +37,14 @@ type ElasticConfig struct {
 	// stable data world of InitialMembers·Ranks global ranks, regardless
 	// of how the training group shrinks or re-forms: a member keeps its
 	// data ranks for the whole run, while its training-group offset
-	// (Session.Group) shifts with the surviving membership each epoch.
+	// (Session.Comm) shifts with the surviving membership each epoch.
 	InitialMembers int
-	// RingOptions, when set, supplies per-epoch ring tuning (IO timeout,
-	// heartbeat cadence, chaos wrapper).
+	// RingOptions, when set, supplies every epoch's ring options. Its Codec
+	// is the gradient wire codec — the only place it is set: the handshake
+	// refuses a peer whose codec differs, so survivors of a re-formation
+	// keep compressing as before and a member restarted with another codec
+	// fails ring formation. The rest is tuning (IO timeout, heartbeat
+	// cadence, chaos wrapper).
 	RingOptions func(epoch int) transport.RingOptions
 }
 
@@ -185,7 +189,7 @@ func (s *Server) runEpoch(ctx context.Context, sess *elastic.Session) error {
 	s.startAggs()
 	s.live = true
 
-	return s.train(ctx, sess.Group(), restored, func(st *elastic.State) error {
+	return s.train(ctx, sess.Comm(), restored, func(st *elastic.State) error {
 		// A failed save means the control plane is tearing the epoch down;
 		// the group checkpoint protocol tolerates the missing shard.
 		sess.SaveShard(st)

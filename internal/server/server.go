@@ -48,7 +48,7 @@ type Config struct {
 	Buffer buffer.Config
 
 	// Trainer carries the model, batch size, schedule and validation
-	// configuration. Ranks, Group and Metrics are the server's to set: every
+	// configuration. Ranks, Comm and Metrics are the server's to set: every
 	// trainer it builds records into the one collector Metrics returns.
 	Trainer core.TrainerConfig
 
@@ -123,10 +123,10 @@ type Server struct {
 	metrics   *core.Metrics
 
 	// A lone process's run: the state RestoreCheckpoint read, for the trainer
-	// Run builds, and the group it trains over — zero (the in-process ring)
-	// except where a test plants a communicator it can abort.
+	// Run builds, and the communicator it trains over — nil (the in-process
+	// ring) except where a test plants one it can abort.
 	restored *elastic.State
-	group    ddp.RankGroup
+	comm     *ddp.Comm
 
 	// Elastic-mode state: the membership runtime, the per-rank replay
 	// journals behind rollback, and the lazy aggregator start (a rejoiner
@@ -351,20 +351,6 @@ func New(cfg Config) (*Server, error) {
 			s.journals[r] = newRetireJournal()
 			s.bufs[r].OnRetire(s.journals[r].record)
 		}
-		// Every epoch's ring must negotiate the codec the trainer config
-		// declares (core.NewTrainer verifies the match): survivors of a
-		// re-formation keep compressing exactly as before, and a member
-		// restarted with a different -grad-compress fails ring formation
-		// loudly instead of joining with a mismatched wire format.
-		userRingOpts := cfg.Elastic.RingOptions
-		ringOpts := func(epoch int) transport.RingOptions {
-			var ro transport.RingOptions
-			if userRingOpts != nil {
-				ro = userRingOpts(epoch)
-			}
-			ro.Codec = cfg.Trainer.GradCompress
-			return ro
-		}
 		member, err := elastic.NewMember(elastic.MemberConfig{
 			ID:             cfg.Elastic.MemberID,
 			Coordinator:    cfg.Elastic.Coordinator,
@@ -372,7 +358,7 @@ func New(cfg Config) (*Server, error) {
 			BindAddr:       cfg.Elastic.BindAddr,
 			ConnectTimeout: cfg.Elastic.ConnectTimeout,
 			LocalRanks:     cfg.Ranks,
-			RingOptions:    ringOpts,
+			RingOptions:    cfg.Elastic.RingOptions,
 			Run:            s.runEpoch,
 			OnCommit: func(batch int) {
 				for _, j := range s.journals {
@@ -435,7 +421,7 @@ func (s *Server) Run(ctx context.Context) error {
 		if path := s.cfg.CheckpointPath; path != "" {
 			save = func(st *elastic.State) error { return elastic.WriteState(path, st) }
 		}
-		err = s.train(ctx, s.group, s.restored, save)
+		err = s.train(ctx, s.comm, s.restored, save)
 	}
 
 	// Whatever made training return — drained buffers, MaxBatches, a
@@ -453,16 +439,16 @@ func (s *Server) Run(ctx context.Context) error {
 	return err
 }
 
-// train builds the trainer — the one place that does — over group (zero: the
+// train builds the trainer — the one place that does — over comm (nil: the
 // lone process's in-process ring), resumes it from restored when non-nil, and
 // runs it. With onBoundary set, every CheckpointEveryBatches-th step is a
 // checkpoint boundary: each rank contributes its cut as it gets there
 // (boundaries.capture) and the last to arrive hands onBoundary the complete
 // state. A failed capture or save must not kill training; the previous
 // checkpoint remains valid.
-func (s *Server) train(ctx context.Context, group ddp.RankGroup, restored *elastic.State, onBoundary func(*elastic.State) error) error {
+func (s *Server) train(ctx context.Context, comm *ddp.Comm, restored *elastic.State, onBoundary func(*elastic.State) error) error {
 	tcfg := s.cfg.Trainer
-	tcfg.Ranks, tcfg.Group, tcfg.Metrics = s.cfg.Ranks, group, s.metrics
+	tcfg.Ranks, tcfg.Comm, tcfg.Metrics = s.cfg.Ranks, comm, s.metrics
 	var tr *core.Trainer
 	if onBoundary != nil {
 		bounds := newBoundaries(s)

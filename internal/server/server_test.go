@@ -663,14 +663,14 @@ func TestRunReturnsWithAggregatorParked(t *testing.T) {
 			cfg := testConfig(1, 1, buffer.FIFOKind)
 			cfg.Buffer.Capacity = 2
 			cfg.Trainer.MaxBatches = tc.maxBatches
-			group := ddp.RankGroup{Comm: ddp.NewCommunicator(1)}
+			comm := ddp.NewCommunicator(1)
 			parked, release := make(chan struct{}), make(chan struct{})
 			cfg.Trainer.OnBatchEnd = func(batches int) {
 				if batches == 1 {
 					close(parked)
 					<-release
 					if tc.abort {
-						group.Abort()
+						comm.Abort()
 					}
 				}
 			}
@@ -678,7 +678,7 @@ func TestRunReturnsWithAggregatorParked(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv.group = group
+			srv.comm = comm
 			wait := runServer(t, srv, context.Background())
 
 			// One batch, two frames that fill the FIFO, one that parks the

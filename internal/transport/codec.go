@@ -8,11 +8,6 @@ import "fmt"
 // a codec disagreement would not desynchronize the frame stream (frame
 // types distinguish the encodings), but it would silently train different
 // trajectories on different ranks, which is strictly worse.
-//
-// The error-feedback distinction (CodecF16 vs CodecF16Raw) lives in the
-// codec enum for the same reason: whether residuals are carried changes
-// the training trajectory, so two processes disagreeing about it must be
-// rejected at connect, not discovered by divergence.
 type Codec uint8
 
 const (
@@ -23,14 +18,11 @@ const (
 	// residuals so quantization error is re-injected into the next step
 	// instead of lost.
 	CodecF16
-	// CodecF16Raw is CodecF16 without error feedback — the ablation mode:
-	// quantization error is simply dropped.
-	CodecF16Raw
 )
 
 // Compressed reports whether float frames are reduced below 4 bytes per
 // element on the wire.
-func (c Codec) Compressed() bool { return c == CodecF16 || c == CodecF16Raw }
+func (c Codec) Compressed() bool { return c == CodecF16 }
 
 // String returns the flag-friendly name (ParseCodec's input).
 func (c Codec) String() string {
@@ -39,8 +31,6 @@ func (c Codec) String() string {
 		return "none"
 	case CodecF16:
 		return "f16"
-	case CodecF16Raw:
-		return "f16-noef"
 	default:
 		return fmt.Sprintf("codec(%d)", uint8(c))
 	}
@@ -53,9 +43,7 @@ func ParseCodec(s string) (Codec, error) {
 		return CodecF32, nil
 	case "f16":
 		return CodecF16, nil
-	case "f16-noef", "f16-raw":
-		return CodecF16Raw, nil
 	default:
-		return CodecF32, fmt.Errorf("transport: unknown codec %q (want none, f16 or f16-noef)", s)
+		return CodecF32, fmt.Errorf("transport: unknown codec %q (want none or f16)", s)
 	}
 }

@@ -103,9 +103,8 @@ type RingOptions struct {
 	// Codec selects the wire encoding of collective float frames
 	// (SendFloats16/RecvFloats16 are only legal on a compressed ring). It
 	// rides the RingHello handshake next to Identity and is verified the
-	// same way: peers disagreeing on compression — or on error feedback,
-	// which is part of the codec — fail at formation instead of training
-	// divergent trajectories.
+	// same way: peers disagreeing on compression fail at formation instead
+	// of training divergent trajectories.
 	Codec Codec
 	// Wrap, when set, wraps each established ring connection after the
 	// handshake — the chaos layer's hook (see Chaos.Wrap).
