@@ -86,7 +86,6 @@ func main() {
 		members   = flag.Int("members", 3, "elastic group size in member processes (coordinator: members to wait for)")
 		groupDir  = flag.String("group-dir", "", "elastic group checkpoint directory (shards + manifest)")
 		ioTimeout = flag.Duration("io-timeout", 5*time.Second, "ring silence tolerated before a peer is declared dead (elastic mode)")
-		chaosDrop = flag.Float64("chaos-drop", 0, "probability a ring write is dropped (deterministic chaos injection, seeded by -seed or MELISSA_CHAOS_SEED)")
 	)
 	flag.Parse()
 
@@ -123,16 +122,7 @@ func main() {
 		fatal(err)
 	}
 
-	var ringOpts transport.RingOptions
-	ringOpts.IOTimeout = *ioTimeout
-	ringOpts.Codec = gradCodec
-	if *chaosDrop > 0 {
-		chaos := transport.NewChaos(transport.ChaosConfig{
-			Seed:     transport.ChaosSeed(*seed),
-			DropRate: *chaosDrop,
-		})
-		ringOpts.Wrap = chaos.Wrap
-	}
+	ringOpts := transport.RingOptions{IOTimeout: *ioTimeout, Codec: gradCodec}
 
 	// Two topologies, the same runtime underneath: every process hosts
 	// -ranks replicas on an in-process channel ring, and an elastic group

@@ -240,9 +240,9 @@ func TestTrainCompressedErrorFeedback(t *testing.T) {
 	}
 }
 
-// TestGradCompressValidation pins the fail-fast contract: a trainer refuses
+// TestCommSpanMatchesRanks pins the fail-fast contract: a trainer refuses
 // a communicator that does not host exactly its local ranks.
-func TestGradCompressValidation(t *testing.T) {
+func TestCommSpanMatchesRanks(t *testing.T) {
 	norm := NewHeatNormalizer(32, 1)
 	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{16}, OutputDim: norm.OutputDim(), Seed: 23}
 	mk := func(comm *ddp.Comm) error {

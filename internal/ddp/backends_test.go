@@ -168,13 +168,13 @@ func TestCollectiveSuite(t *testing.T) {
 				// The AllReduceMean, Broadcast and Barrier legs keep the names
 				// of collectives Comm no longer has: each pins what the
 				// trainer does in that collective's place with the
-				// all-reduce (allReduceMean, sumFromRoot, rendezvous).
+				// all-reduce (scaledMean, sumFromRoot, rendezvous).
 				t.Run("AllReduceMean", func(t *testing.T) {
 					bufs := make([][]float32, n)
 					for r := range bufs {
 						bufs[r] = []float32{float32(r), float32(2 * r)}
 					}
-					runGroup(g, func(rank int, c Communicator) { allReduceMean(c, rank, bufs[rank]) })
+					runGroup(g, func(rank int, c Communicator) { scaledMean(c, rank, bufs[rank]) })
 					wantMean := float32(n-1) / 2
 					for r := 0; r < n; r++ {
 						if bufs[r][0] != wantMean || bufs[r][1] != 2*wantMean {
@@ -262,8 +262,8 @@ func TestBackendsBitIdentical(t *testing.T) {
 
 	chanGroup := backendFactories["chan"](t, n)
 	tcpGroup := newTCPGroup(t, n)
-	runGroup(chanGroup, func(rank int, c Communicator) { allReduceMean(c, rank, chanBufs[rank]) })
-	runGroup(tcpGroup, func(rank int, c Communicator) { allReduceMean(c, rank, tcpBufs[rank]) })
+	runGroup(chanGroup, func(rank int, c Communicator) { scaledMean(c, rank, chanBufs[rank]) })
+	runGroup(tcpGroup, func(rank int, c Communicator) { scaledMean(c, rank, tcpBufs[rank]) })
 	for r := 0; r < n; r++ {
 		for i := range chanBufs[r] {
 			if chanBufs[r][i] != tcpBufs[r][i] {

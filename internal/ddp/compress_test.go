@@ -236,9 +236,9 @@ func TestCompressedWireBytesHalved(t *testing.T) {
 	}
 }
 
-// TestWireCompressionInterface pins what each layout of Comm reports about
+// TestCommWireCodecAndBytes pins what each layout of Comm reports about
 // its wire: the codec its ring negotiated, and bytes only for socket hops.
-func TestWireCompressionInterface(t *testing.T) {
+func TestCommWireCodecAndBytes(t *testing.T) {
 	for name, g := range map[string]commGroup{
 		"tcp":  newTCPGroupCodec(t, 2, transport.CodecF16),
 		"hier": newHierGroupCodec(t, 2, 2, transport.CodecF16),

@@ -331,10 +331,7 @@ func (c *Comm) ringErr(err error) error {
 // comp selects the binary16 wire encoding on a socket hop.
 func (c *Comm) sendHop(l int, vals []float32, comp bool) error {
 	if c.socketSend(l) {
-		if comp {
-			return c.ringErr(c.ring.SendFloats16(vals))
-		}
-		return c.ringErr(c.ring.SendFloats(vals))
+		return c.ringErr(c.ring.SendFloats(vals, comp))
 	}
 	lk := &c.links[l]
 	<-lk.free
@@ -374,16 +371,7 @@ func (c *Comm) settle(l int) error {
 // decodes binary16 and accumulates in float32 (fused, no scratch pass).
 func (c *Comm) recvHop(l int, dst []float32, accumulate, comp bool) error {
 	if c.socketRecv(l) {
-		switch {
-		case accumulate && comp:
-			return c.ringErr(c.ring.RecvFloats16Add(dst))
-		case accumulate:
-			return c.ringErr(c.ring.RecvFloatsAdd(dst))
-		case comp:
-			return c.ringErr(c.ring.RecvFloats16(dst))
-		default:
-			return c.ringErr(c.ring.RecvFloats(dst))
-		}
+		return c.ringErr(c.ring.RecvFloats(dst, accumulate, comp))
 	}
 	lk := &c.links[(l-1+c.local)%c.local]
 	in := <-lk.data

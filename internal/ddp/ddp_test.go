@@ -12,9 +12,9 @@ import (
 	"melissa/internal/tensor"
 )
 
-// allReduceMean averages buf across ranks the way the trainer does: the sum
+// scaledMean averages buf across ranks the way the trainer does: the sum
 // collective, then one scale by 1/n (core.Trainer.syncGradients).
-func allReduceMean(c Communicator, rank int, buf []float32) {
+func scaledMean(c Communicator, rank int, buf []float32) {
 	c.AllReduceSum(rank, buf)
 	if n := c.Size(); n > 1 {
 		tensor.Scal(1/float32(n), buf)
@@ -124,14 +124,15 @@ func TestAllReduceBufferShorterThanRanks(t *testing.T) {
 	}
 }
 
-func TestAllReduceMean(t *testing.T) {
+// TestScaledMean: see scaledMean.
+func TestScaledMean(t *testing.T) {
 	n := 4
 	c := NewCommunicator(n)
 	bufs := make([][]float32, n)
 	for r := range bufs {
 		bufs[r] = []float32{float32(r)} // 0,1,2,3 → mean 1.5
 	}
-	runRanks(n, func(rank int) { allReduceMean(c, rank, bufs[rank]) })
+	runRanks(n, func(rank int) { scaledMean(c, rank, bufs[rank]) })
 	for r := 0; r < n; r++ {
 		if bufs[r][0] != 1.5 {
 			t.Fatalf("rank %d: %v, want 1.5", r, bufs[r][0])
@@ -196,8 +197,8 @@ func rendezvous(c Communicator, rank int) {
 	c.AllReduceSum(rank, token[:])
 }
 
-// TestBroadcast: see sumFromRoot.
-func TestBroadcast(t *testing.T) {
+// TestSumFromRoot: see sumFromRoot.
+func TestSumFromRoot(t *testing.T) {
 	n := 4
 	c := NewCommunicator(n)
 	bufs := make([][]float32, n)
@@ -212,8 +213,8 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-// TestBarrier: see rendezvous.
-func TestBarrier(t *testing.T) {
+// TestRendezvous: see rendezvous.
+func TestRendezvous(t *testing.T) {
 	n := 8
 	c := NewCommunicator(n)
 	var mu sync.Mutex
@@ -318,7 +319,7 @@ func TestDataParallelEquivalence(t *testing.T) {
 		for i := 0; i < steps; i++ {
 			net.ZeroGrad()
 			net.Backward(l.Backward(net.Forward(shards[rank]), targets[rank]))
-			allReduceMean(comm, rank, net.FlatGrads())
+			scaledMean(comm, rank, net.FlatGrads())
 			tensor.Axpy(-lr, net.FlatGrads(), net.FlatParams())
 		}
 	})
@@ -373,7 +374,7 @@ func TestDDPWithAdam(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			net.ZeroGrad()
 			net.Backward(l.Backward(net.Forward(inputs[rank]), targets[rank]))
-			allReduceMean(comm, rank, net.FlatGrads())
+			scaledMean(comm, rank, net.FlatGrads())
 			a.StepFlat(net.FlatParams(), net.FlatGrads())
 		}
 	})

@@ -126,9 +126,9 @@ func TestHierBitIdenticalToFlat(t *testing.T) {
 				hierGroup := newHierGroup(t, procs, local)
 				chanGroup := backendFactories["chan"](t, n)
 				tcpGroup := newTCPGroup(t, n)
-				runGroup(hierGroup, func(rank int, c Communicator) { allReduceMean(c, rank, hierBufs[rank]) })
-				runGroup(chanGroup, func(rank int, c Communicator) { allReduceMean(c, rank, chanBufs[rank]) })
-				runGroup(tcpGroup, func(rank int, c Communicator) { allReduceMean(c, rank, tcpBufs[rank]) })
+				runGroup(hierGroup, func(rank int, c Communicator) { scaledMean(c, rank, hierBufs[rank]) })
+				runGroup(chanGroup, func(rank int, c Communicator) { scaledMean(c, rank, chanBufs[rank]) })
+				runGroup(tcpGroup, func(rank int, c Communicator) { scaledMean(c, rank, tcpBufs[rank]) })
 				for r := 0; r < n; r++ {
 					for i := 0; i < length; i++ {
 						if hierBufs[r][i] != chanBufs[r][i] {
@@ -144,10 +144,10 @@ func TestHierBitIdenticalToFlat(t *testing.T) {
 	}
 }
 
-// TestGroupFromRingShapes checks NewHierComm, the one constructor behind
+// TestHierCommShapes checks NewHierComm, the one constructor behind
 // every multi-process topology: each process's span lands at ring-rank ×
 // localRanks, and the group is ring-size × localRanks wide.
-func TestGroupFromRingShapes(t *testing.T) {
+func TestHierCommShapes(t *testing.T) {
 	l0, err := transport.ListenRing("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

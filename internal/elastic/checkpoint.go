@@ -89,38 +89,62 @@ func loadShard(dir string, member, batch int) (*State, error) {
 	return ReadState(shardPath(dir, member, batch))
 }
 
-// shardBatches lists the batch boundaries for which member m has a shard
-// on disk, in no particular order.
-func shardBatches(dir string, member int) ([]int, error) {
-	glob := filepath.Join(dir, fmt.Sprintf("shard-m%d-b*.ckpt", member))
-	paths, err := filepath.Glob(glob)
+// shardFile is one shard on disk: a member's state at a batch boundary.
+type shardFile struct {
+	path          string
+	member, batch int
+}
+
+// listShards lists every shard in dir, in no particular order.
+func listShards(dir string) ([]shardFile, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "shard-m*-b*.ckpt"))
 	if err != nil {
 		return nil, err
 	}
-	var batches []int
+	var shards []shardFile
 	for _, p := range paths {
-		var m, b int
-		if _, err := fmt.Sscanf(filepath.Base(p), "shard-m%d-b%d.ckpt", &m, &b); err == nil && m == member {
-			batches = append(batches, b)
+		s := shardFile{path: p}
+		if _, err := fmt.Sscanf(filepath.Base(p), "shard-m%d-b%d.ckpt", &s.member, &s.batch); err == nil {
+			shards = append(shards, s)
 		}
 	}
-	return batches, nil
+	return shards, nil
+}
+
+// newestShards maps each member to the newest batch ≤ maxBatch at which it
+// has a shard; a member with none is absent.
+func newestShards(shards []shardFile, maxBatch int) map[int]int {
+	newest := make(map[int]int)
+	for _, s := range shards {
+		if b, ok := newest[s.member]; s.batch <= maxBatch && (!ok || s.batch > b) {
+			newest[s.member] = s.batch
+		}
+	}
+	return newest
 }
 
 // latestShardAtOrBefore returns the newest batch ≤ maxBatch for which
 // member m has a shard, or ok=false.
 func latestShardAtOrBefore(dir string, member, maxBatch int) (int, bool) {
-	batches, err := shardBatches(dir, member)
+	shards, err := listShards(dir)
 	if err != nil {
 		return 0, false
 	}
-	best, ok := 0, false
-	for _, b := range batches {
-		if b <= maxBatch && (!ok || b > best) {
-			best, ok = b, true
+	b, ok := newestShards(shards, maxBatch)[member]
+	return b, ok
+}
+
+// removeShards deletes every shard that drop selects.
+func removeShards(shards []shardFile, drop func(shardFile) bool) error {
+	var firstErr error
+	for _, s := range shards {
+		if drop(s) {
+			if err := os.Remove(s.path); err != nil && firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
-	return best, ok
+	return firstErr
 }
 
 // purgeShardsAbove deletes every shard past the rollback point. Run during
@@ -128,23 +152,28 @@ func latestShardAtOrBefore(dir string, member, maxBatch int) (int, bool) {
 // the committed manifest (by a rank that advanced further than the group
 // checkpoint before the fault) can never be mistaken for current state.
 func purgeShardsAbove(dir string, batch int) error {
-	paths, err := filepath.Glob(filepath.Join(dir, "shard-m*-b*.ckpt"))
+	shards, err := listShards(dir)
 	if err != nil {
 		return err
 	}
-	var firstErr error
-	for _, p := range paths {
-		var m, b int
-		if _, err := fmt.Sscanf(filepath.Base(p), "shard-m%d-b%d.ckpt", &m, &b); err != nil {
-			continue
-		}
-		if b > batch {
-			if err := os.Remove(p); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
+	return removeShards(shards, func(s shardFile) bool { return s.batch > batch })
+}
+
+// pruneShardsBelow deletes, once a manifest at batch is committed, every
+// shard older than its member's newest shard at or before batch: no restore
+// reads it again. What LoadState reads stays — the shards at batch, and a
+// member's own newest shard at or before it (a rejoiner's App) — and so
+// does every shard above batch, for the next commit or rollback to settle.
+func pruneShardsBelow(dir string, batch int) error {
+	shards, err := listShards(dir)
+	if err != nil {
+		return err
 	}
-	return firstErr
+	newest := newestShards(shards, batch)
+	return removeShards(shards, func(s shardFile) bool {
+		b, ok := newest[s.member]
+		return ok && s.batch < b
+	})
 }
 
 // Manifest is the committed group checkpoint: the coordinator writes it

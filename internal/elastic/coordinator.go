@@ -375,9 +375,10 @@ func (c *Coordinator) finishFormation(st *coordState, formTimer *time.Timer) {
 }
 
 // tryCommit advances the manifest to the largest batch for which every
-// current member has a shard on disk, then announces the new rollback
-// point to the group (kindCommit) so members can drop replay state kept
-// only for rollbacks to older boundaries.
+// current member has a shard on disk, deletes the shards no restore can
+// read any more, then announces the new rollback point to the group
+// (kindCommit) so members can drop replay state kept only for rollbacks to
+// older boundaries.
 func (c *Coordinator) tryCommit(st *coordState) {
 	if len(st.target) == 0 {
 		return
@@ -402,6 +403,7 @@ func (c *Coordinator) tryCommit(st *coordState) {
 	st.manifest = m
 	st.haveManifest = true
 	c.manifestNow.Store(int64(m.Batch))
+	pruneShardsBelow(c.cfg.Dir, m.Batch)
 	for _, id := range st.target {
 		c.send(st, id, ctrlMsg{Kind: kindCommit, Epoch: st.epoch, Batch: m.Batch})
 	}

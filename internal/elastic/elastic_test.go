@@ -15,6 +15,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -358,6 +360,61 @@ func assertWeights(t *testing.T, label string, got, want []float32) {
 // schedule, and end with weights bit-identical to an unfaulted reference
 // run of the same effective schedule.
 func TestElasticKillRollbackFinish(t *testing.T) {
+	h, runErrs := runKillMember1(t)
+	if !errors.Is(runErrs[1], elastic.ErrKilled) {
+		t.Fatalf("killed member returned %v, want ErrKilled", runErrs[1])
+	}
+	for _, i := range []int{0, 2} {
+		if runErrs[i] != nil {
+			t.Fatalf("survivor %d: %v", i, runErrs[i])
+		}
+		recs := h.records(i)
+		last := recs[len(recs)-1]
+		if last.epoch < 2 || last.world != 2 || last.restore != egCkptEvery {
+			t.Fatalf("survivor %d final session %+v, want epoch ≥ 2, world 2, restore %d", i, last, egCkptEvery)
+		}
+	}
+
+	// Reference: 3 ranks to the batch-4 checkpoint, then the two survivors
+	// from that state to the end of the schedule.
+	ph1 := runPhase(t, []int{0, 1, 2}, nil, nil, egCkptEvery)
+	ph2 := runPhase(t, []int{0, 2}, ph1, ph1.bufs, egMaxBatches)
+	assertWeights(t, "survivor 0", h.final(0), ph2.flat)
+	assertWeights(t, "survivor 2", h.final(2), ph2.flat)
+}
+
+// TestElasticShardsPrunedOnCommit pins shard retention over the kill
+// scenario: once the last manifest is committed, each member keeps only its
+// newest shard at or before the manifest batch — the survivors' shards at
+// that batch, which a restore reads, and the killed member's last one, which
+// it would read its buffer back from on rejoining.
+func TestElasticShardsPrunedOnCommit(t *testing.T) {
+	h, _ := runKillMember1(t)
+	if b := h.coord.ManifestBatch(); b != egMaxBatches {
+		t.Fatalf("last manifest at batch %d, want %d", b, egMaxBatches)
+	}
+	paths, err := filepath.Glob(filepath.Join(h.dir, "shard-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range paths {
+		got = append(got, filepath.Base(p))
+	}
+	want := []string{
+		fmt.Sprintf("shard-m0-b%d.ckpt", egMaxBatches),
+		fmt.Sprintf("shard-m1-b%d.ckpt", egCkptEvery),
+		fmt.Sprintf("shard-m2-b%d.ckpt", egMaxBatches),
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("shards left in the group directory %v, want %v", got, want)
+	}
+}
+
+// runKillMember1 runs a 3-member group whose member 1 is killed after
+// batch 6, past the committed batch-4 checkpoint, and returns once the
+// coordinator has stopped the group, with every member's Run result.
+func runKillMember1(t *testing.T) (*groupHarness, []error) {
 	h := newGroupHarness(t, egWorld)
 	members := make([]*elastic.Member, egWorld)
 	var killOnce sync.Once
@@ -385,27 +442,7 @@ func TestElasticKillRollbackFinish(t *testing.T) {
 		t.Fatalf("coordinator: %v", err)
 	}
 	wg.Wait()
-
-	if !errors.Is(runErrs[1], elastic.ErrKilled) {
-		t.Fatalf("killed member returned %v, want ErrKilled", runErrs[1])
-	}
-	for _, i := range []int{0, 2} {
-		if runErrs[i] != nil {
-			t.Fatalf("survivor %d: %v", i, runErrs[i])
-		}
-		recs := h.records(i)
-		last := recs[len(recs)-1]
-		if last.epoch < 2 || last.world != 2 || last.restore != egCkptEvery {
-			t.Fatalf("survivor %d final session %+v, want epoch ≥ 2, world 2, restore %d", i, last, egCkptEvery)
-		}
-	}
-
-	// Reference: 3 ranks to the batch-4 checkpoint, then the two survivors
-	// from that state to the end of the schedule.
-	ph1 := runPhase(t, []int{0, 1, 2}, nil, nil, egCkptEvery)
-	ph2 := runPhase(t, []int{0, 2}, ph1, ph1.bufs, egMaxBatches)
-	assertWeights(t, "survivor 0", h.final(0), ph2.flat)
-	assertWeights(t, "survivor 2", h.final(2), ph2.flat)
+	return h, runErrs
 }
 
 // TestElasticRejoinAfterRestart extends the kill scenario with recovery:

@@ -160,13 +160,6 @@ func (l *learner) Occurrences() map[buffer.Key]int {
 	return l.occ
 }
 
-// paperFig4Schedule is the Figure 4 learning-rate schedule: "the learning
-// rate, initially set to 1e-3, is halved every 1000 batches" — i.e. every
-// 1000×batch samples at one GPU.
-func paperFig4Schedule(scale Scale) opt.Schedule {
-	return opt.Halving{Initial: 1e-3, EverySamples: 1000 * scale.BatchSize}
-}
-
 // paperFig5Schedule is the §4.5 schedule: halve every 10,000 samples with a
 // 2.5e-4 floor, making GPU counts comparable. The sample budget is scaled
 // relative to the paper's 25,000-sample ensemble so smaller presets see the

@@ -58,10 +58,11 @@ const (
 	TypeHeartbeat
 
 	// Rank-to-rank collective frames (transport.Ring). They share the
-	// client framing [length u32 | type u8 | payload] but travel on the
-	// dedicated inter-rank ring connections, never through the client
-	// message decoder: RingHello carries the sender's rank during ring
-	// setup, RingFloats a raw little-endian float32 chunk of a collective,
+	// client framing [length u32 | type u8 | payload] and its reader
+	// (ReadFrame) but travel on the dedicated inter-rank ring connections,
+	// never through the client message decoder: RingHello carries the
+	// sender's rank during ring setup, RingFloats a raw little-endian
+	// float32 chunk of a collective,
 	// and RingPing a zero-payload link heartbeat that receivers silently
 	// discard (it exists so a rank can tell a dead predecessor from a merely
 	// idle one). Value 7 was a barrier token frame no program sent; it stays
@@ -231,11 +232,7 @@ func NewReader(r io.Reader) *Reader {
 // comment); all other types are returned by value. It returns io.EOF
 // cleanly when the stream ends between frames.
 func (rd *Reader) Next() (Message, error) {
-	size, err := readHeader(rd.r, &rd.hdr)
-	if err != nil {
-		return nil, err
-	}
-	body, err := readBody(rd.r, rd.body, int(size))
+	body, err := ReadFrame(rd.r, &rd.hdr, rd.body)
 	if body != nil {
 		rd.body = body[:0]
 	}
@@ -268,13 +265,30 @@ func (rd *Reader) Next() (Message, error) {
 	return decodeBody(body)
 }
 
-// readBody reads a size-byte frame body into buf's storage (grown as
-// needed) and returns it at full length. When the buffer must grow, it is
-// extended in capped chunks interleaved with the reads, so a corrupt
-// length prefix claiming a huge frame costs at most one chunk beyond the
-// bytes actually on the wire — never a gigabyte allocation up front.
-func readBody(r io.Reader, buf []byte, size int) ([]byte, error) {
+// ReadFrame reads one [length u32 | type u8 | payload] frame from r — a
+// client connection and a rank ring link alike — and returns its body (the
+// type byte, then the payload) in buf's storage, grown as needed; hdr is
+// the caller's scratch for the length prefix. The length is checked against
+// MaxFrameSize before any body byte is read, and a buffer that must grow is
+// extended in 1 MiB chunks as the bytes arrive, so a lying length prefix
+// costs at most one chunk beyond what is actually on the wire — never a
+// gigabyte allocation up front. It returns io.EOF cleanly when the stream
+// ends between frames; every other read error is wrapped with %w. Once the
+// body is started the returned slice is non-nil, on error too, so the
+// caller can keep grown storage.
+func ReadFrame(r io.Reader, hdr *[4]byte, buf []byte) ([]byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("protocol: truncated frame header: %w", err)
+		}
+		return nil, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[:])
+	if n == 0 || n > MaxFrameSize {
+		return nil, fmt.Errorf("protocol: invalid frame size %d", n)
+	}
 	const maxStep = 1 << 20
+	size := int(n)
 	if cap(buf) >= size {
 		buf = buf[:size]
 		if _, err := io.ReadFull(r, buf); err != nil {
@@ -284,29 +298,13 @@ func readBody(r io.Reader, buf []byte, size int) ([]byte, error) {
 	}
 	buf = buf[:0]
 	for len(buf) < size {
-		n := min(size-len(buf), maxStep)
 		off := len(buf)
-		buf = append(buf, make([]byte, n)...)
+		buf = append(buf, make([]byte, min(size-off, maxStep))...)
 		if _, err := io.ReadFull(r, buf[off:]); err != nil {
 			return buf, fmt.Errorf("protocol: truncated frame body: %w", err)
 		}
 	}
 	return buf, nil
-}
-
-// readHeader reads and validates the 4-byte length prefix.
-func readHeader(r io.Reader, hdr *[4]byte) (uint32, error) {
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return 0, fmt.Errorf("protocol: truncated frame header: %w", err)
-		}
-		return 0, err
-	}
-	size := binary.LittleEndian.Uint32(hdr[:])
-	if size == 0 || size > MaxFrameSize {
-		return 0, fmt.Errorf("protocol: invalid frame size %d", size)
-	}
-	return size, nil
 }
 
 // decodeTimeStepInto decodes a TimeStep payload into ts, reusing the

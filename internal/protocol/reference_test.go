@@ -20,11 +20,7 @@ func Write(w io.Writer, msg Message) error {
 // stream ends between frames.
 func Read(r io.Reader) (Message, error) {
 	var lenBuf [4]byte
-	size, err := readHeader(r, &lenBuf)
-	if err != nil {
-		return nil, err
-	}
-	body, err := readBody(r, nil, int(size))
+	body, err := ReadFrame(r, &lenBuf, nil)
 	if err != nil {
 		return nil, err
 	}

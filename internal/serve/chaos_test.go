@@ -22,6 +22,7 @@ import (
 	"melissa/internal/client"
 	"melissa/internal/nn"
 	"melissa/internal/protocol"
+	"melissa/internal/testwait"
 	"melissa/internal/transport"
 
 	"math/rand/v2"
@@ -148,14 +149,8 @@ func TestServeChaosWedgedClient(t *testing.T) {
 	wg.Wait()
 
 	// The wedged connection must be detected and torn down (outbox overflow
-	// or write-deadline expiry) within the write timeout scale.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().SlowClients == 0 {
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// or write-deadline expiry).
+	testwait.Until(t, "the wedged client to be torn down as slow", func() bool { return s.Stats().SlowClients > 0 })
 
 	st := s.Stats()
 	if st.Shed == 0 {
@@ -317,9 +312,7 @@ func TestServeChaosDrainUnderLoad(t *testing.T) {
 	}
 
 	// Let the load establish, then drain mid-flight.
-	for successes.Load() < 50 {
-		time.Sleep(time.Millisecond)
-	}
+	testwait.Until(t, "50 answers before the drain", func() bool { return successes.Load() >= 50 })
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {

@@ -476,13 +476,7 @@ func TestServeWatcherPicksUpPublish(t *testing.T) {
 	if err := melissa.PublishSurrogate(surB, path); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Epoch() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("watcher never reloaded (epoch %d)", s.Epoch())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	testwait.Until(t, "the watcher to reload the published checkpoint", func() bool { return s.Epoch() == 2 })
 }
 
 // TestServeReloadRejectsIncompatible: a checkpoint with different

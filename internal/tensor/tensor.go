@@ -209,12 +209,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// CopyFrom copies src into m. Shapes must match.
-func (m *Matrix) CopyFrom(src *Matrix) {
-	m.mustSameShape(src)
-	copy(m.Data, src.Data)
-}
-
 // Zero sets every element to 0.
 func (m *Matrix) Zero() { clear(m.Data) }
 

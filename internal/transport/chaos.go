@@ -1,20 +1,18 @@
 package transport
 
 // Deterministic fault injection for the chaos test suite. A Chaos value
-// wraps net.Conn's (ring links via RingOptions.Wrap, client fan-out via
-// DialWrapped) and perturbs their traffic according to a seeded PRNG:
-// dropped writes, delayed writes, duplicated writes, a toggleable full
-// partition, and kill-after-N-writes. Every decision stream derives from
-// ChaosConfig.Seed plus the connection's label, so a failing run replays
-// exactly by re-running with the same seed (see ChaosSeed and the
-// MELISSA_CHAOS_SEED environment knob).
+// wraps net.Conn's (ring links via RingOptions.Wrap, any other connection a
+// test dials via Wrap or WrapLabeled) and perturbs their traffic according
+// to a seeded PRNG: dropped writes, delayed writes, duplicated writes, a
+// toggleable full partition, and kill-after-N-writes. Every decision stream
+// derives from ChaosConfig.Seed plus the connection's label, so a failing
+// run replays exactly by re-running with the same seed (see ChaosSeed and
+// the MELISSA_CHAOS_SEED environment knob).
 //
 // Faults are write-granular. The ring writer stages exactly one frame per
 // socket write, so a dropped ring write loses one collective frame (the
 // receiver times out or desyncs — a fatal link fault, by design) and a
-// duplicated ring write repeats one frame. The client sender coalesces
-// frames in bufio, so a dropped client write loses a burst of messages —
-// the server-side dedup/clamp logic is what tolerates it.
+// duplicated ring write repeats one frame.
 
 import (
 	"fmt"
@@ -90,9 +88,6 @@ func ChaosSeed(def uint64) uint64 {
 // blackholes writes and stalls reads (returning a timeout once the read
 // deadline passes, exactly like a silent peer).
 func (c *Chaos) Partition(on bool) { c.partitioned.Store(on) }
-
-// Partitioned reports whether the injected partition is active.
-func (c *Chaos) Partitioned() bool { return c.partitioned.Load() }
 
 // Wrap wraps conn with an auto-assigned label (its wrap-order index).
 // When wrap order is itself nondeterministic (concurrent dials), use
@@ -241,21 +236,4 @@ func (cc *chaosConn) Close() error {
 	cc.killed = true
 	cc.mu.Unlock()
 	return cc.Conn.Close()
-}
-
-// DialWrapped is Dial with a connection wrapper applied to every rank
-// connection — the chaos layer's hook into the client fan-out (wrap is
-// typically Chaos.Wrap). A nil wrap is identical to Dial.
-func DialWrapped(addrs []string, timeout time.Duration, wrap func(net.Conn) net.Conn) (*ClientConn, error) {
-	c, err := Dial(addrs, timeout)
-	if err != nil || wrap == nil {
-		return c, err
-	}
-	c.wrap = wrap
-	for i := range c.ranks {
-		rc := &c.ranks[i]
-		rc.conn = wrap(rc.conn)
-		rc.bw.Reset(rc.conn)
-	}
-	return c, nil
 }

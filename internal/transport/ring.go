@@ -4,12 +4,13 @@ package transport
 // as separate processes, carrying gradient collectives (the socket hops of
 // ddp.Comm). Every rank listens on a pre-agreed address, dials its
 // successor and accepts its predecessor, forming the same directed ring
-// ddp.Comm's channel links form inside a process. Frames reuse the protocol
-// package's length framing ([length u32 | type u8 | payload],
-// little-endian).
+// ddp.Comm's channel links form inside a process. Frames are the protocol
+// package's ([length u32 | type u8 | payload], little-endian), and a
+// received frame is read by protocol.ReadFrame, the same bounded reader a
+// client connection goes through.
 //
 // Sends are asynchronous: the caller's goroutine stages the frame into a
-// recycled buffer (so the caller's slab is never aliased after Send*
+// recycled buffer (so the caller's slab is never aliased after SendFloats
 // returns) and a persistent writer goroutine performs the socket write.
 // This is what keeps the ring deadlock-free — during a collective every
 // rank sends before it receives, so a blocking send of a chunk larger than
@@ -54,13 +55,6 @@ const ringHeaderLen = 5
 // ringSendDepth is the number of in-flight staged frames per ring link.
 const ringSendDepth = 2
 
-// ringReadChunk bounds how much payload is read (and how much the receive
-// buffer grows) per read deadline. Chunked reads make the payload timeout
-// progress-based — a large frame over a slow link is fine as long as bytes
-// keep arriving — and cap what a lying length prefix can make the receiver
-// allocate ahead of bytes actually received.
-const ringReadChunk = 1 << 20
-
 // ringRecvBufSize is the read-ahead buffer on the predecessor link. One
 // kernel read typically delivers a frame header together with (much of)
 // its payload, so the per-frame receive cost drops from two-plus syscalls
@@ -100,8 +94,8 @@ type RingOptions struct {
 	// so a process launched with a mismatched -ranks fails loudly at
 	// formation instead of desynchronizing mid-collective.
 	Identity uint32
-	// Codec selects the wire encoding of collective float frames
-	// (SendFloats16/RecvFloats16 are only legal on a compressed ring). It
+	// Codec selects the wire encoding of collective float frames (the
+	// f16 argument of SendFloats / RecvFloats must agree with it). It
 	// rides the RingHello handshake next to Identity and is verified the
 	// same way: peers disagreeing on compression fail at formation instead
 	// of training divergent trajectories.
@@ -175,12 +169,13 @@ type Ring struct {
 	aborted atomic.Bool
 
 	rd      *ringReader // buffered, byte-counted reads from prev
-	recvBuf []byte      // recycled payload staging for RecvFloats
-	hdr     [ringHeaderLen]byte
+	recvBuf []byte      // recycled frame-body staging for RecvFloats
+	hdr     [4]byte
 }
 
 // ringReader is the predecessor link's buffered reader. Every kernel read
-// carries a fresh deadline (the link timeout stays progress-based) and is
+// carries a fresh deadline (the link timeout stays progress-based: a large
+// frame over a slow link is fine as long as bytes keep arriving) and is
 // counted into the ring's wire-byte counter at syscall granularity; reads
 // at least as large as the buffer bypass it to avoid double copying.
 type ringReader struct {
@@ -506,173 +501,89 @@ func (r *Ring) linkErr(op string, err error) error {
 	if r.aborted.Load() {
 		return fmt.Errorf("transport: ring rank %d %s: %w", r.rank, op, ErrRingAborted)
 	}
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+	if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
 		return fmt.Errorf("transport: ring rank %d %s: no traffic for %v (peer dead or partitioned): %w", r.rank, op, r.ioTimeout, ErrLinkDead)
 	}
 	return fmt.Errorf("transport: ring rank %d %s: %v: %w", r.rank, op, err, ErrLinkDead)
 }
 
-// SendFloats stages vals as a RingFloats frame for the successor. vals is
-// fully copied before SendFloats returns, so the caller may overwrite it
-// immediately. The byte shuffle runs through the protocol package's
-// unrolled bulk codec — on gradient-slab-sized chunks it sustains several
-// times the bandwidth of the scalar per-element loop.
-func (r *Ring) SendFloats(vals []float32) error {
-	return r.stage(protocol.TypeRingFloats, 4*len(vals), func(dst []byte) {
-		protocol.EncodeF32s(dst, vals)
+// floatFrame returns the frame type and bytes per element of a collective
+// float frame: RingFloats16 (binary16) when f16 is set, RingFloats
+// (float32) otherwise.
+func floatFrame(f16 bool) (protocol.MsgType, int) {
+	if f16 {
+		return protocol.TypeRingFloats16, 2
+	}
+	return protocol.TypeRingFloats, 4
+}
+
+// SendFloats stages vals as one float frame for the successor, quantized to
+// binary16 with round-to-nearest-even when f16 is set. vals is fully copied
+// (and encoded) before SendFloats returns, so the caller may overwrite it
+// immediately. Values already representable in binary16 travel losslessly,
+// which is what keeps forwarded all-gather chunks identical on every rank.
+func (r *Ring) SendFloats(vals []float32, f16 bool) error {
+	typ, width := floatFrame(f16)
+	return r.stage(typ, width*len(vals), func(dst []byte) {
+		if f16 {
+			protocol.EncodeF16s(dst, vals)
+		} else {
+			protocol.EncodeF32s(dst, vals)
+		}
 	})
 }
 
-// RecvFloats reads one RingFloats frame from the predecessor into dst,
-// which must have exactly the sent length (collectives are lockstep, so
-// lengths always agree). The payload staging buffer is recycled.
-func (r *Ring) RecvFloats(dst []float32) error {
+// RecvFloats reads one float frame from the predecessor into dst — added
+// element-wise when add is set (the reduce step, fused with the decode),
+// overwriting it otherwise. f16 must match the sender's. dst must have
+// exactly the sent length (collectives are lockstep, so lengths always
+// agree): a frame of another type or length is a protocol violation and
+// kills the link. The frame-body staging buffer is recycled.
+func (r *Ring) RecvFloats(dst []float32, add, f16 bool) error {
 	typ, payload, err := r.readFrame()
 	if err != nil {
 		return err
 	}
-	if typ != protocol.TypeRingFloats {
-		return fmt.Errorf("transport: ring rank %d: unexpected frame type %d, want floats: %w", r.rank, typ, ErrLinkDead)
+	want, width := floatFrame(f16)
+	if typ != want {
+		return fmt.Errorf("transport: ring rank %d: unexpected frame type %d, want %d: %w", r.rank, typ, want, ErrLinkDead)
 	}
-	if len(payload) != 4*len(dst) {
-		return fmt.Errorf("transport: ring rank %d: float frame %d bytes, want %d: %w", r.rank, len(payload), 4*len(dst), ErrLinkDead)
+	if len(payload) != width*len(dst) {
+		return fmt.Errorf("transport: ring rank %d: float frame %d bytes, want %d: %w", r.rank, len(payload), width*len(dst), ErrLinkDead)
 	}
-	protocol.DecodeF32s(dst, payload)
+	switch {
+	case f16 && add:
+		protocol.AddF16s(dst, payload)
+	case f16:
+		protocol.DecodeF16s(dst, payload)
+	case add:
+		protocol.AddF32s(dst, payload)
+	default:
+		protocol.DecodeF32s(dst, payload)
+	}
 	return nil
 }
 
-// RecvFloatsAdd is RecvFloats fused with the reduce step: the incoming
-// frame is accumulated element-wise into dst instead of overwriting it,
-// saving the collective layer a scratch buffer and a second pass.
-func (r *Ring) RecvFloatsAdd(dst []float32) error {
-	typ, payload, err := r.readFrame()
-	if err != nil {
-		return err
-	}
-	if typ != protocol.TypeRingFloats {
-		return fmt.Errorf("transport: ring rank %d: unexpected frame type %d, want floats: %w", r.rank, typ, ErrLinkDead)
-	}
-	if len(payload) != 4*len(dst) {
-		return fmt.Errorf("transport: ring rank %d: float frame %d bytes, want %d: %w", r.rank, len(payload), 4*len(dst), ErrLinkDead)
-	}
-	protocol.AddF32s(dst, payload)
-	return nil
-}
-
-// SendFloats16 stages vals as a RingFloats16 frame — 2 bytes per element,
-// quantized to binary16 with round-to-nearest-even by the protocol
-// package's bulk codec. Like SendFloats, vals is fully copied (and
-// encoded) before SendFloats16 returns. Values already representable in
-// binary16 travel losslessly, which is what keeps forwarded all-gather
-// chunks identical on every rank.
-func (r *Ring) SendFloats16(vals []float32) error {
-	return r.stage(protocol.TypeRingFloats16, 2*len(vals), func(dst []byte) {
-		protocol.EncodeF16s(dst, vals)
-	})
-}
-
-// RecvFloats16 reads one RingFloats16 frame from the predecessor,
-// expanding into dst, which must have exactly the sent length. A frame of
-// the wrong type (e.g. a peer that fell back to full-width sends) is a
-// protocol violation and kills the link.
-func (r *Ring) RecvFloats16(dst []float32) error {
-	typ, payload, err := r.readFrame()
-	if err != nil {
-		return err
-	}
-	if typ != protocol.TypeRingFloats16 {
-		return fmt.Errorf("transport: ring rank %d: unexpected frame type %d, want floats16: %w", r.rank, typ, ErrLinkDead)
-	}
-	if len(payload) != 2*len(dst) {
-		return fmt.Errorf("transport: ring rank %d: float16 frame %d bytes, want %d: %w", r.rank, len(payload), 2*len(dst), ErrLinkDead)
-	}
-	protocol.DecodeF16s(dst, payload)
-	return nil
-}
-
-// RecvFloats16Add is RecvFloats16 fused with the reduce step: the decoded
-// frame is accumulated element-wise into dst (one decode+add pass through
-// the F16C kernel where present).
-func (r *Ring) RecvFloats16Add(dst []float32) error {
-	typ, payload, err := r.readFrame()
-	if err != nil {
-		return err
-	}
-	if typ != protocol.TypeRingFloats16 {
-		return fmt.Errorf("transport: ring rank %d: unexpected frame type %d, want floats16: %w", r.rank, typ, ErrLinkDead)
-	}
-	if len(payload) != 2*len(dst) {
-		return fmt.Errorf("transport: ring rank %d: float16 frame %d bytes, want %d: %w", r.rank, len(payload), 2*len(dst), ErrLinkDead)
-	}
-	protocol.AddF16s(dst, payload)
-	return nil
-}
-
-// readFrame reads one [length | type | payload] frame from the predecessor
-// into the recycled receive buffer, discarding heartbeat frames. Each read
-// carries a deadline: a predecessor silent for IOTimeout (no data, no
-// pings) is declared dead.
+// readFrame reads one frame from the predecessor through protocol.ReadFrame
+// into the recycled receive buffer, discarding heartbeat frames. Every
+// kernel read carries a deadline: a predecessor silent for IOTimeout (no
+// data, no pings) is declared dead.
 func (r *Ring) readFrame() (protocol.MsgType, []byte, error) {
 	for {
-		if _, err := io.ReadFull(r.rd, r.hdr[:]); err != nil {
-			return 0, nil, r.linkErr("recv header", err)
+		body, err := protocol.ReadFrame(r.rd, &r.hdr, r.recvBuf)
+		if body != nil {
+			r.recvBuf = body[:0]
 		}
-		size := binary.LittleEndian.Uint32(r.hdr[:4])
-		if size == 0 || size > protocol.MaxFrameSize {
-			return 0, nil, fmt.Errorf("transport: ring rank %d: frame size %d: %w", r.rank, size, ErrLinkDead)
-		}
-		typ := protocol.MsgType(r.hdr[4])
-		n := int(size) - 1
-		if typ == protocol.TypeRingPing {
-			if n != 0 {
-				return 0, nil, fmt.Errorf("transport: ring rank %d: ping frame with %d-byte payload: %w", r.rank, n, ErrLinkDead)
-			}
-			continue
-		}
-		payload, err := r.readPayload(n)
 		if err != nil {
-			return 0, nil, err
+			return 0, nil, r.linkErr("recv", err)
 		}
-		return typ, payload, nil
+		if typ := protocol.MsgType(body[0]); typ != protocol.TypeRingPing {
+			return typ, body[1:], nil
+		}
+		if len(body) != 1 {
+			return 0, nil, fmt.Errorf("transport: ring rank %d: ping frame with %d-byte payload: %w", r.rank, len(body)-1, ErrLinkDead)
+		}
 	}
-}
-
-// readPayload reads n payload bytes into the recycled receive buffer in
-// ringReadChunk pieces, refreshing the read deadline per piece (the
-// timeout is progress-based) and growing the buffer only as bytes actually
-// arrive — a lying length prefix cannot force a large up-front allocation.
-func (r *Ring) readPayload(n int) ([]byte, error) {
-	buf := r.recvBuf
-	if cap(buf) >= n {
-		buf = buf[:n]
-	} else {
-		buf = buf[:cap(buf)]
-	}
-	for have := 0; have < n; {
-		want := have + ringReadChunk
-		if want > n {
-			want = n
-		}
-		if want > cap(buf) {
-			newCap := 2 * cap(buf)
-			if newCap < want {
-				newCap = want
-			}
-			if newCap > n {
-				newCap = n
-			}
-			nb := make([]byte, newCap)
-			copy(nb, buf[:have])
-			buf = nb
-		}
-		buf = buf[:want]
-		if _, err := io.ReadFull(r.rd, buf[have:want]); err != nil {
-			return nil, r.linkErr("recv payload", err)
-		}
-		have = want
-	}
-	r.recvBuf = buf
-	return buf[:n], nil
 }
 
 // writeRingHello sends the one-shot rank handshake on a dialed connection:

@@ -16,6 +16,10 @@ import (
 	"melissa/internal/protocol"
 )
 
+// readChunk is protocol.ReadFrame's growth step: how far a frame body may
+// grow ahead of the bytes actually received.
+const readChunk = 1 << 20
+
 // byteConn is a net.Conn whose read side replays a fixed byte stream —
 // the harness for feeding readFrame arbitrary wire bytes without sockets.
 // Reads return io.EOF once the stream is exhausted; writes are discarded.
@@ -76,7 +80,7 @@ func TestRingFrameRoundTrip(t *testing.T) {
 
 	r := frameReaderOver(stream)
 	dst := make([]float32, len(vals))
-	if err := r.RecvFloats(dst); err != nil { // the leading ping is skipped
+	if err := r.RecvFloats(dst, false, false); err != nil { // the leading ping is skipped
 		t.Fatal(err)
 	}
 	for i, v := range vals {
@@ -84,10 +88,10 @@ func TestRingFrameRoundTrip(t *testing.T) {
 			t.Fatalf("float %d: got %v want %v", i, dst[i], v)
 		}
 	}
-	if err := r.RecvFloats(dst[:0]); !errors.Is(err, ErrLinkDead) {
+	if err := r.RecvFloats(dst[:0], false, false); !errors.Is(err, ErrLinkDead) {
 		t.Fatalf("token-typed frame: got %v, want ErrLinkDead", err)
 	}
-	if err := r.RecvFloats(dst); !errors.Is(err, ErrLinkDead) {
+	if err := r.RecvFloats(dst, false, false); !errors.Is(err, ErrLinkDead) {
 		t.Fatalf("EOF after stream end: got %v, want ErrLinkDead", err)
 	}
 }
@@ -135,8 +139,8 @@ func TestRingFrameLyingLengthBounded(t *testing.T) {
 	if _, _, err := r.readFrame(); !errors.Is(err, ErrLinkDead) {
 		t.Fatalf("lying length: err = %v, want ErrLinkDead", err)
 	}
-	if cap(r.recvBuf) > 2*ringReadChunk {
-		t.Fatalf("receive buffer grew to %d for a lying prefix; chunked reads should bound it near %d", cap(r.recvBuf), ringReadChunk)
+	if cap(r.recvBuf) > 2*readChunk {
+		t.Fatalf("receive buffer grew to %d for a lying prefix; chunked reads should bound it near %d", cap(r.recvBuf), readChunk)
 	}
 }
 
@@ -173,18 +177,21 @@ func FuzzRingFrame(f *testing.F) {
 				t.Fatalf("payload %d bytes from a %d-byte stream", len(payload), len(data))
 			}
 		}
-		if cap(r.recvBuf) > len(data)+2*ringReadChunk {
+		if cap(r.recvBuf) > len(data)+2*readChunk {
 			t.Fatalf("receive buffer %d for %d input bytes", cap(r.recvBuf), len(data))
 		}
-		// A typed receive over the same stream: any frame but the one it
-		// wants — the retired token type included — ends the link.
-		r = frameReaderOver(data)
-		for dst := make([]float32, 2); ; {
-			if err := r.RecvFloats(dst); err != nil {
-				if !errors.Is(err, ErrLinkDead) {
-					t.Fatalf("non-link error from RecvFloats: %v", err)
+		// A typed receive over the same stream, on either codec: any frame
+		// but the one it wants — the retired token type and the other
+		// codec's frame included — ends the link.
+		for _, f16 := range []bool{false, true} {
+			r = frameReaderOver(data)
+			for dst := make([]float32, 2); ; {
+				if err := r.RecvFloats(dst, false, f16); err != nil {
+					if !errors.Is(err, ErrLinkDead) {
+						t.Fatalf("non-link error from RecvFloats(f16=%v): %v", f16, err)
+					}
+					break
 				}
-				break
 			}
 		}
 	})
@@ -285,7 +292,7 @@ func TestRingIdentityMismatch(t *testing.T) {
 
 // TestRingFloats16RoundTrip exercises the compressed frame path over a
 // canned stream: a RingFloats16 frame decodes to the quantized values, the
-// fused RecvFloats16Add accumulates instead of overwriting, and a
+// fused add receive accumulates instead of overwriting, and a
 // full-width frame arriving where a compressed one is expected (codec
 // desync) kills the link.
 func TestRingFloats16RoundTrip(t *testing.T) {
@@ -297,7 +304,7 @@ func TestRingFloats16RoundTrip(t *testing.T) {
 
 	r := frameReaderOver(stream)
 	dst := make([]float32, len(vals))
-	if err := r.RecvFloats16(dst); err != nil {
+	if err := r.RecvFloats(dst, false, true); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range vals {
@@ -305,7 +312,7 @@ func TestRingFloats16RoundTrip(t *testing.T) {
 			t.Fatalf("float %d: got %v want %v", i, dst[i], want)
 		}
 	}
-	if err := r.RecvFloats16Add(dst); err != nil {
+	if err := r.RecvFloats(dst, true, true); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range vals {
@@ -313,7 +320,7 @@ func TestRingFloats16RoundTrip(t *testing.T) {
 			t.Fatalf("accumulated float %d: got %v want %v", i, dst[i], want)
 		}
 	}
-	if err := r.RecvFloats16(dst); !errors.Is(err, ErrLinkDead) {
+	if err := r.RecvFloats(dst, false, true); !errors.Is(err, ErrLinkDead) {
 		t.Fatalf("full-width frame on a compressed receive: got %v, want ErrLinkDead", err)
 	}
 }
@@ -406,10 +413,10 @@ func TestChaosF16Ring(t *testing.T) {
 	pump := func(r *Ring) error {
 		vals := make([]float32, 256)
 		for i := 0; i < 10000; i++ {
-			if err := r.SendFloats16(vals); err != nil {
+			if err := r.SendFloats(vals, true); err != nil {
 				return err
 			}
-			if err := r.RecvFloats16(vals); err != nil {
+			if err := r.RecvFloats(vals, false, true); err != nil {
 				return err
 			}
 		}

@@ -32,8 +32,9 @@
 // faults retry with backoff; established-link faults are fatal for the
 // ring epoch), and the elastic package re-forms the group over survivors.
 // The Chaos wrapper injects deterministic, seeded faults (drop / delay /
-// duplicate / partition / kill-after-N-writes) into both link kinds for
-// the chaos test suite; set MELISSA_CHAOS_SEED to replay a CI failure.
+// duplicate / partition / kill-after-N-writes) into ring links and any
+// connection a chaos test wraps; set MELISSA_CHAOS_SEED to replay a CI
+// failure.
 package transport
 
 import (
@@ -200,7 +201,6 @@ type rankConn struct {
 // distribution stays aligned with the server's reception accounting.
 type ClientConn struct {
 	addrs []string
-	wrap  func(net.Conn) net.Conn
 	ranks []rankConn
 }
 
@@ -267,10 +267,9 @@ func (c *ClientConn) MarkDown(rank int) {
 	}
 }
 
-// Redial re-establishes the rank's connection to its original address,
-// applying the connection wrapper Dial was configured with. Frames
-// buffered for the dead connection are discarded — the server's dedup log
-// makes the re-sent stream idempotent.
+// Redial re-establishes the rank's connection to its original address.
+// Frames buffered for the dead connection are discarded — the server's
+// dedup log makes the re-sent stream idempotent.
 func (c *ClientConn) Redial(rank int, timeout time.Duration) error {
 	rc, err := c.rank(rank)
 	if err != nil {
@@ -279,9 +278,6 @@ func (c *ClientConn) Redial(rank int, timeout time.Duration) error {
 	conn, err := net.DialTimeout("tcp", c.addrs[rank], timeout)
 	if err != nil {
 		return fmt.Errorf("transport: redial rank %d (%s): %w", rank, c.addrs[rank], err)
-	}
-	if c.wrap != nil {
-		conn = c.wrap(conn)
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -295,17 +291,6 @@ func (c *ClientConn) Redial(rank int, timeout time.Duration) error {
 		rc.bw.Reset(conn)
 	}
 	return nil
-}
-
-// Up reports whether the rank currently has a live connection.
-func (c *ClientConn) Up(rank int) bool {
-	rc, err := c.rank(rank)
-	if err != nil {
-		return false
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.conn != nil
 }
 
 // Ranks returns the number of connected server ranks.

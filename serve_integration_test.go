@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"melissa/internal/client"
+	"melissa/internal/testwait"
 )
 
 func TestServeBinaryEndToEnd(t *testing.T) {
@@ -54,16 +55,10 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 	}
 	defer srv.Process.Kill()
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if data, err := os.ReadFile(addrFile); err == nil && strings.TrimSpace(string(data)) != "" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never published addresses:\n%s", srvOut.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	testwait.Until(t, "the server to publish its addresses", func() bool {
+		data, err := os.ReadFile(addrFile)
+		return err == nil && strings.TrimSpace(string(data)) != ""
+	})
 	errCh := make(chan error, clients)
 	for id := 0; id < clients; id++ {
 		go func(id int) {
@@ -114,17 +109,10 @@ func TestServeBinaryEndToEnd(t *testing.T) {
 	defer serveCmd.Process.Kill()
 
 	var pc *client.PredictConn
-	deadline = time.Now().Add(15 * time.Second)
-	for {
+	testwait.Until(t, "melissa-serve to accept a predict connection", func() bool {
 		pc, err = client.DialPredict(addr, time.Second)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("melissa-serve never came up: %v\n%s", err, serveOut.String())
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return err == nil
+	})
 	defer pc.Close()
 
 	info, err := pc.Info()
