@@ -37,6 +37,17 @@
 // Every process builds the same seeded model, so the replicas start
 // identical without exchanging weights; member 0 owns the summary line and
 // -surrogate-out.
+//
+// A lone process is a group of one. With -group-dir it writes its
+// checkpoint there every -ckpt-every batches, keeping the newest; started
+// again on the same directory it resumes from that checkpoint (it prints
+// "server: resumed from checkpoint batch B"), and only the clients whose
+// simulations had not finished need re-running, with -restart 1:
+//
+//	melissa-server -ranks 2 -clients 4 -group-dir /tmp/ckpt -ckpt-every 50 &
+//	...                      # the server dies mid-run
+//	melissa-server -ranks 2 -clients 4 -group-dir /tmp/ckpt -ckpt-every 50 &
+//	melissa-client -id 3 -restart 1 &
 package main
 
 import (
@@ -75,8 +86,7 @@ func main() {
 		addrFile   = flag.String("addr-file", "melissa-addrs.txt", "file to publish rank addresses to")
 		surOut     = flag.String("surrogate-out", "", "publish a self-describing surrogate checkpoint (.mlsg) to this path, atomically — melissa-serve hot-reloads it")
 		pubEvery   = flag.Int("publish-every", 0, "also publish -surrogate-out every N batches during training (0 = only at the end)")
-		ckpt       = flag.String("checkpoint", "", "server checkpoint path (single-process fault tolerance)")
-		ckptEvery  = flag.Int("ckpt-every", 0, "checkpoint cadence in batches, for -checkpoint and the elastic group shards (0 = default)")
+		ckptEvery  = flag.Int("ckpt-every", 0, "checkpoint cadence in batches (0 = default); checkpoints go to -group-dir")
 		watchdog   = flag.Duration("watchdog", 30*time.Second, "client liveness timeout (0 disables)")
 		gradComp   = flag.String("grad-compress", "none", "gradient all-reduce wire codec: none|f16 (f16 halves inter-node collective bytes with error feedback; all processes must agree)")
 		logEvery   = flag.Duration("log-every", 0, "print training progress (batches, samples, group epoch, re-forms) at this interval (0 disables)")
@@ -84,7 +94,7 @@ func main() {
 		coordAddr = flag.String("coord", "", "elastic coordinator control-plane address (joins an elastic group; listen address for -role coordinator)")
 		memberID  = flag.Int("member-id", 0, "elastic member ID, stable across restarts")
 		members   = flag.Int("members", 3, "elastic group size in member processes (coordinator: members to wait for)")
-		groupDir  = flag.String("group-dir", "", "elastic group checkpoint directory (shards + manifest)")
+		groupDir  = flag.String("group-dir", "", "checkpoint directory, resumed from when it holds a checkpoint: a lone process's shards (optional; empty disables checkpoints), an elastic group's shards + manifest (required with -coord)")
 		ioTimeout = flag.Duration("io-timeout", 5*time.Second, "ring silence tolerated before a peer is declared dead (elastic mode)")
 	)
 	flag.Parse()
@@ -133,19 +143,12 @@ func main() {
 	isProc0 := true
 	var ecfg *server.ElasticConfig
 	if *coordAddr != "" {
-		if *ckpt != "" {
-			fatal(fmt.Errorf("-checkpoint is superseded by the group checkpoint in elastic mode (-group-dir)"))
-		}
 		if *groupDir == "" {
 			fatal(fmt.Errorf("elastic mode requires -group-dir"))
-		}
-		if err := os.MkdirAll(*groupDir, 0o755); err != nil {
-			fatal(err)
 		}
 		ecfg = &server.ElasticConfig{
 			MemberID:       *memberID,
 			Coordinator:    *coordAddr,
-			Dir:            *groupDir,
 			InitialMembers: *members,
 			RingOptions:    func(int) transport.RingOptions { return ringOpts },
 		}
@@ -186,7 +189,7 @@ func main() {
 		OnUnresponsive: func(id int32) {
 			fmt.Fprintf(os.Stderr, "melissa-server: client %d unresponsive\n", id)
 		},
-		CheckpointPath:         *ckpt,
+		CheckpointDir:          *groupDir,
 		CheckpointEveryBatches: *ckptEvery,
 	}
 	// Periodic surrogate publishing: at a synchronized step boundary on
@@ -223,14 +226,6 @@ func main() {
 	srv, err = server.New(cfg)
 	if err != nil {
 		fatal(err)
-	}
-	if *ckpt != "" {
-		if _, statErr := os.Stat(*ckpt); statErr == nil {
-			if err := srv.RestoreCheckpoint(*ckpt); err != nil {
-				fatal(fmt.Errorf("restoring checkpoint: %w", err))
-			}
-			fmt.Println("melissa-server: resumed from checkpoint")
-		}
 	}
 
 	if err := os.WriteFile(*addrFile, []byte(strings.Join(srv.Addrs(), "\n")+"\n"), 0o644); err != nil {

@@ -102,10 +102,6 @@ func NewFieldNormalizer(space sampling.Space, timeMax, fieldMin, fieldMax float6
 	}
 }
 
-// HeatNormalizer is the paper's heat-equation instantiation of the generic
-// field normalizer; the alias keeps the original name working.
-type HeatNormalizer = FieldNormalizer
-
 // NewHeatNormalizer builds the normalizer for the paper's setup.
 func NewHeatNormalizer(fieldDim int, timeMax float64) FieldNormalizer {
 	return NewFieldNormalizer(sampling.HeatSpace(), timeMax, 100, 500, fieldDim)
@@ -163,11 +159,6 @@ func (h FieldNormalizer) RawMSE(normalizedMSE float64) float64 {
 	return normalizedMSE * span * span
 }
 
-// KelvinMSE is RawMSE under its original heat-equation name.
-func (h FieldNormalizer) KelvinMSE(normalizedMSE float64) float64 {
-	return h.RawMSE(normalizedMSE)
-}
-
 // BuildBatch fills the in/out matrices (rows = len(batch)) from samples.
 // The matrices must have matching widths; they are allocated by the caller
 // and reused across batches.
@@ -178,16 +169,6 @@ func BuildBatch(norm Normalizer, batch []buffer.Sample, in, out *tensor.Matrix) 
 	for i, s := range batch {
 		norm.Apply(s, in.Row(i), out.Row(i))
 	}
-}
-
-// BatchTensors allocates and fills fresh input/target matrices for a batch
-// — the convenience used by offline training loops that cannot reuse
-// fixed-size buffers (final partial batches vary in size).
-func BatchTensors(norm Normalizer, batch []buffer.Sample) (in, out *tensor.Matrix) {
-	in = tensor.New(len(batch), norm.InputDim())
-	out = tensor.New(len(batch), norm.OutputDim())
-	BuildBatch(norm, batch, in, out)
-	return in, out
 }
 
 // ValidationSet is a held-out dataset in normalized units, evaluated

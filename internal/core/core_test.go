@@ -42,7 +42,7 @@ func synthSamples(n int, seed uint64) []buffer.Sample {
 	return out
 }
 
-func testNormalizer() HeatNormalizer { return NewHeatNormalizer(testFieldDim, 1.0) }
+func testNormalizer() FieldNormalizer { return NewHeatNormalizer(testFieldDim, 1.0) }
 
 func TestHeatNormalizerApply(t *testing.T) {
 	norm := testNormalizer()
@@ -84,10 +84,10 @@ func TestHeatNormalizerDenormalize(t *testing.T) {
 	}
 }
 
-func TestKelvinMSE(t *testing.T) {
+func TestRawMSE(t *testing.T) {
 	norm := testNormalizer()
-	if got := norm.KelvinMSE(1); got != 160000 {
-		t.Fatalf("KelvinMSE(1) = %v, want 400²", got)
+	if got := norm.RawMSE(1); got != 160000 {
+		t.Fatalf("RawMSE(1) = %v, want 400²", got)
 	}
 }
 

@@ -34,7 +34,7 @@ func step1(tr *Trainer, st *rankState) bool {
 }
 
 // hotPathSamples generates deterministic in-range heat samples.
-func hotPathSamples(norm HeatNormalizer, count int) []buffer.Sample {
+func hotPathSamples(norm FieldNormalizer, count int) []buffer.Sample {
 	samples := make([]buffer.Sample, count)
 	d := norm.Space.Dim()
 	for i := range samples {
@@ -50,6 +50,14 @@ func hotPathSamples(norm HeatNormalizer, count int) []buffer.Sample {
 		samples[i] = buffer.Sample{SimID: i, Step: i % 10, Input: in, Output: out}
 	}
 	return samples
+}
+
+// batchTensors allocates and fills fresh input/target matrices for a batch.
+func batchTensors(norm Normalizer, batch []buffer.Sample) (in, out *tensor.Matrix) {
+	in = tensor.New(len(batch), norm.InputDim())
+	out = tensor.New(len(batch), norm.OutputDim())
+	BuildBatch(norm, batch, in, out)
+	return in, out
 }
 
 // newHotPathTrainer wires a single-rank trainer to a Reservoir preloaded
@@ -173,7 +181,7 @@ func TestTrainerClosesTeam(t *testing.T) {
 		if n := teamHelpers(); n != 0 {
 			t.Fatalf("width %d: %d team helpers alive after Run returned", width, n)
 		}
-		in, _ := BatchTensors(norm, samples[:10])
+		in, _ := batchTensors(norm, samples[:10])
 		tr.Network().Forward(in)
 		if n := teamHelpers(); n != 0 {
 			t.Fatalf("width %d: a forward after Run started %d team helpers", width, n)
@@ -260,7 +268,7 @@ func TestFlatStepMatchesLegacyPerParamPath(t *testing.T) {
 
 	for s := 0; s < steps; s++ {
 		batch := samples[s*7 : (s+1)*7]
-		in, out := BatchTensors(norm, batch)
+		in, out := batchTensors(norm, batch)
 
 		flatNet.ZeroGrad()
 		pred := flatNet.Forward(in)
@@ -311,7 +319,7 @@ func TestTrainerMatchesLegacyLoopWithTailBatch(t *testing.T) {
 	var refLosses []float64
 	for start := 0; start < nSamples; start += batchSize {
 		end := min(start+batchSize, nSamples)
-		in, out := BatchTensors(norm, samples[start:end])
+		in, out := batchTensors(norm, samples[start:end])
 		refNet.ZeroGrad()
 		pred := refNet.Forward(in)
 		refLosses = append(refLosses, loss.Forward(pred, out))

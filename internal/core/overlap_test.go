@@ -22,7 +22,7 @@ import (
 // fifoRankBufs splits nSamples deterministic samples round-robin across
 // ranks FIFO buffers and closes reception, so extraction order is fixed
 // and the last step of each rank is a tail batch when counts don't divide.
-func fifoRankBufs(t testing.TB, norm HeatNormalizer, ranks, nSamples int) []*buffer.Blocking {
+func fifoRankBufs(t testing.TB, norm FieldNormalizer, ranks, nSamples int) []*buffer.Blocking {
 	t.Helper()
 	samples := hotPathSamples(norm, nSamples)
 	bufs := make([]*buffer.Blocking, ranks)

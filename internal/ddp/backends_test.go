@@ -165,11 +165,7 @@ func TestCollectiveSuite(t *testing.T) {
 					}
 				})
 
-				// The AllReduceMean, Broadcast and Barrier legs keep the names
-				// of collectives Comm no longer has: each pins what the
-				// trainer does in that collective's place with the
-				// all-reduce (scaledMean, sumFromRoot, rendezvous).
-				t.Run("AllReduceMean", func(t *testing.T) {
+				t.Run("ScaledMean", func(t *testing.T) {
 					bufs := make([][]float32, n)
 					for r := range bufs {
 						bufs[r] = []float32{float32(r), float32(2 * r)}
@@ -212,7 +208,7 @@ func TestCollectiveSuite(t *testing.T) {
 					}
 				})
 
-				t.Run("Broadcast", func(t *testing.T) {
+				t.Run("SumFromRoot", func(t *testing.T) {
 					root := (n - 1) / 2
 					bufs := make([][]float32, n)
 					for r := range bufs {
@@ -226,7 +222,7 @@ func TestCollectiveSuite(t *testing.T) {
 					}
 				})
 
-				t.Run("Barrier", func(t *testing.T) {
+				t.Run("Rendezvous", func(t *testing.T) {
 					var mu sync.Mutex
 					entered := 0
 					fail := false

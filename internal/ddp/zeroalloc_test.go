@@ -42,7 +42,7 @@ func TestCollectivesZeroAlloc(t *testing.T) {
 		call func(c Communicator, rank int, buf []float32)
 	}{
 		{"AllReduceSum", func(c Communicator, rank int, buf []float32) { c.AllReduceSum(rank, buf) }},
-		{"Broadcast", func(c Communicator, rank int, buf []float32) { sumFromRoot(c, rank, 0, buf) }},
+		{"SumFromRoot", func(c Communicator, rank int, buf []float32) { sumFromRoot(c, rank, 0, buf) }},
 		{"AllReduceSumRange", func(c Communicator, rank int, buf []float32) {
 			for _, bk := range buckets {
 				c.AllReduceSumRange(rank, buf, bk[0], bk[1])

@@ -64,13 +64,7 @@ func atomicWrite(path string, encode func(io.Writer) error) error {
 	return err
 }
 
-// WriteState commits one State as the file at path (see atomicWrite). A
-// member's shard and the lone server's -checkpoint file are both this.
-func WriteState(path string, st *State) error {
-	return atomicWrite(path, func(w io.Writer) error { return gob.NewEncoder(w).Encode(st) })
-}
-
-// ReadState reads a file written by WriteState.
+// ReadState reads a shard file (Session.SaveShard).
 func ReadState(path string) (*State, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -242,9 +242,6 @@ func (c *Coordinator) run(manifest Manifest, haveManifest bool) {
 				if st.forming || ev.msg.Epoch != st.epoch {
 					break // stale: the reconfiguration is already underway
 				}
-				if debugElastic {
-					fmt.Printf("[coord] fault from %d epoch %d\n", ev.msg.ID, ev.msg.Epoch)
-				}
 				c.reform(st, formTimer)
 			case kindShard:
 				if prev, ok := st.shards[ev.msg.ID]; !ok || ev.msg.Batch > prev {
@@ -305,9 +302,6 @@ func (c *Coordinator) run(manifest Manifest, haveManifest bool) {
 // point bookkeeping, and ask every connected member to abort its ring and
 // rejoin.
 func (c *Coordinator) reform(st *coordState, formTimer *time.Timer) {
-	if debugElastic {
-		fmt.Printf("[coord] reform -> epoch %d (members %v)\n", st.epoch+1, len(st.members))
-	}
 	st.epoch++
 	c.epochNow.Store(int64(st.epoch))
 	st.forming = true

@@ -55,6 +55,9 @@
 // snapshot of a deterministic trajectory, a faulted-and-recovered run
 // finishes with weights bit-identical to an unfaulted run of the same
 // effective schedule (pinned by this package's tests).
+//
+// A member without a coordinator is a group of one: it forms its one epoch
+// locally, restores from its newest shard and commits a shard by writing it.
 package elastic
 
 import (

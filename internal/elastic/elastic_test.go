@@ -411,6 +411,71 @@ func TestElasticShardsPrunedOnCommit(t *testing.T) {
 	}
 }
 
+// TestElasticAloneResumesAndPrunes: a member without a coordinator is a
+// group of one. Each shard it saves commits at once and replaces the ones
+// before it; a member started later on the same directory restores from the
+// newest; and a member killed before Run never runs its epoch.
+func TestElasticAloneResumesAndPrunes(t *testing.T) {
+	dir := t.TempDir()
+	alone := func(run func(context.Context, *elastic.Session) error) *elastic.Member {
+		m, err := elastic.NewMember(elastic.MemberConfig{Dir: dir, Run: run})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	first := alone(func(_ context.Context, sess *elastic.Session) error {
+		if sess.Epoch() != 0 || sess.World() != 1 || sess.Comm().Size() != 1 || sess.RestoreBatch() != -1 {
+			return fmt.Errorf("fresh session: epoch %d, world %d, comm %d, restore %d",
+				sess.Epoch(), sess.World(), sess.Comm().Size(), sess.RestoreBatch())
+		}
+		for b := 1; b <= 2; b++ {
+			if err := sess.SaveShard(&elastic.State{Batch: b, Samples: 10 * b, App: []byte{byte(b)}}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err := first.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{filepath.Join(dir, "shard-m0-b2.ckpt")}; !slices.Equal(paths, want) {
+		t.Fatalf("directory holds %v, want %v", paths, want)
+	}
+
+	var got *elastic.State
+	appErr := errors.New("application failed")
+	second := alone(func(_ context.Context, sess *elastic.Session) error {
+		if b := sess.RestoreBatch(); b != 2 {
+			return fmt.Errorf("restarted session restores batch %d, want 2", b)
+		}
+		var err error
+		if got, err = sess.LoadState(); err != nil {
+			return err
+		}
+		return appErr
+	})
+	if err := second.Run(context.Background()); !errors.Is(err, appErr) {
+		t.Fatalf("Run returned %v, want the application's error", err)
+	}
+	if got.Batch != 2 || got.Samples != 20 || !bytes.Equal(got.App, []byte{2}) {
+		t.Fatalf("restored batch %d, samples %d, app %v; want the batch-2 shard", got.Batch, got.Samples, got.App)
+	}
+
+	killed := alone(func(context.Context, *elastic.Session) error {
+		t.Error("a member killed before Run ran its epoch")
+		return nil
+	})
+	killed.Kill()
+	if err := killed.Run(context.Background()); !errors.Is(err, elastic.ErrKilled) {
+		t.Fatalf("killed member returned %v, want ErrKilled", err)
+	}
+}
+
 // runKillMember1 runs a 3-member group whose member 1 is killed after
 // batch 6, past the committed batch-4 checkpoint, and returns once the
 // coordinator has stopped the group, with every member's Run result.

@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -19,9 +21,13 @@ type MemberConfig struct {
 	// ID is the member's stable identity across restarts. Ring rank within
 	// an epoch is the member's position in the ascending-ID membership.
 	ID int
-	// Coordinator is the control-plane address.
+	// Coordinator is the control-plane address. Empty makes the member a
+	// group of one: Run forms its single epoch locally, restoring from the
+	// member's newest shard in Dir, and a saved shard is committed as soon
+	// as it is written.
 	Coordinator string
-	// Dir is the shared group checkpoint directory.
+	// Dir is the shared group checkpoint directory, created if missing.
+	// Only a group of one may leave it empty: it then checkpoints nothing.
 	Dir string
 	// BindAddr is the address pattern for ring listeners (a fresh listener
 	// is bound per epoch). Empty means "127.0.0.1:0".
@@ -85,6 +91,11 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 	if cfg.LocalRanks <= 0 {
 		cfg.LocalRanks = 1
 	}
+	if cfg.Dir != "" {
+		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+			return nil, err
+		}
+	}
 	return &Member{cfg: cfg, events: make(chan ctrlMsg, 16)}, nil
 }
 
@@ -112,8 +123,12 @@ func (m *Member) Kill() {
 
 // Run connects to the coordinator and participates in the group until it
 // completes (nil), the member is killed (ErrKilled), the context is
-// canceled, or the control plane is lost.
+// canceled, or the control plane is lost. A group of one runs its one epoch
+// and returns the application's error, or ErrKilled after Kill.
 func (m *Member) Run(ctx context.Context) error {
+	if m.cfg.Coordinator == "" {
+		return m.runAlone(ctx)
+	}
 	conn, err := m.dialCoordinator(ctx)
 	if err != nil {
 		return fmt.Errorf("elastic: member %d: %w", m.cfg.ID, err)
@@ -271,24 +286,44 @@ func (m *Member) runEpoch(ctx context.Context, cfg ctrlMsg) {
 	opts.Identity = ddp.GroupIdentity(m.cfg.LocalRanks)
 	ring, err := l.ConnectContext(ctx, rank, cfg.Addrs, m.cfg.ConnectTimeout, opts)
 	if err != nil {
-		if debugElastic {
-			fmt.Printf("[m%d] connect epoch %d failed: %v\n", m.cfg.ID, cfg.Epoch, err)
-		}
 		m.send(ctrlMsg{Kind: kindFault, ID: m.cfg.ID, Epoch: cfg.Epoch})
 		return
 	}
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sess := &Session{
-		m:       m,
-		epoch:   cfg.Epoch,
-		members: cfg.Members,
-		restore: cfg.Batch,
-		comm:    ddp.NewHierComm(ring, m.cfg.LocalRanks),
-		aborted: make(chan struct{}),
-		cancel:  cancel,
+	ran, runErr := m.runSession(ctx, cfg.Epoch, cfg.Members, cfg.Batch, ddp.NewHierComm(ring, m.cfg.LocalRanks))
+	if !ran || m.isKilled() {
+		return
 	}
+	kind := kindDone
+	if runErr != nil {
+		kind = kindFault
+	}
+	m.send(ctrlMsg{Kind: kind, ID: m.cfg.ID, Epoch: cfg.Epoch})
+}
 
+// runAlone is a group of one: epoch 0 with this member alone on an
+// in-process communicator, restoring from the member's newest shard in Dir.
+// No re-formation can follow, so there is one epoch and nobody to report to.
+func (m *Member) runAlone(ctx context.Context) error {
+	restore := -1
+	if m.cfg.Dir != "" {
+		if b, ok := latestShardAtOrBefore(m.cfg.Dir, m.cfg.ID, math.MaxInt); ok {
+			restore = b
+		}
+	}
+	ran, err := m.runSession(ctx, 0, []int{m.cfg.ID}, restore, ddp.NewCommunicator(m.cfg.LocalRanks))
+	if !ran || m.isKilled() {
+		return ErrKilled
+	}
+	return err
+}
+
+// runSession registers the epoch's session as the member's current one,
+// runs the application on it and retires it. It runs nothing and reports
+// false when a kill or a newer prepare made the epoch obsolete first.
+func (m *Member) runSession(ctx context.Context, epoch int, members []int, restore int, comm *ddp.Comm) (bool, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	sess := &Session{m: m, epoch: epoch, members: members, restore: restore, comm: comm, aborted: make(chan struct{}), cancel: cancel}
 	m.mu.Lock()
 	dead := m.killed || m.latestPrepare > sess.epoch
 	if !dead {
@@ -296,13 +331,11 @@ func (m *Member) runEpoch(ctx context.Context, cfg ctrlMsg) {
 	}
 	m.mu.Unlock()
 	if dead {
-		// A newer prepare (or kill) raced ring formation: this epoch is
-		// already obsolete.
 		sess.comm.Close()
-		return
+		return false, nil
 	}
 
-	runErr := m.cfg.Run(sctx, sess)
+	runErr := m.cfg.Run(ctx, sess)
 
 	m.mu.Lock()
 	m.sess = nil
@@ -316,20 +349,7 @@ func (m *Member) runEpoch(ctx context.Context, cfg ctrlMsg) {
 		sess.abort()
 	}
 	sess.comm.Close()
-	if m.isKilled() {
-		return
-	}
-	if runErr == nil {
-		if debugElastic {
-			fmt.Printf("[m%d] epoch %d app done\n", m.cfg.ID, cfg.Epoch)
-		}
-		m.send(ctrlMsg{Kind: kindDone, ID: m.cfg.ID, Epoch: cfg.Epoch})
-	} else {
-		if debugElastic {
-			fmt.Printf("[m%d] epoch %d app error: %v\n", m.cfg.ID, cfg.Epoch, runErr)
-		}
-		m.send(ctrlMsg{Kind: kindFault, ID: m.cfg.ID, Epoch: cfg.Epoch})
-	}
+	return true, runErr
 }
 
 func (m *Member) isKilled() bool {
@@ -412,11 +432,17 @@ func (s *Session) abort() {
 
 // SaveShard atomically writes this member's shard of a group checkpoint
 // and reports it to the coordinator, which commits a manifest at batch B
-// once every member has reported a shard at B.
+// once every member has reported a shard at B. For a group of one the
+// write is the commit: the member's older shards are deleted at once.
 func (s *Session) SaveShard(st *State) error {
 	st.Epoch = s.epoch
-	if err := WriteState(shardPath(s.m.cfg.Dir, s.m.cfg.ID, st.Batch), st); err != nil {
+	dir := s.m.cfg.Dir
+	err := atomicWrite(shardPath(dir, s.m.cfg.ID, st.Batch), func(w io.Writer) error { return gob.NewEncoder(w).Encode(st) })
+	if err != nil {
 		return err
+	}
+	if s.m.cfg.Coordinator == "" {
+		return pruneShardsBelow(dir, st.Batch)
 	}
 	return s.m.send(ctrlMsg{Kind: kindShard, ID: s.m.cfg.ID, Epoch: s.epoch, Batch: st.Batch})
 }

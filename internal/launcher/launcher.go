@@ -227,9 +227,9 @@ func (l *Launcher) Run(ctx context.Context) (*Result, error) {
 	}
 }
 
-// runServerAttempt brings up one server instance (restoring the checkpoint
-// on non-first attempts), drives the pending clients against it, and waits
-// for it to finish. injected reports a simulated server crash.
+// runServerAttempt brings up one server instance, drives the pending clients
+// against it, and waits for it to finish. injected reports a simulated
+// server crash.
 func (l *Launcher) runServerAttempt(ctx context.Context, attempt int) (srv *server.Server, injected bool, err error) {
 	scfg := l.cfg.Server
 	restartCh := make(chan int32, l.cfg.Simulations)
@@ -252,14 +252,11 @@ func (l *Launcher) runServerAttempt(ctx context.Context, attempt int) (srv *serv
 		}
 	}
 
+	// A replacement resumes from the checkpoint its Run finds in the
+	// checkpoint directory.
 	srv, err = server.New(scfg)
 	if err != nil {
 		return nil, false, err
-	}
-	if attempt > 0 && scfg.CheckpointPath != "" {
-		if rerr := srv.RestoreCheckpoint(scfg.CheckpointPath); rerr != nil {
-			return nil, false, fmt.Errorf("launcher: restoring server checkpoint: %w", rerr)
-		}
 	}
 
 	// The paper's launcher kills all running clients when the server
@@ -281,8 +278,14 @@ func (l *Launcher) runServerAttempt(ctx context.Context, attempt int) (srv *serv
 }
 
 // submitClients pushes the pending simulations through the execution slots,
-// series by series, restarting failures up to the retry budget.
+// series by series, restarting failures up to the retry budget. A
+// simulation the server's restored checkpoint shows complete is skipped.
 func (l *Launcher) submitClients(ctx context.Context, srv *server.Server, restartCh <-chan int32) {
+	select {
+	case <-srv.Ingesting():
+	case <-ctx.Done():
+		return
+	}
 	completed := srv.CompletedSims()
 
 	// Per-client cancel functions let the watchdog path kill a hung

@@ -2,7 +2,7 @@ package launcher
 
 import (
 	"context"
-	"path/filepath"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -267,7 +267,7 @@ func TestLauncherWatchdogKillsHungClient(t *testing.T) {
 
 func TestLauncherServerRecovery(t *testing.T) {
 	cfg := testConfig(4, buffer.FIFOKind)
-	cfg.Server.CheckpointPath = filepath.Join(t.TempDir(), "srv.ckpt")
+	cfg.Server.CheckpointDir = t.TempDir()
 	cfg.Server.CheckpointEveryBatches = 1
 	cfg.InjectServerFailureAfterBatches = 2
 	// Pace the clients so trajectories are still in flight when the
@@ -303,6 +303,46 @@ func TestLauncherServerRecovery(t *testing.T) {
 	}
 	if len(keys) == 0 {
 		t.Fatal("no samples trained on recovered server")
+	}
+}
+
+// TestLauncherRestartRerunsOnlyIncomplete: a replacement server resumes
+// from the checkpoint its Run finds, and the launcher re-runs only the
+// simulations that checkpoint does not show complete. Simulation 0 streams
+// at once, the other two crawl, so the batch-2 checkpoint the crash leaves
+// holds simulation 0's whole trajectory and its Goodbye and neither of the
+// others'.
+func TestLauncherRestartRerunsOnlyIncomplete(t *testing.T) {
+	cfg := testConfig(3, buffer.FIFOKind)
+	cfg.MaxConcurrentClients = 3
+	cfg.Server.CheckpointDir = t.TempDir()
+	cfg.Server.CheckpointEveryBatches = 1
+	cfg.InjectServerFailureAfterBatches = 2
+	var mu sync.Mutex
+	runs := map[int]int{}
+	cfg.JobHook = func(simID, attempt int, job *client.Job) {
+		mu.Lock()
+		runs[simID]++
+		mu.Unlock()
+		if simID > 0 {
+			job.StepDelay = 40 * time.Millisecond
+		}
+	}
+	l, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runLauncher(t, l, context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ServerRestarts != 1 {
+		t.Fatalf("server restarts %d, want 1", res.ServerRestarts)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := map[int]int{0: 1, 1: 2, 2: 2}; !maps.Equal(runs, want) {
+		t.Fatalf("runs per simulation %v, want %v: only the incomplete ones re-run", runs, want)
 	}
 }
 

@@ -240,8 +240,17 @@ type Server struct {
 }
 
 // NewServer wraps a loaded surrogate in a serving instance and starts its
-// batch workers (and the checkpoint watcher, if configured).
+// batch workers (and the checkpoint watcher, if configured). The watcher
+// takes the file at CheckpointPath now as the one sur was loaded from, so a
+// publish that lands after NewServer returns is always picked up.
 func NewServer(sur *melissa.Surrogate, cfg Config) *Server {
+	fi, _ := os.Stat(cfg.CheckpointPath)
+	return newServer(sur, cfg, fi)
+}
+
+// newServer is NewServer with the watcher's baseline: the checkpoint file
+// as it was when sur was read from it (nil: no file).
+func newServer(sur *melissa.Surrogate, cfg Config, loaded os.FileInfo) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
@@ -257,7 +266,7 @@ func NewServer(sur *melissa.Surrogate, cfg Config) *Server {
 	}
 	if cfg.WatchInterval > 0 && cfg.CheckpointPath != "" {
 		s.wg.Add(1)
-		go s.watch()
+		go s.watch(loaded)
 	}
 	return s
 }
@@ -268,11 +277,14 @@ func LoadServer(cfg Config) (*Server, error) {
 	if cfg.CheckpointPath == "" {
 		return nil, errors.New("serve: no checkpoint path configured")
 	}
+	// Stat before reading: a publish that lands in between is then a
+	// change the watcher reloads, never the baseline it compares against.
+	fi, _ := os.Stat(cfg.CheckpointPath)
 	sur, err := melissa.LoadSurrogateFile(cfg.CheckpointPath)
 	if err != nil {
 		return nil, err
 	}
-	return NewServer(sur, cfg), nil
+	return newServer(sur, cfg, fi), nil
 }
 
 // Epoch returns the current checkpoint epoch (1 for the initial model,
@@ -531,11 +543,13 @@ func (s *Server) confine(path string) error {
 	return nil
 }
 
-// watch polls the checkpoint file and reloads when a new version is
-// published (atomic rename → a new mtime/size/inode is one poll away).
-func (s *Server) watch() {
+// watch polls the checkpoint file and reloads when it is not the file last
+// loaded. Every atomic publish renames a new file into place, so identity
+// is what changes: a surrogate of the same architecture always has the same
+// size, and back-to-back publishes can share an mtime tick. Size and mtime
+// still count, for a file rewritten in place.
+func (s *Server) watch(last os.FileInfo) {
 	defer s.wg.Done()
-	last, _ := statSig(s.cfg.CheckpointPath)
 	ticker := time.NewTicker(s.cfg.WatchInterval)
 	defer ticker.Stop()
 	for {
@@ -543,24 +557,15 @@ func (s *Server) watch() {
 		case <-s.done:
 			return
 		case <-ticker.C:
-			sig, err := statSig(s.cfg.CheckpointPath)
-			if err != nil || sig == last {
+			fi, err := os.Stat(s.cfg.CheckpointPath)
+			if err != nil || last != nil && os.SameFile(fi, last) && fi.Size() == last.Size() && fi.ModTime().Equal(last.ModTime()) {
 				continue
 			}
 			if _, err := s.Reload(""); err == nil {
-				last = sig
+				last = fi
 			}
 		}
 	}
-}
-
-// statSig condenses a file's identity into a comparable signature.
-func statSig(path string) (string, error) {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%d/%d", fi.Size(), fi.ModTime().UnixNano()), nil
 }
 
 // worker drains the admit queue: it blocks for the first pending request,

@@ -472,7 +472,6 @@ func TestServeWatcherPicksUpPublish(t *testing.T) {
 	}
 	s := NewServer(surA, Config{CheckpointPath: path, WatchInterval: 5 * time.Millisecond})
 	defer s.Close()
-	time.Sleep(15 * time.Millisecond) // let the watcher record the initial file
 	if err := melissa.PublishSurrogate(surB, path); err != nil {
 		t.Fatal(err)
 	}

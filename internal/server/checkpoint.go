@@ -18,9 +18,8 @@ import (
 // consistent cut of that rank: every sample it has received is either
 // already trained at the boundary or in its buffer snapshot, so a server
 // restored from it neither loses nor repeats a sample. It rides gob-encoded
-// in elastic.State.App, for the lone process's -checkpoint file and the
-// elastic group shard alike, and is only ever restored by the server that
-// wrote it.
+// in elastic.State.App, the member's shard — a lone process's as much as a
+// group member's — and is only ever restored by the server that wrote it.
 type ingestState struct {
 	Sims      []map[int32]SimState
 	BufSeen   [][]buffer.Sample
@@ -186,16 +185,4 @@ func (s *Server) restoreIngest(st *elastic.State) error {
 		s.endIfComplete(a)
 	}
 	return nil
-}
-
-// RestoreCheckpoint loads a -checkpoint file into a freshly constructed
-// lone server (same configuration): the ingest state now, the replica state
-// when Run builds the trainer. Call before Run.
-func (s *Server) RestoreCheckpoint(path string) error {
-	st, err := elastic.ReadState(path)
-	if err != nil {
-		return fmt.Errorf("server: reading checkpoint: %w", err)
-	}
-	s.restored = st
-	return s.restoreIngest(st)
 }

@@ -24,10 +24,10 @@ type ElasticConfig struct {
 	// pins the process's slice of the data plane: its ranks serve global
 	// data ranks [MemberID·Ranks, MemberID·Ranks+Ranks).
 	MemberID int
-	// Coordinator is the control-plane address of elastic.Coordinator.
+	// Coordinator is the control-plane address of elastic.Coordinator. The
+	// group's checkpoint directory (shards + manifest) is
+	// Config.CheckpointDir.
 	Coordinator string
-	// Dir is the shared group checkpoint directory (shards + manifest).
-	Dir string
 	// BindAddr is the ring listener bind pattern (default "127.0.0.1:0").
 	BindAddr string
 	// ConnectTimeout bounds per-epoch ring formation (default 10s).
@@ -51,9 +51,6 @@ type ElasticConfig struct {
 func (ec *ElasticConfig) validate() error {
 	if ec.Coordinator == "" {
 		return fmt.Errorf("server: elastic: coordinator address required")
-	}
-	if ec.Dir == "" {
-		return fmt.Errorf("server: elastic: checkpoint dir required")
 	}
 	if ec.InitialMembers < 1 {
 		return fmt.Errorf("server: elastic: InitialMembers=%d must be ≥ 1", ec.InitialMembers)
@@ -154,9 +151,10 @@ func (j *retireJournal) replayAndRewind(batch int) []buffer.Sample {
 	return out
 }
 
-// runEpoch is the member's per-epoch callback: restore ingest + replica
-// state at the epoch's rollback point, then train over the epoch's
-// hierarchical communicator, every boundary written as the member's shard.
+// runEpoch is the member's per-epoch callback and the one place that
+// restores: ingest + replica state at the epoch's rollback point, then train
+// over the epoch's communicator, every boundary written as the member's
+// shard. A lone process runs it once, as a group of one.
 func (s *Server) runEpoch(ctx context.Context, sess *elastic.Session) error {
 	s.metrics.SetGroupEpoch(sess.Epoch())
 
@@ -172,8 +170,11 @@ func (s *Server) runEpoch(ctx context.Context, sess *elastic.Session) error {
 			// must still be judged duplicates), the buffers rewind through
 			// the replay journal.
 			s.rollbackIngest(st.Batch)
-		} else if err := s.restoreIngest(st); err != nil {
-			return err
+		} else {
+			if err := s.restoreIngest(st); err != nil {
+				return err
+			}
+			fmt.Printf("server: resumed from checkpoint batch %d\n", st.Batch)
 		}
 	}
 	if s.live {
@@ -189,12 +190,7 @@ func (s *Server) runEpoch(ctx context.Context, sess *elastic.Session) error {
 	s.startAggs()
 	s.live = true
 
-	return s.train(ctx, sess.Comm(), restored, func(st *elastic.State) error {
-		// A failed save means the control plane is tearing the epoch down;
-		// the group checkpoint protocol tolerates the missing shard.
-		sess.SaveShard(st)
-		return nil
-	})
+	return s.train(ctx, sess, restored)
 }
 
 // rollbackIngest rewinds every rank's buffer to a group-checkpoint batch:
@@ -210,7 +206,6 @@ func (s *Server) rollbackIngest(batch int) {
 	}
 }
 
-// ElasticMember exposes the underlying membership runtime (nil outside
-// elastic mode); tests use it to kill a member the way a process death
-// would.
+// ElasticMember exposes the underlying membership runtime; tests use it to
+// kill a member the way a process death would.
 func (s *Server) ElasticMember() *elastic.Member { return s.member }

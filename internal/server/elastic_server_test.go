@@ -187,11 +187,11 @@ func TestElasticServerChaosKillReform(t *testing.T) {
 	for m := range srvs {
 		cfg := testConfig(1, csSims, buffer.FIFOKind)
 		cfg.Trainer.MaxBatches = csMaxBatches
+		cfg.CheckpointDir = dir
 		cfg.CheckpointEveryBatches = csCkptEvery
 		cfg.Elastic = &ElasticConfig{
 			MemberID:       m,
 			Coordinator:    coord.Addr(),
-			Dir:            dir,
 			InitialMembers: csMembers,
 			RingOptions: func(int) transport.RingOptions {
 				return transport.RingOptions{IOTimeout: 5 * time.Second, HeartbeatInterval: 100 * time.Millisecond}

@@ -25,7 +25,6 @@ import (
 
 	"melissa/internal/buffer"
 	"melissa/internal/core"
-	"melissa/internal/ddp"
 	"melissa/internal/elastic"
 	"melissa/internal/protocol"
 	"melissa/internal/transport"
@@ -66,13 +65,12 @@ type Config struct {
 	// clients the watchdog expired.
 	OnUnresponsive func(clientID int32)
 
-	// CheckpointPath enables periodic checkpoints when non-empty. Ignored
-	// in elastic mode, where the same per-rank boundary capture is written
-	// as the member's group shard instead.
-	CheckpointPath string
-	// CheckpointEveryBatches is the checkpoint cadence (default 500), for
-	// both the lone process's single-file checkpoint and the elastic group
-	// shards.
+	// CheckpointDir is where the server's checkpoints go: its shards, the
+	// lone process's and a group member's alike. A directory that holds a
+	// checkpoint is resumed from it when Run starts. Empty disables
+	// checkpoints; a group requires it.
+	CheckpointDir string
+	// CheckpointEveryBatches is the checkpoint cadence (default 500).
 	CheckpointEveryBatches int
 
 	// Elastic, when set, runs the server as one member of an elastic
@@ -115,26 +113,21 @@ type Server struct {
 	// row, and the only payload shape ingestTimeStep accepts.
 	inDim, outDim int
 
-	// trainer is the one train last built — Run's for a lone process, the
-	// current epoch's in a group (trainerMu guards the swap). All of them
-	// record into metrics.
+	// trainer is the one train last built, the current epoch's (trainerMu
+	// guards the swap). All of them record into metrics.
 	trainerMu sync.Mutex
 	trainer   *core.Trainer
 	metrics   *core.Metrics
 
-	// A lone process's run: the state RestoreCheckpoint read, for the trainer
-	// Run builds, and the communicator it trains over — nil (the in-process
-	// ring) except where a test plants one it can abort.
-	restored *elastic.State
-	comm     *ddp.Comm
-
-	// Elastic-mode state: the membership runtime, the per-rank replay
-	// journals behind rollback, and the lazy aggregator start (a rejoiner
-	// must restore its bitsets before judging the first client frame).
-	member   *elastic.Member
-	journals []*retireJournal
-	aggOnce  sync.Once
-	live     bool // an epoch has trained in this process (survivor path)
+	// The membership runtime — a group of one for a lone process — and, in
+	// a group, the per-rank replay journals behind rollback. The aggregators
+	// start lazily, closing ingesting: a restarted process must restore its
+	// bitsets before judging the first client frame.
+	member    *elastic.Member
+	journals  []*retireJournal
+	aggOnce   sync.Once
+	ingesting chan struct{}
+	live      bool // an epoch has trained in this process (survivor path)
 
 	// unresponsiveFired holds the clients already reported to
 	// OnUnresponsive whose replacement has not yet said Hello. A
@@ -304,6 +297,9 @@ func New(cfg Config) (*Server, error) {
 		if err := cfg.Elastic.validate(); err != nil {
 			return nil, err
 		}
+		if cfg.CheckpointDir == "" {
+			return nil, errors.New("server: elastic: checkpoint dir required")
+		}
 		// The data plane is pinned to the initial membership: a member's
 		// global data ranks never move, even as the training group
 		// re-forms around dead peers.
@@ -318,6 +314,7 @@ func New(cfg Config) (*Server, error) {
 		metrics:    core.NewMetrics(cfg.Trainer.TrackOccurrences),
 		inDim:      cfg.Trainer.Normalizer.InputDim(),
 		outDim:     cfg.Trainer.Normalizer.OutputDim(),
+		ingesting:  make(chan struct{}),
 	}
 	if cfg.WatchdogTimeout > 0 {
 		s.watchdog = transport.NewWatchdog(cfg.WatchdogTimeout)
@@ -343,35 +340,30 @@ func New(cfg Config) (*Server, error) {
 		s.listeners = append(s.listeners, l)
 	}
 
-	if cfg.Elastic != nil {
-		// The replay journals and the membership runtime persist across the
-		// group's epochs.
+	// The membership runtime persists across a group's epochs, and so do
+	// the replay journals. A group of one never re-forms, so it rolls
+	// nothing back and keeps no journal.
+	mcfg := elastic.MemberConfig{Dir: cfg.CheckpointDir, LocalRanks: cfg.Ranks, Run: s.runEpoch}
+	if ec := cfg.Elastic; ec != nil {
 		s.journals = make([]*retireJournal, cfg.Ranks)
 		for r := range s.journals {
 			s.journals[r] = newRetireJournal()
 			s.bufs[r].OnRetire(s.journals[r].record)
 		}
-		member, err := elastic.NewMember(elastic.MemberConfig{
-			ID:             cfg.Elastic.MemberID,
-			Coordinator:    cfg.Elastic.Coordinator,
-			Dir:            cfg.Elastic.Dir,
-			BindAddr:       cfg.Elastic.BindAddr,
-			ConnectTimeout: cfg.Elastic.ConnectTimeout,
-			LocalRanks:     cfg.Ranks,
-			RingOptions:    cfg.Elastic.RingOptions,
-			Run:            s.runEpoch,
-			OnCommit: func(batch int) {
-				for _, j := range s.journals {
-					j.prune(batch)
-				}
-			},
-		})
-		if err != nil {
-			s.closeListeners()
-			return nil, err
+		mcfg.ID, mcfg.Coordinator, mcfg.BindAddr = ec.MemberID, ec.Coordinator, ec.BindAddr
+		mcfg.ConnectTimeout, mcfg.RingOptions = ec.ConnectTimeout, ec.RingOptions
+		mcfg.OnCommit = func(batch int) {
+			for _, j := range s.journals {
+				j.prune(batch)
+			}
 		}
-		s.member = member
 	}
+	member, err := elastic.NewMember(mcfg)
+	if err != nil {
+		s.closeListeners()
+		return nil, err
+	}
+	s.member = member
 	return s, nil
 }
 
@@ -384,9 +376,8 @@ func (s *Server) Addrs() []string {
 	return addrs
 }
 
-// Trainer exposes the training engine (the trained network): the lone
-// process's, or the current epoch's in a group. It is nil until Run — or the
-// group's first epoch — has built one.
+// Trainer exposes the training engine (the trained network) of the current
+// epoch. It is nil until Run has built one.
 func (s *Server) Trainer() *core.Trainer {
 	s.trainerMu.Lock()
 	defer s.trainerMu.Unlock()
@@ -398,13 +389,14 @@ func (s *Server) Trainer() *core.Trainer {
 // counters (group epoch, re-formations, last rollback) survive re-formations.
 func (s *Server) Metrics() *core.Metrics { return s.metrics }
 
-// Run starts the aggregators and the watchdog, trains until every rank's
-// buffer drains, then shuts the listeners down. It returns the first
-// training error, if any; a run stopped by cancelling ctx returns one that
-// wraps context.Canceled. In elastic mode it instead participates in the
-// training group until the group completes or this member is lost;
-// listeners, aggregators and ingest state live across the group's epochs,
-// so clients stay connected through re-formations.
+// Run resumes from the checkpoint in CheckpointDir if there is one, starts
+// the aggregators and the watchdog, trains until every rank's buffer
+// drains, then shuts the listeners down. It returns the first training
+// error, if any; a run stopped by cancelling ctx returns one that wraps
+// context.Canceled. A lone process is a group of one; a group member trains
+// until the group completes or this member is lost. Listeners, aggregators
+// and ingest state live across the group's epochs, so clients stay
+// connected through re-formations.
 func (s *Server) Run(ctx context.Context) error {
 	if s.watchdog != nil && s.cfg.OnUnresponsive != nil {
 		watchdogStop := make(chan struct{})
@@ -412,17 +404,7 @@ func (s *Server) Run(ctx context.Context) error {
 		go s.watchdogLoop(watchdogStop)
 	}
 
-	var err error
-	if s.member != nil {
-		err = s.member.Run(ctx) // the first epoch starts the aggregators
-	} else {
-		s.startAggs()
-		var save func(*elastic.State) error
-		if path := s.cfg.CheckpointPath; path != "" {
-			save = func(st *elastic.State) error { return elastic.WriteState(path, st) }
-		}
-		err = s.train(ctx, s.comm, s.restored, save)
-	}
+	err := s.member.Run(ctx) // the first epoch starts the aggregators
 
 	// Whatever made training return — drained buffers, MaxBatches, a
 	// cancel, a collective error — nothing consumes from here on, so for
@@ -434,23 +416,23 @@ func (s *Server) Run(ctx context.Context) error {
 		b.EndReception()
 	}
 	s.closeListeners()
-	s.startAggs() // an elastic run killed before its first epoch never started them
+	s.startAggs() // a run that failed before training never started them
 	s.aggWG.Wait()
 	return err
 }
 
-// train builds the trainer — the one place that does — over comm (nil: the
-// lone process's in-process ring), resumes it from restored when non-nil, and
-// runs it. With onBoundary set, every CheckpointEveryBatches-th step is a
-// checkpoint boundary: each rank contributes its cut as it gets there
-// (boundaries.capture) and the last to arrive hands onBoundary the complete
-// state. A failed capture or save must not kill training; the previous
-// checkpoint remains valid.
-func (s *Server) train(ctx context.Context, comm *ddp.Comm, restored *elastic.State, onBoundary func(*elastic.State) error) error {
+// train builds the trainer — the one place that does — over the session's
+// communicator, resumes it from restored when non-nil, and runs it. With a
+// CheckpointDir, every CheckpointEveryBatches-th step is a checkpoint
+// boundary: each rank contributes its cut as it gets there
+// (boundaries.capture) and the last to arrive saves the complete state as
+// the member's shard. A failed capture or save must not kill training; the
+// previous checkpoint remains valid.
+func (s *Server) train(ctx context.Context, sess *elastic.Session, restored *elastic.State) error {
 	tcfg := s.cfg.Trainer
-	tcfg.Ranks, tcfg.Comm, tcfg.Metrics = s.cfg.Ranks, comm, s.metrics
+	tcfg.Ranks, tcfg.Comm, tcfg.Metrics = s.cfg.Ranks, sess.Comm(), s.metrics
 	var tr *core.Trainer
-	if onBoundary != nil {
+	if s.cfg.CheckpointDir != "" {
 		bounds := newBoundaries(s)
 		userHook := tcfg.OnLocalBatchEnd
 		tcfg.OnLocalBatchEnd = func(rank, batches int) {
@@ -458,7 +440,7 @@ func (s *Server) train(ctx context.Context, comm *ddp.Comm, restored *elastic.St
 				if ing := bounds.capture(rank, batches); ing != nil {
 					st, err := ing.state(tr, rank, batches)
 					if err == nil {
-						err = onBoundary(st)
+						err = sess.SaveShard(st)
 					}
 					if err != nil {
 						fmt.Printf("server: checkpoint failed: %v\n", err)
@@ -485,18 +467,23 @@ func (s *Server) train(ctx context.Context, comm *ddp.Comm, restored *elastic.St
 	return tr.Run(ctx)
 }
 
-// startAggs launches the per-rank aggregators exactly once. In elastic
-// mode it is deferred to the first epoch, after the initial restore: a
-// rejoining process must load its checkpointed bitsets before the first
-// reconnecting client frame is judged fresh or duplicate.
+// startAggs launches the per-rank aggregators exactly once. It is deferred
+// to the first epoch, after the initial restore: a restarted process must
+// load its checkpointed bitsets before the first reconnecting client frame
+// is judged fresh or duplicate.
 func (s *Server) startAggs() {
 	s.aggOnce.Do(func() {
 		for r := range s.listeners {
 			s.aggWG.Add(1)
 			go s.aggregate(r)
 		}
+		close(s.ingesting)
 	})
 }
+
+// Ingesting is closed once the aggregators run, after Run restored any
+// checkpoint: from then on CompletedSims shows what the checkpoint holds.
+func (s *Server) Ingesting() <-chan struct{} { return s.ingesting }
 
 func (s *Server) watchdogLoop(stop chan struct{}) {
 	interval := s.cfg.WatchdogTimeout / 2
@@ -712,10 +699,10 @@ func (s *Server) receivedOnRank(rank int) int {
 
 // CompletedSims returns the simulations whose data is complete on every
 // local rank — a Goodbye and the rank's full round-robin share; the launcher
-// uses it after a server restart to decide which clients must be re-run. One
-// rank is not enough: a checkpoint cut can fall after rank 0's last frame
-// and Goodbye but before another rank's last frame, and that rank would
-// wait forever for a share nobody re-sends.
+// uses it after a server restart, once Ingesting is closed, to decide which
+// clients must be re-run. One rank is not enough: a checkpoint cut can fall
+// after rank 0's last frame and Goodbye but before another rank's last
+// frame, and that rank would wait forever for a share nobody re-sends.
 func (s *Server) CompletedSims() map[int32]bool {
 	out := make(map[int32]bool)
 	for r, a := range s.aggs {

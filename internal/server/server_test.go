@@ -16,7 +16,6 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/client"
 	"melissa/internal/core"
-	"melissa/internal/ddp"
 	"melissa/internal/elastic"
 	"melissa/internal/opt"
 	"melissa/internal/solver"
@@ -352,10 +351,8 @@ func TestWatchdogClampAndIdempotentFire(t *testing.T) {
 // steps are deduplicated, and the union of trained samples covers the whole
 // ensemble.
 func TestServerCheckpointRestart(t *testing.T) {
-	ckPath := filepath.Join(t.TempDir(), "server.ckpt")
-
 	cfg := testConfig(1, 2, buffer.FIFOKind)
-	cfg.CheckpointPath = ckPath
+	cfg.CheckpointDir = t.TempDir()
 	cfg.CheckpointEveryBatches = 1
 	// Sim 0 sends 8 steps and sim 1 at least 3 before it dies: two full
 	// batches are certain, a third is not.
@@ -391,10 +388,7 @@ func TestServerCheckpointRestart(t *testing.T) {
 	}
 
 	// Replacement server restores the checkpoint.
-	ckpt, err := elastic.ReadState(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ckpt := onlyShard(t, cfg.CheckpointDir)
 	resumedAt := make(chan int, 1)
 	cfg.Trainer.OnBatchEnd = func(batches int) {
 		select {
@@ -406,13 +400,11 @@ func TestServerCheckpointRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv2.RestoreCheckpoint(ckPath); err != nil {
-		t.Fatal(err)
-	}
+	wait2 := runServer(t, srv2, context.Background())
+	testwait.Recv(t, srv2.Ingesting(), "the restored server to ingest")
 	if done := srv2.CompletedSims(); !done[0] || done[1] {
 		t.Fatalf("restored goodbyes wrong: %v", done)
 	}
-	wait2 := runServer(t, srv2, context.Background())
 
 	// The launcher would restart only the incomplete client (sim 1).
 	if err := runClient(t, srv2, 1, 1, 0); err != nil {
@@ -436,6 +428,36 @@ func TestServerCheckpointRestart(t *testing.T) {
 	if len(union) != 2*testSteps {
 		t.Fatalf("union covers %d samples, want %d", len(union), 2*testSteps)
 	}
+	onlyShard(t, cfg.CheckpointDir)
+}
+
+// shards reads every checkpoint shard in dir.
+func shards(t *testing.T, dir string) []*elastic.State {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*elastic.State
+	for _, p := range paths {
+		st, err := elastic.ReadState(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// onlyShard reads the one checkpoint a lone server leaves in dir: each
+// shard it writes replaces the one before.
+func onlyShard(t *testing.T, dir string) *elastic.State {
+	t.Helper()
+	st := shards(t, dir)
+	if len(st) != 1 {
+		t.Fatalf("%d checkpoint shards in %s, want 1", len(st), dir)
+	}
+	return st[0]
 }
 
 // TestServerCheckpointRestartTornSimulation is the 2-rank restart whose cut
@@ -447,9 +469,8 @@ func TestServerCheckpointRestart(t *testing.T) {
 // trains every step exactly once.
 func TestServerCheckpointRestartTornSimulation(t *testing.T) {
 	const ranks, steps = 2, 16 // 8 steps per rank: even steps on rank 0, odd on rank 1
-	ckPath := filepath.Join(t.TempDir(), "server.ckpt")
 	cfg := testConfig(ranks, 1, buffer.FIFOKind)
-	cfg.CheckpointPath = ckPath
+	cfg.CheckpointDir = t.TempDir()
 	cfg.CheckpointEveryBatches = 1
 	batch := cfg.Trainer.BatchSize
 
@@ -496,15 +517,12 @@ func TestServerCheckpointRestartTornSimulation(t *testing.T) {
 	toRank1 := half(1)
 	defer toRank1.Abort()
 	send(toRank1, 1, steps/ranks-1)
-	var st *elastic.State
-	testwait.Until(t, "the batch-1 checkpoint", func() bool {
-		st, err = elastic.ReadState(ckPath)
-		return err == nil
-	})
+	testwait.Until(t, "the batch-1 checkpoint", func() bool { return len(shards(t, cfg.CheckpointDir)) > 0 })
 	cancel1()
 	if err := wait1(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled server returned %v, want the cancellation", err)
 	}
+	st := onlyShard(t, cfg.CheckpointDir)
 	if st.Batch != 1 {
 		t.Fatalf("checkpoint is at batch %d, want 1", st.Batch)
 	}
@@ -514,13 +532,11 @@ func TestServerCheckpointRestartTornSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv2.RestoreCheckpoint(ckPath); err != nil {
-		t.Fatal(err)
-	}
+	wait2 := runServer(t, srv2, context.Background())
+	testwait.Recv(t, srv2.Ingesting(), "the restored server to ingest")
 	if done := srv2.CompletedSims(); done[0] {
 		t.Fatalf("simulation 0 reported complete with rank 1 at %d of %d frames: nobody would re-run it", srv2.receivedOnRank(1), steps/ranks)
 	}
-	wait2 := runServer(t, srv2, context.Background())
 	job := testJob(srv2, 0, steps)
 	job.Client.Restart = 1
 	if err := client.Run(context.Background(), job); err != nil {
@@ -544,6 +560,7 @@ func TestServerCheckpointRestartTornSimulation(t *testing.T) {
 			t.Errorf("rank %d holds %d distinct frames after the restart, want %d", r, got, steps/ranks)
 		}
 	}
+	onlyShard(t, cfg.CheckpointDir)
 }
 
 // ingestStep feeds local rank one all-zero frame, the way its aggregator
@@ -663,14 +680,14 @@ func TestRunReturnsWithAggregatorParked(t *testing.T) {
 			cfg := testConfig(1, 1, buffer.FIFOKind)
 			cfg.Buffer.Capacity = 2
 			cfg.Trainer.MaxBatches = tc.maxBatches
-			comm := ddp.NewCommunicator(1)
+			var srv *Server
 			parked, release := make(chan struct{}), make(chan struct{})
 			cfg.Trainer.OnBatchEnd = func(batches int) {
 				if batches == 1 {
 					close(parked)
 					<-release
 					if tc.abort {
-						comm.Abort()
+						srv.Trainer().Comm().Abort()
 					}
 				}
 			}
@@ -678,7 +695,6 @@ func TestRunReturnsWithAggregatorParked(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv.comm = comm
 			wait := runServer(t, srv, context.Background())
 
 			// One batch, two frames that fill the FIFO, one that parks the
@@ -723,10 +739,9 @@ func TestRunReturnsWithAggregatorParked(t *testing.T) {
 // received sample exactly once.
 func TestCheckpointIsBoundaryCut(t *testing.T) {
 	const ranks, perRank = 2, 12
-	dir := t.TempDir()
-	ckPath, cut := filepath.Join(dir, "server.ckpt"), filepath.Join(dir, "cut.ckpt")
+	cutDir := t.TempDir()
 	cfg := testConfig(ranks, 1, buffer.FIFOKind)
-	cfg.CheckpointPath = ckPath
+	cfg.CheckpointDir = t.TempDir()
 	cfg.CheckpointEveryBatches = 1
 	batch := cfg.Trainer.BatchSize
 
@@ -739,10 +754,14 @@ func TestCheckpointIsBoundaryCut(t *testing.T) {
 	cfg.Trainer.OnBatchEnd = func(batches int) {
 		if batches == 1 {
 			// Boundary 1 is complete and boundary 2 needs this rank: the
-			// file is the batch-1 checkpoint and stays so while we copy it.
-			data, err := os.ReadFile(ckPath)
-			if err == nil {
-				err = os.WriteFile(cut, data, 0o644)
+			// directory holds the batch-1 checkpoint and keeps it while we
+			// copy it.
+			paths, err := filepath.Glob(filepath.Join(cfg.CheckpointDir, "shard-*.ckpt"))
+			for _, p := range paths {
+				var data []byte
+				if data, err = os.ReadFile(p); err == nil {
+					err = os.WriteFile(filepath.Join(cutDir, filepath.Base(p)), data, 0o644)
+				}
 			}
 			taken <- err
 		}
@@ -768,10 +787,7 @@ func TestCheckpointIsBoundaryCut(t *testing.T) {
 		t.Fatalf("cancelled server returned %v, want the cancellation", err)
 	}
 
-	st, err := elastic.ReadState(cut)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := onlyShard(t, cutDir)
 	if st.Batch != 1 {
 		t.Fatalf("copied the batch-%d checkpoint, want batch 1", st.Batch)
 	}
@@ -781,12 +797,9 @@ func TestCheckpointIsBoundaryCut(t *testing.T) {
 	// trajectory; every step was received before the checkpoint, so all of
 	// it is discarded and only what the checkpoint buffered gets trained.
 	cfg.Trainer.OnLocalBatchEnd, cfg.Trainer.OnBatchEnd = nil, nil
-	cfg.CheckpointPath = ""
+	cfg.CheckpointDir = cutDir
 	srv2, err := New(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.RestoreCheckpoint(cut); err != nil {
 		t.Fatal(err)
 	}
 	wait2 := runServer(t, srv2, context.Background())
@@ -808,6 +821,7 @@ func TestCheckpointIsBoundaryCut(t *testing.T) {
 			t.Errorf("step %d trained %d times after the restart, want %d", step, got, want)
 		}
 	}
+	onlyShard(t, cutDir)
 }
 
 // TestCheckpointCutExcludesFrameInFlight: under back-pressure the

@@ -3,18 +3,16 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"os"
 )
 
-// GEMM has three drivers, selected once at startup (gemmModeFromEnv) and
-// then by shape (gemm): blocked — macro-tiles over packed panels; skinny —
-// a·b and a·bᵀ of at most skinnyM rows, b read where it lies, split by
-// 16-column panels of b (a·b) or row groups of b (a·bᵀ); naive — the
-// reference loops, and the fast path for operands too small to tile. Each
-// fans its units out on the caller's Team (pool.go) when the product is
-// large enough, and runs them inline otherwise. The package comment states
-// each one's accumulation order and what follows from them (row invariance,
-// the tolerance between drivers, non-finite operands).
+// GEMM has three drivers, selected by shape (gemm): blocked — macro-tiles
+// over packed panels; skinny — a·b and a·bᵀ of at most skinnyM rows, b read
+// where it lies, split by 16-column panels of b (a·b) or row groups of b
+// (a·bᵀ); naive — the reference loops, and the fast path for operands too
+// small to tile. Each fans its units out on the caller's Team (pool.go) when
+// the product is large enough, and runs them inline otherwise. The package
+// comment states each one's accumulation order and what follows from them
+// (row invariance, the tolerance between drivers, non-finite operands).
 
 // Blocking parameters: macro-tiles are blockM×blockN, the shared dimension
 // is walked in blockK slabs. Sized so one packed A block (blockM·blockK
@@ -71,21 +69,10 @@ const (
 	gemmBlocked
 )
 
-// gemmMode is read once at startup from MELISSA_GEMM so a perf regression
-// can be bisected to the kernel without rebuilding: "naive" forces the
-// reference kernels, "blocked" forces the blocked path even for tiny
-// shapes, anything else (or unset) picks by problem size.
-var gemmMode = gemmModeFromEnv(os.Getenv("MELISSA_GEMM"))
-
-func gemmModeFromEnv(v string) gemmModeT {
-	switch v {
-	case "naive":
-		return gemmNaive
-	case "blocked":
-		return gemmBlocked
-	}
-	return gemmAuto
-}
+// gemmMode picks the driver by problem size (gemmAuto). Tests force the
+// reference kernels (gemmNaive) or the blocked path even for tiny shapes
+// (gemmBlocked) through forceGemmMode.
+var gemmMode = gemmAuto
 
 func useBlocked(kind gemmKind, m, n, k int) bool {
 	switch gemmMode {

@@ -270,24 +270,6 @@ func TestBlockedGemmDeterministicRepeat(t *testing.T) {
 	}
 }
 
-// TestGemmModeFromEnv checks the MELISSA_GEMM parsing contract: the two
-// documented values select a kernel, anything else falls back to the
-// size-based auto policy.
-func TestGemmModeFromEnv(t *testing.T) {
-	cases := map[string]gemmModeT{
-		"naive":   gemmNaive,
-		"blocked": gemmBlocked,
-		"":        gemmAuto,
-		"auto":    gemmAuto,
-		"bogus":   gemmAuto,
-	}
-	for v, want := range cases {
-		if got := gemmModeFromEnv(v); got != want {
-			t.Fatalf("gemmModeFromEnv(%q) = %d, want %d", v, got, want)
-		}
-	}
-}
-
 // TestUseBlockedPolicy pins the auto dispatch: tiny problems stay on the
 // naive kernels, training-shaped ones leave them, a·b decides by the weight
 // shape alone — never by the row count — and the forced modes win
@@ -310,11 +292,11 @@ func TestUseBlockedPolicy(t *testing.T) {
 	}
 	gemmMode = gemmNaive
 	if useBlocked(gemmNN, 256, 256, 1024) {
-		t.Fatal("MELISSA_GEMM=naive must force the reference kernel")
+		t.Fatal("gemmNaive must force the reference kernel")
 	}
 	gemmMode = gemmBlocked
 	if !useBlocked(gemmNN, 2, 2, 2) {
-		t.Fatal("MELISSA_GEMM=blocked must force the blocked kernel")
+		t.Fatal("gemmBlocked must force the blocked kernel")
 	}
 }
 

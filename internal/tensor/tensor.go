@@ -33,8 +33,8 @@
 // dots against A (dot4x2, dot4x4), split by those groups. Aᵀ·B, bound by
 // the gradient's memory, stays blocked. The naive kernels remain as the
 // reference and as the fast path for operands too small to tile.
-// MELISSA_GEMM=naive forces them, MELISSA_GEMM=blocked the packed driver
-// (anything else: by shape).
+// Tests can force them, or the packed driver, in place of the choice by
+// shape (forceGemmMode).
 //
 // # Kernel levels
 //
@@ -82,7 +82,7 @@
 //     B's shape, not A's rows. So an output row of MatMul / MatMulBias* is
 //     a pure function of (its input row, B, bias, epilogue): the same bits
 //     at every row count, position and set of neighbours, and under
-//     MELISSA_GEMM=blocked (TestRowInvariance). Serving rests on this.
+//     the forced packed driver (TestRowInvariance). Serving rests on this.
 //   - A·Bᵀ, skinny: eight partial sums over p mod 8, added in a fixed tree,
 //     then the k mod 8 tail (dot4x2Go) — a function of k. Above skinnyM
 //     rows the blocked order takes over, so a row of A·Bᵀ is not invariant

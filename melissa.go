@@ -119,7 +119,11 @@ type Config struct {
 	MaxClientRetries  int
 	MaxServerRestarts int
 	WatchdogTimeout   time.Duration
-	CheckpointPath    string // server checkpoint location; "" disables
+	// CheckpointDir is the server's checkpoint directory; "" disables
+	// checkpoints. A directory that already holds a checkpoint is resumed
+	// from it, by the first server as much as by a replacement after a
+	// crash: give each fresh run an empty (or new) directory.
+	CheckpointDir string
 
 	// WarmStart, when set, initializes training from an existing
 	// surrogate's weights instead of a random init — the §5 production
@@ -328,7 +332,7 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 				TrackOccurrences: true,
 			},
 			WatchdogTimeout: cfg.WatchdogTimeout,
-			CheckpointPath:  cfg.CheckpointPath,
+			CheckpointDir:   cfg.CheckpointDir,
 		},
 		NewSim:               func(params []float64) (solver.Simulator, error) { return prob.NewSimulator(cfg, params) },
 		Steps:                cfg.StepsPerSim,
