@@ -166,9 +166,8 @@ func New(cfg Config) (*Launcher, error) {
 		}
 	}
 	l := &Launcher{
-		cfg:    cfg,
-		params: make([][]float64, cfg.Simulations),
-		slots:  newSemaphore(cfg.MaxConcurrentClients),
+		cfg:   cfg,
+		slots: newSemaphore(cfg.MaxConcurrentClients),
 		sleep: func(ctx context.Context, d time.Duration) bool {
 			t := time.NewTimer(d)
 			defer t.Stop()
@@ -180,18 +179,27 @@ func New(cfg Config) (*Launcher, error) {
 			}
 		},
 	}
-	for i := range l.params {
-		pt := cfg.Design.Next()
-		if len(pt) != cfg.Space.Dim() {
-			// Custom designs are user code; surface the mismatch as an
-			// error instead of letting Space.Scale panic mid-ensemble.
-			return nil, fmt.Errorf("launcher: design returned a %d-dimensional point, problem wants %d", len(pt), cfg.Space.Dim())
-		}
-		l.params[i] = cfg.Space.Scale(pt)
+	var err error
+	if l.params, err = DrawParams(cfg.Design, cfg.Space, cfg.Simulations); err != nil {
+		return nil, err
 	}
 	cfg.Server.ExpectedClients = cfg.Simulations
 	l.cfg = cfg
 	return l, nil
+}
+
+// DrawParams draws n members' parameters from design, scaled into space.
+// A point of the wrong dimension (custom designs are user code) is an error.
+func DrawParams(design sampling.Sampler, space sampling.Space, n int) ([][]float64, error) {
+	params := make([][]float64, n)
+	for i := range params {
+		pt := design.Next()
+		if len(pt) != space.Dim() {
+			return nil, fmt.Errorf("launcher: design returned a %d-dimensional point, problem wants %d", len(pt), space.Dim())
+		}
+		params[i] = space.Scale(pt)
+	}
+	return params, nil
 }
 
 // Params exposes the pre-drawn ensemble parameters (examples print them).

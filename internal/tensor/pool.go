@@ -11,8 +11,8 @@ import (
 // blocked GEMM fans out macro-tiles, the skinny drivers 16-column panels of
 // b (a·b) or row groups of b (a·bᵀ), the naive kernels row (or column)
 // ranges, and the fused optimizer slab chunks. A fan-out runs on a Team: the
-// cores one owner — a trainer rank, the offline loop — may use. Everyone
-// else passes a nil *Team and runs every kernel inline on its own goroutine.
+// cores one owner — a trainer rank — may use. Everyone else passes a nil
+// *Team and runs every kernel inline on its own goroutine.
 //
 // The owner rule is measured, not a precaution. The package-level worker
 // pool this replaced let every caller fan out and parked its workers
@@ -25,8 +25,8 @@ import (
 // 2–10 % and serve_batched 4–9 %. So the helper yields (runtime.Gosched)
 // while it spins, letting any runnable producer or ingest goroutine go
 // first; it parks after spinWindow; and only a caller that owns the
-// process's cores — a trainer rank whose share of GOMAXPROCS is two or more,
-// the offline loop; never a serve replica — gets a Team at all. On that VM
+// process's cores — a trainer rank whose share of GOMAXPROCS is two or
+// more; never a serve replica — gets a Team at all. On that VM
 // BenchmarkTrainStep at GOMAXPROCS=2 now reads 670–700 µs.
 
 // op selects the kernel a task runs.

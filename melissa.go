@@ -46,6 +46,7 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/core"
 	"melissa/internal/launcher"
+	"melissa/internal/nn"
 	"melissa/internal/opt"
 	"melissa/internal/sampling"
 	"melissa/internal/server"
@@ -93,7 +94,7 @@ type Config struct {
 
 	// Concurrency
 	MaxConcurrentClients int // simulation clients running at once
-	Ranks                int // data-parallel training processes ("GPUs")
+	Ranks                int // data-parallel training ranks ("GPUs"), online and offline
 
 	// Surrogate
 	Hidden    []int // MLP hidden layer widths (paper: 256, 256)
@@ -258,52 +259,26 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 		return nil, err
 	}
 	norm := prob.Normalizer(cfg)
-
-	var design sampling.Sampler
-	if cfg.Sampler != nil {
-		// Validate the custom sampler's dimensionality on its first draw,
-		// before any solver time is spent on the validation set; the drawn
-		// point is replayed so the ensemble stream is unchanged. The
-		// launcher re-checks every subsequent draw.
-		first := cfg.Sampler()
-		if len(first) != space.Dim() {
-			return nil, fmt.Errorf("melissa: custom sampler returned a %d-dimensional point, problem %q wants %d", len(first), prob.Name(), space.Dim())
-		}
-		design = &replaySampler{first: first, rest: funcSampler{dim: space.Dim(), fn: cfg.Sampler}}
-	} else {
-		kind := sampling.Kind(cfg.Design)
-		if cfg.Design == "" {
-			kind = sampling.MonteCarloKind
-		}
-		design, err = sampling.New(kind, space.Dim(), cfg.Seed, 0)
-		if err != nil {
-			return nil, err
-		}
+	design, err := ensembleDesign(cfg, space)
+	if err != nil {
+		return nil, err
 	}
-
-	var valSet *core.ValidationSet
-	if cfg.ValidationSims > 0 {
-		vs, err := generateValidation(cfg, prob, space, norm)
-		if err != nil {
-			return nil, err
-		}
-		valSet = vs
+	// Check the first draw before the validation set costs solver time,
+	// then replay it: the ensemble stream is unchanged.
+	first, rest := design.Next(), design
+	if len(first) != space.Dim() {
+		return nil, fmt.Errorf("melissa: design returned a %d-dimensional point, problem %q wants %d", len(first), prob.Name(), space.Dim())
 	}
-
-	var schedule opt.Schedule
-	if cfg.HalveEvery > 0 {
-		schedule = opt.Halving{Initial: cfg.LearningRate, EverySamples: cfg.HalveEvery, Min: cfg.MinLR}
-	} else {
-		schedule = opt.Constant(cfg.LearningRate)
-	}
-
-	var initialWeights []byte
-	if cfg.WarmStart != nil {
-		var buf bytes.Buffer
-		if err := cfg.WarmStart.net.SaveWeights(&buf); err != nil {
-			return nil, err
+	design = funcSampler{dim: space.Dim(), fn: func() []float64 {
+		if p := first; p != nil {
+			first = nil
+			return p
 		}
-		initialWeights = buf.Bytes()
+		return rest.Next()
+	}}
+	tc, err := trainerConfig(ctx, cfg, prob, space, norm)
+	if err != nil {
+		return nil, err
 	}
 
 	lcfg := launcher.Config{
@@ -315,22 +290,7 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 				Threshold: cfg.Threshold,
 				Seed:      cfg.Seed,
 			},
-			Trainer: core.TrainerConfig{
-				BatchSize: cfg.BatchSize,
-				Model: core.ModelSpec{
-					InputDim:  norm.InputDim(),
-					Hidden:    cfg.Hidden,
-					OutputDim: norm.OutputDim(),
-					Seed:      cfg.Seed,
-				},
-				Normalizer:       coreNormalizer(norm),
-				InitialWeights:   initialWeights,
-				LearningRate:     cfg.LearningRate,
-				Schedule:         schedule,
-				Validation:       valSet,
-				ValidateEvery:    cfg.ValidateEvery,
-				TrackOccurrences: true,
-			},
+			Trainer:         tc,
 			WatchdogTimeout: cfg.WatchdogTimeout,
 			CheckpointDir:   cfg.CheckpointDir,
 		},
@@ -353,16 +313,73 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 		return nil, err
 	}
 
-	m := res.Metrics
+	out := runResult(cfg, prob, norm, res.Network, res.Metrics)
+	out.ClientRestarts, out.ServerRestarts = res.ClientRestarts, res.ServerRestarts
+	return out, nil
+}
+
+// ensembleDesign builds the stream the ensemble's parameters are drawn
+// from: Config.Sampler when set, else the Config.Design method (Monte Carlo
+// by default).
+func ensembleDesign(cfg Config, space sampling.Space) (sampling.Sampler, error) {
+	if cfg.Sampler != nil {
+		return funcSampler{dim: space.Dim(), fn: cfg.Sampler}, nil
+	}
+	kind := sampling.Kind(cfg.Design)
+	if cfg.Design == "" {
+		kind = sampling.MonteCarloKind
+	}
+	return sampling.New(kind, space.Dim(), cfg.Seed, 0)
+}
+
+// trainerConfig builds the trainer both entry points train through: the
+// seeded model, its normalizer and learning-rate schedule, the warm-start
+// weights and the held-out validation set.
+func trainerConfig(ctx context.Context, cfg Config, prob Problem, space sampling.Space, norm Normalizer) (core.TrainerConfig, error) {
+	tc := core.TrainerConfig{
+		Ranks:     cfg.Ranks,
+		BatchSize: cfg.BatchSize,
+		Model: core.ModelSpec{
+			InputDim:  norm.InputDim(),
+			Hidden:    cfg.Hidden,
+			OutputDim: norm.OutputDim(),
+			Seed:      cfg.Seed,
+		},
+		Normalizer:       core.AdaptNormalizer(norm),
+		LearningRate:     cfg.LearningRate,
+		Schedule:         opt.Constant(cfg.LearningRate),
+		ValidateEvery:    cfg.ValidateEvery,
+		TrackOccurrences: true,
+	}
+	if cfg.HalveEvery > 0 {
+		tc.Schedule = opt.Halving{Initial: cfg.LearningRate, EverySamples: cfg.HalveEvery, Min: cfg.MinLR}
+	}
+	if cfg.WarmStart != nil {
+		var buf bytes.Buffer
+		if err := cfg.WarmStart.net.SaveWeights(&buf); err != nil {
+			return core.TrainerConfig{}, err
+		}
+		tc.InitialWeights = buf.Bytes()
+	}
+	if cfg.ValidationSims > 0 {
+		vs, err := generateValidation(ctx, cfg, prob, space, norm)
+		if err != nil {
+			return core.TrainerConfig{}, err
+		}
+		tc.Validation = vs
+	}
+	return tc, nil
+}
+
+// runResult reports a finished run from its network and metrics.
+func runResult(cfg Config, prob Problem, norm Normalizer, net *nn.Network, m *core.Metrics) *RunResult {
 	out := &RunResult{
-		Surrogate:      newSurrogate(res.Network, norm, surrogateMeta(cfg, prob)),
-		Batches:        m.Batches(),
-		Samples:        m.Samples(),
-		UniqueSamples:  len(m.Occurrences()),
-		Throughput:     m.Throughput(),
-		WallTime:       m.WallTime(),
-		ClientRestarts: res.ClientRestarts,
-		ServerRestarts: res.ServerRestarts,
+		Surrogate:     newSurrogate(net, norm, surrogateMeta(cfg, prob)),
+		Batches:       m.Batches(),
+		Samples:       m.Samples(),
+		UniqueSamples: len(m.Occurrences()),
+		Throughput:    m.Throughput(),
+		WallTime:      m.WallTime(),
 	}
 	if v, ok := m.FinalValidation(); ok {
 		out.ValidationMSE = v
@@ -374,12 +391,10 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 	for _, p := range m.TrainLoss() {
 		out.TrainCurve = append(out.TrainCurve, Point{Batch: p.Batch, Samples: p.Samples, MSE: p.Value})
 	}
-	return out, nil
+	return out
 }
 
-// funcSampler adapts a user draw function to the sampling interface. Draw
-// dimensionality is validated by the launcher, which surfaces a mismatch
-// as an error from RunOnline instead of a panic mid-ensemble.
+// funcSampler adapts a draw function to the sampling interface.
 type funcSampler struct {
 	dim int
 	fn  func() []float64
@@ -389,66 +404,73 @@ func (f funcSampler) Next() []float64 { return f.fn() }
 
 func (f funcSampler) Dim() int { return f.dim }
 
-// replaySampler re-emits the point consumed by the up-front dimensionality
-// check before delegating to the live stream.
-type replaySampler struct {
-	first []float64
-	rest  funcSampler
-}
-
-func (r *replaySampler) Next() []float64 {
-	if r.first != nil {
-		p := r.first
-		r.first = nil
-		return p
-	}
-	return r.rest.Next()
-}
-
-func (r *replaySampler) Dim() int { return r.rest.Dim() }
-
 // generateValidation produces the held-out set with a decorrelated design
 // stream.
-func generateValidation(cfg Config, prob Problem, space sampling.Space, norm Normalizer) (*core.ValidationSet, error) {
-	samples, err := validationSamples(cfg, prob, space)
+func generateValidation(ctx context.Context, cfg Config, prob Problem, space sampling.Space, norm Normalizer) (*core.ValidationSet, error) {
+	samples, err := validationSamples(ctx, cfg, prob, space)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewValidationSet(coreNormalizer(norm), samples), nil
+	return core.NewValidationSet(core.AdaptNormalizer(norm), samples), nil
 }
 
 // validationSamples runs the validation members concurrently, at most
-// GOMAXPROCS at a time. Their design points are drawn in member order before
-// any member starts and their samples are concatenated in member order, so
-// the set is the one a sequential loop builds. It returns once every member
-// has returned; if any failed, with the error of the first in member order —
-// the one the sequential loop would have stopped at.
-func validationSamples(cfg Config, prob Problem, space sampling.Space) ([]buffer.Sample, error) {
+// GOMAXPROCS at a time (see eachMember). Their design points are drawn in
+// member order before any member starts and their samples are concatenated
+// in member order, so the set is the one a sequential loop builds.
+func validationSamples(ctx context.Context, cfg Config, prob Problem, space sampling.Space) ([]buffer.Sample, error) {
 	params := validationParams(cfg, space)
 	members := make([][]buffer.Sample, len(params))
-	errs := make([]error, len(params))
-	var wg sync.WaitGroup
-	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, p := range params {
-		slots <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-slots; wg.Done() }()
-			errs[i] = streamSteps(cfg, prob, p, func(step int, input, output []float32) error {
-				members[i] = append(members[i], buffer.Sample{SimID: -1 - i, Step: step, Input: input, Output: output})
-				return nil
-			})
-		}()
+	err := eachMember(ctx, len(params), runtime.GOMAXPROCS(0), func(i int) error {
+		return streamSteps(cfg, prob, params[i], func(step int, input, output []float32) error {
+			members[i] = append(members[i], buffer.Sample{SimID: -1 - i, Step: step, Input: input, Output: output})
+			return ctx.Err()
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 	var samples []buffer.Sample
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		samples = append(samples, members[i]...)
+	for _, m := range members {
+		samples = append(samples, m...)
 	}
 	return samples, nil
+}
+
+// eachMember runs fn for members 0 … n-1, at most width at a time. It
+// starts no member once ctx is done and returns only after every started
+// member has returned: with ctx.Err() if ctx ended the run early, else with
+// the error of the first failed member in member order — the one a
+// sequential loop would have stopped at.
+func eachMember(ctx context.Context, n, width int, fn func(i int) error) error {
+	errs := make([]error, n)
+	slots := make(chan struct{}, width)
+	var wg sync.WaitGroup
+	started := 0
+	for ; started < n; started++ {
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer func() { <-slots; wg.Done() }()
+			errs[i] = fn(i)
+		}(started)
+	}
+	wg.Wait()
+	if started < n {
+		return ctx.Err()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // validationParams draws the validation members' design points in member

@@ -298,7 +298,8 @@ func TestRunOnlineContextCancel(t *testing.T) {
 // concurrently, yet the set holds the samples a sequential loop over the
 // members builds — same members, steps and float bits, in the same order —
 // and a member that cannot be built fails the generation with its own error
-// after every started member has returned.
+// after every started member has returned; a cancelled context builds no
+// member.
 func TestValidationSetConcurrentEqualsSequential(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4)) // members overlap on any host
 	cfg := tinyConfig()
@@ -320,7 +321,7 @@ func TestValidationSetConcurrentEqualsSequential(t *testing.T) {
 			}
 		}
 		got, err := testwait.Run2(t, "the validation members", func() ([]buffer.Sample, error) {
-			return validationSamples(cfg, prob, space)
+			return validationSamples(context.Background(), cfg, prob, space)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -349,7 +350,7 @@ func TestValidationSetConcurrentEqualsSequential(t *testing.T) {
 	bad := &failingProblem{Problem: prob, fail: validationParams(cfg, space)[2], failed: make(chan struct{})}
 	before := runtime.NumGoroutine()
 	_, err = testwait.Run2(t, "the validation members", func() ([]buffer.Sample, error) {
-		return validationSamples(cfg, bad, space)
+		return validationSamples(context.Background(), cfg, bad, space)
 	})
 	if !errors.Is(err, errMemberFailed) {
 		t.Fatalf("generation returned %v, want the failing member's error", err)
@@ -358,6 +359,17 @@ func TestValidationSetConcurrentEqualsSequential(t *testing.T) {
 		t.Fatalf("%d members still running after generation returned", n)
 	}
 	testwait.Until(t, "the member goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+
+	// A cancelled context builds no member.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	gate := &gatedProblem{Problem: prob, ctx: ctx, release: make(chan struct{})}
+	if _, err := validationSamples(ctx, cfg, gate, space); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled generation returned %v, want context.Canceled", err)
+	}
+	if n := gate.built.Load(); n != 0 {
+		t.Fatalf("cancelled generation built %d members", n)
+	}
 }
 
 var errMemberFailed = errors.New("member failed")

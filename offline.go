@@ -1,19 +1,14 @@
 package melissa
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"melissa/internal/buffer"
 	"melissa/internal/core"
 	"melissa/internal/dataset"
-	"melissa/internal/nn"
-	"melissa/internal/opt"
-	"melissa/internal/sampling"
-	"melissa/internal/tensor"
+	"melissa/internal/launcher"
 )
 
 // DatasetInfo describes a generated offline dataset.
@@ -28,9 +23,10 @@ type DatasetInfo struct {
 // step to disk (one binary file per simulation) instead of streaming it to
 // a server — the paper's offline data-generation mode (§4.6: "the
 // framework reveals itself also useful to quickly generate datasets by
-// leveraging the parallelism of its clients"). Generation is parallel
-// across MaxConcurrentClients solver instances and works for any
-// configured Problem.
+// leveraging the parallelism of its clients"), drawing the parameters as
+// RunOnline does. Generation is parallel across MaxConcurrentClients solver
+// instances and works for any configured Problem. A cancelled ctx stops
+// every member at its next step; the call returns once all have stopped.
 func GenerateDataset(ctx context.Context, cfg Config, dir string) (*DatasetInfo, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -40,37 +36,24 @@ func GenerateDataset(ctx context.Context, cfg Config, dir string) (*DatasetInfo,
 	if err != nil {
 		return nil, err
 	}
-	design := sampling.NewMonteCarlo(space.Dim(), cfg.Seed)
-	params := make([][]float64, cfg.Simulations)
-	for i := range params {
-		params[i] = space.Scale(design.Next())
+	design, err := ensembleDesign(cfg, space)
+	if err != nil {
+		return nil, err
+	}
+	params, err := launcher.DrawParams(design, space, cfg.Simulations)
+	if err != nil {
+		return nil, err
 	}
 
 	concurrency := cfg.MaxConcurrentClients
 	if concurrency < 1 {
 		concurrency = runtime.GOMAXPROCS(0)
 	}
-	sem := make(chan struct{}, concurrency)
-	errs := make([]error, cfg.Simulations)
-	var wg sync.WaitGroup
-	for sim := 0; sim < cfg.Simulations; sim++ {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case sem <- struct{}{}:
-		}
-		wg.Add(1)
-		go func(sim int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[sim] = writeSimulation(dir, sim, cfg, prob, params[sim])
-		}(sim)
-	}
-	wg.Wait()
-	for sim, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("melissa: generating sim %d: %w", sim, err)
-		}
+	err = eachMember(ctx, cfg.Simulations, concurrency, func(sim int) error {
+		return writeSimulation(ctx, dir, sim, cfg, prob, params[sim])
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	ds, err := dataset.OpenDir(dir)
@@ -86,25 +69,37 @@ func GenerateDataset(ctx context.Context, cfg Config, dir string) (*DatasetInfo,
 	}, nil
 }
 
-func writeSimulation(dir string, simID int, cfg Config, prob Problem, params []float64) error {
+func writeSimulation(ctx context.Context, dir string, simID int, cfg Config, prob Problem, params []float64) error {
 	w, err := dataset.Create(dir, simID, cfg.StepsPerSim, len(params)+1, fieldDim(prob, cfg))
 	if err != nil {
 		return err
 	}
 	err = streamSteps(cfg, prob, params, func(_ int, input, output []float32) error {
-		return w.WriteStep(input, output)
+		if err := w.WriteStep(input, output); err != nil {
+			return err
+		}
+		return ctx.Err()
 	})
-	if err != nil {
-		return err
+	// Close releases the file whether or not the member completed.
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
-	return w.Close()
+	if err != nil {
+		return fmt.Errorf("melissa: generating sim %d: %w", simID, err)
+	}
+	return nil
 }
 
 // TrainOffline is the classical baseline the paper compares against (§4.6):
 // multi-epoch training over a fixed on-disk dataset served by a
-// multi-worker loader. Combined with GenerateDataset and Config.WarmStart,
-// it supports the §5 production workflow — offline pre-training on a small
-// dataset followed by online re-training at scale.
+// multi-worker loader. The loader feeds the trainer RunOnline trains
+// through, one step ahead, into a FIFO buffer per data-parallel rank.
+// Epochs stay exact — every sample is trained on once per epoch — but an
+// epoch's tail batch is topped up from the next epoch's shuffle. Combined
+// with GenerateDataset and Config.WarmStart, it supports the §5 production
+// workflow — offline pre-training on a small dataset followed by online
+// re-training at scale. On one host, Ranks>1 is slower than Ranks=1 with
+// BatchSize·Ranks, which trains the same samples per step in one batch.
 func TrainOffline(ctx context.Context, cfg Config, dir string, epochs, loaderWorkers int) (*RunResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -128,97 +123,63 @@ func TrainOffline(ctx context.Context, cfg Config, dir string, epochs, loaderWor
 		return nil, fmt.Errorf("melissa: dataset %s has %d-dim inputs and %d-value fields, problem %q expects %d/%d — generated for a different problem or geometry?",
 			dir, inDim, fDim, prob.Name(), norm.InputDim(), norm.OutputDim())
 	}
-	cnorm := coreNormalizer(norm)
-	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
-	if cfg.WarmStart != nil {
-		var buf bytes.Buffer
-		if err := cfg.WarmStart.net.SaveWeights(&buf); err != nil {
-			return nil, err
-		}
-		if err := net.LoadWeights(&buf); err != nil {
-			return nil, fmt.Errorf("melissa: warm start: %w", err)
-		}
+	tc, err := trainerConfig(ctx, cfg, prob, space, norm)
+	if err != nil {
+		return nil, err
 	}
-
-	var valSet *core.ValidationSet
-	if cfg.ValidationSims > 0 {
-		valSet, err = generateValidation(cfg, prob, space, norm)
-		if err != nil {
-			return nil, err
+	bufs := make([]*buffer.Blocking, cfg.Ranks)
+	for r := range bufs {
+		bufs[r] = buffer.NewBlockingArena(buffer.NewFIFO(2*cfg.BatchSize), norm.InputDim(), norm.OutputDim())
+	}
+	trainer, err := core.NewTrainer(tc, bufs)
+	if err != nil {
+		return nil, err
+	}
+	endReception := func() {
+		for _, b := range bufs {
+			b.EndReception()
 		}
 	}
 
-	var schedule opt.Schedule = opt.Constant(cfg.LearningRate)
-	if cfg.HalveEvery > 0 {
-		schedule = opt.Halving{Initial: cfg.LearningRate, EverySamples: cfg.HalveEvery, Min: cfg.MinLR}
-	}
-	adam := opt.NewAdam(cfg.LearningRate)
-	// The loop below is the process's one trainer: its kernels may use
-	// every core. The team is closed before the surrogate is handed out.
-	team := tensor.NewTeam(runtime.GOMAXPROCS(0))
-	defer team.Close()
-	net.SetTeam(team)
-	adam.SetTeam(team)
-	lossFn := nn.NewMSELoss()
-	metrics := core.NewMetrics(false)
-	metrics.Begin()
-
+	// The producer deals samples out BatchSize at a time, rank after rank,
+	// from one count across epochs: the ranks stay within one batch of
+	// each other, so only the run's last step can be short.
 	loader := dataset.NewLoader(ds, cfg.BatchSize*cfg.Ranks, loaderWorkers, cfg.Seed^0x0ff1e)
-	// Reusable batch storage: full batches use the preallocated matrices
-	// directly, the final partial batch of each epoch a prefix view.
-	batchIn := tensor.New(cfg.BatchSize*cfg.Ranks, norm.InputDim())
-	batchOut := tensor.New(cfg.BatchSize*cfg.Ranks, norm.OutputDim())
-	var inView, outView tensor.Matrix
-	for epoch := 0; epoch < epochs; epoch++ {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
+	var loadErr error
+	loaded := make(chan struct{})
+	go func() {
+		defer close(loaded)
+		defer endReception()
+		k := 0
+		for epoch := 0; epoch < epochs && loadErr == nil; epoch++ {
+			loadErr = loader.Epoch(func(batch []buffer.Sample) error {
+				for _, s := range batch {
+					rank := (k / cfg.BatchSize) % cfg.Ranks
+					k++
+					if !bufs[rank].PutCopy(s.SimID, s.Step, s.Input, s.Output) {
+						// Until Run returns, only a sample that is not one row is refused.
+						return fmt.Errorf("melissa: dataset %s: sim %d step %d does not have its first file's geometry", dir, s.SimID, s.Step)
+					}
+				}
+				return nil
+			})
 		}
-		err := loader.Epoch(func(batch []buffer.Sample) error {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			batchIn.ViewRows(&inView, 0, len(batch))
-			batchOut.ViewRows(&outView, 0, len(batch))
-			bi, bo := &inView, &outView
-			core.BuildBatch(cnorm, batch, bi, bo)
-			net.ZeroGrad()
-			pred := net.Forward(bi)
-			loss := lossFn.Forward(pred, bo)
-			net.Backward(lossFn.Backward(pred, bo))
-			b, s := metrics.RecordStep(len(batch))
-			metrics.RecordTrainLoss(b, s, loss)
-			adam.SetLR(schedule.LR(s))
-			adam.StepFlat(net.FlatParams(), net.FlatGrads())
-			if valSet != nil && cfg.ValidateEvery > 0 && b%cfg.ValidateEvery == 0 {
-				metrics.RecordValidation(b, s, core.Validate(net, valSet, cfg.BatchSize*4))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	}()
+	runErr := trainer.Run(ctx)
+	// A cancelled run leaves the producer parked on a full buffer; the
+	// refusal that releases it is not reported, Run's error is.
+	endReception()
+	<-loaded
+	if runErr != nil {
+		return nil, runErr
 	}
-	metrics.Finish()
+	if loadErr != nil {
+		return nil, loadErr
+	}
 
-	out := &RunResult{
-		Surrogate:     newSurrogate(net, norm, surrogateMeta(cfg, prob)),
-		Batches:       metrics.Batches(),
-		Samples:       metrics.Samples(),
-		UniqueSamples: ds.Len(),
-		Throughput:    metrics.Throughput(),
-		WallTime:      metrics.WallTime(),
+	m, net := trainer.Metrics(), trainer.Network()
+	if tc.Validation != nil {
+		m.RecordValidation(m.Batches(), m.Samples(), core.Validate(net, tc.Validation, cfg.BatchSize*4))
 	}
-	if valSet != nil {
-		v := core.Validate(net, valSet, cfg.BatchSize*4)
-		metrics.RecordValidation(metrics.Batches(), metrics.Samples(), v)
-		out.ValidationMSE = v
-		out.ValidationMSEKelvin = norm.RawMSE(v)
-	}
-	for _, p := range metrics.Validation() {
-		out.ValidationCurve = append(out.ValidationCurve, Point{Batch: p.Batch, Samples: p.Samples, MSE: p.Value})
-	}
-	for _, p := range metrics.TrainLoss() {
-		out.TrainCurve = append(out.TrainCurve, Point{Batch: p.Batch, Samples: p.Samples, MSE: p.Value})
-	}
-	return out, nil
+	return runResult(cfg, prob, norm, net, m), nil
 }

@@ -250,12 +250,6 @@ func problemSpace(prob Problem) (sampling.Space, error) {
 	return space, nil
 }
 
-// coreNormalizer adapts a public Normalizer to the training-side sample
-// interface. Built-in normalizers already implement both and pass through.
-func coreNormalizer(n Normalizer) core.Normalizer {
-	return core.AdaptNormalizer(n)
-}
-
 // streamSteps drives one simulation of prob and hands every computed step
 // to emit in the streamed sample layout: the float32 input vector (the
 // physical parameters followed by the physical time) and the float32 field
