@@ -15,21 +15,17 @@ import (
 
 	"melissa"
 	"melissa/internal/client"
-	"melissa/internal/sampling"
 	"melissa/internal/solver"
 )
 
 func main() {
+	cfg := melissa.DefaultConfig()
+	finish := melissa.RegisterFlags(flag.CommandLine, &cfg, false)
+	flag.StringVar(&cfg.Design, "design", "monte-carlo", "experimental design: monte-carlo|latin-hypercube|halton")
+	flag.IntVar(&cfg.Workers, "workers", 1, "solver domain partitions (heat only)")
 	var (
-		id       = flag.Int("id", 0, "client / simulation id (also selects sampled parameters)")
-		problem  = flag.String("problem", "heat", "registered problem to simulate ("+strings.Join(melissa.Problems(), "|")+")")
-		gridN    = flag.Int("grid", 16, "solver grid side")
-		steps    = flag.Int("steps", 20, "time steps to produce")
-		dt       = flag.Float64("dt", 0, "seconds per time step (0 = problem default)")
-		workers  = flag.Int("workers", 1, "solver domain partitions (heat only)")
+		id       = flag.Int("id", 0, "client / simulation id (also selects the member's drawn parameters)")
 		addrFile = flag.String("addr-file", "melissa-addrs.txt", "file with server rank addresses")
-		seed     = flag.Uint64("seed", 2023, "experimental-design seed (must match the ensemble)")
-		design   = flag.String("design", "monte-carlo", "monte-carlo|latin-hypercube|halton")
 		restart  = flag.Int("restart", 0, "restart count (server discards replayed steps)")
 		reconn   = flag.Bool("reconnect", false, "survive server rank deaths: dial only reachable ranks, redial dead ones in the background, drop their frames meanwhile (elastic server groups)")
 		ckptDir  = flag.String("checkpoint-dir", "", "resume from solver checkpoints in this directory")
@@ -40,14 +36,10 @@ func main() {
 		ty2      = flag.Float64("ty2", -1, "explicit boundary y=L")
 	)
 	flag.Parse()
-
-	prob, err := melissa.ProblemByName(*problem)
-	if err != nil {
+	if err := finish(); err != nil {
 		fatal(err)
 	}
-	if *dt <= 0 {
-		*dt = melissa.DefaultDtFor(prob)
-	}
+	prob := cfg.Problem
 
 	data, err := os.ReadFile(*addrFile)
 	if err != nil {
@@ -60,33 +52,19 @@ func main() {
 		}
 	}
 
-	if *tic >= 0 && *problem != melissa.HeatName {
-		fatal(fmt.Errorf("explicit temperature flags (-tic/-tx1/...) only apply to -problem %s", melissa.HeatName))
-	}
-
 	var params []float64
-	if *problem == melissa.HeatName && *tic >= 0 {
+	switch {
+	case *tic < 0:
+		// This member's point of the shared seeded design.
+		if params, err = melissa.MemberParams(cfg, *id); err != nil {
+			fatal(err)
+		}
+	case prob.Name() != melissa.HeatName:
+		fatal(fmt.Errorf("explicit temperature flags (-tic/-tx1/...) only apply to -problem %s", melissa.HeatName))
+	default:
 		params = melissa.HeatParams{TIC: *tic, TX1: *tx1, TY1: *ty1, TX2: *tx2, TY2: *ty2}.Vector()
-	} else {
-		// Re-derive this client's parameters from the shared seeded
-		// design: draw and discard the first id points.
-		min, max := prob.ParamBounds()
-		space, err := sampling.NewSpace(min, max)
-		if err != nil {
-			fatal(err)
-		}
-		s, err := sampling.New(sampling.Kind(*design), space.Dim(), *seed, 0)
-		if err != nil {
-			fatal(err)
-		}
-		var point []float64
-		for i := 0; i <= *id; i++ {
-			point = s.Next()
-		}
-		params = space.Scale(point)
 	}
 
-	mcfg := melissa.Config{GridN: *gridN, StepsPerSim: *steps, Dt: *dt, Workers: *workers}
 	job := client.Job{
 		Client: client.Config{
 			ClientID:          *id,
@@ -96,16 +74,16 @@ func main() {
 			Restart:           *restart,
 			Reconnect:         *reconn,
 		},
-		NewSim: func() (solver.Simulator, error) { return prob.NewSimulator(mcfg, params) },
+		NewSim: func() (solver.Simulator, error) { return prob.NewSimulator(cfg, params) },
 		Params: params,
-		Steps:  *steps,
-		Dt:     *dt,
+		Steps:  cfg.StepsPerSim,
+		Dt:     cfg.Dt,
 	}
 	if *ckptDir != "" {
 		job.Checkpoint = &client.FileCheckpointer{Dir: *ckptDir, Every: 5}
 	}
 	fmt.Printf("melissa-client %d: problem %s, params %v, %d steps on %d-rank server\n",
-		*id, prob.Name(), params, *steps, len(addrs))
+		*id, prob.Name(), params, cfg.StepsPerSim, len(addrs))
 	if err := client.Run(context.Background(), job); err != nil {
 		fatal(err)
 	}

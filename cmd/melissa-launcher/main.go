@@ -9,58 +9,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"melissa"
 )
 
 func main() {
-	var (
-		problem    = flag.String("problem", "heat", "registered problem ("+strings.Join(melissa.Problems(), "|")+")")
-		sims       = flag.Int("simulations", 20, "ensemble size")
-		gridN      = flag.Int("grid", 16, "solver grid side")
-		steps      = flag.Int("steps", 20, "time steps per simulation")
-		dt         = flag.Float64("dt", 0.01, "seconds per step")
-		concurrent = flag.Int("concurrent", 4, "max simultaneous clients")
-		ranks      = flag.Int("ranks", 1, "data-parallel training replicas")
-		hidden     = flag.String("hidden", "64,64", "hidden layer widths")
-		batch      = flag.Int("batch", 10, "batch size per rank")
-		policy     = flag.String("buffer", "Reservoir", "FIFO|FIRO|Reservoir")
-		capacity   = flag.Int("capacity", 200, "buffer capacity per rank")
-		threshold  = flag.Int("threshold", 30, "buffer threshold")
-		valSims    = flag.Int("validation-sims", 2, "held-out validation simulations")
-		seed       = flag.Uint64("seed", 2023, "global seed")
-		out        = flag.String("out", "surrogate.bin", "trained weights output")
-		timeout    = flag.Duration("timeout", 0, "overall run timeout (0 = none)")
-	)
-	flag.Parse()
-
 	cfg := melissa.DefaultConfig()
-	prob, err := melissa.ProblemByName(*problem)
-	if err != nil {
+	finish := melissa.RegisterFlags(flag.CommandLine, &cfg, true)
+	flag.IntVar(&cfg.Simulations, "simulations", cfg.Simulations, "ensemble size")
+	flag.IntVar(&cfg.MaxConcurrentClients, "concurrent", cfg.MaxConcurrentClients, "max simultaneous clients")
+	flag.IntVar(&cfg.ValidationSims, "validation-sims", cfg.ValidationSims, "held-out validation simulations")
+	out := flag.String("out", "surrogate.bin", "trained weights output")
+	timeout := flag.Duration("timeout", 0, "overall run timeout (0 = none)")
+	flag.Parse()
+	if err := finish(); err != nil {
 		fatal(err)
-	}
-	cfg.Problem = prob
-	cfg.Simulations = *sims
-	cfg.GridN = *gridN
-	cfg.StepsPerSim = *steps
-	cfg.Dt = *dt
-	cfg.MaxConcurrentClients = *concurrent
-	cfg.Ranks = *ranks
-	cfg.BatchSize = *batch
-	cfg.Buffer = melissa.BufferPolicy(*policy)
-	cfg.Capacity = *capacity
-	cfg.Threshold = *threshold
-	cfg.ValidationSims = *valSims
-	cfg.Seed = *seed
-	cfg.Hidden = nil
-	for _, part := range strings.Split(*hidden, ",") {
-		var h int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &h); err != nil || h < 1 {
-			fatal(fmt.Errorf("invalid -hidden %q", *hidden))
-		}
-		cfg.Hidden = append(cfg.Hidden, h)
 	}
 
 	ctx := context.Background()

@@ -10,6 +10,15 @@
 //	for i in 0 1 2 3; do melissa-client -id $i -grid 16 -steps 20 & done
 //	wait
 //
+// The server and its clients must describe the same ensemble: -problem,
+// -grid, -steps, -dt and -seed must agree, and a client's -design picks
+// the parameters it streams. The members of an elastic group must also
+// agree on -ranks, -hidden, -batch, -buffer, -capacity and -threshold.
+// melissa-server, melissa-client and melissa-launcher register these flags
+// from one function, melissa.RegisterFlags, so names, defaults and meaning
+// are shared; the server trains through melissa.ServerConfig, the server
+// RunOnline builds. See docs/fault-tolerance.md.
+//
 // By default the -ranks training replicas of one process are the whole
 // training group. With -coord the process instead joins an elastic training
 // group — the one way several server processes train together: each member
@@ -59,72 +68,50 @@ import (
 	"time"
 
 	"melissa"
-	"melissa/internal/buffer"
-	"melissa/internal/core"
 	"melissa/internal/elastic"
-	"melissa/internal/opt"
 	"melissa/internal/server"
 	"melissa/internal/transport"
 )
 
 func main() {
+	// The server trains what RunOnline trains from the same Config; the
+	// held-out validation set is RunOnline's alone.
+	cfg := melissa.DefaultConfig()
+	cfg.ValidationSims = 0
+	finish := melissa.RegisterFlags(flag.CommandLine, &cfg, true)
+	flag.IntVar(&cfg.Simulations, "clients", 1, "expected ensemble size (Goodbyes to wait for)")
+	flag.DurationVar(&cfg.WatchdogTimeout, "watchdog", 30*time.Second, "client liveness timeout (0 disables)")
+	flag.StringVar(&cfg.CheckpointDir, "group-dir", "", "checkpoint directory, resumed from when it holds a checkpoint: a lone process's shards (optional; empty disables checkpoints), an elastic group's shards + manifest (required with -coord)")
 	var (
 		role       = flag.String("role", "server", "server|coordinator (coordinator runs the elastic group's control plane)")
-		ranks      = flag.Int("ranks", 1, "training ranks (data-parallel replicas) hosted by this process; every member of an elastic group must agree")
-		clients    = flag.Int("clients", 1, "expected ensemble size (Goodbyes to wait for)")
-		problem    = flag.String("problem", "heat", "registered problem ("+strings.Join(melissa.Problems(), "|")+"; must match clients)")
-		gridN      = flag.Int("grid", 16, "solver grid side (must match clients)")
-		steps      = flag.Int("steps", 20, "time steps per simulation (must match clients)")
-		dt         = flag.Float64("dt", 0, "seconds per time step (0 = problem default)")
-		hidden     = flag.String("hidden", "64,64", "comma-separated hidden layer widths")
-		batch      = flag.Int("batch", 10, "batch size per rank")
-		policy     = flag.String("buffer", "Reservoir", "FIFO|FIRO|Reservoir, or UniformEvict (the Reservoir's eviction ablation)")
-		capacity   = flag.Int("capacity", 200, "buffer capacity per rank")
-		threshold  = flag.Int("threshold", 30, "buffer extraction threshold")
 		maxBatches = flag.Int("max-batches", 0, "stop training after this many batches (0 = train until the ensemble completes; set it where an elastic group should run the same schedule whoever survives)")
-		seed       = flag.Uint64("seed", 2023, "seed for all stochastic components")
 		addrFile   = flag.String("addr-file", "melissa-addrs.txt", "file to publish rank addresses to")
 		surOut     = flag.String("surrogate-out", "", "publish a self-describing surrogate checkpoint (.mlsg) to this path, atomically — melissa-serve hot-reloads it")
 		pubEvery   = flag.Int("publish-every", 0, "also publish -surrogate-out every N batches during training (0 = only at the end)")
 		ckptEvery  = flag.Int("ckpt-every", 0, "checkpoint cadence in batches (0 = default); checkpoints go to -group-dir")
-		watchdog   = flag.Duration("watchdog", 30*time.Second, "client liveness timeout (0 disables)")
 		gradComp   = flag.String("grad-compress", "none", "gradient all-reduce wire codec: none|f16 (f16 halves inter-node collective bytes with error feedback; all processes must agree)")
 		logEvery   = flag.Duration("log-every", 0, "print training progress (batches, samples, group epoch, re-forms) at this interval (0 disables)")
 
 		coordAddr = flag.String("coord", "", "elastic coordinator control-plane address (joins an elastic group; listen address for -role coordinator)")
 		memberID  = flag.Int("member-id", 0, "elastic member ID, stable across restarts")
 		members   = flag.Int("members", 3, "elastic group size in member processes (coordinator: members to wait for)")
-		groupDir  = flag.String("group-dir", "", "checkpoint directory, resumed from when it holds a checkpoint: a lone process's shards (optional; empty disables checkpoints), an elastic group's shards + manifest (required with -coord)")
 		ioTimeout = flag.Duration("io-timeout", 5*time.Second, "ring silence tolerated before a peer is declared dead (elastic mode)")
 	)
 	flag.Parse()
 
 	if *role == "coordinator" {
-		if *coordAddr == "" || *groupDir == "" {
+		if *coordAddr == "" || cfg.CheckpointDir == "" {
 			fatal(fmt.Errorf("-role coordinator requires -coord and -group-dir"))
 		}
-		runCoordinator(*coordAddr, *members, *groupDir)
+		runCoordinator(*coordAddr, *members, cfg.CheckpointDir)
 		return
 	}
 	if *role != "server" {
 		fatal(fmt.Errorf("unknown -role %q (want server or coordinator)", *role))
 	}
 
-	var hiddenDims []int
-	for _, part := range strings.Split(*hidden, ",") {
-		var h int
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &h); err != nil || h < 1 {
-			fatal(fmt.Errorf("invalid -hidden %q", *hidden))
-		}
-		hiddenDims = append(hiddenDims, h)
-	}
-
-	prob, err := melissa.ProblemByName(*problem)
-	if err != nil {
+	if err := finish(); err != nil {
 		fatal(err)
-	}
-	if *dt <= 0 {
-		*dt = melissa.DefaultDtFor(prob)
 	}
 
 	gradCodec, err := transport.ParseCodec(*gradComp)
@@ -143,7 +130,7 @@ func main() {
 	isProc0 := true
 	var ecfg *server.ElasticConfig
 	if *coordAddr != "" {
-		if *groupDir == "" {
+		if cfg.CheckpointDir == "" {
 			fatal(fmt.Errorf("elastic mode requires -group-dir"))
 		}
 		ecfg = &server.ElasticConfig{
@@ -159,38 +146,16 @@ func main() {
 		fatal(fmt.Errorf("-grad-compress=%s is only meaningful with -coord (single-process collectives are in-memory)", gradCodec))
 	}
 
-	mcfg := melissa.Config{GridN: *gridN, StepsPerSim: *steps, Dt: *dt}
-	norm := core.AdaptNormalizer(prob.Normalizer(mcfg))
-	cfg := server.Config{
-		Ranks:      *ranks,
-		Elastic:    ecfg,
-		ListenHost: "127.0.0.1:0",
-		Buffer: buffer.Config{
-			Kind:      buffer.Kind(*policy),
-			Capacity:  *capacity,
-			Threshold: *threshold,
-			Seed:      *seed,
-		},
-		Trainer: core.TrainerConfig{
-			BatchSize: *batch,
-			Model: core.ModelSpec{
-				InputDim:  norm.InputDim(),
-				Hidden:    hiddenDims,
-				OutputDim: norm.OutputDim(),
-				Seed:      *seed,
-			},
-			Normalizer:   norm,
-			LearningRate: 1e-3,
-			Schedule:     opt.PaperSchedule(),
-			MaxBatches:   *maxBatches,
-		},
-		ExpectedClients: *clients,
-		WatchdogTimeout: *watchdog,
-		OnUnresponsive: func(id int32) {
-			fmt.Fprintf(os.Stderr, "melissa-server: client %d unresponsive\n", id)
-		},
-		CheckpointDir:          *groupDir,
-		CheckpointEveryBatches: *ckptEvery,
+	scfg, err := melissa.ServerConfig(context.Background(), cfg)
+	if err != nil {
+		fatal(err)
+	}
+	scfg.Elastic = ecfg
+	scfg.ExpectedClients = cfg.Simulations
+	scfg.Trainer.MaxBatches = *maxBatches
+	scfg.CheckpointEveryBatches = *ckptEvery
+	scfg.OnUnresponsive = func(id int32) {
+		fmt.Fprintf(os.Stderr, "melissa-server: client %d unresponsive\n", id)
 	}
 	// Periodic surrogate publishing: at a synchronized step boundary on
 	// global rank 0, snapshot the weights into a servable checkpoint and
@@ -198,21 +163,20 @@ func main() {
 	// hot-reloads each publish. Failures are reported, never fatal — the
 	// previous publish stays valid.
 	var srv *server.Server
-	scfg := melissa.Config{Problem: prob, GridN: *gridN, StepsPerSim: *steps, Dt: *dt, Hidden: hiddenDims, Seed: *seed}
 	publish := func() error {
 		tr := srv.Trainer()
 		if tr == nil {
 			return fmt.Errorf("no trainer yet (training has not started)")
 		}
-		sur, err := melissa.SurrogateFromNetwork(tr.Network(), scfg)
+		sur, err := melissa.SurrogateFromNetwork(tr.Network(), cfg)
 		if err != nil {
 			return err
 		}
 		return melissa.PublishSurrogate(sur, *surOut)
 	}
 	if *surOut != "" && *pubEvery > 0 {
-		prev := cfg.Trainer.OnBatchEnd
-		cfg.Trainer.OnBatchEnd = func(batches int) {
+		prev := scfg.Trainer.OnBatchEnd
+		scfg.Trainer.OnBatchEnd = func(batches int) {
 			if batches%*pubEvery == 0 {
 				if err := publish(); err != nil {
 					fmt.Fprintf(os.Stderr, "melissa-server: surrogate publish failed: %v\n", err)
@@ -223,7 +187,7 @@ func main() {
 			}
 		}
 	}
-	srv, err = server.New(cfg)
+	srv, err = server.New(scfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -233,7 +197,7 @@ func main() {
 	}
 	if isProc0 {
 		fmt.Printf("melissa-server: problem %s, %d rank(s) listening (%s), waiting for %d client(s)\n",
-			prob.Name(), *ranks, strings.Join(srv.Addrs(), " "), *clients)
+			cfg.Problem.Name(), cfg.Ranks, strings.Join(srv.Addrs(), " "), cfg.Simulations)
 	}
 	if *logEvery > 0 {
 		go func() {

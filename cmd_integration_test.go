@@ -263,8 +263,10 @@ func runMultiProcessEnsemble(t *testing.T, serverBin, clientBin, problem string)
 	case <-time.After(30 * time.Second):
 		t.Fatalf("server did not terminate; output:\n%s", srvOut.String())
 	}
-	if !strings.Contains(srvOut.String(), "trained") {
-		t.Fatalf("server output missing summary:\n%s", srvOut.String())
+	// Every sample of the ensemble is trained on at least once: the
+	// summary counts clients × steps unique samples.
+	if want := fmt.Sprintf("(%d unique)", clients*6); !strings.Contains(srvOut.String(), want) {
+		t.Fatalf("server summary does not report %s:\n%s", want, srvOut.String())
 	}
 	return weights
 }

@@ -134,6 +134,10 @@ const (
 	ReservoirKind Kind = "Reservoir"
 )
 
+// Kinds lists every policy New builds: the paper's three, then the
+// UniformEvict ablation.
+func Kinds() []Kind { return []Kind{FIFOKind, FIROKind, ReservoirKind, UniformEvictKind} }
+
 // Config carries the buffer parameters used across all experiments
 // (§4.3: "FIRO and Reservoir have a fixed capacity of 6,000 samples …
 // with a threshold set to 1,000").

@@ -6,9 +6,11 @@ package ddp
 // same way when poisoned.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -304,6 +306,14 @@ func TestRingSumMatchesSerialReference(t *testing.T) {
 	}
 }
 
+// hopWaiters counts the goroutines inside (*Comm).recvHop or
+// (*Comm).sendHop.
+func hopWaiters() int {
+	buf := make([]byte, 1<<20)
+	stacks := buf[:runtime.Stack(buf, true)]
+	return bytes.Count(stacks, []byte("ddp.(*Comm).recvHop(")) + bytes.Count(stacks, []byte("ddp.(*Comm).sendHop("))
+}
+
 // TestAbortUnwedgesParkedRanks is the poison path at the ddp level: with
 // every local rank of one endpoint parked mid-collective (their peers never
 // enter), Abort makes each of them return an error wrapping
@@ -326,9 +336,13 @@ func TestAbortUnwedgesParkedRanks(t *testing.T) {
 				}(r)
 			}
 			// Without the abort the ranks would block forever, so any moment
-			// is a valid one to poison; the pause only makes "parked on a
-			// hop" the overwhelmingly likely state being tested.
-			time.Sleep(20 * time.Millisecond)
+			// is a valid one to poison; waiting until every rank is inside a
+			// hop makes "parked on a hop" the state being tested. Most park
+			// receiving; in-process, the rank before the absent peer parks
+			// sending, once its link's credits are out.
+			testwait.Until(t, fmt.Sprintf("%d ranks to park on a hop", parked), func() bool {
+				return hopWaiters() == parked
+			})
 			c.Abort()
 			for r := 0; r < parked; r++ {
 				select {

@@ -22,7 +22,6 @@ import (
 	"melissa/internal/client"
 	"melissa/internal/core"
 	"melissa/internal/nn"
-	"melissa/internal/sampling"
 	"melissa/internal/server"
 	"melissa/internal/solver"
 )
@@ -31,19 +30,16 @@ import (
 type Config struct {
 	Server server.Config
 
-	// NewSim constructs one ensemble member's simulator for drawn physical
+	// NewSim constructs one ensemble member's simulator for its physical
 	// parameters — the problem-plugin hook: the launcher never sees the
 	// concrete PDE. Steps and Dt describe the emitted trajectories.
 	NewSim func(params []float64) (solver.Simulator, error)
 	Steps  int
 	Dt     float64
-	// Design draws simulation parameters; seeded for reproducibility.
-	Design sampling.Sampler
-	// Space maps unit design points to physical parameters.
-	Space sampling.Space
-	// Simulations is the ensemble size (paper: 250 small runs, 20,000 at
-	// scale).
-	Simulations int
+	// Params holds every member's physical parameters, in simulation-ID
+	// order; its length is the ensemble size (paper: 250 small runs, 20,000
+	// at scale). A restarted member reruns from the same parameters.
+	Params [][]float64
 
 	// MaxConcurrentClients bounds simultaneously running clients — the
 	// finite resource c behind the paper's inter-simulation bias (§3.2.1).
@@ -51,7 +47,7 @@ type Config struct {
 	// Series optionally splits submission into successive groups (the
 	// paper submits 100, then 100, then 50); the launcher waits for a
 	// series to finish before submitting the next. Sizes must sum to
-	// Simulations. Empty means one series.
+	// len(Params). Empty means one series.
 	Series []int
 	// InterSeriesDelay models the scheduler gap between series.
 	InterSeriesDelay time.Duration
@@ -69,9 +65,6 @@ type Config struct {
 
 	// HeartbeatInterval for clients; 0 disables heartbeats.
 	HeartbeatInterval time.Duration
-	// ClientCheckpoints enables solver-state checkpoints so restarted
-	// clients resume mid-run.
-	ClientCheckpoints client.Checkpointer
 
 	// JobHook, when set, may mutate a job before each attempt —
 	// fault-injection entry point for tests.
@@ -98,9 +91,8 @@ const (
 
 // Launcher runs one configured ensemble.
 type Launcher struct {
-	cfg    Config
-	params [][]float64
-	slots  *semaphore
+	cfg   Config
+	slots *semaphore
 
 	clientRestarts atomic.Int64
 
@@ -135,17 +127,13 @@ func (l *Launcher) Resize(concurrent int) { l.slots.Resize(concurrent) }
 // ConcurrentClients reports the clients currently running.
 func (l *Launcher) ConcurrentClients() int { return l.slots.InUse() }
 
-// New validates the configuration and pre-draws the ensemble parameters
-// from the design so that restarted runs reuse identical inputs.
+// New validates the configuration.
 func New(cfg Config) (*Launcher, error) {
-	if cfg.Simulations < 1 {
-		return nil, errors.New("launcher: Simulations must be ≥ 1")
+	if len(cfg.Params) < 1 {
+		return nil, errors.New("launcher: Params must hold ≥ 1 member")
 	}
 	if cfg.MaxConcurrentClients < 1 {
 		cfg.MaxConcurrentClients = 1
-	}
-	if cfg.Design == nil {
-		return nil, errors.New("launcher: Design sampler required")
 	}
 	if cfg.NewSim == nil {
 		return nil, errors.New("launcher: NewSim simulator factory required")
@@ -161,10 +149,11 @@ func New(cfg Config) (*Launcher, error) {
 			}
 			total += s
 		}
-		if total != cfg.Simulations {
-			return nil, fmt.Errorf("launcher: series sum %d != simulations %d", total, cfg.Simulations)
+		if total != len(cfg.Params) {
+			return nil, fmt.Errorf("launcher: series sum %d != %d members", total, len(cfg.Params))
 		}
 	}
+	cfg.Server.ExpectedClients = len(cfg.Params)
 	l := &Launcher{
 		cfg:   cfg,
 		slots: newSemaphore(cfg.MaxConcurrentClients),
@@ -179,31 +168,8 @@ func New(cfg Config) (*Launcher, error) {
 			}
 		},
 	}
-	var err error
-	if l.params, err = DrawParams(cfg.Design, cfg.Space, cfg.Simulations); err != nil {
-		return nil, err
-	}
-	cfg.Server.ExpectedClients = cfg.Simulations
-	l.cfg = cfg
 	return l, nil
 }
-
-// DrawParams draws n members' parameters from design, scaled into space.
-// A point of the wrong dimension (custom designs are user code) is an error.
-func DrawParams(design sampling.Sampler, space sampling.Space, n int) ([][]float64, error) {
-	params := make([][]float64, n)
-	for i := range params {
-		pt := design.Next()
-		if len(pt) != space.Dim() {
-			return nil, fmt.Errorf("launcher: design returned a %d-dimensional point, problem wants %d", len(pt), space.Dim())
-		}
-		params[i] = space.Scale(pt)
-	}
-	return params, nil
-}
-
-// Params exposes the pre-drawn ensemble parameters (examples print them).
-func (l *Launcher) Params() [][]float64 { return l.params }
 
 // Run executes the ensemble to completion, recovering from client and
 // server failures within the configured budgets.
@@ -240,7 +206,7 @@ func (l *Launcher) Run(ctx context.Context) (*Result, error) {
 // server crash.
 func (l *Launcher) runServerAttempt(ctx context.Context, attempt int) (srv *server.Server, injected bool, err error) {
 	scfg := l.cfg.Server
-	restartCh := make(chan int32, l.cfg.Simulations)
+	restartCh := make(chan int32, len(l.cfg.Params))
 	scfg.OnUnresponsive = func(id int32) { restartCh <- id }
 
 	serverCtx, failServer := context.WithCancel(ctx)
@@ -317,7 +283,7 @@ func (l *Launcher) submitClients(ctx context.Context, srv *server.Server, restar
 
 	series := l.cfg.Series
 	if len(series) == 0 {
-		series = []int{l.cfg.Simulations}
+		series = []int{len(l.cfg.Params)}
 	}
 	simID := 0
 	for si, size := range series {
@@ -354,7 +320,7 @@ func (l *Launcher) runClientWithRetries(ctx context.Context, srv *server.Server,
 		if ctx.Err() != nil {
 			return
 		}
-		params := l.params[simID]
+		params := l.cfg.Params[simID]
 		job := client.Job{
 			Client: client.Config{
 				ClientID:          simID,
@@ -363,11 +329,10 @@ func (l *Launcher) runClientWithRetries(ctx context.Context, srv *server.Server,
 				HeartbeatInterval: l.cfg.HeartbeatInterval,
 				Restart:           attempt,
 			},
-			NewSim:     func() (solver.Simulator, error) { return l.cfg.NewSim(params) },
-			Params:     params,
-			Steps:      l.cfg.Steps,
-			Dt:         l.cfg.Dt,
-			Checkpoint: l.cfg.ClientCheckpoints,
+			NewSim: func() (solver.Simulator, error) { return l.cfg.NewSim(params) },
+			Params: params,
+			Steps:  l.cfg.Steps,
+			Dt:     l.cfg.Dt,
 		}
 		if l.cfg.JobHook != nil {
 			l.cfg.JobHook(simID, attempt, &job)

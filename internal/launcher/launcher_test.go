@@ -11,7 +11,6 @@ import (
 	"melissa/internal/client"
 	"melissa/internal/core"
 	"melissa/internal/opt"
-	"melissa/internal/sampling"
 	"melissa/internal/server"
 	"melissa/internal/solver"
 	"melissa/internal/testwait"
@@ -47,25 +46,28 @@ func testConfig(sims int, kind buffer.Kind) Config {
 		},
 		Steps:                steps,
 		Dt:                   0.01,
-		Design:               sampling.NewMonteCarlo(5, 11),
-		Space:                sampling.HeatSpace(),
-		Simulations:          sims,
+		Params:               heatParams(sims),
 		MaxConcurrentClients: 2,
 		MaxClientRetries:     3,
 		MaxServerRestarts:    2,
 	}
 }
 
+// heatParams is n distinct heat members' parameters (T_IC, T_x1, T_y1,
+// T_x2, T_y2), all within the paper's [100, 500] K box.
+func heatParams(n int) [][]float64 {
+	params := make([][]float64, n)
+	for i := range params {
+		params[i] = []float64{300, 200 + 10*float64(i), 400, 250, 350 - 10*float64(i)}
+	}
+	return params
+}
+
 func TestLauncherValidation(t *testing.T) {
 	cfg := testConfig(4, buffer.FIFOKind)
-	cfg.Simulations = 0
+	cfg.Params = nil
 	if _, err := New(cfg); err == nil {
-		t.Fatal("expected error for 0 simulations")
-	}
-	cfg = testConfig(4, buffer.FIFOKind)
-	cfg.Design = nil
-	if _, err := New(cfg); err == nil {
-		t.Fatal("expected error for missing design")
+		t.Fatal("expected error for an empty ensemble")
 	}
 	cfg = testConfig(4, buffer.FIFOKind)
 	cfg.Series = []int{2, 1} // doesn't sum to 4
@@ -82,11 +84,6 @@ func TestLauncherValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("expected error for missing simulator factory")
 	}
-	cfg = testConfig(4, buffer.FIFOKind)
-	cfg.Design = sampling.NewMonteCarlo(3, 11) // wrong dimensionality
-	if _, err := New(cfg); err == nil {
-		t.Fatal("expected error for design/space dimension mismatch")
-	}
 }
 
 // runLauncher is l.Run under the suite's pipeline deadline: an ensemble
@@ -101,9 +98,6 @@ func TestLauncherHappyPath(t *testing.T) {
 	l, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(l.Params()) != 5 {
-		t.Fatal("ensemble parameters not drawn")
 	}
 	res, err := runLauncher(t, l, context.Background())
 	if err != nil {

@@ -40,6 +40,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -101,7 +102,9 @@ type Config struct {
 	BatchSize int   // per rank (paper: 10)
 
 	// Buffer (paper defaults: Reservoir, capacity 6000, threshold 1000 —
-	// scale capacity to roughly a quarter of the ensemble's sample count)
+	// scale capacity to roughly a quarter of the ensemble's sample count).
+	// Besides the three policies, Buffer takes "UniformEvict", the
+	// Reservoir's eviction ablation.
 	Buffer    BufferPolicy
 	Capacity  int
 	Threshold int
@@ -193,9 +196,7 @@ func (c Config) validate() error {
 	if c.Ranks < 1 || c.BatchSize < 1 {
 		return fmt.Errorf("melissa: ranks %d batch %d invalid", c.Ranks, c.BatchSize)
 	}
-	switch c.Buffer {
-	case FIFO, FIRO, Reservoir:
-	default:
+	if !slices.Contains(buffer.Kinds(), buffer.Kind(c.Buffer)) {
 		return fmt.Errorf("melissa: unknown buffer policy %q", c.Buffer)
 	}
 	if c.Capacity < 1 {
@@ -259,52 +260,26 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 		return nil, err
 	}
 	norm := prob.Normalizer(cfg)
-	design, err := ensembleDesign(cfg, space)
+	// Every member is drawn before the validation set costs solver time.
+	params, err := drawParams(cfg, space, cfg.Simulations)
 	if err != nil {
 		return nil, err
 	}
-	// Check the first draw before the validation set costs solver time,
-	// then replay it: the ensemble stream is unchanged.
-	first, rest := design.Next(), design
-	if len(first) != space.Dim() {
-		return nil, fmt.Errorf("melissa: design returned a %d-dimensional point, problem %q wants %d", len(first), prob.Name(), space.Dim())
-	}
-	design = funcSampler{dim: space.Dim(), fn: func() []float64 {
-		if p := first; p != nil {
-			first = nil
-			return p
-		}
-		return rest.Next()
-	}}
-	tc, err := trainerConfig(ctx, cfg, prob, space, norm)
+	scfg, err := serverConfig(ctx, cfg, prob, space, norm)
 	if err != nil {
 		return nil, err
 	}
 
-	lcfg := launcher.Config{
-		Server: server.Config{
-			Ranks: cfg.Ranks,
-			Buffer: buffer.Config{
-				Kind:      buffer.Kind(cfg.Buffer),
-				Capacity:  cfg.Capacity,
-				Threshold: cfg.Threshold,
-				Seed:      cfg.Seed,
-			},
-			Trainer:         tc,
-			WatchdogTimeout: cfg.WatchdogTimeout,
-			CheckpointDir:   cfg.CheckpointDir,
-		},
+	l, err := launcher.New(launcher.Config{
+		Server:               scfg,
 		NewSim:               func(params []float64) (solver.Simulator, error) { return prob.NewSimulator(cfg, params) },
 		Steps:                cfg.StepsPerSim,
 		Dt:                   cfg.Dt,
-		Design:               design,
-		Space:                space,
-		Simulations:          cfg.Simulations,
+		Params:               params,
 		MaxConcurrentClients: cfg.MaxConcurrentClients,
 		MaxClientRetries:     cfg.MaxClientRetries,
 		MaxServerRestarts:    cfg.MaxServerRestarts,
-	}
-	l, err := launcher.New(lcfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -318,18 +293,43 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 	return out, nil
 }
 
-// ensembleDesign builds the stream the ensemble's parameters are drawn
-// from: Config.Sampler when set, else the Config.Design method (Monte Carlo
-// by default).
-func ensembleDesign(cfg Config, space sampling.Space) (sampling.Sampler, error) {
-	if cfg.Sampler != nil {
-		return funcSampler{dim: space.Dim(), fn: cfg.Sampler}, nil
+// ServerConfig returns the training server cfg describes, the one RunOnline
+// runs: buffer, trainer (model, learning-rate schedule, warm start and the
+// held-out validation set, whose members it solves), watchdog and
+// checkpoint directory. It validates cfg first. A standalone server adds
+// only its deployment fields — elastic group, expected clients, batch
+// limit, checkpoint cadence, hooks — so it trains what RunOnline trains.
+func ServerConfig(ctx context.Context, cfg Config) (server.Config, error) {
+	if err := cfg.validate(); err != nil {
+		return server.Config{}, err
 	}
-	kind := sampling.Kind(cfg.Design)
-	if cfg.Design == "" {
-		kind = sampling.MonteCarloKind
+	prob := cfg.problem()
+	space, err := problemSpace(prob)
+	if err != nil {
+		return server.Config{}, err
 	}
-	return sampling.New(kind, space.Dim(), cfg.Seed, 0)
+	return serverConfig(ctx, cfg, prob, space, prob.Normalizer(cfg))
+}
+
+// serverConfig is ServerConfig for a validated cfg and its problem's
+// space and normalizer.
+func serverConfig(ctx context.Context, cfg Config, prob Problem, space sampling.Space, norm Normalizer) (server.Config, error) {
+	tc, err := trainerConfig(ctx, cfg, prob, space, norm)
+	if err != nil {
+		return server.Config{}, err
+	}
+	return server.Config{
+		Ranks: cfg.Ranks,
+		Buffer: buffer.Config{
+			Kind:      buffer.Kind(cfg.Buffer),
+			Capacity:  cfg.Capacity,
+			Threshold: cfg.Threshold,
+			Seed:      cfg.Seed,
+		},
+		Trainer:         tc,
+		WatchdogTimeout: cfg.WatchdogTimeout,
+		CheckpointDir:   cfg.CheckpointDir,
+	}, nil
 }
 
 // trainerConfig builds the trainer both entry points train through: the
@@ -393,16 +393,6 @@ func runResult(cfg Config, prob Problem, norm Normalizer, net *nn.Network, m *co
 	}
 	return out
 }
-
-// funcSampler adapts a draw function to the sampling interface.
-type funcSampler struct {
-	dim int
-	fn  func() []float64
-}
-
-func (f funcSampler) Next() []float64 { return f.fn() }
-
-func (f funcSampler) Dim() int { return f.dim }
 
 // generateValidation produces the held-out set with a decorrelated design
 // stream.

@@ -8,7 +8,6 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/core"
 	"melissa/internal/dataset"
-	"melissa/internal/launcher"
 )
 
 // DatasetInfo describes a generated offline dataset.
@@ -36,11 +35,7 @@ func GenerateDataset(ctx context.Context, cfg Config, dir string) (*DatasetInfo,
 	if err != nil {
 		return nil, err
 	}
-	design, err := ensembleDesign(cfg, space)
-	if err != nil {
-		return nil, err
-	}
-	params, err := launcher.DrawParams(design, space, cfg.Simulations)
+	params, err := drawParams(cfg, space, cfg.Simulations)
 	if err != nil {
 		return nil, err
 	}

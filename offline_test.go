@@ -232,8 +232,7 @@ func TestGenerateDatasetHonoursDesign(t *testing.T) {
 		}
 	}
 
-	// The first draw has the right dimension (RunOnline checks it up
-	// front); the second does not.
+	// The first draw has the right dimension, the second does not.
 	draws := 0
 	cfg.Sampler = func() []float64 {
 		draws++

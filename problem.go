@@ -210,9 +210,9 @@ func (p grayScottProblem) Normalizer(cfg Config) Normalizer {
 func (grayScottProblem) DefaultDt() float64 { return 1 }
 
 // DtProvider is optionally implemented by problems whose natural solver
-// time step differs from the framework-wide 0.01 default. CLI entry
-// points resolve their -dt default through DefaultDtFor so that selecting
-// a problem never silently runs it at another problem's step size.
+// time step differs from the framework-wide 0.01 default. RegisterFlags
+// resolves -dt 0 through DefaultDtFor, so selecting a problem never runs
+// it at another problem's step size.
 type DtProvider interface {
 	// DefaultDt returns the problem's preferred solver time step.
 	DefaultDt() float64

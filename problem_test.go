@@ -170,9 +170,12 @@ func TestSimulateMatchesProblemSolver(t *testing.T) {
 
 // TestCustomSamplerDimensionError locks in the satellite fix: a custom
 // sampler returning the wrong dimensionality surfaces as an error from
-// RunOnline instead of a panic.
+// RunOnline instead of a panic, before any member or validation solve, and
+// from MemberParams.
 func TestCustomSamplerDimensionError(t *testing.T) {
 	cfg := tinyConfig()
+	prob := &gatedProblem{Problem: Heat()} // counts the simulators built
+	cfg.Problem = prob
 	cfg.Sampler = func() []float64 { return []float64{0.5, 0.5, 0.5} } // heat wants 5
 	_, err := runOnline(t, cfg)
 	if err == nil {
@@ -180,5 +183,11 @@ func TestCustomSamplerDimensionError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "dimension") {
 		t.Fatalf("unhelpful error: %v", err)
+	}
+	if n := prob.built.Load(); n != 0 {
+		t.Fatalf("%d simulators built before the bad design point was refused", n)
+	}
+	if _, err := MemberParams(cfg, 2); err == nil || !strings.Contains(err.Error(), "dimension") {
+		t.Fatalf("MemberParams: %v, want a dimension error", err)
 	}
 }
