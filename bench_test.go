@@ -1,15 +1,18 @@
 package melissa_test
 
 // One benchmark per table and figure of the paper's evaluation (§4), plus
-// the ablations DESIGN.md calls out. Each benchmark executes the experiment
-// and prints the corresponding rows/series on its first iteration, so
+// ablations of the Reservoir's capacity and threshold, its eviction rule,
+// the all-reduce cost and the offline dataset size. Each benchmark executes
+// the experiment and prints the corresponding rows/series on its first
+// iteration, so
 //
 //	go test -bench=. -benchmem
 //
 // regenerates the full evaluation. Timing experiments replay the paper's
 // cluster runs on the discrete-event simulator at full scale; quality
-// experiments run real training at the MELISSA_SCALE preset
-// (tiny|default|large, default "default").
+// experiments train core.Trainer, the trainer the server runs, at the
+// MELISSA_SCALE preset (tiny|default|large, default "default"), with one
+// in-process data-parallel rank per simulated GPU.
 //
 // This file lives in the external test package: internal/experiments
 // imports melissa (for the Problem API), so importing it from an

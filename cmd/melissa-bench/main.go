@@ -1,6 +1,9 @@
 // Command melissa-bench reproduces the paper's tables and figures. Timing
 // experiments run at full paper scale on the cluster simulator; quality
-// experiments run real training at the selected scale preset.
+// experiments train core.Trainer, the trainer melissa-server runs, at the
+// selected scale preset, with one in-process data-parallel rank per GPU
+// rather than one batch as large as all of them. -dt 0 (the default) is the
+// problem's own step; a negative -dt is an error.
 //
 // Usage:
 //
@@ -43,10 +46,13 @@ func main() {
 	// The scale presets carry the heat equation's Dt; other problems have
 	// their own stable step size, so resolve the default per problem
 	// instead of silently running a near-static ensemble.
-	if *dt > 0 {
+	switch {
+	case *dt > 0:
 		scale.Dt = *dt
-	} else {
+	case *dt == 0:
 		scale.Dt = melissa.DefaultDtFor(prob)
+	default:
+		fatal(fmt.Errorf("-dt %g must be > 0, or 0 for the problem's default", *dt))
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {

@@ -51,6 +51,19 @@ func TestMultiProcessServerAndClients(t *testing.T) {
 	})
 }
 
+// TestBenchRejectsNegativeDt: melissa-bench refuses a negative -dt, as the
+// binaries that register the shared ensemble flags do, instead of running
+// at the problem's default step.
+func TestBenchRejectsNegativeDt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a separate process")
+	}
+	out, err := exec.Command("go", "run", "./cmd/melissa-bench", "-experiment", "fig3", "-dt", "-1").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "-dt -1 must be > 0") {
+		t.Fatalf("melissa-bench -dt -1: err %v, output:\n%s", err, out)
+	}
+}
+
 // TestMultiProcessRanksOverTCP drives the multi-process deployment: an
 // elastic group of one coordinator and two member processes, one training
 // rank each, joined over the TCP collective ring, with the ensemble clients

@@ -4,10 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+
+	"melissa/internal/atomicfile"
 )
 
 // Checkpointer persists client solver state so restarts resume mid-run
@@ -22,7 +25,7 @@ type Checkpointer interface {
 }
 
 // FileCheckpointer stores one checkpoint file per simulation under Dir,
-// written atomically (temp file + rename). Every controls the save cadence:
+// written atomically (atomicfile.Write). Every controls the save cadence:
 // a checkpoint is written every Every steps (default 1).
 type FileCheckpointer struct {
 	Dir   string
@@ -48,11 +51,10 @@ func (f *FileCheckpointer) Save(simID, step int, field []float64) error {
 	for i, v := range field {
 		binary.LittleEndian.PutUint64(buf[16+8*i:], math.Float64bits(v))
 	}
-	tmp := f.path(simID) + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	return atomicfile.Write(f.path(simID), func(w io.Writer) error {
+		_, err := w.Write(buf)
 		return err
-	}
-	return os.Rename(tmp, f.path(simID))
+	})
 }
 
 // Load implements Checkpointer.

@@ -2,10 +2,11 @@
 // (§4.2): solver time per step as a function of core count, GPU batch
 // compute time, ring all-reduce cost across GPUs, and the parallel
 // filesystem feeding the offline baseline. The constants are calibrated
-// against the paper's reported figures (see DESIGN.md §7); the cluster
-// simulator charges these durations to its virtual clock while executing
-// the real buffer and scheduler algorithms, so the *shapes* of the timing
-// results emerge from the algorithms rather than being scripted.
+// against the figures the paper reports (Table 1, Table 2, Figure 2), which
+// perfmodel_test.go pins; the cluster simulator charges these durations to
+// its virtual clock while executing the real buffer and scheduler
+// algorithms, so the *shapes* of the timing results emerge from the
+// algorithms rather than being scripted.
 package cluster
 
 // PerfModel holds the calibrated machine constants.
@@ -53,8 +54,8 @@ type PerfModel struct {
 	SeriesGapSec      float64
 }
 
-// JeanZay returns the calibrated model (DESIGN.md §7 records the
-// derivation of each constant from the paper's reported numbers).
+// JeanZay returns the calibrated model. PerfModel's field comments give the
+// paper's figure behind each calibrated constant.
 func JeanZay() PerfModel {
 	return PerfModel{
 		SolverCoreSecPerStep:  18.0,

@@ -6,7 +6,8 @@ import (
 )
 
 // The calibration tests pin the model to the paper's reported figures
-// (Table 1, Table 2, Figure 2); see DESIGN.md §7.
+// (Table 1, Table 2, Figure 2) that PerfModel's constants are calibrated
+// against.
 
 func within(t *testing.T, name string, got, want, relTol float64) {
 	t.Helper()

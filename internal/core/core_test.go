@@ -168,6 +168,23 @@ func runTrainer(t testing.TB, tr *Trainer, ctx context.Context) error {
 	return testwait.Run(t, "Trainer.Run to return", func() error { return tr.Run(ctx) })
 }
 
+// testConfig is the test suite's trainer: a 16-unit MLP on testNormalizer's
+// samples, four per rank per step, validated every 5 steps.
+func testConfig(ranks int) TrainerConfig {
+	norm := testNormalizer()
+	return TrainerConfig{
+		Ranks:            ranks,
+		BatchSize:        4,
+		Model:            ModelSpec{InputDim: norm.InputDim(), Hidden: []int{16}, OutputDim: norm.OutputDim(), Seed: 9},
+		Normalizer:       norm,
+		LearningRate:     1e-3,
+		Schedule:         opt.Halving{Initial: 1e-3, EverySamples: 1 << 20},
+		Validation:       NewValidationSet(norm, synthSamples(12, 99)),
+		ValidateEvery:    5,
+		TrackOccurrences: true,
+	}
+}
+
 func newTestTrainer(t *testing.T, ranks, maxBatches int, kind buffer.Kind, mutate ...func(*TrainerConfig)) (*Trainer, []*buffer.Blocking) {
 	t.Helper()
 	norm := testNormalizer()
@@ -179,18 +196,8 @@ func newTestTrainer(t *testing.T, ranks, maxBatches int, kind buffer.Kind, mutat
 		}
 		bufs[r] = buffer.NewBlockingArena(p, norm.InputDim(), norm.OutputDim())
 	}
-	cfg := TrainerConfig{
-		Ranks:            ranks,
-		BatchSize:        4,
-		Model:            ModelSpec{InputDim: norm.InputDim(), Hidden: []int{16}, OutputDim: norm.OutputDim(), Seed: 9},
-		Normalizer:       norm,
-		LearningRate:     1e-3,
-		Schedule:         opt.Halving{Initial: 1e-3, EverySamples: 1 << 20},
-		Validation:       NewValidationSet(norm, synthSamples(12, 99)),
-		ValidateEvery:    5,
-		MaxBatches:       maxBatches,
-		TrackOccurrences: true,
-	}
+	cfg := testConfig(ranks)
+	cfg.MaxBatches = maxBatches
 	for _, m := range mutate {
 		m(&cfg)
 	}

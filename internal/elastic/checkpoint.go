@@ -8,6 +8,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"melissa/internal/atomicfile"
 )
 
 // State is one member's shard of a group checkpoint: everything the rank
@@ -34,34 +36,6 @@ type State struct {
 // can purge only the stale future ones.
 func shardPath(dir string, member, batch int) string {
 	return filepath.Join(dir, fmt.Sprintf("shard-m%d-b%d.ckpt", member, batch))
-}
-
-// atomicWrite commits what encode writes as the file at path: the bytes go
-// to a temporary file beside it, which is fsynced and only then renamed
-// into place. A process or machine crash at any point leaves the previous
-// file or the complete new one under the committed name, never an empty or
-// half-written one — the manifest is the group's commit point, and a
-// restore trusts whatever it finds there.
-func atomicWrite(path string, encode func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = encode(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
 }
 
 // ReadState reads a shard file (Session.SaveShard).
@@ -181,9 +155,10 @@ type Manifest struct {
 
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
-// writeManifest commits a manifest atomically.
+// writeManifest commits a manifest atomically: the manifest is the group's
+// commit point, and a restore trusts whatever it finds there.
 func writeManifest(dir string, m Manifest) error {
-	return atomicWrite(manifestPath(dir), func(w io.Writer) error { return gob.NewEncoder(w).Encode(&m) })
+	return atomicfile.Write(manifestPath(dir), func(w io.Writer) error { return gob.NewEncoder(w).Encode(&m) })
 }
 
 // loadManifest reads the committed manifest; ok=false means no group

@@ -3,37 +3,9 @@ package elastic
 import (
 	"bytes"
 	"encoding/gob"
-	"errors"
-	"io"
 	"os"
-	"path/filepath"
 	"testing"
 )
-
-// TestAtomicWriteKeepsPreviousOnFailure: a write that fails part-way leaves
-// the committed file as it was and no temporary behind.
-func TestAtomicWriteKeepsPreviousOnFailure(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "MANIFEST")
-	if err := writeManifest(dir, Manifest{Epoch: 1, Batch: 4, Members: []int{0, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("disk full")
-	err := atomicWrite(path, func(w io.Writer) error {
-		w.Write([]byte("half a manif"))
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("atomicWrite returned %v, want the encode error", err)
-	}
-	m, ok, err := loadManifest(dir)
-	if err != nil || !ok || m.Batch != 4 {
-		t.Fatalf("committed manifest after a failed write: %+v ok=%v err=%v", m, ok, err)
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
-		t.Fatalf("failed write left %d files behind, want only the manifest", len(entries))
-	}
-}
 
 // FuzzStateFiles feeds the shard and manifest decoders truncated and
 // garbage files — what a crash mid-write, a full disk or a stray process

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"melissa/internal/atomicfile"
 	"melissa/internal/ddp"
 	"melissa/internal/transport"
 )
@@ -437,7 +438,7 @@ func (s *Session) abort() {
 func (s *Session) SaveShard(st *State) error {
 	st.Epoch = s.epoch
 	dir := s.m.cfg.Dir
-	err := atomicWrite(shardPath(dir, s.m.cfg.ID, st.Batch), func(w io.Writer) error { return gob.NewEncoder(w).Encode(st) })
+	err := atomicfile.Write(shardPath(dir, s.m.cfg.ID, st.Batch), func(w io.Writer) error { return gob.NewEncoder(w).Encode(st) })
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"io"
 
 	"melissa/internal/buffer"
@@ -8,9 +9,10 @@ import (
 	"melissa/internal/trace"
 )
 
-// Ablations probe the design choices DESIGN.md calls out: the Reservoir's
-// capacity and threshold, and the all-reduce cost model behind multi-GPU
-// scaling. All run at paper scale on the cluster simulator.
+// Ablations probe the design choices behind the paper's results: the
+// Reservoir's capacity and threshold (§3.2.3), and the all-reduce cost
+// model behind multi-GPU scaling (§4.5). All run at paper scale on the
+// cluster simulator.
 
 // AblationCapacityRow records one capacity setting.
 type AblationCapacityRow struct {
@@ -159,21 +161,17 @@ func AblationOfflineData(scale Scale, simCounts []int) ([]AblationOfflineDataRow
 	if err != nil {
 		return nil, err
 	}
-	sched := paperFig5Schedule(scale)
 
 	// One shared online reference run.
 	large, err := GenerateEnsemble(scale, scale.SimsLarge, 0xb16)
 	if err != nil {
 		return nil, err
 	}
-	onLearner, err := newLearner(scale, valSet, sched, false)
+	on, err := train(scale, valSet, 4, "Online-Reservoir", online(largeTopology(scale, 4), large))
 	if err != nil {
 		return nil, err
 	}
-	if _, err := runOnlineQuality(largeTopology(scale, 4), large, onLearner); err != nil {
-		return nil, err
-	}
-	onlineVal := onLearner.FinalValidation()
+	onlineVal := on.FinalVal
 
 	var rows []AblationOfflineDataRow
 	for _, sims := range simCounts {
@@ -186,23 +184,11 @@ func AblationOfflineData(scale Scale, simCounts []int) ([]AblationOfflineDataRow
 		if epochs < 1 {
 			epochs = 1
 		}
-		l, err := newLearner(scale, valSet, sched, false)
+		off, err := train(scale, valSet, 4, fmt.Sprintf("Offline-%dsims", sims), offline(scale, data.AllSamples(), epochs))
 		if err != nil {
 			return nil, err
 		}
-		all := data.AllSamples()
-		for e := 0; e < epochs; e++ {
-			shuffleOffline(scale, all, uint64(e))
-			step := scale.BatchSize * 4
-			for start := 0; start < len(all); start += step {
-				end := start + step
-				if end > len(all) {
-					end = len(all)
-				}
-				l.TrainBatch(all[start:end])
-			}
-		}
-		offVal := l.FinalValidation()
+		offVal := off.FinalVal
 		rows = append(rows, AblationOfflineDataRow{
 			OfflineSims:    sims,
 			OfflineSamples: samples,

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"melissa"
 	"melissa/internal/buffer"
+	"melissa/internal/testwait"
 )
 
 func TestScalePresets(t *testing.T) {
@@ -627,7 +629,7 @@ func TestReservationOrder(t *testing.T) {
 // TestGrayScottScale verifies the presets are really problem-agnostic
 // after the Problem-API staleness fix: with the Gray–Scott problem
 // selected, ensemble generation, normalization, the model spec and the
-// learner all follow the problem's two-channel geometry instead of
+// trainer all follow the problem's two-channel geometry instead of
 // silently assuming the heat equation.
 func TestGrayScottScale(t *testing.T) {
 	scale := Tiny()
@@ -658,13 +660,42 @@ func TestGrayScottScale(t *testing.T) {
 		t.Fatalf("sample dims %d/%d, want 5/%d", len(s.Input), len(s.Output), wantDim)
 	}
 
-	// The learner trains on the problem's geometry end to end.
-	l, err := newLearner(scale, nil, nil, false)
+	// The trainer trains on the problem's geometry end to end.
+	run, err := train(scale, nil, 1, "gray-scott", offline(scale, data.AllSamples()[:scale.BatchSize], 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.TrainBatch(data.AllSamples()[:scale.BatchSize])
-	if l.Batches() != 1 || l.Samples() != scale.BatchSize {
-		t.Fatalf("learner recorded %d batches / %d samples", l.Batches(), l.Samples())
+	if run.Batches != 1 || run.Samples != scale.BatchSize {
+		t.Fatalf("run recorded %d batches / %d samples", run.Batches, run.Samples)
+	}
+}
+
+// TestQualityRunsDeterministic: a quality run is a function of its scale.
+// Every buffer policy at 1, 2 and 4 GPUs gives the same curves and counts
+// twice, although the producer and the ranks run on goroutines of their
+// own. The 4-rank runs drain their ranks on different steps (one rank a
+// step before the others), where a short batch ends its rank's reception.
+// Here the feeder's two batches of slack would hide a missing End; core's
+// TestRunFedRankEndedEarly is the run that hangs without it.
+func TestQualityRunsDeterministic(t *testing.T) {
+	var runs [2]*Figure5Result
+	for i := range runs {
+		res, err := testwait.Run2(t, "Figure5(Tiny())", func() (*Figure5Result, error) { return Figure5(Tiny()) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = res
+	}
+	a, b := runs[0], runs[1]
+	if len(a.Online) != len(a.Kinds)*len(a.GPUs) {
+		t.Fatalf("%d online runs, want %d", len(a.Online), len(a.Kinds)*len(a.GPUs))
+	}
+	for label, x := range a.Online {
+		y := b.Online[label]
+		if x.Batches != y.Batches || x.Samples != y.Samples || x.Unique != y.Unique ||
+			!slices.Equal(x.Train, y.Train) || !slices.Equal(x.Val, y.Val) {
+			t.Errorf("%s: two runs differ: %d/%d batches, %d/%d samples, %d/%d unique, final val %v/%v",
+				label, x.Batches, y.Batches, x.Samples, y.Samples, x.Unique, y.Unique, x.FinalVal, y.FinalVal)
+		}
 	}
 }

@@ -33,25 +33,18 @@ func Figure4(scale Scale) (*Figure4Result, error) {
 		return nil, err
 	}
 	res := &Figure4Result{Scale: scale}
-	sched := paperFig5Schedule(scale)
-
 	for _, kind := range []buffer.Kind{buffer.FIFOKind, buffer.FIROKind, buffer.ReservoirKind} {
-		l, err := newLearner(scale, valSet, sched, true)
+		run, err := train(scale, valSet, 1, string(kind), online(smallTopology(scale, kind, 1), data))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("figure4 %w", err)
 		}
-		if _, err := runOnlineQuality(smallTopology(scale, kind, 1), data, l); err != nil {
-			return nil, fmt.Errorf("figure4 %s: %w", kind, err)
-		}
-		res.Runs = append(res.Runs, newQualityRun(string(kind), l))
+		res.Runs = append(res.Runs, run)
 	}
-
-	l, err := newLearner(scale, valSet, sched, true)
+	run, err := train(scale, valSet, 1, "Offline-1epoch", offline(scale, data.AllSamples(), 1))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("figure4 %w", err)
 	}
-	runOffline1Epoch(scale, data, l, 1)
-	res.Runs = append(res.Runs, newQualityRun("Offline-1epoch", l))
+	res.Runs = append(res.Runs, run)
 	return res, nil
 }
 

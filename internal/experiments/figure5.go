@@ -38,25 +38,20 @@ func Figure5(scale Scale) (*Figure5Result, error) {
 		Kinds:  []buffer.Kind{buffer.FIFOKind, buffer.FIROKind, buffer.ReservoirKind},
 		Online: make(map[string]*QualityRun),
 	}
-	sched := paperFig5Schedule(scale)
 	for _, kind := range res.Kinds {
 		for _, gpus := range res.GPUs {
-			l, err := newLearner(scale, valSet, sched, true)
+			label := kindLabel(kind, gpus)
+			run, err := train(scale, valSet, gpus, label, online(smallTopology(scale, kind, gpus), data))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("figure5 %w", err)
 			}
-			if _, err := runOnlineQuality(smallTopology(scale, kind, gpus), data, l); err != nil {
-				return nil, fmt.Errorf("figure5 %s %dGPU: %w", kind, gpus, err)
-			}
-			res.Online[kindLabel(kind, gpus)] = newQualityRun(kindLabel(kind, gpus), l)
+			res.Online[label] = run
 		}
 	}
-	l, err := newLearner(scale, valSet, sched, true)
+	res.Offline, err = train(scale, valSet, 1, "Offline-1epoch", offline(scale, data.AllSamples(), 1))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("figure5 %w", err)
 	}
-	runOffline1Epoch(scale, data, l, 1)
-	res.Offline = newQualityRun("Offline-1epoch", l)
 	return res, nil
 }
 

@@ -5,7 +5,7 @@ import (
 	"io"
 	"os"
 
-	"melissa/internal/buffer"
+	"melissa/internal/core"
 	"melissa/internal/dataset"
 	"melissa/internal/trace"
 )
@@ -37,7 +37,6 @@ func Figure6(scale Scale) (*Figure6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sched := paperFig5Schedule(scale)
 	res := &Figure6Result{Scale: scale}
 	const gpus = 4
 
@@ -77,35 +76,28 @@ func Figure6(scale Scale) (*Figure6Result, error) {
 	defer ds.Close()
 	res.OfflineBytes = ds.Bytes()
 
-	offLearner, err := newLearner(scale, valSet, sched, false)
-	if err != nil {
-		return nil, err
-	}
 	loader := dataset.NewLoader(ds, scale.BatchSize*gpus, 8, scale.Seed^0xd15c)
-	for epoch := 0; epoch < scale.OfflineEpochs; epoch++ {
-		err := loader.Epoch(func(batch []buffer.Sample) error {
-			offLearner.TrainBatch(batch)
-			return nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("figure6 offline epoch %d: %w", epoch, err)
+	res.Offline, err = train(scale, valSet, gpus, fmt.Sprintf("Offline-%depochs", scale.OfflineEpochs), func(f *core.Feeder) error {
+		for epoch := 0; epoch < scale.OfflineEpochs; epoch++ {
+			if err := loader.Epoch(f.Deal); err != nil {
+				return fmt.Errorf("epoch %d: %w", epoch, err)
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("figure6 %w", err)
 	}
-	res.Offline = newQualityRun(fmt.Sprintf("Offline-%depochs", scale.OfflineEpochs), offLearner)
 
 	// Online: large fresh ensemble streamed through the Reservoir.
 	large, err := GenerateEnsemble(scale, scale.SimsLarge, 0xb16)
 	if err != nil {
 		return nil, err
 	}
-	onLearner, err := newLearner(scale, valSet, sched, true)
+	res.Online, err = train(scale, valSet, gpus, "Online-Reservoir", online(largeTopology(scale, gpus), large))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("figure6 %w", err)
 	}
-	if _, err := runOnlineQuality(largeTopology(scale, gpus), large, onLearner); err != nil {
-		return nil, fmt.Errorf("figure6 online: %w", err)
-	}
-	res.Online = newQualityRun("Online-Reservoir", onLearner)
 
 	if res.Offline.FinalVal > 0 {
 		res.Improvement = 1 - res.Online.FinalVal/res.Offline.FinalVal

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
 
 	"melissa/internal/buffer"
 	"melissa/internal/cluster"
 	"melissa/internal/core"
+	"melissa/internal/opt"
 	"melissa/internal/simrun"
 )
 
@@ -22,20 +24,51 @@ type QualityRun struct {
 	Unique   int
 }
 
-func newQualityRun(label string, l *learner) *QualityRun {
-	qr := &QualityRun{
+// train runs one quality setting on core.Trainer with gpus in-process
+// data-parallel ranks, fed by produce (core.RunFed), and reads the run off
+// the trainer's metrics. Validation is taken every ValidateEverySamples
+// samples' worth of full steps, and once more after the last step.
+func train(scale Scale, valSet *core.ValidationSet, gpus int, label string, produce func(*core.Feeder) error) (*QualityRun, error) {
+	t, err := core.RunFed(context.Background(), core.TrainerConfig{
+		Ranks:            gpus,
+		BatchSize:        scale.BatchSize,
+		Model:            scale.ModelSpec(),
+		Normalizer:       scale.CoreNormalizer(),
+		Schedule:         paperFig5Schedule(scale),
+		Validation:       valSet,
+		ValidateEvery:    max(1, scale.ValidateEverySamples/(scale.BatchSize*gpus)),
+		TrackOccurrences: true,
+	}, produce)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", label, err)
+	}
+	m := t.Metrics()
+	final, _ := m.FinalValidation()
+	best, _ := m.MinValidation()
+	return &QualityRun{
 		Label:    label,
-		Train:    l.TrainCurve(),
-		Val:      l.ValCurve(),
-		FinalVal: l.FinalValidation(),
-		MinVal:   l.MinValidation(),
-		Batches:  l.Batches(),
-		Samples:  l.Samples(),
+		Train:    m.TrainLoss(),
+		Val:      m.Validation(),
+		FinalVal: final,
+		MinVal:   best,
+		Batches:  m.Batches(),
+		Samples:  m.Samples(),
+		Unique:   len(m.Occurrences()),
+	}, nil
+}
+
+// paperFig5Schedule is the §4.5 schedule: halve every 10,000 samples with a
+// 2.5e-4 floor, making GPU counts comparable. The sample budget is scaled
+// relative to the paper's 25,000-sample ensemble so smaller presets see the
+// same number of decay steps.
+func paperFig5Schedule(scale Scale) opt.Schedule {
+	paperEnsemble := 25000.0
+	ours := float64(scale.SimsSmall * scale.StepsPerSim)
+	every := int(10000 * ours / paperEnsemble)
+	if every < 1 {
+		every = 1
 	}
-	if occ := l.Occurrences(); occ != nil {
-		qr.Unique = len(occ)
-	}
-	return qr
+	return opt.Halving{Initial: 1e-3, EverySamples: every, Min: 2.5e-4}
 }
 
 // smallTopology maps a scale's small ensemble onto the cluster simulator,
@@ -85,38 +118,51 @@ func largeTopology(scale Scale, gpus int) simrun.Options {
 	}
 }
 
-// runOnlineQuality executes a cluster-simulated online run with real
-// training: virtual clients stream real solver data through the buffer
-// policy while every synchronized step trains the surrogate.
-func runOnlineQuality(opts simrun.Options, data *EnsembleData, l *learner) (*simrun.Result, error) {
-	opts.MakeClient = func(simID int) func(step int) buffer.Sample {
-		return func(step int) buffer.Sample { return data.Sample(simID, step) }
-	}
-	opts.OnTrainStep = l.Step
-	return simrun.Run(opts)
-}
-
-// runOffline1Epoch trains the paper's offline reference: batches uniformly
-// drawn without replacement from the full in-memory dataset, one epoch
-// (§4.4: "offline training performed over one epoch with data read from
-// files (data are seen only once)").
-func runOffline1Epoch(scale Scale, data *EnsembleData, l *learner, gpus int) {
-	samples := data.AllSamples()
-	shuffleOffline(scale, samples, 0)
-	step := scale.BatchSize * gpus
-	for start := 0; start < len(samples); start += step {
-		end := start + step
-		if end > len(samples) {
-			end = len(samples)
+// online feeds a cluster-simulated online run: virtual clients stream real
+// solver data through the buffer policy, and every synchronized step of the
+// simulator hands each rank its batch. A batch shorter than BatchSize comes
+// from a rank the simulator has drained, so the rank's reception ends with
+// it; the simulator's steps and the trainer's then stay one to one.
+func online(opts simrun.Options, data *EnsembleData) func(*core.Feeder) error {
+	return func(f *core.Feeder) error {
+		var refused error
+		opts.MakeClient = func(simID int) func(step int) buffer.Sample {
+			return func(step int) buffer.Sample { return data.Sample(simID, step) }
 		}
-		l.TrainBatch(samples[start:end])
+		opts.OnTrainStep = func(_ int, batches [][]buffer.Sample) {
+			for r, batch := range batches {
+				for _, s := range batch {
+					if !f.Put(r, s) && refused == nil {
+						refused = fmt.Errorf("rank %d refused sim %d step %d", r, s.SimID, s.Step)
+					}
+				}
+				if len(batch) < opts.BatchSize {
+					f.End(r)
+				}
+			}
+		}
+		if _, err := simrun.Run(opts); err != nil {
+			return err
+		}
+		return refused
 	}
 }
 
-// shuffleOffline applies the seeded uniform shuffle of epoch e in place.
-func shuffleOffline(scale Scale, samples []buffer.Sample, epoch uint64) {
-	rng := rand.New(rand.NewPCG(scale.Seed^0x0ff1e, 77+epoch))
-	rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
+// offline feeds the paper's offline reference: epochs passes over samples,
+// each reshuffling them in place with the seeded uniform shuffle of its
+// epoch, dealt to the ranks (§4.4: "offline training performed over one
+// epoch with data read from files (data are seen only once)").
+func offline(scale Scale, samples []buffer.Sample, epochs int) func(*core.Feeder) error {
+	return func(f *core.Feeder) error {
+		for e := range epochs {
+			rng := rand.New(rand.NewPCG(scale.Seed^0x0ff1e, 77+uint64(e)))
+			rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
+			if err := f.Deal(samples); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 func kindLabel(kind buffer.Kind, gpus int) string {

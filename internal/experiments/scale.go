@@ -2,15 +2,20 @@
 // evaluation (§4). Timing experiments (Figure 2, the throughput columns of
 // Tables 1-2) run at the paper's full scale on the discrete-event cluster
 // simulator with the calibrated Jean-Zay performance model; training
-// quality experiments (Figures 4-6, the MSE columns) run real gradient
-// descent on solver-generated data at a reduced grid size, preserving the
-// ratios that drive the paper's conclusions (clients : GPUs : buffer
-// capacity : dataset multiplicity). EXPERIMENTS.md records paper-vs-
-// measured values for each.
+// quality experiments (Figures 4-6, the MSE columns) train on
+// solver-generated data at a reduced grid size, preserving the ratios that
+// drive the paper's conclusions (clients : GPUs : buffer capacity : dataset
+// multiplicity). They train core.Trainer, the trainer the server runs, with
+// one in-process data-parallel rank per GPU (core.RunFed): an online run
+// feeds each rank the batches the cluster simulator assigns it, step by
+// step, and an offline baseline deals its shuffled dataset to the ranks.
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 
 	"melissa"
 	"melissa/internal/buffer"
@@ -25,7 +30,7 @@ type Scale struct {
 
 	// Problem selects the simulation scenario the quality experiments
 	// train on; nil means the paper's heat equation. All presets are
-	// problem-agnostic: the ensemble generator, the learner and the
+	// problem-agnostic: the ensemble generator, the model and the
 	// normalization all route through the Problem API.
 	Problem melissa.Problem
 
@@ -192,7 +197,8 @@ type EnsembleData struct {
 
 // GenerateEnsemble runs the scale's problem solver for sims parameter
 // draws from the seeded Monte Carlo design over the problem's parameter
-// box (seedOffset decorrelates training vs validation ensembles).
+// box (seedOffset decorrelates training vs validation ensembles). The draws
+// are made in member order; the members then run GOMAXPROCS at a time.
 func GenerateEnsemble(scale Scale, sims int, seedOffset uint64) (*EnsembleData, error) {
 	prob := scale.problem()
 	min, max := prob.ParamBounds()
@@ -206,27 +212,45 @@ func GenerateEnsemble(scale Scale, sims int, seedOffset uint64) (*EnsembleData, 
 		Params: make([][]float64, sims),
 		fields: make([][][]float32, sims),
 	}
-	cfg := scale.Config()
-	for i := 0; i < sims; i++ {
-		params := space.Scale(design.Next())
-		e.Params[i] = params
-		sim, err := prob.NewSimulator(cfg, params)
-		if err != nil {
-			return nil, err
-		}
-		e.fields[i] = make([][]float32, scale.StepsPerSim)
-		err = solver.Run(sim, scale.StepsPerSim, func(step int, field []float64) {
-			f := make([]float32, len(field))
-			for j, v := range field {
-				f[j] = float32(v)
-			}
-			e.fields[i][step-1] = f
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s sim %d: %w", prob.Name(), i, err)
-		}
+	for i := range e.Params {
+		e.Params[i] = space.Scale(design.Next())
+	}
+	errs := make([]error, sims)
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := range e.Params {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			errs[i] = e.solve(prob, i)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	return e, nil
+}
+
+// solve runs member i and stores its fields.
+func (e *EnsembleData) solve(prob melissa.Problem, i int) error {
+	sim, err := prob.NewSimulator(e.Scale.Config(), e.Params[i])
+	if err != nil {
+		return err
+	}
+	e.fields[i] = make([][]float32, e.Scale.StepsPerSim)
+	err = solver.Run(sim, e.Scale.StepsPerSim, func(step int, field []float64) {
+		f := make([]float32, len(field))
+		for j, v := range field {
+			f[j] = float32(v)
+		}
+		e.fields[i][step-1] = f
+	})
+	if err != nil {
+		return fmt.Errorf("experiments: %s sim %d: %w", prob.Name(), i, err)
+	}
+	return nil
 }
 
 // Sims returns the ensemble size.

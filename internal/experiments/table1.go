@@ -54,26 +54,21 @@ func Table1(scale Scale, withQuality bool) (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sched := paperFig5Schedule(scale)
 		for _, kind := range []buffer.Kind{buffer.FIFOKind, buffer.FIROKind, buffer.ReservoirKind} {
 			for _, gpus := range []int{1, 2, 4} {
-				l, err := newLearner(scale, valSet, sched, false)
+				run, err := train(scale, valSet, gpus, kindLabel(kind, gpus), online(smallTopology(scale, kind, gpus), data))
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("table1 %w", err)
 				}
-				if _, err := runOnlineQuality(smallTopology(scale, kind, gpus), data, l); err != nil {
-					return nil, fmt.Errorf("table1 %s %dGPU: %w", kind, gpus, err)
-				}
-				minMSE[key{kind, gpus}] = l.MinValidation()
+				minMSE[key{kind, gpus}] = run.MinVal
 			}
 		}
 		for _, gpus := range []int{1, 2, 4} {
-			l, err := newLearner(scale, valSet, sched, false)
+			run, err := train(scale, valSet, gpus, kindLabel("Offline", gpus), offline(scale, data.AllSamples(), 1))
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("table1 %w", err)
 			}
-			runOffline1Epoch(scale, data, l, gpus)
-			offlineMSE[gpus] = l.MinValidation()
+			offlineMSE[gpus] = run.MinVal
 		}
 	}
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"melissa/internal/buffer"
 	"melissa/internal/core"
 	"melissa/internal/dataset"
 )
@@ -87,8 +86,9 @@ func writeSimulation(ctx context.Context, dir string, simID int, cfg Config, pro
 
 // TrainOffline is the classical baseline the paper compares against (§4.6):
 // multi-epoch training over a fixed on-disk dataset served by a
-// multi-worker loader. The loader feeds the trainer RunOnline trains
-// through, one step ahead, into a FIFO buffer per data-parallel rank.
+// multi-worker loader. The loader is the producer of a fed run
+// (core.RunFed) of the trainer RunOnline trains through, dealing samples to
+// the data-parallel ranks BatchSize at a time.
 // Epochs stay exact — every sample is trained on once per epoch — but an
 // epoch's tail batch is topped up from the next epoch's shuffle. Combined
 // with GenerateDataset and Config.WarmStart, it supports the §5 production
@@ -122,59 +122,17 @@ func TrainOffline(ctx context.Context, cfg Config, dir string, epochs, loaderWor
 	if err != nil {
 		return nil, err
 	}
-	bufs := make([]*buffer.Blocking, cfg.Ranks)
-	for r := range bufs {
-		bufs[r] = buffer.NewBlockingArena(buffer.NewFIFO(2*cfg.BatchSize), norm.InputDim(), norm.OutputDim())
-	}
-	trainer, err := core.NewTrainer(tc, bufs)
+	loader := dataset.NewLoader(ds, cfg.BatchSize*cfg.Ranks, loaderWorkers, cfg.Seed^0x0ff1e)
+	trainer, err := core.RunFed(ctx, tc, func(f *core.Feeder) error {
+		for epoch := 0; epoch < epochs; epoch++ {
+			if err := loader.Epoch(f.Deal); err != nil {
+				return fmt.Errorf("melissa: dataset %s: %w", dir, err)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	endReception := func() {
-		for _, b := range bufs {
-			b.EndReception()
-		}
-	}
-
-	// The producer deals samples out BatchSize at a time, rank after rank,
-	// from one count across epochs: the ranks stay within one batch of
-	// each other, so only the run's last step can be short.
-	loader := dataset.NewLoader(ds, cfg.BatchSize*cfg.Ranks, loaderWorkers, cfg.Seed^0x0ff1e)
-	var loadErr error
-	loaded := make(chan struct{})
-	go func() {
-		defer close(loaded)
-		defer endReception()
-		k := 0
-		for epoch := 0; epoch < epochs && loadErr == nil; epoch++ {
-			loadErr = loader.Epoch(func(batch []buffer.Sample) error {
-				for _, s := range batch {
-					rank := (k / cfg.BatchSize) % cfg.Ranks
-					k++
-					if !bufs[rank].PutCopy(s.SimID, s.Step, s.Input, s.Output) {
-						// Until Run returns, only a sample that is not one row is refused.
-						return fmt.Errorf("melissa: dataset %s: sim %d step %d does not have its first file's geometry", dir, s.SimID, s.Step)
-					}
-				}
-				return nil
-			})
-		}
-	}()
-	runErr := trainer.Run(ctx)
-	// A cancelled run leaves the producer parked on a full buffer; the
-	// refusal that releases it is not reported, Run's error is.
-	endReception()
-	<-loaded
-	if runErr != nil {
-		return nil, runErr
-	}
-	if loadErr != nil {
-		return nil, loadErr
-	}
-
-	m, net := trainer.Metrics(), trainer.Network()
-	if tc.Validation != nil {
-		m.RecordValidation(m.Batches(), m.Samples(), core.Validate(net, tc.Validation, cfg.BatchSize*4))
-	}
-	return runResult(cfg, prob, norm, net, m), nil
+	return runResult(cfg, prob, norm, trainer.Network(), trainer.Metrics()), nil
 }

@@ -2,9 +2,8 @@ package melissa
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
+	"melissa/internal/atomicfile"
 	"melissa/internal/nn"
 	"melissa/internal/tensor"
 )
@@ -106,36 +105,10 @@ func (r *Replica) PredictBatchRaw(n int, query func(i int) (params []float32, t 
 }
 
 // PublishSurrogate atomically writes the surrogate's self-describing
-// checkpoint to path: the bytes go to a temporary file in the same
-// directory, which is fsynced and renamed into place, so a concurrent
-// reader (melissa-serve's checkpoint watcher, most importantly) sees either
+// checkpoint to path (atomicfile.Write), so a concurrent reader (melissa-serve's checkpoint watcher, most importantly) sees either
 // the previous complete file or the new complete file and never a torn
 // prefix. This is the training→serving handoff primitive: publish from a
 // training hook, and a watching server hot-reloads it.
 func PublishSurrogate(s *Surrogate, path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := s.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return atomicfile.Write(path, s.Save)
 }
