@@ -2,8 +2,9 @@
 // protocol: it loads a self-describing checkpoint (written by
 // Surrogate.SaveFile, melissa.PublishSurrogate, or melissa-server's
 // -surrogate-out) and serves PredictRequest frames with adaptive
-// micro-batching, a replica pool sharing one weight slab, an LRU prediction
-// cache, and hot checkpoint reload.
+// micro-batching, one inference replica per batch worker sharing one weight
+// slab, an LRU prediction cache flushed on every reload, and hot checkpoint
+// reload.
 //
 // Typical deployment next to a training run:
 //
@@ -47,9 +48,7 @@ func main() {
 		shedQueue    = flag.Int("shed-queue", 0, "admit-queue capacity = load-shedding threshold (0 = 4*replicas*max-batch)")
 		writeTimeout = flag.Duration("write-timeout", 5*time.Second, "per-frame response write deadline; a slower client is disconnected (negative disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM: finish admitted work within this, then force-close")
-		cache        = flag.Int("cache", 4096, "prediction cache entries (0 disables)")
-		cacheKeep    = flag.Int("cache-keep-epochs", 0, "serve cache entries up to N reload epochs stale instead of flushing on reload (0 flushes)")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "expire cache entries this long after insert (0 disables)")
+		cache        = flag.Int("cache", 4096, "prediction cache entries, flushed on every reload (0 disables)")
 		watch        = flag.Duration("watch", 0, "poll the checkpoint file and hot-reload new publishes (0 disables)")
 		statsEvery   = flag.Duration("stats-every", 0, "print serving stats at this interval (0 disables)")
 	)
@@ -59,16 +58,14 @@ func main() {
 	}
 
 	s, err := serve.LoadServer(serve.Config{
-		CheckpointPath:  *checkpoint,
-		Replicas:        *replicas,
-		MaxBatch:        *maxBatch,
-		BatchWait:       *batchWait,
-		QueueSize:       *shedQueue,
-		WriteTimeout:    *writeTimeout,
-		CacheEntries:    *cache,
-		CacheKeepEpochs: *cacheKeep,
-		CacheTTL:        *cacheTTL,
-		WatchInterval:   *watch,
+		CheckpointPath: *checkpoint,
+		Replicas:       *replicas,
+		MaxBatch:       *maxBatch,
+		BatchWait:      *batchWait,
+		QueueSize:      *shedQueue,
+		WriteTimeout:   *writeTimeout,
+		CacheEntries:   *cache,
+		WatchInterval:  *watch,
 	})
 	if err != nil {
 		fatal(err)
@@ -100,9 +97,9 @@ func main() {
 		go func() {
 			for range time.Tick(*statsEvery) {
 				st := s.Stats()
-				fmt.Printf("melissa-serve: epoch %d, %d req, %d resp, %d batches (%.1f rows/batch), cache %d/%d/%d/%d hit/miss/evict/expire, %d reloads, %d errors, queue %d/%d, %d shed, %d expired, %d slow-client drops\n",
+				fmt.Printf("melissa-serve: epoch %d, %d req, %d resp, %d batches (%.1f rows/batch), cache %d/%d/%d hit/miss/evict, %d reloads, %d errors, queue %d/%d, %d shed, %d expired, %d slow-client drops\n",
 					st.Epoch, st.Requests, st.Responses, st.Batches, avg(st.BatchRows, st.Batches),
-					st.Hits, st.Misses, st.Evictions, st.Expired, st.Reloads, st.Errors,
+					st.Hits, st.Misses, st.Evictions, st.Reloads, st.Errors,
 					st.Queue, st.QueueCap, st.Shed, st.DeadlineExpired, st.SlowClients)
 			}
 		}()

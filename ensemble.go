@@ -52,8 +52,8 @@ func RegisterFlags(fs *flag.FlagSet, cfg *Config, training bool) func() error {
 		switch {
 		case cfg.Dt == 0:
 			cfg.Dt = DefaultDtFor(prob)
-		case cfg.Dt < 0:
-			return fmt.Errorf("melissa: -dt %g must be > 0, or 0 for the problem's default", cfg.Dt)
+		case !validDt(cfg.Dt):
+			return fmt.Errorf("melissa: -dt %g must be finite and > 0, or 0 for the problem's default", cfg.Dt)
 		}
 		if hidden == nil {
 			return nil

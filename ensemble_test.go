@@ -48,7 +48,7 @@ func TestRegisterFlags(t *testing.T) {
 	if cfg, err = parseFlags(t, "-hidden", "32,16"); err != nil || !slices.Equal(cfg.Hidden, []int{32, 16}) {
 		t.Fatalf("-hidden 32,16 gave %v (err %v)", cfg.Hidden, err)
 	}
-	for _, args := range [][]string{{"-hidden", "0"}, {"-hidden", "32,x"}, {"-problem", "nope"}, {"-dt", "-1"}} {
+	for _, args := range [][]string{{"-hidden", "0"}, {"-hidden", "32,x"}, {"-problem", "nope"}, {"-dt", "-1"}, {"-dt", "NaN"}, {"-dt", "+Inf"}} {
 		if _, err := parseFlags(t, args...); err == nil {
 			t.Fatalf("%v accepted", args)
 		}

@@ -2,7 +2,7 @@ package serve
 
 // Closed-loop load benchmark for the serving tier: C client connections
 // each issue sequential predict requests over loopback TCP, so offered
-// load rises with concurrency until the replica pool saturates. Each
+// load rises with concurrency until the batch workers saturate. Each
 // variant reports achieved throughput (qps) plus p50/p99 request latency,
 // giving the latency-vs-QPS curve for 1→N replicas and micro-batched vs
 // unbatched dispatch. History in bench/README.md keeps the PR 7 numbers;

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
-	"time"
 )
 
 // predictCache is an LRU map from interned (params, t) query keys to
@@ -13,16 +12,8 @@ import (
 // query's answer is a function of the checkpoint and the query bits alone,
 // and a cached field is indistinguishable from a fresh compute.
 //
-// Staleness across hot reloads has two policies. The default (keepEpochs
-// 0) flushes the whole cache on every reload — the new checkpoint answers
-// every query differently, so every entry is stale at once. With keepEpochs
-// N > 0, reloads instead raise the epoch floor to current−N and entries
-// survive until they fall more than N epochs behind; a lookup that lands on
-// such an entry (or one older than ttl) evicts it lazily and counts it as
-// an expired miss. That mode serves slightly-stale fields on purpose:
-// during training, consecutive published checkpoints are close enough that
-// an answer a few epochs old is a useful approximation, and the cache stays
-// warm across the reload storm of -publish-every.
+// A hot reload flushes the whole cache (see flush), so a hit is always a
+// field the serving checkpoint computed.
 //
 // The hit path is allocation-free: keys are built in a caller-owned scratch
 // buffer and looked up via the compiler's no-copy map[string(bytes)] form,
@@ -31,37 +22,30 @@ import (
 // escape). Inserts allocate only the interned key string once the cache is
 // warm — evicted entries donate their field capacity to the newcomer.
 type predictCache struct {
-	mu         sync.Mutex
-	capacity   int
-	keepEpochs int              // entries may lag this many epochs; 0 = flush on reload
-	ttl        time.Duration    // entries older than this expire lazily; 0 = no TTL
-	now        func() time.Time // injectable clock for TTL tests
-	minEpoch   uint32           // entries and inserts below this epoch are stale
-	entries    map[string]*cacheEntry
-	head       *cacheEntry // most recently used
-	tail       *cacheEntry // least recently used
+	mu       sync.Mutex
+	capacity int
+	minEpoch uint32 // inserts below this epoch are stale (see flush)
+	entries  map[string]*cacheEntry
+	head     *cacheEntry // most recently used
+	tail     *cacheEntry // least recently used
 
-	hits, misses, evictions, expired uint64
+	hits, misses, evictions uint64
 }
 
 type cacheEntry struct {
 	key        string
 	epoch      uint32
-	stamp      time.Time // insert/refresh time, for TTL expiry
 	field      []float32
 	prev, next *cacheEntry
 }
 
-func newPredictCache(capacity, keepEpochs int, ttl time.Duration) *predictCache {
+func newPredictCache(capacity int) *predictCache {
 	if capacity <= 0 {
 		return nil // a nil cache disables caching at every call site
 	}
 	return &predictCache{
-		capacity:   capacity,
-		keepEpochs: keepEpochs,
-		ttl:        ttl,
-		now:        time.Now,
-		entries:    make(map[string]*cacheEntry, capacity),
+		capacity: capacity,
+		entries:  make(map[string]*cacheEntry, capacity),
 	}
 }
 
@@ -77,9 +61,7 @@ func appendKey(dst []byte, params []float32, t float32) []byte {
 
 // get looks up a query and, on a hit, copies the cached field into dst
 // (grown as needed) and returns it with the epoch that computed it. Returns
-// nil on a miss. An entry below the epoch floor or past the TTL is evicted
-// here, lazily, and reported as an expired miss — expiry never takes a
-// sweep pass. key is the caller's appendKey scratch; it is not retained.
+// nil on a miss. key is the caller's appendKey scratch; it is not retained.
 func (c *predictCache) get(key []byte, dst []float32) ([]float32, uint32) {
 	if c == nil {
 		return nil, 0
@@ -87,14 +69,6 @@ func (c *predictCache) get(key []byte, dst []float32) ([]float32, uint32) {
 	c.mu.Lock()
 	e, ok := c.entries[string(key)] // no-copy string conversion in map lookup
 	if !ok {
-		c.misses++
-		c.mu.Unlock()
-		return nil, 0
-	}
-	if e.epoch < c.minEpoch || (c.ttl > 0 && c.now().Sub(e.stamp) > c.ttl) {
-		c.unlink(e)
-		delete(c.entries, e.key)
-		c.expired++
 		c.misses++
 		c.mu.Unlock()
 		return nil, 0
@@ -129,7 +103,6 @@ func (c *predictCache) put(key []byte, epoch uint32, field []float32) {
 	if e, ok := c.entries[string(key)]; ok {
 		// Raced with another worker computing the same query; refresh.
 		e.epoch = epoch
-		e.stamp = c.now()
 		e.field = append(e.field[:0], field...)
 		c.moveToFront(e)
 		c.mu.Unlock()
@@ -146,26 +119,9 @@ func (c *predictCache) put(key []byte, epoch uint32, field []float32) {
 	}
 	e.key = string(key)
 	e.epoch = epoch
-	e.stamp = c.now()
 	e.field = append(e.field[:0], field...)
 	c.entries[e.key] = e
 	c.pushFront(e)
-	c.mu.Unlock()
-}
-
-// advanceEpoch is the keepEpochs-mode reload hook: raise the epoch floor to
-// cur−keepEpochs without dropping anything. Entries within the window keep
-// serving (slightly stale by design); entries that fell behind the floor
-// expire lazily on their next lookup, and put drops inserts below the floor
-// exactly as in flush mode.
-func (c *predictCache) advanceEpoch(cur uint32) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if keep := uint32(c.keepEpochs); cur > keep && cur-keep > c.minEpoch {
-		c.minEpoch = cur - keep
-	}
 	c.mu.Unlock()
 }
 
@@ -186,17 +142,14 @@ func (c *predictCache) flush(minEpoch uint32) {
 	c.mu.Unlock()
 }
 
-// counters returns the monotonic hit/miss/eviction/expiry totals. Expired
-// lookups are counted in both misses and expired: every lookup is exactly
-// one hit or one miss, and expired tells what share of the misses were
-// lazily evicted stale entries rather than cold keys.
-func (c *predictCache) counters() (hits, misses, evictions, expired uint64) {
+// counters returns the monotonic hit/miss/eviction totals.
+func (c *predictCache) counters() (hits, misses, evictions uint64) {
 	if c == nil {
-		return 0, 0, 0, 0
+		return 0, 0, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.expired
+	return c.hits, c.misses, c.evictions
 }
 
 func (c *predictCache) len() int {

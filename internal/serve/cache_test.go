@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 func cacheKey(params []float32, t float32) []byte {
 	return appendKey(nil, params, t)
@@ -12,7 +9,7 @@ func cacheKey(params []float32, t float32) []byte {
 // TestCacheLRUEviction: the cache must hold exactly capacity entries,
 // evicting the least recently used — and a get must refresh recency.
 func TestCacheLRUEviction(t *testing.T) {
-	c := newPredictCache(3, 0, 0)
+	c := newPredictCache(3)
 	var dst []float32
 	put := func(id float32) { c.put(cacheKey([]float32{id}, 0), 1, []float32{id * 10}) }
 	has := func(id float32) bool {
@@ -36,7 +33,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.len() != 3 {
 		t.Fatalf("cache holds %d entries, want 3", c.len())
 	}
-	_, _, evictions, _ := c.counters()
+	_, _, evictions := c.counters()
 	if evictions != 1 {
 		t.Fatalf("%d evictions, want 1", evictions)
 	}
@@ -45,7 +42,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // TestCacheHitReturnsStoredField: hits must copy out the exact field and
 // epoch, misses must return nil, and counters must track both.
 func TestCacheHitReturnsStoredField(t *testing.T) {
-	c := newPredictCache(8, 0, 0)
+	c := newPredictCache(8)
 	key := cacheKey([]float32{1, 2, 3}, 0.5)
 	want := []float32{9, 8, 7}
 	c.put(key, 5, want)
@@ -61,7 +58,7 @@ func TestCacheHitReturnsStoredField(t *testing.T) {
 	if f, _ := c.get(cacheKey([]float32{1, 2, 3}, 0.25), nil); f != nil {
 		t.Fatal("different t hit the same entry")
 	}
-	hits, misses, _, _ := c.counters()
+	hits, misses, _ := c.counters()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
 	}
@@ -71,7 +68,7 @@ func TestCacheHitReturnsStoredField(t *testing.T) {
 // the insert floor: puts from batches that started on the pre-reload model
 // carry an older epoch and must be dropped, not re-inserted.
 func TestCacheFlush(t *testing.T) {
-	c := newPredictCache(8, 0, 0)
+	c := newPredictCache(8)
 	for i := float32(0); i < 5; i++ {
 		c.put(cacheKey([]float32{i}, 0), 1, []float32{i})
 	}
@@ -92,85 +89,9 @@ func TestCacheFlush(t *testing.T) {
 	}
 }
 
-// TestCacheKeepEpochs: with a keep window, reloads (advanceEpoch) must not
-// flush — entries within the window keep serving, entries that fall more
-// than keepEpochs behind expire lazily on lookup and count as expired
-// misses, and stragglers from below the floor are dropped on put.
-func TestCacheKeepEpochs(t *testing.T) {
-	c := newPredictCache(8, 2, 0)
-	key1 := cacheKey([]float32{1}, 0)
-	key2 := cacheKey([]float32{2}, 0)
-	c.put(key1, 1, []float32{10})
-
-	c.advanceEpoch(2) // floor stays 0: epoch 1 is within the 2-epoch window
-	if f, epoch := c.get(key1, nil); f == nil || epoch != 1 {
-		t.Fatal("entry within the keep window must survive a reload")
-	}
-
-	c.advanceEpoch(3) // floor 1: epoch-1 entry sits exactly at the floor
-	if f, _ := c.get(key1, nil); f == nil {
-		t.Fatal("entry exactly keepEpochs behind must still serve")
-	}
-
-	c.advanceEpoch(4) // floor 2: epoch-1 entry is now 3 epochs behind
-	if f, _ := c.get(key1, nil); f != nil {
-		t.Fatal("entry beyond the keep window still served")
-	}
-	if c.len() != 0 {
-		t.Fatalf("expired entry not evicted: cache holds %d", c.len())
-	}
-	_, _, _, expired := c.counters()
-	if expired != 1 {
-		t.Fatalf("expired=%d, want 1", expired)
-	}
-
-	c.put(key2, 1, []float32{20}) // straggler below the floor
-	if f, _ := c.get(key2, nil); f != nil {
-		t.Fatal("below-floor put landed")
-	}
-	c.put(key2, 4, []float32{20})
-	if f, _ := c.get(key2, nil); f == nil {
-		t.Fatal("current-epoch put rejected")
-	}
-}
-
-// TestCacheTTL: entries older than the TTL must expire lazily on lookup
-// (counted as expired misses) and a put must refresh the clock.
-func TestCacheTTL(t *testing.T) {
-	c := newPredictCache(8, 0, time.Minute)
-	now := time.Unix(0, 0)
-	c.now = func() time.Time { return now }
-	key := cacheKey([]float32{1}, 0)
-
-	c.put(key, 1, []float32{10})
-	now = now.Add(59 * time.Second)
-	if f, _ := c.get(key, nil); f == nil {
-		t.Fatal("entry expired before its TTL")
-	}
-	now = now.Add(2 * time.Second)
-	if f, _ := c.get(key, nil); f != nil {
-		t.Fatal("entry served past its TTL")
-	}
-	if c.len() != 0 {
-		t.Fatal("expired entry not evicted")
-	}
-	hits, misses, _, expired := c.counters()
-	if hits != 1 || misses != 1 || expired != 1 {
-		t.Fatalf("hits=%d misses=%d expired=%d, want 1/1/1", hits, misses, expired)
-	}
-
-	c.put(key, 1, []float32{10}) // re-insert stamps the current clock
-	now = now.Add(30 * time.Second)
-	c.put(key, 1, []float32{11}) // refresh restamps
-	now = now.Add(45 * time.Second)
-	if f, _ := c.get(key, nil); f == nil || f[0] != 11 {
-		t.Fatal("refreshed entry expired on the original stamp")
-	}
-}
-
 // TestCacheDisabled: a nil cache (capacity 0) must no-op on every call.
 func TestCacheDisabled(t *testing.T) {
-	c := newPredictCache(0, 0, 0)
+	c := newPredictCache(0)
 	if c != nil {
 		t.Fatal("capacity 0 should disable the cache")
 	}
@@ -179,7 +100,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatal("disabled cache returned a hit")
 	}
 	c.flush(1)
-	if h, m, e, x := c.counters(); h|m|e|x != 0 {
+	if h, m, e := c.counters(); h|m|e != 0 {
 		t.Fatal("disabled cache counted something")
 	}
 }

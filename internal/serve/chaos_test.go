@@ -366,7 +366,8 @@ func TestServeDeadlineExpiry(t *testing.T) {
 	req2 := leaseRequest(params[1], ts[1])
 	req2.ID = 2
 	p := s.leasePending(c, req2, time.Now().Add(-time.Millisecond))
-	s.serveBatch(s.model.Load(), []*pending{p}, nil)
+	m := s.model.Load()
+	s.serveBatch(m, m.sur.NewReplica(1), []*pending{p}, nil)
 	msg, err = rd.Next()
 	if err != nil {
 		t.Fatal(err)

@@ -8,20 +8,21 @@
 // batch closes when it reaches the size cap or when the oldest request has
 // waited Config.BatchWait, whichever comes first, so the batch size adapts
 // to the offered load (full batches at saturation, single-request batches
-// with one BatchWait of added latency when idle). A replica pool: each
-// worker evaluates on a melissa.Replica sharing the one weight slab, so N
-// workers scale across cores without N copies of the model. A prediction
-// cache: an LRU keyed on the exact query bits answers repeated queries
-// without touching a replica (an answer depends on its query alone, so a
-// cached field is bit-identical to a recomputed one).
+// with one BatchWait of added latency when idle). One replica per worker:
+// each worker evaluates on its own melissa.Replica sharing the one weight
+// slab, so N workers scale across cores without N copies of the model. A
+// prediction cache: an LRU keyed on the exact query bits answers repeated
+// queries without touching a replica (an answer depends on its query alone,
+// so a cached field is bit-identical to a recomputed one).
 //
-// Checkpoints hot-reload without dropping requests: a reload builds a fresh
-// model (surrogate + replica pool) and publishes it with one atomic pointer
-// swap, tagged with a new epoch. In-flight batches finish on the model they
-// started with — every response is computed entirely by one epoch's
-// weights, never a torn mix — and the cache is flushed so stale fields are
-// never served. Reloads trigger from an admin Reload frame or from watching
-// the checkpoint file for a new atomic publish (melissa.PublishSurrogate).
+// Checkpoints hot-reload without dropping requests: a reload loads the new
+// surrogate and publishes it with one atomic pointer swap, tagged with a new
+// epoch. In-flight batches finish on the model they started with — every
+// response is computed entirely by one epoch's weights, never a torn mix —
+// and a worker makes itself a replica of the new model when it first picks
+// it up. Every reload flushes the cache, so stale fields are never served.
+// Reloads trigger from an admin Reload frame or from watching the
+// checkpoint file for a new atomic publish (melissa.PublishSurrogate).
 //
 // Overload and misbehaving clients degrade the service predictably rather
 // than collectively. Admission never blocks: when the queue is at capacity
@@ -84,20 +85,8 @@ type Config struct {
 	// connection down. Default max(64, 4*MaxBatch).
 	OutboxFrames int
 	// CacheEntries bounds the prediction cache; 0 disables it (a negative
-	// value also disables it).
+	// value also disables it). Every reload flushes it.
 	CacheEntries int
-	// CacheKeepEpochs keeps prediction-cache entries across hot reloads:
-	// instead of flushing, a reload lets entries serve until they fall more
-	// than this many epochs behind the current checkpoint (then they expire
-	// lazily on lookup). This deliberately serves slightly-stale fields —
-	// consecutive training checkpoints are close — in exchange for a cache
-	// that stays warm through frequent publishes. 0 (the default) flushes
-	// the whole cache on every reload.
-	CacheKeepEpochs int
-	// CacheTTL expires prediction-cache entries this long after insert,
-	// regardless of epoch; they count as expired misses on lookup. 0
-	// disables the TTL.
-	CacheTTL time.Duration
 	// WatchInterval is how often the checkpoint file is polled for a new
 	// publish; 0 disables watching.
 	WatchInterval time.Duration
@@ -131,44 +120,16 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 0 {
 		c.CacheEntries = 0
 	}
-	if c.CacheKeepEpochs < 0 {
-		c.CacheKeepEpochs = 0
-	}
-	if c.CacheTTL < 0 {
-		c.CacheTTL = 0
-	}
 	return c
 }
 
-// model is one immutable checkpoint generation: the surrogate, its epoch
-// tag, and a freelist of shape-pinned replicas. Workers hold the model
-// pointer for the duration of a batch, so a reload (which swaps the
-// server's pointer) never changes the weights under a running batch.
+// model is one immutable checkpoint generation: the surrogate and its epoch
+// tag. Workers hold the model pointer for the duration of a batch, so a
+// reload (which swaps the server's pointer) never changes the weights under
+// a running batch.
 type model struct {
-	sur      *melissa.Surrogate
-	epoch    uint32
-	maxBatch int
-	replicas chan *melissa.Replica
-}
-
-func newModel(sur *melissa.Surrogate, epoch uint32, maxBatch, replicas int) *model {
-	return &model{sur: sur, epoch: epoch, maxBatch: maxBatch, replicas: make(chan *melissa.Replica, replicas)}
-}
-
-func (m *model) lease() *melissa.Replica {
-	select {
-	case r := <-m.replicas:
-		return r
-	default:
-		return m.sur.NewReplica(m.maxBatch)
-	}
-}
-
-func (m *model) recycle(r *melissa.Replica) {
-	select {
-	case m.replicas <- r:
-	default:
-	}
+	sur   *melissa.Surrogate
+	epoch uint32
 }
 
 // pending is one admitted request waiting for a batch: the leased wire
@@ -197,9 +158,8 @@ type Stats struct {
 	Batches   uint64 // fused forward passes
 	BatchRows uint64 // total requests served by those passes
 	Hits      uint64 // cache hits
-	Misses    uint64 // cache misses (expired lookups included)
+	Misses    uint64 // cache misses
 	Evictions uint64 // cache capacity evictions
-	Expired   uint64 // cache misses on lazily evicted stale entries
 	Errors    uint64 // rejected requests (PredictError sent)
 	Reloads   uint64 // successful hot reloads
 	Epoch     uint32 // current checkpoint epoch
@@ -254,12 +214,12 @@ func newServer(sur *melissa.Surrogate, cfg Config, loaded os.FileInfo) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		cache: newPredictCache(cfg.CacheEntries, cfg.CacheKeepEpochs, cfg.CacheTTL),
+		cache: newPredictCache(cfg.CacheEntries),
 		queue: make(chan *pending, cfg.QueueSize),
 		free:  make(chan *pending, cfg.QueueSize),
 		done:  make(chan struct{}),
 	}
-	s.model.Store(newModel(sur, 1, cfg.MaxBatch, cfg.Replicas))
+	s.model.Store(&model{sur: sur, epoch: 1})
 	for i := 0; i < cfg.Replicas; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -293,7 +253,7 @@ func (s *Server) Epoch() uint32 { return s.model.Load().epoch }
 
 // Stats returns a snapshot of the serving counters.
 func (s *Server) Stats() Stats {
-	hits, misses, evictions, expired := s.cache.counters()
+	hits, misses, evictions := s.cache.counters()
 	return Stats{
 		Requests:  s.requests.Load(),
 		Responses: s.responses.Load(),
@@ -302,7 +262,6 @@ func (s *Server) Stats() Stats {
 		Hits:      hits,
 		Misses:    misses,
 		Evictions: evictions,
-		Expired:   expired,
 		Errors:    s.errors.Load(),
 		Reloads:   s.reloads.Load(),
 		Epoch:     s.Epoch(),
@@ -481,8 +440,8 @@ func (s *Server) untrack(c *conn) {
 // Reload hot-swaps the served checkpoint: load the file at path (empty =
 // the configured checkpoint path), verify it is shape-compatible with the
 // running model, and publish it under the next epoch. In-flight batches
-// finish on the old model; the prediction cache flushes (or, with
-// CacheKeepEpochs, ages toward lazy expiry). Returns the epoch now serving.
+// finish on the old model; the prediction cache flushes. Returns the epoch
+// now serving.
 func (s *Server) Reload(path string) (uint32, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -501,18 +460,12 @@ func (s *Server) Reload(path string) (uint32, error) {
 		return old.epoch, fmt.Errorf("serve: checkpoint shape %d->%d incompatible with serving model %d->%d",
 			sur.ParamDim(), sur.OutputDim(), old.sur.ParamDim(), old.sur.OutputDim())
 	}
-	next := newModel(sur, old.epoch+1, s.cfg.MaxBatch, s.cfg.Replicas)
+	next := &model{sur: sur, epoch: old.epoch + 1}
 	s.model.Store(next)
-	// Raise the cache floor after the swap: an in-flight batch still running
-	// on the old model carries an older epoch tag, so its puts are dropped
-	// below the floor rather than repopulating the cache with stale fields.
-	// With CacheKeepEpochs the floor trails the new epoch by the keep window
-	// and surviving entries expire lazily; otherwise the whole cache flushes.
-	if s.cfg.CacheKeepEpochs > 0 {
-		s.cache.advanceEpoch(next.epoch)
-	} else {
-		s.cache.flush(next.epoch)
-	}
+	// Flush after the swap: an in-flight batch still running on the old
+	// model carries an older epoch tag, so its puts are dropped below the
+	// new floor rather than repopulating the cache with stale fields.
+	s.cache.flush(next.epoch)
 	s.reloads.Add(1)
 	return next.epoch, nil
 }
@@ -570,8 +523,9 @@ func (s *Server) watch(last os.FileInfo) {
 
 // worker drains the admit queue: it blocks for the first pending request,
 // keeps the batch open until the size cap or the BatchWait deadline, then
-// runs the fused forward pass on a leased replica and answers every
-// request. One worker per configured replica.
+// runs the fused forward pass on its own replica and answers every request.
+// One worker per configured replica; a worker replaces its replica when it
+// first picks up a reloaded model.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	batch := make([]*pending, 0, s.cfg.MaxBatch)
@@ -580,6 +534,8 @@ func (s *Server) worker() {
 		<-timer.C
 	}
 	var key []byte // worker-private cache key scratch
+	var m *model
+	var rep *melissa.Replica
 	for {
 		var first *pending
 		select {
@@ -588,16 +544,19 @@ func (s *Server) worker() {
 			return
 		}
 		batch = append(batch[:0], first)
-		m := s.model.Load()
-		s.fillBatch(&batch, m.maxBatch, timer)
-		key = s.serveBatch(m, batch, key)
+		if cur := s.model.Load(); cur != m {
+			m, rep = cur, cur.sur.NewReplica(s.cfg.MaxBatch)
+		}
+		s.fillBatch(&batch, timer)
+		key = s.serveBatch(m, rep, batch, key)
 	}
 }
 
 // fillBatch grows *batch from the queue until the size cap or the deadline.
 // The non-blocking drain runs first so a backlogged queue closes batches at
 // the cap without ever arming the timer.
-func (s *Server) fillBatch(batch *[]*pending, cap int, timer *time.Timer) {
+func (s *Server) fillBatch(batch *[]*pending, timer *time.Timer) {
+	cap := s.cfg.MaxBatch
 	b := *batch
 	defer func() { *batch = b }()
 	for len(b) < cap {
@@ -631,12 +590,13 @@ func (s *Server) fillBatch(batch *[]*pending, cap int, timer *time.Timer) {
 	}
 }
 
-// serveBatch evaluates one batch on m and answers every request. The batch
-// runs entirely on m's weights — reloads swap the server's model pointer
-// but cannot touch a model a worker already holds. key is the calling
-// worker's private cache-key scratch (never a conn's keyBuf, which belongs
-// to that conn's reader goroutine); the grown slice is returned for reuse.
-func (s *Server) serveBatch(m *model, batch []*pending, key []byte) []byte {
+// serveBatch evaluates one batch on rep, a replica of m, and answers every
+// request. The batch runs entirely on m's weights — reloads swap the
+// server's model pointer but cannot touch a model a worker already holds.
+// key is the calling worker's private cache-key scratch (never a conn's
+// keyBuf, which belongs to that conn's reader goroutine); the grown slice is
+// returned for reuse.
+func (s *Server) serveBatch(m *model, rep *melissa.Replica, batch []*pending, key []byte) []byte {
 	// Deadline sweep at batch assembly: a request whose budget elapsed
 	// while it sat in the queue is rejected here, never computed, so under
 	// overload GEMM time goes only to callers still waiting.
@@ -656,7 +616,6 @@ func (s *Server) serveBatch(m *model, batch []*pending, key []byte) []byte {
 	if len(batch) == 0 {
 		return key
 	}
-	rep := m.lease()
 	err := rep.PredictBatchRaw(len(batch),
 		func(i int) ([]float32, float32) { return batch[i].req.Params, batch[i].req.T },
 		func(i int, field []float32) {
@@ -676,7 +635,6 @@ func (s *Server) serveBatch(m *model, batch []*pending, key []byte) []byte {
 			s.errors.Add(1)
 		}
 	}
-	m.recycle(rep)
 	s.batches.Add(1)
 	s.batchRows.Add(uint64(len(batch)))
 	for _, p := range batch {

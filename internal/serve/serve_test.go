@@ -539,6 +539,7 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 		c := s.newConn(nopConn{})
 		defer c.shutdown()
 		m := s.model.Load()
+		rep := m.sur.NewReplica(s.cfg.MaxBatch) // the worker's own replica
 		batch := make([]*pending, len(params))
 		var key []byte // worker-private key scratch, as in the worker loop
 		run := func() {
@@ -548,7 +549,7 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 				req := leaseRequest(params[i], ts[i])
 				batch[i] = s.leasePending(c, req, time.Time{})
 			}
-			key = s.serveBatch(m, batch, key)
+			key = s.serveBatch(m, rep, batch, key)
 			flushConn(c)
 		}
 		for i := 0; i < 4; i++ {
@@ -570,7 +571,7 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 		for i := range batch {
 			batch[i] = s.leasePending(c, leaseRequest(params[i], ts[i]), time.Time{})
 		}
-		s.serveBatch(m, batch, nil)
+		s.serveBatch(m, m.sur.NewReplica(s.cfg.MaxBatch), batch, nil)
 		hit := func() {
 			for i := range params {
 				req := leaseRequest(params[i], ts[i])
@@ -584,7 +585,7 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, hit); avg != 0 {
 			t.Errorf("cache-hit path allocates %.2f allocs per %d requests, want 0", avg, len(params))
 		}
-		hits, misses, _, _ := s.cache.counters()
+		hits, misses, _ := s.cache.counters()
 		if misses != 0 || hits == 0 {
 			t.Fatalf("gate did not stay on the hit path: %d hits, %d misses", hits, misses)
 		}

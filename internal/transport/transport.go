@@ -14,10 +14,8 @@
 // back-logged socket is drained many frames per read syscall instead of a
 // header read and a body read per frame, and a finished simulation's buffer
 // serves the next connection instead of the collector. The send path
-// buffers frames in per-rank bufio writers with explicit flush points, so a
-// burst of messages (hello + first steps, heartbeat + time step) coalesces
-// into few write syscalls and the frame encoding reuses a per-rank scratch
-// buffer.
+// encodes each frame into a per-rank scratch buffer and writes it through
+// the rank's bufio writer, flushing once per frame.
 //
 // # Failure model
 //
@@ -177,9 +175,9 @@ func (l *RankListener) readLoop(conn net.Conn) {
 
 // clientWriterSize is the per-rank send buffer and the size of the read
 // buffer on the other end of the socket. One heat-equation TimeStep frame
-// is a few KiB, so a handful of frames coalesce per flush and a back-logged
-// socket hands over as many per read; frames larger than the buffer pass
-// through bufio without copying, both ways.
+// is a few KiB, so a back-logged socket hands over a handful of frames per
+// read; frames larger than the buffer pass through bufio without copying,
+// both ways.
 const clientWriterSize = 1 << 15
 
 // rankConn is one buffered connection to a server rank: the socket, its
@@ -308,18 +306,6 @@ func (c *ClientConn) rank(rank int) (*rankConn, error) {
 // socket. Safe for concurrent use; writes to the same rank are serialized
 // to keep frames intact.
 func (c *ClientConn) Send(rank int, msg protocol.Message) error {
-	return c.send(rank, msg, true)
-}
-
-// SendBuffered frames msg into the rank's write buffer without flushing,
-// so a burst of messages coalesces into few syscalls. The caller must
-// eventually Flush (or Send) on the same rank for the data to reach the
-// server.
-func (c *ClientConn) SendBuffered(rank int, msg protocol.Message) error {
-	return c.send(rank, msg, false)
-}
-
-func (c *ClientConn) send(rank int, msg protocol.Message, flush bool) error {
 	rc, err := c.rank(rank)
 	if err != nil {
 		return err
@@ -333,34 +319,7 @@ func (c *ClientConn) send(rank int, msg protocol.Message, flush bool) error {
 	if _, err := rc.bw.Write(rc.enc); err != nil {
 		return err
 	}
-	if flush {
-		return rc.bw.Flush()
-	}
-	return nil
-}
-
-// Flush pushes the rank's buffered frames to the socket.
-func (c *ClientConn) Flush(rank int) error {
-	rc, err := c.rank(rank)
-	if err != nil {
-		return err
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.conn == nil {
-		return fmt.Errorf("transport: rank %d connection closed", rank)
-	}
 	return rc.bw.Flush()
-}
-
-// FlushAll flushes every rank's buffered frames.
-func (c *ClientConn) FlushAll() error {
-	for rank := range c.ranks {
-		if err := c.Flush(rank); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SendAll writes msg to every rank (Hello and Goodbye go to all ranks) and

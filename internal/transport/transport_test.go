@@ -269,47 +269,6 @@ func TestListenerCloseClosesIncoming(t *testing.T) {
 	}
 }
 
-// TestSendBufferedRequiresFlush pins the coalescing contract: buffered
-// frames stay in the client writer until an explicit flush point.
-func TestSendBufferedRequiresFlush(t *testing.T) {
-	l, err := Listen("127.0.0.1:0", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	c, err := Dial([]string{l.Addr()}, dialTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	for s := 0; s < 3; s++ {
-		if err := c.SendBuffered(0, protocol.TimeStep{SimID: 1, Step: int32(s), Input: []float32{1}, Field: []float32{2}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case env := <-l.Incoming():
-		t.Fatalf("frame arrived before flush: %+v", env.Msg)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < 3; s++ {
-		select {
-		case env := <-l.Incoming():
-			ts := env.Msg.(*protocol.TimeStep)
-			if ts.Step != int32(s) {
-				t.Fatalf("step %d out of order: %+v", s, ts)
-			}
-			protocol.RecycleTimeStep(ts)
-		case <-time.After(2 * time.Second):
-			t.Fatalf("buffered frame %d never arrived after flush", s)
-		}
-	}
-}
-
 func TestWatchdog(t *testing.T) {
 	w := NewWatchdog(time.Minute)
 	now := time.Unix(1000, 0)

@@ -24,10 +24,12 @@
 //
 // Surrogate checkpoints are self-describing: Save records the problem name
 // and architecture, so LoadSurrogate(r) reconstructs a usable model with no
-// further arguments. Trained surrogates are served at scale by
-// cmd/melissa-serve: adaptive micro-batching over the wire protocol, a
-// replica pool sharing one weight slab (Surrogate.NewReplica), an LRU
-// prediction cache, and hot checkpoint reload fed by melissa-server's
+// further arguments. Every prediction runs on a Replica
+// (Surrogate.NewReplica): Predict and PredictBatch draw one from the
+// surrogate's pool. Trained surrogates are served at scale by
+// cmd/melissa-serve: adaptive micro-batching over the wire protocol, one
+// replica per batch worker sharing one weight slab, an LRU prediction cache
+// flushed on every reload, and hot checkpoint reload fed by melissa-server's
 // -surrogate-out/-publish-every atomic publishes (PublishSurrogate) — see
 // docs/serving.md for topology and SLO tuning. Lower-level building blocks
 // (buffers, the cluster simulator, the experiment harness reproducing the
@@ -39,6 +41,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -183,6 +186,10 @@ func DefaultConfig() Config {
 	}
 }
 
+// validDt reports whether dt can scale the surrogate's time input: finite
+// and > 0. NaN fails the comparison.
+func validDt(dt float64) bool { return dt > 0 && !math.IsInf(dt, 1) }
+
 func (c Config) validate() error {
 	if c.Simulations < 1 {
 		return fmt.Errorf("melissa: Simulations=%d must be ≥ 1", c.Simulations)
@@ -190,8 +197,8 @@ func (c Config) validate() error {
 	if c.GridN < 1 || c.StepsPerSim < 1 {
 		return fmt.Errorf("melissa: grid %d × steps %d invalid", c.GridN, c.StepsPerSim)
 	}
-	if c.Dt <= 0 {
-		return fmt.Errorf("melissa: Dt=%g must be > 0 — the surrogate's time input degenerates otherwise", c.Dt)
+	if !validDt(c.Dt) {
+		return fmt.Errorf("melissa: Dt=%g must be finite and > 0 — the surrogate's time input degenerates otherwise", c.Dt)
 	}
 	if c.Ranks < 1 || c.BatchSize < 1 {
 		return fmt.Errorf("melissa: ranks %d batch %d invalid", c.Ranks, c.BatchSize)

@@ -40,6 +40,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Buffer = "bogus" },
 		func(c *Config) { c.Dt = 0 },
 		func(c *Config) { c.Dt = -0.01 },
+		func(c *Config) { c.Dt = math.NaN() },
+		func(c *Config) { c.Dt = math.Inf(1) },
 		func(c *Config) { c.Capacity = 0 },
 		func(c *Config) { c.Capacity = -5 },
 		func(c *Config) { c.Threshold = -1 },
@@ -48,6 +50,11 @@ func TestConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := tinyConfig()
 		mutate(&cfg)
+		// validate itself must refuse it: a later failure (the solver's, say)
+		// is not a refusal.
+		if err := cfg.validate(); err == nil {
+			t.Fatalf("case %d: validate accepted it", i)
+		}
 		if _, err := runOnline(t, cfg); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}

@@ -8,17 +8,18 @@ import (
 	"melissa/internal/tensor"
 )
 
-// Replica is a dedicated inference worker bound to a Surrogate: it shares
-// the surrogate's weight storage (no copy — see nn.Network.CloneShared) and
-// owns all forward scratch, so a pool of replicas evaluates batches
-// concurrently against one weight slab. Unlike Predict/PredictBatch it
+// Replica is an inference worker bound to a Surrogate: it shares the
+// surrogate's weight storage (no copy — see nn.Network.CloneShared) and owns
+// all forward scratch, so replicas evaluate batches concurrently against
+// one weight slab. PredictBatchRaw is the one place a query is normalized,
+// run through the network and denormalized: Surrogate's Predict and
+// PredictBatch stage their float64 queries into a replica from the
+// surrogate's pool, and each of melissa-serve's batch workers owns one. It
 // speaks float32 end to end, matching the wire protocol, and its batch call
-// is allocation-free at steady state — it exists for the serving tier's
-// micro-batcher, where per-request conversions and pool round-trips would
-// dominate small-batch latency.
+// is allocation-free at steady state.
 //
-// A Replica is not safe for concurrent use; give each serving goroutine its
-// own. The surrogate's weights must not be mutated while replicas exist.
+// A Replica is not safe for concurrent use; give each goroutine its own.
+// The surrogate's weights must not be mutated while replicas exist.
 type Replica struct {
 	s        *Surrogate
 	net      *nn.Network
@@ -31,6 +32,9 @@ type Replica struct {
 	// max sizing matters — a scalar-output surrogate has OutputDim smaller
 	// than InputDim, so neither dimension alone covers both uses.
 	row []float32
+	// staged holds one float64 query narrowed to float32 (see stage), for
+	// the Surrogate methods that take float64 parameters.
+	staged []float32
 }
 
 // NewReplica returns an inference replica sharing this surrogate's weights.
@@ -47,7 +51,18 @@ func (s *Surrogate) NewReplica(maxBatch int) *Replica {
 		maxBatch: maxBatch,
 		in:       tensor.New(maxBatch, s.norm.InputDim()),
 		row:      make([]float32, max(s.norm.InputDim(), s.norm.OutputDim())),
+		staged:   make([]float32, 0, s.ParamDim()),
 	}
+}
+
+// stage narrows a float64 parameter vector into the replica's staging row
+// and returns it; the row is overwritten by the next call.
+func (r *Replica) stage(params []float64) []float32 {
+	r.staged = r.staged[:0]
+	for _, v := range params {
+		r.staged = append(r.staged, float32(v))
+	}
+	return r.staged
 }
 
 // MaxBatch returns the largest query count one PredictBatchRaw call

@@ -91,7 +91,7 @@ func TestReplicaBatchInvariant(t *testing.T) {
 }
 
 // TestReplicaSharesWeights: NewReplica must not copy the weight slab — the
-// whole point of the replica pool is N workers against one model's memory.
+// whole point of replicas is N workers against one model's memory.
 func TestReplicaSharesWeights(t *testing.T) {
 	s := freshSurrogate(Heat())
 	rep := s.NewReplica(4)

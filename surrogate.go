@@ -11,7 +11,6 @@ import (
 	"sync"
 
 	"melissa/internal/nn"
-	"melissa/internal/tensor"
 )
 
 // Surrogate is a trained direct deep surrogate of a simulation problem:
@@ -20,30 +19,24 @@ import (
 // f_θ(X, t) ≈ u_t^X).
 //
 // All prediction methods are safe for concurrent use and scale across
-// cores: each goroutine draws a private forward workspace (network replica
-// plus staging buffers) from an internal pool, so parallel queries never
-// serialize on a lock. Workspaces are recycled, keeping the steady-state
-// single-query path allocation-free.
+// cores: each call draws a Replica from an internal pool and answers
+// through Replica.PredictBatchRaw, so parallel queries never serialize on a
+// lock, and the steady-state single-query path is allocation-free.
 type Surrogate struct {
 	net  *nn.Network
 	norm Normalizer
 	meta Meta
 
-	// workspaces pools *predictScratch. The surrogate's weights are
-	// immutable after construction, so pooled replicas never go stale.
-	workspaces sync.Pool
+	// replicas pools *Replica of capacity predictChunk. The surrogate's
+	// weights are immutable after construction, so pooled replicas never go
+	// stale.
+	replicas sync.Pool
 }
 
-// predictScratch is one goroutine's private forward workspace: a network
-// replica (the nn layers own their activation buffers and record
-// forward state, so a shared network would race) and the reusable input
-// row, raw staging and denormalization buffers.
-type predictScratch struct {
-	net    *nn.Network
-	rawIn  []float32
-	in     *tensor.Matrix
-	outBuf []float32
-}
+// predictChunk is the capacity of the pooled replicas: PredictBatch runs
+// its queries through one replica this many rows at a time. Answers do not
+// depend on it (see Replica.PredictBatchRaw).
+const predictChunk = 64
 
 // Meta describes a surrogate's provenance: the problem it models and the
 // architecture hyperparameters needed to rebuild the network. Save embeds
@@ -74,25 +67,8 @@ func surrogateMeta(cfg Config, prob Problem) Meta {
 func newSurrogate(net *nn.Network, norm Normalizer, meta Meta) *Surrogate {
 	net.ReleaseGrads()
 	s := &Surrogate{net: net, norm: norm, meta: meta}
-	s.workspaces.New = func() any {
-		// CloneShared aliases the weight slab, which the surrogate never
-		// mutates, and owns its activation scratch, so concurrent forward
-		// passes are independent and an extra caller costs no weight copy.
-		return s.newScratch(s.net.CloneShared())
-	}
-	// Seed the pool with a workspace wrapping the original network, so the
-	// common single-goroutine caller never pays for a clone.
-	s.workspaces.Put(s.newScratch(net))
+	s.replicas.New = func() any { return s.NewReplica(predictChunk) }
 	return s
-}
-
-func (s *Surrogate) newScratch(net *nn.Network) *predictScratch {
-	return &predictScratch{
-		net:    net,
-		rawIn:  make([]float32, s.norm.InputDim()),
-		in:     tensor.New(1, s.norm.InputDim()),
-		outBuf: make([]float32, s.norm.OutputDim()),
-	}
 }
 
 // SurrogateFromNetwork wraps a trained network in a servable Surrogate. The
@@ -143,70 +119,61 @@ func (s *Surrogate) PredictHeat(p HeatParams, t float64) []float64 {
 // PredictInto is Predict with a caller-supplied destination: dst is grown
 // as needed and returned. With a destination of sufficient capacity the
 // steady-state call performs no heap allocations — the hot path for dense
-// parameter sweeps. Safe for concurrent use: each call runs on a private
-// pooled workspace, so parallel callers proceed without serializing.
+// parameter sweeps. Safe for concurrent use: each call runs on a pooled
+// replica, so parallel callers proceed without serializing.
 func (s *Surrogate) PredictInto(dst []float64, params []float64, t float64) []float64 {
-	if len(params) != s.ParamDim() {
-		panic(fmt.Sprintf("melissa: Predict got %d parameters, problem %q wants %d", len(params), s.meta.Problem, s.ParamDim()))
-	}
-	ws := s.workspaces.Get().(*predictScratch)
-	defer s.workspaces.Put(ws)
-	for i, v := range params {
-		ws.rawIn[i] = float32(v)
-	}
-	ws.rawIn[len(params)] = float32(t)
-	s.norm.NormalizeInput(ws.rawIn, ws.in.Data)
-	pred := ws.net.Forward(ws.in)
-	copy(ws.outBuf, pred.Data)
-	s.norm.DenormalizeField(ws.outBuf)
-	width := s.norm.OutputDim()
+	width := s.OutputDim()
 	if cap(dst) < width {
 		dst = make([]float64, width)
 	}
 	dst = dst[:width]
-	for i, v := range ws.outBuf {
-		dst[i] = float64(v)
+	r := s.replicas.Get().(*Replica)
+	defer s.replicas.Put(r)
+	err := r.PredictBatchRaw(1,
+		func(int) ([]float32, float32) { return r.stage(params), float32(t) },
+		func(_ int, field []float32) { widen(dst, field) })
+	if err != nil {
+		panic(err)
 	}
 	return dst
 }
 
-// PredictBatch evaluates many (params, time) queries in one forward pass,
-// amortizing the matrix multiplies — this is where the surrogate's
+// PredictBatch evaluates many (params, time) queries in fused forward
+// passes, amortizing the matrix multiplies — this is where the surrogate's
 // orders-of-magnitude speedup over the solver comes from. Safe for
-// concurrent use: the forward pass runs on a private pooled workspace.
+// concurrent use: the queries run on a pooled replica, predictChunk rows per
+// forward pass.
 func (s *Surrogate) PredictBatch(params [][]float64, ts []float64) ([][]float64, error) {
 	if len(params) != len(ts) {
 		return nil, fmt.Errorf("melissa: %d params for %d times", len(params), len(ts))
 	}
-	dim := s.ParamDim()
-	in := tensor.New(len(params), s.norm.InputDim())
-	raw := make([]float32, s.norm.InputDim())
-	for r, p := range params {
-		if len(p) != dim {
-			return nil, fmt.Errorf("melissa: query %d has %d parameters, problem %q wants %d", r, len(p), s.meta.Problem, dim)
+	for i, p := range params {
+		if len(p) != s.ParamDim() {
+			return nil, fmt.Errorf("melissa: query %d has %d parameters, problem %q wants %d", i, len(p), s.meta.Problem, s.ParamDim())
 		}
-		for i, v := range p {
-			raw[i] = float32(v)
-		}
-		raw[dim] = float32(ts[r])
-		s.norm.NormalizeInput(raw, in.Row(r))
 	}
-	ws := s.workspaces.Get().(*predictScratch)
-	defer s.workspaces.Put(ws)
-	pred := ws.net.Forward(in)
+	r := s.replicas.Get().(*Replica)
+	defer s.replicas.Put(r)
 	out := make([][]float64, len(params))
-	width := s.norm.OutputDim()
-	row := make([]float32, width)
-	for r := range out {
-		copy(row, pred.Data[r*width:(r+1)*width])
-		s.norm.DenormalizeField(row)
-		field := make([]float64, width)
-		for i, v := range row {
-			field[i] = float64(v)
+	for lo := 0; lo < len(params); lo += predictChunk {
+		err := r.PredictBatchRaw(min(predictChunk, len(params)-lo),
+			func(i int) ([]float32, float32) { return r.stage(params[lo+i]), float32(ts[lo+i]) },
+			func(i int, field []float32) {
+				out[lo+i] = make([]float64, len(field))
+				widen(out[lo+i], field)
+			})
+		if err != nil {
+			return nil, err
 		}
-		out[r] = field
 	}
 	return out, nil
+}
+
+// widen copies a float32 field into dst, which is at least as long.
+func widen(dst []float64, field []float32) {
+	for i, v := range field {
+		dst[i] = float64(v)
+	}
 }
 
 // PredictBatchHeat is the typed heat-equation convenience over
@@ -339,6 +306,10 @@ func loadSurrogate(r io.Reader, present int64) (*Surrogate, error) {
 	if err := binary.Read(br, binary.LittleEndian, &dtBits); err != nil {
 		return nil, err
 	}
+	dt := math.Float64frombits(dtBits)
+	if !validDt(dt) {
+		return nil, fmt.Errorf("melissa: unreasonable checkpoint time step %g", dt)
+	}
 	var hiddenCount uint32
 	if err := binary.Read(br, binary.LittleEndian, &hiddenCount); err != nil {
 		return nil, err
@@ -370,7 +341,7 @@ func loadSurrogate(r io.Reader, present int64) (*Surrogate, error) {
 		Problem:     probName,
 		GridN:       int(gridN),
 		StepsPerSim: int(steps),
-		Dt:          math.Float64frombits(dtBits),
+		Dt:          dt,
 		Hidden:      hidden,
 		Seed:        seed,
 	}

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"melissa/internal/nn"
@@ -150,10 +152,49 @@ func TestPredictIntoMatchesPredict(t *testing.T) {
 	}
 }
 
+// TestPredictBatchChunks: a batch larger than one pooled replica holds runs
+// in chunks, and every row still equals PredictInto's answer bit for bit;
+// a wrong-width query past the first chunk is reported by its own index.
+func TestPredictBatchChunks(t *testing.T) {
+	for _, prob := range []Problem{Heat(), GrayScott()} {
+		s := freshSurrogate(prob)
+		rng := rand.New(rand.NewPCG(7, 11))
+		min, max := prob.ParamBounds()
+		n := 2*predictChunk + 22
+		params := make([][]float64, n)
+		ts := make([]float64, n)
+		for i := range params {
+			params[i] = make([]float64, len(min))
+			for j := range params[i] {
+				params[i][j] = min[j] + rng.Float64()*(max[j]-min[j])
+			}
+			ts[i] = float64(rng.IntN(6)+1) * s.Meta().Dt
+		}
+		batch, err := s.PredictBatch(params, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range params {
+			single := s.PredictInto(nil, params[i], ts[i])
+			for j := range single {
+				if math.Float64bits(batch[i][j]) != math.Float64bits(single[j]) {
+					t.Fatalf("%s: row %d value %d: batch %v, single %v", prob.Name(), i, j, batch[i][j], single[j])
+				}
+			}
+		}
+		bad := predictChunk + 36
+		params[bad] = params[bad][:len(params[bad])-1]
+		_, err = s.PredictBatch(params, ts)
+		if want := fmt.Sprintf("query %d has", bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: wrong-width query %d gave error %v, want it named", prob.Name(), bad, err)
+		}
+	}
+}
+
 // TestPredictParallel drives Predict and PredictBatch from many goroutines
 // at once (under -race in CI) and checks every concurrent result against
 // the serial answer — the regression gate for the lock-free pooled
-// forward workspaces.
+// replicas.
 func TestPredictParallel(t *testing.T) {
 	s := freshSurrogate(Heat())
 	params := midPoint(Heat())
@@ -206,8 +247,8 @@ func TestPredictParallel(t *testing.T) {
 
 // TestSurrogateHoldsWeightsOnly: however a network becomes a Surrogate —
 // trained online, snapshotted from a live trainer network, or loaded — it
-// keeps no gradient slab, the live network keeps its own, and the forward
-// workspaces extra callers draw alias the one weight slab.
+// keeps no gradient slab, the live network keeps its own, and the pooled
+// replicas extra callers draw alias the one weight slab.
 func TestSurrogateHoldsWeightsOnly(t *testing.T) {
 	res, err := runOnline(t, tinyGrayScottConfig())
 	if err != nil {
@@ -240,10 +281,10 @@ func TestSurrogateHoldsWeightsOnly(t *testing.T) {
 				t.Fatalf("%s: param %q retains its gradient", name, p.Name)
 			}
 		}
-		extra := s.workspaces.New().(*predictScratch)
+		extra := s.replicas.New().(*Replica)
 		for i, p := range extra.net.Params() {
 			if &p.Value.Data[0] != &s.net.Params()[i].Value.Data[0] {
-				t.Fatalf("%s: extra workspace copied param %q", name, p.Name)
+				t.Fatalf("%s: extra replica copied param %q", name, p.Name)
 			}
 		}
 	}
@@ -277,8 +318,8 @@ func BenchmarkPredict(b *testing.B) {
 }
 
 // BenchmarkPredictParallel measures concurrent serving throughput: with
-// the pooled forward workspaces, parallel callers scale across cores
-// instead of serializing on the old scratch mutex.
+// the pooled replicas, parallel callers scale across cores instead of
+// serializing on one shared scratch.
 func BenchmarkPredictParallel(b *testing.B) {
 	cfg := DefaultConfig()
 	norm := Heat().Normalizer(cfg)
@@ -386,5 +427,30 @@ func TestLoadSurrogateRefusesUnbackedHeader(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
 		t.Fatalf("refusing three unbacked headers allocated %d MB", grew>>20)
+	}
+}
+
+// TestLoadSurrogateRefusesBadDt: a header whose time step is not finite and
+// > 0 would leave the time input un-normalized, so it does not load.
+func TestLoadSurrogateRefusesBadDt(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Problem, cfg.GridN, cfg.StepsPerSim, cfg.Hidden = Heat(), 2, 4, []int{3}
+	norm := cfg.Problem.Normalizer(cfg)
+	tiny := newSurrogate(nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), 1), norm, surrogateMeta(cfg, cfg.Problem))
+	var valid bytes.Buffer
+	if err := tiny.Save(&valid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSurrogate(bytes.NewReader(valid.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	// magic | version | problem string | gridN | steps | dt
+	at := 4 + 4 + 4 + len(HeatName) + 4 + 4
+	for _, dt := range []float64{math.NaN(), 0, -1, math.Inf(1)} {
+		data := bytes.Clone(valid.Bytes())
+		binary.LittleEndian.PutUint64(data[at:], math.Float64bits(dt))
+		if _, err := LoadSurrogate(bytes.NewReader(data)); err == nil {
+			t.Fatalf("checkpoint with Dt %g loaded", dt)
+		}
 	}
 }
