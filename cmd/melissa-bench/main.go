@@ -1,9 +1,11 @@
 // Command melissa-bench reproduces the paper's tables and figures. Timing
 // experiments run at full paper scale on the cluster simulator; quality
-// experiments train core.Trainer, the trainer melissa-server runs, at the
-// selected scale preset, with one in-process data-parallel rank per GPU
-// rather than one batch as large as all of them. -dt 0 (the default) is the
-// problem's own step; a negative -dt is an error.
+// experiments train the trainer melissa-server runs — melissa.ServerConfig
+// of the selected scale preset's melissa.Config — with one in-process
+// data-parallel rank per GPU rather than one batch as large as all of them.
+// Figure 6's offline baseline is melissa.GenerateDataset followed by
+// melissa.TrainOffline. -problem and -dt set the preset's Config; -dt 0 (the
+// default) is the problem's own step, and a negative -dt is an error.
 //
 // Usage:
 //

@@ -20,7 +20,7 @@ func main() {
 	flag.IntVar(&cfg.Simulations, "simulations", cfg.Simulations, "ensemble size")
 	flag.IntVar(&cfg.MaxConcurrentClients, "concurrent", cfg.MaxConcurrentClients, "max simultaneous clients")
 	flag.IntVar(&cfg.ValidationSims, "validation-sims", cfg.ValidationSims, "held-out validation simulations")
-	out := flag.String("out", "surrogate.bin", "trained weights output")
+	out := flag.String("out", "surrogate.bin", "trained surrogate checkpoint, published atomically")
 	timeout := flag.Duration("timeout", 0, "overall run timeout (0 = none)")
 	flag.Parse()
 	if err := finish(); err != nil {
@@ -46,7 +46,7 @@ func main() {
 	fmt.Printf("  validation MSE:   %.6f (%.1f K²)\n", res.ValidationMSE, res.ValidationMSEKelvin)
 	fmt.Printf("  restarts:         %d client, %d server\n", res.ClientRestarts, res.ServerRestarts)
 	if *out != "" {
-		if err := res.Surrogate.SaveFile(*out); err != nil {
+		if err := melissa.PublishSurrogate(res.Surrogate, *out); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("  surrogate saved:  %s (%d parameters)\n", *out, res.Surrogate.NumParams())

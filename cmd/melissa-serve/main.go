@@ -1,6 +1,6 @@
 // Command melissa-serve answers surrogate predictions over the wire
 // protocol: it loads a self-describing checkpoint (written by
-// Surrogate.SaveFile, melissa.PublishSurrogate, or melissa-server's
+// melissa.PublishSurrogate: melissa-launcher's -out and melissa-server's
 // -surrogate-out) and serves PredictRequest frames with adaptive
 // micro-batching, one inference replica per batch worker sharing one weight
 // slab, an LRU prediction cache flushed on every reload, and hot checkpoint

@@ -181,16 +181,22 @@ type ref struct {
 	step   int
 }
 
+// Files returns the simulation files (sim-*.bin) under dir, sorted.
+func Files(dir string) ([]string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "sim-*.bin"))
+	sort.Strings(paths)
+	return paths, err
+}
+
 // OpenDir opens every sim-*.bin under dir.
 func OpenDir(dir string) (*Dataset, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "sim-*.bin"))
+	paths, err := Files(dir)
 	if err != nil {
 		return nil, err
 	}
 	if len(paths) == 0 {
 		return nil, fmt.Errorf("dataset: no simulation files under %s", dir)
 	}
-	sort.Strings(paths)
 	d := &Dataset{}
 	for _, p := range paths {
 		r, err := Open(p)

@@ -157,7 +157,7 @@ func AblationOfflineData(scale Scale, simCounts []int) ([]AblationOfflineDataRow
 		budget = 100000
 	}
 
-	valSet, err := ValidationSet(scale)
+	q, err := newQuality(scale, scale.SimsLarge)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +167,7 @@ func AblationOfflineData(scale Scale, simCounts []int) ([]AblationOfflineDataRow
 	if err != nil {
 		return nil, err
 	}
-	on, err := train(scale, valSet, 4, "Online-Reservoir", online(largeTopology(scale, 4), large))
+	on, err := q.train(4, "Online-Reservoir", online(q.largeTopology(4), large))
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +184,7 @@ func AblationOfflineData(scale Scale, simCounts []int) ([]AblationOfflineDataRow
 		if epochs < 1 {
 			epochs = 1
 		}
-		off, err := train(scale, valSet, 4, fmt.Sprintf("Offline-%dsims", sims), offline(scale, data.AllSamples(), epochs))
+		off, err := q.train(4, fmt.Sprintf("Offline-%dsims", sims), offline(scale, data.AllSamples(), epochs))
 		if err != nil {
 			return nil, err
 		}

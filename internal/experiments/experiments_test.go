@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -19,11 +20,19 @@ func TestScalePresets(t *testing.T) {
 		if s.Name != name {
 			t.Fatalf("name %q", s.Name)
 		}
-		if s.FieldDim() != s.GridN*s.GridN {
-			t.Fatal("field dim")
+		if shape := s.Problem.FieldShape(s.Config); !slices.Equal(shape, []int{s.GridN, s.GridN}) {
+			t.Fatalf("%s: field shape %v", name, shape)
 		}
-		if s.BufferThreshold >= s.BufferCapacity {
-			t.Fatalf("%s: threshold %d ≥ capacity %d", name, s.BufferThreshold, s.BufferCapacity)
+		if s.Threshold >= s.Capacity {
+			t.Fatalf("%s: threshold %d ≥ capacity %d", name, s.Threshold, s.Capacity)
+		}
+		// §4.5: halve every 10,000 samples of the paper's 25,000-sample
+		// ensemble, scaled to the preset's small ensemble.
+		if want := 10000 * s.SimsSmall * s.StepsPerSim / 25000; s.HalveEvery != want {
+			t.Fatalf("%s: HalveEvery %d, want %d", name, s.HalveEvery, want)
+		}
+		if s.LearningRate != 1e-3 || s.MinLR != 2.5e-4 {
+			t.Fatalf("%s: schedule %g → %g, want 1e-3 → 2.5e-4", name, s.LearningRate, s.MinLR)
 		}
 		if s.SimsLarge <= s.SimsSmall {
 			t.Fatalf("%s: large ensemble not larger", name)
@@ -50,7 +59,7 @@ func TestGenerateEnsemble(t *testing.T) {
 	if s.SimID != 2 || s.Step != 5 {
 		t.Fatalf("sample key %+v", s.Key())
 	}
-	if len(s.Input) != 6 || len(s.Output) != scale.FieldDim() {
+	if len(s.Input) != 6 || len(s.Output) != scale.GridN*scale.GridN {
 		t.Fatalf("sample dims %d/%d", len(s.Input), len(s.Output))
 	}
 	// Physical sanity: field temperatures within the sampled range.
@@ -90,14 +99,20 @@ func TestGenerateEnsemble(t *testing.T) {
 	}
 }
 
+// TestValidationSetShape: a figure validates on the held-out set of the
+// server its scale describes, ValidationSims whole members.
 func TestValidationSetShape(t *testing.T) {
 	scale := Tiny()
-	vs, err := ValidationSet(scale)
+	q, err := newQuality(scale, scale.SimsSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs.Len() != scale.ValSims*scale.StepsPerSim {
-		t.Fatalf("validation size %d", vs.Len())
+	vs := q.trainer.Validation
+	if vs == nil || vs.Len() != scale.ValidationSims*scale.StepsPerSim {
+		t.Fatalf("validation set %v, want %d samples", vs, scale.ValidationSims*scale.StepsPerSim)
+	}
+	if q.trainer.BatchSize != scale.BatchSize || q.buffer.Capacity != scale.Capacity || q.buffer.Threshold != scale.Threshold {
+		t.Fatalf("trainer batch %d, buffer %d/%d: not the scale's Config", q.trainer.BatchSize, q.buffer.Capacity, q.buffer.Threshold)
 	}
 }
 
@@ -243,9 +258,30 @@ func TestFigure4TinyMechanics(t *testing.T) {
 }
 
 func TestFigure6TinyMechanics(t *testing.T) {
-	res, err := Figure6(Tiny())
+	scale := Tiny()
+	res, err := Figure6(scale)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The offline half is the product's offline path: the same Config
+	// through GenerateDataset and TrainOffline gives the same run.
+	cfg := scale.Config
+	cfg.Simulations = scale.OfflineSims()
+	cfg.Ranks = 4
+	cfg.ValidateEvery = scale.ValidateEverySamples / (scale.BatchSize * 4)
+	dir := t.TempDir()
+	ctx := context.Background()
+	info, err := melissa.GenerateDataset(ctx, cfg, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := melissa.TrainOffline(ctx, cfg, dir, scale.OfflineEpochs, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Offline.Batches != direct.Batches || res.Offline.FinalVal != direct.ValidationMSE || res.OfflineBytes != info.Bytes {
+		t.Fatalf("offline half: %d batches, final val %v, %d bytes; GenerateDataset + TrainOffline: %d, %v, %d",
+			res.Offline.Batches, res.Offline.FinalVal, res.OfflineBytes, direct.Batches, direct.ValidationMSE, info.Bytes)
 	}
 	if res.Online.Unique <= Tiny().SimsSmall*Tiny().StepsPerSim {
 		t.Fatal("online must see more unique data than the offline dataset")
@@ -626,29 +662,33 @@ func TestReservationOrder(t *testing.T) {
 	}
 }
 
-// TestGrayScottScale verifies the presets are really problem-agnostic
-// after the Problem-API staleness fix: with the Gray–Scott problem
-// selected, ensemble generation, normalization, the model spec and the
-// trainer all follow the problem's two-channel geometry instead of
-// silently assuming the heat equation.
+// TestGrayScottScale verifies the presets are really problem-agnostic:
+// with the Gray–Scott problem selected, ensemble generation and the
+// figures' trainer — its normalizer, model and validation set — all
+// follow the problem's two-channel geometry instead of silently assuming
+// the heat equation.
 func TestGrayScottScale(t *testing.T) {
 	scale := Tiny()
 	scale.Problem = melissa.GrayScott()
 	scale.Dt = 1 // Gray–Scott's stable step size at the tiny grid
 
-	wantDim := 2 * scale.GridN * scale.GridN
-	if scale.FieldDim() != wantDim {
-		t.Fatalf("field dim %d, want two channels %d", scale.FieldDim(), wantDim)
+	q, err := newQuality(scale, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	norm := scale.Normalizer()
+	wantDim := 2 * scale.GridN * scale.GridN
+	norm := q.trainer.Normalizer
 	if norm.InputDim() != 5 { // F, k, Du, Dv + time
 		t.Fatalf("input dim %d, want 5", norm.InputDim())
 	}
 	if norm.OutputDim() != wantDim {
-		t.Fatalf("output dim %d, want %d", norm.OutputDim(), wantDim)
+		t.Fatalf("output dim %d, want two channels %d", norm.OutputDim(), wantDim)
 	}
-	if spec := scale.ModelSpec(); spec.OutputDim != wantDim {
-		t.Fatalf("model output %d, want %d", spec.OutputDim, wantDim)
+	if spec := q.trainer.Model; spec.InputDim != 5 || spec.OutputDim != wantDim {
+		t.Fatalf("model %d → %d, want 5 → %d", spec.InputDim, spec.OutputDim, wantDim)
+	}
+	if vs := q.trainer.Validation; vs.Len() != scale.ValidationSims*scale.StepsPerSim || vs.Out.Cols != wantDim {
+		t.Fatalf("validation set %d × %d, want %d × %d", vs.Len(), vs.Out.Cols, scale.ValidationSims*scale.StepsPerSim, wantDim)
 	}
 
 	data, err := GenerateEnsemble(scale, 2, 0)
@@ -661,12 +701,12 @@ func TestGrayScottScale(t *testing.T) {
 	}
 
 	// The trainer trains on the problem's geometry end to end.
-	run, err := train(scale, nil, 1, "gray-scott", offline(scale, data.AllSamples()[:scale.BatchSize], 1))
+	run, err := q.train(1, "gray-scott", offline(scale, data.AllSamples()[:scale.BatchSize], 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.Batches != 1 || run.Samples != scale.BatchSize {
-		t.Fatalf("run recorded %d batches / %d samples", run.Batches, run.Samples)
+	if run.Batches != 1 || run.Samples != scale.BatchSize || run.FinalVal <= 0 {
+		t.Fatalf("run recorded %d batches / %d samples, final val %v", run.Batches, run.Samples, run.FinalVal)
 	}
 }
 

@@ -28,19 +28,19 @@ func Figure4(scale Scale) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	valSet, err := ValidationSet(scale)
+	q, err := newQuality(scale, scale.SimsSmall)
 	if err != nil {
 		return nil, err
 	}
 	res := &Figure4Result{Scale: scale}
 	for _, kind := range []buffer.Kind{buffer.FIFOKind, buffer.FIROKind, buffer.ReservoirKind} {
-		run, err := train(scale, valSet, 1, string(kind), online(smallTopology(scale, kind, 1), data))
+		run, err := q.train(1, string(kind), online(q.smallTopology(kind, 1), data))
 		if err != nil {
 			return nil, fmt.Errorf("figure4 %w", err)
 		}
 		res.Runs = append(res.Runs, run)
 	}
-	run, err := train(scale, valSet, 1, "Offline-1epoch", offline(scale, data.AllSamples(), 1))
+	run, err := q.train(1, "Offline-1epoch", offline(scale, data.AllSamples(), 1))
 	if err != nil {
 		return nil, fmt.Errorf("figure4 %w", err)
 	}
@@ -60,7 +60,7 @@ func (r *Figure4Result) Run(label string) *QualityRun {
 
 // Render prints the summary and decimated loss curves.
 func (r *Figure4Result) Render(w io.Writer) {
-	norm := r.Scale.Normalizer()
+	norm := r.Scale.Problem.Normalizer(r.Scale.Config)
 	tb := trace.NewTable("Figure 4 — training quality per buffer (1 GPU)",
 		"Setting", "Batches", "Samples", "FinalTrainMSE", "FinalValMSE", "MinValMSE", "ValMSE(raw²)")
 	for _, run := range r.Runs {

@@ -28,7 +28,7 @@ func Figure5(scale Scale) (*Figure5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	valSet, err := ValidationSet(scale)
+	q, err := newQuality(scale, scale.SimsSmall)
 	if err != nil {
 		return nil, err
 	}
@@ -41,14 +41,14 @@ func Figure5(scale Scale) (*Figure5Result, error) {
 	for _, kind := range res.Kinds {
 		for _, gpus := range res.GPUs {
 			label := kindLabel(kind, gpus)
-			run, err := train(scale, valSet, gpus, label, online(smallTopology(scale, kind, gpus), data))
+			run, err := q.train(gpus, label, online(q.smallTopology(kind, gpus), data))
 			if err != nil {
 				return nil, fmt.Errorf("figure5 %w", err)
 			}
 			res.Online[label] = run
 		}
 	}
-	res.Offline, err = train(scale, valSet, 1, "Offline-1epoch", offline(scale, data.AllSamples(), 1))
+	res.Offline, err = q.train(1, "Offline-1epoch", offline(scale, data.AllSamples(), 1))
 	if err != nil {
 		return nil, fmt.Errorf("figure5 %w", err)
 	}

@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
 
+	"melissa"
 	"melissa/internal/core"
-	"melissa/internal/dataset"
 	"melissa/internal/trace"
 )
 
@@ -27,74 +28,52 @@ type Figure6Result struct {
 	Improvement float64
 }
 
-// Figure6 runs both settings at the given scale. The offline baseline
-// writes the small ensemble to disk (one binary file per simulation) and
-// trains through the multi-worker loader for Scale.OfflineEpochs; the
-// online run streams Scale.SimsLarge fresh simulations through the
-// Reservoir on the cluster simulator.
+// Figure6 runs both settings at the given scale, on 4 ranks. The offline
+// baseline is the product's offline path: melissa.GenerateDataset writes
+// Scale.OfflineSims members to disk (one binary file per simulation) and
+// melissa.TrainOffline trains them through the multi-worker loader for
+// Scale.OfflineEpochs. The online run streams Scale.SimsLarge fresh
+// simulations through the Reservoir on the cluster simulator. Both train
+// the trainer melissa.ServerConfig builds from the scale's Config.
 func Figure6(scale Scale) (*Figure6Result, error) {
-	valSet, err := ValidationSet(scale)
-	if err != nil {
-		return nil, err
-	}
-	res := &Figure6Result{Scale: scale}
 	const gpus = 4
+	res := &Figure6Result{Scale: scale}
 
 	// Offline: a fixed small ensemble, many epochs, data from disk. The
 	// dataset is sized (Scale.OfflineSims) so that the reduced-capacity
 	// model is in the same memorization regime as the paper's
 	// 514M-parameter network on 25,000 samples.
-	small, err := GenerateEnsemble(scale, scale.OfflineSims(), 0)
-	if err != nil {
-		return nil, err
-	}
 	dir, err := os.MkdirTemp("", "melissa-fig6-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	norm := scale.Normalizer()
-	for sim := 0; sim < small.Sims(); sim++ {
-		w, err := dataset.Create(dir, sim, scale.StepsPerSim, norm.InputDim(), scale.FieldDim())
-		if err != nil {
-			return nil, err
-		}
-		for step := 1; step <= scale.StepsPerSim; step++ {
-			s := small.Sample(sim, step)
-			if err := w.WriteStep(s.Input, s.Output); err != nil {
-				return nil, err
-			}
-		}
-		if err := w.Close(); err != nil {
-			return nil, err
-		}
+	ctx := context.Background()
+	cfg := scale.Config
+	cfg.Simulations = scale.OfflineSims()
+	cfg.Ranks = gpus
+	cfg.ValidateEvery = scale.validateEvery(gpus)
+	info, err := melissa.GenerateDataset(ctx, cfg, dir)
+	if err != nil {
+		return nil, fmt.Errorf("figure6 offline dataset: %w", err)
 	}
-	ds, err := dataset.OpenDir(dir)
+	res.OfflineBytes = info.Bytes
+	off, err := melissa.TrainOffline(ctx, cfg, dir, scale.OfflineEpochs, 8)
+	if err != nil {
+		return nil, fmt.Errorf("figure6 offline: %w", err)
+	}
+	res.Offline = offlineRun(fmt.Sprintf("Offline-%depochs", scale.OfflineEpochs), off)
+
+	// Online: large fresh ensemble streamed through the Reservoir.
+	q, err := newQuality(scale, scale.SimsLarge)
 	if err != nil {
 		return nil, err
 	}
-	defer ds.Close()
-	res.OfflineBytes = ds.Bytes()
-
-	loader := dataset.NewLoader(ds, scale.BatchSize*gpus, 8, scale.Seed^0xd15c)
-	res.Offline, err = train(scale, valSet, gpus, fmt.Sprintf("Offline-%depochs", scale.OfflineEpochs), func(f *core.Feeder) error {
-		for epoch := 0; epoch < scale.OfflineEpochs; epoch++ {
-			if err := loader.Epoch(f.Deal); err != nil {
-				return fmt.Errorf("epoch %d: %w", epoch, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("figure6 %w", err)
-	}
-
-	// Online: large fresh ensemble streamed through the Reservoir.
 	large, err := GenerateEnsemble(scale, scale.SimsLarge, 0xb16)
 	if err != nil {
 		return nil, err
 	}
-	res.Online, err = train(scale, valSet, gpus, "Online-Reservoir", online(largeTopology(scale, gpus), large))
+	res.Online, err = q.train(gpus, "Online-Reservoir", online(q.largeTopology(gpus), large))
 	if err != nil {
 		return nil, fmt.Errorf("figure6 %w", err)
 	}
@@ -105,13 +84,34 @@ func Figure6(scale Scale) (*Figure6Result, error) {
 	return res, nil
 }
 
+// offlineRun reads a TrainOffline result as a quality run.
+func offlineRun(label string, r *melissa.RunResult) *QualityRun {
+	run := &QualityRun{
+		Label:    label,
+		FinalVal: r.ValidationMSE,
+		Batches:  r.Batches,
+		Samples:  r.Samples,
+		Unique:   r.UniqueSamples,
+	}
+	for _, p := range r.TrainCurve {
+		run.Train = append(run.Train, core.LossPoint{Batch: p.Batch, Samples: p.Samples, Value: p.MSE})
+	}
+	for i, p := range r.ValidationCurve {
+		run.Val = append(run.Val, core.LossPoint{Batch: p.Batch, Samples: p.Samples, Value: p.MSE})
+		if i == 0 || p.MSE < run.MinVal {
+			run.MinVal = p.MSE
+		}
+	}
+	return run
+}
+
 // Render prints the comparison.
 func (r *Figure6Result) Render(w io.Writer) {
-	norm := r.Scale.Normalizer()
+	norm := r.Scale.Problem.Normalizer(r.Scale.Config)
 	tb := trace.NewTable("Figure 6 — online (large ensemble) vs offline (multi-epoch)",
 		"Setting", "UniqueSamples", "SamplesTrained", "Batches", "FinalValMSE", "ValMSE(raw²)")
 	off := r.Offline
-	tb.AddRow(off.Label, r.Scale.OfflineSims()*r.Scale.StepsPerSim, off.Samples, off.Batches, off.FinalVal, norm.RawMSE(off.FinalVal))
+	tb.AddRow(off.Label, off.Unique, off.Samples, off.Batches, off.FinalVal, norm.RawMSE(off.FinalVal))
 	on := r.Online
 	tb.AddRow(on.Label, on.Unique, on.Samples, on.Batches, on.FinalVal, norm.RawMSE(on.FinalVal))
 	tb.Render(w)

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"melissa"
 	"melissa/internal/buffer"
 	"melissa/internal/cluster"
 	"melissa/internal/core"
-	"melissa/internal/opt"
 	"melissa/internal/simrun"
 )
 
@@ -24,21 +24,44 @@ type QualityRun struct {
 	Unique   int
 }
 
-// train runs one quality setting on core.Trainer with gpus in-process
-// data-parallel ranks, fed by produce (core.RunFed), and reads the run off
-// the trainer's metrics. Validation is taken every ValidateEverySamples
-// samples' worth of full steps, and once more after the last step.
-func train(scale Scale, valSet *core.ValidationSet, gpus int, label string, produce func(*core.Feeder) error) (*QualityRun, error) {
-	t, err := core.RunFed(context.Background(), core.TrainerConfig{
-		Ranks:            gpus,
-		BatchSize:        scale.BatchSize,
-		Model:            scale.ModelSpec(),
-		Normalizer:       scale.CoreNormalizer(),
-		Schedule:         paperFig5Schedule(scale),
-		Validation:       valSet,
-		ValidateEvery:    max(1, scale.ValidateEverySamples/(scale.BatchSize*gpus)),
-		TrackOccurrences: true,
-	}, produce)
+// quality is what one figure trains: the trainer and the buffer
+// melissa.ServerConfig builds from the scale's Config — model, normalizer,
+// schedule and the held-out validation set, solved once for every run of
+// the figure — as melissa-server does.
+type quality struct {
+	scale   Scale
+	trainer core.TrainerConfig
+	buffer  buffer.Config
+}
+
+// newQuality builds the server the scale's Config describes, for a figure
+// that trains on an ensemble of sims members.
+func newQuality(scale Scale, sims int) (*quality, error) {
+	cfg := scale.Config
+	cfg.Simulations = sims
+	srv, err := melissa.ServerConfig(context.Background(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &quality{scale: scale, trainer: srv.Trainer, buffer: srv.Buffer}, nil
+}
+
+// validateEvery is the validation cadence of gpus ranks in full steps: one
+// validation every ValidateEverySamples samples.
+func (s Scale) validateEvery(gpus int) int {
+	return max(1, s.ValidateEverySamples/(s.BatchSize*gpus))
+}
+
+// train runs one quality setting on the figure's trainer with gpus
+// in-process data-parallel ranks, fed by produce (core.RunFed), and reads
+// the run off the trainer's metrics. Validation is taken every
+// ValidateEverySamples samples' worth of full steps, and once more after
+// the last step.
+func (q *quality) train(gpus int, label string, produce func(*core.Feeder) error) (*QualityRun, error) {
+	tc := q.trainer
+	tc.Ranks = gpus
+	tc.ValidateEvery = q.scale.validateEvery(gpus)
+	t, err := core.RunFed(context.Background(), tc, produce)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", label, err)
 	}
@@ -57,65 +80,46 @@ func train(scale Scale, valSet *core.ValidationSet, gpus int, label string, prod
 	}, nil
 }
 
-// paperFig5Schedule is the §4.5 schedule: halve every 10,000 samples with a
-// 2.5e-4 floor, making GPU counts comparable. The sample budget is scaled
-// relative to the paper's 25,000-sample ensemble so smaller presets see the
-// same number of decay steps.
-func paperFig5Schedule(scale Scale) opt.Schedule {
-	paperEnsemble := 25000.0
-	ours := float64(scale.SimsSmall * scale.StepsPerSim)
-	every := int(10000 * ours / paperEnsemble)
-	if every < 1 {
-		every = 1
+// topology maps sims members onto the cluster simulator, concurrent of
+// them running at once on coresPerClient cores each, trained through the
+// figure's buffer of the given kind on gpus ranks.
+func (q *quality) topology(sims, concurrent, coresPerClient int, kind buffer.Kind, gpus int) simrun.Options {
+	buf := q.buffer
+	buf.Kind = kind
+	return simrun.Options{
+		Model:          cluster.JeanZay(),
+		Simulations:    sims,
+		StepsPerSim:    q.scale.StepsPerSim,
+		CoresPerClient: coresPerClient,
+		TotalCores:     coresPerClient * concurrent,
+		GPUs:           gpus,
+		BatchSize:      q.scale.BatchSize,
+		Buffer:         buf,
 	}
-	return opt.Halving{Initial: 1e-3, EverySamples: every, Min: 2.5e-4}
 }
 
 // smallTopology maps a scale's small ensemble onto the cluster simulator,
 // preserving the paper's §4.3 ratios: 40% of the ensemble runs concurrently
 // (100 of 250), 20 cores per client, submission in 40/40/20% series.
-func smallTopology(scale Scale, kind buffer.Kind, gpus int) simrun.Options {
-	sims := scale.SimsSmall
+func (q *quality) smallTopology(kind buffer.Kind, gpus int) simrun.Options {
+	sims := q.scale.SimsSmall
 	s1 := (sims*2 + 4) / 5 // 40%
-	s2 := s1
-	s3 := sims - s1 - s2
-	series := []int{s1, s2, s3}
-	if s3 <= 0 {
+	series := []int{s1, s1, sims - 2*s1}
+	if series[2] <= 0 {
 		series = []int{sims}
 		s1 = sims
 	}
-	return simrun.Options{
-		Model:          cluster.JeanZay(),
-		Simulations:    sims,
-		StepsPerSim:    scale.StepsPerSim,
-		CoresPerClient: 20,
-		TotalCores:     20 * s1,
-		Series:         series,
-		GPUs:           gpus,
-		BatchSize:      scale.BatchSize,
-		Buffer:         scale.BufferConfig(kind),
-	}
+	opts := q.topology(sims, s1, 20, kind, gpus)
+	opts.Series = series
+	return opts
 }
 
 // largeTopology maps the large ensemble (Fig 6 / Table 2 analogue): half
 // the ensemble concurrent, 10 cores per client — reproducing the paper's
 // production:consumption ratio (≈273 vs 476 samples/s at 4 GPUs).
-func largeTopology(scale Scale, gpus int) simrun.Options {
-	sims := scale.SimsLarge
-	concurrent := (sims + 1) / 2
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	return simrun.Options{
-		Model:          cluster.JeanZay(),
-		Simulations:    sims,
-		StepsPerSim:    scale.StepsPerSim,
-		CoresPerClient: 10,
-		TotalCores:     10 * concurrent,
-		GPUs:           gpus,
-		BatchSize:      scale.BatchSize,
-		Buffer:         scale.BufferConfig(buffer.ReservoirKind),
-	}
+func (q *quality) largeTopology(gpus int) simrun.Options {
+	sims := q.scale.SimsLarge
+	return q.topology(sims, max(1, (sims+1)/2), 10, buffer.ReservoirKind, gpus)
 }
 
 // online feeds a cluster-simulated online run: virtual clients stream real

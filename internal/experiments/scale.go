@@ -2,13 +2,20 @@
 // evaluation (§4). Timing experiments (Figure 2, the throughput columns of
 // Tables 1-2) run at the paper's full scale on the discrete-event cluster
 // simulator with the calibrated Jean-Zay performance model; training
-// quality experiments (Figures 4-6, the MSE columns) train on
-// solver-generated data at a reduced grid size, preserving the ratios that
-// drive the paper's conclusions (clients : GPUs : buffer capacity : dataset
-// multiplicity). They train core.Trainer, the trainer the server runs, with
-// one in-process data-parallel rank per GPU (core.RunFed): an online run
-// feeds each rank the batches the cluster simulator assigns it, step by
-// step, and an offline baseline deals its shuffled dataset to the ranks.
+// quality experiments (Figures 4-6, the MSE columns, the offline-data
+// ablation) train on solver-generated data at a reduced grid size,
+// preserving the ratios that drive the paper's conclusions (clients : GPUs
+// : buffer capacity : dataset multiplicity).
+//
+// A Scale embeds the melissa.Config of its ensemble, and every quality run
+// trains the trainer config melissa.ServerConfig builds from it — model,
+// normalizer, learning-rate schedule and held-out validation set — as
+// melissa-server does, with one in-process data-parallel rank per GPU
+// (core.RunFed). An online run feeds each rank the batches the cluster
+// simulator assigns it, step by step; the one-epoch offline baselines of
+// Figures 4-5, Table 1 and the ablation deal the same in-memory ensemble to
+// the ranks. Figure 6's multi-epoch offline baseline is the product's
+// offline path: melissa.GenerateDataset, then melissa.TrainOffline.
 package experiments
 
 import (
@@ -19,24 +26,21 @@ import (
 
 	"melissa"
 	"melissa/internal/buffer"
-	"melissa/internal/core"
 	"melissa/internal/sampling"
 	"melissa/internal/solver"
 )
 
-// Scale selects the size of the quality experiments.
+// Scale selects the size of the quality experiments. Its Config describes
+// the ensemble every figure trains on: the problem (which must be set; the
+// presets set the paper's heat equation), grid, steps, Dt, model, batch,
+// buffer capacity and threshold, the §4.5 learning-rate schedule, the
+// held-out validation members and the seed. A figure trains the trainer
+// and buffer melissa.ServerConfig builds from it, as melissa-server does.
+// The fields beside it size the figures.
 type Scale struct {
+	melissa.Config
+
 	Name string
-
-	// Problem selects the simulation scenario the quality experiments
-	// train on; nil means the paper's heat equation. All presets are
-	// problem-agnostic: the ensemble generator, the model and the
-	// normalization all route through the Problem API.
-	Problem melissa.Problem
-
-	GridN       int // solver grid side (paper: 1000)
-	StepsPerSim int // time steps per simulation (paper: 100)
-	Dt          float64
 
 	SimsSmall int // the "250-simulation" ensemble analogue
 	SimsLarge int // the "20,000-simulation" ensemble analogue (Fig 6)
@@ -47,32 +51,37 @@ type Scale struct {
 	// memorization regime needs a proportionally smaller dataset — the
 	// offline-data-size ablation sweeps the crossover.
 	SimsOffline int
-	ValSims     int // held-out validation simulations (paper: 10)
-
-	Hidden    []int // MLP hidden widths (paper: 256, 256)
-	BatchSize int   // per GPU (paper: 10)
-
-	BufferCapacity  int // paper: 6,000 ≈ a quarter of the small ensemble
-	BufferThreshold int // paper: 1,000
 
 	OfflineEpochs int // Fig 6 offline baseline (paper: 100)
 
 	ValidateEverySamples int // validation cadence in samples (paper: 100 batches × 10)
-
-	Seed uint64
 }
+
+// Every preset trains the paper's heat equation through a Reservoir on the
+// §4.5 schedule: 1e-3, halved every HalveEvery samples down to 2.5e-4. The
+// paper halves every 10,000 samples of its 25,000-sample ensemble; a
+// preset halves at the same fraction of its own small ensemble
+// (SimsSmall·StepsPerSim), so every preset sees the same number of decay
+// steps. Config.Simulations is left to each figure: the size of the
+// ensemble it trains on.
 
 // Tiny is the unit-test scale: everything completes in well under a second.
 func Tiny() Scale {
 	return Scale{
-		Name:  "tiny",
-		GridN: 8, StepsPerSim: 10, Dt: 0.01,
-		SimsSmall: 10, SimsLarge: 30, ValSims: 3,
-		Hidden: []int{16}, BatchSize: 5,
-		BufferCapacity: 50, BufferThreshold: 10,
+		Config: melissa.Config{
+			Problem: melissa.Heat(),
+			GridN:   8, StepsPerSim: 10, Dt: 0.01,
+			Ranks:  1,
+			Hidden: []int{16}, BatchSize: 5,
+			Buffer: melissa.Reservoir, Capacity: 50, Threshold: 10,
+			LearningRate: 1e-3, HalveEvery: 40, MinLR: 2.5e-4,
+			ValidationSims: 3,
+			Seed:           2023,
+		},
+		Name:      "tiny",
+		SimsSmall: 10, SimsLarge: 30,
 		OfflineEpochs:        3,
 		ValidateEverySamples: 100,
-		Seed:                 2023,
 	}
 }
 
@@ -82,28 +91,40 @@ func Tiny() Scale {
 // ensemble = 10× small).
 func Default() Scale {
 	return Scale{
-		Name:  "default",
-		GridN: 32, StepsPerSim: 50, Dt: 0.01,
-		SimsSmall: 100, SimsLarge: 1000, SimsOffline: 15, ValSims: 10,
-		Hidden: []int{128, 128}, BatchSize: 10,
-		BufferCapacity: 1250, BufferThreshold: 200,
+		Config: melissa.Config{
+			Problem: melissa.Heat(),
+			GridN:   32, StepsPerSim: 50, Dt: 0.01,
+			Ranks:  1,
+			Hidden: []int{128, 128}, BatchSize: 10,
+			Buffer: melissa.Reservoir, Capacity: 1250, Threshold: 200,
+			LearningRate: 1e-3, HalveEvery: 2000, MinLR: 2.5e-4,
+			ValidationSims: 10,
+			Seed:           2023,
+		},
+		Name:      "default",
+		SimsSmall: 100, SimsLarge: 1000, SimsOffline: 15,
 		OfflineEpochs:        133, // ≈100k offline samples, matching the online budget
 		ValidateEverySamples: 1000,
-		Seed:                 2023,
 	}
 }
 
 // Large pushes closer to the paper's ensemble counts; minutes per figure.
 func Large() Scale {
 	return Scale{
-		Name:  "large",
-		GridN: 32, StepsPerSim: 100, Dt: 0.01,
-		SimsSmall: 250, SimsLarge: 2000, SimsOffline: 30, ValSims: 10,
-		Hidden: []int{256, 256}, BatchSize: 10,
-		BufferCapacity: 6000, BufferThreshold: 1000,
+		Config: melissa.Config{
+			Problem: melissa.Heat(),
+			GridN:   32, StepsPerSim: 100, Dt: 0.01,
+			Ranks:  1,
+			Hidden: []int{256, 256}, BatchSize: 10,
+			Buffer: melissa.Reservoir, Capacity: 6000, Threshold: 1000,
+			LearningRate: 1e-3, HalveEvery: 10000, MinLR: 2.5e-4,
+			ValidationSims: 10,
+			Seed:           2023,
+		},
+		Name:      "large",
+		SimsSmall: 250, SimsLarge: 2000, SimsOffline: 30,
 		OfflineEpochs:        70,
 		ValidateEverySamples: 1000,
-		Seed:                 2023,
 	}
 }
 
@@ -121,68 +142,12 @@ func ScaleByName(name string) (Scale, error) {
 	}
 }
 
-// problem resolves the scenario, defaulting to the paper's heat equation.
-func (s Scale) problem() melissa.Problem {
-	if s.Problem != nil {
-		return s.Problem
-	}
-	return melissa.Heat()
-}
-
-// Config returns the melissa configuration the scale's problem geometry is
-// evaluated against.
-func (s Scale) Config() melissa.Config {
-	return melissa.Config{
-		Problem:     s.problem(),
-		GridN:       s.GridN,
-		StepsPerSim: s.StepsPerSim,
-		Dt:          s.Dt,
-		Hidden:      s.Hidden,
-	}
-}
-
-// FieldDim returns the flattened field length (channels × grid points).
-func (s Scale) FieldDim() int {
-	dim := 1
-	for _, d := range s.problem().FieldShape(s.Config()) {
-		dim *= d
-	}
-	return dim
-}
-
 // OfflineSims returns the Figure 6 offline dataset size.
 func (s Scale) OfflineSims() int {
 	if s.SimsOffline > 0 {
 		return s.SimsOffline
 	}
 	return s.SimsSmall
-}
-
-// Normalizer returns the problem's normalizer for this scale.
-func (s Scale) Normalizer() melissa.Normalizer {
-	return s.problem().Normalizer(s.Config())
-}
-
-// CoreNormalizer adapts the problem normalizer to the trainer-side sample
-// interface.
-func (s Scale) CoreNormalizer() core.Normalizer {
-	return core.AdaptNormalizer(s.Normalizer())
-}
-
-// ModelSpec returns the surrogate architecture for this scale.
-func (s Scale) ModelSpec() core.ModelSpec {
-	norm := s.Normalizer()
-	return core.ModelSpec{
-		InputDim:  norm.InputDim(),
-		Hidden:    s.Hidden,
-		OutputDim: norm.OutputDim(),
-		Seed:      s.Seed,
-	}
-}
-
-// BufferConfig returns the buffer configuration for a policy kind.
-func (s Scale) BufferConfig(kind buffer.Kind) buffer.Config {
-	return buffer.Config{Kind: kind, Capacity: s.BufferCapacity, Threshold: s.BufferThreshold, Seed: s.Seed}
 }
 
 // EnsembleData holds solver-generated trajectories for quality experiments.
@@ -200,7 +165,7 @@ type EnsembleData struct {
 // box (seedOffset decorrelates training vs validation ensembles). The draws
 // are made in member order; the members then run GOMAXPROCS at a time.
 func GenerateEnsemble(scale Scale, sims int, seedOffset uint64) (*EnsembleData, error) {
-	prob := scale.problem()
+	prob := scale.Problem
 	min, max := prob.ParamBounds()
 	space, err := sampling.NewSpace(min, max)
 	if err != nil {
@@ -235,7 +200,7 @@ func GenerateEnsemble(scale Scale, sims int, seedOffset uint64) (*EnsembleData, 
 
 // solve runs member i and stores its fields.
 func (e *EnsembleData) solve(prob melissa.Problem, i int) error {
-	sim, err := prob.NewSimulator(e.Scale.Config(), e.Params[i])
+	sim, err := prob.NewSimulator(e.Scale.Config, e.Params[i])
 	if err != nil {
 		return err
 	}
@@ -278,14 +243,4 @@ func (e *EnsembleData) AllSamples() []buffer.Sample {
 		}
 	}
 	return out
-}
-
-// ValidationSet generates the held-out set: ValSims fresh simulations
-// "generated offline and never seen during training" (§4.4).
-func ValidationSet(scale Scale) (*core.ValidationSet, error) {
-	val, err := GenerateEnsemble(scale, scale.ValSims, 0x5eed0ff5)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewValidationSet(scale.CoreNormalizer(), val.AllSamples()), nil
 }

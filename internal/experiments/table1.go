@@ -50,13 +50,13 @@ func Table1(scale Scale, withQuality bool) (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		valSet, err := ValidationSet(scale)
+		q, err := newQuality(scale, scale.SimsSmall)
 		if err != nil {
 			return nil, err
 		}
 		for _, kind := range []buffer.Kind{buffer.FIFOKind, buffer.FIROKind, buffer.ReservoirKind} {
 			for _, gpus := range []int{1, 2, 4} {
-				run, err := train(scale, valSet, gpus, kindLabel(kind, gpus), online(smallTopology(scale, kind, gpus), data))
+				run, err := q.train(gpus, kindLabel(kind, gpus), online(q.smallTopology(kind, gpus), data))
 				if err != nil {
 					return nil, fmt.Errorf("table1 %w", err)
 				}
@@ -64,7 +64,7 @@ func Table1(scale Scale, withQuality bool) (*Table1Result, error) {
 			}
 		}
 		for _, gpus := range []int{1, 2, 4} {
-			run, err := train(scale, valSet, gpus, kindLabel("Offline", gpus), offline(scale, data.AllSamples(), 1))
+			run, err := q.train(gpus, kindLabel("Offline", gpus), offline(scale, data.AllSamples(), 1))
 			if err != nil {
 				return nil, fmt.Errorf("table1 %w", err)
 			}

@@ -1,14 +1,13 @@
 // Package launcher orchestrates and monitors the whole workflow (§3.1): it
 // starts the training server, submits client jobs to the available
-// execution slots (optionally in successive series, like the paper's
-// 100/100/50 submission pattern), restarts failed or unresponsive clients,
-// and — when the server itself dies — kills the running clients and brings
-// up a replacement server from the last checkpoint, re-running only the
+// execution slots, restarts failed or unresponsive clients, and — when the
+// server itself dies — kills the running clients and brings up a
+// replacement server from the last checkpoint, re-running only the
 // simulations whose data is incomplete.
 //
-// In this in-process live mode, "jobs" are goroutines and "the batch
-// scheduler" is a slot semaphore; the discrete-event Slurm model used by
-// the timing experiments lives in internal/scheduler.
+// Jobs are goroutines, and the batch scheduler is MaxConcurrentClients
+// slots: a member starts once a slot is free and holds it until its last
+// attempt returns.
 package launcher
 
 import (
@@ -44,13 +43,6 @@ type Config struct {
 	// MaxConcurrentClients bounds simultaneously running clients — the
 	// finite resource c behind the paper's inter-simulation bias (§3.2.1).
 	MaxConcurrentClients int
-	// Series optionally splits submission into successive groups (the
-	// paper submits 100, then 100, then 50); the launcher waits for a
-	// series to finish before submitting the next. Sizes must sum to
-	// len(Params). Empty means one series.
-	Series []int
-	// InterSeriesDelay models the scheduler gap between series.
-	InterSeriesDelay time.Duration
 
 	// MaxClientRetries bounds restarts per client.
 	MaxClientRetries int
@@ -91,8 +83,10 @@ const (
 
 // Launcher runs one configured ensemble.
 type Launcher struct {
-	cfg   Config
-	slots *semaphore
+	cfg Config
+	// slots holds one token per running client, MaxConcurrentClients at
+	// most.
+	slots chan struct{}
 
 	clientRestarts atomic.Int64
 
@@ -119,14 +113,6 @@ func (l *Launcher) restartBackoff(attempt int) time.Duration {
 	return min(d, maxClientBackoff)
 }
 
-// Resize changes the number of concurrent client slots while the ensemble
-// runs — the paper's elasticity (§3.1). Growing admits queued clients
-// immediately; shrinking takes effect as running clients complete.
-func (l *Launcher) Resize(concurrent int) { l.slots.Resize(concurrent) }
-
-// ConcurrentClients reports the clients currently running.
-func (l *Launcher) ConcurrentClients() int { return l.slots.InUse() }
-
 // New validates the configuration.
 func New(cfg Config) (*Launcher, error) {
 	if len(cfg.Params) < 1 {
@@ -141,22 +127,10 @@ func New(cfg Config) (*Launcher, error) {
 	if cfg.Steps < 1 {
 		return nil, fmt.Errorf("launcher: Steps=%d must be ≥ 1", cfg.Steps)
 	}
-	if len(cfg.Series) > 0 {
-		total := 0
-		for _, s := range cfg.Series {
-			if s <= 0 {
-				return nil, fmt.Errorf("launcher: series size %d must be positive", s)
-			}
-			total += s
-		}
-		if total != len(cfg.Params) {
-			return nil, fmt.Errorf("launcher: series sum %d != %d members", total, len(cfg.Params))
-		}
-	}
 	cfg.Server.ExpectedClients = len(cfg.Params)
 	l := &Launcher{
 		cfg:   cfg,
-		slots: newSemaphore(cfg.MaxConcurrentClients),
+		slots: make(chan struct{}, cfg.MaxConcurrentClients),
 		sleep: func(ctx context.Context, d time.Duration) bool {
 			t := time.NewTimer(d)
 			defer t.Stop()
@@ -251,9 +225,10 @@ func (l *Launcher) runServerAttempt(ctx context.Context, attempt int) (srv *serv
 	return srv, injectedFlag.Load(), runErr
 }
 
-// submitClients pushes the pending simulations through the execution slots,
-// series by series, restarting failures up to the retry budget. A
+// submitClients pushes the pending simulations through the execution slots
+// in simulation order, restarting failures up to the retry budget. A
 // simulation the server's restored checkpoint shows complete is skipped.
+// It returns once every client it started has returned.
 func (l *Launcher) submitClients(ctx context.Context, srv *server.Server, restartCh <-chan int32) {
 	select {
 	case <-srv.Ingesting():
@@ -281,37 +256,22 @@ func (l *Launcher) submitClients(ctx context.Context, srv *server.Server, restar
 		}
 	}()
 
-	series := l.cfg.Series
-	if len(series) == 0 {
-		series = []int{len(l.cfg.Params)}
-	}
-	simID := 0
-	for si, size := range series {
-		if si > 0 && l.cfg.InterSeriesDelay > 0 {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(l.cfg.InterSeriesDelay):
-			}
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	for id := range l.cfg.Params {
+		if completed[int32(id)] {
+			continue // data already complete from a previous server
 		}
-		var seriesWG sync.WaitGroup
-		for i := 0; i < size; i++ {
-			id := simID
-			simID++
-			if completed[int32(id)] {
-				continue // data already complete from a previous server
-			}
-			if err := l.slots.Acquire(ctx); err != nil {
-				return
-			}
-			seriesWG.Add(1)
-			go func() {
-				defer seriesWG.Done()
-				defer l.slots.Release()
-				l.runClientWithRetries(ctx, srv, id, running, &mu)
-			}()
+		select {
+		case l.slots <- struct{}{}:
+		case <-ctx.Done():
+			return
 		}
-		seriesWG.Wait()
+		wg.Add(1)
+		go func() {
+			defer func() { <-l.slots; wg.Done() }()
+			l.runClientWithRetries(ctx, srv, id, running, &mu)
+		}()
 	}
 }
 

@@ -3,7 +3,10 @@ package launcher
 import (
 	"context"
 	"maps"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,16 +73,6 @@ func TestLauncherValidation(t *testing.T) {
 		t.Fatal("expected error for an empty ensemble")
 	}
 	cfg = testConfig(4, buffer.FIFOKind)
-	cfg.Series = []int{2, 1} // doesn't sum to 4
-	if _, err := New(cfg); err == nil {
-		t.Fatal("expected error for series mismatch")
-	}
-	cfg = testConfig(4, buffer.FIFOKind)
-	cfg.Series = []int{2, -2, 4}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("expected error for negative series size")
-	}
-	cfg = testConfig(4, buffer.FIFOKind)
 	cfg.NewSim = nil
 	if _, err := New(cfg); err == nil {
 		t.Fatal("expected error for missing simulator factory")
@@ -115,21 +108,65 @@ func TestLauncherHappyPath(t *testing.T) {
 	}
 }
 
-func TestLauncherSeriesSubmission(t *testing.T) {
-	cfg := testConfig(6, buffer.ReservoirKind)
-	cfg.Series = []int{3, 2, 1}
-	cfg.InterSeriesDelay = 10 * time.Millisecond
+// TestLauncherSlotsBoundConcurrentClients: a member starts only on a free
+// slot and holds it until it returns. Every member parks in the JobHook
+// until the test releases them, so no slot frees up; once the submitter
+// itself waits for a slot, exactly MaxConcurrentClients members have been
+// admitted. Released, the run trains every sample.
+func TestLauncherSlotsBoundConcurrentClients(t *testing.T) {
+	cfg := testConfig(5, buffer.FIFOKind)
+	release := make(chan struct{})
+	var admitted atomic.Int32
+	cfg.JobHook = func(simID, attempt int, job *client.Job) {
+		admitted.Add(1)
+		<-release
+	}
 	l, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runLauncher(t, l, context.Background())
-	if err != nil {
-		t.Fatal(err)
+	type result struct {
+		res *Result
+		err error
 	}
-	if got := len(res.Metrics.Occurrences()); got != 6*steps {
-		t.Fatalf("unique samples %d, want %d", got, 6*steps)
+	done := make(chan result, 1)
+	go func() {
+		res, err := l.Run(context.Background())
+		done <- result{res, err}
+	}()
+	// The submitter also waits in a select, with no slot taken, until the
+	// server ingests; a taken slot means it is past that one.
+	testwait.Until(t, "the submitter to wait for a slot", func() bool {
+		return len(l.slots) > 0 && submitterWaiting()
+	})
+	if n := len(l.slots); n != cfg.MaxConcurrentClients {
+		t.Fatalf("%d slots taken while the submitter waits, want %d", n, cfg.MaxConcurrentClients)
 	}
+	testwait.Until(t, "the admitted clients to reach the hook", func() bool {
+		return admitted.Load() == int32(cfg.MaxConcurrentClients)
+	})
+	close(release)
+	r := testwait.Recv(t, done, "Launcher.Run to return")
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if got := len(r.res.Metrics.Occurrences()); got != 5*steps {
+		t.Fatalf("unique samples %d, want %d", got, 5*steps)
+	}
+	if n := admitted.Load(); n != 5 {
+		t.Fatalf("%d clients admitted, want 5", n)
+	}
+}
+
+// submitterWaiting reports whether submitClients is blocked in a select.
+func submitterWaiting() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "(*Launcher).submitClients(") && strings.Contains(g, "[select") {
+			return true
+		}
+	}
+	return false
 }
 
 func TestLauncherRestartsFailedClients(t *testing.T) {

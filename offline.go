@@ -25,9 +25,18 @@ type DatasetInfo struct {
 // RunOnline does. Generation is parallel across MaxConcurrentClients solver
 // instances and works for any configured Problem. A cancelled ctx stops
 // every member at its next step; the call returns once all have stopped.
+// dir must hold no simulation file yet: the dataset is exactly the members
+// this call writes.
 func GenerateDataset(ctx context.Context, cfg Config, dir string) (*DatasetInfo, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	stale, err := dataset.Files(dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(stale) > 0 {
+		return nil, fmt.Errorf("melissa: %s already holds %d simulation files — generate each dataset into an empty directory", dir, len(stale))
 	}
 	prob := cfg.problem()
 	space, err := problemSpace(prob)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,6 +33,36 @@ func TestGenerateDataset(t *testing.T) {
 	}
 	if info.Bytes <= 0 {
 		t.Fatal("no bytes recorded")
+	}
+}
+
+// TestGenerateDatasetRefusesStaleDir: a directory that already holds
+// simulation files is refused before any member runs, so the dataset
+// GenerateDataset reports and TrainOffline trains is only ever the members
+// of one call.
+func TestGenerateDatasetRefusesStaleDir(t *testing.T) {
+	dir := t.TempDir()
+	cfg := tinyConfig()
+	cfg.Simulations = 5
+	if _, err := GenerateDataset(context.Background(), cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	// An open gate: it only counts the members built.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	counting := &gatedProblem{Problem: Heat(), ctx: done, release: make(chan struct{})}
+	close(counting.release)
+	cfg.Problem = counting
+	cfg.Simulations = 3
+	info, err := GenerateDataset(context.Background(), cfg, dir)
+	if err == nil {
+		t.Fatalf("generated %+v into a directory holding 5 members", info)
+	}
+	if !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "5 simulation files") {
+		t.Fatalf("error %q does not name %s and its 5 files", err, dir)
+	}
+	if n := counting.built.Load(); n != 0 {
+		t.Fatalf("%d members ran before the refusal", n)
 	}
 }
 

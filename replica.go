@@ -120,10 +120,12 @@ func (r *Replica) PredictBatchRaw(n int, query func(i int) (params []float32, t 
 }
 
 // PublishSurrogate atomically writes the surrogate's self-describing
-// checkpoint to path (atomicfile.Write), so a concurrent reader (melissa-serve's checkpoint watcher, most importantly) sees either
-// the previous complete file or the new complete file and never a torn
-// prefix. This is the training→serving handoff primitive: publish from a
-// training hook, and a watching server hot-reloads it.
+// checkpoint to path (atomicfile.Write), so a concurrent reader
+// (melissa-serve's checkpoint watcher, most importantly) sees either the
+// previous complete file or the new complete file and never a torn prefix.
+// It is the one way a surrogate file is written. This is the
+// training→serving handoff primitive: publish from a training hook, and a
+// watching server hot-reloads it.
 func PublishSurrogate(s *Surrogate, path string) error {
 	return atomicfile.Write(path, s.Save)
 }

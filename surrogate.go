@@ -239,19 +239,6 @@ func (s *Surrogate) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SaveFile writes the surrogate (metadata + weights) to path.
-func (s *Surrogate) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // maxSurrogateParams bounds what LoadSurrogate reads from a stream of
 // unknown length: 2³⁰ parameters (4 GiB of weights), far above any real
 // surrogate.

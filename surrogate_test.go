@@ -90,7 +90,8 @@ func TestRawWeightsRejected(t *testing.T) {
 }
 
 // TestTrainedCheckpointRoundTrip covers the full path: an online-trained
-// Gray–Scott surrogate survives SaveFile/LoadSurrogateFile bit-identically.
+// Gray–Scott surrogate survives PublishSurrogate/LoadSurrogateFile
+// bit-identically.
 func TestTrainedCheckpointRoundTrip(t *testing.T) {
 	cfg := tinyGrayScottConfig()
 	res, err := runOnline(t, cfg)
@@ -98,7 +99,7 @@ func TestTrainedCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/gs.surrogate"
-	if err := res.Surrogate.SaveFile(path); err != nil {
+	if err := PublishSurrogate(res.Surrogate, path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadSurrogateFile(path)
