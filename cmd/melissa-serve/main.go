@@ -3,8 +3,8 @@
 // melissa.PublishSurrogate: melissa-launcher's -out and melissa-server's
 // -surrogate-out) and serves PredictRequest frames with adaptive
 // micro-batching, one inference replica per batch worker sharing one weight
-// slab, an LRU prediction cache flushed on every reload, and hot checkpoint
-// reload.
+// slab, an LRU prediction cache that stores a query on its second
+// computation and is flushed on every reload, and hot checkpoint reload.
 //
 // Typical deployment next to a training run:
 //
@@ -44,11 +44,11 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:9200", "listen address")
 		replicas     = flag.Int("replicas", 2, "batch workers, each with an inference replica sharing the weight slab")
 		maxBatch     = flag.Int("max-batch", 32, "requests coalesced into one fused forward pass")
-		batchWait    = flag.Duration("batch-wait", 500*time.Microsecond, "micro-batch latency budget (SLO knob; batches close at -max-batch or this deadline)")
+		batchWait    = flag.Duration("batch-wait", 500*time.Microsecond, "micro-batch latency budget while other requests are in flight (SLO knob; batches close at -max-batch or this deadline; a lone request never waits)")
 		shedQueue    = flag.Int("shed-queue", 0, "admit-queue capacity = load-shedding threshold (0 = 4*replicas*max-batch)")
 		writeTimeout = flag.Duration("write-timeout", 5*time.Second, "per-frame response write deadline; a slower client is disconnected (negative disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on SIGTERM: finish admitted work within this, then force-close")
-		cache        = flag.Int("cache", 4096, "prediction cache entries, flushed on every reload (0 disables)")
+		cache        = flag.Int("cache", 4096, "prediction cache entries, a query stored on its second computation, flushed on every reload (0 disables)")
 		watch        = flag.Duration("watch", 0, "poll the checkpoint file and hot-reload new publishes (0 disables)")
 		statsEvery   = flag.Duration("stats-every", 0, "print serving stats at this interval (0 disables)")
 	)
@@ -97,9 +97,9 @@ func main() {
 		go func() {
 			for range time.Tick(*statsEvery) {
 				st := s.Stats()
-				fmt.Printf("melissa-serve: epoch %d, %d req, %d resp, %d batches (%.1f rows/batch), cache %d/%d/%d hit/miss/evict, %d reloads, %d errors, queue %d/%d, %d shed, %d expired, %d slow-client drops\n",
+				fmt.Printf("melissa-serve: epoch %d, %d req, %d resp, %d batches (%.1f rows/batch), cache %d/%d/%d/%d hit/miss/evict/declined, %d reloads, %d errors, queue %d/%d, %d shed, %d expired, %d slow-client drops\n",
 					st.Epoch, st.Requests, st.Responses, st.Batches, avg(st.BatchRows, st.Batches),
-					st.Hits, st.Misses, st.Evictions, st.Reloads, st.Errors,
+					st.Hits, st.Misses, st.Evictions, st.CacheDeclined, st.Reloads, st.Errors,
 					st.Queue, st.QueueCap, st.Shed, st.DeadlineExpired, st.SlowClients)
 			}
 		}()

@@ -104,8 +104,8 @@ func benchServe(b *testing.B, sur *melissa.Surrogate, v serveBenchVariant) {
 		defer c.Close()
 		conns[i] = c
 	}
-	// Warm every connection (and the cache-hit variant's cache entry) off
-	// the clock.
+	// Warm every connection off the clock. The cache-hit variant's entry is
+	// stored by the second connection's computation of it.
 	var field []float32
 	for _, c := range conns {
 		var err error

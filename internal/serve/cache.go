@@ -15,12 +15,21 @@ import (
 // A hot reload flushes the whole cache (see flush), so a hit is always a
 // field the serving checkpoint computed.
 //
+// Admission is on second sighting: the first computed answer for a key only
+// records the key's fingerprint in a direct-mapped doorkeeper table of
+// 2·capacity slots, and the field is stored when a later computation finds
+// the fingerprint still there. A hot key costs one extra miss; a stream of
+// one-off queries never enters the LRU, so it neither fills the cache nor
+// evicts the hot keys. The fingerprint is an unseeded FNV-1a, so which keys
+// are admitted depends on the queries alone.
+//
 // The hit path is allocation-free: keys are built in a caller-owned scratch
 // buffer and looked up via the compiler's no-copy map[string(bytes)] form,
 // and the hit copies the field into a caller-owned buffer under the lock
 // (entries recycle their storage on eviction, so references must not
-// escape). Inserts allocate only the interned key string once the cache is
-// warm — evicted entries donate their field capacity to the newcomer.
+// escape). So is a declined insert. An admitted insert allocates only the
+// interned key string once the cache is warm — evicted entries donate their
+// field capacity to the newcomer.
 type predictCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -28,8 +37,15 @@ type predictCache struct {
 	entries  map[string]*cacheEntry
 	head     *cacheEntry // most recently used
 	tail     *cacheEntry // least recently used
+	seen     []uint64    // doorkeeper: fingerprints of keys computed once, 0 = empty
 
-	hits, misses, evictions uint64
+	cacheCounters
+}
+
+// cacheCounters are the cache's monotonic totals; declined counts computed
+// answers not stored (a key's first sighting).
+type cacheCounters struct {
+	hits, misses, evictions, declined uint64
 }
 
 type cacheEntry struct {
@@ -46,7 +62,22 @@ func newPredictCache(capacity int) *predictCache {
 	return &predictCache{
 		capacity: capacity,
 		entries:  make(map[string]*cacheEntry, capacity),
+		seen:     make([]uint64, 2*capacity),
 	}
+}
+
+// fingerprint is the 64-bit FNV-1a hash of key, never 0 (the doorkeeper's
+// empty slot).
+func fingerprint(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	if h == 0 {
+		h = 1
+	}
+	return h
 }
 
 // appendKey builds the interned query key: the little-endian bit patterns
@@ -85,16 +116,19 @@ func (c *predictCache) get(key []byte, dst []float32) ([]float32, uint32) {
 	return dst, epoch
 }
 
-// put inserts a freshly computed field, evicting the least recently used
-// entry at capacity. The evicted entry's struct and field storage are
-// reused, so a warm cache allocates only the interned key per insert.
-// Inserts tagged with an epoch below the flush floor are dropped: they come
-// from in-flight batches that started on a pre-reload model and would
-// otherwise repopulate the cache with stale fields after the flush.
+// put offers a freshly computed field. A key whose fingerprint is not in
+// its doorkeeper slot is declined: the slot takes its fingerprint and
+// nothing is stored. Otherwise the field is inserted, evicting the least
+// recently used entry at capacity. The evicted entry's struct and field
+// storage are reused, so a warm cache allocates only the interned key per
+// insert. Inserts tagged with an epoch below the flush floor are dropped:
+// they come from in-flight batches that started on a pre-reload model and
+// would otherwise repopulate the cache with stale fields after the flush.
 func (c *predictCache) put(key []byte, epoch uint32, field []float32) {
 	if c == nil {
 		return
 	}
+	fp := fingerprint(key)
 	c.mu.Lock()
 	if epoch < c.minEpoch {
 		c.mu.Unlock()
@@ -105,6 +139,12 @@ func (c *predictCache) put(key []byte, epoch uint32, field []float32) {
 		e.epoch = epoch
 		e.field = append(e.field[:0], field...)
 		c.moveToFront(e)
+		c.mu.Unlock()
+		return
+	}
+	if slot := &c.seen[fp%uint64(len(c.seen))]; *slot != fp {
+		*slot = fp
+		c.declined++
 		c.mu.Unlock()
 		return
 	}
@@ -128,7 +168,10 @@ func (c *predictCache) put(key []byte, epoch uint32, field []float32) {
 // flush drops every entry and raises the insert floor to minEpoch. Called on
 // hot reload: the new checkpoint answers every query differently, so the
 // whole cache is stale at once — and batches still running on the old model
-// must not be allowed to re-insert after the flush (put drops them).
+// must not be allowed to re-insert after the flush (put drops them). The
+// doorkeeper is kept: it records which queries recur, not what they
+// answered, so a key hot before the reload is stored on its first
+// computation after it.
 func (c *predictCache) flush(minEpoch uint32) {
 	if c == nil {
 		return
@@ -142,14 +185,14 @@ func (c *predictCache) flush(minEpoch uint32) {
 	c.mu.Unlock()
 }
 
-// counters returns the monotonic hit/miss/eviction totals.
-func (c *predictCache) counters() (hits, misses, evictions uint64) {
+// counters returns the monotonic totals.
+func (c *predictCache) counters() cacheCounters {
 	if c == nil {
-		return 0, 0, 0
+		return cacheCounters{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
+	return c.cacheCounters
 }
 
 func (c *predictCache) len() int {

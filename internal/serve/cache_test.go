@@ -7,11 +7,16 @@ func cacheKey(params []float32, t float32) []byte {
 }
 
 // TestCacheLRUEviction: the cache must hold exactly capacity entries,
-// evicting the least recently used — and a get must refresh recency.
+// evicting the least recently used — and a get must refresh recency. A key
+// enters on its second put; the first only records its fingerprint.
 func TestCacheLRUEviction(t *testing.T) {
 	c := newPredictCache(3)
 	var dst []float32
-	put := func(id float32) { c.put(cacheKey([]float32{id}, 0), 1, []float32{id * 10}) }
+	put := func(id float32) {
+		for range 2 {
+			c.put(cacheKey([]float32{id}, 0), 1, []float32{id * 10})
+		}
+	}
 	has := func(id float32) bool {
 		f, _ := c.get(cacheKey([]float32{id}, 0), dst)
 		return f != nil
@@ -33,18 +38,22 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.len() != 3 {
 		t.Fatalf("cache holds %d entries, want 3", c.len())
 	}
-	_, _, evictions := c.counters()
-	if evictions != 1 {
-		t.Fatalf("%d evictions, want 1", evictions)
+	if n := c.counters(); n.evictions != 1 || n.declined != 4 {
+		t.Fatalf("%d evictions, %d declined; want 1 and 4", n.evictions, n.declined)
 	}
 }
 
-// TestCacheHitReturnsStoredField: hits must copy out the exact field and
+// TestCacheHitReturnsStoredField: a first put is declined (the get after it
+// misses), the second is stored; hits must copy out the exact field and
 // epoch, misses must return nil, and counters must track both.
 func TestCacheHitReturnsStoredField(t *testing.T) {
 	c := newPredictCache(8)
 	key := cacheKey([]float32{1, 2, 3}, 0.5)
 	want := []float32{9, 8, 7}
+	c.put(key, 5, want)
+	if f, _ := c.get(key, nil); f != nil {
+		t.Fatal("first sighting stored")
+	}
 	c.put(key, 5, want)
 	got, epoch := c.get(key, nil)
 	if epoch != 5 || len(got) != len(want) {
@@ -58,9 +67,31 @@ func TestCacheHitReturnsStoredField(t *testing.T) {
 	if f, _ := c.get(cacheKey([]float32{1, 2, 3}, 0.25), nil); f != nil {
 		t.Fatal("different t hit the same entry")
 	}
-	hits, misses, _ := c.counters()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
+	if n := c.counters(); n.hits != 1 || n.misses != 2 || n.declined != 1 {
+		t.Fatalf("hits=%d misses=%d declined=%d, want 1/2/1", n.hits, n.misses, n.declined)
+	}
+}
+
+// TestCacheHotKeySurvivesOneOffFlood: a stream of one-off queries four
+// times the capacity must neither enter the cache nor evict a key that was
+// admitted before it.
+func TestCacheHotKeySurvivesOneOffFlood(t *testing.T) {
+	const capacity = 16
+	c := newPredictCache(capacity)
+	hot := cacheKey([]float32{-1}, 0)
+	c.put(hot, 1, []float32{42})
+	c.put(hot, 1, []float32{42})
+	for i := 0; i < 4*capacity; i++ {
+		c.put(cacheKey([]float32{float32(i)}, 0), 1, []float32{float32(i)})
+	}
+	if n := c.len(); n != 1 {
+		t.Fatalf("cache holds %d entries after the flood, want only the hot key", n)
+	}
+	if f, _ := c.get(hot, nil); f == nil || f[0] != 42 {
+		t.Fatalf("hot key lost to one-off queries: got %v", f)
+	}
+	if n := c.counters(); n.evictions != 0 || n.declined != 4*capacity+1 {
+		t.Fatalf("%d evictions, %d declined; want 0 and %d", n.evictions, n.declined, 4*capacity+1)
 	}
 }
 
@@ -83,7 +114,7 @@ func TestCacheFlush(t *testing.T) {
 	if f, _ := c.get(cacheKey([]float32{9}, 0), nil); f != nil {
 		t.Fatal("stale-epoch put landed after flush")
 	}
-	c.put(cacheKey([]float32{1}, 0), 2, []float32{1}) // reusable after flush
+	c.put(cacheKey([]float32{1}, 0), 2, []float32{1}) // reusable after flush: the doorkeeper kept key 1
 	if f, _ := c.get(cacheKey([]float32{1}, 0), nil); f == nil {
 		t.Fatal("cache unusable after flush")
 	}
@@ -100,7 +131,7 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatal("disabled cache returned a hit")
 	}
 	c.flush(1)
-	if h, m, e := c.counters(); h|m|e != 0 {
+	if n := c.counters(); n != (cacheCounters{}) {
 		t.Fatal("disabled cache counted something")
 	}
 }

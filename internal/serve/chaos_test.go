@@ -275,24 +275,30 @@ func TestServeChaosDrainUnderLoad(t *testing.T) {
 	want := expectedFields(t, sur, cfg.MaxBatch, params, ts)
 
 	const clients, perClient = 4, 400
+	// Every client is connected before the load starts: the drain closes
+	// the listener, and a dial that came after it would be refused.
+	conns := make([]*client.PredictConn, clients)
+	for g := range conns {
+		c, err := client.DialPredictOpts(addr, client.PredictOptions{
+			DialTimeout:   5 * time.Second,
+			CallTimeout:   5 * time.Second,
+			RetryAttempts: 2,
+			RetryBackoff:  time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[g] = c
+	}
 	var wg sync.WaitGroup
 	var successes, rejected atomic.Int64
-	for g := 0; g < clients; g++ {
+	for g, c := range conns {
 		wg.Add(1)
-		go func(g int) {
+		go func(g int, c *client.PredictConn) {
 			defer wg.Done()
-			c, err := client.DialPredictOpts(addr, client.PredictOptions{
-				DialTimeout:   5 * time.Second,
-				CallTimeout:   5 * time.Second,
-				RetryAttempts: 2,
-				RetryBackoff:  time.Millisecond,
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
 			var field []float32
+			var err error
 			for i := 0; i < perClient; i++ {
 				q := (g + i) % len(params)
 				field, _, err = c.PredictInto(field, params[q], ts[q])
@@ -308,7 +314,7 @@ func TestServeChaosDrainUnderLoad(t *testing.T) {
 				}
 				successes.Add(1)
 			}
-		}(g)
+		}(g, c)
 	}
 
 	// Let the load establish, then drain mid-flight.

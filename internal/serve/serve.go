@@ -4,16 +4,21 @@
 //
 // The request path is built from three pieces. Adaptive micro-batching:
 // connection readers admit requests into one queue, and batch workers
-// coalesce whatever is in flight into a single fused-GEMM replica call — a
-// batch closes when it reaches the size cap or when the oldest request has
-// waited Config.BatchWait, whichever comes first, so the batch size adapts
-// to the offered load (full batches at saturation, single-request batches
-// with one BatchWait of added latency when idle). One replica per worker:
-// each worker evaluates on its own melissa.Replica sharing the one weight
-// slab, so N workers scale across cores without N copies of the model. A
-// prediction cache: an LRU keyed on the exact query bits answers repeated
-// queries without touching a replica (an answer depends on its query alone,
-// so a cached field is bit-identical to a recomputed one).
+// coalesce whatever is in flight into a single fused-GEMM replica call. A
+// worker takes everything already queued; if that is every admitted
+// request, the batch runs at once, since waiting could only gather a
+// request that has not arrived yet. Otherwise the batch closes when it
+// reaches the size cap or when the oldest request has waited
+// Config.BatchWait, whichever comes first, so the batch size adapts to the
+// offered load (full batches at saturation, a lone caller answered without
+// waiting). One replica per worker: each worker evaluates on its own
+// melissa.Replica sharing the one weight slab, so N workers scale across
+// cores without N copies of the model. A prediction cache: an LRU keyed on
+// the exact query bits answers repeated queries without touching a replica
+// (an answer depends on its query alone, so a cached field is bit-identical
+// to a recomputed one). It stores a query's answer on its second
+// computation, so a stream of one-off queries neither fills it nor evicts
+// the hot ones.
 //
 // Checkpoints hot-reload without dropping requests: a reload loads the new
 // surrogate and publishes it with one atomic pointer swap, tagged with a new
@@ -66,9 +71,12 @@ type Config struct {
 	MaxBatch int
 	// BatchWait is the micro-batching latency budget: how long an admitted
 	// request may wait for companions before its batch closes regardless of
-	// size. This is the knob that trades tail latency for batching
-	// efficiency. Default 500µs; negative disables waiting (every batch
-	// closes as soon as the queue drains).
+	// size. It applies only while other admitted requests are outside the
+	// batch (queued behind it or in another worker's batch); a batch that
+	// holds every admitted request runs at once. This is the knob that
+	// trades tail latency for batching efficiency under concurrent load.
+	// Default 500µs; negative disables waiting (every batch closes as soon
+	// as the queue drains).
 	BatchWait time.Duration
 	// QueueSize bounds the admit queue and is therefore the load-shedding
 	// threshold: a request arriving with the queue full is answered
@@ -85,7 +93,8 @@ type Config struct {
 	// connection down. Default max(64, 4*MaxBatch).
 	OutboxFrames int
 	// CacheEntries bounds the prediction cache; 0 disables it (a negative
-	// value also disables it). Every reload flushes it.
+	// value also disables it). A query's answer is stored on its second
+	// computation. Every reload flushes it.
 	CacheEntries int
 	// WatchInterval is how often the checkpoint file is polled for a new
 	// publish; 0 disables watching.
@@ -153,16 +162,17 @@ const (
 // Stats is a snapshot of the server's monotonic counters (plus the
 // instantaneous queue depth and drain state).
 type Stats struct {
-	Requests  uint64 // predict requests received
-	Responses uint64 // predict responses sent (computed + cached)
-	Batches   uint64 // fused forward passes
-	BatchRows uint64 // total requests served by those passes
-	Hits      uint64 // cache hits
-	Misses    uint64 // cache misses
-	Evictions uint64 // cache capacity evictions
-	Errors    uint64 // rejected requests (PredictError sent)
-	Reloads   uint64 // successful hot reloads
-	Epoch     uint32 // current checkpoint epoch
+	Requests      uint64 // predict requests received
+	Responses     uint64 // predict responses sent (computed + cached)
+	Batches       uint64 // fused forward passes
+	BatchRows     uint64 // total requests served by those passes
+	Hits          uint64 // cache hits
+	Misses        uint64 // cache misses
+	Evictions     uint64 // cache capacity evictions
+	CacheDeclined uint64 // computed answers not stored: a query's first computation only records its fingerprint
+	Errors        uint64 // rejected requests (PredictError sent)
+	Reloads       uint64 // successful hot reloads
+	Epoch         uint32 // current checkpoint epoch
 
 	Shed            uint64 // requests rejected with queue full or server draining
 	DeadlineExpired uint64 // requests rejected for an elapsed deadline (admit or batch assembly)
@@ -253,18 +263,19 @@ func (s *Server) Epoch() uint32 { return s.model.Load().epoch }
 
 // Stats returns a snapshot of the serving counters.
 func (s *Server) Stats() Stats {
-	hits, misses, evictions := s.cache.counters()
+	cs := s.cache.counters()
 	return Stats{
-		Requests:  s.requests.Load(),
-		Responses: s.responses.Load(),
-		Batches:   s.batches.Load(),
-		BatchRows: s.batchRows.Load(),
-		Hits:      hits,
-		Misses:    misses,
-		Evictions: evictions,
-		Errors:    s.errors.Load(),
-		Reloads:   s.reloads.Load(),
-		Epoch:     s.Epoch(),
+		Requests:      s.requests.Load(),
+		Responses:     s.responses.Load(),
+		Batches:       s.batches.Load(),
+		BatchRows:     s.batchRows.Load(),
+		Hits:          cs.hits,
+		Misses:        cs.misses,
+		Evictions:     cs.evictions,
+		CacheDeclined: cs.declined,
+		Errors:        s.errors.Load(),
+		Reloads:       s.reloads.Load(),
+		Epoch:         s.Epoch(),
 
 		Shed:            s.shed.Load(),
 		DeadlineExpired: s.deadlineExpired.Load(),
@@ -522,8 +533,10 @@ func (s *Server) watch(last os.FileInfo) {
 }
 
 // worker drains the admit queue: it blocks for the first pending request,
-// keeps the batch open until the size cap or the BatchWait deadline, then
-// runs the fused forward pass on its own replica and answers every request.
+// takes what else is queued and, while other admitted requests are still
+// outside the batch, keeps it open until the size cap or the BatchWait
+// deadline; then it runs the fused forward pass on its own replica and
+// answers every request.
 // One worker per configured replica; a worker replaces its replica when it
 // first picks up a reloaded model.
 func (s *Server) worker() {
@@ -554,7 +567,9 @@ func (s *Server) worker() {
 
 // fillBatch grows *batch from the queue until the size cap or the deadline.
 // The non-blocking drain runs first so a backlogged queue closes batches at
-// the cap without ever arming the timer.
+// the cap without ever arming the timer. When the drained batch holds every
+// admitted request, nothing the wait could gather exists yet: the batch
+// runs at once, so a lone caller never pays BatchWait.
 func (s *Server) fillBatch(batch *[]*pending, timer *time.Timer) {
 	cap := s.cfg.MaxBatch
 	b := *batch
@@ -568,7 +583,7 @@ func (s *Server) fillBatch(batch *[]*pending, timer *time.Timer) {
 		}
 		break
 	}
-	if len(b) >= cap || s.cfg.BatchWait <= 0 {
+	if len(b) >= cap || s.cfg.BatchWait <= 0 || s.inflight.Load() <= int64(len(b)) {
 		return
 	}
 	timer.Reset(s.cfg.BatchWait)

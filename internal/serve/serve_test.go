@@ -171,8 +171,8 @@ func TestServeCloseUnblocksIdleConns(t *testing.T) {
 
 // TestServeEndToEnd: a client's predictions over loopback TCP must be
 // bit-identical to the local replica reference, Info must describe the
-// model, repeated queries must hit the cache, and malformed queries must be
-// rejected without killing the connection.
+// model, a query computed twice must hit the cache from then on, and
+// malformed queries must be rejected without killing the connection.
 func TestServeEndToEnd(t *testing.T) {
 	sur := testSurrogate(t, 41)
 	cfg := Config{MaxBatch: 8, Replicas: 2, CacheEntries: 64}
@@ -198,8 +198,11 @@ func TestServeEndToEnd(t *testing.T) {
 	params, ts := testQueries(16, rng)
 	want := expectedFields(t, sur, cfg.MaxBatch, params, ts)
 	var field []float32
-	for round := 0; round < 2; round++ { // second round must be all cache hits
-		for q := range params {
+	// Round 0 asks each query twice in a row: the first computation is
+	// declined, the second stored. Round 1 must be all cache hits.
+	for round, repeat := range []int{2, 1} {
+		for i := 0; i < repeat*len(params); i++ {
+			q := i / repeat
 			var epoch uint32
 			field, epoch, err = c.PredictInto(field, params[q], ts[q])
 			if err != nil {
@@ -213,8 +216,8 @@ func TestServeEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	if st := s.Stats(); st.Hits < uint64(len(params)) {
-		t.Fatalf("stats %+v: want at least %d cache hits", st, len(params))
+	if st := s.Stats(); st.Hits != uint64(len(params)) || st.CacheDeclined != uint64(len(params)) {
+		t.Fatalf("stats %+v: want %d cache hits and %d declined", st, len(params), len(params))
 	}
 
 	// Wrong parameter count → PredictError, connection stays usable.
@@ -229,12 +232,33 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
+// holdWorker parks a lone batch worker inside a batch: it admits one query
+// on a connection whose response lock the test holds, so the worker blocks
+// answering it and every request admitted meanwhile queues up. The returned
+// release lets the worker go on.
+func holdWorker(t testing.TB, s *Server, params []float32, ts float32) (release func()) {
+	t.Helper()
+	c := s.newConn(nopConn{})
+	c.mu.Lock()
+	s.admit(c, leaseRequest(params, ts), time.Now())
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			c.mu.Unlock()
+			c.shutdown()
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
 // TestServeSameBytesAtEveryKernelLevel: a model trained and published where
 // the GEMM runs its widest kernels answers byte for byte the same from a
 // server pinned to each narrower level (and to the widest). Trained — a
 // few Adam steps — so the weights are not the initializer's round numbers;
-// eight concurrent callers, so the forwards are fused batches of several
-// rows and the multi-row kernels run, checked on the batch counters.
+// the lone worker is held while eight callers queue a request each, so the
+// forwards are fused batches of several rows and the multi-row kernels run,
+// checked on the batch counters.
 func TestServeSameBytesAtEveryKernelLevel(t *testing.T) {
 	cfg := melissa.DefaultConfig()
 	cfg.GridN = 8
@@ -275,20 +299,23 @@ func TestServeSameBytesAtEveryKernelLevel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewServer(loaded, Config{MaxBatch: 16, Replicas: 1, BatchWait: 2 * time.Millisecond})
+		s := NewServer(loaded, Config{MaxBatch: 16, Replicas: 1})
 		addr := startServer(t, s)
+		conns := make([]*client.PredictConn, clients)
+		for g := range conns {
+			if conns[g], err = client.DialPredict(addr, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			defer conns[g].Close()
+		}
+		release := holdWorker(t, s, params[0], ts[0])
 		var wg sync.WaitGroup
-		for g := 0; g < clients; g++ {
+		for g, c := range conns {
 			wg.Add(1)
-			go func(g int) {
+			go func(g int, c *client.PredictConn) {
 				defer wg.Done()
-				c, err := client.DialPredict(addr, 5*time.Second)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer c.Close()
 				var field []float32
+				var err error
 				for q := g * each; q < (g+1)*each; q++ {
 					if field, _, err = c.PredictInto(field, params[q], ts[q]); err != nil {
 						t.Errorf("%s: query %d: %v", level, q, err)
@@ -299,11 +326,13 @@ func TestServeSameBytesAtEveryKernelLevel(t *testing.T) {
 						return
 					}
 				}
-			}(g)
+			}(g, c)
 		}
+		testwait.Until(t, "every caller's first request to be admitted", func() bool { return s.inflight.Load() == 1+clients })
+		release()
 		wg.Wait()
 		// The worker counts a batch after it has answered it.
-		testwait.Until(t, "the last batch to be counted", func() bool { return s.Stats().BatchRows == clients*each })
+		testwait.Until(t, "the last batch to be counted", func() bool { return s.Stats().BatchRows == 1+clients*each })
 		if st := s.Stats(); st.Batches >= st.BatchRows {
 			t.Fatalf("%s: stats %+v: no fused batch, the multi-row kernels did not run", level, st)
 		}
@@ -311,44 +340,49 @@ func TestServeSameBytesAtEveryKernelLevel(t *testing.T) {
 	})
 }
 
-// TestServeBatchesCoalesce: concurrent closed-loop clients must actually be
-// micro-batched — with the workers outnumbered by clients, the mean batch
-// size has to rise above one request per forward pass.
+// TestServeBatchesCoalesce: requests admitted while the lone worker is busy
+// must be micro-batched — once it is free, it takes every queued request
+// into one fused forward pass.
 func TestServeBatchesCoalesce(t *testing.T) {
 	sur := testSurrogate(t, 43)
-	s := NewServer(sur, Config{MaxBatch: 16, Replicas: 1, BatchWait: 2 * time.Millisecond})
-	addr := startServer(t, s)
-
-	const clients, each = 8, 50
-	var wg sync.WaitGroup
-	rng := rand.New(rand.NewPCG(5, 6))
-	params, ts := testQueries(clients, rng)
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c, err := client.DialPredict(addr, 5*time.Second)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
-			var field []float32
-			for i := 0; i < each; i++ {
-				if field, _, err = c.PredictInto(field, params[g], ts[g]); err != nil {
-					t.Errorf("client %d: %v", g, err)
-					return
-				}
-			}
-		}(g)
+	s := NewServer(sur, Config{MaxBatch: 16, Replicas: 1})
+	t.Cleanup(func() { s.Close() }) // after holdWorker's release, which a Cleanup also runs
+	const n = 8
+	params, ts := testQueries(n, rand.New(rand.NewPCG(5, 6)))
+	release := holdWorker(t, s, params[0], ts[0])
+	c := s.newConn(nopConn{})
+	defer c.shutdown()
+	for i := range params {
+		s.admit(c, leaseRequest(params[i], ts[i]), time.Now())
 	}
-	wg.Wait()
-	st := s.Stats()
-	if st.BatchRows != clients*each {
-		t.Fatalf("stats %+v: served %d rows, want %d", st, st.BatchRows, clients*each)
-	}
-	if st.Batches == 0 || float64(st.BatchRows)/float64(st.Batches) <= 1.0 {
+	release()
+	testwait.Until(t, "every request to be answered", func() bool { return s.Stats().BatchRows == 1+n })
+	// The held batch holds the held request and whichever others the worker
+	// drained before it blocked; the next takes the rest.
+	if st := s.Stats(); st.Batches > 2 {
 		t.Fatalf("stats %+v: no coalescing (%d rows in %d batches)", st, st.BatchRows, st.Batches)
+	}
+}
+
+// TestServeLoneRequestDoesNotWait: a request that is the only one admitted
+// runs at once, however long BatchWait is — each of these sequential calls
+// is answered within the client's call timeout, not after an hour.
+func TestServeLoneRequestDoesNotWait(t *testing.T) {
+	sur := testSurrogate(t, 43)
+	s := NewServer(sur, Config{MaxBatch: 16, Replicas: 1, BatchWait: time.Hour})
+	c, err := client.DialPredictOpts(startServer(t, s), client.PredictOptions{
+		DialTimeout: 5 * time.Second,
+		CallTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	params, ts := testQueries(3, rand.New(rand.NewPCG(7, 8)))
+	for q := range params {
+		if _, _, err := c.Predict(params[q], ts[q]); err != nil {
+			t.Fatalf("lone request %d: %v", q, err)
+		}
 	}
 }
 
@@ -524,10 +558,11 @@ func flushConn(c *conn) {
 	}
 }
 
-// TestServeSteadyStateZeroAlloc gates the two steady-state request paths at
+// TestServeSteadyStateZeroAlloc gates the steady-state request paths at
 // zero heap allocations per request once buffers and pools are warm: the
 // compute path (admit → batch → fused forward → encode) with the cache
-// disabled, and the cache-hit path (admit → lookup → encode).
+// disabled, the same path with the cache on and every query new (lookup
+// miss, declined insert), and the cache-hit path (admit → lookup → encode).
 func TestServeSteadyStateZeroAlloc(t *testing.T) {
 	sur := testSurrogate(t, 41)
 	rng := rand.New(rand.NewPCG(17, 19))
@@ -560,18 +595,56 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 		}
 	})
 
+	t.Run("cache-miss", func(t *testing.T) {
+		s := NewServer(sur, Config{MaxBatch: 8, Replicas: 1, CacheEntries: 64})
+		defer s.Close()
+		c := s.newConn(nopConn{})
+		defer c.shutdown()
+		m := s.model.Load()
+		rep := m.sur.NewReplica(s.cfg.MaxBatch)
+		batch := make([]*pending, len(params))
+		var key []byte
+		tick := float32(0)
+		run := func() {
+			tick++ // a new t every run: every query is a first sighting
+			for i := range batch {
+				c.keyBuf = appendKey(c.keyBuf[:0], params[i], tick)
+				if f, _ := s.cache.get(c.keyBuf, c.fieldBuf); f != nil {
+					t.Fatal("a new query hit the cache")
+				}
+				batch[i] = s.leasePending(c, leaseRequest(params[i], tick), time.Time{})
+			}
+			key = s.serveBatch(m, rep, batch, key)
+			flushConn(c)
+		}
+		for i := 0; i < 4; i++ {
+			run()
+		}
+		if avg := testing.AllocsPerRun(100, run); avg != 0 {
+			t.Errorf("cache-miss path allocates %.2f allocs per batch, want 0", avg)
+		}
+		if n := s.cache.counters(); n.declined == 0 || s.cache.len() != 0 {
+			t.Fatalf("gate did not stay on the miss path: %d declined, %d stored", n.declined, s.cache.len())
+		}
+	})
+
 	t.Run("cache-hit", func(t *testing.T) {
 		s := NewServer(sur, Config{MaxBatch: 8, Replicas: 1, CacheEntries: 64})
 		defer s.Close()
 		c := s.newConn(nopConn{})
 		defer c.shutdown()
 		m := s.model.Load()
-		// Warm the cache through the real compute path.
-		batch := make([]*pending, len(params))
-		for i := range batch {
-			batch[i] = s.leasePending(c, leaseRequest(params[i], ts[i]), time.Time{})
+		// Warm the cache through the real compute path: each query twice in
+		// one batch, so its second computation stores it.
+		rep := m.sur.NewReplica(s.cfg.MaxBatch)
+		for i := range params {
+			batch := []*pending{
+				s.leasePending(c, leaseRequest(params[i], ts[i]), time.Time{}),
+				s.leasePending(c, leaseRequest(params[i], ts[i]), time.Time{}),
+			}
+			s.serveBatch(m, rep, batch, nil)
 		}
-		s.serveBatch(m, m.sur.NewReplica(s.cfg.MaxBatch), batch, nil)
+		flushConn(c)
 		hit := func() {
 			for i := range params {
 				req := leaseRequest(params[i], ts[i])
@@ -585,9 +658,8 @@ func TestServeSteadyStateZeroAlloc(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, hit); avg != 0 {
 			t.Errorf("cache-hit path allocates %.2f allocs per %d requests, want 0", avg, len(params))
 		}
-		hits, misses, _ := s.cache.counters()
-		if misses != 0 || hits == 0 {
-			t.Fatalf("gate did not stay on the hit path: %d hits, %d misses", hits, misses)
+		if n := s.cache.counters(); n.misses != 0 || n.hits == 0 {
+			t.Fatalf("gate did not stay on the hit path: %d hits, %d misses", n.hits, n.misses)
 		}
 	})
 }
