@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"slices"
 	"testing"
 
 	"melissa/internal/testwait"
@@ -9,7 +10,7 @@ import (
 // unseenCount reads the policy's unseen population under the lock.
 func unseenCount(b *Blocking) int {
 	var n int
-	b.WithLock(func(p Policy) { n = p.(PopulationCounter).UnseenCount() })
+	b.WithLock(func(p *Policy) { n = p.UnseenCount() })
 	return n
 }
 
@@ -89,61 +90,67 @@ func TestArenaRowsRecycled(t *testing.T) {
 	}
 }
 
-// TestArenaPolicySequenceUnchanged drives two identically-seeded Reservoirs
-// — a bare policy through Put/TryGet, and one wrapped in a buffer through
-// PutCopy/GetBatchEach — and requires the identical extraction sequence:
-// the arena is invisible to the policy's RNG stream, keeping the paper's
-// buffer statistics bit-identical.
+// TestArenaPolicySequenceUnchanged drives two identically-seeded policies
+// of every kind — a bare one through Put/TryGet, and one wrapped in a
+// buffer through PutCopy/GetBatchEach — and requires the identical
+// extraction sequence: the arena is invisible to the policy's RNG stream,
+// keeping the paper's buffer statistics bit-identical. The population
+// reaches capacity, so the evicting kinds evict too, and a drained buffer
+// must have every row back.
 func TestArenaPolicySequenceUnchanged(t *testing.T) {
 	const inDim, outDim = 2, 3
 	// Threshold 0: GetBatchEach blocks below the threshold, and this test
 	// drives the buffer single-threaded.
 	const capacity, threshold = 32, 0
-	bare := NewReservoir(capacity, threshold, 99)
-	arena := NewBlockingArena(NewReservoir(capacity, threshold, 99), inDim, outDim)
+	for _, kind := range Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := Config{Kind: kind, Capacity: capacity, Threshold: threshold, Seed: 99}
+			bare, _ := New(cfg)
+			p, _ := New(cfg)
+			arena := NewBlockingArena(p, inDim, outDim)
 
-	var bareSeq, arenaSeq []Key
-	record := func(_ int, s Sample) { arenaSeq = append(arenaSeq, s.Key()) }
-	take := func() {
-		if got, ok := bare.TryGet(); ok {
-			bareSeq = append(bareSeq, got.Key())
-		}
-		arena.GetBatchEach(1, record)
-	}
-	for s := 1; s <= 200; s++ {
-		if bare.UnseenCount() >= capacity {
-			// Single-threaded: make room identically on both before Put
-			// would refuse.
-			take()
-		}
-		in, out := arenaSampleData(3, s, inDim, outDim)
-		bare.Put(Sample{SimID: 3, Step: s, Input: in, Output: out})
-		arena.PutCopy(3, s, in, out)
-		if s%3 == 0 {
-			take()
-		}
-	}
-	bare.EndReception()
-	arena.EndReception()
-	for {
-		got, ok := bare.TryGet()
-		if !ok {
-			break
-		}
-		bareSeq = append(bareSeq, got.Key())
-	}
-	for {
-		if _, ok := arena.GetBatchEach(1, record); !ok {
-			break
-		}
-	}
-	if len(bareSeq) != len(arenaSeq) {
-		t.Fatalf("sequence lengths differ: %d vs %d", len(bareSeq), len(arenaSeq))
-	}
-	for i := range bareSeq {
-		if bareSeq[i] != arenaSeq[i] {
-			t.Fatalf("extraction %d: bare %v, arena %v", i, bareSeq[i], arenaSeq[i])
-		}
+			var bareSeq, arenaSeq []Key
+			record := func(_ int, s Sample) { arenaSeq = append(arenaSeq, s.Key()) }
+			take := func() {
+				if got, ok := bare.TryGet(); ok {
+					bareSeq = append(bareSeq, got.Key())
+				}
+				arena.GetBatchEach(1, record)
+			}
+			for s := 1; s <= 200; s++ {
+				if bare.UnseenCount() >= capacity {
+					// Single-threaded: make room identically on both
+					// before Put would refuse.
+					take()
+				}
+				in, out := arenaSampleData(3, s, inDim, outDim)
+				bare.Put(Sample{SimID: 3, Step: s, Input: in, Output: out})
+				arena.PutCopy(3, s, in, out)
+				if s%3 == 0 {
+					take()
+				}
+			}
+			bare.EndReception()
+			arena.EndReception()
+			for {
+				got, ok := bare.TryGet()
+				if !ok {
+					break
+				}
+				bareSeq = append(bareSeq, got.Key())
+			}
+			for {
+				if _, ok := arena.GetBatchEach(1, record); !ok {
+					break
+				}
+			}
+			if !slices.Equal(bareSeq, arenaSeq) {
+				t.Fatalf("extraction sequences differ:\nbare  %v\narena %v", bareSeq, arenaSeq)
+			}
+			if free := arena.Arena().FreeRows(); free != arena.Arena().Rows() {
+				t.Fatalf("drained buffer holds %d of %d rows", arena.Arena().Rows()-free, arena.Arena().Rows())
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@ type Blocking struct {
 	mu       sync.Mutex
 	notFull  *sync.Cond
 	notEmpty *sync.Cond
-	p        Policy
+	p        *Policy
 	arena    *Arena
 	onRetire func(Sample)
 
@@ -24,31 +24,22 @@ type Blocking struct {
 	parkedPut, parkedGet int
 }
 
-// evictNotifier is implemented by policies that discard samples internally
-// on Put (Reservoir, UniformEvict); the wrapper registers a hook to recycle
-// the discarded rows.
-type evictNotifier interface {
-	setOnEvict(fn func(Sample))
-}
-
 // NewBlockingArena wraps p with a sample arena for rows of the given
 // widths. The wrapper owns p; callers must not touch it directly afterwards
 // except through WithLock. The arena is sized to the policy capacity plus
 // slack, growing in chunks if a policy (e.g. unbounded FIFO) outgrows it.
-func NewBlockingArena(p Policy, inDim, outDim int) *Blocking {
+func NewBlockingArena(p *Policy, inDim, outDim int) *Blocking {
 	b := &Blocking{p: p}
 	b.notFull = sync.NewCond(&b.mu)
 	b.notEmpty = sync.NewCond(&b.mu)
-	rows := p.Capacity()
+	rows := p.capacity
 	if rows <= 0 {
 		rows = arenaChunkRows
 	}
 	// One extra chunk of slack: an incoming sample holds its row before the
 	// policy evicts the one it replaces.
 	b.arena = NewArena(rows+arenaChunkRows, inDim, outDim)
-	if ev, ok := p.(evictNotifier); ok {
-		ev.setOnEvict(b.recycle)
-	}
+	p.onEvict = b.recycle
 	return b
 }
 
@@ -57,9 +48,9 @@ func NewBlockingArena(p Policy, inDim, outDim int) *Blocking {
 func (b *Blocking) Arena() *Arena { return b.arena }
 
 // OnRetire registers a callback invoked — under the buffer lock, just
-// before the arena row is recycled — for every sample that permanently
-// leaves the buffer through GetBatchEach (FIFO/FIRO pop, Reservoir
-// drain-mode removal). The callback must deep-copy any payload it keeps:
+// before the arena row is recycled — for every sample that retires
+// through GetBatchEach (a get that does not keep what it selects; see
+// Policy). The callback must deep-copy any payload it keeps:
 // the sample's Input/Output alias an arena row that is overwritten by the
 // next PutCopy. The elastic server uses it to journal consumed samples
 // for replay after a group rollback, since a sample consumed after the
@@ -72,8 +63,8 @@ func (b *Blocking) OnRetire(fn func(Sample)) {
 }
 
 // recycle returns a sample's row to the free list. It must run under b.mu
-// (policy hooks fire inside Put/TryGet, which the wrapper always calls
-// locked).
+// (the policy's eviction hook fires inside Put, which the wrapper always
+// calls locked).
 func (b *Blocking) recycle(s Sample) { b.arena.freeSlot(s.slot) }
 
 // PutCopy inserts one sample by bulk-copying its payload into an arena row
@@ -111,7 +102,7 @@ func (b *Blocking) PutCopyThen(simID, step int, input, output []float32, stored 
 		// The row goes back before waiting: a producer may stay parked
 		// across a ReplaceContents, which resets the arena under it.
 		b.recycle(s)
-		if b.p.ReceptionOver() {
+		if b.p.over {
 			return false
 		}
 		b.waitNotFull()
@@ -121,8 +112,8 @@ func (b *Blocking) PutCopyThen(simID, step int, input, output []float32, stored 
 // GetBatchEach extracts up to n samples, invoking fn(i, s) for the i-th
 // one while the buffer lock is held. fn must copy what it needs out of s
 // and must not call back into the buffer: as soon as fn returns, a sample
-// that permanently left the policy has its arena row recycled and a later
-// PutCopy may overwrite the payload. It blocks until n samples were
+// that retired has its arena row recycled and a later PutCopy may
+// overwrite the payload. It blocks until n samples were
 // delivered or the buffer drained, returning the count and ok=false only
 // when the buffer drained before yielding any sample; a shorter final
 // batch comes with ok=true (§3.2.3: "When the reception is over and the
@@ -141,8 +132,7 @@ func (b *Blocking) GetBatchEachUntil(n int, fn func(i int, s Sample), stop *atom
 	defer b.mu.Unlock()
 	count := 0
 	for count < n {
-		before := b.p.Len()
-		s, ok := b.p.TryGet()
+		s, retired, ok := b.p.take()
 		if !ok {
 			if b.p.Drained() || (stop != nil && stop.Load()) {
 				break
@@ -151,10 +141,9 @@ func (b *Blocking) GetBatchEachUntil(n int, fn func(i int, s Sample), stop *atom
 			continue
 		}
 		fn(count, s)
-		if b.p.Len() < before {
-			// The sample will never be returned again (FIFO/FIRO pop,
-			// Reservoir drain-mode removal): journal it for rollback
-			// replay if asked, then its row is free.
+		if retired {
+			// Journal the sample for rollback replay if asked; then its
+			// row is free.
 			if b.onRetire != nil {
 				b.onRetire(s)
 			}
@@ -261,7 +250,7 @@ func (b *Blocking) Drained() bool {
 // read the policy (a checkpoint takes its Snapshot here) but not change its
 // population: that is ReplaceContents' job, which keeps every sample on a
 // row.
-func (b *Blocking) WithLock(fn func(p Policy)) {
+func (b *Blocking) WithLock(fn func(p *Policy)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	fn(b.p)

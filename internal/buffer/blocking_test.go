@@ -20,7 +20,7 @@ func parked(t *testing.T, b *Blocking, producers, consumers int) {
 }
 
 // newTestBuffer wraps p in an arena whose rows fit mkSample's payload.
-func newTestBuffer(p Policy) *Blocking { return NewBlockingArena(p, 2, 0) }
+func newTestBuffer(p *Policy) *Blocking { return NewBlockingArena(p, 2, 0) }
 
 // put stores mkSample(sim, step) in b.
 func put(b *Blocking, sim, step int) bool {
@@ -159,7 +159,7 @@ func TestBlockingWithLockExcludesPut(t *testing.T) {
 	b := newTestBuffer(NewFIFO(0))
 	inCritical := make(chan struct{})
 	release := make(chan struct{})
-	go b.WithLock(func(Policy) {
+	go b.WithLock(func(*Policy) {
 		close(inCritical)
 		<-release
 	})

@@ -1,29 +1,33 @@
 // Package buffer implements the training buffers at the heart of the
-// paper's contribution (§3.2.3): FIFO, FIRO (First In, Random Out) and the
-// Reservoir of Algorithm 1. A training buffer sits between the data
-// aggregator thread, which receives simulation time steps from the ensemble
-// clients, and the training thread, which extracts batches for gradient
-// descent. Its job is to mitigate the bias of streamed data (inter- and
-// intra-simulation ordering, finite memory) while keeping the learner busy.
+// paper's contribution (§3.2.3): FIFO, FIRO (First In, Random Out), the
+// Reservoir of Algorithm 1, and the UniformEvict ablation. A training
+// buffer sits between the data aggregator thread, which receives simulation
+// time steps from the ensemble clients, and the training thread, which
+// extracts batches for gradient descent. Its job is to mitigate the bias of
+// streamed data (inter- and intra-simulation ordering, finite memory) while
+// keeping the learner busy.
 //
-// Policies are pure, single-threaded data structures with non-blocking
-// Put/TryGet so that both the live server (through the Blocking wrapper)
-// and the discrete-event cluster simulator can drive the exact same code.
+// All four are one Policy, a pure, single-threaded data structure with
+// non-blocking Put/TryGet, so that both the live server (through the
+// Blocking wrapper) and the discrete-event cluster simulator drive the
+// exact same code. The kinds differ in three decisions only (see Policy):
+// which sample a get selects, whether a selected sample stays as "seen",
+// and what a full buffer does with a new sample.
 //
 // # Payload ownership
 //
 // Every sample in a Blocking buffer owns exactly one row of the buffer's
 // Arena, whose rows are as wide as the model's input and output. PutCopy
 // bulk-copies an incoming payload into a recycled row under the buffer
-// lock and refuses one that is not exactly a row; policies shuffle Sample
-// values whose slices alias those rows; and a row returns to the free list
-// the moment its sample permanently leaves the policy — evicted on Put (the
-// policy's onEvict hook) or consumed for the last time on TryGet. Because
-// rows are reused in place, an extracted sample's payload is only stable
-// while the buffer lock is held: consumers use GetBatchEach, whose callback
-// runs under the lock and must copy out (the trainer copies straight into
-// its batch matrices). Snapshot deep-copies payloads for the same reason,
-// and ReplaceContents copies what it restores back into rows.
+// lock and refuses one that is not exactly a row; the policy shuffles
+// Sample values whose slices alias those rows; and a row returns to the
+// free list the moment its sample retires — evicted by Put, or selected by
+// a get that does not keep it. Because rows are reused in place, an
+// extracted sample's payload is only stable while the buffer lock is held:
+// consumers use GetBatchEach, whose callback runs under the lock and must
+// copy out (the trainer copies straight into its batch matrices). Snapshot
+// deep-copies payloads for the same reason, and ReplaceContents copies what
+// it restores back into rows.
 package buffer
 
 import (
@@ -62,76 +66,15 @@ type Key struct {
 // Key returns the sample's identity.
 func (s Sample) Key() Key { return Key{SimID: s.SimID, Step: s.Step} }
 
-// Policy is a training-buffer algorithm. Implementations are not safe for
-// concurrent use; wrap them in Blocking for the live server, or drive them
-// from the single-threaded event loop of the cluster simulator.
-//
-// Arena contract for implementers: the Blocking wrapper recycles a
-// sample's row when it permanently leaves the policy, and it detects that
-// from the policy's observable behavior. TryGet must either remove the
-// returned sample (Len decreases by exactly one) or leave the population
-// unchanged (a with-replacement selection, like the Reservoir's); it must
-// never remove a different sample than the one it returns. Any sample
-// discarded internally by Put must be reported through the setOnEvict hook
-// before its storage is forgotten.
-//
-// Snapshot contract: every policy can be checkpointed (§3.1: a checkpoint
-// captures every buffered but untrained sample). Snapshot and
-// RestoreSnapshot round-trip the whole population, seen/unseen split
-// included, so a restored policy yields what the captured one would have.
-type Policy interface {
-	// Name returns the policy name as used in the paper's tables
-	// ("FIFO", "FIRO", "Reservoir").
-	Name() string
-	// Put offers a newly received sample. It returns false when the policy
-	// cannot accept it right now (buffer full), in which case the producer
-	// must retry later — the paper's "data production is suspended".
-	Put(s Sample) bool
-	// TryGet extracts one sample for batch construction, returning false
-	// when the policy's rules (threshold, emptiness) forbid extraction.
-	TryGet() (Sample, bool)
-	// EndReception records that no more data will ever arrive. Thresholds
-	// are lifted so the remaining population can be drained (§3.2.3). It is
-	// a fact about the producer and is never taken back: a consumer that
-	// merely wants to stop waiting says so itself (Blocking.Wake).
-	EndReception()
-	// ReceptionOver reports whether EndReception has been called.
-	ReceptionOver() bool
-	// Len returns the number of samples currently stored.
-	Len() int
-	// Capacity returns the maximum number of stored samples, 0 meaning
-	// unbounded.
-	Capacity() int
-	// Drained reports that reception is over and no sample will ever be
-	// returned again; the training loop terminates on it.
-	Drained() bool
-	// Snapshot returns deep copies of the stored samples: payloads are
-	// cloned, so the snapshot stays valid after the buffer lock is released
-	// and its rows are reused. A policy without a seen/unseen distinction
-	// reports everything as unseen.
-	Snapshot() (seen, unseen []Sample)
-	// RestoreSnapshot replaces the contents with seen and unseen, taking
-	// ownership of both slices. The reception flag is not part of the
-	// snapshot; callers re-derive it from their own state.
-	RestoreSnapshot(seen, unseen []Sample)
-}
-
-// PopulationCounter is implemented by policies that distinguish seen from
-// unseen samples; the Reservoir exposes both counts for the population
-// curves of Figure 2.
-type PopulationCounter interface {
-	SeenCount() int
-	UnseenCount() int
-}
-
 // Kind selects a buffer policy by name.
 type Kind string
 
-// The three policies evaluated in the paper.
+// The three policies evaluated in the paper, and the eviction ablation.
 const (
-	FIFOKind      Kind = "FIFO"
-	FIROKind      Kind = "FIRO"
-	ReservoirKind Kind = "Reservoir"
+	FIFOKind         Kind = "FIFO"
+	FIROKind         Kind = "FIRO"
+	ReservoirKind    Kind = "Reservoir"
+	UniformEvictKind Kind = "UniformEvict"
 )
 
 // Kinds lists every policy New builds: the paper's three, then the
@@ -149,23 +92,236 @@ type Config struct {
 }
 
 // New builds the configured policy.
-func New(cfg Config) (Policy, error) {
+func New(cfg Config) (*Policy, error) {
 	switch cfg.Kind {
 	case FIFOKind:
 		return NewFIFO(cfg.Capacity), nil
-	case FIROKind:
-		return NewFIRO(cfg.Capacity, cfg.Threshold, cfg.Seed), nil
-	case ReservoirKind:
-		return NewReservoir(cfg.Capacity, cfg.Threshold, cfg.Seed), nil
-	case UniformEvictKind:
-		return NewUniformEvict(cfg.Capacity, cfg.Threshold, cfg.Seed), nil
+	case FIROKind, ReservoirKind, UniformEvictKind:
+		return newPolicy(cfg.Kind, cfg.Capacity, cfg.Threshold, cfg.Seed), nil
 	default:
 		return nil, fmt.Errorf("buffer: unknown kind %q", cfg.Kind)
 	}
 }
 
-// newRNG builds the seeded stream used by the random policies; the paper
-// seeds every stochastic component for reproducibility (§3.1).
-func newRNG(seed uint64) *rand.Rand {
-	return rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))
+// NewFIFO builds the streaming baseline (§3.2.3): samples are batched in
+// exactly the order they are received, each once, as soon as one is
+// stored. capacity 0 means unbounded.
+func NewFIFO(capacity int) *Policy { return &Policy{kind: FIFOKind, capacity: capacity} }
+
+// NewFIRO builds a FIRO buffer: FIFO with eviction-on-read from a random
+// position, which de-biases batches.
+func NewFIRO(capacity, threshold int, seed uint64) *Policy {
+	return newPolicy(FIROKind, capacity, threshold, seed)
+}
+
+// NewReservoir builds the Reservoir of Algorithm 1.
+func NewReservoir(capacity, threshold int, seed uint64) *Policy {
+	return newPolicy(ReservoirKind, capacity, threshold, seed)
+}
+
+// NewUniformEvict builds the ablation of the Reservoir's eviction rule.
+func NewUniformEvict(capacity, threshold int, seed uint64) *Policy {
+	return newPolicy(UniformEvictKind, capacity, threshold, seed)
+}
+
+// newPolicy builds a random-selection policy. Its RNG stream is seeded,
+// as the paper seeds every stochastic component for reproducibility
+// (§3.1).
+func newPolicy(kind Kind, capacity, threshold int, seed uint64) *Policy {
+	rng := rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))
+	return &Policy{kind: kind, capacity: capacity, threshold: threshold, rng: rng}
+}
+
+// Policy is a training buffer. It holds the samples a get has selected and
+// kept ("seen") apart from those never selected ("unseen", in arrival
+// order), and its kind decides three things:
+//
+//   - Select: FIFO takes the oldest unseen sample; FIRO, the Reservoir and
+//     UniformEvict draw one uniformly over seen and unseen.
+//   - Keep: until reception ends, the Reservoir and UniformEvict keep a
+//     selected sample as seen, so it can be selected again (repetition
+//     keeps the learner busy when production lags); FIFO and FIRO never
+//     keep one, and after reception every kind drains.
+//   - Full: a Put into a full buffer evicts a random seen sample, and
+//     refuses while unseen samples alone fill it (so always for FIFO and
+//     FIRO): the producer waits (the paper's "data production is
+//     suspended"), and no unseen sample is ever discarded — except by
+//     UniformEvict, which evicts a random resident, seen or not, and never
+//     refuses.
+//
+// A sample retires — leaves the buffer for good — when Put evicts it or a
+// get selects it without keeping it. The Blocking wrapper recycles the
+// sample's arena row exactly then: take reports the retirement, and Put
+// calls onEvict.
+//
+// Gets wait until the population exceeds the threshold (FIFO has none),
+// so the first batches are diverse; EndReception lifts the gate.
+//
+// A Policy is not safe for concurrent use; wrap it in Blocking for the
+// live server, or drive it from the single-threaded event loop of the
+// cluster simulator.
+type Policy struct {
+	kind      Kind
+	capacity  int // 0 = unbounded
+	threshold int
+	seen      []Sample
+	unseen    []Sample // unseen[head:] are resident, oldest first
+	head      int      // FIFO's pop index; storage is compacted lazily
+	rng       *rand.Rand
+	over      bool
+	onEvict   func(Sample)
+}
+
+// Put offers a newly received sample, appending it to the unseen list. It
+// returns false when a full buffer holds no sample it may evict; the
+// producer must retry later.
+func (p *Policy) Put(s Sample) bool {
+	if p.capacity > 0 && p.Len() >= p.capacity {
+		first := p.UnseenCount() // residents are unseen, then seen
+		if p.kind == UniformEvictKind {
+			first = 0
+		} else if first >= p.capacity {
+			return false // block until one element gets seen
+		}
+		i := first + p.rng.IntN(p.Len()-first)
+		if p.onEvict != nil {
+			p.onEvict(p.at(i))
+		}
+		p.remove(i)
+	}
+	p.unseen = append(p.unseen, s)
+	return true
+}
+
+// TryGet extracts one sample for batch construction, returning false when
+// the buffer is empty or, before EndReception, holds no more than the
+// threshold.
+func (p *Policy) TryGet() (Sample, bool) {
+	s, _, ok := p.take()
+	return s, ok
+}
+
+// take is TryGet that also reports whether the sample retired (was not
+// kept).
+func (p *Policy) take() (s Sample, retired, ok bool) {
+	n := p.Len()
+	if n == 0 || (!p.over && n <= p.threshold) {
+		return Sample{}, false, false
+	}
+	if p.kind == FIFOKind {
+		s = p.unseen[p.head]
+		p.popHead()
+		return s, true, true
+	}
+	i := p.rng.IntN(n)
+	s = p.at(i)
+	if p.keeps() && !p.over {
+		if i < p.UnseenCount() {
+			p.remove(i)
+			p.seen = append(p.seen, s)
+		}
+		return s, false, true
+	}
+	p.remove(i)
+	return s, true, true
+}
+
+// keeps reports whether a get keeps what it selects until reception ends.
+func (p *Policy) keeps() bool { return p.kind == ReservoirKind || p.kind == UniformEvictKind }
+
+// at returns the i-th resident, counting the unseen list first.
+func (p *Policy) at(i int) Sample {
+	if u := p.UnseenCount(); i >= u {
+		return p.seen[i-u]
+	}
+	return p.unseen[p.head+i]
+}
+
+// remove swap-removes the i-th resident (as counted by at) from its list.
+func (p *Policy) remove(i int) {
+	if u := p.UnseenCount(); i >= u {
+		p.seen = removeAt(p.seen, i-u)
+	} else {
+		p.unseen = removeAt(p.unseen, p.head+i)
+	}
+}
+
+// popHead drops the oldest unseen sample.
+func (p *Policy) popHead() {
+	p.unseen[p.head] = Sample{} // release references for GC
+	p.head++
+	// Compact once the dead prefix dominates, keeping Put amortized O(1).
+	if p.head > 64 && p.head*2 >= len(p.unseen) {
+		n := copy(p.unseen, p.unseen[p.head:])
+		clear(p.unseen[n:])
+		p.unseen = p.unseen[:n]
+		p.head = 0
+	}
+}
+
+// removeAt swap-removes list[i], clearing the vacated slot.
+func removeAt(list []Sample, i int) []Sample {
+	last := len(list) - 1
+	list[i] = list[last]
+	list[last] = Sample{}
+	return list[:last]
+}
+
+// EndReception records that no more data will ever arrive: the threshold
+// gate lifts and every get retires what it selects, so the population
+// drains (§3.2.3: "The threshold is set to zero once data production is
+// over to enable consuming the last produced data"). It is a fact about
+// the producer and is never taken back: a consumer that merely wants to
+// stop waiting says so itself (Blocking.Wake).
+func (p *Policy) EndReception() { p.over = true }
+
+// Len returns the number of samples currently stored.
+func (p *Policy) Len() int { return len(p.seen) + p.UnseenCount() }
+
+// SeenCount returns how many stored samples a get has selected and kept;
+// always 0 for FIFO and FIRO. With UnseenCount it gives the population
+// curves of Figure 2.
+func (p *Policy) SeenCount() int { return len(p.seen) }
+
+// UnseenCount returns how many stored samples were never selected.
+func (p *Policy) UnseenCount() int { return len(p.unseen) - p.head }
+
+// Drained reports that reception is over and no sample will ever be
+// returned again; the training loop terminates on it.
+func (p *Policy) Drained() bool { return p.over && p.Len() == 0 }
+
+// Snapshot returns deep copies of the stored samples: payloads are cloned,
+// so the snapshot stays valid after the buffer lock is released and its
+// rows are reused. Every policy can be checkpointed (§3.1: a checkpoint
+// captures every buffered but untrained sample).
+func (p *Policy) Snapshot() (seen, unseen []Sample) {
+	return cloneSamples(p.seen), cloneSamples(p.unseen[p.head:])
+}
+
+// RestoreSnapshot replaces the contents with seen and unseen, taking
+// ownership of both slices, so a restored policy yields what the captured
+// one would have. A kind that keeps nothing treats seen samples as pending
+// data ahead of the unseen ones; the others preserve the split, so
+// eviction priorities survive a server restart. The reception flag is not
+// part of the snapshot; callers re-derive it from their own state.
+func (p *Policy) RestoreSnapshot(seen, unseen []Sample) {
+	if !p.keeps() {
+		seen, unseen = nil, append(seen, unseen...)
+	}
+	p.seen, p.unseen, p.head = seen, unseen, 0
+}
+
+// cloneSamples deep-copies samples, detaching payloads from the arena rows
+// backing them.
+func cloneSamples(src []Sample) []Sample {
+	out := make([]Sample, len(src))
+	for i, s := range src {
+		out[i] = Sample{
+			SimID:  s.SimID,
+			Step:   s.Step,
+			Input:  append([]float32(nil), s.Input...),
+			Output: append([]float32(nil), s.Output...),
+		}
+	}
+	return out
 }

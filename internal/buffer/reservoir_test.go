@@ -286,12 +286,12 @@ func TestReservoirResidencyExpectation(t *testing.T) {
 	}
 }
 
-func snapshotKeys(r *Reservoir) map[Key]bool {
-	out := make(map[Key]bool, len(r.seen)+len(r.notSeen))
+func snapshotKeys(r *Policy) map[Key]bool {
+	out := make(map[Key]bool, r.Len())
 	for _, s := range r.seen {
 		out[s.Key()] = true
 	}
-	for _, s := range r.notSeen {
+	for _, s := range r.unseen {
 		out[s.Key()] = true
 	}
 	return out
@@ -313,7 +313,7 @@ func TestReservoirInvariantsProperty(t *testing.T) {
 			case 2:
 				before := r.Len()
 				_, ok := r.TryGet()
-				if ok && !r.ReceptionOver() && before <= threshold {
+				if ok && before <= threshold {
 					return false // yielded while gated
 				}
 			}
@@ -332,16 +332,13 @@ func TestReservoirInvariantsProperty(t *testing.T) {
 }
 
 func TestNewFromConfig(t *testing.T) {
-	for _, kind := range []Kind{FIFOKind, FIROKind, ReservoirKind} {
+	for _, kind := range Kinds() {
 		p, err := New(Config{Kind: kind, Capacity: 10, Threshold: 2, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Name() != string(kind) {
-			t.Fatalf("name %q, want %q", p.Name(), kind)
-		}
-		if p.Capacity() != 10 {
-			t.Fatal("capacity not applied")
+		if p.kind != kind || p.capacity != 10 {
+			t.Fatalf("kind %q capacity %d, want %q 10", p.kind, p.capacity, kind)
 		}
 	}
 	if _, err := New(Config{Kind: "bogus"}); err == nil {

@@ -11,13 +11,11 @@ func TestUniformEvictDropsUnseenUnderPressure(t *testing.T) {
 			t.Fatal("UniformEvict.Put must always accept")
 		}
 	}
-	if u.Len() != 16 {
-		t.Fatalf("population %d, want capacity", u.Len())
+	if u.Len() != 16 || u.SeenCount() != 0 {
+		t.Fatalf("population %d (%d seen), want capacity, all unseen", u.Len(), u.SeenCount())
 	}
-	if u.DroppedUnseen() == 0 {
-		t.Fatal("expected unseen drops under pressure")
-	}
-	// Samples dropped unseen can never be retrieved.
+	// Nothing was ever selected, so each of the 384 evictions dropped an
+	// unseen sample, which can never be retrieved.
 	u.EndReception()
 	got := map[Key]bool{}
 	for {
@@ -27,8 +25,8 @@ func TestUniformEvictDropsUnseenUnderPressure(t *testing.T) {
 		}
 		got[s.Key()] = true
 	}
-	if len(got)+u.DroppedUnseen() != 400 {
-		t.Fatalf("retrieved %d + dropped %d != 400", len(got), u.DroppedUnseen())
+	if len(got) != 16 {
+		t.Fatalf("retrieved %d of 400 samples, want the 16 left after 384 unseen drops", len(got))
 	}
 }
 
@@ -76,8 +74,8 @@ func TestUniformEvictViaConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "UniformEvict" {
-		t.Fatalf("name %q", p.Name())
+	if p.kind != UniformEvictKind {
+		t.Fatalf("kind %q", p.kind)
 	}
 }
 
@@ -85,7 +83,7 @@ func TestUniformEvictViaConfig(t *testing.T) {
 // same overproduction pattern: the Reservoir covers every sample, the
 // ablation loses a substantial fraction.
 func TestReservoirVsUniformEvictCoverage(t *testing.T) {
-	coverage := func(p Policy) int {
+	coverage := func(p *Policy) int {
 		got := map[Key]bool{}
 		n := 0
 		for round := 0; round < 100; round++ {

@@ -27,8 +27,6 @@ type Metrics struct {
 
 	occurrences map[buffer.Key]int
 
-	clientRestarts map[int32]int
-
 	// Elasticity events (the group's view, recorded by the elastic server):
 	// current membership epoch, how many times the group re-formed, and the
 	// batch counter the last re-formation rolled back to (-1 when none).
@@ -177,29 +175,6 @@ func (m *Metrics) CountKeys(keys []buffer.Key) {
 	for _, k := range keys {
 		m.occurrences[k]++
 	}
-}
-
-// RecordClientRestart tallies one restart of an ensemble client; the
-// launcher records these as it retries failed or unresponsive clients.
-func (m *Metrics) RecordClientRestart(clientID int32) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.clientRestarts == nil {
-		m.clientRestarts = make(map[int32]int)
-	}
-	m.clientRestarts[clientID]++
-}
-
-// ClientRestarts returns the per-client restart counts (a copy; empty map
-// when no client was ever restarted).
-func (m *Metrics) ClientRestarts() map[int32]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[int32]int, len(m.clientRestarts))
-	for id, n := range m.clientRestarts {
-		out[id] = n
-	}
-	return out
 }
 
 // Batches returns the global number of synchronized steps.

@@ -521,7 +521,7 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	if st.grank == 0 && t.cfg.Validation != nil && t.cfg.ValidateEvery > 0 && st.localBatches%t.cfg.ValidateEvery == 0 {
 		// §4.4: validation runs on the training thread while holding
 		// the buffer mutex; incoming data queue up in the transport.
-		t.bufs[0].WithLock(func(buffer.Policy) {
+		t.bufs[0].WithLock(func(*buffer.Policy) {
 			v := Validate(st.net, t.cfg.Validation, t.cfg.BatchSize*4)
 			t.metrics.RecordValidation(st.localBatches, samples, v)
 		})

@@ -161,7 +161,7 @@ func runPhase(t *testing.T, members []int, start *refPoint, bufSrc map[int]*bufS
 	}
 	for i, m := range members {
 		s := &bufSnap{}
-		bufs[i].WithLock(func(p buffer.Policy) {
+		bufs[i].WithLock(func(p *buffer.Policy) {
 			s.seen, s.unseen = p.Snapshot()
 		})
 		pt.bufs[m] = s
@@ -253,7 +253,7 @@ func (h *groupHarness) app(memberID int) func(ctx context.Context, sess *elastic
 					panic(err)
 				}
 				var seen, unseen []buffer.Sample
-				bb.WithLock(func(p buffer.Policy) {
+				bb.WithLock(func(p *buffer.Policy) {
 					seen, unseen = p.Snapshot()
 				})
 				// A save can fail only during teardown (control conn gone);

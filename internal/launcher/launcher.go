@@ -72,7 +72,7 @@ type Config struct {
 type Result struct {
 	Network        *nn.Network
 	Metrics        *core.Metrics
-	ClientRestarts int
+	ClientRestarts int // every client restart, across server attempts
 	ServerRestarts int
 }
 
@@ -313,7 +313,6 @@ func (l *Launcher) runClientWithRetries(ctx context.Context, srv *server.Server,
 			return // launcher shutdown, not a client fault
 		}
 		l.clientRestarts.Add(1)
-		srv.Metrics().RecordClientRestart(int32(simID))
 		if attempt < l.cfg.MaxClientRetries {
 			if d := l.restartBackoff(attempt + 1); d > 0 && !l.sleep(ctx, d) {
 				return

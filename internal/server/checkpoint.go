@@ -65,7 +65,7 @@ func (bs *boundaries) capture(rank, batches int) *ingestState {
 	// and the contents snapshotted here agree on every sample.
 	var sims map[int32]SimState
 	var seen, unseen []buffer.Sample
-	s.bufs[rank].WithLock(func(p buffer.Policy) {
+	s.bufs[rank].WithLock(func(p *buffer.Policy) {
 		seen, unseen = p.Snapshot()
 		a.mu.Lock()
 		sims = make(map[int32]SimState, len(a.sims))

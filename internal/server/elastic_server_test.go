@@ -136,7 +136,7 @@ func chaosPhase(t *testing.T, ranks []int, streams *[csMembers][]buffer.Sample, 
 	}
 	for i, r := range ranks {
 		s := &chaosSnap{}
-		bufs[i].WithLock(func(p buffer.Policy) {
+		bufs[i].WithLock(func(p *buffer.Policy) {
 			s.seen, s.unseen = p.Snapshot()
 		})
 		ref.bufs[r] = s

@@ -20,7 +20,7 @@ import (
 // ingestHarness is a one-rank server core without listeners or trainer:
 // just the sharded aggregator state and an arena-backed buffer, so the
 // ingestion hot path can be driven directly.
-func ingestHarness(p buffer.Policy, inDim, outDim int) (*Server, *buffer.Blocking) {
+func ingestHarness(p *buffer.Policy, inDim, outDim int) (*Server, *buffer.Blocking) {
 	bb := buffer.NewBlockingArena(p, inDim, outDim)
 	s := &Server{
 		cfg:        Config{ExpectedClients: 1},

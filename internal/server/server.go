@@ -39,8 +39,6 @@ type Config struct {
 	// ListenHost is the host for rank listeners; tests use "127.0.0.1:0"
 	// semantics: each rank listens on ListenHost with an ephemeral port.
 	ListenHost string
-	// QueueLen sizes each rank's transport ingest queue.
-	QueueLen int
 
 	// Buffer configures the per-rank training buffer; the seed is offset
 	// by rank so replicas draw independent streams.
@@ -85,15 +83,16 @@ type Config struct {
 // are clamped up to it rather than honored.
 const MinWatchdogTimeout = 20 * time.Millisecond
 
+// ingestQueueLen sizes each rank's transport ingest queue (decoded frames
+// waiting for the aggregator).
+const ingestQueueLen = 4096
+
 func (c Config) withDefaults() Config {
 	if c.ListenHost == "" {
 		c.ListenHost = "127.0.0.1:0"
 	}
 	if c.WatchdogTimeout > 0 && c.WatchdogTimeout < MinWatchdogTimeout {
 		c.WatchdogTimeout = MinWatchdogTimeout
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 4096
 	}
 	if c.CheckpointEveryBatches <= 0 {
 		c.CheckpointEveryBatches = 500
@@ -332,7 +331,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.bufs = append(s.bufs, buffer.NewBlockingArena(p, s.inDim, s.outDim))
 
-		l, err := transport.Listen(cfg.ListenHost, cfg.QueueLen)
+		l, err := transport.Listen(cfg.ListenHost, ingestQueueLen)
 		if err != nil {
 			s.closeListeners()
 			return nil, err

@@ -164,7 +164,7 @@ type state struct {
 	sim   *des.Simulation
 	sched *scheduler.Cluster
 
-	policies []buffer.Policy
+	policies []*buffer.Policy
 	queues   [][]buffer.Sample // per-rank network ("ZMQ") queues
 
 	goodbyes int
@@ -194,7 +194,7 @@ func newState(opts Options) *state {
 		st.result = &Result{Occurrences: make(map[buffer.Key]int)}
 	}
 	st.sched.SubmitOverheadSec = opts.Model.LauncherSubmitSec
-	st.policies = make([]buffer.Policy, opts.GPUs)
+	st.policies = make([]*buffer.Policy, opts.GPUs)
 	st.queues = make([][]buffer.Sample, opts.GPUs)
 	st.batches = make([][]buffer.Sample, opts.GPUs)
 	for r := range st.policies {
@@ -404,12 +404,7 @@ func (s *state) recordTrace() {
 		return
 	}
 	p := s.policies[0]
-	tp := TracePoint{T: s.sim.Now(), Total: p.Len()}
-	if pc, ok := p.(buffer.PopulationCounter); ok {
-		tp.Seen = pc.SeenCount()
-		tp.Unseen = pc.UnseenCount()
-	} else {
-		tp.Unseen = p.Len()
-	}
-	s.result.Trace = append(s.result.Trace, tp)
+	s.result.Trace = append(s.result.Trace, TracePoint{
+		T: s.sim.Now(), Seen: p.SeenCount(), Unseen: p.UnseenCount(), Total: p.Len(),
+	})
 }

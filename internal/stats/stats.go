@@ -1,6 +1,6 @@
 // Package stats provides the small statistical helpers the experiment
-// harness uses: integer histograms (Figure 3), running summaries, and
-// series utilities (decimation for printable traces).
+// harness uses: integer histograms (Figure 3) and series utilities
+// (decimation for printable traces).
 package stats
 
 import (
@@ -79,51 +79,6 @@ func (h *Histogram) String() string {
 		s += fmt.Sprintf("%d:%d", v, h.counts[v])
 	}
 	return s
-}
-
-// Summary accumulates min/max/mean/std online (Welford).
-type Summary struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds v into the summary.
-func (s *Summary) Add(v float64) {
-	if s.n == 0 {
-		s.min, s.max = v, v
-	} else {
-		if v < s.min {
-			s.min = v
-		}
-		if v > s.max {
-			s.max = v
-		}
-	}
-	s.n++
-	d := v - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
-}
-
-// N returns the number of samples.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the running mean.
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest value seen.
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest value seen.
-func (s *Summary) Max() float64 { return s.max }
-
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
 }
 
 // Decimate reduces xs/ys to at most n points by uniform index striding,

@@ -43,34 +43,6 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	var s Summary
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if s.N() != 8 {
-		t.Fatalf("n %d", s.N())
-	}
-	if math.Abs(s.Mean()-5) > 1e-12 {
-		t.Fatalf("mean %v", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max %v/%v", s.Min(), s.Max())
-	}
-	// Sample std of this classic dataset is ~2.138.
-	if math.Abs(s.Std()-2.13809) > 1e-4 {
-		t.Fatalf("std %v", s.Std())
-	}
-}
-
-func TestSummarySingleValue(t *testing.T) {
-	var s Summary
-	s.Add(3)
-	if s.Std() != 0 || s.Min() != 3 || s.Max() != 3 {
-		t.Fatal("single-value summary wrong")
-	}
-}
-
 func TestDecimate(t *testing.T) {
 	xs := make([]float64, 100)
 	ys := make([]float64, 100)
