@@ -57,26 +57,33 @@ func (f *FileCheckpointer) Save(simID, step int, field []float64) error {
 	})
 }
 
-// Load implements Checkpointer.
+// Load implements Checkpointer. A file whose length does not hold exactly
+// the count of values its header states, or whose step does not fit an int,
+// is refused with an error naming it; the count is checked against the bytes
+// there are before it sizes anything.
 func (f *FileCheckpointer) Load(simID int) (int, []float64, error) {
-	data, err := os.ReadFile(f.path(simID))
+	path := f.path(simID)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil, nil
 	}
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(data) < 16 {
-		return 0, nil, fmt.Errorf("client: corrupt checkpoint for sim %d", simID)
+	if len(data) < 16 || (len(data)-16)%8 != 0 {
+		return 0, nil, fmt.Errorf("client: corrupt checkpoint %s: %d bytes", path, len(data))
 	}
-	step := int(binary.LittleEndian.Uint64(data))
-	n := int(binary.LittleEndian.Uint64(data[8:]))
-	if len(data) != 16+8*n {
-		return 0, nil, fmt.Errorf("client: corrupt checkpoint for sim %d: %d bytes for %d values", simID, len(data), n)
+	step := binary.LittleEndian.Uint64(data)
+	n := binary.LittleEndian.Uint64(data[8:])
+	if n != uint64(len(data)-16)/8 {
+		return 0, nil, fmt.Errorf("client: corrupt checkpoint %s: %d bytes for %d values", path, len(data), n)
+	}
+	if step > math.MaxInt {
+		return 0, nil, fmt.Errorf("client: corrupt checkpoint %s: step %d", path, step)
 	}
 	field := make([]float64, n)
 	for i := range field {
 		field[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[16+8*i:]))
 	}
-	return step, field, nil
+	return int(step), field, nil
 }

@@ -1,7 +1,12 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -232,4 +237,52 @@ func TestFileCheckpointerRoundtrip(t *testing.T) {
 	if step, field, err := ck.Load(99); err != nil || step != 0 || field != nil {
 		t.Fatalf("unknown sim: %d %v %v", step, field, err)
 	}
+}
+
+// FuzzClientCheckpoint feeds FileCheckpointer.Load arbitrary file contents:
+// truncated, oversized, a count that 16+8·n would wrap (n ≥ 2^61), a step
+// past MaxInt. Load must return an error naming the file or a checkpoint
+// that Save writes back byte for byte — never panic, and never allocate by
+// a count that the file's bytes do not back.
+func FuzzClientCheckpoint(f *testing.F) {
+	valid := func(step, n uint64, vals ...float64) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, step)
+		b = binary.LittleEndian.AppendUint64(b, n)
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(valid(3, 2, 1.5, -2))
+	f.Add(valid(0, 0))
+	f.Add(valid(1, 1<<61))
+	f.Add(valid(1, 1<<61+1, 7))
+	f.Add(valid(1<<63, 1, 7))
+	f.Add(valid(2, 3, 1, 2)[:30])
+	f.Add([]byte{1, 2, 3})
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck := &FileCheckpointer{Dir: dir}
+		path := ck.path(0)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		step, field, err := ck.Load(0)
+		if err != nil {
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("error %q does not name %s", err, path)
+			}
+			return
+		}
+		if err := ck.Save(0, step, field); err != nil {
+			t.Fatal(err)
+		}
+		back, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("loaded step %d with %d values from %d bytes; saved back %d different bytes", step, len(field), len(data), len(back))
+		}
+	})
 }

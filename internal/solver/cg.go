@@ -19,25 +19,36 @@ import "math"
 // sweep of its own and p·Ap is summed after the strips return.
 //
 // Fusing moves no arithmetic. Every element of A·p is the expression
-// stencilRow defines, both dot products add their terms one by one in index
-// order, and every product is rounded by a float64 conversion before it is
-// added, so no target contracts it into an FMA: the fields are the same
-// bits on either engine and at any worker count (TestParallelMatchesSequential,
-// FuzzSolverStrips), and those of the textbook loop evaluated one rounded
-// operation at a time.
+// stencilRowGo defines, both dot products add their terms one by one in
+// index order, and every product is rounded by a float64 conversion before
+// it is added, so no target contracts it into an FMA: the fields are the
+// same bits on either engine and at any worker count
+// (TestParallelMatchesSequential, FuzzSolverStrips), and those of the
+// textbook loop evaluated one rounded operation at a time.
+//
+// # Kernels
+//
+// Every per-element loop of a solve goes through kern, one set of functions
+// chosen once at init: the row stencil (A·x for the initial residual, A·p
+// on the multi-strip engine), pass 1 of the one-strip engine (the deferred
+// direction update, the stencil and p·Ap, edge rows and columns included),
+// the multi-strip engine's direction update and whole-field dot, pass 2, and
+// the initial residual r = p = b − Ax with r·r and b·b. The Go loops below
+// (…Go) are the statement of their semantics and all there is off amd64; on
+// amd64 with AVX2 (tensor.HasAVX2, the module's one CPU probe) cg_amd64.s
+// runs them four lanes at a time. The contract a kernel keeps: each
+// element's products and differences are taken in the Go expression's
+// order, each rounded on its own (a vector multiply, subtract or add, never
+// an FMA), and every sum stays one serial scalar chain in index order — the
+// vector lanes' products are added to it one at a time. So the kernels leave
+// the Go loops' bits (TestFieldDigestPinned, FuzzCGKernels), and the two
+// serial chains of an iteration, p·Ap and r·r, are its speed floor.
 func (s *Simulation) solveCG() error {
 	x := s.u
 	p, res, ap := s.p[:len(x)], s.res[:len(x)], s.ap[:len(x)]
 	// res = p = rhs − A·x
 	s.eng.apply(ap, x)
-	var rr, bb float64
-	for i, b := range s.rhs[:len(x)] {
-		ri := b - ap[i]
-		res[i] = ri
-		p[i] = ri
-		rr += float64(ri * ri)
-		bb += float64(b * b)
-	}
+	rr, bb := kern.residual(res, p, s.rhs[:len(x)], ap)
 	bNorm := math.Sqrt(bb)
 	if bNorm == 0 {
 		bNorm = 1
@@ -52,13 +63,13 @@ func (s *Simulation) solveCG() error {
 		}
 		var pap float64
 		if len(s.eng.strips) == 1 {
-			pap = s.eng.searchFused(ap, p, res, update, beta)
+			pap = kern.search(ap, p, res, s.eng.n, s.eng.r, s.eng.diag, update, beta)
 		} else {
 			if update {
-				updateDirection(p, res, beta)
+				kern.updateDirection(p, res, beta)
 			}
 			s.eng.apply(ap, p)
-			pap = dotAcc(p, ap, 0)
+			pap = kern.dotAcc(p, ap, 0)
 		}
 		if pap <= 0 {
 			// Defensive: cannot happen for an SPD operator unless the
@@ -66,14 +77,7 @@ func (s *Simulation) solveCG() error {
 			return nil
 		}
 		alpha := rr / pap
-		// Pass 2.
-		var rrNew float64
-		for i := range x {
-			x[i] += float64(alpha * p[i])
-			ri := res[i] - float64(alpha*ap[i])
-			res[i] = ri
-			rrNew += float64(ri * ri)
-		}
+		rrNew := kern.step(x, res, p, ap, alpha)
 		update, beta = true, rrNew/rr
 		rr = rrNew
 	}
@@ -83,13 +87,35 @@ func (s *Simulation) solveCG() error {
 	return ErrNoConvergence
 }
 
-// searchFused is pass 1 on the one-strip engine: p ← res + βp if update,
+// kernels are the per-element loops of a CG iteration (see Kernels above).
+type kernels struct {
+	// stencilRow writes one row of A·p (stencilRowGo).
+	stencilRow func(out, row, up, dn []float64, r, diag float64)
+	// search is pass 1 on the one-strip engine (searchGo).
+	search func(ap, p, res []float64, n int, r, diag float64, update bool, beta float64) float64
+	// updateDirection sets p ← res + βp.
+	updateDirection func(p, res []float64, beta float64)
+	// dotAcc returns acc + Σ a[i]·b[i].
+	dotAcc func(a, b []float64, acc float64) float64
+	// step is pass 2: x += α·p, res −= α·ap, and the new r·r.
+	step func(x, res, p, ap []float64, alpha float64) float64
+	// residual sets res = p = rhs − ap and returns r·r and rhs·rhs.
+	residual func(res, p, rhs, ap []float64) (rr, bb float64)
+}
+
+// portable is the Go statement of every kernel; kern is the set in use,
+// replaced at init where the CPU has a faster one (cg_amd64.go).
+var (
+	portable = kernels{stencilRowGo, searchGo, updateDirectionGo, dotAccGo, stepGo, residualGo}
+	kern     = portable
+)
+
+// searchGo is pass 1 on the one-strip engine: p ← res + βp if update,
 // ap = A·p and the returned p·ap, one row at a time with row i+1 of p
 // updated just before row i of ap is evaluated.
-func (e *engine) searchFused(ap, p, res []float64, update bool, beta float64) float64 {
-	n := e.n
+func searchGo(ap, p, res []float64, n int, r, diag float64, update bool, beta float64) float64 {
 	if update {
-		updateDirection(p[:n], res[:n], beta)
+		updateDirectionGo(p[:n], res[:n], beta)
 	}
 	var pap float64
 	for i := 0; i < n; i++ {
@@ -101,24 +127,21 @@ func (e *engine) searchFused(ap, p, res []float64, update bool, beta float64) fl
 		if i < n-1 {
 			dn = p[hi : hi+n]
 			if update {
-				updateDirection(dn, res[hi:hi+n], beta)
+				updateDirectionGo(dn, res[hi:hi+n], beta)
 			}
 		}
-		row, out := p[lo:hi], ap[lo:hi]
-		if up != nil && dn != nil {
-			pap = e.stencilDotRow(out, row, up, dn, pap)
-			continue
-		}
-		e.stencilRow(out, row, up, dn)
-		pap = dotAcc(row, out, pap)
+		pap = stencilDotRowGo(ap[lo:hi], p[lo:hi], up, dn, r, diag, pap)
 	}
 	return pap
 }
 
-// stencilDotRow is stencilRow for a row with both neighbours (so n ≥ 3),
-// in one loop that also continues the serial sum acc + Σ row[j]·out[j].
-func (e *engine) stencilDotRow(out, row, up, dn []float64, acc float64) float64 {
-	r, diag := e.r, e.diag()
+// stencilDotRowGo is stencilRowGo and then dotAccGo(row, out, acc), in one
+// loop for a row with both neighbours (so n ≥ 3 on a square grid).
+func stencilDotRowGo(out, row, up, dn []float64, r, diag, acc float64) float64 {
+	if up == nil || dn == nil {
+		stencilRowGo(out, row, up, dn, r, diag)
+		return dotAccGo(row, out, acc)
+	}
 	n := len(row)
 	out, up, dn = out[:n], up[:n], dn[:n]
 	v := float64(diag*row[0]) - float64(r*row[1]) - float64(r*up[0]) - float64(r*dn[0])
@@ -138,19 +161,42 @@ func (e *engine) stencilDotRow(out, row, up, dn []float64, acc float64) float64 
 	return acc + float64(row[n-1]*v)
 }
 
-// updateDirection sets p ← res + βp.
-func updateDirection(p, res []float64, beta float64) {
+func updateDirectionGo(p, res []float64, beta float64) {
 	res = res[:len(p)]
 	for i, v := range p {
 		p[i] = res[i] + float64(beta*v)
 	}
 }
 
-// dotAcc returns acc + Σ a[i]·b[i], added in index order.
-func dotAcc(a, b []float64, acc float64) float64 {
+// dotAccGo adds the products in index order.
+func dotAccGo(a, b []float64, acc float64) float64 {
 	b = b[:len(a)]
 	for i, v := range a {
 		acc += float64(v * b[i])
 	}
 	return acc
+}
+
+func stepGo(x, res, p, ap []float64, alpha float64) float64 {
+	res, p, ap = res[:len(x)], p[:len(x)], ap[:len(x)]
+	var rr float64
+	for i := range x {
+		x[i] += float64(alpha * p[i])
+		ri := res[i] - float64(alpha*ap[i])
+		res[i] = ri
+		rr += float64(ri * ri)
+	}
+	return rr
+}
+
+func residualGo(res, p, rhs, ap []float64) (rr, bb float64) {
+	p, rhs, ap = p[:len(res)], rhs[:len(res)], ap[:len(res)]
+	for i, b := range rhs {
+		ri := b - ap[i]
+		res[i] = ri
+		p[i] = ri
+		rr += float64(ri * ri)
+		bb += float64(b * b)
+	}
+	return rr, bb
 }

@@ -10,9 +10,9 @@ import "sync"
 // except through the exchanged halos, so the structure would port directly
 // to distributed memory.
 type engine struct {
-	n      int
-	r      float64
-	strips []strip
+	n       int
+	r, diag float64 // diag is A's diagonal, 1+4r
+	strips  []strip
 }
 
 // strip is one worker's share of rows [r0, r1) plus halo plumbing. upCh
@@ -32,7 +32,7 @@ func newEngine(n, workers int, r float64) *engine {
 	if workers > n {
 		workers = n
 	}
-	e := &engine{n: n, r: r, strips: make([]strip, workers)}
+	e := &engine{n: n, r: r, diag: 1 + float64(4*r), strips: make([]strip, workers)}
 	base, rem := n/workers, n%workers
 	row := 0
 	for w := range e.strips {
@@ -52,9 +52,6 @@ func newEngine(n, workers int, r float64) *engine {
 	}
 	return e
 }
-
-// diag is A's diagonal, 1+4r.
-func (e *engine) diag() float64 { return 1 + float64(4*e.r) }
 
 // apply computes dst = A·src. All workers first publish their boundary rows
 // to neighbours, then receive halos, then compute their strip — a classic
@@ -113,19 +110,19 @@ func (e *engine) applyStrip(dst, src []float64, s *strip, haloUp, haloDn []float
 		if i < s.r1-1 {
 			dn = src[(i+1)*n : (i+2)*n]
 		}
-		e.stencilRow(dst[i*n:(i+1)*n], src[i*n:(i+1)*n], up, dn)
+		kern.stencilRow(dst[i*n:(i+1)*n], src[i*n:(i+1)*n], up, dn, e.r, e.diag)
 	}
 }
 
-// stencilRow writes one row of A·src into out: row is that row of src, up
-// and dn the rows above and below it, nil at a physical edge. Every element
-// is (1+4r)·row[j] − r·row[j−1] − r·row[j+1] − r·up[j] − r·dn[j], the
-// absent terms left out, evaluated left to right with each product rounded
-// on its own (the float64 conversions forbid fusing it into the subtraction,
-// which Go may otherwise do on FMA targets). stencilDotRow evaluates the same
-// expression, in one loop, on rows that have both neighbours.
-func (e *engine) stencilRow(out, row, up, dn []float64) {
-	r, diag := e.r, e.diag()
+// stencilRowGo writes one row of A·src into out: row is that row of src,
+// up and dn the rows above and below it, nil at a physical edge. Every
+// element is diag·row[j] − r·row[j−1] − r·row[j+1] − r·up[j] − r·dn[j],
+// diag = 1+4r, the absent terms left out, evaluated left to right with each
+// product rounded on its own (the float64 conversions forbid fusing it into
+// the subtraction, which Go may otherwise do on FMA targets).
+// stencilDotRowGo evaluates the same expression, in one loop, on rows that
+// have both neighbours.
+func stencilRowGo(out, row, up, dn []float64, r, diag float64) {
 	n := len(row)
 	out = out[:n]
 	if n == 1 {

@@ -14,11 +14,21 @@
 //
 // The field is discretized on an N×N grid of interior nodes with Dirichlet
 // boundary values held on the four edges.
+//
+// CG's per-element loops — the row stencil, pass 1 (direction update,
+// stencil and p·Ap), pass 2 (x, r and r·r), the multi-strip engine's update
+// and dot, and the initial residual — have AVX2 kernels on amd64, chosen
+// once at init (cg.go, Kernels). A kernel takes each element's products and
+// differences in the Go loop's order, one rounding per operation and never
+// an FMA, and keeps every sum one serial scalar chain in index order, so the
+// fields are the Go loops' bits on any CPU; those serial sums, two per
+// iteration, are the solver's speed floor.
 package solver
 
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Params are the simulation inputs drawn by the experimental design: the
@@ -123,15 +133,22 @@ type Simulation struct {
 // New creates a simulation with the field initialized to the initial
 // condition. cfg is validated and completed with defaults.
 func New(cfg Config, par Params) (*Simulation, error) {
+	if err := checkFinite(cfg, par); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	h := cfg.L / float64(cfg.N+1)
+	r := cfg.Alpha * cfg.Dt / (h * h)
+	if math.IsInf(r, 0) {
+		return nil, fmt.Errorf("solver: Alpha·Dt/h² overflows (Alpha=%g, Dt=%g, L=%g, N=%d)", cfg.Alpha, cfg.Dt, cfg.L, cfg.N)
+	}
 	s := &Simulation{
 		cfg: cfg,
 		par: par,
-		r:   cfg.Alpha * cfg.Dt / (h * h),
+		r:   r,
 		u:   make([]float64, cfg.N*cfg.N),
 		rhs: make([]float64, cfg.N*cfg.N),
 		res: make([]float64, cfg.N*cfg.N),
@@ -143,6 +160,24 @@ func New(cfg Config, par Params) (*Simulation, error) {
 	}
 	s.eng = newEngine(cfg.N, cfg.Workers, s.r)
 	return s, nil
+}
+
+// checkFinite refuses a NaN or infinite physical input, naming the field.
+// withDefaults lets a NaN through (it is not ≤ 0), and CG would then spin
+// CGMaxIter iterations on NaN before returning ErrNoConvergence.
+func checkFinite(cfg Config, par Params) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"L", cfg.L}, {"Alpha", cfg.Alpha}, {"Dt", cfg.Dt},
+		{"TIC", par.TIC}, {"Tx1", par.Tx1}, {"Tx2", par.Tx2}, {"Ty1", par.Ty1}, {"Ty2", par.Ty2},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("solver: %s=%g is not finite", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Config returns the (defaulted) configuration in effect.

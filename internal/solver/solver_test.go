@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -388,4 +389,98 @@ func BenchmarkSimulation32(b *testing.B) {
 		steps += s.StepIndex()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(steps), "us/step")
+}
+
+// BenchmarkCGKernels times each pass of a CG iteration on the 32×32 grid,
+// the active kernels beside their portable loops: search is pass 1 (the
+// direction update, A·p and p·Ap), step pass 2 (x, r and r·r), residual the
+// initial r = b − Ax with r·r and b·b, and apply one A·x row by row.
+func BenchmarkCGKernels(b *testing.B) {
+	const n = 32
+	rng := rand.New(rand.NewPCG(1, 2))
+	vec := func() []float64 {
+		v := make([]float64, n*n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	ap, p, res, x := vec(), vec(), vec(), vec()
+	r := 0.01 / ((1.0 / (n + 1)) * (1.0 / (n + 1)))
+	diag := 1 + 4*r
+	for _, k := range []struct {
+		name string
+		k    kernels
+	}{{"active", kern}, {"portable", portable}} {
+		b.Run("search/"+k.name, func(b *testing.B) {
+			for b.Loop() {
+				k.k.search(ap, p, res, n, r, diag, true, 1e-300)
+			}
+		})
+		b.Run("step/"+k.name, func(b *testing.B) {
+			for b.Loop() {
+				k.k.step(x, res, p, ap, 1e-300)
+			}
+		})
+		b.Run("residual/"+k.name, func(b *testing.B) {
+			for b.Loop() {
+				k.k.residual(res, p, x, ap)
+			}
+		})
+		b.Run("apply/"+k.name, func(b *testing.B) {
+			for b.Loop() {
+				for i := 0; i < n; i++ {
+					var up, dn []float64
+					if i > 0 {
+						up = p[(i-1)*n : i*n]
+					}
+					if i < n-1 {
+						dn = p[(i+1)*n : (i+2)*n]
+					}
+					k.k.stencilRow(ap[i*n:(i+1)*n], p[i*n:(i+1)*n], up, dn, r, diag)
+				}
+			}
+		})
+	}
+}
+
+// TestNewRefusesNonFinite checks that New refuses NaN and ±Inf in each
+// physical input, naming the field, instead of letting CG spin CGMaxIter
+// iterations of NaN; and an α·Δt/h² that overflows from finite inputs.
+func TestNewRefusesNonFinite(t *testing.T) {
+	par := Params{TIC: 300, Tx1: 100, Tx2: 500, Ty1: 200, Ty2: 400}
+	for _, tc := range []struct {
+		field string
+		set   func(*Config, *Params, float64)
+	}{
+		{"L", func(c *Config, _ *Params, v float64) { c.L = v }},
+		{"Alpha", func(c *Config, _ *Params, v float64) { c.Alpha = v }},
+		{"Dt", func(c *Config, _ *Params, v float64) { c.Dt = v }},
+		{"TIC", func(_ *Config, p *Params, v float64) { p.TIC = v }},
+		{"Tx1", func(_ *Config, p *Params, v float64) { p.Tx1 = v }},
+		{"Tx2", func(_ *Config, p *Params, v float64) { p.Tx2 = v }},
+		{"Ty1", func(_ *Config, p *Params, v float64) { p.Ty1 = v }},
+		{"Ty2", func(_ *Config, p *Params, v float64) { p.Ty2 = v }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				cfg, p := DefaultConfig(), par
+				tc.set(&cfg, &p, v)
+				_, err := New(cfg, p)
+				if err == nil || !strings.Contains(err.Error(), tc.field+"=") {
+					t.Errorf("%s=%v: New error %v, want one naming %s", tc.field, v, err, tc.field)
+				}
+			}
+			cfg, p := DefaultConfig(), par
+			tc.set(&cfg, &p, 0.5)
+			if _, err := New(cfg, p); err != nil {
+				t.Errorf("%s=0.5: %v", tc.field, err)
+			}
+		})
+	}
+	cfg := DefaultConfig()
+	cfg.Dt = 1e308
+	if _, err := New(cfg, par); err == nil {
+		t.Error("an overflowing α·Δt/h² was accepted")
+	}
 }

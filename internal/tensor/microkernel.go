@@ -54,6 +54,12 @@ var (
 	kern   = levels[0]
 )
 
+// HasAVX2 reports whether the CPU check in microkernel_amd64.go passed
+// (AVX2 and FMA, YMM state saved by the OS), the only way a level past the
+// portable one exists. It is the module's CPU probe for AVX2: a package with
+// AVX2 kernels of its own (internal/solver) chooses them by it at init.
+func HasAVX2() bool { return len(levels) > 1 }
+
 // pinKernelLevel makes the named level the active one and returns the call
 // that restores the previous one, or nil if this machine cannot run it. It
 // is the test hook — tests in this package call it, tests elsewhere reach it
