@@ -1,13 +1,15 @@
 package core
 
-// Equivalence tests and benchmarks for the bucketed-overlap gradient sync:
-// overlap must be bit-identical to the serial bucketed path across ranks
-// and tail batches, a transport-backed multi-process rank group must train
-// the exact same trajectory as the in-process channel group, and the
-// overlapped step must stay allocation-free.
+// Equivalence tests and benchmarks for the multi-rank step: overlapped
+// bucket sync must be bit-identical to the serial bucketed path across
+// ranks and tail batches, a transport-backed multi-process rank group must
+// train the exact same trajectory as the in-process group (whose update
+// pass sums the gradients the ring would), and the multi-rank step must
+// stay allocation-free.
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -72,10 +74,12 @@ func runSyncMode(t *testing.T, mode GradSyncMode, ranks int) ([]LossPoint, []flo
 // refactor: launching each layer bucket's all-reduce during backward
 // produces bit-for-bit the same trajectory as running the same bucket
 // collectives serially after the full backward pass — across 4 ranks,
-// including tail batches.
+// including tail batches. The ranks sit two to a process on a loopback
+// ring, exact float32: in-process ranks all-reduce nothing, so only a group
+// that spans processes has collectives to overlap.
 func TestOverlapMatchesSerial(t *testing.T) {
-	overlapLoss, overlapW := runSyncMode(t, SyncOverlap, 4)
-	serialLoss, serialW := runSyncMode(t, SyncSerial, 4)
+	overlapLoss, overlapW := runCodecShape(t, 2, 2, transport.CodecF32, SyncOverlap)
+	serialLoss, serialW := runCodecShape(t, 2, 2, transport.CodecF32, SyncSerial)
 	if len(overlapLoss) == 0 || len(overlapLoss) != len(serialLoss) {
 		t.Fatalf("trajectory lengths %d vs %d", len(overlapLoss), len(serialLoss))
 	}
@@ -150,13 +154,20 @@ func tcpTrainerGroup(t *testing.T, ranks int, bufs []*buffer.Blocking, spec Mode
 	return trainers
 }
 
-// TestTCPRanksMatchInProcessRanks is the transport-equivalence test: two
+// TestTCPRanksMatchInProcessRanks is the transport-equivalence test:
 // single-rank trainers synchronized over real TCP sockets must train the
-// exact same loss trajectory and weights as one two-rank in-process
-// trainer fed identical per-rank streams.
+// exact same loss trajectory and weights as one in-process trainer with as
+// many ranks fed identical per-rank streams. The in-process ranks sum their
+// gradients in the update pass, the TCP ranks on the ring; two ranks'
+// addition commutes, so only 3 and 4 pin the pass to the ring's order.
 func TestTCPRanksMatchInProcessRanks(t *testing.T) {
-	const ranks = 2
-	const nSamples = 53 // tail batches on both ranks
+	for _, ranks := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) { tcpMatchesInProcess(t, ranks) })
+	}
+}
+
+func tcpMatchesInProcess(t *testing.T, ranks int) {
+	const nSamples = 53 // tail batches on every rank
 	norm := NewHeatNormalizer(32, 1)
 	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{16}, OutputDim: norm.OutputDim(), Seed: 23}
 
@@ -214,7 +225,7 @@ func TestTCPRanksMatchInProcessRanks(t *testing.T) {
 
 // multiRankHotTrainer wires a ranks-wide trainer to preloaded Reservoirs
 // that never drain, for lockstep step-level benchmarks and alloc gates.
-func multiRankHotTrainer(tb testing.TB, ranks int, mode GradSyncMode, fieldDim int, hidden []int, batch int) (*Trainer, []*rankState) {
+func multiRankHotTrainer(tb testing.TB, ranks int, fieldDim int, hidden []int, batch int) (*Trainer, []*rankState) {
 	tb.Helper()
 	norm := NewHeatNormalizer(fieldDim, 1)
 	bufs := make([]*buffer.Blocking, ranks)
@@ -225,7 +236,6 @@ func multiRankHotTrainer(tb testing.TB, ranks int, mode GradSyncMode, fieldDim i
 	tr, err := NewTrainer(TrainerConfig{
 		Ranks:     ranks,
 		BatchSize: batch,
-		GradSync:  mode,
 		Model: ModelSpec{
 			InputDim:  norm.InputDim(),
 			Hidden:    hidden,
@@ -246,14 +256,15 @@ func multiRankHotTrainer(tb testing.TB, ranks int, mode GradSyncMode, fieldDim i
 }
 
 // TestTrainStepZeroAllocOverlap4Ranks extends the zero-allocation gate to
-// the overlapped multi-rank path: a steady-state synchronized step — batch
-// extraction, forward, hook-launched bucket collectives, drain, fused Adam
-// — performs no heap allocations on any rank, at every GEMM kernel level.
+// the in-process multi-rank path: a steady-state synchronized step — batch
+// extraction, status all-reduce, forward, backward, the barrier, the update
+// pass summing four slabs in ring order — performs no heap allocations on
+// any rank, at every GEMM kernel level.
 func TestTrainStepZeroAllocOverlap4Ranks(t *testing.T) {
 	testlevel.Each(t, func(level string) {
 		const ranks = 4
 		const runs = 100
-		tr, sts := multiRankHotTrainer(t, ranks, SyncOverlap, 64, []int{32, 32}, 8)
+		tr, sts := multiRankHotTrainer(t, ranks, 64, []int{32, 32}, 8)
 		var wg sync.WaitGroup
 		for r := 1; r < ranks; r++ {
 			wg.Add(1)
@@ -287,8 +298,8 @@ func TestTrainStepZeroAllocOverlap4Ranks(t *testing.T) {
 // benchMultiRankTrainStep measures one synchronized multi-rank step at the
 // paper's surrogate shape, with peer ranks in lockstep goroutines so the
 // timed loop sees the full collective cost.
-func benchMultiRankTrainStep(b *testing.B, ranks int, mode GradSyncMode) {
-	tr, sts := multiRankHotTrainer(b, ranks, mode, 1024, []int{256, 256}, 10)
+func benchMultiRankTrainStep(b *testing.B, ranks int) {
+	tr, sts := multiRankHotTrainer(b, ranks, 1024, []int{256, 256}, 10)
 	var wg sync.WaitGroup
 	for r := 1; r < ranks; r++ {
 		wg.Add(1)
@@ -312,21 +323,15 @@ func benchMultiRankTrainStep(b *testing.B, ranks int, mode GradSyncMode) {
 	wg.Wait()
 }
 
-// BenchmarkTrainStepOverlap4Ranks: bucket all-reduces launched during
-// backward (the default mode).
+// BenchmarkTrainStepOverlap4Ranks: four in-process ranks, each summing four
+// gradient slabs over its quarter of the update.
 func BenchmarkTrainStepOverlap4Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, 4, SyncOverlap)
+	benchMultiRankTrainStep(b, 4)
 }
 
 // BenchmarkTrainStepOverlap2Ranks is the benchmark workload's shape
-// (ensemble_2rank: two in-process ranks, overlap sync, the paper's model):
-// the step in which each rank applies half of the update.
+// (ensemble_2rank: two in-process ranks, the paper's model): the step in
+// which each rank sums both gradient slabs and applies half of the update.
 func BenchmarkTrainStepOverlap2Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, 2, SyncOverlap)
-}
-
-// BenchmarkTrainStepSerial4Ranks: the same bucket collectives issued after
-// the full backward pass — the overlap win is the gap to this baseline.
-func BenchmarkTrainStepSerial4Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, 4, SyncSerial)
+	benchMultiRankTrainStep(b, 2)
 }

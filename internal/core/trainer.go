@@ -31,6 +31,9 @@ const (
 	// SyncSerial runs the same per-bucket collectives, but only after the
 	// full backward pass — the paper's §3.1 ordering. It exists as the
 	// reference for the overlap equivalence tests and benchmarks.
+	//
+	// Both modes concern the ring only: where every rank of the group is in
+	// this process, nothing is all-reduced (see Trainer) and they are one.
 	SyncSerial
 )
 
@@ -56,7 +59,7 @@ type TrainerConfig struct {
 	Metrics *Metrics
 
 	// GradSync selects overlapped-bucketed (default) or serial-bucketed
-	// gradient synchronization.
+	// gradient synchronization on a ring that spans processes.
 	GradSync GradSyncMode
 
 	Model      ModelSpec
@@ -110,16 +113,25 @@ func (c TrainerConfig) validate() error {
 
 // Trainer runs the paper's training threads: each rank extracts batches
 // from its own buffer, computes gradients on its replica and all-reduces
-// them with the other ranks (§3.1). With the default overlapped mode, each
-// layer's gradient bucket is all-reduced concurrently with the
-// backpropagation of earlier layers.
+// them with the other ranks (§3.1).
 //
 // The paper applies the summed gradient "to each local NN copy to keep them
 // identical". The ranks of one process need no copies: they train on one
-// value slab and one pair of Adam moments, local rank l of L applies the
-// update to slice l of L, and a barrier holds everyone until every slice is
-// written. Adam is element-wise, so the slab holds exactly what L full
-// updates of L copies would have left in each of them.
+// value slab and one pair of Adam moments. After backward they meet at a
+// barrier; then local rank l of L runs one pass over slice l of L of the
+// slab that sums the gradient, scales it by 1/n, takes the Adam step and
+// clears slice l of every local gradient slab (opt.Adam.StepSum); a second
+// barrier holds everyone until every slice is written. Adam is element-wise,
+// so the slab holds exactly what L full updates of L copies would have left
+// in each of them.
+//
+// Where the group spans processes, the gradient rides the ring: each
+// layer's bucket is all-reduced as soon as backward finalizes it (the
+// default overlapped mode), concurrently with the backpropagation of
+// earlier layers, and rank l's pass reads the sum from its own slab. Where
+// every rank is in this process, nothing is all-reduced: the pass reads the
+// L slabs in place and adds them in the order the ring would have
+// (updatePlan), so the weights are the same bits in every layout.
 //
 // Each local rank owns the process's cores in equal shares: a rank whose
 // share is two or more cores runs its forward, backward, Adam slice and
@@ -130,12 +142,17 @@ type Trainer struct {
 	// nets[0] owns the value slab; the others are its replicas
 	// (nn.Network.CloneReplica), each with a gradient slab of its own.
 	// opts are per-rank handles on one (m, v) pair (opt.Adam.Alias).
-	nets    []*nn.Network
-	opts    []*opt.Adam
-	teams   []*tensor.Team // per local rank; nil where the rank's share is one core
-	updated *barrier       // every local rank has written its slice of the update
+	nets  []*nn.Network
+	opts  []*opt.Adam
+	teams []*tensor.Team // per local rank; nil where the rank's share is one core
+	// meet is the step's barrier, passed twice: once every gradient is
+	// final, once every slice of the update is written.
+	meet    *barrier
 	comm    *ddp.Comm
 	metrics *Metrics
+	// ringGrads: the group spans processes, so the gradients are summed by
+	// the ring's collectives rather than by the update pass.
+	ringGrads bool
 
 	// buckets are the gradient-slab ranges in backward-completion order,
 	// identical across replicas; bucketOfLayer maps a layer index to its
@@ -195,6 +212,7 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 		teams:        make([]*tensor.Team, cfg.Ranks),
 		comm:         comm,
 		metrics:      metrics,
+		ringGrads:    comm.Size() != comm.LocalRanks(),
 		localSamples: make([]int, cfg.Ranks),
 	}
 	if cfg.InitialWeights != nil {
@@ -202,7 +220,7 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 			return nil, fmt.Errorf("core: loading initial weights: %w", err)
 		}
 	}
-	t.updated = newBarrier(cfg.Ranks)
+	t.meet = newBarrier(cfg.Ranks)
 	t.nets[0] = base
 	for r := 1; r < cfg.Ranks; r++ {
 		t.nets[r] = base.CloneReplica()
@@ -276,6 +294,11 @@ func (t *Trainer) Run(ctx context.Context) error {
 	defer t.metrics.Finish()
 	defer t.closeTeams()
 
+	// An aborted step can leave gradients behind; every step from here on
+	// clears what it has read.
+	for _, n := range t.nets {
+		n.ZeroGrad()
+	}
 	unwatch := context.AfterFunc(ctx, func() {
 		t.stopped.Store(true)
 		for _, b := range t.bufs {
@@ -321,6 +344,12 @@ type rankState struct {
 	status       [3]float32 // [active ranks, samples this step, ranks that saw the run stopped]
 	localBatches int
 
+	// parts, zero and scale are the rank's share of the optimizer pass (see
+	// updatePlan).
+	parts []opt.GradRange
+	zero  [][]float32
+	scale float32
+
 	// Overlap machinery: hook enqueues a finished layer's bucket on jobs;
 	// the persistent syncer goroutine runs the bucket collectives in
 	// order and acknowledges each on acks (nil on success, the collective
@@ -337,8 +366,9 @@ type rankState struct {
 	lastWireRecv uint64
 }
 
-// newRankState preallocates the per-rank training state and starts the
-// rank's gradient-sync goroutine. close releases it.
+// newRankState preallocates the per-rank training state and, where the
+// gradients ride the ring, starts the rank's gradient-sync goroutine. close
+// releases it.
 func (t *Trainer) newRankState(rank int) *rankState {
 	norm := t.cfg.Normalizer
 	st := &rankState{
@@ -364,9 +394,50 @@ func (t *Trainer) newRankState(rank int) *rankState {
 			st.launched++
 		}
 	}
-	go t.syncLoop(st)
+	st.parts, st.zero, st.scale = t.updatePlan(rank)
+	if t.ringGrads {
+		go t.syncLoop(st)
+	}
 	t.localSamples[rank] = t.startSamples
 	return st
+}
+
+// updatePlan returns local rank l's share of the step's optimizer pass: the
+// ranges of slice l of L of the slab, each with the gradient slabs whose
+// in-order sum is its gradient; the slabs the pass clears (every local
+// one, over slice l); and the 1/n that turns the group's sum into its mean.
+//
+// Where the gradients ride the ring, every local slab holds the sum once
+// the collectives have returned, and rank l reads its own. In-process, the
+// pass sums the L slabs itself in the ring's order: chunk k of a bucket
+// (ddp.ChunkRange) is ((g_k + g_{k+1}) + …) + g_{k−1}, what the ring's
+// scatter-reduce would have accumulated there, so the sum has the same bits
+// as it does over sockets. The buckets tile the slab.
+func (t *Trainer) updatePlan(l int) ([]opt.GradRange, [][]float32, float32) {
+	ranks, total := t.cfg.Ranks, t.nets[0].NumParams()
+	lo, hi := total*l/ranks, total*(l+1)/ranks
+	slabs := make([][]float32, ranks)
+	for r := range slabs {
+		slabs[r] = t.nets[r].FlatGrads()
+	}
+	scale := float32(1)
+	if n := t.comm.Size(); n > 1 {
+		scale = 1 / float32(n)
+	}
+	if t.ringGrads || ranks == 1 {
+		return []opt.GradRange{{Lo: lo, Hi: hi, Srcs: slabs[l : l+1]}}, slabs, scale
+	}
+	var parts []opt.GradRange
+	for k := 0; k < ranks; k++ {
+		order := append(append([][]float32(nil), slabs[k:]...), slabs[:k]...)
+		for _, bk := range t.buckets {
+			clo, chi := ddp.ChunkRange(bk.Hi-bk.Lo, ranks, k)
+			if clo, chi = max(bk.Lo+clo, lo), min(bk.Lo+chi, hi); clo < chi {
+				parts = append(parts, opt.GradRange{Lo: clo, Hi: chi, Srcs: order})
+			}
+		}
+	}
+	return parts, slabs, scale
 }
 
 // close stops the rank's gradient-sync goroutine.
@@ -390,10 +461,11 @@ func (t *Trainer) syncLoop(st *rankState) {
 
 // rankLoop is the per-rank training thread. Collective calls must stay in
 // lock-step across ranks: every iteration performs exactly one status
-// all-reduce and, while any rank is active, one gradient sync (a fixed
-// sequence of bucket collectives). A collective failure (dead peer, aborted
-// ring) ends the loop with that error, and breaks the update barrier for the
-// rank's siblings (see step for what the slab then holds).
+// all-reduce and, while any rank is active and the gradients ride the ring,
+// one gradient sync (a fixed sequence of bucket collectives). A collective
+// failure (dead peer, aborted ring) ends the loop with that error, and
+// breaks the step barrier for the rank's siblings (see step for what the
+// slab then holds).
 func (t *Trainer) rankLoop(rank int) error {
 	st := t.newRankState(rank)
 	defer st.close()
@@ -401,7 +473,7 @@ func (t *Trainer) rankLoop(rank int) error {
 		cont, err := t.step(st)
 		if err != nil {
 			// A sibling whose collectives all completed may be waiting there.
-			t.updated.fail(err)
+			t.meet.fail(err)
 			return fmt.Errorf("core: rank %d stopped at batch %d: %w", st.grank, st.localBatches, err)
 		}
 		if !cont {
@@ -416,7 +488,7 @@ func (t *Trainer) rankLoop(rank int) error {
 // abandons the step before its slice of the optimizer update; a sibling may
 // have written its own, so the slab is whole only after a step that
 // returned no error, and a failed run's weights are restored from a
-// checkpoint, never read.
+// checkpoint, never read. The gradient slabs are all zero between steps.
 func (t *Trainer) step(st *rankState) (bool, error) {
 	if t.cfg.MaxBatches > 0 && st.localBatches >= t.cfg.MaxBatches {
 		// The batch counter advances identically on every rank, so all
@@ -450,8 +522,7 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	stepSamples := int(st.status[1] + 0.5)
 
 	var trainLoss float64
-	st.net.ZeroGrad()
-	overlap := t.cfg.GradSync == SyncOverlap
+	overlap := t.ringGrads && t.cfg.GradSync == SyncOverlap
 	if ok {
 		bi, bo := st.in, st.out
 		if n != t.cfg.BatchSize {
@@ -481,7 +552,15 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 			st.launched++
 		}
 	}
-	if err := t.syncGradients(st); err != nil {
+	if t.ringGrads {
+		if err := t.syncGradients(st); err != nil {
+			return false, err
+		}
+	}
+	// Every local gradient is final, and every sibling is done with the old
+	// weights and, on the ring, with its own slab's collectives: the pass
+	// may read and clear any slab.
+	if err := t.meet.wait(); err != nil {
 		return false, err
 	}
 
@@ -503,18 +582,12 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	if t.cfg.Schedule != nil {
 		st.optimizer.SetLR(t.cfg.Schedule.LR(samples))
 	}
-	// Every rank holds the same summed gradient; this one averages and
-	// applies its share of it, slice rank of Ranks of the process's slab.
-	// The barrier keeps validation, the hooks and every sibling's next
-	// forward from reading a half-written slab. Nobody is still reading the
-	// old weights: the last bucket's all-reduce needed every rank's backward.
-	params, grads := st.net.FlatParams(), st.net.FlatGrads()
-	lo, hi := len(params)*st.rank/t.cfg.Ranks, len(params)*(st.rank+1)/t.cfg.Ranks
-	if n := t.comm.Size(); n > 1 {
-		tensor.Scal(1/float32(n), grads[lo:hi])
-	}
-	st.optimizer.StepFlatRange(params, grads, lo, hi)
-	if err := t.updated.wait(); err != nil {
+	// This rank sums, averages and applies its share of the gradient, slice
+	// rank of Ranks of the process's slab, and clears that slice of every
+	// local gradient slab. The barrier keeps validation, the hooks and every
+	// sibling's next forward and backward from a half-written slab.
+	st.optimizer.StepSum(st.net.FlatParams(), st.parts, st.zero, st.scale)
+	if err := t.meet.wait(); err != nil {
 		return false, err
 	}
 
@@ -535,15 +608,15 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	return true, nil
 }
 
-// syncGradients completes the step's gradient synchronization: it drains
-// the in-flight bucket collectives (overlap), or runs them now (serial). On
-// return every rank's gradient slab holds the same sum over all ranks —
-// summed, not averaged: the 1/n belongs to whoever applies a slice of it
-// (see step) — matching the all-reduce of §3.1. The collectives operate
-// on the slab in place — no gather/scatter staging. On a collective failure
-// the first error is returned — after draining every in-flight bucket, so
-// the syncer goroutine is never left blocked — and the gradients are
-// unusable.
+// syncGradients completes the step's gradient synchronization on the ring:
+// it drains the in-flight bucket collectives (overlap), or runs them now
+// (serial). On return every rank's gradient slab holds the same sum over
+// all ranks — summed, not averaged: the 1/n belongs to whoever applies a
+// slice of it (see step) — matching the all-reduce of §3.1. The
+// collectives operate on the slab in place — no gather/scatter staging. On
+// a collective failure the first error is returned — after draining every
+// in-flight bucket, so the syncer goroutine is never left blocked — and the
+// gradients are unusable.
 func (t *Trainer) syncGradients(st *rankState) error {
 	grads := st.net.FlatGrads()
 	var failed error

@@ -23,7 +23,7 @@ import (
 // commGroup is n per-rank communicator handles: the channel backend shares
 // one object across ranks, the TCP backend builds one ring endpoint per
 // rank over loopback.
-type commGroup []Communicator
+type commGroup []*Comm
 
 // backendFactories builds each backend's n-rank group.
 var backendFactories = map[string]func(tb testing.TB, n int) commGroup{
@@ -82,9 +82,7 @@ func newTCPGroupCodec(tb testing.TB, n int, codec transport.Codec) commGroup {
 	}
 	tb.Cleanup(func() {
 		for _, c := range g {
-			if tc, ok := c.(*TCPComm); ok {
-				tc.Close()
-			}
+			c.Close()
 		}
 	})
 	return g
@@ -115,7 +113,7 @@ func (ly layout) group(tb testing.TB, codec transport.Codec) commGroup {
 }
 
 // runGroup launches one goroutine per rank and waits for completion.
-func runGroup(g commGroup, fn func(rank int, c Communicator)) {
+func runGroup(g commGroup, fn func(rank int, c *Comm)) {
 	var wg sync.WaitGroup
 	for r := range g {
 		wg.Add(1)
@@ -154,7 +152,7 @@ func TestCollectiveSuite(t *testing.T) {
 				t.Run("AllReduceSum", func(t *testing.T) {
 					// Length 7 exercises uneven (and, for n=5, empty) chunks.
 					bufs, want := fillRankBufs(n, 7, 42)
-					runGroup(g, func(rank int, c Communicator) { c.AllReduceSum(rank, bufs[rank]) })
+					runGroup(g, func(rank int, c *Comm) { c.AllReduceSum(rank, bufs[rank]) })
 					for r := 0; r < n; r++ {
 						for i := range want {
 							if bufs[r][i] != bufs[0][i] {
@@ -172,7 +170,7 @@ func TestCollectiveSuite(t *testing.T) {
 					for r := range bufs {
 						bufs[r] = []float32{float32(r), float32(2 * r)}
 					}
-					runGroup(g, func(rank int, c Communicator) { scaledMean(c, rank, bufs[rank]) })
+					runGroup(g, func(rank int, c *Comm) { scaledMean(c, rank, bufs[rank]) })
 					wantMean := float32(n-1) / 2
 					for r := 0; r < n; r++ {
 						if bufs[r][0] != wantMean || bufs[r][1] != 2*wantMean {
@@ -190,7 +188,7 @@ func TestCollectiveSuite(t *testing.T) {
 					for r := range bufs {
 						orig[r] = append([]float32(nil), bufs[r]...)
 					}
-					runGroup(g, func(rank int, c Communicator) { c.AllReduceSumRange(rank, bufs[rank], lo, hi) })
+					runGroup(g, func(rank int, c *Comm) { c.AllReduceSumRange(rank, bufs[rank], lo, hi) })
 					for r := 0; r < n; r++ {
 						for i := 0; i < length; i++ {
 							switch {
@@ -216,7 +214,7 @@ func TestCollectiveSuite(t *testing.T) {
 					for r := range bufs {
 						bufs[r] = []float32{float32(r), float32(r)}
 					}
-					runGroup(g, func(rank int, c Communicator) { sumFromRoot(c, rank, root, bufs[rank]) })
+					runGroup(g, func(rank int, c *Comm) { sumFromRoot(c, rank, root, bufs[rank]) })
 					for r := 0; r < n; r++ {
 						if bufs[r][0] != float32(root) || bufs[r][1] != float32(root) {
 							t.Fatalf("rank %d: %v, want root %d", r, bufs[r], root)
@@ -228,7 +226,7 @@ func TestCollectiveSuite(t *testing.T) {
 					var mu sync.Mutex
 					entered := 0
 					fail := false
-					runGroup(g, func(rank int, c Communicator) {
+					runGroup(g, func(rank int, c *Comm) {
 						mu.Lock()
 						entered++
 						mu.Unlock()
@@ -260,8 +258,8 @@ func TestBackendsBitIdentical(t *testing.T) {
 
 	chanGroup := backendFactories["chan"](t, n)
 	tcpGroup := newTCPGroup(t, n)
-	runGroup(chanGroup, func(rank int, c Communicator) { scaledMean(c, rank, chanBufs[rank]) })
-	runGroup(tcpGroup, func(rank int, c Communicator) { scaledMean(c, rank, tcpBufs[rank]) })
+	runGroup(chanGroup, func(rank int, c *Comm) { scaledMean(c, rank, chanBufs[rank]) })
+	runGroup(tcpGroup, func(rank int, c *Comm) { scaledMean(c, rank, tcpBufs[rank]) })
 	for r := 0; r < n; r++ {
 		for i := range chanBufs[r] {
 			if chanBufs[r][i] != tcpBufs[r][i] {
@@ -281,7 +279,7 @@ func TestRingSumMatchesSerialReference(t *testing.T) {
 	ref, _ := fillRankBufs(n, length, 11)
 	want := make([]float32, length)
 	for j := 0; j < n; j++ {
-		lo, hi := chunkRange(length, n, j)
+		lo, hi := ChunkRange(length, n, j)
 		for i := lo; i < hi; i++ {
 			sum := ref[j][i]
 			for k := 1; k < n; k++ {
@@ -294,7 +292,7 @@ func TestRingSumMatchesSerialReference(t *testing.T) {
 		t.Run(ly.name, func(t *testing.T) {
 			g := ly.group(t, transport.CodecF32)
 			bufs, _ := fillRankBufs(n, length, 11)
-			runGroup(g, func(rank int, c Communicator) { c.AllReduceSum(rank, bufs[rank]) })
+			runGroup(g, func(rank int, c *Comm) { c.AllReduceSum(rank, bufs[rank]) })
 			for r := 0; r < n; r++ {
 				for i := range want {
 					if bufs[r][i] != want[i] {
@@ -323,7 +321,7 @@ func TestAbortUnwedgesParkedRanks(t *testing.T) {
 	for _, ly := range layouts {
 		t.Run(ly.name, func(t *testing.T) {
 			g := ly.group(t, transport.CodecF32)
-			c := g[0].(*Comm)
+			c := g[0]
 			parked := c.LocalRanks()
 			if ly.procs == 0 {
 				parked-- // the held-back rank plays the absent peer
@@ -416,14 +414,14 @@ func BenchmarkAllReduceTCP(b *testing.B) {
 				}(r)
 			}
 			g[0].AllReduceSum(0, bufs[0]) // warm the recycled buffers
-			sent0, _ := g[0].(*Comm).WireBytes()
+			sent0, _ := g[0].WireBytes()
 			b.SetBytes(4 * elems)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g[0].AllReduceSum(0, bufs[0])
 			}
 			b.StopTimer()
-			sent1, _ := g[0].(*Comm).WireBytes()
+			sent1, _ := g[0].WireBytes()
 			b.ReportMetric(float64(sent1-sent0)/float64(b.N), "wire-B/op")
 			wg.Wait()
 		})
@@ -502,7 +500,7 @@ func TestHopByReference(t *testing.T) {
 								return
 							}
 							for j := 0; j < n; j++ {
-								lo, hi := chunkRange(length, n, j)
+								lo, hi := ChunkRange(length, n, j)
 								for i := lo; i < hi; i++ {
 									want := input(round, j, i)
 									for k := 1; k < n; k++ {

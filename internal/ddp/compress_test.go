@@ -33,12 +33,12 @@ func compressGroups(tb testing.TB, codec transport.Codec) map[string]commGroup {
 // carries no residual ("f16-noef").
 var compressedSums = []struct {
 	name string
-	sum  func(c Communicator, rank int, buf []float32) error
+	sum  func(c *Comm, rank int, buf []float32) error
 }{
-	{"f16", func(c Communicator, rank int, buf []float32) error {
+	{"f16", func(c *Comm, rank int, buf []float32) error {
 		return c.AllReduceSumRange(rank, buf, 0, len(buf))
 	}},
-	{"f16-noef", func(c Communicator, rank int, buf []float32) error { return c.AllReduceSum(rank, buf) }},
+	{"f16-noef", func(c *Comm, rank int, buf []float32) error { return c.AllReduceSum(rank, buf) }},
 }
 
 // TestCompressedAllReduceTolerance checks both reductions of an f16 ring
@@ -51,7 +51,7 @@ func TestCompressedAllReduceTolerance(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", mode.name, name), func(t *testing.T) {
 				n := len(g)
 				bufs, want := fillRankBufs(n, length, 23)
-				runGroup(g, func(rank int, c Communicator) {
+				runGroup(g, func(rank int, c *Comm) {
 					if err := mode.sum(c, rank, bufs[rank]); err != nil {
 						t.Error(err)
 					}
@@ -86,8 +86,8 @@ func TestCompressedSmallCollectiveExact(t *testing.T) {
 	refBufs, _ := fillRankBufs(n, length, 5)
 	g := newTCPGroupCodec(t, n, transport.CodecF16)
 	ref := backendFactories["chan"](t, n)
-	runGroup(g, func(rank int, c Communicator) { c.AllReduceSumRange(rank, f16Bufs[rank], 0, length) })
-	runGroup(ref, func(rank int, c Communicator) { c.AllReduceSumRange(rank, refBufs[rank], 0, length) })
+	runGroup(g, func(rank int, c *Comm) { c.AllReduceSumRange(rank, f16Bufs[rank], 0, length) })
+	runGroup(ref, func(rank int, c *Comm) { c.AllReduceSumRange(rank, refBufs[rank], 0, length) })
 	for r := 0; r < n; r++ {
 		for i := 0; i < length; i++ {
 			if f16Bufs[r][i] != refBufs[r][i] {
@@ -103,7 +103,7 @@ func TestCompressedSmallCollectiveExact(t *testing.T) {
 func TestCompressedRepeatDeterminism(t *testing.T) {
 	const length = 2048
 	const steps = 3
-	run := func(g commGroup, sum func(c Communicator, rank int, buf []float32) error) [][]float32 {
+	run := func(g commGroup, sum func(c *Comm, rank int, buf []float32) error) [][]float32 {
 		n := len(g)
 		out := make([][]float32, n)
 		bufs := make([][]float32, n)
@@ -112,7 +112,7 @@ func TestCompressedRepeatDeterminism(t *testing.T) {
 			for r := range bufs {
 				bufs[r] = step[r]
 			}
-			runGroup(g, func(rank int, c Communicator) {
+			runGroup(g, func(rank int, c *Comm) {
 				if err := sum(c, rank, bufs[rank]); err != nil {
 					t.Error(err)
 				}
@@ -166,7 +166,7 @@ func TestCompressedErrorFeedback(t *testing.T) {
 	}
 
 	g := newTCPGroupCodec(t, n, transport.CodecF16)
-	accumulate := func(sum func(c Communicator, rank int, buf []float32) error) []float64 {
+	accumulate := func(sum func(c *Comm, rank int, buf []float32) error) []float64 {
 		acc := make([]float64, length)
 		bufs := make([][]float32, n)
 		for r := range bufs {
@@ -176,7 +176,7 @@ func TestCompressedErrorFeedback(t *testing.T) {
 			for r := range bufs {
 				copy(bufs[r], grads[r])
 			}
-			runGroup(g, func(rank int, c Communicator) {
+			runGroup(g, func(rank int, c *Comm) {
 				if err := sum(c, rank, bufs[rank]); err != nil {
 					t.Error(err)
 				}
@@ -222,10 +222,10 @@ func TestCompressedWireBytesHalved(t *testing.T) {
 		for r := range bufs {
 			bufs[r] = make([]float32, length)
 		}
-		runGroup(g, func(rank int, c Communicator) { c.AllReduceSumRange(rank, bufs[rank], 0, length) })
+		runGroup(g, func(rank int, c *Comm) { c.AllReduceSumRange(rank, bufs[rank], 0, length) })
 		// The received count: a rank returns once it has read every hop,
 		// while its writer goroutine may not have counted the last send yet.
-		_, recv := g[0].(*Comm).WireBytes()
+		_, recv := g[0].WireBytes()
 		return recv
 	}
 	f32 := measure(transport.CodecF32)
@@ -243,12 +243,12 @@ func TestCommWireCodecAndBytes(t *testing.T) {
 		"tcp":  newTCPGroupCodec(t, 2, transport.CodecF16),
 		"hier": newHierGroupCodec(t, 2, 2, transport.CodecF16),
 	} {
-		c := g[0].(*Comm)
+		c := g[0]
 		if c.WireCodec() != transport.CodecF16 {
 			t.Fatalf("%s: codec %v, want f16", name, c.WireCodec())
 		}
 		bufs, _ := fillRankBufs(len(g), 64, 3)
-		runGroup(g, func(rank int, c Communicator) { c.AllReduceSum(rank, bufs[rank]) })
+		runGroup(g, func(rank int, c *Comm) { c.AllReduceSum(rank, bufs[rank]) })
 		// Only the received count is settled when the collective returns
 		// (see TestCompressedWireBytesHalved).
 		if _, recv := c.WireBytes(); recv == 0 {

@@ -1,9 +1,8 @@
 // Package ddp implements the distributed data-parallel primitive: the
-// all-reduce over a fixed group of training ranks, behind the Communicator
-// interface and one ring communicator, Comm. It is the only collective the
-// trainer issues — the per-step status reduction is also its barrier and its
-// stop signal, and every process builds the same seeded model, so nothing is
-// ever broadcast.
+// all-reduce over a fixed group of training ranks, run by one ring
+// communicator, Comm. It is the only collective the trainer issues — the
+// per-step status reduction is also its barrier and its stop signal, and
+// every process builds the same seeded model, so nothing is ever broadcast.
 //
 // The paper's server trains with "distributed data parallelism … After each
 // batch backpropagation, the locally computed vector of weight updates is
@@ -29,6 +28,16 @@
 //   - flat TCP (local = 1): one rank per OS process; every hop is a socket.
 //   - hierarchical (local > 1): several ranks per process; a host running M
 //     ranks needs one ring connection pair instead of M.
+//
+// A rank waiting on a channel hop spins, yielding, for tensor.SpinWindow
+// before it parks: the rank at the other end is in the same step.
+//
+// The trainer all-reduces gradients only over the two socket layouts. In
+// the in-process layout its ranks share the weights and read each other's
+// gradient slabs directly, so its update pass adds them itself, chunk by
+// chunk in the ring's order (ChunkRange), and the weights come out the same
+// bits in all three layouts; the in-process ring carries only the per-step
+// status.
 //
 // Collectives operate directly on the caller's flat buffer — for training,
 // nn.Network.FlatGrads — so there is no gather/scatter staging copy, a
@@ -85,34 +94,15 @@ package ddp
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"melissa/internal/protocol"
 	"melissa/internal/tensor"
 	"melissa/internal/transport"
 )
-
-// Communicator connects a fixed group of ranks for collective operations.
-// Every collective must be entered by all ranks concurrently (one goroutine
-// per rank), like an MPI communicator, and with matching arguments (equal
-// buffer lengths, identical ranges). Rank identifies the caller
-// in the global rank space [0, Size). After any non-nil error the
-// communicator is poisoned — no further collective on it may be issued (see
-// the package failure model).
-type Communicator interface {
-	// Size returns the number of ranks in the group.
-	Size() int
-	// AllReduceSum replaces buf on every rank with the element-wise sum
-	// across ranks. Deterministic: results are identical on every rank and
-	// across repeated runs.
-	AllReduceSum(rank int, buf []float32) error
-	// AllReduceSumRange all-reduces the subrange buf[lo:hi] as an
-	// independent collective, leaving the rest of buf untouched. This is
-	// the bucketed-overlap primitive: all ranks must issue the same
-	// sequence of ranges in the same order.
-	AllReduceSumRange(rank int, buf []float32, lo, hi int) error
-}
 
 // compressMinFloats is the smallest collective (total elements) that rides
 // the compressed wire format on a compressed ring. Tiny collectives — the
@@ -166,8 +156,12 @@ func newLink() link {
 
 // Comm is the ring communicator: this process hosts local consecutive
 // global ranks (one goroutine each), joined to the other processes' ranks
-// by the inter-process transport.Ring. See the package comment for the
-// three link layouts and the failure model.
+// by the inter-process transport.Ring. Every collective must be entered by
+// all ranks concurrently, like an MPI communicator, with matching arguments
+// (equal buffer lengths, identical ranges); a rank names itself by its
+// global rank in [0, Size). Results are deterministic: identical on every
+// rank and across repeated runs. See the package comment for the three link
+// layouts and the failure model.
 type Comm struct {
 	ring   *transport.Ring // nil for the in-process layout
 	codec  transport.Codec
@@ -191,13 +185,13 @@ type Comm struct {
 }
 
 // TCPComm and HierComm are the names bench/ uses for the flat-TCP and
-// hierarchical layouts of Comm.
+// hierarchical layouts of Comm, and Communicator its name for a handle on
+// any of them.
 type (
-	TCPComm  = Comm
-	HierComm = Comm
+	TCPComm      = Comm
+	HierComm     = Comm
+	Communicator = *Comm
 )
-
-var _ Communicator = (*Comm)(nil)
 
 // NewCommunicator creates the in-process layout: n ranks of this process
 // on a ring of channel links.
@@ -236,7 +230,7 @@ func NewHierComm(ring *transport.Ring, local int) *Comm {
 	return c
 }
 
-// Size implements Communicator: the total rank count across all processes.
+// Size returns the total rank count across all processes.
 func (c *Comm) Size() int { return c.size }
 
 // RankOffset returns the first global rank hosted here: local rank l is
@@ -334,7 +328,7 @@ func (c *Comm) sendHop(l int, vals []float32, comp bool) error {
 		return c.ringErr(c.ring.SendFloats(vals, comp))
 	}
 	lk := &c.links[l]
-	<-lk.free
+	await(lk.free)
 	if err := c.poisoned(); err != nil {
 		return err
 	}
@@ -351,7 +345,7 @@ func (c *Comm) settle(l int) error {
 	}
 	lk := &c.links[l]
 	for i := 0; i < linkDepth; i++ {
-		<-lk.free
+		await(lk.free)
 		if err := c.poisoned(); err != nil {
 			return err
 		}
@@ -374,7 +368,7 @@ func (c *Comm) recvHop(l int, dst []float32, accumulate, comp bool) error {
 		return c.ringErr(c.ring.RecvFloats(dst, accumulate, comp))
 	}
 	lk := &c.links[(l-1+c.local)%c.local]
-	in := <-lk.data
+	in := await(lk.data)
 	if err := c.poisoned(); err != nil {
 		return err
 	}
@@ -390,10 +384,31 @@ func (c *Comm) recvHop(l int, dst []float32, accumulate, comp bool) error {
 	return nil
 }
 
-// chunkRange returns the bounds [lo, hi) of the i-th of n near-equal
-// contiguous chunks of a length-sized buffer. Pure arithmetic — no
-// boundary slice is materialized on the hot path.
-func chunkRange(length, n, i int) (lo, hi int) {
+// await receives from a channel hop, spinning before it parks: the rank at
+// the other end is a sibling in the same step, usually microseconds away,
+// and a parked goroutine takes far longer than that to wake (see
+// tensor.SpinWindow). It yields while it spins, so a runnable producer or
+// ingest goroutine goes first.
+func await[T any](ch chan T) T {
+	for start := time.Now(); ; runtime.Gosched() {
+		select {
+		case v := <-ch:
+			return v
+		default:
+		}
+		if time.Since(start) >= tensor.SpinWindow {
+			return <-ch
+		}
+	}
+}
+
+// ChunkRange returns the bounds [lo, hi) of the i-th of n near-equal
+// contiguous chunks of a length-sized buffer: the chunks a collective over
+// n ranks splits its buffer into. The ring fixes each chunk's reduction
+// order: in chunk k the sum is ((g_k + g_{k+1}) + …) + g_{k−1}, rank indices
+// taken mod n, on every layout. Pure arithmetic — no boundary slice is
+// materialized on the hot path.
+func ChunkRange(length, n, i int) (lo, hi int) {
 	base, rem := length/n, length%n
 	lo = i*base + min(i, rem)
 	hi = lo + base
@@ -422,19 +437,21 @@ func (c *Comm) residual(l, lo, hi int) []float32 {
 	return c.res[l][lo:hi]
 }
 
-// AllReduceSum implements Communicator, using a ring scatter-reduce
-// followed by a ring all-gather. The reduction order for each chunk is
-// fixed by ring position, so results are deterministic and identical on
-// every rank. On a compressed ring the socket hops travel as binary16
-// (without error feedback — see AllReduceSumRange for the error-fed
-// gradient path).
+// AllReduceSum replaces buf on every rank with the element-wise sum across
+// ranks, using a ring scatter-reduce followed by a ring all-gather. The
+// reduction order for each chunk is fixed by ring position, so results are
+// deterministic and identical on every rank. On a compressed ring the
+// socket hops travel as binary16 (without error feedback — see
+// AllReduceSumRange for the error-fed gradient path).
 func (c *Comm) AllReduceSum(rank int, buf []float32) error {
 	return c.allReduce(rank, buf, nil)
 }
 
-// AllReduceSumRange implements Communicator: an independent ring reduction
-// over buf[lo:hi], chunked relative to the range. On a compressed ring this
-// is the error-fed path: the absolute range offsets index the rank's
+// AllReduceSumRange all-reduces buf[lo:hi] as an independent collective,
+// chunked relative to the range, and leaves the rest of buf untouched. It
+// is the bucketed-overlap primitive: every rank must issue the same
+// sequence of ranges in the same order. On a compressed ring this is the
+// error-fed path: the absolute range offsets index the rank's
 // persistent residual slab (the caller contract — ranges into one stable
 // slab per rank, e.g. the flat gradient slab — is what makes residuals
 // meaningful across steps; AllReduceSum's transient buffers have none).
@@ -473,7 +490,7 @@ func (c *Comm) allReduce(rank int, buf []float32, res []float32) error {
 		protocol.QuantizeEF(buf, res)
 	}
 	chunk := func(i int) []float32 {
-		lo, hi := chunkRange(len(buf), n, ((i%n)+n)%n)
+		lo, hi := ChunkRange(len(buf), n, ((i%n)+n)%n)
 		return buf[lo:hi]
 	}
 	// Scatter-reduce: after step s, rank r has accumulated s+1 terms into

@@ -14,7 +14,7 @@ import (
 
 // scaledMean averages buf across ranks the way the trainer does: the sum
 // collective, then one scale by 1/n (core.Trainer.syncGradients).
-func scaledMean(c Communicator, rank int, buf []float32) {
+func scaledMean(c *Comm, rank int, buf []float32) {
 	c.AllReduceSum(rank, buf)
 	if n := c.Size(); n > 1 {
 		tensor.Scal(1/float32(n), buf)
@@ -38,18 +38,18 @@ func TestChunkRange(t *testing.T) {
 	wantLo := []int{0, 4, 7}
 	wantHi := []int{4, 7, 10}
 	for i := 0; i < 3; i++ {
-		lo, hi := chunkRange(10, 3, i)
+		lo, hi := ChunkRange(10, 3, i)
 		if lo != wantLo[i] || hi != wantHi[i] {
-			t.Fatalf("chunkRange(10,3,%d) = [%d,%d), want [%d,%d)", i, lo, hi, wantLo[i], wantHi[i])
+			t.Fatalf("ChunkRange(10,3,%d) = [%d,%d), want [%d,%d)", i, lo, hi, wantLo[i], wantHi[i])
 		}
 	}
 	// More ranks than elements: some chunks empty, bounds monotone and
 	// tiling [0, length).
 	prev := 0
 	for i := 0; i < 4; i++ {
-		lo, hi := chunkRange(2, 4, i)
+		lo, hi := ChunkRange(2, 4, i)
 		if lo != prev || hi < lo {
-			t.Fatalf("chunkRange(2,4,%d) = [%d,%d), prev end %d", i, lo, hi, prev)
+			t.Fatalf("ChunkRange(2,4,%d) = [%d,%d), prev end %d", i, lo, hi, prev)
 		}
 		prev = hi
 	}
@@ -181,7 +181,7 @@ func TestAllReduceProperty(t *testing.T) {
 // rank joins with zeros, as a drained rank joins each gradient reduce, and
 // x + 0 is exact, so every rank ends with root's values bit for bit. It is
 // what a one-to-all copy is on this communicator, which has no other.
-func sumFromRoot(c Communicator, rank, root int, buf []float32) {
+func sumFromRoot(c *Comm, rank, root int, buf []float32) {
 	if rank != root {
 		clear(buf)
 	}
@@ -192,7 +192,7 @@ func sumFromRoot(c Communicator, rank, root int, buf []float32) {
 // from every rank, so none returns before all have entered. The trainer's
 // per-step status reduce relies on exactly this to make every rank leave on
 // the same step.
-func rendezvous(c Communicator, rank int) {
+func rendezvous(c *Comm, rank int) {
 	var token [1]float32
 	c.AllReduceSum(rank, token[:])
 }

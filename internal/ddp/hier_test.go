@@ -84,7 +84,7 @@ func TestHierCollectives(t *testing.T) {
 
 			// Length 7 exercises uneven (and, for n>7, empty) chunks.
 			bufs, want := fillRankBufs(n, 7, 42)
-			runGroup(g, func(rank int, c Communicator) { c.AllReduceSum(rank, bufs[rank]) })
+			runGroup(g, func(rank int, c *Comm) { c.AllReduceSum(rank, bufs[rank]) })
 			for r := 0; r < n; r++ {
 				for i := range want {
 					if bufs[r][i] != bufs[0][i] {
@@ -98,7 +98,7 @@ func TestHierCollectives(t *testing.T) {
 
 			// Each endpoint serves its process's contiguous span.
 			for p := 0; p < shape.procs; p++ {
-				h := g[p*shape.local].(*HierComm)
+				h := g[p*shape.local]
 				if h.RankOffset() != p*shape.local || h.LocalRanks() != shape.local {
 					t.Fatalf("proc %d span [%d,+%d), want [%d,+%d)",
 						p, h.RankOffset(), h.LocalRanks(), p*shape.local, shape.local)
@@ -126,9 +126,9 @@ func TestHierBitIdenticalToFlat(t *testing.T) {
 				hierGroup := newHierGroup(t, procs, local)
 				chanGroup := backendFactories["chan"](t, n)
 				tcpGroup := newTCPGroup(t, n)
-				runGroup(hierGroup, func(rank int, c Communicator) { scaledMean(c, rank, hierBufs[rank]) })
-				runGroup(chanGroup, func(rank int, c Communicator) { scaledMean(c, rank, chanBufs[rank]) })
-				runGroup(tcpGroup, func(rank int, c Communicator) { scaledMean(c, rank, tcpBufs[rank]) })
+				runGroup(hierGroup, func(rank int, c *Comm) { scaledMean(c, rank, hierBufs[rank]) })
+				runGroup(chanGroup, func(rank int, c *Comm) { scaledMean(c, rank, chanBufs[rank]) })
+				runGroup(tcpGroup, func(rank int, c *Comm) { scaledMean(c, rank, tcpBufs[rank]) })
 				for r := 0; r < n; r++ {
 					for i := 0; i < length; i++ {
 						if hierBufs[r][i] != chanBufs[r][i] {

@@ -39,11 +39,11 @@ func TestCollectivesZeroAlloc(t *testing.T) {
 	buckets := [][2]int{{0, 3000}, {3000, elems}}
 	collectives := []struct {
 		name string
-		call func(c Communicator, rank int, buf []float32)
+		call func(c *Comm, rank int, buf []float32)
 	}{
-		{"AllReduceSum", func(c Communicator, rank int, buf []float32) { c.AllReduceSum(rank, buf) }},
-		{"SumFromRoot", func(c Communicator, rank int, buf []float32) { sumFromRoot(c, rank, 0, buf) }},
-		{"AllReduceSumRange", func(c Communicator, rank int, buf []float32) {
+		{"AllReduceSum", func(c *Comm, rank int, buf []float32) { c.AllReduceSum(rank, buf) }},
+		{"SumFromRoot", func(c *Comm, rank int, buf []float32) { sumFromRoot(c, rank, 0, buf) }},
+		{"AllReduceSumRange", func(c *Comm, rank int, buf []float32) {
 			for _, bk := range buckets {
 				c.AllReduceSumRange(rank, buf, bk[0], bk[1])
 			}

@@ -43,25 +43,40 @@ func (a *Adam) alpha() (alpha, b1, b2, eps float32) {
 
 // StepFlat applies one update, at the current learning rate, to a network's
 // flat value and gradient slabs (nn.Network.FlatParams/FlatGrads) through
-// tensor.AdamStep. This is the training hot path; it performs no
-// allocations in steady state. The caller zeroes the gradients afterwards.
+// tensor.AdamStep. It performs no allocations in steady state. The caller
+// zeroes the gradients afterwards.
 func (a *Adam) StepFlat(values, grads []float32) {
-	a.StepFlatRange(values, grads, 0, len(values))
-}
-
-// StepFlatRange is StepFlat confined to elements [lo, hi) of the slabs: the
-// step counter advances as for a whole step, the rest of the values and
-// moments is left alone. The update is element-wise, so handles that alias
-// one state (Alias) and each step a disjoint range of one value slab leave
-// exactly what a single StepFlat would — the ranks of one process share the
-// update this way, and each may step its range concurrently with the others.
-func (a *Adam) StepFlatRange(values, grads []float32, lo, hi int) {
 	if len(values) != len(grads) {
 		panic(fmt.Sprintf("opt: StepFlat slab lengths %d vs %d", len(values), len(grads)))
 	}
 	a.ensureState(len(values))
 	alpha, b1, b2, eps := a.alpha()
-	a.team.AdamStep(values[lo:hi], grads[lo:hi], a.m[lo:hi], a.v[lo:hi], alpha, b1, b2, eps)
+	a.team.AdamStep(values, grads, a.m, a.v, alpha, b1, b2, eps)
+}
+
+// A GradRange is one range [Lo, Hi) of a StepSum: its gradient is the sum,
+// in order, of the same range of the slabs in Srcs.
+type GradRange struct {
+	Lo, Hi int
+	Srcs   [][]float32
+}
+
+// StepSum is one update, at the current learning rate, of the ranges parts
+// names and nothing else, for a gradient that lives in several slabs: over
+// each part, element i's gradient is the in-order sum of the part's sources
+// at i times scale, and once it is read, element i of every slab in zero is
+// cleared (tensor.AdamSumStep). The step counter advances once, as for a
+// whole step. The update is element-wise, so handles that alias one state
+// (Alias) and each step disjoint ranges of one value slab leave exactly what
+// one whole step would — the ranks of one process share the update this
+// way, concurrently. This is the training hot path; it performs no
+// allocations in steady state.
+func (a *Adam) StepSum(values []float32, parts []GradRange, zero [][]float32, scale float32) {
+	a.ensureState(len(values))
+	alpha, b1, b2, eps := a.alpha()
+	for _, p := range parts {
+		a.team.AdamSumStep(values, a.m, a.v, p.Srcs, zero, p.Lo, p.Hi, scale, alpha, b1, b2, eps)
+	}
 }
 
 // SetTeam lets this handle's updates fan out over tm (nil: inline). Only

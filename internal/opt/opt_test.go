@@ -340,7 +340,7 @@ func TestShardedStepEqualsFull(t *testing.T) {
 			done := make(chan struct{}, L)
 			for l, h := range handles {
 				go func() {
-					h.StepFlatRange(wShard, g, total*l/L, total*(l+1)/L)
+					h.StepSum(wShard, []GradRange{{Lo: total * l / L, Hi: total * (l + 1) / L, Srcs: [][]float32{g}}}, nil, 1)
 					done <- struct{}{}
 				}()
 			}

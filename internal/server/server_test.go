@@ -354,11 +354,12 @@ func TestServerCheckpointRestart(t *testing.T) {
 	cfg := testConfig(1, 2, buffer.FIFOKind)
 	cfg.CheckpointDir = t.TempDir()
 	cfg.CheckpointEveryBatches = 1
-	// Sim 0 sends 8 steps and sim 1 at least 3 before it dies: two full
-	// batches are certain, a third is not.
+	// Sim 0 sends 8 steps and sim 1 6 before it dies, 14 samples at most:
+	// three full batches of 4 are certain even if the abort loses a frame or
+	// two, a fourth cannot happen.
 	drained := make(chan struct{})
 	cfg.Trainer.OnBatchEnd = func(batches int) {
-		if batches == 2 {
+		if batches == 3 {
 			close(drained)
 		}
 	}
@@ -369,15 +370,20 @@ func TestServerCheckpointRestart(t *testing.T) {
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	wait1 := runServer(t, srv1, ctx1)
 
-	// Sim 0 completes; sim 1 dies halfway (no Goodbye).
+	// Sim 0 completes; sim 1 dies halfway (no Goodbye). The checkpoint the
+	// restart resumes from must hold sim 0's Goodbye, and nothing orders its
+	// ingest before any one checkpoint: so sim 1 starts only once the
+	// Goodbye is in, and the server is killed after batch 3, whose samples
+	// include sim 1's (sim 0 has only 8) — its checkpoint, written before
+	// OnBatchEnd runs, is taken after the Goodbye.
 	if err := runClient(t, srv1, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := runClient(t, srv1, 1, 0, 4); err == nil {
+	testwait.Until(t, "sim 0's goodbye to be ingested", func() bool { return srv1.CompletedSims()[0] })
+	if err := runClient(t, srv1, 1, 0, 6); err == nil {
 		t.Fatal("expected injected failure")
 	}
-	// Let the trainer train what is certain to arrive, then kill the server.
-	testwait.Recv(t, drained, "the second batch")
+	testwait.Recv(t, drained, "the third batch")
 	cancel1()
 	if err := wait1(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled server returned %v, want the cancellation", err)

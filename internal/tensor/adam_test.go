@@ -197,3 +197,90 @@ func TestAdamMatchesHistoricalWithoutSubnormals(t *testing.T) {
 		}
 	}
 }
+
+// adamSumImpl is the shape shared by adamSumRangeGo and its assembly
+// wrapper.
+type adamSumImpl func(values, m, v []float32, srcs, zero [][]float32, lo, hi int, scale, alpha, b1, b2, eps float32)
+
+// sameBits reports whether x and y are the same float32, any two NaNs
+// counting as one: a sum of +∞ and −∞ is the other NaN encoding, and when it
+// meets a NaN source either may come out (see checkAdamImpls). A NaN never
+// turns back into a number in the update, so nothing else depends on which.
+func sameBits(x, y float32) bool {
+	return math.Float32bits(x) == math.Float32bits(y) || (x != x && y != y)
+}
+
+// checkAdamSumImpls runs a and b for steps steps over [lo, n) of one random
+// state with nsrc gradient slabs, the first clear of them also cleared by
+// the pass (clear ≤ nsrc; a further slab outside the sum is cleared when
+// clear < 0), and requires every slab, inside the range and out, to match
+// after each step. The sources are redrawn between steps, so a cleared slab
+// is summed again.
+func checkAdamSumImpls(t *testing.T, a, b adamSumImpl, seed uint64, n, nsrc, clear, lo int, scale float32, steps int) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, uint64(n*8+nsrc)))
+	slabs := func() [][]float32 {
+		s := make([][]float32, 3+nsrc+1) // values, m, v, sources, a bystander
+		for i := range s {
+			s[i] = make([]float32, n)
+		}
+		return s
+	}
+	sa, sb := slabs(), slabs()
+	draw := func(k int) {
+		for i := 0; i < n; i++ {
+			sa[k][i] = adamDraw(rng, true)
+			sb[k][i] = sa[k][i]
+		}
+	}
+	for k := range sa {
+		draw(k)
+	}
+	zero := func(s [][]float32) [][]float32 {
+		if clear < 0 {
+			return s[3+nsrc:]
+		}
+		return s[3 : 3+clear]
+	}
+	for s := 1; s <= steps; s++ {
+		a(sa[0], sa[1], sa[2], sa[3:3+nsrc], zero(sa), lo, n, scale, 1e-3, 0.9, 0.999, 1e-8)
+		b(sb[0], sb[1], sb[2], sb[3:3+nsrc], zero(sb), lo, n, scale, 1e-3, 0.9, 0.999, 1e-8)
+		for k := range sa {
+			for i := range sa[k] {
+				if !sameBits(sa[k][i], sb[k][i]) {
+					t.Fatalf("n=%d lo=%d sources %d clear %d step %d: slab %d [%d] = %#08x vs %#08x", n, lo, nsrc, clear, s, k, i, math.Float32bits(sa[k][i]), math.Float32bits(sb[k][i]))
+				}
+			}
+		}
+		for k := 3; k < 3+nsrc; k++ {
+			draw(k)
+		}
+	}
+}
+
+// TestAdamSumStepIsSumScaleStepZero states AdamSumStep by the passes it
+// replaces in a training step: copy srcs[0], Add the other sources in
+// order, Scal by the scale, AdamStep, then clear every slab of zero over
+// the range — bit-for-bit, inline and on a team (above the fan-out
+// threshold too), with a range that starts off the 8-lane grid.
+func TestAdamSumStepIsSumScaleStepZero(t *testing.T) {
+	tm := NewTeam(2)
+	t.Cleanup(tm.Close)
+	passes := func(values, m, v []float32, srcs, zero [][]float32, lo, hi int, scale, alpha, b1, b2, eps float32) {
+		g := append([]float32(nil), srcs[0][lo:hi]...)
+		for _, s := range srcs[1:] {
+			Add(g, s[lo:hi])
+		}
+		Scal(scale, g)
+		AdamStep(values[lo:hi], g, m[lo:hi], v[lo:hi], alpha, b1, b2, eps)
+		for _, z := range zero {
+			Zero(z[lo:hi])
+		}
+	}
+	for nsrc := 1; nsrc <= 4; nsrc++ {
+		scale := 1 / float32(nsrc)
+		checkAdamSumImpls(t, tm.AdamSumStep, passes, 3, 67, nsrc, nsrc, 5, scale, 3)
+		checkAdamSumImpls(t, (*Team)(nil).AdamSumStep, passes, 4, 67, nsrc, -1, 0, scale, 3)
+	}
+	checkAdamSumImpls(t, tm.AdamSumStep, passes, 5, elemwiseParallelThreshold+13, 3, 3, 5, 1.0/3, 2)
+}

@@ -82,7 +82,7 @@ func init() {
 			levels = append(levels, kernels{name: "avx512", tile: kern12x16, rows: 3 * microM, dot4x2: dot4x2FMA, dot4x4: dot4x4})
 		}
 		kern = levels[len(levels)-1]
-		adamRange = adamRangeAVX2
+		adamRange, adamSumRange = adamRangeAVX2, adamSumRangeAVX2
 		vecScal, vecAdd, vecAddReLU = scalAVX2, addAVX2, addReLUAVX2
 		vecReLUGradBias, vecSubScale, vecSqDiffLanes = reluGradBiasAVX2, subScaleAVX2, sqDiffLanesAVX2
 		vecAffineNorm, vecF64ToF32 = affineNormAVX2, f64ToF32AVX2

@@ -24,7 +24,7 @@ import (
 // replicas already keep both cores busy, fanning out cost ensemble_2rank
 // 2–10 % and serve_batched 4–9 %. So the helper yields (runtime.Gosched)
 // while it spins, letting any runnable producer or ingest goroutine go
-// first; it parks after spinWindow; and only a caller that owns the
+// first; it parks after SpinWindow; and only a caller that owns the
 // process's cores — a trainer rank whose share of GOMAXPROCS is two or
 // more; never a serve replica — gets a Team at all. On that VM
 // BenchmarkTrainStep at GOMAXPROCS=2 now reads 670–700 µs.
@@ -42,6 +42,7 @@ const (
 	opSkinnyNN
 	opSkinnyNT
 	opAdam
+	opAdamSum
 )
 
 // Per-op minimum work before a kernel fans out; below it the hand-off costs
@@ -58,10 +59,13 @@ const (
 	elemwiseParallelThreshold = 1 << 18
 )
 
-// spinWindow is how long a helper stays runnable after its last chunk before
-// it parks: longer than the gaps between the fan-outs of one training step,
-// far shorter than the pause of a starved trainer.
-const spinWindow = 300 * time.Microsecond
+// SpinWindow is how long a goroutine that expects a sibling of the same
+// training step stays runnable, yielding, before it parks: longer than the
+// gaps between the fan-outs of one step and than the skew between ranks
+// that meet at a step's sync points, far shorter than the pause of a
+// starved trainer. A team helper spins this long after its last chunk; the
+// trainer's barrier and ddp's channel hops spin this long before they park.
+const SpinWindow = 300 * time.Microsecond
 
 // chunksPerMember is how many chunks a fan-out has per team member, so a
 // helper that arrives late still finds work and a slow chunk is not the
@@ -74,7 +78,7 @@ var forceChunks int
 
 // threshold returns the op's minimum fan-out work in the op's own units.
 func (t *task) threshold() int {
-	if t.op == opAdam {
+	if t.op == opAdam || t.op == opAdamSum {
 		return elemwiseParallelThreshold
 	}
 	return gemmParallelThreshold
@@ -97,11 +101,16 @@ type task struct {
 	vals   []float32
 	grads  []float32
 	m, v   []float32
-	alpha  float32
-	beta1  float32
-	beta2  float32
-	eps    float32
-	i0, i1 int
+	// srcs and zero are AdamSumStep's summed and cleared gradient slabs;
+	// off is where its range starts in every slab.
+	srcs, zero [][]float32
+	off        int
+	scale      float32
+	alpha      float32
+	beta1      float32
+	beta2      float32
+	eps        float32
+	i0, i1     int
 }
 
 // run executes the task's range.
@@ -125,6 +134,8 @@ func (t *task) run() {
 		skinnyNTRange(t, t.i0, t.i1)
 	case opAdam:
 		adamRange(t.vals[t.i0:t.i1], t.grads[t.i0:t.i1], t.m[t.i0:t.i1], t.v[t.i0:t.i1], t.alpha, t.beta1, t.beta2, t.eps)
+	case opAdamSum:
+		adamSumRange(t.vals, t.m, t.v, t.srcs, t.zero, t.off+t.i0, t.off+t.i1, t.scale, t.alpha, t.beta1, t.beta2, t.eps)
 	}
 }
 
@@ -252,7 +263,7 @@ func (tm *Team) hasWork() bool {
 }
 
 // help is a helper's loop: run chunks while there are any, stay runnable
-// (yielding) for spinWindow after the last one, then park until a fan-out
+// (yielding) for SpinWindow after the last one, then park until a fan-out
 // wakes it. Parking announces itself in sleeping before it re-checks for
 // work, and a fan-out publishes its job before it reads sleeping, so one of
 // the two always sees the other.
@@ -264,7 +275,7 @@ func (tm *Team) help() {
 			last = time.Now()
 			continue
 		}
-		if time.Since(last) < spinWindow {
+		if time.Since(last) < SpinWindow {
 			runtime.Gosched()
 			continue
 		}

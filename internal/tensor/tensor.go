@@ -124,6 +124,14 @@
 // assist of about 100 ns on that element. On a state with no subnormal
 // moment the update equals the scalar loop it replaced bit-for-bit.
 //
+// AdamSumStep is the same update over part of the slabs for a gradient
+// that lives in several slabs: g is their sum, one float32 add at a time
+// in the order given, times a scale, and once read every slab it is told
+// to clear gets a zero there. One kernel runs both (AdamStep is its
+// one-source case; multiplying by 1 is exact), so a data-parallel step's
+// reduction, 1/n, update and gradient clearing are one sweep
+// (FuzzUpdateKernel is its differential).
+//
 // # Elementwise kernels
 //
 // vec.go's family — Scal, Add, AddReLU, ReLUGradBias, SubScale, AffineNorm,
