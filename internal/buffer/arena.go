@@ -9,12 +9,13 @@ package buffer
 // steady-state ingestion recycles a bounded set of rows in place instead
 // of allocating per message.
 //
-// Chunked growth matters for correctness: rows are referenced by slices
-// held inside policy containers, so existing chunks must never move.
-// Growing appends a new chunk and leaves every issued row valid.
+// An arena starts empty and adds a chunk only when a row is asked for and
+// none is free, so its rows track the peak population plus at most one
+// chunk. Chunked growth matters for correctness: rows are referenced by
+// slices held inside policy containers, so existing chunks must never
+// move. Growing appends a new chunk and leaves every issued row valid.
 type Arena struct {
 	inDim, outDim int
-	chunkRows     int
 	chunks        []arenaChunk
 	free          []int32
 	rows          int
@@ -24,22 +25,13 @@ type arenaChunk struct {
 	in, out []float32
 }
 
-// arenaChunkRows is the default allocation granularity; ~512 heat-equation
-// rows ≈ 2 MB of field data per chunk.
+// arenaChunkRows is the allocation granularity; ~512 heat-equation rows ≈
+// 2 MB of field data per chunk.
 const arenaChunkRows = 512
 
-// NewArena builds an arena for rows of the given widths, pre-allocating
-// capacity for at least initialRows (rounded up to whole chunks).
-// initialRows ≤ 0 starts with one chunk.
-func NewArena(initialRows, inDim, outDim int) *Arena {
-	a := &Arena{inDim: inDim, outDim: outDim, chunkRows: arenaChunkRows}
-	if initialRows < 1 {
-		initialRows = 1
-	}
-	for a.rows < initialRows {
-		a.grow()
-	}
-	return a
+// NewArena builds an empty arena for rows of the given widths.
+func NewArena(inDim, outDim int) *Arena {
+	return &Arena{inDim: inDim, outDim: outDim}
 }
 
 // Rows returns the total allocated row count.
@@ -51,14 +43,14 @@ func (a *Arena) FreeRows() int { return len(a.free) }
 // grow appends one chunk and pushes its slots onto the free list.
 func (a *Arena) grow() {
 	a.chunks = append(a.chunks, arenaChunk{
-		in:  make([]float32, a.chunkRows*a.inDim),
-		out: make([]float32, a.chunkRows*a.outDim),
+		in:  make([]float32, arenaChunkRows*a.inDim),
+		out: make([]float32, arenaChunkRows*a.outDim),
 	})
 	base := int32(a.rows)
-	for i := a.chunkRows - 1; i >= 0; i-- {
+	for i := arenaChunkRows - 1; i >= 0; i-- {
 		a.free = append(a.free, base+int32(i))
 	}
-	a.rows += a.chunkRows
+	a.rows += arenaChunkRows
 }
 
 // alloc leases one row slot, growing the arena when the free list is
@@ -73,18 +65,19 @@ func (a *Arena) alloc() int32 {
 	return slot
 }
 
-// copyIn leases a row and copies a payload into it, returning the sample
-// that owns the row. It reports false, leasing nothing, when the payload is
-// not exactly one row.
-func (a *Arena) copyIn(simID, step int, input, output []float32) (Sample, bool) {
-	if len(input) != a.inDim || len(output) != a.outDim {
-		return Sample{}, false
-	}
+// fits reports whether a payload is exactly one row.
+func (a *Arena) fits(input, output []float32) bool {
+	return len(input) == a.inDim && len(output) == a.outDim
+}
+
+// copyIn leases a row and copies a payload that fits into it, returning
+// the sample that owns the row.
+func (a *Arena) copyIn(simID, step int, input, output []float32) Sample {
 	slot := a.alloc()
 	s := Sample{SimID: simID, Step: step, Input: a.inRow(slot), Output: a.outRow(slot), slot: slot}
 	copy(s.Input, input)
 	copy(s.Output, output)
-	return s, true
+	return s
 }
 
 // reset returns every row to the free list without releasing the chunks.
@@ -104,12 +97,12 @@ func (a *Arena) freeSlot(slot int32) {
 
 // inRow returns the input row backing a slot.
 func (a *Arena) inRow(slot int32) []float32 {
-	c, r := int(slot)/a.chunkRows, int(slot)%a.chunkRows
+	c, r := int(slot)/arenaChunkRows, int(slot)%arenaChunkRows
 	return a.chunks[c].in[r*a.inDim : (r+1)*a.inDim : (r+1)*a.inDim]
 }
 
 // outRow returns the output row backing a slot.
 func (a *Arena) outRow(slot int32) []float32 {
-	c, r := int(slot)/a.chunkRows, int(slot)%a.chunkRows
+	c, r := int(slot)/arenaChunkRows, int(slot)%arenaChunkRows
 	return a.chunks[c].out[r*a.outDim : (r+1)*a.outDim : (r+1)*a.outDim]
 }

@@ -14,6 +14,9 @@ func unseenCount(b *Blocking) int {
 	return n
 }
 
+// leasedRows counts the arena rows that back a sample.
+func leasedRows(b *Blocking) int { return b.Arena().Rows() - b.Arena().FreeRows() }
+
 func arenaSampleData(simID, step int, inDim, outDim int) (in, out []float32) {
 	in = make([]float32, inDim)
 	out = make([]float32, outDim)
@@ -57,12 +60,12 @@ func TestArenaPutCopyRoundTrip(t *testing.T) {
 
 // TestArenaRowsRecycled pins the bounded-memory property: streaming far
 // more samples than the capacity through an evicting policy must reuse
-// rows in place instead of growing the arena.
+// rows in place instead of growing the arena once the buffer is full.
 func TestArenaRowsRecycled(t *testing.T) {
 	const inDim, outDim = 2, 4
 	const capacity = 64
 	b := NewBlockingArena(NewReservoir(capacity, 0, 1), inDim, outDim)
-	rows := b.Arena().Rows()
+	rows := -1
 	discard := func(int, Sample) {}
 	for s := 1; s <= 20*capacity; s++ {
 		// A Reservoir refuses Put while unseen samples alone fill the
@@ -78,15 +81,20 @@ func TestArenaRowsRecycled(t *testing.T) {
 		if s%2 == 0 {
 			b.GetBatchEach(1, discard)
 		}
+		if rows < 0 && b.Len() == capacity {
+			rows = b.Arena().Rows()
+		}
+	}
+	if rows < 0 {
+		t.Fatal("the buffer never filled")
 	}
 	if got := b.Arena().Rows(); got != rows {
-		t.Fatalf("arena grew from %d to %d rows; eviction must recycle in place", rows, got)
+		t.Fatalf("arena holds %d rows, %d when it first filled; eviction must recycle in place", got, rows)
 	}
 	// Conservation: every row is either free or accounted to a resident
 	// sample.
-	resident := b.Len()
-	if free := b.Arena().FreeRows(); free+resident != rows {
-		t.Fatalf("row leak: %d free + %d resident != %d total", free, resident, rows)
+	if leased := leasedRows(b); leased != b.Len() {
+		t.Fatalf("row leak: %d rows leased for %d resident samples", leased, b.Len())
 	}
 }
 
@@ -159,20 +167,19 @@ func TestArenaPolicySequenceUnchanged(t *testing.T) {
 // truncated into a row or kept off the arena.
 func TestArenaRefusesMisSizedPayload(t *testing.T) {
 	b := NewBlockingArena(NewFIFO(0), 2, 3)
-	free := b.Arena().FreeRows()
 	for _, p := range [][2][]float32{{{1, 2, 3}, {4, 5, 6}}, {{1, 2}, {3, 4, 5, 6}}, {{1, 2}, {3, 4}}} {
 		if b.PutCopy(1, 1, p[0], p[1]) {
 			t.Fatalf("PutCopy stored a %d/%d payload in a 2/3 row", len(p[0]), len(p[1]))
 		}
 	}
-	if b.Len() != 0 || b.Arena().FreeRows() != free {
-		t.Fatalf("refused payloads left %d samples and %d of %d rows free", b.Len(), b.Arena().FreeRows(), free)
+	if b.Len() != 0 || b.Arena().Rows() != 0 {
+		t.Fatalf("refused payloads left %d samples and grew the arena to %d rows", b.Len(), b.Arena().Rows())
 	}
 	b.ReplaceContents(func(_, _ []Sample) ([]Sample, []Sample) {
 		return nil, []Sample{{Input: []float32{1, 2}, Output: []float32{3, 4, 5}}, {Input: []float32{1}, Output: []float32{3, 4, 5}}}
 	})
-	if b.Len() != 1 || b.Arena().FreeRows() != free-1 {
-		t.Fatalf("restore kept %d samples on %d rows, want the one that fits on one row", b.Len(), free-b.Arena().FreeRows())
+	if b.Len() != 1 || leasedRows(b) != 1 {
+		t.Fatalf("restore kept %d samples on %d rows, want the one that fits on one row", b.Len(), leasedRows(b))
 	}
 }
 
@@ -240,5 +247,102 @@ func TestArenaIngestZeroAllocSteadyState(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, iter); avg != 0 {
 		t.Fatalf("arena ingest allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestArenaGrowsWithPopulation pins the memory bound: capacity is a limit,
+// not a reservation. A buffer of every kind fed N samples below its
+// capacity holds ⌈N/512⌉ chunks, and a drain hands every row back without
+// growing the arena.
+func TestArenaGrowsWithPopulation(t *testing.T) {
+	const capacity = 6000 // the paper's Reservoir
+	for _, kind := range Kinds() {
+		for _, n := range []int{1, arenaChunkRows - 1, arenaChunkRows, arenaChunkRows + 1, 1500} {
+			p, _ := New(Config{Kind: kind, Capacity: capacity, Seed: 5})
+			b := NewBlockingArena(p, 2, 3)
+			if b.Arena().Rows() != 0 {
+				t.Fatalf("%s: a new buffer holds %d rows", kind, b.Arena().Rows())
+			}
+			for s := 1; s <= n; s++ {
+				in, out := arenaSampleData(1, s, 2, 3)
+				b.PutCopy(1, s, in, out)
+			}
+			want := (n + arenaChunkRows - 1) / arenaChunkRows * arenaChunkRows
+			if got := b.Arena().Rows(); got != want {
+				t.Fatalf("%s fed %d: %d rows, want %d", kind, n, got, want)
+			}
+			b.EndReception()
+			for {
+				if _, ok := b.GetBatchEach(64, func(int, Sample) {}); !ok {
+					break
+				}
+			}
+			if a := b.Arena(); a.Rows() != want || a.FreeRows() != want {
+				t.Fatalf("%s fed %d, drained: %d of %d rows free, want %d of %d", kind, n, a.FreeRows(), a.Rows(), want, want)
+			}
+		}
+	}
+}
+
+// TestArenaEvictionReusesRow: a put leases its row after the policy has
+// made room, so a full buffer at a whole number of chunks streams on
+// without growing, and a refused put leases nothing.
+func TestArenaEvictionReusesRow(t *testing.T) {
+	b := NewBlockingArena(NewUniformEvict(arenaChunkRows, 0, 3), 2, 3)
+	for s := 1; s <= 4*arenaChunkRows; s++ {
+		in, out := arenaSampleData(1, s, 2, 3)
+		b.PutCopy(1, s, in, out)
+	}
+	if got := b.Arena().Rows(); got != arenaChunkRows {
+		t.Fatalf("a full evicting buffer grew to %d rows, want %d", got, arenaChunkRows)
+	}
+
+	fifo := NewBlockingArena(NewFIFO(arenaChunkRows), 2, 3)
+	for s := 1; s <= arenaChunkRows; s++ {
+		in, out := arenaSampleData(1, s, 2, 3)
+		fifo.PutCopy(1, s, in, out)
+	}
+	fifo.EndReception()
+	in, out := arenaSampleData(1, 0, 2, 3)
+	if fifo.PutCopy(1, 0, in, out) {
+		t.Fatal("a full FIFO stored a straggler")
+	}
+	if a := fifo.Arena(); a.Rows() != arenaChunkRows || a.FreeRows() != 0 {
+		t.Fatalf("refused put: %d of %d rows free, want 0 of %d", a.FreeRows(), a.Rows(), arenaChunkRows)
+	}
+}
+
+// TestArenaReplaceContentsGrows: restoring more samples than the arena
+// holds — a checkpoint's snapshot loaded into a fresh buffer, or a
+// rollback's journal on top of live contents — grows it, and every sample
+// comes back on a row of its own with its payload.
+func TestArenaReplaceContentsGrows(t *testing.T) {
+	const n = 2*arenaChunkRows + 100
+	src := NewBlockingArena(NewFIFO(0), 2, 3)
+	for s := 1; s <= n; s++ {
+		in, out := arenaSampleData(2, s, 2, 3)
+		src.PutCopy(2, s, in, out)
+	}
+	var seen, unseen []Sample
+	src.WithLock(func(p *Policy) { seen, unseen = p.Snapshot() })
+
+	dst := NewBlockingArena(NewFIFO(0), 2, 3)
+	in, out := arenaSampleData(9, 9, 2, 3)
+	dst.PutCopy(9, 9, in, out)
+	dst.ReplaceContents(func(_, _ []Sample) ([]Sample, []Sample) { return seen, unseen })
+	if got, want := dst.Arena().Rows(), 3*arenaChunkRows; got != want || leasedRows(dst) != n {
+		t.Fatalf("restored %d samples onto %d of %d rows, want %d of %d", dst.Len(), leasedRows(dst), got, n, want)
+	}
+	dst.EndReception()
+	step := 0
+	dst.GetBatchEach(n, func(_ int, s Sample) {
+		step++
+		wantIn, wantOut := arenaSampleData(2, step, 2, 3)
+		if s.Step != step || !slices.Equal(s.Input, wantIn) || !slices.Equal(s.Output, wantOut) {
+			t.Fatalf("restored sample %d: step %d %v %v, want %v %v", step, s.Step, s.Input, s.Output, wantIn, wantOut)
+		}
+	})
+	if step != n {
+		t.Fatalf("drained %d restored samples, want %d", step, n)
 	}
 }

@@ -26,19 +26,14 @@ type Blocking struct {
 
 // NewBlockingArena wraps p with a sample arena for rows of the given
 // widths. The wrapper owns p; callers must not touch it directly afterwards
-// except through WithLock. The arena is sized to the policy capacity plus
-// slack, growing in chunks if a policy (e.g. unbounded FIFO) outgrows it.
+// except through WithLock. The policy's capacity is a limit, not a
+// reservation: the arena starts empty and grows a chunk at a time, so its
+// rows are the peak population rounded up to whole chunks — at most one
+// chunk more than the buffer ever held.
 func NewBlockingArena(p *Policy, inDim, outDim int) *Blocking {
-	b := &Blocking{p: p}
+	b := &Blocking{p: p, arena: NewArena(inDim, outDim)}
 	b.notFull = sync.NewCond(&b.mu)
 	b.notEmpty = sync.NewCond(&b.mu)
-	rows := p.capacity
-	if rows <= 0 {
-		rows = arenaChunkRows
-	}
-	// One extra chunk of slack: an incoming sample holds its row before the
-	// policy evicts the one it replaces.
-	b.arena = NewArena(rows+arenaChunkRows, inDim, outDim)
 	p.onEvict = b.recycle
 	return b
 }
@@ -63,8 +58,8 @@ func (b *Blocking) OnRetire(fn func(Sample)) {
 }
 
 // recycle returns a sample's row to the free list. It must run under b.mu
-// (the policy's eviction hook fires inside Put, which the wrapper always
-// calls locked).
+// (the policy's eviction hook fires inside makeRoom, which the wrapper
+// always calls locked).
 func (b *Blocking) recycle(s Sample) { b.arena.freeSlot(s.slot) }
 
 // PutCopy inserts one sample by bulk-copying its payload into an arena row
@@ -87,26 +82,24 @@ func (b *Blocking) PutCopy(simID, step int, input, output []float32) bool {
 func (b *Blocking) PutCopyThen(simID, step int, input, output []float32, stored func()) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for {
-		s, ok := b.arena.copyIn(simID, step, input, output)
-		if !ok {
-			return false
-		}
-		if b.p.Put(s) {
-			if stored != nil {
-				stored()
-			}
-			b.notEmpty.Signal()
-			return true
-		}
-		// The row goes back before waiting: a producer may stay parked
-		// across a ReplaceContents, which resets the arena under it.
-		b.recycle(s)
+	if !b.arena.fits(input, output) {
+		return false
+	}
+	// Room first, row second: a refused put leases no row, so a producer
+	// parked here holds none across a ReplaceContents, and a row that an
+	// eviction frees is the one the new sample takes.
+	for !b.p.makeRoom() {
 		if b.p.over {
 			return false
 		}
 		b.waitNotFull()
 	}
+	b.p.unseen = append(b.p.unseen, b.arena.copyIn(simID, step, input, output))
+	if stored != nil {
+		stored()
+	}
+	b.notEmpty.Signal()
+	return true
 }
 
 // GetBatchEach extracts up to n samples, invoking fn(i, s) for the i-th
@@ -211,8 +204,8 @@ func (b *Blocking) ReplaceContents(fn func(seen, unseen []Sample) (newSeen, newU
 func (b *Blocking) intoRows(samples []Sample) []Sample {
 	out := make([]Sample, 0, len(samples))
 	for _, s := range samples {
-		if r, ok := b.arena.copyIn(s.SimID, s.Step, s.Input, s.Output); ok {
-			out = append(out, r)
+		if b.arena.fits(s.Input, s.Output) {
+			out = append(out, b.arena.copyIn(s.SimID, s.Step, s.Input, s.Output))
 		}
 	}
 	return out

@@ -28,6 +28,16 @@
 // copy out (the trainer copies straight into its batch matrices). Snapshot
 // deep-copies payloads for the same reason, and ReplaceContents copies what
 // it restores back into rows.
+//
+// # Memory
+//
+// A policy's capacity is a limit on the population, not a reservation.
+// The arena starts empty and adds a fixed-size chunk of rows only when a
+// put finds no free row; a put leases its row after the policy has made
+// room, so an evicted row goes straight to the sample that replaces it. A
+// buffer's rows are thus its peak population rounded up to whole chunks —
+// at most one chunk more — and a buffer that never fills pays only for
+// what it held at its fullest.
 package buffer
 
 import (
@@ -176,6 +186,18 @@ type Policy struct {
 // returns false when a full buffer holds no sample it may evict; the
 // producer must retry later.
 func (p *Policy) Put(s Sample) bool {
+	if !p.makeRoom() {
+		return false
+	}
+	p.unseen = append(p.unseen, s)
+	return true
+}
+
+// makeRoom is Put's full-buffer rule: a full buffer evicts one sample, or
+// reports false when it holds none it may evict. Blocking runs it before
+// it leases the new sample's row, so a refused put leases none and an
+// evicted row is free for the sample that replaces it.
+func (p *Policy) makeRoom() bool {
 	if p.capacity > 0 && p.Len() >= p.capacity {
 		first := p.UnseenCount() // residents are unseen, then seen
 		if p.kind == UniformEvictKind {
@@ -189,7 +211,6 @@ func (p *Policy) Put(s Sample) bool {
 		}
 		p.remove(i)
 	}
-	p.unseen = append(p.unseen, s)
 	return true
 }
 

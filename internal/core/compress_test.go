@@ -3,12 +3,14 @@ package core
 // Training-trajectory tests for compressed gradient collectives (the
 // ring's transport.RingOptions.Codec): f16 runs must stay within tolerance
 // of the exact fp32 trajectory across process × local-rank shapes, repeat
-// runs must be bit-identical (the codec is deterministic), overlapped and
-// serial bucket sync must agree bit-for-bit under compression, and a
-// trainer must refuse a communicator that does not host its ranks.
+// runs must be bit-identical (the codec is deterministic), the overlapped
+// f16 trajectory keeps its pinned digest, and a trainer must refuse a
+// communicator that does not host its ranks.
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -24,7 +26,7 @@ import (
 // with the given wire codec: procs processes hosting local ranks each.
 // bufs holds procs·local buffers, assigned in global rank order; mutate
 // runs on every process's config.
-func codecTrainerGroup(t *testing.T, procs, local int, codec transport.Codec, mode GradSyncMode,
+func codecTrainerGroup(t *testing.T, procs, local int, codec transport.Codec,
 	bufs []*buffer.Blocking, spec ModelSpec, norm Normalizer, mutate ...func(*TrainerConfig)) []*Trainer {
 	t.Helper()
 	listeners := make([]*transport.RingListener, procs)
@@ -70,7 +72,6 @@ func codecTrainerGroup(t *testing.T, procs, local int, codec transport.Codec, mo
 			Ranks:      local,
 			Comm:       comms[p],
 			BatchSize:  5,
-			GradSync:   mode,
 			Model:      spec,
 			Normalizer: norm,
 		}
@@ -109,15 +110,15 @@ func runTrainerGroup(t *testing.T, trainers []*Trainer) ([]LossPoint, []float32)
 	return trainers[0].Metrics().TrainLoss(), weights
 }
 
-// runCodecShape trains the given shape/codec/mode over the same model and
-// stream as runSyncMode — so its output is directly comparable to the
+// runCodecShape trains the given shape and codec over the same model and
+// stream as runInProcess — so its output is directly comparable to the
 // in-process channel reference — and returns trajectory + final weights.
-func runCodecShape(t *testing.T, procs, local int, codec transport.Codec, mode GradSyncMode) ([]LossPoint, []float32) {
+func runCodecShape(t *testing.T, procs, local int, codec transport.Codec) ([]LossPoint, []float32) {
 	t.Helper()
 	norm := NewHeatNormalizer(48, 1)
 	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{24, 24}, OutputDim: norm.OutputDim(), Seed: 13}
 	bufs := fifoRankBufs(t, norm, procs*local, 87)
-	trainers := codecTrainerGroup(t, procs, local, codec, mode, bufs, spec, norm)
+	trainers := codecTrainerGroup(t, procs, local, codec, bufs, spec, norm)
 	return runTrainerGroup(t, trainers)
 }
 
@@ -143,9 +144,9 @@ func TestTrainCompressedMatrix(t *testing.T) {
 	type shape struct{ procs, local int }
 	for _, sh := range []shape{{2, 1}, {4, 1}, {2, 2}} {
 		t.Run(fmt.Sprintf("procs=%d/local=%d", sh.procs, sh.local), func(t *testing.T) {
-			refLoss, refW := runSyncMode(t, SyncOverlap, sh.procs*sh.local)
+			refLoss, refW := runInProcess(t, sh.procs*sh.local)
 
-			f32Loss, f32W := runCodecShape(t, sh.procs, sh.local, transport.CodecF32, SyncOverlap)
+			f32Loss, f32W := runCodecShape(t, sh.procs, sh.local, transport.CodecF32)
 			if len(f32Loss) != len(refLoss) {
 				t.Fatalf("fp32 trajectory length %d, reference %d", len(f32Loss), len(refLoss))
 			}
@@ -160,7 +161,7 @@ func TestTrainCompressedMatrix(t *testing.T) {
 				}
 			}
 
-			f16Loss, f16W := runCodecShape(t, sh.procs, sh.local, transport.CodecF16, SyncOverlap)
+			f16Loss, f16W := runCodecShape(t, sh.procs, sh.local, transport.CodecF16)
 			if len(f16Loss) != len(refLoss) {
 				t.Fatalf("f16 trajectory length %d, reference %d", len(f16Loss), len(refLoss))
 			}
@@ -184,8 +185,8 @@ func TestTrainCompressedMatrix(t *testing.T) {
 // trajectories and weights — the codec is deterministic, so compression
 // never costs repeatability.
 func TestTrainCompressedDeterminism(t *testing.T) {
-	loss1, w1 := runCodecShape(t, 2, 2, transport.CodecF16, SyncOverlap)
-	loss2, w2 := runCodecShape(t, 2, 2, transport.CodecF16, SyncOverlap)
+	loss1, w1 := runCodecShape(t, 2, 2, transport.CodecF16)
+	loss2, w2 := runCodecShape(t, 2, 2, transport.CodecF16)
 	if len(loss1) == 0 || len(loss1) != len(loss2) {
 		t.Fatalf("trajectory lengths %d vs %d", len(loss1), len(loss2))
 	}
@@ -201,25 +202,28 @@ func TestTrainCompressedDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrainCompressedOverlapMatchesSerial extends the overlap equivalence
-// gate to compressed collectives: each rank's bucket all-reduces run in
+// TestTrainCompressedOverlapMatchesSerial pins the overlapped f16
+// trajectory of 2 ranks, one per process: sha256 of its losses' and its
+// final weights' little-endian bits. Each rank's bucket all-reduces run in
 // the same order on the same error-feedback residuals whether launched
-// during backward or after it, so the trajectories must agree bit-for-bit.
+// during backward or after it; the digests were recorded where a serial
+// sync mode still existed and produced these same bits.
 func TestTrainCompressedOverlapMatchesSerial(t *testing.T) {
-	overlapLoss, overlapW := runCodecShape(t, 2, 1, transport.CodecF16, SyncOverlap)
-	serialLoss, serialW := runCodecShape(t, 2, 1, transport.CodecF16, SyncSerial)
-	if len(overlapLoss) == 0 || len(overlapLoss) != len(serialLoss) {
-		t.Fatalf("trajectory lengths %d vs %d", len(overlapLoss), len(serialLoss))
+	const wantLoss = "1c3d173ffc7975453473c1e6804ed6222bc747e7958509714fe4dc9d7b3cfa92"
+	const wantWeights = "588195984d7cefa8d37b42c17c5d66d7af7424233fadf44b1f5c014c137e48ef"
+	loss, weights := runCodecShape(t, 2, 1, transport.CodecF16)
+	var lossBytes, weightBytes []byte
+	for _, p := range loss {
+		lossBytes = binary.LittleEndian.AppendUint64(lossBytes, math.Float64bits(p.Value))
 	}
-	for i := range overlapLoss {
-		if overlapLoss[i].Value != serialLoss[i].Value {
-			t.Fatalf("step %d: overlap loss %v, serial %v", i, overlapLoss[i].Value, serialLoss[i].Value)
-		}
+	for _, w := range weights {
+		weightBytes = binary.LittleEndian.AppendUint32(weightBytes, math.Float32bits(w))
 	}
-	for i := range overlapW {
-		if overlapW[i] != serialW[i] {
-			t.Fatalf("weight %d: overlap %v, serial %v", i, overlapW[i], serialW[i])
-		}
+	if got := fmt.Sprintf("%x", sha256.Sum256(lossBytes)); len(loss) != 9 || got != wantLoss {
+		t.Errorf("%d losses, digest %s; want 9, %s", len(loss), got, wantLoss)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(weightBytes)); got != wantWeights {
+		t.Errorf("weights digest %s, want %s", got, wantWeights)
 	}
 }
 
@@ -231,8 +235,8 @@ func TestTrainCompressedErrorFeedback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full training runs")
 	}
-	_, refW := runSyncMode(t, SyncOverlap, 2)
-	_, efW := runCodecShape(t, 2, 1, transport.CodecF16, SyncOverlap)
+	_, refW := runInProcess(t, 2)
+	_, efW := runCodecShape(t, 2, 1, transport.CodecF16)
 	efErr := weightDelta(efW, refW)
 	t.Logf("final-weight RMS vs exact: ef=%.3g", efErr)
 	if efErr > 2e-3 {

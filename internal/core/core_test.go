@@ -9,9 +9,11 @@ import (
 	"testing"
 
 	"melissa/internal/buffer"
+	"melissa/internal/nn"
 	"melissa/internal/opt"
 	"melissa/internal/tensor"
 	"melissa/internal/testbuf"
+	"melissa/internal/testlevel"
 	"melissa/internal/testwait"
 )
 
@@ -148,9 +150,9 @@ func TestValidate(t *testing.T) {
 
 func TestValidateZeroAlloc(t *testing.T) {
 	norm := testNormalizer()
-	// 20 samples at chunk 8 exercises both chunk shapes (8 and the final
-	// partial 4), so the gate covers the activation pools for each.
-	set := NewValidationSet(norm, synthSamples(20, 5))
+	// 530 samples at chunk 8 forward a 512-row block and an 18-row tail
+	// block, so the gate covers the activation pools for each.
+	set := NewValidationSet(norm, synthSamples(530, 5))
 	net, _ := ModelSpec{InputDim: 6, Hidden: []int{8, 8}, OutputDim: testFieldDim, Seed: 2}.Build()
 	Validate(net, set, 8) // size the activation buffers
 	allocs := testing.AllocsPerRun(20, func() {
@@ -159,6 +161,46 @@ func TestValidateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Validate allocates %.0f objects per pass, want 0 (reusable view header regression)", allocs)
 	}
+}
+
+// chunkwiseMSE is Validate as one forward per chunk-row segment: the
+// reference the block forwards must reproduce bit for bit.
+func chunkwiseMSE(net *nn.Network, set *ValidationSet, chunk int) float64 {
+	var sum float64
+	var view tensor.Matrix
+	cols := set.Out.Cols
+	for start := 0; start < set.Len(); start += chunk {
+		end := min(start+chunk, set.Len())
+		set.In.ViewRows(&view, start, end)
+		sum += tensor.SqDiffSum(net.Forward(&view).Data, set.Out.Data[start*cols:end*cols])
+	}
+	return sum / float64(set.Len()*cols)
+}
+
+// TestValidateBlocksBitEqual pins that Validate's block forwards leave
+// the MSE's float64 bits as one forward per chunk has them: at every
+// kernel level, inline and on a team of two, for a set of whole chunks and
+// one with a tail segment, with chunks under the skinny GEMM bound and
+// over it (the trainer validates in chunks of four batches).
+func TestValidateBlocksBitEqual(t *testing.T) {
+	norm := NewHeatNormalizer(128, 1)
+	team := tensor.NewTeam(2)
+	defer team.Close()
+	testlevel.Each(t, func(level string) {
+		for _, n := range []int{400, 437} {
+			set := NewValidationSet(norm, hotPathSamples(norm, n))
+			for _, tm := range []*tensor.Team{nil, team} {
+				net, _ := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{32}, OutputDim: norm.OutputDim(), Seed: 4}.Build()
+				net.SetTeam(tm)
+				for _, chunk := range []int{8, 40} {
+					want := chunkwiseMSE(net, set, chunk)
+					if got := Validate(net, set, chunk); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s, %d rows, team %v, chunk %d: MSE %v, %v chunk by chunk", level, n, tm != nil, chunk, got, want)
+					}
+				}
+			}
+		}
+	})
 }
 
 // runTrainer is tr.Run under the suite's pipeline deadline: a run that

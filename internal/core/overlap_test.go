@@ -1,10 +1,10 @@
 package core
 
-// Equivalence tests and benchmarks for the multi-rank step: overlapped
-// bucket sync must be bit-identical to the serial bucketed path across
-// ranks and tail batches, a transport-backed multi-process rank group must
-// train the exact same trajectory as the in-process group (whose update
-// pass sums the gradients the ring would), and the multi-rank step must
+// Equivalence tests and benchmarks for the multi-rank step: a group whose
+// bucket all-reduces overlap backward, and a transport-backed multi-process
+// rank group, must train the exact same trajectory as the in-process group
+// (whose update pass sums the gradients the ring would, after the whole
+// backward) across ranks and tail batches, and the multi-rank step must
 // stay allocation-free.
 
 import (
@@ -40,10 +40,10 @@ func fifoRankBufs(t testing.TB, norm FieldNormalizer, ranks, nSamples int) []*bu
 	return bufs
 }
 
-// runSyncMode trains a fresh multi-rank trainer over a deterministic
-// stream with the given sync mode and returns the loss trajectory and the
-// final rank-0 weights.
-func runSyncMode(t *testing.T, mode GradSyncMode, ranks int) ([]LossPoint, []float32) {
+// runInProcess trains a fresh in-process multi-rank trainer over a
+// deterministic stream and returns the loss trajectory and the final
+// rank-0 weights.
+func runInProcess(t *testing.T, ranks int) ([]LossPoint, []float32) {
 	t.Helper()
 	norm := NewHeatNormalizer(48, 1)
 	// 87 samples over 4 ranks at batch 5: every rank ends on a short tail.
@@ -51,7 +51,6 @@ func runSyncMode(t *testing.T, mode GradSyncMode, ranks int) ([]LossPoint, []flo
 	tr, err := NewTrainer(TrainerConfig{
 		Ranks:     ranks,
 		BatchSize: 5,
-		GradSync:  mode,
 		Model: ModelSpec{
 			InputDim:  norm.InputDim(),
 			Hidden:    []int{24, 24},
@@ -72,14 +71,14 @@ func runSyncMode(t *testing.T, mode GradSyncMode, ranks int) ([]LossPoint, []flo
 
 // TestOverlapMatchesSerial pins the headline equivalence of the overlap
 // refactor: launching each layer bucket's all-reduce during backward
-// produces bit-for-bit the same trajectory as running the same bucket
-// collectives serially after the full backward pass — across 4 ranks,
-// including tail batches. The ranks sit two to a process on a loopback
-// ring, exact float32: in-process ranks all-reduce nothing, so only a group
-// that spans processes has collectives to overlap.
+// produces bit-for-bit the trajectory of summing the gradients after the
+// full backward pass — across 4 ranks, including tail batches. The
+// overlapped ranks sit two to a process on a loopback ring, exact float32;
+// the serial reference is one process of 4 ranks, whose update pass sums
+// the four gradient slabs in the ring's order once backward is done.
 func TestOverlapMatchesSerial(t *testing.T) {
-	overlapLoss, overlapW := runCodecShape(t, 2, 2, transport.CodecF32, SyncOverlap)
-	serialLoss, serialW := runCodecShape(t, 2, 2, transport.CodecF32, SyncSerial)
+	overlapLoss, overlapW := runCodecShape(t, 2, 2, transport.CodecF32)
+	serialLoss, serialW := runInProcess(t, 4)
 	if len(overlapLoss) == 0 || len(overlapLoss) != len(serialLoss) {
 		t.Fatalf("trajectory lengths %d vs %d", len(overlapLoss), len(serialLoss))
 	}

@@ -59,7 +59,7 @@ func TestReplicasAgreeWithInheritedMetrics(t *testing.T) {
 	norm := NewHeatNormalizer(48, 1)
 	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{24, 24}, OutputDim: norm.OutputDim(), Seed: 13}
 	bufs := fifoRankBufs(t, norm, 2, 87)
-	trainers := codecTrainerGroup(t, 2, 1, transport.CodecF32, SyncOverlap, bufs, spec, norm, func(c *TrainerConfig) {
+	trainers := codecTrainerGroup(t, 2, 1, transport.CodecF32, bufs, spec, norm, func(c *TrainerConfig) {
 		c.Metrics = inheritedMetrics()
 		c.Schedule = opt.Halving{Initial: 1e-3, EverySamples: 20}
 	})

@@ -16,27 +16,6 @@ import (
 	"melissa/internal/tensor"
 )
 
-// GradSyncMode selects how per-batch gradients are synchronized across
-// ranks.
-type GradSyncMode int
-
-const (
-	// SyncOverlap (the default) buckets the gradient slab by layer
-	// boundaries and launches each bucket's all-reduce as soon as backward
-	// finalizes that layer's gradients, overlapping communication with the
-	// remaining backpropagation. Bit-identical to SyncSerial. With fused
-	// Dense+activation layers every bucket is one weight+bias pair, so the
-	// overlap granularity is unchanged from the unfused structure.
-	SyncOverlap GradSyncMode = iota
-	// SyncSerial runs the same per-bucket collectives, but only after the
-	// full backward pass — the paper's §3.1 ordering. It exists as the
-	// reference for the overlap equivalence tests and benchmarks.
-	//
-	// Both modes concern the ring only: where every rank of the group is in
-	// this process, nothing is all-reduced (see Trainer) and they are one.
-	SyncSerial
-)
-
 // TrainerConfig configures the data-parallel online training loop.
 type TrainerConfig struct {
 	Ranks     int // learner replicas ("GPUs") in this process; one training buffer each
@@ -57,10 +36,6 @@ type TrainerConfig struct {
 	// group re-formations. The trainer only writes to it: every rank
 	// schedules from its own count of the group's samples.
 	Metrics *Metrics
-
-	// GradSync selects overlapped-bucketed (default) or serial-bucketed
-	// gradient synchronization on a ring that spans processes.
-	GradSync GradSyncMode
 
 	Model      ModelSpec
 	Normalizer Normalizer
@@ -126,12 +101,12 @@ func (c TrainerConfig) validate() error {
 // in each of them.
 //
 // Where the group spans processes, the gradient rides the ring: each
-// layer's bucket is all-reduced as soon as backward finalizes it (the
-// default overlapped mode), concurrently with the backpropagation of
-// earlier layers, and rank l's pass reads the sum from its own slab. Where
-// every rank is in this process, nothing is all-reduced: the pass reads the
-// L slabs in place and adds them in the order the ring would have
-// (updatePlan), so the weights are the same bits in every layout.
+// layer's bucket is all-reduced as soon as backward finalizes it,
+// concurrently with the backpropagation of earlier layers, and rank l's
+// pass reads the sum from its own slab. Where every rank is in this
+// process, nothing is all-reduced: the pass reads the L slabs in place and
+// adds them in the order the ring would have (updatePlan), so the weights
+// are the same bits in every layout.
 //
 // Each local rank owns the process's cores in equal shares: a rank whose
 // share is two or more cores runs its forward, backward, Adam slice and
@@ -522,7 +497,6 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	stepSamples := int(st.status[1] + 0.5)
 
 	var trainLoss float64
-	overlap := t.ringGrads && t.cfg.GradSync == SyncOverlap
 	if ok {
 		bi, bo := st.in, st.out
 		if n != t.cfg.BatchSize {
@@ -535,7 +509,7 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 		pred := st.net.Forward(bi)
 		trainLoss = st.lossFn.Forward(pred, bo)
 		dy := st.lossFn.Backward(pred, bo)
-		if overlap {
+		if t.ringGrads {
 			// Each layer's bucket is handed to the syncer the moment its
 			// gradients are final, overlapping the all-reduce with the
 			// rest of the backward pass.
@@ -544,7 +518,7 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 			st.net.Backward(dy)
 		}
 		t.metrics.CountKeys(st.keys[:n])
-	} else if overlap {
+	} else if t.ringGrads {
 		// Drained ranks contribute zero gradients but must join every
 		// collective, in the same bucket order the hook produces.
 		for b := range t.buckets {
@@ -609,30 +583,18 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 }
 
 // syncGradients completes the step's gradient synchronization on the ring:
-// it drains the in-flight bucket collectives (overlap), or runs them now
-// (serial). On return every rank's gradient slab holds the same sum over
-// all ranks — summed, not averaged: the 1/n belongs to whoever applies a
-// slice of it (see step) — matching the all-reduce of §3.1. The
-// collectives operate on the slab in place — no gather/scatter staging. On
-// a collective failure the first error is returned — after draining every
-// in-flight bucket, so the syncer goroutine is never left blocked — and the
-// gradients are unusable.
+// it drains the bucket collectives the backward hook launched. On return
+// every rank's gradient slab holds the same sum over all ranks — summed,
+// not averaged: the 1/n belongs to whoever applies a slice of it (see
+// step) — matching the all-reduce of §3.1. The collectives operate on the
+// slab in place — no gather/scatter staging. On a collective failure the
+// first error is returned — after draining every in-flight bucket, so the
+// syncer goroutine is never left blocked — and the gradients are unusable.
 func (t *Trainer) syncGradients(st *rankState) error {
-	grads := st.net.FlatGrads()
 	var failed error
-	switch t.cfg.GradSync {
-	case SyncOverlap:
-		for st.launched > 0 {
-			if err := <-st.acks; err != nil && failed == nil {
-				failed = err
-			}
-			st.launched--
-		}
-	case SyncSerial:
-		for _, bk := range t.buckets {
-			if err := t.comm.AllReduceSumRange(st.grank, grads, bk.Lo, bk.Hi); err != nil {
-				return err
-			}
+	for ; st.launched > 0; st.launched-- {
+		if err := <-st.acks; err != nil && failed == nil {
+			failed = err
 		}
 	}
 	return failed

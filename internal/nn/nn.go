@@ -116,15 +116,23 @@ func (n *Network) FlatParams() []float32 { return n.flatValues }
 // in Params() order. The ddp layer all-reduces it directly.
 func (n *Network) FlatGrads() []float32 { return n.flatGrads }
 
-// ReleaseGrads drops the gradient slab, leaving an inference-only network
-// half the size: Forward, the weight accessors and serialization work as
-// before, FlatGrads returns nil, and Backward or ZeroGrad panic. A trained
-// network is released when it becomes a Surrogate.
+// ReleaseGrads drops the gradient slab and the activations training and
+// validation left in the layers, leaving an inference-only network half the
+// size: Forward, the weight accessors and serialization work as before
+// (Forward sizes its activations anew), FlatGrads returns nil, and Backward
+// or ZeroGrad panic. A trained network is released when it becomes a
+// Surrogate.
 func (n *Network) ReleaseGrads() {
 	for _, p := range n.Params() {
 		p.Grad = nil
 	}
 	n.flatGrads = nil
+	for _, l := range n.Layers {
+		if d, ok := l.(*Dense); ok {
+			d.lastX, d.lastY = nil, nil
+			d.out, d.dx, d.dz = scratch{}, scratch{}, scratch{}
+		}
+	}
 }
 
 // SetTeam lets the network's kernels fan out over tm (nil: inline). A team

@@ -552,3 +552,25 @@ func TestBackwardWithHookOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestReleaseGradsDropsActivations: a released network keeps no activation
+// of the batches it trained and validated on — a surrogate must not pin the
+// largest batch its trainer ever forwarded — and answers with the same
+// bits, sizing its activations anew.
+func TestReleaseGradsDropsActivations(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 43))
+	net := ArchitectureMLP(3, []int{5}, 4, 7)
+	x := randBatch(rng, 2, 3)
+	want := net.Forward(x).Clone()
+	net.Backward(randBatch(rng, 2, 4))
+	net.Forward(randBatch(rng, 400, 3))
+	net.ReleaseGrads()
+	for _, l := range net.Layers {
+		if d, ok := l.(*Dense); ok && (d.lastX != nil || d.lastY != nil || d.out.full.Data != nil || d.dx.full.Data != nil || d.dz.full.Data != nil) {
+			t.Fatalf("%s keeps activations after ReleaseGrads", d.name)
+		}
+	}
+	if got := net.Forward(x); got.MaxAbsDiff(want) != 0 {
+		t.Fatalf("released network answers %v, want %v", got.Data, want.Data)
+	}
+}

@@ -103,7 +103,11 @@ func randShape(rng *rand.Rand) (m, k, n int) {
 func TestBlockedGemmMatchesReferenceRandomShapes(t *testing.T) {
 	forceGemmMode(t, gemmBlocked)
 	rng := rand.New(rand.NewPCG(42, 43))
-	for iter := 0; iter < 200; iter++ {
+	iters := 200
+	if testing.Short() {
+		iters = 40 // 120 draws of randShape: every one of its six classes, many times
+	}
+	for iter := 0; iter < iters; iter++ {
 		m, k, n := randShape(rng)
 		for _, kind := range []gemmKind{gemmNN, gemmNT, gemmTNAdd} {
 			var a, b *Matrix

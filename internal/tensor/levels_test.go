@@ -29,6 +29,14 @@ func forEachLevel(t *testing.T, f func(t *testing.T)) {
 // instruction, and the tests that run at every level shrink their work on it.
 func softwareFMA() bool { return kern.name == "portable" && len(levels) > 1 }
 
+// keepRows reports whether a test that sweeps the row counts 1…40 runs m.
+// A -short run keeps every tail of the 12-row kernel's 4-, 8- and 12-row
+// loops and one row past them (1…13), both sides of the skinny bound
+// (31…33) and the last count (40); a full run keeps them all.
+func keepRows(m int) bool {
+	return !testing.Short() || m <= 13 || (m >= skinnyM-1 && m <= skinnyM+1) || m == 40
+}
+
 // TestKernelLevel logs the level the process selected and the ones the
 // machine can run, so a -v log says whether the ZMM paths were exercised.
 func TestKernelLevel(t *testing.T) {
@@ -91,6 +99,9 @@ func TestKernelLevelsBitEqual(t *testing.T) {
 	}
 	forms := []string{"MatMul", "MatMulBias", "MatMulBiasReLU", "MatMulBiasTanh", "MatMulABT", "MatMulATBAdd"}
 	for m := 1; m <= 40; m++ {
+		if !keepRows(m) {
+			continue
+		}
 		modes := []gemmModeT{gemmAuto}
 		if m%6 == 1 || m == 12 || m == 40 { // the blocked driver's row tails: 1, 3 and 0 of a panel
 			modes = append(modes, gemmBlocked)
