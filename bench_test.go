@@ -48,8 +48,8 @@ func BenchmarkFigure2Throughput(b *testing.B) {
 		if i == 0 {
 			res.Render(os.Stdout)
 		}
-		b.ReportMetric(res.MeanThroughput(buffer.ReservoirKind), "reservoir-samples/s")
-		b.ReportMetric(res.MeanThroughput(buffer.FIFOKind), "fifo-samples/s")
+		b.ReportMetric(res.Runs[buffer.ReservoirKind].MeanThroughput(), "reservoir-samples/s")
+		b.ReportMetric(res.Runs[buffer.FIFOKind].MeanThroughput(), "fifo-samples/s")
 	}
 }
 
@@ -80,8 +80,14 @@ func BenchmarkFigure4Quality(b *testing.B) {
 		if i == 0 {
 			res.Render(os.Stdout)
 		}
-		b.ReportMetric(res.Run("Reservoir").FinalVal, "reservoir-valMSE")
-		b.ReportMetric(res.Run("FIFO").FinalVal, "fifo-valMSE")
+		for _, run := range res.Runs {
+			switch run.Label {
+			case "Reservoir":
+				b.ReportMetric(run.FinalVal, "reservoir-valMSE")
+			case "FIFO":
+				b.ReportMetric(run.FinalVal, "fifo-valMSE")
+			}
+		}
 	}
 }
 
@@ -129,7 +135,11 @@ func BenchmarkTable1(b *testing.B) {
 		if i == 0 {
 			res.Render(os.Stdout)
 		}
-		b.ReportMetric(res.Row("Reservoir", 4).ThroughputSmps, "reservoir4-samples/s")
+		for _, row := range res.Rows {
+			if row.Buffer == "Reservoir" && row.GPUs == 4 {
+				b.ReportMetric(row.ThroughputSmps, "reservoir4-samples/s")
+			}
+		}
 	}
 }
 

@@ -22,7 +22,6 @@ func main() {
 	cfg := melissa.DefaultConfig()
 	finish := melissa.RegisterFlags(flag.CommandLine, &cfg, false)
 	flag.StringVar(&cfg.Design, "design", "monte-carlo", "experimental design: monte-carlo|latin-hypercube|halton")
-	flag.IntVar(&cfg.Workers, "workers", 1, "solver domain partitions (heat only)")
 	var (
 		id       = flag.Int("id", 0, "client / simulation id (also selects the member's drawn parameters)")
 		addrFile = flag.String("addr-file", "melissa-addrs.txt", "file with server rank addresses")

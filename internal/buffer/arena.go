@@ -34,12 +34,6 @@ func NewArena(inDim, outDim int) *Arena {
 	return &Arena{inDim: inDim, outDim: outDim}
 }
 
-// Rows returns the total allocated row count.
-func (a *Arena) Rows() int { return a.rows }
-
-// FreeRows returns the number of currently unleased rows.
-func (a *Arena) FreeRows() int { return len(a.free) }
-
 // grow appends one chunk and pushes its slots onto the free list.
 func (a *Arena) grow() {
 	a.chunks = append(a.chunks, arenaChunk{

@@ -20,7 +20,7 @@ type Blocking struct {
 	onRetire func(Sample)
 
 	// parkedPut/parkedGet count the goroutines currently waiting for room
-	// and for data (see Parked).
+	// and for data: back-pressured clients versus a starved trainer.
 	parkedPut, parkedGet int
 }
 
@@ -37,10 +37,6 @@ func NewBlockingArena(p *Policy, inDim, outDim int) *Blocking {
 	p.onEvict = b.recycle
 	return b
 }
-
-// Arena exposes the backing arena; the server's ingestion gates use it to
-// assert row recycling.
-func (b *Blocking) Arena() *Arena { return b.arena }
 
 // OnRetire registers a callback invoked — under the buffer lock, just
 // before the arena row is recycled — for every sample that retires
@@ -157,6 +153,16 @@ func (b *Blocking) Wake() {
 	b.notEmpty.Broadcast()
 }
 
+// peek reads, under the lock, what tests outside this package wait on and
+// check: the population, whether the buffer is drained, the producers and
+// consumers parked right now, and the arena's rows, all and free. No binary
+// calls it; testbuf reaches it by go:linkname.
+func peek(b *Blocking) (n int, drained bool, producers, consumers, rows, free int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.p.Len(), b.p.Drained(), b.parkedPut, b.parkedGet, b.arena.rows, len(b.arena.free)
+}
+
 func (b *Blocking) waitNotFull() {
 	b.parkedPut++
 	b.notFull.Wait()
@@ -167,15 +173,6 @@ func (b *Blocking) waitNotEmpty() {
 	b.parkedGet++
 	b.notEmpty.Wait()
 	b.parkedGet--
-}
-
-// Parked reports how many producers are waiting for room and how many
-// consumers are waiting for data right now: back-pressured clients versus
-// a starved trainer.
-func (b *Blocking) Parked() (producers, consumers int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.parkedPut, b.parkedGet
 }
 
 // ReplaceContents atomically rewrites the buffer's population: fn receives
@@ -220,20 +217,6 @@ func (b *Blocking) EndReception() {
 	b.p.EndReception()
 	b.notEmpty.Broadcast()
 	b.notFull.Broadcast()
-}
-
-// Len reports the current population.
-func (b *Blocking) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.p.Len()
-}
-
-// Drained reports whether the buffer will never yield again.
-func (b *Blocking) Drained() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.p.Drained()
 }
 
 // WithLock runs fn while holding the buffer mutex, excluding concurrent

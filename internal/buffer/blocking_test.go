@@ -224,3 +224,49 @@ func TestBlockingConcurrentStress(t *testing.T) {
 		t.Fatalf("total %d < unique %d", total, len(seen))
 	}
 }
+
+// The accessors and constructors below are test code: no binary calls them.
+// Tests outside the package read the same state through testbuf.Peek.
+
+// Rows returns the total allocated row count.
+func (a *Arena) Rows() int { return a.rows }
+
+// FreeRows returns the number of currently unleased rows.
+func (a *Arena) FreeRows() int { return len(a.free) }
+
+// Arena exposes the backing arena.
+func (b *Blocking) Arena() *Arena { return b.arena }
+
+// Parked reports how many producers are waiting for room and how many
+// consumers are waiting for data right now: back-pressured clients versus
+// a starved trainer.
+func (b *Blocking) Parked() (producers, consumers int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.parkedPut, b.parkedGet
+}
+
+// Len reports the current population.
+func (b *Blocking) Len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.p.Len()
+}
+
+// Drained reports whether the buffer will never yield again.
+func (b *Blocking) Drained() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.p.Drained()
+}
+
+// NewFIRO builds a FIRO buffer: FIFO with eviction-on-read from a random
+// position, which de-biases batches.
+func NewFIRO(capacity, threshold int, seed uint64) *Policy {
+	return newPolicy(FIROKind, capacity, threshold, seed)
+}
+
+// NewUniformEvict builds the ablation of the Reservoir's eviction rule.
+func NewUniformEvict(capacity, threshold int, seed uint64) *Policy {
+	return newPolicy(UniformEvictKind, capacity, threshold, seed)
+}

@@ -118,20 +118,9 @@ func New(cfg Config) (*Policy, error) {
 // stored. capacity 0 means unbounded.
 func NewFIFO(capacity int) *Policy { return &Policy{kind: FIFOKind, capacity: capacity} }
 
-// NewFIRO builds a FIRO buffer: FIFO with eviction-on-read from a random
-// position, which de-biases batches.
-func NewFIRO(capacity, threshold int, seed uint64) *Policy {
-	return newPolicy(FIROKind, capacity, threshold, seed)
-}
-
 // NewReservoir builds the Reservoir of Algorithm 1.
 func NewReservoir(capacity, threshold int, seed uint64) *Policy {
 	return newPolicy(ReservoirKind, capacity, threshold, seed)
-}
-
-// NewUniformEvict builds the ablation of the Reservoir's eviction rule.
-func NewUniformEvict(capacity, threshold int, seed uint64) *Policy {
-	return newPolicy(UniformEvictKind, capacity, threshold, seed)
 }
 
 // newPolicy builds a random-selection policy. Its RNG stream is seeded,

@@ -157,7 +157,7 @@ func heatJob(client Config, cfg solver.Config, params solver.Params) Job {
 	return Job{
 		Client: client,
 		NewSim: func() (solver.Simulator, error) { return solver.New(cfg, params) },
-		Params: params.Vector(),
+		Params: []float64{params.TIC, params.Tx1, params.Ty1, params.Tx2, params.Ty2},
 		Steps:  cfg.Steps,
 		Dt:     cfg.Dt,
 	}

@@ -386,8 +386,8 @@ func TestTrainerContextCancel(t *testing.T) {
 			t.Fatalf("cancelled run returned %v, want the cancellation", err)
 		}
 		for r, b := range bufs {
-			if b.Len() == 0 || b.Drained() {
-				t.Fatalf("rank %d: cancel touched the buffer (len %d, drained %v)", r, b.Len(), b.Drained())
+			if st := testbuf.Peek(b); st.Len == 0 || st.Drained {
+				t.Fatalf("rank %d: cancel touched the buffer (len %d, drained %v)", r, st.Len, st.Drained)
 			}
 		}
 	})
@@ -399,15 +399,14 @@ func TestTrainerContextCancel(t *testing.T) {
 		go func() { done <- tr.Run(ctx) }()
 		for _, b := range bufs {
 			testwait.Until(t, "the rank to wait for data", func() bool {
-				_, consumers := b.Parked()
-				return consumers == 1
+				return testbuf.Peek(b).ParkedGet == 1
 			})
 		}
 		cancel()
 		if err := testwait.Recv(t, done, "Trainer.Run to return after cancel"); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled run returned %v, want the cancellation", err)
 		}
-		if bufs[0].Drained() {
+		if testbuf.Peek(bufs[0]).Drained {
 			t.Fatal("cancel ended reception")
 		}
 		if got := tr.Metrics().Batches(); got != 0 {
@@ -474,4 +473,16 @@ func TestTrainerConfigValidation(t *testing.T) {
 	if _, err := NewTrainer(good, nil); err == nil {
 		t.Fatal("expected buffer count error")
 	}
+}
+
+// OccurrenceHistogram buckets occurrence counts: hist[k] = number of unique
+// samples selected exactly k times (Figure 3).
+func (m *Metrics) OccurrenceHistogram() map[int]int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	hist := make(map[int]int)
+	for _, c := range m.occurrences {
+		hist[c]++
+	}
+	return hist
 }

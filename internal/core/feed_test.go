@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
 )
 
@@ -55,8 +56,7 @@ func TestRunFedCancelReleasesParkedProducer(t *testing.T) {
 	}()
 	f := testwait.Recv(t, parked, "the producer to start")
 	testwait.Until(t, "the producer to park on a full buffer", func() bool {
-		producers, _ := f.bufs[0].Parked()
-		return producers == 1
+		return testbuf.Peek(f.bufs[0]).ParkedPut == 1
 	})
 	cancel()
 	if err := testwait.Recv(t, done, "RunFed to return after the cancel"); !errors.Is(err, context.Canceled) {

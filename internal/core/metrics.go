@@ -245,18 +245,6 @@ func (m *Metrics) Occurrences() map[buffer.Key]int {
 	return out
 }
 
-// OccurrenceHistogram buckets occurrence counts: hist[k] = number of unique
-// samples selected exactly k times (Figure 3).
-func (m *Metrics) OccurrenceHistogram() map[int]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	hist := make(map[int]int)
-	for _, c := range m.occurrences {
-		hist[c]++
-	}
-	return hist
-}
-
 // WallTime returns the measured training duration.
 func (m *Metrics) WallTime() time.Duration {
 	m.mu.Lock()

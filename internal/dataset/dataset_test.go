@@ -286,3 +286,8 @@ func TestLoaderPropagatesYieldError(t *testing.T) {
 		t.Fatalf("got %v, want sentinel", err)
 	}
 }
+
+// BatchesPerEpoch returns the number of batches one epoch yields.
+func (l *Loader) BatchesPerEpoch() int {
+	return (l.ds.Len() + l.batch - 1) / l.batch
+}

@@ -34,11 +34,6 @@ func NewLoader(ds *Dataset, batchSize, workers int, seed uint64) *Loader {
 	}
 }
 
-// BatchesPerEpoch returns the number of batches one epoch yields.
-func (l *Loader) BatchesPerEpoch() int {
-	return (l.ds.Len() + l.batch - 1) / l.batch
-}
-
 type loadItem struct {
 	pos    int
 	sample buffer.Sample

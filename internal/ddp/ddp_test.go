@@ -17,7 +17,10 @@ import (
 func scaledMean(c *Comm, rank int, buf []float32) {
 	c.AllReduceSum(rank, buf)
 	if n := c.Size(); n > 1 {
-		tensor.Scal(1/float32(n), buf)
+		s := 1 / float32(n)
+		for i := range buf {
+			buf[i] *= s
+		}
 	}
 }
 
@@ -283,13 +286,13 @@ func TestDataParallelEquivalence(t *testing.T) {
 		for r := 0; r < shardSize; r++ {
 			for c := 0; c < 3; c++ {
 				v := float32(rng.NormFloat64())
-				shards[s].Set(r, c, v)
-				full.Set(s*shardSize+r, c, v)
+				shards[s].Row(r)[c] = v
+				full.Row(s*shardSize + r)[c] = v
 			}
 			for c := 0; c < 2; c++ {
 				v := float32(rng.NormFloat64())
-				targets[s].Set(r, c, v)
-				fullTarget.Set(s*shardSize+r, c, v)
+				targets[s].Row(r)[c] = v
+				fullTarget.Row(s*shardSize + r)[c] = v
 			}
 		}
 	}

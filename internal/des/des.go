@@ -59,19 +59,6 @@ func (s *Simulation) Run() {
 	}
 }
 
-// RunUntil executes events with time ≤ t, then sets the clock to t.
-func (s *Simulation) RunUntil(t Time) {
-	for s.queue.Len() > 0 && s.queue[0].at <= t {
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
-// Pending returns the number of queued events.
-func (s *Simulation) Pending() int { return s.queue.Len() }
-
 type event struct {
 	at  Time
 	seq int64

@@ -106,3 +106,16 @@ func TestManyEventsStaySorted(t *testing.T) {
 	}
 	s.Run()
 }
+
+// RunUntil executes events with time ≤ t, then sets the clock to t.
+func (s *Simulation) RunUntil(t Time) {
+	for s.queue.Len() > 0 && s.queue[0].at <= t {
+		s.Step()
+	}
+	if s.now < t {
+		s.now = t
+	}
+}
+
+// Pending returns the number of queued events.
+func (s *Simulation) Pending() int { return s.queue.Len() }

@@ -116,10 +116,6 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	}
 }
 
-// Close tears the coordinator down; Wait unblocks with whatever state the
-// group reached.
-func (c *Coordinator) Close() { c.ln.Close() }
-
 func (c *Coordinator) acceptLoop() {
 	var serial int64
 	for {

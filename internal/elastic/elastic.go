@@ -94,7 +94,7 @@ type ctrlMsg struct {
 	Addrs   []string
 }
 
-// ErrKilled is returned by Member.Run after Kill — the in-process
+// ErrKilled is returned by Member.Run after kill — the in-process
 // equivalent of the rank process dying.
 var ErrKilled = errors.New("elastic: member killed")
 

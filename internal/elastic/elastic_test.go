@@ -25,6 +25,7 @@ import (
 	"melissa/internal/core"
 	"melissa/internal/elastic"
 	"melissa/internal/testbuf"
+	"melissa/internal/testchaos"
 	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
@@ -470,7 +471,7 @@ func TestElasticAloneResumesAndPrunes(t *testing.T) {
 		t.Error("a member killed before Run ran its epoch")
 		return nil
 	})
-	killed.Kill()
+	testchaos.Kill(killed)
 	if err := killed.Run(context.Background()); !errors.Is(err, elastic.ErrKilled) {
 		t.Fatalf("killed member returned %v, want ErrKilled", err)
 	}
@@ -486,7 +487,7 @@ func runKillMember1(t *testing.T) (*groupHarness, []error) {
 	h.hook = func(memberID int, sess *elastic.Session, batches int) {
 		if memberID == 1 && sess.Epoch() == 1 && batches == 6 {
 			h.awaitCheckpoint(egCkptEvery)
-			killOnce.Do(members[1].Kill)
+			killOnce.Do(func() { testchaos.Kill(members[1]) })
 		}
 	}
 	for i := range members {
@@ -524,7 +525,7 @@ func TestElasticRejoinAfterRestart(t *testing.T) {
 	h.hook = func(memberID int, sess *elastic.Session, batches int) {
 		if memberID == 1 && sess.Epoch() == 1 && batches == 6 {
 			h.awaitCheckpoint(egCkptEvery)
-			killOnce.Do(members[1].Kill)
+			killOnce.Do(func() { testchaos.Kill(members[1]) })
 		}
 		// Park the 2-member recovery epoch at batch 10 (with the batch-8
 		// checkpoint committed) until the restarted member's arrival tears

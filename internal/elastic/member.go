@@ -100,10 +100,11 @@ func NewMember(cfg MemberConfig) (*Member, error) {
 	return &Member{cfg: cfg, events: make(chan ctrlMsg, 16)}, nil
 }
 
-// Kill simulates the rank process dying: the ring and control connections
+// kill simulates the rank process dying: the ring and control connections
 // are closed without any goodbye, and Run returns ErrKilled. The rest of
 // the group finds out the way it would with a real process — dead links.
-func (m *Member) Kill() {
+// Only chaos tests kill a member; testchaos reaches it by go:linkname.
+func kill(m *Member) {
 	m.mu.Lock()
 	m.killed = true
 	sess := m.sess
@@ -125,7 +126,7 @@ func (m *Member) Kill() {
 // Run connects to the coordinator and participates in the group until it
 // completes (nil), the member is killed (ErrKilled), the context is
 // canceled, or the control plane is lost. A group of one runs its one epoch
-// and returns the application's error, or ErrKilled after Kill.
+// and returns the application's error, or ErrKilled after kill.
 func (m *Member) Run(ctx context.Context) error {
 	if m.cfg.Coordinator == "" {
 		return m.runAlone(ctx)
@@ -398,10 +399,6 @@ type Session struct {
 // Epoch returns the group epoch this session belongs to.
 func (s *Session) Epoch() int { return s.epoch }
 
-// World returns the epoch's group size in members. The global training
-// rank space is World()·LocalRanks wide; see Comm.
-func (s *Session) World() int { return len(s.members) }
-
 // Comm returns the epoch's communicator over LocalRanks local ranks, this
 // member's span starting at global rank ring rank · LocalRanks. It is the
 // handle trainer configs take. It is poisoned the moment the epoch is torn
@@ -411,11 +408,6 @@ func (s *Session) Comm() *ddp.Comm { return s.comm }
 // RestoreBatch returns the batch boundary to restore from (the committed
 // group checkpoint), or -1 for a fresh start.
 func (s *Session) RestoreBatch() int { return s.restore }
-
-// Aborted is closed when the epoch is being torn down (a newer prepare
-// arrived, or the member was killed). Application code blocked outside a
-// collective must select on it.
-func (s *Session) Aborted() <-chan struct{} { return s.aborted }
 
 // abort tears the epoch down: the aborted channel closes, in-flight
 // collectives fail with ErrRingAborted, and the application context is

@@ -206,8 +206,12 @@ func TestFigure3Shapes(t *testing.T) {
 	// Paper: most samples seen a couple of times, rarely more than ~8
 	// at 1 GPU.
 	h1 := res.Histograms[1]
-	if h1.Total() != 25000 {
-		t.Fatalf("1-GPU histogram total %d", h1.Total())
+	total := 0
+	for occ := 0; occ <= h1.Max(); occ++ {
+		total += h1.Count(occ)
+	}
+	if total != 25000 {
+		t.Fatalf("1-GPU histogram total %d", total)
 	}
 	if h1.Max() > 16 {
 		t.Fatalf("1-GPU max occurrence %d, expected small tail", h1.Max())
@@ -737,5 +741,47 @@ func TestQualityRunsDeterministic(t *testing.T) {
 			t.Errorf("%s: two runs differ: %d/%d batches, %d/%d samples, %d/%d unique, final val %v/%v",
 				label, x.Batches, y.Batches, x.Samples, y.Samples, x.Unique, y.Unique, x.FinalVal, y.FinalVal)
 		}
+	}
+}
+
+// MeanThroughput returns a run's mean throughput, for assertions.
+func (r *Figure2Result) MeanThroughput(kind buffer.Kind) float64 {
+	return r.Runs[kind].MeanThroughput()
+}
+
+// Run returns the named run, nil if absent.
+func (r *Figure4Result) Run(label string) *QualityRun {
+	for _, run := range r.Runs {
+		if run.Label == label {
+			return run
+		}
+	}
+	return nil
+}
+
+// Row fetches a row by buffer name and GPU count.
+func (r *Table1Result) Row(buf string, gpus int) *Table1Row {
+	for i := range r.Rows {
+		if r.Rows[i].Buffer == buf && r.Rows[i].GPUs == gpus {
+			return &r.Rows[i]
+		}
+	}
+	return nil
+}
+
+// TinyPaperEnsemble scales the Table 2 online setting down ~20× while
+// keeping its shape (resource-bound single series). Short-mode tests use it
+// to smoke the paper-scale pipelines in well under a second.
+func TinyPaperEnsemble() PaperEnsemble {
+	return PaperEnsemble{
+		Simulations:    1000,
+		StepsPerSim:    100,
+		CoresPerClient: 10,
+		TotalCores:     1280,
+		Series:         nil,
+		BatchSize:      10,
+		Capacity:       6000,
+		Threshold:      1000,
+		Seed:           2023,
 	}
 }

@@ -86,8 +86,3 @@ func (r *Figure2Result) CSV(dir string) error {
 	}
 	return nil
 }
-
-// MeanThroughput returns a run's mean throughput, for assertions.
-func (r *Figure2Result) MeanThroughput(kind buffer.Kind) float64 {
-	return r.Runs[kind].MeanThroughput()
-}

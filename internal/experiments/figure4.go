@@ -48,16 +48,6 @@ func Figure4(scale Scale) (*Figure4Result, error) {
 	return res, nil
 }
 
-// Run returns the named run, nil if absent.
-func (r *Figure4Result) Run(label string) *QualityRun {
-	for _, run := range r.Runs {
-		if run.Label == label {
-			return run
-		}
-	}
-	return nil
-}
-
 // Render prints the summary and decimated loss curves.
 func (r *Figure4Result) Render(w io.Writer) {
 	norm := r.Scale.Problem.Normalizer(r.Scale.Config)

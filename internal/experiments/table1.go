@@ -108,16 +108,6 @@ func Table1(scale Scale, withQuality bool) (*Table1Result, error) {
 	return res, nil
 }
 
-// Row fetches a row by buffer name and GPU count.
-func (r *Table1Result) Row(buf string, gpus int) *Table1Row {
-	for i := range r.Rows {
-		if r.Rows[i].Buffer == buf && r.Rows[i].GPUs == gpus {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // Render prints the table in the paper's layout.
 func (r *Table1Result) Render(w io.Writer) {
 	tb := trace.NewTable("Table 1 — training and throughput by buffer × GPUs (timing at paper scale; MSE at quality scale)",

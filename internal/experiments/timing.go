@@ -53,23 +53,6 @@ func LargePaperEnsemble() PaperEnsemble {
 	}
 }
 
-// TinyPaperEnsemble scales the Table 2 online setting down ~20× while
-// keeping its shape (resource-bound single series). Short-mode tests use it
-// to smoke the paper-scale pipelines in well under a second.
-func TinyPaperEnsemble() PaperEnsemble {
-	return PaperEnsemble{
-		Simulations:    1000,
-		StepsPerSim:    100,
-		CoresPerClient: 10,
-		TotalCores:     1280,
-		Series:         nil,
-		BatchSize:      10,
-		Capacity:       6000,
-		Threshold:      1000,
-		Seed:           2023,
-	}
-}
-
 // Options assembles the cluster-simulator options for a buffer kind and GPU
 // count.
 func (p PaperEnsemble) Options(kind buffer.Kind, gpus int) simrun.Options {

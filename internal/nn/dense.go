@@ -52,9 +52,6 @@ func (d *Dense) In() int { return d.w.Value.Rows }
 // Out returns the output width of the layer.
 func (d *Dense) Out() int { return d.w.Value.Cols }
 
-// Activation returns the fused activation applied by Forward.
-func (d *Dense) Activation() Activation { return d.act }
-
 // Forward implements Layer: one GEMM with the bias (and activation, if any)
 // fused into the epilogue.
 func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {

@@ -28,12 +28,3 @@ func (in *Initializer) XavierUniform(m *tensor.Matrix, fanIn, fanOut int) {
 		m.Data[i] = float32((in.rng.Float64()*2 - 1) * a)
 	}
 }
-
-// HeNormal fills m with N(0, sqrt(2/fanIn)) samples, an alternative for
-// deeper ReLU networks.
-func (in *Initializer) HeNormal(m *tensor.Matrix, fanIn int) {
-	std := math.Sqrt(2 / float64(fanIn))
-	for i := range m.Data {
-		m.Data[i] = float32(in.rng.NormFloat64() * std)
-	}
-}

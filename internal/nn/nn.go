@@ -162,7 +162,7 @@ func (n *Network) Backward(dy *tensor.Matrix) *tensor.Matrix {
 
 // BackwardWithHook is Backward with a per-layer completion hook: hook(i)
 // runs immediately after layer i's Backward, at which point that layer's
-// parameter gradients (slab range LayerParamRange(i)) are final for this
+// parameter gradients (its GradBuckets range) are final for this
 // batch — no later Backward call touches them. The trainer uses it to
 // launch each gradient bucket's all-reduce while earlier layers are still
 // back-propagating. A nil hook makes it plain Backward.
@@ -174,14 +174,6 @@ func (n *Network) BackwardWithHook(dy *tensor.Matrix, hook func(layer int)) *ten
 		}
 	}
 	return dy
-}
-
-// LayerParamRange returns the slab range [lo, hi) backing layer i's
-// parameters in FlatParams/FlatGrads order; lo == hi for parameterless
-// layers. Only valid on slab-fused networks (built with NewNetwork).
-func (n *Network) LayerParamRange(i int) (lo, hi int) {
-	r := n.layerRanges[i]
-	return r[0], r[1]
 }
 
 // GradBucket is one contiguous gradient-slab range owned by a single
@@ -299,29 +291,6 @@ func (n *Network) CloneReplica() *Network {
 		off += sz
 	}
 	return r
-}
-
-// CopyWeightsFrom overwrites this network's parameter values with src's.
-// Shapes must match exactly. When both networks are slab-fused the copy is
-// one bulk memmove.
-func (n *Network) CopyWeightsFrom(src *Network) error {
-	dst, s := n.Params(), src.Params()
-	if len(dst) != len(s) {
-		return fmt.Errorf("nn: parameter count mismatch %d vs %d", len(dst), len(s))
-	}
-	for i := range dst {
-		if dst[i].Size() != s[i].Size() {
-			return fmt.Errorf("nn: parameter %q size mismatch %d vs %d", dst[i].Name, dst[i].Size(), s[i].Size())
-		}
-	}
-	if n.flatValues != nil && src.flatValues != nil && len(n.flatValues) == len(src.flatValues) {
-		copy(n.flatValues, src.flatValues)
-		return nil
-	}
-	for i := range dst {
-		copy(dst[i].Value.Data, s[i].Value.Data)
-	}
-	return nil
 }
 
 // ArchitectureMLP builds the paper's direct surrogate architecture: an

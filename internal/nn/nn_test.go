@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -9,6 +10,21 @@ import (
 
 	"melissa/internal/tensor"
 )
+
+// maxAbsDiff returns the largest absolute element-wise difference between
+// two matrices of one shape.
+func maxAbsDiff(a, b *tensor.Matrix) float64 {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic(fmt.Sprintf("shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	var max float64
+	for i, v := range a.Data {
+		if d := math.Abs(float64(v) - float64(b.Data[i])); d > max {
+			max = d
+		}
+	}
+	return max
+}
 
 func randBatch(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 	m := tensor.New(rows, cols)
@@ -30,7 +46,7 @@ func TestDenseForwardShapeAndBias(t *testing.T) {
 		t.Fatalf("output shape %dx%d", y.Rows, y.Cols)
 	}
 	for r := 0; r < 4; r++ {
-		if y.At(r, 0) != 1 || y.At(r, 1) != -2 {
+		if y.Row(r)[0] != 1 || y.Row(r)[1] != -2 {
 			t.Fatalf("bias broadcast wrong: row %d = %v", r, y.Row(r))
 		}
 	}
@@ -42,17 +58,17 @@ func TestDenseForwardMatchesManual(t *testing.T) {
 	w := d.Params()[0].Value
 	copy(w.Data, []float32{1, 2, 3, 4}) // W = [[1,2],[3,4]]
 	copy(d.Params()[1].Value.Data, []float32{10, 20})
-	x := tensor.FromSlice(1, 2, []float32{1, 1})
+	x := &tensor.Matrix{Rows: 1, Cols: 2, Data: []float32{1, 1}}
 	y := d.Forward(x)
 	// y = [1+3+10, 2+4+20] = [14, 26]
-	if y.At(0, 0) != 14 || y.At(0, 1) != 26 {
+	if y.Row(0)[0] != 14 || y.Row(0)[1] != 26 {
 		t.Fatalf("got %v", y.Row(0))
 	}
 }
 
 func TestReLU(t *testing.T) {
 	r := NewReLU()
-	x := tensor.FromSlice(1, 4, []float32{-1, 0, 2, -3})
+	x := &tensor.Matrix{Rows: 1, Cols: 4, Data: []float32{-1, 0, 2, -3}}
 	y := r.Forward(x)
 	want := []float32{0, 0, 2, 0}
 	for i := range want {
@@ -60,7 +76,7 @@ func TestReLU(t *testing.T) {
 			t.Fatalf("forward got %v", y.Data)
 		}
 	}
-	dy := tensor.FromSlice(1, 4, []float32{5, 6, 7, 8})
+	dy := &tensor.Matrix{Rows: 1, Cols: 4, Data: []float32{5, 6, 7, 8}}
 	dx := r.Backward(dy)
 	wantDx := []float32{0, 0, 7, 0}
 	for i := range wantDx {
@@ -72,7 +88,7 @@ func TestReLU(t *testing.T) {
 
 func TestTanhForwardBackward(t *testing.T) {
 	l := NewTanh()
-	x := tensor.FromSlice(1, 2, []float32{0, 1})
+	x := &tensor.Matrix{Rows: 1, Cols: 2, Data: []float32{0, 1}}
 	y := l.Forward(x)
 	if y.Data[0] != 0 {
 		t.Fatalf("tanh(0) = %v", y.Data[0])
@@ -80,7 +96,7 @@ func TestTanhForwardBackward(t *testing.T) {
 	if math.Abs(float64(y.Data[1])-math.Tanh(1)) > 1e-6 {
 		t.Fatalf("tanh(1) = %v", y.Data[1])
 	}
-	dy := tensor.FromSlice(1, 2, []float32{1, 1})
+	dy := &tensor.Matrix{Rows: 1, Cols: 2, Data: []float32{1, 1}}
 	dx := l.Backward(dy)
 	if math.Abs(float64(dx.Data[0])-1) > 1e-6 { // 1 - tanh(0)^2 = 1
 		t.Fatalf("dx[0] = %v", dx.Data[0])
@@ -89,8 +105,8 @@ func TestTanhForwardBackward(t *testing.T) {
 
 func TestMSELoss(t *testing.T) {
 	l := NewMSELoss()
-	pred := tensor.FromSlice(2, 2, []float32{1, 2, 3, 4})
-	target := tensor.FromSlice(2, 2, []float32{1, 2, 3, 6})
+	pred := &tensor.Matrix{Rows: 2, Cols: 2, Data: []float32{1, 2, 3, 4}}
+	target := &tensor.Matrix{Rows: 2, Cols: 2, Data: []float32{1, 2, 3, 6}}
 	got := l.Forward(pred, target)
 	if math.Abs(got-1) > 1e-9 { // (0+0+0+4)/4
 		t.Fatalf("MSE = %v, want 1", got)
@@ -274,7 +290,11 @@ func TestXavierRange(t *testing.T) {
 		}
 	}
 	// Not all zero and roughly centered.
-	if s := tensor.SumF64(m.Data); math.Abs(s)/float64(len(m.Data)) > float64(limit)/4 {
+	var s float64
+	for _, v := range m.Data {
+		s += float64(v)
+	}
+	if math.Abs(s)/float64(len(m.Data)) > float64(limit)/4 {
 		t.Fatalf("weights look biased: mean %v", s/float64(len(m.Data)))
 	}
 }
@@ -420,10 +440,10 @@ func TestFusedDenseMatchesUnfusedLayers(t *testing.T) {
 			pp := plainNet.Forward(x)
 			pdx := plainNet.Backward(loss.Backward(pp, target))
 
-			if d := fp.MaxAbsDiff(pp); d != 0 {
+			if d := maxAbsDiff(fp, pp); d != 0 {
 				t.Fatalf("forward differs by %v", d)
 			}
-			if d := fdx.MaxAbsDiff(pdx); d != 0 {
+			if d := maxAbsDiff(fdx, pdx); d != 0 {
 				t.Fatalf("input gradient differs by %v", d)
 			}
 			fparams, pparams := fusedNet.Params(), plainNet.Params()
@@ -431,7 +451,7 @@ func TestFusedDenseMatchesUnfusedLayers(t *testing.T) {
 				t.Fatalf("param count %d vs %d", len(fparams), len(pparams))
 			}
 			for i := range fparams {
-				if d := fparams[i].Grad.MaxAbsDiff(pparams[i].Grad); d != 0 {
+				if d := maxAbsDiff(fparams[i].Grad, pparams[i].Grad); d != 0 {
 					t.Fatalf("param %s gradient differs by %v", fparams[i].Name, d)
 				}
 			}
@@ -449,7 +469,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 	x := randBatch(rng, 32, 2)
 	target := tensor.New(32, 1)
 	for r := 0; r < 32; r++ {
-		target.Set(r, 0, x.At(r, 0)+0.5*x.At(r, 1))
+		target.Row(r)[0] = x.Row(r)[0] + 0.5*x.Row(r)[1]
 	}
 	initial := loss.Forward(net.Forward(x), target)
 	const lr = 0.05
@@ -570,7 +590,129 @@ func TestReleaseGradsDropsActivations(t *testing.T) {
 			t.Fatalf("%s keeps activations after ReleaseGrads", d.name)
 		}
 	}
-	if got := net.Forward(x); got.MaxAbsDiff(want) != 0 {
+	if got := net.Forward(x); maxAbsDiff(got, want) != 0 {
 		t.Fatalf("released network answers %v, want %v", got.Data, want.Data)
 	}
+}
+
+// ReLU is the rectified linear activation of the paper's surrogate (§4.1:
+// "2 hidden layers of 256 neurons with ReLU activation") as a standalone
+// layer: the reference the fused Dense epilogue is checked against.
+type ReLU struct {
+	lastX *tensor.Matrix
+	out   scratch
+	dx    scratch
+}
+
+// NewReLU returns a ReLU activation layer.
+func NewReLU() *ReLU { return &ReLU{} }
+
+// Forward implements Layer.
+func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
+	r.lastX = x
+	out := r.out.get(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		if v > 0 {
+			out.Data[i] = v
+		} else {
+			out.Data[i] = 0
+		}
+	}
+	return out
+}
+
+// Backward implements Layer: the gradient passes only where the input was
+// strictly positive.
+func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	if r.lastX == nil {
+		panic("nn: ReLU.Backward called before Forward")
+	}
+	dx := r.dx.get(dy.Rows, dy.Cols)
+	for i, v := range r.lastX.Data {
+		if v > 0 {
+			dx.Data[i] = dy.Data[i]
+		} else {
+			dx.Data[i] = 0
+		}
+	}
+	return dx
+}
+
+// Params implements Layer.
+func (r *ReLU) Params() []*Param { return nil }
+
+// Clone implements Layer.
+func (r *ReLU) Clone() Layer { return NewReLU() }
+
+// Tanh is a standalone hyperbolic-tangent layer, the reference of the fused
+// ActTanh epilogue.
+type Tanh struct {
+	lastOut *tensor.Matrix // output recorded by Forward for the derivative
+	out     scratch
+	dx      scratch
+}
+
+// NewTanh returns a Tanh activation layer.
+func NewTanh() *Tanh { return &Tanh{} }
+
+// Forward implements Layer.
+func (t *Tanh) Forward(x *tensor.Matrix) *tensor.Matrix {
+	out := t.out.get(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		out.Data[i] = float32(math.Tanh(float64(v)))
+	}
+	t.lastOut = out
+	return out
+}
+
+// Backward implements Layer: d tanh(x)/dx = 1 − tanh(x)².
+func (t *Tanh) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	if t.lastOut == nil {
+		panic("nn: Tanh.Backward called before Forward")
+	}
+	dx := t.dx.get(dy.Rows, dy.Cols)
+	for i, y := range t.lastOut.Data {
+		dx.Data[i] = dy.Data[i] * (1 - y*y)
+	}
+	return dx
+}
+
+// Params implements Layer.
+func (t *Tanh) Params() []*Param { return nil }
+
+// Clone implements Layer.
+func (t *Tanh) Clone() Layer { return NewTanh() }
+
+// Activation returns the fused activation applied by Forward.
+func (d *Dense) Activation() Activation { return d.act }
+
+// CopyWeightsFrom overwrites this network's parameter values with src's.
+// Shapes must match exactly. When both networks are slab-fused the copy is
+// one bulk memmove.
+func (n *Network) CopyWeightsFrom(src *Network) error {
+	dst, s := n.Params(), src.Params()
+	if len(dst) != len(s) {
+		return fmt.Errorf("nn: parameter count mismatch %d vs %d", len(dst), len(s))
+	}
+	for i := range dst {
+		if dst[i].Size() != s[i].Size() {
+			return fmt.Errorf("nn: parameter %q size mismatch %d vs %d", dst[i].Name, dst[i].Size(), s[i].Size())
+		}
+	}
+	if n.flatValues != nil && src.flatValues != nil && len(n.flatValues) == len(src.flatValues) {
+		copy(n.flatValues, src.flatValues)
+		return nil
+	}
+	for i := range dst {
+		copy(dst[i].Value.Data, s[i].Value.Data)
+	}
+	return nil
+}
+
+// LayerParamRange returns the slab range [lo, hi) backing layer i's
+// parameters in FlatParams/FlatGrads order; lo == hi for parameterless
+// layers. Only valid on slab-fused networks (built with NewNetwork).
+func (n *Network) LayerParamRange(i int) (lo, hi int) {
+	r := n.layerRanges[i]
+	return r[0], r[1]
 }

@@ -43,7 +43,7 @@ func (a *Adam) alpha() (alpha, b1, b2, eps float32) {
 
 // StepFlat applies one update, at the current learning rate, to a network's
 // flat value and gradient slabs (nn.Network.FlatParams/FlatGrads) through
-// tensor.AdamStep. It performs no allocations in steady state. The caller
+// tensor.Team.AdamStep. It performs no allocations in steady state. The caller
 // zeroes the gradients afterwards.
 func (a *Adam) StepFlat(values, grads []float32) {
 	if len(values) != len(grads) {
@@ -98,9 +98,6 @@ func (a *Adam) Len() int { return len(a.m) }
 
 // SetLR changes the learning rate used by subsequent steps.
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
-
-// LR reports the current learning rate.
-func (a *Adam) LR() float64 { return a.lr }
 
 // ensureState allocates the moments on first use. A state that exists and
 // does not fit is a bug in the caller (Trainer.RestoreState checks Len before

@@ -5,7 +5,7 @@
 //
 // Adam has one update path. Its moments live in flat slabs mirroring
 // nn.Network's parameter slab layout, and StepFlat hands them with the
-// network's value and gradient slabs to tensor.AdamStep: per element
+// network's value and gradient slabs to tensor.Team.AdamStep: per element
 //
 //	m′ = β1·m + (1−β1)·g
 //	v′ = β2·v + ((1−β2)·g)·g
@@ -68,10 +68,4 @@ func (h Halving) LR(samplesSeen int) float64 {
 		return h.Min
 	}
 	return lr
-}
-
-// PaperSchedule returns the schedule used in the paper's experiments:
-// initial 1e-3, halved every 10,000 samples, floor 2.5e-4 (§4.5).
-func PaperSchedule() Halving {
-	return Halving{Initial: 1e-3, EverySamples: 10000, Min: 2.5e-4}
 }

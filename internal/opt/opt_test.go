@@ -50,11 +50,11 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 
 func TestSetLR(t *testing.T) {
 	a := NewAdam(1e-3)
-	if a.LR() != 1e-3 {
+	if a.lr != 1e-3 {
 		t.Fatal("initial LR wrong")
 	}
 	a.SetLR(5e-4)
-	if a.LR() != 5e-4 {
+	if a.lr != 5e-4 {
 		t.Fatal("SetLR failed")
 	}
 }
@@ -157,10 +157,10 @@ func TestAdamOnNetwork(t *testing.T) {
 	target := tensor.New(64, 4)
 	for r := 0; r < 64; r++ {
 		for c := 0; c < 3; c++ {
-			x.Set(r, c, float32(rng.Float64()))
+			x.Row(r)[c] = float32(rng.Float64())
 		}
 		for c := 0; c < 4; c++ {
-			target.Set(r, c, x.At(r, 0)*float32(c)+x.At(r, 1))
+			target.Row(r)[c] = x.Row(r)[0]*float32(c) + x.Row(r)[1]
 		}
 	}
 	initial := loss.Forward(net.Forward(x), target)
@@ -387,4 +387,10 @@ func TestAdamStateMustFit(t *testing.T) {
 		}
 	}()
 	a.StepFlat(make([]float32, 9), make([]float32, 9))
+}
+
+// PaperSchedule returns the schedule used in the paper's experiments:
+// initial 1e-3, halved every 10,000 samples, floor 2.5e-4 (§4.5).
+func PaperSchedule() Halving {
+	return Halving{Initial: 1e-3, EverySamples: 10000, Min: 2.5e-4}
 }

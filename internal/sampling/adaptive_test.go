@@ -55,6 +55,3 @@ func (a *Adaptive) Next() []float64 {
 	}
 	return best
 }
-
-// Dim implements Sampler.
-func (a *Adaptive) Dim() int { return a.base.Dim() }

@@ -16,10 +16,6 @@ func NewHalton(dim int) *Halton {
 	return &Halton{dim: dim, bases: firstPrimes(dim), index: 1}
 }
 
-// Skip advances the sequence by n points, a common de-correlation practice
-// when several ensembles share the sequence.
-func (h *Halton) Skip(n int) { h.index += n }
-
 // Next implements Sampler.
 func (h *Halton) Next() []float64 {
 	p := make([]float64, h.dim)
@@ -29,9 +25,6 @@ func (h *Halton) Next() []float64 {
 	h.index++
 	return p
 }
-
-// Dim implements Sampler.
-func (h *Halton) Dim() int { return h.dim }
 
 // radicalInverse reflects the base-b digits of n about the radix point:
 // the van der Corput sequence underlying Halton.

@@ -24,9 +24,6 @@ func NewLatinHypercube(dim, n int, seed uint64) *LatinHypercube {
 	return &LatinHypercube{dim: dim, n: n, rng: rand.New(rand.NewPCG(seed, seed^0x6a09e667f3bcc909))}
 }
 
-// BlockSize returns the stratification block length.
-func (l *LatinHypercube) BlockSize() int { return l.n }
-
 // Next implements Sampler.
 func (l *LatinHypercube) Next() []float64 {
 	if l.block == nil || l.used >= l.n {
@@ -36,9 +33,6 @@ func (l *LatinHypercube) Next() []float64 {
 	l.used++
 	return p
 }
-
-// Dim implements Sampler.
-func (l *LatinHypercube) Dim() int { return l.dim }
 
 func (l *LatinHypercube) generateBlock() {
 	l.block = make([][]float64, l.n)

@@ -1,8 +1,7 @@
 // Package sampling implements the experimental designs the framework's
 // data-aggregator uses to draw simulation parameters X for each client
 // (§3.1): traditional Monte Carlo, Latin hypercube, and the Halton
-// sequence. An adaptive design — the paper's future-work direction (§5) —
-// biases draws toward regions where the current surrogate validates worst.
+// sequence.
 //
 // Samplers produce points in the unit hypercube [0,1)^d; a Space maps them
 // to physical parameter ranges (the paper samples the five temperatures in
@@ -19,8 +18,6 @@ type Sampler interface {
 	// Next returns the next point. The returned slice is owned by the
 	// caller.
 	Next() []float64
-	// Dim returns the dimensionality d.
-	Dim() int
 }
 
 // Space is a box of physical parameter ranges.
@@ -80,21 +77,6 @@ func (s Space) Scale(u []float64) []float64 {
 	return out
 }
 
-// Normalize maps a physical point back to the unit cube, used to feed
-// surrogate inputs in a trainable range.
-func (s Space) Normalize(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		span := s.Max[i] - s.Min[i]
-		if span == 0 {
-			out[i] = 0
-			continue
-		}
-		out[i] = (v - s.Min[i]) / span
-	}
-	return out
-}
-
 // Kind names an experimental design method.
 type Kind string
 
@@ -144,6 +126,3 @@ func (m *MonteCarlo) Next() []float64 {
 	}
 	return p
 }
-
-// Dim implements Sampler.
-func (m *MonteCarlo) Dim() int { return m.dim }

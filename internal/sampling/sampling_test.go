@@ -243,10 +243,11 @@ func TestNewByKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Dim() != 3 {
-			t.Fatalf("%s: dim %d", kind, s.Dim())
+		p := s.Next()
+		if len(p) != 3 {
+			t.Fatalf("%s: dim %d", kind, len(p))
 		}
-		if !inUnitCube(s.Next()) {
+		if !inUnitCube(p) {
 			t.Fatalf("%s: point outside cube", kind)
 		}
 	}
@@ -285,7 +286,7 @@ func TestAdaptiveEpsilonOneIsBase(t *testing.T) {
 			}
 		}
 	}
-	if a.Dim() != 2 {
+	if len(a.Next()) != 2 {
 		t.Fatal("dim")
 	}
 }
@@ -296,3 +297,34 @@ func TestAdaptiveNilScoreFallsBack(t *testing.T) {
 		t.Fatal("point outside cube")
 	}
 }
+
+// Dim implements Sampler.
+func (m *MonteCarlo) Dim() int { return m.dim }
+
+// Normalize maps a physical point back to the unit cube, used to feed
+// surrogate inputs in a trainable range.
+func (s Space) Normalize(x []float64) []float64 {
+	out := make([]float64, len(x))
+	for i, v := range x {
+		span := s.Max[i] - s.Min[i]
+		if span == 0 {
+			out[i] = 0
+			continue
+		}
+		out[i] = (v - s.Min[i]) / span
+	}
+	return out
+}
+
+// Dim implements Sampler.
+func (h *Halton) Dim() int { return h.dim }
+
+// Skip advances the sequence by n points, a common de-correlation practice
+// when several ensembles share the sequence.
+func (h *Halton) Skip(n int) { h.index += n }
+
+// Dim implements Sampler.
+func (l *LatinHypercube) Dim() int { return l.dim }
+
+// BlockSize returns the stratification block length.
+func (l *LatinHypercube) BlockSize() int { return l.n }

@@ -1,9 +1,11 @@
 // Package scheduler is a Slurm/OAR-style batch scheduler over the virtual
 // clock of internal/des: jobs request cores, wait in a FIFO queue, start
-// when resources free up, and release on completion. It also implements the
+// when resources free up, and release on completion. It also covers the
 // paper's schedule-in-schedule pattern (§3.1): a pilot job reserves a large
 // allocation and sub-jobs are scheduled inside it, avoiding per-job
-// scheduler overheads for short ensemble members.
+// scheduler overheads for short ensemble members. A pilot is a job of the
+// outer Cluster that runs a nested Cluster over its cores, on the same
+// clock.
 package scheduler
 
 import (
@@ -32,16 +34,6 @@ func New(sim *des.Simulation, totalCores int) *Cluster {
 	}
 	return &Cluster{sim: sim, total: totalCores, free: totalCores}
 }
-
-// TotalCores returns the cluster capacity.
-func (c *Cluster) TotalCores() int { return c.total }
-
-// FreeCores returns the currently idle cores.
-func (c *Cluster) FreeCores() int { return c.free }
-
-// Started and Finished report job counts, for monitoring.
-func (c *Cluster) Started() int  { return c.started }
-func (c *Cluster) Finished() int { return c.finished }
 
 type job struct {
 	cores int
@@ -86,19 +78,4 @@ func (c *Cluster) tryStart() {
 			c.tryStart()
 		})
 	}
-}
-
-// QueueLen returns the number of jobs waiting for resources.
-func (c *Cluster) QueueLen() int { return len(c.queue) }
-
-// Reserve implements schedule-in-schedule: it submits a pilot job for
-// cores and, once it starts, hands the caller a nested Cluster managing
-// that allocation. The caller schedules ensemble members into the pilot
-// without further interaction with the outer scheduler and calls release
-// when the whole series is done.
-func (c *Cluster) Reserve(cores int, onReady func(pilot *Cluster, release func())) {
-	c.Submit(cores, func(release func()) {
-		pilot := New(c.sim, cores)
-		onReady(pilot, release)
-	})
 }

@@ -103,11 +103,12 @@ func TestQueueLen(t *testing.T) {
 	c.Submit(10, func(release func()) { sim.After(100, release) })
 	c.Submit(10, func(release func()) { release() })
 	c.Submit(10, func(release func()) { release() })
-	sim.RunUntil(50)
-	if c.QueueLen() != 2 {
-		t.Fatalf("queue length %d, want 2", c.QueueLen())
-	}
+	queued := -1
+	sim.At(50, func() { queued = c.QueueLen() })
 	sim.Run()
+	if queued != 2 {
+		t.Fatalf("queue length %d at t=50, want 2", queued)
+	}
 	if c.QueueLen() != 0 {
 		t.Fatalf("queue not drained")
 	}
@@ -170,3 +171,25 @@ func TestPilotParallelism(t *testing.T) {
 		t.Fatalf("pilot series finished at %v, want 20", endAt)
 	}
 }
+
+// FreeCores returns the currently idle cores.
+func (c *Cluster) FreeCores() int { return c.free }
+
+// QueueLen returns the number of jobs waiting for resources.
+func (c *Cluster) QueueLen() int { return len(c.queue) }
+
+// Reserve implements schedule-in-schedule: it submits a pilot job for
+// cores and, once it starts, hands the caller a nested Cluster managing
+// that allocation. The caller schedules ensemble members into the pilot
+// without further interaction with the outer scheduler and calls release
+// when the whole series is done.
+func (c *Cluster) Reserve(cores int, onReady func(pilot *Cluster, release func())) {
+	c.Submit(cores, func(release func()) {
+		pilot := New(c.sim, cores)
+		onReady(pilot, release)
+	})
+}
+
+// Started and Finished report job counts.
+func (c *Cluster) Started() int  { return c.started }
+func (c *Cluster) Finished() int { return c.finished }

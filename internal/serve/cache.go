@@ -195,15 +195,6 @@ func (c *predictCache) counters() cacheCounters {
 	return c.cacheCounters
 }
 
-func (c *predictCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 func (c *predictCache) moveToFront(e *cacheEntry) {
 	if c.head == e {
 		return

@@ -184,7 +184,7 @@ type Stats struct {
 }
 
 // Server answers predict requests for one surrogate model. Create with
-// NewServer, then either drive Serve with a listener or (in tests) admit
+// LoadServer, then either drive Serve with a listener or (in tests) admit
 // requests directly.
 type Server struct {
 	cfg   Config
@@ -209,17 +209,10 @@ type Server struct {
 	shed, deadlineExpired, slowClients, sendErrors           atomic.Uint64
 }
 
-// NewServer wraps a loaded surrogate in a serving instance and starts its
-// batch workers (and the checkpoint watcher, if configured). The watcher
-// takes the file at CheckpointPath now as the one sur was loaded from, so a
-// publish that lands after NewServer returns is always picked up.
-func NewServer(sur *melissa.Surrogate, cfg Config) *Server {
-	fi, _ := os.Stat(cfg.CheckpointPath)
-	return newServer(sur, cfg, fi)
-}
-
-// newServer is NewServer with the watcher's baseline: the checkpoint file
-// as it was when sur was read from it (nil: no file).
+// newServer wraps a loaded surrogate in a serving instance and starts its
+// batch workers, and the checkpoint watcher if configured, whose baseline
+// is loaded: the checkpoint file as it was when sur was read from it (nil:
+// no file).
 func newServer(sur *melissa.Surrogate, cfg Config, loaded os.FileInfo) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -326,16 +319,6 @@ func (s *Server) ListenAndServe(addr string) error {
 		return fmt.Errorf("serve: listen %s: %w", addr, err)
 	}
 	return s.Serve(ln)
-}
-
-// Addr returns the listener address, once Serve has one.
-func (s *Server) Addr() net.Addr {
-	s.lnMu.Lock()
-	defer s.lnMu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 // Close stops accepting, closes every open connection (unblocking their

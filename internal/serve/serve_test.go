@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -809,4 +810,32 @@ func TestPredictRemote(t *testing.T) {
 	if !nonzero {
 		t.Fatal("all-zero prediction")
 	}
+}
+
+// NewServer wraps a loaded surrogate in a serving instance and starts its
+// batch workers (and the checkpoint watcher, if configured). The watcher
+// takes the file at CheckpointPath now as the one sur was loaded from, so a
+// publish that lands after NewServer returns is always picked up.
+func NewServer(sur *melissa.Surrogate, cfg Config) *Server {
+	fi, _ := os.Stat(cfg.CheckpointPath)
+	return newServer(sur, cfg, fi)
+}
+
+// Addr returns the listener address, once Serve has one.
+func (s *Server) Addr() net.Addr {
+	s.lnMu.Lock()
+	defer s.lnMu.Unlock()
+	if s.ln == nil {
+		return nil
+	}
+	return s.ln.Addr()
+}
+
+func (c *predictCache) len() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }

@@ -205,7 +205,3 @@ func (s *Server) rollbackIngest(batch int) {
 		})
 	}
 }
-
-// ElasticMember exposes the underlying membership runtime; tests use it to
-// kill a member the way a process death would.
-func (s *Server) ElasticMember() *elastic.Member { return s.member }

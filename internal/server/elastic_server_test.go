@@ -28,6 +28,7 @@ import (
 	"melissa/internal/elastic"
 	"melissa/internal/solver"
 	"melissa/internal/testbuf"
+	"melissa/internal/testchaos"
 	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
@@ -52,7 +53,7 @@ func chaosStreams(t *testing.T) *[csMembers][]buffer.Sample {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := testParams(c).Vector()
+		base := heatVector(testParams(c))
 		for sim.StepIndex() < testSteps {
 			if err := sim.StepOnce(); err != nil {
 				t.Fatal(err)
@@ -179,7 +180,6 @@ func TestElasticServerChaosKillReform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
 
 	srvs := make([]*Server, csMembers)
 	var killOnce sync.Once
@@ -201,7 +201,7 @@ func TestElasticServerChaosKillReform(t *testing.T) {
 			cfg.Trainer.OnLocalBatchEnd = func(_, batches int) {
 				if srvs[1].Metrics().GroupEpoch() == 1 && batches == csKillBatch {
 					killOnce.Do(func() {
-						srvs[1].ElasticMember().Kill()
+						testchaos.Kill(srvs[1].member)
 						close(killed)
 					})
 				}

@@ -13,6 +13,7 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/core"
 	"melissa/internal/protocol"
+	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
@@ -83,7 +84,7 @@ func TestIngestDedupBitset(t *testing.T) {
 	for _, step := range []int32{1, 2, 3, 2, 1, 4, 4, 100000} {
 		s.ingestTimeStep(0, leaseFrame(7, step, inDim, outDim, 0))
 	}
-	if got := bb.Len(); got != 5 {
+	if got := testbuf.Peek(bb).Len; got != 5 {
 		t.Fatalf("stored %d samples, want 5 (duplicates must be dropped)", got)
 	}
 	if got := s.receivedOnRank(0); got != 5 {
@@ -168,12 +169,12 @@ func TestIngestDropsMisSizedFrame(t *testing.T) {
 	in, out := srv.cfg.Trainer.Normalizer.InputDim(), srv.cfg.Trainer.Normalizer.OutputDim()
 	for _, bad := range [][2]int{{in - 1, out}, {in, out + 7}, {in, out - 1}} {
 		srv.ingestTimeStep(0, leaseFrame(0, 1, bad[0], bad[1], 300))
-		if srv.receivedOnRank(0) != 0 || srv.bufs[0].Len() != 0 || !st.unseen(1) {
+		if srv.receivedOnRank(0) != 0 || testbuf.Peek(srv.bufs[0]).Len != 0 || !st.unseen(1) {
 			t.Fatalf("a %d/%d frame was taken in by a %d/%d model", bad[0], bad[1], in, out)
 		}
 	}
 	srv.ingestTimeStep(0, leaseFrame(0, 1, in, out, 300))
-	if srv.receivedOnRank(0) != 1 || srv.bufs[0].Len() != 1 {
+	if srv.receivedOnRank(0) != 1 || testbuf.Peek(srv.bufs[0]).Len != 1 {
 		t.Fatal("the correct frame was refused after the mis-sized ones")
 	}
 	if err := runServer(t, srv, context.Background())(); err != nil {

@@ -316,7 +316,7 @@ func New(cfg Config) (*Server, error) {
 		ingesting:  make(chan struct{}),
 	}
 	if cfg.WatchdogTimeout > 0 {
-		s.watchdog = transport.NewWatchdog(cfg.WatchdogTimeout)
+		s.watchdog = transport.NewWatchdog(cfg.WatchdogTimeout, time.Now)
 		s.unresponsiveFired = make(map[int32]bool)
 	}
 	for r := 0; r < cfg.Ranks; r++ {
@@ -681,19 +681,6 @@ func (s *Server) closeListeners() {
 			l.Close()
 		}
 	}
-}
-
-// receivedOnRank sums the rank's distinct received time steps (test and
-// diagnostics helper).
-func (s *Server) receivedOnRank(rank int) int {
-	a := s.aggs[rank]
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	total := 0
-	for _, st := range a.sims {
-		total += int(st.Received)
-	}
-	return total
 }
 
 // CompletedSims returns the simulations whose data is complete on every

@@ -19,6 +19,7 @@ import (
 	"melissa/internal/elastic"
 	"melissa/internal/opt"
 	"melissa/internal/solver"
+	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
@@ -42,6 +43,11 @@ func testParams(i int) solver.Params {
 		Ty1: 250 + float64(i*29%200),
 		Ty2: 300 + float64(i*47%200),
 	}
+}
+
+// heatVector is p in solver.ParamsFromVector's order.
+func heatVector(p solver.Params) []float64 {
+	return []float64{p.TIC, p.Tx1, p.Ty1, p.Tx2, p.Ty2}
 }
 
 func testConfig(ranks, expectedClients int, kind buffer.Kind) Config {
@@ -83,7 +89,7 @@ func testJob(srv *Server, simID, steps int) client.Job {
 	return client.Job{
 		Client: client.Config{ClientID: simID, SimID: simID, ServerAddrs: srv.Addrs()},
 		NewSim: func() (solver.Simulator, error) { return solver.New(cfg, params) },
-		Params: params.Vector(),
+		Params: heatVector(params),
 		Steps:  steps,
 		Dt:     cfg.Dt,
 	}
@@ -315,7 +321,7 @@ func TestWatchdogClampAndIdempotentFire(t *testing.T) {
 	}
 
 	now := time.Unix(0, 0)
-	srv.watchdog.SetClock(func() time.Time { return now })
+	srv.watchdog = transport.NewWatchdog(srv.cfg.WatchdogTimeout, func() time.Time { return now })
 	expire := func() {
 		now = now.Add(srv.cfg.WatchdogTimeout + time.Millisecond)
 		srv.sweepUnresponsive()
@@ -655,8 +661,7 @@ func TestUserCancelStaysCancelled(t *testing.T) {
 		}
 	}()
 	testwait.Until(t, "a straggler to find the buffer full", func() bool {
-		producers, _ := srv.bufs[0].Parked()
-		return producers == 1
+		return testbuf.Peek(srv.bufs[0]).ParkedPut == 1
 	})
 	close(release)
 	if err := wait(); !errors.Is(err, context.Canceled) {
@@ -719,8 +724,7 @@ func TestRunReturnsWithAggregatorParked(t *testing.T) {
 			}
 			testwait.Recv(t, parked, "the first batch")
 			testwait.Until(t, "the aggregator to park in PutCopy", func() bool {
-				producers, _ := srv.bufs[0].Parked()
-				return producers == 1
+				return testbuf.Peek(srv.bufs[0]).ParkedPut == 1
 			})
 			close(release)
 			err = wait()
@@ -783,7 +787,7 @@ func TestCheckpointIsBoundaryCut(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	wait1 := runServer(t, srv1, ctx)
-	testwait.Until(t, "rank 1 to extract batch 2", func() bool { return srv1.bufs[1].Len() == perRank-2*batch })
+	testwait.Until(t, "rank 1 to extract batch 2", func() bool { return testbuf.Peek(srv1.bufs[1]).Len == perRank-2*batch })
 	close(release)
 	if err := testwait.Recv(t, taken, "the batch-1 checkpoint"); err != nil {
 		t.Fatal(err)
@@ -851,8 +855,7 @@ func TestCheckpointCutExcludesFrameInFlight(t *testing.T) {
 		ingestStep(srv, 0, 0, 5)
 	}()
 	testwait.Until(t, "the fifth frame to park in PutCopy", func() bool {
-		producers, _ := srv.bufs[0].Parked()
-		return producers == 1
+		return testbuf.Peek(srv.bufs[0]).ParkedPut == 1
 	})
 	ing := newBoundaries(srv).capture(0, 0)
 	if ing == nil {
@@ -928,9 +931,8 @@ func TestEveryPolicyCheckpoints(t *testing.T) {
 				t.Fatalf("restored contents differ: seen %d/%d, unseen %d/%d",
 					len(got.BufSeen[0]), len(want.BufSeen[0]), len(got.BufUnseen[0]), len(want.BufUnseen[0]))
 			}
-			b := srv2.bufs[0]
-			if resident, a := b.Len(), b.Arena(); resident+a.FreeRows() != a.Rows() {
-				t.Fatalf("%d resident samples + %d free rows != %d rows: restored samples are off the arena", resident, a.FreeRows(), a.Rows())
+			if st := testbuf.Peek(srv2.bufs[0]); st.Len+st.FreeRows != st.Rows {
+				t.Fatalf("%d resident samples + %d free rows != %d rows: restored samples are off the arena", st.Len, st.FreeRows, st.Rows)
 			}
 		})
 	}
@@ -988,4 +990,16 @@ func FuzzIngestState(f *testing.F) {
 			b.ReplaceContents(func(_, _ []buffer.Sample) ([]buffer.Sample, []buffer.Sample) { return nil, nil })
 		}
 	})
+}
+
+// receivedOnRank sums the rank's distinct received time steps.
+func (s *Server) receivedOnRank(rank int) int {
+	a := s.aggs[rank]
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	total := 0
+	for _, st := range a.sims {
+		total += int(st.Received)
+	}
+	return total
 }

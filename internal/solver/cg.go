@@ -11,43 +11,48 @@ import "math"
 // An iteration is two passes over the field. Pass 1 evaluates A·p and the
 // dot product p·Ap; pass 2 updates x and the residual r and sums r·r. The
 // direction update p ← r + βp that ends iteration k in the textbook loop is
-// deferred into pass 1 of iteration k+1. On the one-strip engine (the
-// default) pass 1 is fused row by row: it brings row i+1 of p up to date,
-// evaluates row i of A·p — whose stencil reads rows i−1, i and i+1, all
-// updated by then — and adds that row's products to p·Ap in the same loop.
-// The multi-strip engine keeps its halo exchange, so there the update is a
-// sweep of its own and p·Ap is summed after the strips return.
+// deferred into pass 1 of iteration k+1, which is fused row by row: it
+// brings row i+1 of p up to date, evaluates row i of A·p — whose stencil
+// reads rows i−1, i and i+1, all updated by then — and adds that row's
+// products to p·Ap in the same loop.
 //
 // Fusing moves no arithmetic. Every element of A·p is the expression
 // stencilRowGo defines, both dot products add their terms one by one in
 // index order, and every product is rounded by a float64 conversion before
 // it is added, so no target contracts it into an FMA: the fields are the
-// same bits on either engine and at any worker count
-// (TestParallelMatchesSequential, FuzzSolverStrips), and those of the
-// textbook loop evaluated one rounded operation at a time.
+// bits of the textbook loop evaluated one rounded operation at a time.
 //
 // # Kernels
 //
 // Every per-element loop of a solve goes through kern, one set of functions
-// chosen once at init: the row stencil (A·x for the initial residual, A·p
-// on the multi-strip engine), pass 1 of the one-strip engine (the deferred
-// direction update, the stencil and p·Ap, edge rows and columns included),
-// the multi-strip engine's direction update and whole-field dot, pass 2, and
-// the initial residual r = p = b − Ax with r·r and b·b. The Go loops below
-// (…Go) are the statement of their semantics and all there is off amd64; on
-// amd64 with AVX2 (tensor.HasAVX2, the module's one CPU probe) cg_amd64.s
-// runs them four lanes at a time. The contract a kernel keeps: each
-// element's products and differences are taken in the Go expression's
-// order, each rounded on its own (a vector multiply, subtract or add, never
-// an FMA), and every sum stays one serial scalar chain in index order — the
-// vector lanes' products are added to it one at a time. So the kernels leave
-// the Go loops' bits (TestFieldDigestPinned, FuzzCGKernels), and the two
-// serial chains of an iteration, p·Ap and r·r, are its speed floor.
+// chosen once at init: the row stencil (A·x for the initial residual),
+// pass 1 (the deferred direction update, the stencil and p·Ap, edge rows
+// and columns included), pass 2, and the initial residual r = p = b − Ax
+// with r·r and b·b. The Go loops below (…Go) are the statement of their
+// semantics and all there is off amd64; on amd64 with AVX2 (tensor.HasAVX2,
+// the module's one CPU probe) cg_amd64.s runs them four lanes at a time.
+// The contract a kernel keeps: each element's products and differences are
+// taken in the Go expression's order, each rounded on its own (a vector
+// multiply, subtract or add, never an FMA), and every sum stays one serial
+// scalar chain in index order — the vector lanes' products are added to it
+// one at a time. So the kernels leave the Go loops' bits
+// (TestFieldDigestPinned, FuzzCGKernels), and the two serial chains of an
+// iteration, p·Ap and r·r, are its speed floor.
 func (s *Simulation) solveCG() error {
-	x := s.u
+	x, n := s.u, s.n
 	p, res, ap := s.p[:len(x)], s.res[:len(x)], s.ap[:len(x)]
 	// res = p = rhs − A·x
-	s.eng.apply(ap, x)
+	for i := 0; i < n; i++ {
+		lo, hi := i*n, (i+1)*n
+		var up, dn []float64
+		if i > 0 {
+			up = x[lo-n : lo]
+		}
+		if i < n-1 {
+			dn = x[hi : hi+n]
+		}
+		kern.stencilRow(ap[lo:hi], x[lo:hi], up, dn, s.r, s.diag)
+	}
 	rr, bb := kern.residual(res, p, s.rhs[:len(x)], ap)
 	bNorm := math.Sqrt(bb)
 	if bNorm == 0 {
@@ -61,16 +66,7 @@ func (s *Simulation) solveCG() error {
 		if math.Sqrt(rr) <= tol {
 			return nil
 		}
-		var pap float64
-		if len(s.eng.strips) == 1 {
-			pap = kern.search(ap, p, res, s.eng.n, s.eng.r, s.eng.diag, update, beta)
-		} else {
-			if update {
-				kern.updateDirection(p, res, beta)
-			}
-			s.eng.apply(ap, p)
-			pap = kern.dotAcc(p, ap, 0)
-		}
+		pap := kern.search(ap, p, res, n, s.r, s.diag, update, beta)
 		if pap <= 0 {
 			// Defensive: cannot happen for an SPD operator unless the
 			// residual is at rounding level.
@@ -91,12 +87,8 @@ func (s *Simulation) solveCG() error {
 type kernels struct {
 	// stencilRow writes one row of A·p (stencilRowGo).
 	stencilRow func(out, row, up, dn []float64, r, diag float64)
-	// search is pass 1 on the one-strip engine (searchGo).
+	// search is pass 1 (searchGo).
 	search func(ap, p, res []float64, n int, r, diag float64, update bool, beta float64) float64
-	// updateDirection sets p ← res + βp.
-	updateDirection func(p, res []float64, beta float64)
-	// dotAcc returns acc + Σ a[i]·b[i].
-	dotAcc func(a, b []float64, acc float64) float64
 	// step is pass 2: x += α·p, res −= α·ap, and the new r·r.
 	step func(x, res, p, ap []float64, alpha float64) float64
 	// residual sets res = p = rhs − ap and returns r·r and rhs·rhs.
@@ -106,11 +98,48 @@ type kernels struct {
 // portable is the Go statement of every kernel; kern is the set in use,
 // replaced at init where the CPU has a faster one (cg_amd64.go).
 var (
-	portable = kernels{stencilRowGo, searchGo, updateDirectionGo, dotAccGo, stepGo, residualGo}
+	portable = kernels{stencilRowGo, searchGo, stepGo, residualGo}
 	kern     = portable
 )
 
-// searchGo is pass 1 on the one-strip engine: p ← res + βp if update,
+// stencilRowGo writes one row of A·src into out: row is that row of src,
+// up and dn the rows above and below it, nil at a physical edge (whose
+// Dirichlet contribution lives in the RHS, not in A). Every element is
+// diag·row[j] − r·row[j−1] − r·row[j+1] − r·up[j] − r·dn[j], diag = 1+4r,
+// the absent terms left out, evaluated left to right with each product
+// rounded on its own (the float64 conversions forbid fusing it into the
+// subtraction, which Go may otherwise do on FMA targets).
+// stencilDotRowGo evaluates the same expression, in one loop, on rows that
+// have both neighbours.
+func stencilRowGo(out, row, up, dn []float64, r, diag float64) {
+	n := len(row)
+	out = out[:n]
+	if n == 1 {
+		out[0] = float64(diag * row[0])
+	} else {
+		out[0] = float64(diag*row[0]) - float64(r*row[1])
+		c := row[1 : n-1]
+		w, east, o := row[:len(c)], row[2:2+len(c)], out[1:1+len(c)]
+		for k, ck := range c {
+			o[k] = float64(diag*ck) - float64(r*w[k]) - float64(r*east[k])
+		}
+		out[n-1] = float64(diag*row[n-1]) - float64(r*row[n-2])
+	}
+	if up != nil {
+		up = up[:n]
+		for j := range out {
+			out[j] -= float64(r * up[j])
+		}
+	}
+	if dn != nil {
+		dn = dn[:n]
+		for j := range out {
+			out[j] -= float64(r * dn[j])
+		}
+	}
+}
+
+// searchGo is pass 1: p ← res + βp if update,
 // ap = A·p and the returned p·ap, one row at a time with row i+1 of p
 // updated just before row i of ap is evaluated.
 func searchGo(ap, p, res []float64, n int, r, diag float64, update bool, beta float64) float64 {

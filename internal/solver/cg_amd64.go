@@ -15,18 +15,12 @@ func stencilRowKern(out, row, up, dn []float64, r, diag float64)
 func searchKern(ap, p, res []float64, n int, r, diag, beta float64, update bool) float64
 
 //go:noescape
-func updateDirectionKern(p, res []float64, beta float64)
-
-//go:noescape
-func dotAccKern(a, b []float64, acc float64) float64
-
-//go:noescape
 func cgStepKern(x, res, p, ap []float64, alpha float64) (rr float64)
 
 //go:noescape
 func residualKern(res, p, rhs, ap []float64) (rr, bb float64)
 
-var avx2 = kernels{stencilRowAVX2, searchAVX2, updateDirectionAVX2, dotAccAVX2, stepAVX2, residualAVX2}
+var avx2 = kernels{stencilRowAVX2, searchAVX2, stepAVX2, residualAVX2}
 
 func init() {
 	if tensor.HasAVX2() {
@@ -50,14 +44,6 @@ func searchAVX2(ap, p, res []float64, n int, r, diag float64, update bool, beta 
 	nn := n * n
 	_ = p[nn-1] // and row 0 here: n ≥ 1
 	return searchKern(ap[:nn], p[:nn], res[:nn], n, r, diag, beta, update)
-}
-
-func updateDirectionAVX2(p, res []float64, beta float64) {
-	updateDirectionKern(p, res[:len(p)], beta)
-}
-
-func dotAccAVX2(a, b []float64, acc float64) float64 {
-	return dotAccKern(a, b[:len(a)], acc)
 }
 
 func stepAVX2(x, res, p, ap []float64, alpha float64) float64 {

@@ -207,7 +207,7 @@ dn:
 
 // func searchKern(ap, p, res []float64, n int, r, diag, beta float64, update bool) float64
 //
-// Pass 1 on the one-strip engine, searchGo's result: with update, row 0 of
+// Pass 1, searchGo's result: with update, row 0 of
 // p and, before row i < n−1 is evaluated, row i+1 become res + β·p; row i of
 // ap is the stencil's, and row·ap is summed in index order. A row with both
 // neighbours, under update, brings each column of the row below up to date
@@ -307,52 +307,6 @@ next:
 	CMPQ R12, CX
 	JLT  nextrow
 	VMOVSD X7, ret+112(FP)
-	VZEROUPPER
-	RET
-
-// func updateDirectionKern(p, res []float64, beta float64)
-TEXT ·updateDirectionKern(SB), NOSPLIT, $0-56
-	MOVQ         p_base+0(FP), DI
-	MOVQ         p_len+8(FP), CX
-	MOVQ         res_base+24(FP), SI
-	VBROADCASTSD beta+48(FP), Y13
-	UPDATE(DI, SI, block, tail, done)
-	VZEROUPPER
-	RET
-
-// func dotAccKern(a, b []float64, acc float64) float64
-//
-// acc + Σ a[i]·b[i], added in index order.
-TEXT ·dotAccKern(SB), NOSPLIT, $0-64
-	MOVQ   a_base+0(FP), SI
-	MOVQ   a_len+8(FP), CX
-	MOVQ   b_base+24(FP), DI
-	VMOVSD acc+48(FP), X7
-	MOVQ   CX, DX
-	ANDQ   $-4, DX
-	XORQ   AX, AX
-	CMPQ   AX, DX
-	JGE    tail
-
-block:
-	VMOVUPD (SI)(AX*8), Y0
-	VMULPD  (DI)(AX*8), Y0, Y2
-	SUM4(Y2, X2, X7)
-	ADDQ    $4, AX
-	CMPQ    AX, DX
-	JLT     block
-
-tail:
-	CMPQ   AX, CX
-	JGE    done
-	VMOVSD (SI)(AX*8), X0
-	VMULSD (DI)(AX*8), X0, X2
-	VADDSD X2, X7, X7
-	INCQ   AX
-	JMP    tail
-
-done:
-	VMOVSD X7, ret+56(FP)
 	VZEROUPPER
 	RET
 

@@ -25,7 +25,7 @@ func TestCGKernelsMatchPortable(t *testing.T) {
 	for m := 0; m <= 67; m++ {
 		for flags := byte(0); flags < 8; flags++ {
 			in := cgInputs{
-				r: rng.Float64(), diag: 1 + 4*rng.Float64(), beta: rng.Float64(), alpha: rng.Float64() * 2, acc: rng.NormFloat64(),
+				r: rng.Float64(), diag: 1 + 4*rng.Float64(), beta: rng.Float64(), alpha: rng.Float64() * 2,
 				rowN: 1 + m%24, n: 1 + m%12, flags: flags,
 			}
 			in.pool = make([]float64, m)
@@ -42,8 +42,8 @@ func TestCGKernelsMatchPortable(t *testing.T) {
 
 // FuzzCGKernels is the byte-seeded differential of the same comparison:
 // byte 0 chooses the neighbours present and the update flag, bytes 1 and 2
-// the stencil row's length and the field's side, the next 40 the raw bits
-// of r, the diagonal, β, α and the incoming sum, and every further 8 bytes
+// the stencil row's length and the field's side, the next 32 the raw bits
+// of r, the diagonal, β and α, and every further 8 bytes
 // one float64 of the operand pool, which sets the elementwise length. NaN
 // operands are folded onto one pattern, and NaN results compare equal
 // whatever their payload, as Go's compiler may order a commutative
@@ -53,17 +53,17 @@ func FuzzCGKernels(f *testing.F) {
 		f.Skip("no AVX2 on this CPU")
 	}
 	seed := []byte{3, 6, 4}
-	for _, x := range []float64{0.25, 2, 0.5, 1.5, -3} {
+	for _, x := range []float64{0.25, 2, 0.5, 1.5} {
 		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(x))
 	}
 	for i, x := range []float64{300, -0.5, 0x1p-1070, math.Inf(1), math.NaN(), 7, math.Copysign(0, -1), 1e300, 412.5} {
 		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(x*float64(i+1)))
 	}
 	f.Add(seed)
-	f.Add(seed[:3+40+8*3])
+	f.Add(seed[:3+32+8*3])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 43 {
+		if len(data) < 35 {
 			return
 		}
 		float := func(b []byte) float64 {
@@ -74,9 +74,9 @@ func FuzzCGKernels(f *testing.F) {
 		}
 		in := cgInputs{
 			flags: data[0], rowN: 1 + int(data[1]%40), n: 1 + int(data[2]%16),
-			r: float(data[3:]), diag: float(data[11:]), beta: float(data[19:]), alpha: float(data[27:]), acc: float(data[35:]),
+			r: float(data[3:]), diag: float(data[11:]), beta: float(data[19:]), alpha: float(data[27:]),
 		}
-		for b := data[43:]; len(b) >= 8; b = b[8:] {
+		for b := data[35:]; len(b) >= 8; b = b[8:] {
 			in.pool = append(in.pool, float(b))
 		}
 		checkCGKernels(t, in)
@@ -88,10 +88,10 @@ func FuzzCGKernels(f *testing.F) {
 // length rowN, the field's side n and flags — bit 0 a row above, bit 1 a row
 // below, bit 2 the search's update.
 type cgInputs struct {
-	r, diag, beta, alpha, acc float64
-	pool                      []float64
-	rowN, n                   int
-	flags                     byte
+	r, diag, beta, alpha float64
+	pool                 []float64
+	rowN, n              int
+	flags                byte
 }
 
 // vec returns a fresh vector of length m, the pool read from offset k on,
@@ -115,9 +115,9 @@ func checkCGKernels(t *testing.T, in cgInputs) {
 		t.Helper()
 		for i := range a {
 			if !sameFloat(a[i], b[i]) {
-				t.Fatalf("%s[%d]: kernel %v (%#016x), portable %v (%#016x); inputs r %v diag %v β %v α %v acc %v rowN %d n %d flags %d pool %d",
+				t.Fatalf("%s[%d]: kernel %v (%#016x), portable %v (%#016x); inputs r %v diag %v β %v α %v rowN %d n %d flags %d pool %d",
 					what, i, a[i], math.Float64bits(a[i]), b[i], math.Float64bits(b[i]),
-					in.r, in.diag, in.beta, in.alpha, in.acc, in.rowN, in.n, in.flags, len(in.pool))
+					in.r, in.diag, in.beta, in.alpha, in.rowN, in.n, in.flags, len(in.pool))
 			}
 		}
 	}
@@ -149,16 +149,6 @@ func checkCGKernels(t *testing.T, in cgInputs) {
 		pap := k.search(ap, p, res, in.n, in.r, in.diag, in.flags&4 != 0, in.beta)
 		return append(append(ap, p...), pap)
 	}, "search (ap, p, p·ap)")
-
-	twice(func(k kernels, v func(int, int) []float64) []float64 {
-		p, res := v(m, 0), v(m, 1)
-		k.updateDirection(p, res, in.beta)
-		return p
-	}, "updateDirection")
-
-	twice(func(k kernels, v func(int, int) []float64) []float64 {
-		return []float64{k.dotAcc(v(m, 0), v(m, 1), in.acc)}
-	}, "dotAcc")
 
 	twice(func(k kernels, v func(int, int) []float64) []float64 {
 		x, res, p, ap := v(m, 0), v(m, 1), v(m, 2), v(m, 3)

@@ -17,13 +17,8 @@ type GrayScottParams struct {
 	Dv float64 // diffusion coefficient of V (lattice units)
 }
 
-// Vector returns the parameters in the canonical order (F, k, Du, Dv) used
-// across the framework.
-func (p GrayScottParams) Vector() []float64 {
-	return []float64{p.F, p.K, p.Du, p.Dv}
-}
-
-// GrayScottParamsFromVector is the inverse of GrayScottParams.Vector.
+// GrayScottParamsFromVector reads the parameters from the canonical order
+// (F, k, Du, Dv) used across the framework.
 func GrayScottParamsFromVector(v []float64) (GrayScottParams, error) {
 	if len(v) != 4 {
 		return GrayScottParams{}, fmt.Errorf("solver: want 4 gray-scott parameters, got %d", len(v))
@@ -128,12 +123,6 @@ func (g *GrayScott) seed() {
 	}
 }
 
-// Config returns the (defaulted) configuration in effect.
-func (g *GrayScott) Config() GrayScottConfig { return g.cfg }
-
-// Params returns the simulation inputs.
-func (g *GrayScott) Params() GrayScottParams { return g.par }
-
 // Field implements Simulator: the concatenated (u, v) channels, length 2N².
 // The slice aliases internal state.
 func (g *GrayScott) Field() []float64 { return g.field }
@@ -180,10 +169,4 @@ func (g *GrayScott) StepOnce() error {
 	copy(g.v, g.vn)
 	g.step++
 	return nil
-}
-
-// Run advances through all configured steps, invoking emit after each one,
-// mirroring Simulation.Run.
-func (g *GrayScott) Run(emit func(step int, field []float64)) error {
-	return Run(g, g.cfg.Steps, emit)
 }

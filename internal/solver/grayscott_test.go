@@ -113,3 +113,14 @@ func TestGrayScottImplementsSimulator(t *testing.T) {
 	var _ Simulator = &GrayScott{}
 	var _ Simulator = &Simulation{}
 }
+
+// Run advances through all configured steps, invoking emit after each one,
+// mirroring Simulation.Run.
+func (g *GrayScott) Run(emit func(step int, field []float64)) error {
+	return Run(g, g.cfg.Steps, emit)
+}
+
+// Vector is the inverse of GrayScottParamsFromVector.
+func (p GrayScottParams) Vector() []float64 {
+	return []float64{p.F, p.K, p.Du, p.Dv}
+}

@@ -23,8 +23,7 @@ type Simulator interface {
 }
 
 // Run drives sim through the remaining steps up to totalSteps, invoking
-// emit after each one with the 1-based step index and the current field —
-// the generic counterpart of Simulation.Run usable with any Simulator.
+// emit after each one with the 1-based step index and the current field.
 func Run(sim Simulator, totalSteps int, emit func(step int, field []float64)) error {
 	for sim.StepIndex() < totalSteps {
 		if err := sim.StepOnce(); err != nil {

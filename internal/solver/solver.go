@@ -1,10 +1,8 @@
 // Package solver implements the numerical substrate of the paper's
 // experiments (§4.1): a 2D heat-equation solver using a finite-difference
-// discretization with an implicit Euler scheme on a Cartesian grid,
-// parallelized by 2D-row domain partitioning with explicit halo exchange —
-// the Go equivalent of the paper's Fortran90+MPI code. The linear system
-// arising at each implicit step is symmetric positive definite and solved
-// with conjugate gradients, matrix-free.
+// discretization with an implicit Euler scheme on a Cartesian grid. The
+// linear system arising at each implicit step is symmetric positive
+// definite and solved with conjugate gradients, matrix-free.
 //
 // The PDE (paper Equation 2):
 //
@@ -15,14 +13,25 @@
 // The field is discretized on an N×N grid of interior nodes with Dirichlet
 // boundary values held on the four edges.
 //
+// The paper's Fortran90+MPI solver splits each member across ranks by 2D
+// domain partitioning. Here a member is one goroutine on the whole field,
+// and the parallelism is across members instead: the launcher runs
+// MaxConcurrentClients members at once (§3.1's scheduler), and the
+// validation set is solved by up to GOMAXPROCS concurrent members. At the
+// grids this reproduction runs, splitting a member did not pay: an engine
+// of row strips ran 2.4–2.7× slower with two strips than with one at grid
+// 32, and 1.3–1.4× slower at grid 128 (µs per step on a 2-vCPU VM). Every
+// A·p handed each strip to a goroutine, exchanged halo rows and waited for
+// all of them, which cost more than a strip's share of the arithmetic.
+//
 // CG's per-element loops — the row stencil, pass 1 (direction update,
-// stencil and p·Ap), pass 2 (x, r and r·r), the multi-strip engine's update
-// and dot, and the initial residual — have AVX2 kernels on amd64, chosen
-// once at init (cg.go, Kernels). A kernel takes each element's products and
-// differences in the Go loop's order, one rounding per operation and never
-// an FMA, and keeps every sum one serial scalar chain in index order, so the
-// fields are the Go loops' bits on any CPU; those serial sums, two per
-// iteration, are the solver's speed floor.
+// stencil and p·Ap), pass 2 (x, r and r·r) and the initial residual — have
+// AVX2 kernels on amd64, chosen once at init (cg.go, Kernels). A kernel
+// takes each element's products and differences in the Go loop's order,
+// one rounding per operation and never an FMA, and keeps every sum one
+// serial scalar chain in index order, so the fields are the Go loops' bits
+// on any CPU; those serial sums, two per iteration, are the solver's speed
+// floor.
 package solver
 
 import (
@@ -42,13 +51,8 @@ type Params struct {
 	Ty2 float64 // boundary at y = L
 }
 
-// Vector returns the parameters in the canonical order used across the
-// framework: (T_IC, T_x1, T_y1, T_x2, T_y2), matching §4.1.
-func (p Params) Vector() []float64 {
-	return []float64{p.TIC, p.Tx1, p.Ty1, p.Tx2, p.Ty2}
-}
-
-// ParamsFromVector is the inverse of Params.Vector.
+// ParamsFromVector reads the parameters from the canonical order used
+// across the framework: (T_IC, T_x1, T_y1, T_x2, T_y2), matching §4.1.
 func ParamsFromVector(v []float64) (Params, error) {
 	if len(v) != 5 {
 		return Params{}, fmt.Errorf("solver: want 5 parameters, got %d", len(v))
@@ -66,14 +70,8 @@ type Config struct {
 	Alpha     float64 // thermal diffusivity (m²/s)
 	Dt        float64 // time-step length (s)
 	Steps     int     // number of time steps to produce
-	Workers   int     // domain partitions (strips); ≤ 0 means 1
 	CGTol     float64 // CG relative residual tolerance
 	CGMaxIter int     // CG iteration cap per step
-}
-
-// DefaultConfig mirrors the paper's physical setup at a reduced grid size.
-func DefaultConfig() Config {
-	return Config{N: 32, L: 1, Alpha: 1, Dt: 0.01, Steps: 100, Workers: 1, CGTol: 1e-10, CGMaxIter: 10000}
 }
 
 func (c Config) withDefaults() Config {
@@ -86,12 +84,6 @@ func (c Config) withDefaults() Config {
 	if c.Dt <= 0 {
 		c.Dt = 0.01
 	}
-	if c.Workers <= 0 {
-		c.Workers = 1
-	}
-	if c.Workers > c.N {
-		c.Workers = c.N
-	}
 	if c.CGTol <= 0 {
 		c.CGTol = 1e-10
 	}
@@ -100,11 +92,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// WithDefaults returns the configuration completed with default values, as
-// New applies them — callers that need the effective Dt or worker count
-// before constructing a simulation use this.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -120,12 +107,12 @@ func (c Config) Validate() error {
 // Simulation is one ensemble member: a heat-equation run for a fixed
 // parameter vector. It is not safe for concurrent use.
 type Simulation struct {
-	cfg  Config
-	par  Params
-	r    float64   // α·Δt/h²
-	u    []float64 // current interior field, row-major N×N
-	step int
-	eng  *engine
+	cfg     Config
+	par     Params
+	n       int       // cfg.N
+	r, diag float64   // α·Δt/h² and A's diagonal, 1+4r
+	u       []float64 // current interior field, row-major N×N
+	step    int
 
 	rhs, res, p, ap []float64 // CG work vectors
 }
@@ -146,19 +133,20 @@ func New(cfg Config, par Params) (*Simulation, error) {
 		return nil, fmt.Errorf("solver: Alpha·Dt/h² overflows (Alpha=%g, Dt=%g, L=%g, N=%d)", cfg.Alpha, cfg.Dt, cfg.L, cfg.N)
 	}
 	s := &Simulation{
-		cfg: cfg,
-		par: par,
-		r:   r,
-		u:   make([]float64, cfg.N*cfg.N),
-		rhs: make([]float64, cfg.N*cfg.N),
-		res: make([]float64, cfg.N*cfg.N),
-		p:   make([]float64, cfg.N*cfg.N),
-		ap:  make([]float64, cfg.N*cfg.N),
+		cfg:  cfg,
+		par:  par,
+		n:    cfg.N,
+		r:    r,
+		diag: 1 + float64(4*r),
+		u:    make([]float64, cfg.N*cfg.N),
+		rhs:  make([]float64, cfg.N*cfg.N),
+		res:  make([]float64, cfg.N*cfg.N),
+		p:    make([]float64, cfg.N*cfg.N),
+		ap:   make([]float64, cfg.N*cfg.N),
 	}
 	for i := range s.u {
 		s.u[i] = par.TIC
 	}
-	s.eng = newEngine(cfg.N, cfg.Workers, s.r)
 	return s, nil
 }
 
@@ -179,12 +167,6 @@ func checkFinite(cfg Config, par Params) error {
 	}
 	return nil
 }
-
-// Config returns the (defaulted) configuration in effect.
-func (s *Simulation) Config() Config { return s.cfg }
-
-// Params returns the simulation inputs.
-func (s *Simulation) Params() Params { return s.par }
 
 // Field returns the current interior temperature field (row-major, length
 // N²). The slice aliases internal state; callers must copy before the next
@@ -223,14 +205,6 @@ func (s *Simulation) StepOnce() error {
 	}
 	s.step++
 	return nil
-}
-
-// Run advances through all configured steps, invoking emit after each one
-// with the 1-based step index and the current field. This is the hook the
-// client library instruments: "a send is issued to transfer time steps
-// u_t^X as soon as computed" (§3.1).
-func (s *Simulation) Run(emit func(step int, field []float64)) error {
-	return Run(s, s.cfg.Steps, emit)
 }
 
 // buildRHS assembles b = u^n + r·(Dirichlet neighbour contributions).

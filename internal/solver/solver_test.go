@@ -26,16 +26,8 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := s.Config()
-	if cfg.Workers != 1 || cfg.CGTol <= 0 || cfg.CGMaxIter <= 0 || cfg.Dt <= 0 {
+	if cfg.CGTol <= 0 || cfg.CGMaxIter <= 0 || cfg.Dt <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
-	}
-	// Workers clamped to N.
-	s, err = New(Config{N: 3, Steps: 1, Workers: 16}, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Config().Workers != 3 {
-		t.Fatalf("workers not clamped: %d", s.Config().Workers)
 	}
 }
 
@@ -140,87 +132,6 @@ func TestSymmetryPreserved(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestParallelMatchesSequential(t *testing.T) {
-	par := Params{TIC: 120, Tx1: 480, Tx2: 210, Ty1: 330, Ty2: 150}
-	run := func(n, workers int) []float64 {
-		s, err := New(Config{N: n, Steps: 8, Dt: 0.003, Workers: workers}, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Run(nil); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]float64, len(s.Field()))
-		copy(out, s.Field())
-		return out
-	}
-	// N = 1 is one strip at any worker count; N = 2 is two one-row strips,
-	// each the other's halo.
-	for _, n := range []int{1, 2, 17} {
-		ref := run(n, 1)
-		for _, w := range []int{2, 3, 4, 8, 17} {
-			got := run(n, w)
-			for i := range ref {
-				// Every element of A·p is the same expression on either
-				// engine and the CG scalars are summed centrally in index
-				// order, so the strips — unfused, with a halo exchange — must
-				// match the fused one-strip solve bit for bit.
-				if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-					t.Fatalf("N=%d workers=%d differs at node %d: %v vs %v", n, w, i, got[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
-// FuzzSolverStrips is the differential test between the two CG engines:
-// for a drawn grid, time step, parameter vector and worker count, the
-// multi-strip solve must leave the same field bits as the fused one-strip
-// solve after every step, and fail on the same step if either fails.
-func FuzzSolverStrips(f *testing.F) {
-	f.Add(uint8(17), 0.003, 120.0, 480.0, 210.0, 330.0, 150.0, uint8(3))
-	f.Add(uint8(2), 0.01, 300.0, 100.0, 500.0, 200.0, 400.0, uint8(2))
-	f.Add(uint8(48), 0.5, 100.0, 500.0, 100.0, 500.0, 100.0, uint8(48))
-	f.Add(uint8(5), 1e-5, 0.0, 0.0, 0.0, 0.0, 0.0, uint8(4))
-	f.Fuzz(func(t *testing.T, n uint8, dt, tic, tx1, tx2, ty1, ty2 float64, workers uint8) {
-		cfg := Config{N: 2 + int(n)%47, Steps: 4, Dt: dt}
-		if !(dt > 0 && dt <= 10) {
-			// Longer steps only cost more CG iterations.
-			cfg.Dt = 0.01
-		}
-		w := 2 + int(workers)%(cfg.N-1)
-		par := Params{TIC: tic, Tx1: tx1, Tx2: tx2, Ty1: ty1, Ty2: ty2}
-		for _, v := range par.Vector() {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Skip("non-finite parameter")
-			}
-		}
-		one, err := New(cfg, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workers = w
-		strips, err := New(cfg, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 1; step <= cfg.Steps; step++ {
-			errOne, errStrips := one.StepOnce(), strips.StepOnce()
-			if errOne != errStrips {
-				t.Fatalf("N=%d workers=%d step %d: errors %v vs %v", cfg.N, w, step, errOne, errStrips)
-			}
-			for i, v := range one.Field() {
-				if u := strips.Field()[i]; math.Float64bits(u) != math.Float64bits(v) {
-					t.Fatalf("N=%d Dt=%v workers=%d step %d node %d: %v (strips) vs %v (one strip)", cfg.N, cfg.Dt, w, step, i, u, v)
-				}
-			}
-			if errOne != nil {
-				return
-			}
-		}
-	})
 }
 
 func TestStepMatchesDenseDirectSolve(t *testing.T) {
@@ -483,4 +394,23 @@ func TestNewRefusesNonFinite(t *testing.T) {
 	if _, err := New(cfg, par); err == nil {
 		t.Error("an overflowing α·Δt/h² was accepted")
 	}
+}
+
+// Vector is the inverse of ParamsFromVector.
+func (p Params) Vector() []float64 {
+	return []float64{p.TIC, p.Tx1, p.Ty1, p.Tx2, p.Ty2}
+}
+
+// DefaultConfig mirrors the paper's physical setup at a reduced grid size.
+func DefaultConfig() Config {
+	return Config{N: 32, L: 1, Alpha: 1, Dt: 0.01, Steps: 100, CGTol: 1e-10, CGMaxIter: 10000}
+}
+
+// Config returns the (defaulted) configuration in effect.
+func (s *Simulation) Config() Config { return s.cfg }
+
+// Run advances through all configured steps, invoking emit after each one
+// with the 1-based step index and the current field.
+func (s *Simulation) Run(emit func(step int, field []float64)) error {
+	return Run(s, s.cfg.Steps, emit)
 }

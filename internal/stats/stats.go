@@ -3,11 +3,7 @@
 // (decimation for printable traces).
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Histogram counts occurrences of integer values.
 type Histogram struct {
@@ -24,17 +20,8 @@ func (h *Histogram) Add(v int) {
 	h.total++
 }
 
-// AddN increments the count for v by n.
-func (h *Histogram) AddN(v, n int) {
-	h.counts[v] += n
-	h.total += n
-}
-
 // Count returns the count for v.
 func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Total returns the number of added values.
-func (h *Histogram) Total() int { return h.total }
 
 // Max returns the largest value with a nonzero count, 0 when empty.
 func (h *Histogram) Max() int {
@@ -47,16 +34,6 @@ func (h *Histogram) Max() int {
 	return max
 }
 
-// Keys returns the values with nonzero counts in ascending order.
-func (h *Histogram) Keys() []int {
-	keys := make([]int, 0, len(h.counts))
-	for v := range h.counts {
-		keys = append(keys, v)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
 // Mean returns the count-weighted mean value.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
@@ -67,18 +44,6 @@ func (h *Histogram) Mean() float64 {
 		sum += float64(v) * float64(c)
 	}
 	return sum / float64(h.total)
-}
-
-// String renders "v:count" pairs in ascending value order.
-func (h *Histogram) String() string {
-	s := ""
-	for _, v := range h.Keys() {
-		if s != "" {
-			s += " "
-		}
-		s += fmt.Sprintf("%d:%d", v, h.counts[v])
-	}
-	return s
 }
 
 // Decimate reduces xs/ys to at most n points by uniform index striding,

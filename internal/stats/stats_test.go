@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -71,4 +73,35 @@ func TestDecimateMismatchPanics(t *testing.T) {
 		}
 	}()
 	Decimate(make([]float64, 3), make([]float64, 4), 2)
+}
+
+// AddN increments the count for v by n.
+func (h *Histogram) AddN(v, n int) {
+	h.counts[v] += n
+	h.total += n
+}
+
+// Total returns the number of added values.
+func (h *Histogram) Total() int { return h.total }
+
+// Keys returns the values with nonzero counts in ascending order.
+func (h *Histogram) Keys() []int {
+	keys := make([]int, 0, len(h.counts))
+	for v := range h.counts {
+		keys = append(keys, v)
+	}
+	sort.Ints(keys)
+	return keys
+}
+
+// String renders "v:count" pairs in ascending value order.
+func (h *Histogram) String() string {
+	s := ""
+	for _, v := range h.Keys() {
+		if s != "" {
+			s += " "
+		}
+		s += fmt.Sprintf("%d:%d", v, h.counts[v])
+	}
+	return s
 }

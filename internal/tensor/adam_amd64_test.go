@@ -89,12 +89,17 @@ func FuzzAdamKernel(f *testing.F) {
 
 // TestAdamSumKernelMatchesPortable calls adamSumRangeAVX2 and the portable
 // pass directly: lengths 0–67 from every start offset up to 9, one to four
-// sources, all, none or only a bystander slab cleared.
+// sources, all, none or only a bystander slab cleared. A -short run keeps
+// the lengths up to 19, every tail and start offset of zero to two 8-lane
+// blocks, and 67.
 func TestAdamSumKernelMatchesPortable(t *testing.T) {
 	if !hasAVX2FMA() {
 		t.Skip("no AVX2+FMA on this CPU")
 	}
 	for n := 0; n <= 67; n++ {
+		if testing.Short() && n > 19 && n < 67 {
+			continue
+		}
 		for lo := 0; lo <= min(n, 9); lo++ {
 			for nsrc := 1; nsrc <= 4; nsrc++ {
 				for _, clear := range []int{0, nsrc, -1} {

@@ -114,12 +114,12 @@ func checkAdamImpls(t *testing.T, a, b adamImpl, seed uint64, n, steps int) {
 // TestAdamStepChunksMatchSerial splits a slab with edge-case lanes across
 // a team (chunk boundaries off the 8-lane grid, so every chunk has a scalar
 // tail) on either side of the fan-out threshold and compares it with one
-// serial pass of the portable update.
+// serial pass of the portable update, for five steps (two under -short).
 func TestAdamStepChunksMatchSerial(t *testing.T) {
 	tm := NewTeam(2)
 	t.Cleanup(tm.Close)
 	for _, n := range []int{elemwiseParallelThreshold - 1, elemwiseParallelThreshold + 13} {
-		checkAdamImpls(t, tm.AdamStep, adamRangeGo, 11, n, 5)
+		checkAdamImpls(t, tm.AdamStep, adamRangeGo, 11, n, shortOr(2, 5))
 	}
 }
 
@@ -262,7 +262,8 @@ func checkAdamSumImpls(t *testing.T, a, b adamSumImpl, seed uint64, n, nsrc, cle
 // replaces in a training step: copy srcs[0], Add the other sources in
 // order, Scal by the scale, AdamStep, then clear every slab of zero over
 // the range — bit-for-bit, inline and on a team (above the fan-out
-// threshold too), with a range that starts off the 8-lane grid.
+// threshold too, for one step under -short), with a range that starts off
+// the 8-lane grid.
 func TestAdamSumStepIsSumScaleStepZero(t *testing.T) {
 	tm := NewTeam(2)
 	t.Cleanup(tm.Close)
@@ -282,5 +283,5 @@ func TestAdamSumStepIsSumScaleStepZero(t *testing.T) {
 		checkAdamSumImpls(t, tm.AdamSumStep, passes, 3, 67, nsrc, nsrc, 5, scale, 3)
 		checkAdamSumImpls(t, (*Team)(nil).AdamSumStep, passes, 4, 67, nsrc, -1, 0, scale, 3)
 	}
-	checkAdamSumImpls(t, tm.AdamSumStep, passes, 5, elemwiseParallelThreshold+13, 3, 3, 5, 1.0/3, 2)
+	checkAdamSumImpls(t, tm.AdamSumStep, passes, 5, elemwiseParallelThreshold+13, 3, 3, 5, 1.0/3, shortOr(1, 2))
 }

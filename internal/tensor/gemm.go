@@ -87,37 +87,10 @@ func useBlocked(kind gemmKind, m, n, k int) bool {
 	return m*n*k >= naiveMaxWork
 }
 
-// MatMul computes dst = a·b. dst must be preallocated with shape
-// a.Rows×b.Cols and must not alias a or b.
-func MatMul(dst, a, b *Matrix) { (*Team)(nil).MatMulEpilogue(dst, a, b, nil, EpNone) }
-
-// MatMulBias computes dst = a·b + bias with the bias row (length b.Cols)
-// broadcast over the batch, fused into the GEMM epilogue — the dense-layer
-// forward without the extra full pass of AddRowVector.
-func MatMulBias(dst, a, b *Matrix, bias []float32) {
-	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBias)
-}
-
-// MatMulBiasReLU computes dst = relu(a·b + bias) in one fused pass.
-func MatMulBiasReLU(dst, a, b *Matrix, bias []float32) {
-	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBiasReLU)
-}
-
-// MatMulBiasTanh computes dst = tanh(a·b + bias) in one fused pass.
-func MatMulBiasTanh(dst, a, b *Matrix, bias []float32) {
-	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBiasTanh)
-}
-
-// MatMulABT computes dst = a·bᵀ. dst must have shape a.Rows×b.Rows. Used in
-// backprop for dX = dY·Wᵀ without materializing the transpose.
-func MatMulABT(dst, a, b *Matrix) { (*Team)(nil).MatMulABT(dst, a, b) }
-
-// MatMulATBAdd computes dst += aᵀ·b. dst must have shape a.Cols×b.Cols. The
-// accumulate form matches gradient accumulation for dW += Xᵀ·dY.
-func MatMulATBAdd(dst, a, b *Matrix) { (*Team)(nil).MatMulATBAdd(dst, a, b) }
-
-// MatMulEpilogue is MatMul (EpNone) or MatMulBias* (the other epilogues,
-// with a bias row of length b.Cols) on the team.
+// MatMulEpilogue computes dst = a·b (EpNone), or with the bias row (length
+// b.Cols) broadcast over the batch and the epilogue's activation applied,
+// fused into the GEMM: act(a·b + bias). dst must be preallocated with shape
+// a.Rows×b.Cols and must not alias a or b. A nil team runs it inline.
 func (tm *Team) MatMulEpilogue(dst, a, b *Matrix, bias []float32, ep Epilogue) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.Cols, b.Rows))
@@ -129,7 +102,8 @@ func (tm *Team) MatMulEpilogue(dst, a, b *Matrix, bias []float32, ep Epilogue) {
 	tm.gemm(gemmNN, dst, a, b, bias, ep)
 }
 
-// MatMulABT is the package's MatMulABT on the team.
+// MatMulABT computes dst = a·bᵀ. dst must have shape a.Rows×b.Rows. Used in
+// backprop for dX = dY·Wᵀ without materializing the transpose.
 func (tm *Team) MatMulABT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulABT inner dims %d vs %d", a.Cols, b.Cols))
@@ -138,7 +112,8 @@ func (tm *Team) MatMulABT(dst, a, b *Matrix) {
 	tm.gemm(gemmNT, dst, a, b, nil, EpNone)
 }
 
-// MatMulATBAdd is the package's MatMulATBAdd on the team.
+// MatMulATBAdd computes dst += aᵀ·b. dst must have shape a.Cols×b.Cols. The
+// accumulate form matches gradient accumulation for dW += Xᵀ·dY.
 func (tm *Team) MatMulATBAdd(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulATBAdd inner dims %d vs %d", a.Rows, b.Rows))

@@ -151,13 +151,14 @@ func TestBlockedGemmMatchesReferenceRandomShapes(t *testing.T) {
 // TestFusedEpiloguesMatchUnfusedComposition pins the fused epilogue
 // contract: bias and activation are applied after the full k accumulation,
 // so the fused call must be bit-identical to MatMul followed by the
-// separate bias and activation passes — under both kernels.
+// separate bias and activation passes — under both kernels, for 60 random
+// shapes (15 under -short).
 func TestFusedEpiloguesMatchUnfusedComposition(t *testing.T) {
 	for _, mode := range []gemmModeT{gemmNaive, gemmBlocked} {
 		t.Run(gemmModeNames[mode], func(t *testing.T) {
 			forceGemmMode(t, mode)
 			rng := rand.New(rand.NewPCG(7, uint64(mode)))
-			for iter := 0; iter < 60; iter++ {
+			for iter := 0; iter < shortOr(15, 60); iter++ {
 				m, k, n := randShape(rng)
 				a, b := randMatrix(rng, m, k), randMatrix(rng, k, n)
 				bias := make([]float32, n)

@@ -29,6 +29,15 @@ func forEachLevel(t *testing.T, f func(t *testing.T)) {
 // instruction, and the tests that run at every level shrink their work on it.
 func softwareFMA() bool { return kern.name == "portable" && len(levels) > 1 }
 
+// shortOr returns short in a -short run and full otherwise: a loop count
+// that -short cuts without dropping a shape class or a kernel level.
+func shortOr(short, full int) int {
+	if testing.Short() {
+		return short
+	}
+	return full
+}
+
 // keepRows reports whether a test that sweeps the row counts 1…40 runs m.
 // A -short run keeps every tail of the 12-row kernel's 4-, 8- and 12-row
 // loops and one row past them (1…13), both sides of the skinny bound

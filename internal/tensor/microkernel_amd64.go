@@ -83,7 +83,7 @@ func init() {
 		}
 		kern = levels[len(levels)-1]
 		adamRange, adamSumRange = adamRangeAVX2, adamSumRangeAVX2
-		vecScal, vecAdd, vecAddReLU = scalAVX2, addAVX2, addReLUAVX2
+		vecAdd, vecAddReLU = addAVX2, addReLUAVX2
 		vecReLUGradBias, vecSubScale, vecSqDiffLanes = reluGradBiasAVX2, subScaleAVX2, sqDiffLanesAVX2
 		vecAffineNorm, vecF64ToF32 = affineNormAVX2, f64ToF32AVX2
 		vecPutF32LE, vecGetF32LE = putF32LEAVX2, getF32LEAVX2

@@ -81,9 +81,9 @@ func checkSkinnyKernels(t *testing.T, vals []float32, k int) {
 // TestSkinnyKernelsMatchPortable calls the assembly kernels and the
 // portable twins directly (not through the active level) on
 // every k from 0 to 41 — each tail length on either side of one to five
-// 8-lane blocks — with ordinary values, values whose products and sums
-// overflow, underflow to subnormals and cancel, and the double-rounding
-// cases of TestFMA32.
+// 8-lane blocks; under -short up to 17 and 41 — with ordinary values,
+// values whose products and sums overflow, underflow to subnormals and
+// cancel, and the double-rounding cases of TestFMA32.
 func TestSkinnyKernelsMatchPortable(t *testing.T) {
 	if !hasAVX2FMA() {
 		t.Skip("no AVX2+FMA on this CPU")
@@ -94,6 +94,9 @@ func TestSkinnyKernelsMatchPortable(t *testing.T) {
 		math.MaxFloat32, -math.MaxFloat32, 0x1p-149, -0x1p-149, 0x1p-126, 0x1p-75, -0x1p-75,
 		2 - 0x1p-22, 1 + 0x1p-23, 0x1p25 + 4, 0x1p-127 + 0x1p-149, 0x1p64, -0x1p64}
 	for k := 0; k <= 41; k++ {
+		if testing.Short() && k > 17 && k < 41 {
+			continue
+		}
 		for round := 0; round < 6; round++ {
 			vals := make([]float32, 997)
 			for i := range vals {

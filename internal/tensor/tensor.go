@@ -3,7 +3,7 @@
 // small: row-major matrices, a cache-blocked register-tiled GEMM with fused
 // epilogues, the Adam update over flat parameter slabs, and one family of
 // elementwise kernels for everything between the GEMMs — epilogues, loss,
-// normalization, gradient accumulate and scale, the wire's float copies.
+// normalization, gradient accumulate, the wire's float copies.
 // Everything is allocation-explicit so training loops can reuse buffers
 // across batches. A kernel runs inline unless its caller owns a Team — the
 // cores of a trainer rank — on which it fans out op-coded chunks to helper
@@ -20,8 +20,8 @@
 // and a register-tiled micro-kernel, sixteen columns wide (microkernel.go;
 // see Kernel levels below), accumulates each output tile without touching
 // memory for C inside the k-loop. Fused epilogues apply bias-add and the
-// layer activation right after accumulation (MatMulBias, MatMulBiasReLU,
-// MatMulBiasTanh). On a team the driver fans out over macro-tiles; tiles
+// layer activation right after accumulation (EpBias, EpBiasReLU,
+// EpBiasTanh). On a team the driver fans out over macro-tiles; tiles
 // own disjoint output regions and their decomposition depends only on the
 // matrix shapes.
 //
@@ -79,9 +79,9 @@
 //     chain from zero over ascending p; the slab sums are added to the
 //     output in ascending order; then the epilogue. Rows of a micro-tile
 //     never mix, and whether the naive kernel runs instead is decided by
-//     B's shape, not A's rows. So an output row of MatMul / MatMulBias* is
-//     a pure function of (its input row, B, bias, epilogue): the same bits
-//     at every row count, position and set of neighbours, and under
+//     B's shape, not A's rows. So an output row of A·B, epilogue included,
+//     is a pure function of (its input row, B, bias, epilogue): the same
+//     bits at every row count, position and set of neighbours, and under
 //     the forced packed driver (TestRowInvariance). Serving rests on this.
 //   - A·Bᵀ, skinny: eight partial sums over p mod 8, added in a fixed tree,
 //     then the k mod 8 tail (dot4x2Go) — a function of k. Above skinnyM
@@ -103,10 +103,11 @@
 //
 // # Adam update
 //
-// AdamStep has no tolerance: an AVX2 kernel (adam_amd64.s, eight lanes,
-// enabled by the same CPU check as the GEMM micro-kernel) and a portable
-// loop (adamRangeGo, also the kernel's tail) compute, per element and in
-// this order, each operation rounded to float32 on its own,
+// The update (Team.AdamStep) has no tolerance: an AVX2 kernel
+// (adam_amd64.s, eight lanes, enabled by the same CPU check as the GEMM
+// micro-kernel) and a portable loop (adamRangeGo, also the kernel's tail)
+// compute, per element and in this order, each operation rounded to
+// float32 on its own,
 //
 //	m′ = β1·m + (1−β1)·g            two products, then the sum; no FMA
 //	v′ = β2·v + ((1−β2)·g)·g
@@ -134,7 +135,7 @@
 //
 // # Elementwise kernels
 //
-// vec.go's family — Scal, Add, AddReLU, ReLUGradBias, SubScale, AffineNorm,
+// vec.go's family — Add, AddReLU, ReLUGradBias, SubScale, AffineNorm,
 // F64ToF32, PutF32LE / GetF32LE and SqDiffSum — is what the training step
 // and the ingest path run per field between the GEMMs. Each has an AVX2
 // kernel (vec_amd64.s, eight lanes, enabled by the same CPU check) over the
@@ -161,10 +162,7 @@
 //     train loss and validation MSE only; no gradient reads it.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Matrix is a dense, row-major float32 matrix. Data has length Rows*Cols;
 // element (r, c) lives at Data[r*Cols+c].
@@ -181,15 +179,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromSlice wraps data as a rows×cols matrix without copying. The slice
-// length must equal rows*cols.
-func FromSlice(rows, cols int, data []float32) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: FromSlice length %d != %d*%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
 // ViewRows points dst at rows [r0, r1) of m, sharing storage. Writing
 // through dst writes m. The dst header is caller-owned so hot loops can
 // reuse one header for varying batch prefixes without allocating.
@@ -200,12 +189,6 @@ func (m *Matrix) ViewRows(dst *Matrix, r0, r1 int) {
 	dst.Rows, dst.Cols = r1-r0, m.Cols
 	dst.Data = m.Data[r0*m.Cols : r1*m.Cols]
 }
-
-// At returns the element at row r, column c.
-func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
-
-// Set assigns the element at row r, column c.
-func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
 
 // Row returns the r-th row as a slice sharing the matrix storage.
 func (m *Matrix) Row(r int) []float32 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
@@ -220,39 +203,6 @@ func (m *Matrix) Clone() *Matrix {
 // Zero sets every element to 0.
 func (m *Matrix) Zero() { clear(m.Data) }
 
-// Fill sets every element to v.
-func (m *Matrix) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
-// Add accumulates src into m element-wise.
-func (m *Matrix) Add(src *Matrix) {
-	m.mustSameShape(src)
-	Axpy(1, src.Data, m.Data)
-}
-
-// Sub subtracts src from m element-wise.
-func (m *Matrix) Sub(src *Matrix) {
-	m.mustSameShape(src)
-	Axpy(-1, src.Data, m.Data)
-}
-
-// Scale multiplies every element by a.
-func (m *Matrix) Scale(a float32) { Scal(a, m.Data) }
-
-// AddRowVector adds the vector v (length Cols) to every row of m. Used for
-// bias broadcast in dense layers.
-func (m *Matrix) AddRowVector(v []float32) {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVector length %d != cols %d", len(v), m.Cols))
-	}
-	for r := 0; r < m.Rows; r++ {
-		Add(m.Row(r), v)
-	}
-}
-
 // SumRowsInto accumulates the column sums of m into dst (length Cols).
 // Used for bias gradients.
 func (m *Matrix) SumRowsInto(dst []float32) {
@@ -261,46 +211,6 @@ func (m *Matrix) SumRowsInto(dst []float32) {
 	}
 	for r := 0; r < m.Rows; r++ {
 		Add(dst, m.Row(r))
-	}
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			out.Data[c*m.Rows+r] = m.Data[r*m.Cols+c]
-		}
-	}
-	return out
-}
-
-// MaxAbsDiff returns the largest absolute element-wise difference between m
-// and other. Useful in tests.
-func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
-	m.mustSameShape(other)
-	var max float64
-	for i, v := range m.Data {
-		d := math.Abs(float64(v) - float64(other.Data[i]))
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// Norm2 returns the Frobenius norm of m, accumulated in float64.
-func (m *Matrix) Norm2() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
-func (m *Matrix) mustSameShape(o *Matrix) {
-	if m.Rows != o.Rows || m.Cols != o.Cols {
-		panic(fmt.Sprintf("tensor: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 }
 

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -332,5 +333,150 @@ func BenchmarkMatMul256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(dst, x, y)
+	}
+}
+
+// The functions below are test code: no binary calls them. Matrix helpers,
+// and the package-level GEMM, Adam and elementwise entry points, each the
+// inline (nil-team) form of what a trainer or replica calls on its team.
+
+// FromSlice wraps data as a rows×cols matrix without copying. The slice
+// length must equal rows*cols.
+func FromSlice(rows, cols int, data []float32) *Matrix {
+	if len(data) != rows*cols {
+		panic(fmt.Sprintf("tensor: FromSlice length %d != %d*%d", len(data), rows, cols))
+	}
+	return &Matrix{Rows: rows, Cols: cols, Data: data}
+}
+
+// At returns the element at row r, column c.
+func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
+
+// Set assigns the element at row r, column c.
+func (m *Matrix) Set(r, c int, v float32) { m.Data[r*m.Cols+c] = v }
+
+// Fill sets every element to v.
+func (m *Matrix) Fill(v float32) {
+	for i := range m.Data {
+		m.Data[i] = v
+	}
+}
+
+// Add accumulates src into m element-wise.
+func (m *Matrix) Add(src *Matrix) {
+	m.mustSameShape(src)
+	Axpy(1, src.Data, m.Data)
+}
+
+// Sub subtracts src from m element-wise.
+func (m *Matrix) Sub(src *Matrix) {
+	m.mustSameShape(src)
+	Axpy(-1, src.Data, m.Data)
+}
+
+// Scale multiplies every element by a.
+func (m *Matrix) Scale(a float32) { Scal(a, m.Data) }
+
+// AddRowVector adds the vector v (length Cols) to every row of m: the
+// unfused bias pass the GEMM's bias epilogues are checked against.
+func (m *Matrix) AddRowVector(v []float32) {
+	if len(v) != m.Cols {
+		panic(fmt.Sprintf("tensor: AddRowVector length %d != cols %d", len(v), m.Cols))
+	}
+	for r := 0; r < m.Rows; r++ {
+		Add(m.Row(r), v)
+	}
+}
+
+// Transpose returns a new matrix that is the transpose of m.
+func (m *Matrix) Transpose() *Matrix {
+	out := New(m.Cols, m.Rows)
+	for r := 0; r < m.Rows; r++ {
+		for c := 0; c < m.Cols; c++ {
+			out.Data[c*m.Rows+r] = m.Data[r*m.Cols+c]
+		}
+	}
+	return out
+}
+
+// MaxAbsDiff returns the largest absolute element-wise difference between m
+// and other. Useful in tests.
+func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
+	m.mustSameShape(other)
+	var max float64
+	for i, v := range m.Data {
+		d := math.Abs(float64(v) - float64(other.Data[i]))
+		if d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// Norm2 returns the Frobenius norm of m, accumulated in float64.
+func (m *Matrix) Norm2() float64 {
+	var s float64
+	for _, v := range m.Data {
+		s += float64(v) * float64(v)
+	}
+	return math.Sqrt(s)
+}
+
+func (m *Matrix) mustSameShape(o *Matrix) {
+	if m.Rows != o.Rows || m.Cols != o.Cols {
+		panic(fmt.Sprintf("tensor: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
+	}
+}
+
+// MatMul computes dst = a·b. dst must be preallocated with shape
+// a.Rows×b.Cols and must not alias a or b.
+func MatMul(dst, a, b *Matrix) { (*Team)(nil).MatMulEpilogue(dst, a, b, nil, EpNone) }
+
+// MatMulBias computes dst = a·b + bias with the bias row (length b.Cols)
+// broadcast over the batch, fused into the GEMM epilogue — the dense-layer
+// forward without the extra full pass of AddRowVector.
+func MatMulBias(dst, a, b *Matrix, bias []float32) {
+	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBias)
+}
+
+// MatMulBiasReLU computes dst = relu(a·b + bias) in one fused pass.
+func MatMulBiasReLU(dst, a, b *Matrix, bias []float32) {
+	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBiasReLU)
+}
+
+// MatMulBiasTanh computes dst = tanh(a·b + bias) in one fused pass.
+func MatMulBiasTanh(dst, a, b *Matrix, bias []float32) {
+	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBiasTanh)
+}
+
+// MatMulABT computes dst = a·bᵀ. dst must have shape a.Rows×b.Rows. Used in
+// backprop for dX = dY·Wᵀ without materializing the transpose.
+func MatMulABT(dst, a, b *Matrix) { (*Team)(nil).MatMulABT(dst, a, b) }
+
+// MatMulATBAdd computes dst += aᵀ·b. dst must have shape a.Cols×b.Cols. The
+// accumulate form matches gradient accumulation for dW += Xᵀ·dY.
+func MatMulATBAdd(dst, a, b *Matrix) { (*Team)(nil).MatMulATBAdd(dst, a, b) }
+
+// AdamStep applies one Adam update over flat parameter slabs with the
+// semantics stated in the package comment ("Adam update"); alpha is the
+// bias-corrected step size. All four slices must have equal length. The
+// pass is a single sweep over the slabs, inline.
+func AdamStep(values, grads, m, v []float32, alpha, beta1, beta2, eps float32) {
+	(*Team)(nil).AdamStep(values, grads, m, v, alpha, beta1, beta2, eps)
+}
+
+// SumF64 returns the sum of x accumulated in float64.
+func SumF64(x []float32) float64 {
+	var s float64
+	for _, v := range x {
+		s += float64(v)
+	}
+	return s
+}
+
+// Scal multiplies every element of x by a in place.
+func Scal(a float32, x []float32) {
+	for i := range x {
+		x[i] *= a
 	}
 }

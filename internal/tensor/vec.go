@@ -48,15 +48,6 @@ func Dot(x, y []float32) float32 {
 	return float32(s)
 }
 
-// SumF64 returns the sum of x accumulated in float64.
-func SumF64(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v)
-	}
-	return s
-}
-
 // Zero clears x in place.
 func Zero(x []float32) { clear(x) }
 
@@ -66,7 +57,6 @@ func Zero(x []float32) { clear(x) }
 // CPU check passed, the portable loop below it everywhere else and for the
 // kernel's n mod 8 tail.
 var (
-	vecScal         = scalGo
 	vecAdd          = addGo
 	vecAddReLU      = addReLUGo
 	vecReLUGradBias = reluGradBiasGo
@@ -77,9 +67,6 @@ var (
 	vecPutF32LE     = putF32LEGo
 	vecGetF32LE     = getF32LEGo
 )
-
-// Scal multiplies every element of x by a in place.
-func Scal(a float32, x []float32) { vecScal(a, x) }
 
 // Add accumulates src into dst element-wise: dst[i] += src[i].
 func Add(dst, src []float32) {
@@ -164,12 +151,6 @@ func GetF32LE(dst []float32, src []byte) {
 		panic("tensor: GetF32LE short source")
 	}
 	vecGetF32LE(dst, src)
-}
-
-func scalGo(a float32, x []float32) {
-	for i := range x {
-		x[i] *= a
-	}
 }
 
 func addGo(dst, src []float32) {

@@ -7,9 +7,6 @@ package tensor
 // portable loop.
 
 //go:noescape
-func scalBlocksAVX2(a float32, x []float32)
-
-//go:noescape
 func addBlocksAVX2(dst, src []float32)
 
 //go:noescape
@@ -35,11 +32,6 @@ func putF32LEBlocksAVX2(dst []byte, src []float32)
 
 //go:noescape
 func getF32LEBlocksAVX2(dst []float32, src []byte)
-
-func scalAVX2(a float32, x []float32) {
-	scalBlocksAVX2(a, x)
-	scalGo(a, x[len(x)&^7:])
-}
 
 func addAVX2(dst, src []float32) {
 	addBlocksAVX2(dst, src)

@@ -9,26 +9,6 @@
 // and operands keep the order of the Go expression, so the result is the
 // portable loop's bit for bit.
 
-// func scalBlocksAVX2(a float32, x []float32)
-TEXT ·scalBlocksAVX2(SB), NOSPLIT, $0-32
-	VBROADCASTSS a+0(FP), Y1
-	MOVQ x_base+8(FP), DI
-	MOVQ x_len+16(FP), CX
-	SHRQ $3, CX
-	JZ   done
-
-loop:
-	VMOVUPS (DI), Y0
-	VMULPS  Y1, Y0, Y0
-	VMOVUPS Y0, (DI)
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     loop
-
-done:
-	VZEROUPPER
-	RET
-
 // func addBlocksAVX2(dst, src []float32)
 TEXT ·addBlocksAVX2(SB), NOSPLIT, $0-48
 	MOVQ dst_base+0(FP), DI

@@ -28,7 +28,6 @@ var vecFamily = []struct {
 	name             string
 	active, portable func(a *vecArgs)
 }{
-	{"Scal", func(a *vecArgs) { Scal(a.s, a.x) }, func(a *vecArgs) { scalGo(a.s, a.x) }},
 	{"Add", func(a *vecArgs) { Add(a.x, a.y) }, func(a *vecArgs) { addGo(a.x, a.y) }},
 	{"AddReLU", func(a *vecArgs) { AddReLU(a.x, a.y) }, func(a *vecArgs) { addReLUGo(a.x, a.y) }},
 	{"ReLUGradBias", func(a *vecArgs) { ReLUGradBias(a.x, a.y, a.z, a.w) }, func(a *vecArgs) { reluGradBiasGo(a.x, a.y, a.z, a.w) }},

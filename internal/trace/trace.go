@@ -74,13 +74,6 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// String renders the table.
-func (t *Table) String() string {
-	var b strings.Builder
-	t.Render(&b)
-	return b.String()
-}
-
 func pad(s string, w int) string {
 	n := utf8.RuneCountInString(s)
 	if n >= w {

@@ -57,3 +57,10 @@ func TestWriteCSVValidation(t *testing.T) {
 		t.Fatal("expected ragged column error")
 	}
 }
+
+// String renders the table.
+func (t *Table) String() string {
+	var b strings.Builder
+	t.Render(&b)
+	return b.String()
+}

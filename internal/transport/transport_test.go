@@ -270,9 +270,8 @@ func TestListenerCloseClosesIncoming(t *testing.T) {
 }
 
 func TestWatchdog(t *testing.T) {
-	w := NewWatchdog(time.Minute)
 	now := time.Unix(1000, 0)
-	w.SetClock(func() time.Time { return now })
+	w := NewWatchdog(time.Minute, func() time.Time { return now })
 
 	w.Beat(1)
 	w.Beat(2)
@@ -302,7 +301,7 @@ func TestWatchdog(t *testing.T) {
 }
 
 func TestWatchdogConcurrentBeats(t *testing.T) {
-	w := NewWatchdog(time.Minute)
+	w := NewWatchdog(time.Minute, time.Now)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -415,4 +414,11 @@ func TestReadLoopPooledBuffer(t *testing.T) {
 	for env := range l.Incoming() {
 		t.Fatalf("stray message after the last connection closed: %+v", env.Msg)
 	}
+}
+
+// Watched returns the number of clients currently tracked.
+func (w *Watchdog) Watched() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.last)
 }

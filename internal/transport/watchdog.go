@@ -12,23 +12,17 @@ type Watchdog struct {
 	mu      sync.Mutex
 	last    map[int32]time.Time
 	timeout time.Duration
-	now     func() time.Time // injectable clock for tests
+	now     func() time.Time
 }
 
-// NewWatchdog builds a watchdog with the given liveness timeout.
-func NewWatchdog(timeout time.Duration) *Watchdog {
+// NewWatchdog builds a watchdog with the given liveness timeout, reading
+// the time from now (time.Now, or a test's fake clock).
+func NewWatchdog(timeout time.Duration, now func() time.Time) *Watchdog {
 	return &Watchdog{
 		last:    make(map[int32]time.Time),
 		timeout: timeout,
-		now:     time.Now,
+		now:     now,
 	}
-}
-
-// SetClock overrides the time source; tests use a fake clock.
-func (w *Watchdog) SetClock(now func() time.Time) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.now = now
 }
 
 // Beat records activity from a client.
@@ -43,13 +37,6 @@ func (w *Watchdog) Remove(clientID int32) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	delete(w.last, clientID)
-}
-
-// Watched returns the number of clients currently tracked.
-func (w *Watchdog) Watched() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.last)
 }
 
 // Expired returns the clients whose last activity is older than the

@@ -94,7 +94,6 @@ type Config struct {
 	GridN       int     // solver grid side; output size follows Problem.FieldShape
 	StepsPerSim int     // time steps per simulation
 	Dt          float64 // seconds per step
-	Workers     int     // solver domain partitions per client (problems may ignore it)
 
 	// Concurrency
 	MaxConcurrentClients int // simulation clients running at once

@@ -162,7 +162,7 @@ func (heatProblem) NewSimulator(cfg Config, params []float64) (Simulator, error)
 	if err != nil {
 		return nil, err
 	}
-	return solver.New(solver.Config{N: cfg.GridN, Steps: cfg.StepsPerSim, Dt: cfg.Dt, Workers: cfg.Workers}, p)
+	return solver.New(solver.Config{N: cfg.GridN, Steps: cfg.StepsPerSim, Dt: cfg.Dt}, p)
 }
 
 func (p heatProblem) Normalizer(cfg Config) Normalizer {

@@ -65,13 +65,6 @@ func (r *Replica) stage(params []float64) []float32 {
 	return r.staged
 }
 
-// MaxBatch returns the largest query count one PredictBatchRaw call
-// accepts.
-func (r *Replica) MaxBatch() int { return r.maxBatch }
-
-// ParamDim returns the number of design parameters each query must supply.
-func (r *Replica) ParamDim() int { return r.s.ParamDim() }
-
 // OutputDim returns the flattened field length each query produces.
 func (r *Replica) OutputDim() int { return r.s.OutputDim() }
 

@@ -176,8 +176,8 @@ func TestReplicaNarrowOutput(t *testing.T) {
 func TestReplicaRejectsBadBatch(t *testing.T) {
 	s := freshSurrogate(Heat())
 	rep := s.NewReplica(3)
-	if rep.MaxBatch() != 3 {
-		t.Fatalf("MaxBatch = %d, want 3", rep.MaxBatch())
+	if rep.maxBatch != 3 {
+		t.Fatalf("maxBatch = %d, want 3", rep.maxBatch)
 	}
 	noEmit := func(int, []float32) { t.Fatal("emit called for rejected batch") }
 	if err := rep.PredictBatchRaw(0, nil, noEmit); err == nil {
