@@ -70,6 +70,7 @@ import (
 	"melissa"
 	"melissa/internal/elastic"
 	"melissa/internal/server"
+	"melissa/internal/telemetry"
 	"melissa/internal/transport"
 )
 
@@ -90,7 +91,7 @@ func main() {
 		pubEvery   = flag.Int("publish-every", 0, "also publish -surrogate-out every N batches during training (0 = only at the end)")
 		ckptEvery  = flag.Int("ckpt-every", 0, "checkpoint cadence in batches (0 = default); checkpoints go to -group-dir")
 		gradComp   = flag.String("grad-compress", "none", "gradient all-reduce wire codec: none|f16 (f16 halves inter-node collective bytes with error feedback; all processes must agree)")
-		logEvery   = flag.Duration("log-every", 0, "print training progress (batches, samples, group epoch, re-forms) at this interval (0 disables)")
+		logEvery   = flag.Duration("log-every", 0, "print training progress (batches, samples, group epoch and re-forms, last checkpoint, ingest frame counts) at this interval (0 disables)")
 
 		coordAddr = flag.String("coord", "", "elastic coordinator control-plane address (joins an elastic group; listen address for -role coordinator)")
 		memberID  = flag.Int("member-id", 0, "elastic member ID, stable across restarts")
@@ -199,19 +200,12 @@ func main() {
 		fmt.Printf("melissa-server: problem %s, %d rank(s) listening (%s), waiting for %d client(s)\n",
 			cfg.Problem.Name(), cfg.Ranks, strings.Join(srv.Addrs(), " "), cfg.Simulations)
 	}
+	tel := srv.Metrics().Telemetry()
 	if *logEvery > 0 {
 		go func() {
 			for range time.Tick(*logEvery) {
-				m := srv.Metrics()
-				line := fmt.Sprintf("melissa-server: %d batches, %d samples, %.1f samples/s%s",
-					m.Batches(), m.Samples(), m.Throughput(), gradWire(srv))
-				if ecfg != nil {
-					line += fmt.Sprintf(", group epoch %d, %d re-form(s)", m.GroupEpoch(), m.Reforms())
-					if b := m.LastRollbackBatch(); b >= 0 {
-						line += fmt.Sprintf(" (last rollback to batch %d)", b)
-					}
-				}
-				fmt.Println(line)
+				snap := tel.Snapshot()
+				fmt.Printf("melissa-server: %s%s\n", snap, gradWire(snap, srv))
 			}
 		}()
 	}
@@ -224,13 +218,8 @@ func main() {
 		// the replicas are identical after the final synchronized step.
 		return
 	}
-	m := srv.Metrics()
-	fmt.Printf("melissa-server: trained %d batches on %d samples (%d unique), throughput %.1f samples/s%s\n",
-		m.Batches(), m.Samples(), len(m.Occurrences()), m.Throughput(), gradWire(srv))
-	if ecfg != nil && m.Reforms() > 0 {
-		fmt.Printf("melissa-server: survived %d group re-formation(s), finished at epoch %d\n",
-			m.Reforms(), m.GroupEpoch())
-	}
+	snap := tel.Snapshot()
+	fmt.Printf("melissa-server: trained (%d unique) %s%s\n", len(srv.Metrics().Occurrences()), snap, gradWire(snap, srv))
 	if *surOut != "" {
 		if err := publish(); err != nil {
 			fatal(fmt.Errorf("publishing surrogate: %w", err))
@@ -270,13 +259,13 @@ func runCoordinator(addr string, world int, dir string) {
 // gradWire is the progress and summary lines' note on gradient traffic over
 // the ring's sockets, in the codec the ring negotiated; empty when none
 // crossed one.
-func gradWire(srv *server.Server) string {
-	sent, recv := srv.Metrics().WireBytes()
+func gradWire(snap telemetry.Snapshot, srv *server.Server) string {
+	sent, recv := snap.Counters[telemetry.WireSent], snap.Counters[telemetry.WireRecv]
 	tr := srv.Trainer()
 	if sent+recv == 0 || tr == nil {
 		return ""
 	}
-	return fmt.Sprintf(", grad wire %.1f/%.1f MB tx/rx (%s)", float64(sent)/1e6, float64(recv)/1e6, tr.Comm().WireCodec())
+	return fmt.Sprintf("; grad wire %.1f/%.1f MB tx/rx (%s)", float64(sent)/1e6, float64(recv)/1e6, tr.Comm().WireCodec())
 }
 
 func fatal(err error) {

@@ -11,6 +11,7 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/nn"
 	"melissa/internal/opt"
+	"melissa/internal/telemetry"
 	"melissa/internal/tensor"
 	"melissa/internal/testbuf"
 	"melissa/internal/testlevel"
@@ -258,20 +259,17 @@ func TestTrainerSingleRankDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := tr.Metrics()
-	if m.Batches() != 15 { // 60 samples / batch 4
-		t.Fatalf("batches %d, want 15", m.Batches())
+	if m.Telemetry().Value(telemetry.Batches) != 15 { // 60 samples / batch 4
+		t.Fatalf("batches %d, want 15", m.Telemetry().Value(telemetry.Batches))
 	}
-	if m.Samples() != 60 {
-		t.Fatalf("samples %d, want 60", m.Samples())
+	if m.Telemetry().Value(telemetry.Samples) != 60 {
+		t.Fatalf("samples %d, want 60", m.Telemetry().Value(telemetry.Samples))
 	}
 	if len(m.TrainLoss()) != 15 {
 		t.Fatalf("train loss points %d", len(m.TrainLoss()))
 	}
 	if len(m.Validation()) != 3 { // every 5 batches
 		t.Fatalf("validation points %d", len(m.Validation()))
-	}
-	if _, ok := m.MinValidation(); !ok {
-		t.Fatal("no min validation")
 	}
 }
 
@@ -321,8 +319,8 @@ func TestTrainerMultiRankReplicasIdentical(t *testing.T) {
 			}
 		}
 	}
-	if tr.Metrics().Samples() != 72 {
-		t.Fatalf("samples %d, want 72", tr.Metrics().Samples())
+	if tr.Metrics().Telemetry().Value(telemetry.Samples) != 72 {
+		t.Fatalf("samples %d, want 72", tr.Metrics().Telemetry().Value(telemetry.Samples))
 	}
 }
 
@@ -339,10 +337,10 @@ func TestTrainerUnevenRankDrain(t *testing.T) {
 	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Metrics().Samples(); got != 48 {
+	if got := tr.Metrics().Telemetry().Value(telemetry.Samples); got != 48 {
 		t.Fatalf("samples %d, want 48", got)
 	}
-	if got := tr.Metrics().Batches(); got != 10 { // max(40,8)/4
+	if got := tr.Metrics().Telemetry().Value(telemetry.Batches); got != 10 { // max(40,8)/4
 		t.Fatalf("batches %d, want 10", got)
 	}
 }
@@ -356,7 +354,7 @@ func TestTrainerMaxBatches(t *testing.T) {
 	if err := runTrainer(t, tr, context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Metrics().Batches(); got != 3 {
+	if got := tr.Metrics().Telemetry().Value(telemetry.Batches); got != 3 {
 		t.Fatalf("batches %d, want 3", got)
 	}
 }
@@ -409,7 +407,7 @@ func TestTrainerContextCancel(t *testing.T) {
 		if testbuf.Peek(bufs[0]).Drained {
 			t.Fatal("cancel ended reception")
 		}
-		if got := tr.Metrics().Batches(); got != 0 {
+		if got := tr.Metrics().Telemetry().Value(telemetry.Batches); got != 0 {
 			t.Fatalf("trained %d batches from empty buffers", got)
 		}
 	})

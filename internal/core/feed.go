@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"melissa/internal/buffer"
+	"melissa/internal/telemetry"
 )
 
 // Feeder is a producer's handle on a fed run's ranks (RunFed): each rank
@@ -88,7 +89,7 @@ func RunFed(ctx context.Context, cfg TrainerConfig, produce func(*Feeder) error)
 	}
 	if cfg.Validation != nil {
 		m := trainer.Metrics()
-		m.RecordValidation(m.Batches(), m.Samples(), Validate(trainer.Network(), cfg.Validation, cfg.BatchSize*4))
+		m.RecordValidation(m.tel.Value(telemetry.Batches), m.tel.Value(telemetry.Samples), Validate(trainer.Network(), cfg.Validation, cfg.BatchSize*4))
 	}
 	return trainer, nil
 }

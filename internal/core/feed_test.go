@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"melissa/internal/telemetry"
 	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
 )
@@ -92,8 +93,8 @@ func TestRunFedRankEndedEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := tr.Metrics()
-	if m.Batches() != 5 || m.Samples() != len(samples) {
-		t.Fatalf("%d batches, %d samples; want 5 and %d", m.Batches(), m.Samples(), len(samples))
+	if m.Telemetry().Value(telemetry.Batches) != 5 || m.Telemetry().Value(telemetry.Samples) != len(samples) {
+		t.Fatalf("%d batches, %d samples; want 5 and %d", m.Telemetry().Value(telemetry.Batches), m.Telemetry().Value(telemetry.Samples), len(samples))
 	}
 	if val := m.Validation(); len(val) != 1 || val[0].Batch != 5 || val[0].Samples != len(samples) {
 		t.Fatalf("validation curve %v, want one closing point at the last step", val)

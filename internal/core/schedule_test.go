@@ -12,13 +12,15 @@ import (
 	"testing"
 
 	"melissa/internal/opt"
+	"melissa/internal/telemetry"
 	"melissa/internal/transport"
 )
 
 // inheritedMetrics is a collector that already counted 1,000 samples.
 func inheritedMetrics() *Metrics {
 	m := NewMetrics(false)
-	m.RecordStep(1000)
+	m.Telemetry().Add(telemetry.Batches, 1)
+	m.Telemetry().Add(telemetry.Samples, 1000)
 	return m
 }
 
@@ -47,7 +49,7 @@ func TestScheduleIgnoresInheritedMetrics(t *testing.T) {
 	if diff > 0 {
 		t.Fatalf("%d of %d weights differ from the run with a fresh collector", diff, len(want))
 	}
-	if b, wantB := inherited.Metrics().Batches(), 1+fresh.Metrics().Batches(); b != wantB {
+	if b, wantB := inherited.Metrics().Telemetry().Value(telemetry.Batches), 1+fresh.Metrics().Telemetry().Value(telemetry.Batches); b != wantB {
 		t.Fatalf("inherited collector counts %d batches, want %d", b, wantB)
 	}
 }

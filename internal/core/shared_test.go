@@ -13,6 +13,7 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/ddp"
 	"melissa/internal/opt"
+	"melissa/internal/telemetry"
 	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
 	"melissa/internal/transport"
@@ -117,7 +118,7 @@ func TestLocalRanksShareOneSlab(t *testing.T) {
 			t.Fatalf("rank %d's optimizer handle disagrees with rank 0's", r)
 		}
 	}
-	batches, samples := tr.Metrics().Batches(), tr.Metrics().Samples()
+	batches, samples := tr.Metrics().Telemetry().Value(telemetry.Batches), tr.Metrics().Telemetry().Value(telemetry.Samples)
 	if batches == 0 {
 		t.Fatal("the run trained nothing")
 	}
@@ -179,7 +180,7 @@ func TestRestoreStateAllOrNothing(t *testing.T) {
 	if !bytes.Equal(w0, w1) || !bytes.Equal(o0, o1) {
 		t.Fatal("a refused restore changed the trainer")
 	}
-	if tr.startBatches != 0 || tr.Metrics().Batches() != 0 {
+	if tr.startBatches != 0 || tr.Metrics().Telemetry().Value(telemetry.Batches) != 0 {
 		t.Fatal("a refused restore moved the counters")
 	}
 	checkSharedState(t, tr, "after a refused restore")

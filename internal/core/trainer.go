@@ -13,6 +13,7 @@ import (
 	"melissa/internal/ddp"
 	"melissa/internal/nn"
 	"melissa/internal/opt"
+	"melissa/internal/telemetry"
 	"melissa/internal/tensor"
 )
 
@@ -32,7 +33,7 @@ type TrainerConfig struct {
 
 	// Metrics, when non-nil, is the collector the trainer records into
 	// instead of a fresh one — the elastic server threads one instance
-	// through the per-epoch trainers so counters and loss curves span
+	// through the per-epoch trainers so loss curves and its telemetry span
 	// group re-formations. The trainer only writes to it: every rank
 	// schedules from its own count of the group's samples.
 	Metrics *Metrics
@@ -145,6 +146,11 @@ type Trainer struct {
 	// restore so learning-rate schedules resume where they left off.
 	startBatches int
 	startSamples int
+
+	// wireBase is the registry's wire-byte gauges when Run started: the
+	// communicator counts from zero, and the gauges span every trainer the
+	// registry has seen.
+	wireBase [2]int
 
 	// stopped is the run's own stop signal, set when Run's context is
 	// cancelled. A rank reads it where it would otherwise wait for data and
@@ -265,8 +271,10 @@ var errCancelled = fmt.Errorf("run cancelled on a rank of the group: %w", contex
 // training. The ranks' teams are closed on return, so Network keeps working
 // inline for whoever takes it over.
 func (t *Trainer) Run(ctx context.Context) error {
-	t.metrics.Begin()
-	defer t.metrics.Finish()
+	tel := t.metrics.tel
+	tel.Mark(telemetry.Started)
+	defer tel.Mark(telemetry.Finished)
+	t.wireBase = [2]int{tel.Value(telemetry.WireSent), tel.Value(telemetry.WireRecv)}
 	defer t.closeTeams()
 
 	// An aborted step can leave gradients behind; every step from here on
@@ -333,12 +341,6 @@ type rankState struct {
 	acks     chan error
 	hook     func(layer int)
 	launched int
-
-	// lastWireSent/Recv are global rank 0's previous snapshot of the
-	// communicator's wire-byte counters; per-step deltas feed the shared
-	// metrics so totals survive elastic ring replacement.
-	lastWireSent uint64
-	lastWireRecv uint64
 }
 
 // newRankState preallocates the per-rank training state and, where the
@@ -545,13 +547,14 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	t.localSamples[st.rank] += stepSamples
 	samples := t.localSamples[st.rank]
 	if st.grank == 0 {
-		t.metrics.RecordStep(stepSamples)
+		t.metrics.tel.Add(telemetry.Batches, 1)
+		t.metrics.tel.Add(telemetry.Samples, stepSamples)
 		if ok {
 			t.metrics.RecordTrainLoss(st.localBatches, samples, trainLoss)
 		}
 		sent, recv := t.comm.WireBytes()
-		t.metrics.AddWireBytes(sent-st.lastWireSent, recv-st.lastWireRecv)
-		st.lastWireSent, st.lastWireRecv = sent, recv
+		t.metrics.tel.Set(telemetry.WireSent, t.wireBase[0]+int(sent))
+		t.metrics.tel.Set(telemetry.WireRecv, t.wireBase[1]+int(recv))
 	}
 	if t.cfg.Schedule != nil {
 		st.optimizer.SetLR(t.cfg.Schedule.LR(samples))
@@ -620,7 +623,8 @@ func (t *Trainer) RestoreState(weights, optState []byte, batches, samples int) e
 	t.shareOptimizer(restored)
 	t.startBatches = batches
 	t.startSamples = samples
-	t.metrics.RestoreCounts(batches, samples)
+	t.metrics.tel.Set(telemetry.Batches, batches)
+	t.metrics.tel.Set(telemetry.Samples, samples)
 	return nil
 }
 

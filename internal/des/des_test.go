@@ -60,28 +60,6 @@ func TestSchedulingInPastClamps(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		s.At(Time(i), func() { count++ })
-	}
-	s.RunUntil(5.5)
-	if count != 5 {
-		t.Fatalf("executed %d events, want 5", count)
-	}
-	if s.Now() != 5.5 {
-		t.Fatalf("clock %v, want 5.5", s.Now())
-	}
-	if s.Pending() != 5 {
-		t.Fatalf("pending %d", s.Pending())
-	}
-	s.Run()
-	if count != 10 {
-		t.Fatalf("executed %d events total", count)
-	}
-}
-
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	s := New()
 	if s.Step() {
@@ -106,16 +84,3 @@ func TestManyEventsStaySorted(t *testing.T) {
 	}
 	s.Run()
 }
-
-// RunUntil executes events with time ≤ t, then sets the clock to t.
-func (s *Simulation) RunUntil(t Time) {
-	for s.queue.Len() > 0 && s.queue[0].at <= t {
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-}
-
-// Pending returns the number of queued events.
-func (s *Simulation) Pending() int { return s.queue.Len() }

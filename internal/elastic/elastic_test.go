@@ -24,6 +24,7 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/core"
 	"melissa/internal/elastic"
+	"melissa/internal/telemetry"
 	"melissa/internal/testbuf"
 	"melissa/internal/testchaos"
 	"melissa/internal/testwait"
@@ -156,8 +157,8 @@ func runPhase(t *testing.T, members []int, start *refPoint, bufSrc map[int]*bufS
 		flat:     append([]float32(nil), tr.Network().FlatParams()...),
 		weights:  w,
 		optState: o,
-		batches:  tr.Metrics().Batches(),
-		samples:  tr.Metrics().Samples(),
+		batches:  tr.Metrics().Telemetry().Value(telemetry.Batches),
+		samples:  tr.Metrics().Telemetry().Value(telemetry.Samples),
 		bufs:     make(map[int]*bufSnap, len(members)),
 	}
 	for i, m := range members {

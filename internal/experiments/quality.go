@@ -10,6 +10,7 @@ import (
 	"melissa/internal/cluster"
 	"melissa/internal/core"
 	"melissa/internal/simrun"
+	"melissa/internal/telemetry"
 )
 
 // QualityRun is one real-training curve produced by a quality experiment.
@@ -66,18 +67,22 @@ func (q *quality) train(gpus int, label string, produce func(*core.Feeder) error
 		return nil, fmt.Errorf("%s: %w", label, err)
 	}
 	m := t.Metrics()
-	final, _ := m.FinalValidation()
-	best, _ := m.MinValidation()
-	return &QualityRun{
-		Label:    label,
-		Train:    m.TrainLoss(),
-		Val:      m.Validation(),
-		FinalVal: final,
-		MinVal:   best,
-		Batches:  m.Batches(),
-		Samples:  m.Samples(),
-		Unique:   len(m.Occurrences()),
-	}, nil
+	snap := m.Telemetry().Snapshot()
+	run := &QualityRun{
+		Label:   label,
+		Train:   m.TrainLoss(),
+		Val:     m.Validation(),
+		Batches: snap.Counters[telemetry.Batches],
+		Samples: snap.Counters[telemetry.Samples],
+		Unique:  len(m.Occurrences()),
+	}
+	for i, p := range run.Val {
+		if i == 0 || p.Value < run.MinVal {
+			run.MinVal = p.Value
+		}
+		run.FinalVal = p.Value
+	}
+	return run, nil
 }
 
 // topology maps sims members onto the cluster simulator, concurrent of

@@ -19,10 +19,9 @@ import (
 	"time"
 
 	"melissa/internal/client"
-	"melissa/internal/core"
-	"melissa/internal/nn"
 	"melissa/internal/server"
 	"melissa/internal/solver"
+	"melissa/internal/telemetry"
 )
 
 // Config assembles an ensemble run.
@@ -68,14 +67,6 @@ type Config struct {
 	InjectServerFailureAfterBatches int
 }
 
-// Result summarizes a completed ensemble run.
-type Result struct {
-	Network        *nn.Network
-	Metrics        *core.Metrics
-	ClientRestarts int // every client restart, across server attempts
-	ServerRestarts int
-}
-
 const (
 	defaultClientBackoff = 100 * time.Millisecond
 	maxClientBackoff     = 5 * time.Second
@@ -87,8 +78,6 @@ type Launcher struct {
 	// slots holds one token per running client, MaxConcurrentClients at
 	// most.
 	slots chan struct{}
-
-	clientRestarts atomic.Int64
 
 	// sleep waits for the backoff delay (or the context); tests inject a
 	// recorder here so backoff behavior is asserted without wall-clock
@@ -146,39 +135,39 @@ func New(cfg Config) (*Launcher, error) {
 }
 
 // Run executes the ensemble to completion, recovering from client and
-// server failures within the configured budgets.
-func (l *Launcher) Run(ctx context.Context) (*Result, error) {
-	serverRestarts := 0
+// server failures within the configured budgets, and returns the server
+// that completed it: its trainer holds the network, and its telemetry
+// counts the client and server restarts of every attempt.
+func (l *Launcher) Run(ctx context.Context) (*server.Server, error) {
+	clientRestarts := 0
 	for attempt := 0; ; attempt++ {
-		srv, injected, err := l.runServerAttempt(ctx, attempt)
+		srv, injected, err := l.runServerAttempt(ctx, attempt, clientRestarts)
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		if err == nil && !injected {
-			return &Result{
-				Network:        srv.Trainer().Network(),
-				Metrics:        srv.Metrics(),
-				ClientRestarts: int(l.clientRestarts.Load()),
-				ServerRestarts: serverRestarts,
-			}, nil
+			return srv, nil
 		}
 		if err != nil && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if serverRestarts >= l.cfg.MaxServerRestarts {
+		if attempt >= l.cfg.MaxServerRestarts {
 			if err == nil {
 				err = errors.New("launcher: injected server failure")
 			}
-			return nil, fmt.Errorf("launcher: server failed permanently after %d restarts: %w", serverRestarts, err)
+			return nil, fmt.Errorf("launcher: server failed permanently after %d restarts: %w", attempt, err)
 		}
-		serverRestarts++
+		if srv != nil {
+			clientRestarts = srv.Metrics().Telemetry().Value(telemetry.ClientRestarts)
+		}
 	}
 }
 
 // runServerAttempt brings up one server instance, drives the pending clients
-// against it, and waits for it to finish. injected reports a simulated
+// against it, and waits for it to finish. The server's telemetry starts
+// from the restarts of the attempts before. injected reports a simulated
 // server crash.
-func (l *Launcher) runServerAttempt(ctx context.Context, attempt int) (srv *server.Server, injected bool, err error) {
+func (l *Launcher) runServerAttempt(ctx context.Context, attempt, clientRestarts int) (srv *server.Server, injected bool, err error) {
 	scfg := l.cfg.Server
 	restartCh := make(chan int32, len(l.cfg.Params))
 	scfg.OnUnresponsive = func(id int32) { restartCh <- id }
@@ -206,6 +195,8 @@ func (l *Launcher) runServerAttempt(ctx context.Context, attempt int) (srv *serv
 	if err != nil {
 		return nil, false, err
 	}
+	srv.Metrics().Telemetry().Set(telemetry.ClientRestarts, clientRestarts)
+	srv.Metrics().Telemetry().Set(telemetry.ServerRestarts, attempt)
 
 	// The paper's launcher kills all running clients when the server
 	// dies; cancelling this context is that kill switch.
@@ -312,7 +303,7 @@ func (l *Launcher) runClientWithRetries(ctx context.Context, srv *server.Server,
 		if ctx.Err() != nil {
 			return // launcher shutdown, not a client fault
 		}
-		l.clientRestarts.Add(1)
+		srv.Metrics().Telemetry().Add(telemetry.ClientRestarts, 1)
 		if attempt < l.cfg.MaxClientRetries {
 			if d := l.restartBackoff(attempt + 1); d > 0 && !l.sleep(ctx, d) {
 				return

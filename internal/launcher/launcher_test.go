@@ -16,6 +16,7 @@ import (
 	"melissa/internal/opt"
 	"melissa/internal/server"
 	"melissa/internal/solver"
+	"melissa/internal/telemetry"
 	"melissa/internal/testwait"
 )
 
@@ -81,9 +82,9 @@ func TestLauncherValidation(t *testing.T) {
 
 // runLauncher is l.Run under the suite's pipeline deadline: an ensemble
 // that never terminates fails here with every goroutine's stack.
-func runLauncher(t *testing.T, l *Launcher, ctx context.Context) (*Result, error) {
+func runLauncher(t *testing.T, l *Launcher, ctx context.Context) (*server.Server, error) {
 	t.Helper()
-	return testwait.Run2(t, "Launcher.Run to return", func() (*Result, error) { return l.Run(ctx) })
+	return testwait.Run2(t, "Launcher.Run to return", func() (*server.Server, error) { return l.Run(ctx) })
 }
 
 func TestLauncherHappyPath(t *testing.T) {
@@ -96,14 +97,14 @@ func TestLauncherHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ClientRestarts != 0 || res.ServerRestarts != 0 {
+	if res.Metrics().Telemetry().Value(telemetry.ClientRestarts) != 0 || res.Metrics().Telemetry().Value(telemetry.ServerRestarts) != 0 {
 		t.Fatalf("unexpected restarts: %+v", res)
 	}
-	occ := res.Metrics.Occurrences()
+	occ := res.Metrics().Occurrences()
 	if len(occ) != 5*steps {
 		t.Fatalf("unique samples %d, want %d", len(occ), 5*steps)
 	}
-	if res.Network == nil {
+	if res.Trainer().Network() == nil {
 		t.Fatal("no trained network")
 	}
 }
@@ -126,7 +127,7 @@ func TestLauncherSlotsBoundConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	type result struct {
-		res *Result
+		res *server.Server
 		err error
 	}
 	done := make(chan result, 1)
@@ -150,7 +151,7 @@ func TestLauncherSlotsBoundConcurrentClients(t *testing.T) {
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if got := len(r.res.Metrics.Occurrences()); got != 5*steps {
+	if got := len(r.res.Metrics().Occurrences()); got != 5*steps {
 		t.Fatalf("unique samples %d, want %d", got, 5*steps)
 	}
 	if n := admitted.Load(); n != 5 {
@@ -185,10 +186,10 @@ func TestLauncherRestartsFailedClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ClientRestarts != 2 {
-		t.Fatalf("client restarts %d, want 2", res.ClientRestarts)
+	if res.Metrics().Telemetry().Value(telemetry.ClientRestarts) != 2 {
+		t.Fatalf("client restarts %d, want 2", res.Metrics().Telemetry().Value(telemetry.ClientRestarts))
 	}
-	occ := res.Metrics.Occurrences()
+	occ := res.Metrics().Occurrences()
 	if len(occ) != 4*steps {
 		t.Fatalf("unique samples %d, want %d (dedup across restarts)", len(occ), 4*steps)
 	}
@@ -229,8 +230,8 @@ func TestLauncherRestartBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ClientRestarts != 3 {
-		t.Fatalf("client restarts %d, want 3", res.ClientRestarts)
+	if res.Metrics().Telemetry().Value(telemetry.ClientRestarts) != 3 {
+		t.Fatalf("client restarts %d, want 3", res.Metrics().Telemetry().Value(telemetry.ClientRestarts))
 	}
 	want := []time.Duration{40 * time.Millisecond, 80 * time.Millisecond, 160 * time.Millisecond}
 	mu.Lock()
@@ -285,10 +286,10 @@ func TestLauncherWatchdogKillsHungClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ClientRestarts < 1 {
-		t.Fatalf("expected at least one watchdog-driven restart, got %d", res.ClientRestarts)
+	if res.Metrics().Telemetry().Value(telemetry.ClientRestarts) < 1 {
+		t.Fatalf("expected at least one watchdog-driven restart, got %d", res.Metrics().Telemetry().Value(telemetry.ClientRestarts))
 	}
-	if got := len(res.Metrics.Occurrences()); got != 2*steps {
+	if got := len(res.Metrics().Occurrences()); got != 2*steps {
 		t.Fatalf("unique samples %d, want %d", got, 2*steps)
 	}
 }
@@ -313,12 +314,12 @@ func TestLauncherServerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ServerRestarts != 1 {
-		t.Fatalf("server restarts %d, want 1", res.ServerRestarts)
+	if res.Metrics().Telemetry().Value(telemetry.ServerRestarts) != 1 {
+		t.Fatalf("server restarts %d, want 1", res.Metrics().Telemetry().Value(telemetry.ServerRestarts))
 	}
 	// The second instance must finish the ensemble; at-least-once training
 	// across the crash boundary.
-	occ := res.Metrics.Occurrences()
+	occ := res.Metrics().Occurrences()
 	keys := map[buffer.Key]bool{}
 	for k := range occ {
 		keys[k] = true
@@ -326,7 +327,7 @@ func TestLauncherServerRecovery(t *testing.T) {
 	// The restored instance re-trains what was lost after the last
 	// checkpoint; the final instance alone must still have seen the tail
 	// of every simulation (completion implies all goodbyes arrived).
-	if res.Metrics.Batches() == 0 {
+	if res.Metrics().Telemetry().Value(telemetry.Batches) == 0 {
 		t.Fatal("no training on recovered server")
 	}
 	if len(keys) == 0 {
@@ -364,8 +365,8 @@ func TestLauncherRestartRerunsOnlyIncomplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ServerRestarts != 1 {
-		t.Fatalf("server restarts %d, want 1", res.ServerRestarts)
+	if res.Metrics().Telemetry().Value(telemetry.ServerRestarts) != 1 {
+		t.Fatalf("server restarts %d, want 1", res.Metrics().Telemetry().Value(telemetry.ServerRestarts))
 	}
 	mu.Lock()
 	defer mu.Unlock()

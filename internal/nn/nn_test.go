@@ -315,26 +315,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestCopyWeightsFrom(t *testing.T) {
-	a := ArchitectureMLP(3, []int{4}, 2, 1)
-	b := ArchitectureMLP(3, []int{4}, 2, 2)
-	if err := b.CopyWeightsFrom(a); err != nil {
-		t.Fatal(err)
-	}
-	pa, pb := a.Params(), b.Params()
-	for i := range pa {
-		for j := range pa[i].Value.Data {
-			if pa[i].Value.Data[j] != pb[i].Value.Data[j] {
-				t.Fatal("weights not copied")
-			}
-		}
-	}
-	c := ArchitectureMLP(3, []int{5}, 2, 1)
-	if err := c.CopyWeightsFrom(a); err == nil {
-		t.Fatal("expected shape mismatch error")
-	}
-}
-
 func TestSaveLoadRoundtrip(t *testing.T) {
 	net := ArchitectureMLP(5, []int{7, 3}, 4, 8)
 	var buf bytes.Buffer
@@ -685,29 +665,6 @@ func (t *Tanh) Clone() Layer { return NewTanh() }
 
 // Activation returns the fused activation applied by Forward.
 func (d *Dense) Activation() Activation { return d.act }
-
-// CopyWeightsFrom overwrites this network's parameter values with src's.
-// Shapes must match exactly. When both networks are slab-fused the copy is
-// one bulk memmove.
-func (n *Network) CopyWeightsFrom(src *Network) error {
-	dst, s := n.Params(), src.Params()
-	if len(dst) != len(s) {
-		return fmt.Errorf("nn: parameter count mismatch %d vs %d", len(dst), len(s))
-	}
-	for i := range dst {
-		if dst[i].Size() != s[i].Size() {
-			return fmt.Errorf("nn: parameter %q size mismatch %d vs %d", dst[i].Name, dst[i].Size(), s[i].Size())
-		}
-	}
-	if n.flatValues != nil && src.flatValues != nil && len(n.flatValues) == len(src.flatValues) {
-		copy(n.flatValues, src.flatValues)
-		return nil
-	}
-	for i := range dst {
-		copy(dst[i].Value.Data, s[i].Value.Data)
-	}
-	return nil
-}
 
 // LayerParamRange returns the slab range [lo, hi) backing layer i's
 // parameters in FlatParams/FlatGrads order; lo == hi for parameterless

@@ -87,13 +87,6 @@ func TestHalvingNoFloor(t *testing.T) {
 	}
 }
 
-func TestPaperSchedule(t *testing.T) {
-	h := PaperSchedule()
-	if h.LR(0) != 1e-3 || h.LR(10000) != 5e-4 || h.LR(100000) != 2.5e-4 {
-		t.Fatal("paper schedule wrong")
-	}
-}
-
 func TestConstantSchedule(t *testing.T) {
 	c := Constant(0.01)
 	if c.LR(0) != 0.01 || c.LR(1e6) != 0.01 {
@@ -387,10 +380,4 @@ func TestAdamStateMustFit(t *testing.T) {
 		}
 	}()
 	a.StepFlat(make([]float32, 9), make([]float32, 9))
-}
-
-// PaperSchedule returns the schedule used in the paper's experiments:
-// initial 1e-3, halved every 10,000 samples, floor 2.5e-4 (§4.5).
-func PaperSchedule() Halving {
-	return Halving{Initial: 1e-3, EverySamples: 10000, Min: 2.5e-4}
 }

@@ -76,21 +76,6 @@ func TestHaltonKnownPrefix(t *testing.T) {
 	}
 }
 
-func TestHaltonSkip(t *testing.T) {
-	a := NewHalton(2)
-	a.Skip(3)
-	b := NewHalton(2)
-	for i := 0; i < 3; i++ {
-		b.Next()
-	}
-	pa, pb := a.Next(), b.Next()
-	for d := range pa {
-		if pa[d] != pb[d] {
-			t.Fatal("Skip(3) differs from three Next() calls")
-		}
-	}
-}
-
 func TestHaltonLowDiscrepancy(t *testing.T) {
 	// The first n Halton points in 1D fill [0,1) far more evenly than
 	// random: every interval [k/16,(k+1)/16) must contain n/16 ± 2 points.
@@ -256,48 +241,6 @@ func TestNewByKind(t *testing.T) {
 	}
 }
 
-func TestAdaptivePrefersHighScore(t *testing.T) {
-	// Score favors the first coordinate; adaptive draws must have a higher
-	// mean first coordinate than the base design.
-	base := NewMonteCarlo(2, 3)
-	ad := NewAdaptive(NewMonteCarlo(2, 3), 8, 0, 4, func(p []float64) float64 { return p[0] })
-	const n = 2000
-	var meanBase, meanAd float64
-	for i := 0; i < n; i++ {
-		meanBase += base.Next()[0]
-		meanAd += ad.Next()[0]
-	}
-	meanBase /= n
-	meanAd /= n
-	if meanAd < meanBase+0.2 {
-		t.Fatalf("adaptive mean %v not above base %v", meanAd, meanBase)
-	}
-}
-
-func TestAdaptiveEpsilonOneIsBase(t *testing.T) {
-	// ε=1 means pure exploration: stream equals the base stream.
-	a := NewAdaptive(NewHalton(2), 8, 1, 5, func(p []float64) float64 { return p[0] })
-	b := NewHalton(2)
-	for i := 0; i < 50; i++ {
-		pa, pb := a.Next(), b.Next()
-		for d := range pa {
-			if pa[d] != pb[d] {
-				t.Fatal("ε=1 adaptive deviated from base design")
-			}
-		}
-	}
-	if len(a.Next()) != 2 {
-		t.Fatal("dim")
-	}
-}
-
-func TestAdaptiveNilScoreFallsBack(t *testing.T) {
-	a := NewAdaptive(NewHalton(1), 4, 0, 1, nil)
-	if !inUnitCube(a.Next()) {
-		t.Fatal("point outside cube")
-	}
-}
-
 // Dim implements Sampler.
 func (m *MonteCarlo) Dim() int { return m.dim }
 
@@ -318,10 +261,6 @@ func (s Space) Normalize(x []float64) []float64 {
 
 // Dim implements Sampler.
 func (h *Halton) Dim() int { return h.dim }
-
-// Skip advances the sequence by n points, a common de-correlation practice
-// when several ensembles share the sequence.
-func (h *Halton) Skip(n int) { h.index += n }
 
 // Dim implements Sampler.
 func (l *LatinHypercube) Dim() int { return l.dim }

@@ -23,8 +23,6 @@ type Cluster struct {
 	// SubmitOverheadSec is charged between submission and eligibility,
 	// modelling batch-scheduler latency.
 	SubmitOverheadSec float64
-
-	started, finished int
 }
 
 // New creates a cluster with totalCores cores scheduled on sim's clock.
@@ -66,7 +64,6 @@ func (c *Cluster) tryStart() {
 		j := c.queue[0]
 		c.queue = c.queue[1:]
 		c.free -= j.cores
-		c.started++
 		released := false
 		j.start(func() {
 			if released {
@@ -74,7 +71,6 @@ func (c *Cluster) tryStart() {
 			}
 			released = true
 			c.free += j.cores
-			c.finished++
 			c.tryStart()
 		})
 	}

@@ -38,9 +38,6 @@ func TestJobsRunWhenResourcesFree(t *testing.T) {
 	if c.FreeCores() != 40 {
 		t.Fatalf("cores leaked: %d free", c.FreeCores())
 	}
-	if c.Started() != 3 || c.Finished() != 3 {
-		t.Fatalf("counters %d/%d", c.Started(), c.Finished())
-	}
 }
 
 func TestFIFOOrderNoBackfill(t *testing.T) {
@@ -114,82 +111,8 @@ func TestQueueLen(t *testing.T) {
 	}
 }
 
-// TestScheduleInSchedule exercises the paper's pilot-allocation pattern:
-// a 40-core pilot hosts many short 10-core jobs without touching the outer
-// scheduler.
-func TestScheduleInSchedule(t *testing.T) {
-	sim := des.New()
-	outer := New(sim, 100)
-	outerStartsBefore := 0
-	done := 0
-	outer.Reserve(40, func(pilot *Cluster, release func()) {
-		outerStartsBefore = outer.Started()
-		remaining := 8
-		for i := 0; i < 8; i++ {
-			pilot.Submit(10, finishAfter(sim, 10, func() {
-				done++
-				remaining--
-				if remaining == 0 {
-					release()
-				}
-			}))
-		}
-	})
-	sim.Run()
-	if done != 8 {
-		t.Fatalf("inner jobs done %d", done)
-	}
-	// The outer scheduler saw exactly one job: the pilot.
-	if outerStartsBefore != 1 || outer.Started() != 1 {
-		t.Fatalf("outer started %d jobs, want 1", outer.Started())
-	}
-	if outer.FreeCores() != 100 {
-		t.Fatalf("pilot cores not released: %d", outer.FreeCores())
-	}
-}
-
-// TestPilotParallelism: 8 × 10-core jobs of 10 s inside a 40-core pilot run
-// 4 at a time → 20 s total.
-func TestPilotParallelism(t *testing.T) {
-	sim := des.New()
-	outer := New(sim, 40)
-	var endAt des.Time
-	outer.Reserve(40, func(pilot *Cluster, release func()) {
-		remaining := 8
-		for i := 0; i < 8; i++ {
-			pilot.Submit(10, finishAfter(sim, 10, func() {
-				remaining--
-				if remaining == 0 {
-					endAt = sim.Now()
-					release()
-				}
-			}))
-		}
-	})
-	sim.Run()
-	if endAt != 20 {
-		t.Fatalf("pilot series finished at %v, want 20", endAt)
-	}
-}
-
 // FreeCores returns the currently idle cores.
 func (c *Cluster) FreeCores() int { return c.free }
 
 // QueueLen returns the number of jobs waiting for resources.
 func (c *Cluster) QueueLen() int { return len(c.queue) }
-
-// Reserve implements schedule-in-schedule: it submits a pilot job for
-// cores and, once it starts, hands the caller a nested Cluster managing
-// that allocation. The caller schedules ensemble members into the pilot
-// without further interaction with the outer scheduler and calls release
-// when the whole series is done.
-func (c *Cluster) Reserve(cores int, onReady func(pilot *Cluster, release func())) {
-	c.Submit(cores, func(release func()) {
-		pilot := New(c.sim, cores)
-		onReady(pilot, release)
-	})
-}
-
-// Started and Finished report job counts.
-func (c *Cluster) Started() int  { return c.started }
-func (c *Cluster) Finished() int { return c.finished }

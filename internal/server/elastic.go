@@ -8,6 +8,7 @@ import (
 
 	"melissa/internal/buffer"
 	"melissa/internal/elastic"
+	"melissa/internal/telemetry"
 	"melissa/internal/transport"
 )
 
@@ -156,7 +157,8 @@ func (j *retireJournal) replayAndRewind(batch int) []buffer.Sample {
 // over the epoch's communicator, every boundary written as the member's
 // shard. A lone process runs it once, as a group of one.
 func (s *Server) runEpoch(ctx context.Context, sess *elastic.Session) error {
-	s.metrics.SetGroupEpoch(sess.Epoch())
+	tel := s.metrics.Telemetry()
+	tel.Set(telemetry.GroupEpoch, sess.Epoch())
 
 	var restored *elastic.State
 	if sess.RestoreBatch() >= 0 {
@@ -185,7 +187,9 @@ func (s *Server) runEpoch(ctx context.Context, sess *elastic.Session) error {
 		if restored != nil {
 			rb = restored.Batch
 		}
-		s.metrics.RecordReform(sess.Epoch(), rb)
+		tel.Add(telemetry.Reforms, 1)
+		// The previous epoch's trainer returned when the failure reached it.
+		tel.Record(telemetry.Event{Kind: telemetry.Reform, Epoch: sess.Epoch(), Batch: rb, Took: tel.Since(telemetry.Finished)})
 	}
 	s.startAggs()
 	s.live = true

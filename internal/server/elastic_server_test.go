@@ -27,6 +27,7 @@ import (
 	"melissa/internal/core"
 	"melissa/internal/elastic"
 	"melissa/internal/solver"
+	"melissa/internal/telemetry"
 	"melissa/internal/testbuf"
 	"melissa/internal/testchaos"
 	"melissa/internal/testwait"
@@ -131,8 +132,8 @@ func chaosPhase(t *testing.T, ranks []int, streams *[csMembers][]buffer.Sample, 
 		flat:     append([]float32(nil), tr.Network().FlatParams()...),
 		weights:  w,
 		optState: o,
-		batches:  tr.Metrics().Batches(),
-		samples:  tr.Metrics().Samples(),
+		batches:  tr.Metrics().Telemetry().Value(telemetry.Batches),
+		samples:  tr.Metrics().Telemetry().Value(telemetry.Samples),
 		bufs:     make(map[int]*chaosSnap, len(ranks)),
 	}
 	for i, r := range ranks {
@@ -199,7 +200,7 @@ func TestElasticServerChaosKillReform(t *testing.T) {
 		}
 		if m == 1 {
 			cfg.Trainer.OnLocalBatchEnd = func(_, batches int) {
-				if srvs[1].Metrics().GroupEpoch() == 1 && batches == csKillBatch {
+				if srvs[1].Metrics().Telemetry().Value(telemetry.GroupEpoch) == 1 && batches == csKillBatch {
 					killOnce.Do(func() {
 						testchaos.Kill(srvs[1].member)
 						close(killed)
@@ -270,18 +271,18 @@ func TestElasticServerChaosKillReform(t *testing.T) {
 		if runErrs[m] != nil {
 			t.Fatalf("survivor %d: %v", m, runErrs[m])
 		}
-		met := srvs[m].Metrics()
-		if met.GroupEpoch() < 2 {
-			t.Fatalf("survivor %d group epoch %d, want ≥ 2", m, met.GroupEpoch())
+		snap := srvs[m].Metrics().Telemetry().Snapshot()
+		if e := snap.Counters[telemetry.GroupEpoch]; e < 2 {
+			t.Fatalf("survivor %d group epoch %d, want ≥ 2", m, e)
 		}
-		if met.Reforms() < 1 {
+		if snap.Counters[telemetry.Reforms] < 1 {
 			t.Fatalf("survivor %d saw no re-formation", m)
 		}
-		if met.LastRollbackBatch() != csCkptEvery {
-			t.Fatalf("survivor %d rolled back to %d, want %d", m, met.LastRollbackBatch(), csCkptEvery)
+		if e, ok := snap.Last(telemetry.Reform); !ok || e.Batch != csCkptEvery {
+			t.Fatalf("survivor %d rolled back to %+v, want batch %d", m, e, csCkptEvery)
 		}
 	}
-	if got := srvs[0].Metrics().Batches(); got != csMaxBatches {
+	if got := srvs[0].Metrics().Telemetry().Value(telemetry.Batches); got != csMaxBatches {
 		t.Fatalf("survivor 0 trained %d batches, want %d", got, csMaxBatches)
 	}
 

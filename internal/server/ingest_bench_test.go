@@ -13,19 +13,22 @@ import (
 	"melissa/internal/buffer"
 	"melissa/internal/core"
 	"melissa/internal/protocol"
+	"melissa/internal/telemetry"
 	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
 
 // ingestHarness is a one-rank server core without listeners or trainer:
-// just the sharded aggregator state and an arena-backed buffer, so the
-// ingestion hot path can be driven directly.
+// just the sharded aggregator state, an arena-backed buffer and the metrics
+// whose registry counts the frames, so the ingestion hot path can be driven
+// directly.
 func ingestHarness(p *buffer.Policy, inDim, outDim int) (*Server, *buffer.Blocking) {
 	bb := buffer.NewBlockingArena(p, inDim, outDim)
 	s := &Server{
 		cfg:        Config{ExpectedClients: 1},
 		worldRanks: 1,
+		metrics:    core.NewMetrics(false),
 		bufs:       []*buffer.Blocking{bb},
 		inDim:      inDim,
 		outDim:     outDim,
@@ -154,8 +157,9 @@ func leaseFrame(sim, step int32, inLen, fieldLen int, v float32) *protocol.TimeS
 // frame whose Input or Field is not exactly the model's width is dropped
 // like a corrupt step — never marked seen, never stored — so a long field
 // cannot crash the trainer and a short one cannot train on the stale tail
-// of a recycled row. The correct frame for the same step is then accepted,
-// and the trainer drains it.
+// of a recycled row. Each is counted as mis-sized in the registry. The
+// correct frame for the same step is then accepted and counted as stored, a
+// replay of it as a duplicate, and the trainer drains it.
 func TestIngestDropsMisSizedFrame(t *testing.T) {
 	srv, err := New(testConfig(1, 1, buffer.FIFOKind))
 	if err != nil {
@@ -167,20 +171,29 @@ func TestIngestDropsMisSizedFrame(t *testing.T) {
 	st := a.sim(0)
 	st.ClientID, st.Steps, st.Goodbye, a.goodbyes = 0, 1, true, 1
 	in, out := srv.cfg.Trainer.Normalizer.InputDim(), srv.cfg.Trainer.Normalizer.OutputDim()
-	for _, bad := range [][2]int{{in - 1, out}, {in, out + 7}, {in, out - 1}} {
+	tel := srv.Metrics().Telemetry()
+	for i, bad := range [][2]int{{in - 1, out}, {in, out + 7}, {in, out - 1}} {
 		srv.ingestTimeStep(0, leaseFrame(0, 1, bad[0], bad[1], 300))
 		if srv.receivedOnRank(0) != 0 || testbuf.Peek(srv.bufs[0]).Len != 0 || !st.unseen(1) {
 			t.Fatalf("a %d/%d frame was taken in by a %d/%d model", bad[0], bad[1], in, out)
+		}
+		if got := tel.Value(telemetry.FramesMisSized); got != i+1 {
+			t.Fatalf("after %d mis-sized frames the registry counts %d", i+1, got)
 		}
 	}
 	srv.ingestTimeStep(0, leaseFrame(0, 1, in, out, 300))
 	if srv.receivedOnRank(0) != 1 || testbuf.Peek(srv.bufs[0]).Len != 1 {
 		t.Fatal("the correct frame was refused after the mis-sized ones")
 	}
+	srv.ingestTimeStep(0, leaseFrame(0, 1, in, out, 300))
+	snap := tel.Snapshot()
+	if c := snap.Counters; c[telemetry.FramesStored] != 1 || c[telemetry.FramesDuplicate] != 1 || c[telemetry.FramesRefused] != 0 || c[telemetry.FramesMisSized] != 3 {
+		t.Fatalf("frame counts %s, want 1 stored, 1 duplicate, 0 refused, 3 mis-sized", snap)
+	}
 	if err := runServer(t, srv, context.Background())(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Metrics().Samples(); got != 1 {
+	if got := srv.Metrics().Telemetry().Value(telemetry.Samples); got != 1 {
 		t.Fatalf("trained %d samples, want the 1 received", got)
 	}
 }
@@ -205,6 +218,10 @@ func FuzzIngestFrame(f *testing.F) {
 		if received != 0 && (int(inLen) != in || int(fieldLen) != out) {
 			t.Fatalf("a %d/%d frame counts as received by a %d/%d model", inLen, fieldLen, in, out)
 		}
+		c := s.metrics.Telemetry().Snapshot().Counters
+		if c[telemetry.FramesStored] != received || c[telemetry.FramesStored]+c[telemetry.FramesDuplicate]+c[telemetry.FramesRefused]+c[telemetry.FramesMisSized] != 1 {
+			t.Fatalf("one frame, %d received, counted as %v", received, c)
+		}
 		bb.EndReception()
 		tr, err := core.NewTrainer(tcfg, []*buffer.Blocking{bb})
 		if err != nil {
@@ -213,7 +230,7 @@ func FuzzIngestFrame(f *testing.F) {
 		if err := testwait.Run(t, "Trainer.Run to drain", func() error { return tr.Run(context.Background()) }); err != nil {
 			t.Fatal(err)
 		}
-		if got := tr.Metrics().Samples(); got != received {
+		if got := tr.Metrics().Telemetry().Value(telemetry.Samples); got != received {
 			t.Fatalf("trained %d samples, received %d", got, received)
 		}
 	})

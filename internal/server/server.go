@@ -27,6 +27,7 @@ import (
 	"melissa/internal/core"
 	"melissa/internal/elastic"
 	"melissa/internal/protocol"
+	"melissa/internal/telemetry"
 	"melissa/internal/transport"
 )
 
@@ -384,8 +385,9 @@ func (s *Server) Trainer() *core.Trainer {
 }
 
 // Metrics returns the server's one metrics collector: it outlives every
-// trainer the server builds, so batch counters, loss curves and the elasticity
-// counters (group epoch, re-formations, last rollback) survive re-formations.
+// trainer the server builds, so loss curves and the telemetry registry
+// (counters, frame counts, re-formation and checkpoint events) survive
+// re-formations.
 func (s *Server) Metrics() *core.Metrics { return s.metrics }
 
 // Run resumes from the checkpoint in CheckpointDir if there is one, starts
@@ -436,6 +438,7 @@ func (s *Server) train(ctx context.Context, sess *elastic.Session, restored *ela
 		userHook := tcfg.OnLocalBatchEnd
 		tcfg.OnLocalBatchEnd = func(rank, batches int) {
 			if batches%s.cfg.CheckpointEveryBatches == 0 {
+				start := time.Now()
 				if ing := bounds.capture(rank, batches); ing != nil {
 					st, err := ing.state(tr, rank, batches)
 					if err == nil {
@@ -443,6 +446,9 @@ func (s *Server) train(ctx context.Context, sess *elastic.Session, restored *ela
 					}
 					if err != nil {
 						fmt.Printf("server: checkpoint failed: %v\n", err)
+					} else {
+						s.metrics.Telemetry().Record(telemetry.Event{Kind: telemetry.Checkpoint, Epoch: sess.Epoch(), Batch: batches,
+							Bytes: len(st.Weights) + len(st.OptState) + len(st.App), Took: time.Since(start)})
 					}
 				}
 			}
@@ -575,18 +581,26 @@ func (s *Server) aggregate(rank int) {
 
 // ingestTimeStep is the hot path: rank-sharded bitset dedup, bulk copy
 // into the rank buffer's arena, lease recycle. Zero steady-state
-// allocations (gated by TestIngestZeroAllocSteadyState).
+// allocations (gated by TestIngestZeroAllocSteadyState). Every frame is
+// counted as stored, duplicate, refused or mis-sized.
 func (s *Server) ingestTimeStep(rank int, m *protocol.TimeStep) {
 	a := s.aggs[rank]
-	a.mu.Lock()
-	st := a.sim(m.SimID)
 	// Both payload lengths come off the wire. A frame that is not exactly
 	// one buffer row is corrupt, like a step outside the trajectory: never
 	// marked seen, never stored.
-	fresh := len(m.Input) == s.inDim && len(m.Field) == s.outDim && st.unseen(m.Step)
+	sized := len(m.Input) == s.inDim && len(m.Field) == s.outDim
+	a.mu.Lock()
+	st := a.sim(m.SimID)
+	fresh := sized && st.unseen(m.Step)
 	owner := st.ClientID
 	a.mu.Unlock()
-	if fresh {
+	outcome := telemetry.FramesStored
+	switch {
+	case !sized:
+		outcome = telemetry.FramesMisSized
+	case !fresh:
+		outcome = telemetry.FramesDuplicate
+	default:
 		if s.watchdog != nil && owner >= 0 {
 			s.watchdog.Beat(owner)
 		}
@@ -598,15 +612,18 @@ func (s *Server) ingestTimeStep(rank int, m *protocol.TimeStep) {
 		// Run is shutting down — so the frame is a straggler and is
 		// dropped, always; it was never recorded as received.
 		a.storing, a.storingStep, a.completed = st, m.Step, false
-		s.bufs[rank].PutCopyThen(int(m.SimID), int(m.Step), m.Input, m.Field, a.commitFn)
+		if !s.bufs[rank].PutCopyThen(int(m.SimID), int(m.Step), m.Input, m.Field, a.commitFn) {
+			outcome = telemetry.FramesRefused
+		}
 		if a.completed {
 			// Only now, with the frame stored: a full buffer would refuse
 			// the very sample that completed the rank's share.
 			s.bufs[rank].EndReception()
 		}
 	}
-	// Duplicate (replay after client restart, §3.1), refused or stored:
-	// either way the leased payload is done.
+	// Stored, duplicate (replay after client restart, §3.1), refused or
+	// mis-sized: either way the leased payload is done.
+	s.metrics.Telemetry().Add(outcome, 1)
 	protocol.RecycleTimeStep(m)
 }
 

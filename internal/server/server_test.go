@@ -19,6 +19,7 @@ import (
 	"melissa/internal/elastic"
 	"melissa/internal/opt"
 	"melissa/internal/solver"
+	"melissa/internal/telemetry"
 	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
 	"melissa/internal/transport"
@@ -120,7 +121,7 @@ func TestEndToEndSingleRank(t *testing.T) {
 	}
 
 	m := srv.Metrics()
-	if got := m.Samples(); got != 3*testSteps {
+	if got := m.Telemetry().Value(telemetry.Samples); got != 3*testSteps {
 		t.Fatalf("trained samples %d, want %d", got, 3*testSteps)
 	}
 	occ := m.Occurrences()
@@ -169,10 +170,10 @@ func TestEndToEndMultiRankConcurrentClients(t *testing.T) {
 	if len(occ) != clients*testSteps {
 		t.Fatalf("unique samples %d, want %d", len(occ), clients*testSteps)
 	}
-	if m.Samples() < clients*testSteps {
-		t.Fatalf("samples %d below unique count", m.Samples())
+	if m.Telemetry().Value(telemetry.Samples) < clients*testSteps {
+		t.Fatalf("samples %d below unique count", m.Telemetry().Value(telemetry.Samples))
 	}
-	if m.Batches() == 0 {
+	if m.Telemetry().Value(telemetry.Batches) == 0 {
 		t.Fatal("no batches trained")
 	}
 }
@@ -397,6 +398,9 @@ func TestServerCheckpointRestart(t *testing.T) {
 	occ1 := srv1.Metrics().Occurrences()
 	if len(occ1) == 0 {
 		t.Fatal("first instance trained nothing")
+	}
+	if e, ok := srv1.Metrics().Telemetry().Snapshot().Last(telemetry.Checkpoint); !ok || e.Batch < 3 || e.Bytes == 0 {
+		t.Fatalf("last checkpoint event %+v, want one at batch ≥ 3 with its bytes", e)
 	}
 
 	// Replacement server restores the checkpoint.

@@ -58,24 +58,6 @@ func TestAtSetRow(t *testing.T) {
 	}
 }
 
-func TestFromSliceAliases(t *testing.T) {
-	data := []float32{1, 2, 3, 4, 5, 6}
-	m := FromSlice(2, 3, data)
-	data[0] = 9
-	if m.At(0, 0) != 9 {
-		t.Fatal("FromSlice should not copy")
-	}
-}
-
-func TestFromSlicePanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	FromSlice(2, 3, make([]float32, 5))
-}
-
 func TestCloneIndependent(t *testing.T) {
 	m := New(2, 2)
 	m.Fill(1)
@@ -84,39 +66,6 @@ func TestCloneIndependent(t *testing.T) {
 	if m.At(0, 0) != 1 {
 		t.Fatal("Clone shares storage with original")
 	}
-}
-
-func TestAddSubScale(t *testing.T) {
-	a := FromSlice(1, 3, []float32{1, 2, 3})
-	b := FromSlice(1, 3, []float32{10, 20, 30})
-	a.Add(b)
-	want := []float32{11, 22, 33}
-	for i, v := range a.Data {
-		if v != want[i] {
-			t.Fatalf("Add: got %v want %v", a.Data, want)
-		}
-	}
-	a.Sub(b)
-	for i, v := range a.Data {
-		if v != float32(i+1) {
-			t.Fatalf("Sub: got %v", a.Data)
-		}
-	}
-	a.Scale(2)
-	for i, v := range a.Data {
-		if v != 2*float32(i+1) {
-			t.Fatalf("Scale: got %v", a.Data)
-		}
-	}
-}
-
-func TestAddShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(2, 2).Add(New(2, 3))
 }
 
 func TestAddRowVector(t *testing.T) {
@@ -160,13 +109,6 @@ func TestTranspose(t *testing.T) {
 				t.Fatal("transpose mismatch")
 			}
 		}
-	}
-}
-
-func TestNorm2(t *testing.T) {
-	m := FromSlice(1, 2, []float32{3, 4})
-	if got := m.Norm2(); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("Norm2 = %v, want 5", got)
 	}
 }
 
@@ -362,21 +304,6 @@ func (m *Matrix) Fill(v float32) {
 	}
 }
 
-// Add accumulates src into m element-wise.
-func (m *Matrix) Add(src *Matrix) {
-	m.mustSameShape(src)
-	Axpy(1, src.Data, m.Data)
-}
-
-// Sub subtracts src from m element-wise.
-func (m *Matrix) Sub(src *Matrix) {
-	m.mustSameShape(src)
-	Axpy(-1, src.Data, m.Data)
-}
-
-// Scale multiplies every element by a.
-func (m *Matrix) Scale(a float32) { Scal(a, m.Data) }
-
 // AddRowVector adds the vector v (length Cols) to every row of m: the
 // unfused bias pass the GEMM's bias epilogues are checked against.
 func (m *Matrix) AddRowVector(v []float32) {
@@ -411,15 +338,6 @@ func (m *Matrix) MaxAbsDiff(other *Matrix) float64 {
 		}
 	}
 	return max
-}
-
-// Norm2 returns the Frobenius norm of m, accumulated in float64.
-func (m *Matrix) Norm2() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 func (m *Matrix) mustSameShape(o *Matrix) {

@@ -55,6 +55,7 @@ import (
 	"melissa/internal/sampling"
 	"melissa/internal/server"
 	"melissa/internal/solver"
+	"melissa/internal/telemetry"
 )
 
 // BufferPolicy selects the training buffer algorithm (§3.2.3 of the paper).
@@ -289,14 +290,11 @@ func RunOnline(ctx context.Context, cfg Config) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := l.Run(ctx)
+	srv, err := l.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
-
-	out := runResult(cfg, prob, norm, res.Network, res.Metrics)
-	out.ClientRestarts, out.ServerRestarts = res.ClientRestarts, res.ServerRestarts
-	return out, nil
+	return runResult(cfg, prob, norm, srv.Trainer().Network(), srv.Metrics()), nil
 }
 
 // ServerConfig returns the training server cfg describes, the one RunOnline
@@ -377,22 +375,23 @@ func trainerConfig(ctx context.Context, cfg Config, prob Problem, space sampling
 	return tc, nil
 }
 
-// runResult reports a finished run from its network and metrics.
+// runResult reports a finished run from its network, its metrics and one
+// snapshot of its telemetry.
 func runResult(cfg Config, prob Problem, norm Normalizer, net *nn.Network, m *core.Metrics) *RunResult {
+	snap := m.Telemetry().Snapshot()
 	out := &RunResult{
-		Surrogate:     newSurrogate(net, norm, surrogateMeta(cfg, prob)),
-		Batches:       m.Batches(),
-		Samples:       m.Samples(),
-		UniqueSamples: len(m.Occurrences()),
-		Throughput:    m.Throughput(),
-		WallTime:      m.WallTime(),
+		Surrogate:      newSurrogate(net, norm, surrogateMeta(cfg, prob)),
+		Batches:        snap.Counters[telemetry.Batches],
+		Samples:        snap.Counters[telemetry.Samples],
+		UniqueSamples:  len(m.Occurrences()),
+		Throughput:     snap.Throughput(),
+		WallTime:       snap.Wall,
+		ClientRestarts: snap.Counters[telemetry.ClientRestarts],
+		ServerRestarts: snap.Counters[telemetry.ServerRestarts],
 	}
-	if v, ok := m.FinalValidation(); ok {
-		out.ValidationMSE = v
-		out.ValidationMSEKelvin = norm.RawMSE(v)
-	}
-	for _, p := range m.Validation() {
+	for _, p := range m.Validation() { // the last point is the final MSE
 		out.ValidationCurve = append(out.ValidationCurve, Point{Batch: p.Batch, Samples: p.Samples, MSE: p.Value})
+		out.ValidationMSE, out.ValidationMSEKelvin = p.Value, norm.RawMSE(p.Value)
 	}
 	for _, p := range m.TrainLoss() {
 		out.TrainCurve = append(out.TrainCurve, Point{Batch: p.Batch, Samples: p.Samples, MSE: p.Value})
