@@ -633,6 +633,7 @@ func (t *Trainer) RestoreState(weights, optState []byte, batches, samples int) e
 // after Run returns.
 func (t *Trainer) CaptureState() (weights, optState []byte, err error) {
 	var wbuf, obuf bytes.Buffer
+	wbuf.Grow(t.nets[0].WeightsSize())
 	if err := t.nets[0].SaveWeights(&wbuf); err != nil {
 		return nil, nil, err
 	}

@@ -25,27 +25,6 @@ type Dense struct {
 	dz    scratch        // pre-activation gradients (fused act only)
 }
 
-// NewDense creates a linear Dense layer (no activation) with Xavier-uniform
-// weights drawn from init and zero biases.
-func NewDense(name string, in, out int, init *Initializer) *Dense {
-	return NewDenseAct(name, in, out, ActNone, init)
-}
-
-// NewDenseAct creates a Dense layer with a fused activation epilogue.
-func NewDenseAct(name string, in, out int, act Activation, init *Initializer) *Dense {
-	if in <= 0 || out <= 0 {
-		panic(fmt.Sprintf("nn: invalid Dense dims %dx%d", in, out))
-	}
-	w := tensor.New(in, out)
-	init.XavierUniform(w, in, out)
-	return &Dense{
-		name: name,
-		w:    &Param{Name: name + ".weight", Value: w, Grad: tensor.New(in, out)},
-		b:    &Param{Name: name + ".bias", Value: tensor.New(1, out), Grad: tensor.New(1, out)},
-		act:  act,
-	}
-}
-
 // In returns the input width of the layer.
 func (d *Dense) In() int { return d.w.Value.Rows }
 

@@ -8,14 +8,23 @@
 //
 // # Flat parameter slabs
 //
-// Every Network fuses its parameters into two contiguous float32 slabs —
-// one for values, one for gradients — and each Param's matrices become
-// zero-copy views into them (in Params() order). FlatParams and FlatGrads
-// expose the slabs, which is what makes the training hot path
-// allocation-free: the ddp layer all-reduces the gradient slab directly
-// with no gather/scatter staging, optimizers update the value slab in one
-// fused vectorized pass, ZeroGrad is a single memclr, and checkpoints
-// serialize the value slab as one bulk write.
+// Every Network keeps its parameters in contiguous float32 slabs — one for
+// values, one for gradients — and each Param's matrices are zero-copy views
+// into them (in Params() order). An MLP is built in its slabs: the builder
+// sizes the whole network, allocates each slab once and lays every layer's
+// weight and bias out as views, so nothing is allocated twice or copied
+// (only NewNetwork over ready-made layers, as Clone does, packs them by
+// copying). FlatParams and FlatGrads expose the slabs, which is what makes
+// the training hot path allocation-free: the ddp layer all-reduces the
+// gradient slab directly with no gather/scatter staging, optimizers update
+// the value slab in one fused vectorized pass, ZeroGrad is a single memclr,
+// and checkpoints serialize the value slab as one bulk stream.
+//
+// Only a network that trains has a gradient slab. LoadMLP builds the
+// inference-only network a checkpoint describes and reads the weights
+// straight into its value slab; it never draws an initial weight and never
+// allocates gradients, and a trained network sheds its own with
+// ReleaseGrads when it becomes a surrogate.
 //
 // The value slab may be shared, the gradient slab never is. The training
 // replicas of one process (CloneReplica) and the serving replicas of one
@@ -25,7 +34,9 @@
 package nn
 
 import (
+	"bufio"
 	"fmt"
+	"io"
 
 	"melissa/internal/tensor"
 )
@@ -65,14 +76,14 @@ type Layer interface {
 type Network struct {
 	Layers []Layer
 
-	params      []*Param  // cached stable order, set by fuse
+	params      []*Param  // cached stable order, set by fuse or newMLP
 	flatValues  []float32 // contiguous backing of every Param.Value
-	flatGrads   []float32 // contiguous backing of every Param.Grad
-	layerRanges [][2]int  // per-layer [lo,hi) slab ranges, set by fuse
+	flatGrads   []float32 // contiguous backing of every Param.Grad; nil when the network does not train
+	layerRanges [][2]int  // per-layer [lo,hi) slab ranges, set by fuse or newMLP
 }
 
-// NewNetwork assembles a sequential network from layers and fuses the
-// parameter storage into flat slabs.
+// NewNetwork assembles a sequential network from ready-made layers and
+// copies their parameters into flat slabs (see fuse).
 func NewNetwork(layers ...Layer) *Network {
 	n := &Network{Layers: layers}
 	n.fuse()
@@ -302,15 +313,85 @@ func (n *Network) CloneReplica() *Network {
 // unchanged from the unfused structure, and existing weight checkpoints
 // load as before. Weights are Xavier-initialized from the seeded rng stream
 // so runs are reproducible (§3.1: "all the stochastic components … are
-// seeded").
+// seeded"); biases start at zero.
 func ArchitectureMLP(inputDim int, hidden []int, outputDim int, seed uint64) *Network {
-	init := NewInitializer(seed)
-	var layers []Layer
-	prev := inputDim
-	for i, h := range hidden {
-		layers = append(layers, NewDenseAct(fmt.Sprintf("hidden%d", i), prev, h, ActReLU, init))
-		prev = h
+	n, err := newMLP(inputDim, hidden, outputDim, NewInitializer(seed))
+	if err != nil {
+		panic(err)
 	}
-	layers = append(layers, NewDense("output", prev, outputDim, init))
-	return NewNetwork(layers...)
+	return n
+}
+
+// LoadMLP builds the inference-only ArchitectureMLP inputDim → hidden... →
+// outputDim and reads its weights from r, which must hold what SaveWeights
+// wrote for that architecture. The weights are decoded straight into the
+// value slab; the network has no gradient slab (FlatGrads is nil, Backward
+// and ZeroGrad panic). A width below 1 is an error. Callers that take the
+// widths from untrusted input bound them first: the value slab is allocated
+// before r is read.
+func LoadMLP(r io.Reader, inputDim int, hidden []int, outputDim int) (*Network, error) {
+	n, err := newMLP(inputDim, hidden, outputDim, nil)
+	if err != nil {
+		return nil, err
+	}
+	br := bufio.NewReader(r)
+	if err := n.readHeader(br); err != nil {
+		return nil, err
+	}
+	if err := readF32s(br, n.flatValues); err != nil {
+		return nil, fmt.Errorf("nn: reading weights: %w", err)
+	}
+	return n, nil
+}
+
+// newMLP sizes the MLP in → hidden... → out, allocates its value slab — and,
+// with an initializer, its gradient slab — once, and lays each Dense layer's
+// weight and bias out as views into them in Params() order. init draws the
+// weights straight into their views, layer by layer, in the order separate
+// layers once drew them, so a seed gives the same bits; a nil init leaves
+// every value zero for a loader to fill and builds no gradient slab.
+func newMLP(in int, hidden []int, out int, init *Initializer) (*Network, error) {
+	widths := append(append([]int{in}, hidden...), out)
+	total := 0
+	for i := 1; i < len(widths); i++ {
+		if widths[i-1] <= 0 || widths[i] <= 0 {
+			return nil, fmt.Errorf("nn: invalid Dense dims %dx%d", widths[i-1], widths[i])
+		}
+		total += (widths[i-1] + 1) * widths[i]
+	}
+	n := &Network{
+		Layers:      make([]Layer, 0, len(hidden)+1),
+		params:      make([]*Param, 0, 2*len(hidden)+2),
+		flatValues:  make([]float32, total),
+		layerRanges: make([][2]int, len(hidden)+1),
+	}
+	if init != nil {
+		n.flatGrads = make([]float32, total)
+	}
+	off := 0
+	param := func(name string, rows, cols int) *Param {
+		sz := rows * cols
+		p := &Param{Name: name, Value: &tensor.Matrix{Rows: rows, Cols: cols, Data: n.flatValues[off : off+sz : off+sz]}}
+		if n.flatGrads != nil {
+			p.Grad = &tensor.Matrix{Rows: rows, Cols: cols, Data: n.flatGrads[off : off+sz : off+sz]}
+		}
+		off += sz
+		n.params = append(n.params, p)
+		return p
+	}
+	for i := range n.layerRanges {
+		fanIn, fanOut := widths[i], widths[i+1]
+		name, act := "output", ActNone
+		if i < len(hidden) {
+			name, act = fmt.Sprintf("hidden%d", i), ActReLU
+		}
+		lo := off
+		d := &Dense{name: name, act: act, w: param(name+".weight", fanIn, fanOut), b: param(name+".bias", 1, fanOut)}
+		if init != nil {
+			init.XavierUniform(d.w.Value, fanIn, fanOut)
+		}
+		n.layerRanges[i] = [2]int{lo, off}
+		n.Layers = append(n.Layers, d)
+	}
+	return n, nil
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -255,6 +256,82 @@ func TestArchitectureMLPShape(t *testing.T) {
 	}
 }
 
+// TestArchitectureMLPInitDigest pins the bits a seed draws for the paper
+// surrogate: building in the slab draws the Xavier weights in the order
+// separately allocated layers drew them, so every hash pinned on a trained
+// network keeps its value.
+func TestArchitectureMLPInitDigest(t *testing.T) {
+	vals := ArchitectureMLP(6, []int{256, 256}, 1024, 42).FlatParams()
+	const want = "83c6910a6bd670585ea05cc5da72dcd6f4607d8e6fb42b6b8d06b2bf69658493"
+	if got := slabDigest(vals); got != want {
+		t.Fatalf("initial weights digest %s, want %s", got, want)
+	}
+}
+
+// slabDigest is the sha256 of a slab's little-endian bytes.
+func slabDigest(vals []float32) string {
+	b := make([]byte, 4*len(vals))
+	tensor.PutF32LE(b, vals)
+	return fmt.Sprintf("%x", sha256.Sum256(b))
+}
+
+// TestLoadMLPRoundTrip: LoadMLP gives back the saved weights bit for bit,
+// in a network with every parameter a view of one value slab and no
+// gradient slab, whose forward pass answers like the original's.
+func TestLoadMLPRoundTrip(t *testing.T) {
+	net := ArchitectureMLP(5, []int{70, 3}, 4100, 8) // a blob of several chunks
+	var buf bytes.Buffer
+	if err := net.SaveWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadMLP(&buf, 5, []int{70, 3}, 4100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slabDigest(got.FlatParams()) != slabDigest(net.FlatParams()) {
+		t.Fatal("loaded weights differ from the saved ones")
+	}
+	if got.FlatGrads() != nil {
+		t.Fatal("a loaded network has a gradient slab")
+	}
+	off := 0
+	for _, p := range got.Params() {
+		if p.Grad != nil || &p.Value.Data[0] != &got.FlatParams()[off] {
+			t.Fatalf("param %s is not a gradient-free view at slab offset %d", p.Name, off)
+		}
+		off += p.Size()
+	}
+	x := randBatch(rand.New(rand.NewPCG(3, 4)), 2, 5)
+	if d := maxAbsDiff(got.Forward(x), net.Forward(x)); d != 0 {
+		t.Fatalf("loaded network answers %g away from the saved one", d)
+	}
+}
+
+// TestLoadMLPRefusesTruncatedOrMismatched: a blob cut anywhere, a blob
+// written for other widths, or a width below 1 is an error, never a panic
+// or a half-filled network.
+func TestLoadMLPRefusesTruncatedOrMismatched(t *testing.T) {
+	var buf bytes.Buffer
+	if err := ArchitectureMLP(3, []int{9}, 4, 1).SaveWeights(&buf); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+	for _, cut := range []int{0, 3, 12, 30, len(blob) - 4*(9*4+4), len(blob) - 1} {
+		if net, err := LoadMLP(bytes.NewReader(blob[:cut]), 3, []int{9}, 4); err == nil || net != nil {
+			t.Fatalf("a blob cut at %d of %d bytes loaded", cut, len(blob))
+		}
+	}
+	if _, err := LoadMLP(bytes.NewReader(blob), 3, []int{8}, 4); err == nil {
+		t.Fatal("a 3-9-4 blob loaded into a 3-8-4 network")
+	}
+	if _, err := LoadMLP(bytes.NewReader(blob), 3, []int{0}, 4); err == nil {
+		t.Fatal("a network with a zero-width layer loaded")
+	}
+	if _, err := LoadMLP(bytes.NewReader(blob), 3, []int{9}, 4); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSeededInitDeterministic(t *testing.T) {
 	a := ArchitectureMLP(4, []int{8, 8}, 3, 99)
 	b := ArchitectureMLP(4, []int{8, 8}, 3, 99)
@@ -320,6 +397,9 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := net.SaveWeights(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if buf.Len() != net.WeightsSize() {
+		t.Fatalf("SaveWeights wrote %d bytes, WeightsSize says %d", buf.Len(), net.WeightsSize())
 	}
 	other := ArchitectureMLP(5, []int{7, 3}, 4, 9) // different seed
 	if err := other.LoadWeights(&buf); err != nil {
@@ -672,4 +752,26 @@ func (d *Dense) Activation() Activation { return d.act }
 func (n *Network) LayerParamRange(i int) (lo, hi int) {
 	r := n.layerRanges[i]
 	return r[0], r[1]
+}
+
+// NewDense creates a stand-alone linear Dense layer (no activation) with
+// Xavier-uniform weights drawn from init and zero biases, for stacks that
+// NewNetwork packs.
+func NewDense(name string, in, out int, init *Initializer) *Dense {
+	return NewDenseAct(name, in, out, ActNone, init)
+}
+
+// NewDenseAct creates a Dense layer with a fused activation epilogue.
+func NewDenseAct(name string, in, out int, act Activation, init *Initializer) *Dense {
+	if in <= 0 || out <= 0 {
+		panic(fmt.Sprintf("nn: invalid Dense dims %dx%d", in, out))
+	}
+	w := tensor.New(in, out)
+	init.XavierUniform(w, in, out)
+	return &Dense{
+		name: name,
+		w:    &Param{Name: name + ".weight", Value: w, Grad: tensor.New(in, out)},
+		b:    &Param{Name: name + ".bias", Value: tensor.New(1, out), Grad: tensor.New(1, out)},
+		act:  act,
+	}
 }

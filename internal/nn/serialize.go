@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+
+	"melissa/internal/tensor"
 )
 
 // Binary weight format used for server checkpoints (§3.1 fault tolerance).
@@ -21,9 +22,10 @@ const (
 )
 
 // SaveWeights writes every parameter value of n to w in the checkpoint
-// format. For slab-fused networks the data section is a single bulk write
-// of the value slab. Gradients are not persisted; optimizer state is
-// serialized separately by the opt package.
+// format: the data section is the values in Params() order — the value slab
+// of a slab-fused network — streamed through one chunk-sized staging
+// buffer. Gradients are not persisted; optimizer state is serialized
+// separately by the opt package.
 func (n *Network) SaveWeights(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(weightsMagic); err != nil {
@@ -47,31 +49,55 @@ func (n *Network) SaveWeights(w io.Writer) error {
 			return err
 		}
 	}
-	if n.flatValues != nil {
-		if err := writeF32s(bw, n.flatValues); err != nil {
+	buf := make([]byte, 4*min(n.NumParams(), f32Chunk))
+	for _, p := range params {
+		if err := writeF32s(bw, p.Value.Data, buf); err != nil {
 			return err
-		}
-	} else {
-		for _, p := range params {
-			if err := writeF32s(bw, p.Value.Data); err != nil {
-				return err
-			}
 		}
 	}
 	return bw.Flush()
 }
 
+// WeightsSize is the number of bytes SaveWeights writes, for callers that
+// pre-size their destination.
+func (n *Network) WeightsSize() int {
+	size := len(weightsMagic) + 8 // version, param count
+	for _, p := range n.Params() {
+		size += 12 + len(p.Name) // name length, name, rows, cols
+	}
+	return size + 4*n.NumParams()
+}
+
 // LoadWeights reads a checkpoint previously written by SaveWeights into the
 // network, which must have the identical architecture (same parameter
-// names, order and shapes).
+// names, order and shapes). It installs every value or, on an error, none:
+// the block is decoded aside and copied in only once it has all arrived. A
+// network that is only being loaded, with nothing to keep, is built by
+// LoadMLP instead, which decodes straight into its slab.
 func (n *Network) LoadWeights(r io.Reader) error {
 	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	if err := n.readHeader(br); err != nil {
+		return err
+	}
+	vals := make([]float32, n.NumParams())
+	if err := readF32s(br, vals); err != nil {
+		return fmt.Errorf("nn: reading weights: %w", err)
+	}
+	for _, p := range n.Params() {
+		vals = vals[copy(p.Value.Data, vals):]
+	}
+	return nil
+}
+
+// readHeader reads the metadata section of a checkpoint and checks it
+// against the network's parameters, leaving br at the value blob.
+func (n *Network) readHeader(br *bufio.Reader) error {
+	var magic [4]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return fmt.Errorf("nn: reading magic: %w", err)
 	}
-	if string(magic) != weightsMagic {
-		return fmt.Errorf("nn: bad magic %q", magic)
+	if string(magic[:]) != weightsMagic {
+		return fmt.Errorf("nn: bad magic %q", magic[:])
 	}
 	var version, count uint32
 	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
@@ -106,14 +132,6 @@ func (n *Network) LoadWeights(r io.Reader) error {
 			return fmt.Errorf("nn: param %q shape %dx%d, want %dx%d", name, rows, cols, p.Value.Rows, p.Value.Cols)
 		}
 	}
-	if n.flatValues != nil {
-		return readF32s(br, n.flatValues)
-	}
-	for _, p := range params {
-		if err := readF32s(br, p.Value.Data); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -140,22 +158,35 @@ func readString(r io.Reader) (string, error) {
 	return string(buf), nil
 }
 
-func writeF32s(w io.Writer, data []float32) error {
-	buf := make([]byte, 4*len(data))
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
+// f32Chunk is how many floats writeF32s and readF32s stage at a time: the
+// value blob streams through one 16 KiB buffer however large the model.
+const f32Chunk = 4096
+
+// writeF32s writes data as little-endian f32s, staged through buf, which
+// holds min(len(data), f32Chunk) floats or more.
+func writeF32s(w io.Writer, data []float32, buf []byte) error {
+	for len(data) > 0 {
+		k := min(len(data), f32Chunk)
+		tensor.PutF32LE(buf, data[:k])
+		if _, err := w.Write(buf[:4*k]); err != nil {
+			return err
+		}
+		data = data[k:]
 	}
-	_, err := w.Write(buf)
-	return err
+	return nil
 }
 
+// readF32s fills dst with little-endian f32s read from r through one
+// chunk-sized buffer. On a short read dst holds what arrived before it.
 func readF32s(r io.Reader, dst []float32) error {
-	buf := make([]byte, 4*len(dst))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	buf := make([]byte, 4*min(len(dst), f32Chunk))
+	for len(dst) > 0 {
+		k := min(len(dst), f32Chunk)
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			return err
+		}
+		tensor.GetF32LE(dst[:k], buf)
+		dst = dst[k:]
 	}
 	return nil
 }

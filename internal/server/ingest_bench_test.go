@@ -4,15 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"melissa/internal/buffer"
+	"melissa/internal/client"
 	"melissa/internal/core"
 	"melissa/internal/protocol"
+	"melissa/internal/solver"
 	"melissa/internal/telemetry"
 	"melissa/internal/testbuf"
 	"melissa/internal/testwait"
@@ -195,6 +201,49 @@ func TestIngestDropsMisSizedFrame(t *testing.T) {
 	}
 	if got := srv.Metrics().Telemetry().Value(telemetry.Samples); got != 1 {
 		t.Fatalf("trained %d samples, want the 1 received", got)
+	}
+}
+
+// TestMisSizedClientEndsRun: a client of another grid than the server's
+// streams frames none of which fit the model, then says Goodbye. Its share
+// can never arrive, so Run returns a classified error naming the sim and
+// both shapes instead of waiting for it for ever.
+func TestMisSizedClientEndsRun(t *testing.T) {
+	const serverGrid, clientGrid = 16, 12
+	cfg := testConfig(1, 1, buffer.FIFOKind)
+	norm := core.NewHeatNormalizer(serverGrid*serverGrid, float64(testSteps)*testDt)
+	cfg.Trainer.Normalizer = norm
+	cfg.Trainer.Model.OutputDim = norm.OutputDim()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Run(context.Background()) }()
+
+	job := testJob(srv, 0, testSteps)
+	scfg := testSolverConfig()
+	scfg.N = clientGrid
+	params := testParams(0)
+	job.NewSim = func() (solver.Simulator, error) { return solver.New(scfg, params) }
+	if err := client.Run(context.Background(), job); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run still waits for a share that can never arrive")
+	}
+	if !errors.Is(err, ErrMisSized) {
+		t.Fatalf("Run returned %v, want an ErrMisSized error", err)
+	}
+	want := fmt.Sprintf("sim 0 sent rank 0 frames of %d inputs and %d field values, the model takes %d and %d",
+		norm.InputDim(), clientGrid*clientGrid, norm.InputDim(), serverGrid*serverGrid)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run returned %q, want it to say %q", err, want)
+	}
+	if got := srv.Metrics().Telemetry().Value(telemetry.FramesMisSized); got != testSteps {
+		t.Fatalf("%d frames counted mis-sized, want %d", got, testSteps)
 	}
 }
 

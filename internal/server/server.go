@@ -145,7 +145,18 @@ type Server struct {
 	aggs []*rankAgg
 
 	aggWG sync.WaitGroup
+
+	// abort ends the run with a cause that Run returns (see failIfMisSized).
+	// Run sets it before any aggregator starts.
+	abort context.CancelCauseFunc
 }
+
+// ErrMisSized classifies the error Run returns when a simulation's frames
+// do not fit the model — a client of another grid or problem than the
+// server's. Such frames never count as received, so once the simulation has
+// said Goodbye its share can never complete, and the run would otherwise
+// wait for it for ever.
+var ErrMisSized = errors.New("server: mis-sized frames")
 
 // rankAgg is one rank's aggregator state shard.
 type rankAgg struct {
@@ -201,7 +212,14 @@ type SimState struct {
 	// map[Key]bool of earlier revisions — Steps/8 bytes per sim,
 	// preallocated at Hello, O(1) duplicate checks without allocation.
 	Seen []uint64
+
+	// misSized is the shape of the last frame of this sim the rank could
+	// not take; nil while every frame fitted. Checkpoints do not keep it.
+	misSized *frameShape
 }
+
+// frameShape is a TimeStep's payload lengths.
+type frameShape struct{ in, field int }
 
 // maxTrackedStep caps the per-sim dedup bitset at 4M steps (512 KiB of
 // log) — a protocol sanity bound far above any real trajectory (the paper
@@ -394,11 +412,14 @@ func (s *Server) Metrics() *core.Metrics { return s.metrics }
 // the aggregators and the watchdog, trains until every rank's buffer
 // drains, then shuts the listeners down. It returns the first training
 // error, if any; a run stopped by cancelling ctx returns one that wraps
-// context.Canceled. A lone process is a group of one; a group member trains
-// until the group completes or this member is lost. Listeners, aggregators
-// and ingest state live across the group's epochs, so clients stay
-// connected through re-formations.
+// context.Canceled, and one that a simulation's mis-sized frames left
+// unable to complete returns one that wraps ErrMisSized. A lone process is
+// a group of one; a group member trains until the group completes or this
+// member is lost. Listeners, aggregators and ingest state live across the
+// group's epochs, so clients stay connected through re-formations.
 func (s *Server) Run(ctx context.Context) error {
+	ctx, s.abort = context.WithCancelCause(ctx)
+	defer s.abort(nil)
 	if s.watchdog != nil && s.cfg.OnUnresponsive != nil {
 		watchdogStop := make(chan struct{})
 		defer close(watchdogStop)
@@ -419,6 +440,9 @@ func (s *Server) Run(ctx context.Context) error {
 	s.closeListeners()
 	s.startAggs() // a run that failed before training never started them
 	s.aggWG.Wait()
+	if cause := context.Cause(ctx); errors.Is(cause, ErrMisSized) {
+		return cause
+	}
 	return err
 }
 
@@ -574,6 +598,7 @@ func (s *Server) aggregate(rank int) {
 			if s.watchdog != nil {
 				s.watchdog.Remove(m.ClientID)
 			}
+			s.failIfMisSized(a, m.SimID)
 			s.endIfComplete(a)
 		}
 	}
@@ -593,6 +618,9 @@ func (s *Server) ingestTimeStep(rank int, m *protocol.TimeStep) {
 	st := a.sim(m.SimID)
 	fresh := sized && st.unseen(m.Step)
 	owner := st.ClientID
+	if !sized {
+		st.misSized = &frameShape{len(m.Input), len(m.Field)}
+	}
 	a.mu.Unlock()
 	outcome := telemetry.FramesStored
 	switch {
@@ -660,6 +688,23 @@ func (s *Server) receptionComplete(a *rankAgg) bool {
 	}
 	a.ended = true
 	return true
+}
+
+// failIfMisSized ends the run with an ErrMisSized error when sim has said
+// Goodbye but the rank holds less than its share of the sim's steps and
+// some of its frames did not fit the model: those steps will never count,
+// so reception could never complete. A sim whose share arrived whole
+// despite a mis-sized frame ends nothing.
+func (s *Server) failIfMisSized(a *rankAgg, sim int32) {
+	a.mu.Lock()
+	st := a.sims[sim]
+	bad := st.misSized
+	short := bad != nil && st.Steps > 0 && st.Received < expectedOnRank(st.ClientID, st.Steps, s.dataOffset+a.rank, s.worldRanks)
+	a.mu.Unlock()
+	if short {
+		s.abort(fmt.Errorf("%w: sim %d sent rank %d frames of %d inputs and %d field values, the model takes %d and %d",
+			ErrMisSized, sim, s.dataOffset+a.rank, bad.in, bad.field, s.inDim, s.outDim))
+	}
 }
 
 // endIfComplete ends reception on the rank's buffer once the aggregator

@@ -360,6 +360,7 @@ func trainerConfig(ctx context.Context, cfg Config, prob Problem, space sampling
 	}
 	if cfg.WarmStart != nil {
 		var buf bytes.Buffer
+		buf.Grow(cfg.WarmStart.net.WeightsSize())
 		if err := cfg.WarmStart.net.SaveWeights(&buf); err != nil {
 			return core.TrainerConfig{}, err
 		}

@@ -63,7 +63,8 @@ func surrogateMeta(cfg Config, prob Problem) Meta {
 
 // newSurrogate takes ownership of net and releases its gradients: a
 // surrogate holds weights only, so a result kept after training does not
-// pin a gradient slab as large as the model.
+// pin a gradient slab as large as the model (a loaded network never had
+// one).
 func newSurrogate(net *nn.Network, norm Normalizer, meta Meta) *Surrogate {
 	net.ReleaseGrads()
 	s := &Surrogate{net: net, norm: norm, meta: meta}
@@ -253,9 +254,11 @@ func LoadSurrogate(r io.Reader) (*Surrogate, error) { return loadSurrogate(r, -1
 
 // loadSurrogate is LoadSurrogate over a stream with present bytes behind it
 // (negative: unknown). The header of a 60-byte file can describe terabytes
-// of network, and building a network allocates and randomly initialises all
-// of it, so nothing is built until the weights it describes are known to be
-// there.
+// of network, and building one allocates its value slab before a weight is
+// read, so nothing is built until the weights it describes are known to be
+// there. The weights are then decoded straight into that slab (nn.LoadMLP):
+// a load allocates the model once, draws no initial weight and builds no
+// gradient slab.
 func loadSurrogate(r io.Reader, present int64) (*Surrogate, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
@@ -354,8 +357,8 @@ func loadSurrogate(r io.Reader, present int64) (*Surrogate, error) {
 	if !mlpFits(norm.InputDim(), hidden, norm.OutputDim(), present/4) {
 		return nil, fmt.Errorf("melissa: checkpoint describes a larger network than the %d bytes present can hold", present)
 	}
-	net := nn.ArchitectureMLP(norm.InputDim(), hidden, norm.OutputDim(), seed)
-	if err := net.LoadWeights(weights); err != nil {
+	net, err := nn.LoadMLP(weights, norm.InputDim(), hidden, norm.OutputDim())
+	if err != nil {
 		return nil, err
 	}
 	return newSurrogate(net, norm, meta), nil

@@ -246,6 +246,104 @@ func TestPredictParallel(t *testing.T) {
 	}
 }
 
+// paperSurrogateFile publishes the paper surrogate (heat on a 32×32 grid,
+// two hidden layers of 256: 330,752 parameters) with seed 42 into a
+// temporary directory and returns its path and the network it was saved
+// from.
+func paperSurrogateFile(tb testing.TB) (string, *nn.Network) {
+	tb.Helper()
+	cfg := DefaultConfig()
+	cfg.Problem = Heat()
+	cfg.GridN = 32
+	cfg.Hidden = []int{256, 256}
+	cfg.Seed = 42
+	norm := cfg.Problem.Normalizer(cfg)
+	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
+	sur, err := SurrogateFromNetwork(net, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(tb.TempDir(), "paper.mlsg")
+	if err := PublishSurrogate(sur, path); err != nil {
+		tb.Fatal(err)
+	}
+	return path, net
+}
+
+// TestLoadSurrogateFileOneSlab: loading the paper surrogate reads its
+// weights bit for bit into one value slab and allocates little beside it —
+// no initial weights drawn and overwritten, no gradient slab, no staging
+// copy of the blob.
+func TestLoadSurrogateFileOneSlab(t *testing.T) {
+	path, saved := paperSurrogateFile(t)
+	sur, err := LoadSurrogateFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := sur.net.FlatParams(), saved.FlatParams()
+	if len(got) != len(want) {
+		t.Fatalf("loaded %d parameters, saved %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("parameter %d loaded as %v, saved as %v", i, got[i], want[i])
+		}
+	}
+	if sur.net.FlatGrads() != nil {
+		t.Fatal("a loaded surrogate has a gradient slab")
+	}
+
+	const loads = 10
+	slab := uint64(4 * len(want))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range loads {
+		if _, err := LoadSurrogateFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / loads; float64(per) > 1.1*float64(slab) {
+		t.Fatalf("a load allocates %d bytes, more than 1.1× its %d-byte value slab", per, slab)
+	}
+}
+
+// TestLoadSurrogateRefusesTruncatedWeights: a checkpoint cut short
+// anywhere in its weights is an error from both entry points — from the
+// bytes-present check or from the decode into the slab — never a panic.
+func TestLoadSurrogateRefusesTruncatedWeights(t *testing.T) {
+	path, _ := paperSurrogateFile(t)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(t.TempDir(), "cut.mlsg")
+	for _, short := range []int{1, 4, 100, 4 * 1024, len(blob) / 2} {
+		part := blob[:len(blob)-short]
+		if err := os.WriteFile(cut, part, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSurrogate(bytes.NewReader(part)); err == nil {
+			t.Fatalf("LoadSurrogate took a checkpoint %d bytes short", short)
+		}
+		if _, err := LoadSurrogateFile(cut); err == nil {
+			t.Fatalf("LoadSurrogateFile took a checkpoint %d bytes short", short)
+		}
+	}
+}
+
+// BenchmarkLoadSurrogate times LoadSurrogateFile on the paper surrogate:
+// what melissa-serve pays at start-up and on every hot reload.
+func BenchmarkLoadSurrogate(b *testing.B) {
+	path, _ := paperSurrogateFile(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := LoadSurrogateFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestSurrogateHoldsWeightsOnly: however a network becomes a Surrogate —
 // trained online, snapshotted from a live trainer network, or loaded — it
 // keeps no gradient slab, the live network keeps its own, and the pooled
