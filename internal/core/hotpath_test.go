@@ -208,12 +208,12 @@ func legacyGradSync(params []*nn.Param, staging []float32) {
 	off := 0
 	for _, p := range params {
 		copy(staging[off:], p.Grad.Data)
-		off += p.Size()
+		off += len(p.Value.Data)
 	}
 	off = 0
 	for _, p := range params {
-		copy(p.Grad.Data, staging[off:off+p.Size()])
-		off += p.Size()
+		copy(p.Grad.Data, staging[off:off+len(p.Value.Data)])
+		off += len(p.Value.Data)
 	}
 }
 
@@ -231,7 +231,7 @@ func (a *legacyAdam) Step(params []*nn.Param) {
 	if a.m == nil {
 		n := 0
 		for _, p := range params {
-			n += p.Size()
+			n += len(p.Value.Data)
 		}
 		a.m, a.v = make([]float32, n), make([]float32, n)
 	}
@@ -240,13 +240,13 @@ func (a *legacyAdam) Step(params []*nn.Param) {
 	alpha := float32(a.lr * math.Sqrt(1-math.Pow(0.999, float64(a.step))) / (1 - math.Pow(0.9, float64(a.step))))
 	off := 0
 	for _, p := range params {
-		m, v := a.m[off:off+p.Size()], a.v[off:off+p.Size()]
+		m, v := a.m[off:off+len(p.Value.Data)], a.v[off:off+len(p.Value.Data)]
 		for j, g := range p.Grad.Data {
 			m[j] = float32(b1*m[j]) + float32((1-b1)*g)
 			v[j] = float32(b2*v[j]) + float32(float32((1-b2)*g)*g)
 			p.Value.Data[j] -= float32(alpha*m[j]) / (float32(math.Sqrt(float64(v[j]))) + eps)
 		}
-		off += p.Size()
+		off += len(p.Value.Data)
 	}
 }
 

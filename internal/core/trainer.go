@@ -131,10 +131,9 @@ type Trainer struct {
 	ringGrads bool
 
 	// buckets are the gradient-slab ranges in backward-completion order,
-	// identical across replicas; bucketOfLayer maps a layer index to its
-	// bucket (or -1).
-	buckets       []nn.GradBucket
-	bucketOfLayer []int
+	// one per layer and identical across replicas: layer i's is bucket
+	// len(buckets)-1-i.
+	buckets []nn.GradBucket
 
 	// localSamples[r] is local rank r's count of the group's cumulative
 	// samples, the one the learning-rate schedule reads. It advances
@@ -211,15 +210,6 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 	// The bucket layout is a property of the architecture; all replicas
 	// share it.
 	t.buckets = base.GradBuckets()
-	t.bucketOfLayer = make([]int, len(base.Layers))
-	for i := range t.bucketOfLayer {
-		t.bucketOfLayer[i] = -1
-	}
-	for b, bk := range t.buckets {
-		if bk.Layer >= 0 {
-			t.bucketOfLayer[bk.Layer] = b
-		}
-	}
 	return t, nil
 }
 
@@ -366,10 +356,8 @@ func (t *Trainer) newRankState(rank int) *rankState {
 		st.keys[i] = s.Key()
 	}
 	st.hook = func(layer int) {
-		if b := t.bucketOfLayer[layer]; b >= 0 {
-			st.jobs <- b
-			st.launched++
-		}
+		st.jobs <- len(t.buckets) - 1 - layer
+		st.launched++
 	}
 	st.parts, st.zero, st.scale = t.updatePlan(rank)
 	if t.ringGrads {

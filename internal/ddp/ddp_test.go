@@ -259,7 +259,7 @@ func TestFlatGradSlabViews(t *testing.T) {
 				t.Fatalf("param %s grad[%d] = %v, not a slab view", p.Name, i, g)
 			}
 		}
-		off += p.Size()
+		off += len(p.Value.Data)
 	}
 }
 

@@ -10,33 +10,36 @@
 //
 // Every Network keeps its parameters in contiguous float32 slabs — one for
 // values, one for gradients — and each Param's matrices are zero-copy views
-// into them (in Params() order). An MLP is built in its slabs: the builder
-// sizes the whole network, allocates each slab once and lays every layer's
-// weight and bias out as views, so nothing is allocated twice or copied
-// (only NewNetwork over ready-made layers, as Clone does, packs them by
-// copying). FlatParams and FlatGrads expose the slabs, which is what makes
-// the training hot path allocation-free: the ddp layer all-reduces the
-// gradient slab directly with no gather/scatter staging, optimizers update
-// the value slab in one fused vectorized pass, ZeroGrad is a single memclr,
-// and checkpoints serialize the value slab as one bulk stream.
+// into them (in Params() order). One builder makes every Network: given the
+// widths, a value slab and an optional gradient slab, it lays each layer's
+// weight and bias out as views into them. The constructors differ only in
+// the slabs they pass:
 //
-// Only a network that trains has a gradient slab. LoadMLP builds the
-// inference-only network a checkpoint describes and reads the weights
-// straight into its value slab; it never draws an initial weight and never
-// allocates gradients, and a trained network sheds its own with
-// ReleaseGrads when it becomes a surrogate.
+//   - ArchitectureMLP: fresh values and gradients, with Xavier weights drawn
+//     into the views;
+//   - LoadMLP: fresh values, decoded straight from a checkpoint, and no
+//     gradients;
+//   - Clone: a copy of the values and no gradients, the inference-only
+//     snapshot a publish takes;
+//   - CloneShared: the same values and no gradients, for serving replicas;
+//   - CloneReplica: the same values and fresh gradients, for the training
+//     replicas of one process.
 //
-// The value slab may be shared, the gradient slab never is. The training
-// replicas of one process (CloneReplica) and the serving replicas of one
-// surrogate (CloneShared) all read a single value slab; every training
-// replica accumulates into a gradient slab of its own, which is the buffer
-// it hands to the all-reduce.
+// FlatParams and FlatGrads expose the slabs, which is what makes the
+// training hot path allocation-free: the ddp layer all-reduces the gradient
+// slab directly with no gather/scatter staging, optimizers update the value
+// slab in one fused vectorized pass, ZeroGrad is a single memclr, and
+// checkpoints serialize the value slab as one bulk stream. Only a network
+// that trains has a gradient slab, and a value slab may be shared while a
+// gradient slab never is: every training replica accumulates into one of
+// its own, which is the buffer it hands to the all-reduce.
 package nn
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 
 	"melissa/internal/tensor"
 )
@@ -44,79 +47,22 @@ import (
 // Param is one learnable parameter tensor together with its gradient
 // accumulator. Inside a Network both matrices are views into the network's
 // flat slabs, which is what the optimizer and the data-parallel all-reduce
-// operate on; Grad is nil once the network's gradients are released.
+// operate on; Grad is nil in a network that does not train.
 type Param struct {
 	Name  string
 	Value *tensor.Matrix
 	Grad  *tensor.Matrix
 }
 
-// Size returns the number of scalar elements in the parameter.
-func (p *Param) Size() int { return len(p.Value.Data) }
-
-// Layer is a differentiable module. Forward must record whatever it needs
-// for the subsequent Backward; Backward accumulates into parameter
-// gradients and returns the gradient with respect to its input. Layers are
-// stateful and not safe for concurrent use — each data-parallel replica
-// owns its own (see CloneReplica).
-type Layer interface {
-	// Forward computes the layer output for a batch (rows = samples).
-	Forward(x *tensor.Matrix) *tensor.Matrix
-	// Backward propagates the loss gradient dy and returns dx. It must be
-	// called exactly once per Forward.
-	Backward(dy *tensor.Matrix) *tensor.Matrix
-	// Params returns the learnable parameters, empty for stateless layers.
-	Params() []*Param
-	// Clone returns a deep copy with identical weights and fresh gradients.
-	Clone() Layer
-}
-
-// Network is a sequential stack of layers whose parameters and gradients
-// are backed by two contiguous slabs (see the package comment).
+// Network is a multilayer perceptron whose parameters and gradients are
+// views into two contiguous slabs (see the package comment). Every Network
+// is laid out by buildMLP.
 type Network struct {
-	Layers []Layer
+	Layers []*Dense
 
-	params      []*Param  // cached stable order, set by fuse or newMLP
-	flatValues  []float32 // contiguous backing of every Param.Value
-	flatGrads   []float32 // contiguous backing of every Param.Grad; nil when the network does not train
-	layerRanges [][2]int  // per-layer [lo,hi) slab ranges, set by fuse or newMLP
-}
-
-// NewNetwork assembles a sequential network from ready-made layers and
-// copies their parameters into flat slabs (see fuse).
-func NewNetwork(layers ...Layer) *Network {
-	n := &Network{Layers: layers}
-	n.fuse()
-	return n
-}
-
-// fuse repacks every parameter into the two contiguous slabs, preserving
-// current values and gradients, and re-points the Param matrices at slab
-// views. Layers keep their *tensor.Matrix pointers, so the swap is
-// invisible to forward/backward code.
-func (n *Network) fuse() {
-	n.params = n.params[:0]
-	n.layerRanges = make([][2]int, len(n.Layers))
-	total := 0
-	for i, l := range n.Layers {
-		lo := total
-		for _, p := range l.Params() {
-			n.params = append(n.params, p)
-			total += p.Size()
-		}
-		n.layerRanges[i] = [2]int{lo, total}
-	}
-	n.flatValues = make([]float32, total)
-	n.flatGrads = make([]float32, total)
-	off := 0
-	for _, p := range n.params {
-		sz := p.Size()
-		copy(n.flatValues[off:off+sz], p.Value.Data)
-		copy(n.flatGrads[off:off+sz], p.Grad.Data)
-		p.Value.Data = n.flatValues[off : off+sz : off+sz]
-		p.Grad.Data = n.flatGrads[off : off+sz : off+sz]
-		off += sz
-	}
+	params     []*Param  // stable order: each layer's weight, then its bias
+	flatValues []float32 // contiguous backing of every Param.Value
+	flatGrads  []float32 // contiguous backing of every Param.Grad; nil when the network does not train
 }
 
 // FlatParams returns the contiguous slab backing every parameter value, in
@@ -127,33 +73,12 @@ func (n *Network) FlatParams() []float32 { return n.flatValues }
 // in Params() order. The ddp layer all-reduces it directly.
 func (n *Network) FlatGrads() []float32 { return n.flatGrads }
 
-// ReleaseGrads drops the gradient slab and the activations training and
-// validation left in the layers, leaving an inference-only network half the
-// size: Forward, the weight accessors and serialization work as before
-// (Forward sizes its activations anew), FlatGrads returns nil, and Backward
-// or ZeroGrad panic. A trained network is released when it becomes a
-// Surrogate.
-func (n *Network) ReleaseGrads() {
-	for _, p := range n.Params() {
-		p.Grad = nil
-	}
-	n.flatGrads = nil
-	for _, l := range n.Layers {
-		if d, ok := l.(*Dense); ok {
-			d.lastX, d.lastY = nil, nil
-			d.out, d.dx, d.dz = scratch{}, scratch{}, scratch{}
-		}
-	}
-}
-
 // SetTeam lets the network's kernels fan out over tm (nil: inline). A team
 // belongs to one goroutine, so only the one that runs this network's
 // Forward and Backward may own it; clones and replicas start without one.
 func (n *Network) SetTeam(tm *tensor.Team) {
-	for _, l := range n.Layers {
-		if d, ok := l.(*Dense); ok {
-			d.team = tm
-		}
+	for _, d := range n.Layers {
+		d.team = tm
 	}
 }
 
@@ -187,121 +112,68 @@ func (n *Network) BackwardWithHook(dy *tensor.Matrix, hook func(layer int)) *ten
 	return dy
 }
 
-// GradBucket is one contiguous gradient-slab range owned by a single
-// layer, in the order backward finalizes them.
+// GradBucket is the contiguous gradient-slab range [Lo, Hi) that one
+// layer's weight and bias occupy.
 type GradBucket struct {
-	Layer  int // index into Layers
-	Lo, Hi int // slab range [Lo, Hi)
+	Lo, Hi int
 }
 
-// GradBuckets returns the non-empty per-layer slab ranges in reverse layer
-// order — the order Backward finalizes their gradients, and therefore the
-// order bucketed-overlap synchronization must launch their collectives.
-// Returns nil for networks built without NewNetwork.
+// GradBuckets returns the layers' slab ranges in reverse layer order — the
+// order Backward finalizes their gradients, and therefore the order
+// bucketed-overlap synchronization must launch their collectives: bucket b
+// belongs to layer len(Layers)-1-b.
 func (n *Network) GradBuckets() []GradBucket {
-	if n.layerRanges == nil {
-		return nil
-	}
-	buckets := make([]GradBucket, 0, len(n.layerRanges))
-	for i := len(n.layerRanges) - 1; i >= 0; i-- {
-		if r := n.layerRanges[i]; r[1] > r[0] {
-			buckets = append(buckets, GradBucket{Layer: i, Lo: r[0], Hi: r[1]})
-		}
+	buckets := make([]GradBucket, len(n.Layers))
+	hi := len(n.flatValues)
+	for b := range buckets {
+		d := n.Layers[len(n.Layers)-1-b]
+		buckets[b] = GradBucket{Lo: hi - (d.In()+1)*d.Out(), Hi: hi}
+		hi = buckets[b].Lo
 	}
 	return buckets
 }
 
 // Params returns all learnable parameters in a stable order.
-func (n *Network) Params() []*Param {
-	if n.params == nil && len(n.Layers) > 0 {
-		// Network built without NewNetwork; fall back to a dynamic walk.
-		var ps []*Param
-		for _, l := range n.Layers {
-			ps = append(ps, l.Params()...)
-		}
-		return ps
-	}
-	return n.params
-}
+func (n *Network) Params() []*Param { return n.params }
 
 // ZeroGrad clears every parameter gradient — a single memclr of the
 // gradient slab. Call before each batch.
-func (n *Network) ZeroGrad() {
-	if n.flatGrads != nil {
-		tensor.Zero(n.flatGrads)
-		return
-	}
-	for _, p := range n.Params() {
-		p.Grad.Zero()
-	}
-}
+func (n *Network) ZeroGrad() { tensor.Zero(n.flatGrads) }
 
 // NumParams returns the total number of scalar learnable parameters.
-func (n *Network) NumParams() int {
-	if n.flatValues != nil {
-		return len(n.flatValues)
+func (n *Network) NumParams() int { return len(n.flatValues) }
+
+// widths returns the layer widths in → hidden... → out.
+func (n *Network) widths() []int {
+	w := []int{n.Layers[0].In()}
+	for _, d := range n.Layers {
+		w = append(w, d.Out())
 	}
-	total := 0
-	for _, p := range n.Params() {
-		total += p.Size()
-	}
-	return total
+	return w
 }
 
-// Clone deep-copies the network (weights copied, gradients zeroed) into its
-// own fresh slabs: a snapshot that later training of the original cannot
-// touch. (The data-parallel replicas of one process are not copies; see
-// CloneReplica.)
+// Clone returns an inference-only snapshot: a copy of the value slab that
+// later training of the original cannot touch, and no gradient slab.
 func (n *Network) Clone() *Network {
-	layers := make([]Layer, len(n.Layers))
-	for i, l := range n.Layers {
-		layers[i] = l.Clone()
-	}
-	return NewNetwork(layers...)
+	return buildMLP(n.widths(), slices.Clone(n.flatValues), nil)
 }
 
-// CloneShared returns an inference-only copy that shares this network's
-// parameter storage — no weights are copied — while owning private
-// activation scratch, so many replicas can run Forward concurrently against
-// one weight slab. The clone is not slab-fused (FlatParams returns nil) and
-// must never be trained: Backward would accumulate into the shared gradient
-// buffers, and mutating either network's weights while the other runs
-// Forward is a data race. Layers that cannot share storage are deep-copied.
+// CloneShared returns an inference-only network over this network's value
+// slab — no weights are copied — with no gradient slab and activation
+// scratch of its own, so many replicas can run Forward concurrently against
+// one slab. Mutating the weights while a replica runs Forward is a data
+// race.
 func (n *Network) CloneShared() *Network {
-	layers := make([]Layer, len(n.Layers))
-	for i, l := range n.Layers {
-		if sc, ok := l.(interface{ CloneShared() Layer }); ok {
-			layers[i] = sc.CloneShared()
-		} else {
-			layers[i] = l.Clone()
-		}
-	}
-	// No fuse(): repacking would re-point the shared Params at fresh slabs
-	// and break aliasing with (and race against readers of) the original.
-	return &Network{Layers: layers}
+	return buildMLP(n.widths(), n.flatValues, nil)
 }
 
 // CloneReplica returns a trainable replica for another data-parallel rank
-// of the same process: CloneShared's aliasing of the value slab (FlatParams
-// is this network's, so one optimizer update is seen by every replica) plus
-// a private gradient slab and private activation scratch. Whoever writes
-// the shared values must do so while no replica is in Forward or Backward.
+// of the same process: CloneShared's view of the value slab (FlatParams is
+// this network's, so one optimizer update is seen by every replica) plus a
+// gradient slab of its own. Whoever writes the shared values must do so
+// while no replica is in Forward or Backward.
 func (n *Network) CloneReplica() *Network {
-	r := n.CloneShared()
-	r.params = r.Params()
-	r.flatValues = n.flatValues
-	r.flatGrads = make([]float32, len(n.flatGrads))
-	r.layerRanges = n.layerRanges
-	off := 0
-	for i, p := range r.params {
-		if &p.Value.Data[0] != &n.params[i].Value.Data[0] {
-			panic(fmt.Sprintf("nn: parameter %q cannot share its storage with a replica", p.Name))
-		}
-		sz := p.Size()
-		p.Grad = &tensor.Matrix{Rows: p.Value.Rows, Cols: p.Value.Cols, Data: r.flatGrads[off : off+sz : off+sz]}
-		off += sz
-	}
-	return r
+	return buildMLP(n.widths(), n.flatValues, make([]float32, len(n.flatValues)))
 }
 
 // ArchitectureMLP builds the paper's direct surrogate architecture: an
@@ -315,9 +187,14 @@ func (n *Network) CloneReplica() *Network {
 // so runs are reproducible (§3.1: "all the stochastic components … are
 // seeded"); biases start at zero.
 func ArchitectureMLP(inputDim int, hidden []int, outputDim int, seed uint64) *Network {
-	n, err := newMLP(inputDim, hidden, outputDim, NewInitializer(seed))
+	widths, size, err := mlpWidths(inputDim, hidden, outputDim)
 	if err != nil {
 		panic(err)
+	}
+	n := buildMLP(widths, make([]float32, size), make([]float32, size))
+	init := NewInitializer(seed)
+	for _, d := range n.Layers {
+		init.XavierUniform(d.w.Value, d.In(), d.Out())
 	}
 	return n
 }
@@ -325,15 +202,16 @@ func ArchitectureMLP(inputDim int, hidden []int, outputDim int, seed uint64) *Ne
 // LoadMLP builds the inference-only ArchitectureMLP inputDim → hidden... →
 // outputDim and reads its weights from r, which must hold what SaveWeights
 // wrote for that architecture. The weights are decoded straight into the
-// value slab; the network has no gradient slab (FlatGrads is nil, Backward
-// and ZeroGrad panic). A width below 1 is an error. Callers that take the
+// value slab; the network has no gradient slab (FlatGrads is nil and
+// Backward panics). A width below 1 is an error. Callers that take the
 // widths from untrusted input bound them first: the value slab is allocated
 // before r is read.
 func LoadMLP(r io.Reader, inputDim int, hidden []int, outputDim int) (*Network, error) {
-	n, err := newMLP(inputDim, hidden, outputDim, nil)
+	widths, size, err := mlpWidths(inputDim, hidden, outputDim)
 	if err != nil {
 		return nil, err
 	}
+	n := buildMLP(widths, make([]float32, size), nil)
 	br := bufio.NewReader(r)
 	if err := n.readHeader(br); err != nil {
 		return nil, err
@@ -344,54 +222,50 @@ func LoadMLP(r io.Reader, inputDim int, hidden []int, outputDim int) (*Network, 
 	return n, nil
 }
 
-// newMLP sizes the MLP in → hidden... → out, allocates its value slab — and,
-// with an initializer, its gradient slab — once, and lays each Dense layer's
-// weight and bias out as views into them in Params() order. init draws the
-// weights straight into their views, layer by layer, in the order separate
-// layers once drew them, so a seed gives the same bits; a nil init leaves
-// every value zero for a loader to fill and builds no gradient slab.
-func newMLP(in int, hidden []int, out int, init *Initializer) (*Network, error) {
+// mlpWidths returns the widths in → hidden... → out and the number of
+// parameters an MLP of them holds. A width below 1 is an error.
+func mlpWidths(in int, hidden []int, out int) ([]int, int, error) {
 	widths := append(append([]int{in}, hidden...), out)
-	total := 0
+	size := 0
 	for i := 1; i < len(widths); i++ {
 		if widths[i-1] <= 0 || widths[i] <= 0 {
-			return nil, fmt.Errorf("nn: invalid Dense dims %dx%d", widths[i-1], widths[i])
+			return nil, 0, fmt.Errorf("nn: invalid Dense dims %dx%d", widths[i-1], widths[i])
 		}
-		total += (widths[i-1] + 1) * widths[i]
+		size += (widths[i-1] + 1) * widths[i]
 	}
+	return widths, size, nil
+}
+
+// buildMLP lays the MLP widths[0] → … → widths[len-1] out over the slabs
+// it is given: each Dense layer's weight and bias are views into values —
+// and, when grads is not nil, into grads — in Params() order. Hidden layers
+// fuse ReLU; the output layer is linear. Both slabs hold exactly the
+// parameters the widths need (mlpWidths).
+func buildMLP(widths []int, values, grads []float32) *Network {
+	layers := len(widths) - 1
 	n := &Network{
-		Layers:      make([]Layer, 0, len(hidden)+1),
-		params:      make([]*Param, 0, 2*len(hidden)+2),
-		flatValues:  make([]float32, total),
-		layerRanges: make([][2]int, len(hidden)+1),
-	}
-	if init != nil {
-		n.flatGrads = make([]float32, total)
+		Layers:     make([]*Dense, layers),
+		params:     make([]*Param, 0, 2*layers),
+		flatValues: values,
+		flatGrads:  grads,
 	}
 	off := 0
 	param := func(name string, rows, cols int) *Param {
 		sz := rows * cols
-		p := &Param{Name: name, Value: &tensor.Matrix{Rows: rows, Cols: cols, Data: n.flatValues[off : off+sz : off+sz]}}
-		if n.flatGrads != nil {
-			p.Grad = &tensor.Matrix{Rows: rows, Cols: cols, Data: n.flatGrads[off : off+sz : off+sz]}
+		p := &Param{Name: name, Value: &tensor.Matrix{Rows: rows, Cols: cols, Data: values[off : off+sz : off+sz]}}
+		if grads != nil {
+			p.Grad = &tensor.Matrix{Rows: rows, Cols: cols, Data: grads[off : off+sz : off+sz]}
 		}
 		off += sz
 		n.params = append(n.params, p)
 		return p
 	}
-	for i := range n.layerRanges {
-		fanIn, fanOut := widths[i], widths[i+1]
-		name, act := "output", ActNone
-		if i < len(hidden) {
-			name, act = fmt.Sprintf("hidden%d", i), ActReLU
+	for i := range n.Layers {
+		name, relu := "output", false
+		if i < layers-1 {
+			name, relu = fmt.Sprintf("hidden%d", i), true
 		}
-		lo := off
-		d := &Dense{name: name, act: act, w: param(name+".weight", fanIn, fanOut), b: param(name+".bias", 1, fanOut)}
-		if init != nil {
-			init.XavierUniform(d.w.Value, fanIn, fanOut)
-		}
-		n.layerRanges[i] = [2]int{lo, off}
-		n.Layers = append(n.Layers, d)
+		n.Layers[i] = &Dense{name: name, relu: relu, w: param(name+".weight", widths[i], widths[i+1]), b: param(name+".bias", 1, widths[i+1])}
 	}
-	return n, nil
+	return n
 }

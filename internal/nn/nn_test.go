@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +28,11 @@ func maxAbsDiff(a, b *tensor.Matrix) float64 {
 	return max
 }
 
+// cloneMatrix returns a copy of m that later writes to m do not reach.
+func cloneMatrix(m *tensor.Matrix) *tensor.Matrix {
+	return &tensor.Matrix{Rows: m.Rows, Cols: m.Cols, Data: slices.Clone(m.Data)}
+}
+
 func randBatch(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 	m := tensor.New(rows, cols)
 	for i := range m.Data {
@@ -36,11 +42,10 @@ func randBatch(rng *rand.Rand, rows, cols int) *tensor.Matrix {
 }
 
 func TestDenseForwardShapeAndBias(t *testing.T) {
-	init := NewInitializer(1)
-	d := NewDense("l", 3, 2, init)
+	d := ArchitectureMLP(3, nil, 2, 1).Layers[0]
 	// Zero the weights, set the bias, and confirm broadcast.
-	d.Params()[0].Value.Zero()
-	copy(d.Params()[1].Value.Data, []float32{1, -2})
+	clear(d.w.Value.Data)
+	copy(d.b.Value.Data, []float32{1, -2})
 	x := randBatch(rand.New(rand.NewPCG(1, 1)), 4, 3)
 	y := d.Forward(x)
 	if y.Rows != 4 || y.Cols != 2 {
@@ -54,11 +59,9 @@ func TestDenseForwardShapeAndBias(t *testing.T) {
 }
 
 func TestDenseForwardMatchesManual(t *testing.T) {
-	init := NewInitializer(2)
-	d := NewDense("l", 2, 2, init)
-	w := d.Params()[0].Value
-	copy(w.Data, []float32{1, 2, 3, 4}) // W = [[1,2],[3,4]]
-	copy(d.Params()[1].Value.Data, []float32{10, 20})
+	d := ArchitectureMLP(2, nil, 2, 2).Layers[0]
+	copy(d.w.Value.Data, []float32{1, 2, 3, 4}) // W = [[1,2],[3,4]]
+	copy(d.b.Value.Data, []float32{10, 20})
 	x := &tensor.Matrix{Rows: 1, Cols: 2, Data: []float32{1, 1}}
 	y := d.Forward(x)
 	// y = [1+3+10, 2+4+20] = [14, 26]
@@ -68,9 +71,8 @@ func TestDenseForwardMatchesManual(t *testing.T) {
 }
 
 func TestReLU(t *testing.T) {
-	r := NewReLU()
 	x := &tensor.Matrix{Rows: 1, Cols: 4, Data: []float32{-1, 0, 2, -3}}
-	y := r.Forward(x)
+	y := reluForward(x)
 	want := []float32{0, 0, 2, 0}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -78,29 +80,12 @@ func TestReLU(t *testing.T) {
 		}
 	}
 	dy := &tensor.Matrix{Rows: 1, Cols: 4, Data: []float32{5, 6, 7, 8}}
-	dx := r.Backward(dy)
+	dx := reluBackward(x, dy)
 	wantDx := []float32{0, 0, 7, 0}
 	for i := range wantDx {
 		if dx.Data[i] != wantDx[i] {
 			t.Fatalf("backward got %v", dx.Data)
 		}
-	}
-}
-
-func TestTanhForwardBackward(t *testing.T) {
-	l := NewTanh()
-	x := &tensor.Matrix{Rows: 1, Cols: 2, Data: []float32{0, 1}}
-	y := l.Forward(x)
-	if y.Data[0] != 0 {
-		t.Fatalf("tanh(0) = %v", y.Data[0])
-	}
-	if math.Abs(float64(y.Data[1])-math.Tanh(1)) > 1e-6 {
-		t.Fatalf("tanh(1) = %v", y.Data[1])
-	}
-	dy := &tensor.Matrix{Rows: 1, Cols: 2, Data: []float32{1, 1}}
-	dx := l.Backward(dy)
-	if math.Abs(float64(dx.Data[0])-1) > 1e-6 { // 1 - tanh(0)^2 = 1
-		t.Fatalf("dx[0] = %v", dx.Data[0])
 	}
 }
 
@@ -189,25 +174,6 @@ func TestGradCheckInput(t *testing.T) {
 	}
 }
 
-func TestGradCheckTanh(t *testing.T) {
-	rng := rand.New(rand.NewPCG(29, 31))
-	init := NewInitializer(5)
-	net := NewNetwork(NewDense("a", 3, 4, init), NewTanh(), NewDense("b", 4, 2, init))
-	x := randBatch(rng, 3, 3)
-	target := randBatch(rng, 3, 2)
-	loss := NewMSELoss()
-	net.ZeroGrad()
-	net.Backward(loss.Backward(net.Forward(x), target))
-	for _, p := range net.Params() {
-		numeric := numericalGrad(p.Value.Data, func() float64 { return loss.Forward(net.Forward(x), target) })
-		for i, g := range p.Grad.Data {
-			if math.Abs(float64(g)-numeric[i]) > 2e-3*(1+math.Abs(numeric[i])) {
-				t.Fatalf("param %s[%d]: %v vs %v", p.Name, i, g, numeric[i])
-			}
-		}
-	}
-}
-
 func TestGradAccumulation(t *testing.T) {
 	net := ArchitectureMLP(2, []int{3}, 2, 3)
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -217,7 +183,7 @@ func TestGradAccumulation(t *testing.T) {
 
 	net.ZeroGrad()
 	net.Backward(loss.Backward(net.Forward(x), target))
-	first := net.Params()[0].Grad.Clone()
+	first := cloneMatrix(net.Params()[0].Grad)
 
 	// Second backward without ZeroGrad must accumulate (double).
 	net.Backward(loss.Backward(net.Forward(x), target))
@@ -249,9 +215,9 @@ func TestArchitectureMLPShape(t *testing.T) {
 	if len(net.Layers) != 3 { // two fused dense+relu, one linear dense
 		t.Fatalf("layer count %d", len(net.Layers))
 	}
-	for i, wantAct := range []Activation{ActReLU, ActReLU, ActNone} {
-		if act := net.Layers[i].(*Dense).Activation(); act != wantAct {
-			t.Fatalf("layer %d activation %d, want %d", i, act, wantAct)
+	for i, relu := range []bool{true, true, false} {
+		if net.Layers[i].relu != relu {
+			t.Fatalf("layer %d fuses ReLU: %v, want %v", i, net.Layers[i].relu, relu)
 		}
 	}
 }
@@ -299,7 +265,7 @@ func TestLoadMLPRoundTrip(t *testing.T) {
 		if p.Grad != nil || &p.Value.Data[0] != &got.FlatParams()[off] {
 			t.Fatalf("param %s is not a gradient-free view at slab offset %d", p.Name, off)
 		}
-		off += p.Size()
+		off += len(p.Value.Data)
 	}
 	x := randBatch(rand.New(rand.NewPCG(3, 4)), 2, 5)
 	if d := maxAbsDiff(got.Forward(x), net.Forward(x)); d != 0 {
@@ -379,6 +345,9 @@ func TestXavierRange(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	net := ArchitectureMLP(3, []int{4}, 2, 1)
 	clone := net.Clone()
+	if clone.FlatGrads() != nil {
+		t.Fatal("a clone has a gradient slab")
+	}
 	p0 := net.Params()[0]
 	c0 := clone.Params()[0]
 	for i := range p0.Value.Data {
@@ -466,56 +435,38 @@ func TestSaveLoadProperty(t *testing.T) {
 	}
 }
 
-// TestFusedDenseMatchesUnfusedLayers pins the fused-epilogue contract:
-// a fused Dense(act) layer must be bit-identical — forward output, every
-// parameter gradient, and the input gradient — to the unfused
-// Dense→activation layer pair it replaced, because bias and activation are
-// applied after the identical GEMM accumulation in both paths.
+// TestFusedDenseMatchesUnfusedLayers pins the fused-epilogue contract: a
+// Dense layer with ReLU fused must be bit-identical — forward output, every
+// parameter gradient, and the input gradient — to the linear Dense layer
+// followed by a separate ReLU pass that it replaced, because bias and
+// activation are applied after the identical GEMM accumulation in both
+// paths.
 func TestFusedDenseMatchesUnfusedLayers(t *testing.T) {
-	for _, act := range []Activation{ActReLU, ActTanh} {
-		name := map[Activation]string{ActReLU: "relu", ActTanh: "tanh"}[act]
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewPCG(31, uint64(act)))
-			build := func(fused bool) *Network {
-				init := NewInitializer(123)
-				if fused {
-					return NewNetwork(NewDenseAct("h", 7, 33, act, init), NewDense("o", 33, 5, init))
-				}
-				var mid Layer = NewReLU()
-				if act == ActTanh {
-					mid = NewTanh()
-				}
-				return NewNetwork(NewDense("h", 7, 33, init), mid, NewDense("o", 33, 5, init))
-			}
-			fusedNet, plainNet := build(true), build(false)
-			x := randBatch(rng, 9, 7)
-			target := randBatch(rng, 9, 5)
-			loss := NewMSELoss()
+	rng := rand.New(rand.NewPCG(31, 1))
+	fused := ArchitectureMLP(7, []int{33}, 5, 123)
+	plain := fused.CloneReplica() // the same weights, gradients of its own
+	plain.Layers[0].relu = false
+	x := randBatch(rng, 9, 7)
+	target := randBatch(rng, 9, 5)
+	loss := NewMSELoss()
 
-			fusedNet.ZeroGrad()
-			fp := fusedNet.Forward(x)
-			fdx := fusedNet.Backward(loss.Backward(fp, target))
+	fp := fused.Forward(x)
+	fdx := fused.Backward(loss.Backward(fp, target))
 
-			plainNet.ZeroGrad()
-			pp := plainNet.Forward(x)
-			pdx := plainNet.Backward(loss.Backward(pp, target))
+	z := plain.Layers[0].Forward(x)
+	pp := plain.Layers[1].Forward(reluForward(z))
+	pdx := plain.Layers[0].Backward(reluBackward(z, plain.Layers[1].Backward(loss.Backward(pp, target))))
 
-			if d := maxAbsDiff(fp, pp); d != 0 {
-				t.Fatalf("forward differs by %v", d)
-			}
-			if d := maxAbsDiff(fdx, pdx); d != 0 {
-				t.Fatalf("input gradient differs by %v", d)
-			}
-			fparams, pparams := fusedNet.Params(), plainNet.Params()
-			if len(fparams) != len(pparams) {
-				t.Fatalf("param count %d vs %d", len(fparams), len(pparams))
-			}
-			for i := range fparams {
-				if d := maxAbsDiff(fparams[i].Grad, pparams[i].Grad); d != 0 {
-					t.Fatalf("param %s gradient differs by %v", fparams[i].Name, d)
-				}
-			}
-		})
+	if d := maxAbsDiff(fp, pp); d != 0 {
+		t.Fatalf("forward differs by %v", d)
+	}
+	if d := maxAbsDiff(fdx, pdx); d != 0 {
+		t.Fatalf("input gradient differs by %v", d)
+	}
+	for i, p := range fused.Params() {
+		if d := maxAbsDiff(p.Grad, plain.Params()[i].Grad); d != 0 {
+			t.Fatalf("param %s gradient differs by %v", p.Name, d)
+		}
 	}
 }
 
@@ -547,47 +498,31 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-// TestLayerParamRangesTileSlab verifies the bucket layout the overlapped
-// gradient sync relies on: per-layer slab ranges tile [0, NumParams)
-// exactly in layer order, and GradBuckets returns the non-empty ranges in
-// reverse layer order — the order Backward finalizes their gradients.
-func TestLayerParamRangesTileSlab(t *testing.T) {
+// TestGradBucketsTileSlab verifies the bucket layout the overlapped
+// gradient sync relies on: GradBuckets returns one range per layer in
+// reverse layer order — the order Backward finalizes their gradients — and
+// each is exactly where that layer's weight and bias views lie, the ranges
+// tiling [0, NumParams).
+func TestGradBucketsTileSlab(t *testing.T) {
 	net := ArchitectureMLP(3, []int{4, 5}, 2, 1)
-	off := 0
-	for i, l := range net.Layers {
-		lo, hi := net.LayerParamRange(i)
-		if lo != off {
-			t.Fatalf("layer %d starts at %d, want %d", i, lo, off)
-		}
-		size := 0
-		for _, p := range l.Params() {
-			size += p.Size()
-		}
-		if hi-lo != size {
-			t.Fatalf("layer %d range %d elems, params hold %d", i, hi-lo, size)
-		}
-		off = hi
-	}
-	if off != net.NumParams() {
-		t.Fatalf("ranges cover %d of %d slab elements", off, net.NumParams())
-	}
-
 	buckets := net.GradBuckets()
-	if len(buckets) != 3 { // three Dense layers (activations are fused)
-		t.Fatalf("got %d buckets, want 3", len(buckets))
+	if len(buckets) != len(net.Layers) {
+		t.Fatalf("got %d buckets for %d layers", len(buckets), len(net.Layers))
 	}
-	prevLayer := len(net.Layers)
-	for _, bk := range buckets {
-		if bk.Layer >= prevLayer {
-			t.Fatalf("buckets not in reverse layer order: %v", buckets)
+	grads, hi := net.FlatGrads(), net.NumParams()
+	for i, bk := range buckets {
+		d := net.Layers[len(net.Layers)-1-i]
+		w, b := d.w.Grad.Data, d.b.Grad.Data
+		if bk.Hi != hi || bk.Hi-bk.Lo != len(w)+len(b) {
+			t.Fatalf("bucket %d is %+v, want %d elems ending at %d", i, bk, len(w)+len(b), hi)
 		}
-		prevLayer = bk.Layer
-		if lo, hi := net.LayerParamRange(bk.Layer); lo != bk.Lo || hi != bk.Hi {
-			t.Fatalf("bucket %+v mismatches layer range [%d,%d)", bk, lo, hi)
+		if &w[0] != &grads[bk.Lo] || &b[len(b)-1] != &grads[bk.Hi-1] {
+			t.Fatalf("bucket %+v is not where %s's gradients lie", bk, d.name)
 		}
-		if bk.Lo >= bk.Hi {
-			t.Fatalf("empty bucket %+v", bk)
-		}
+		hi = bk.Lo
+	}
+	if hi != 0 {
+		t.Fatalf("buckets leave [0,%d) uncovered", hi)
 	}
 }
 
@@ -608,18 +543,16 @@ func TestBackwardWithHookOrder(t *testing.T) {
 	var order []int
 	net.BackwardWithHook(loss.Backward(pred, target), func(layer int) {
 		order = append(order, layer)
-		if lo, hi := net.LayerParamRange(layer); hi > lo {
-			grads := net.FlatGrads()[lo:hi]
-			nonzero := false
-			for _, g := range grads {
-				if g != 0 {
-					nonzero = true
-					break
-				}
+		bk := net.GradBuckets()[len(net.Layers)-1-layer]
+		nonzero := false
+		for _, g := range net.FlatGrads()[bk.Lo:bk.Hi] {
+			if g != 0 {
+				nonzero = true
+				break
 			}
-			if !nonzero {
-				t.Fatalf("layer %d hook fired with all-zero gradients", layer)
-			}
+		}
+		if !nonzero {
+			t.Fatalf("layer %d hook fired with all-zero gradients", layer)
 		}
 	})
 	want := []int{1, 0} // fused hidden layer + output layer
@@ -633,145 +566,54 @@ func TestBackwardWithHookOrder(t *testing.T) {
 	}
 }
 
-// TestReleaseGradsDropsActivations: a released network keeps no activation
-// of the batches it trained and validated on — a surrogate must not pin the
-// largest batch its trainer ever forwarded — and answers with the same
-// bits, sizing its activations anew.
-func TestReleaseGradsDropsActivations(t *testing.T) {
+// TestClonesCarryNoTrainingState: a Clone or CloneShared of a network that
+// has trained and validated keeps none of its gradients or activations — a
+// surrogate must not pin the largest batch its trainer ever forwarded — and
+// answers with the same bits, sizing its activations anew.
+func TestClonesCarryNoTrainingState(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	net := ArchitectureMLP(3, []int{5}, 4, 7)
 	x := randBatch(rng, 2, 3)
-	want := net.Forward(x).Clone()
+	want := cloneMatrix(net.Forward(x))
 	net.Backward(randBatch(rng, 2, 4))
 	net.Forward(randBatch(rng, 400, 3))
-	net.ReleaseGrads()
-	for _, l := range net.Layers {
-		if d, ok := l.(*Dense); ok && (d.lastX != nil || d.lastY != nil || d.out.full.Data != nil || d.dx.full.Data != nil || d.dz.full.Data != nil) {
-			t.Fatalf("%s keeps activations after ReleaseGrads", d.name)
+	for name, c := range map[string]*Network{"Clone": net.Clone(), "CloneShared": net.CloneShared()} {
+		if c.FlatGrads() != nil {
+			t.Fatalf("%s has a gradient slab", name)
+		}
+		for _, d := range c.Layers {
+			if d.w.Grad != nil || d.b.Grad != nil || d.lastX != nil || d.lastY != nil || d.out.full.Data != nil || d.dx.full.Data != nil || d.dz.full.Data != nil {
+				t.Fatalf("%s: %s carries training state", name, d.name)
+			}
+		}
+		if got := c.Forward(x); maxAbsDiff(got, want) != 0 {
+			t.Fatalf("%s answers %v, want %v", name, got.Data, want.Data)
 		}
 	}
-	if got := net.Forward(x); maxAbsDiff(got, want) != 0 {
-		t.Fatalf("released network answers %v, want %v", got.Data, want.Data)
-	}
 }
 
-// ReLU is the rectified linear activation of the paper's surrogate (§4.1:
-// "2 hidden layers of 256 neurons with ReLU activation") as a standalone
-// layer: the reference the fused Dense epilogue is checked against.
-type ReLU struct {
-	lastX *tensor.Matrix
-	out   scratch
-	dx    scratch
-}
-
-// NewReLU returns a ReLU activation layer.
-func NewReLU() *ReLU { return &ReLU{} }
-
-// Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
-	r.lastX = x
-	out := r.out.get(x.Rows, x.Cols)
-	for i, v := range x.Data {
+// reluForward is the rectified linear activation of the paper's surrogate
+// (§4.1: "2 hidden layers of 256 neurons with ReLU activation") as a
+// separate pass over z: the reference the fused Dense epilogue is checked
+// against.
+func reluForward(z *tensor.Matrix) *tensor.Matrix {
+	y := tensor.New(z.Rows, z.Cols)
+	for i, v := range z.Data {
 		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
+			y.Data[i] = v
 		}
 	}
-	return out
+	return y
 }
 
-// Backward implements Layer: the gradient passes only where the input was
-// strictly positive.
-func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if r.lastX == nil {
-		panic("nn: ReLU.Backward called before Forward")
-	}
-	dx := r.dx.get(dy.Rows, dy.Cols)
-	for i, v := range r.lastX.Data {
+// reluBackward passes the gradient dy only where the input z was strictly
+// positive.
+func reluBackward(z, dy *tensor.Matrix) *tensor.Matrix {
+	dx := tensor.New(dy.Rows, dy.Cols)
+	for i, v := range z.Data {
 		if v > 0 {
 			dx.Data[i] = dy.Data[i]
-		} else {
-			dx.Data[i] = 0
 		}
 	}
 	return dx
-}
-
-// Params implements Layer.
-func (r *ReLU) Params() []*Param { return nil }
-
-// Clone implements Layer.
-func (r *ReLU) Clone() Layer { return NewReLU() }
-
-// Tanh is a standalone hyperbolic-tangent layer, the reference of the fused
-// ActTanh epilogue.
-type Tanh struct {
-	lastOut *tensor.Matrix // output recorded by Forward for the derivative
-	out     scratch
-	dx      scratch
-}
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Matrix) *tensor.Matrix {
-	out := t.out.get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = float32(math.Tanh(float64(v)))
-	}
-	t.lastOut = out
-	return out
-}
-
-// Backward implements Layer: d tanh(x)/dx = 1 − tanh(x)².
-func (t *Tanh) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if t.lastOut == nil {
-		panic("nn: Tanh.Backward called before Forward")
-	}
-	dx := t.dx.get(dy.Rows, dy.Cols)
-	for i, y := range t.lastOut.Data {
-		dx.Data[i] = dy.Data[i] * (1 - y*y)
-	}
-	return dx
-}
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Clone implements Layer.
-func (t *Tanh) Clone() Layer { return NewTanh() }
-
-// Activation returns the fused activation applied by Forward.
-func (d *Dense) Activation() Activation { return d.act }
-
-// LayerParamRange returns the slab range [lo, hi) backing layer i's
-// parameters in FlatParams/FlatGrads order; lo == hi for parameterless
-// layers. Only valid on slab-fused networks (built with NewNetwork).
-func (n *Network) LayerParamRange(i int) (lo, hi int) {
-	r := n.layerRanges[i]
-	return r[0], r[1]
-}
-
-// NewDense creates a stand-alone linear Dense layer (no activation) with
-// Xavier-uniform weights drawn from init and zero biases, for stacks that
-// NewNetwork packs.
-func NewDense(name string, in, out int, init *Initializer) *Dense {
-	return NewDenseAct(name, in, out, ActNone, init)
-}
-
-// NewDenseAct creates a Dense layer with a fused activation epilogue.
-func NewDenseAct(name string, in, out int, act Activation, init *Initializer) *Dense {
-	if in <= 0 || out <= 0 {
-		panic(fmt.Sprintf("nn: invalid Dense dims %dx%d", in, out))
-	}
-	w := tensor.New(in, out)
-	init.XavierUniform(w, in, out)
-	return &Dense{
-		name: name,
-		w:    &Param{Name: name + ".weight", Value: w, Grad: tensor.New(in, out)},
-		b:    &Param{Name: name + ".bias", Value: tensor.New(1, out), Grad: tensor.New(1, out)},
-		act:  act,
-	}
 }

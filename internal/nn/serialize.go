@@ -22,10 +22,10 @@ const (
 )
 
 // SaveWeights writes every parameter value of n to w in the checkpoint
-// format: the data section is the values in Params() order — the value slab
-// of a slab-fused network — streamed through one chunk-sized staging
-// buffer. Gradients are not persisted; optimizer state is serialized
-// separately by the opt package.
+// format: the data section is the value slab, which holds the values in
+// Params() order, streamed through one chunk-sized staging buffer.
+// Gradients are not persisted; optimizer state is serialized separately by
+// the opt package.
 func (n *Network) SaveWeights(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(weightsMagic); err != nil {
@@ -49,11 +49,8 @@ func (n *Network) SaveWeights(w io.Writer) error {
 			return err
 		}
 	}
-	buf := make([]byte, 4*min(n.NumParams(), f32Chunk))
-	for _, p := range params {
-		if err := writeF32s(bw, p.Value.Data, buf); err != nil {
-			return err
-		}
+	if err := writeF32s(bw, n.flatValues); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -83,9 +80,7 @@ func (n *Network) LoadWeights(r io.Reader) error {
 	if err := readF32s(br, vals); err != nil {
 		return fmt.Errorf("nn: reading weights: %w", err)
 	}
-	for _, p := range n.Params() {
-		vals = vals[copy(p.Value.Data, vals):]
-	}
+	copy(n.flatValues, vals)
 	return nil
 }
 
@@ -162,9 +157,10 @@ func readString(r io.Reader) (string, error) {
 // value blob streams through one 16 KiB buffer however large the model.
 const f32Chunk = 4096
 
-// writeF32s writes data as little-endian f32s, staged through buf, which
-// holds min(len(data), f32Chunk) floats or more.
-func writeF32s(w io.Writer, data []float32, buf []byte) error {
+// writeF32s writes data as little-endian f32s through one chunk-sized
+// buffer.
+func writeF32s(w io.Writer, data []float32) error {
+	buf := make([]byte, 4*min(len(data), f32Chunk))
 	for len(data) > 0 {
 		k := min(len(data), f32Chunk)
 		tensor.PutF32LE(buf, data[:k])

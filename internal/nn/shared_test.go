@@ -23,8 +23,8 @@ func TestCloneSharedAliasesWeights(t *testing.T) {
 			t.Fatalf("param %q: clone has private storage", bp[i].Name)
 		}
 	}
-	if shared.FlatParams() != nil {
-		t.Fatal("shared clone must not be slab-fused")
+	if &shared.FlatParams()[0] != &base.FlatParams()[0] || shared.FlatGrads() != nil {
+		t.Fatal("a shared clone must view the original's value slab and have no gradient slab")
 	}
 	x := tensor.New(3, 4)
 	for i := range x.Data {
@@ -78,8 +78,8 @@ func TestCloneSharedConcurrentForward(t *testing.T) {
 // TestCloneReplicaSharesValuesNotGrads: a training replica reads and writes
 // the original's value slab — a write through either FlatParams or any
 // Param.Value is seen by all — and accumulates into a gradient slab nobody
-// else sees. Both are slab-fused with the same bucket layout, so the trainer
-// can all-reduce each replica's FlatGrads and update the one FlatParams.
+// else sees. All have the same bucket layout, so the trainer can all-reduce
+// each replica's FlatGrads and update the one FlatParams.
 func TestCloneReplicaSharesValuesNotGrads(t *testing.T) {
 	base := ArchitectureMLP(4, []int{8, 8}, 6, 11)
 	nets := []*Network{base, base.CloneReplica(), base.CloneReplica()}
@@ -106,7 +106,7 @@ func TestCloneReplicaSharesValuesNotGrads(t *testing.T) {
 			if p.Name != base.Params()[i].Name || p.Grad.Rows != p.Value.Rows || p.Grad.Cols != p.Value.Cols {
 				t.Fatalf("replica %d param %d: %q %dx%d grad %dx%d", r, i, p.Name, p.Value.Rows, p.Value.Cols, p.Grad.Rows, p.Grad.Cols)
 			}
-			off += p.Size()
+			off += len(p.Value.Data)
 		}
 	}
 

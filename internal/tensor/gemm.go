@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // GEMM has three drivers, selected by shape (gemm): blocked — macro-tiles
 // over packed panels; skinny — a·b and a·bᵀ of at most skinnyM rows, b read
@@ -49,7 +46,6 @@ const (
 	EpNone Epilogue = iota
 	EpBias
 	EpBiasReLU
-	EpBiasTanh
 )
 
 // gemmKind selects the operand form shared by the blocked driver.
@@ -464,10 +460,6 @@ func applyEpilogue(dst *Matrix, i0, i1, j0, j1 int, bias []float32, ep Epilogue)
 			Add(row, bv)
 		case EpBiasReLU:
 			AddReLU(row, bv)
-		case EpBiasTanh:
-			for j, v := range bv {
-				row[j] = float32(math.Tanh(float64(row[j] + v)))
-			}
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 var gemmModeNames = map[gemmModeT]string{gemmAuto: "auto", gemmNaive: "naive", gemmBlocked: "blocked"}
 
-// forwardForms are the four a·b entry points a dense layer's forward uses.
+// forwardForms are the three a·b entry points a dense layer's forward uses.
 var forwardForms = []struct {
 	name string
 	run  func(dst, a, b *Matrix, bias []float32)
@@ -17,7 +17,6 @@ var forwardForms = []struct {
 	{"MatMul", func(dst, a, b *Matrix, _ []float32) { MatMul(dst, a, b) }},
 	{"MatMulBias", MatMulBias},
 	{"MatMulBiasReLU", MatMulBiasReLU},
-	{"MatMulBiasTanh", MatMulBiasTanh},
 }
 
 func bitsEqual(x, y []float32) bool {

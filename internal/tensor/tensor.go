@@ -20,8 +20,7 @@
 // and a register-tiled micro-kernel, sixteen columns wide (microkernel.go;
 // see Kernel levels below), accumulates each output tile without touching
 // memory for C inside the k-loop. Fused epilogues apply bias-add and the
-// layer activation right after accumulation (EpBias, EpBiasReLU,
-// EpBiasTanh). On a team the driver fans out over macro-tiles; tiles
+// layer activation right after accumulation (EpBias, EpBiasReLU). On a team the driver fans out over macro-tiles; tiles
 // own disjoint output regions and their decomposition depends only on the
 // matrix shapes.
 //
@@ -192,16 +191,6 @@ func (m *Matrix) ViewRows(dst *Matrix, r0, r1 int) {
 
 // Row returns the r-th row as a slice sharing the matrix storage.
 func (m *Matrix) Row(r int) []float32 { return m.Data[r*m.Cols : (r+1)*m.Cols] }
-
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// Zero sets every element to 0.
-func (m *Matrix) Zero() { clear(m.Data) }
 
 // SumRowsInto accumulates the column sums of m into dst (length Cols).
 // Used for bias gradients.

@@ -291,6 +291,16 @@ func FromSlice(rows, cols int, data []float32) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
+// Clone returns a deep copy.
+func (m *Matrix) Clone() *Matrix {
+	out := New(m.Rows, m.Cols)
+	copy(out.Data, m.Data)
+	return out
+}
+
+// Zero sets every element to 0.
+func (m *Matrix) Zero() { clear(m.Data) }
+
 // At returns the element at row r, column c.
 func (m *Matrix) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
 
@@ -360,11 +370,6 @@ func MatMulBias(dst, a, b *Matrix, bias []float32) {
 // MatMulBiasReLU computes dst = relu(a·b + bias) in one fused pass.
 func MatMulBiasReLU(dst, a, b *Matrix, bias []float32) {
 	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBiasReLU)
-}
-
-// MatMulBiasTanh computes dst = tanh(a·b + bias) in one fused pass.
-func MatMulBiasTanh(dst, a, b *Matrix, bias []float32) {
-	(*Team)(nil).MatMulEpilogue(dst, a, b, bias, EpBiasTanh)
 }
 
 // MatMulABT computes dst = a·bᵀ. dst must have shape a.Rows×b.Rows. Used in

@@ -377,11 +377,12 @@ func trainerConfig(ctx context.Context, cfg Config, prob Problem, space sampling
 }
 
 // runResult reports a finished run from its network, its metrics and one
-// snapshot of its telemetry.
+// snapshot of its telemetry. The surrogate is a view of the network's value
+// slab, so the trainer's gradients and activations go with the trainer.
 func runResult(cfg Config, prob Problem, norm Normalizer, net *nn.Network, m *core.Metrics) *RunResult {
 	snap := m.Telemetry().Snapshot()
 	out := &RunResult{
-		Surrogate:      newSurrogate(net, norm, surrogateMeta(cfg, prob)),
+		Surrogate:      newSurrogate(net.CloneShared(), norm, surrogateMeta(cfg, prob)),
 		Batches:        snap.Counters[telemetry.Batches],
 		Samples:        snap.Counters[telemetry.Samples],
 		UniqueSamples:  len(m.Occurrences()),

@@ -147,7 +147,7 @@ func TestReplicaNarrowOutput(t *testing.T) {
 	cfg.Hidden = []int{8}
 	norm := cfg.Problem.Normalizer(cfg)
 	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
-	s := newSurrogate(net, norm, surrogateMeta(cfg, cfg.Problem))
+	s := newSurrogate(net.CloneShared(), norm, surrogateMeta(cfg, cfg.Problem))
 	if s.OutputDim() >= norm.InputDim() {
 		t.Fatalf("test wants OutputDim < InputDim, got %d >= %d", s.OutputDim(), norm.InputDim())
 	}

@@ -61,22 +61,21 @@ func surrogateMeta(cfg Config, prob Problem) Meta {
 	}
 }
 
-// newSurrogate takes ownership of net and releases its gradients: a
-// surrogate holds weights only, so a result kept after training does not
-// pin a gradient slab as large as the model (a loaded network never had
-// one).
+// newSurrogate takes ownership of net, an inference-only network (no
+// gradient slab): a Clone, CloneShared or loaded network, so a result kept
+// after training pins neither its trainer's gradients nor its activations.
 func newSurrogate(net *nn.Network, norm Normalizer, meta Meta) *Surrogate {
-	net.ReleaseGrads()
 	s := &Surrogate{net: net, norm: norm, meta: meta}
 	s.replicas.New = func() any { return s.NewReplica(predictChunk) }
 	return s
 }
 
 // SurrogateFromNetwork wraps a trained network in a servable Surrogate. The
-// weights are snapshotted (deep copy), so the caller may keep training the
-// network afterwards — this is the training→serving bridge: call it at a
-// synchronized step boundary (e.g. the trainer's OnBatchEnd hook), then
-// PublishSurrogate the result for a watching melissa-serve to hot-load.
+// weights are snapshotted (one copy of the value slab, no gradients), so
+// the caller may keep training the network afterwards — this is the
+// training→serving bridge: call it at a synchronized step boundary (e.g.
+// the trainer's OnBatchEnd hook), then PublishSurrogate the result for a
+// watching melissa-serve to hot-load.
 // cfg must carry the Problem and the architecture fields the network was
 // built with (GridN, StepsPerSim, Dt, Hidden, Seed).
 func SurrogateFromNetwork(net *nn.Network, cfg Config) (*Surrogate, error) {

@@ -2,17 +2,20 @@ package melissa
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"melissa/internal/nn"
+	"melissa/internal/tensor"
 )
 
 // freshSurrogate builds an untrained (seeded random) surrogate for a
@@ -28,7 +31,7 @@ func freshSurrogate(prob Problem) *Surrogate {
 	}
 	norm := prob.Normalizer(cfg)
 	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
-	return newSurrogate(net, norm, surrogateMeta(cfg, prob))
+	return newSurrogate(net.CloneShared(), norm, surrogateMeta(cfg, prob))
 }
 
 // midPoint returns a mid-range parameter vector for a problem.
@@ -252,13 +255,7 @@ func TestPredictParallel(t *testing.T) {
 // from.
 func paperSurrogateFile(tb testing.TB) (string, *nn.Network) {
 	tb.Helper()
-	cfg := DefaultConfig()
-	cfg.Problem = Heat()
-	cfg.GridN = 32
-	cfg.Hidden = []int{256, 256}
-	cfg.Seed = 42
-	norm := cfg.Problem.Normalizer(cfg)
-	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
+	net, cfg := paperNetwork()
 	sur, err := SurrogateFromNetwork(net, cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -344,16 +341,89 @@ func BenchmarkLoadSurrogate(b *testing.B) {
 	}
 }
 
+// paperNetwork returns the paper surrogate's network, seed 42, and the
+// configuration it was built with.
+func paperNetwork() (*nn.Network, Config) {
+	cfg := DefaultConfig()
+	cfg.Problem = Heat()
+	cfg.GridN = 32
+	cfg.Hidden = []int{256, 256}
+	cfg.Seed = 42
+	norm := cfg.Problem.Normalizer(cfg)
+	return nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed), cfg
+}
+
+// TestPublishedSurrogateDigest pins the bytes PublishSurrogate writes for
+// the paper surrogate snapshotted from a fresh seed-42 network: however the
+// snapshot is built, the published file does not change.
+func TestPublishedSurrogateDigest(t *testing.T) {
+	path, _ := paperSurrogateFile(t)
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "ce079f8093dacf35c1112c1787dde54c901d6732b52f67b2f9034ac1deaa0c30"
+	if got := fmt.Sprintf("%x", sha256.Sum256(blob)); got != want {
+		t.Fatalf("published surrogate digest %s, want %s", got, want)
+	}
+}
+
+// TestSurrogateFromNetworkCopiesOneSlab: a publish snapshot of the paper
+// surrogate copies the value slab and allocates little beside it — no
+// gradient slab, no second copy.
+func TestSurrogateFromNetworkCopiesOneSlab(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's allocations are not the program's")
+	}
+	net, cfg := paperNetwork()
+	sur, err := SurrogateFromNetwork(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sur.net.FlatGrads() != nil {
+		t.Fatal("a snapshot has a gradient slab")
+	}
+	const calls = 10
+	slab := uint64(4 * net.NumParams())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if _, err := SurrogateFromNetwork(net, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; float64(per) > 1.1*float64(slab) {
+		t.Fatalf("a snapshot allocates %d bytes, more than 1.1× its %d-byte value slab", per, slab)
+	}
+}
+
+// BenchmarkSurrogateFromNetwork times the snapshot every -publish-every
+// publish takes of the paper surrogate.
+func BenchmarkSurrogateFromNetwork(b *testing.B) {
+	net, cfg := paperNetwork()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := SurrogateFromNetwork(net, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestSurrogateHoldsWeightsOnly: however a network becomes a Surrogate —
 // trained online, snapshotted from a live trainer network, or loaded — it
-// keeps no gradient slab, the live network keeps its own, and the pooled
-// replicas extra callers draw alias the one weight slab.
+// keeps no gradient slab and none of the activations its trainer recorded
+// (a surrogate must not pin the largest batch its trainer forwarded), the
+// live network keeps its own, and the pooled replicas extra callers draw
+// alias the one weight slab.
 func TestSurrogateHoldsWeightsOnly(t *testing.T) {
 	res, err := runOnline(t, tinyGrayScottConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	live := nn.ArchitectureMLP(3, []int{8}, 4, 1)
+	live.Forward(tensor.New(300, 3))
+	live.Backward(tensor.New(300, 4))
 	cfg := DefaultConfig()
 	cfg.Problem = Heat()
 	snap, err := SurrogateFromNetwork(live, cfg)
@@ -378,6 +448,14 @@ func TestSurrogateHoldsWeightsOnly(t *testing.T) {
 		for _, p := range s.net.Params() {
 			if p.Grad != nil {
 				t.Fatalf("%s: param %q retains its gradient", name, p.Name)
+			}
+		}
+		for i, d := range s.net.Layers {
+			v := reflect.ValueOf(d).Elem()
+			for _, f := range []string{"lastX", "lastY", "out", "dx", "dz"} {
+				if !v.FieldByName(f).IsZero() {
+					t.Fatalf("%s: layer %d retains its trainer's %s", name, i, f)
+				}
 			}
 		}
 		extra := s.replicas.New().(*Replica)
@@ -405,7 +483,7 @@ func BenchmarkPredict(b *testing.B) {
 	cfg := DefaultConfig()
 	norm := Heat().Normalizer(cfg)
 	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
-	s := newSurrogate(net, norm, surrogateMeta(cfg, Heat()))
+	s := newSurrogate(net.CloneShared(), norm, surrogateMeta(cfg, Heat()))
 	params := midPoint(Heat())
 	dst := make([]float64, 0, s.OutputDim())
 	dst = s.PredictInto(dst, params, 0.05)
@@ -423,7 +501,7 @@ func BenchmarkPredictParallel(b *testing.B) {
 	cfg := DefaultConfig()
 	norm := Heat().Normalizer(cfg)
 	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
-	s := newSurrogate(net, norm, surrogateMeta(cfg, Heat()))
+	s := newSurrogate(net.CloneShared(), norm, surrogateMeta(cfg, Heat()))
 	params := midPoint(Heat())
 	var warm [1][]float64
 	warm[0] = s.Predict(params, 0.05)
@@ -461,7 +539,7 @@ func FuzzLoadSurrogate(f *testing.F) {
 	cfg := DefaultConfig()
 	cfg.Problem, cfg.GridN, cfg.StepsPerSim, cfg.Hidden = Heat(), 2, 4, []int{3}
 	norm := cfg.Problem.Normalizer(cfg)
-	tiny := newSurrogate(nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), 1), norm, surrogateMeta(cfg, cfg.Problem))
+	tiny := newSurrogate(nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), 1).CloneShared(), norm, surrogateMeta(cfg, cfg.Problem))
 	var valid bytes.Buffer
 	if err := tiny.Save(&valid); err != nil {
 		f.Fatal(err)
@@ -535,7 +613,7 @@ func TestLoadSurrogateRefusesBadDt(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Problem, cfg.GridN, cfg.StepsPerSim, cfg.Hidden = Heat(), 2, 4, []int{3}
 	norm := cfg.Problem.Normalizer(cfg)
-	tiny := newSurrogate(nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), 1), norm, surrogateMeta(cfg, cfg.Problem))
+	tiny := newSurrogate(nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), 1).CloneShared(), norm, surrogateMeta(cfg, cfg.Problem))
 	var valid bytes.Buffer
 	if err := tiny.Save(&valid); err != nil {
 		t.Fatal(err)
