@@ -442,32 +442,34 @@ func TestSaveLoadProperty(t *testing.T) {
 // activation are applied after the identical GEMM accumulation in both
 // paths.
 func TestFusedDenseMatchesUnfusedLayers(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 1))
-	fused := ArchitectureMLP(7, []int{33}, 5, 123)
-	plain := fused.CloneReplica() // the same weights, gradients of its own
-	plain.Layers[0].relu = false
-	x := randBatch(rng, 9, 7)
-	target := randBatch(rng, 9, 5)
-	loss := NewMSELoss()
+	t.Run("relu", func(t *testing.T) {
+		rng := rand.New(rand.NewPCG(31, 1))
+		fused := ArchitectureMLP(7, []int{33}, 5, 123)
+		plain := fused.CloneReplica() // the same weights, gradients of its own
+		plain.Layers[0].relu = false
+		x := randBatch(rng, 9, 7)
+		target := randBatch(rng, 9, 5)
+		loss := NewMSELoss()
 
-	fp := fused.Forward(x)
-	fdx := fused.Backward(loss.Backward(fp, target))
+		fp := fused.Forward(x)
+		fdx := fused.Backward(loss.Backward(fp, target))
 
-	z := plain.Layers[0].Forward(x)
-	pp := plain.Layers[1].Forward(reluForward(z))
-	pdx := plain.Layers[0].Backward(reluBackward(z, plain.Layers[1].Backward(loss.Backward(pp, target))))
+		z := plain.Layers[0].Forward(x)
+		pp := plain.Layers[1].Forward(reluForward(z))
+		pdx := plain.Layers[0].Backward(reluBackward(z, plain.Layers[1].Backward(loss.Backward(pp, target))))
 
-	if d := maxAbsDiff(fp, pp); d != 0 {
-		t.Fatalf("forward differs by %v", d)
-	}
-	if d := maxAbsDiff(fdx, pdx); d != 0 {
-		t.Fatalf("input gradient differs by %v", d)
-	}
-	for i, p := range fused.Params() {
-		if d := maxAbsDiff(p.Grad, plain.Params()[i].Grad); d != 0 {
-			t.Fatalf("param %s gradient differs by %v", p.Name, d)
+		if d := maxAbsDiff(fp, pp); d != 0 {
+			t.Fatalf("forward differs by %v", d)
 		}
-	}
+		if d := maxAbsDiff(fdx, pdx); d != 0 {
+			t.Fatalf("input gradient differs by %v", d)
+		}
+		for i, p := range fused.Params() {
+			if d := maxAbsDiff(p.Grad, plain.Params()[i].Grad); d != 0 {
+				t.Fatalf("param %s gradient differs by %v", p.Name, d)
+			}
+		}
+	})
 }
 
 // TestTrainingReducesLoss is a smoke test that a few manual SGD steps on a
@@ -498,12 +500,12 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-// TestGradBucketsTileSlab verifies the bucket layout the overlapped
+// TestLayerParamRangesTileSlab verifies the bucket layout the overlapped
 // gradient sync relies on: GradBuckets returns one range per layer in
 // reverse layer order — the order Backward finalizes their gradients — and
 // each is exactly where that layer's weight and bias views lie, the ranges
 // tiling [0, NumParams).
-func TestGradBucketsTileSlab(t *testing.T) {
+func TestLayerParamRangesTileSlab(t *testing.T) {
 	net := ArchitectureMLP(3, []int{4, 5}, 2, 1)
 	buckets := net.GradBuckets()
 	if len(buckets) != len(net.Layers) {
@@ -566,11 +568,11 @@ func TestBackwardWithHookOrder(t *testing.T) {
 	}
 }
 
-// TestClonesCarryNoTrainingState: a Clone or CloneShared of a network that
+// TestReleaseGradsDropsActivations: a Clone or CloneShared of a network that
 // has trained and validated keeps none of its gradients or activations — a
 // surrogate must not pin the largest batch its trainer ever forwarded — and
 // answers with the same bits, sizing its activations anew.
-func TestClonesCarryNoTrainingState(t *testing.T) {
+func TestReleaseGradsDropsActivations(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	net := ArchitectureMLP(3, []int{5}, 4, 7)
 	x := randBatch(rng, 2, 3)
