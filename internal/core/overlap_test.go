@@ -170,7 +170,7 @@ func tcpMatchesInProcess(t *testing.T, ranks int) {
 	norm := NewHeatNormalizer(32, 1)
 	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{16}, OutputDim: norm.OutputDim(), Seed: 23}
 
-	// Reference: both ranks in one trainer over the channel backend.
+	// Reference: both ranks in one trainer over the in-process backend.
 	refBufs := fifoRankBufs(t, norm, ranks, nSamples)
 	ref, err := NewTrainer(TrainerConfig{
 		Ranks: ranks, BatchSize: 5, Model: spec, Normalizer: norm,
@@ -277,7 +277,7 @@ func TestTrainStepZeroAllocOverlap4Ranks(t *testing.T) {
 				}
 			}(r)
 		}
-		for i := 0; i < 5; i++ { // warm scratch, slabs, link buffers
+		for i := 0; i < 5; i++ { // warm scratch and slabs
 			if !step1(tr, sts[0]) {
 				t.Fatal("trainer stopped during warm-up")
 			}

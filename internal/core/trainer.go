@@ -121,9 +121,9 @@ type Trainer struct {
 	nets  []*nn.Network
 	opts  []*opt.Adam
 	teams []*tensor.Team // per local rank; nil where the rank's share is one core
-	// meet is the step's barrier, passed twice: once every gradient is
-	// final, once every slice of the update is written.
-	meet    *barrier
+	// comm carries the collectives, and its Meet is the step's barrier,
+	// passed twice: once every gradient is final, once every slice of the
+	// update is written.
 	comm    *ddp.Comm
 	metrics *Metrics
 	// ringGrads: the group spans processes, so the gradients are summed by
@@ -200,7 +200,6 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 			return nil, fmt.Errorf("core: loading initial weights: %w", err)
 		}
 	}
-	t.meet = newBarrier(cfg.Ranks)
 	t.nets[0] = base
 	for r := 1; r < cfg.Ranks; r++ {
 		t.nets[r] = base.CloneReplica()
@@ -428,17 +427,15 @@ func (t *Trainer) syncLoop(st *rankState) {
 // lock-step across ranks: every iteration performs exactly one status
 // all-reduce and, while any rank is active and the gradients ride the ring,
 // one gradient sync (a fixed sequence of bucket collectives). A collective
-// failure (dead peer, aborted ring) ends the loop with that error, and
-// breaks the step barrier for the rank's siblings (see step for what the
-// slab then holds).
+// failure (dead peer, aborted ring) ends the loop with that error; it has
+// poisoned the communicator, which releases every sibling waiting at the
+// step barrier with the same error (see step for what the slab then holds).
 func (t *Trainer) rankLoop(rank int) error {
 	st := t.newRankState(rank)
 	defer st.close()
 	for {
 		cont, err := t.step(st)
 		if err != nil {
-			// A sibling whose collectives all completed may be waiting there.
-			t.meet.fail(err)
 			return fmt.Errorf("core: rank %d stopped at batch %d: %w", st.grank, st.localBatches, err)
 		}
 		if !cont {
@@ -524,7 +521,7 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	// Every local gradient is final, and every sibling is done with the old
 	// weights and, on the ring, with its own slab's collectives: the pass
 	// may read and clear any slab.
-	if err := t.meet.wait(); err != nil {
+	if err := t.comm.Meet(st.grank); err != nil {
 		return false, err
 	}
 
@@ -552,7 +549,7 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	// local gradient slab. The barrier keeps validation, the hooks and every
 	// sibling's next forward and backward from a half-written slab.
 	st.optimizer.StepSum(st.net.FlatParams(), st.parts, st.zero, st.scale)
-	if err := t.meet.wait(); err != nil {
+	if err := t.comm.Meet(st.grank); err != nil {
 		return false, err
 	}
 

@@ -1,6 +1,6 @@
 package ddp
 
-// The layout-parametrized collective suite: every link layout of the one
+// The layout-parametrized collective suite: every layout of the one
 // ring communicator must pass identical correctness checks, produce
 // bit-identical results (same chunking, same reduction order) and fail the
 // same way when poisoned.
@@ -20,8 +20,8 @@ import (
 	"melissa/internal/transport"
 )
 
-// commGroup is n per-rank communicator handles: the channel backend shares
-// one object across ranks, the TCP backend builds one ring endpoint per
+// commGroup is n per-rank communicator handles: the in-process backend
+// ("chan") shares one object across ranks, the TCP backend builds one ring endpoint per
 // rank over loopback.
 type commGroup []*Comm
 
@@ -95,9 +95,9 @@ type layout struct {
 	codecs       []transport.Codec
 }
 
-// layouts is the three link layouts of the one ring communicator at a
-// common size of 4 ranks, each with the wire codecs that apply to it
-// (channel hops are always exact, so the in-process layout has only f32).
+// layouts is the three layouts of the one ring communicator at a common
+// size of 4 ranks, each with the wire codecs that apply to it (in-process
+// sums are always exact, so the in-process layout has only f32).
 var layouts = []layout{
 	{"in-process/n=4", 0, 4, []transport.Codec{transport.CodecF32}},
 	{"procs=4/local=1", 4, 1, []transport.Codec{transport.CodecF32, transport.CodecF16}},
@@ -248,7 +248,7 @@ func TestCollectiveSuite(t *testing.T) {
 }
 
 // TestBackendsBitIdentical pins that the TCP backend computes exactly the
-// same floats as the channel backend: same ring algorithm, same chunking,
+// same floats as the in-process backend: same ring algorithm, same chunking,
 // same reduction order — so switching transports cannot perturb a training
 // trajectory.
 func TestBackendsBitIdentical(t *testing.T) {
@@ -304,45 +304,57 @@ func TestRingSumMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// hopWaiters counts the goroutines inside (*Comm).recvHop or
-// (*Comm).sendHop.
-func hopWaiters() int {
+// ringReceivers counts the goroutines inside (*transport.Ring).RecvFloats.
+func ringReceivers() int {
 	buf := make([]byte, 1<<20)
 	stacks := buf[:runtime.Stack(buf, true)]
-	return bytes.Count(stacks, []byte("ddp.(*Comm).recvHop(")) + bytes.Count(stacks, []byte("ddp.(*Comm).sendHop("))
+	return bytes.Count(stacks, []byte("transport.(*Ring).RecvFloats("))
+}
+
+// arrivals is the number of local ranks that have arrived at the
+// communicator's barrier in the current round.
+func (c *Comm) arrivals() int {
+	c.bar.mu.Lock()
+	defer c.bar.mu.Unlock()
+	return c.bar.arrived
 }
 
 // TestAbortUnwedgesParkedRanks is the poison path at the ddp level: with
 // every local rank of one endpoint parked mid-collective (their peers never
 // enter), Abort makes each of them return an error wrapping
-// transport.ErrRingAborted, on every link layout. For the in-process layout
-// one rank is held back so the others park on their channel hops.
+// transport.ErrRingAborted, on every layout. For the in-process layout one
+// rank is held back so the others park at the barrier; on a socket ring
+// every local rank arrives, and the last one, which runs the process's
+// share, blocks in a ring receive.
 func TestAbortUnwedgesParkedRanks(t *testing.T) {
 	for _, ly := range layouts {
 		t.Run(ly.name, func(t *testing.T) {
 			g := ly.group(t, transport.CodecF32)
 			c := g[0]
-			parked := c.LocalRanks()
+			entered := c.LocalRanks()
 			if ly.procs == 0 {
-				parked-- // the held-back rank plays the absent peer
+				entered-- // the held-back rank plays the absent peer
 			}
-			errs := make(chan error, parked)
-			for r := 0; r < parked; r++ {
+			errs := make(chan error, entered)
+			for r := 0; r < entered; r++ {
 				go func(rank int) {
 					buf := make([]float32, 64)
 					errs <- c.AllReduceSum(rank, buf)
 				}(r)
 			}
 			// Without the abort the ranks would block forever, so any moment
-			// is a valid one to poison; waiting until every rank is inside a
-			// hop makes "parked on a hop" the state being tested. Most park
-			// receiving; in-process, the rank before the absent peer parks
-			// sending, once its link's credits are out.
-			testwait.Until(t, fmt.Sprintf("%d ranks to park on a hop", parked), func() bool {
-				return hopWaiters() == parked
+			// is a valid one to poison; waiting until every rank has arrived
+			// and, on a socket ring, the last one waits on its predecessor
+			// makes "parked mid-collective" the state being tested.
+			receivers := 0
+			if ly.procs > 0 {
+				receivers = 1
+			}
+			testwait.Until(t, fmt.Sprintf("%d ranks to arrive, %d of them to block receiving", entered, receivers), func() bool {
+				return c.arrivals() == entered && ringReceivers() == receivers
 			})
 			c.Abort()
-			for r := 0; r < parked; r++ {
+			for r := 0; r < entered; r++ {
 				select {
 				case err := <-errs:
 					if !errors.Is(err, transport.ErrRingAborted) {
@@ -358,38 +370,16 @@ func TestAbortUnwedgesParkedRanks(t *testing.T) {
 			if err := c.AllReduceSum(0, make([]float32, 1)); !errors.Is(err, transport.ErrRingAborted) {
 				t.Fatalf("collective on a poisoned communicator returned %v", err)
 			}
+			if err := c.Meet(0); !errors.Is(err, transport.ErrRingAborted) {
+				t.Fatalf("Meet on a poisoned communicator returned %v", err)
+			}
 		})
 	}
-
-	// A sender parks too, once its link's credits are all out (a slow
-	// successor); Abort must reach it.
-	t.Run("sender", func(t *testing.T) {
-		c := NewCommunicator(2)
-		errs := make(chan error, 1)
-		go func() {
-			for {
-				if err := c.sendHop(0, make([]float32, 8), false); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-		testwait.Until(t, "the sender to run out of credits", func() bool { return len(c.links[0].free) == 0 })
-		c.Abort()
-		select {
-		case err := <-errs:
-			if !errors.Is(err, transport.ErrRingAborted) {
-				t.Fatalf("parked sender returned %v, want an error wrapping ErrRingAborted", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("a parked sender was not unwedged by Abort")
-		}
-	})
 }
 
 // BenchmarkAllReduceTCP measures the TCP ring all-reduce across 4
 // loopback-connected ranks on the 64k-element buffer BenchmarkAllReduce
-// uses for the channel backend, under each wire codec. bytes/op is the
+// uses for the in-process backend, under each wire codec. bytes/op is the
 // logical float payload, so MB/s is effective bandwidth and directly
 // comparable across codecs; wire-B/op reports what actually crossed the
 // socket per operation (halved under f16).
@@ -429,94 +419,104 @@ func BenchmarkAllReduceTCP(b *testing.B) {
 }
 
 // TestMismatchedHopFailsCollective breaks the lockstep protocol's word: two
-// in-process ranks enter one collective with buffers of different lengths,
-// so a hop arrives shorter than the chunk it is accumulated into. Both
-// ranks must get an error (not a panic, not a read past the message), and
-// the communicator stays poisoned.
+// ranks of one process enter one collective with buffers of different
+// lengths. Both ranks must get an error (not a panic, not a read past the
+// shorter buffer), and the communicator stays poisoned — in-process, and in
+// a process on a socket ring, whose peers here never enter.
 func TestMismatchedHopFailsCollective(t *testing.T) {
-	c := NewCommunicator(2)
-	errs := make(chan error, 2)
-	for r, n := range []int{64, 48} {
-		go func(rank, n int) { errs <- c.AllReduceSum(rank, make([]float32, n)) }(r, n)
-	}
-	for r := 0; r < 2; r++ {
-		select {
-		case err := <-errs:
-			if err == nil || !strings.Contains(err.Error(), "-float hop") {
-				t.Fatalf("mismatched collective returned %v", err)
+	for _, ly := range []layout{{"in-process/n=2", 0, 2, nil}, {"procs=2/local=2", 2, 2, nil}} {
+		t.Run(ly.name, func(t *testing.T) {
+			c := ly.group(t, transport.CodecF32)[0]
+			errs := make(chan error, 2)
+			for r, n := range []int{64, 48} {
+				go func(rank, n int) { errs <- c.AllReduceSum(rank, make([]float32, n)) }(r, n)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("a rank hung on a mismatched collective")
-		}
-	}
-	if err := c.AllReduceSum(0, make([]float32, 1)); err == nil {
-		t.Fatal("communicator not poisoned after a protocol violation")
+			for r := 0; r < 2; r++ {
+				select {
+				case err := <-errs:
+					if err == nil || !strings.Contains(err.Error(), "-float buffer") {
+						t.Fatalf("mismatched collective returned %v", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("a rank hung on a mismatched collective")
+				}
+			}
+			if err := c.AllReduceSum(0, make([]float32, 1)); err == nil {
+				t.Fatal("communicator not poisoned after a protocol violation")
+			}
+		})
 	}
 }
 
-// TestHopByReference: a channel hop hands the successor a reference into the
-// sender's buffer, so the one thing a rank must never see is a peer's later
-// write. Every rank overwrites its whole buffer the instant a collective
-// returns and walks straight into the next one — whole-buffer and range
-// collectives alternating, odd lengths and lengths below the rank count —
-// and every result must still be the sum taken in ring order. Run under
-// -race: a read that is not ordered before the overwrite is a report, not a
-// matter of timing.
+// TestHopByReference: the rank that runs a collective's reduction reads and
+// writes its siblings' buffers in place, so the one thing a rank must never
+// see is a sibling's later write, and a sibling must never see the
+// reduction's. Every rank overwrites its whole buffer the instant a
+// collective returns and walks straight into the next one — whole-buffer
+// and range collectives alternating, odd lengths and lengths below the rank
+// count — and every result must still be the sum taken in ring order, on
+// the in-process layout and on two processes of two ranks. Run under
+// -race: a read that is not ordered before the overwrite is a report, not
+// a matter of timing.
 func TestHopByReference(t *testing.T) {
 	const rounds = 200
 	input := func(round, rank, i int) float32 {
 		h := uint32(round)*2654435761 + uint32(rank)*40503 + uint32(i)*2246822519
 		return float32(int32(h>>9)%100003) * 1e-3
 	}
-	for _, n := range []int{2, 3, 4} {
+	groups := []struct {
+		name  string
+		build func(t *testing.T) commGroup
+	}{
+		{"2ranks", func(t *testing.T) commGroup { return backendFactories["chan"](t, 2) }},
+		{"3ranks", func(t *testing.T) commGroup { return backendFactories["chan"](t, 3) }},
+		{"4ranks", func(t *testing.T) commGroup { return backendFactories["chan"](t, 4) }},
+		{"procs=2/local=2", func(t *testing.T) commGroup { return newHierGroup(t, 2, 2) }},
+	}
+	for _, gr := range groups {
 		for _, length := range []int{1, 3, 7, 64, 1003} {
-			t.Run(fmt.Sprintf("%dranks/%dfloats", n, length), func(t *testing.T) {
-				c := NewCommunicator(n)
+			t.Run(fmt.Sprintf("%s/%dfloats", gr.name, length), func(t *testing.T) {
+				g := gr.build(t)
+				n := len(g)
 				const pad = 5 // the range collective leaves a margin on both sides
-				var wg sync.WaitGroup
-				for rank := 0; rank < n; rank++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						buf := make([]float32, pad+length+pad)
-						got := make([]float32, length)
-						for round := 0; round < rounds; round++ {
-							window := buf[pad : pad+length]
-							for i := range window {
-								window[i] = input(round, rank, i)
-							}
-							var err error
-							if round%2 == 0 {
-								err = c.AllReduceSum(rank, window)
-							} else {
-								err = c.AllReduceSumRange(rank, buf, pad, pad+length)
-							}
-							copy(got, window)
-							for i := range buf {
-								buf[i] = float32(-1 - rank) // garbage, before anything else
-							}
-							if err != nil {
-								t.Errorf("rank %d round %d: %v", rank, round, err)
-								return
-							}
-							for j := 0; j < n; j++ {
-								lo, hi := ChunkRange(length, n, j)
-								for i := lo; i < hi; i++ {
-									want := input(round, j, i)
-									for k := 1; k < n; k++ {
-										want += input(round, (j+k)%n, i)
-									}
-									if got[i] != want {
-										t.Errorf("rank %d round %d elem %d: %v, ring-order sum %v", rank, round, i, got[i], want)
-										c.Abort() // the others must not park on a rank that gave up
-										return
-									}
+				runGroup(g, func(rank int, c *Comm) {
+					buf := make([]float32, pad+length+pad)
+					got := make([]float32, length)
+					for round := 0; round < rounds; round++ {
+						window := buf[pad : pad+length]
+						for i := range window {
+							window[i] = input(round, rank, i)
+						}
+						var err error
+						if round%2 == 0 {
+							err = c.AllReduceSum(rank, window)
+						} else {
+							err = c.AllReduceSumRange(rank, buf, pad, pad+length)
+						}
+						copy(got, window)
+						for i := range buf {
+							buf[i] = float32(-1 - rank) // garbage, before anything else
+						}
+						if err != nil {
+							t.Errorf("rank %d round %d: %v", rank, round, err)
+							return
+						}
+						for j := 0; j < n; j++ {
+							lo, hi := ChunkRange(length, n, j)
+							for i := lo; i < hi; i++ {
+								want := input(round, j, i)
+								for k := 1; k < n; k++ {
+									want += input(round, (j+k)%n, i)
+								}
+								if got[i] != want {
+									t.Errorf("rank %d round %d elem %d: %v, ring-order sum %v", rank, round, i, got[i], want)
+									c.Abort() // the others must not park on a rank that gave up
+									return
 								}
 							}
 						}
-					}()
-				}
-				wg.Wait()
+					}
+				})
 			})
 		}
 	}

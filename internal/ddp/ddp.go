@@ -12,39 +12,45 @@
 // (2(n−1)/n · bytes) is also what the cluster simulator charges for
 // gradient synchronization.
 //
-// # One ring, three link layouts
+// # One ring, three layouts
 //
-// The ring is always the flat ring over all procs×local global ranks —
-// same chunking, same accumulation order — so collective results are
-// bit-identical however the ranks are packed into processes. Only the
-// physical hop from a rank to its successor differs: between two ranks of
-// one process it is a channel link that carries a reference to the sender's
-// chunk and is flow-controlled by credits (see link), and from a process's
-// last rank to the next process's first it is the transport.Ring socket.
-// That gives three layouts of the one mechanism:
+// The reduction is always the flat ring's over all procs×local global
+// ranks — same chunking, same accumulation order — so collective results
+// are bit-identical however the ranks are packed into processes. The ranks
+// of one process never message each other. Each posts its buffer in its
+// slot and arrives at the communicator's one barrier; the last to arrive
+// does the process's whole share of the collective, reading and writing
+// every posted buffer, and then releases the others. A rank may read a
+// sibling's buffer only there, between the sibling's arrival and the
+// release, and only the last arrival does. That gives three layouts:
 //
-//   - in-process (NewCommunicator): one process, no socket ring; every hop
-//     is a channel link and the last link wraps around.
-//   - flat TCP (local = 1): one rank per OS process; every hop is a socket.
+//   - in-process (NewCommunicator): one process, no socket ring. The last
+//     arrival sums every chunk k in ring order, ((g_k + g_{k+1}) + …) +
+//     g_{k−1} (ChunkRange), and writes the sum into every posted buffer.
+//   - flat TCP (local = 1): one rank per OS process, the ring's every hop
+//     a transport.Ring socket.
 //   - hierarchical (local > 1): several ranks per process; a host running M
-//     ranks needs one ring connection pair instead of M.
+//     ranks needs one ring connection pair instead of M. The last arrival
+//     runs the flat ring's schedule for the process's one socket hop (see
+//     sumRing), so every frame carries the floats the flat ring's would.
 //
-// A rank waiting on a channel hop spins, yielding, for tensor.SpinWindow
-// before it parks: the rank at the other end is in the same step.
+// A rank waiting at the barrier spins, yielding, for tensor.SpinWindow
+// before it parks: its siblings are in the same step. Over a socket ring it
+// parks as soon as the last arrival starts the round's socket work.
 //
 // The trainer all-reduces gradients only over the two socket layouts. In
 // the in-process layout its ranks share the weights and read each other's
 // gradient slabs directly, so its update pass adds them itself, chunk by
 // chunk in the ring's order (ChunkRange), and the weights come out the same
-// bits in all three layouts; the in-process ring carries only the per-step
-// status.
+// bits in all three layouts; the in-process collective carries only the
+// per-step status, and Meet is the step's barrier.
 //
 // Collectives operate directly on the caller's flat buffer — for training,
-// nn.Network.FlatGrads — so there is no gather/scatter staging copy, a
-// channel hop adds or copies straight out of the sender's buffer, and every
-// layout is allocation-free in steady state. Ranks of one process must
-// therefore pass distinct buffers, and a buffer belongs to the collective
-// until the call returns.
+// nn.Network.FlatGrads — so there is no gather/scatter staging copy, and
+// every layout is allocation-free in steady state. Ranks of one process
+// must therefore pass distinct buffers, and a buffer belongs to the
+// collective until the call returns; it is whole again, and the caller's
+// alone, the moment the call returns.
 //
 // # Bucketed overlap
 //
@@ -61,8 +67,8 @@
 //
 // Socket hops optionally compress collective payloads to IEEE 754 binary16
 // (transport.CodecF16), halving inter-node all-reduce bytes while every rank
-// keeps accumulating in float32; channel hops and sub-compressMinFloats
-// frames always move exact float32. The codec is the ring's: it comes from
+// keeps accumulating in float32; in-process sums and sub-compressMinFloats
+// frames are always exact float32. The codec is the ring's: it comes from
 // transport.RingOptions.Codec, the handshake refuses a peer that disagrees,
 // and Comm adopts what the ring negotiated (WireCodec). AllReduceSumRange
 // feeds each rank's own rounding error back into the next step;
@@ -77,27 +83,24 @@
 //
 // # Failure model
 //
-// Collectives return errors instead of panicking. Channel hops cannot fail
-// on their own; a socket hop fails when its ring link does — heartbeats and
-// IO deadlines (transport.RingOptions) detect a dead or partitioned peer
-// within one IO timeout. The first error (or Abort) poisons the whole
-// communicator: it is recorded and every channel link is sent a wake-up,
-// which unwedges local ranks parked on channel hops mid-collective —
-// without it, only the ranks next to the socket would observe the fault.
-// Only connection establishment is transient (see transient) and retried in
-// place, by Retry; an error from a collective — Abort during group
-// reconfiguration, or the death of an established link — ends the
-// communicator: the group re-forms over the survivors and rolls back to the
-// last group checkpoint, which internal/elastic implements. A communicator
-// that returned a non-nil error must be closed, never reused.
+// Collectives return errors instead of panicking. A socket hop fails when
+// its ring link does — heartbeats and IO deadlines (transport.RingOptions)
+// detect a dead or partitioned peer within one IO timeout — and a local rank
+// whose buffer length differs from its siblings' fails the collective. The
+// first error (or Abort) poisons the whole communicator: it breaks the
+// barrier, so every local rank waiting there returns the error, and so does
+// every later collective and Meet. A rank waiting for a round whose work is
+// running waits until that work ends; Abort ends socket work at once by
+// aborting the ring. Only connection establishment is transient (see
+// transient) and retried in place, by Retry; an error from a collective —
+// Abort during group reconfiguration, or the death of an established link —
+// ends the communicator: the group re-forms over the survivors and rolls
+// back to the last group checkpoint, which internal/elastic implements. A
+// communicator that returned a non-nil error must be closed, never reused.
 package ddp
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"melissa/internal/protocol"
 	"melissa/internal/tensor"
@@ -114,74 +117,33 @@ import (
 // the frame type.
 const compressMinFloats = 16
 
-// linkDepth is the number of credits a channel link circulates: how many
-// chunks a sender may have handed over that its successor has not read yet.
-const linkDepth = 2
-
-// link is one directed in-process hop of the ring. It owns no storage: the
-// sender takes a credit from free and passes a reference to its own chunk
-// through data; the receiver adds or copies straight out of the sender's
-// buffer and returns the credit. A credit is an empty token, not a buffer.
-//
-// Reading a peer's buffer in place is safe by the ring's own causality.
-// Within one collective a rank rewrites a chunk it has sent only when the
-// finished sum of that chunk comes back around the ring, and the sum can
-// only get there through the successor that read the chunk. Across
-// collectives, allReduce settles before it returns: a rank whose successor
-// is in-process waits until every credit is home, so the successor holds no
-// reference and the caller may write its buffer at once.
-//
-// Poisoning (fail) rests on two invariants that nothing enforces. A link
-// circulates at most linkDepth credits, so with the one spare slot per
-// channel no send on a link ever blocks; only receives do. And each channel
-// has one receiver at a time, the goroutine of the rank on that side (data:
-// the successor, free: the sender), so fail's one wake-up per channel
-// reaches everyone who can be parked; a second goroutine parked on the same
-// channel would never be woken.
-type link struct {
-	data chan []float32
-	free chan struct{}
-}
-
-func newLink() link {
-	l := link{
-		data: make(chan []float32, linkDepth+1),
-		free: make(chan struct{}, linkDepth+1),
-	}
-	for i := 0; i < linkDepth; i++ {
-		l.free <- struct{}{}
-	}
-	return l
-}
-
 // Comm is the ring communicator: this process hosts local consecutive
 // global ranks (one goroutine each), joined to the other processes' ranks
 // by the inter-process transport.Ring. Every collective must be entered by
 // all ranks concurrently, like an MPI communicator, with matching arguments
 // (equal buffer lengths, identical ranges); a rank names itself by its
 // global rank in [0, Size). Results are deterministic: identical on every
-// rank and across repeated runs. See the package comment for the three link
+// rank and across repeated runs. See the package comment for the three
 // layouts and the failure model.
 type Comm struct {
 	ring   *transport.Ring // nil for the in-process layout
 	codec  transport.Codec
-	procs  int // processes on the socket ring (1: every hop is a channel link)
+	procs  int // processes on the socket ring (1: no socket hop)
 	local  int // ranks hosted in this process
 	offset int // first global rank hosted here
 	size   int // procs * local
 
-	// links[l] carries messages local rank l → local rank l+1. With a
-	// single process the last link wraps around (local−1 → 0) in place of
-	// the socket hop.
-	links []link
+	// bar is where the local ranks meet: every collective and every Meet is
+	// one round of it, and its error is the communicator's poison.
+	bar *barrier
+	// posted[l] is local rank l's buffer in the current collective, set
+	// before it arrives at bar; the last arrival reduces them (reduce).
+	posted [][]float32
 
 	// res[l] is local rank l's error-feedback residual slab (CodecF16):
 	// res[l][i] carries the quantization error of slab offset i from one
 	// step into the next. Each slab is touched only by its rank's goroutine.
 	res [][]float32
-
-	firstErr atomic.Pointer[error] // the failure that poisoned the communicator
-	failOnce sync.Once             // guards the one wake-up per link
 }
 
 // TCPComm and HierComm are the names bench/ uses for the flat-TCP and
@@ -194,7 +156,7 @@ type (
 )
 
 // NewCommunicator creates the in-process layout: n ranks of this process
-// on a ring of channel links.
+// and no socket ring.
 func NewCommunicator(n int) *Comm { return NewHierComm(nil, n) }
 
 // NewTCPComm wraps a connected rank ring as the flat layout: one rank per
@@ -212,11 +174,11 @@ func NewHierComm(ring *transport.Ring, local int) *Comm {
 		panic(fmt.Sprintf("ddp: invalid local rank count %d", local))
 	}
 	c := &Comm{
-		ring:  ring,
-		procs: 1,
-		local: local,
-		links: make([]link, local),
-		res:   make([][]float32, local),
+		ring:   ring,
+		procs:  1,
+		local:  local,
+		posted: make([][]float32, local),
+		res:    make([][]float32, local),
 	}
 	if ring != nil {
 		c.codec = ring.Codec()
@@ -224,9 +186,7 @@ func NewHierComm(ring *transport.Ring, local int) *Comm {
 		c.offset = ring.Rank() * local
 	}
 	c.size = c.procs * local
-	for i := range c.links {
-		c.links[i] = newLink()
-	}
+	c.bar = newBarrier(local, c.procs > 1)
 	return c
 }
 
@@ -244,8 +204,8 @@ func (c *Comm) LocalRanks() int { return c.local }
 // in-process layout).
 func (c *Comm) WireCodec() transport.Codec { return c.codec }
 
-// WireBytes returns the bytes moved over the inter-process ring (channel
-// hops are free and uncounted).
+// WireBytes returns the bytes moved over the inter-process ring (what the
+// ranks of one process read of each other moves no bytes).
 func (c *Comm) WireBytes() (sent, recv uint64) {
 	if c.ring == nil {
 		return 0, 0
@@ -263,13 +223,23 @@ func (c *Comm) Close() error {
 }
 
 // Abort poisons the communicator and force-closes the ring connections:
-// every in-flight collective on every local rank fails with an error
-// wrapping transport.ErrRingAborted. Safe to call from any goroutine.
+// every in-flight collective and Meet on every local rank fails with an
+// error wrapping transport.ErrRingAborted. Safe to call from any goroutine.
 func (c *Comm) Abort() {
 	if c.ring != nil {
 		c.ring.Abort()
 	}
-	c.fail(fmt.Errorf("ddp: group aborted: %w", transport.ErrRingAborted))
+	c.bar.fail(fmt.Errorf("ddp: group aborted: %w", transport.ErrRingAborted))
+}
+
+// Meet holds local rank rank until every local rank of this process has
+// called it: the trainer's step barrier. It returns the communicator's
+// error once a collective or Abort has poisoned it, so no rank waits for a
+// sibling that failed. Meets and collectives are rounds of one barrier,
+// so every local rank must issue them in the same order.
+func (c *Comm) Meet(rank int) error {
+	c.localOf(rank)
+	return c.bar.wait(nil)
 }
 
 // localOf returns the local index of a rank hosted here. Any other rank is
@@ -279,127 +249,6 @@ func (c *Comm) localOf(rank int) int {
 		panic(fmt.Sprintf("ddp: communicator for ranks [%d,%d) called as rank %d", c.offset, c.offset+c.local, rank))
 	}
 	return rank - c.offset
-}
-
-// fail records the first error, then unwedges local ranks parked on channel
-// hops by sending one wake-up through each side of every link (see link for
-// the invariants this rests on). A rank checks poisoned after every link
-// receive, and the error is stored before the wake-ups are sent, so
-// whatever a rank receives from then on — wake-up or message — it returns
-// the recorded error. Returns that error.
-func (c *Comm) fail(err error) error {
-	c.firstErr.CompareAndSwap(nil, &err)
-	c.failOnce.Do(func() {
-		for i := range c.links {
-			c.links[i].data <- nil
-			c.links[i].free <- struct{}{}
-		}
-	})
-	return *c.firstErr.Load()
-}
-
-// poisoned returns the recorded failure, if any.
-func (c *Comm) poisoned() error {
-	if p := c.firstErr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// socketSend reports whether local rank l's successor lives in the next
-// process, socketRecv whether its predecessor lives in the previous one.
-func (c *Comm) socketSend(l int) bool { return c.procs > 1 && l == c.local-1 }
-func (c *Comm) socketRecv(l int) bool { return c.procs > 1 && l == 0 }
-
-// ringErr poisons the communicator on a socket failure.
-func (c *Comm) ringErr(err error) error {
-	if err != nil {
-		return c.fail(err)
-	}
-	return nil
-}
-
-// sendHop sends vals to local rank l's ring successor. A socket hop has
-// copied vals when it returns; a channel hop hands over vals itself, which
-// the successor reads until it returns the credit (see link and settle).
-// comp selects the binary16 wire encoding on a socket hop.
-func (c *Comm) sendHop(l int, vals []float32, comp bool) error {
-	if c.socketSend(l) {
-		return c.ringErr(c.ring.SendFloats(vals, comp))
-	}
-	lk := &c.links[l]
-	await(lk.free)
-	if err := c.poisoned(); err != nil {
-		return err
-	}
-	lk.data <- vals
-	return nil
-}
-
-// settle waits until local rank l's in-process successor has read every
-// chunk l handed it — all of the link's credits are home — so whoever owns
-// the buffer may write it again. A socket successor holds no reference.
-func (c *Comm) settle(l int) error {
-	if c.socketSend(l) {
-		return nil
-	}
-	lk := &c.links[l]
-	for i := 0; i < linkDepth; i++ {
-		await(lk.free)
-		if err := c.poisoned(); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < linkDepth; i++ {
-		lk.free <- struct{}{}
-	}
-	return nil
-}
-
-// recvHop receives the predecessor's message for local rank l into dst,
-// accumulating element-wise when accumulate is set and copying otherwise.
-// dst length is the collective's chunk length, which the lockstep protocol
-// says matches the sender's; a message of any other length is a protocol
-// violation and poisons the communicator like a dead link. comp must match
-// the sender's sendHop argument — on a compressed collective the socket hop
-// decodes binary16 and accumulates in float32 (fused, no scratch pass).
-func (c *Comm) recvHop(l int, dst []float32, accumulate, comp bool) error {
-	if c.socketRecv(l) {
-		return c.ringErr(c.ring.RecvFloats(dst, accumulate, comp))
-	}
-	lk := &c.links[(l-1+c.local)%c.local]
-	in := await(lk.data)
-	if err := c.poisoned(); err != nil {
-		return err
-	}
-	if len(in) != len(dst) {
-		return c.fail(fmt.Errorf("ddp: rank %d received a %d-float hop, expected %d", c.offset+l, len(in), len(dst)))
-	}
-	if accumulate {
-		tensor.Add(dst, in)
-	} else {
-		copy(dst, in)
-	}
-	lk.free <- struct{}{}
-	return nil
-}
-
-// await receives from a channel hop, spinning before it parks: the rank at
-// the other end is a sibling in the same step, usually microseconds away,
-// and a parked goroutine takes far longer than that to wake (see
-// tensor.SpinWindow). It yields while it spins, so a runnable producer or
-// ingest goroutine goes first.
-func await[T any](ch chan T) T {
-	for start := time.Now(); ; runtime.Gosched() {
-		select {
-		case v := <-ch:
-			return v
-		default:
-		}
-		if time.Since(start) >= tensor.SpinWindow {
-			return <-ch
-		}
-	}
 }
 
 // ChunkRange returns the bounds [lo, hi) of the i-th of n near-equal
@@ -438,11 +287,10 @@ func (c *Comm) residual(l, lo, hi int) []float32 {
 }
 
 // AllReduceSum replaces buf on every rank with the element-wise sum across
-// ranks, using a ring scatter-reduce followed by a ring all-gather. The
-// reduction order for each chunk is fixed by ring position, so results are
-// deterministic and identical on every rank. On a compressed ring the
-// socket hops travel as binary16 (without error feedback — see
-// AllReduceSumRange for the error-fed gradient path).
+// ranks, in the ring's order. The reduction order for each chunk is fixed
+// by ring position, so results are deterministic and identical on every
+// rank. On a compressed ring the socket hops travel as binary16 (without
+// error feedback — see AllReduceSumRange for the error-fed gradient path).
 func (c *Comm) AllReduceSum(rank int, buf []float32) error {
 	return c.allReduce(rank, buf, nil)
 }
@@ -464,58 +312,123 @@ func (c *Comm) AllReduceSumRange(rank int, buf []float32, lo, hi int) error {
 	return c.allReduce(rank, sub, res)
 }
 
-// allReduce runs the ring sum over buf. res, when non-nil, is this rank's
+// allReduce runs one collective over buf. res, when non-nil, is this rank's
 // error-feedback residual aligned with buf (compressed range collectives
-// only).
-//
-// Compressed mode keeps all arithmetic in float32: wire chunks are
-// quantized per socket hop, receivers expand and accumulate at full width.
-// After scatter-reduce, each rank re-quantizes the one chunk it finished in
-// place before gathering — binary16 values re-encode losslessly, so every
-// rank reconstructs bit-identical results regardless of how many socket
-// hops each chunk crossed.
+// only): the rank quantizes its own contribution plus the carried residual
+// and stores the fresh quantization error back (fused kernel). Then it posts
+// buf and arrives at the barrier, whose last arrival runs reduce.
 func (c *Comm) allReduce(rank int, buf []float32, res []float32) error {
 	l := c.localOf(rank)
-	if err := c.poisoned(); err != nil {
+	if err := c.bar.failed(); err != nil {
 		return err
 	}
-	n := c.size
-	if n == 1 {
+	if c.size == 1 {
 		return nil
 	}
-	comp := c.compressed(len(buf))
-	if comp && res != nil {
-		// Error-feedback pre-pass: quantize local contribution + carried
-		// residual, store the fresh quantization error back (fused kernel).
+	if res != nil {
 		protocol.QuantizeEF(buf, res)
 	}
-	chunk := func(i int) []float32 {
-		lo, hi := ChunkRange(len(buf), n, ((i%n)+n)%n)
-		return buf[lo:hi]
-	}
-	// Scatter-reduce: after step s, rank r has accumulated s+1 terms into
-	// chunk (r-s); after n-1 steps chunk (r+1) holds the complete sum. A
-	// chunk sent here is not written again before the all-gather brings its
-	// finished sum back (see link).
-	for s := 0; s < n-1; s++ {
-		if err := c.sendHop(l, chunk(rank-s), comp); err != nil {
-			return err
-		}
-		if err := c.recvHop(l, chunk(rank-s-1), true, comp); err != nil {
-			return err
-		}
-	}
-	if comp {
-		protocol.RoundF16s(chunk(rank + 1))
-	}
-	// All-gather: circulate the completed chunks.
-	for s := 0; s < n-1; s++ {
-		if err := c.sendHop(l, chunk(rank+1-s), comp); err != nil {
-			return err
-		}
-		if err := c.recvHop(l, chunk(rank-s), false, comp); err != nil {
-			return err
+	c.posted[l] = buf
+	return c.bar.wait(c.reduce)
+}
+
+// reduce is a collective's work, run by the last local rank to arrive. It
+// first checks the lockstep protocol's word that every local rank posted a
+// buffer of one length; a rank that broke it fails the collective for all
+// of them, and poisons the communicator like a dead link.
+func (c *Comm) reduce() error {
+	for l, b := range c.posted[1:] {
+		if len(b) != len(c.posted[0]) {
+			return fmt.Errorf("ddp: rank %d posted a %d-float buffer, rank %d a %d-float one",
+				c.offset+l+1, len(b), c.offset, len(c.posted[0]))
 		}
 	}
-	return c.settle(l)
+	if c.procs > 1 {
+		return c.sumRing()
+	}
+	c.sumLocal()
+	return nil
+}
+
+// sumLocal is the in-process layout's reduction: chunk k is summed in ring
+// order, ((g_k + g_{k+1}) + …) + g_{k−1}, into rank k's buffer and copied
+// from there into every other.
+func (c *Comm) sumLocal() {
+	bufs, n := c.posted, c.local
+	for k := range n {
+		lo, hi := ChunkRange(len(bufs[0]), n, k)
+		sum := bufs[k][lo:hi]
+		for j := 1; j < n; j++ {
+			tensor.Add(sum, bufs[(k+j)%n][lo:hi])
+		}
+		for j := 1; j < n; j++ {
+			copy(bufs[(k+j)%n][lo:hi], sum)
+		}
+	}
+}
+
+// sumRing is the reduction where the group spans processes: the flat
+// ring's schedule for this process's one socket hop, from its last rank to
+// the next process's first, with every local hop replaced by a direct read.
+//
+// Scatter-reduce: at flat step s the process sends the partial of chunk
+// last−s and receives, accumulating, the partial of chunk first−1−s. A
+// partial that started in an earlier process arrived L steps before it is
+// sent, added into the first local buffer; a chunk that starts here starts
+// in its own rank's buffer. Either way the local ranks after that one add
+// theirs in rank order, so the frame carries the flat ring's floats. After
+// n−1 steps local rank l's chunk first+l+1 needs only ranks 1…l added to
+// what came back; each finished chunk lands in the first buffer, rounded
+// to binary16 on a compressed ring as the flat ring's finishing rank does.
+// All-gather: the finished chunks circulate, except that the last L−1
+// steps would bring the process chunks it finished itself, so they are
+// skipped. The first buffer then holds the whole sum, which is copied
+// into the others.
+//
+// The sends are staged by the ring's writer goroutine, so this one
+// goroutine can send and then receive without deadlock.
+func (c *Comm) sumRing() error {
+	bufs, n, L := c.posted, c.size, c.local
+	length := len(bufs[0])
+	comp := c.compressed(length)
+	first, last := c.offset, c.offset+L-1
+	// chunk is local rank l's view of chunk k, k taken mod n.
+	chunk := func(l, k int) []float32 {
+		lo, hi := ChunkRange(length, n, ((k%n)+n)%n)
+		return bufs[l][lo:hi]
+	}
+	for s := range n - 1 {
+		from := max(L-1-s, 0)
+		sum := chunk(from, last-s)
+		for l := from + 1; l < L; l++ {
+			tensor.Add(sum, chunk(l, last-s))
+		}
+		if err := c.ring.SendFloats(sum, comp); err != nil {
+			return err
+		}
+		if err := c.ring.RecvFloats(chunk(0, first-1-s), true, comp); err != nil {
+			return err
+		}
+	}
+	for l := range L {
+		sum := chunk(0, first+l+1)
+		for j := 1; j <= l; j++ {
+			tensor.Add(sum, chunk(j, first+l+1))
+		}
+		if comp {
+			protocol.RoundF16s(sum)
+		}
+	}
+	for s := range n - L {
+		if err := c.ring.SendFloats(chunk(0, last+1-s), comp); err != nil {
+			return err
+		}
+		if err := c.ring.RecvFloats(chunk(0, first-s), false, comp); err != nil {
+			return err
+		}
+	}
+	for l := 1; l < L; l++ {
+		copy(bufs[l], bufs[0])
+	}
+	return nil
 }

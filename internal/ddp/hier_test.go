@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"melissa/internal/testwait"
 	"melissa/internal/transport"
 )
 
@@ -22,7 +23,7 @@ func newHierGroup(tb testing.TB, procs, local int) commGroup {
 }
 
 // newHierGroupCodec is newHierGroup with an explicit wire codec for the
-// inter-process ring (channel hops are always exact).
+// inter-process ring (in-process sums are always exact).
 func newHierGroupCodec(tb testing.TB, procs, local int, codec transport.Codec) commGroup {
 	tb.Helper()
 	listeners := make([]*transport.RingListener, procs)
@@ -73,7 +74,7 @@ func newHierGroupCodec(tb testing.TB, procs, local int, codec transport.Codec) c
 
 // TestHierCollectives runs the core collective checks across process ×
 // local-rank shapes, including the degenerate single-process ring (where
-// every hop stays on channel links).
+// no float leaves the process).
 func TestHierCollectives(t *testing.T) {
 	for _, shape := range []struct{ procs, local int }{
 		{1, 1}, {1, 3}, {2, 1}, {2, 2}, {3, 2}, {4, 2},
@@ -110,7 +111,7 @@ func TestHierCollectives(t *testing.T) {
 
 // TestHierBitIdenticalToFlat pins the property the unified server runtime
 // is built on: a hierarchical group computes exactly the same floats as the
-// flat channel ring AND the flat one-rank-per-process TCP ring of the same
+// in-process layout AND the flat one-rank-per-process TCP ring of the same
 // total size, for every procs × local shape. Changing how ranks are packed
 // into processes must never perturb a training trajectory.
 func TestHierBitIdenticalToFlat(t *testing.T) {
@@ -141,6 +142,50 @@ func TestHierBitIdenticalToFlat(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHierWireBytesPerCollective pins what one 1,000-float collective on
+// two processes of two ranks sends over a process's socket. The flat ring's
+// schedule sent 6 frames a collective, 6,030 B in f32 and 3,030 B in f16;
+// those are the bounds. Skipping the all-gather's last step, which would
+// bring a process a chunk it finished itself, leaves 5 frames.
+func TestHierWireBytesPerCollective(t *testing.T) {
+	const length, rounds = 1000, 10
+	for _, tc := range []struct {
+		codec      transport.Codec
+		want, most uint64
+	}{
+		{transport.CodecF32, 5 * (5 + 4*length/4), 6030},
+		{transport.CodecF16, 5 * (5 + 2*length/4), 3030},
+	} {
+		t.Run(tc.codec.String(), func(t *testing.T) {
+			g := newHierGroupCodec(t, 2, 2, tc.codec)
+			bufs, _ := fillRankBufs(len(g), length, 5)
+			// sent counts only once the writer has written, so wait until the
+			// successor has read every byte process 0 sent.
+			settled := func() uint64 {
+				var sent uint64
+				testwait.Until(t, "process 0's sends to reach process 1", func() bool {
+					var recv uint64
+					sent, _ = g[0].WireBytes()
+					_, recv = g[2].WireBytes()
+					return sent == recv
+				})
+				return sent
+			}
+			before := settled()
+			for range rounds {
+				runGroup(g, func(rank int, c *Comm) { c.AllReduceSum(rank, bufs[rank]) })
+			}
+			per := (settled() - before) / rounds
+			if per > tc.most {
+				t.Fatalf("%d B sent per collective, more than the flat schedule's %d", per, tc.most)
+			}
+			if per != tc.want {
+				t.Fatalf("%d B sent per collective, want %d (5 frames of a 250-float chunk)", per, tc.want)
+			}
+		})
 	}
 }
 
@@ -191,7 +236,7 @@ func TestHierCommShapes(t *testing.T) {
 }
 
 // BenchmarkAllReduceHier measures the hierarchical all-reduce on the same
-// 64k-element buffer as BenchmarkAllReduce (channel) and
+// 64k-element buffer as BenchmarkAllReduce (in-process) and
 // BenchmarkAllReduceTCP (flat 4-rank loopback ring), under each wire codec.
 // procs=4/local=1 is the flat-equivalent shape (no regression expected vs
 // TCP); procs=2/local=2 has the same total rank count with half the network

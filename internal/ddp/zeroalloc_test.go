@@ -25,9 +25,9 @@ func spawnPeers(n, iters int, fn func(rank int)) *sync.WaitGroup {
 }
 
 // TestCollectivesZeroAlloc pins the steady-state allocation behaviour of
-// the ring collectives on every link layout and codec: after the first call
-// sizes the recycled link buffers, socket staging buffers and residual
-// slabs, a collective must not allocate. Peer ranks run in pre-spawned
+// the ring collectives on every layout and codec: after the first call
+// sizes the socket staging buffers and residual slabs, a collective must
+// not allocate. Peer ranks run in pre-spawned
 // goroutines so only the collective itself is measured; their allocations
 // still count (the runtime counter is global), which is exactly what we
 // want.
@@ -96,7 +96,7 @@ func BenchmarkAllReduceRange(b *testing.B) {
 		}
 	}
 	wg := spawnPeers(n, b.N+1, syncBuckets)
-	syncBuckets(0) // size the recycled link buffers
+	syncBuckets(0) // warm-up, off the clock
 	b.SetBytes(4 * elems)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -119,7 +119,7 @@ func BenchmarkAllReduce(b *testing.B) {
 		bufs[r] = make([]float32, elems)
 	}
 	wg := spawnPeers(n, b.N+1, func(rank int) { c.AllReduceSum(rank, bufs[rank]) })
-	// One warm-up round sizes the recycled link buffers.
+	// One warm-up round, off the clock.
 	c.AllReduceSum(0, bufs[0])
 	b.SetBytes(4 * elems)
 	b.ResetTimer()
@@ -128,4 +128,27 @@ func BenchmarkAllReduce(b *testing.B) {
 	}
 	b.StopTimer()
 	wg.Wait()
+}
+
+// BenchmarkAllReduceStatus measures the trainer's per-step status
+// collective in the in-process layout: 3 floats over 2 and 4 ranks, all
+// latency — the ranks meet, and the last to arrive sums the slots.
+func BenchmarkAllReduceStatus(b *testing.B) {
+	for _, n := range []int{2, 4} {
+		b.Run(fmt.Sprintf("ranks=%d", n), func(b *testing.B) {
+			c := NewCommunicator(n)
+			bufs := make([][]float32, n)
+			for r := range bufs {
+				bufs[r] = make([]float32, 3)
+			}
+			wg := spawnPeers(n, b.N+1, func(rank int) { c.AllReduceSum(rank, bufs[rank]) })
+			c.AllReduceSum(0, bufs[0])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.AllReduceSum(0, bufs[0])
+			}
+			b.StopTimer()
+			wg.Wait()
+		})
+	}
 }

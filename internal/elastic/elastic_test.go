@@ -117,7 +117,7 @@ type refPoint struct {
 }
 
 // runPhase runs the in-process reference trainer for one membership
-// stretch — members' ranks in ascending-ID order over the channel backend,
+// stretch — members' ranks in ascending-ID order over the in-process backend,
 // exactly the collective group an elastic epoch forms over TCP — from an
 // optional start point to maxBatches, and captures the end point.
 func runPhase(t *testing.T, members []int, start *refPoint, bufSrc map[int]*bufSnap, maxBatches int) *refPoint {

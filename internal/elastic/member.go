@@ -39,8 +39,8 @@ type MemberConfig struct {
 	// hosts (0 means 1). Every member of a group must agree — the value is
 	// stamped into the ring handshake identity, so a mismatch fails at
 	// ring formation. With several local ranks the session's communicator
-	// (ddp.Comm) joins them by channel links and only the last one's
-	// successor hop crosses the ring.
+	// (ddp.Comm) holds them at one barrier, and the last to arrive at a
+	// collective runs the member's one hop on the ring.
 	LocalRanks int
 	// RingOptions, when set, supplies per-epoch ring options (wire codec, IO
 	// timeout, heartbeat interval, chaos wrapper). Nil uses transport

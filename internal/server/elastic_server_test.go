@@ -91,7 +91,7 @@ type chaosRef struct {
 }
 
 // chaosPhase runs the reference trainer for one membership stretch — the
-// given global ranks over the channel backend, which is pinned
+// given global ranks over the in-process backend, which is pinned
 // bit-identical to the per-epoch TCP groups the elastic members form —
 // from an optional start point to maxBatches.
 func chaosPhase(t *testing.T, ranks []int, streams *[csMembers][]buffer.Sample, start *chaosRef, maxBatches int) *chaosRef {

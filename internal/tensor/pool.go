@@ -64,7 +64,7 @@ const (
 // gaps between the fan-outs of one step and than the skew between ranks
 // that meet at a step's sync points, far shorter than the pause of a
 // starved trainer. A team helper spins this long after its last chunk; the
-// trainer's barrier and ddp's channel hops spin this long before they park.
+// ranks waiting at ddp.Comm's barrier spin this long before they park.
 const SpinWindow = 300 * time.Microsecond
 
 // chunksPerMember is how many chunks a fan-out has per team member, so a

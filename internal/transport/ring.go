@@ -3,8 +3,8 @@ package transport
 // The rank ring: dedicated TCP connections between training ranks running
 // as separate processes, carrying gradient collectives (the socket hops of
 // ddp.Comm). Every rank listens on a pre-agreed address, dials its
-// successor and accepts its predecessor, forming the same directed ring
-// ddp.Comm's channel links form inside a process. Frames are the protocol
+// successor and accepts its predecessor, one hop of the directed ring
+// ddp.Comm reduces over. Frames are the protocol
 // package's ([length u32 | type u8 | payload], little-endian), and a
 // received frame is read by protocol.ReadFrame, the same bounded reader a
 // client connection goes through.
@@ -16,7 +16,7 @@ package transport
 // rank sends before it receives, so a blocking send of a chunk larger than
 // the socket buffers would wedge the whole ring. Two staging buffers
 // rotate through a free list, making steady-state collectives
-// allocation-free, exactly like ddp's recycled channel links.
+// allocation-free.
 //
 // # Failure model
 //

@@ -192,9 +192,10 @@ func (s *Surrogate) PredictBatchHeat(ps []HeatParams, ts []float64) ([][]float64
 //	magic "MLSG" | version u32 | problem string | gridN u32 | steps u32 |
 //	dt f64 | hiddenCount u32 | hidden u32... | seed u64 | nn weights
 //
-// Weight payloads without the block (the server's raw checkpoints, files
-// from before the metadata header) still load through the legacy loaders,
-// which take the architecture explicitly.
+// A weight payload without the block (a raw nn weight file, or one from
+// before the metadata header) does not load: there is no loader that takes
+// the architecture explicitly, and loadSurrogate refuses it. Wrap the
+// network that holds such weights with SurrogateFromNetwork instead.
 const (
 	surrogateMagic   = "MLSG"
 	surrogateVersion = 1
