@@ -10,9 +10,9 @@
 //
 // Everything here runs the training ranks inside one process. To spread
 // them across OS processes, start a coordinator and one melissa-server
-// member per process; the gradient all-reduce then travels over a TCP ring
-// between the members, overlapped with backpropagation exactly like the
-// in-process path:
+// member per process; the gradients are then all-reduced over a TCP ring
+// between the members after each backward, and the weights come out the
+// same bits as the in-process path's:
 //
 //	melissa-server -role coordinator -coord 127.0.0.1:7850 -members 2 -group-dir /tmp/eg &
 //	melissa-server -coord 127.0.0.1:7850 -member-id 0 -members 2 -group-dir /tmp/eg ...

@@ -3,8 +3,8 @@ package core
 // Training-trajectory tests for compressed gradient collectives (the
 // ring's transport.RingOptions.Codec): f16 runs must stay within tolerance
 // of the exact fp32 trajectory across process × local-rank shapes, repeat
-// runs must be bit-identical (the codec is deterministic), the overlapped
-// f16 trajectory keeps its pinned digest, and a trainer must refuse a
+// runs must be bit-identical (the codec is deterministic), the f16
+// trajectory keeps its pinned digest, and a trainer must refuse a
 // communicator that does not host its ranks.
 
 import (
@@ -26,7 +26,7 @@ import (
 // with the given wire codec: procs processes hosting local ranks each.
 // bufs holds procs·local buffers, assigned in global rank order; mutate
 // runs on every process's config.
-func codecTrainerGroup(t *testing.T, procs, local int, codec transport.Codec,
+func codecTrainerGroup(t testing.TB, procs, local int, codec transport.Codec,
 	bufs []*buffer.Blocking, spec ModelSpec, norm Normalizer, mutate ...func(*TrainerConfig)) []*Trainer {
 	t.Helper()
 	listeners := make([]*transport.RingListener, procs)
@@ -202,12 +202,11 @@ func TestTrainCompressedDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrainCompressedOverlapMatchesSerial pins the overlapped f16
-// trajectory of 2 ranks, one per process: sha256 of its losses' and its
-// final weights' little-endian bits. Each rank's bucket all-reduces run in
-// the same order on the same error-feedback residuals whether launched
-// during backward or after it; the digests were recorded where a serial
-// sync mode still existed and produced these same bits.
+// TestTrainCompressedOverlapMatchesSerial pins the f16 trajectory of 2
+// ranks, one per process: sha256 of its losses' and its final weights'
+// little-endian bits. Every rank issues its bucket collectives in one
+// order over error-feedback residuals indexed by slab offset, so the bits
+// do not depend on when, or in which order, the buckets are all-reduced.
 func TestTrainCompressedOverlapMatchesSerial(t *testing.T) {
 	const wantLoss = "1c3d173ffc7975453473c1e6804ed6222bc747e7958509714fe4dc9d7b3cfa92"
 	const wantWeights = "588195984d7cefa8d37b42c17c5d66d7af7424233fadf44b1f5c014c137e48ef"

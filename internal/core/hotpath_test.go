@@ -84,10 +84,7 @@ func newHotPathTrainer(tb testing.TB, fieldDim int, hidden []int, batch int) (*T
 		tb.Fatal(err)
 	}
 	st := tr.newRankState(0)
-	tb.Cleanup(func() {
-		st.close()
-		tr.closeTeams()
-	})
+	tb.Cleanup(tr.closeTeams)
 	return tr, st
 }
 

@@ -1,21 +1,19 @@
 package core
 
-// Equivalence tests and benchmarks for the multi-rank step: a group whose
-// bucket all-reduces overlap backward, and a transport-backed multi-process
-// rank group, must train the exact same trajectory as the in-process group
-// (whose update pass sums the gradients the ring would, after the whole
-// backward) across ranks and tail batches, and the multi-rank step must
-// stay allocation-free.
+// Equivalence tests and benchmarks for the multi-rank step: a group that
+// spans processes, whose ranks all-reduce each layer bucket over a socket
+// ring after backward, must train the exact same trajectory as the
+// in-process group (whose update pass sums the gradients in the ring's
+// order) across ranks and tail batches, and the multi-rank step must stay
+// allocation-free in both layouts.
 
 import (
 	"context"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"melissa/internal/buffer"
-	"melissa/internal/ddp"
 	"melissa/internal/testbuf"
 	"melissa/internal/testlevel"
 	"melissa/internal/transport"
@@ -69,13 +67,13 @@ func runInProcess(t *testing.T, ranks int) ([]LossPoint, []float32) {
 	return tr.Metrics().TrainLoss(), weights
 }
 
-// TestOverlapMatchesSerial pins the headline equivalence of the overlap
-// refactor: launching each layer bucket's all-reduce during backward
-// produces bit-for-bit the trajectory of summing the gradients after the
-// full backward pass — across 4 ranks, including tail batches. The
-// overlapped ranks sit two to a process on a loopback ring, exact float32;
-// the serial reference is one process of 4 ranks, whose update pass sums
-// the four gradient slabs in the ring's order once backward is done.
+// TestOverlapMatchesSerial pins that a group spanning processes trains
+// bit-for-bit the trajectory of one process — across 4 ranks, including
+// tail batches. The ring's ranks sit two to a process on a loopback ring,
+// exact float32, and all-reduce each layer bucket after backward; the
+// reference is one process of 4 ranks, whose update pass sums the four
+// gradient slabs in the ring's order. (The name is kept from when the
+// ring's collectives overlapped backward.)
 func TestOverlapMatchesSerial(t *testing.T) {
 	overlapLoss, overlapW := runCodecShape(t, 2, 2, transport.CodecF32)
 	serialLoss, serialW := runInProcess(t, 4)
@@ -92,65 +90,6 @@ func TestOverlapMatchesSerial(t *testing.T) {
 			t.Fatalf("weight %d diverged: overlap %v vs serial %v", i, overlapW[i], serialW[i])
 		}
 	}
-}
-
-// tcpTrainerGroup builds one single-local-rank trainer per global rank,
-// all joined by loopback TCP communicators — the in-process replica of the
-// multi-process melissa-server deployment.
-func tcpTrainerGroup(t *testing.T, ranks int, bufs []*buffer.Blocking, spec ModelSpec, norm Normalizer) []*Trainer {
-	t.Helper()
-	listeners := make([]*transport.RingListener, ranks)
-	addrs := make([]string, ranks)
-	for r := range listeners {
-		l, err := transport.ListenRing("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[r] = l
-		addrs[r] = l.Addr()
-	}
-	comms := make([]*ddp.Comm, ranks)
-	var wg sync.WaitGroup
-	errs := make([]error, ranks)
-	for r := range comms {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ring, err := listeners[rank].ConnectContext(t.Context(), rank, addrs, 10*time.Second, transport.RingOptions{})
-			if err != nil {
-				errs[rank] = err
-				return
-			}
-			comms[rank] = ddp.NewTCPComm(ring)
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, c := range comms {
-			c.Close()
-		}
-	})
-
-	trainers := make([]*Trainer, ranks)
-	for r := range trainers {
-		tr, err := NewTrainer(TrainerConfig{
-			Ranks:      1,
-			Comm:       comms[r],
-			BatchSize:  5,
-			Model:      spec,
-			Normalizer: norm,
-		}, bufs[r:r+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		trainers[r] = tr
-	}
-	return trainers
 }
 
 // TestTCPRanksMatchInProcessRanks is the transport-equivalence test:
@@ -184,25 +123,10 @@ func tcpMatchesInProcess(t *testing.T, ranks int) {
 
 	// TCP group: one trainer per rank, identical streams, run in lockstep.
 	tcpBufs := fifoRankBufs(t, norm, ranks, nSamples)
-	trainers := tcpTrainerGroup(t, ranks, tcpBufs, spec, norm)
-	var wg sync.WaitGroup
-	errs := make([]error, ranks)
-	for r, tr := range trainers {
-		wg.Add(1)
-		go func(rank int, tr *Trainer) {
-			defer wg.Done()
-			errs[rank] = tr.Run(context.Background())
-		}(r, tr)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("tcp rank %d: %v", r, err)
-		}
-	}
+	trainers := codecTrainerGroup(t, ranks, 1, transport.CodecF32, tcpBufs, spec, norm)
+	tcpLoss, _ := runTrainerGroup(t, trainers) // global rank 0 owns metrics
 
 	refLoss := ref.Metrics().TrainLoss()
-	tcpLoss := trainers[0].Metrics().TrainLoss() // global rank 0 owns metrics
 	if len(refLoss) == 0 || len(refLoss) != len(tcpLoss) {
 		t.Fatalf("trajectory lengths: in-process %d vs tcp %d", len(refLoss), len(tcpLoss))
 	}
@@ -222,36 +146,92 @@ func tcpMatchesInProcess(t *testing.T, ranks int) {
 	}
 }
 
-// multiRankHotTrainer wires a ranks-wide trainer to preloaded Reservoirs
-// that never drain, for lockstep step-level benchmarks and alloc gates.
-func multiRankHotTrainer(tb testing.TB, ranks int, fieldDim int, hidden []int, batch int) (*Trainer, []*rankState) {
+// hotRankBufs preloads one Reservoir per rank that never drains, for
+// lockstep step-level benchmarks and alloc gates.
+func hotRankBufs(tb testing.TB, norm FieldNormalizer, ranks int) []*buffer.Blocking {
 	tb.Helper()
-	norm := NewHeatNormalizer(fieldDim, 1)
 	bufs := make([]*buffer.Blocking, ranks)
 	for r := range bufs {
 		bufs[r] = buffer.NewBlockingArena(buffer.NewReservoir(4096, 0, uint64(7+r)), norm.InputDim(), norm.OutputDim())
 		testbuf.Put(tb, bufs[r], hotPathSamples(norm, 256)...)
 	}
+	return bufs
+}
+
+// hotSpec is the seeded model the hot-path trainers train.
+func hotSpec(norm FieldNormalizer, hidden []int) ModelSpec {
+	return ModelSpec{InputDim: norm.InputDim(), Hidden: hidden, OutputDim: norm.OutputDim(), Seed: 1}
+}
+
+// multiRankHotTrainer wires a ranks-wide in-process trainer to hotRankBufs
+// and returns its step: step(r) runs one synchronized step of local rank r.
+func multiRankHotTrainer(tb testing.TB, ranks int, fieldDim int, hidden []int, batch int) (step func(rank int) bool) {
+	tb.Helper()
+	norm := NewHeatNormalizer(fieldDim, 1)
 	tr, err := NewTrainer(TrainerConfig{
-		Ranks:     ranks,
-		BatchSize: batch,
-		Model: ModelSpec{
-			InputDim:  norm.InputDim(),
-			Hidden:    hidden,
-			OutputDim: norm.OutputDim(),
-			Seed:      1,
-		},
+		Ranks:      ranks,
+		BatchSize:  batch,
+		Model:      hotSpec(norm, hidden),
 		Normalizer: norm,
-	}, bufs)
+	}, hotRankBufs(tb, norm, ranks))
 	if err != nil {
 		tb.Fatal(err)
 	}
+	tb.Cleanup(tr.closeTeams)
 	sts := make([]*rankState, ranks)
 	for r := range sts {
 		sts[r] = tr.newRankState(r)
-		tb.Cleanup(sts[r].close)
 	}
-	return tr, sts
+	return func(rank int) bool { return step1(tr, sts[rank]) }
+}
+
+// tcpHotTrainers is multiRankHotTrainer over a loopback TCP ring: procs
+// single-rank trainers, one per process of the ring, whose step(p) runs one
+// synchronized step of process p's rank.
+func tcpHotTrainers(tb testing.TB, procs int, fieldDim int, hidden []int, batch int) (step func(rank int) bool) {
+	tb.Helper()
+	norm := NewHeatNormalizer(fieldDim, 1)
+	trainers := codecTrainerGroup(tb, procs, 1, transport.CodecF32, hotRankBufs(tb, norm, procs), hotSpec(norm, hidden), norm,
+		func(c *TrainerConfig) { c.BatchSize = batch })
+	sts := make([]*rankState, procs)
+	for p, tr := range trainers {
+		sts[p] = tr.newRankState(0)
+		tb.Cleanup(tr.closeTeams)
+	}
+	return func(rank int) bool { return step1(trainers[rank], sts[rank]) }
+}
+
+// lockstepAllocs runs warm steps of every rank, then measures rank 0's
+// steps while the other ranks step in lockstep goroutines, and returns the
+// heap allocations per step: every rank's, since AllocsPerRun counts the
+// process's.
+func lockstepAllocs(t *testing.T, ranks int, step func(rank int) bool) float64 {
+	const runs, warm = 100, 5
+	var wg sync.WaitGroup
+	for r := 1; r < ranks; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			for i := 0; i < runs+1+warm; i++ {
+				if !step(rank) {
+					t.Error("peer rank stopped")
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < warm; i++ { // warm scratch and slabs
+		if !step(0) {
+			t.Fatal("trainer stopped during warm-up")
+		}
+	}
+	avg := testing.AllocsPerRun(runs, func() {
+		if !step(0) {
+			t.Fatal("trainer stopped during measurement")
+		}
+	})
+	wg.Wait()
+	return avg
 }
 
 // TestTrainStepZeroAllocOverlap4Ranks extends the zero-allocation gate to
@@ -262,59 +242,42 @@ func multiRankHotTrainer(tb testing.TB, ranks int, fieldDim int, hidden []int, b
 func TestTrainStepZeroAllocOverlap4Ranks(t *testing.T) {
 	testlevel.Each(t, func(level string) {
 		const ranks = 4
-		const runs = 100
-		tr, sts := multiRankHotTrainer(t, ranks, 64, []int{32, 32}, 8)
-		var wg sync.WaitGroup
-		for r := 1; r < ranks; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				for i := 0; i < runs+1+5; i++ {
-					if !step1(tr, sts[rank]) {
-						t.Error("peer rank stopped")
-						return
-					}
-				}
-			}(r)
-		}
-		for i := 0; i < 5; i++ { // warm scratch and slabs
-			if !step1(tr, sts[0]) {
-				t.Fatal("trainer stopped during warm-up")
-			}
-		}
-		avg := testing.AllocsPerRun(runs, func() {
-			if !step1(tr, sts[0]) {
-				t.Fatal("trainer stopped during measurement")
-			}
-		})
-		wg.Wait()
-		if avg != 0 {
+		if avg := lockstepAllocs(t, ranks, multiRankHotTrainer(t, ranks, 64, []int{32, 32}, 8)); avg != 0 {
 			t.Fatalf("%s: overlapped train step: %v allocs per step in steady state, want 0", level, avg)
 		}
 	})
 }
 
-// benchMultiRankTrainStep measures one synchronized multi-rank step at the
-// paper's surrogate shape, with peer ranks in lockstep goroutines so the
-// timed loop sees the full collective cost.
-func benchMultiRankTrainStep(b *testing.B, ranks int) {
-	tr, sts := multiRankHotTrainer(b, ranks, 1024, []int{256, 256}, 10)
+// TestTrainStepZeroAllocTCP2Ranks is the zero-allocation gate for the
+// socket-ring step: two single-rank trainers on a loopback ring, each
+// all-reducing its gradient slab one layer bucket at a time after backward,
+// perform no heap allocations per step.
+func TestTrainStepZeroAllocTCP2Ranks(t *testing.T) {
+	if avg := lockstepAllocs(t, 2, tcpHotTrainers(t, 2, 64, []int{32, 32}, 8)); avg != 0 {
+		t.Fatalf("ring train step: %v allocs per step in steady state, want 0", avg)
+	}
+}
+
+// benchLockstep measures one synchronized step of rank 0, with the other
+// ranks in lockstep goroutines so the timed loop sees the full collective
+// cost.
+func benchLockstep(b *testing.B, ranks int, step func(rank int) bool) {
 	var wg sync.WaitGroup
 	for r := 1; r < ranks; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			for i := 0; i < b.N+3; i++ {
-				step1(tr, sts[rank])
+				step(rank)
 			}
 		}(r)
 	}
 	for i := 0; i < 3; i++ {
-		step1(tr, sts[0])
+		step(0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !step1(tr, sts[0]) {
+		if !step(0) {
 			b.Fatal("trainer stopped")
 		}
 	}
@@ -322,15 +285,27 @@ func benchMultiRankTrainStep(b *testing.B, ranks int) {
 	wg.Wait()
 }
 
-// BenchmarkTrainStepOverlap4Ranks: four in-process ranks, each summing four
-// gradient slabs over its quarter of the update.
+// BenchmarkTrainStepOverlap4Ranks: four in-process ranks at the paper's
+// surrogate shape, each summing four gradient slabs over its quarter of the
+// update.
 func BenchmarkTrainStepOverlap4Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, 4)
+	benchLockstep(b, 4, multiRankHotTrainer(b, 4, 1024, []int{256, 256}, 10))
 }
 
 // BenchmarkTrainStepOverlap2Ranks is the benchmark workload's shape
 // (ensemble_2rank: two in-process ranks, the paper's model): the step in
 // which each rank sums both gradient slabs and applies half of the update.
 func BenchmarkTrainStepOverlap2Ranks(b *testing.B) {
-	benchMultiRankTrainStep(b, 2)
+	benchLockstep(b, 2, multiRankHotTrainer(b, 2, 1024, []int{256, 256}, 10))
+}
+
+// BenchmarkTrainStepTCP2Ranks times the step of a group that spans
+// processes: two single-rank trainers on a loopback TCP ring at the paper's
+// shape, each all-reducing its gradient slab one layer bucket at a time
+// after backward. Both trainers share this one process, each with a team as
+// wide as GOMAXPROCS, so they contend for the same cores: on a 2-vCPU VM
+// it reads ≈ 4.5 ms against ≈ 1.2 ms for BenchmarkTrainStepOverlap2Ranks.
+// Compare it only with itself.
+func BenchmarkTrainStepTCP2Ranks(b *testing.B) {
+	benchLockstep(b, 2, tcpHotTrainers(b, 2, 1024, []int{256, 256}, 10))
 }

@@ -101,13 +101,12 @@ func (c TrainerConfig) validate() error {
 // so the slab holds exactly what L full updates of L copies would have left
 // in each of them.
 //
-// Where the group spans processes, the gradient rides the ring: each
-// layer's bucket is all-reduced as soon as backward finalizes it,
-// concurrently with the backpropagation of earlier layers, and rank l's
-// pass reads the sum from its own slab. Where every rank is in this
-// process, nothing is all-reduced: the pass reads the L slabs in place and
-// adds them in the order the ring would have (updatePlan), so the weights
-// are the same bits in every layout.
+// Where the group spans processes, the gradient rides the ring: once its
+// backward is done, each rank all-reduces its slab one layer bucket at a
+// time, and rank l's pass reads the sum from its own slab. Where every rank
+// is in this process, nothing is all-reduced: the pass reads the L slabs in
+// place and adds them in the order the ring would have (updatePlan), so the
+// weights are the same bits in every layout.
 //
 // Each local rank owns the process's cores in equal shares: a rank whose
 // share is two or more cores runs its forward, backward, Adam slice and
@@ -130,9 +129,8 @@ type Trainer struct {
 	// the ring's collectives rather than by the update pass.
 	ringGrads bool
 
-	// buckets are the gradient-slab ranges in backward-completion order,
-	// one per layer and identical across replicas: layer i's is bucket
-	// len(buckets)-1-i.
+	// buckets are the gradient-slab ranges of the layers, one collective
+	// each on the ring, identical across replicas (nn.Network.GradBuckets).
 	buckets []nn.GradBucket
 
 	// localSamples[r] is local rank r's count of the group's cumulative
@@ -295,8 +293,8 @@ func (t *Trainer) Run(ctx context.Context) error {
 // rankState is the per-rank training-thread state. Everything the hot loop
 // touches is preallocated here once, so a steady-state synchronized step
 // performs no heap allocations: the batch slice, the batch matrices (plus
-// reusable prefix-view headers for short tail batches), the status buffer,
-// and the bucket-sync channels are all reused across steps.
+// reusable prefix-view headers for short tail batches) and the status
+// buffer are all reused across steps.
 type rankState struct {
 	rank      int // local rank (buffer/replica index)
 	grank     int // global rank in the communicator's rank space
@@ -321,20 +319,9 @@ type rankState struct {
 	parts []opt.GradRange
 	zero  [][]float32
 	scale float32
-
-	// Overlap machinery: hook enqueues a finished layer's bucket on jobs;
-	// the persistent syncer goroutine runs the bucket collectives in
-	// order and acknowledges each on acks (nil on success, the collective
-	// error otherwise). launched counts this step's in-flight buckets.
-	jobs     chan int
-	acks     chan error
-	hook     func(layer int)
-	launched int
 }
 
-// newRankState preallocates the per-rank training state and, where the
-// gradients ride the ring, starts the rank's gradient-sync goroutine. close
-// releases it.
+// newRankState preallocates the per-rank training state.
 func (t *Trainer) newRankState(rank int) *rankState {
 	norm := t.cfg.Normalizer
 	st := &rankState{
@@ -347,21 +334,12 @@ func (t *Trainer) newRankState(rank int) *rankState {
 		out:          tensor.New(t.cfg.BatchSize, norm.OutputDim()),
 		keys:         make([]buffer.Key, t.cfg.BatchSize),
 		localBatches: t.startBatches,
-		jobs:         make(chan int, len(t.buckets)),
-		acks:         make(chan error, len(t.buckets)),
 	}
 	st.fill = func(i int, s buffer.Sample) {
 		norm.Apply(s, st.in.Row(i), st.out.Row(i))
 		st.keys[i] = s.Key()
 	}
-	st.hook = func(layer int) {
-		st.jobs <- len(t.buckets) - 1 - layer
-		st.launched++
-	}
 	st.parts, st.zero, st.scale = t.updatePlan(rank)
-	if t.ringGrads {
-		go t.syncLoop(st)
-	}
 	t.localSamples[rank] = t.startSamples
 	return st
 }
@@ -404,35 +382,15 @@ func (t *Trainer) updatePlan(l int) ([]opt.GradRange, [][]float32, float32) {
 	return parts, slabs, scale
 }
 
-// close stops the rank's gradient-sync goroutine.
-func (st *rankState) close() { close(st.jobs) }
-
-// syncLoop is the per-rank communication thread: it executes bucket
-// all-reduces in launch order, so collectives stay matched across ranks
-// while the training thread continues backpropagating. Once a collective
-// fails the communicator is poisoned, so later buckets are acknowledged
-// with the same error without touching the ring again.
-func (t *Trainer) syncLoop(st *rankState) {
-	grads := st.net.FlatGrads()
-	var failed error
-	for b := range st.jobs {
-		if failed == nil {
-			failed = t.comm.AllReduceSumRange(st.grank, grads, t.buckets[b].Lo, t.buckets[b].Hi)
-		}
-		st.acks <- failed
-	}
-}
-
 // rankLoop is the per-rank training thread. Collective calls must stay in
 // lock-step across ranks: every iteration performs exactly one status
 // all-reduce and, while any rank is active and the gradients ride the ring,
-// one gradient sync (a fixed sequence of bucket collectives). A collective
+// one collective per layer bucket, in the buckets' order. A collective
 // failure (dead peer, aborted ring) ends the loop with that error; it has
 // poisoned the communicator, which releases every sibling waiting at the
 // step barrier with the same error (see step for what the slab then holds).
 func (t *Trainer) rankLoop(rank int) error {
 	st := t.newRankState(rank)
-	defer st.close()
 	for {
 		cont, err := t.step(st)
 		if err != nil {
@@ -495,27 +453,18 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 		}
 		pred := st.net.Forward(bi)
 		trainLoss = st.lossFn.Forward(pred, bo)
-		dy := st.lossFn.Backward(pred, bo)
-		if t.ringGrads {
-			// Each layer's bucket is handed to the syncer the moment its
-			// gradients are final, overlapping the all-reduce with the
-			// rest of the backward pass.
-			st.net.BackwardWithHook(dy, st.hook)
-		} else {
-			st.net.Backward(dy)
-		}
+		st.net.Backward(st.lossFn.Backward(pred, bo))
 		t.metrics.CountKeys(st.keys[:n])
-	} else if t.ringGrads {
-		// Drained ranks contribute zero gradients but must join every
-		// collective, in the same bucket order the hook produces.
-		for b := range t.buckets {
-			st.jobs <- b
-			st.launched++
-		}
 	}
 	if t.ringGrads {
-		if err := t.syncGradients(st); err != nil {
-			return false, err
+		// The slab becomes the group's sum — summed, not averaged: the 1/n
+		// belongs to the update pass — one collective per layer bucket, in
+		// place. A drained rank joins each with its zero gradients.
+		grads := st.net.FlatGrads()
+		for _, bk := range t.buckets {
+			if err := t.comm.AllReduceSumRange(st.grank, grads, bk.Lo, bk.Hi); err != nil {
+				return false, err
+			}
 		}
 	}
 	// Every local gradient is final, and every sibling is done with the old
@@ -568,24 +517,6 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 		t.cfg.OnBatchEnd(st.localBatches)
 	}
 	return true, nil
-}
-
-// syncGradients completes the step's gradient synchronization on the ring:
-// it drains the bucket collectives the backward hook launched. On return
-// every rank's gradient slab holds the same sum over all ranks — summed,
-// not averaged: the 1/n belongs to whoever applies a slice of it (see
-// step) — matching the all-reduce of §3.1. The collectives operate on the
-// slab in place — no gather/scatter staging. On a collective failure the
-// first error is returned — after draining every in-flight bucket, so the
-// syncer goroutine is never left blocked — and the gradients are unusable.
-func (t *Trainer) syncGradients(st *rankState) error {
-	var failed error
-	for ; st.launched > 0; st.launched-- {
-		if err := <-st.acks; err != nil && failed == nil {
-			failed = err
-		}
-	}
-	return failed
 }
 
 // RestoreState loads checkpointed weights and optimizer state into the

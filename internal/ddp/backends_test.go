@@ -422,23 +422,41 @@ func BenchmarkAllReduceTCP(b *testing.B) {
 // ranks of one process enter one collective with buffers of different
 // lengths. Both ranks must get an error (not a panic, not a read past the
 // shorter buffer), and the communicator stays poisoned — in-process, and in
-// a process on a socket ring, whose peers here never enter.
+// a process on a socket ring. There the other process's ranks enter the
+// same collective with matching buffers, and they must fail too, with a
+// dead or aborted link, instead of waiting for frames that never come.
 func TestMismatchedHopFailsCollective(t *testing.T) {
 	for _, ly := range []layout{{"in-process/n=2", 0, 2, nil}, {"procs=2/local=2", 2, 2, nil}} {
 		t.Run(ly.name, func(t *testing.T) {
-			c := ly.group(t, transport.CodecF32)[0]
+			g := ly.group(t, transport.CodecF32)
+			c := g[0]
 			errs := make(chan error, 2)
 			for r, n := range []int{64, 48} {
 				go func(rank, n int) { errs <- c.AllReduceSum(rank, make([]float32, n)) }(r, n)
 			}
+			peerErrs := make(chan error, len(g)-2)
+			for r := 2; r < len(g); r++ {
+				go func(rank int) { peerErrs <- g[rank].AllReduceSum(rank, make([]float32, 64)) }(r)
+			}
+			timeout := time.After(10 * time.Second)
 			for r := 0; r < 2; r++ {
 				select {
 				case err := <-errs:
 					if err == nil || !strings.Contains(err.Error(), "-float buffer") {
 						t.Fatalf("mismatched collective returned %v", err)
 					}
-				case <-time.After(10 * time.Second):
+				case <-timeout:
 					t.Fatal("a rank hung on a mismatched collective")
+				}
+			}
+			for r := 2; r < len(g); r++ {
+				select {
+				case err := <-peerErrs:
+					if !errors.Is(err, transport.ErrLinkDead) && !errors.Is(err, transport.ErrRingAborted) {
+						t.Fatalf("peer process's collective returned %v, want a dead or aborted link", err)
+					}
+				case <-timeout:
+					t.Fatal("a peer process's rank hung on the mismatched collective")
 				}
 			}
 			if err := c.AllReduceSum(0, make([]float32, 1)); err == nil {

@@ -52,16 +52,14 @@
 // collective until the call returns; it is whole again, and the caller's
 // alone, the moment the call returns.
 //
-// # Bucketed overlap
+// # Layer buckets
 //
-// The range collectives (AllReduceSumRange) exist so the trainer can
-// overlap gradient synchronization with backpropagation: the flat gradient
-// slab is bucketed by layer boundaries (nn.Network.GradBuckets), and each
-// bucket's all-reduce is launched as soon as its layer's gradients are
-// final, while earlier layers are still back-propagating. Because every
-// bucket's reduction order is fixed by its own ring chunking, launching
-// buckets eagerly (overlapped) or after the full backward pass (serially)
-// produces bit-identical results.
+// Where the group spans processes, the trainer all-reduces its flat
+// gradient slab after backward as one range collective (AllReduceSumRange)
+// per layer bucket (nn.Network.GradBuckets), each chunked over the ranks on
+// its own, not the slab's, boundaries. The in-process update pass mirrors
+// exactly that chunking when it sums the slabs itself, so both give the
+// same bits.
 //
 // # Wire compression
 //
@@ -297,8 +295,8 @@ func (c *Comm) AllReduceSum(rank int, buf []float32) error {
 
 // AllReduceSumRange all-reduces buf[lo:hi] as an independent collective,
 // chunked relative to the range, and leaves the rest of buf untouched. It
-// is the bucketed-overlap primitive: every rank must issue the same
-// sequence of ranges in the same order. On a compressed ring this is the
+// is the trainer's per-layer-bucket collective: every rank must issue the
+// same sequence of ranges in the same order. On a compressed ring this is the
 // error-fed path: the absolute range offsets index the rank's
 // persistent residual slab (the caller contract — ranges into one stable
 // slab per rank, e.g. the flat gradient slab — is what makes residuals
@@ -335,10 +333,15 @@ func (c *Comm) allReduce(rank int, buf []float32, res []float32) error {
 // reduce is a collective's work, run by the last local rank to arrive. It
 // first checks the lockstep protocol's word that every local rank posted a
 // buffer of one length; a rank that broke it fails the collective for all
-// of them, and poisons the communicator like a dead link.
+// of them, and poisons the communicator like a dead link. On a socket ring
+// it also aborts the ring, so the peer processes, which would wait for this
+// process's frames for ever, fail too.
 func (c *Comm) reduce() error {
 	for l, b := range c.posted[1:] {
 		if len(b) != len(c.posted[0]) {
+			if c.ring != nil {
+				c.ring.Abort()
+			}
 			return fmt.Errorf("ddp: rank %d posted a %d-float buffer, rank %d a %d-float one",
 				c.offset+l+1, len(b), c.offset, len(c.posted[0]))
 		}

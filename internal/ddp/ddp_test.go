@@ -13,7 +13,8 @@ import (
 )
 
 // scaledMean averages buf across ranks the way the trainer does: the sum
-// collective, then one scale by 1/n (core.Trainer.syncGradients).
+// collective, then one scale by 1/n, which the trainer folds into its
+// update pass (opt.Adam.StepSum's scale).
 func scaledMean(c *Comm, rank int, buf []float32) {
 	c.AllReduceSum(rank, buf)
 	if n := c.Size(); n > 1 {

@@ -35,7 +35,7 @@ func TestCollectivesZeroAlloc(t *testing.T) {
 	const runs = 100
 	const elems = 1 << 12
 	// Two buckets of different sizes, issued in the same order by every
-	// rank — the shape of a two-layer network's overlap sync.
+	// rank — the shape of a two-layer network's gradient sync.
 	buckets := [][2]int{{0, 3000}, {3000, elems}}
 	collectives := []struct {
 		name string
@@ -78,8 +78,8 @@ func TestCollectivesZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkAllReduceRange measures the bucketed collective sweep the
-// overlap path issues per step (two layer buckets over a 64k slab),
+// BenchmarkAllReduceRange measures the bucketed collective sweep a ring
+// rank issues per step (two layer buckets over a 64k slab),
 // against BenchmarkAllReduce's single full-slab collective.
 func BenchmarkAllReduceRange(b *testing.B) {
 	const n = 4

@@ -93,21 +93,8 @@ func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
 // Backward propagates dy through the network in reverse, accumulating
 // parameter gradients, and returns the gradient w.r.t. the network input.
 func (n *Network) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	return n.BackwardWithHook(dy, nil)
-}
-
-// BackwardWithHook is Backward with a per-layer completion hook: hook(i)
-// runs immediately after layer i's Backward, at which point that layer's
-// parameter gradients (its GradBuckets range) are final for this
-// batch — no later Backward call touches them. The trainer uses it to
-// launch each gradient bucket's all-reduce while earlier layers are still
-// back-propagating. A nil hook makes it plain Backward.
-func (n *Network) BackwardWithHook(dy *tensor.Matrix, hook func(layer int)) *tensor.Matrix {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		dy = n.Layers[i].Backward(dy)
-		if hook != nil {
-			hook(i)
-		}
 	}
 	return dy
 }
@@ -118,17 +105,15 @@ type GradBucket struct {
 	Lo, Hi int
 }
 
-// GradBuckets returns the layers' slab ranges in reverse layer order — the
-// order Backward finalizes their gradients, and therefore the order
-// bucketed-overlap synchronization must launch their collectives: bucket b
-// belongs to layer len(Layers)-1-b.
+// GradBuckets returns the layers' slab ranges in layer order: bucket i is
+// layer i's. A trainer whose group spans processes all-reduces its gradient
+// slab one bucket at a time, in this order on every rank.
 func (n *Network) GradBuckets() []GradBucket {
 	buckets := make([]GradBucket, len(n.Layers))
-	hi := len(n.flatValues)
-	for b := range buckets {
-		d := n.Layers[len(n.Layers)-1-b]
-		buckets[b] = GradBucket{Lo: hi - (d.In()+1)*d.Out(), Hi: hi}
-		hi = buckets[b].Lo
+	lo := 0
+	for i, d := range n.Layers {
+		buckets[i] = GradBucket{Lo: lo, Hi: lo + (d.In()+1)*d.Out()}
+		lo = buckets[i].Hi
 	}
 	return buckets
 }

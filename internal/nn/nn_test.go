@@ -500,71 +500,30 @@ func TestTrainingReducesLoss(t *testing.T) {
 	}
 }
 
-// TestLayerParamRangesTileSlab verifies the bucket layout the overlapped
-// gradient sync relies on: GradBuckets returns one range per layer in
-// reverse layer order — the order Backward finalizes their gradients — and
-// each is exactly where that layer's weight and bias views lie, the ranges
-// tiling [0, NumParams).
+// TestLayerParamRangesTileSlab verifies the bucket layout the ring's
+// per-layer gradient collectives rely on: GradBuckets returns one range per
+// layer in layer order, each exactly where that layer's weight and bias
+// views lie, the ranges tiling [0, NumParams).
 func TestLayerParamRangesTileSlab(t *testing.T) {
 	net := ArchitectureMLP(3, []int{4, 5}, 2, 1)
 	buckets := net.GradBuckets()
 	if len(buckets) != len(net.Layers) {
 		t.Fatalf("got %d buckets for %d layers", len(buckets), len(net.Layers))
 	}
-	grads, hi := net.FlatGrads(), net.NumParams()
+	grads, lo := net.FlatGrads(), 0
 	for i, bk := range buckets {
-		d := net.Layers[len(net.Layers)-1-i]
+		d := net.Layers[i]
 		w, b := d.w.Grad.Data, d.b.Grad.Data
-		if bk.Hi != hi || bk.Hi-bk.Lo != len(w)+len(b) {
-			t.Fatalf("bucket %d is %+v, want %d elems ending at %d", i, bk, len(w)+len(b), hi)
+		if bk.Lo != lo || bk.Hi-bk.Lo != len(w)+len(b) {
+			t.Fatalf("bucket %d is %+v, want %d elems starting at %d", i, bk, len(w)+len(b), lo)
 		}
 		if &w[0] != &grads[bk.Lo] || &b[len(b)-1] != &grads[bk.Hi-1] {
 			t.Fatalf("bucket %+v is not where %s's gradients lie", bk, d.name)
 		}
-		hi = bk.Lo
+		lo = bk.Hi
 	}
-	if hi != 0 {
-		t.Fatalf("buckets leave [0,%d) uncovered", hi)
-	}
-}
-
-// TestBackwardWithHookOrder verifies the hook contract: hook(i) fires once
-// per layer, in reverse layer order, and by the time it fires the layer's
-// gradient range is populated.
-func TestBackwardWithHookOrder(t *testing.T) {
-	net := ArchitectureMLP(3, []int{4}, 2, 2)
-	x := tensor.New(2, 3)
-	for i := range x.Data {
-		x.Data[i] = float32(i) * 0.1
-	}
-	target := tensor.New(2, 2)
-	loss := NewMSELoss()
-	pred := net.Forward(x)
-	loss.Forward(pred, target)
-
-	var order []int
-	net.BackwardWithHook(loss.Backward(pred, target), func(layer int) {
-		order = append(order, layer)
-		bk := net.GradBuckets()[len(net.Layers)-1-layer]
-		nonzero := false
-		for _, g := range net.FlatGrads()[bk.Lo:bk.Hi] {
-			if g != 0 {
-				nonzero = true
-				break
-			}
-		}
-		if !nonzero {
-			t.Fatalf("layer %d hook fired with all-zero gradients", layer)
-		}
-	})
-	want := []int{1, 0} // fused hidden layer + output layer
-	if len(order) != len(want) {
-		t.Fatalf("hook fired %d times, want %d", len(order), len(want))
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("hook order %v, want %v", order, want)
-		}
+	if lo != net.NumParams() {
+		t.Fatalf("buckets leave [%d,%d) uncovered", lo, net.NumParams())
 	}
 }
 

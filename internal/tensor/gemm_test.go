@@ -246,7 +246,7 @@ func TestBlockedGemmZeroDims(t *testing.T) {
 // TestBlockedGemmDeterministicRepeat pins fixed-shape bit-reproducibility:
 // repeated runs on identical inputs — fanned out on a team with whatever
 // scheduling happens — must produce byte-identical output, the property
-// the DDP overlap/serial equivalence gates build on.
+// the DDP equivalence gates across layouts build on.
 func TestBlockedGemmDeterministicRepeat(t *testing.T) {
 	forceGemmMode(t, gemmBlocked)
 	tm := NewTeam(2)

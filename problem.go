@@ -10,23 +10,8 @@ import (
 	"melissa/internal/solver"
 )
 
-// Simulator is one running ensemble member: a stepwise time integrator
-// over a flattened field. Problems return Simulators from NewSimulator;
-// the framework drives them step by step so clients can stream every
-// computed field and resume from checkpoints.
-type Simulator interface {
-	// StepOnce advances the field by one time step.
-	StepOnce() error
-	// StepIndex returns the number of completed time steps.
-	StepIndex() int
-	// Field returns the current flattened field. The slice may alias
-	// internal state; callers must copy before the next step if they
-	// retain it.
-	Field() []float64
-	// Restore resets the simulator to a checkpointed state: the field
-	// after the given completed step.
-	Restore(step int, field []float64) error
-}
+// Simulator is one running ensemble member, stepped by the framework.
+type Simulator = solver.Simulator
 
 // Normalizer maps a problem's raw streamed samples (physical units) into
 // network input and target rows, and predictions back. Keeping
