@@ -158,11 +158,11 @@ func main() {
 	scfg.OnUnresponsive = func(id int32) {
 		fmt.Fprintf(os.Stderr, "melissa-server: client %d unresponsive\n", id)
 	}
-	// Periodic surrogate publishing: at a synchronized step boundary on
-	// global rank 0, snapshot the weights into a servable checkpoint and
-	// atomically replace -surrogate-out, so a watching melissa-serve
-	// hot-reloads each publish. Failures are reported, never fatal — the
-	// previous publish stays valid.
+	// Periodic surrogate publishing: at the step's closing barrier, in the
+	// process hosting global rank 0, snapshot the weights into a servable
+	// checkpoint and atomically replace -surrogate-out, so a watching
+	// melissa-serve hot-reloads each publish. Failures are reported, never
+	// fatal — the previous publish stays valid.
 	var srv *server.Server
 	publish := func() error {
 		tr := srv.Trainer()
@@ -178,7 +178,7 @@ func main() {
 	if *surOut != "" && *pubEvery > 0 {
 		prev := scfg.Trainer.OnBatchEnd
 		scfg.Trainer.OnBatchEnd = func(batches int) {
-			if batches%*pubEvery == 0 {
+			if batches%*pubEvery == 0 && srv.Trainer().Comm().RankOffset() == 0 {
 				if err := publish(); err != nil {
 					fmt.Fprintf(os.Stderr, "melissa-server: surrogate publish failed: %v\n", err)
 				}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -179,7 +181,7 @@ func TestRestoreStateAllOrNothing(t *testing.T) {
 	if !bytes.Equal(w0, w1) || !bytes.Equal(o0, o1) {
 		t.Fatal("a refused restore changed the trainer")
 	}
-	if tr.startBatches != 0 || tr.Metrics().Telemetry().Value(telemetry.Batches) != 0 {
+	if tr.batches != 0 || tr.samples != 0 || tr.Metrics().Telemetry().Value(telemetry.Batches) != 0 {
 		t.Fatal("a refused restore moved the counters")
 	}
 	checkSharedState(t, tr, "after a refused restore")
@@ -193,13 +195,13 @@ func TestRestoreStateAllOrNothing(t *testing.T) {
 // test of the same name in ddp.
 func TestBarrierBrokenByFailedRank(t *testing.T) {
 	// End to end: a 3-rank run that nothing else would end has its
-	// communicator aborted at a step and on a rank the seed picks — from
-	// inside the step hook (the siblings are past that step's barrier, parked
-	// in the next status all-reduce), or a seeded number of yields later from
-	// a free goroutine (anywhere in a later step, including after one rank's
-	// last collective has returned and before another's has). Whichever rank
-	// fails first, Run must come back with the abort; it returns only when
-	// every rank goroutine has, so nobody is left at the barrier.
+	// communicator aborted at a step the seed picks — from inside the step's
+	// boundary work (the siblings are parked at the closing barrier, waiting
+	// for it), or a seeded number of yields later from a free goroutine
+	// (anywhere in a later step, including after one rank's last collective
+	// has returned and before another's has). Whichever rank fails first,
+	// Run must come back with the abort; it returns only when every rank
+	// goroutine has, so nobody is left at the barrier.
 	t.Run("run", func(t *testing.T) {
 		runs := 100
 		if testing.Short() {
@@ -208,14 +210,14 @@ func TestBarrierBrokenByFailedRank(t *testing.T) {
 		rng := rand.New(rand.NewPCG(transport.ChaosSeed(42), 23))
 		for i := 0; i < runs; i++ {
 			const ranks = 3
-			atStep, onRank, yields := 1+rng.IntN(12), rng.IntN(ranks), rng.IntN(400)
+			atStep, yields := 1+rng.IntN(12), rng.IntN(400)
 			comm := ddp.NewCommunicator(ranks)
 			var aborter sync.WaitGroup
 			tr := prefilledTrainer(t, ranks, 480, false, func(c *TrainerConfig) {
 				c.Comm = comm
-				c.OnLocalBatchEnd = func(rank, batches int) {
+				c.OnBatchEnd = func(batches int) {
 					switch {
-					case rank != onRank || batches != atStep:
+					case batches != atStep:
 					case i%2 == 0:
 						comm.Abort()
 					default:
@@ -233,8 +235,76 @@ func TestBarrierBrokenByFailedRank(t *testing.T) {
 			err := runTrainer(t, tr, context.Background())
 			aborter.Wait()
 			if !errors.Is(err, transport.ErrRingAborted) {
-				t.Fatalf("run %d (abort from rank %d at step %d, %d yields): Run returned %v, want an error wrapping ErrRingAborted", i, onRank, atStep, yields, err)
+				t.Fatalf("run %d (abort at step %d, %d yields): Run returned %v, want an error wrapping ErrRingAborted", i, atStep, yields, err)
 			}
 		}
 	})
+}
+
+// TestStepBoundaryOncePerProcess pins the step boundary: OnBatchEnd(b) runs
+// once per process per step, on whichever local rank reaches the closing
+// barrier last, while every local buffer has given exactly b batches — no
+// rank has extracted its next — and Samples() is the group's all-reduced
+// count. Only the process hosting global rank 0 validates. FIFO buffers
+// preloaded with whole batches make every step's figures known.
+func TestStepBoundaryOncePerProcess(t *testing.T) {
+	const batch, steps, every = 5, 6, 2
+	norm := NewHeatNormalizer(32, 1)
+	spec := ModelSpec{InputDim: norm.InputDim(), Hidden: []int{16}, OutputDim: norm.OutputDim(), Seed: 5}
+	for _, shape := range []struct{ procs, local int }{{1, 2}, {1, 3}, {2, 2}} {
+		t.Run(fmt.Sprintf("procs=%d/local=%d", shape.procs, shape.local), func(t *testing.T) {
+			ranks := shape.procs * shape.local
+			bufs := fifoRankBufs(t, norm, ranks, ranks*batch*steps)
+			trainers := make([]*Trainer, shape.procs)
+			ends := make([][]int, shape.procs) // process p's OnBatchEnd arguments, in order
+			proc := 0
+			boundary := func(c *TrainerConfig) {
+				p := proc
+				proc++
+				c.BatchSize = batch
+				c.Validation, c.ValidateEvery = NewValidationSet(norm, hotPathSamples(norm, 8)), every
+				c.OnBatchEnd = func(b int) {
+					ends[p] = append(ends[p], b)
+					for l, buf := range bufs[p*shape.local : (p+1)*shape.local] {
+						if got, want := testbuf.Peek(buf).Len, batch*(steps-b); got != want {
+							t.Errorf("proc %d, boundary %d: local rank %d's buffer holds %d samples, want %d", p, b, l, got, want)
+						}
+					}
+					if got, want := trainers[p].Samples(), b*batch*ranks; got != want {
+						t.Errorf("proc %d, boundary %d: Samples() = %d, want %d", p, b, got, want)
+					}
+				}
+			}
+			if shape.procs == 1 {
+				cfg := TrainerConfig{Ranks: shape.local, Model: spec, Normalizer: norm}
+				boundary(&cfg)
+				tr, err := NewTrainer(cfg, bufs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				trainers[0] = tr
+				if err := runTrainer(t, tr, context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				copy(trainers, codecTrainerGroup(t, shape.procs, shape.local, transport.CodecF32, bufs, spec, norm, boundary))
+				runTrainerGroup(t, trainers)
+			}
+			for p, tr := range trainers {
+				if want := []int{1, 2, 3, 4, 5, 6}; !slices.Equal(ends[p], want) {
+					t.Errorf("proc %d: OnBatchEnd ran at boundaries %v, want once at each of %v", p, ends[p], want)
+				}
+				var at, want []int
+				for _, v := range tr.Metrics().Validation() {
+					at = append(at, v.Batch)
+				}
+				if tr.Comm().RankOffset() == 0 {
+					want = []int{2, 4, 6}
+				}
+				if !slices.Equal(at, want) {
+					t.Errorf("proc %d (global ranks from %d): validated at boundaries %v, want %v", p, tr.Comm().RankOffset(), at, want)
+				}
+			}
+		})
+	}
 }

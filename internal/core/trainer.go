@@ -27,8 +27,8 @@ type TrainerConfig struct {
 	// is its global rank RankOffset()+l. It must host exactly Ranks local
 	// ranks. Nil builds an in-process ring over Ranks. A communicator over
 	// an inter-process ring (ddp.NewHierComm) lets several processes train
-	// as one group. Metrics, validation and checkpoints belong to global
-	// rank 0.
+	// as one group. Metrics and validation belong to the process hosting
+	// global rank 0.
 	Comm *ddp.Comm
 
 	// Metrics, when non-nil, is the collector the trainer records into
@@ -57,18 +57,14 @@ type TrainerConfig struct {
 
 	TrackOccurrences bool
 
-	// OnBatchEnd, when set, runs on global rank 0 after every synchronized
-	// step (other ranks stall at the next collective meanwhile). The
-	// server uses it to take periodic checkpoints at a consistent
-	// boundary.
+	// OnBatchEnd, when set, runs once per process after every synchronized
+	// step, at the step's closing barrier: on whichever local rank arrives
+	// there last, after validation, while every other local rank waits.
+	// Every rank has applied its slice of the update and none has extracted
+	// its next batch, so the weights, the optimizer state, the buffers and
+	// Samples are one consistent cut of the process. The server writes its
+	// checkpoints from here.
 	OnBatchEnd func(batches int)
-
-	// OnLocalBatchEnd, when set, runs on every local rank after each
-	// synchronized step, once the optimizer update has been applied, with
-	// the rank's local index and batch count. Unlike OnBatchEnd it fires
-	// on every rank: the elastic group checkpoints use it to write
-	// per-rank shards at a consistent step boundary.
-	OnLocalBatchEnd func(rank, batches int)
 }
 
 func (c TrainerConfig) validate() error {
@@ -101,6 +97,10 @@ func (c TrainerConfig) validate() error {
 // so the slab holds exactly what L full updates of L copies would have left
 // in each of them.
 //
+// That second barrier is the process's one step boundary. Its last arrival
+// runs the boundary's work alone (boundary): validation, then OnBatchEnd,
+// once per process per step, while no rank can extract its next batch.
+//
 // Where the group spans processes, the gradient rides the ring: once its
 // backward is done, each rank all-reduces its slab one layer bucket at a
 // time, and rank l's pass reads the sum from its own slab. Where every rank
@@ -121,8 +121,9 @@ type Trainer struct {
 	opts  []*opt.Adam
 	teams []*tensor.Team // per local rank; nil where the rank's share is one core
 	// comm carries the collectives, and its Meet is the step's barrier,
-	// passed twice: once every gradient is final, once every slice of the
-	// update is written.
+	// passed twice: once every gradient is final (its work counts the
+	// step), once every slice of the update is written (its work is
+	// boundary).
 	comm    *ddp.Comm
 	metrics *Metrics
 	// ringGrads: the group spans processes, so the gradients are summed by
@@ -133,16 +134,12 @@ type Trainer struct {
 	// each on the ring, identical across replicas (nn.Network.GradBuckets).
 	buckets []nn.GradBucket
 
-	// localSamples[r] is local rank r's count of the group's cumulative
-	// samples, the one the learning-rate schedule reads. It advances
-	// identically on every rank of the group because it is derived from the
-	// all-reduced per-step count.
-	localSamples []int
-
-	// startBatches/startSamples seed the counters after a checkpoint
-	// restore so learning-rate schedules resume where they left off.
-	startBatches int
-	startSamples int
+	// batches and samples are the process's count of the group's steps and
+	// of the samples they trained, the one the learning-rate schedule reads
+	// and a checkpoint records. They advance identically in every process,
+	// from the all-reduced per-step count, in the work of each step's first
+	// Meet; RestoreState seeds them.
+	batches, samples int
 
 	// wireBase is the registry's wire-byte gauges when Run started: the
 	// communicator counts from zero, and the gauges span every trainer the
@@ -183,15 +180,14 @@ func NewTrainer(cfg TrainerConfig, bufs []*buffer.Blocking) (*Trainer, error) {
 		metrics = NewMetrics(cfg.TrackOccurrences)
 	}
 	t := &Trainer{
-		cfg:          cfg,
-		bufs:         bufs,
-		nets:         make([]*nn.Network, cfg.Ranks),
-		opts:         make([]*opt.Adam, cfg.Ranks),
-		teams:        make([]*tensor.Team, cfg.Ranks),
-		comm:         comm,
-		metrics:      metrics,
-		ringGrads:    comm.Size() != comm.LocalRanks(),
-		localSamples: make([]int, cfg.Ranks),
+		cfg:       cfg,
+		bufs:      bufs,
+		nets:      make([]*nn.Network, cfg.Ranks),
+		opts:      make([]*opt.Adam, cfg.Ranks),
+		teams:     make([]*tensor.Team, cfg.Ranks),
+		comm:      comm,
+		metrics:   metrics,
+		ringGrads: comm.Size() != comm.LocalRanks(),
 	}
 	if cfg.InitialWeights != nil {
 		if err := base.LoadWeights(bytes.NewReader(cfg.InitialWeights)); err != nil {
@@ -309,10 +305,9 @@ type rankState struct {
 	// the batch matrices while the buffer lock is held (the payload may
 	// alias an arena row that is recycled as soon as the callback
 	// returns). Both are allocated once so the step stays allocation-free.
-	keys         []buffer.Key
-	fill         func(i int, s buffer.Sample)
-	status       [3]float32 // [active ranks, samples this step, ranks that saw the run stopped]
-	localBatches int
+	keys   []buffer.Key
+	fill   func(i int, s buffer.Sample)
+	status [3]float32 // [active ranks, samples this step, ranks that saw the run stopped]
 
 	// parts, zero and scale are the rank's share of the optimizer pass (see
 	// updatePlan).
@@ -325,22 +320,20 @@ type rankState struct {
 func (t *Trainer) newRankState(rank int) *rankState {
 	norm := t.cfg.Normalizer
 	st := &rankState{
-		rank:         rank,
-		grank:        t.comm.RankOffset() + rank,
-		net:          t.nets[rank],
-		optimizer:    t.opts[rank],
-		lossFn:       nn.NewMSELoss(),
-		in:           tensor.New(t.cfg.BatchSize, norm.InputDim()),
-		out:          tensor.New(t.cfg.BatchSize, norm.OutputDim()),
-		keys:         make([]buffer.Key, t.cfg.BatchSize),
-		localBatches: t.startBatches,
+		rank:      rank,
+		grank:     t.comm.RankOffset() + rank,
+		net:       t.nets[rank],
+		optimizer: t.opts[rank],
+		lossFn:    nn.NewMSELoss(),
+		in:        tensor.New(t.cfg.BatchSize, norm.InputDim()),
+		out:       tensor.New(t.cfg.BatchSize, norm.OutputDim()),
+		keys:      make([]buffer.Key, t.cfg.BatchSize),
 	}
 	st.fill = func(i int, s buffer.Sample) {
 		norm.Apply(s, st.in.Row(i), st.out.Row(i))
 		st.keys[i] = s.Key()
 	}
 	st.parts, st.zero, st.scale = t.updatePlan(rank)
-	t.localSamples[rank] = t.startSamples
 	return st
 }
 
@@ -394,7 +387,7 @@ func (t *Trainer) rankLoop(rank int) error {
 	for {
 		cont, err := t.step(st)
 		if err != nil {
-			return fmt.Errorf("core: rank %d stopped at batch %d: %w", st.grank, st.localBatches, err)
+			return fmt.Errorf("core: rank %d stopped at batch %d: %w", st.grank, t.batches, err)
 		}
 		if !cont {
 			return nil
@@ -410,8 +403,8 @@ func (t *Trainer) rankLoop(rank int) error {
 // returned no error, and a failed run's weights are restored from a
 // checkpoint, never read. The gradient slabs are all zero between steps.
 func (t *Trainer) step(st *rankState) (bool, error) {
-	if t.cfg.MaxBatches > 0 && st.localBatches >= t.cfg.MaxBatches {
-		// The batch counter advances identically on every rank, so all
+	if t.cfg.MaxBatches > 0 && t.batches >= t.cfg.MaxBatches {
+		// The batch counter advances identically in every process, so all
 		// ranks exit here on the same iteration.
 		return false, nil
 	}
@@ -439,7 +432,6 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	if st.status[0] == 0 {
 		return false, nil // every buffer drained
 	}
-	stepSamples := int(st.status[1] + 0.5)
 
 	var trainLoss float64
 	if ok {
@@ -469,58 +461,63 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 	}
 	// Every local gradient is final, and every sibling is done with the old
 	// weights and, on the ring, with its own slab's collectives: the pass
-	// may read and clear any slab.
-	if err := t.comm.Meet(st.grank); err != nil {
+	// may read and clear any slab. The last to arrive counts the step.
+	if err := t.comm.Meet(st.grank, func() error {
+		t.batches++
+		t.samples += int(st.status[1] + 0.5)
+		return nil
+	}); err != nil {
 		return false, err
 	}
 
-	// Every rank, global rank 0 included, schedules from its own count: the
-	// metrics may have counted steps this trainer's weights never took (an
-	// aborted epoch the group re-formed from without a checkpoint).
-	st.localBatches++
-	t.localSamples[st.rank] += stepSamples
-	samples := t.localSamples[st.rank]
+	// Every process, global rank 0's included, schedules from its own count:
+	// the metrics may have counted steps this trainer's weights never took
+	// (an aborted epoch the group re-formed from without a checkpoint).
 	if st.grank == 0 {
 		t.metrics.tel.Add(telemetry.Batches, 1)
-		t.metrics.tel.Add(telemetry.Samples, stepSamples)
+		t.metrics.tel.Add(telemetry.Samples, int(st.status[1]+0.5))
 		if ok {
-			t.metrics.RecordTrainLoss(st.localBatches, samples, trainLoss)
+			t.metrics.RecordTrainLoss(t.batches, t.samples, trainLoss)
 		}
 		sent, recv := t.comm.WireBytes()
 		t.metrics.tel.Set(telemetry.WireSent, t.wireBase[0]+int(sent))
 		t.metrics.tel.Set(telemetry.WireRecv, t.wireBase[1]+int(recv))
 	}
 	if t.cfg.Schedule != nil {
-		st.optimizer.SetLR(t.cfg.Schedule.LR(samples))
+		st.optimizer.SetLR(t.cfg.Schedule.LR(t.samples))
 	}
 	// This rank sums, averages and applies its share of the gradient, slice
 	// rank of Ranks of the process's slab, and clears that slice of every
-	// local gradient slab. The barrier keeps validation, the hooks and every
-	// sibling's next forward and backward from a half-written slab.
+	// local gradient slab. The barrier keeps the boundary and every
+	// sibling's next forward and backward from a half-written slab; its last
+	// arrival runs the boundary.
 	st.optimizer.StepSum(st.net.FlatParams(), st.parts, st.zero, st.scale)
-	if err := t.comm.Meet(st.grank); err != nil {
+	if err := t.comm.Meet(st.grank, t.boundary); err != nil {
 		return false, err
-	}
-
-	if st.grank == 0 && t.cfg.Validation != nil && t.cfg.ValidateEvery > 0 && st.localBatches%t.cfg.ValidateEvery == 0 {
-		// §4.4: validation runs on the training thread while holding
-		// the buffer mutex; incoming data queue up in the transport.
-		t.bufs[0].WithLock(func(*buffer.Policy) {
-			v := Validate(st.net, t.cfg.Validation, t.cfg.BatchSize*4)
-			t.metrics.RecordValidation(st.localBatches, samples, v)
-		})
-	}
-	if t.cfg.OnLocalBatchEnd != nil {
-		t.cfg.OnLocalBatchEnd(st.rank, st.localBatches)
-	}
-	if st.grank == 0 && t.cfg.OnBatchEnd != nil {
-		t.cfg.OnBatchEnd(st.localBatches)
 	}
 	return true, nil
 }
 
+// boundary is the process's step boundary, run by the last local rank to
+// reach the step's closing Meet while the others wait: every rank has
+// written its slice of the update and none has extracted its next batch. It
+// validates when due, in the process hosting global rank 0 — §4.4: on the
+// training thread, holding rank 0's buffer mutex, so incoming data queue up
+// in the transport — and then runs OnBatchEnd.
+func (t *Trainer) boundary() error {
+	if t.comm.RankOffset() == 0 && t.cfg.Validation != nil && t.cfg.ValidateEvery > 0 && t.batches%t.cfg.ValidateEvery == 0 {
+		t.bufs[0].WithLock(func(*buffer.Policy) {
+			t.metrics.RecordValidation(t.batches, t.samples, Validate(t.nets[0], t.cfg.Validation, t.cfg.BatchSize*4))
+		})
+	}
+	if t.cfg.OnBatchEnd != nil {
+		t.cfg.OnBatchEnd(t.batches)
+	}
+	return nil
+}
+
 // RestoreState loads checkpointed weights and optimizer state into the
-// process's slab and moments and seeds the global counters, so a restarted
+// process's slab and moments and sets its counters, so a restarted
 // server resumes the exact training trajectory (§3.1). Must be called before
 // Run. It installs both blocks or, on an error, neither: the moments are
 // decoded aside and checked against the model first, and LoadWeights writes
@@ -537,16 +534,15 @@ func (t *Trainer) RestoreState(weights, optState []byte, batches, samples int) e
 		return fmt.Errorf("core: restoring weights: %w", err)
 	}
 	t.shareOptimizer(restored)
-	t.startBatches = batches
-	t.startSamples = samples
+	t.batches, t.samples = batches, samples
 	t.metrics.tel.Set(telemetry.Batches, batches)
 	t.metrics.tel.Set(telemetry.Samples, samples)
 	return nil
 }
 
 // CaptureState serializes the process's weights and optimizer state for a
-// checkpoint. Call only from OnBatchEnd (a consistent step boundary) or
-// after Run returns.
+// checkpoint. Call it only from OnBatchEnd, where no local rank is
+// training, or after Run returns.
 func (t *Trainer) CaptureState() (weights, optState []byte, err error) {
 	var wbuf, obuf bytes.Buffer
 	wbuf.Grow(t.nets[0].WeightsSize())
@@ -560,10 +556,8 @@ func (t *Trainer) CaptureState() (weights, optState []byte, err error) {
 	return wbuf.Bytes(), obuf.Bytes(), nil
 }
 
-// LocalSamples returns local rank r's count of the group's cumulative
-// samples, the one its learning-rate schedule reads. It advances
-// identically on every rank (it derives from the all-reduced per-step
-// count), so any rank can checkpoint it. Call it only from OnLocalBatchEnd
-// or after Run returns — it reads the rank's counter without
-// synchronization.
-func (t *Trainer) LocalSamples(rank int) int { return t.localSamples[rank] }
+// Samples returns the process's count of the group's cumulative samples,
+// the one the learning-rate schedule reads and a checkpoint records. It is
+// the same in every process of the group. Call it only from OnBatchEnd or
+// after Run returns: the ranks advance it without a lock.
+func (t *Trainer) Samples() int { return t.samples }

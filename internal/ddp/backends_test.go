@@ -370,7 +370,7 @@ func TestAbortUnwedgesParkedRanks(t *testing.T) {
 			if err := c.AllReduceSum(0, make([]float32, 1)); !errors.Is(err, transport.ErrRingAborted) {
 				t.Fatalf("collective on a poisoned communicator returned %v", err)
 			}
-			if err := c.Meet(0); !errors.Is(err, transport.ErrRingAborted) {
+			if err := c.Meet(0, nil); !errors.Is(err, transport.ErrRingAborted) {
 				t.Fatalf("Meet on a poisoned communicator returned %v", err)
 			}
 		})

@@ -11,10 +11,11 @@ import (
 
 // barrier holds the n local ranks of a Comm until all of them have arrived.
 // The last to arrive runs the round's work, alone, before it releases the
-// others: that is how a collective's reduction runs, and a round without
-// work (Comm.Meet) is a plain barrier. It can be broken: after fail every
-// waiter and every later arrival returns the error instead of waiting for a
-// rank that will not come — but a waiter whose round's work is running
+// others: that is how a collective's reduction runs and how the trainer's
+// step boundary runs (Comm.Meet), and a round without work is a plain
+// barrier. It can be broken: after fail every waiter and every later
+// arrival returns the error instead of waiting for a rank that will not
+// come — but a waiter whose round's work is running
 // waits for it to finish, so the work never touches a buffer whose owner
 // has returned. A waiter spins, yielding, for tensor.SpinWindow before it
 // parks: the ranks arrive within microseconds of each other, and a parked

@@ -43,7 +43,11 @@
 // gradient slabs directly, so its update pass adds them itself, chunk by
 // chunk in the ring's order (ChunkRange), and the weights come out the same
 // bits in all three layouts; the in-process collective carries only the
-// per-step status, and Meet is the step's barrier.
+// per-step status. Meet is the step's barrier, and the trainer hands it a
+// round's work as a collective hands it the reduction: the last arrival
+// counts the step at the first Meet and runs the process's step boundary
+// (validation, then OnBatchEnd, where the server checkpoints) at the
+// second.
 //
 // Collectives operate directly on the caller's flat buffer — for training,
 // nn.Network.FlatGrads — so there is no gather/scatter staging copy, and
@@ -231,13 +235,16 @@ func (c *Comm) Abort() {
 }
 
 // Meet holds local rank rank until every local rank of this process has
-// called it: the trainer's step barrier. It returns the communicator's
-// error once a collective or Abort has poisoned it, so no rank waits for a
-// sibling that failed. Meets and collectives are rounds of one barrier,
-// so every local rank must issue them in the same order.
-func (c *Comm) Meet(rank int) error {
+// called it: the trainer's step barrier. The last to arrive runs work, when
+// it is not nil, alone, before it releases the others — the round's work,
+// which may read anything its siblings wrote before they arrived; an error
+// from it poisons the communicator. Meet returns the communicator's error
+// once a collective, a round's work or Abort has poisoned it, so no rank
+// waits for a sibling that failed. Meets and collectives are rounds of one
+// barrier, so every local rank must issue them in the same order.
+func (c *Comm) Meet(rank int, work func() error) error {
 	c.localOf(rank)
-	return c.bar.wait(nil)
+	return c.bar.wait(work)
 }
 
 // localOf returns the local index of a rank hosted here. Any other rank is

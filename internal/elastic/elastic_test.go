@@ -248,7 +248,7 @@ func (h *groupHarness) app(memberID int) func(ctx context.Context, sess *elastic
 			Normalizer: norm,
 			MaxBatches: egMaxBatches,
 		}
-		cfg.OnLocalBatchEnd = func(_, batches int) {
+		cfg.OnBatchEnd = func(batches int) {
 			if batches%egCkptEvery == 0 {
 				w, o, err := tr.CaptureState()
 				if err != nil {
@@ -262,7 +262,7 @@ func (h *groupHarness) app(memberID int) func(ctx context.Context, sess *elastic
 				// the group checkpoint protocol tolerates the missing shard.
 				sess.SaveShard(&elastic.State{
 					Batch:    batches,
-					Samples:  tr.LocalSamples(0),
+					Samples:  tr.Samples(),
 					Weights:  w,
 					OptState: o,
 					App:      encodeSnap(seen, unseen),

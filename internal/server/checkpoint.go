@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"slices"
-	"sync"
 
 	"melissa/internal/buffer"
 	"melissa/internal/core"
@@ -26,80 +25,44 @@ type ingestState struct {
 	BufUnseen [][]buffer.Sample
 }
 
-// boundaries assembles the checkpoints of one trainer run. Ranks reach a
-// batch boundary up to one batch apart in wall time, so no single instant
-// shows all of them at it: each rank contributes its ingest state at its
-// own OnLocalBatchEnd, before it extracts the next batch, and the last rank
-// to arrive — at which point no rank can have applied the next batch's
-// update, so the replica weights still hold the boundary state — adds
-// weights and optimizer state (ingestState.state) and owns the write. The
-// accumulator is per run: a boundary an aborted epoch left half-assembled
-// must not count towards the next epoch's capture of the same batch.
-type boundaries struct {
-	s       *Server
-	mu      sync.Mutex
-	pending map[int]*boundary
-}
-
-type boundary struct {
-	arrived int
-	ingest  ingestState
-}
-
-func newBoundaries(s *Server) *boundaries {
-	return &boundaries{s: s, pending: make(map[int]*boundary)}
-}
-
-// capture records local rank's ingest state at the boundary it just
-// reached; call it from the rank's own OnLocalBatchEnd. It returns nil
-// until the boundary's last rank arrives, then the complete ingest state.
-func (bs *boundaries) capture(rank, batches int) *ingestState {
-	s := bs.s
-	a := s.aggs[rank]
-	if s.journals != nil {
-		s.journals[rank].mark(batches)
-	}
-	// One cut of the rank: under the buffer lock nothing is inserted or
-	// extracted, and a frame is logged as received only inside the
-	// insertion's critical section (Server.commit), so the log copied here
-	// and the contents snapshotted here agree on every sample.
-	var sims map[int32]SimState
-	var seen, unseen []buffer.Sample
-	s.bufs[rank].WithLock(func(p *buffer.Policy) {
-		seen, unseen = p.Snapshot()
-		a.mu.Lock()
-		sims = make(map[int32]SimState, len(a.sims))
-		for id, st := range a.sims {
-			c := *st
-			c.Seen = append([]uint64(nil), st.Seen...)
-			sims[id] = c
-		}
-		a.mu.Unlock()
-	})
-
+// captureIngest takes the ingest cut of every local rank at a step
+// boundary, from the trainer's OnBatchEnd: every rank has trained its batch
+// and none has extracted its next, so the journals are marked and the cut
+// taken at one batch for all of them.
+func (s *Server) captureIngest(batches int) *ingestState {
 	ranks := s.cfg.Ranks
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	b, ok := bs.pending[batches]
-	if !ok {
-		b = &boundary{ingest: ingestState{
-			Sims:      make([]map[int32]SimState, ranks),
-			BufSeen:   make([][]buffer.Sample, ranks),
-			BufUnseen: make([][]buffer.Sample, ranks),
-		}}
-		bs.pending[batches] = b
+	ing := &ingestState{
+		Sims:      make([]map[int32]SimState, ranks),
+		BufSeen:   make([][]buffer.Sample, ranks),
+		BufUnseen: make([][]buffer.Sample, ranks),
 	}
-	b.ingest.Sims[rank], b.ingest.BufSeen[rank], b.ingest.BufUnseen[rank] = sims, seen, unseen
-	if b.arrived++; b.arrived < ranks {
-		return nil
+	for r, a := range s.aggs {
+		if s.journals != nil {
+			s.journals[r].mark(batches)
+		}
+		// One cut of the rank: under the buffer lock nothing is inserted or
+		// extracted, and a frame is logged as received only inside the
+		// insertion's critical section (Server.commit), so the log copied
+		// here and the contents snapshotted here agree on every sample.
+		s.bufs[r].WithLock(func(p *buffer.Policy) {
+			ing.BufSeen[r], ing.BufUnseen[r] = p.Snapshot()
+			a.mu.Lock()
+			sims := make(map[int32]SimState, len(a.sims))
+			for id, st := range a.sims {
+				c := *st
+				c.Seen = append([]uint64(nil), st.Seen...)
+				sims[id] = c
+			}
+			a.mu.Unlock()
+			ing.Sims[r] = sims
+		})
 	}
-	delete(bs.pending, batches)
-	return &b.ingest
+	return ing
 }
 
-// state completes a boundary: the ingest state capture returned to the last
-// rank to arrive, plus the replica state tr holds at that step edge.
-func (ing *ingestState) state(tr *core.Trainer, rank, batches int) (*elastic.State, error) {
+// state completes a boundary's checkpoint: the ingest cut plus the weights,
+// optimizer state and sample count tr holds at that step edge.
+func (ing *ingestState) state(tr *core.Trainer, batches int) (*elastic.State, error) {
 	w, o, err := tr.CaptureState()
 	if err != nil {
 		return nil, err
@@ -110,7 +73,7 @@ func (ing *ingestState) state(tr *core.Trainer, rank, batches int) (*elastic.Sta
 	}
 	return &elastic.State{
 		Batch:    batches,
-		Samples:  tr.LocalSamples(rank),
+		Samples:  tr.Samples(),
 		Weights:  w,
 		OptState: o,
 		App:      app.Bytes(),

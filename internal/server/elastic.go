@@ -97,8 +97,8 @@ func (j *retireJournal) record(s buffer.Sample) {
 }
 
 // mark records the current journal position for a batch boundary. Call at
-// the rank's own OnLocalBatchEnd, after the boundary's retires
-// (boundaries.capture does).
+// the step boundary, after the boundary's retires (Server.captureIngest
+// does).
 func (j *retireJournal) mark(batch int) {
 	j.mu.Lock()
 	j.marks[batch] = j.base + len(j.entries)

@@ -199,7 +199,7 @@ func TestElasticServerChaosKillReform(t *testing.T) {
 			},
 		}
 		if m == 1 {
-			cfg.Trainer.OnLocalBatchEnd = func(_, batches int) {
+			cfg.Trainer.OnBatchEnd = func(batches int) {
 				if srvs[1].Metrics().Telemetry().Value(telemetry.GroupEpoch) == 1 && batches == csKillBatch {
 					killOnce.Do(func() {
 						testchaos.Kill(srvs[1].member)

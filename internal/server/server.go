@@ -448,36 +448,32 @@ func (s *Server) Run(ctx context.Context) error {
 
 // train builds the trainer — the one place that does — over the session's
 // communicator, resumes it from restored when non-nil, and runs it. With a
-// CheckpointDir, every CheckpointEveryBatches-th step is a checkpoint
-// boundary: each rank contributes its cut as it gets there
-// (boundaries.capture) and the last to arrive saves the complete state as
-// the member's shard. A failed capture or save must not kill training; the
-// previous checkpoint remains valid.
+// CheckpointDir, every CheckpointEveryBatches-th step boundary saves the
+// process's state as the member's shard, from the trainer's OnBatchEnd
+// before the configured one runs. A failed capture or save must not kill
+// training; the previous checkpoint remains valid.
 func (s *Server) train(ctx context.Context, sess *elastic.Session, restored *elastic.State) error {
 	tcfg := s.cfg.Trainer
 	tcfg.Ranks, tcfg.Comm, tcfg.Metrics = s.cfg.Ranks, sess.Comm(), s.metrics
 	var tr *core.Trainer
 	if s.cfg.CheckpointDir != "" {
-		bounds := newBoundaries(s)
-		userHook := tcfg.OnLocalBatchEnd
-		tcfg.OnLocalBatchEnd = func(rank, batches int) {
+		userHook := tcfg.OnBatchEnd
+		tcfg.OnBatchEnd = func(batches int) {
 			if batches%s.cfg.CheckpointEveryBatches == 0 {
 				start := time.Now()
-				if ing := bounds.capture(rank, batches); ing != nil {
-					st, err := ing.state(tr, rank, batches)
-					if err == nil {
-						err = sess.SaveShard(st)
-					}
-					if err != nil {
-						fmt.Printf("server: checkpoint failed: %v\n", err)
-					} else {
-						s.metrics.Telemetry().Record(telemetry.Event{Kind: telemetry.Checkpoint, Epoch: sess.Epoch(), Batch: batches,
-							Bytes: len(st.Weights) + len(st.OptState) + len(st.App), Took: time.Since(start)})
-					}
+				st, err := s.captureIngest(batches).state(tr, batches)
+				if err == nil {
+					err = sess.SaveShard(st)
+				}
+				if err != nil {
+					fmt.Printf("server: checkpoint failed: %v\n", err)
+				} else {
+					s.metrics.Telemetry().Record(telemetry.Event{Kind: telemetry.Checkpoint, Epoch: sess.Epoch(), Batch: batches,
+						Bytes: len(st.Weights) + len(st.OptState) + len(st.App), Took: time.Since(start)})
 				}
 			}
 			if userHook != nil {
-				userHook(rank, batches)
+				userHook(batches)
 			}
 		}
 	}

@@ -743,14 +743,14 @@ func TestRunReturnsWithAggregatorParked(t *testing.T) {
 }
 
 // TestCheckpointIsBoundaryCut is the regression test for the static
-// checkpoint's torn cut. Ranks reach a boundary up to one batch apart: rank
-// 0 is held at boundary 1 until rank 1 has extracted batch 2. A capture of
-// every rank's buffer from rank 0's boundary then shows rank 1 without
-// those four samples, which sit in its message log and nowhere else, so a
-// restart discards every replay of them. Each rank capturing at its own
-// boundary conserves them: the written state satisfies received == trained
-// + buffered on every rank, and a server restarted from it trains each
-// received sample exactly once.
+// checkpoint's torn cut, which a capture taken while some rank was already
+// past the boundary made: a sample in a rank's message log and in neither
+// its trained count nor its buffer is discarded by every replay after a
+// restart. The checkpoint is taken at the step's closing barrier, so no
+// rank can be past it: boundary 1 is held while the aggregators take more
+// frames, and no rank extracts batch 2 meanwhile. The written state
+// satisfies received == trained + buffered on every rank, and a server
+// restarted from it trains each received sample exactly once.
 func TestCheckpointIsBoundaryCut(t *testing.T) {
 	const ranks, perRank = 2, 12
 	cutDir := t.TempDir()
@@ -759,17 +759,13 @@ func TestCheckpointIsBoundaryCut(t *testing.T) {
 	cfg.CheckpointEveryBatches = 1
 	batch := cfg.Trainer.BatchSize
 
-	release, taken := make(chan struct{}), make(chan error, 1)
-	cfg.Trainer.OnLocalBatchEnd = func(rank, batches int) {
-		if rank == 0 && batches == 1 {
-			<-release
-		}
-	}
+	held, release, taken := make(chan struct{}), make(chan struct{}), make(chan error, 1)
 	cfg.Trainer.OnBatchEnd = func(batches int) {
 		if batches == 1 {
-			// Boundary 1 is complete and boundary 2 needs this rank: the
-			// directory holds the batch-1 checkpoint and keeps it while we
-			// copy it.
+			// The server's hook has saved the batch-1 checkpoint, and the
+			// next boundary cannot replace it while this one is held.
+			close(held)
+			<-release
 			paths, err := filepath.Glob(filepath.Join(cfg.CheckpointDir, "shard-*.ckpt"))
 			for _, p := range paths {
 				var data []byte
@@ -784,14 +780,25 @@ func TestCheckpointIsBoundaryCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Client 0's 24 steps, routed round-robin like the client library does.
-	for step := int32(1); step <= ranks*perRank; step++ {
+	// Client 0's first two batches per rank, routed round-robin like the
+	// client library does.
+	for step := int32(1); step <= int32(ranks*2*batch); step++ {
 		ingestStep(srv1, int(step)%ranks, 0, step)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	wait1 := runServer(t, srv1, ctx)
-	testwait.Until(t, "rank 1 to extract batch 2", func() bool { return testbuf.Peek(srv1.bufs[1]).Len == perRank-2*batch })
+	testwait.Recv(t, held, "boundary 1")
+	// The rest of its 24 steps arrive while the boundary is held: every
+	// buffer takes them, and none loses batch 2 to its rank.
+	for step := int32(ranks*2*batch + 1); step <= ranks*perRank; step++ {
+		ingestStep(srv1, int(step)%ranks, 0, step)
+	}
+	for r, b := range srv1.bufs {
+		if got := testbuf.Peek(b).Len; got != perRank-batch {
+			t.Fatalf("rank %d holds %d samples at boundary 1, want %d: a rank got past the boundary", r, got, perRank-batch)
+		}
+	}
 	close(release)
 	if err := testwait.Recv(t, taken, "the batch-1 checkpoint"); err != nil {
 		t.Fatal(err)
@@ -810,7 +817,7 @@ func TestCheckpointIsBoundaryCut(t *testing.T) {
 	// Restart from the cut. The restarted client replays its whole
 	// trajectory; every step was received before the checkpoint, so all of
 	// it is discarded and only what the checkpoint buffered gets trained.
-	cfg.Trainer.OnLocalBatchEnd, cfg.Trainer.OnBatchEnd = nil, nil
+	cfg.Trainer.OnBatchEnd = nil
 	cfg.CheckpointDir = cutDir
 	srv2, err := New(cfg)
 	if err != nil {
@@ -861,11 +868,7 @@ func TestCheckpointCutExcludesFrameInFlight(t *testing.T) {
 	testwait.Until(t, "the fifth frame to park in PutCopy", func() bool {
 		return testbuf.Peek(srv.bufs[0]).ParkedPut == 1
 	})
-	ing := newBoundaries(srv).capture(0, 0)
-	if ing == nil {
-		t.Fatal("the only rank's capture did not complete the boundary")
-	}
-	checkCut(t, ing, 0)
+	checkCut(t, srv.captureIngest(0), 0)
 	srv.bufs[0].EndReception()
 	testwait.Recv(t, stored, "the parked frame to be refused")
 }
@@ -917,7 +920,7 @@ func TestEveryPolicyCheckpoints(t *testing.T) {
 			}
 			// Above the threshold: a Reservoir's picks move samples to seen.
 			srv1.bufs[0].GetBatchEach(2, func(int, buffer.Sample) {})
-			want := newBoundaries(srv1).capture(0, 0)
+			want := srv1.captureIngest(0)
 			if len(want.BufSeen[0])+len(want.BufUnseen[0]) == 0 {
 				t.Fatal("the capture of a non-empty buffer holds no sample")
 			}
@@ -930,7 +933,7 @@ func TestEveryPolicyCheckpoints(t *testing.T) {
 			if err := srv2.restoreIngest(&elastic.State{App: encodeIngest(t, want)}); err != nil {
 				t.Fatal(err)
 			}
-			got := newBoundaries(srv2).capture(0, 0)
+			got := srv2.captureIngest(0)
 			if !reflect.DeepEqual(got.BufSeen, want.BufSeen) || !reflect.DeepEqual(got.BufUnseen, want.BufUnseen) {
 				t.Fatalf("restored contents differ: seen %d/%d, unseen %d/%d",
 					len(got.BufSeen[0]), len(want.BufSeen[0]), len(got.BufUnseen[0]), len(want.BufUnseen[0]))
@@ -986,11 +989,8 @@ func FuzzIngestState(f *testing.F) {
 			return
 		}
 		// What was accepted is what the next boundary captures and encodes.
-		bounds := newBoundaries(srv)
-		for r, b := range srv.bufs {
-			if ing := bounds.capture(r, 0); ing != nil {
-				encodeIngest(t, ing)
-			}
+		encodeIngest(t, srv.captureIngest(0))
+		for _, b := range srv.bufs {
 			b.ReplaceContents(func(_, _ []buffer.Sample) ([]buffer.Sample, []buffer.Sample) { return nil, nil })
 		}
 	})

@@ -114,12 +114,12 @@ func checkAdamImpls(t *testing.T, a, b adamImpl, seed uint64, n, steps int) {
 // TestAdamStepChunksMatchSerial splits a slab with edge-case lanes across
 // a team (chunk boundaries off the 8-lane grid, so every chunk has a scalar
 // tail) on either side of the fan-out threshold and compares it with one
-// serial pass of the portable update, for five steps (two under -short).
+// serial pass of the portable update, for five steps (one under -short).
 func TestAdamStepChunksMatchSerial(t *testing.T) {
 	tm := NewTeam(2)
 	t.Cleanup(tm.Close)
 	for _, n := range []int{elemwiseParallelThreshold - 1, elemwiseParallelThreshold + 13} {
-		checkAdamImpls(t, tm.AdamStep, adamRangeGo, 11, n, shortOr(2, 5))
+		checkAdamImpls(t, tm.AdamStep, adamRangeGo, 11, n, shortOr(1, 5))
 	}
 }
 
@@ -252,7 +252,7 @@ func checkAdamSumImpls(t *testing.T, a, b adamSumImpl, seed uint64, n, nsrc, cle
 				}
 			}
 		}
-		for k := 3; k < 3+nsrc; k++ {
+		for k := 3; k < 3+nsrc && s < steps; k++ {
 			draw(k)
 		}
 	}
