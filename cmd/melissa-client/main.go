@@ -1,8 +1,8 @@
 // Command melissa-client runs one ensemble member: it simulates the
-// selected problem for sampled (or explicit) parameters and streams every
-// computed time step to the training server whose rank addresses are
-// published in -addr-file. This is the standalone-process counterpart of
-// the in-process clients the launcher spawns.
+// selected problem at the member's point of the seeded design (-id) and
+// streams every computed time step to the training server whose rank
+// addresses are published in -addr-file. This is the standalone-process
+// counterpart of the in-process clients the launcher spawns.
 package main
 
 import (
@@ -28,11 +28,6 @@ func main() {
 		restart  = flag.Int("restart", 0, "restart count (server discards replayed steps)")
 		reconn   = flag.Bool("reconnect", false, "survive server rank deaths: dial only reachable ranks, redial dead ones in the background, drop their frames meanwhile (elastic server groups)")
 		ckptDir  = flag.String("checkpoint-dir", "", "resume from solver checkpoints in this directory")
-		tic      = flag.Float64("tic", -1, "explicit initial temperature (heat only; overrides the design)")
-		tx1      = flag.Float64("tx1", -1, "explicit boundary x=0")
-		ty1      = flag.Float64("ty1", -1, "explicit boundary y=0")
-		tx2      = flag.Float64("tx2", -1, "explicit boundary x=L")
-		ty2      = flag.Float64("ty2", -1, "explicit boundary y=L")
 	)
 	flag.Parse()
 	if err := finish(); err != nil {
@@ -51,17 +46,9 @@ func main() {
 		}
 	}
 
-	var params []float64
-	switch {
-	case *tic < 0:
-		// This member's point of the shared seeded design.
-		if params, err = melissa.MemberParams(cfg, *id); err != nil {
-			fatal(err)
-		}
-	case prob.Name() != melissa.HeatName:
-		fatal(fmt.Errorf("explicit temperature flags (-tic/-tx1/...) only apply to -problem %s", melissa.HeatName))
-	default:
-		params = melissa.HeatParams{TIC: *tic, TX1: *tx1, TY1: *ty1, TX2: *tx2, TY2: *ty2}.Vector()
+	params, err := melissa.MemberParams(cfg, *id)
+	if err != nil {
+		fatal(err)
 	}
 
 	job := client.Job{

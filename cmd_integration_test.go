@@ -39,7 +39,7 @@ func TestMultiProcessServerAndClients(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		field := s.PredictHeat(HeatParams{TIC: 300, TX1: 200, TY1: 400, TX2: 250, TY2: 350}, 0.03)
+		field := s.Predict([]float64{300, 200, 400, 250, 350}, 0.03)
 		if len(field) != 64 {
 			t.Fatalf("field length %d", len(field))
 		}
@@ -213,7 +213,7 @@ func runElasticGroup(t *testing.T, serverBin, clientBin, codec string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	field := s.PredictHeat(HeatParams{TIC: 300, TX1: 200, TY1: 400, TX2: 250, TY2: 350}, 0.03)
+	field := s.Predict([]float64{300, 200, 400, 250, 350}, 0.03)
 	if len(field) != 64 {
 		t.Fatalf("field length %d", len(field))
 	}

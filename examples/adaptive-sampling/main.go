@@ -103,23 +103,23 @@ func uniformPoint(rng *rand.Rand) []float64 {
 	return p
 }
 
-// probeError measures the round-1 surrogate's RMSE against a short solver
-// run at the candidate parameters — the "current training status" signal
-// that steers the design.
+// probeError measures the round-1 surrogate's mean squared error against a
+// short solver run at the candidate parameters — the "current training
+// status" signal that steers the design. A probe the solver cannot run
+// stops the example: scoring it 0 would read as a perfect surrogate and
+// silently never pick the candidate.
 func probeError(s *melissa.Surrogate, unit []float64) float64 {
-	p := melissa.HeatParams{
-		TIC: 100 + 400*unit[0],
-		TX1: 100 + 400*unit[1],
-		TY1: 100 + 400*unit[2],
-		TX2: 100 + 400*unit[3],
-		TY2: 100 + 400*unit[4],
+	p := make([]float64, len(unit))
+	for i, u := range unit {
+		p[i] = 100 + 400*u // T_IC, T_x1, T_y1, T_x2, T_y2 in [100, 500] K
 	}
-	fields, err := melissa.Solve(p, gridN, probeStep, dt)
+	cfg := melissa.Config{GridN: gridN, StepsPerSim: probeStep, Dt: dt}
+	fields, err := melissa.Simulate(melissa.Heat(), cfg, p)
 	if err != nil {
-		return 0
+		log.Fatalf("probe at %v: %v", p, err)
 	}
 	truth := fields[probeStep-1]
-	pred := s.PredictHeat(p, float64(probeStep)*dt)
+	pred := s.Predict(p, float64(probeStep)*dt)
 	var mse float64
 	for i := range truth {
 		d := pred[i] - truth[i]

@@ -59,13 +59,13 @@ func main() {
 		res.Batches, res.Samples, res.UniqueSamples, res.Throughput, res.ValidationMSE)
 
 	// Query the surrogate on unseen parameters and compare with the solver.
-	// Parameters are plain vectors in the problem's canonical order;
-	// HeatParams is the typed convenience for this problem.
-	p := melissa.HeatParams{TIC: 320, TX1: 180, TY1: 420, TX2: 260, TY2: 360}
+	// Parameters are plain vectors in the problem's ParamNames order, here
+	// T_IC, T_x1, T_y1, T_x2, T_y2 in Kelvin.
+	p := []float64{320, 180, 420, 260, 360}
 	t := float64(cfg.StepsPerSim) * cfg.Dt / 2 // mid-trajectory
-	pred := res.Surrogate.Predict(p.Vector(), t)
+	pred := res.Surrogate.Predict(p, t)
 
-	truth, err := melissa.Simulate(cfg.Problem, cfg, p.Vector())
+	truth, err := melissa.Simulate(cfg.Problem, cfg, p)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("checkpoint round-trip: problem %q, %d parameters, grid %d\n",
-		loaded.Meta().Problem, loaded.NumParams(), loaded.GridN())
+		loaded.Meta().Problem, loaded.NumParams(), loaded.Meta().GridN)
 
 	// The surrogate predicts the center temperature trend over time.
 	fmt.Println("center temperature over time (surrogate):")
 	c := (cfg.GridN/2)*cfg.GridN + cfg.GridN/2
 	for step := 1; step <= cfg.StepsPerSim; step += 5 {
 		tt := float64(step) * cfg.Dt
-		fmt.Printf("  t=%.2fs: %.1f K\n", tt, loaded.PredictHeat(p, tt)[c])
+		fmt.Printf("  t=%.2fs: %.1f K\n", tt, loaded.Predict(p, tt)[c])
 	}
 }

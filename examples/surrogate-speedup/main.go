@@ -35,28 +35,37 @@ func main() {
 	trainTime := time.Since(start)
 	fmt.Printf("trained in %v (validation MSE %.5f)\n\n", trainTime.Round(time.Millisecond), res.ValidationMSE)
 
-	// A design sweep: 200 random configurations, field requested at t_final.
+	// A design sweep: 200 random configurations (T_IC, T_x1, T_y1, T_x2,
+	// T_y2 in [100, 500] K), field requested at t_final. The solver takes
+	// the parameters in float64, the surrogate's replica in float32, as the
+	// wire carries them.
 	const sweep = 200
 	rng := rand.New(rand.NewPCG(7, 7))
-	params := make([]melissa.HeatParams, sweep)
-	times := make([]float64, sweep)
+	params := make([][]float64, sweep)
+	queries := make([][]float32, sweep)
 	tFinal := float64(cfg.StepsPerSim) * cfg.Dt
 	for i := range params {
-		params[i] = melissa.HeatParams{
-			TIC: 100 + 400*rng.Float64(),
-			TX1: 100 + 400*rng.Float64(),
-			TY1: 100 + 400*rng.Float64(),
-			TX2: 100 + 400*rng.Float64(),
-			TY2: 100 + 400*rng.Float64(),
+		params[i], queries[i] = make([]float64, 5), make([]float32, 5)
+		for j := range params[i] {
+			params[i][j] = 100 + 400*rng.Float64()
+			queries[i][j] = float32(params[i][j])
 		}
-		times[i] = tFinal
 	}
 
-	// Surrogate: one batched forward pass.
+	// Surrogate: fused forward passes on one replica, batchRows queries at
+	// a time — melissa-serve's batch workers run the same call at their
+	// default -max-batch.
+	const batchRows = 32
+	rep := res.Surrogate.NewReplica(batchRows)
+	preds := make([][]float32, sweep)
 	start = time.Now()
-	preds, err := res.Surrogate.PredictBatchHeat(params, times)
-	if err != nil {
-		log.Fatal(err)
+	for lo := 0; lo < sweep; lo += batchRows {
+		err := rep.PredictBatchRaw(min(batchRows, sweep-lo),
+			func(i int) ([]float32, float32) { return queries[lo+i], float32(tFinal) },
+			func(i int, field []float32) { preds[lo+i] = append([]float32(nil), field...) })
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 	surrogateTime := time.Since(start)
 
@@ -66,14 +75,14 @@ func main() {
 	start = time.Now()
 	var rmseSum float64
 	for i := 0; i < solverSubset; i++ {
-		fields, err := melissa.Solve(params[i], cfg.GridN, cfg.StepsPerSim, cfg.Dt)
+		fields, err := melissa.Simulate(melissa.Heat(), cfg, params[i])
 		if err != nil {
 			log.Fatal(err)
 		}
 		truth := fields[len(fields)-1]
 		var mse float64
 		for j := range truth {
-			d := preds[i][j] - truth[j]
+			d := float64(preds[i][j]) - truth[j]
 			mse += d * d
 		}
 		rmseSum += math.Sqrt(mse / float64(len(truth)))
@@ -82,7 +91,7 @@ func main() {
 	solverFullEstimate := solverSubsetTime * sweep / solverSubset
 
 	fmt.Printf("design sweep of %d configurations (%d×%d field at t=%.2fs):\n", sweep, cfg.GridN, cfg.GridN, tFinal)
-	fmt.Printf("  surrogate (batched):   %12v\n", surrogateTime.Round(time.Microsecond))
+	fmt.Printf("  surrogate (replica):   %12v\n", surrogateTime.Round(time.Microsecond))
 	fmt.Printf("  solver (extrapolated): %12v\n", solverFullEstimate.Round(time.Millisecond))
 	fmt.Printf("  speedup:               %12.0f×\n", float64(solverFullEstimate)/float64(surrogateTime))
 	fmt.Printf("  mean field RMSE:       %12.2f K (on a 100-500 K range)\n", rmseSum/solverSubset)

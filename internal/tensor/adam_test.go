@@ -63,6 +63,27 @@ func adamDraw(rng *rand.Rand, nan bool) float32 {
 	return adamNormal(rng)
 }
 
+// adamPoolSize is the length of the pools adamFill tiles: prime, so no
+// tile lines up with the 8-lane grid or with a chunk boundary.
+const adamPoolSize = 1021
+
+// adamPool draws adamPoolSize values with adamDraw.
+func adamPool(rng *rand.Rand, nan bool) []float32 {
+	p := make([]float32, adamPoolSize)
+	for i := range p {
+		p[i] = adamDraw(rng, nan)
+	}
+	return p
+}
+
+// adamFill tiles pool over dst from a random offset: a slab past the
+// fan-out threshold costs copies, not a draw per lane.
+func adamFill(rng *rand.Rand, dst, pool []float32) {
+	for n := copy(dst, pool[rng.IntN(len(pool)):]); n < len(dst); {
+		n += copy(dst[n:], pool)
+	}
+}
+
 // checkAdamImpls runs a and b for steps steps from one random state and
 // requires values, m and v to be bit-equal after the first and the last.
 //
@@ -83,13 +104,12 @@ func checkAdamImpls(t *testing.T, a, b adamImpl, seed uint64, n, steps int) {
 		return s
 	}
 	sa, sb := state(), state()
-	grads := make([]float32, n)
-	for i := 0; i < n; i++ {
-		grads[i] = adamDraw(rng, true)
-		for k := range sa {
-			sa[k][i] = adamDraw(rng, true)
-			sb[k][i] = sa[k][i]
-		}
+	pool, clean := adamPool(rng, true), adamPool(rng, false)
+	grads, next := make([]float32, n), make([]float32, n)
+	adamFill(rng, grads, pool)
+	for k := range sa {
+		adamFill(rng, sa[k], pool)
+		copy(sb[k], sa[k])
 	}
 	for s := 1; s <= steps; s++ {
 		a(sa[0], grads, sa[1], sa[2], 1e-3, 0.9, 0.999, 1e-8)
@@ -103,9 +123,10 @@ func checkAdamImpls(t *testing.T, a, b adamImpl, seed uint64, n, steps int) {
 				}
 			}
 		}
+		adamFill(rng, next, clean)
 		for i, g := range grads {
 			if g == g {
-				grads[i] = adamDraw(rng, false)
+				grads[i] = next[i]
 			}
 		}
 	}
@@ -227,11 +248,10 @@ func checkAdamSumImpls(t *testing.T, a, b adamSumImpl, seed uint64, n, nsrc, cle
 		return s
 	}
 	sa, sb := slabs(), slabs()
+	pool := adamPool(rng, true)
 	draw := func(k int) {
-		for i := 0; i < n; i++ {
-			sa[k][i] = adamDraw(rng, true)
-			sb[k][i] = sa[k][i]
-		}
+		adamFill(rng, sa[k], pool)
+		copy(sb[k], sa[k])
 	}
 	for k := range sa {
 		draw(k)

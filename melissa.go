@@ -25,16 +25,16 @@
 // Surrogate checkpoints are self-describing: Save records the problem name
 // and architecture, so LoadSurrogate(r) reconstructs a usable model with no
 // further arguments. Every prediction runs on a Replica
-// (Surrogate.NewReplica): Predict and PredictBatch draw one from the
-// surrogate's pool. Trained surrogates are served at scale by
-// cmd/melissa-serve: adaptive micro-batching over the wire protocol, one
-// replica per batch worker sharing one weight slab, an LRU prediction cache
-// flushed on every reload, and hot checkpoint reload fed by melissa-server's
-// -surrogate-out/-publish-every atomic publishes (PublishSurrogate) — see
-// docs/serving.md for topology and SLO tuning. Lower-level building blocks
-// (buffers, the cluster simulator, the experiment harness reproducing the
-// paper's tables and figures) live in the internal packages; the cmd/
-// binaries and examples/ show them in use.
+// (Surrogate.NewReplica): Predict on a one-row replica of its own, a
+// parameter sweep on one the caller keeps. Trained surrogates are served at
+// scale by cmd/melissa-serve: adaptive micro-batching over the wire
+// protocol, one replica per batch worker sharing one weight slab, an LRU
+// prediction cache flushed on every reload, and hot checkpoint reload fed by
+// melissa-server's -surrogate-out/-publish-every atomic publishes
+// (PublishSurrogate) — see docs/serving.md for topology and SLO tuning.
+// Lower-level building blocks (buffers, the cluster simulator, the
+// experiment harness reproducing the paper's tables and figures) live in the
+// internal packages; the cmd/ binaries and examples/ show them in use.
 package melissa
 
 import (
@@ -68,20 +68,6 @@ const (
 	FIRO      BufferPolicy = "FIRO"
 	Reservoir BufferPolicy = "Reservoir"
 )
-
-// HeatParams are the inputs of one heat-equation simulation: the initial
-// temperature and the four boundary temperatures (Kelvin). They are the
-// typed convenience over the generic parameter vectors the Problem API
-// works with.
-type HeatParams struct {
-	TIC, TX1, TY1, TX2, TY2 float64
-}
-
-// Vector returns the parameters in the canonical order used across the
-// framework: (T_IC, T_x1, T_y1, T_x2, T_y2), matching §4.1.
-func (p HeatParams) Vector() []float64 {
-	return []float64{p.TIC, p.TX1, p.TY1, p.TX2, p.TY2}
-}
 
 // Config assembles an online ensemble-training run.
 type Config struct {
@@ -479,11 +465,4 @@ func validationParams(cfg Config, space sampling.Space) [][]float64 {
 		params[i] = space.Scale(design.Next())
 	}
 	return params
-}
-
-// Solve runs the reference heat-equation solver directly, returning the
-// temperature field after each step — the typed convenience over
-// Simulate(Heat(), ...).
-func Solve(p HeatParams, gridN, steps int, dt float64) ([][]float64, error) {
-	return Simulate(Heat(), Config{GridN: gridN, StepsPerSim: steps, Dt: dt}, p.Vector())
 }

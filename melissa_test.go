@@ -100,8 +100,7 @@ func TestRunOnlineEndToEnd(t *testing.T) {
 
 	// The surrogate predicts fields of the right shape within the
 	// physically plausible range (trained on [100,500] K).
-	p := HeatParams{TIC: 300, TX1: 200, TY1: 400, TX2: 250, TY2: 350}
-	field := res.Surrogate.PredictHeat(p, 0.04)
+	field := res.Surrogate.Predict([]float64{300, 200, 400, 250, 350}, 0.04)
 	if len(field) != cfg.GridN*cfg.GridN {
 		t.Fatalf("field length %d", len(field))
 	}
@@ -151,9 +150,9 @@ func TestSurrogateSaveLoadRoundtrip(t *testing.T) {
 	if m := loaded.Meta(); m.Problem != HeatName || m.GridN != cfg.GridN || m.StepsPerSim != cfg.StepsPerSim {
 		t.Fatalf("metadata not restored: %+v", m)
 	}
-	p := HeatParams{TIC: 150, TX1: 450, TY1: 300, TX2: 200, TY2: 380}
-	a := res.Surrogate.PredictHeat(p, 0.05)
-	b := loaded.PredictHeat(p, 0.05)
+	p := []float64{150, 450, 300, 200, 380}
+	a := res.Surrogate.Predict(p, 0.05)
+	b := loaded.Predict(p, 0.05)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("loaded surrogate predicts differently")
@@ -161,39 +160,9 @@ func TestSurrogateSaveLoadRoundtrip(t *testing.T) {
 	}
 }
 
-func TestPredictBatchMatchesSingle(t *testing.T) {
-	res, err := runOnline(t, tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := []HeatParams{
-		{TIC: 300, TX1: 200, TY1: 400, TX2: 250, TY2: 350},
-		{TIC: 120, TX1: 480, TY1: 160, TX2: 440, TY2: 220},
-	}
-	ts := []float64{0.02, 0.06}
-	batch, err := res.Surrogate.PredictBatchHeat(ps, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ps {
-		single := res.Surrogate.PredictHeat(ps[i], ts[i])
-		for j := range single {
-			if math.Abs(single[j]-batch[i][j]) > 1e-3 {
-				t.Fatalf("batch/single mismatch at %d/%d: %v vs %v", i, j, batch[i][j], single[j])
-			}
-		}
-	}
-	if _, err := res.Surrogate.PredictBatchHeat(ps, ts[:1]); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
-	if _, err := res.Surrogate.PredictBatch([][]float64{{1, 2}}, []float64{0.1}); err == nil {
-		t.Fatal("expected parameter-dimension error")
-	}
-}
-
 func TestSolveGroundTruth(t *testing.T) {
-	p := HeatParams{TIC: 300, TX1: 300, TY1: 300, TX2: 300, TY2: 300}
-	fields, err := Solve(p, 8, 5, 0.01)
+	p := []float64{300, 300, 300, 300, 300}
+	fields, err := Simulate(Heat(), Config{GridN: 8, StepsPerSim: 5, Dt: 0.01}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +177,7 @@ func TestSolveGroundTruth(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Solve(p, 0, 5, 0.01); err == nil {
+	if _, err := Simulate(Heat(), Config{GridN: 0, StepsPerSim: 5, Dt: 0.01}, p); err == nil {
 		t.Fatal("expected error for invalid grid")
 	}
 }

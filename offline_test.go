@@ -94,7 +94,7 @@ func TestTrainOffline(t *testing.T) {
 	if res.ValidationMSE <= 0 {
 		t.Fatal("no validation")
 	}
-	if res.Surrogate == nil || len(res.Surrogate.PredictHeat(HeatParams{TIC: 300, TX1: 300, TY1: 300, TX2: 300, TY2: 300}, 0.02)) != cfg.GridN*cfg.GridN {
+	if res.Surrogate == nil || len(res.Surrogate.Predict([]float64{300, 300, 300, 300, 300}, 0.02)) != cfg.GridN*cfg.GridN {
 		t.Fatal("surrogate broken")
 	}
 	// Multi-epoch training must reduce the training loss.

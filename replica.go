@@ -12,11 +12,10 @@ import (
 // surrogate's weight storage (no copy — see nn.Network.CloneShared) and owns
 // all forward scratch, so replicas evaluate batches concurrently against
 // one weight slab. PredictBatchRaw is the one place a query is normalized,
-// run through the network and denormalized: Surrogate's Predict and
-// PredictBatch stage their float64 queries into a replica from the
-// surrogate's pool, and each of melissa-serve's batch workers owns one. It
-// speaks float32 end to end, matching the wire protocol, and its batch call
-// is allocation-free at steady state.
+// run through the network and denormalized: each of melissa-serve's batch
+// workers owns a replica, and Surrogate.Predict runs one row on a replica of
+// its own. It speaks float32 end to end, matching the wire protocol, and its
+// batch call is allocation-free at steady state.
 //
 // A Replica is not safe for concurrent use; give each goroutine its own.
 // The surrogate's weights must not be mutated while replicas exist.
@@ -32,9 +31,6 @@ type Replica struct {
 	// max sizing matters — a scalar-output surrogate has OutputDim smaller
 	// than InputDim, so neither dimension alone covers both uses.
 	row []float32
-	// staged holds one float64 query narrowed to float32 (see stage), for
-	// the Surrogate methods that take float64 parameters.
-	staged []float32
 }
 
 // NewReplica returns an inference replica sharing this surrogate's weights.
@@ -51,22 +47,8 @@ func (s *Surrogate) NewReplica(maxBatch int) *Replica {
 		maxBatch: maxBatch,
 		in:       tensor.New(maxBatch, s.norm.InputDim()),
 		row:      make([]float32, max(s.norm.InputDim(), s.norm.OutputDim())),
-		staged:   make([]float32, 0, s.ParamDim()),
 	}
 }
-
-// stage narrows a float64 parameter vector into the replica's staging row
-// and returns it; the row is overwritten by the next call.
-func (r *Replica) stage(params []float64) []float32 {
-	r.staged = r.staged[:0]
-	for _, v := range params {
-		r.staged = append(r.staged, float32(v))
-	}
-	return r.staged
-}
-
-// OutputDim returns the flattened field length each query produces.
-func (r *Replica) OutputDim() int { return r.s.OutputDim() }
 
 // PredictBatchRaw evaluates n queries in one fused forward pass. query(i)
 // must return query i's design parameters (length ParamDim, float32, wire

@@ -1,6 +1,7 @@
 package melissa
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -133,6 +134,31 @@ func TestReplicaBatchZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("batches of 1..%d rows allocate %.2f allocs/op, want 0", maxBatch, avg)
+	}
+}
+
+// BenchmarkReplicaPredict times one PredictBatchRaw call on the paper
+// surrogate at 1 row (a lone query) and at 32 (melissa-serve's default
+// -max-batch, a fused batch): the forward every prediction runs.
+func BenchmarkReplicaPredict(b *testing.B) {
+	net, cfg := paperNetwork()
+	s, err := SurrogateFromNetwork(net, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, rows := range []int{1, 32} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			rep := s.NewReplica(rows)
+			params, ts := randQueries(Heat(), rows, rand.New(rand.NewPCG(7, 9)))
+			query := func(i int) ([]float32, float32) { return params[i], ts[i] }
+			emit := func(int, []float32) {}
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := rep.PredictBatchRaw(rows, query, emit); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

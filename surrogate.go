@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync"
 
 	"melissa/internal/nn"
 )
@@ -18,25 +17,15 @@ import (
 // flattened field in one forward pass (§2.1 "direct models":
 // f_θ(X, t) ≈ u_t^X).
 //
-// All prediction methods are safe for concurrent use and scale across
-// cores: each call draws a Replica from an internal pool and answers
-// through Replica.PredictBatchRaw, so parallel queries never serialize on a
-// lock, and the steady-state single-query path is allocation-free.
+// Its weights are immutable after construction. Predict answers one query
+// and is safe for concurrent use; a caller that queries in volume keeps a
+// Replica (NewReplica) per goroutine and answers fused batches through
+// Replica.PredictBatchRaw, as melissa-serve's batch workers do.
 type Surrogate struct {
 	net  *nn.Network
 	norm Normalizer
 	meta Meta
-
-	// replicas pools *Replica of capacity predictChunk. The surrogate's
-	// weights are immutable after construction, so pooled replicas never go
-	// stale.
-	replicas sync.Pool
 }
-
-// predictChunk is the capacity of the pooled replicas: PredictBatch runs
-// its queries through one replica this many rows at a time. Answers do not
-// depend on it (see Replica.PredictBatchRaw).
-const predictChunk = 64
 
 // Meta describes a surrogate's provenance: the problem it models and the
 // architecture hyperparameters needed to rebuild the network. Save embeds
@@ -65,9 +54,7 @@ func surrogateMeta(cfg Config, prob Problem) Meta {
 // gradient slab): a Clone, CloneShared or loaded network, so a result kept
 // after training pins neither its trainer's gradients nor its activations.
 func newSurrogate(net *nn.Network, norm Normalizer, meta Meta) *Surrogate {
-	s := &Surrogate{net: net, norm: norm, meta: meta}
-	s.replicas.New = func() any { return s.NewReplica(predictChunk) }
-	return s
+	return &Surrogate{net: net, norm: norm, meta: meta}
 }
 
 // SurrogateFromNetwork wraps a trained network in a servable Surrogate. The
@@ -92,9 +79,6 @@ func SurrogateFromNetwork(net *nn.Network, cfg Config) (*Surrogate, error) {
 // Meta returns the surrogate's provenance record.
 func (s *Surrogate) Meta() Meta { return s.meta }
 
-// GridN returns the predicted field's side length.
-func (s *Surrogate) GridN() int { return s.meta.GridN }
-
 // ParamDim returns the number of design parameters Predict expects.
 func (s *Surrogate) ParamDim() int { return s.norm.InputDim() - 1 }
 
@@ -106,84 +90,26 @@ func (s *Surrogate) NumParams() int { return s.net.NumParams() }
 
 // Predict returns the physical field (flattened, problem geometry) at
 // physical time t for the given design parameters (in the problem's
-// canonical order). It panics if len(params) differs from ParamDim.
+// canonical order). It panics if len(params) differs from ParamDim. Each
+// call runs on a one-row Replica of its own, so concurrent calls share
+// nothing but the weights.
 func (s *Surrogate) Predict(params []float64, t float64) []float64 {
-	return s.PredictInto(nil, params, t)
-}
-
-// PredictHeat is the typed heat-equation convenience over Predict.
-func (s *Surrogate) PredictHeat(p HeatParams, t float64) []float64 {
-	return s.Predict(p.Vector(), t)
-}
-
-// PredictInto is Predict with a caller-supplied destination: dst is grown
-// as needed and returned. With a destination of sufficient capacity the
-// steady-state call performs no heap allocations — the hot path for dense
-// parameter sweeps. Safe for concurrent use: each call runs on a pooled
-// replica, so parallel callers proceed without serializing.
-func (s *Surrogate) PredictInto(dst []float64, params []float64, t float64) []float64 {
-	width := s.OutputDim()
-	if cap(dst) < width {
-		dst = make([]float64, width)
+	p := make([]float32, len(params))
+	for i, v := range params {
+		p[i] = float32(v)
 	}
-	dst = dst[:width]
-	r := s.replicas.Get().(*Replica)
-	defer s.replicas.Put(r)
-	err := r.PredictBatchRaw(1,
-		func(int) ([]float32, float32) { return r.stage(params), float32(t) },
-		func(_ int, field []float32) { widen(dst, field) })
+	out := make([]float64, s.OutputDim())
+	err := s.NewReplica(1).PredictBatchRaw(1,
+		func(int) ([]float32, float32) { return p, float32(t) },
+		func(_ int, field []float32) {
+			for i, v := range field {
+				out[i] = float64(v)
+			}
+		})
 	if err != nil {
 		panic(err)
 	}
-	return dst
-}
-
-// PredictBatch evaluates many (params, time) queries in fused forward
-// passes, amortizing the matrix multiplies — this is where the surrogate's
-// orders-of-magnitude speedup over the solver comes from. Safe for
-// concurrent use: the queries run on a pooled replica, predictChunk rows per
-// forward pass.
-func (s *Surrogate) PredictBatch(params [][]float64, ts []float64) ([][]float64, error) {
-	if len(params) != len(ts) {
-		return nil, fmt.Errorf("melissa: %d params for %d times", len(params), len(ts))
-	}
-	for i, p := range params {
-		if len(p) != s.ParamDim() {
-			return nil, fmt.Errorf("melissa: query %d has %d parameters, problem %q wants %d", i, len(p), s.meta.Problem, s.ParamDim())
-		}
-	}
-	r := s.replicas.Get().(*Replica)
-	defer s.replicas.Put(r)
-	out := make([][]float64, len(params))
-	for lo := 0; lo < len(params); lo += predictChunk {
-		err := r.PredictBatchRaw(min(predictChunk, len(params)-lo),
-			func(i int) ([]float32, float32) { return r.stage(params[lo+i]), float32(ts[lo+i]) },
-			func(i int, field []float32) {
-				out[lo+i] = make([]float64, len(field))
-				widen(out[lo+i], field)
-			})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// widen copies a float32 field into dst, which is at least as long.
-func widen(dst []float64, field []float32) {
-	for i, v := range field {
-		dst[i] = float64(v)
-	}
-}
-
-// PredictBatchHeat is the typed heat-equation convenience over
-// PredictBatch.
-func (s *Surrogate) PredictBatchHeat(ps []HeatParams, ts []float64) ([][]float64, error) {
-	vecs := make([][]float64, len(ps))
-	for i, p := range ps {
-		vecs[i] = p.Vector()
-	}
-	return s.PredictBatch(vecs, ts)
+	return out
 }
 
 // Checkpoint metadata block: it precedes the nn weight payload so saved

@@ -6,12 +6,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"melissa/internal/nn"
@@ -119,123 +117,26 @@ func TestTrainedCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPredictZeroAlloc is the allocation gate for the satellite scratch
-// path: steady-state PredictInto with a reused destination must not touch
-// the heap.
-func TestPredictZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops entries at random under the race detector")
-	}
-	s := freshSurrogate(Heat())
-	params := midPoint(Heat())
-	dst := make([]float64, 0, s.OutputDim())
-	// Warm up the network's pooled activations for the 1-row shape.
-	dst = s.PredictInto(dst, params, 0.02)
-	dst = s.PredictInto(dst, params, 0.02)
-	allocs := testing.AllocsPerRun(100, func() {
-		dst = s.PredictInto(dst, params, 0.02)
-	})
-	if allocs != 0 {
-		t.Fatalf("PredictInto allocates %v times per call, want 0", allocs)
-	}
-}
-
-func TestPredictIntoMatchesPredict(t *testing.T) {
-	s := freshSurrogate(GrayScott())
-	params := midPoint(GrayScott())
-	a := s.Predict(params, 2)
-	dst := make([]float64, 3) // too short: must be grown, not truncated
-	b := s.PredictInto(dst, params, 2)
-	if len(b) != s.OutputDim() {
-		t.Fatalf("PredictInto returned %d values", len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("PredictInto diverges from Predict at %d", i)
-		}
-	}
-}
-
-// TestPredictBatchChunks: a batch larger than one pooled replica holds runs
-// in chunks, and every row still equals PredictInto's answer bit for bit;
-// a wrong-width query past the first chunk is reported by its own index.
-func TestPredictBatchChunks(t *testing.T) {
-	for _, prob := range []Problem{Heat(), GrayScott()} {
-		s := freshSurrogate(prob)
-		rng := rand.New(rand.NewPCG(7, 11))
-		min, max := prob.ParamBounds()
-		n := 2*predictChunk + 22
-		params := make([][]float64, n)
-		ts := make([]float64, n)
-		for i := range params {
-			params[i] = make([]float64, len(min))
-			for j := range params[i] {
-				params[i][j] = min[j] + rng.Float64()*(max[j]-min[j])
-			}
-			ts[i] = float64(rng.IntN(6)+1) * s.Meta().Dt
-		}
-		batch, err := s.PredictBatch(params, ts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range params {
-			single := s.PredictInto(nil, params[i], ts[i])
-			for j := range single {
-				if math.Float64bits(batch[i][j]) != math.Float64bits(single[j]) {
-					t.Fatalf("%s: row %d value %d: batch %v, single %v", prob.Name(), i, j, batch[i][j], single[j])
-				}
-			}
-		}
-		bad := predictChunk + 36
-		params[bad] = params[bad][:len(params[bad])-1]
-		_, err = s.PredictBatch(params, ts)
-		if want := fmt.Sprintf("query %d has", bad); err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%s: wrong-width query %d gave error %v, want it named", prob.Name(), bad, err)
-		}
-	}
-}
-
-// TestPredictParallel drives Predict and PredictBatch from many goroutines
-// at once (under -race in CI) and checks every concurrent result against
-// the serial answer — the regression gate for the lock-free pooled
-// replicas.
+// TestPredictParallel calls Predict from many goroutines at once (under
+// -race in CI) and checks every concurrent answer against a serial one bit
+// for bit: each call runs on a replica of its own, so concurrent callers
+// share nothing but the weights.
 func TestPredictParallel(t *testing.T) {
 	s := freshSurrogate(Heat())
 	params := midPoint(Heat())
 	want := s.Predict(params, 0.03)
-	wantBatch, err := s.PredictBatch([][]float64{params, params}, []float64{0.01, 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const workers = 8
 	const iters = 25
 	errCh := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			dst := make([]float64, 0, s.OutputDim())
 			for i := 0; i < iters; i++ {
-				if w%2 == 0 {
-					dst = s.PredictInto(dst, params, 0.03)
-					for j := range want {
-						if dst[j] != want[j] {
-							errCh <- fmt.Errorf("worker %d iter %d: Predict[%d] = %v, want %v", w, i, j, dst[j], want[j])
-							return
-						}
-					}
-				} else {
-					got, err := s.PredictBatch([][]float64{params, params}, []float64{0.01, 0.05})
-					if err != nil {
-						errCh <- err
+				got := s.Predict(params, 0.03)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						errCh <- fmt.Errorf("worker %d iter %d: Predict[%d] = %v, want %v", w, i, j, got[j], want[j])
 						return
-					}
-					for r := range wantBatch {
-						for j := range wantBatch[r] {
-							if got[r][j] != wantBatch[r][j] {
-								errCh <- fmt.Errorf("worker %d iter %d: PredictBatch[%d][%d] diverged", w, i, r, j)
-								return
-							}
-						}
 					}
 				}
 			}
@@ -414,8 +315,8 @@ func BenchmarkSurrogateFromNetwork(b *testing.B) {
 // trained online, snapshotted from a live trainer network, or loaded — it
 // keeps no gradient slab and none of the activations its trainer recorded
 // (a surrogate must not pin the largest batch its trainer forwarded), the
-// live network keeps its own, and the pooled replicas extra callers draw
-// alias the one weight slab.
+// live network keeps its own, and the replicas callers build alias the one
+// weight slab.
 func TestSurrogateHoldsWeightsOnly(t *testing.T) {
 	res, err := runOnline(t, tinyGrayScottConfig())
 	if err != nil {
@@ -458,10 +359,10 @@ func TestSurrogateHoldsWeightsOnly(t *testing.T) {
 				}
 			}
 		}
-		extra := s.replicas.New().(*Replica)
+		extra := s.NewReplica(1)
 		for i, p := range extra.net.Params() {
 			if &p.Value.Data[0] != &s.net.Params()[i].Value.Data[0] {
-				t.Fatalf("%s: extra replica copied param %q", name, p.Name)
+				t.Fatalf("%s: replica copied param %q", name, p.Name)
 			}
 		}
 	}
@@ -475,44 +376,6 @@ func TestPredictWrongDimPanics(t *testing.T) {
 		}
 	}()
 	s.Predict([]float64{1, 2}, 0.1)
-}
-
-// BenchmarkPredict measures the single-query hot path with the reusable
-// scratch destination — the companion of the allocation gate above.
-func BenchmarkPredict(b *testing.B) {
-	cfg := DefaultConfig()
-	norm := Heat().Normalizer(cfg)
-	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
-	s := newSurrogate(net.CloneShared(), norm, surrogateMeta(cfg, Heat()))
-	params := midPoint(Heat())
-	dst := make([]float64, 0, s.OutputDim())
-	dst = s.PredictInto(dst, params, 0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = s.PredictInto(dst, params, 0.05)
-	}
-}
-
-// BenchmarkPredictParallel measures concurrent serving throughput: with
-// the pooled replicas, parallel callers scale across cores instead of
-// serializing on one shared scratch.
-func BenchmarkPredictParallel(b *testing.B) {
-	cfg := DefaultConfig()
-	norm := Heat().Normalizer(cfg)
-	net := nn.ArchitectureMLP(norm.InputDim(), cfg.Hidden, norm.OutputDim(), cfg.Seed)
-	s := newSurrogate(net.CloneShared(), norm, surrogateMeta(cfg, Heat()))
-	params := midPoint(Heat())
-	var warm [1][]float64
-	warm[0] = s.Predict(params, 0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]float64, 0, s.OutputDim())
-		for pb.Next() {
-			dst = s.PredictInto(dst, params, 0.05)
-		}
-	})
 }
 
 // surrogateHeader encodes a checkpoint metadata block (see Save) with no
