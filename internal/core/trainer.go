@@ -92,21 +92,24 @@ func (c TrainerConfig) validate() error {
 // value slab and one pair of Adam moments. After backward they meet at a
 // barrier; then local rank l of L runs one pass over slice l of L of the
 // slab that sums the gradient, scales it by 1/n, takes the Adam step and
-// clears slice l of every local gradient slab (opt.Adam.StepSum); a second
-// barrier holds everyone until every slice is written. Adam is element-wise,
-// so the slab holds exactly what L full updates of L copies would have left
-// in each of them.
+// clears slice l of every local gradient slab it read (opt.Adam.StepSum); a
+// second barrier holds everyone until every slice is written. Adam is
+// element-wise, so the slab holds exactly what L full updates of L copies
+// would have left in each of them.
 //
 // That second barrier is the process's one step boundary. Its last arrival
 // runs the boundary's work alone (boundary): validation, then OnBatchEnd,
 // once per process per step, while no rank can extract its next batch.
 //
 // Where the group spans processes, the gradient rides the ring: once its
-// backward is done, each rank all-reduces its slab one layer bucket at a
-// time, and rank l's pass reads the sum from its own slab. Where every rank
-// is in this process, nothing is all-reduced: the pass reads the L slabs in
-// place and adds them in the order the ring would have (updatePlan), so the
-// weights are the same bits in every layout.
+// backward (nn.Network.Backward) is done, each rank all-reduces its slab
+// one layer bucket at a time, and rank l's pass reads the sum from its own
+// slab. Where every rank is in this process, nothing is all-reduced and no
+// weight gradient is stored (nn.Network.BackwardFactors): the pass reads
+// the biases from the L slabs in place and forms each weight gradient from
+// the L ranks' batch factors as it goes, adding the ranks in the order the
+// ring would have (updatePlan), so the weights are the same bits in every
+// layout.
 //
 // Each local rank owns the process's cores in equal shares: a rank whose
 // share is two or more cores runs its forward, backward, Adam slice and
@@ -338,16 +341,19 @@ func (t *Trainer) newRankState(rank int) *rankState {
 }
 
 // updatePlan returns local rank l's share of the step's optimizer pass: the
-// ranges of slice l of L of the slab, each with the gradient slabs whose
-// in-order sum is its gradient; the slabs the pass clears (every local
-// one, over slice l); and the 1/n that turns the group's sum into its mean.
+// ranges of slice l of L of the slab, each with the sources whose in-order
+// sum is its gradient; the slabs the pass clears (every local one, over
+// slice l); and the 1/n that turns the group's sum into its mean.
 //
 // Where the gradients ride the ring, every local slab holds the sum once
 // the collectives have returned, and rank l reads its own. In-process, the
-// pass sums the L slabs itself in the ring's order: chunk k of a bucket
-// (ddp.ChunkRange) is ((g_k + g_{k+1}) + …) + g_{k−1}, what the ring's
-// scatter-reduce would have accumulated there, so the sum has the same bits
-// as it does over sockets. The buckets tile the slab.
+// pass sums the L ranks' gradients itself in the ring's order: chunk k of a
+// bucket (ddp.ChunkRange) is ((g_k + g_{k+1}) + …) + g_{k−1}, what the
+// ring's scatter-reduce would have accumulated there, so the sum has the
+// same bits as it does over sockets. A bias is read from the L slabs; a
+// weight from the L layers' batch factors (nn.Dense.WeightFactors), its
+// gradient formed inside the pass as the ring's trainer forms it in its
+// slab, so no weight gradient is ever stored. The buckets tile the slab.
 func (t *Trainer) updatePlan(l int) ([]opt.GradRange, [][]float32, float32) {
 	ranks, total := t.cfg.Ranks, t.nets[0].NumParams()
 	lo, hi := total*l/ranks, total*(l+1)/ranks
@@ -359,16 +365,26 @@ func (t *Trainer) updatePlan(l int) ([]opt.GradRange, [][]float32, float32) {
 	if n := t.comm.Size(); n > 1 {
 		scale = 1 / float32(n)
 	}
-	if t.ringGrads || ranks == 1 {
+	if t.ringGrads {
 		return []opt.GradRange{{Lo: lo, Hi: hi, Srcs: slabs[l : l+1]}}, slabs, scale
 	}
 	var parts []opt.GradRange
 	for k := 0; k < ranks; k++ {
 		order := append(append([][]float32(nil), slabs[k:]...), slabs[:k]...)
-		for _, bk := range t.buckets {
+		for b, bk := range t.buckets {
+			factors := make([]tensor.Factors, ranks)
+			for i := range factors {
+				factors[i] = t.nets[(k+i)%ranks].Layers[b].WeightFactors()
+			}
+			d := t.nets[0].Layers[b]
+			bias := bk.Lo + d.In()*d.Out()
 			clo, chi := ddp.ChunkRange(bk.Hi-bk.Lo, ranks, k)
-			if clo, chi = max(bk.Lo+clo, lo), min(bk.Lo+chi, hi); clo < chi {
-				parts = append(parts, opt.GradRange{Lo: clo, Hi: chi, Srcs: order})
+			clo, chi = max(bk.Lo+clo, lo), min(bk.Lo+chi, hi)
+			if wlo, whi := clo, min(chi, bias); wlo < whi {
+				parts = append(parts, opt.GradRange{Lo: wlo, Hi: whi, Factors: factors, Weight: bk.Lo})
+			}
+			if blo, bhi := max(clo, bias), chi; blo < bhi {
+				parts = append(parts, opt.GradRange{Lo: blo, Hi: bhi, Srcs: order})
 			}
 		}
 	}
@@ -401,7 +417,10 @@ func (t *Trainer) rankLoop(rank int) error {
 // abandons the step before its slice of the optimizer update; a sibling may
 // have written its own, so the slab is whole only after a step that
 // returned no error, and a failed run's weights are restored from a
-// checkpoint, never read. The gradient slabs are all zero between steps.
+// checkpoint, never read. Between steps the gradient slabs are all zero;
+// an in-process trainer's layers hold the last batch's weight factors,
+// which the next BackwardFactors replaces (or, on a rank with no batch,
+// ZeroGrad drops).
 func (t *Trainer) step(st *rankState) (bool, error) {
 	if t.cfg.MaxBatches > 0 && t.batches >= t.cfg.MaxBatches {
 		// The batch counter advances identically in every process, so all
@@ -445,8 +464,16 @@ func (t *Trainer) step(st *rankState) (bool, error) {
 		}
 		pred := st.net.Forward(bi)
 		trainLoss = st.lossFn.Forward(pred, bo)
-		st.net.Backward(st.lossFn.Backward(pred, bo))
+		if dy := st.lossFn.Backward(pred, bo); t.ringGrads {
+			st.net.Backward(dy)
+		} else {
+			st.net.BackwardFactors(dy)
+		}
 		t.metrics.CountKeys(st.keys[:n])
+	} else {
+		// No batch: the rank's gradient is zero. Its slab already is; its
+		// layers forget the last batch's weight factors.
+		st.net.ZeroGrad()
 	}
 	if t.ringGrads {
 		// The slab becomes the group's sum — summed, not averaged: the 1/n

@@ -11,9 +11,10 @@ import (
 // broadcasts across the batch. Forward runs as a single blocked GEMM whose
 // epilogue applies bias and ReLU per cache-hot output tile, and backward
 // folds dZ = dY ⊙ relu′ and the bias gradient into one elementwise sweep
-// before the two gradient GEMMs. A layer records what its Backward needs,
-// so it is not safe for concurrent use: every replica has layers of its own
-// (see Network.CloneShared and Network.CloneReplica).
+// before the one GEMM it runs, dX = dZ·Wᵀ; the weight gradient xᵀ·dZ it
+// keeps as its two factors (WeightFactors). A layer records what its
+// Backward needs, so it is not safe for concurrent use: every replica has
+// layers of its own (see Network.CloneShared and Network.CloneReplica).
 type Dense struct {
 	name string
 	w, b *Param
@@ -22,9 +23,12 @@ type Dense struct {
 
 	lastX *tensor.Matrix // input recorded by Forward for the weight gradient
 	lastY *tensor.Matrix // output recorded by Forward for relu′
-	out   scratch        // output activations
-	dx    scratch        // input gradients
-	dz    scratch        // pre-activation gradients (ReLU layers only)
+	// gx and gdz are the weight gradient of the last Backward as its
+	// factors, x and dZ; zero rows before the first and after ZeroGrad.
+	gx, gdz tensor.Matrix
+	out     scratch // output activations
+	dx      scratch // input gradients
+	dz      scratch // pre-activation gradients (ReLU layers only)
 }
 
 // In returns the input width of the layer.
@@ -52,8 +56,11 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward propagates the loss gradient dy of the last Forward and returns
 // dx: dZ = dY ⊙ relu′ fused with db += Σ_batch dZ (relu′ read from the
-// recorded output: y > 0 exactly where z > 0), then dW += xᵀ·dZ and
-// dx = dZ·Wᵀ. It must be called exactly once per Forward.
+// recorded output: y > 0 exactly where z > 0), then dx = dZ·Wᵀ. The weight
+// gradient xᵀ·dZ is not formed: the layer keeps x and dZ as its factors,
+// replacing the previous Backward's, for an optimizer pass that forms it
+// element by element (tensor.Team.AdamFactorStep) or for Network.Backward,
+// which adds it into the slab. It must be called exactly once per Forward.
 func (d *Dense) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward called before Forward")
@@ -67,8 +74,31 @@ func (d *Dense) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	} else {
 		dy.SumRowsInto(d.b.Grad.Data)
 	}
-	d.team.MatMulATBAdd(d.w.Grad, d.lastX, dz)
+	d.gx, d.gdz = *d.lastX, *dz
 	dx := d.dx.get(dy.Rows, d.In())
 	d.team.MatMulABT(dx, dz, d.w.Value)
 	return dx
+}
+
+// WeightFactors returns the layer's weight gradient as the factors of its
+// last Backward: x (batch × in) and dZ (batch × out), whose product xᵀ·dZ
+// it is. The two headers are the layer's own and stay the same, so a
+// caller may keep them; they describe the last Backward's factors until the
+// next one, or zero rows after ZeroGrad. The data is the network's scratch
+// and the batch Forward was given, so it holds only until the network's
+// next Forward and while that batch is unchanged.
+func (d *Dense) WeightFactors() tensor.Factors {
+	return tensor.Factors{X: &d.gx, DZ: &d.gdz}
+}
+
+// addWeightGrad adds the weight gradient of the last Backward, xᵀ·dZ, into
+// the layer's view of the gradient slab (tensor.Team.MatMulATBAdd).
+func (d *Dense) addWeightGrad() {
+	d.team.MatMulATBAdd(d.w.Grad, &d.gx, &d.gdz)
+}
+
+// dropFactors forgets the last Backward's weight gradient.
+func (d *Dense) dropFactors() {
+	d.gx = tensor.Matrix{Cols: d.In()}
+	d.gdz = tensor.Matrix{Cols: d.Out()}
 }

@@ -28,11 +28,24 @@
 // FlatParams and FlatGrads expose the slabs, which is what makes the
 // training hot path allocation-free: the ddp layer all-reduces the gradient
 // slab directly with no gather/scatter staging, optimizers update the value
-// slab in one fused vectorized pass, ZeroGrad is a single memclr, and
+// slab in one fused vectorized pass, ZeroGrad is one memclr of it, and
 // checkpoints serialize the value slab as one bulk stream. Only a network
 // that trains has a gradient slab, and a value slab may be shared while a
 // gradient slab never is: every training replica accumulates into one of
 // its own, which is the buffer it hands to the all-reduce.
+//
+// # Weight gradients as factors
+//
+// A layer's weight gradient over a batch is xᵀ·dZ, and backward already
+// holds both factors — Forward's input and the pre-activation gradient it
+// computes for dx — so each layer keeps them (Dense.WeightFactors). Backward
+// then adds the product into the slab, as every reader of the slab needs:
+// the ring all-reduce of a group that spans processes, StepFlat, a test.
+// BackwardFactors stops short of it and writes only the bias gradients: at
+// the paper's batch of ten the factors of a 256×1024 weight are 50 KB
+// against its megabyte of gradient, and an in-process trainer hands them to
+// the update (tensor.Team.AdamFactorStep), which forms each gradient
+// element in registers and never stores it.
 package nn
 
 import (
@@ -47,7 +60,8 @@ import (
 // Param is one learnable parameter tensor together with its gradient
 // accumulator. Inside a Network both matrices are views into the network's
 // flat slabs, which is what the optimizer and the data-parallel all-reduce
-// operate on; Grad is nil in a network that does not train.
+// operate on; Grad is nil in a network that does not train. BackwardFactors
+// leaves a weight's Grad untouched.
 type Param struct {
 	Name  string
 	Value *tensor.Matrix
@@ -91,8 +105,22 @@ func (n *Network) Forward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward propagates dy through the network in reverse, accumulating
-// parameter gradients, and returns the gradient w.r.t. the network input.
+// every parameter gradient into the slab, and returns the gradient w.r.t.
+// the network input.
 func (n *Network) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	for i := len(n.Layers) - 1; i >= 0; i-- {
+		d := n.Layers[i]
+		dy = d.Backward(dy)
+		d.addWeightGrad()
+	}
+	return dy
+}
+
+// BackwardFactors is Backward for an update that forms the weight gradients
+// itself (tensor.Team.AdamFactorStep): it accumulates only the bias
+// gradients into the slab and leaves each weight's as its layer's factors
+// (Dense.WeightFactors).
+func (n *Network) BackwardFactors(dy *tensor.Matrix) *tensor.Matrix {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		dy = n.Layers[i].Backward(dy)
 	}
@@ -121,9 +149,16 @@ func (n *Network) GradBuckets() []GradBucket {
 // Params returns all learnable parameters in a stable order.
 func (n *Network) Params() []*Param { return n.params }
 
-// ZeroGrad clears every parameter gradient — a single memclr of the
-// gradient slab. Call before each batch.
-func (n *Network) ZeroGrad() { tensor.Zero(n.flatGrads) }
+// ZeroGrad clears every parameter gradient: one memclr of the gradient
+// slab, and each layer forgets the weight factors of its last Backward.
+// Gradients accumulate in the slab until it is cleared, which a trainer's
+// update pass does for the ranges it reads.
+func (n *Network) ZeroGrad() {
+	tensor.Zero(n.flatGrads)
+	for _, d := range n.Layers {
+		d.dropFactors()
+	}
+}
 
 // NumParams returns the total number of scalar learnable parameters.
 func (n *Network) NumParams() int { return len(n.flatValues) }
@@ -251,6 +286,7 @@ func buildMLP(widths []int, values, grads []float32) *Network {
 			name, relu = fmt.Sprintf("hidden%d", i), true
 		}
 		n.Layers[i] = &Dense{name: name, relu: relu, w: param(name+".weight", widths[i], widths[i+1]), b: param(name+".bias", 1, widths[i+1])}
+		n.Layers[i].dropFactors()
 	}
 	return n
 }

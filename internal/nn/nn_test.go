@@ -174,6 +174,44 @@ func TestGradCheckInput(t *testing.T) {
 	}
 }
 
+// TestBackwardFactorsLeavesWeightGrads pins the split of the two backward
+// passes: BackwardFactors writes the bias gradients Backward writes and no
+// weight gradient, each layer's factors multiply out (MatMulATBAdd into the
+// zero weight gradient) to Backward's bits, and ZeroGrad drops them.
+func TestBackwardFactorsLeavesWeightGrads(t *testing.T) {
+	full := ArchitectureMLP(5, []int{40, 24}, 33, 7)
+	split := full.CloneReplica()
+	rng := rand.New(rand.NewPCG(3, 4))
+	x, target := randBatch(rng, 10, 5), randBatch(rng, 10, 33)
+	loss := NewMSELoss()
+	full.Backward(loss.Backward(full.Forward(x), target))
+	split.BackwardFactors(loss.Backward(split.Forward(x), target))
+	for i, d := range split.Layers {
+		w, b := split.Params()[2*i], split.Params()[2*i+1]
+		for _, g := range w.Grad.Data {
+			if g != 0 {
+				t.Fatalf("%s: BackwardFactors wrote a weight gradient", w.Name)
+			}
+		}
+		if diff := maxAbsDiff(b.Grad, full.Params()[2*i+1].Grad); diff != 0 {
+			t.Fatalf("%s differs from Backward's by %v", b.Name, diff)
+		}
+		f := d.WeightFactors()
+		(*tensor.Team)(nil).MatMulATBAdd(w.Grad, f.X, f.DZ)
+		for j, g := range w.Grad.Data {
+			if want := full.Params()[2*i].Grad.Data[j]; math.Float32bits(g) != math.Float32bits(want) {
+				t.Fatalf("%s[%d]: factors give %v, Backward %v", w.Name, j, g, want)
+			}
+		}
+	}
+	split.ZeroGrad()
+	for _, d := range split.Layers {
+		if f := d.WeightFactors(); f.X.Rows != 0 || f.DZ.Rows != 0 || f.X.Cols != d.In() || f.DZ.Cols != d.Out() {
+			t.Fatalf("after ZeroGrad the factors are %dx%d and %dx%d", f.X.Rows, f.X.Cols, f.DZ.Rows, f.DZ.Cols)
+		}
+	}
+}
+
 func TestGradAccumulation(t *testing.T) {
 	net := ArchitectureMLP(2, []int{3}, 2, 3)
 	rng := rand.New(rand.NewPCG(1, 2))
@@ -457,6 +495,8 @@ func TestFusedDenseMatchesUnfusedLayers(t *testing.T) {
 		z := plain.Layers[0].Forward(x)
 		pp := plain.Layers[1].Forward(reluForward(z))
 		pdx := plain.Layers[0].Backward(reluBackward(z, plain.Layers[1].Backward(loss.Backward(pp, target))))
+		plain.Layers[0].addWeightGrad()
+		plain.Layers[1].addWeightGrad()
 
 		if d := maxAbsDiff(fp, pp); d != 0 {
 			t.Fatalf("forward differs by %v", d)

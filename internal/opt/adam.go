@@ -54,28 +54,41 @@ func (a *Adam) StepFlat(values, grads []float32) {
 	a.team.AdamStep(values, grads, a.m, a.v, alpha, b1, b2, eps)
 }
 
-// A GradRange is one range [Lo, Hi) of a StepSum: its gradient is the sum,
-// in order, of the same range of the slabs in Srcs.
+// A GradRange is one range [Lo, Hi) of a StepSum. Its gradient is the sum,
+// in order, of the same range of the slabs in Srcs — or, where Factors is
+// set, of the weight gradients the factors hold (tensor.Factors, one per
+// source): then the range lies inside one layer's weight, whose element 0
+// is at Weight in the slab.
 type GradRange struct {
-	Lo, Hi int
-	Srcs   [][]float32
+	Lo, Hi  int
+	Srcs    [][]float32
+	Factors []tensor.Factors
+	Weight  int
 }
 
 // StepSum is one update, at the current learning rate, of the ranges parts
-// names and nothing else, for a gradient that lives in several slabs: over
-// each part, element i's gradient is the in-order sum of the part's sources
-// at i times scale, and once it is read, element i of every slab in zero is
-// cleared (tensor.AdamSumStep). The step counter advances once, as for a
-// whole step. The update is element-wise, so handles that alias one state
-// (Alias) and each step disjoint ranges of one value slab leave exactly what
-// one whole step would — the ranks of one process share the update this
-// way, concurrently. This is the training hot path; it performs no
-// allocations in steady state.
+// names and nothing else, for a gradient that lives in several sources:
+// over each part, element i's gradient is the in-order sum of the part's
+// sources at i times scale. A slab part clears element i of every slab in
+// zero once it is read (tensor.AdamSumStep); a factor part forms each
+// source's gradient from its factors as it goes and stores none
+// (tensor.AdamFactorStep). The step counter advances once, as for a whole
+// step. The update is element-wise, so handles that alias one state (Alias)
+// and each step disjoint ranges of one value slab leave exactly what one
+// whole step would — the ranks of one process share the update this way,
+// concurrently. This is the training hot path; it performs no allocations
+// in steady state.
 func (a *Adam) StepSum(values []float32, parts []GradRange, zero [][]float32, scale float32) {
 	a.ensureState(len(values))
 	alpha, b1, b2, eps := a.alpha()
 	for _, p := range parts {
-		a.team.AdamSumStep(values, a.m, a.v, p.Srcs, zero, p.Lo, p.Hi, scale, alpha, b1, b2, eps)
+		if p.Factors == nil {
+			a.team.AdamSumStep(values, a.m, a.v, p.Srcs, zero, p.Lo, p.Hi, scale, alpha, b1, b2, eps)
+			continue
+		}
+		w, f := p.Weight, p.Factors[0]
+		end := w + f.X.Cols*f.DZ.Cols
+		a.team.AdamFactorStep(values[w:end], a.m[w:end], a.v[w:end], p.Factors, p.Lo-w, p.Hi-w, scale, alpha, b1, b2, eps)
 	}
 }
 

@@ -3,9 +3,11 @@
 // (lr halved every N training samples down to a floor). Optimizer state can
 // be serialized so server checkpoints resume training bit-exactly.
 //
-// Adam has one update path. Its moments live in flat slabs mirroring
+// Adam has one update. Its moments live in flat slabs mirroring
 // nn.Network's parameter slab layout, and StepFlat hands them with the
-// network's value and gradient slabs to tensor.Team.AdamStep: per element
+// network's value and gradient slabs to tensor.Team.AdamStep — StepSum with
+// several gradient slabs or a weight's batch factors to AdamSumStep or
+// AdamFactorStep, the same update — per element
 //
 //	m′ = β1·m + (1−β1)·g
 //	v′ = β2·v + ((1−β2)·g)·g

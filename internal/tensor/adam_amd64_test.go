@@ -5,6 +5,7 @@ package tensor
 import (
 	"encoding/binary"
 	"math"
+	"math/rand/v2"
 	"testing"
 )
 
@@ -190,4 +191,61 @@ func FuzzUpdateKernel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFactorKernelsWholePanel calls the factor kernel directly over whole
+// rows of one panel as wide as the weight — wider than adamFactorRangeAVX2
+// makes a panel for batches past 64 rows — so the 64-column groups also
+// run chains of more than one blockK slab, summed over sources that
+// include an empty one, against the portable loop.
+func TestFactorKernelsWholePanel(t *testing.T) {
+	if !hasAVX2FMA() {
+		t.Skip("no AVX2+FMA on this CPU")
+	}
+	for _, rows := range [][]int{{300}, {257, 0, 5}} {
+		const in, cols = 3, 136
+		rng := rand.New(rand.NewPCG(uint64(len(rows)), 8))
+		srcs := make([]Factors, len(rows))
+		ldz, k := cols+factorPad, 0
+		for s, r := range rows {
+			srcs[s] = Factors{X: New(r, in), DZ: New(r, cols)}
+			for _, d := range [][]float32{srcs[s].X.Data, srcs[s].DZ.Data} {
+				for e := range d {
+					d[e] = adamNormal(rng)
+				}
+			}
+			k += r
+		}
+		dz := make([]float32, k*ldz)
+		at := 0
+		for _, f := range srcs {
+			for p := 0; p < f.DZ.Rows; p++ {
+				copy(dz[at:], f.DZ.Row(p))
+				at += ldz
+			}
+		}
+		var ka, ra [3][]float32
+		for s := range ka {
+			ka[s], ra[s] = make([]float32, in*cols), make([]float32, in*cols)
+			for e := range ka[s] {
+				ka[s][e] = adamDraw(rng, false)
+			}
+			copy(ra[s], ka[s])
+		}
+		blocks := cols / 8
+		var desc [maxFactorSrcs]factorSrc
+		factorBlocks(ka[0], ka[1], ka[2], srcs, dz, &desc, 0, 0, in, blocks, 0.5, 1e-3, 0.9, 0.999, 1e-8)
+		for r := 0; r < in; r++ {
+			adamFactorRangeGo(ka[0], ka[1], ka[2], srcs, dz, r*cols+8*blocks, (r+1)*cols, 0.5, 1e-3, 0.9, 0.999, 1e-8)
+		}
+		adamFactorRangeGo(ra[0], ra[1], ra[2], srcs, dz, 0, in*cols, 0.5, 1e-3, 0.9, 0.999, 1e-8)
+		for s := range ka {
+			for e := range ka[s] {
+				if !sameBits(ka[s][e], ra[s][e]) {
+					t.Fatalf("rows %v: slab %d [%d] (row %d col %d) = %#08x, portable %#08x",
+						rows, s, e, e/cols, e%cols, math.Float32bits(ka[s][e]), math.Float32bits(ra[s][e]))
+				}
+			}
+		}
+	}
 }

@@ -152,3 +152,51 @@ func BenchmarkAdamStepSizes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAdamFactorStep times the optimizer pass over the paper
+// surrogate's three weights (6×256, 256×256, 256×1024) for a batch of ten
+// rows per source, inline, at one and two sources: "factors" is
+// AdamFactorStep, "slabs" the passes it replaces — MatMulATBAdd into each
+// source's slab, then AdamSumStep summing the slabs and clearing them.
+func BenchmarkAdamFactorStep(b *testing.B) {
+	widths := []int{6, 256, 256, 1024}
+	const rows = 10
+	for nsrc := 1; nsrc <= 2; nsrc++ {
+		for _, form := range []string{"factors", "slabs"} {
+			b.Run(fmt.Sprintf("sources=%d/%s", nsrc, form), func(b *testing.B) {
+				rng := rand.New(rand.NewPCG(1, uint64(nsrc)))
+				type weight struct {
+					vals, m, v []float32
+					srcs       []Factors
+					slabs      [][]float32
+				}
+				var ws []weight
+				elems := 0
+				for l := 1; l < len(widths); l++ {
+					in, out := widths[l-1], widths[l]
+					w := weight{vals: make([]float32, in*out), m: make([]float32, in*out), v: make([]float32, in*out)}
+					for s := 0; s < nsrc; s++ {
+						w.srcs = append(w.srcs, Factors{X: randMatrix(rng, rows, in), DZ: randMatrix(rng, rows, out)})
+						w.slabs = append(w.slabs, make([]float32, in*out))
+					}
+					ws = append(ws, w)
+					elems += in * out
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, w := range ws {
+						if form == "factors" {
+							(*Team)(nil).AdamFactorStep(w.vals, w.m, w.v, w.srcs, 0, len(w.vals), 1/float32(nsrc), 1e-3, 0.9, 0.999, 1e-8)
+							continue
+						}
+						for s, f := range w.srcs {
+							(*Team)(nil).MatMulATBAdd(&Matrix{Rows: f.X.Cols, Cols: f.DZ.Cols, Data: w.slabs[s]}, f.X, f.DZ)
+						}
+						(*Team)(nil).AdamSumStep(w.vals, w.m, w.v, w.slabs, w.slabs, 0, len(w.vals), 1/float32(nsrc), 1e-3, 0.9, 0.999, 1e-8)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elems), "ns/elem")
+			})
+		}
+	}
+}

@@ -42,6 +42,10 @@ type kernels struct {
 	// dot4x2: out[2r+c] = a[r*lda:][:k] · w[c*ldw:][:k], r in [0,4), c in
 	// [0,2). dot4x4, where the level has one: out[4r+c], c in [0,4).
 	dot4x2, dot4x4 func(k int, a []float32, lda int, w []float32, ldw int, out *[16]float32)
+	// adamFactor is AdamFactorStep over one chunk. Its gradients are the
+	// tile kernel's chains, so it belongs to the level: the portable loop,
+	// or the AVX2 kernel at the avx2 and avx512 levels.
+	adamFactor func(values, m, v []float32, srcs []Factors, dz []float32, lo, hi int, scale, alpha, b1, b2, eps float32)
 }
 
 // levels are the kernel levels this machine can run, ascending: the portable
@@ -50,7 +54,7 @@ type kernels struct {
 // dots). kern is the active one, the highest; it is set once at init and
 // read by the drivers, and only tests ever point it elsewhere.
 var (
-	levels = []kernels{{name: "portable", tile: kern4x16Go, rows: microM, dot4x2: dot4x2Go}}
+	levels = []kernels{{name: "portable", tile: kern4x16Go, rows: microM, dot4x2: dot4x2Go, adamFactor: adamFactorRangeGo}}
 	kern   = levels[0]
 )
 

@@ -77,9 +77,9 @@ func hasAVX512F() bool {
 
 func init() {
 	if hasAVX2FMA() {
-		levels = append(levels, kernels{name: "avx2", tile: kern4x16FMA, rows: microM, dot4x2: dot4x2FMA})
+		levels = append(levels, kernels{name: "avx2", tile: kern4x16FMA, rows: microM, dot4x2: dot4x2FMA, adamFactor: adamFactorRangeAVX2})
 		if hasAVX512F() {
-			levels = append(levels, kernels{name: "avx512", tile: kern12x16, rows: 3 * microM, dot4x2: dot4x2FMA, dot4x4: dot4x4})
+			levels = append(levels, kernels{name: "avx512", tile: kern12x16, rows: 3 * microM, dot4x2: dot4x2FMA, dot4x4: dot4x4, adamFactor: adamFactorRangeAVX2})
 		}
 		kern = levels[len(levels)-1]
 		adamRange, adamSumRange = adamRangeAVX2, adamSumRangeAVX2

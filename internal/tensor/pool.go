@@ -43,6 +43,7 @@ const (
 	opSkinnyNT
 	opAdam
 	opAdamSum
+	opAdamFactor
 )
 
 // Per-op minimum work before a kernel fans out; below it the hand-off costs
@@ -54,6 +55,8 @@ const (
 // layers (655k and 2.6M madds per batch of ten) still do. The Adam kernel
 // is bound by the divider: split two ways it breaks even near 262k
 // elements, and the paper surrogate's 330k parameters are above that.
+// AdamFactorStep, which runs the dW GEMMs' multiply-adds inside the update,
+// counts them and fans out where those GEMMs did.
 const (
 	gemmParallelThreshold     = 1 << 19
 	elemwiseParallelThreshold = 1 << 18
@@ -95,7 +98,8 @@ type task struct {
 	ep        Epilogue
 	// shared is a packed operand every chunk reads: the slab-wide packed B
 	// of the shared-B driver (k0/kc locate its blockK slab of the shared
-	// dimension), or all of A for the skinny a·b.
+	// dimension), all of A for the skinny a·b, or AdamFactorStep's copy of
+	// its sources' DZ.
 	shared []float32
 	k0, kc int
 	vals   []float32
@@ -105,12 +109,15 @@ type task struct {
 	// off is where its range starts in every slab.
 	srcs, zero [][]float32
 	off        int
-	scale      float32
-	alpha      float32
-	beta1      float32
-	beta2      float32
-	eps        float32
-	i0, i1     int
+	// factors are AdamFactorStep's gradient sources (shared: the copy of
+	// their DZ the kernel reads); off as for srcs.
+	factors []Factors
+	scale   float32
+	alpha   float32
+	beta1   float32
+	beta2   float32
+	eps     float32
+	i0, i1  int
 }
 
 // run executes the task's range.
@@ -136,6 +143,8 @@ func (t *task) run() {
 		adamRange(t.vals[t.i0:t.i1], t.grads[t.i0:t.i1], t.m[t.i0:t.i1], t.v[t.i0:t.i1], t.alpha, t.beta1, t.beta2, t.eps)
 	case opAdamSum:
 		adamSumRange(t.vals, t.m, t.v, t.srcs, t.zero, t.off+t.i0, t.off+t.i1, t.scale, t.alpha, t.beta1, t.beta2, t.eps)
+	case opAdamFactor:
+		kern.adamFactor(t.vals, t.m, t.v, t.factors, t.shared, t.off+t.i0, t.off+t.i1, t.scale, t.alpha, t.beta1, t.beta2, t.eps)
 	}
 }
 

@@ -29,9 +29,12 @@
 // skinny driver: A·B packs A's few rows and hands the same micro-kernel B's
 // row stride, so it walks 16 columns of B where they lie, split by 16-column
 // panels on a team; A·Bᵀ reads each group of B's rows once as contiguous
-// dots against A (dot4x2, dot4x4), split by those groups. Aᵀ·B, bound by
-// the gradient's memory, stays blocked. The naive kernels remain as the
-// reference and as the fast path for operands too small to tile.
+// dots against A (dot4x2, dot4x4), split by those groups. Aᵀ·B, a weight
+// gradient written into a slab, stays blocked: it serves every reader of
+// the slab, the socket ring's all-reduce among them, while an in-process
+// trainer forms its weight gradients inside the update instead
+// (AdamFactorStep, below). The naive kernels remain as the reference and as
+// the fast path for operands too small to tile.
 // Tests can force them, or the packed driver, in place of the choice by
 // shape (forceGemmMode).
 //
@@ -132,6 +135,20 @@
 // reduction, 1/n, update and gradient clearing are one sweep
 // (FuzzUpdateKernel is its differential).
 //
+// AdamFactorStep is AdamSumStep for a Dense layer's weight whose gradients
+// were never written: each source is one rank's batch factors (Factors: the
+// layer input X and the pre-activation gradient DZ), and the sweep forms
+// element (i, j) of each rank's Xᵀ·DZ in registers, in exactly the order
+// MatMulATBAdd forms it into a zero slab — per blockK slab of the batch one
+// fused chain from +0, the chains added in turn; below naiveMaxWork the
+// naive kernel's product-then-add per row — before the sum, the scale and
+// the update. A ten-row batch holds a 256×1024 weight's gradient in 50 KB of
+// factors instead of a megabyte of slab, and the slab's write and re-read
+// leave the step. Its kernel belongs to the GEMM's kernel level (the
+// portable loop, or AVX2 at the avx2 and avx512 levels);
+// TestAdamFactorStepIsGemmThenSumStep and FuzzFactorKernel hold it to
+// MatMulATBAdd followed by AdamSumStep, bit for bit.
+//
 // # Elementwise kernels
 //
 // vec.go's family — Add, AddReLU, ReLUGradBias, SubScale, AffineNorm,
@@ -201,9 +218,4 @@ func (m *Matrix) SumRowsInto(dst []float32) {
 	for r := 0; r < m.Rows; r++ {
 		Add(dst, m.Row(r))
 	}
-}
-
-// String renders small matrices for debugging.
-func (m *Matrix) String() string {
-	return fmt.Sprintf("Matrix(%dx%d)", m.Rows, m.Cols)
 }
